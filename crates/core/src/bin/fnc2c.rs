@@ -12,17 +12,22 @@
 //! fnc2c profile <file.olga>       # ranked per-(production, rule) cost profile
 //! fnc2c explain <attr@node> <file.olga>
 //!                                 # dynamic dependency slice of one instance
-//! fnc2c fuzz [--seed N] [--cases N] [--front N] [--fault N] [--crash N] [--lint N]
-//!            [--no-shrink]
-//!                                 # differential fuzzing oracle (no input file)
-//! fnc2c batch [--seed N] [--grammars N] [--trees N] [--threads N]
-//!             [--repeat N] [--retries N] [--fault-seed N] [--metrics]
-//!             [--checkpoint FILE [--resume]] [--backoff-ms N]
-//!                                 # parallel batch evaluation over synthetic AGs
+//! fnc2c fuzz                      # differential fuzzing oracle (no input file)
+//! fnc2c batch                     # parallel batch evaluation over synthetic AGs
 //! fnc2c cache-gc <dir>            # sweep orphaned temps + quarantined artifacts
 //! ```
 //!
-//! Instrumentation flags (any command that runs the generator):
+//! Flags may come before or after the command. Every flag is declared
+//! once in `FLAGS`, together with the commands that read it (the same
+//! lists `usage()` prints). A flag given to any other command is an
+//! exit-1 diagnostic, never silently ignored:
+//!
+//! ```text
+//! $ fnc2c check --max-steps 5 grammar.olga
+//! fnc2c: `--max-steps` does not apply to `check`
+//! ```
+//!
+//! Instrumentation flags:
 //!
 //! ```text
 //! --report json|text   report format (json bundles phases+counters+trace)
@@ -33,7 +38,7 @@
 //!                      the escape hatch for differential comparison)
 //! ```
 //!
-//! Tables flags (report/c/lisp/seqs/profile/explain; mutually exclusive):
+//! Tables flags (mutually exclusive):
 //!
 //! ```text
 //! --tables FILE        load the compiled tables artifact FILE instead of
@@ -43,7 +48,7 @@
 //!                      keyed by the source + configuration fingerprint
 //! ```
 //!
-//! Budget flags (any command that evaluates):
+//! Budget flags (report, profile, batch):
 //!
 //! ```text
 //! --max-steps N        rule-evaluation step budget
@@ -67,24 +72,85 @@
 //! one attribute grammar (`-` reads standard input).
 
 use std::io::Read as _;
+use std::num::ParseIntError;
 use std::process::ExitCode;
 
 use fnc2::guard::{Deadline, EvalBudget};
 use fnc2::obs::Obs;
 use fnc2::vfs::Vfs as _;
-use fnc2::{GrammarResolver, Pipeline, PipelineError};
+use fnc2::{Compiled, GrammarResolver, Pipeline, PipelineError, SmokeOutcome};
+use Cmd::*;
 
 /// Exit code for ordinary diagnostics (usage, front-end, class errors).
 const EXIT_DIAGNOSTICS: u8 = 1;
 /// Exit code for budget exhaustion and injected/classified faults.
 const EXIT_BUDGET: u8 = 2;
 
-#[derive(Clone, Debug, Default)]
+/// Event-ring capacity of a bare `--trace`.
+const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// Event-ring capacity of `explain`, which always traces: a wrapped ring
+/// truncates the slice, so it defaults to far more than a smoke tree fires.
+const EXPLAIN_TRACE_CAPACITY: usize = 1 << 20;
+
+/// A subcommand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cmd {
+    Report,
+    Check,
+    C,
+    Lisp,
+    Seqs,
+    Compile,
+    Lint,
+    Profile,
+    Explain,
+    Fuzz,
+    Batch,
+    CacheGc,
+}
+
+impl Cmd {
+    const ALL: [Cmd; 12] = [
+        Report, Check, C, Lisp, Seqs, Compile, Lint, Profile, Explain, Fuzz, Batch, CacheGc,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Report => "report",
+            Check => "check",
+            C => "c",
+            Lisp => "lisp",
+            Seqs => "seqs",
+            Compile => "compile",
+            Lint => "lint",
+            Profile => "profile",
+            Explain => "explain",
+            Fuzz => "fuzz",
+            Batch => "batch",
+            CacheGc => "cache-gc",
+        }
+    }
+
+    /// Number of positional arguments after the command: an OLGA path,
+    /// a target plus a path for `explain`, a directory for `cache-gc`.
+    fn arity(self) -> usize {
+        match self {
+            Fuzz | Batch => 0,
+            Explain => 2,
+            _ => 1,
+        }
+    }
+}
+
+/// Every flag's value. Fields whose default differs by command are
+/// `Option`s, resolved where the command reads them.
+#[derive(Debug, Default)]
 struct Opts {
     metrics: bool,
-    trace: Option<usize>,
+    /// `--trace[=N]`: `Some(None)` for a bare `--trace`, whose ring
+    /// capacity is the command's default.
+    trace: Option<Option<usize>>,
     report_json: bool,
-    budget: Option<EvalBudget>,
     chrome_trace: Option<String>,
     /// `--tables FILE`: load the compiled tables artifact instead of
     /// running the cascade (falls back to recompilation when rejected).
@@ -95,20 +161,235 @@ struct Opts {
     emit_tables: Option<String>,
     /// `--no-intern`: disable hash-consed value interning.
     no_intern: bool,
+    budget: EvalBudget,
+    /// `--deny warnings` (lint).
+    deny_warnings: bool,
+    /// Evaluations per profile (default 64) or passes per batch (default 1).
+    repeat: Option<usize>,
+    sample_every: Option<u32>,
+    top: Option<usize>,
+    /// The fuzz configuration. Its `seed` also seeds `batch`, whose
+    /// grammars and trees come from the fuzz generator.
+    fuzz: fnc2::fuzz::FuzzConfig,
+    grammars: Option<u64>,
+    trees: Option<usize>,
+    threads: Option<usize>,
+    retries: u32,
+    fault_seed: Option<u64>,
+    checkpoint: Option<String>,
+    resume: bool,
+    backoff_ms: Option<u64>,
 }
 
-const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// How a flag takes its value.
+enum Kind {
+    /// `--flag`.
+    Switch(fn(&mut Opts)),
+    /// `--flag` or `--flag=N` with a positive `N`.
+    Count(fn(&mut Opts, Option<usize>)),
+    /// `--flag N`, parsed straight into the target field's type so an
+    /// out-of-range value is rejected rather than truncated.
+    Int(fn(&mut Opts, &str) -> Result<(), ParseIntError>),
+    /// `--flag PATH`; the text names what kind of path it is.
+    Path(&'static str, fn(&mut Opts, String)),
+    /// `--flag WORD`, one of the listed words.
+    Word(&'static [&'static str], fn(&mut Opts, &str)),
+}
 
+/// One command-line flag and the commands that accept it.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    cmds: &'static [Cmd],
+}
+
+/// Commands that accept the budget flags.
+const BUDGET: &[Cmd] = &[Report, Profile, Batch];
+/// Commands that accept `--tables` and `--cache-dir`.
+const TABLES: &[Cmd] = &[Report, C, Lisp, Seqs, Lint, Profile, Explain];
+
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--metrics",
+        kind: Kind::Switch(|o| o.metrics = true),
+        cmds: &[Report, C, Lisp, Seqs, Batch],
+    },
+    Flag {
+        name: "--trace",
+        kind: Kind::Count(|o, n| o.trace = Some(n)),
+        cmds: &[Report, C, Lisp, Seqs, Explain],
+    },
+    Flag {
+        name: "--report",
+        kind: Kind::Word(&["json", "text"], |o, w| o.report_json = w == "json"),
+        cmds: &[Report, Lint, Profile, Explain],
+    },
+    Flag {
+        name: "--chrome-trace",
+        kind: Kind::Path("file", |o, p| o.chrome_trace = Some(p)),
+        cmds: &[Report, Check, C, Lisp, Seqs, Compile, Batch],
+    },
+    Flag {
+        name: "--tables",
+        kind: Kind::Path("file", |o, p| o.tables = Some(p)),
+        cmds: TABLES,
+    },
+    Flag {
+        name: "--cache-dir",
+        kind: Kind::Path("directory", |o, p| o.cache_dir = Some(p)),
+        cmds: TABLES,
+    },
+    Flag {
+        name: "--emit-tables",
+        kind: Kind::Path("file", |o, p| o.emit_tables = Some(p)),
+        cmds: &[Compile],
+    },
+    Flag {
+        name: "--no-intern",
+        kind: Kind::Switch(|o| o.no_intern = true),
+        cmds: &[Report, C, Lisp, Seqs, Compile, Profile, Explain, Batch],
+    },
+    Flag {
+        name: "--max-steps",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.budget.max_steps = n)),
+        cmds: BUDGET,
+    },
+    Flag {
+        name: "--max-depth",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.budget.max_depth = n)),
+        cmds: BUDGET,
+    },
+    Flag {
+        name: "--max-value-bytes",
+        kind: Kind::Int(|o, v| {
+            v.parse().map(|n: u64| {
+                let cell = std::mem::size_of::<fnc2::ag::Value>() as u64;
+                o.budget.max_value_cells = (n / cell).max(1);
+            })
+        }),
+        cmds: BUDGET,
+    },
+    Flag {
+        name: "--deadline-ms",
+        kind: Kind::Int(|o, v| {
+            v.parse()
+                .map(|n| o.budget.deadline = Some(Deadline::after_ms(n)))
+        }),
+        cmds: BUDGET,
+    },
+    Flag {
+        name: "--deny",
+        kind: Kind::Word(&["warnings"], |o, _| o.deny_warnings = true),
+        cmds: &[Lint],
+    },
+    Flag {
+        name: "--repeat",
+        kind: Kind::Int(|o, v| v.parse().map(|n: usize| o.repeat = Some(n.max(1)))),
+        cmds: &[Profile, Batch],
+    },
+    Flag {
+        name: "--sample-every",
+        kind: Kind::Int(|o, v| v.parse().map(|n: u32| o.sample_every = Some(n.max(1)))),
+        cmds: &[Profile],
+    },
+    Flag {
+        name: "--top",
+        kind: Kind::Int(|o, v| v.parse().map(|n: usize| o.top = Some(n.max(1)))),
+        cmds: &[Profile],
+    },
+    Flag {
+        name: "--seed",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.fuzz.seed = n)),
+        cmds: &[Fuzz, Batch],
+    },
+    Flag {
+        name: "--cases",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.fuzz.grammar_cases = n)),
+        cmds: &[Fuzz],
+    },
+    Flag {
+        name: "--front",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.fuzz.front_cases = n)),
+        cmds: &[Fuzz],
+    },
+    Flag {
+        name: "--fault",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.fuzz.fault_cases = n)),
+        cmds: &[Fuzz],
+    },
+    Flag {
+        name: "--crash",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.fuzz.crash_cases = n)),
+        cmds: &[Fuzz],
+    },
+    Flag {
+        name: "--lint",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.fuzz.lint_cases = n)),
+        cmds: &[Fuzz],
+    },
+    Flag {
+        name: "--no-shrink",
+        kind: Kind::Switch(|o| o.fuzz.shrink = false),
+        cmds: &[Fuzz],
+    },
+    Flag {
+        name: "--grammars",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.grammars = Some(n))),
+        cmds: &[Batch],
+    },
+    Flag {
+        name: "--trees",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.trees = Some(n))),
+        cmds: &[Batch],
+    },
+    Flag {
+        name: "--threads",
+        kind: Kind::Int(|o, v| v.parse().map(|n: usize| o.threads = Some(n.max(1)))),
+        cmds: &[Batch],
+    },
+    Flag {
+        name: "--retries",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.retries = n)),
+        cmds: &[Batch],
+    },
+    Flag {
+        name: "--fault-seed",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.fault_seed = Some(n))),
+        cmds: &[Batch],
+    },
+    Flag {
+        name: "--checkpoint",
+        kind: Kind::Path("file", |o, p| o.checkpoint = Some(p)),
+        cmds: &[Batch],
+    },
+    Flag {
+        name: "--resume",
+        kind: Kind::Switch(|o| o.resume = true),
+        cmds: &[Batch],
+    },
+    Flag {
+        name: "--backoff-ms",
+        kind: Kind::Int(|o, v| v.parse().map(|n| o.backoff_ms = Some(n))),
+        cmds: &[Batch],
+    },
+];
+
+/// The usage text: one line per command (or group of commands) with
+/// exactly the flags `FLAGS` accepts for it.
 fn usage() -> String {
-    "usage: fnc2c [--metrics] [--trace[=N]] [--report json|text] [--chrome-trace FILE] \
-     [--tables FILE | --cache-dir DIR] [--no-intern] [budget flags] <report|check|c|lisp|seqs> \
+    "usage: fnc2c [report] [--metrics] [--trace[=N]] [--report json|text] \
+     [--chrome-trace FILE] [--tables FILE | --cache-dir DIR] [--no-intern] [budget flags] \
+     <file.olga | ->\n\
+     \u{20}      fnc2c <c|lisp|seqs> [--metrics] [--trace[=N]] [--chrome-trace FILE] \
+     [--tables FILE | --cache-dir DIR] [--no-intern] <file.olga | ->\n\
+     \u{20}      fnc2c check [--chrome-trace FILE] <file.olga | ->\n\
+     \u{20}      fnc2c compile --emit-tables FILE [--no-intern] [--chrome-trace FILE] \
      <file.olga | ->\n\
      \u{20}      fnc2c lint [--deny warnings] [--report json|text] \
      [--tables FILE | --cache-dir DIR] <file.olga | ->\n\
-     \u{20}      fnc2c compile --emit-tables FILE <file.olga | ->\n\
      \u{20}      fnc2c profile [--repeat N] [--sample-every N] [--top N] [--report json|text] \
      [--tables FILE | --cache-dir DIR] [--no-intern] [budget flags] <file.olga | ->\n\
-     \u{20}      fnc2c explain [--trace=N] [--report json|text] \
+     \u{20}      fnc2c explain [--trace[=N]] [--report json|text] \
      [--tables FILE | --cache-dir DIR] [--no-intern] <[Phylum.]attr@node> \
      <file.olga | ->\n\
      \u{20}      fnc2c fuzz [--seed N] [--cases N] [--front N] [--fault N] [--crash N] \
@@ -121,155 +402,130 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Applies one `--max-*`/`--deadline-ms` flag to `budget`. Returns `None`
-/// when `flag` is not a budget flag; `Some(Err)` on a malformed value.
-fn apply_budget_flag(
-    flag: &str,
-    value: Option<&str>,
-    budget: &mut EvalBudget,
-) -> Option<Result<(), String>> {
-    let numeric = |name: &str| -> Result<u64, String> {
-        value
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| format!("fnc2c: {name} takes a number\n{}", usage()))
-    };
-    let r = match flag {
-        "--max-steps" => numeric("--max-steps").map(|n| budget.max_steps = n),
-        "--max-depth" => numeric("--max-depth").map(|n| budget.max_depth = n as usize),
-        "--max-value-bytes" => numeric("--max-value-bytes").map(|n| {
-            budget.max_value_cells = (n / std::mem::size_of::<fnc2::ag::Value>() as u64).max(1);
-        }),
-        "--deadline-ms" => {
-            numeric("--deadline-ms").map(|n| budget.deadline = Some(Deadline::after_ms(n)))
+/// A usage diagnostic: `fnc2c: msg`, then the usage text.
+fn misuse(msg: impl std::fmt::Display) -> String {
+    format!("fnc2c: {msg}\n{}", usage())
+}
+
+/// Parses the command line in one pass, then rejects contradictory or
+/// inapplicable flags before any work starts. Returns the command, its
+/// positional arguments and the options.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<(Cmd, Vec<String>, Opts), String> {
+    let mut opts = Opts::default();
+    let mut given: Vec<&'static Flag> = Vec::new();
+    let mut positional: Vec<String> = Vec::new();
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg);
+            continue;
         }
-        _ => return None,
+        let (name, inline) = arg
+            .split_once('=')
+            .map_or((arg.as_str(), None), |(name, n)| (name, Some(n)));
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == name && (inline.is_none() || matches!(f.kind, Kind::Count(_))))
+            .ok_or_else(|| misuse(format!("unknown flag `{arg}`")))?;
+        match flag.kind {
+            Kind::Switch(set) => set(&mut opts),
+            Kind::Count(set) => match inline.map(str::parse::<usize>) {
+                None => set(&mut opts, None),
+                Some(Ok(n)) if n > 0 => set(&mut opts, Some(n)),
+                Some(_) => return Err(misuse(format!("{name}=N needs a positive count"))),
+            },
+            Kind::Int(set) => set(&mut opts, &it.next().unwrap_or_default())
+                .map_err(|_| misuse(format!("{name} takes a number")))?,
+            Kind::Path(what, set) => match it.next() {
+                Some(path) => set(&mut opts, path),
+                None => return Err(misuse(format!("{name} takes a {what} path"))),
+            },
+            Kind::Word(words, set) => match it.next() {
+                Some(w) if words.contains(&w.as_str()) => set(&mut opts, &w),
+                _ => return Err(misuse(format!("{name} takes `{}`", words.join("` or `")))),
+            },
+        }
+        given.push(flag);
+    }
+    let named = positional
+        .first()
+        .and_then(|p| Cmd::ALL.into_iter().find(|c| c.name() == p));
+    let cmd = match (named, positional.len()) {
+        (Some(cmd), _) => {
+            positional.remove(0);
+            cmd
+        }
+        // Flags-only invocations default to the report command.
+        (None, 1) => Report,
+        (None, 0) => return Err(usage()),
+        (None, _) => return Err(misuse(format!("unknown command `{}`", positional[0]))),
     };
-    Some(r)
+    if positional.len() != cmd.arity() {
+        return Err(usage());
+    }
+    check_flags(cmd, &opts, &given)?;
+    Ok((cmd, positional, opts))
+}
+
+/// Rejects flag combinations that contradict each other, then any flag
+/// the command does not read, so every misuse is a crisp exit-1
+/// diagnostic instead of a silently ignored flag.
+fn check_flags(cmd: Cmd, o: &Opts, given: &[&Flag]) -> Result<(), String> {
+    let conflict = if o.tables.is_some() && o.cache_dir.is_some() {
+        "--tables and --cache-dir are mutually exclusive"
+    } else if cmd == Compile && o.emit_tables.is_none() {
+        "the compile command requires --emit-tables FILE"
+    } else if cmd == Compile && o.tables.is_some() {
+        "--tables conflicts with the compile command (it would skip \
+         the very cascade being persisted)"
+    } else if cmd == Compile && o.cache_dir.is_some() {
+        "--cache-dir conflicts with the compile command; use \
+         --emit-tables for an explicit artifact"
+    } else if cmd != Compile && o.emit_tables.is_some() {
+        "--emit-tables is only valid with the compile command"
+    } else if cmd == Check && (o.tables.is_some() || o.cache_dir.is_some()) {
+        "check runs the front end only; --tables/--cache-dir do not apply"
+    } else if o.resume && o.checkpoint.is_none() {
+        "--resume requires --checkpoint FILE"
+    } else if o.backoff_ms.is_some() && o.checkpoint.is_none() {
+        "--backoff-ms requires --checkpoint FILE"
+    } else if o.checkpoint.is_some() && o.repeat.is_some_and(|n| n > 1) {
+        "--checkpoint conflicts with --repeat (a journaled tree is never re-run, \
+         so repeated passes would measure nothing)"
+    } else if let Some(flag) = given.iter().find(|f| !f.cmds.contains(&cmd)) {
+        let (flag, cmd) = (flag.name, cmd.name());
+        return Err(misuse(format!("`{flag}` does not apply to `{cmd}`")));
+    } else {
+        return Ok(());
+    };
+    Err(misuse(conflict))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return run_fuzz(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("lint") {
-        return run_lint(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("batch") {
-        return run_batch(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        return run_profile(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("explain") {
-        return run_explain(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("cache-gc") {
-        return run_cache_gc(&args[1..]);
-    }
-    let mut opts = Opts::default();
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--metrics" => opts.metrics = true,
-            "--no-intern" => opts.no_intern = true,
-            "--trace" => opts.trace = Some(DEFAULT_TRACE_CAPACITY),
-            "--chrome-trace" => match it.next() {
-                Some(path) => opts.chrome_trace = Some(path),
-                None => {
-                    eprintln!("fnc2c: --chrome-trace takes a file path\n{}", usage());
-                    return ExitCode::from(EXIT_DIAGNOSTICS);
-                }
-            },
-            "--tables" => match it.next() {
-                Some(path) => opts.tables = Some(path),
-                None => {
-                    eprintln!("fnc2c: --tables takes a file path\n{}", usage());
-                    return ExitCode::from(EXIT_DIAGNOSTICS);
-                }
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => opts.cache_dir = Some(dir),
-                None => {
-                    eprintln!("fnc2c: --cache-dir takes a directory path\n{}", usage());
-                    return ExitCode::from(EXIT_DIAGNOSTICS);
-                }
-            },
-            "--emit-tables" => match it.next() {
-                Some(path) => opts.emit_tables = Some(path),
-                None => {
-                    eprintln!("fnc2c: --emit-tables takes a file path\n{}", usage());
-                    return ExitCode::from(EXIT_DIAGNOSTICS);
-                }
-            },
-            "--report" => match it.next().as_deref() {
-                Some("json") => opts.report_json = true,
-                Some("text") => opts.report_json = false,
-                _ => {
-                    eprintln!("fnc2c: --report takes `json` or `text`\n{}", usage());
-                    return ExitCode::from(EXIT_DIAGNOSTICS);
-                }
-            },
-            flag @ ("--max-steps" | "--max-depth" | "--max-value-bytes" | "--deadline-ms") => {
-                let mut budget = opts.budget.unwrap_or_default();
-                let value = it.next();
-                match apply_budget_flag(flag, value.as_deref(), &mut budget) {
-                    Some(Ok(())) => opts.budget = Some(budget),
-                    Some(Err(msg)) => {
-                        eprintln!("{msg}");
-                        return ExitCode::from(EXIT_DIAGNOSTICS);
-                    }
-                    None => unreachable!("matched budget flags only"),
-                }
-            }
-            other if other.starts_with("--trace=") => {
-                match other["--trace=".len()..].parse::<usize>() {
-                    Ok(n) if n > 0 => opts.trace = Some(n),
-                    _ => {
-                        eprintln!("fnc2c: --trace=N needs a positive count\n{}", usage());
-                        return ExitCode::from(EXIT_DIAGNOSTICS);
-                    }
-                }
-            }
-            other if other.starts_with("--") => {
-                eprintln!("fnc2c: unknown flag `{other}`\n{}", usage());
-                return ExitCode::from(EXIT_DIAGNOSTICS);
-            }
-            _ => positional.push(arg),
-        }
-    }
-    let (cmd, path) = match positional.as_slice() {
-        [cmd, path] => (cmd.clone(), path.clone()),
-        // Flags-only invocations default to the report command.
-        [path] => ("report".to_string(), path.clone()),
-        _ => {
-            eprintln!("{}", usage());
-            return ExitCode::from(EXIT_DIAGNOSTICS);
-        }
-    };
-    if let Err(msg) = validate_tables_flags(&cmd, &opts) {
+    let r = parse(std::env::args().skip(1))
+        .map_err(diag)
+        .and_then(|(cmd, args, opts)| run_command(cmd, &args, &opts));
+    r.unwrap_or_else(|(msg, code)| {
         eprintln!("{msg}");
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    }
-    let source = match read_source(&path) {
-        Ok(s) => s,
-        Err((msg, code)) => {
-            eprintln!("{msg}");
-            return ExitCode::from(code);
-        }
-    };
+        ExitCode::from(code)
+    })
+}
 
-    match run(&cmd, &source, opts) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err((msg, code)) => {
-            eprintln!("{msg}");
-            ExitCode::from(code)
-        }
-    }
+/// Runs one parsed command. Commands that produce a single output print
+/// it here; `fuzz`, `batch` and `lint` print as they go and pick their
+/// own exit code.
+fn run_command(cmd: Cmd, args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
+    let out = match cmd {
+        Fuzz => return Ok(run_fuzz(opts)),
+        Batch => return run_batch(opts),
+        Lint => return run_lint(&args[0], opts),
+        CacheGc => run_cache_gc(&args[0])?,
+        Profile => profile_source(&args[0], opts)?,
+        Explain => explain_source(&args[0], &args[1], opts)?,
+        Report | Check | C | Lisp | Seqs | Compile => run(cmd, &read_source(&args[0])?, opts)?,
+    };
+    print!("{out}");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// A diagnostic message plus the exit code it maps to.
@@ -317,41 +573,24 @@ fn write_chrome_trace(path: &str, obs: &Obs) -> Result<(), CliError> {
 /// The `cache-gc` subcommand: sweeps orphaned temp files left by crashed
 /// writers and deletes quarantined artifacts under the given cache
 /// directory. Storage faults during the sweep exit with the fault code.
-fn run_cache_gc(args: &[String]) -> ExitCode {
-    let [dir] = args else {
-        eprintln!(
-            "fnc2c: cache-gc takes exactly one cache directory\n{}",
-            usage()
-        );
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    };
-    let vfs = fnc2::vfs::RealVfs;
-    let store = fnc2::artifact::TableStore::new(std::path::Path::new(dir.as_str()), &vfs);
-    match store.gc() {
-        Ok(report) => {
-            println!(
-                "cache-gc: {dir}: removed {} orphaned temp file(s), {} quarantined artifact(s)",
-                report.temps_removed, report.quarantined_removed
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            let (msg, code) = storage_fault(e);
-            eprintln!("{msg}");
-            ExitCode::from(code)
-        }
-    }
+fn run_cache_gc(dir: &str) -> Result<String, CliError> {
+    let store = fnc2::artifact::TableStore::new(std::path::Path::new(dir), &fnc2::vfs::RealVfs);
+    let report = store.gc().map_err(storage_fault)?;
+    Ok(format!(
+        "cache-gc: {dir}: removed {} orphaned temp file(s), {} quarantined artifact(s)\n",
+        report.temps_removed, report.quarantined_removed
+    ))
 }
 
-fn run(cmd: &str, source: &str, opts: Opts) -> Result<String, CliError> {
+fn run(cmd: Cmd, source: &str, opts: &Opts) -> Result<String, CliError> {
     let mut obs = match opts.trace {
-        Some(n) => Obs::with_trace(n),
+        Some(n) => Obs::with_trace(n.unwrap_or(DEFAULT_TRACE_CAPACITY)),
         None => Obs::new(),
     };
     if opts.chrome_trace.is_some() {
         obs.enable_spans();
     }
-    let r = run_cmd(cmd, source, &opts, &mut obs);
+    let r = run_cmd(cmd, source, opts, &mut obs);
     // The trace is written even when the command failed — a budget trip
     // mid-cascade is exactly when the timeline is most interesting.
     if let Some(path) = &opts.chrome_trace {
@@ -360,7 +599,7 @@ fn run(cmd: &str, source: &str, opts: Opts) -> Result<String, CliError> {
     r
 }
 
-fn run_cmd(cmd: &str, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String, CliError> {
+fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String, CliError> {
     // The checked AG is needed for the translators.
     let checked = || -> Result<fnc2::olga::CheckedAg, CliError> {
         let units = fnc2::olga::parse_units(source).map_err(|e| diag(e.to_string()))?;
@@ -379,7 +618,7 @@ fn run_cmd(cmd: &str, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String
     };
 
     match cmd {
-        "check" => {
+        Check => {
             let checked = checked()?;
             let (grammar, info) = fnc2::olga::lower(&checked).map_err(|e| diag(e.to_string()))?;
             Ok(format!(
@@ -391,35 +630,12 @@ fn run_cmd(cmd: &str, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String
                 info.auto_copies
             ))
         }
-        "report" => {
-            let mut compiled = compile_via(
-                source,
-                opts.tables.as_deref(),
-                opts.cache_dir.as_deref(),
-                opts.no_intern,
-                obs,
-            )?;
-            let budget = opts.budget.unwrap_or_default();
-            // Graceful degradation: a space plan that fails re-validation
-            // or the plan-time budget check is dropped — the report falls
-            // back to the exhaustive evaluator instead of failing.
-            if let Some(reason) = compiled.degrade_to_exhaustive_recorded(&budget, obs) {
-                eprintln!("fnc2c: warning: degrading to exhaustive evaluator: {reason}");
-            }
+        Report => {
+            let mut compiled = compile_via(source, opts, obs)?;
             // Exercise the generated evaluators on a minimal tree so the
             // run counters (visits, evals, copies, storage classes) are
             // populated alongside the static generator statistics.
-            match compiled.smoke_evaluate(&budget, obs) {
-                fnc2::SmokeOutcome::SemanticFailure(msg) => {
-                    return Err(diag(format!(
-                        "fnc2c: error: semantic rule aborted during evaluation: {msg}"
-                    )));
-                }
-                fnc2::SmokeOutcome::BudgetExceeded(msg) => {
-                    return Err((format!("fnc2c: error: {msg}"), EXIT_BUDGET));
-                }
-                fnc2::SmokeOutcome::Ok | fnc2::SmokeOutcome::Skipped => {}
-            }
+            smoke(&mut compiled, opts, 1, obs)?;
             if opts.report_json {
                 Ok(format!("{}\n", compiled.report_json(obs)))
             } else {
@@ -430,40 +646,20 @@ fn run_cmd(cmd: &str, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String
                 Ok(out)
             }
         }
-        "c" => {
+        C | Lisp => {
             let checked = checked()?;
-            let compiled = compile_via(
-                source,
-                opts.tables.as_deref(),
-                opts.cache_dir.as_deref(),
-                opts.no_intern,
-                obs,
-            )?;
-            let out = fnc2::codegen::to_c(&checked, &compiled.grammar, &compiled.seqs);
+            let compiled = compile_via(source, opts, obs)?;
+            let translate = if cmd == C {
+                fnc2::codegen::to_c
+            } else {
+                fnc2::codegen::to_lisp
+            };
+            let out = translate(&checked, &compiled.grammar, &compiled.seqs);
             emit_side_channel(opts, obs, &compiled.grammar);
             Ok(out)
         }
-        "lisp" => {
-            let checked = checked()?;
-            let compiled = compile_via(
-                source,
-                opts.tables.as_deref(),
-                opts.cache_dir.as_deref(),
-                opts.no_intern,
-                obs,
-            )?;
-            let out = fnc2::codegen::to_lisp(&checked, &compiled.grammar, &compiled.seqs);
-            emit_side_channel(opts, obs, &compiled.grammar);
-            Ok(out)
-        }
-        "seqs" => {
-            let compiled = compile_via(
-                source,
-                opts.tables.as_deref(),
-                opts.cache_dir.as_deref(),
-                opts.no_intern,
-                obs,
-            )?;
+        Seqs => {
+            let compiled = compile_via(source, opts, obs)?;
             let mut out = String::new();
             for (p, pi) in compiled.seqs.keys() {
                 let seq = compiled.seqs.seq(p, pi);
@@ -492,13 +688,13 @@ fn run_cmd(cmd: &str, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String
             emit_side_channel(opts, obs, &compiled.grammar);
             Ok(out)
         }
-        "compile" => {
-            let compiled = compile(source, opts.no_intern, obs)?;
+        Compile => {
+            let compiled = compile(source, opts, obs)?;
             let out_path = opts
                 .emit_tables
                 .as_deref()
-                .expect("validated by validate_tables_flags");
-            let pipeline = pipeline(opts.no_intern);
+                .expect("required by check_flags");
+            let pipeline = pipeline(opts);
             let bytes = fnc2::artifact::emit_tables(&compiled, &pipeline, source);
             write_artifact(out_path, &bytes)?;
             let fp = fnc2::tables::fingerprint_source(source, &pipeline.tables_config());
@@ -508,8 +704,32 @@ fn run_cmd(cmd: &str, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String
                 compiled.report.class
             ))
         }
-        other => Err(diag(format!("fnc2c: unknown command `{other}`"))),
+        _ => unreachable!("`{}` is dispatched by run_command", cmd.name()),
     }
+}
+
+/// Evaluates the grammar's smoke tree `runs` times. Graceful
+/// degradation comes first: a space plan that fails re-validation or the
+/// plan-time budget check is dropped, with a warning, and evaluation falls
+/// back to the exhaustive evaluator instead of failing. A semantic-rule
+/// failure is a diagnostic, a budget trip maps to the budget/fault code.
+fn smoke(compiled: &mut Compiled, opts: &Opts, runs: usize, obs: &mut Obs) -> Result<(), CliError> {
+    if let Some(reason) = compiled.degrade_to_exhaustive_recorded(&opts.budget, obs) {
+        eprintln!("fnc2c: warning: degrading to exhaustive evaluator: {reason}");
+    }
+    for _ in 0..runs {
+        match compiled.smoke_evaluate(&opts.budget, obs) {
+            SmokeOutcome::SemanticFailure(msg) => {
+                let msg = format!("fnc2c: error: semantic rule aborted during evaluation: {msg}");
+                return Err(diag(msg));
+            }
+            SmokeOutcome::BudgetExceeded(msg) => {
+                return Err((format!("fnc2c: error: {msg}"), EXIT_BUDGET))
+            }
+            SmokeOutcome::Ok | SmokeOutcome::Skipped => {}
+        }
+    }
+    Ok(())
 }
 
 /// The `profile` subcommand: compiles the grammar, runs the generated
@@ -517,149 +737,13 @@ fn run_cmd(cmd: &str, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String
 /// enabled, and prints the ranked hot-`(production, rule)` report —
 /// firing counts, copy shares, and estimated total time from periodic
 /// wall-clock samples.
-fn run_profile(args: &[String]) -> ExitCode {
-    let mut repeat = 64u64;
-    let mut sample_every = fnc2::obs::DEFAULT_SAMPLE_EVERY;
-    let mut top = 20usize;
-    let mut json = false;
-    let mut tables: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut no_intern = false;
-    let mut budget = EvalBudget::default();
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut numeric = |name: &str| -> Result<u64, String> {
-            it.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| format!("fnc2c: {name} takes a number\n{}", usage()))
-        };
-        let r = match arg.as_str() {
-            "--repeat" => numeric("--repeat").map(|n| repeat = n.max(1)),
-            "--sample-every" => numeric("--sample-every").map(|n| sample_every = (n as u32).max(1)),
-            "--top" => numeric("--top").map(|n| top = (n as usize).max(1)),
-            "--no-intern" => {
-                no_intern = true;
-                Ok(())
-            }
-            "--tables" => match it.next() {
-                Some(path) => {
-                    tables = Some(path.clone());
-                    Ok(())
-                }
-                None => Err(format!("fnc2c: --tables takes a file path\n{}", usage())),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => {
-                    cache_dir = Some(dir.clone());
-                    Ok(())
-                }
-                None => Err(format!(
-                    "fnc2c: --cache-dir takes a directory path\n{}",
-                    usage()
-                )),
-            },
-            "--report" => match it.next().map(String::as_str) {
-                Some("json") => {
-                    json = true;
-                    Ok(())
-                }
-                Some("text") => {
-                    json = false;
-                    Ok(())
-                }
-                _ => Err(format!(
-                    "fnc2c: --report takes `json` or `text`\n{}",
-                    usage()
-                )),
-            },
-            flag @ ("--max-steps" | "--max-depth" | "--max-value-bytes" | "--deadline-ms") => {
-                let value = it.next().cloned();
-                match apply_budget_flag(flag, value.as_deref(), &mut budget) {
-                    Some(r) => r,
-                    None => unreachable!("matched budget flags only"),
-                }
-            }
-            other if other.starts_with("--") => Err(format!(
-                "fnc2c: unknown profile flag `{other}`\n{}",
-                usage()
-            )),
-            _ => {
-                positional.push(arg);
-                Ok(())
-            }
-        };
-        if let Err(msg) = r {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_DIAGNOSTICS);
-        }
-    }
-    let [path] = positional.as_slice() else {
-        eprintln!("{}", usage());
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    };
-    if tables.is_some() && cache_dir.is_some() {
-        eprintln!(
-            "fnc2c: --tables and --cache-dir are mutually exclusive\n{}",
-            usage()
-        );
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    }
-
-    match profile_source(
-        path,
-        repeat,
-        sample_every,
-        top,
-        json,
-        tables.as_deref(),
-        cache_dir.as_deref(),
-        no_intern,
-        &budget,
-    ) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err((msg, code)) => {
-            eprintln!("{msg}");
-            ExitCode::from(code)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn profile_source(
-    path: &str,
-    repeat: u64,
-    sample_every: u32,
-    top: usize,
-    json: bool,
-    tables: Option<&str>,
-    cache_dir: Option<&str>,
-    no_intern: bool,
-    budget: &EvalBudget,
-) -> Result<String, CliError> {
+fn profile_source(path: &str, opts: &Opts) -> Result<String, CliError> {
+    let repeat = opts.repeat.unwrap_or(64);
     let source = read_source(path)?;
     let mut obs = Obs::new();
-    let mut compiled = compile_via(&source, tables, cache_dir, no_intern, &mut obs)?;
-    if let Some(reason) = compiled.degrade_to_exhaustive_recorded(budget, &mut obs) {
-        eprintln!("fnc2c: warning: degrading to exhaustive evaluator: {reason}");
-    }
-    obs.enable_profile(sample_every);
-    for _ in 0..repeat {
-        match compiled.smoke_evaluate(budget, &mut obs) {
-            fnc2::SmokeOutcome::SemanticFailure(msg) => {
-                return Err(diag(format!(
-                    "fnc2c: error: semantic rule aborted during evaluation: {msg}"
-                )));
-            }
-            fnc2::SmokeOutcome::BudgetExceeded(msg) => {
-                return Err((format!("fnc2c: error: {msg}"), EXIT_BUDGET));
-            }
-            fnc2::SmokeOutcome::Ok | fnc2::SmokeOutcome::Skipped => {}
-        }
-    }
+    let mut compiled = compile_via(&source, opts, &mut obs)?;
+    obs.enable_profile(opts.sample_every.unwrap_or(fnc2::obs::DEFAULT_SAMPLE_EVERY));
+    smoke(&mut compiled, opts, repeat, &mut obs)?;
     let profile = obs.profile.as_ref().expect("profiling enabled above");
     if profile.is_empty() {
         return Err(diag(
@@ -667,7 +751,7 @@ fn profile_source(
         ));
     }
     let resolver = GrammarResolver(&compiled.grammar);
-    if json {
+    if opts.report_json {
         let doc = fnc2::obs::Json::obj([
             ("grammar", fnc2::obs::Json::str(compiled.grammar.name())),
             ("repeat", fnc2::obs::Json::Int(repeat as i64)),
@@ -675,113 +759,7 @@ fn profile_source(
         ]);
         Ok(format!("{doc}\n"))
     } else {
-        Ok(profile.render(&resolver, top))
-    }
-}
-
-/// The `explain` subcommand: evaluates the grammar's smoke tree with the
-/// event trace on, then reconstructs and prints the dynamic dependency
-/// slice of `attr@node` — which firings, in which visits, fed the value.
-fn run_explain(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut capacity: usize = 1 << 20;
-    let mut tables: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut no_intern = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let r = match arg.as_str() {
-            "--no-intern" => {
-                no_intern = true;
-                Ok(())
-            }
-            "--tables" => match it.next() {
-                Some(path) => {
-                    tables = Some(path.clone());
-                    Ok(())
-                }
-                None => Err(format!("fnc2c: --tables takes a file path\n{}", usage())),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => {
-                    cache_dir = Some(dir.clone());
-                    Ok(())
-                }
-                None => Err(format!(
-                    "fnc2c: --cache-dir takes a directory path\n{}",
-                    usage()
-                )),
-            },
-            "--report" => match it.next().map(String::as_str) {
-                Some("json") => {
-                    json = true;
-                    Ok(())
-                }
-                Some("text") => {
-                    json = false;
-                    Ok(())
-                }
-                _ => Err(format!(
-                    "fnc2c: --report takes `json` or `text`\n{}",
-                    usage()
-                )),
-            },
-            other if other.starts_with("--trace=") => {
-                match other["--trace=".len()..].parse::<usize>() {
-                    Ok(n) if n > 0 => {
-                        capacity = n;
-                        Ok(())
-                    }
-                    _ => Err(format!(
-                        "fnc2c: --trace=N needs a positive count\n{}",
-                        usage()
-                    )),
-                }
-            }
-            other if other.starts_with("--") => Err(format!(
-                "fnc2c: unknown explain flag `{other}`\n{}",
-                usage()
-            )),
-            _ => {
-                positional.push(arg);
-                Ok(())
-            }
-        };
-        if let Err(msg) = r {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_DIAGNOSTICS);
-        }
-    }
-    let [target, path] = positional.as_slice() else {
-        eprintln!("{}", usage());
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    };
-    if tables.is_some() && cache_dir.is_some() {
-        eprintln!(
-            "fnc2c: --tables and --cache-dir are mutually exclusive\n{}",
-            usage()
-        );
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    }
-
-    match explain_source(
-        target,
-        path,
-        capacity,
-        json,
-        tables.as_deref(),
-        cache_dir.as_deref(),
-        no_intern,
-    ) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err((msg, code)) => {
-            eprintln!("{msg}");
-            ExitCode::from(code)
-        }
+        Ok(profile.render(&resolver, opts.top.unwrap_or(20)))
     }
 }
 
@@ -811,19 +789,14 @@ fn resolve_attr(grammar: &fnc2::ag::Grammar, spec: &str) -> Result<fnc2::ag::Att
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn explain_source(
-    target: &str,
-    path: &str,
-    capacity: usize,
-    json: bool,
-    tables: Option<&str>,
-    cache_dir: Option<&str>,
-    no_intern: bool,
-) -> Result<String, CliError> {
+/// The `explain` subcommand: evaluates the grammar's smoke tree with the
+/// event trace on, then reconstructs and prints the dynamic dependency
+/// slice of `attr@node` — which firings, in which visits, fed the value.
+fn explain_source(target: &str, path: &str, opts: &Opts) -> Result<String, CliError> {
+    let capacity = opts.trace.flatten().unwrap_or(EXPLAIN_TRACE_CAPACITY);
     let source = read_source(path)?;
     let mut obs = Obs::new();
-    let compiled = compile_via(&source, tables, cache_dir, no_intern, &mut obs)?;
+    let compiled = compile_via(&source, opts, &mut obs)?;
     let g = &compiled.grammar;
 
     let (attr_spec, node_spec) = target.split_once('@').ok_or_else(|| {
@@ -864,7 +837,7 @@ fn explain_source(
     }
     let node = fnc2::ag::NodeId::from_raw(node_ix as u32);
     let slice = fnc2::visit::dependency_slice(g, &tree, buf.iter(), node, attr);
-    if json {
+    if opts.report_json {
         Ok(format!("{}\n", slice.to_json(g, &tree)))
     } else {
         Ok(slice.render(g, &tree))
@@ -877,89 +850,9 @@ fn explain_source(
 /// uniform: 0 when the report is clean (no errors; warnings allowed
 /// unless `--deny warnings`), 1 when findings deny the grammar, 2 only
 /// for environmental faults (an unreadable input).
-fn run_lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut tables: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let r = match arg.as_str() {
-            "--deny" => match it.next().map(String::as_str) {
-                Some("warnings") => {
-                    deny_warnings = true;
-                    Ok(())
-                }
-                _ => Err(format!("fnc2c: --deny takes `warnings`\n{}", usage())),
-            },
-            "--report" => match it.next().map(String::as_str) {
-                Some("json") => {
-                    json = true;
-                    Ok(())
-                }
-                Some("text") => {
-                    json = false;
-                    Ok(())
-                }
-                _ => Err(format!(
-                    "fnc2c: --report takes `json` or `text`\n{}",
-                    usage()
-                )),
-            },
-            "--tables" => match it.next() {
-                Some(path) => {
-                    tables = Some(path.clone());
-                    Ok(())
-                }
-                None => Err(format!("fnc2c: --tables takes a file path\n{}", usage())),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => {
-                    cache_dir = Some(dir.clone());
-                    Ok(())
-                }
-                None => Err(format!(
-                    "fnc2c: --cache-dir takes a directory path\n{}",
-                    usage()
-                )),
-            },
-            other if other.starts_with("--") => {
-                Err(format!("fnc2c: unknown lint flag `{other}`\n{}", usage()))
-            }
-            _ => {
-                positional.push(arg);
-                Ok(())
-            }
-        };
-        if let Err(msg) = r {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_DIAGNOSTICS);
-        }
-    }
-    let [path] = positional.as_slice() else {
-        eprintln!("{}", usage());
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    };
-    if tables.is_some() && cache_dir.is_some() {
-        eprintln!(
-            "fnc2c: --tables and --cache-dir are mutually exclusive\n{}",
-            usage()
-        );
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    }
-    let source = match read_source(path) {
-        Ok(s) => s,
-        Err((msg, code)) => {
-            eprintln!("{msg}");
-            // An unreadable input is environmental, not a lint finding.
-            return ExitCode::from(if code == EXIT_DIAGNOSTICS {
-                EXIT_BUDGET
-            } else {
-                code
-            });
-        }
-    };
+fn run_lint(path: &str, opts: &Opts) -> Result<ExitCode, CliError> {
+    // An unreadable input is environmental, not a lint finding.
+    let source = read_source(path).map_err(|(msg, _)| (msg, EXIT_BUDGET))?;
 
     let mut obs = Obs::new();
     let pipeline = Pipeline::new();
@@ -967,63 +860,38 @@ fn run_lint(args: &[String]) -> ExitCode {
     // embedded lint section (no re-analysis on a cache hit); anything
     // that prevents that — a rejected artifact, a source that no longer
     // compiles — falls back to the full never-failing lint path.
-    let report = match (tables.as_deref(), cache_dir.as_deref()) {
-        (None, None) => pipeline.lint_olga_recorded(&source, &mut obs),
-        (t, c) => match compile_via(&source, t, c, false, &mut obs) {
+    let report = if opts.tables.is_none() && opts.cache_dir.is_none() {
+        pipeline.lint_olga_recorded(&source, &mut obs)
+    } else {
+        match compile_via(&source, opts, &mut obs) {
             Ok(compiled) => compiled.lint,
             Err(_) => pipeline.lint_olga_recorded(&source, &mut obs),
-        },
+        }
     };
 
-    if json {
+    if opts.report_json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_text());
     }
-    let denied = report.errors() > 0 || (deny_warnings && report.warnings() > 0);
+    let denied = report.errors() > 0 || (opts.deny_warnings && report.warnings() > 0);
     if denied {
         if report.errors() == 0 {
             eprintln!("fnc2c: denying warnings (--deny warnings)");
         }
-        ExitCode::from(EXIT_DIAGNOSTICS)
+        Ok(ExitCode::from(EXIT_DIAGNOSTICS))
     } else {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     }
 }
 
 /// The `fuzz` subcommand: runs the differential oracle with the given
 /// seed and budgets, prints the counter summary, and on failure prints
 /// the (shrunk) reproducer to stderr and exits nonzero.
-fn run_fuzz(args: &[String]) -> ExitCode {
-    let mut cfg = fnc2::fuzz::FuzzConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut numeric = |name: &str| -> Result<u64, String> {
-            it.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| format!("fnc2c: {name} takes a number\n{}", usage()))
-        };
-        let r = match arg.as_str() {
-            "--seed" => numeric("--seed").map(|n| cfg.seed = n),
-            "--cases" => numeric("--cases").map(|n| cfg.grammar_cases = n),
-            "--front" => numeric("--front").map(|n| cfg.front_cases = n),
-            "--fault" => numeric("--fault").map(|n| cfg.fault_cases = n),
-            "--crash" => numeric("--crash").map(|n| cfg.crash_cases = n),
-            "--lint" => numeric("--lint").map(|n| cfg.lint_cases = n),
-            "--no-shrink" => {
-                cfg.shrink = false;
-                Ok(())
-            }
-            other => Err(format!("fnc2c: unknown fuzz flag `{other}`\n{}", usage())),
-        };
-        if let Err(msg) = r {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_DIAGNOSTICS);
-        }
-    }
-
+fn run_fuzz(opts: &Opts) -> ExitCode {
+    let cfg = &opts.fuzz;
     let mut obs = Obs::new();
-    let report = fnc2::fuzz::run(&cfg, &mut obs);
+    let report = fnc2::fuzz::run(cfg, &mut obs);
     println!(
         "fuzz: seed {}: {} grammar cases ({} tree nodes, {} edits), \
          {} front-end cases ({} accepted, {} rejected), \
@@ -1089,23 +957,17 @@ fn run_fuzz(args: &[String]) -> ExitCode {
 /// outcomes. The checkpoint journal is bound to this, so `--resume`
 /// against a different seed, shape, fault plan, interning mode, or
 /// budget is rejected instead of silently skipping the wrong trees.
-fn batch_fingerprint(
-    seed: u64,
-    grammars: u64,
-    trees: usize,
-    fault_seed: Option<u64>,
-    no_intern: bool,
-    budget: &EvalBudget,
-) -> u64 {
+fn batch_fingerprint(opts: &Opts, grammars: u64, trees: usize) -> u64 {
+    let budget = &opts.budget;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for chunk in [
         b"fnc2c-batch-v1".as_slice(),
-        &seed.to_le_bytes(),
+        &opts.fuzz.seed.to_le_bytes(),
         &grammars.to_le_bytes(),
         &(trees as u64).to_le_bytes(),
-        &[u8::from(fault_seed.is_some())],
-        &fault_seed.unwrap_or(0).to_le_bytes(),
-        &[u8::from(no_intern)],
+        &[u8::from(opts.fault_seed.is_some())],
+        &opts.fault_seed.unwrap_or(0).to_le_bytes(),
+        &[u8::from(opts.no_intern)],
         &budget.max_steps.to_le_bytes(),
         &(budget.max_depth as u64).to_le_bytes(),
         &budget.max_value_cells.to_le_bytes(),
@@ -1119,6 +981,28 @@ fn batch_fingerprint(
     h
 }
 
+/// Classifies a checkpoint failure: a storage fault takes the fault exit
+/// code, a malformed or mismatched journal is a diagnostic about `what`.
+fn checkpoint_error(e: fnc2::par::CkptError, what: &str) -> CliError {
+    match e {
+        fnc2::par::CkptError::Io(e) => storage_fault(e),
+        e => diag(format!("fnc2c: {what}: {e}")),
+    }
+}
+
+/// Prints why each lost tree of batch grammar `gi` was lost; `None`
+/// marks a tree this run did not evaluate (resumed from the journal).
+fn print_losses<'a>(gi: u64, outcomes: impl Iterator<Item = Option<&'a fnc2::par::TreeOutcome>>) {
+    for (i, o) in outcomes.enumerate() {
+        let Some(o) = o else { continue };
+        if let Some(e) = o.error() {
+            eprintln!("fnc2c: batch grammar {gi} tree {i}: {e}");
+        } else if let Some(m) = o.panic_message() {
+            eprintln!("fnc2c: batch grammar {gi} tree {i}: panicked: {m}");
+        }
+    }
+}
+
 /// The `batch` subcommand: generates synthetic SNC grammars (the fuzz
 /// generator's, so a seed line is a full reproducer), builds a batch of
 /// random trees per grammar, and decorates them through the guarded
@@ -1126,116 +1010,26 @@ fn batch_fingerprint(
 /// per-batch outcome report. A failed or poisoned tree never aborts the
 /// batch: the other trees' results are kept, the failure is classified,
 /// and the run exits with the budget/fault code.
-fn run_batch(args: &[String]) -> ExitCode {
-    let mut seed = 0u64;
-    let mut grammars = 4u64;
-    let mut trees = 64usize;
-    let mut threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut repeat = 1usize;
-    let mut retries = 0u32;
-    let mut fault_seed: Option<u64> = None;
-    let mut metrics = false;
-    let mut no_intern = false;
-    let mut chrome_trace: Option<String> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut backoff_ms: Option<u64> = None;
-    let mut budget = EvalBudget::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut numeric = |name: &str| -> Result<u64, String> {
-            it.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| format!("fnc2c: {name} takes a number\n{}", usage()))
-        };
-        let r = match arg.as_str() {
-            "--seed" => numeric("--seed").map(|n| seed = n),
-            "--grammars" => numeric("--grammars").map(|n| grammars = n),
-            "--trees" => numeric("--trees").map(|n| trees = n as usize),
-            "--threads" => numeric("--threads").map(|n| threads = (n as usize).max(1)),
-            "--repeat" => numeric("--repeat").map(|n| repeat = (n as usize).max(1)),
-            "--retries" => numeric("--retries").map(|n| retries = n as u32),
-            "--fault-seed" => numeric("--fault-seed").map(|n| fault_seed = Some(n)),
-            "--metrics" => {
-                metrics = true;
-                Ok(())
-            }
-            "--no-intern" => {
-                no_intern = true;
-                Ok(())
-            }
-            "--chrome-trace" => match it.next() {
-                Some(path) => {
-                    chrome_trace = Some(path.clone());
-                    Ok(())
-                }
-                None => Err(format!(
-                    "fnc2c: --chrome-trace takes a file path\n{}",
-                    usage()
-                )),
-            },
-            "--checkpoint" => match it.next() {
-                Some(path) => {
-                    checkpoint = Some(path.clone());
-                    Ok(())
-                }
-                None => Err(format!(
-                    "fnc2c: --checkpoint takes a file path\n{}",
-                    usage()
-                )),
-            },
-            "--resume" => {
-                resume = true;
-                Ok(())
-            }
-            "--backoff-ms" => numeric("--backoff-ms").map(|n| backoff_ms = Some(n)),
-            flag @ ("--max-steps" | "--max-depth" | "--max-value-bytes" | "--deadline-ms") => {
-                let value = it.next().cloned();
-                match apply_budget_flag(flag, value.as_deref(), &mut budget) {
-                    Some(r) => r,
-                    None => unreachable!("matched budget flags only"),
-                }
-            }
-            other => Err(format!("fnc2c: unknown batch flag `{other}`\n{}", usage())),
-        };
-        if let Err(msg) = r {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_DIAGNOSTICS);
-        }
-    }
-
-    if resume && checkpoint.is_none() {
-        eprintln!("fnc2c: --resume requires --checkpoint FILE\n{}", usage());
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    }
-    if backoff_ms.is_some() && checkpoint.is_none() {
-        eprintln!(
-            "fnc2c: --backoff-ms requires --checkpoint FILE\n{}",
-            usage()
-        );
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    }
-    if checkpoint.is_some() && repeat > 1 {
-        eprintln!(
-            "fnc2c: --checkpoint conflicts with --repeat (a journaled tree is never re-run, \
-             so repeated passes would measure nothing)\n{}",
-            usage()
-        );
-        return ExitCode::from(EXIT_DIAGNOSTICS);
-    }
+fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
+    let seed = opts.fuzz.seed;
+    let grammars = opts.grammars.unwrap_or(4);
+    let trees = opts.trees.unwrap_or(64);
+    let threads = opts
+        .threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let repeat = opts.repeat.unwrap_or(1);
+    let budget = &opts.budget;
 
     let vfs = fnc2::vfs::RealVfs;
     // The journal is bound to everything that determines the batch's
     // work-list, so a resume against a different configuration is a
     // crisp fingerprint-mismatch diagnostic instead of silent skips.
-    let batch_fp = batch_fingerprint(seed, grammars, trees, fault_seed, no_intern, &budget);
-    let mut ckpt = match &checkpoint {
+    let batch_fp = batch_fingerprint(opts, grammars, trees);
+    let mut ckpt = match &opts.checkpoint {
         None => None,
         Some(path) => {
             let p = std::path::Path::new(path);
-            let opened = if resume && vfs.exists(p) {
+            let opened = if opts.resume && vfs.exists(p) {
                 fnc2::par::Checkpoint::open(&vfs, p, batch_fp).map(|(c, info)| {
                     println!(
                         "batch: checkpoint {path}: resumed {} record(s){}",
@@ -1251,22 +1045,12 @@ fn run_batch(args: &[String]) -> ExitCode {
             } else {
                 fnc2::par::Checkpoint::create(&vfs, p, batch_fp)
             };
-            match opened {
-                Ok(c) => Some(c),
-                Err(fnc2::par::CkptError::Io(e)) => {
-                    eprintln!("fnc2c: {e}");
-                    return ExitCode::from(EXIT_BUDGET);
-                }
-                Err(e) => {
-                    eprintln!("fnc2c: checkpoint {path}: {e}");
-                    return ExitCode::from(EXIT_DIAGNOSTICS);
-                }
-            }
+            Some(opened.map_err(|e| checkpoint_error(e, &format!("checkpoint {path}")))?)
         }
     };
 
     let mut obs = Obs::new();
-    if chrome_trace.is_some() {
+    if opts.chrome_trace.is_some() {
         obs.enable_spans();
     }
     let mut total_trees = 0u64;
@@ -1277,19 +1061,18 @@ fn run_batch(args: &[String]) -> ExitCode {
         let params = fnc2::fuzz::CaseParams::for_case(seed, gi);
         let gg = fnc2::fuzz::gen::build_grammar(&params);
         let g = &gg.grammar;
-        let cls = match fnc2::analysis::classify(g, 2, fnc2::analysis::Inclusion::Long) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("fnc2c: batch grammar {gi}: transformation failed: {e}");
-                return ExitCode::from(EXIT_DIAGNOSTICS);
-            }
-        };
-        let Some(lo) = cls.l_ordered.as_ref() else {
-            eprintln!("fnc2c: batch grammar {gi}: generated grammar rejected as non-SNC");
-            return ExitCode::from(EXIT_DIAGNOSTICS);
-        };
+        let cls = fnc2::analysis::classify(g, 2, fnc2::analysis::Inclusion::Long).map_err(|e| {
+            diag(format!(
+                "fnc2c: batch grammar {gi}: transformation failed: {e}"
+            ))
+        })?;
+        let lo = cls.l_ordered.as_ref().ok_or_else(|| {
+            diag(format!(
+                "fnc2c: batch grammar {gi}: generated grammar rejected as non-SNC"
+            ))
+        })?;
         let seqs = fnc2::visit::build_visit_seqs(g, lo);
-        let ev = fnc2::visit::Evaluator::new(g, &seqs).with_interning(!no_intern);
+        let ev = fnc2::visit::Evaluator::new(g, &seqs).with_interning(!opts.no_intern);
         let batch: Vec<fnc2::ag::Tree> = (0..trees)
             .map(|t| {
                 let tp = fnc2::fuzz::CaseParams {
@@ -1301,37 +1084,30 @@ fn run_batch(args: &[String]) -> ExitCode {
                 fnc2::fuzz::build_tree(&gg, &tp)
             })
             .collect();
-        let plan = fault_seed.map(|fs| fnc2::guard::FaultPlan::from_seed(fs ^ gi, batch.len()));
+        let plan = opts
+            .fault_seed
+            .map(|fs| fnc2::guard::FaultPlan::from_seed(fs ^ gi, batch.len()));
         let inputs = fnc2::visit::RootInputs::new();
         let start = std::time::Instant::now();
         if let Some(ckpt) = ckpt.as_mut() {
             // Checkpointed leg: every terminal outcome is journaled as it
             // lands; trees already in the journal are not re-evaluated.
             let index_base = gi * trees as u64;
-            let report = match fnc2::par::batch_evaluate_checkpointed_recorded(
+            let report = fnc2::par::batch_evaluate_checkpointed_recorded(
                 &ev,
                 &batch,
                 &inputs,
                 threads,
-                &budget,
-                retries,
+                budget,
+                opts.retries,
                 plan.as_ref(),
-                backoff_ms.unwrap_or(0),
+                opts.backoff_ms.unwrap_or(0),
                 &vfs,
                 ckpt,
                 index_base,
                 &mut obs,
-            ) {
-                Ok(r) => r,
-                Err(fnc2::par::CkptError::Io(e)) => {
-                    eprintln!("fnc2c: {e}");
-                    return ExitCode::from(EXIT_BUDGET);
-                }
-                Err(e) => {
-                    eprintln!("fnc2c: checkpoint: {e}");
-                    return ExitCode::from(EXIT_DIAGNOSTICS);
-                }
-            };
+            )
+            .map_err(|e| checkpoint_error(e, "checkpoint"))?;
             let dt = start.elapsed().as_secs_f64();
             let n = trees as u64;
             let (ok, failed, panicked, budget_trips) = report.counts();
@@ -1359,14 +1135,7 @@ fn run_batch(args: &[String]) -> ExitCode {
                     );
                 }
             }
-            for (i, o) in report.fresh.iter().enumerate() {
-                let Some(o) = o else { continue };
-                if let Some(e) = o.error() {
-                    eprintln!("fnc2c: batch grammar {gi} tree {i}: {e}");
-                } else if let Some(m) = o.panic_message() {
-                    eprintln!("fnc2c: batch grammar {gi} tree {i}: panicked: {m}");
-                }
-            }
+            print_losses(gi, report.fresh.iter().map(Option::as_ref));
             any_lost |= ok != report.records.len();
             total_trees += n;
             total_steals += report.stats.steals;
@@ -1381,8 +1150,8 @@ fn run_batch(args: &[String]) -> ExitCode {
                 &batch,
                 &inputs,
                 threads,
-                &budget,
-                retries,
+                budget,
+                opts.retries,
                 plan.as_ref(),
                 &mut obs,
             );
@@ -1403,13 +1172,7 @@ fn run_batch(args: &[String]) -> ExitCode {
             report.panics_caught,
             report.budget_exceeded
         );
-        for (i, o) in report.outcomes.iter().enumerate() {
-            if let Some(e) = o.error() {
-                eprintln!("fnc2c: batch grammar {gi} tree {i}: {e}");
-            } else if let Some(m) = o.panic_message() {
-                eprintln!("fnc2c: batch grammar {gi} tree {i}: panicked: {m}");
-            }
-        }
+        print_losses(gi, report.outcomes.iter().map(Some));
         any_lost |= !report.all_ok();
         total_trees += n;
         total_steals += steals;
@@ -1421,20 +1184,17 @@ fn run_batch(args: &[String]) -> ExitCode {
         total_secs * 1e3,
         total_trees as f64 / total_secs.max(1e-9)
     );
-    if metrics {
+    if opts.metrics {
         eprint!("{}", obs.render(&fnc2::obs::RawResolver));
     }
-    if let Some(path) = &chrome_trace {
-        if let Err((msg, code)) = write_chrome_trace(path, &obs) {
-            eprintln!("{msg}");
-            return ExitCode::from(code);
-        }
+    if let Some(path) = &opts.chrome_trace {
+        write_chrome_trace(path, &obs)?;
     }
-    if any_lost {
+    Ok(if any_lost {
         ExitCode::from(EXIT_BUDGET)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Prints the instrumentation report to stderr for commands whose stdout
@@ -1453,84 +1213,30 @@ fn pipeline_diag(e: PipelineError) -> CliError {
 }
 
 /// The pipeline configuration honoring `--no-intern`.
-fn pipeline(no_intern: bool) -> Pipeline {
+fn pipeline(opts: &Opts) -> Pipeline {
     Pipeline {
-        intern: !no_intern,
+        intern: !opts.no_intern,
         ..Pipeline::new()
     }
 }
 
-fn compile(source: &str, no_intern: bool, obs: &mut Obs) -> Result<fnc2::Compiled, CliError> {
-    pipeline(no_intern)
+fn compile(source: &str, opts: &Opts, obs: &mut Obs) -> Result<Compiled, CliError> {
+    pipeline(opts)
         .compile_olga_recorded(source, obs)
         .map_err(pipeline_diag)
 }
 
-/// Rejects flag combinations that contradict each other before any work
-/// starts, so every conflict is a crisp exit-1 diagnostic instead of a
-/// silently ignored flag.
-fn validate_tables_flags(cmd: &str, opts: &Opts) -> Result<(), String> {
-    if opts.tables.is_some() && opts.cache_dir.is_some() {
-        return Err(format!(
-            "fnc2c: --tables and --cache-dir are mutually exclusive\n{}",
-            usage()
-        ));
-    }
-    if cmd == "compile" {
-        if opts.emit_tables.is_none() {
-            return Err(format!(
-                "fnc2c: the compile command requires --emit-tables FILE\n{}",
-                usage()
-            ));
-        }
-        if opts.tables.is_some() {
-            return Err(format!(
-                "fnc2c: --tables conflicts with the compile command (it would skip \
-                 the very cascade being persisted)\n{}",
-                usage()
-            ));
-        }
-        if opts.cache_dir.is_some() {
-            return Err(format!(
-                "fnc2c: --cache-dir conflicts with the compile command; use \
-                 --emit-tables for an explicit artifact\n{}",
-                usage()
-            ));
-        }
-    } else {
-        if opts.emit_tables.is_some() {
-            return Err(format!(
-                "fnc2c: --emit-tables is only valid with the compile command\n{}",
-                usage()
-            ));
-        }
-        if cmd == "check" && (opts.tables.is_some() || opts.cache_dir.is_some()) {
-            return Err(format!(
-                "fnc2c: check runs the front end only; --tables/--cache-dir do not apply\n{}",
-                usage()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Obtains a [`fnc2::Compiled`], honoring `--tables` (load the artifact,
+/// Obtains a [`Compiled`], honoring `--tables` (load the artifact,
 /// falling back to recompilation with a warning when it is rejected) and
 /// `--cache-dir` (fingerprint-keyed on-disk cache). Plain compilation
 /// otherwise.
-fn compile_via(
-    source: &str,
-    tables: Option<&str>,
-    cache_dir: Option<&str>,
-    no_intern: bool,
-    obs: &mut Obs,
-) -> Result<fnc2::Compiled, CliError> {
+fn compile_via(source: &str, opts: &Opts, obs: &mut Obs) -> Result<Compiled, CliError> {
     use fnc2::artifact::{self, CacheOutcome, TablesError};
     use fnc2::obs::{Key, Recorder as _};
 
-    if let Some(path) = tables {
+    if let Some(path) = &opts.tables {
         let bytes = std::fs::read(path).map_err(|e| diag(format!("fnc2c: {path}: {e}")))?;
-        match artifact::load_tables_recorded(&bytes, source, &pipeline(no_intern), obs) {
+        match artifact::load_tables_recorded(&bytes, source, &pipeline(opts), obs) {
             Ok(compiled) => {
                 obs.count(Key::TablesCacheHit, 1);
                 return Ok(compiled);
@@ -1541,20 +1247,112 @@ fn compile_via(
                 eprintln!("fnc2c: warning: ignoring tables artifact {path}: {e}; recompiling");
             }
         }
-        compile(source, no_intern, obs)
-    } else if let Some(dir) = cache_dir {
-        let (compiled, outcome) = artifact::compile_olga_cached(
-            &pipeline(no_intern),
-            source,
-            std::path::Path::new(dir),
-            obs,
-        )
-        .map_err(pipeline_diag)?;
+        compile(source, opts, obs)
+    } else if let Some(dir) = &opts.cache_dir {
+        let (compiled, outcome) =
+            artifact::compile_olga_cached(&pipeline(opts), source, std::path::Path::new(dir), obs)
+                .map_err(pipeline_diag)?;
         if let CacheOutcome::Rejected(e) = outcome {
             eprintln!("fnc2c: warning: rejected cached tables artifact: {e}; recompiled");
         }
         Ok(compiled)
     } else {
-        compile(source, no_intern, obs)
+        compile(source, opts, obs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `cmd` with and without `extra`, both carrying what the conflict
+    /// check requires of them and the command's positional arguments.
+    fn with_and_without(cmd: Cmd, extra: &[&str]) -> [Vec<String>; 2] {
+        let mut base = vec![cmd.name()];
+        if cmd == Compile {
+            base.extend(["--emit-tables", "t"]);
+        }
+        if extra.contains(&"--resume") || extra.contains(&"--backoff-ms") {
+            base.extend(["--checkpoint", "c"]);
+        }
+        let positional = &["a@0", "-"][2 - cmd.arity()..];
+        [
+            [&base[..], extra, positional].concat(),
+            [&base[..], positional].concat(),
+        ]
+        .map(|args| args.iter().map(|a| a.to_string()).collect())
+    }
+
+    /// Every flag parses and sets its field for exactly the commands
+    /// `FLAGS` lists, and `usage()` lists exactly those flags per command.
+    #[test]
+    fn flag_table_matches_parser_and_usage() {
+        for flag in FLAGS {
+            let mut extra = vec![flag.name];
+            extra.extend(match flag.kind {
+                Kind::Switch(_) | Kind::Count(_) => None,
+                Kind::Int(_) => Some("7"),
+                Kind::Path(..) => Some("p"),
+                Kind::Word(words, _) => Some(words[0]),
+            });
+            for cmd in Cmd::ALL {
+                let [with, without] = with_and_without(cmd, &extra);
+                let parsed = parse(with);
+                if !flag.cmds.contains(&cmd) {
+                    assert!(parsed.expect_err(flag.name).starts_with("fnc2c: "));
+                    continue;
+                }
+                let (got, _, opts) = parsed.unwrap_or_else(|e| panic!("{}: {e}", flag.name));
+                let (_, _, plain) = parse(without).unwrap();
+                assert_eq!(got, cmd);
+                let (opts, plain) = (format!("{opts:?}"), format!("{plain:?}"));
+                assert_ne!(opts, plain, "{} on `{}`", flag.name, cmd.name());
+            }
+        }
+
+        let flags_in = |text: &str| -> Vec<String> {
+            let mut names: Vec<String> = text
+                .split(|c: char| !c.is_ascii_lowercase() && c != '-')
+                .filter(|t| t.starts_with("--"))
+                .map(str::to_string)
+                .collect();
+            names.sort();
+            names.dedup();
+            names
+        };
+        let text = usage();
+        let budget = text
+            .lines()
+            .find(|l| l.starts_with("budget flags:"))
+            .unwrap();
+        let mut usage_cmds = Vec::new();
+        for (_, line) in text.lines().filter_map(|l| l.split_once("fnc2c ")) {
+            let line = line.replace("[budget flags]", budget);
+            let head = line.split_whitespace().next().unwrap();
+            for name in head
+                .split(['[', ']', '<', '>', '|'])
+                .filter(|n| !n.is_empty())
+            {
+                let mut accepted: Vec<String> = FLAGS
+                    .iter()
+                    .filter(|f| f.cmds.iter().any(|c| c.name() == name))
+                    .map(|f| f.name.to_string())
+                    .collect();
+                accepted.sort();
+                assert_eq!(flags_in(&line), accepted, "usage of `{name}`");
+                usage_cmds.push(name.to_string());
+            }
+        }
+        assert_eq!(
+            usage_cmds.len(),
+            Cmd::ALL.len(),
+            "one usage line per command"
+        );
+        assert!(Cmd::ALL
+            .iter()
+            .all(|c| usage_cmds.iter().any(|u| u == c.name())));
+        for name in flags_in(&text) {
+            assert!(FLAGS.iter().any(|f| f.name == name), "{name} not in FLAGS");
+        }
     }
 }

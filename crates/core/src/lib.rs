@@ -399,7 +399,7 @@ impl Compiled {
 
     /// The report and the instrumentation layer's view of the run as one
     /// JSON document: grammar sizes and class, per-phase durations,
-    /// counters, histograms, and the event trace when one was captured.
+    /// counters, and the event trace when one was captured.
     pub fn report_json(&self, obs: &Obs) -> Json {
         let mut pairs: Vec<(String, Json)> = vec![
             ("grammar".into(), Json::str(self.grammar.name())),

@@ -159,7 +159,7 @@ fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
 }
 
 #[test]
-fn conflicting_tables_flags_are_diagnostics() {
+fn conflicting_flags_are_diagnostics() {
     // Every inconsistent flag combination is an ordinary diagnostic
     // (exit 1) with an explanation — not a silent pick-one, not a panic.
     let cases: &[&[&str]] = &[
@@ -185,6 +185,15 @@ fn conflicting_tables_flags_are_diagnostics() {
         // value-taking flags with no value.
         &["report", "--tables"],
         &["report", "--cache-dir"],
+        // flags the command never reads.
+        &["check", "--max-steps", "5", "-"],
+        &["c", "--report", "json", "-"],
+        &["seqs", "--max-steps", "5", "-"],
+        &["compile", "--emit-tables", "x.tbl", "--metrics", "-"],
+        &["check", "--no-intern", "-"],
+        // numbers out of their target type's range.
+        &["batch", "--retries", "4294967297"],
+        &["profile", "--sample-every", "4294967296", "-"],
     ];
     for args in cases {
         let out = run_with_stdin(args, COUNT);

@@ -87,8 +87,7 @@ pub fn fixpoint(
 
 /// [`fixpoint`], instrumented: the run's step and change counts are added
 /// to `rec` under `gfa.fixpoint.steps` / `gfa.fixpoint.changes` (several
-/// fixpoints in one cascade accumulate), and the worklist volume is
-/// recorded in the `gfa.fixpoint.run_steps` histogram.
+/// fixpoints in one cascade accumulate).
 pub fn fixpoint_recorded<R: Recorder>(
     n: usize,
     dependents: &[Vec<usize>],
@@ -109,7 +108,6 @@ pub fn fixpoint_recorded<R: Recorder>(
     }
     rec.count(Key::GfaFixpointSteps, stats.steps as u64);
     rec.count(Key::GfaFixpointChanges, stats.changes as u64);
-    rec.observe("gfa.fixpoint.run_steps", stats.steps as u64);
     stats
 }
 

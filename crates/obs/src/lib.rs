@@ -7,9 +7,8 @@
 //!   Figure 3 cascade (OLGA parse/check/lower, SNC/DNC/OAG(k) tests, the
 //!   SNC→l-ordered transformation, visit-sequence generation, space
 //!   analysis), yielding a Table 1-style generation-time breakdown.
-//! * [`MetricsRegistry`] — named counters and histograms fed by the
-//!   evaluators and the analysis fixpoints through the shared [`Key`]
-//!   vocabulary.
+//! * [`MetricsRegistry`] — named counters fed by the evaluators and
+//!   the analysis fixpoints through the shared [`Key`] vocabulary.
 //! * [`TraceBuffer`] — a bounded ring of evaluation [`Event`]s
 //!   (`VisitEnter`, `RuleFired`, `AttrStored`, `StatusComputed`, …) with
 //!   a JSON-lines exporter and a human-readable pretty-printer.
@@ -35,7 +34,7 @@ pub mod span;
 
 pub use event::{ChangeStatus, Event, RawResolver, Resolver, StorageClass, TraceBuffer};
 pub use json::{Json, JsonError};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use phase::{PhaseSpan, PhaseTimer};
 pub use profile::{RuleCost, RuleProfiler, DEFAULT_SAMPLE_EVERY};
 pub use record::{Counters, Key, NoopRecorder, Obs, Recorder};

@@ -1,4 +1,4 @@
-//! Named counters and histograms.
+//! Named counters.
 //!
 //! The registry is the sink the cascade's stats feed into: fixpoint
 //! iteration counts from `fnc2-gfa`, partitions per phylum from the
@@ -10,90 +10,13 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 
-/// A fixed-bucket power-of-two histogram for small nonnegative samples
-/// (partition counts, stack depths, re-evaluation wave sizes).
-///
-/// Bucket `i` counts samples `v` with `2^(i-1) < v <= 2^i` (bucket 0
-/// counts zeros and ones); the last bucket is open-ended.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 16],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Records one sample.
-    pub fn observe(&mut self, value: u64) {
-        let ix = if value <= 1 {
-            0
-        } else {
-            ((64 - (value - 1).leading_zeros()) as usize).min(self.buckets.len() - 1)
-        };
-        self.buckets[ix] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample seen (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// `{count, sum, max, mean, buckets}` as JSON.
-    pub fn to_json(&self) -> Json {
-        let last = self
-            .buckets
-            .iter()
-            .rposition(|&b| b != 0)
-            .map_or(0, |i| i + 1);
-        Json::obj([
-            ("count", Json::Int(self.count as i64)),
-            ("sum", Json::Int(self.sum as i64)),
-            ("max", Json::Int(self.max as i64)),
-            ("mean", Json::Float(self.mean())),
-            (
-                "buckets",
-                Json::Arr(
-                    self.buckets[..last]
-                        .iter()
-                        .map(|&b| Json::Int(b as i64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// A registry of named counters and histograms.
+/// A registry of named counters.
 ///
 /// Names are dotted paths (`"eval.visits"`, `"gfa.fixpoint.steps"`);
 /// output is sorted by name so reports are diff-stable.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -118,22 +41,9 @@ impl MetricsRegistry {
         *c = (*c).max(value);
     }
 
-    /// Records `value` into the histogram named `name`.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
-    }
-
     /// Reads a counter (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Reads a histogram, if one was recorded under `name`.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// All counters in name order.
@@ -143,45 +53,20 @@ impl MetricsRegistry {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty()
     }
 
-    /// `{counters: {...}, histograms: {...}}` as JSON.
+    /// `{counters: {...}}` as JSON.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("counters", Json::from(&self.counters)),
-            (
-                "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
+        Json::obj([("counters", Json::from(&self.counters))])
     }
 
-    /// Renders counters and histogram summaries as aligned text lines.
+    /// Renders the counters as aligned text lines.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let width = self
-            .counters
-            .keys()
-            .chain(self.histograms.keys())
-            .map(|k| k.len())
-            .max()
-            .unwrap_or(0);
+        let width = self.counters.keys().map(|k| k.len()).max().unwrap_or(0);
         for (name, v) in &self.counters {
             out.push_str(&format!("{name:<width$}  {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "{name:<width$}  n={} mean={:.2} max={}\n",
-                h.count(),
-                h.mean(),
-                h.max()
-            ));
         }
         out
     }
@@ -213,29 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let mut h = Histogram::default();
-        for v in [0, 1, 2, 3, 4, 5, 8, 9, 1_000_000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.max(), 1_000_000);
-        // 0,1 → bucket 0; 2 → bucket 1; 3,4 → bucket 2; 5,8 → bucket 3;
-        // 9 → bucket 4.
-        let j = h.to_json();
-        let buckets = j.get("buckets").and_then(Json::as_arr).unwrap();
-        assert_eq!(buckets[0], Json::Int(2));
-        assert_eq!(buckets[1], Json::Int(1));
-        assert_eq!(buckets[2], Json::Int(2));
-        assert_eq!(buckets[3], Json::Int(2));
-        assert_eq!(buckets[4], Json::Int(1));
-    }
-
-    #[test]
     fn json_shape() {
         let mut m = MetricsRegistry::new();
         m.count("a.b", 7);
-        m.observe("h", 3);
         let j = m.to_json();
         assert_eq!(
             j.get("counters")
@@ -243,6 +108,5 @@ mod tests {
                 .and_then(Json::as_int),
             Some(7)
         );
-        assert!(j.get("histograms").and_then(|h| h.get("h")).is_some());
     }
 }

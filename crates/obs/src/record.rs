@@ -338,12 +338,6 @@ pub trait Recorder {
         let _ = (key, value);
     }
 
-    /// Records `value` into the histogram named `name`.
-    #[inline]
-    fn observe(&mut self, name: &'static str, value: u64) {
-        let _ = (name, value);
-    }
-
     /// Whether event tracing is active. Call sites must gate `emit` on
     /// this so uninstrumented runs never build an [`Event`].
     #[inline]
@@ -440,11 +434,6 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 
     #[inline]
-    fn observe(&mut self, name: &'static str, value: u64) {
-        (**self).observe(name, value);
-    }
-
-    #[inline]
     fn trace(&self) -> bool {
         (**self).trace()
     }
@@ -507,7 +496,7 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
 pub struct Obs {
     /// Cascade phase spans.
     pub phases: PhaseTimer,
-    /// Named counters and histograms.
+    /// Named counters.
     pub metrics: MetricsRegistry,
     /// The event ring, when tracing is enabled.
     pub events: Option<TraceBuffer>,
@@ -610,7 +599,7 @@ impl Obs {
         chrome_trace(&events, &name_refs)
     }
 
-    /// The full report — `{phases, counters, histograms, trace?}` — as a
+    /// The full report — `{phases, counters, profile?, trace?}` — as a
     /// single JSON document.
     pub fn to_json(&self) -> Json {
         let metrics = self.metrics.to_json();
@@ -619,10 +608,6 @@ impl Obs {
             (
                 "counters".to_string(),
                 metrics.get("counters").cloned().unwrap_or(Json::Null),
-            ),
-            (
-                "histograms".to_string(),
-                metrics.get("histograms").cloned().unwrap_or(Json::Null),
             ),
         ];
         if let Some(p) = &self.profile {
@@ -706,11 +691,6 @@ impl Recorder for Obs {
     #[inline]
     fn count_max(&mut self, key: Key, value: u64) {
         self.metrics.count_max(key.name(), value);
-    }
-
-    #[inline]
-    fn observe(&mut self, name: &'static str, value: u64) {
-        self.metrics.observe(name, value);
     }
 
     #[inline]
@@ -826,7 +806,6 @@ mod tests {
     fn obs_collects_counts_and_events() {
         let mut obs = Obs::with_trace(4);
         obs.count(Key::EvalEvals, 2);
-        obs.observe("wave", 5);
         assert!(obs.trace());
         obs.emit(Event::RuleFired {
             node: 0,
