@@ -101,9 +101,9 @@ pub fn classify_recorded(
     inclusion: Inclusion,
     obs: &mut Obs,
 ) -> Result<Classification, TransformError> {
-    obs.phases.enter("analysis.snc");
+    obs.tracer.begin("phase", "analysis.snc");
     let snc = snc_test_recorded(grammar, obs);
-    obs.phases.leave();
+    obs.tracer.end();
     if !snc.is_snc() {
         return Ok(Classification {
             class: AgClass::NotSnc,
@@ -113,15 +113,15 @@ pub fn classify_recorded(
             l_ordered: None,
         });
     }
-    obs.phases.enter("analysis.dnc");
+    obs.tracer.begin("phase", "analysis.dnc");
     let dnc = dnc_test_recorded(grammar, &snc, obs);
-    obs.phases.leave();
+    obs.tracer.end();
     if !dnc.is_dnc() {
         // SNC but not DNC: the transformation still applies.
-        obs.phases.enter("analysis.transform");
+        obs.tracer.begin("phase", "analysis.transform");
         let lo = snc_to_l_ordered(grammar, &snc, inclusion)?;
         record_transform(&lo.stats, obs);
-        obs.phases.leave();
+        obs.tracer.end();
         return Ok(Classification {
             class: AgClass::Snc,
             snc,
@@ -132,7 +132,7 @@ pub fn classify_recorded(
     }
     // OAG(0), then larger k on demand.
     let mut best: Option<(usize, OagResult)> = None;
-    obs.phases.enter("analysis.oag");
+    obs.tracer.begin("phase", "analysis.oag");
     for k in 0..=max_k {
         let r = oag_test_recorded(grammar, k, obs);
         if r.is_oag() {
@@ -143,14 +143,14 @@ pub fn classify_recorded(
             best = Some((k, r));
         }
     }
-    obs.phases.leave();
+    obs.tracer.end();
     let (k, oag) = best.expect("loop ran at least once");
     if oag.is_oag() {
         let parts = oag.partitions.clone().expect("ordered");
-        obs.phases.enter("analysis.transform");
+        obs.tracer.begin("phase", "analysis.transform");
         let lo = crate::transform::l_ordered_from_partitions(grammar, parts)?;
         record_transform(&lo.stats, obs);
-        obs.phases.leave();
+        obs.tracer.end();
         return Ok(Classification {
             class: if k == 0 {
                 AgClass::Oag0
@@ -164,10 +164,10 @@ pub fn classify_recorded(
         });
     }
     // DNC but not OAG(max_k): transformation.
-    obs.phases.enter("analysis.transform");
+    obs.tracer.begin("phase", "analysis.transform");
     let lo = snc_to_l_ordered(grammar, &snc, inclusion)?;
     record_transform(&lo.stats, obs);
-    obs.phases.leave();
+    obs.tracer.end();
     Ok(Classification {
         class: AgClass::Dnc,
         snc,

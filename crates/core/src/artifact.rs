@@ -25,7 +25,7 @@ pub use fnc2_tables::store::{GcReport, TableStore};
 pub use fnc2_tables::{ArtifactError, Tables, TablesConfig};
 use fnc2_vfs::{RealVfs, Vfs};
 
-use crate::{olga_front_end_recorded, Compiled, PhaseTimes, Pipeline, PipelineError, Report};
+use crate::{olga_front_end_recorded, Compiled, Pipeline, PipelineError, Report};
 
 impl Pipeline {
     /// The artifact-facing view of this configuration (the knobs that
@@ -113,9 +113,9 @@ pub fn load_tables_recorded(
     pipeline: &Pipeline,
     obs: &mut Obs,
 ) -> Result<Compiled, TablesError> {
-    obs.phases.enter("tables.load");
+    obs.tracer.begin("phase", "tables.load");
     let r = load_inner(bytes, source, pipeline, obs);
-    obs.phases.leave();
+    obs.tracer.end();
     r
 }
 
@@ -180,8 +180,8 @@ fn load_inner(
         rules: grammar.rule_count(),
         transform: classification.l_ordered.as_ref().map(|l| l.stats.clone()),
         space: space_plan.as_ref().map(|p| p.stats.clone()),
-        // The cascade did not run, so the generator phase times are zero.
-        times: PhaseTimes::default(),
+        // The cascade did not run, so the generator time is zero.
+        generator_time: std::time::Duration::ZERO,
     };
     Ok(Compiled {
         grammar,

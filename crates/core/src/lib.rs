@@ -41,7 +41,7 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fnc2_ag::{
     AttrId, AttrValues, Grammar, NodeId, PhylumId, ProductionId, Tree, TreeBuilder, Value,
@@ -97,27 +97,6 @@ impl Default for Pipeline {
     }
 }
 
-/// Per-phase wall-clock times of one generator run (the Table 1 "time"
-/// column, split by phase).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    /// Class tests + transformation.
-    pub analysis: Duration,
-    /// Visit-sequence generation.
-    pub visit_sequences: Duration,
-    /// Space optimization.
-    pub space: Duration,
-    /// Grammar-level lint pass.
-    pub lint: Duration,
-}
-
-impl PhaseTimes {
-    /// Total generator time.
-    pub fn total(&self) -> Duration {
-        self.analysis + self.visit_sequences + self.space + self.lint
-    }
-}
-
 /// The generator's summary for one AG (one Table 1 row).
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -135,8 +114,9 @@ pub struct Report {
     pub transform: Option<fnc2_analysis::TransformStats>,
     /// Space statistics (storage classes, packing, copy elimination).
     pub space: Option<fnc2_space::SpaceStats>,
-    /// Per-phase times.
-    pub times: PhaseTimes,
+    /// Wall-clock time of the cascade (the Table 1 "time" column); the
+    /// per-phase split is on the session's span tracer.
+    pub generator_time: Duration,
 }
 
 impl fmt::Display for Report {
@@ -168,7 +148,7 @@ impl fmt::Display for Report {
                 s.pct_eliminated_of_possible()
             )?;
         }
-        write!(f, "generator time {:?}", self.times.total())
+        write!(f, "generator time {:?}", self.generator_time)
     }
 }
 
@@ -561,9 +541,10 @@ impl Pipeline {
         grammar: Grammar,
         obs: &mut Obs,
     ) -> Result<Compiled, PipelineError> {
-        obs.phases.enter("analysis");
+        let started = Instant::now();
+        obs.tracer.begin("phase", "analysis");
         let classified = classify_recorded(&grammar, self.max_oag_k, self.inclusion, obs);
-        obs.phases.leave();
+        obs.tracer.end();
         let classification = classified.map_err(PipelineError::Transform)?;
         if !classification.is_evaluable() {
             let w = classification
@@ -578,15 +559,15 @@ impl Pipeline {
             .as_ref()
             .expect("evaluable grammars have plans");
 
-        obs.phases.enter("lint");
+        obs.tracer.begin("phase", "lint");
         let lint = fnc2_lint::lint_grammar_recorded(&grammar, Some(&classification), obs);
-        obs.phases.leave();
+        obs.tracer.end();
 
-        obs.phases.enter("visit.sequences");
+        obs.tracer.begin("phase", "visit.sequences");
         let seqs = build_visit_seqs(&grammar, lo);
-        obs.phases.leave();
+        obs.tracer.end();
 
-        obs.phases.enter("space.analysis");
+        obs.tracer.begin("phase", "space.analysis");
         let (flat, objects, lifetimes, space_plan) = if self.optimize_space {
             let (fp, ox, lt, plan) = analyze_space(&grammar, &seqs);
             (Some(fp), Some(ox), Some(lt), Some(plan))
@@ -602,13 +583,7 @@ impl Pipeline {
                 plan.stats.copies_eliminated as u64,
             );
         }
-        obs.phases.leave();
-
-        let nanos = |name| Duration::from_nanos(obs.phases.nanos_of(name) as u64);
-        let analysis_time = nanos("analysis");
-        let vs_time = nanos("visit.sequences");
-        let space_time = nanos("space.analysis");
-        let lint_time = nanos("lint");
+        obs.tracer.end();
 
         let report = Report {
             class: classification.class,
@@ -618,12 +593,7 @@ impl Pipeline {
             rules: grammar.rule_count(),
             transform: classification.l_ordered.as_ref().map(|l| l.stats.clone()),
             space: space_plan.as_ref().map(|p| p.stats.clone()),
-            times: PhaseTimes {
-                analysis: analysis_time,
-                visit_sequences: vs_time,
-                space: space_time,
-                lint: lint_time,
-            },
+            generator_time: started.elapsed(),
         };
         Ok(Compiled {
             grammar,
@@ -730,12 +700,12 @@ impl Pipeline {
         };
         // Classification feeds the circularity lints; a transform failure
         // (impossible for SNC grammars) just drops them.
-        obs.phases.enter("analysis");
+        obs.tracer.begin("phase", "analysis");
         let class = classify_recorded(&grammar, self.max_oag_k, self.inclusion, obs).ok();
-        obs.phases.leave();
-        obs.phases.enter("lint");
+        obs.tracer.end();
+        obs.tracer.begin("phase", "lint");
         let report = fnc2_lint::lint_grammar_recorded(&grammar, class.as_ref(), obs);
-        obs.phases.leave();
+        obs.tracer.end();
         report
     }
 }
@@ -750,12 +720,12 @@ pub(crate) fn olga_front_end_recorded(
 ) -> Result<Grammar, PipelineError> {
     use fnc2_olga::ast::Unit;
 
-    obs.phases.enter("olga.parse");
+    obs.tracer.begin("phase", "olga.parse");
     let parsed = fnc2_olga::parse_units(source);
-    obs.phases.leave();
+    obs.tracer.end();
     let units = parsed.map_err(|e| PipelineError::Olga(e.into()))?;
 
-    obs.phases.enter("olga.check");
+    obs.tracer.begin("phase", "olga.check");
     let checked = (|| {
         let mut compiler = fnc2_olga::Compiler::new();
         let mut ag = None;
@@ -781,12 +751,12 @@ pub(crate) fn olga_front_end_recorded(
         };
         Ok(compiler.check_ag(ag)?)
     })();
-    obs.phases.leave();
+    obs.tracer.end();
     let checked = checked.map_err(PipelineError::Olga)?;
 
-    obs.phases.enter("olga.lower");
+    obs.tracer.begin("phase", "olga.lower");
     let lowered = fnc2_olga::lower(&checked);
-    obs.phases.leave();
+    obs.tracer.end();
     let (grammar, _) = lowered.map_err(|e| PipelineError::Olga(e.into()))?;
     Ok(grammar)
 }

@@ -158,6 +158,63 @@ fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
     child.wait_with_output().unwrap()
 }
 
+/// The Chrome trace is written even when the run fails: a budget trip in
+/// the smoke evaluation exits 2 and still leaves a valid timeline holding
+/// the whole cascade, the root visit and the trip itself.
+#[test]
+fn chrome_trace_is_written_when_the_run_fails() {
+    use fnc2::obs::{validate_chrome_trace, Json};
+
+    let path = std::env::temp_dir().join(format!("fnc2-cli-trace-{}.json", std::process::id()));
+    let trace = path.to_str().unwrap();
+    let out = run_with_stdin(
+        &["report", "--max-steps", "0", "--chrome-trace", trace, "-"],
+        COUNT,
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    validate_chrome_trace(&doc).unwrap();
+    let events: Vec<(&str, &str, &str)> = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(|e| {
+            let field = |k| e.get(k).and_then(Json::as_str);
+            Some((field("ph")?, field("cat")?, field("name")?))
+        })
+        .collect();
+    let phases: Vec<&str> = events
+        .iter()
+        .filter(|(ph, cat, _)| *ph == "B" && *cat == "phase")
+        .map(|(_, _, name)| *name)
+        .collect();
+    assert_eq!(
+        phases,
+        [
+            "olga.parse",
+            "olga.check",
+            "olga.lower",
+            "analysis",
+            "analysis.snc",
+            "analysis.dnc",
+            "analysis.oag",
+            "analysis.transform",
+            "lint",
+            "visit.sequences",
+            "space.analysis",
+        ]
+    );
+    assert!(events.contains(&("B", "visit", "exhaustive visit 1/1 (root)")));
+    assert!(
+        events.iter().any(|(ph, cat, name)| *ph == "i"
+            && *cat == "guard"
+            && name.starts_with("budget trip")),
+        "{events:?}"
+    );
+}
+
 #[test]
 fn conflicting_flags_are_diagnostics() {
     // Every inconsistent flag combination is an ordinary diagnostic

@@ -141,9 +141,9 @@ impl FuzzReport {
 /// `front_cases` front-end mutations, stopping at the first failure.
 /// Counters are recorded through `obs` under the `fuzz.` prefix.
 pub fn run(cfg: &FuzzConfig, obs: &mut Obs) -> FuzzReport {
-    obs.phases.enter("fuzz");
+    obs.tracer.begin("phase", "fuzz");
     let report = run_inner(cfg, obs);
-    obs.phases.leave();
+    obs.tracer.end();
     report
 }
 

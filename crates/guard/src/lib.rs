@@ -114,7 +114,8 @@ pub struct EvalBudget {
     pub max_steps: u64,
     /// Maximum visit/demand nesting depth.
     pub max_depth: usize,
-    /// Maximum aggregate cells ([`cell_count`-style]) of produced values.
+    /// Maximum aggregate cells of produced values, counted the way
+    /// `fnc2_ag::Value::cell_count` counts them.
     pub max_value_cells: u64,
     /// Optional wall-clock deadline.
     pub deadline: Option<Deadline>,

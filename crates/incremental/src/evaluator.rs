@@ -14,7 +14,7 @@ use fnc2_ag::{
     TreeError, Value,
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
-use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder};
+use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
 use fnc2_visit::{CompiledProgram, EvalError, InternCtx, RootInputs};
 
 use crate::status::Equality;
@@ -710,11 +710,10 @@ impl<'g> IncrementalEvaluator<'g> {
             .expect("validated grammar");
         let mut buf = Vec::with_capacity(4);
         let mut counters = Counters::new();
-        let t0 = if rec.profiling() && rec.sample_rule() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let t0 = rec
+            .profiler()
+            .is_some_and(RuleProfiler::should_sample)
+            .then(std::time::Instant::now);
         let (v, is_copy) = self.program.eval_rule(
             g,
             &self.tree,
@@ -728,8 +727,8 @@ impl<'g> IncrementalEvaluator<'g> {
             self.ictx.as_mut(),
         )?;
         counters.replay(rec);
-        if rec.profiling() {
-            rec.rule_cost(
+        if let Some(prof) = rec.profiler() {
+            prof.record(
                 p.index() as u32,
                 rule,
                 is_copy,

@@ -7,10 +7,12 @@
 //! while still ranking rules by estimated total time — the estimate for
 //! a pair is `mean sampled nanoseconds × total fires`.
 //!
-//! The profiler lives behind the [`Recorder`](crate::Recorder) trait
-//! (`profiling()` / `sample_rule()` / `rule_cost()`), so evaluators
-//! instantiated with [`NoopRecorder`](crate::NoopRecorder) compile the
-//! whole mechanism away.
+//! Evaluators reach the profiler through
+//! [`Recorder::profiler`](crate::Recorder::profiler) and call
+//! [`should_sample`](RuleProfiler::should_sample) and
+//! [`record`](RuleProfiler::record) on it directly. Recorders without a
+//! profiler, such as [`NoopRecorder`](crate::NoopRecorder), return
+//! `None`, so their instantiations compile the whole mechanism away.
 
 use std::collections::HashMap;
 

@@ -2,16 +2,16 @@
 //! all-in-one [`Obs`] session.
 //!
 //! The evaluators and analysis fixpoints are generic over `R: Recorder`.
-//! [`NoopRecorder`]'s methods are empty and `trace()` is `false`, so the
-//! uninstrumented instantiation monomorphizes to the exact code that ran
-//! before this layer existed — hot paths pay nothing. [`Obs`] is the live
-//! implementation bundling a phase timer, a metrics registry, and an
-//! optional trace buffer.
+//! [`NoopRecorder`]'s methods are empty, `trace()` is `false` and it hands
+//! out no profiler or span tracer, so the uninstrumented instantiation
+//! monomorphizes to the exact code that ran before this layer existed —
+//! hot paths pay nothing. [`Obs`] is the live implementation bundling a
+//! span tracer (which also times the cascade phases), a metrics registry,
+//! an optional trace buffer and an optional rule profiler.
 
 use crate::event::{Event, Resolver, TraceBuffer};
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
-use crate::phase::PhaseTimer;
 use crate::profile::RuleProfiler;
 use crate::span::{chrome_trace, SpanEvent, SpanTracer};
 
@@ -75,7 +75,7 @@ pub enum Key {
     ParTrees,
     /// Successful steals performed by the work-stealing pool.
     ParSteals,
-    /// Evaluations cut short by an exhausted [`fnc2-guard`] budget.
+    /// Evaluations cut short by an exhausted `fnc2-guard` budget.
     GuardBudgetExceeded,
     /// Worker panics caught and classified by the batch driver.
     GuardPanicsCaught,
@@ -322,9 +322,13 @@ impl Recorder for Counters {
 /// The instrumentation sink the cascade and the evaluators are generic
 /// over.
 ///
-/// All methods default to no-ops; `trace()` defaults to `false` so event
-/// construction can be skipped entirely at call sites
-/// (`if rec.trace() { rec.emit(...) }`).
+/// Counters and the event stream are methods; the rule profiler and the
+/// span tracer are handed out whole, so call sites drive them directly.
+/// Every method defaults to a no-op: `trace()` is `false` and
+/// [`profiler`](Self::profiler)/[`spans`](Self::spans) are `None`, so
+/// event construction, rule timing and span-name formatting are skipped
+/// entirely at gated call sites (`if rec.trace() { rec.emit(...) }`,
+/// `if let Some(t) = rec.spans() { ... }`).
 pub trait Recorder {
     /// Adds `delta` to the counter `key`.
     #[inline]
@@ -345,71 +349,27 @@ pub trait Recorder {
         false
     }
 
-    /// Captures an event. Only called when `trace()` is true.
+    /// Captures an event. Only called when `trace()` is true. Every
+    /// event reaches the recorder, in order: consumers that check a
+    /// property per event rely on seeing the whole stream.
     #[inline]
     fn emit(&mut self, event: Event) {
         let _ = event;
     }
 
-    /// Whether per-rule cost profiling is active. Call sites must gate
-    /// the profiling block on this so the disabled path stays free.
+    /// The per-rule cost profiler, when profiling is active. Evaluators
+    /// ask it whether to time a firing and record the firing into it.
     #[inline]
-    fn profiling(&self) -> bool {
-        false
-    }
-
-    /// Decides whether the next rule firing should be wall-clock
-    /// sampled. Only called when `profiling()` is true.
-    #[inline]
-    fn sample_rule(&mut self) -> bool {
-        false
-    }
-
-    /// Attributes one rule firing to `(production, rule)`; `nanos`
-    /// carries the elapsed time when the firing was sampled. Only called
-    /// when `profiling()` is true.
-    #[inline]
-    fn rule_cost(&mut self, production: u32, rule: u32, is_copy: bool, nanos: Option<u64>) {
-        let _ = (production, rule, is_copy, nanos);
-    }
-
-    /// Whether span tracing is active. Call sites must gate the span
-    /// methods on this so uninstrumented runs never format span names.
-    #[inline]
-    fn spans(&self) -> bool {
-        false
-    }
-
-    /// Opens a span. Only called when `spans()` is true.
-    #[inline]
-    fn span_begin(&mut self, cat: &'static str, name: String) {
-        let _ = (cat, name);
-    }
-
-    /// Closes the innermost open span. Only called when `spans()` is true.
-    #[inline]
-    fn span_end(&mut self) {}
-
-    /// Records a point-in-time marker. Only called when `spans()` is true.
-    #[inline]
-    fn span_instant(&mut self, cat: &'static str, name: String) {
-        let _ = (cat, name);
-    }
-
-    /// A worker-local span shard with thread id `tid` sharing this
-    /// recorder's epoch, or `None` when span tracing is off. The batch
-    /// driver records per-tree spans into shards and merges them back
-    /// with [`absorb_spans`](Self::absorb_spans).
-    #[inline]
-    fn span_shard(&self, tid: u32) -> Option<SpanTracer> {
-        let _ = tid;
+    fn profiler(&mut self) -> Option<&mut RuleProfiler> {
         None
     }
 
-    /// Merges a worker shard's span events back into this recorder.
+    /// The span tracer evaluators and batch workers record into, when
+    /// span tracing is active. The batch driver takes worker shards from
+    /// it and absorbs them back.
     #[inline]
-    fn absorb_spans(&mut self, shard: SpanTracer) {
-        let _ = shard;
+    fn spans(&mut self) -> Option<&mut SpanTracer> {
+        None
     }
 }
 
@@ -444,64 +404,30 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 
     #[inline]
-    fn profiling(&self) -> bool {
-        (**self).profiling()
+    fn profiler(&mut self) -> Option<&mut RuleProfiler> {
+        (**self).profiler()
     }
 
     #[inline]
-    fn sample_rule(&mut self) -> bool {
-        (**self).sample_rule()
-    }
-
-    #[inline]
-    fn rule_cost(&mut self, production: u32, rule: u32, is_copy: bool, nanos: Option<u64>) {
-        (**self).rule_cost(production, rule, is_copy, nanos);
-    }
-
-    #[inline]
-    fn spans(&self) -> bool {
+    fn spans(&mut self) -> Option<&mut SpanTracer> {
         (**self).spans()
-    }
-
-    #[inline]
-    fn span_begin(&mut self, cat: &'static str, name: String) {
-        (**self).span_begin(cat, name);
-    }
-
-    #[inline]
-    fn span_end(&mut self) {
-        (**self).span_end();
-    }
-
-    #[inline]
-    fn span_instant(&mut self, cat: &'static str, name: String) {
-        (**self).span_instant(cat, name);
-    }
-
-    #[inline]
-    fn span_shard(&self, tid: u32) -> Option<SpanTracer> {
-        (**self).span_shard(tid)
-    }
-
-    #[inline]
-    fn absorb_spans(&mut self, shard: SpanTracer) {
-        (**self).absorb_spans(shard);
     }
 }
 
-/// A live instrumentation session: phase timer + metrics registry +
-/// optional bounded event trace + optional span tracer and rule
-/// profiler.
+/// A live instrumentation session: span tracer + metrics registry +
+/// optional bounded event trace + optional rule profiler.
 #[derive(Debug, Default)]
 pub struct Obs {
-    /// Cascade phase spans.
-    pub phases: PhaseTimer,
+    /// The session timeline. Cascade phases always land on it as
+    /// `"phase"` spans; evaluator and batch-worker spans join them once
+    /// [`enable_spans`](Self::enable_spans) is called.
+    pub tracer: SpanTracer,
+    /// Whether [`Recorder::spans`] hands the tracer out.
+    spans_enabled: bool,
     /// Named counters.
     pub metrics: MetricsRegistry,
     /// The event ring, when tracing is enabled.
     pub events: Option<TraceBuffer>,
-    /// The span timeline, when span tracing is enabled.
-    pub span_tracer: Option<SpanTracer>,
     /// The per-rule cost profiler, when profiling is enabled.
     pub profile: Option<RuleProfiler>,
 }
@@ -521,22 +447,11 @@ impl Obs {
         }
     }
 
-    /// Enables span tracing. The tracer's epoch is shared with the phase
-    /// timer so the two timestamp sources align in the exported
-    /// timeline.
+    /// Hands the session's tracer to evaluators and batch workers too,
+    /// so root visits, budget trips and per-tree work share the cascade
+    /// phases' timeline.
     pub fn enable_spans(&mut self) {
-        if self.span_tracer.is_some() {
-            return;
-        }
-        let tracer = match self.phases.epoch() {
-            Some(epoch) => SpanTracer::with_epoch(epoch, 0),
-            None => {
-                let t = SpanTracer::new();
-                self.phases.set_epoch(t.epoch());
-                t
-            }
-        };
-        self.span_tracer = Some(tracer);
+        self.spans_enabled = true;
     }
 
     /// Enables per-rule cost profiling with sampling period
@@ -547,64 +462,45 @@ impl Obs {
         }
     }
 
-    /// The whole session — cascade phases (tid 0) plus recorded spans —
-    /// as a Chrome trace-event document, loadable in Perfetto.
+    /// The session's timeline as a Chrome trace-event document, loadable
+    /// in Perfetto: cascade phases and spans on tid 0, batch workers on
+    /// their own tids.
     pub fn chrome_trace(&self) -> Json {
-        let mut events: Vec<SpanEvent> = Vec::new();
-        // Phase spans become B/E pairs on tid 0. Ids live in their own
-        // namespace (bit 62 set — tracer ids are `tid << 32 | seq`, far
-        // below it, and the id still fits a JSON i64) so they never
-        // collide with tracer ids.
-        let mut stack: Vec<(usize, u64)> = Vec::new();
-        for (i, s) in self.phases.spans().iter().enumerate() {
-            while stack.last().is_some_and(|&(d, _)| d >= s.depth) {
-                stack.pop();
-            }
-            let id = (1u64 << 62) | i as u64;
-            let start = (s.start_nanos / 1_000).min(u64::MAX as u128) as u64;
-            let end = ((s.start_nanos + s.nanos) / 1_000).min(u64::MAX as u128) as u64;
-            events.push(SpanEvent::Begin {
-                id,
-                parent: stack.last().map(|&(_, p)| p),
-                tid: 0,
-                ts_us: start,
-                name: s.name.to_string(),
-                cat: "phase",
-            });
-            events.push(SpanEvent::End {
-                id,
-                tid: 0,
-                ts_us: end,
-            });
-            stack.push((s.depth, id));
-        }
-        if let Some(t) = &self.span_tracer {
-            events.extend(t.events().iter().cloned());
-        }
-        let mut tids: Vec<u32> = events.iter().map(SpanEvent::tid).collect();
+        let mut tids: Vec<u32> = self.tracer.events().iter().map(SpanEvent::tid).collect();
         tids.sort_unstable();
         tids.dedup();
         let names: Vec<(u32, String)> = tids
             .into_iter()
-            .map(|tid| {
-                let name = if tid == 0 {
-                    "cascade".to_string()
-                } else {
-                    format!("worker {tid}")
-                };
-                (tid, name)
+            .map(|tid| match tid {
+                0 => (tid, "cascade".to_string()),
+                _ => (tid, format!("worker {tid}")),
             })
             .collect();
-        let name_refs: Vec<(u32, &str)> = names.iter().map(|(t, n)| (*t, n.as_str())).collect();
-        chrome_trace(&events, &name_refs)
+        chrome_trace(self.tracer.events(), &names)
     }
 
     /// The full report — `{phases, counters, profile?, trace?}` — as a
     /// single JSON document.
     pub fn to_json(&self) -> Json {
         let metrics = self.metrics.to_json();
+        let phases = self
+            .tracer
+            .phases()
+            .iter()
+            .map(|s| {
+                Json::obj([
+                    ("name", Json::str(s.name)),
+                    ("depth", Json::Int(s.depth as i64)),
+                    ("nanos", Json::Int(s.nanos.min(i64::MAX as u64) as i64)),
+                    (
+                        "start_nanos",
+                        Json::Int(s.start_nanos.min(i64::MAX as u64) as i64),
+                    ),
+                ])
+            })
+            .collect();
         let mut pairs = vec![
-            ("phases".to_string(), self.phases.to_json()),
+            ("phases".to_string(), Json::Arr(phases)),
             (
                 "counters".to_string(),
                 metrics.get("counters").cloned().unwrap_or(Json::Null),
@@ -657,9 +553,18 @@ impl Obs {
     /// traced) the event log via `resolver`.
     pub fn render(&self, resolver: &dyn Resolver) -> String {
         let mut out = String::new();
-        if !self.phases.spans().is_empty() {
+        let phases = self.tracer.phases();
+        if !phases.is_empty() {
             out.push_str("phases:\n");
-            out.push_str(&self.phases.render());
+        }
+        for s in phases {
+            out.push_str(&format!(
+                "{:indent$}{:<24} {:>10.3} ms\n",
+                "",
+                s.name,
+                s.nanos as f64 / 1e6,
+                indent = s.depth * 2
+            ));
         }
         if !self.metrics.is_empty() {
             out.push_str("metrics:\n");
@@ -706,61 +611,13 @@ impl Recorder for Obs {
     }
 
     #[inline]
-    fn profiling(&self) -> bool {
-        self.profile.is_some()
+    fn profiler(&mut self) -> Option<&mut RuleProfiler> {
+        self.profile.as_mut()
     }
 
     #[inline]
-    fn sample_rule(&mut self) -> bool {
-        self.profile
-            .as_mut()
-            .map(RuleProfiler::should_sample)
-            .unwrap_or(false)
-    }
-
-    #[inline]
-    fn rule_cost(&mut self, production: u32, rule: u32, is_copy: bool, nanos: Option<u64>) {
-        if let Some(p) = &mut self.profile {
-            p.record(production, rule, is_copy, nanos);
-        }
-    }
-
-    #[inline]
-    fn spans(&self) -> bool {
-        self.span_tracer.is_some()
-    }
-
-    #[inline]
-    fn span_begin(&mut self, cat: &'static str, name: String) {
-        if let Some(t) = &mut self.span_tracer {
-            t.begin(cat, name);
-        }
-    }
-
-    #[inline]
-    fn span_end(&mut self) {
-        if let Some(t) = &mut self.span_tracer {
-            t.end();
-        }
-    }
-
-    #[inline]
-    fn span_instant(&mut self, cat: &'static str, name: String) {
-        if let Some(t) = &mut self.span_tracer {
-            t.instant(cat, name);
-        }
-    }
-
-    #[inline]
-    fn span_shard(&self, tid: u32) -> Option<SpanTracer> {
-        self.span_tracer.as_ref().map(|t| t.shard(tid))
-    }
-
-    #[inline]
-    fn absorb_spans(&mut self, shard: SpanTracer) {
-        if let Some(t) = &mut self.span_tracer {
-            t.absorb(shard);
-        }
+    fn spans(&mut self) -> Option<&mut SpanTracer> {
+        self.spans_enabled.then_some(&mut self.tracer)
     }
 }
 
@@ -798,8 +655,42 @@ mod tests {
 
     #[test]
     fn noop_recorder_reports_no_tracing() {
-        let rec = NoopRecorder;
+        let mut rec = NoopRecorder;
         assert!(!rec.trace());
+        assert!(rec.profiler().is_none() && rec.spans().is_none());
+    }
+
+    #[test]
+    fn phase_render_and_json_carry_every_phase() {
+        let mut obs = Obs::new();
+        obs.tracer.begin("phase", "a");
+        obs.tracer.begin("phase", "b");
+        obs.tracer.end();
+        obs.tracer.end();
+        let text = obs.render(&crate::event::RawResolver);
+        assert!(text.starts_with("phases:\na "), "{text}");
+        assert!(text.contains("\n  b "), "{text}");
+        let j = obs.to_json();
+        let phases = j.get("phases").and_then(Json::as_arr).unwrap();
+        let rows: Vec<_> = phases
+            .iter()
+            .map(|p| {
+                let key = |k| p.get(k).and_then(Json::as_int).unwrap();
+                let name = p.get("name").and_then(Json::as_str).unwrap();
+                assert!(key("start_nanos") >= 0 && key("nanos") >= 0);
+                (name, key("depth"))
+            })
+            .collect();
+        assert_eq!(rows, vec![("a", 0), ("b", 1)]);
+    }
+
+    #[test]
+    fn obs_hands_out_its_tracer_only_once_spans_are_enabled() {
+        let mut obs = Obs::new();
+        assert!(obs.spans().is_none());
+        obs.enable_spans();
+        obs.spans().unwrap().instant("guard", "trip");
+        assert_eq!(obs.tracer.len(), 1);
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! export.
 //!
 //! A [`SpanTracer`] records `Begin`/`End`/`Instant` events with
-//! monotonic microsecond timestamps against a shared epoch. Every
-//! tracer carries a thread id (`tid`); the batch driver hands each
-//! worker its own shard via [`SpanTracer::shard`] — shards share the
-//! epoch, so merged timelines stay aligned — and merges them back with
-//! [`SpanTracer::absorb`]. Span ids are unique across shards
-//! (`tid << 32 | seq`), and begin events carry their parent's id, so
-//! the nesting survives the merge even though the exported format only
-//! encodes it implicitly through timestamps.
+//! monotonic nanosecond timestamps against one epoch. It is the only
+//! clock of an instrumented run: a cascade phase is a `"phase"` span,
+//! and [`SpanTracer::phases`] reads the phase table back with each
+//! phase's nesting depth. Every tracer carries a thread id (`tid`); the
+//! batch driver hands each worker its own shard via
+//! [`SpanTracer::shard`] — shards share the epoch, so merged timelines
+//! stay aligned — and merges them back with [`SpanTracer::absorb`]. Span
+//! ids are unique across shards (`tid << 32 | seq`), and begin events
+//! carry their parent's id, so the nesting survives the merge even
+//! though the exported format only encodes it implicitly through
+//! timestamps.
 //!
 //! [`chrome_trace`] serializes any event list into the Chrome
-//! trace-event JSON format (the `{"traceEvents": [...]}` flavour), which
-//! loads directly in Perfetto or `chrome://tracing`.
+//! trace-event JSON format (the `{"traceEvents": [...]}` flavour, in
+//! microseconds), which loads directly in Perfetto or `chrome://tracing`.
 //! [`validate_chrome_trace`] checks the invariants the viewers rely on —
 //! matched `B`/`E` pairs and monotonic timestamps per tid — and backs
 //! the golden-file tests.
@@ -33,8 +36,8 @@ pub enum SpanEvent {
         parent: Option<u64>,
         /// Thread id the span runs on (0 = the coordinating thread).
         tid: u32,
-        /// Microseconds since the tracer's epoch.
-        ts_us: u64,
+        /// Nanoseconds since the tracer's epoch.
+        ts_ns: u64,
         /// Span name, e.g. `"visit 1 (root)"`.
         name: String,
         /// Category tag, e.g. `"phase"`, `"visit"`, `"par"`, `"guard"`.
@@ -46,15 +49,15 @@ pub enum SpanEvent {
         id: u64,
         /// Thread id (must equal the begin event's).
         tid: u32,
-        /// Microseconds since the tracer's epoch.
-        ts_us: u64,
+        /// Nanoseconds since the tracer's epoch.
+        ts_ns: u64,
     },
     /// A point-in-time marker (budget trip, retry, caught panic, …).
     Instant {
         /// Thread id the event occurred on.
         tid: u32,
-        /// Microseconds since the tracer's epoch.
-        ts_us: u64,
+        /// Nanoseconds since the tracer's epoch.
+        ts_ns: u64,
         /// Marker name.
         name: String,
         /// Category tag.
@@ -63,12 +66,12 @@ pub enum SpanEvent {
 }
 
 impl SpanEvent {
-    /// The event's timestamp in microseconds since the epoch.
-    pub fn ts_us(&self) -> u64 {
+    /// The event's timestamp in nanoseconds since the epoch.
+    pub fn ts_ns(&self) -> u64 {
         match self {
-            SpanEvent::Begin { ts_us, .. }
-            | SpanEvent::End { ts_us, .. }
-            | SpanEvent::Instant { ts_us, .. } => *ts_us,
+            SpanEvent::Begin { ts_ns, .. }
+            | SpanEvent::End { ts_ns, .. }
+            | SpanEvent::Instant { ts_ns, .. } => *ts_ns,
         }
     }
 
@@ -80,6 +83,20 @@ impl SpanEvent {
             | SpanEvent::Instant { tid, .. } => *tid,
         }
     }
+}
+
+/// One `"phase"` span read back by [`SpanTracer::phases`]: a row of the
+/// Table 1-style generation-time breakdown.
+#[derive(Clone, Copy, Debug)]
+pub struct PhaseRow<'a> {
+    /// Phase name, e.g. `"analysis.snc"`.
+    pub name: &'a str,
+    /// Phase spans open around this one (0 for top-level phases).
+    pub depth: usize,
+    /// Nanoseconds from the tracer's epoch to the phase's begin.
+    pub start_nanos: u64,
+    /// The phase's wall-clock length; 0 while it is still open.
+    pub nanos: u64,
 }
 
 /// A span recorder for one thread of execution.
@@ -109,10 +126,7 @@ impl SpanTracer {
         SpanTracer::with_epoch(Instant::now(), 0)
     }
 
-    /// A tracer with an explicit epoch and thread id — used to align the
-    /// span timeline with a [`PhaseTimer`](crate::PhaseTimer) that
-    /// started earlier.
-    pub fn with_epoch(epoch: Instant, tid: u32) -> SpanTracer {
+    fn with_epoch(epoch: Instant, tid: u32) -> SpanTracer {
         SpanTracer {
             epoch,
             tid,
@@ -120,11 +134,6 @@ impl SpanTracer {
             open: Vec::new(),
             events: Vec::new(),
         }
-    }
-
-    /// The tracer's epoch, for sharing with other timestamp sources.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// The tracer's thread id.
@@ -139,9 +148,8 @@ impl SpanTracer {
         SpanTracer::with_epoch(self.epoch, tid)
     }
 
-    /// Microseconds elapsed since the epoch.
-    pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
     }
 
     fn next_id(&mut self) -> u64 {
@@ -157,7 +165,7 @@ impl SpanTracer {
             id,
             parent: self.open.last().copied(),
             tid: self.tid,
-            ts_us: self.now_us(),
+            ts_ns: self.now_ns(),
             name: name.into(),
             cat,
         };
@@ -173,7 +181,7 @@ impl SpanTracer {
             self.events.push(SpanEvent::End {
                 id,
                 tid: self.tid,
-                ts_us: self.now_us(),
+                ts_ns: self.now_ns(),
             });
         }
     }
@@ -182,7 +190,7 @@ impl SpanTracer {
     pub fn instant(&mut self, cat: &'static str, name: impl Into<String>) {
         self.events.push(SpanEvent::Instant {
             tid: self.tid,
-            ts_us: self.now_us(),
+            ts_ns: self.now_ns(),
             name: name.into(),
             cat,
         });
@@ -217,21 +225,57 @@ impl SpanTracer {
         self.events.is_empty()
     }
 
+    /// The `"phase"` spans on this tracer's own thread, in begin order.
+    /// A phase's depth counts only the phase spans open around it, so
+    /// evaluator spans in between do not shift the table.
+    pub fn phases(&self) -> Vec<PhaseRow<'_>> {
+        let mut rows = Vec::new();
+        // One entry per open span on this thread: its row, if a phase.
+        let mut open: Vec<Option<usize>> = Vec::new();
+        for e in self.events.iter().filter(|e| e.tid() == self.tid) {
+            match e {
+                SpanEvent::Begin {
+                    ts_ns, name, cat, ..
+                } => {
+                    let is_phase = *cat == "phase";
+                    if is_phase {
+                        rows.push(PhaseRow {
+                            name,
+                            depth: open.iter().flatten().count(),
+                            start_nanos: *ts_ns,
+                            nanos: 0,
+                        });
+                    }
+                    open.push(is_phase.then(|| rows.len() - 1));
+                }
+                SpanEvent::End { ts_ns, .. } => {
+                    if let Some(Some(i)) = open.pop() {
+                        rows[i].nanos = ts_ns - rows[i].start_nanos;
+                    }
+                }
+                SpanEvent::Instant { .. } => {}
+            }
+        }
+        rows
+    }
+
     /// The events as a Chrome trace document (see [`chrome_trace`]).
     pub fn to_chrome_json(&self) -> Json {
         chrome_trace(&self.events, &[])
     }
 }
 
-/// Serializes span events into the Chrome trace-event JSON format.
+/// Serializes span events into the Chrome trace-event JSON format,
+/// converting timestamps to the microseconds it expects.
 ///
 /// Events are stable-sorted by timestamp; within one tid the input order
 /// is chronological, so the sort preserves per-thread `B`/`E` pairing
 /// while interleaving threads correctly. `thread_names` adds `M`
 /// (metadata) records so Perfetto labels the tracks.
-pub fn chrome_trace(events: &[SpanEvent], thread_names: &[(u32, &str)]) -> Json {
+pub fn chrome_trace(events: &[SpanEvent], thread_names: &[(u32, String)]) -> Json {
     let mut order: Vec<&SpanEvent> = events.iter().collect();
-    order.sort_by_key(|e| e.ts_us());
+    order.sort_by_key(|e| e.ts_ns());
+    let us = |ts_ns: &u64| Json::Int((ts_ns / 1_000) as i64);
     let mut out: Vec<Json> = Vec::with_capacity(order.len() + thread_names.len());
     for (tid, name) in thread_names {
         out.push(Json::obj([
@@ -239,7 +283,7 @@ pub fn chrome_trace(events: &[SpanEvent], thread_names: &[(u32, &str)]) -> Json 
             ("ph", Json::str("M")),
             ("pid", Json::Int(1)),
             ("tid", Json::Int(*tid as i64)),
-            ("args", Json::obj([("name", Json::str(*name))])),
+            ("args", Json::obj([("name", Json::str(name.as_str()))])),
         ]));
     }
     for e in order {
@@ -248,7 +292,7 @@ pub fn chrome_trace(events: &[SpanEvent], thread_names: &[(u32, &str)]) -> Json 
                 id,
                 parent,
                 tid,
-                ts_us,
+                ts_ns,
                 name,
                 cat,
             } => {
@@ -262,19 +306,19 @@ pub fn chrome_trace(events: &[SpanEvent], thread_names: &[(u32, &str)]) -> Json 
                     ("ph", Json::str("B")),
                     ("pid", Json::Int(1)),
                     ("tid", Json::Int(*tid as i64)),
-                    ("ts", Json::Int(*ts_us as i64)),
+                    ("ts", us(ts_ns)),
                     ("args", Json::Obj(args)),
                 ])
             }
-            SpanEvent::End { tid, ts_us, .. } => Json::obj([
+            SpanEvent::End { tid, ts_ns, .. } => Json::obj([
                 ("ph", Json::str("E")),
                 ("pid", Json::Int(1)),
                 ("tid", Json::Int(*tid as i64)),
-                ("ts", Json::Int(*ts_us as i64)),
+                ("ts", us(ts_ns)),
             ]),
             SpanEvent::Instant {
                 tid,
-                ts_us,
+                ts_ns,
                 name,
                 cat,
             } => Json::obj([
@@ -284,7 +328,7 @@ pub fn chrome_trace(events: &[SpanEvent], thread_names: &[(u32, &str)]) -> Json 
                 ("s", Json::str("t")),
                 ("pid", Json::Int(1)),
                 ("tid", Json::Int(*tid as i64)),
-                ("ts", Json::Int(*ts_us as i64)),
+                ("ts", us(ts_ns)),
             ]),
         });
     }
@@ -382,6 +426,67 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         validate_chrome_trace(&t.to_chrome_json()).unwrap();
+    }
+
+    #[test]
+    fn child_phase_links_to_its_parent_at_depth_one() {
+        let mut t = SpanTracer::new();
+        let outer = t.begin("phase", "outer");
+        t.begin("phase", "inner-a");
+        t.end();
+        // A non-phase span in between does not deepen the phase table.
+        t.begin("visit", "root visit");
+        t.begin("phase", "inner-b");
+        t.end();
+        t.end();
+        t.end();
+        t.begin("phase", "tail");
+        t.end();
+        match &t.events()[1] {
+            SpanEvent::Begin { parent, .. } => assert_eq!(*parent, Some(outer)),
+            other => panic!("unexpected {other:?}"),
+        }
+        let rows = t.phases();
+        let names: Vec<_> = rows.iter().map(|r| (r.name, r.depth)).collect();
+        assert_eq!(
+            names,
+            vec![("outer", 0), ("inner-a", 1), ("inner-b", 1), ("tail", 0)]
+        );
+        // The outer phase covers its children.
+        assert!(rows[0].nanos >= rows[1].nanos + rows[2].nanos);
+    }
+
+    #[test]
+    fn repeated_phase_names_are_all_reported() {
+        let mut t = SpanTracer::new();
+        t.begin("phase", "analysis");
+        for _ in 0..2 {
+            t.begin("phase", "oag");
+            t.end();
+        }
+        t.end();
+        let rows = t.phases();
+        let oag: Vec<u64> = rows
+            .iter()
+            .filter(|r| r.name == "oag")
+            .map(|r| r.nanos)
+            .collect();
+        assert_eq!(oag.len(), 2);
+        assert!(oag.iter().sum::<u64>() <= rows[0].nanos);
+    }
+
+    #[test]
+    fn phase_starts_grow_with_begin_order() {
+        let mut t = SpanTracer::new();
+        t.begin("phase", "a");
+        t.begin("phase", "b");
+        t.end();
+        t.end();
+        t.begin("phase", "c");
+        let rows = t.phases();
+        let starts: Vec<u64> = rows.iter().map(|r| r.start_nanos).collect();
+        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "{starts:?}");
+        assert_eq!(rows[2].nanos, 0, "an open phase has no length yet");
     }
 
     #[test]

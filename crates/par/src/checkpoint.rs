@@ -1121,9 +1121,7 @@ mod tests {
             assert_eq!(report.retries, 1 + u64::from(retries));
             fnc2_obs::validate_chrome_trace(&obs.chrome_trace()).unwrap();
             let mut names: Vec<String> = obs
-                .span_tracer
-                .as_ref()
-                .unwrap()
+                .tracer
                 .events()
                 .iter()
                 .filter_map(|e| match e {

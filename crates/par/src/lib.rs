@@ -37,9 +37,10 @@
 //! per-tree evaluation counters (`eval.*`), which each worker accumulates
 //! in a thread-local [`Counters`] shard merged in worker-index order on
 //! join, so recorded totals are deterministic whatever the steal
-//! interleaving. When the caller's recorder has spans enabled
-//! ([`Obs::enable_spans`](fnc2_obs::Obs::enable_spans)), every worker gets
-//! a [`SpanTracer`] shard on the shared epoch and each `(tree, attempt)`
+//! interleaving. When the caller's recorder hands out a span tracer
+//! ([`Recorder::spans`], e.g. an [`Obs`](fnc2_obs::Obs) after
+//! [`enable_spans`](fnc2_obs::Obs::enable_spans)), every worker gets a
+//! [`SpanTracer`] shard on that tracer's epoch and each `(tree, attempt)`
 //! work item becomes a span on that worker's timeline.
 //!
 //! ```
@@ -400,7 +401,8 @@ impl Batch<'_, '_> {
         // totals are deterministic whatever the steal interleaving. Span
         // shards carry the session epoch, so per-tree spans from every
         // worker line up on one timeline.
-        let mut shards = (0..workers).map(|w| (Counters::new(), rec.span_shard(w as u32 + 1)));
+        let mut shards =
+            (0..workers).map(|w| (Counters::new(), rec.spans().map(|t| t.shard(w as u32 + 1))));
         let first = shards.next().expect("at least one worker");
         let done: Vec<(Vec<(usize, TreeOutcome)>, Shard)> = std::thread::scope(|scope| {
             let pool = &pool;
@@ -422,8 +424,8 @@ impl Batch<'_, '_> {
                 outcomes[i] = Some(o);
             }
             counters.merge(&shard);
-            if let Some(sp) = spans {
-                rec.absorb_spans(sp);
+            if let (Some(sp), Some(tracer)) = (spans, rec.spans()) {
+                tracer.absorb(sp);
             }
         }
         let stats = BatchStats {
@@ -762,9 +764,9 @@ mod tests {
             None,
             &mut obs,
         );
-        let tracer = obs.span_tracer.as_ref().unwrap();
         // One "tree i attempt 0" span per tree, spread across worker tids.
-        let begins: Vec<_> = tracer
+        let begins: Vec<_> = obs
+            .tracer
             .events()
             .iter()
             .filter(|e| matches!(e, fnc2_obs::SpanEvent::Begin { cat: "par", .. }))

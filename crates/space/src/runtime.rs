@@ -20,7 +20,7 @@ use fnc2_ag::{
     RuleBody, Tree, Value,
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
-use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder, StorageClass};
+use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler, StorageClass};
 use fnc2_visit::{EvalError, Instr, InternCtx, InternMode, RootInputs, VisitSeqs};
 
 use crate::alloc::{ReadPath, SpacePlan, WritePath};
@@ -377,15 +377,15 @@ impl<'g> SpaceEvaluator<'g> {
         }
         let visits = self.seqs.partitions_of(root_ph)[0].visit_count();
         for v in 1..=visits {
-            if rec.spans() {
-                rec.span_begin("visit", format!("space visit {v}/{visits} (root)"));
+            if let Some(t) = rec.spans() {
+                t.begin("visit", format!("space visit {v}/{visits} (root)"));
             }
             let r = self.run_visit(tree, root, 0, v, &mut st, &mut meter, &mut ictx, rec);
-            if rec.spans() {
-                rec.span_end();
+            if let Some(t) = rec.spans() {
+                t.end();
                 if let Err(e) = &r {
                     if e.is_budget() {
-                        rec.span_instant("guard", format!("budget trip: {e}"));
+                        t.instant("guard", format!("budget trip: {e}"));
                     }
                 }
             }
@@ -486,18 +486,17 @@ impl<'g> SpaceEvaluator<'g> {
                     meter
                         .step()
                         .map_err(|k| EvalError::budget(k, format!("space evaluator, {node}")))?;
-                    let t0 = if rec.profiling() && rec.sample_rule() {
-                        Some(std::time::Instant::now())
-                    } else {
-                        None
-                    };
+                    let t0 = rec
+                        .profiler()
+                        .is_some_and(RuleProfiler::should_sample)
+                        .then(std::time::Instant::now);
                     let value = self.compute(tree, p, node, *func, reads, st)?;
                     let value = match ictx.as_mut() {
                         Some(ictx) => ictx.intern(value, &mut st.counters).0,
                         None => value,
                     };
-                    if rec.profiling() {
-                        rec.rule_cost(
+                    if let Some(prof) = rec.profiler() {
+                        prof.record(
                             p.index() as u32,
                             *rule,
                             func.is_none(),

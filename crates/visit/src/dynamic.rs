@@ -14,7 +14,7 @@ use fnc2_ag::{
     AttrId, AttrKind, AttrValues, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value,
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
-use fnc2_obs::{Counters, Event, NoopRecorder, Recorder};
+use fnc2_obs::{Counters, Event, NoopRecorder, Recorder, RuleProfiler};
 
 use crate::exhaustive::{EvalStats, InternMode, RootInputs};
 use crate::program::InternCtx;
@@ -293,11 +293,10 @@ impl<'g> DynamicEvaluator<'g> {
                     meter.step().map_err(|k| {
                         EvalError::budget(k, format!("dynamic evaluator, {def_node}"))
                     })?;
-                    let t0 = if rec.profiling() && rec.sample_rule() {
-                        Some(std::time::Instant::now())
-                    } else {
-                        None
-                    };
+                    let t0 = rec
+                        .profiler()
+                        .is_some_and(RuleProfiler::should_sample)
+                        .then(std::time::Instant::now);
                     let (value, is_copy) = {
                         let store = DynStore {
                             grammar: g,
@@ -310,7 +309,7 @@ impl<'g> DynamicEvaluator<'g> {
                         Some(ictx) => ictx.intern(value, icounters).0,
                         None => value,
                     };
-                    if rec.profiling() || rec.trace() {
+                    if rec.profiler().is_some() || rec.trace() {
                         // The rule index only matters to the instrumented
                         // paths, so the scan stays off the bare loop.
                         let rule_ix = g
@@ -320,8 +319,8 @@ impl<'g> DynamicEvaluator<'g> {
                             .position(|r| r.target() == target)
                             .expect("validated grammar defines every output")
                             as u32;
-                        if rec.profiling() {
-                            rec.rule_cost(
+                        if let Some(prof) = rec.profiler() {
+                            prof.record(
                                 def_prod.index() as u32,
                                 rule_ix,
                                 is_copy,

@@ -22,7 +22,7 @@ use fnc2_ag::{
     Value,
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
-use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder};
+use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
 
 use crate::program::{CompiledProgram, InternCtx};
 use crate::rules::EvalError;
@@ -267,8 +267,8 @@ impl<'g> Evaluator<'g> {
         let mut buf = Vec::with_capacity(8);
         let mut ictx = self.intern.ctx();
         for v in 1..=visits {
-            if rec.spans() {
-                rec.span_begin("visit", format!("exhaustive visit {v}/{visits} (root)"));
+            if let Some(t) = rec.spans() {
+                t.begin("visit", format!("exhaustive visit {v}/{visits} (root)"));
             }
             let r = self.run_visit(
                 tree,
@@ -283,11 +283,11 @@ impl<'g> Evaluator<'g> {
                 &mut ictx,
                 rec,
             );
-            if rec.spans() {
-                rec.span_end();
+            if let Some(t) = rec.spans() {
+                t.end();
                 if let Err(e) = &r {
                     if e.is_budget() {
-                        rec.span_instant("guard", format!("budget trip: {e}"));
+                        t.instant("guard", format!("budget trip: {e}"));
                     }
                 }
             }
@@ -359,11 +359,10 @@ impl<'g> Evaluator<'g> {
                     })?;
                     let rule_ix = *rule;
                     let cr = &self.program.production(p).rules[rule_ix as usize];
-                    let t0 = if rec.profiling() && rec.sample_rule() {
-                        Some(std::time::Instant::now())
-                    } else {
-                        None
-                    };
+                    let t0 = rec
+                        .profiler()
+                        .is_some_and(RuleProfiler::should_sample)
+                        .then(std::time::Instant::now);
                     let (value, is_copy) = self.program.exec_rule(
                         self.grammar,
                         tree,
@@ -377,8 +376,8 @@ impl<'g> Evaluator<'g> {
                         counters,
                         ictx.as_mut(),
                     )?;
-                    if rec.profiling() {
-                        rec.rule_cost(
+                    if let Some(prof) = rec.profiler() {
+                        prof.record(
                             p.index() as u32,
                             rule_ix,
                             is_copy,

@@ -99,8 +99,8 @@ fn instrumented_pipeline_reports_phases_and_rule_firings() {
     // Every Figure-3 cascade stage shows up, in order, with the analysis
     // sub-phases nested one level deep.
     let phases: Vec<(&str, usize)> = obs
-        .phases
-        .spans()
+        .tracer
+        .phases()
         .iter()
         .map(|s| (s.name, s.depth))
         .collect();
