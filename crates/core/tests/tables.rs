@@ -71,6 +71,16 @@ fn every_truncation_point_is_classified() {
 }
 
 #[test]
+fn minipascal_artifacts_are_byte_identical() {
+    // Each `emit` compiles afresh; several runs, so a hash-ordered table
+    // shows up as a mismatch.
+    let first = emit(fnc2_corpus::MINIPASCAL_OLGA);
+    for _ in 0..2 {
+        assert!(emit(fnc2_corpus::MINIPASCAL_OLGA) == first);
+    }
+}
+
+#[test]
 fn flipped_fingerprint_byte_is_a_fingerprint_mismatch() {
     let bytes = emit(COUNT);
     // The fingerprint field sits at header offsets 12..20 and is

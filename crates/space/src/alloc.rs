@@ -180,6 +180,16 @@ enum Class {
 }
 
 /// Computes the space plan for a grammar under given visit sequences.
+///
+/// Every group test (singletons, packing candidates, the final stack
+/// simulations and the eliminable-copy statistic) visits only the
+/// sequences where some member has an instance, read off a per-object
+/// occurrence index. A sequence without a member instance cannot reject a
+/// group: the variable test skips it, and its stack simulation is the
+/// empty run. [`validate_plan`] deliberately keeps sweeping every
+/// sequence: it is the fuzz oracle's independent re-check and the guard
+/// behind plan degradation, so this shortcut is re-checked on every plan
+/// it validates.
 pub fn plan_storage(
     grammar: &Grammar,
     seqs: &VisitSeqs,
@@ -188,6 +198,19 @@ pub fn plan_storage(
     lt: &Lifetimes,
 ) -> SpacePlan {
     let n = objects.len();
+    let occ = occurrence_index(fp, objects);
+    // Can `members` share one storage of class `c`? Checked only over the
+    // sequences where some member has instances.
+    let fits = |c: Class, members: &[usize]| {
+        let keys = seqs_of(&occ, members);
+        match c {
+            Class::Variable => variable_feasible(grammar, fp, lt, objects, members, &keys),
+            Class::Stack => {
+                StackSim::run(grammar, seqs, fp, objects, members, &HashSet::new(), &keys).is_some()
+            }
+            Class::Node => false,
+        }
+    };
 
     // ---- Phase A: singleton classification -----------------------------
     let mut class = vec![Class::Node; n];
@@ -202,9 +225,9 @@ pub fn plan_storage(
                 continue;
             }
         }
-        if variable_feasible(grammar, fp, lt, objects, &[oi]) {
+        if fits(Class::Variable, &[oi]) {
             class[oi] = Class::Variable;
-        } else if StackSim::run(grammar, seqs, fp, objects, &[oi], &HashSet::new()).is_some() {
+        } else if fits(Class::Stack, &[oi]) {
             class[oi] = Class::Stack;
         }
     }
@@ -213,28 +236,16 @@ pub fn plan_storage(
     let stacks_before = class.iter().filter(|&&c| c == Class::Stack).count();
 
     // ---- Phase B: copy-driven packing ----------------------------------
-    // Union-find over objects of the same class, merged greedily in order
-    // of copy-rule benefit.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut r = x;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        let mut c = x;
-        while parent[c] != r {
-            let next = parent[c];
-            parent[c] = r;
-            c = next;
-        }
-        r
-    }
+    // Groups of same-class objects, merged greedily in order of copy-rule
+    // benefit: `root[x]` names x's group, `group[r]` lists group r.
+    let mut root: Vec<usize> = (0..n).collect();
+    let mut group: Vec<Vec<usize>> = (0..n).map(|x| vec![x]).collect();
 
     // Candidate pairs: copy rules between same-class objects.
     let mut benefit: HashMap<(usize, usize), usize> = HashMap::new();
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
-            let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+            let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
@@ -249,28 +260,16 @@ pub fn plan_storage(
     candidates.sort_by_key(|&((a, b), ben)| (std::cmp::Reverse(ben), a, b));
 
     for ((a, b), _) in candidates {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+        let (ra, rb) = (root[a], root[b]);
         if ra == rb {
             continue;
         }
-        // Group members if merged.
-        let members: Vec<usize> = (0..n)
-            .filter(|&x| {
-                class[x] != Class::Node && {
-                    let r = find(&mut parent, x);
-                    r == ra || r == rb
-                }
-            })
-            .collect();
-        let ok = match class[a] {
-            Class::Variable => variable_feasible(grammar, fp, lt, objects, &members),
-            Class::Stack => {
-                StackSim::run(grammar, seqs, fp, objects, &members, &HashSet::new()).is_some()
+        let members: Vec<usize> = group[ra].iter().chain(&group[rb]).copied().collect();
+        if fits(class[a], &members) {
+            for x in std::mem::take(&mut group[rb]) {
+                root[x] = ra;
             }
-            Class::Node => false,
-        };
-        if ok {
-            parent[rb] = ra;
+            group[ra] = members;
         }
     }
 
@@ -282,15 +281,13 @@ pub fn plan_storage(
         match class[oi] {
             Class::Node => {}
             Class::Variable => {
-                let r = find(&mut parent, oi);
                 let next = var_ids.len();
-                let id = *var_ids.entry(r).or_insert(next);
+                let id = *var_ids.entry(root[oi]).or_insert(next);
                 storage[oi] = Storage::Variable(id);
             }
             Class::Stack => {
-                let r = find(&mut parent, oi);
                 let next = stack_ids.len();
-                let id = *stack_ids.entry(r).or_insert(next);
+                let id = *stack_ids.entry(root[oi]).or_insert(next);
                 storage[oi] = Storage::Stack(id);
             }
         }
@@ -300,11 +297,12 @@ pub fn plan_storage(
     // Variables: every copy between objects sharing a variable is a no-op
     // (feasibility coalesced their intervals).
     // Stacks: a copy whose source dies at the copy with the source on top
-    // becomes a rename; validated per sequence by the final simulation.
+    // becomes a rename; tentative per stack until its final simulation.
     let mut eliminated: HashSet<(ProductionId, ONode)> = HashSet::new();
+    let mut stack_elim: Vec<HashSet<(ProductionId, ONode)>> = vec![HashSet::new(); stack_ids.len()];
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
-            let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+            let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
@@ -313,9 +311,7 @@ pub fn plan_storage(
                     eliminated.insert((p, rule.target()));
                 }
                 (Storage::Stack(x), Storage::Stack(y)) if x == y => {
-                    // Tentative; verified by the final simulation below
-                    // (dropped again if any sequence rejects the rename).
-                    eliminated.insert((p, rule.target()));
+                    stack_elim[x].insert((p, rule.target()));
                 }
                 _ => {}
             }
@@ -323,27 +319,36 @@ pub fn plan_storage(
     }
 
     // ---- Final simulation + access tables --------------------------------
-    // Iterate because dropping one stack elimination can affect another
-    // sequence's simulation.
-    let (access, eliminated) = loop {
-        match build_access(
-            grammar,
-            seqs,
-            fp,
-            objects,
-            &storage,
-            &eliminated,
-            &stack_ids,
-        ) {
-            Ok(access) => break (access, eliminated.clone()),
-            Err(reject) => {
-                let mut e = eliminated.clone();
-                let removed = e.remove(&reject);
-                assert!(removed, "rejection must name a tentative elimination");
-                eliminated = e;
-            }
+    // One simulation per stack, in id order. A stack whose simulation
+    // rejects a rename drops its smallest tentative elimination and is
+    // simulated again; no other stack is affected, since a simulation
+    // reads only its own members and its own eliminations.
+    let mut stacks: Vec<Vec<usize>> = vec![Vec::new(); stack_ids.len()];
+    for (oi, s) in storage.iter().enumerate() {
+        if let Storage::Stack(id) = *s {
+            stacks[id].push(oi);
         }
-    };
+    }
+    let mut recs = Vec::with_capacity(stacks.len());
+    for (members, mut elim) in stacks.iter().zip(stack_elim) {
+        let keys = seqs_of(&occ, members);
+        let rec = loop {
+            if let Some(rec) = StackSim::run(grammar, seqs, fp, objects, members, &elim, &keys) {
+                break rec;
+            }
+            // Packing checked the group without eliminations, so the
+            // rejection is one of them.
+            let victim = elim
+                .iter()
+                .min()
+                .copied()
+                .expect("rejection implies a tentative elimination");
+            elim.remove(&victim);
+        };
+        eliminated.extend(elim);
+        recs.push(rec);
+    }
+    let access = build_access(grammar, fp, objects, &storage, &eliminated, &recs);
 
     // ---- Statistics -------------------------------------------------------
     let mut stats = SpaceStats {
@@ -358,8 +363,8 @@ pub fn plan_storage(
     };
     // Occurrence-weighted storage proportions (the paper's static figures).
     for p in grammar.productions() {
-        for occ in grammar.occurrences(p) {
-            match storage[objects.index(Object::Attr(occ.attr))] {
+        for o in grammar.occurrences(p) {
+            match storage[objects.index(Object::Attr(o.attr))] {
                 Storage::Variable(_) => stats.occ_variables += 1,
                 Storage::Stack(_) => stats.occ_stacks += 1,
                 Storage::Node => stats.occ_node += 1,
@@ -369,7 +374,7 @@ pub fn plan_storage(
     // Theoretically eliminable copies: pairwise-groupable same-class pairs.
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
-            let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+            let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
@@ -377,16 +382,7 @@ pub fn plan_storage(
                 stats.copies_eliminable += 1; // same object: trivially shared
                 continue;
             }
-            let ok = match (class[si], class[di]) {
-                (Class::Variable, Class::Variable) => {
-                    variable_feasible(grammar, fp, lt, objects, &[si, di])
-                }
-                (Class::Stack, Class::Stack) => {
-                    StackSim::run(grammar, seqs, fp, objects, &[si, di], &HashSet::new()).is_some()
-                }
-                _ => false,
-            };
-            if ok {
+            if class[si] == class[di] && fits(class[si], &[si, di]) {
                 stats.copies_eliminable += 1;
             }
         }
@@ -402,13 +398,39 @@ pub fn plan_storage(
     }
 }
 
+/// A flattened sequence's key: (production, LHS partition).
+type SeqKey = (ProductionId, usize);
+
+/// The occurrence index: for each object, the sorted keys of the sequences
+/// where it has instances.
+fn occurrence_index(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<Vec<SeqKey>> {
+    let mut occ = vec![Vec::new(); objects.len()];
+    for (&key, insts) in &fp.instances {
+        for inst in insts {
+            occ[objects.index(inst.object)].push(key);
+        }
+    }
+    for keys in &mut occ {
+        keys.sort_unstable();
+        keys.dedup();
+    }
+    occ
+}
+
+/// The sorted keys of the sequences where any of `members` has instances.
+fn seqs_of(occ: &[Vec<SeqKey>], members: &[usize]) -> Vec<SeqKey> {
+    let mut keys: Vec<SeqKey> = members
+        .iter()
+        .flat_map(|&m| occ[m].iter().copied())
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
 /// If `rule` is a copy between occurrences/locals, its (source, target)
 /// objects.
-fn copy_objects(
-    grammar: &Grammar,
-    p: ProductionId,
-    rule: &fnc2_ag::SemRule,
-) -> Option<(Object, Object)> {
+fn copy_objects(p: ProductionId, rule: &fnc2_ag::SemRule) -> Option<(Object, Object)> {
     if !rule.is_copy() {
         return None;
     }
@@ -417,7 +439,6 @@ fn copy_objects(
         ONode::Attr(o) => Object::Attr(o.attr),
         ONode::Local(l) => Object::Local(p, l),
     };
-    let _ = grammar;
     Some((to_obj(src), to_obj(rule.target())))
 }
 
@@ -425,21 +446,23 @@ fn copy_objects(
 // Variable feasibility
 // ---------------------------------------------------------------------------
 
-/// True if the objects `members` can share one global variable: in every
-/// sequence, the (copy-coalesced) live intervals of their instances are
-/// pairwise disjoint, and no interval contains a `VISIT` that may evaluate
-/// a member.
+/// True if the objects `members` can share one global variable: in each
+/// sequence of `keys`, the (copy-coalesced) live intervals of their
+/// instances are pairwise disjoint, and no interval contains a `VISIT` that
+/// may evaluate a member.
 fn variable_feasible(
     grammar: &Grammar,
     fp: &FlatProgram,
     lt: &Lifetimes,
     objects: &ObjectIndex,
     members: &[usize],
+    keys: &[SeqKey],
 ) -> bool {
     let member_set: HashSet<usize> = members.iter().copied().collect();
-    for (&key, insts) in &fp.instances {
+    for &key in keys {
         // Instances of member objects, with their intervals.
-        let mine: Vec<&crate::flat::Instance> = insts
+        let mine: Vec<&crate::flat::Instance> = fp
+            .instances_of(key)
             .iter()
             .filter(|i| member_set.contains(&objects.index(i.object)))
             .collect();
@@ -498,19 +521,17 @@ fn variable_feasible(
         // the instance as its own LHS occurrence and its sequences are
         // checked directly.
         for inst in &mine {
-            for &m in members {
-                if interval_hits_visit(
-                    grammar,
-                    fp,
-                    &lt.may_eval,
-                    key,
-                    inst.def_pos,
-                    inst.last_use(),
-                    m,
-                    &inst.uses,
-                ) {
-                    return false;
-                }
+            if interval_hits_visit(
+                grammar,
+                fp,
+                &lt.may_eval,
+                key,
+                inst.def_pos,
+                inst.last_use(),
+                members,
+                &inst.uses,
+            ) {
+                return false;
             }
         }
     }
@@ -536,8 +557,8 @@ struct SimRecord {
 struct StackSim;
 
 impl StackSim {
-    /// Runs the simulation for `members` over every sequence; returns the
-    /// per-sequence records, or `None` if the group is infeasible.
+    /// Runs the simulation for `members` over the sequences `keys`; returns
+    /// the per-sequence records, or `None` if the group is infeasible.
     /// `eliminate` holds (production, target) copies tentatively turned
     /// into top renames; if a rename is invalid the simulation fails (the
     /// caller retries without it).
@@ -548,17 +569,17 @@ impl StackSim {
         objects: &ObjectIndex,
         members: &[usize],
         eliminate: &HashSet<(ProductionId, ONode)>,
-    ) -> Option<HashMap<(ProductionId, usize), SimRecord>> {
+        keys: &[SeqKey],
+    ) -> Option<HashMap<SeqKey, SimRecord>> {
         let member_set: HashSet<usize> = members.iter().copied().collect();
-        let mut out = HashMap::new();
-        for (&key, fs) in &fp.seqs {
-            let rec = Self::run_seq(grammar, seqs, fp, objects, &member_set, eliminate, key, fs)?;
-            out.insert(key, rec);
-        }
-        Some(out)
+        keys.iter()
+            .map(|&key| {
+                let rec = Self::run_seq(grammar, seqs, fp, objects, &member_set, eliminate, key)?;
+                Some((key, rec))
+            })
+            .collect()
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_seq(
         grammar: &Grammar,
         seqs: &VisitSeqs,
@@ -566,11 +587,11 @@ impl StackSim {
         objects: &ObjectIndex,
         members: &HashSet<usize>,
         eliminate: &HashSet<(ProductionId, ONode)>,
-        key: (ProductionId, usize),
-        fs: &crate::flat::FlatSeq,
+        key: SeqKey,
     ) -> Option<SimRecord> {
         let (p, _pi) = key;
         let prod = grammar.production(p);
+        let fs = &fp.seqs[&key];
         let insts = fp.instances_of(key);
         let by_node: HashMap<ONode, &crate::flat::Instance> =
             insts.iter().map(|i| (i.node, i)).collect();
@@ -820,59 +841,16 @@ impl StackSim {
 // Final access tables
 // ---------------------------------------------------------------------------
 
-/// Builds the runtime access tables; fails with the (production, target) of
-/// a stack-copy elimination that some sequence's simulation rejected.
-#[allow(clippy::too_many_arguments)]
+/// Builds the runtime access tables from the final storage and each
+/// stack's simulation records (`recs[id]`).
 fn build_access(
     grammar: &Grammar,
-    seqs: &VisitSeqs,
     fp: &FlatProgram,
     objects: &ObjectIndex,
     storage: &[Storage],
     eliminated: &HashSet<(ProductionId, ONode)>,
-    stack_ids: &HashMap<usize, usize>,
-) -> Result<HashMap<(ProductionId, usize), SeqAccess>, (ProductionId, ONode)> {
-    let _ = stack_ids;
-    // Run one simulation per stack id over its member objects.
-    let mut stacks: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (oi, s) in storage.iter().enumerate() {
-        if let Storage::Stack(id) = s {
-            stacks.entry(*id).or_default().push(oi);
-        }
-    }
-    let mut recs: HashMap<usize, HashMap<(ProductionId, usize), SimRecord>> = HashMap::new();
-    for (&id, members) in &stacks {
-        // Restrict tentative eliminations to copies on this stack.
-        let elim: HashSet<(ProductionId, ONode)> = eliminated
-            .iter()
-            .filter(|(p, t)| {
-                let obj = match t {
-                    ONode::Attr(o) => Object::Attr(o.attr),
-                    ONode::Local(l) => Object::Local(*p, *l),
-                };
-                storage[objects.index(obj)] == Storage::Stack(id)
-            })
-            .copied()
-            .collect();
-        match StackSim::run(grammar, seqs, fp, objects, members, &elim) {
-            Some(r) => {
-                recs.insert(id, r);
-            }
-            None => {
-                // Blame one tentative elimination on this stack (retry
-                // without it); if there is none the group itself is
-                // infeasible — impossible, feasibility was checked without
-                // eliminations, so some elimination must be present.
-                let victim = elim
-                    .iter()
-                    .min()
-                    .copied()
-                    .expect("rejection implies a tentative elimination");
-                return Err(victim);
-            }
-        }
-    }
-
+    recs: &[HashMap<SeqKey, SimRecord>],
+) -> HashMap<SeqKey, SeqAccess> {
     let mut access = HashMap::new();
     for (&key, fs) in &fp.seqs {
         let (p, _) = key;
@@ -887,12 +865,10 @@ fn build_access(
                 let rule = grammar.rule_for(p, *target).expect("rule exists");
                 // Argument paths, in rule-argument order.
                 let args: Vec<ReadPath> = match rule.body() {
-                    RuleBody::Copy(a) => {
-                        vec![arg_path(grammar, objects, storage, &recs, key, pos, p, a)]
-                    }
+                    RuleBody::Copy(a) => vec![arg_path(objects, storage, recs, key, pos, a)],
                     RuleBody::Call { args, .. } => args
                         .iter()
-                        .map(|a| arg_path(grammar, objects, storage, &recs, key, pos, p, a))
+                        .map(|a| arg_path(objects, storage, recs, key, pos, a))
                         .collect(),
                 };
                 let tobj = match target {
@@ -909,12 +885,7 @@ fn build_access(
                         }
                     }
                     Storage::Stack(id) => {
-                        let renamed = recs
-                            .get(&id)
-                            .and_then(|r| r.get(&key))
-                            .map(|r| r.renames.contains(&pos))
-                            .unwrap_or(false);
-                        if renamed {
+                        if recs[id][&key].renames.contains(&pos) {
                             WritePath::SkipStackTop
                         } else {
                             WritePath::Stack(id)
@@ -924,35 +895,28 @@ fn build_access(
                 step.args = args;
                 step.write = Some(write);
             }
-            // Pops scheduled after this position, across all stacks.
-            for (&id, per_seq) in &recs {
-                if let Some(r) = per_seq.get(&key) {
-                    if let Some(&n) = r.pops.get(&pos) {
-                        for _ in 0..n {
-                            step.pops_after.push(id);
-                        }
-                    }
+            // Pops scheduled after this position, in stack-id order.
+            for (id, per_seq) in recs.iter().enumerate() {
+                if let Some(&n) = per_seq.get(&key).and_then(|r| r.pops.get(&pos)) {
+                    step.pops_after.extend(std::iter::repeat_n(id, n));
                 }
             }
             steps.push(step);
         }
         access.insert(key, SeqAccess { steps });
     }
-    Ok(access)
+    access
 }
 
-#[allow(clippy::too_many_arguments)]
 fn arg_path(
-    grammar: &Grammar,
     objects: &ObjectIndex,
     storage: &[Storage],
-    recs: &HashMap<usize, HashMap<(ProductionId, usize), SimRecord>>,
-    key: (ProductionId, usize),
+    recs: &[HashMap<SeqKey, SimRecord>],
+    key: SeqKey,
     pos: usize,
-    p: ProductionId,
     arg: &fnc2_ag::Arg,
 ) -> ReadPath {
-    let _ = grammar;
+    let p = key.0;
     match arg {
         fnc2_ag::Arg::Const(_) | fnc2_ag::Arg::Token => ReadPath::Immediate,
         fnc2_ag::Arg::Node(n) => {
@@ -964,7 +928,7 @@ fn arg_path(
                 Storage::Node => ReadPath::Node,
                 Storage::Variable(id) => ReadPath::Variable(id),
                 Storage::Stack(id) => {
-                    let depth = recs[&id][&key]
+                    let depth = recs[id][&key]
                         .depths
                         .get(&(pos, *n))
                         .copied()
@@ -1022,10 +986,13 @@ pub fn validate_plan(
             stacks.len()
         ));
     }
+    // Every sequence, not just the occurrence-indexed ones the planner
+    // visits: this is the independent re-check of that shortcut.
+    let every: Vec<SeqKey> = fp.seqs.keys().copied().collect();
     let mut var_ids: Vec<usize> = variables.keys().copied().collect();
     var_ids.sort_unstable();
     for id in var_ids {
-        if !variable_feasible(grammar, fp, lt, objects, &variables[&id]) {
+        if !variable_feasible(grammar, fp, lt, objects, &variables[&id], &every) {
             return Err(format!(
                 "variable {id} groups objects with overlapping lifetimes"
             ));
@@ -1046,7 +1013,7 @@ pub fn validate_plan(
             })
             .copied()
             .collect();
-        if StackSim::run(grammar, seqs, fp, objects, &stacks[&id], &elim).is_none() {
+        if StackSim::run(grammar, seqs, fp, objects, &stacks[&id], &elim, &every).is_none() {
             return Err(format!(
                 "stack {id} fails the symbolic simulation under the plan's eliminations"
             ));
@@ -1059,7 +1026,7 @@ pub fn validate_plan(
         let Some(rule) = grammar.rule_for(p, target) else {
             return Err(format!("eliminated copy in `{prod}` names a missing rule"));
         };
-        let Some((src, dst)) = copy_objects(grammar, p, rule) else {
+        let Some((src, dst)) = copy_objects(p, rule) else {
             return Err(format!(
                 "eliminated rule in `{prod}` is not a copy between objects"
             ));

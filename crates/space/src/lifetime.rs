@@ -242,7 +242,7 @@ pub fn strict_stack_candidates(
                             *key,
                             inst.def_pos,
                             inst.last_use(),
-                            oi,
+                            &[oi],
                             &inst.uses,
                         ) {
                             continue 'obj;
@@ -258,10 +258,10 @@ pub fn strict_stack_candidates(
 }
 
 /// Returns true if the interval `[def, last]` of a sequence contains a
-/// `VISIT` that may evaluate object index `oi` — the global-variable
-/// conflict test. Positions listed in `exclude` (the instance's own uses:
-/// visits during which the visited subtree reads the instance and whose
-/// sequences are checked directly) are skipped.
+/// `VISIT` that may evaluate any of the object indices `objs` — the
+/// global-variable conflict test. Positions listed in `exclude` (the
+/// instance's own uses: visits during which the visited subtree reads the
+/// instance and whose sequences are checked directly) are skipped.
 #[allow(clippy::too_many_arguments)]
 pub fn interval_hits_visit(
     grammar: &Grammar,
@@ -270,7 +270,7 @@ pub fn interval_hits_visit(
     key: (ProductionId, usize),
     def: usize,
     last: usize,
-    oi: usize,
+    objs: &[usize],
     exclude: &[usize],
 ) -> bool {
     let fs = &fp.seqs[&key];
@@ -290,7 +290,8 @@ pub fn interval_hits_visit(
         } = &fs.items[pos]
         {
             let ph = prod.phylum_at(*child);
-            if may_eval[&(ph, *partition, *visit)].contains(oi) {
+            let set = &may_eval[&(ph, *partition, *visit)];
+            if objs.iter().any(|&oi| set.contains(oi)) {
                 return true;
             }
         }

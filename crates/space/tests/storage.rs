@@ -4,7 +4,10 @@
 
 use fnc2_ag::{Grammar, GrammarBuilder, Occ, TreeBuilder, Value};
 use fnc2_analysis::{classify, Inclusion};
-use fnc2_space::{analyze_space, strict_stack_candidates, Object, SpaceEvaluator, Storage};
+use fnc2_corpus::{synthetic, TABLE1_PROFILES};
+use fnc2_space::{
+    analyze_space, strict_stack_candidates, Object, SpaceEvaluator, SpacePlan, Storage,
+};
 use fnc2_visit::{build_visit_seqs, Evaluator, RootInputs};
 
 /// A two-visit grammar where `i1` is read again during visit 2: `i1` is
@@ -153,17 +156,78 @@ fn optimized_runtime_drains_stacks_on_every_corpus_grammar() {
     }
 }
 
+/// Classifies `g` as the pipeline does and plans its storage.
+fn plan_of(g: &Grammar) -> SpacePlan {
+    let c = classify(g, 1, Inclusion::Long).unwrap();
+    let seqs = build_visit_seqs(g, &c.l_ordered.unwrap());
+    analyze_space(g, &seqs).3
+}
+
 #[test]
 fn space_plan_is_deterministic() {
     let g = fnc2_corpus::minipascal().0;
-    let c = classify(&g, 1, Inclusion::Long).unwrap();
-    let seqs = build_visit_seqs(&g, &c.l_ordered.unwrap());
-    let (_, _, _, p1) = analyze_space(&g, &seqs);
-    let (_, _, _, p2) = analyze_space(&g, &seqs);
-    assert_eq!(p1.storage, p2.storage);
-    assert_eq!(p1.n_variables, p2.n_variables);
-    assert_eq!(p1.n_stacks, p2.n_stacks);
-    assert_eq!(p1.eliminated, p2.eliminated);
+    let p1 = plan_of(&g);
+    // Several runs, so a hash-ordered choice shows up as a mismatch.
+    for p2 in (0..4).map(|_| plan_of(&g)) {
+        assert_eq!(p1.storage, p2.storage);
+        assert_eq!(p1.n_variables, p2.n_variables);
+        assert_eq!(p1.n_stacks, p2.n_stacks);
+        assert_eq!(p1.eliminated, p2.eliminated);
+        assert_eq!(format!("{:?}", p1.stats), format!("{:?}", p2.stats));
+        assert_eq!(p1.access.len(), p2.access.len());
+        for (key, a1) in &p1.access {
+            let a2 = &p2.access[key];
+            assert_eq!(a1.steps.len(), a2.steps.len(), "{key:?}");
+            for (pos, (s1, s2)) in a1.steps.iter().zip(&a2.steps).enumerate() {
+                assert_eq!(format!("{s1:?}"), format!("{s2:?}"), "{key:?} @ {pos}");
+            }
+        }
+    }
+}
+
+/// FNV-1a over everything a plan decides: storage, variable and stack
+/// counts, the sorted eliminated set, the key-sorted access tables and the
+/// statistics.
+fn plan_digest(plan: &SpacePlan) -> u64 {
+    let mut eliminated: Vec<_> = plan.eliminated.iter().collect();
+    eliminated.sort();
+    let mut access: Vec<_> = plan.access.iter().collect();
+    access.sort_by_key(|(key, _)| **key);
+    let text = format!(
+        "{:?} {} {} {:?} {:?} {:?}",
+        plan.storage, plan.n_variables, plan.n_stacks, eliminated, access, plan.stats
+    );
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the plan of each corpus grammar and each Table 1 profile, so a
+/// faster planner can be shown to decide exactly what the old one did.
+#[test]
+fn space_plans_match_their_pinned_digests() {
+    let mut grammars = vec![
+        fnc2_corpus::minipascal().0,
+        fnc2_corpus::blocks(),
+        fnc2_corpus::desk(),
+    ];
+    grammars.extend(TABLE1_PROFILES.iter().map(synthetic));
+    let want: [u64; 10] = [
+        0x04fc_aba5_9c44_dc0f, // minipascal
+        0x5fef_409d_a18a_8ccf, // blocks
+        0x893a_3234_1c24_802c, // desk
+        0xadec_6476_60a4_0944, // AG1
+        0x3c9a_ad51_0857_a984, // AG2
+        0x502c_36d0_e033_fcec, // AG3
+        0x76b8_6561_9c4a_1480, // AG4
+        0xb845_5194_f940_83f2, // AG5
+        0x208b_7389_ed6f_e9b3, // AG6
+        0x681f_a2d8_19fd_f52c, // AG7
+    ];
+    for (g, want) in grammars.iter().zip(want) {
+        let got = plan_digest(&plan_of(g));
+        assert_eq!(got, want, "{}: plan digest {got:#018x}", g.name());
+    }
 }
 
 /// §2.2: "since with that scheme the only purpose of the tree is to

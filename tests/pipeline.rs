@@ -267,3 +267,34 @@ fn visit_overhead_of_long_inclusion_is_small() {
         );
     }
 }
+
+/// On these generated grammars a stack's final simulation rejects a
+/// rename while several are tentative, so the plan depends on which one
+/// the planner drops (the smallest). Pinned with the FNV-1a plan digest of
+/// `crates/space/tests/storage.rs`, which no corpus grammar or Table 1
+/// profile exercises this way.
+#[test]
+fn rename_retries_keep_their_pinned_plans() {
+    for (case, want) in [
+        (13, 0xb4a0_258e_b91c_26c5_u64),
+        (56, 0xc245_2b68_4627_b709),
+        (118, 0x496b_9dc5_908b_9dc5),
+    ] {
+        let g = fnc2::fuzz::gen::build_grammar(&fnc2::fuzz::CaseParams::for_case(0, case)).grammar;
+        let c = fnc2::analysis::classify(&g, 1, Inclusion::Long).unwrap();
+        let seqs = fnc2::visit::build_visit_seqs(&g, &c.l_ordered.unwrap());
+        let plan = fnc2::space::analyze_space(&g, &seqs).3;
+        let mut eliminated: Vec<_> = plan.eliminated.iter().collect();
+        eliminated.sort();
+        let mut access: Vec<_> = plan.access.iter().collect();
+        access.sort_by_key(|(key, _)| **key);
+        let text = format!(
+            "{:?} {} {} {:?} {:?} {:?}",
+            plan.storage, plan.n_variables, plan.n_stacks, eliminated, access, plan.stats
+        );
+        let got = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(got, want, "fuzz case {case}: plan digest {got:#018x}");
+    }
+}
