@@ -51,7 +51,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::value::{Value, ValueIdent};
 
@@ -60,7 +60,7 @@ use crate::value::{Value, ValueIdent};
 /// pathological evaluation cannot pin unbounded memory in the table.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
-/// Running totals of one interner (or one [`SharedInterner`] shard).
+/// Running totals of one interner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InternStats {
     /// Values found already canonical or already present (O(1) / bucket hit).
@@ -73,10 +73,9 @@ pub struct InternStats {
 
 /// A hash-consing intern table for [`Value`]s.
 ///
-/// Not thread-safe by itself — evaluators own one per evaluation (or per
+/// Not thread-safe — evaluators own one per evaluation (or per
 /// evaluator lifetime, for the incremental evaluator whose cutoff compares
-/// ids across edits). See [`SharedInterner`] for the sharded, thread-safe
-/// variant used by the parallel batch driver.
+/// ids across edits).
 #[derive(Debug)]
 pub struct Interner {
     /// Canonical values bucketed by shallow structural hash.
@@ -325,149 +324,6 @@ fn eq_children(a: &[Value], b: &[Value]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded thread-safe interner (parallel batch evaluation)
-// ---------------------------------------------------------------------------
-
-/// A thread-safe hash-consing table: `N` mutex-guarded [`Interner`] shards,
-/// values routed to a shard by their shallow structural hash so two equal
-/// values built on different worker threads always meet in the same shard
-/// and share one canonical representative.
-///
-/// Workers intern through a shared `&SharedInterner` (typically behind an
-/// `Arc` owned by the evaluator); per-shard statistics are merged on demand
-/// by [`SharedInterner::stats`] — the "merge at join" of the batch driver
-/// is a read of these totals into the run's counters.
-#[derive(Debug)]
-pub struct SharedInterner {
-    shards: Vec<Mutex<Interner>>,
-    /// Canonical-address registry sharded by address (not by content hash):
-    /// lets `intern` skip hashing already canonical values with one short
-    /// lock, the same O(1) fast path the private table has.
-    canon: Vec<Mutex<HashSet<usize>>>,
-}
-
-impl SharedInterner {
-    /// A table with `shards` shards (clamped to at least 1).
-    pub fn new(shards: usize) -> SharedInterner {
-        let n = shards.max(1);
-        SharedInterner {
-            shards: (0..n).map(|_| Mutex::new(Interner::new())).collect(),
-            canon: (0..n).map(|_| Mutex::new(HashSet::new())).collect(),
-        }
-    }
-
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when `v` is a compound already canonical in this table.
-    pub fn is_canonical(&self, v: &Value) -> bool {
-        match compound_addr(v) {
-            Some(addr) => self.canon[addr % self.canon.len()]
-                .lock()
-                .expect("interner shard poisoned")
-                .contains(&addr),
-            None => false,
-        }
-    }
-
-    /// True when `v`'s identity is stable for this table's lifetime.
-    pub fn is_stable(&self, v: &Value) -> bool {
-        compound_addr(v).is_none() || self.is_canonical(v)
-    }
-
-    /// Canonicalizes `v` bottom-up across the shards.
-    pub fn intern(&self, v: Value) -> Value {
-        match v {
-            Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Real(_) => v,
-            Value::Str(_) => self.canonize(v),
-            Value::List(mut l) => {
-                if l.iter().any(|c| self.needs_work(c)) {
-                    for c in Arc::make_mut(&mut l).iter_mut() {
-                        *c = self.intern(std::mem::take(c));
-                    }
-                }
-                self.canonize(Value::List(l))
-            }
-            Value::Tuple(mut t) => {
-                if t.iter().any(|c| self.needs_work(c)) {
-                    for c in Arc::make_mut(&mut t).iter_mut() {
-                        *c = self.intern(std::mem::take(c));
-                    }
-                }
-                self.canonize(Value::Tuple(t))
-            }
-            Value::Map(mut m) => {
-                if m.values().any(|c| self.needs_work(c)) {
-                    for c in Arc::make_mut(&mut m).values_mut() {
-                        *c = self.intern(std::mem::take(c));
-                    }
-                }
-                self.canonize(Value::Map(m))
-            }
-            Value::Term(mut t) => {
-                if t.children.iter().any(|c| self.needs_work(c)) {
-                    for c in Arc::make_mut(&mut t).children.iter_mut() {
-                        *c = self.intern(std::mem::take(c));
-                    }
-                }
-                self.canonize(Value::Term(t))
-            }
-        }
-    }
-
-    fn needs_work(&self, c: &Value) -> bool {
-        compound_addr(c).is_some() && !self.is_canonical(c)
-    }
-
-    fn canonize(&self, v: Value) -> Value {
-        debug_assert!(compound_addr(&v).is_some(), "canonize takes compounds only");
-        if self.is_canonical(&v) {
-            let mut shard = self.shards[shallow_hash(&v) as usize % self.shards.len()]
-                .lock()
-                .expect("interner shard poisoned");
-            shard.hits += 1;
-            return v;
-        }
-        let h = shallow_hash(&v);
-        let (out, pinned) = {
-            let mut shard = self.shards[h as usize % self.shards.len()]
-                .lock()
-                .expect("interner shard poisoned");
-            let out = shard.canonize(v);
-            // At shard capacity `canonize` passes values through without
-            // pinning them in a bucket; such addresses must NOT enter the
-            // registry or a later allocation reuse could alias them.
-            let pinned = compound_addr(&out).is_some_and(|a| shard.canonical.contains(&a));
-            (out, pinned)
-        };
-        if pinned {
-            let canonical_addr = compound_addr(&out).expect("pinned values are compounds");
-            // Registered even on a bucket hit (idempotent).
-            self.canon[canonical_addr % self.canon.len()]
-                .lock()
-                .expect("interner shard poisoned")
-                .insert(canonical_addr);
-        }
-        out
-    }
-
-    /// Merged hits / misses / occupancy over all shards.
-    pub fn stats(&self) -> InternStats {
-        let mut total = InternStats::default();
-        for s in &self.shards {
-            let s = s.lock().expect("interner shard poisoned");
-            let st = s.stats();
-            total.hits += st.hits;
-            total.misses += st.misses;
-            total.len += st.len;
-        }
-        total
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Memoizing apply cache
 // ---------------------------------------------------------------------------
 
@@ -480,7 +336,7 @@ impl SharedInterner {
 /// ([`Interner::is_stable`]), so equal keys really denote bitwise equal
 /// argument vectors. The cached result is itself canonical, so a hit
 /// transports one `Arc` clone.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemoCache {
     map: HashMap<MemoKey, Value>,
     hits: u64,
@@ -493,6 +349,12 @@ pub type MemoKey = (u32, u32, Box<[ValueIdent]>);
 
 /// Default bound on memoized entries.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 18;
+
+impl Default for MemoCache {
+    fn default() -> Self {
+        MemoCache::new()
+    }
+}
 
 impl MemoCache {
     /// An empty cache with the default capacity.
@@ -715,45 +577,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_interner_matches_private_one() {
-        let sh = SharedInterner::new(4);
-        let mut it = Interner::new();
-        let mut rng = Rng(0x7a57);
-        for _ in 0..300 {
-            let v = random_value(&mut rng, 3);
-            let a = sh.intern(v.clone());
-            let b = it.intern(v.clone());
-            assert_eq!(a, b);
-            assert_eq!(a, v);
-        }
-        assert_eq!(sh.stats().len, it.len() as u64);
-    }
-
-    #[test]
-    fn shared_interner_unifies_across_threads() {
-        let sh = SharedInterner::new(4);
-        let idents: Vec<ValueIdent> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let sh = &sh;
-                    scope.spawn(move || {
-                        sh.intern(Value::list([Value::Int(7), Value::str("shared")]))
-                            .ident()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(
-            idents.windows(2).all(|w| w[0] == w[1]),
-            "equal values from different threads share one canonical id: {idents:?}"
-        );
-    }
-
-    #[test]
     fn memo_cache_round_trips() {
         let mut it = Interner::new();
-        let mut memo = MemoCache::new();
+        // `default()` is `new()`: a cache with the default capacity.
+        let mut memo = MemoCache::default();
         let arg = it.intern(Value::list([Value::Int(1)]));
         let key: MemoKey = (3, 1, vec![arg.ident()].into_boxed_slice());
         assert_eq!(memo.get(&key), None);

@@ -81,6 +81,6 @@ pub use grammar::{
     SemRule,
 };
 pub use ids::{AttrId, FuncId, LocalId, NodeId, ONode, Occ, PhylumId, ProductionId};
-pub use intern::{InternStats, Interner, MemoCache, MemoKey, SharedInterner};
+pub use intern::{InternStats, Interner, MemoCache, MemoKey};
 pub use tree::{term_to_tree, AttrValues, LocalFrames, Node, Preorder, Tree, TreeBuilder};
 pub use value::{Term, Value, ValueIdent};

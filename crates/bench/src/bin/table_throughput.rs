@@ -3,18 +3,14 @@
 //!
 //! Two tables, two claims:
 //!
-//! * **eval_hotpath** — the slot-compiled interpretation (dense frames,
-//!   pre-resolved fetch descriptors, interned constants) against the
-//!   retained reference interpretation (`Evaluator::evaluate_reference`:
-//!   per-fetch `Arg` matching, hash-map local frames, constant clones) on
-//!   the same evaluator instance, plus a **guarded** leg
+//! * **eval_hotpath** — the slot-compiled visit-sequence interpreter
+//!   (node storage, the trivial plan) on its own, plus a **guarded** leg
 //!   (`evaluate_with` the default `EvalBudget`) whose overhead
 //!   column is the price of the fnc2-guard budget meter on the hot path,
 //!   plus a **profiled** leg (`evaluate_with` an `Obs` running the rule-cost
 //!   profiler enabled) whose overhead column is the price of per-rule
 //!   cost attribution when it is switched *on*. All legs are checked
-//!   value-equal before timing — the speedup is never bought with a
-//!   divergence.
+//!   value-equal before timing.
 //! * **throughput** — trees/sec over a batch of synthetic-corpus trees at
 //!   1, 2, 4 and 8 worker threads sharing one `&Evaluator`, plus the steal
 //!   counts the pool reports through `fnc2-obs`.
@@ -170,18 +166,10 @@ fn replay(inc: &mut IncrementalEvaluator<'_>, subs: &[Tree; 2], waves: usize) ->
 }
 
 fn main() {
-    // ---- Part 1: slot-compiled vs. reference interpretation. -----------
-    println!("Hot path: slot-compiled vs. reference interpretation (per-run times)\n");
+    // ---- Part 1: the hot path, bare, guarded and profiled. -------------
+    println!("Hot path: slot-compiled interpreter, bare, guarded and profiled (per-run times)\n");
     let hot_headers = [
-        "AG",
-        "nodes",
-        "reference",
-        "compiled",
-        "speedup",
-        "guarded",
-        "overhead",
-        "profiled",
-        "prof ovh",
+        "AG", "nodes", "compiled", "guarded", "overhead", "profiled", "prof ovh",
     ];
     let mut hot_rows = Vec::new();
     let reps = 20;
@@ -197,9 +185,6 @@ fn main() {
 
         // Differential guard: the timed legs must agree everywhere.
         let (fast, _) = ev.evaluate(&tree, &inputs).expect("compiled leg");
-        let (slow, _) = ev
-            .evaluate_reference(&tree, &inputs)
-            .expect("reference leg");
         let (metered, _) = ev
             .evaluate_with(&tree, &inputs, &budget, &mut NoopRecorder)
             .expect("guarded leg");
@@ -211,12 +196,6 @@ fn main() {
         for (n, _) in tree.preorder() {
             let ph = tree.phylum(&compiled.grammar, n);
             for &attr in compiled.grammar.phylum(ph).attrs() {
-                assert_eq!(
-                    fast.get(&compiled.grammar, n, attr),
-                    slow.get(&compiled.grammar, n, attr),
-                    "{}: reference and compiled paths diverge",
-                    profile.name
-                );
                 assert_eq!(
                     fast.get(&compiled.grammar, n, attr),
                     metered.get(&compiled.grammar, n, attr),
@@ -232,9 +211,6 @@ fn main() {
             }
         }
 
-        let t_ref = time_n(reps, || {
-            std::hint::black_box(ev.evaluate_reference(&tree, &inputs).unwrap());
-        });
         let t_fast = time_n(reps, || {
             std::hint::black_box(ev.evaluate(&tree, &inputs).unwrap());
         });
@@ -250,9 +226,7 @@ fn main() {
         hot_rows.push(vec![
             profile.name.to_string(),
             tree.size().to_string(),
-            format!("{:.1}µs", t_ref.as_secs_f64() * 1e6),
             format!("{:.1}µs", t_fast.as_secs_f64() * 1e6),
-            format!("{:.2}x", t_ref.as_secs_f64() / t_fast.as_secs_f64()),
             format!("{:.1}µs", t_guard.as_secs_f64() * 1e6),
             format!(
                 "{:+.1}%",

@@ -243,7 +243,7 @@ impl Compiled {
             .evaluate(tree, inputs)
     }
 
-    /// Evaluates `tree` with the space-optimized evaluator.
+    /// Evaluates `tree` under the space plan; only node-stored values return.
     ///
     /// # Errors
     ///
@@ -256,13 +256,13 @@ impl Compiled {
         &self,
         tree: &Tree,
         inputs: &RootInputs,
-    ) -> Result<fnc2_space::SpaceOutcome, EvalError> {
+    ) -> Result<(AttrValues, EvalStats), EvalError> {
         let fp = self.flat.as_ref().expect("space optimization enabled");
         let plan = self
             .space_plan
             .as_ref()
             .expect("space optimization enabled");
-        fnc2_space::SpaceEvaluator::new(&self.grammar, &self.seqs, fp, plan)
+        fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan)
             .with_interning(self.intern)
             .evaluate(tree, inputs)
     }
@@ -318,7 +318,7 @@ impl Compiled {
         if matches!(outcome, SmokeOutcome::Ok) {
             if let (Some(fp), Some(plan)) = (self.flat.as_ref(), self.space_plan.as_ref()) {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let _ = fnc2_space::SpaceEvaluator::new(&self.grammar, &self.seqs, fp, plan)
+                    let _ = fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan)
                         .with_interning(self.intern)
                         .evaluate_with(&tree, &inputs, budget, rec);
                 }));
@@ -780,13 +780,11 @@ mod tests {
             Some(&fnc2_ag::Value::Real(13.0))
         );
         // Optimized evaluator agrees on the root output.
-        let outcome = compiled
+        let (opt, _) = compiled
             .evaluate_optimized(&tree, &Default::default())
             .unwrap();
         assert_eq!(
-            outcome
-                .node_values
-                .get(&compiled.grammar, tree.root(), value),
+            opt.get(&compiled.grammar, tree.root(), value),
             Some(&fnc2_ag::Value::Real(13.0))
         );
     }

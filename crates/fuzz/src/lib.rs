@@ -1,11 +1,12 @@
 //! # fnc2-fuzz — differential fuzzing oracle over the evaluator cascade
 //!
-//! The FNC-2 reproduction ships four evaluators for the same attribute
-//! grammars — the exhaustive visit-sequence evaluator, the demand-driven
-//! dynamic evaluator, the space-optimized evaluator, and the incremental
-//! evaluator — plus a static space plan with a symbolic stack simulation.
-//! Any two of them disagreeing on any attribute of any tree is a bug by
-//! definition. This crate turns that redundancy into an oracle:
+//! The FNC-2 reproduction evaluates the same attribute grammars four
+//! ways — the visit-sequence interpreter with node storage (the trivial
+//! plan) and with the space plan, the demand-driven dynamic evaluator,
+//! and the incremental evaluator — plus a static space plan with a
+//! symbolic stack simulation. Any two of them disagreeing on any attribute
+//! of any tree is a bug by definition. This crate turns that redundancy
+//! into an oracle:
 //!
 //! * [`gen`] draws random **SNC-by-construction** attribute grammars
 //!   (mixed synthesized/inherited attributes, production-locals,

@@ -12,7 +12,7 @@ use fnc2_guard::EvalBudget;
 use fnc2_incremental::{Equality, IncrementalEvaluator};
 use fnc2_obs::Obs;
 use fnc2_par::{batch_evaluate_guarded, TreeOutcome};
-use fnc2_space::{analyze_space, validate_plan, SpaceEvaluator};
+use fnc2_space::{analyze_space, plan_evaluator, validate_plan};
 use fnc2_tables::{Tables, TablesConfig};
 use fnc2_visit::{build_visit_seqs, dependency_slice, DynamicEvaluator, Evaluator, RootInputs};
 
@@ -183,17 +183,18 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
         }
     }
 
-    // ---- Space plan: symbolic re-validation, then the evaluator. -------
+    // ---- Space plan: symbolic re-validation, then the real plan against
+    // the trivial one (`reference`) through the same interpreter. --------
     let (fp, objects, lt, plan) = analyze_space(g, &seqs);
     validate_plan(g, &seqs, &fp, &objects, &lt, &plan)
         .map_err(|e| div("space-plan", format!("plan failed re-validation: {e}")))?;
-    let sp = SpaceEvaluator::new(g, &seqs, &fp, &plan)
+    let (sp, _) = plan_evaluator(g, &seqs, &fp, &plan)
         .evaluate(&tree, &inputs)
         .map_err(|e| div("space", format!("space evaluation failed: {e}")))?;
     for (n, _) in tree.preorder() {
         let ph = tree.phylum(g, n);
         for &attr in g.phylum(ph).attrs() {
-            if let Some(v) = sp.node_values.get(g, n, attr) {
+            if let Some(v) = sp.get(g, n, attr) {
                 if reference.get(g, n, attr) != Some(v) {
                     return Err(div(
                         "exhaustive-vs-space",
@@ -210,9 +211,7 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
     // Root attributes are forced to node storage, so the output must be
     // present, not merely equal-when-present.
     for &attr in g.phylum(g.root()).attrs() {
-        if reference.get(g, tree.root(), attr).is_some()
-            && sp.node_values.get(g, tree.root(), attr).is_none()
-        {
+        if reference.get(g, tree.root(), attr).is_some() && sp.get(g, tree.root(), attr).is_none() {
             return Err(div(
                 "exhaustive-vs-space",
                 format!(
@@ -304,7 +303,7 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
             .space_plan
             .as_ref()
             .expect("built with space sections");
-        let sp2 = SpaceEvaluator::new(g, &loaded.seqs, dfp, dplan)
+        let (sp2, _) = plan_evaluator(g, &loaded.seqs, dfp, dplan)
             .evaluate(&tree, &inputs)
             .map_err(|e| {
                 div(
@@ -315,14 +314,14 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
         for (n, _) in tree.preorder() {
             let ph = tree.phylum(g, n);
             for &attr in g.phylum(ph).attrs() {
-                if sp2.node_values.get(g, n, attr) != sp.node_values.get(g, n, attr) {
+                if sp2.get(g, n, attr) != sp.get(g, n, attr) {
                     return Err(div(
                         "tables-vs-space",
                         format!(
                             "node {n:?} attr {}: decoded tables {:?}, fresh {:?}",
                             g.attr(attr).name(),
-                            sp2.node_values.get(g, n, attr),
-                            sp.node_values.get(g, n, attr)
+                            sp2.get(g, n, attr),
+                            sp.get(g, n, attr)
                         ),
                     ));
                 }

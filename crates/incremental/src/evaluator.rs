@@ -10,12 +10,11 @@
 use std::collections::VecDeque;
 
 use fnc2_ag::{
-    AttrKind, AttrValues, Grammar, LocalFrames, LocalId, NodeId, ONode, Occ, ProductionId, Tree,
-    TreeError, Value,
+    AttrKind, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, TreeError, Value,
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
-use fnc2_visit::{CompiledProgram, EvalError, InternCtx, RootInputs};
+use fnc2_visit::{Cells, CompiledProgram, EvalError, InternCtx, RootInputs};
 
 use crate::status::Equality;
 
@@ -60,8 +59,7 @@ pub struct IncrementalEvaluator<'g> {
     grammar: &'g Grammar,
     program: CompiledProgram,
     tree: Tree,
-    values: AttrValues,
-    locals: LocalFrames,
+    cells: Cells,
     inputs: RootInputs,
     eq: Equality,
     budget: EvalBudget,
@@ -121,15 +119,13 @@ impl<'g> IncrementalEvaluator<'g> {
             grammar,
             program: CompiledProgram::new(grammar),
             tree,
-            values: AttrValues::default(),
-            locals: LocalFrames::default(),
+            cells: Cells::default(),
             inputs,
             eq,
             budget,
-            ictx: intern.then(InternCtx::local),
+            ictx: intern.then(InternCtx::new),
         };
-        this.values = AttrValues::new(grammar, &this.tree);
-        this.locals = LocalFrames::new(grammar, &this.tree);
+        this.cells = Cells::new(grammar, &this.tree);
         let root = this.tree.root();
         let root_ph = grammar.production(this.tree.node(root).production()).lhs();
         let mut icounters = Counters::new();
@@ -145,7 +141,7 @@ impl<'g> IncrementalEvaluator<'g> {
                 Some(ictx) => ictx.intern(v, &mut icounters).0,
                 None => v,
             };
-            this.values.set(grammar, root, attr, v);
+            this.cells.values.set(grammar, root, attr, v);
         }
         let mut stats = IncrementalStats::default();
         let mut unknown = 0usize;
@@ -211,7 +207,7 @@ impl<'g> IncrementalEvaluator<'g> {
 
     /// The current value of `(node, attr)`.
     pub fn value(&self, node: NodeId, attr: fnc2_ag::AttrId) -> Option<&Value> {
-        self.values.get(self.grammar, node, attr)
+        self.cells.values.get(self.grammar, node, attr)
     }
 
     /// Total number of live attribute instances (for comparing incremental
@@ -282,21 +278,21 @@ impl<'g> IncrementalEvaluator<'g> {
                 .phylum(ph)
                 .attrs()
                 .iter()
-                .map(|&a| (a, self.values.get(g, at, a).cloned()))
+                .map(|&a| (a, self.cells.values.get(g, at, a).cloned()))
                 .collect();
             let new_root = self
                 .tree
                 .replace_subtree(g, at, &replacement)
                 .map_err(Box::<TreeError>::new)?;
-            self.values.sync(g, &self.tree);
-            self.locals.sync(g, &self.tree);
+            self.cells.values.sync(g, &self.tree);
+            self.cells.locals.sync(g, &self.tree);
 
             // Re-establish the inherited attributes of the new subtree root
             // (same defining rules in the parent, hence the old values).
             for (a, v) in &old {
                 if g.attr(*a).kind() == AttrKind::Inherited {
                     if let Some(v) = v.clone() {
-                        self.values.set(g, new_root, *a, v);
+                        self.cells.values.set(g, new_root, *a, v);
                     }
                 }
             }
@@ -306,7 +302,7 @@ impl<'g> IncrementalEvaluator<'g> {
                     if let Some(v) = self.inputs.get(&a) {
                         let v = v.clone();
                         let v = self.intern_value(v);
-                        self.values.set(g, new_root, a, v);
+                        self.cells.values.set(g, new_root, a, v);
                     }
                 }
             }
@@ -319,7 +315,7 @@ impl<'g> IncrementalEvaluator<'g> {
                 if g.attr(a).kind() != AttrKind::Synthesized {
                     continue;
                 }
-                let newv = self.values.get(g, new_root, a);
+                let newv = self.cells.values.get(g, new_root, a);
                 let same = match (&oldv, newv) {
                     (Some(o), Some(n)) => self.values_same(o, n),
                     (None, None) => true,
@@ -390,7 +386,7 @@ impl<'g> IncrementalEvaluator<'g> {
             .phylum(ph)
             .attrs()
             .iter()
-            .map(|&a| (a, self.values.get(g, at, a).cloned()))
+            .map(|&a| (a, self.cells.values.get(g, at, a).cloned()))
             .collect();
         self.tree
             .replace_production(g, at, production)
@@ -398,8 +394,8 @@ impl<'g> IncrementalEvaluator<'g> {
         // The stores detect the in-place swap and drop the node's stale
         // cells; the subtree below is invalidated explicitly, since its
         // inherited attributes flowed through the replaced rules.
-        self.values.sync(g, &self.tree);
-        self.locals.sync(g, &self.tree);
+        self.cells.values.sync(g, &self.tree);
+        self.cells.locals.sync(g, &self.tree);
         let mut subtree = vec![at];
         let mut i = 0;
         while i < subtree.len() {
@@ -410,13 +406,13 @@ impl<'g> IncrementalEvaluator<'g> {
         for &n in &subtree[1..] {
             let nph = self.tree.phylum(g, n);
             for &a in g.phylum(nph).attrs() {
-                self.values.clear(g, n, a);
+                self.cells.values.clear(g, n, a);
             }
         }
         for &n in &subtree {
             let p = self.tree.node(n).production();
             for li in 0..g.production(p).locals().len() {
-                self.locals.clear(n, LocalId::from_raw(li as u32));
+                self.cells.locals.clear(n, LocalId::from_raw(li as u32));
             }
         }
         // Re-establish the node's inherited attributes: their defining
@@ -424,7 +420,7 @@ impl<'g> IncrementalEvaluator<'g> {
         for (a, v) in &old {
             if g.attr(*a).kind() == AttrKind::Inherited {
                 if let Some(v) = v.clone() {
-                    self.values.set(g, at, *a, v);
+                    self.cells.values.set(g, at, *a, v);
                 }
             }
         }
@@ -433,7 +429,7 @@ impl<'g> IncrementalEvaluator<'g> {
                 if let Some(v) = self.inputs.get(&a) {
                     let v = v.clone();
                     let v = self.intern_value(v);
-                    self.values.set(g, at, a, v);
+                    self.cells.values.set(g, at, a, v);
                 }
             }
         }
@@ -447,7 +443,7 @@ impl<'g> IncrementalEvaluator<'g> {
             if g.attr(a).kind() != AttrKind::Synthesized {
                 continue;
             }
-            let newv = self.values.get(g, at, a);
+            let newv = self.cells.values.get(g, at, a);
             let same = match (&oldv, newv) {
                 (Some(o), Some(n)) => self.values_same(o, n),
                 (None, None) => true,
@@ -488,8 +484,8 @@ impl<'g> IncrementalEvaluator<'g> {
                 .map_err(|k| Box::new(EvalError::budget(k, "incremental propagation")))?;
             let (newv, oldv) = {
                 let old = match inst {
-                    Inst::Attr(n, a) => self.values.get(g, n, a).cloned(),
-                    Inst::Local(n, l) => self.locals.get(n, l).cloned(),
+                    Inst::Attr(n, a) => self.cells.values.get(g, n, a).cloned(),
+                    Inst::Local(n, l) => self.cells.locals.get(n, l).cloned(),
                 };
                 let new = self.compute_instance(inst, rec).map_err(Box::new)?;
                 (new, old)
@@ -528,10 +524,10 @@ impl<'g> IncrementalEvaluator<'g> {
             stats.changed += 1;
             match inst {
                 Inst::Attr(n, a) => {
-                    self.values.set(g, n, a, newv);
+                    self.cells.values.set(g, n, a, newv);
                 }
                 Inst::Local(n, l) => {
-                    self.locals.set(n, l, newv);
+                    self.cells.locals.set(n, l, newv);
                 }
             }
             self.enqueue_dependents(inst, queue);
@@ -603,8 +599,8 @@ impl<'g> IncrementalEvaluator<'g> {
             match task {
                 Task::Enter(goal) => {
                     match goal {
-                        Inst::Attr(n, a) if self.values.get(g, n, a).is_some() => continue,
-                        Inst::Local(n, l) if self.locals.get(n, l).is_some() => continue,
+                        Inst::Attr(n, a) if self.cells.values.get(g, n, a).is_some() => continue,
+                        Inst::Local(n, l) if self.cells.locals.get(n, l).is_some() => continue,
                         _ => {}
                     }
                     // Resolve the defining rule through the compiled index.
@@ -658,10 +654,10 @@ impl<'g> IncrementalEvaluator<'g> {
                     }
                     match goal {
                         Inst::Attr(n, a) => {
-                            self.values.set(g, n, a, v);
+                            self.cells.values.set(g, n, a, v);
                         }
                         Inst::Local(n, l) => {
-                            self.locals.set(n, l, v);
+                            self.cells.locals.set(n, l, v);
                         }
                     }
                 }
@@ -720,8 +716,7 @@ impl<'g> IncrementalEvaluator<'g> {
             p,
             rule,
             def_node,
-            &self.values,
-            &self.locals,
+            &self.cells,
             &mut buf,
             &mut counters,
             self.ictx.as_mut(),

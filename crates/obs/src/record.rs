@@ -17,8 +17,8 @@ use crate::span::{chrome_trace, SpanEvent, SpanTracer};
 
 /// The shared counter vocabulary.
 ///
-/// Every counter that used to live in one of the three ad-hoc stats
-/// structs (`EvalStats`, `SpaceRunStats`, `IncrementalStats`) plus the
+/// Every counter that used to live in one of the ad-hoc stats
+/// structs (`EvalStats`, `IncrementalStats`) plus the
 /// cascade-side tallies is a `Key`. Dense numbering lets instrumented
 /// code count into a fixed array ([`Counters`]) without string hashing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

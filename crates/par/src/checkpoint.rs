@@ -405,7 +405,10 @@ pub fn outcome_digest(outcome: &TreeOutcome) -> u64 {
                     None => h.bytes(&[0]),
                 }
             }
-            h.bytes(format!("{stats:?}").as_bytes());
+            // The journal pins the node-storage counters' historical bytes.
+            let (v, n, c) = (stats.visits, stats.evals, stats.copies);
+            let stats = format!("EvalStats {{ visits: {v}, evals: {n}, copies: {c} }}");
+            h.bytes(stats.as_bytes());
         }
         TreeOutcome::Failed(e) => {
             h.bytes(format!("failed;{e}").as_bytes());

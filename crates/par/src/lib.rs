@@ -100,7 +100,7 @@ use fnc2_guard::{
     backoff_delay, EvalBudget, FaultPlan, InjectedFault, INJECTED_FAILURE_MSG, INJECTED_PANIC_MSG,
 };
 use fnc2_obs::{Counters, Key, NoopRecorder, Recorder, SpanTracer};
-use fnc2_visit::{EvalError, EvalStats, Evaluator, InternMode, RootInputs};
+use fnc2_visit::{EvalError, EvalStats, Evaluator, RootInputs};
 
 pub mod checkpoint;
 
@@ -380,8 +380,8 @@ struct BatchRun {
     /// dealt (or the run aborted before it resolved).
     outcomes: Vec<Option<TreeOutcome>>,
     stats: BatchStats,
-    /// The merged worker shards plus the pool's `par.*` totals and the
-    /// shared interner's statistics, ready to replay.
+    /// The merged worker shards plus the pool's `par.*` totals, ready to
+    /// replay.
     counters: Counters,
 }
 
@@ -435,15 +435,6 @@ impl Batch<'_, '_> {
         };
         counters.add(Key::ParTrees, stats.trees);
         counters.add(Key::ParSteals, stats.steals);
-        // With a shared interner, workers defer per-call hit/miss accounting
-        // (streaming it would serialize them on the stats cells); the sharded
-        // table's merged totals are read once here, at the join.
-        if let InternMode::Shared(table) = self.evaluator.intern_mode() {
-            let s = table.stats();
-            counters.set(Key::EvalInternHits, s.hits);
-            counters.set(Key::EvalInternMisses, s.misses);
-            counters.raise(Key::EvalInternSize, s.len);
-        }
         BatchRun {
             outcomes,
             stats,
@@ -787,73 +778,22 @@ mod tests {
         let plain = Evaluator::new(&g, &seqs);
         let want = plain_batch(&plain, &trees, 1);
 
-        // Private per-evaluation interner and the thread-safe shared one,
-        // each at every thread count, must reproduce it bit for bit.
+        // A private per-evaluation interner, at every thread count, must
+        // reproduce it bit for bit.
         let local = Evaluator::new(&g, &seqs).with_interning(true);
-        let shared = Evaluator::new(&g, &seqs)
-            .with_shared_interner(std::sync::Arc::new(fnc2_ag::SharedInterner::new(8)));
-        for (label, ev) in [("local", &local), ("shared", &shared)] {
-            for threads in [1, 2, 4, 8] {
-                let got = plain_batch(ev, &trees, threads);
-                for (i, (a, b)) in want.outcomes.iter().zip(&got.outcomes).enumerate() {
-                    let (va, sa) = decorated(a);
-                    let (vb, sb) = decorated(b);
-                    assert_eq!(
-                        sa, sb,
-                        "{label} interner: stats diverge on tree {i} at {threads} threads"
-                    );
-                    assert_eq!(
-                        va.get(&g, trees[i].root(), n),
-                        vb.get(&g, trees[i].root(), n),
-                        "{label} interner: values diverge on tree {i} at {threads} threads"
-                    );
-                }
+        for threads in [1, 2, 4, 8] {
+            let got = plain_batch(&local, &trees, threads);
+            for (i, (a, b)) in want.outcomes.iter().zip(&got.outcomes).enumerate() {
+                let (va, sa) = decorated(a);
+                let (vb, sb) = decorated(b);
+                assert_eq!(sa, sb, "stats diverge on tree {i} at {threads} threads");
+                assert_eq!(
+                    va.get(&g, trees[i].root(), n),
+                    vb.get(&g, trees[i].root(), n),
+                    "values diverge on tree {i} at {threads} threads"
+                );
             }
         }
-    }
-
-    /// Like [`count_grammar`] but the counter is carried inside a list, so
-    /// every rule builds a compound value and exercises the interner
-    /// (scalars are identified by payload and never enter the table).
-    fn listy_grammar() -> Grammar {
-        let mut g = GrammarBuilder::new("listy");
-        let s = g.phylum("S");
-        let n = g.syn(s, "n");
-        let leaf = g.production("leaf", s, &[]);
-        g.constant(leaf, Occ::lhs(n), Value::list(vec![Value::Int(0)]));
-        let node = g.production("node", s, &[s]);
-        g.func("succ", 1, |a| {
-            let prev = a[0].as_list()[0].as_int();
-            Value::list(vec![Value::Int(prev + 1)])
-        });
-        g.call(node, Occ::lhs(n), "succ", [Occ::new(1, n).into()]);
-        g.finish().unwrap()
-    }
-
-    #[test]
-    fn shared_interner_stats_merge_at_join() {
-        let g = listy_grammar();
-        let seqs = seqs_for(&g);
-        let table = std::sync::Arc::new(fnc2_ag::SharedInterner::new(4));
-        let ev = Evaluator::new(&g, &seqs).with_shared_interner(std::sync::Arc::clone(&table));
-        let trees = chains(&g, 10);
-        let mut obs = Obs::new();
-        let budget = EvalBudget::default();
-        batch_evaluate_guarded_recorded(
-            &ev,
-            &trees,
-            &RootInputs::new(),
-            4,
-            &budget,
-            0,
-            None,
-            &mut obs,
-        );
-        let s = table.stats();
-        assert!(s.hits + s.misses > 0, "interner saw no traffic");
-        assert_eq!(obs.metrics.counter("eval.intern_hits"), s.hits);
-        assert_eq!(obs.metrics.counter("eval.intern_misses"), s.misses);
-        assert_eq!(obs.metrics.counter("eval.intern_size"), s.len);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   a grouping eliminates (not mere feasibility);
 //! * copy-rule elimination itself (shared variables; stack-top renames).
 //!
-//! Entry points: [`analyze_space`] builds a [`SpacePlan`]; [`SpaceEvaluator`]
-//! runs with optimized storage and reports the live-cell high-water mark.
+//! Entry points: [`analyze_space`] builds a [`SpacePlan`];
+//! [`plan_evaluator`] lowers it into the visit-sequence interpreter, which
+//! then runs with optimized storage and reports the live-cell high-water
+//! mark.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,8 +26,8 @@
 mod alloc;
 mod flat;
 mod lifetime;
+mod lower;
 mod object;
-mod runtime;
 
 pub use alloc::{
     plan_storage, validate_plan, ReadPath, SeqAccess, SpacePlan, SpaceStats, StepAccess, Storage,
@@ -33,8 +35,8 @@ pub use alloc::{
 };
 pub use flat::{FlatItem, FlatProgram, FlatSeq, Instance, InstanceKind};
 pub use lifetime::{interval_hits_visit, strict_stack_candidates, Lifetimes};
+pub use lower::plan_evaluator;
 pub use object::{Object, ObjectIndex, ObjectSet};
-pub use runtime::{SpaceEvaluator, SpaceOutcome, SpaceRunStats};
 
 use fnc2_ag::Grammar;
 use fnc2_visit::VisitSeqs;

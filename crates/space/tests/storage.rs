@@ -1,12 +1,14 @@
 //! Space-optimizer integration tests: non-temporary node storage,
-//! strict-stack candidates, equivalence on two-visit grammars, and the
-//! static/dynamic accounting contracts.
+//! strict-stack candidates, equivalence on two-visit grammars, the
+//! static/dynamic accounting contracts, and pinned plans and run counters.
 
-use fnc2_ag::{Grammar, GrammarBuilder, Occ, TreeBuilder, Value};
+use fnc2_ag::{Grammar, GrammarBuilder, Occ, Tree, TreeBuilder, Value};
 use fnc2_analysis::{classify, Inclusion};
-use fnc2_corpus::{synthetic, TABLE1_PROFILES};
+use fnc2_corpus::{synthetic, synthetic_tree, TABLE1_PROFILES};
+use fnc2_guard::EvalBudget;
+use fnc2_obs::Obs;
 use fnc2_space::{
-    analyze_space, strict_stack_candidates, Object, SpaceEvaluator, SpacePlan, Storage,
+    analyze_space, plan_evaluator, strict_stack_candidates, Object, SpacePlan, Storage,
 };
 use fnc2_visit::{build_visit_seqs, Evaluator, RootInputs};
 
@@ -75,18 +77,19 @@ fn non_temporary_goes_to_node_and_still_evaluates() {
     let tree = tb.finish_root(root).unwrap();
     let plain = Evaluator::new(&g, &seqs);
     let (want, _) = plain.evaluate(&tree, &RootInputs::new()).unwrap();
-    let opt = SpaceEvaluator::new(&g, &seqs, &fp, &plan);
-    let got = opt.evaluate(&tree, &RootInputs::new()).unwrap();
+    let (got, stats) = plan_evaluator(&g, &seqs, &fp, &plan)
+        .evaluate(&tree, &RootInputs::new())
+        .unwrap();
     let s = g.phylum_by_name("S").unwrap();
     let out = g.attr_by_name(s, "out").unwrap();
     assert_eq!(
-        got.node_values.get(&g, tree.root(), out),
+        got.get(&g, tree.root(), out),
         want.get(&g, tree.root(), out)
     );
     // Node-resident cells remain at the end (i1 instances), far fewer than
     // the full decoration.
-    assert!(got.stats.final_node_cells > 0);
-    assert!(got.stats.final_node_cells < want.live_count());
+    assert!(stats.final_node_cells > 0);
+    assert!(stats.final_node_cells < want.live_count());
 }
 
 #[test]
@@ -149,10 +152,11 @@ fn optimized_runtime_drains_stacks_on_every_corpus_grammar() {
         let c = classify(&g, 1, Inclusion::Long).unwrap();
         let seqs = build_visit_seqs(&g, &c.l_ordered.unwrap());
         let (fp, _, _, plan) = analyze_space(&g, &seqs);
-        let opt = SpaceEvaluator::new(&g, &seqs, &fp, &plan);
-        let out = opt.evaluate(&tree, &RootInputs::new()).unwrap();
+        let (_, stats) = plan_evaluator(&g, &seqs, &fp, &plan)
+            .evaluate(&tree, &RootInputs::new())
+            .unwrap();
         // max live is at least the final node-resident count.
-        assert!(out.stats.max_live_cells >= out.stats.final_node_cells);
+        assert!(stats.max_live_cells >= stats.final_node_cells);
     }
 }
 
@@ -230,6 +234,116 @@ fn space_plans_match_their_pinned_digests() {
     }
 }
 
+/// `let x = 2 in let y = x * 3 in (x + y) * y` for the desk grammar.
+fn desk_tree(g: &Grammar) -> Tree {
+    let mut tb = TreeBuilder::new(g);
+    let lit = g.production_by_name("lit").unwrap();
+    let var = g.production_by_name("var").unwrap();
+    let letx = g.production_by_name("letx").unwrap();
+    let name =
+        |tb: &mut TreeBuilder, x: &str| tb.node_with_token(var, &[], Some(Value::str(x))).unwrap();
+    let two = tb.node_with_token(lit, &[], Some(Value::Int(2))).unwrap();
+    let x1 = name(&mut tb, "x");
+    let three = tb.node_with_token(lit, &[], Some(Value::Int(3))).unwrap();
+    let bound = tb.op("mul", &[x1, three]).unwrap();
+    let (x2, y1) = (name(&mut tb, "x"), name(&mut tb, "y"));
+    let sum = tb.op("add", &[x2, y1]).unwrap();
+    let y2 = name(&mut tb, "y");
+    let body = tb.op("mul", &[sum, y2]).unwrap();
+    let inner = tb
+        .node_with_token(letx, &[bound, body], Some(Value::str("y")))
+        .unwrap();
+    let outer = tb
+        .node_with_token(letx, &[two, inner], Some(Value::str("x")))
+        .unwrap();
+    let root = tb.op("prog", &[outer]).unwrap();
+    tb.finish_root(root).unwrap()
+}
+
+/// Pins what each run executes, so merging the node-storage and the plan
+/// interpreters can be shown to change none of it: for the node-storage
+/// run `[visits, evals, copies, eval.const_hits]`, for the plan run
+/// `[visits, evals, copies_skipped, max_live_cells, final_node_cells]`,
+/// with interning off and on alike.
+#[test]
+fn run_stats_match_their_pinned_values() {
+    type Case = (Grammar, Box<dyn Fn(&Grammar) -> Tree>, [u64; 4], [usize; 5]);
+    let mut cases: Vec<Case> = vec![
+        (
+            fnc2_corpus::desk(),
+            Box::new(desk_tree),
+            [12, 23, 11, 1],
+            [12, 21, 2, 7, 1],
+        ),
+        (
+            fnc2_corpus::blocks(),
+            Box::new(|g| fnc2_corpus::blocks_tree(g, "d:a u:b [ d:b u:a u:b [ u:c d:c ] ] u:c")),
+            [47, 70, 24, 16],
+            [47, 70, 0, 20, 1],
+        ),
+        (
+            fnc2_corpus::binary(),
+            Box::new(|g| fnc2_corpus::binary_tree(g, "1101.011")),
+            [22, 36, 9, 5],
+            [22, 36, 0, 8, 1],
+        ),
+        (
+            fnc2_corpus::minipascal().0,
+            Box::new(|g| {
+                fnc2_corpus::parse_minipascal(g, &fnc2_corpus::sample_program(8)).unwrap()
+            }),
+            [389, 1646, 675, 121],
+            [389, 1455, 191, 123, 2],
+        ),
+    ];
+    let profiles: [([u64; 4], [usize; 5]); 7] = [
+        ([511, 1029, 32, 2], [511, 1009, 20, 504, 1]),
+        ([1000, 2009, 1019, 1], [1000, 1005, 1004, 502, 1]),
+        ([1020, 2051, 1040, 1], [1020, 1024, 1027, 513, 1]),
+        ([514, 1047, 40, 2], [514, 1023, 24, 513, 1]),
+        ([509, 1049, 55, 4], [509, 1017, 32, 514, 8]),
+        ([510, 1025, 25, 1], [510, 1012, 13, 507, 1]),
+        ([991, 2983, 2003, 3], [991, 1001, 1982, 501, 1]),
+    ];
+    for (profile, (node, plan)) in TABLE1_PROFILES.iter().zip(profiles) {
+        let tree_of = move |g: &Grammar| synthetic_tree(g, profile, 600, profile.seed ^ 0x5eed);
+        cases.push((synthetic(profile), Box::new(tree_of), node, plan));
+    }
+    for (g, tree_of, want_node, want_plan) in &cases {
+        let c = classify(g, 1, Inclusion::Long).unwrap();
+        let seqs = build_visit_seqs(g, &c.l_ordered.unwrap());
+        let (fp, _, _, plan) = analyze_space(g, &seqs);
+        let tree = tree_of(g);
+        for intern in [false, true] {
+            let mut obs = Obs::new();
+            let (_, s) = Evaluator::new(g, &seqs)
+                .with_interning(intern)
+                .evaluate_with(&tree, &RootInputs::new(), &EvalBudget::default(), &mut obs)
+                .unwrap();
+            let node = [s.visits, s.evals, s.copies].map(|n| n as u64);
+            let node = [
+                node[0],
+                node[1],
+                node[2],
+                obs.metrics.counter("eval.const_hits"),
+            ];
+            assert_eq!(&node, want_node, "{} node run, intern {intern}", g.name());
+            let (_, s) = plan_evaluator(g, &seqs, &fp, &plan)
+                .with_interning(intern)
+                .evaluate(&tree, &RootInputs::new())
+                .unwrap();
+            let got = [
+                s.visits,
+                s.evals,
+                s.copies_skipped,
+                s.max_live_cells,
+                s.final_node_cells,
+            ];
+            assert_eq!(&got, want_plan, "{} plan run, intern {intern}", g.name());
+        }
+    }
+}
+
 /// §2.2: "since with that scheme the only purpose of the tree is to
 /// conduct the evaluator, it needs not be a physical object any more…
 /// attributes evaluation on DAGs (i.e., trees with shared subtrees) comes
@@ -278,12 +392,12 @@ fn dag_evaluation_works_with_global_storage_only() {
     let tree = tb.finish(root);
 
     // The optimized evaluator is correct: 1*2 + 5*2 = 12.
-    let opt = SpaceEvaluator::new(&g, &seqs, &fp, &plan);
-    let got = opt.evaluate(&tree, &RootInputs::new()).unwrap();
+    let (got, _) = plan_evaluator(&g, &seqs, &fp, &plan)
+        .evaluate(&tree, &RootInputs::new())
+        .unwrap();
     let sroot = tree.root();
     assert_eq!(
-        got.node_values
-            .get(&g, sroot, g.attr_by_name(s, "out").unwrap()),
+        got.get(&g, sroot, g.attr_by_name(s, "out").unwrap()),
         Some(&Value::Int(12))
     );
 

@@ -949,6 +949,7 @@ fn enc_fetch(e: &mut Enc, f: &FetchOp) {
             e.u8(3);
             enc_local(e, *l);
         }
+        FetchOp::Variable(_) | FetchOp::Stack { .. } => unreachable!("plans lower at load"),
     }
 }
 
@@ -964,6 +965,7 @@ fn enc_slot(e: &mut Enc, s: &SlotRef) {
             e.u8(1);
             enc_local(e, *l);
         }
+        SlotRef::Variable(_) | SlotRef::Stack(_) => unreachable!("plans lower at load"),
     }
 }
 

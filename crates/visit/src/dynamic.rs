@@ -16,7 +16,7 @@ use fnc2_ag::{
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{Counters, Event, NoopRecorder, Recorder, RuleProfiler};
 
-use crate::exhaustive::{EvalStats, InternMode, RootInputs};
+use crate::exhaustive::{EvalStats, RootInputs};
 use crate::program::InternCtx;
 use crate::rules::{eval_rule, EvalError, Store};
 
@@ -24,7 +24,7 @@ use crate::rules::{eval_rule, EvalError, Store};
 #[derive(Debug)]
 pub struct DynamicEvaluator<'g> {
     grammar: &'g Grammar,
-    intern: InternMode,
+    intern: bool,
 }
 
 /// An attribute instance: an occurrence to evaluate at a node. For
@@ -55,18 +55,14 @@ impl<'g> DynamicEvaluator<'g> {
     pub fn new(grammar: &'g Grammar) -> Self {
         DynamicEvaluator {
             grammar,
-            intern: InternMode::Off,
+            intern: false,
         }
     }
 
     /// Enables or disables hash-cons interning of every stored value
     /// (private per-evaluation table).
     pub fn with_interning(mut self, on: bool) -> Self {
-        self.intern = if on {
-            InternMode::Local
-        } else {
-            InternMode::Off
-        };
+        self.intern = on;
         self
     }
 
@@ -173,7 +169,7 @@ impl<'g> DynamicEvaluator<'g> {
                 .collect()
         };
         let mut in_progress: HashMap<Goal, bool> = HashMap::new();
-        let mut ictx = self.intern.ctx();
+        let mut ictx = self.intern.then(InternCtx::new);
         let mut icounters = Counters::new();
         for (n, a) in all {
             self.demand(
@@ -189,7 +185,7 @@ impl<'g> DynamicEvaluator<'g> {
                 rec,
             )?;
         }
-        stats.to_counters().replay(rec);
+        stats.to_counters(false).replay(rec);
         icounters.replay(rec);
         Ok((values, stats))
     }

@@ -1,93 +1,70 @@
-//! The exhaustive visit-sequence evaluator (paper §2.1.1).
+//! The visit-sequence interpreter (paper §2.1.1, §2.2).
 //!
 //! A deterministic interpreter of the visit-sequences: no run-time
 //! scheduling at all — "as much information as possible about the
 //! evaluation order [is] embodied in the code of the evaluator itself".
-//! Attribute instances live at tree nodes here; the space-optimized
-//! interpreter in `fnc2-space` replaces this storage with global variables
-//! and stacks.
-//!
-//! The hot path executes the slot-compiled programs of
-//! [`CompiledProgram`]: rule lookups, occurrence resolution and constant
-//! clones all happen once, at construction. The pre-compilation
-//! interpretation strategy survives as [`Evaluator::evaluate_reference`],
-//! both as a differential check and as the "before" leg of the hot-path
-//! benchmark.
+//! It runs one op stream per visit (see [`Op`]), lowered under a storage
+//! plan. [`Evaluator::new`] lowers under the *trivial plan*: every
+//! attribute instance lives at its tree node, so every instance is
+//! decorated (exhaustive evaluation). `fnc2-space` lowers a real plan with
+//! [`Evaluator::with_plan`]: global variables, global stacks (below-top
+//! reads at static depths, delayed pops), and eliminated copy rules. The
+//! plan-only bookkeeping (pops, live-cell counts) is compiled out of the
+//! trivial plan's loop.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use fnc2_ag::{
-    AttrId, AttrValues, Grammar, LocalFrames, LocalId, NodeId, ONode, Occ, SharedInterner, Tree,
-    Value,
-};
+use fnc2_ag::{AttrId, AttrValues, Grammar, NodeId, ONode, Occ, ProductionId, Tree, Value};
 use fnc2_guard::{BudgetMeter, EvalBudget};
-use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
+use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler, StorageClass};
 
-use crate::program::{CompiledProgram, InternCtx};
+use crate::program::{at_child, Cells, CompiledProgram, CompiledRule, InternCtx, Op, SlotRef};
 use crate::rules::EvalError;
-use crate::seq::{Instr, VisitSeqs};
-
-/// How an evaluator canonicalizes the values it produces.
-#[derive(Clone, Debug, Default)]
-pub enum InternMode {
-    /// No interning: values are transported as built (the historical
-    /// behavior, and the `--no-intern` escape hatch).
-    #[default]
-    Off,
-    /// A private hash-cons table per evaluation.
-    Local,
-    /// A thread-safe sharded table shared across evaluations (the batch
-    /// driver's workers unify canonical representatives through it; its
-    /// statistics are merged once at join).
-    Shared(Arc<SharedInterner>),
-}
-
-impl InternMode {
-    /// The per-evaluation context for this mode, if interning is on.
-    /// Downstream evaluators (the space runtime, the incremental
-    /// evaluator) call this to share the same backend selection logic.
-    pub fn ctx(&self) -> Option<InternCtx> {
-        match self {
-            InternMode::Off => None,
-            InternMode::Local => Some(InternCtx::local()),
-            InternMode::Shared(table) => Some(InternCtx::shared(Arc::clone(table))),
-        }
-    }
-}
+use crate::seq::VisitSeqs;
 
 /// Counters describing one evaluation run (feed the §4 claims: visit
 /// overhead of partition replacement, copy-rule volume, cell counts).
 ///
-/// A thin view over the shared `fnc2-obs` counter vocabulary: the
-/// evaluator counts into an [`fnc2_obs::Counters`] block and this struct
-/// is materialized from it when the run finishes.
+/// A view over the shared `fnc2-obs` counter vocabulary: a run under the
+/// trivial plan replays it as the `eval.*` keys, a run under a storage
+/// plan as the `space.*` keys (see [`EvalStats::to_counters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of `VISIT` instructions executed (tree-walk volume).
     pub visits: usize,
-    /// Number of `EVAL` instructions executed.
+    /// Number of `EVAL` instructions executed (eliminated copies not
+    /// counted).
     pub evals: usize,
     /// How many executed evaluations were copy rules.
     pub copies: usize,
+    /// Copy rules skipped because the plan eliminated them (0 under the
+    /// trivial plan).
+    pub copies_skipped: usize,
+    /// Maximum number of simultaneously live storage cells: variables,
+    /// stack slots and node slots (counted under a storage plan only).
+    pub max_live_cells: usize,
+    /// Node cells still allocated at the end (counted under a storage
+    /// plan only).
+    pub final_node_cells: usize,
 }
 
 impl EvalStats {
-    /// Extracts the exhaustive-evaluator view from a counter block.
-    pub fn from_counters(c: &Counters) -> EvalStats {
-        EvalStats {
-            visits: c.get(Key::EvalVisits) as usize,
-            evals: c.get(Key::EvalEvals) as usize,
-            copies: c.get(Key::EvalCopies) as usize,
-        }
-    }
-
-    /// Re-expresses this view as a counter block.
-    pub fn to_counters(&self) -> Counters {
+    /// Re-expresses this view as a counter block: the `eval.*` keys for a
+    /// node-storage run, the `space.*` keys for a run under a storage
+    /// `plan`.
+    pub fn to_counters(&self, plan: bool) -> Counters {
         let mut c = Counters::new();
-        c.set(Key::EvalVisits, self.visits as u64);
-        c.set(Key::EvalEvals, self.evals as u64);
-        c.set(Key::EvalCopies, self.copies as u64);
+        if plan {
+            c.set(Key::SpaceVisits, self.visits as u64);
+            c.set(Key::SpaceEvals, self.evals as u64);
+            c.set(Key::SpaceCopiesSkipped, self.copies_skipped as u64);
+            c.set(Key::SpaceMaxLiveCells, self.max_live_cells as u64);
+            c.set(Key::SpaceFinalNodeCells, self.final_node_cells as u64);
+        } else {
+            c.set(Key::EvalVisits, self.visits as u64);
+            c.set(Key::EvalEvals, self.evals as u64);
+            c.set(Key::EvalCopies, self.copies as u64);
+        }
         c
     }
 }
@@ -95,26 +72,10 @@ impl EvalStats {
 /// Values of the root's inherited attributes, supplied by the caller.
 pub type RootInputs = HashMap<AttrId, Value>;
 
-/// A pre-resolved visit-sequence instruction: the rule to run is looked
-/// up once at evaluator-construction time ("as much information as
-/// possible … embodied in the code of the evaluator itself").
-#[derive(Clone, Debug)]
-enum CInstr {
-    Eval {
-        rule: u32,
-        target: ONode,
-    },
-    Visit {
-        child: u16,
-        visit: u16,
-        partition: u16,
-    },
-}
-
-/// The exhaustive visit-sequence evaluator.
+/// The visit-sequence evaluator.
 ///
 /// Construction compiles the grammar's rules into a [`CompiledProgram`]
-/// and the visit-sequences into flat instruction streams; evaluation is
+/// and lowers the visit-sequences into flat op streams; evaluation is
 /// read-only on the evaluator, so a single instance can decorate many
 /// trees concurrently (the `fnc2-par` batch driver shares one `&Evaluator`
 /// across its worker threads).
@@ -123,82 +84,80 @@ pub struct Evaluator<'g> {
     grammar: &'g Grammar,
     seqs: &'g VisitSeqs,
     program: CompiledProgram,
-    /// `compiled[prod][partition][visit-1]` — instruction streams with
-    /// rule indices resolved.
-    compiled: Vec<Vec<Vec<Vec<CInstr>>>>,
-    intern: InternMode,
+    /// `ops[prod][partition][visit-1]` — the lowered op streams.
+    ops: Vec<Vec<Vec<Box<[Op]>>>>,
+    /// Whether `ops` were lowered under a storage plan (not the trivial
+    /// one), and how many global variables and stacks that plan uses.
+    plan: bool,
+    variables: usize,
+    stacks: usize,
+    intern: bool,
+}
+
+/// Installs the op streams of the visit-sequence `key`, one per visit.
+fn install(
+    ops: &mut [Vec<Vec<Box<[Op]>>>],
+    (p, partition): (ProductionId, usize),
+    visits: Vec<Vec<Op>>,
+) {
+    let slot = &mut ops[p.index()];
+    if slot.len() <= partition {
+        slot.resize(partition + 1, Vec::new());
+    }
+    slot[partition] = visits.into_iter().map(Vec::into_boxed_slice).collect();
 }
 
 impl<'g> Evaluator<'g> {
-    /// Creates an evaluator for `grammar` driven by `seqs`, resolving every
-    /// `EVAL` to its rule index up front and slot-compiling every rule.
+    /// Creates an evaluator for `grammar` driven by `seqs`, slot-compiling
+    /// every rule and lowering every sequence under the trivial plan.
     pub fn new(grammar: &'g Grammar, seqs: &'g VisitSeqs) -> Self {
         let program = CompiledProgram::new(grammar);
-        let mut compiled: Vec<Vec<Vec<Vec<CInstr>>>> = vec![Vec::new(); grammar.production_count()];
+        let mut ops = vec![Vec::new(); grammar.production_count()];
         for (p, pi) in seqs.keys() {
-            let seq = seqs.seq(p, pi);
-            let cp = program.production(p);
-            let slot = &mut compiled[p.index()];
-            if slot.len() <= pi {
-                slot.resize(pi + 1, Vec::new());
-            }
-            slot[pi] = seq
+            let visits = seqs
+                .seq(p, pi)
                 .segments
                 .iter()
-                .map(|segment| {
-                    segment
-                        .iter()
-                        .map(|instr| match instr {
-                            Instr::Eval(target) => CInstr::Eval {
-                                rule: cp
-                                    .rule_index(*target)
-                                    .expect("validated grammar defines every output"),
-                                target: *target,
-                            },
-                            Instr::Visit {
-                                child,
-                                visit,
-                                partition,
-                            } => CInstr::Visit {
-                                child: *child,
-                                visit: *visit as u16,
-                                partition: *partition as u16,
-                            },
-                        })
-                        .collect()
-                })
+                .map(|segment| segment.iter().map(|i| program.lower(p, i)).collect())
                 .collect();
+            install(&mut ops, (p, pi), visits);
         }
         Evaluator {
             grammar,
             seqs,
             program,
-            compiled,
-            intern: InternMode::Off,
+            ops,
+            plan: false,
+            variables: 0,
+            stacks: 0,
+            intern: false,
         }
     }
 
-    /// Enables or disables hash-cons interning for this evaluator
-    /// (private per-evaluation table; see [`InternMode`]).
+    /// Replaces the trivial lowering with a storage plan's: `ops` gives,
+    /// per visit-sequence key, each visit's lowered steps, which may read
+    /// and write `variables` global variables and `stacks` global stacks.
+    /// The run then replays the `space.*` counters instead of `eval.*`.
+    pub fn with_plan(
+        mut self,
+        ops: impl IntoIterator<Item = ((ProductionId, usize), Vec<Vec<Op>>)>,
+        variables: usize,
+        stacks: usize,
+    ) -> Self {
+        for (key, visits) in ops {
+            install(&mut self.ops, key, visits);
+        }
+        self.plan = true;
+        self.variables = variables;
+        self.stacks = stacks;
+        self
+    }
+
+    /// Enables or disables hash-cons interning for this evaluator (a
+    /// private table per evaluation).
     pub fn with_interning(mut self, on: bool) -> Self {
-        self.intern = if on {
-            InternMode::Local
-        } else {
-            InternMode::Off
-        };
+        self.intern = on;
         self
-    }
-
-    /// Routes this evaluator's interning through a shared sharded table —
-    /// the batch driver's workers unify canonical values through it.
-    pub fn with_shared_interner(mut self, table: Arc<SharedInterner>) -> Self {
-        self.intern = InternMode::Shared(table);
-        self
-    }
-
-    /// This evaluator's interning mode.
-    pub fn intern_mode(&self) -> &InternMode {
-        &self.intern
     }
 
     /// The slot-compiled rule programs driving this evaluator, shared with
@@ -212,9 +171,11 @@ impl<'g> Evaluator<'g> {
         self.grammar
     }
 
-    /// Evaluates every attribute instance of `tree`, whose root must derive
-    /// the grammar's axiom. `inputs` supplies the root's inherited
-    /// attributes (if any).
+    /// Evaluates `tree`, whose root must derive the grammar's axiom.
+    /// `inputs` supplies the root's inherited attributes (if any). Returns
+    /// the node-stored values: every instance under the trivial plan, the
+    /// plan's node-class instances (always including the root's) under a
+    /// storage plan.
     ///
     /// # Errors
     ///
@@ -233,7 +194,9 @@ impl<'g> Evaluator<'g> {
     /// injected fault, if any, armed), instrumented: counters are replayed
     /// into `rec` when the run finishes, and (when `rec.trace()` is on)
     /// `VisitEnter`/`VisitLeave`/`RuleFired` events are emitted along the
-    /// way. With [`NoopRecorder`] this monomorphizes to the bare loop.
+    /// way, plus `AttrRead` per argument under the trivial plan and
+    /// `AttrStored` with its storage class under a storage plan. With
+    /// [`NoopRecorder`] this monomorphizes to the bare loop.
     ///
     /// # Errors
     ///
@@ -247,36 +210,55 @@ impl<'g> Evaluator<'g> {
         budget: &EvalBudget,
         rec: &mut R,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
+        if self.plan {
+            self.run::<R, true>(tree, inputs, budget, rec)
+        } else {
+            self.run::<R, false>(tree, inputs, budget, rec)
+        }
+    }
+
+    fn run<R: Recorder, const PLAN: bool>(
+        &self,
+        tree: &Tree,
+        inputs: &RootInputs,
+        budget: &EvalBudget,
+        rec: &mut R,
+    ) -> Result<(AttrValues, EvalStats), EvalError> {
+        let g = self.grammar;
         let mut meter = BudgetMeter::new(budget);
-        let mut values = AttrValues::new(self.grammar, tree);
-        let mut locals = LocalFrames::new(self.grammar, tree);
+        let mut cells = Cells {
+            variables: vec![None; self.variables],
+            stacks: vec![Vec::new(); self.stacks],
+            ..Cells::new(g, tree)
+        };
         let mut counters = Counters::new();
+        let mut stats = EvalStats::default();
         let root = tree.root();
-        let root_ph = self.grammar.production(tree.node(root).production()).lhs();
+        let root_ph = g.production(tree.node(root).production()).lhs();
         // Supply the root's inherited attributes up front (its single-visit
         // partition makes them all available at visit 1).
-        for attr in self.grammar.inherited(root_ph) {
+        for attr in g.inherited(root_ph) {
             let v = inputs
                 .get(&attr)
                 .ok_or_else(|| EvalError::MissingRootInput {
-                    what: self.grammar.attr(attr).name().to_string(),
+                    what: g.attr(attr).name().to_string(),
                 })?;
-            values.set(self.grammar, root, attr, v.clone());
+            cells.values.set(g, root, attr, v.clone());
+            cells.grow();
         }
         let visits = self.seqs.partitions_of(root_ph)[0].visit_count();
         let mut buf = Vec::with_capacity(8);
-        let mut ictx = self.intern.ctx();
+        let mut ictx = self.intern.then(InternCtx::new);
+        let label = if PLAN { "space" } else { "exhaustive" };
         for v in 1..=visits {
             if let Some(t) = rec.spans() {
-                t.begin("visit", format!("exhaustive visit {v}/{visits} (root)"));
+                t.begin("visit", format!("{label} visit {v}/{visits} (root)"));
             }
-            let r = self.run_visit(
+            let r = self.run_visit::<R, PLAN>(
                 tree,
-                root,
-                0,
                 v,
-                &mut values,
-                &mut locals,
+                &mut cells,
+                &mut stats,
                 &mut counters,
                 &mut buf,
                 &mut meter,
@@ -293,72 +275,90 @@ impl<'g> Evaluator<'g> {
             }
             r?;
         }
+        if PLAN {
+            stats.max_live_cells = cells.max_live;
+            stats.final_node_cells = cells.values.live_count() + cells.locals.live_count();
+        }
+        counters.merge(&stats.to_counters(PLAN));
         counters.replay(rec);
-        Ok((values, EvalStats::from_counters(&counters)))
+        Ok((cells.values, stats))
     }
 
-    /// Performs visit `visit` of `node` under `partition`, iteratively
-    /// (an explicit frame stack: generated evaluators must digest trees of
-    /// arbitrary depth — list-like programs produce very deep spines).
+    /// Performs visit `visit` of the root, iteratively (an explicit frame
+    /// stack: generated evaluators must digest trees of arbitrary depth —
+    /// list-like programs produce very deep spines). When a child frame
+    /// finishes, the parent resumes at the op after its suspended
+    /// `Op::Visit`, whose delayed pops run first.
     #[allow(clippy::too_many_arguments)]
-    fn run_visit<R: Recorder>(
+    fn run_visit<R: Recorder, const PLAN: bool>(
         &self,
         tree: &Tree,
-        node: NodeId,
-        partition: usize,
         visit: usize,
-        values: &mut AttrValues,
-        locals: &mut LocalFrames,
+        cells: &mut Cells,
+        stats: &mut EvalStats,
         counters: &mut Counters,
         buf: &mut Vec<Value>,
         meter: &mut BudgetMeter,
         ictx: &mut Option<InternCtx>,
         rec: &mut R,
     ) -> Result<(), EvalError> {
-        struct Frame {
+        struct Frame<'a> {
             node: NodeId,
-            partition: usize,
-            visit: usize,
+            p: ProductionId,
+            visit: u16,
+            ops: &'a [Op],
             at: usize,
         }
-        let mut stack = vec![Frame {
-            node,
-            partition,
-            visit,
-            at: 0,
-        }];
-        counters.add(Key::EvalVisits, 1);
-        if rec.trace() {
-            rec.emit(Event::VisitEnter {
-                node: node.index() as u32,
-                production: tree.node(node).production().index() as u32,
-                visit: visit as u16,
-            });
-        }
-        while let Some(frame) = stack.last_mut() {
-            let node = frame.node;
+        let label = if PLAN { "space" } else { "exhaustive" };
+        let frame = |node: NodeId, partition: usize, visit: u16| {
             let p = tree.node(node).production();
-            let segment: &[CInstr] = &self.compiled[p.index()][frame.partition][frame.visit - 1];
-            if frame.at == segment.len() {
+            Frame {
+                node,
+                p,
+                visit,
+                ops: &self.ops[p.index()][partition][visit as usize - 1],
+                at: 0,
+            }
+        };
+        let enter = |rec: &mut R, f: &Frame| {
+            if rec.trace() {
+                rec.emit(Event::VisitEnter {
+                    node: f.node.index() as u32,
+                    production: f.p.index() as u32,
+                    visit: f.visit,
+                });
+            }
+        };
+        let mut stack = vec![frame(tree.root(), 0, visit as u16)];
+        stats.visits += 1;
+        enter(rec, &stack[0]);
+        while let Some(top) = stack.last_mut() {
+            let (node, p) = (top.node, top.p);
+            let ops = top.ops;
+            let Some(op) = ops.get(top.at) else {
                 if rec.trace() {
                     rec.emit(Event::VisitLeave {
                         node: node.index() as u32,
                         production: p.index() as u32,
-                        visit: frame.visit as u16,
+                        visit: top.visit,
                     });
                 }
                 stack.pop();
+                if PLAN {
+                    if let Some(parent) = stack.last() {
+                        if let Op::Visit { pops, .. } = &parent.ops[parent.at - 1] {
+                            cells.pop(pops);
+                        }
+                    }
+                }
                 continue;
-            }
-            let instr = &segment[frame.at];
-            frame.at += 1;
-            match instr {
-                CInstr::Eval { rule, target: _ } => {
-                    meter.step().map_err(|k| {
-                        EvalError::budget(k, format!("exhaustive evaluator, {node}"))
-                    })?;
-                    let rule_ix = *rule;
-                    let cr = &self.program.production(p).rules[rule_ix as usize];
+            };
+            top.at += 1;
+            match op {
+                Op::Eval { rule, code, pops } => {
+                    meter
+                        .step()
+                        .map_err(|k| EvalError::budget(k, format!("{label} evaluator, {node}")))?;
                     let t0 = rec
                         .profiler()
                         .is_some_and(RuleProfiler::should_sample)
@@ -367,11 +367,10 @@ impl<'g> Evaluator<'g> {
                         self.grammar,
                         tree,
                         p,
-                        rule_ix,
-                        cr,
+                        *rule,
+                        code,
                         node,
-                        values,
-                        locals,
+                        cells,
                         buf,
                         counters,
                         ictx.as_mut(),
@@ -379,281 +378,100 @@ impl<'g> Evaluator<'g> {
                     if let Some(prof) = rec.profiler() {
                         prof.record(
                             p.index() as u32,
-                            rule_ix,
+                            *rule,
                             is_copy,
                             t0.map(|t| t.elapsed().as_nanos() as u64),
                         );
                     }
-                    meter.grow_cells(value.cell_count() as u64).map_err(|k| {
-                        EvalError::budget(k, format!("exhaustive evaluator, {node}"))
-                    })?;
-                    counters.add(Key::EvalEvals, 1);
+                    meter
+                        .grow_cells(value.cell_count() as u64)
+                        .map_err(|k| EvalError::budget(k, format!("{label} evaluator, {node}")))?;
+                    stats.evals += 1;
                     if is_copy {
-                        counters.add(Key::EvalCopies, 1);
+                        stats.copies += 1;
                     }
                     if rec.trace() {
-                        rec.emit(Event::RuleFired {
-                            node: node.index() as u32,
-                            production: p.index() as u32,
-                            rule: rule_ix,
-                        });
-                        // One AttrRead per attribute-occurrence argument,
-                        // resolved to the instance actually fetched — the
-                        // lint soundness oracle checks no `L001` attribute
-                        // ever appears here.
-                        let sem = &self.grammar.production(p).rules()[rule_ix as usize];
-                        for n in sem.read_nodes() {
-                            if let fnc2_ag::ONode::Attr(o) = n {
-                                let at = if o.pos == 0 {
-                                    node
-                                } else {
-                                    tree.node(node).children()[o.pos as usize - 1]
-                                };
-                                rec.emit(Event::AttrRead {
-                                    node: at.index() as u32,
-                                    attr: o.attr.index() as u32,
-                                });
-                            }
-                        }
+                        self.trace_eval(tree, node, *rule, code, PLAN, rec);
                     }
-                    cr.slot.store(tree, node, values, locals, value);
+                    if PLAN {
+                        // Dead sources pop before the fresh push (mirrors
+                        // the static simulation).
+                        cells.pop(pops);
+                    }
+                    let fresh = cells.store(tree, node, &code.slot, value);
+                    if PLAN && fresh {
+                        cells.grow();
+                    }
                 }
-                CInstr::Visit {
+                Op::Skip { pops } => {
+                    stats.copies_skipped += 1;
+                    cells.pop(pops);
+                }
+                Op::Visit {
                     child,
                     visit: w,
-                    partition: cpart,
+                    partition,
+                    ..
                 } => {
-                    let c = tree.node(node).children()[*child as usize - 1];
+                    let c = at_child(tree, node, *child);
                     meter
                         .check_depth(stack.len() + 1)
-                        .map_err(|k| EvalError::budget(k, format!("exhaustive evaluator, {c}")))?;
-                    counters.add(Key::EvalVisits, 1);
-                    if rec.trace() {
-                        rec.emit(Event::VisitEnter {
-                            node: c.index() as u32,
-                            production: tree.node(c).production().index() as u32,
-                            visit: *w,
-                        });
-                    }
-                    stack.push(Frame {
-                        node: c,
-                        partition: *cpart as usize,
-                        visit: *w as usize,
-                        at: 0,
-                    });
+                        .map_err(|k| EvalError::budget(k, format!("{label} evaluator, {c}")))?;
+                    stats.visits += 1;
+                    let f = frame(c, *partition as usize, *w);
+                    enter(rec, &f);
+                    stack.push(f);
                 }
             }
         }
         Ok(())
     }
 
-    /// Evaluates `tree` with the *pre-slot-compilation* interpretation
-    /// strategy: per-fetch occurrence resolution over [`fnc2_ag::Arg`],
-    /// per-execution constant clones, and a `(NodeId, LocalId)` hash map
-    /// for production locals. Kept as the "before" leg of the hot-path
-    /// benchmark (`table_throughput`) and as an in-binary differential
-    /// check against the compiled path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Evaluator::evaluate`].
-    pub fn evaluate_reference(
-        &self,
-        tree: &Tree,
-        inputs: &RootInputs,
-    ) -> Result<(AttrValues, EvalStats), EvalError> {
-        let mut values = AttrValues::new(self.grammar, tree);
-        let mut locals: HashMap<(NodeId, LocalId), Value> = HashMap::new();
-        let mut counters = Counters::new();
-        let root = tree.root();
-        let root_ph = self.grammar.production(tree.node(root).production()).lhs();
-        for attr in self.grammar.inherited(root_ph) {
-            let v = inputs
-                .get(&attr)
-                .ok_or_else(|| EvalError::MissingRootInput {
-                    what: self.grammar.attr(attr).name().to_string(),
-                })?;
-            values.set(self.grammar, root, attr, v.clone());
-        }
-        let visits = self.seqs.partitions_of(root_ph)[0].visit_count();
-        let mut buf = Vec::with_capacity(8);
-        let mut meter = BudgetMeter::new(&EvalBudget::default());
-        for v in 1..=visits {
-            self.run_visit_reference(
-                tree,
-                root,
-                0,
-                v,
-                &mut values,
-                &mut locals,
-                &mut counters,
-                &mut buf,
-                &mut meter,
-            )?;
-        }
-        Ok((values, EvalStats::from_counters(&counters)))
-    }
-
-    /// Evaluates one rule the pre-compilation way: resolve each `Arg` on
-    /// the fly, clone constants, hash production locals.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn eval_with_buf(
-        &self,
-        tree: &Tree,
-        rule: &fnc2_ag::SemRule,
-        node: NodeId,
-        values: &AttrValues,
-        locals: &HashMap<(NodeId, LocalId), Value>,
-        buf: &mut Vec<Value>,
-    ) -> Result<(Value, bool), EvalError> {
-        use fnc2_ag::{Arg, RuleBody};
-        let g = self.grammar;
-        let fetch = |arg: &Arg| -> Result<Value, EvalError> {
-            match arg {
-                Arg::Const(v) => Ok(v.clone()),
-                Arg::Token => {
-                    tree.node(node)
-                        .token()
-                        .cloned()
-                        .ok_or_else(|| EvalError::MissingToken {
-                            node,
-                            production: g
-                                .production(tree.node(node).production())
-                                .name()
-                                .to_string(),
-                        })
-                }
-                Arg::Node(ONode::Attr(Occ { pos, attr })) => {
-                    let at = if *pos == 0 {
-                        node
-                    } else {
-                        tree.node(node).children()[*pos as usize - 1]
-                    };
-                    values
-                        .get(g, at, *attr)
-                        .cloned()
-                        .ok_or_else(|| EvalError::MissingValue {
-                            node: at,
-                            what: g.attr(*attr).name().to_string(),
-                        })
-                }
-                Arg::Node(ONode::Local(l)) => {
-                    locals
-                        .get(&(node, *l))
-                        .cloned()
-                        .ok_or_else(|| EvalError::MissingValue {
-                            node,
-                            what: g.production(tree.node(node).production()).locals()[l.index()]
-                                .name()
-                                .to_string(),
-                        })
-                }
-            }
-        };
-        match rule.body() {
-            RuleBody::Copy(arg) => Ok((fetch(arg)?, rule.is_copy())),
-            RuleBody::Call { func, args } => {
-                buf.clear();
-                for a in args {
-                    buf.push(fetch(a)?);
-                }
-                let v = g
-                    .function(*func)
-                    .apply(buf)
-                    .map_err(|e| EvalError::SemanticFailure {
-                        node,
-                        message: e.message,
-                    })?;
-                Ok((v, false))
-            }
-        }
-    }
-
-    /// [`run_visit`](Self::run_visit) with the pre-compilation fetch
-    /// strategy (see [`evaluate_reference`](Self::evaluate_reference)).
-    #[allow(clippy::too_many_arguments)]
-    fn run_visit_reference(
+    /// The trace events of one rule firing: `RuleFired`, then under the
+    /// trivial plan one `AttrRead` per attribute-occurrence argument,
+    /// resolved to the instance actually fetched (the lint soundness
+    /// oracle checks no `L001` attribute ever appears there), and under a
+    /// storage plan the `AttrStored` of an attribute result with its
+    /// storage class.
+    fn trace_eval<R: Recorder>(
         &self,
         tree: &Tree,
         node: NodeId,
-        partition: usize,
-        visit: usize,
-        values: &mut AttrValues,
-        locals: &mut HashMap<(NodeId, LocalId), Value>,
-        counters: &mut Counters,
-        buf: &mut Vec<Value>,
-        meter: &mut BudgetMeter,
-    ) -> Result<(), EvalError> {
-        struct Frame {
-            node: NodeId,
-            partition: usize,
-            visit: usize,
-            at: usize,
-        }
-        let mut stack = vec![Frame {
-            node,
-            partition,
-            visit,
-            at: 0,
-        }];
-        counters.add(Key::EvalVisits, 1);
-        while let Some(frame) = stack.last_mut() {
-            let node = frame.node;
-            let p = tree.node(node).production();
-            let segment: &[CInstr] = &self.compiled[p.index()][frame.partition][frame.visit - 1];
-            if frame.at == segment.len() {
-                stack.pop();
-                continue;
+        rule: u32,
+        code: &CompiledRule,
+        plan: bool,
+        rec: &mut R,
+    ) {
+        let p = tree.node(node).production();
+        rec.emit(Event::RuleFired {
+            node: node.index() as u32,
+            production: p.index() as u32,
+            rule,
+        });
+        if plan {
+            if let ONode::Attr(Occ { pos, attr }) = code.target {
+                let class = match code.slot {
+                    SlotRef::Variable(_) => StorageClass::Global,
+                    SlotRef::Stack(_) => StorageClass::Stack,
+                    SlotRef::Attr { .. } | SlotRef::Local(_) => StorageClass::Node,
+                };
+                rec.emit(Event::AttrStored {
+                    node: at_child(tree, node, pos).index() as u32,
+                    attr: attr.index() as u32,
+                    class,
+                });
             }
-            let instr = &segment[frame.at];
-            frame.at += 1;
-            match instr {
-                CInstr::Eval { rule, target } => {
-                    meter.step().map_err(|k| {
-                        EvalError::budget(k, format!("reference evaluator, {node}"))
-                    })?;
-                    let rule = &self.grammar.production(p).rules()[*rule as usize];
-                    let (value, is_copy) =
-                        self.eval_with_buf(tree, rule, node, values, locals, buf)?;
-                    counters.add(Key::EvalEvals, 1);
-                    if is_copy {
-                        counters.add(Key::EvalCopies, 1);
-                    }
-                    match target {
-                        ONode::Attr(Occ { pos, attr }) => {
-                            let at = if *pos == 0 {
-                                node
-                            } else {
-                                tree.node(node).children()[*pos as usize - 1]
-                            };
-                            values.set(self.grammar, at, *attr, value);
-                        }
-                        ONode::Local(l) => {
-                            locals.insert((node, *l), value);
-                        }
-                    }
-                }
-                CInstr::Visit {
-                    child,
-                    visit: w,
-                    partition: cpart,
-                } => {
-                    let c = tree.node(node).children()[*child as usize - 1];
-                    meter
-                        .check_depth(stack.len() + 1)
-                        .map_err(|k| EvalError::budget(k, format!("reference evaluator, {c}")))?;
-                    counters.add(Key::EvalVisits, 1);
-                    stack.push(Frame {
-                        node: c,
-                        partition: *cpart as usize,
-                        visit: *w as usize,
-                        at: 0,
-                    });
-                }
+            return;
+        }
+        let sem = &self.grammar.production(p).rules()[rule as usize];
+        for n in sem.read_nodes() {
+            if let ONode::Attr(o) = n {
+                rec.emit(Event::AttrRead {
+                    node: at_child(tree, node, o.pos).index() as u32,
+                    attr: o.attr.index() as u32,
+                });
             }
         }
-        Ok(())
     }
 }
 
@@ -811,25 +629,6 @@ mod tests {
         inputs.insert(base, Value::Int(9));
         let (values, _) = ev.evaluate(&tree, &inputs).unwrap();
         assert_eq!(values.get(&g, tree.root(), out), Some(&Value::Int(9)));
-    }
-
-    #[test]
-    fn reference_and_compiled_paths_agree() {
-        let g = binary();
-        let snc = snc_test(&g);
-        let lo = snc_to_l_ordered(&g, &snc, Inclusion::Long).unwrap();
-        let seqs = build_visit_seqs(&g, &lo);
-        let ev = Evaluator::new(&g, &seqs);
-        let tree = bits_tree(&g, "1011011101");
-        let (fast, fast_stats) = ev.evaluate(&tree, &RootInputs::new()).unwrap();
-        let (slow, slow_stats) = ev.evaluate_reference(&tree, &RootInputs::new()).unwrap();
-        assert_eq!(fast_stats, slow_stats);
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(&g, n);
-            for &a in g.phylum(ph).attrs() {
-                assert_eq!(fast.get(&g, n, a), slow.get(&g, n, a), "{n} {a}");
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! * [`build_visit_seqs`] turns the transformation's plans into
 //!   `BEGIN/EVAL/VISIT/LEAVE` visit-sequences ([`VisitSeq`]);
 //! * [`Evaluator`] interprets them deterministically — the production
-//!   evaluator;
+//!   evaluator, with node storage (the trivial plan) or a space plan's
+//!   global variables and stacks;
 //! * [`DynamicEvaluator`] is the demand-driven development-mode evaluator
 //!   ("non-deterministic visit-sequences directly after the SNC test").
 //!
@@ -52,9 +53,10 @@ mod rules;
 mod seq;
 
 pub use dynamic::DynamicEvaluator;
-pub use exhaustive::{EvalStats, Evaluator, InternMode, RootInputs};
+pub use exhaustive::{EvalStats, Evaluator, RootInputs};
 pub use program::{
-    CBody, CompiledProduction, CompiledProgram, CompiledRule, FetchOp, InternCtx, SlotRef,
+    CBody, Cells, CompiledProduction, CompiledProgram, CompiledRule, FetchOp, InternCtx, Op,
+    SlotRef,
 };
 pub use provenance::{dependency_slice, Inst, Slice, SliceStep};
 pub use rules::{eval_rule, eval_rule_resolved, EvalError, Store};

@@ -1,5 +1,5 @@
-//! Slot-compiled rule programs — the shared "compiled hot path" of the
-//! evaluator cascade.
+//! Slot-compiled rule programs and the lowered op stream — the one
+//! compiled hot path of the evaluator cascade.
 //!
 //! The generated evaluators of FNC-2 are ordinary compiled code: an
 //! attribute access in the C back-end is a struct-field load, not a lookup
@@ -10,8 +10,12 @@
 //! location fully resolved — constants interned into a shared pool, node
 //! attributes reduced to `(child position, slot offset)` pairs addressing
 //! the flat [`AttrValues`] arena, production locals reduced to frame slots
-//! in [`LocalFrames`](fnc2_ag::LocalFrames). The exhaustive, space-optimized
-//! and incremental evaluators all execute these programs, so none of them
+//! in [`LocalFrames`]. Each visit-sequence instruction is then lowered to
+//! an [`Op`] carrying its rule already compiled. A storage plan (paper
+//! §2.2, computed by `fnc2-space`) only rewrites those ops: reads and
+//! writes of global variables and stacks, eliminated copies, scheduled
+//! pops. The visit-sequence interpreter and the incremental evaluator both
+//! execute rules through [`CompiledProgram::exec_rule`], so none of them
 //! pays per-evaluation rule lookups, occurrence resolution, or constant
 //! deep-clones.
 
@@ -20,91 +24,51 @@ use std::sync::Arc;
 
 use fnc2_ag::{
     Arg, AttrId, AttrValues, FuncId, Grammar, Interner, LocalFrames, LocalId, MemoCache, MemoKey,
-    NodeId, ONode, Occ, ProductionId, RuleBody, SharedInterner, Tree, Value,
+    NodeId, ONode, Occ, ProductionId, RuleBody, Tree, Value,
 };
 use fnc2_obs::{Counters, Key};
 
 use crate::rules::EvalError;
+use crate::seq::Instr;
 
-/// The hash-cons backend of an [`InternCtx`]: a private per-evaluation
-/// table, or a thread-safe sharded table shared by the batch workers.
-#[derive(Debug)]
-enum InternBackend {
-    Local(Interner),
-    Shared(Arc<SharedInterner>),
-}
-
-/// The per-evaluation interning context: a hash-cons backend plus the
-/// `(rule, canonical argument ids) → result` memo cache.
+/// The per-evaluation interning context: a private hash-cons table plus
+/// the `(rule, canonical argument ids) → result` memo cache.
 ///
 /// When an evaluator runs with one of these, every value a rule produces
 /// or transports is canonicalized, so structural equality downstream
 /// (most importantly the incremental cutoff) is id comparison, and
 /// repeated applications of a pure semantic function to bitwise-equal
 /// arguments are served from the memo cache without calling the function.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct InternCtx {
-    backend: InternBackend,
+    table: Interner,
     memo: MemoCache,
 }
 
 impl InternCtx {
-    /// A context with a private (single-threaded) intern table.
-    pub fn local() -> InternCtx {
-        InternCtx {
-            backend: InternBackend::Local(Interner::new()),
-            memo: MemoCache::new(),
-        }
-    }
-
-    /// A context backed by a shared sharded table; the memo cache stays
-    /// worker-private (hits on it are free wins, misses are just calls).
-    pub fn shared(table: Arc<SharedInterner>) -> InternCtx {
-        InternCtx {
-            backend: InternBackend::Shared(table),
-            memo: MemoCache::new(),
-        }
+    /// A context with an empty table and an empty memo cache.
+    pub fn new() -> InternCtx {
+        InternCtx::default()
     }
 
     /// Canonicalizes `v`; returns the representative and whether its
     /// identity is stable (pinned by the table) and therefore usable in
-    /// memo keys and O(1) equality cuts. Local-table statistics stream
-    /// into `counters`; shared-table statistics are merged once at batch
-    /// join (see [`SharedInterner::stats`]).
+    /// memo keys and O(1) equality cuts. Table statistics stream into
+    /// `counters`.
     pub fn intern(&mut self, v: Value, counters: &mut Counters) -> (Value, bool) {
-        match &mut self.backend {
-            InternBackend::Local(it) => {
-                let before = it.stats();
-                let v = it.intern(v);
-                let after = it.stats();
-                counters.add(Key::EvalInternHits, after.hits - before.hits);
-                counters.add(Key::EvalInternMisses, after.misses - before.misses);
-                counters.raise(Key::EvalInternSize, after.len);
-                let stable = it.is_stable(&v);
-                (v, stable)
-            }
-            InternBackend::Shared(sh) => {
-                let v = sh.intern(v);
-                let stable = sh.is_stable(&v);
-                (v, stable)
-            }
-        }
+        let before = self.table.stats();
+        let v = self.table.intern(v);
+        let after = self.table.stats();
+        counters.add(Key::EvalInternHits, after.hits - before.hits);
+        counters.add(Key::EvalInternMisses, after.misses - before.misses);
+        counters.raise(Key::EvalInternSize, after.len);
+        let stable = self.table.is_stable(&v);
+        (v, stable)
     }
 
     /// True when `v`'s identity is stable for this context's lifetime.
     pub fn is_stable(&self, v: &Value) -> bool {
-        match &self.backend {
-            InternBackend::Local(it) => it.is_stable(v),
-            InternBackend::Shared(sh) => sh.is_stable(v),
-        }
-    }
-
-    /// Current occupancy of the backing intern table.
-    pub fn occupancy(&self) -> u64 {
-        match &self.backend {
-            InternBackend::Local(it) => it.len() as u64,
-            InternBackend::Shared(sh) => sh.stats().len,
-        }
+        self.table.is_stable(v)
     }
 
     fn memo_get(&mut self, key: &MemoKey, counters: &mut Counters) -> Option<Value> {
@@ -141,6 +105,15 @@ pub enum FetchOp {
     },
     /// A production-local attribute of the node's frame.
     Local(LocalId),
+    /// A storage plan's global variable.
+    Variable(u32),
+    /// A storage plan's global stack, read `depth` cells below its top.
+    Stack {
+        /// The stack read.
+        id: u32,
+        /// Cells between the value and the top (0 = the top itself).
+        depth: u32,
+    },
 }
 
 /// A pre-resolved store target: where a rule's result goes.
@@ -157,33 +130,10 @@ pub enum SlotRef {
     },
     /// A production-local slot in the node's frame.
     Local(LocalId),
-}
-
-impl SlotRef {
-    /// Stores `value` into this slot for a rule applied at `node`.
-    #[inline]
-    pub fn store(
-        &self,
-        tree: &Tree,
-        node: NodeId,
-        values: &mut AttrValues,
-        locals: &mut LocalFrames,
-        value: Value,
-    ) {
-        match *self {
-            SlotRef::Attr { child, off, .. } => {
-                let at = if child == 0 {
-                    node
-                } else {
-                    tree.node(node).children()[child as usize - 1]
-                };
-                values.set_slot(at, off as usize, value);
-            }
-            SlotRef::Local(l) => {
-                locals.set(node, l, value);
-            }
-        }
-    }
+    /// A storage plan's global variable (overwritten in place).
+    Variable(u32),
+    /// A storage plan's global stack (pushed).
+    Stack(u32),
 }
 
 /// The compiled body of a semantic rule.
@@ -215,12 +165,127 @@ pub struct CompiledRule {
     pub is_copy: bool,
 }
 
+/// One lowered visit-sequence instruction: what the interpreter executes.
+///
+/// `pops` lists the storage plan's global stacks (by id, possibly
+/// repeated) to pop once the step is done; for a `Visit`, once the child
+/// returns. Under the trivial plan every op reads and writes node storage
+/// and `pops` is empty.
+#[derive(Clone, Debug)]
+pub enum Op {
+    /// `EVAL`: run rule `rule` of the production, compiled with the plan's
+    /// reads and write, and store its result.
+    Eval {
+        /// Rule index within the production (for profiling and tracing).
+        rule: u32,
+        /// The rule with its storage resolved (shared with the program's
+        /// copy under the trivial plan).
+        code: Arc<CompiledRule>,
+        /// Stacks popped after the rule's reads, before its write.
+        pops: Box<[u32]>,
+    },
+    /// An `EVAL` of a copy rule the plan eliminated: its source and target
+    /// share storage, so only the scheduled pops remain.
+    Skip {
+        /// Stacks popped.
+        pops: Box<[u32]>,
+    },
+    /// `VISIT`: perform visit `visit` of child `child` under `partition`.
+    Visit {
+        /// 1-based child position.
+        child: u16,
+        /// 1-based visit number on the child.
+        visit: u16,
+        /// The child's partition.
+        partition: u16,
+        /// Stacks popped when the child returns.
+        pops: Box<[u32]>,
+    },
+}
+
+/// Attribute storage for one run: the tree-node arenas, plus a storage
+/// plan's global variables and stacks and the live-cell count its
+/// statistics report. Under the trivial plan only the node arenas are used.
+#[derive(Debug, Default)]
+pub struct Cells {
+    /// Attribute slots at tree nodes.
+    pub values: AttrValues,
+    /// Production-local frames at tree nodes.
+    pub locals: LocalFrames,
+    pub(crate) variables: Vec<Option<Value>>,
+    pub(crate) stacks: Vec<Vec<Value>>,
+    pub(crate) live: usize,
+    pub(crate) max_live: usize,
+}
+
+impl Cells {
+    /// Empty node storage for `tree`, with no global variables or stacks.
+    pub fn new(grammar: &Grammar, tree: &Tree) -> Cells {
+        Cells {
+            values: AttrValues::new(grammar, tree),
+            locals: LocalFrames::new(grammar, tree),
+            ..Cells::default()
+        }
+    }
+
+    /// Stores `value` into `slot` for a rule applied at `node`. Returns
+    /// true when the store occupied a fresh cell (a push always does).
+    #[inline(always)]
+    pub(crate) fn store(
+        &mut self,
+        tree: &Tree,
+        node: NodeId,
+        slot: &SlotRef,
+        value: Value,
+    ) -> bool {
+        match *slot {
+            SlotRef::Attr { child, off, .. } => self
+                .values
+                .set_slot(at_child(tree, node, child), off as usize, value)
+                .is_none(),
+            SlotRef::Local(l) => self.locals.set(node, l, value).is_none(),
+            SlotRef::Variable(id) => self.variables[id as usize].replace(value).is_none(),
+            SlotRef::Stack(id) => {
+                self.stacks[id as usize].push(value);
+                true
+            }
+        }
+    }
+
+    /// Counts one more live cell, raising the high-water mark.
+    pub(crate) fn grow(&mut self) {
+        self.live += 1;
+        self.max_live = self.max_live.max(self.live);
+    }
+
+    /// Runs a step's scheduled pops.
+    pub(crate) fn pop(&mut self, stacks: &[u32]) {
+        for &id in stacks {
+            self.stacks[id as usize]
+                .pop()
+                .expect("scheduled pop finds a value");
+            self.live -= 1;
+        }
+    }
+}
+
+/// The node an occurrence at position `child` of the production applied
+/// at `node` lives at (0 = `node` itself).
+#[inline(always)]
+pub(crate) fn at_child(tree: &Tree, node: NodeId, child: u16) -> NodeId {
+    if child == 0 {
+        node
+    } else {
+        tree.node(node).children()[child as usize - 1]
+    }
+}
+
 /// The compiled rules of one production, indexed like
 /// [`Production::rules`](fnc2_ag::Production::rules).
 #[derive(Clone, Debug, Default)]
 pub struct CompiledProduction {
     /// Compiled rules, parallel to the production's declared rule order.
-    pub rules: Vec<CompiledRule>,
+    pub rules: Vec<Arc<CompiledRule>>,
     rule_of: HashMap<ONode, u32>,
 }
 
@@ -288,12 +353,12 @@ impl CompiledProgram {
                     },
                 };
                 cp.rule_of.insert(target, i as u32);
-                cp.rules.push(CompiledRule {
+                cp.rules.push(Arc::new(CompiledRule {
                     target,
                     slot,
                     body,
                     is_copy: rule.is_copy(),
-                });
+                }));
             }
             prods.push(cp);
         }
@@ -311,6 +376,34 @@ impl CompiledProgram {
         &self.consts
     }
 
+    /// Lowers one instruction of production `p`'s visit-sequences under the
+    /// trivial plan: the rule reads and writes node storage, nothing pops.
+    pub fn lower(&self, p: ProductionId, instr: &Instr) -> Op {
+        match *instr {
+            Instr::Eval(target) => {
+                let cp = self.production(p);
+                let rule = cp
+                    .rule_index(target)
+                    .expect("validated grammar defines every output");
+                Op::Eval {
+                    rule,
+                    code: Arc::clone(&cp.rules[rule as usize]),
+                    pops: Box::default(),
+                }
+            }
+            Instr::Visit {
+                child,
+                visit,
+                partition,
+            } => Op::Visit {
+                child,
+                visit: visit as u16,
+                partition: partition as u16,
+                pops: Box::default(),
+            },
+        }
+    }
+
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn fetch(
@@ -320,8 +413,7 @@ impl CompiledProgram {
         p: ProductionId,
         node: NodeId,
         op: &FetchOp,
-        values: &AttrValues,
-        locals: &LocalFrames,
+        cells: &Cells,
         counters: &mut Counters,
     ) -> Result<Value, EvalError> {
         match op {
@@ -339,12 +431,9 @@ impl CompiledProgram {
                     })
             }
             FetchOp::Attr { child, attr, off } => {
-                let at = if *child == 0 {
-                    node
-                } else {
-                    tree.node(node).children()[*child as usize - 1]
-                };
-                values
+                let at = at_child(tree, node, *child);
+                cells
+                    .values
                     .get_slot(at, *off as usize)
                     .cloned()
                     .ok_or_else(|| EvalError::MissingValue {
@@ -353,7 +442,8 @@ impl CompiledProgram {
                     })
             }
             FetchOp::Local(l) => {
-                locals
+                cells
+                    .locals
                     .get(node, *l)
                     .cloned()
                     .ok_or_else(|| EvalError::MissingValue {
@@ -361,11 +451,29 @@ impl CompiledProgram {
                         what: grammar.production(p).locals()[l.index()].name().to_string(),
                     })
             }
+            FetchOp::Variable(id) => {
+                cells.variables[*id as usize]
+                    .clone()
+                    .ok_or_else(|| EvalError::MissingValue {
+                        node,
+                        what: format!("global variable {id}"),
+                    })
+            }
+            FetchOp::Stack { id, depth } => {
+                let s = &cells.stacks[*id as usize];
+                s.len()
+                    .checked_sub(*depth as usize + 1)
+                    .map(|i| s[i].clone())
+                    .ok_or_else(|| EvalError::MissingValue {
+                        node,
+                        what: format!("global stack {id} at depth {depth}"),
+                    })
+            }
         }
     }
 
     /// Executes rule `rule` of production `p` applied at `node`, reading
-    /// attribute slots from `values` and locals from `locals`. Returns the
+    /// its arguments from `cells`. Returns the
     /// computed value and whether the rule was a copy rule. `buf` is a
     /// reusable argument buffer; `counters` accumulates
     /// [`Key::EvalConstHits`]. With an [`InternCtx`], every produced value
@@ -384,21 +492,18 @@ impl CompiledProgram {
         p: ProductionId,
         rule: u32,
         node: NodeId,
-        values: &AttrValues,
-        locals: &LocalFrames,
+        cells: &Cells,
         buf: &mut Vec<Value>,
         counters: &mut Counters,
         ictx: Option<&mut InternCtx>,
     ) -> Result<(Value, bool), EvalError> {
         let cr = &self.prods[p.index()].rules[rule as usize];
-        self.exec_rule(
-            grammar, tree, p, rule, cr, node, values, locals, buf, counters, ictx,
-        )
+        self.exec_rule(grammar, tree, p, rule, cr, node, cells, buf, counters, ictx)
     }
 
     /// [`eval_rule`](Self::eval_rule) with the [`CompiledRule`] already in
-    /// hand — the inner interpreter loops look the rule up once and reuse
-    /// it for both execution and the slot store, so this is forced inline.
+    /// hand — the interpreter's ops carry it, lowered under their storage
+    /// plan, for both execution and the store, so this is forced inline.
     ///
     /// # Errors
     ///
@@ -413,15 +518,14 @@ impl CompiledProgram {
         rule: u32,
         cr: &CompiledRule,
         node: NodeId,
-        values: &AttrValues,
-        locals: &LocalFrames,
+        cells: &Cells,
         buf: &mut Vec<Value>,
         counters: &mut Counters,
         ictx: Option<&mut InternCtx>,
     ) -> Result<(Value, bool), EvalError> {
         match &cr.body {
             CBody::Copy(op) => {
-                let v = self.fetch(grammar, tree, p, node, op, values, locals, counters)?;
+                let v = self.fetch(grammar, tree, p, node, op, cells, counters)?;
                 let v = match ictx {
                     Some(ictx) => ictx.intern(v, counters).0,
                     None => v,
@@ -431,7 +535,7 @@ impl CompiledProgram {
             CBody::Call { func, args } => {
                 buf.clear();
                 for op in args {
-                    buf.push(self.fetch(grammar, tree, p, node, op, values, locals, counters)?);
+                    buf.push(self.fetch(grammar, tree, p, node, op, cells, counters)?);
                 }
                 if let Some(ictx) = ictx {
                     // Canonicalize the argument vector; copy-rule transport

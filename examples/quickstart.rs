@@ -67,10 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The space-optimized evaluator computes the same thing with far
     // fewer live cells.
-    let outcome = compiled.evaluate_optimized(&tree, &Default::default())?;
+    let (_, opt) = compiled.evaluate_optimized(&tree, &Default::default())?;
     println!(
         "optimized: max {} live cells (tree storage would hold {} instances)",
-        outcome.stats.max_live_cells,
+        opt.max_live_cells,
         values.live_count()
     );
     Ok(())

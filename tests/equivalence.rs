@@ -39,7 +39,7 @@ fn binary_evaluators_agree() {
         let (b, _) = DynamicEvaluator::new(g)
             .evaluate(&tree, &RootInputs::new())
             .unwrap();
-        let c = compiled
+        let (c, _) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .unwrap();
         let number = g.phylum_by_name("Number").unwrap();
@@ -51,7 +51,7 @@ fn binary_evaluators_agree() {
             );
             assert_eq!(
                 a.get(g, tree.root(), *attr),
-                c.node_values.get(g, tree.root(), *attr),
+                c.get(g, tree.root(), *attr),
                 "bits {bits}"
             );
         }
@@ -94,7 +94,7 @@ fn blocks_evaluators_agree() {
         let (b, _) = DynamicEvaluator::new(g)
             .evaluate(&tree, &RootInputs::new())
             .unwrap();
-        let c = compiled
+        let (c, _) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .unwrap();
         let prog = g.phylum_by_name("Prog").unwrap();
@@ -106,7 +106,7 @@ fn blocks_evaluators_agree() {
         );
         assert_eq!(
             a.get(g, tree.root(), errors),
-            c.node_values.get(g, tree.root(), errors),
+            c.get(g, tree.root(), errors),
             "spec {spec}"
         );
     }
@@ -129,7 +129,7 @@ fn minipascal_evaluators_agree() {
         let (b, _) = DynamicEvaluator::new(g)
             .evaluate(&tree, &RootInputs::new())
             .unwrap();
-        let c = compiled
+        let (c, _) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .unwrap();
         for (n, _) in tree.preorder() {
@@ -138,7 +138,7 @@ fn minipascal_evaluators_agree() {
                 assert_eq!(a.get(g, n, *attr), b.get(g, n, *attr), "blocks {blocks}");
                 // The space plan keeps node storage only where needed, so
                 // compare wherever the optimized run materialized a value.
-                if let Some(v) = c.node_values.get(g, n, *attr) {
+                if let Some(v) = c.get(g, n, *attr) {
                     assert_eq!(a.get(g, n, *attr), Some(v), "blocks {blocks}");
                 }
             }
@@ -178,14 +178,14 @@ fn pathological_evaluators_agree() {
         let (b, _) = DynamicEvaluator::new(g)
             .evaluate(&tree, &RootInputs::new())
             .unwrap();
-        let c = compiled
+        let (c, _) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .unwrap();
         for (n, _) in tree.preorder() {
             let ph = tree.phylum(g, n);
             for attr in g.phylum(ph).attrs() {
                 assert_eq!(a.get(g, n, *attr), b.get(g, n, *attr), "{name}");
-                if let Some(v) = c.node_values.get(g, n, *attr) {
+                if let Some(v) = c.get(g, n, *attr) {
                     assert_eq!(a.get(g, n, *attr), Some(v), "{name}");
                 }
             }
@@ -288,15 +288,12 @@ fn batch_driver_is_deterministic_across_thread_counts() {
 
 // ---------------------------------------------------------------------------
 // Hash-consed evaluation vs. plain, across batch thread counts: interning
-// (local per-worker tables or one shared sharded table) must be invisible
-// in every value and every stats block
+// (a private table per evaluation) must be invisible in every value and
+// every stats block
 // ---------------------------------------------------------------------------
 
 #[test]
 fn interned_batch_matches_plain_across_thread_counts() {
-    use std::sync::Arc;
-
-    use fnc2::ag::SharedInterner;
     use fnc2::guard::EvalBudget;
     use fnc2::par::{batch_evaluate_guarded, TreeOutcome};
     use fnc2::visit::Evaluator;
@@ -336,33 +333,30 @@ fn interned_batch_matches_plain_across_thread_counts() {
             .map(|t| plain.evaluate(t, &inputs).expect("plain evaluation"))
             .collect();
 
-        let local = Evaluator::new(g, &compiled.seqs).with_interning(true);
-        let shared = Evaluator::new(g, &compiled.seqs)
-            .with_shared_interner(Arc::new(SharedInterner::new(8)));
-        for (backend, ev) in [("local", &local), ("shared", &shared)] {
-            for threads in [1usize, 2, 4, 8] {
-                let budget = EvalBudget::default();
-                let report = batch_evaluate_guarded(ev, &trees, &inputs, threads, &budget, 0, None);
-                for (i, o) in report.outcomes.iter().enumerate() {
-                    let TreeOutcome::Ok(vals, stats) = o else {
-                        panic!("{corpus}/{backend} tree {i}: interned batch {}", o.label());
-                    };
-                    let (ref_vals, ref_stats) = &reference[i];
-                    assert_eq!(
-                        stats, ref_stats,
-                        "{corpus}/{backend} tree {i} at {threads} threads: stats diverge"
-                    );
-                    for (n, _) in trees[i].preorder() {
-                        let ph = trees[i].phylum(g, n);
-                        for &attr in g.phylum(ph).attrs() {
-                            assert_eq!(
-                                vals.get(g, n, attr),
-                                ref_vals.get(g, n, attr),
-                                "{corpus}/{backend} tree {i} at {threads} threads: \
-                                 node {n:?} attr {} diverges",
-                                g.attr(attr).name()
-                            );
-                        }
+        let interned = Evaluator::new(g, &compiled.seqs).with_interning(true);
+        for threads in [1usize, 2, 4, 8] {
+            let budget = EvalBudget::default();
+            let report =
+                batch_evaluate_guarded(&interned, &trees, &inputs, threads, &budget, 0, None);
+            for (i, o) in report.outcomes.iter().enumerate() {
+                let TreeOutcome::Ok(vals, stats) = o else {
+                    panic!("{corpus} tree {i}: interned batch {}", o.label());
+                };
+                let (ref_vals, ref_stats) = &reference[i];
+                assert_eq!(
+                    stats, ref_stats,
+                    "{corpus} tree {i} at {threads} threads: stats diverge"
+                );
+                for (n, _) in trees[i].preorder() {
+                    let ph = trees[i].phylum(g, n);
+                    for &attr in g.phylum(ph).attrs() {
+                        assert_eq!(
+                            vals.get(g, n, attr),
+                            ref_vals.get(g, n, attr),
+                            "{corpus} tree {i} at {threads} threads: \
+                             node {n:?} attr {} diverges",
+                            g.attr(attr).name()
+                        );
                     }
                 }
             }
@@ -524,14 +518,10 @@ fn deep_chain_evaluates_under_all_four_evaluators() {
         .unwrap();
     assert_eq!(b.get(g, tree.root(), out), Some(&want), "dynamic");
 
-    let c = compiled
+    let (c, _) = compiled
         .evaluate_optimized(&tree, &RootInputs::new())
         .unwrap();
-    assert_eq!(
-        c.node_values.get(g, tree.root(), out),
-        Some(&want),
-        "space-optimized"
-    );
+    assert_eq!(c.get(g, tree.root(), out), Some(&want), "space-optimized");
 
     let inc = IncrementalEvaluator::new(g, fnc2_corpus::chain_tree(g, LINKS), Equality::default())
         .unwrap();
@@ -560,14 +550,10 @@ fn wide_flat_tree_evaluates_under_all_four_evaluators() {
         .unwrap();
     assert_eq!(b.get(g, tree.root(), out), Some(&want), "dynamic");
 
-    let c = compiled
+    let (c, _) = compiled
         .evaluate_optimized(&tree, &RootInputs::new())
         .unwrap();
-    assert_eq!(
-        c.node_values.get(g, tree.root(), out),
-        Some(&want),
-        "space-optimized"
-    );
+    assert_eq!(c.get(g, tree.root(), out), Some(&want), "space-optimized");
 
     let inc = IncrementalEvaluator::new(g, fnc2_corpus::flat_tree(g), Equality::default()).unwrap();
     assert_eq!(
@@ -593,14 +579,10 @@ fn balloon_grammar_agrees_while_in_budget() {
         .evaluate(&tree, &RootInputs::new())
         .unwrap();
     assert_eq!(b.get(g, tree.root(), out), Some(&want), "dynamic");
-    let c = compiled
+    let (c, _) = compiled
         .evaluate_optimized(&tree, &RootInputs::new())
         .unwrap();
-    assert_eq!(
-        c.node_values.get(g, tree.root(), out),
-        Some(&want),
-        "space-optimized"
-    );
+    assert_eq!(c.get(g, tree.root(), out), Some(&want), "space-optimized");
     let inc = IncrementalEvaluator::new(
         g,
         fnc2_corpus::balloon_tree(g, DOUBLINGS),

@@ -50,7 +50,7 @@ fn synthetic_profiles_compile_and_evaluate() {
         let tree = corpus::synthetic_tree(&compiled.grammar, p, 300, 42);
         let (plain, stats) = compiled.evaluate(&tree, &RootInputs::new()).unwrap();
         assert!(stats.evals > 0, "{}", p.name);
-        let opt = compiled
+        let (opt, _) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .unwrap();
         // Root outputs agree between plain and optimized.
@@ -58,7 +58,7 @@ fn synthetic_profiles_compile_and_evaluate() {
         for attr in compiled.grammar.synthesized(root_ph) {
             assert_eq!(
                 plain.get(&compiled.grammar, tree.root(), attr),
-                opt.node_values.get(&compiled.grammar, tree.root(), attr),
+                opt.get(&compiled.grammar, tree.root(), attr),
                 "{}: root attr {}",
                 p.name,
                 compiled.grammar.attr(attr).name()

@@ -44,7 +44,7 @@ fn evaluators_agree_on_random_grammars() {
         let (demand, _) = DynamicEvaluator::new(g)
             .evaluate(&tree, &RootInputs::new())
             .expect("demand");
-        let opt = compiled
+        let (opt, opt_stats) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .expect("optimized");
 
@@ -68,7 +68,7 @@ fn evaluators_agree_on_random_grammars() {
         for attr in g.synthesized(root_ph) {
             assert_eq!(
                 plain.get(g, tree.root(), attr),
-                opt.node_values.get(g, tree.root(), attr),
+                opt.get(g, tree.root(), attr),
                 "root attr {} (profile {:?})",
                 g.attr(attr).name(),
                 profile
@@ -76,8 +76,8 @@ fn evaluators_agree_on_random_grammars() {
         }
         // Storage accounting: final node-resident cells never exceed tree
         // storage; the high-water mark never exceeds total instances.
-        assert!(opt.stats.final_node_cells <= plain.live_count());
-        assert!(opt.stats.max_live_cells <= plain.live_count());
+        assert!(opt_stats.final_node_cells <= plain.live_count());
+        assert!(opt_stats.max_live_cells <= plain.live_count());
     }
 }
 
