@@ -73,9 +73,7 @@ pub struct InternStats {
 
 /// A hash-consing intern table for [`Value`]s.
 ///
-/// Not thread-safe — evaluators own one per evaluation (or per
-/// evaluator lifetime, for the incremental evaluator whose cutoff compares
-/// ids across edits).
+/// Not thread-safe — an evaluator that interns owns one per evaluation.
 #[derive(Debug)]
 pub struct Interner {
     /// Canonical values bucketed by shallow structural hash.

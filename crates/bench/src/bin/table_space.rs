@@ -69,11 +69,7 @@ fn main() {
             format!("{:.2}x", plan_speedup(c, tree)),
         ]);
     };
-    let compile = |g| {
-        let mut c = Pipeline::new().compile(g).expect("compiles");
-        c.intern = false;
-        c
-    };
+    let compile = |g| Pipeline::new().compile(g).expect("compiles");
 
     // Binary on growing bit strings.
     let c = compile(corpus::binary());

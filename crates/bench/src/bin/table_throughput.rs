@@ -1,7 +1,7 @@
 //! Throughput scaling of the slot-compiled evaluator, sequentially and
 //! under the work-stealing batch driver.
 //!
-//! Two tables, two claims:
+//! One table per claim:
 //!
 //! * **eval_hotpath** — the slot-compiled visit-sequence interpreter
 //!   (node storage, the trivial plan) on its own, plus a **guarded** leg
@@ -19,15 +19,6 @@
 //!   which re-runs only the OLGA front end and deserializes the Figure-3
 //!   cascade results) against rerunning the full generator cascade
 //!   (`Pipeline::compile_olga`) on the same source.
-//! * **incremental** — an edit-script replay over a deep env-threading
-//!   chain, the hash-consed evaluator (O(1) identity cutoff + memoized
-//!   semantic functions) against the same evaluator with interning off
-//!   (`--no-intern`): the plain leg rebuilds and deep-compares an
-//!   O(depth)-sized trace at every spine level (O(depth²) per wave), the
-//!   interned leg answers each level from the memo cache in O(1) once the
-//!   script's values have been seen. Both legs replay the same script and
-//!   are checked for identical values *and* identical Changed/Unchanged
-//!   wave statistics before timing.
 //! * **checkpoint** — the crash-consistency tax: the same guarded batch
 //!   with and without the append-only checkpoint journal
 //!   (`batch_evaluate_checkpointed_recorded`: one checksummed 25-byte record per
@@ -43,14 +34,11 @@
 //! Run with `cargo run --release --bin table_throughput -p fnc2-bench`.
 //! Set `FNC2_BENCH_JSON` to also write `BENCH_eval_hotpath.json`,
 //! `BENCH_throughput.json`, `BENCH_startup.json`,
-//! `BENCH_incremental.json`, `BENCH_checkpoint.json` and
-//! `BENCH_lint.json`.
+//! `BENCH_checkpoint.json` and `BENCH_lint.json`.
 
 use std::time::{Duration, Instant};
 
-use fnc2::ag::{Grammar, GrammarBuilder, NodeId, Occ, Tree, TreeBuilder, Value};
 use fnc2::guard::EvalBudget;
-use fnc2::incremental::{Equality, IncrementalEvaluator, IncrementalStats};
 use fnc2::obs::NoopRecorder;
 use fnc2::visit::{Evaluator, RootInputs};
 use fnc2::Pipeline;
@@ -78,91 +66,6 @@ fn time_n<F: FnMut()>(n: usize, mut f: F) -> Duration {
         .collect();
     times.sort_unstable();
     times[times.len() / 2]
-}
-
-/// The edit-replay grammar: a unary chain threading a synthesized `trace`
-/// list upward. Every level prepends its level number, so the trace at
-/// level *n* has *n + 1* cells and two traces that differ only in the leaf
-/// token differ in their **last** element — a plain structural comparison
-/// scans the whole list before failing. A second synthesized `size`
-/// attribute (the trace length) is recomputed on every wave but never
-/// changes, so propagation cuts there — the table's cut-rate column.
-fn replay_grammar() -> Grammar {
-    let mut g = GrammarBuilder::new("replay-chain");
-    let s = g.phylum("S");
-    let e = g.phylum("E");
-    let total = g.syn(s, "total");
-    let trace = g.syn(e, "trace");
-    let size = g.syn(e, "size");
-    g.func("stepf", 1, |a| {
-        let xs = a[0].as_list();
-        let mut out = Vec::with_capacity(xs.len() + 1);
-        out.push(Value::Int(xs.len() as i64));
-        out.extend(xs.iter().cloned());
-        Value::list(out)
-    });
-    g.func("lenf", 1, |a| Value::Int(a[0].as_list().len() as i64));
-    let root = g.production("root", s, &[e]);
-    g.copy(root, Occ::lhs(total), Occ::new(1, trace));
-    let chain = g.production("chain", e, &[e]);
-    g.call(chain, Occ::lhs(trace), "stepf", [Occ::new(1, trace).into()]);
-    g.call(chain, Occ::lhs(size), "lenf", [Occ::new(1, trace).into()]);
-    let leaf = g.production("leaf", e, &[]);
-    g.copy(leaf, Occ::lhs(trace), fnc2::ag::Arg::Token);
-    g.call(leaf, Occ::lhs(size), "lenf", [Occ::lhs(trace).into()]);
-    g.finish().expect("replay grammar is well-defined")
-}
-
-/// A chain of `depth` `chain` nodes over one leaf carrying `tok`.
-fn chain_tree(g: &Grammar, depth: usize, tok: i64) -> Tree {
-    let mut tb = TreeBuilder::new(g);
-    let leaf = g.production_by_name("leaf").unwrap();
-    let mut n = tb
-        .node_with_token(leaf, &[], Some(Value::list([Value::Int(tok)])))
-        .unwrap();
-    for _ in 0..depth {
-        n = tb.op("chain", &[n]).unwrap();
-    }
-    let root = tb.op("root", &[n]).unwrap();
-    tb.finish_root(root).unwrap()
-}
-
-/// A single replacement leaf carrying `tok`.
-fn leaf_sub(g: &Grammar, tok: i64) -> Tree {
-    let mut tb = TreeBuilder::new(g);
-    let leaf = g.production_by_name("leaf").unwrap();
-    let n = tb
-        .node_with_token(leaf, &[], Some(Value::list([Value::Int(tok)])))
-        .unwrap();
-    tb.finish(n)
-}
-
-/// The (only) leaf of the current tree — re-found each wave, since subtree
-/// replacement allocates a fresh node id.
-fn find_leaf(inc: &IncrementalEvaluator<'_>) -> NodeId {
-    inc.tree()
-        .preorder()
-        .find(|&(n, _)| inc.tree().node(n).children().is_empty())
-        .map(|(n, _)| n)
-        .expect("chain has a leaf")
-}
-
-/// Replays the toggle edit script: `waves` leaf replacements alternating
-/// between two token values, so from the third wave on every value the
-/// interned leg computes has been seen before. Returns the summed wave
-/// statistics.
-fn replay(inc: &mut IncrementalEvaluator<'_>, subs: &[Tree; 2], waves: usize) -> IncrementalStats {
-    let mut total = IncrementalStats::default();
-    for w in 0..waves {
-        let at = find_leaf(inc);
-        let s = inc
-            .replace_subtree(at, &subs[w % 2])
-            .expect("replay wave evaluates");
-        total.reevaluated += s.reevaluated;
-        total.changed += s.changed;
-        total.cut += s.cut;
-    }
-    total
 }
 
 fn main() {
@@ -346,95 +249,7 @@ fn main() {
         println!("wrote {}\n", p.display());
     }
 
-    // ---- Part 4: incremental edit replay — interned vs plain. ----------
-    println!("Incremental: edit-script replay, hash-consed vs plain (per-replay times)\n");
-    let inc_headers = [
-        "AG",
-        "instances",
-        "waves",
-        "plain",
-        "interned",
-        "speedup",
-        "cut rate",
-        "memo hits",
-    ];
-    let mut inc_rows = Vec::new();
-    let g = replay_grammar();
-    let waves = 4;
-    for depth in [64usize, 128, 256] {
-        let tree = chain_tree(&g, depth, 1);
-        let mut interned =
-            IncrementalEvaluator::new(&g, tree.clone(), Equality::default()).expect("evaluates");
-        let mut plain = IncrementalEvaluator::with_inputs(
-            &g,
-            tree,
-            RootInputs::new(),
-            Equality::default(),
-            EvalBudget::default(),
-            false,
-        )
-        .expect("evaluates");
-        assert!(interned.interning() && !plain.interning());
-        let subs = [leaf_sub(&g, 7), leaf_sub(&g, 8)];
-        let instances = interned.instance_count();
-
-        // Differential guard: both legs must march through the script with
-        // identical values *and* identical Changed/Unchanged statistics —
-        // the speedup is never bought with a divergence.
-        let si = replay(&mut interned, &subs, waves);
-        let sp = replay(&mut plain, &subs, waves);
-        assert_eq!(si, sp, "depth {depth}: interned and plain waves diverge");
-        let s_ph = interned.tree().root();
-        let p_ph = plain.tree().root();
-        let s = g.phylum_by_name("S").unwrap();
-        let total_attr = g.attr_by_name(s, "total").unwrap();
-        assert_eq!(
-            interned.value(s_ph, total_attr),
-            plain.value(p_ph, total_attr),
-            "depth {depth}: interned and plain root values diverge"
-        );
-
-        let t_plain = time_n(reps, || {
-            std::hint::black_box(replay(&mut plain, &subs, waves));
-        });
-        let t_int = time_n(reps, || {
-            std::hint::black_box(replay(&mut interned, &subs, waves));
-        });
-
-        // One more recorded replay on the (now fully warm) interned leg for
-        // the cut-rate and memo-hit columns.
-        let mut obs = fnc2::obs::Obs::new();
-        let mut warm = IncrementalStats::default();
-        for w in 0..waves {
-            let at = find_leaf(&interned);
-            let s = interned
-                .replace_subtrees_recorded(vec![(at, subs[w % 2].clone())], &mut obs)
-                .expect("recorded wave evaluates");
-            warm.reevaluated += s.reevaluated;
-            warm.changed += s.changed;
-            warm.cut += s.cut;
-        }
-        inc_rows.push(vec![
-            format!("chain-{depth}"),
-            instances.to_string(),
-            waves.to_string(),
-            format!("{:.1}µs", t_plain.as_secs_f64() * 1e6),
-            format!("{:.1}µs", t_int.as_secs_f64() * 1e6),
-            format!("{:.2}x", t_plain.as_secs_f64() / t_int.as_secs_f64()),
-            format!("{:.3}", warm.cut as f64 / warm.reevaluated as f64),
-            obs.metrics.counter("eval.memo_hits").to_string(),
-        ]);
-    }
-    println!("{}", render_table(&inc_headers, &inc_rows));
-    if let Some(p) = maybe_emit_json("incremental", &inc_headers, &inc_rows) {
-        println!("wrote {}", p.display());
-    }
-    println!("Expected shape: the plain leg rebuilds and deep-compares an O(depth) trace at");
-    println!("every spine level (O(depth²) per wave); once the toggle script's values have");
-    println!("been seen, the interned leg serves each level from the memo cache and decides");
-    println!("the cutoff by identity, so its replay time grows linearly with depth.\n");
-
-    // ---- Part 5: checkpointed batch — the crash-consistency tax. -------
+    // ---- Part 4: checkpointed batch — the crash-consistency tax. -------
     println!("Checkpoint: guarded batch vs checkpointed batch (journal overhead)\n");
     let ckpt_headers = [
         "AG",
@@ -564,7 +379,7 @@ fn main() {
     println!("evaluation, dominated by re-walking the decoration) plus a small per-batch");
     println!("constant — never a per-tree fsync.");
 
-    // ---- Part 6: lint — the static-analysis pass priced. ---------------
+    // ---- Part 5: lint — the static-analysis pass priced. ---------------
     println!("\nLint: grammar-level static analyses vs. the full generator cascade\n");
     let lint_headers = ["AG", "findings", "full compile", "lint pass", "share"];
     let mut lint_rows = Vec::new();

@@ -654,6 +654,30 @@ mod tests {
     }
 
     #[test]
+    fn handwritten_minipascal_matches_generated_on_undeclared_names() {
+        // An assignment to an undeclared name is reported once, as
+        // "undeclared", not again as a type mismatch against `?`.
+        let compiled = fnc2::Pipeline::new()
+            .compile_olga(fnc2_corpus::MINIPASCAL_OLGA)
+            .unwrap();
+        let g = &compiled.grammar;
+        let prog = g.phylum_by_name("Prog").unwrap();
+        for body in ["b := 1", "b := a + 1; a := b", "b := c"] {
+            let src = format!("program p;\nvar a : integer;\nbegin\n  {body}\nend.\n");
+            let tree = fnc2_corpus::parse_minipascal(g, &src).unwrap();
+            let (vals, _) = compiled.evaluate(&tree, &Default::default()).unwrap();
+            let strings = |name: &str| -> Vec<String> {
+                let attr = g.attr_by_name(prog, name).unwrap();
+                let list = vals.get(g, tree.root(), attr).unwrap().as_list();
+                list.iter().map(|v| v.as_str().to_string()).collect()
+            };
+            let (code, errs) = handwritten_minipascal(g, &tree);
+            assert_eq!(strings("code"), code, "{body}");
+            assert_eq!(strings("errs"), errs, "{body}");
+        }
+    }
+
+    #[test]
     fn table_renders() {
         let t = render_table(
             &["a", "bb"],

@@ -193,7 +193,7 @@ fn load_inner(
         space_plan,
         lint,
         report,
-        intern: pipeline.intern,
+        intern: false,
     })
 }
 

@@ -34,8 +34,6 @@
 //! --metrics            print phase times and counters (stderr for c/lisp/seqs)
 //! --trace[=N]          capture an event trace (ring of N entries, default 4096)
 //! --chrome-trace FILE  write a Chrome trace-event JSON (open in Perfetto)
-//! --no-intern          disable hash-consed value interning (on by default;
-//!                      the escape hatch for differential comparison)
 //! ```
 //!
 //! Tables flags (mutually exclusive):
@@ -159,8 +157,6 @@ struct Opts {
     cache_dir: Option<String>,
     /// `--emit-tables FILE` (compile command only): artifact destination.
     emit_tables: Option<String>,
-    /// `--no-intern`: disable hash-consed value interning.
-    no_intern: bool,
     budget: EvalBudget,
     /// `--deny warnings` (lint).
     deny_warnings: bool,
@@ -243,11 +239,6 @@ const FLAGS: &[Flag] = &[
         name: "--emit-tables",
         kind: Kind::Path("file", |o, p| o.emit_tables = Some(p)),
         cmds: &[Compile],
-    },
-    Flag {
-        name: "--no-intern",
-        kind: Kind::Switch(|o| o.no_intern = true),
-        cmds: &[Report, C, Lisp, Seqs, Compile, Profile, Explain, Batch],
     },
     Flag {
         name: "--max-steps",
@@ -378,25 +369,23 @@ const FLAGS: &[Flag] = &[
 /// exactly the flags `FLAGS` accepts for it.
 fn usage() -> String {
     "usage: fnc2c [report] [--metrics] [--trace[=N]] [--report json|text] \
-     [--chrome-trace FILE] [--tables FILE | --cache-dir DIR] [--no-intern] [budget flags] \
+     [--chrome-trace FILE] [--tables FILE | --cache-dir DIR] [budget flags] \
      <file.olga | ->\n\
      \u{20}      fnc2c <c|lisp|seqs> [--metrics] [--trace[=N]] [--chrome-trace FILE] \
-     [--tables FILE | --cache-dir DIR] [--no-intern] <file.olga | ->\n\
+     [--tables FILE | --cache-dir DIR] <file.olga | ->\n\
      \u{20}      fnc2c check [--chrome-trace FILE] <file.olga | ->\n\
-     \u{20}      fnc2c compile --emit-tables FILE [--no-intern] [--chrome-trace FILE] \
-     <file.olga | ->\n\
+     \u{20}      fnc2c compile --emit-tables FILE [--chrome-trace FILE] <file.olga | ->\n\
      \u{20}      fnc2c lint [--deny warnings] [--report json|text] \
      [--tables FILE | --cache-dir DIR] <file.olga | ->\n\
      \u{20}      fnc2c profile [--repeat N] [--sample-every N] [--top N] [--report json|text] \
-     [--tables FILE | --cache-dir DIR] [--no-intern] [budget flags] <file.olga | ->\n\
+     [--tables FILE | --cache-dir DIR] [budget flags] <file.olga | ->\n\
      \u{20}      fnc2c explain [--trace[=N]] [--report json|text] \
-     [--tables FILE | --cache-dir DIR] [--no-intern] <[Phylum.]attr@node> \
-     <file.olga | ->\n\
+     [--tables FILE | --cache-dir DIR] <[Phylum.]attr@node> <file.olga | ->\n\
      \u{20}      fnc2c fuzz [--seed N] [--cases N] [--front N] [--fault N] [--crash N] \
      [--lint N] [--no-shrink]\n\
      \u{20}      fnc2c batch [--seed N] [--grammars N] [--trees N] [--threads N] \
      [--repeat N] [--retries N] [--fault-seed N] [--metrics] [--chrome-trace FILE] \
-     [--no-intern] [--checkpoint FILE [--resume]] [--backoff-ms N] [budget flags]\n\
+     [--checkpoint FILE [--resume]] [--backoff-ms N] [budget flags]\n\
      \u{20}      fnc2c cache-gc <dir>\n\
      budget flags: --max-steps N --max-depth N --max-value-bytes N --deadline-ms N"
         .to_string()
@@ -689,12 +678,12 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
             Ok(out)
         }
         Compile => {
-            let compiled = compile(source, opts, obs)?;
+            let compiled = compile(source, obs)?;
             let out_path = opts
                 .emit_tables
                 .as_deref()
                 .expect("required by check_flags");
-            let pipeline = pipeline(opts);
+            let pipeline = Pipeline::new();
             let bytes = fnc2::artifact::emit_tables(&compiled, &pipeline, source);
             write_artifact(out_path, &bytes)?;
             let fp = fnc2::tables::fingerprint_source(source, &pipeline.tables_config());
@@ -955,8 +944,8 @@ fn run_fuzz(opts: &Opts) -> ExitCode {
 
 /// FNV-1a over everything that determines a batch's work-list and
 /// outcomes. The checkpoint journal is bound to this, so `--resume`
-/// against a different seed, shape, fault plan, interning mode, or
-/// budget is rejected instead of silently skipping the wrong trees.
+/// against a different seed, shape, fault plan or budget is rejected
+/// instead of silently skipping the wrong trees.
 fn batch_fingerprint(opts: &Opts, grammars: u64, trees: usize) -> u64 {
     let budget = &opts.budget;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -967,7 +956,6 @@ fn batch_fingerprint(opts: &Opts, grammars: u64, trees: usize) -> u64 {
         &(trees as u64).to_le_bytes(),
         &[u8::from(opts.fault_seed.is_some())],
         &opts.fault_seed.unwrap_or(0).to_le_bytes(),
-        &[u8::from(opts.no_intern)],
         &budget.max_steps.to_le_bytes(),
         &(budget.max_depth as u64).to_le_bytes(),
         &budget.max_value_cells.to_le_bytes(),
@@ -1072,7 +1060,7 @@ fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
             ))
         })?;
         let seqs = fnc2::visit::build_visit_seqs(g, lo);
-        let ev = fnc2::visit::Evaluator::new(g, &seqs).with_interning(!opts.no_intern);
+        let ev = fnc2::visit::Evaluator::new(g, &seqs);
         let batch: Vec<fnc2::ag::Tree> = (0..trees)
             .map(|t| {
                 let tp = fnc2::fuzz::CaseParams {
@@ -1212,16 +1200,8 @@ fn pipeline_diag(e: PipelineError) -> CliError {
     }
 }
 
-/// The pipeline configuration honoring `--no-intern`.
-fn pipeline(opts: &Opts) -> Pipeline {
-    Pipeline {
-        intern: !opts.no_intern,
-        ..Pipeline::new()
-    }
-}
-
-fn compile(source: &str, opts: &Opts, obs: &mut Obs) -> Result<Compiled, CliError> {
-    pipeline(opts)
+fn compile(source: &str, obs: &mut Obs) -> Result<Compiled, CliError> {
+    Pipeline::new()
         .compile_olga_recorded(source, obs)
         .map_err(pipeline_diag)
 }
@@ -1236,7 +1216,7 @@ fn compile_via(source: &str, opts: &Opts, obs: &mut Obs) -> Result<Compiled, Cli
 
     if let Some(path) = &opts.tables {
         let bytes = std::fs::read(path).map_err(|e| diag(format!("fnc2c: {path}: {e}")))?;
-        match artifact::load_tables_recorded(&bytes, source, &pipeline(opts), obs) {
+        match artifact::load_tables_recorded(&bytes, source, &Pipeline::new(), obs) {
             Ok(compiled) => {
                 obs.count(Key::TablesCacheHit, 1);
                 return Ok(compiled);
@@ -1247,17 +1227,17 @@ fn compile_via(source: &str, opts: &Opts, obs: &mut Obs) -> Result<Compiled, Cli
                 eprintln!("fnc2c: warning: ignoring tables artifact {path}: {e}; recompiling");
             }
         }
-        compile(source, opts, obs)
+        compile(source, obs)
     } else if let Some(dir) = &opts.cache_dir {
         let (compiled, outcome) =
-            artifact::compile_olga_cached(&pipeline(opts), source, std::path::Path::new(dir), obs)
+            artifact::compile_olga_cached(&Pipeline::new(), source, std::path::Path::new(dir), obs)
                 .map_err(pipeline_diag)?;
         if let CacheOutcome::Rejected(e) = outcome {
             eprintln!("fnc2c: warning: rejected cached tables artifact: {e}; recompiled");
         }
         Ok(compiled)
     } else {
-        compile(source, opts, obs)
+        compile(source, obs)
     }
 }
 

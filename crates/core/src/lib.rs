@@ -81,9 +81,6 @@ pub struct Pipeline {
     pub inclusion: Inclusion,
     /// Whether to run the space optimizer.
     pub optimize_space: bool,
-    /// Whether the generated evaluators hash-cons the values they build
-    /// (the `--no-intern` escape hatch turns this off).
-    pub intern: bool,
 }
 
 impl Default for Pipeline {
@@ -92,7 +89,6 @@ impl Default for Pipeline {
             max_oag_k: 1,
             inclusion: Inclusion::Long,
             optimize_space: true,
-            intern: true,
         }
     }
 }
@@ -206,8 +202,10 @@ pub struct Compiled {
     pub lint: fnc2_lint::LintReport,
     /// The generator's summary.
     pub report: Report,
-    /// Whether the evaluators hash-cons the values they build (on by
-    /// default; `--no-intern` turns it off).
+    /// The hash-consing setting for callers that build their own
+    /// [`Evaluator`]: pass it to [`Evaluator::with_interning`]. Always
+    /// `false` after compile and table load. The evaluation methods of
+    /// this type never intern.
     pub intern: bool,
 }
 
@@ -238,9 +236,7 @@ impl Compiled {
         tree: &Tree,
         inputs: &RootInputs,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
-        Evaluator::new(&self.grammar, &self.seqs)
-            .with_interning(self.intern)
-            .evaluate(tree, inputs)
+        Evaluator::new(&self.grammar, &self.seqs).evaluate(tree, inputs)
     }
 
     /// Evaluates `tree` under the space plan; only node-stored values return.
@@ -262,9 +258,7 @@ impl Compiled {
             .space_plan
             .as_ref()
             .expect("space optimization enabled");
-        fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan)
-            .with_interning(self.intern)
-            .evaluate(tree, inputs)
+        fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan).evaluate(tree, inputs)
     }
 
     /// [`evaluate`](Self::evaluate), instrumented: run counters are
@@ -280,9 +274,12 @@ impl Compiled {
         inputs: &RootInputs,
         rec: &mut R,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
-        Evaluator::new(&self.grammar, &self.seqs)
-            .with_interning(self.intern)
-            .evaluate_with(tree, inputs, &EvalBudget::default(), rec)
+        Evaluator::new(&self.grammar, &self.seqs).evaluate_with(
+            tree,
+            inputs,
+            &EvalBudget::default(),
+            rec,
+        )
     }
 
     /// Runs the generated evaluators once on a minimal derivation of the
@@ -304,7 +301,7 @@ impl Compiled {
             inputs.insert(attr, Value::Int(0));
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let ev = Evaluator::new(&self.grammar, &self.seqs).with_interning(self.intern);
+            let ev = Evaluator::new(&self.grammar, &self.seqs);
             match ev.evaluate_with(&tree, &inputs, budget, rec) {
                 Ok(_) => SmokeOutcome::Ok,
                 Err(EvalError::SemanticFailure { message, .. }) => {
@@ -319,7 +316,6 @@ impl Compiled {
             if let (Some(fp), Some(plan)) = (self.flat.as_ref(), self.space_plan.as_ref()) {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
                     let _ = fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan)
-                        .with_interning(self.intern)
                         .evaluate_with(&tree, &inputs, budget, rec);
                 }));
             }
@@ -605,7 +601,7 @@ impl Pipeline {
             space_plan,
             lint,
             report,
-            intern: self.intern,
+            intern: false,
         })
     }
 

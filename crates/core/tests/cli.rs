@@ -247,7 +247,7 @@ fn conflicting_flags_are_diagnostics() {
         &["c", "--report", "json", "-"],
         &["seqs", "--max-steps", "5", "-"],
         &["compile", "--emit-tables", "x.tbl", "--metrics", "-"],
-        &["check", "--no-intern", "-"],
+        &["check", "--no-shrink", "-"],
         // numbers out of their target type's range.
         &["batch", "--retries", "4294967297"],
         &["profile", "--sample-every", "4294967296", "-"],
@@ -258,6 +258,42 @@ fn conflicting_flags_are_diagnostics() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("fnc2c:"), "{args:?}: {err}");
     }
+}
+
+/// The `eval.intern_*` and `eval.memo_hits` lines of a `--metrics` block
+/// whose count is not zero.
+fn interning_counters(metrics: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(metrics)
+        .lines()
+        .filter(|l| l.starts_with("eval.intern_") || l.starts_with("eval.memo_hits"))
+        .filter(|l| l.split_whitespace().nth(1) != Some("0"))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn no_product_entry_point_interns() {
+    let src = fnc2_corpus::MINIPASCAL_OLGA;
+    let pipeline = fnc2::Pipeline::new();
+    let compiled = pipeline.compile_olga(src).unwrap();
+    assert!(!compiled.intern);
+    let bytes = fnc2::artifact::emit_tables(&compiled, &pipeline, src);
+    let loaded = fnc2::artifact::load_tables(&bytes, src, &pipeline).unwrap();
+    assert!(!loaded.intern);
+
+    // `report` prints its metrics on stdout, `batch` on stderr.
+    let report = run_with_stdin(&["report", "--metrics", "-"], src);
+    assert!(report.status.success());
+    assert!(String::from_utf8_lossy(&report.stdout).contains("eval.evals"));
+    assert_eq!(interning_counters(&report.stdout), Vec::<String>::new());
+    let batch = fnc2c()
+        .args(["batch", "--seed", "0", "--grammars", "2", "--trees", "16"])
+        .arg("--metrics")
+        .output()
+        .unwrap();
+    assert!(batch.status.success());
+    assert!(String::from_utf8_lossy(&batch.stderr).contains("eval.evals"));
+    assert_eq!(interning_counters(&batch.stderr), Vec::<String>::new());
 }
 
 /// Strips the one line that legitimately differs between a full compile

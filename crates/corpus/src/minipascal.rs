@@ -74,7 +74,8 @@ attribute grammar minipascal;
   function tyof(e : env, k : string) : string =
     if bound(e, k) then case lookup(e, k) of (_, ty) => ty end else "?" end;
   function expect(got : string, want : string, what : string) : list of string =
-    if got = want or got = "?" then [] else [what ++ ": expected " ++ want ++ ", got " ++ got] end;
+    if got = want or got = "?" or want = "?" then []
+    else [what ++ ": expected " ++ want ++ ", got " ++ got] end;
 
   for program {
     Decls.base := 0;

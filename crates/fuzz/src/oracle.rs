@@ -330,47 +330,18 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
     }
 
     // ---- Incremental evaluator under random edit scripts. --------------
-    // Two instances march through the same edit script: one interned (the
-    // default, with the O(1) identity cutoff and the memo cache) and one
-    // with interning off (the `--no-intern` deep-equality path). Their
-    // values AND their Changed/Unchanged status sets must agree exactly.
+    // After every edit, every instance must match a from-scratch
+    // re-evaluation of the edited tree.
     let mut inc = IncrementalEvaluator::new(g, tree.clone(), Equality::default())
         .map_err(|e| div("incremental", format!("initial evaluation failed: {e}")))?;
-    let mut inc_plain = IncrementalEvaluator::with_inputs(
-        g,
-        tree.clone(),
-        RootInputs::new(),
-        Equality::default(),
-        budget,
-        false,
-    )
-    .map_err(|e| {
-        div(
-            "incremental",
-            format!("initial uninterned evaluation failed: {e}"),
-        )
-    })?;
-    debug_assert!(inc.interning() && !inc_plain.interning());
     let mut rng = Rng::seed_from_u64(params.seed ^ 0x0ed1_7000);
     for edit in 0..params.edits {
         let (at, sub) = match pick_edit(&gg, &mut rng, inc.tree()) {
             Some(e) => e,
             None => break,
         };
-        let wave = inc
-            .replace_subtree(at, &sub)
+        inc.replace_subtree(at, &sub)
             .map_err(|e| div("incremental", format!("edit {edit} failed: {e}")))?;
-        let wave_plain = inc_plain
-            .replace_subtree(at, &sub)
-            .map_err(|e| div("incremental", format!("uninterned edit {edit} failed: {e}")))?;
-        if wave != wave_plain {
-            return Err(div(
-                "incremental-intern-vs-plain",
-                format!(
-                    "after edit {edit}: interned wave {wave:?} != uninterned wave {wave_plain:?}"
-                ),
-            ));
-        }
         let (want, _) = DynamicEvaluator::new(g)
             .evaluate(inc.tree(), &inputs)
             .map_err(|e| div("incremental", format!("re-evaluation failed: {e}")))?;
@@ -386,17 +357,6 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
                             inc.value(n, attr),
                             want.get(g, n, attr),
                             divergence_slice(g, &ev, inc.tree(), &inputs, n, attr)
-                        ),
-                    ));
-                }
-                if inc_plain.value(n, attr) != inc.value(n, attr) {
-                    return Err(div(
-                        "incremental-intern-vs-plain",
-                        format!(
-                            "after edit {edit}: node {n:?} attr {}: interned {:?}, uninterned {:?}",
-                            g.attr(attr).name(),
-                            inc.value(n, attr),
-                            inc_plain.value(n, attr)
                         ),
                     ));
                 }

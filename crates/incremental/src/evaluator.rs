@@ -14,7 +14,7 @@ use fnc2_ag::{
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
-use fnc2_visit::{Cells, CompiledProgram, EvalError, InternCtx, RootInputs};
+use fnc2_visit::{Cells, CompiledProgram, EvalError, RootInputs};
 
 use crate::status::Equality;
 
@@ -63,11 +63,6 @@ pub struct IncrementalEvaluator<'g> {
     inputs: RootInputs,
     eq: Equality,
     budget: EvalBudget,
-    /// The hash-cons context, owned for the evaluator's whole lifetime so
-    /// canonical identities stay comparable across edit waves (the O(1)
-    /// cutoff compares a value interned in one wave with one interned in a
-    /// later wave). `None` disables interning (`--no-intern`).
-    ictx: Option<InternCtx>,
 }
 
 /// An attribute or local instance.
@@ -79,29 +74,19 @@ enum Inst {
 
 impl<'g> IncrementalEvaluator<'g> {
     /// Fully evaluates `tree` (which must have no root inherited
-    /// attributes) and takes ownership of it, with interning on and the
-    /// default [`EvalBudget`].
+    /// attributes) and takes ownership of it, under the default
+    /// [`EvalBudget`].
     ///
     /// # Errors
     ///
     /// Fails if the tree's instances are circular or a token is missing.
     pub fn new(grammar: &'g Grammar, tree: Tree, eq: Equality) -> Result<Self, EvalError> {
-        Self::with_inputs(
-            grammar,
-            tree,
-            RootInputs::new(),
-            eq,
-            EvalBudget::default(),
-            true,
-        )
+        Self::with_inputs(grammar, tree, RootInputs::new(), eq, EvalBudget::default())
     }
 
     /// Like [`new`](Self::new), but supplies the root's inherited
-    /// attributes, an explicit [`EvalBudget`] (which also governs every
-    /// later edit wave) and whether to hash-cons values. With interning
-    /// and the default structural [`Equality`] the change cutoff is an
-    /// O(1) identity comparison and semantic functions are memoized;
-    /// `intern: false` is the `--no-intern` differential escape hatch.
+    /// attributes and an explicit [`EvalBudget`] (which also governs every
+    /// later edit wave).
     ///
     /// # Errors
     ///
@@ -113,7 +98,6 @@ impl<'g> IncrementalEvaluator<'g> {
         inputs: RootInputs,
         eq: Equality,
         budget: EvalBudget,
-        intern: bool,
     ) -> Result<Self, EvalError> {
         let mut this = IncrementalEvaluator {
             grammar,
@@ -123,12 +107,10 @@ impl<'g> IncrementalEvaluator<'g> {
             inputs,
             eq,
             budget,
-            ictx: intern.then(InternCtx::new),
         };
         this.cells = Cells::new(grammar, &this.tree);
         let root = this.tree.root();
         let root_ph = grammar.production(this.tree.node(root).production()).lhs();
-        let mut icounters = Counters::new();
         for attr in grammar.inherited(root_ph) {
             let v = this
                 .inputs
@@ -137,10 +119,6 @@ impl<'g> IncrementalEvaluator<'g> {
                     what: grammar.attr(attr).name().to_string(),
                 })?
                 .clone();
-            let v = match &mut this.ictx {
-                Some(ictx) => ictx.intern(v, &mut icounters).0,
-                None => v,
-            };
             this.cells.values.set(grammar, root, attr, v);
         }
         let mut stats = IncrementalStats::default();
@@ -161,43 +139,12 @@ impl<'g> IncrementalEvaluator<'g> {
         self.budget = budget;
     }
 
-    /// True when this evaluator hash-conses its values.
-    pub fn interning(&self) -> bool {
-        self.ictx.is_some()
-    }
-
     /// Decides whether `old` and `new` are the same value for the change
-    /// cutoff. Identity equality short-circuits first (two live values
+    /// cutoff. Identity equality short-circuits first: two live values
     /// with one identity are the same allocation, and any reflexive
-    /// equality accepts them); with interning and the default structural
-    /// equality, two *stable* values with distinct identities are known
-    /// different in O(1) — no deep traversal in either direction.
+    /// equality accepts them.
     fn values_same(&self, old: &Value, new: &Value) -> bool {
-        if old.ident() == new.ident() {
-            return true;
-        }
-        if self.eq.is_structural() {
-            if let Some(ictx) = &self.ictx {
-                if ictx.is_stable(old) && ictx.is_stable(new) {
-                    return false;
-                }
-            }
-            old == new
-        } else {
-            self.eq.same(old, new)
-        }
-    }
-
-    /// Canonicalizes `v` when interning is on (setup paths outside the
-    /// compiled rule programs).
-    fn intern_value(&mut self, v: Value) -> Value {
-        match &mut self.ictx {
-            Some(ictx) => {
-                let mut scratch = Counters::new();
-                ictx.intern(v, &mut scratch).0
-            }
-            None => v,
-        }
+        old.ident() == new.ident() || self.eq.same(old, new)
     }
 
     /// The decorated tree.
@@ -300,9 +247,7 @@ impl<'g> IncrementalEvaluator<'g> {
                 // Replacing the root: supply the root inputs.
                 for a in g.inherited(ph) {
                     if let Some(v) = self.inputs.get(&a) {
-                        let v = v.clone();
-                        let v = self.intern_value(v);
-                        self.cells.values.set(g, new_root, a, v);
+                        self.cells.values.set(g, new_root, a, v.clone());
                     }
                 }
             }
@@ -427,9 +372,7 @@ impl<'g> IncrementalEvaluator<'g> {
         if self.tree.node(at).parent().is_none() {
             for a in g.inherited(ph) {
                 if let Some(v) = self.inputs.get(&a) {
-                    let v = v.clone();
-                    let v = self.intern_value(v);
-                    self.cells.values.set(g, at, a, v);
+                    self.cells.values.set(g, at, a, v.clone());
                 }
             }
         }
@@ -689,8 +632,6 @@ impl<'g> IncrementalEvaluator<'g> {
     /// Recomputes an instance's value through the slot-compiled program,
     /// replaying fetch counters into `rec` and — when profiling or tracing
     /// is on — attributing the firing to its `(production, rule)` pair.
-    /// With interning on, the result is canonical and the memo cache may
-    /// answer without firing the semantic function at all.
     fn compute_instance<R: Recorder>(
         &mut self,
         inst: Inst,
@@ -719,7 +660,6 @@ impl<'g> IncrementalEvaluator<'g> {
             &self.cells,
             &mut buf,
             &mut counters,
-            self.ictx.as_mut(),
         )?;
         counters.replay(rec);
         if let Some(prof) = rec.profiler() {

@@ -30,7 +30,6 @@ type EqImpl = Arc<dyn Fn(&Value, &Value) -> bool + Send + Sync>;
 #[derive(Clone)]
 pub struct Equality {
     eq: EqImpl,
-    structural: bool,
 }
 
 impl Equality {
@@ -40,32 +39,19 @@ impl Equality {
     /// value): the evaluator takes bitwise-identical old/new values as
     /// unchanged without consulting it.
     pub fn new(eq: impl Fn(&Value, &Value) -> bool + Send + Sync + 'static) -> Self {
-        Equality {
-            eq: Arc::new(eq),
-            structural: false,
-        }
+        Equality { eq: Arc::new(eq) }
     }
 
     /// Applies the comparison.
     pub fn same(&self, a: &Value, b: &Value) -> bool {
         (self.eq)(a, b)
     }
-
-    /// True when this is plain structural equality (the default). The
-    /// incremental evaluator then decides change status by comparing
-    /// hash-consed identities — O(1) instead of a deep traversal.
-    pub fn is_structural(&self) -> bool {
-        self.structural
-    }
 }
 
 impl Default for Equality {
     /// Structural equality via `PartialEq`.
     fn default() -> Self {
-        Equality {
-            eq: Arc::new(|a: &Value, b: &Value| a == b),
-            structural: true,
-        }
+        Equality::new(|a: &Value, b: &Value| a == b)
     }
 }
 

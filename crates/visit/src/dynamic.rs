@@ -14,17 +14,15 @@ use fnc2_ag::{
     AttrId, AttrKind, AttrValues, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value,
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
-use fnc2_obs::{Counters, Event, NoopRecorder, Recorder, RuleProfiler};
+use fnc2_obs::{Event, NoopRecorder, Recorder, RuleProfiler};
 
 use crate::exhaustive::{EvalStats, RootInputs};
-use crate::program::InternCtx;
 use crate::rules::{eval_rule, EvalError, Store};
 
 /// The demand-driven evaluator.
 #[derive(Debug)]
 pub struct DynamicEvaluator<'g> {
     grammar: &'g Grammar,
-    intern: bool,
 }
 
 /// An attribute instance: an occurrence to evaluate at a node. For
@@ -53,17 +51,7 @@ impl Store for DynStore<'_> {
 impl<'g> DynamicEvaluator<'g> {
     /// Creates a demand-driven evaluator for `grammar`.
     pub fn new(grammar: &'g Grammar) -> Self {
-        DynamicEvaluator {
-            grammar,
-            intern: false,
-        }
-    }
-
-    /// Enables or disables hash-cons interning of every stored value
-    /// (private per-evaluation table).
-    pub fn with_interning(mut self, on: bool) -> Self {
-        self.intern = on;
-        self
+        DynamicEvaluator { grammar }
     }
 
     /// Evaluates every attribute instance of `tree`, demand-driven with
@@ -169,8 +157,6 @@ impl<'g> DynamicEvaluator<'g> {
                 .collect()
         };
         let mut in_progress: HashMap<Goal, bool> = HashMap::new();
-        let mut ictx = self.intern.then(InternCtx::new);
-        let mut icounters = Counters::new();
         for (n, a) in all {
             self.demand(
                 tree,
@@ -180,13 +166,10 @@ impl<'g> DynamicEvaluator<'g> {
                 &mut in_progress,
                 &mut stats,
                 &mut meter,
-                &mut ictx,
-                &mut icounters,
                 rec,
             )?;
         }
         stats.to_counters(false).replay(rec);
-        icounters.replay(rec);
         Ok((values, stats))
     }
 
@@ -205,8 +188,6 @@ impl<'g> DynamicEvaluator<'g> {
         in_progress: &mut HashMap<Goal, bool>,
         stats: &mut EvalStats,
         meter: &mut BudgetMeter,
-        ictx: &mut Option<InternCtx>,
-        icounters: &mut Counters,
         rec: &mut R,
     ) -> Result<(), EvalError> {
         let g = self.grammar;
@@ -300,10 +281,6 @@ impl<'g> DynamicEvaluator<'g> {
                             locals,
                         };
                         eval_rule(g, tree, def_prod, def_node, target, &store)?
-                    };
-                    let value = match ictx {
-                        Some(ictx) => ictx.intern(value, icounters).0,
-                        None => value,
                     };
                     if rec.profiler().is_some() || rec.trace() {
                         // The rule index only matters to the instrumented

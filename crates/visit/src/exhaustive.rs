@@ -154,7 +154,8 @@ impl<'g> Evaluator<'g> {
     }
 
     /// Enables or disables hash-cons interning for this evaluator (a
-    /// private table per evaluation).
+    /// private table and memo cache per evaluation). Off by default; no
+    /// product entry point turns it on.
     pub fn with_interning(mut self, on: bool) -> Self {
         self.intern = on;
         self

@@ -34,11 +34,11 @@ use crate::seq::Instr;
 /// The per-evaluation interning context: a private hash-cons table plus
 /// the `(rule, canonical argument ids) → result` memo cache.
 ///
-/// When an evaluator runs with one of these, every value a rule produces
-/// or transports is canonicalized, so structural equality downstream
-/// (most importantly the incremental cutoff) is id comparison, and
-/// repeated applications of a pure semantic function to bitwise-equal
-/// arguments are served from the memo cache without calling the function.
+/// When the visit-sequence interpreter runs with one of these (its
+/// `with_interning` opt-in), every value a rule produces or transports is
+/// canonicalized, and repeated applications of a pure semantic function
+/// to bitwise-equal arguments are served from the memo cache without
+/// calling the function.
 #[derive(Debug, Default)]
 pub struct InternCtx {
     table: Interner,
@@ -53,8 +53,7 @@ impl InternCtx {
 
     /// Canonicalizes `v`; returns the representative and whether its
     /// identity is stable (pinned by the table) and therefore usable in
-    /// memo keys and O(1) equality cuts. Table statistics stream into
-    /// `counters`.
+    /// memo keys. Table statistics stream into `counters`.
     pub fn intern(&mut self, v: Value, counters: &mut Counters) -> (Value, bool) {
         let before = self.table.stats();
         let v = self.table.intern(v);
@@ -64,11 +63,6 @@ impl InternCtx {
         counters.raise(Key::EvalInternSize, after.len);
         let stable = self.table.is_stable(&v);
         (v, stable)
-    }
-
-    /// True when `v`'s identity is stable for this context's lifetime.
-    pub fn is_stable(&self, v: &Value) -> bool {
-        self.table.is_stable(v)
     }
 
     fn memo_get(&mut self, key: &MemoKey, counters: &mut Counters) -> Option<Value> {
@@ -476,8 +470,7 @@ impl CompiledProgram {
     /// its arguments from `cells`. Returns the
     /// computed value and whether the rule was a copy rule. `buf` is a
     /// reusable argument buffer; `counters` accumulates
-    /// [`Key::EvalConstHits`]. With an [`InternCtx`], every produced value
-    /// is canonicalized and function calls consult the memo cache.
+    /// [`Key::EvalConstHits`].
     ///
     /// # Errors
     ///
@@ -495,15 +488,16 @@ impl CompiledProgram {
         cells: &Cells,
         buf: &mut Vec<Value>,
         counters: &mut Counters,
-        ictx: Option<&mut InternCtx>,
     ) -> Result<(Value, bool), EvalError> {
         let cr = &self.prods[p.index()].rules[rule as usize];
-        self.exec_rule(grammar, tree, p, rule, cr, node, cells, buf, counters, ictx)
+        self.exec_rule(grammar, tree, p, rule, cr, node, cells, buf, counters, None)
     }
 
     /// [`eval_rule`](Self::eval_rule) with the [`CompiledRule`] already in
     /// hand — the interpreter's ops carry it, lowered under their storage
     /// plan, for both execution and the store, so this is forced inline.
+    /// With an [`InternCtx`], every produced value is canonicalized and
+    /// function calls consult the memo cache.
     ///
     /// # Errors
     ///
