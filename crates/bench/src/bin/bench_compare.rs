@@ -6,11 +6,17 @@
 //! column exceeds the threshold (15% by default).
 //!
 //! By default only *ratio* columns are compared (`speedup`, `overhead`,
-//! `prof ovh`, and anything else rendered as `N.NNx` or `±N.N%`): ratios
-//! are computed from two legs of the *same* run on the *same* machine, so
-//! they survive CI runners with wildly different absolute clock speeds.
-//! `--absolute` additionally compares time columns (`µs`/`ms`/`s` cells)
-//! for local, same-machine investigations.
+//! `prof ovh`, and anything else rendered as `N.NNx` or `±N.N%`): every
+//! ratio is the median of per-round ratios from paired, rotating rounds
+//! (`fnc2_bench::harness::paired`), whose legs run back to back on the
+//! *same* machine, so they survive CI runners with wildly different
+//! absolute clock speeds. `--absolute` additionally compares time columns
+//! (`µs`/`ms`/`s` cells) for local, same-machine investigations.
+//!
+//! Each column's line also prints the baseline's spread: the median and
+//! the largest, over the column's rows, of the interquartile range of the
+//! per-round ratios over their median. It tells a reader how much of a
+//! change is noise; it never gates.
 //!
 //! ```text
 //! bench_compare [--threshold PCT] [--absolute] <baseline-dir> <fresh-dir> [table...]
@@ -22,53 +28,13 @@
 //! choice is deliberate: a single scheduler-preempted row should not gate
 //! a merge, a systematic slowdown across rows should.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fnc2_obs::Json;
+use fnc2_bench::BenchTable;
 
 /// Default regression threshold, in percent.
 const DEFAULT_THRESHOLD: f64 = 15.0;
-
-/// One parsed `BENCH_*.json` document.
-struct Table {
-    name: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-fn load_table(path: &Path) -> Result<Table, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{}: bad JSON: {e}", path.display()))?;
-    let name = doc
-        .get("table")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{}: missing \"table\"", path.display()))?
-        .to_string();
-    let strings = |v: &Json| -> Option<Vec<String>> {
-        v.as_arr()?
-            .iter()
-            .map(|c| c.as_str().map(str::to_string))
-            .collect()
-    };
-    let headers = doc
-        .get("headers")
-        .and_then(&strings)
-        .ok_or_else(|| format!("{}: missing \"headers\"", path.display()))?;
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{}: missing \"rows\"", path.display()))?
-        .iter()
-        .map(|r| strings(r).ok_or_else(|| format!("{}: non-string row cell", path.display())))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Table {
-        name,
-        headers,
-        rows,
-    })
-}
 
 /// How a column's cells are interpreted for comparison.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -142,8 +108,8 @@ fn median(mut xs: Vec<f64>) -> Result<f64, String> {
 
 /// Compares one table pair; returns the list of regression messages.
 fn compare(
-    base: &Table,
-    fresh: &Table,
+    base: &BenchTable,
+    fresh: &BenchTable,
     threshold: f64,
     absolute: bool,
 ) -> Result<Vec<String>, String> {
@@ -208,8 +174,16 @@ fn compare(
         let limit = 1.0 + threshold / 100.0;
         let verdict = if med > limit { "REGRESSION" } else { "ok" };
         let (w, wi) = worst.expect("factors nonempty");
+        let spread = match base.spread.get(header) {
+            Some(xs) if !xs.is_empty() => format!(
+                "spread {:.1}% (max {:.1}%)",
+                median(xs.clone())? * 100.0,
+                xs.iter().copied().fold(0.0, f64::max) * 100.0
+            ),
+            _ => "spread -".into(),
+        };
         println!(
-            "{:<14} {:<10} median {:+6.1}%  worst {:+6.1}% (row {}: {})  {}",
+            "{:<14} {:<10} median {:+6.1}%  worst {:+6.1}% (row {}: {})  {spread}  {}",
             base.name,
             header,
             (med - 1.0) * 100.0,
@@ -285,8 +259,8 @@ fn run(args: &[String]) -> Result<Vec<String>, String> {
     let mut regressions = Vec::new();
     for t in &tables {
         let file = format!("BENCH_{t}.json");
-        let base = load_table(&base_dir.join(&file))?;
-        let fresh = load_table(&fresh_dir.join(&file))?;
+        let base = BenchTable::load(&base_dir.join(&file))?;
+        let fresh = BenchTable::load(&fresh_dir.join(&file))?;
         if base.name != fresh.name {
             return Err(format!(
                 "{file}: table name mismatch ({} vs {})",
@@ -322,8 +296,8 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn table(name: &str, rows: &[&[&str]]) -> Table {
-        Table {
+    fn table(name: &str, rows: &[&[&str]]) -> BenchTable {
+        BenchTable {
             name: name.into(),
             headers: vec![
                 "AG".into(),
@@ -335,6 +309,7 @@ mod tests {
                 .iter()
                 .map(|r| r.iter().map(|c| c.to_string()).collect())
                 .collect(),
+            spread: Default::default(),
         }
     }
 
@@ -381,6 +356,36 @@ mod tests {
         let regs = compare(&base, &slow, 15.0, false).unwrap();
         assert_eq!(regs.len(), 1);
         assert!(regs[0].contains("speedup"), "{regs:?}");
+    }
+
+    #[test]
+    fn spread_is_printed_never_gated() {
+        // A baseline whose ratios spread 60% round to round still passes an
+        // unchanged fresh dump …
+        let rows: &[&[&str]] = &[
+            &["a", "10.0µs", "3.00x", "+1.0%"],
+            &["b", "10.0µs", "3.00x", "+1.0%"],
+        ];
+        let mut base = table("t", rows);
+        let spread =
+            |s: f64| [("speedup", s), ("overhead", s)].map(|(c, s)| (c.into(), vec![s; 2]));
+        base.spread = spread(0.6).into();
+        assert!(compare(&base, &table("t", rows), 15.0, false)
+            .unwrap()
+            .is_empty());
+        // … and an injected 20% regression still fails, spread or no spread.
+        let slow = table(
+            "t",
+            &[
+                &["a", "10.0µs", "2.50x", "+21.2%"],
+                &["b", "10.0µs", "2.50x", "+21.2%"],
+            ],
+        );
+        for s in [0.0, 0.6, 5.0] {
+            base.spread = spread(s).into();
+            let regs = compare(&base, &slow, 15.0, false).unwrap();
+            assert_eq!(regs.len(), 2, "spread {s}: {regs:?}");
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn main() {
         String::new(),
     ]);
     println!("{}", render_table(&headers, &rows));
-    fnc2_bench::maybe_emit_json("table1", &headers, &rows);
+    fnc2_bench::maybe_emit_json("table1", &headers, &rows, &[]);
     println!("Paper shape: mostly-OAG(0) class column with one DNC, one not-OAG(k) (SNC),");
     println!("one OAG(1); storage dominated by variables+stacks (>80% of occurrences out");
     println!("of the tree); near-optimal elimination of the eliminable copy rules;");

@@ -109,7 +109,7 @@ fn main() {
         ]);
     }
     println!("{}", render_table(&headers, &rows));
-    fnc2_bench::maybe_emit_json("table2", &headers, &rows);
+    fnc2_bench::maybe_emit_json("table2", &headers, &rows, &[]);
     println!("Paper shape: typing dominates input; the whole process is roughly linear in");
     println!("lines except the generator phase; memory grows with source size (the paper");
     println!("reports 1.3–1.4 KB/line on a Sun-3/60).");

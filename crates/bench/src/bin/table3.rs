@@ -88,7 +88,7 @@ fn main() {
         ]);
     }
     println!("{}", render_table(&headers, &rows));
-    fnc2_bench::maybe_emit_json("table3", &headers, &rows);
+    fnc2_bench::maybe_emit_json("table3", &headers, &rows, &[]);
     println!("Paper shape: module processing is roughly linear in lines (these phases are");
     println!("\"typical of a compiler-like application\"); small modules show constant");
     println!("overhead in the input phase; typing dominates.");

@@ -61,7 +61,7 @@ fn main() {
             ]
         })
         .collect();
-    fnc2_bench::maybe_emit_json("table4", &headers, &rows);
+    fnc2_bench::maybe_emit_json("table4", &headers, &rows, &[]);
     println!(
         "{} units; build order: {}",
         project.units.len(),

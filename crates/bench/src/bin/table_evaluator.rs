@@ -10,27 +10,19 @@
 //!
 //! Run with `cargo run --release --bin table_evaluator -p fnc2-bench`.
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
 
 use fnc2::visit::{DynamicEvaluator, Evaluator, RootInputs};
 use fnc2::Pipeline;
+use fnc2_bench::harness::{paired, Leg};
 use fnc2_bench::{
     bit_string, desk_tree, handwritten_binary, handwritten_binary_boxed, handwritten_desk,
     handwritten_minipascal, render_table,
 };
 use fnc2_corpus as corpus;
 
-fn time_n<F: FnMut()>(n: usize, mut f: F) -> Duration {
-    // Warm up caches and lazy allocations before measuring.
-    for _ in 0..3 {
-        f();
-    }
-    let t0 = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    t0.elapsed() / n as u32
-}
+/// Timed rounds per row (`harness::paired`).
+const ROUNDS: usize = 41;
 
 fn main() {
     println!("Section 4.2: generated evaluator vs. hand-written (per-run times)\n");
@@ -45,63 +37,64 @@ fn main() {
         "dd ratio",
     ];
     let mut rows = Vec::new();
-    let reps = 40;
-
-    // Binary.
-    let compiled = Pipeline::new().compile(corpus::binary()).expect("compiles");
-    let generated = Evaluator::new(&compiled.grammar, &compiled.seqs);
-    let demand = DynamicEvaluator::new(&compiled.grammar);
-    for len in [256usize, 2048] {
-        let tree = corpus::binary_tree(&compiled.grammar, &bit_string(len, 7));
-        let hand = time_n(reps, || {
-            std::hint::black_box(handwritten_binary(&compiled.grammar, &tree));
-        });
-        let boxed = time_n(reps, || {
-            std::hint::black_box(handwritten_binary_boxed(&compiled.grammar, &tree));
-        });
-        let genr = time_n(reps, || {
-            std::hint::black_box(generated.evaluate(&tree, &RootInputs::new()).unwrap());
-        });
-        let dynv = time_n(reps, || {
-            std::hint::black_box(demand.evaluate(&tree, &RootInputs::new()).unwrap());
-        });
+    let (mut ratio_spread, mut dd_spread) = (Vec::new(), Vec::new());
+    // Legs: the hand-written evaluator both ratios divide by, the generated
+    // one, the demand-driven one, and for binary the native walk, shown
+    // but not divided by.
+    let mut row = |ag: &str, input: String, legs: &[Leg]| {
+        let (hand, generated, demand) = (legs[0], legs[1], legs[2]);
+        let native = legs.get(3).map(|l| l.median);
         rows.push(vec![
-            "binary".into(),
-            format!("{len} bits"),
-            format!("{hand:.2?}"),
-            format!("{boxed:.2?}"),
-            format!("{genr:.2?}"),
-            format!("{:.1}x", genr.as_secs_f64() / boxed.as_secs_f64()),
-            format!("{dynv:.2?}"),
-            format!("{:.1}x", dynv.as_secs_f64() / boxed.as_secs_f64()),
+            ag.to_string(),
+            input,
+            format!("{:.2?}", native.unwrap_or(hand.median)),
+            native.map_or("same".into(), |_| format!("{:.2?}", hand.median)),
+            format!("{:.2?}", generated.median),
+            format!("{:.1}x", generated.ratio),
+            format!("{:.2?}", demand.median),
+            format!("{:.1}x", demand.ratio),
         ]);
+        ratio_spread.push(generated.spread);
+        dd_spread.push(demand.spread);
+    };
+    let inputs = RootInputs::new();
+
+    // Binary: the ratios divide by the boxed hand-written walk, which uses
+    // the generated evaluator's data structures.
+    let compiled = Pipeline::new().compile(corpus::binary()).expect("compiles");
+    let g = &compiled.grammar;
+    let generated = Evaluator::new(g, &compiled.seqs);
+    let demand = DynamicEvaluator::new(g);
+    for len in [256usize, 2048] {
+        let tree = corpus::binary_tree(g, &bit_string(len, 7));
+        let legs = paired(
+            ROUNDS,
+            &mut [
+                &mut || _ = black_box(handwritten_binary_boxed(g, &tree)),
+                &mut || _ = black_box(generated.evaluate(&tree, &inputs).unwrap()),
+                &mut || _ = black_box(demand.evaluate(&tree, &inputs).unwrap()),
+                &mut || _ = black_box(handwritten_binary(g, &tree)),
+            ],
+        );
+        row("binary", format!("{len} bits"), &legs);
     }
 
     // Desk calculator.
     let compiled = Pipeline::new().compile(corpus::desk()).expect("compiles");
-    let generated = Evaluator::new(&compiled.grammar, &compiled.seqs);
-    let demand = DynamicEvaluator::new(&compiled.grammar);
+    let g = &compiled.grammar;
+    let generated = Evaluator::new(g, &compiled.seqs);
+    let demand = DynamicEvaluator::new(g);
     for depth in [10usize, 14] {
-        let tree = desk_tree(&compiled.grammar, depth);
-        let hand = time_n(reps, || {
-            std::hint::black_box(handwritten_desk(&compiled.grammar, &tree));
-        });
-        let genr = time_n(reps, || {
-            std::hint::black_box(generated.evaluate(&tree, &RootInputs::new()).unwrap());
-        });
-        let dynv = time_n(reps, || {
-            std::hint::black_box(demand.evaluate(&tree, &RootInputs::new()).unwrap());
-        });
-        rows.push(vec![
-            "desk".into(),
-            format!("depth {depth}"),
-            format!("{hand:.2?}"),
-            "same".into(),
-            format!("{genr:.2?}"),
-            format!("{:.1}x", genr.as_secs_f64() / hand.as_secs_f64()),
-            format!("{dynv:.2?}"),
-            format!("{:.1}x", dynv.as_secs_f64() / hand.as_secs_f64()),
-        ]);
+        let tree = desk_tree(g, depth);
+        let legs = paired(
+            ROUNDS,
+            &mut [
+                &mut || _ = black_box(handwritten_desk(g, &tree)),
+                &mut || _ = black_box(generated.evaluate(&tree, &inputs).unwrap()),
+                &mut || _ = black_box(demand.evaluate(&tree, &inputs).unwrap()),
+            ],
+        );
+        row("desk", format!("depth {depth}"), &legs);
     }
 
     // Mini-Pascal: the paper's point that "this slowdown must not be
@@ -110,38 +103,34 @@ fn main() {
     let compiled = Pipeline::new()
         .compile(corpus::minipascal().0)
         .expect("compiles");
-    let generated = Evaluator::new(&compiled.grammar, &compiled.seqs);
-    let demand = DynamicEvaluator::new(&compiled.grammar);
+    let g = &compiled.grammar;
+    let generated = Evaluator::new(g, &compiled.seqs);
+    let demand = DynamicEvaluator::new(g);
     for blocks in [16usize, 64] {
         let src = corpus::sample_program(blocks);
-        let tree = corpus::parse_minipascal(&compiled.grammar, &src).expect("parses");
-        let hand = time_n(reps, || {
-            std::hint::black_box(handwritten_minipascal(&compiled.grammar, &tree));
-        });
-        let genr = time_n(reps, || {
-            std::hint::black_box(generated.evaluate(&tree, &RootInputs::new()).unwrap());
-        });
-        let dynv = time_n(reps, || {
-            std::hint::black_box(demand.evaluate(&tree, &RootInputs::new()).unwrap());
-        });
-        rows.push(vec![
-            "minipascal".into(),
+        let tree = corpus::parse_minipascal(g, &src).expect("parses");
+        let legs = paired(
+            ROUNDS,
+            &mut [
+                &mut || _ = black_box(handwritten_minipascal(g, &tree)),
+                &mut || _ = black_box(generated.evaluate(&tree, &inputs).unwrap()),
+                &mut || _ = black_box(demand.evaluate(&tree, &inputs).unwrap()),
+            ],
+        );
+        row(
+            "minipascal",
             format!("{} lines", src.lines().count()),
-            format!("{hand:.2?}"),
-            "same".into(),
-            format!("{genr:.2?}"),
-            format!("{:.1}x", genr.as_secs_f64() / hand.as_secs_f64()),
-            format!("{dynv:.2?}"),
-            format!("{:.1}x", dynv.as_secs_f64() / hand.as_secs_f64()),
-        ]);
+            &legs,
+        );
     }
 
     println!("{}", render_table(&headers, &rows));
-    fnc2_bench::maybe_emit_json("table_evaluator", &headers, &rows);
+    let spread = [("ratio", &ratio_spread[..]), ("dd ratio", &dd_spread[..])];
+    fnc2_bench::maybe_emit_json("table_evaluator", &headers, &rows, &spread);
     println!("Paper shape: a small constant factor over hand-written code (2-4x in the");
     println!("paper), bracketed here: trivial-rule AGs pay the full interpretation");
-    println!("overhead (~4-11x), while AGs whose semantic functions do real work (the");
-    println!("mini-Pascal code generator) land at ~0.6-1.6x — confirming the paper's");
+    println!("overhead (~4-6x), while AGs whose semantic functions do real work (the");
+    println!("mini-Pascal code generator) land at ~1-2x — confirming the paper's");
     println!("\"this slowdown must not be attributed to the evaluator as such but to the");
     println!("execution of the semantic rules\". Static scheduling beats demand-driven.");
 }

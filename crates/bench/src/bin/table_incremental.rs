@@ -3,13 +3,22 @@
 //! The DNC-based incremental evaluator limits reevaluation to affected
 //! instances. This harness applies single-leaf edits, same-value edits and
 //! multi-subtree replacements to growing trees, comparing instances
-//! reevaluated against the exhaustive instance count.
+//! reevaluated against the exhaustive instance count. A second table times
+//! a one-leaf edit against reevaluating the whole tree from scratch with
+//! the demand-driven evaluator.
 //!
 //! Run with `cargo run --release --bin table_incremental -p fnc2-bench`.
 
+use std::hint::black_box;
+
 use fnc2::ag::{Grammar, GrammarBuilder, NodeId, Occ, TreeBuilder, Value};
 use fnc2::incremental::{Equality, IncrementalEvaluator};
+use fnc2::visit::{DynamicEvaluator, RootInputs};
+use fnc2_bench::harness::paired;
 use fnc2_bench::render_table;
+
+/// Timed rounds of the edit-vs-from-scratch table (`harness::paired`).
+const ROUNDS: usize = 31;
 
 fn sum_grammar() -> Grammar {
     let mut g = GrammarBuilder::new("sum");
@@ -35,6 +44,13 @@ fn sum_grammar() -> Grammar {
     let leaf = g.production("leafe", e, &[]);
     g.copy(leaf, Occ::lhs(sum), fnc2::ag::Arg::Token);
     g.finish().expect("well-defined")
+}
+
+fn balanced_tree(g: &Grammar, depth: usize) -> fnc2::ag::Tree {
+    let mut tb = TreeBuilder::new(g);
+    let body = balanced(g, &mut tb, depth, &mut 0);
+    let root = tb.op("root", &[body]).unwrap();
+    tb.finish_root(root).unwrap()
 }
 
 fn balanced(g: &Grammar, tb: &mut TreeBuilder, depth: usize, next: &mut i64) -> NodeId {
@@ -80,22 +96,14 @@ fn main() {
     let g = sum_grammar();
 
     for depth in [8usize, 11, 14] {
-        let mut tb = TreeBuilder::new(&g);
-        let mut next = 0;
-        let body = balanced(&g, &mut tb, depth, &mut next);
-        let root = tb.op("root", &[body]).unwrap();
-        let tree = tb.finish_root(root).unwrap();
+        let tree = balanced_tree(&g, depth);
         let mut inc = IncrementalEvaluator::new(&g, tree, Equality::default()).expect("evaluates");
         let instances = inc.instance_count();
 
         // One leaf, new value.
-        let victim = inc
-            .tree()
-            .preorder()
-            .find(|&(n, _)| inc.tree().node(n).children().is_empty())
-            .map(|(n, _)| n)
+        let stats = inc
+            .replace_subtree(first_leaf(&inc), &leaf_sub(&g, 999))
             .unwrap();
-        let stats = inc.replace_subtree(victim, &leaf_sub(&g, 999)).unwrap();
         rows.push(vec![
             depth.to_string(),
             instances.to_string(),
@@ -110,12 +118,7 @@ fn main() {
         ]);
 
         // Same-value edit: propagation cut immediately.
-        let victim = inc
-            .tree()
-            .preorder()
-            .find(|&(n, _)| inc.tree().node(n).children().is_empty())
-            .map(|(n, _)| n)
-            .unwrap();
+        let victim = first_leaf(&inc);
         let old = inc
             .tree()
             .node(victim)
@@ -164,8 +167,55 @@ fn main() {
         ]);
     }
     println!("{}", render_table(&headers, &rows));
-    fnc2_bench::maybe_emit_json("table_incremental", &headers, &rows);
+    fnc2_bench::maybe_emit_json("table_incremental", &headers, &rows, &[]);
     println!("Expected shape: reevaluation touches O(depth) instances per edit (the spine");
     println!("to the root), a vanishing fraction as the tree grows; equal-value edits cut");
     println!("immediately; multiple replacements share one propagation wave.");
+
+    println!("\nOne-leaf edit vs. from-scratch reevaluation (per-run times)\n");
+    let headers = [
+        "tree depth",
+        "instances",
+        "one-leaf edit",
+        "from scratch",
+        "speedup",
+    ];
+    let depth = 12;
+    let tree = balanced_tree(&g, depth);
+    let mut inc =
+        IncrementalEvaluator::new(&g, tree.clone(), Equality::default()).expect("evaluates");
+    let demand = DynamicEvaluator::new(&g);
+    // Leaves hold values below 23, so every edit changes a value and
+    // propagates.
+    let mut value = 23;
+    let legs = paired(
+        ROUNDS,
+        &mut [
+            &mut || {
+                value += 1;
+                let edit = leaf_sub(&g, value);
+                black_box(inc.replace_subtree(first_leaf(&inc), &edit).expect("edits"));
+            },
+            &mut || _ = black_box(demand.evaluate(&tree, &RootInputs::new()).expect("runs")),
+        ],
+    );
+    let rows = [vec![
+        depth.to_string(),
+        inc.instance_count().to_string(),
+        format!("{:.2?}", legs[0].median),
+        format!("{:.2?}", legs[1].median),
+        format!("{:.0}x", legs[1].ratio),
+    ]];
+    println!("{}", render_table(&headers, &rows));
+    let spread = [("speedup", &[legs[1].spread][..])];
+    fnc2_bench::maybe_emit_json("table_incremental_edit", &headers, &rows, &spread);
+}
+
+/// The first leaf in preorder: the victim of every single-leaf edit.
+fn first_leaf(inc: &IncrementalEvaluator) -> NodeId {
+    inc.tree()
+        .preorder()
+        .find(|&(n, _)| inc.tree().node(n).children().is_empty())
+        .map(|(n, _)| n)
+        .expect("a balanced tree has leaves")
 }

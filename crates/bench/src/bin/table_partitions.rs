@@ -92,7 +92,7 @@ fn main() {
         }
     }
     println!("{}", render_table(&headers, &rows));
-    fnc2_bench::maybe_emit_json("table_partitions", &headers, &rows);
+    fnc2_bench::maybe_emit_json("table_partitions", &headers, &rows, &[]);
     println!("Expected shape: long inclusion never registers more partitions than equality,");
     println!("collapses to ~1 partition/NT on realistic AGs (max 2 on the AG5 shape), and");
     println!("the dynamic visit counts of the two strategies differ by <2%.");

@@ -6,37 +6,38 @@
 //! trivial plan) and with the space plan on growing inputs and reports the
 //! high-water mark of live storage cells, the reduction factor, the
 //! runtime copy-elimination volume, and the time of the trivial plan over
-//! the real plan's (median of 31 alternating rounds, interning off; above
-//! 1 the plan is faster).
+//! the real plan's (median of 31 paired rounds, interning off; above 1 the
+//! plan is faster).
 //!
 //! Run with `cargo run --release --bin table_space -p fnc2-bench`.
 
-use std::time::Instant;
+use std::hint::black_box;
 
 use fnc2::ag::Tree;
 use fnc2::space::plan_evaluator;
 use fnc2::visit::{Evaluator, RootInputs};
 use fnc2::{Compiled, Pipeline};
+use fnc2_bench::harness::{paired, Leg};
 use fnc2_bench::render_table;
 use fnc2_corpus as corpus;
 
-/// Median over 31 alternating rounds of the trivial plan's time over the
-/// real plan's, each leg repeated so that a round covers ~4k tree nodes.
-fn plan_speedup(c: &Compiled, tree: &Tree) -> f64 {
+/// Timed rounds per row (`harness::paired`).
+const ROUNDS: usize = 31;
+
+/// The trivial plan's leg against the real plan's (leg 0). Each leg
+/// evaluates the tree often enough to cover ~4k tree nodes, so that a leg
+/// on the smallest trees still outlasts the clock's own noise.
+fn plan_speedup(c: &Compiled, tree: &Tree) -> Leg {
     let trivial = Evaluator::new(&c.grammar, &c.seqs);
     let (fp, plan) = (c.flat.as_ref().unwrap(), c.space_plan.as_ref().unwrap());
     let planned = plan_evaluator(&c.grammar, &c.seqs, fp, plan);
     let reps = (4000 / tree.size()).max(1);
-    let time = |ev: &Evaluator| {
-        let t0 = Instant::now();
+    let run = |ev: &Evaluator| {
         for _ in 0..reps {
-            std::hint::black_box(ev.evaluate(tree, &RootInputs::new()).expect("runs"));
+            black_box(ev.evaluate(tree, &RootInputs::new()).expect("runs"));
         }
-        t0.elapsed().as_secs_f64()
     };
-    let mut ratios: Vec<f64> = (0..31).map(|_| time(&trivial) / time(&planned)).collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
+    paired(ROUNDS, &mut [&mut || run(&planned), &mut || run(&trivial)])[1]
 }
 
 fn main() {
@@ -52,12 +53,14 @@ fn main() {
         "plan speedup",
     ];
     let mut rows = Vec::new();
+    let mut spread = Vec::new();
     let mut row = |ag: &str, input: String, c: &Compiled, tree: &Tree| {
         let (plain, _) = c.evaluate(tree, &RootInputs::new()).expect("plain");
         let (_, opt) = c
             .evaluate_optimized(tree, &RootInputs::new())
             .expect("plan");
         let reduction = plain.live_count() as f64 / opt.max_live_cells.max(1) as f64;
+        let speedup = plan_speedup(c, tree);
         rows.push(vec![
             ag.to_string(),
             input,
@@ -66,8 +69,9 @@ fn main() {
             format!("{reduction:.1}x"),
             opt.copies_skipped.to_string(),
             opt.evals.to_string(),
-            format!("{:.2}x", plan_speedup(c, tree)),
+            format!("{:.2}x", speedup.ratio),
         ]);
+        spread.push(speedup.spread);
     };
     let compile = |g| Pipeline::new().compile(g).expect("compiles");
 
@@ -113,7 +117,7 @@ fn main() {
     }
 
     println!("{}", render_table(&headers, &rows));
-    fnc2_bench::maybe_emit_json("table_space", &headers, &rows);
+    fnc2_bench::maybe_emit_json("table_space", &headers, &rows, &[("plan speedup", &spread)]);
     println!("Paper claim: a 4-8x decrease in storage cells on AG 5 (dynamic measures).");
     println!("Reproduction: ~2x on the AG5-profile synthetic grammar (4-6x on AG2, AG3,");
     println!("AG7), ~5x on binary, 11-16x on mini-Pascal. The EVAL-sinking schedule");

@@ -31,17 +31,24 @@
 //!   against the full cascade that embeds them: the share column gates
 //!   the claim that linting rides along for free on every compile.
 //!
+//! Every ratio cell is the median of per-round ratios from
+//! `fnc2_bench::harness::paired`: a row's legs run once per round, in an
+//! order that rotates from round to round, and the JSON dumps carry each
+//! cell's spread.
+//!
 //! Run with `cargo run --release --bin table_throughput -p fnc2-bench`.
 //! Set `FNC2_BENCH_JSON` to also write `BENCH_eval_hotpath.json`,
 //! `BENCH_throughput.json`, `BENCH_startup.json`,
 //! `BENCH_checkpoint.json` and `BENCH_lint.json`.
 
-use std::time::{Duration, Instant};
+use std::cell::Cell;
+use std::hint::black_box;
 
 use fnc2::guard::EvalBudget;
 use fnc2::obs::NoopRecorder;
 use fnc2::visit::{Evaluator, RootInputs};
 use fnc2::Pipeline;
+use fnc2_bench::harness::paired;
 use fnc2_bench::{maybe_emit_json, render_table};
 use fnc2_corpus::{
     sized_ag_source, synthetic, synthetic_tree, BLOCKS_OLGA_LIST, MINIPASCAL_OLGA, TABLE1_PROFILES,
@@ -50,23 +57,15 @@ use fnc2_par::{
     batch_evaluate_checkpointed_recorded, batch_evaluate_guarded, outcome_digest, Checkpoint,
 };
 
-/// Median of `n` individually-timed runs (after 3 warmups). A median, not
-/// a mean: per-run times in the tens of microseconds are easily wrecked by
-/// a single scheduler preemption, which a mean would smear over every leg.
-fn time_n<F: FnMut()>(n: usize, mut f: F) -> Duration {
-    for _ in 0..3 {
-        f();
-    }
-    let mut times: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
+/// Timed rounds of each part. A hot-path round costs well under a
+/// millisecond, a batch round tens. The checkpoint leg's per-round ratios
+/// spread most (an interquartile range near a third of the median on AG1),
+/// so it gets the most rounds of the batch parts.
+const HOT_ROUNDS: usize = 1001;
+const THREAD_ROUNDS: usize = 41;
+const STARTUP_ROUNDS: usize = 151;
+const CHECKPOINT_ROUNDS: usize = 121;
+const LINT_ROUNDS: usize = 41;
 
 fn main() {
     // ---- Part 1: the hot path, bare, guarded and profiled. -------------
@@ -75,7 +74,7 @@ fn main() {
         "AG", "nodes", "compiled", "guarded", "overhead", "profiled", "prof ovh",
     ];
     let mut hot_rows = Vec::new();
-    let reps = 20;
+    let (mut guard_spread, mut prof_spread) = (Vec::new(), Vec::new());
     let budget = EvalBudget::default();
     for profile in &TABLE1_PROFILES {
         let g = synthetic(profile);
@@ -114,36 +113,35 @@ fn main() {
             }
         }
 
-        let t_fast = time_n(reps, || {
-            std::hint::black_box(ev.evaluate(&tree, &inputs).unwrap());
-        });
-        let t_guard = time_n(reps, || {
-            std::hint::black_box(
-                ev.evaluate_with(&tree, &inputs, &budget, &mut NoopRecorder)
-                    .unwrap(),
-            );
-        });
-        let t_prof = time_n(reps, || {
-            std::hint::black_box(ev.evaluate_with(&tree, &inputs, &budget, &mut obs).unwrap());
-        });
+        let mut noop = NoopRecorder;
+        let legs = paired(
+            HOT_ROUNDS,
+            &mut [
+                &mut || _ = black_box(ev.evaluate(&tree, &inputs)),
+                &mut || _ = black_box(ev.evaluate_with(&tree, &inputs, &budget, &mut noop)),
+                &mut || _ = black_box(ev.evaluate_with(&tree, &inputs, &budget, &mut obs)),
+            ],
+        );
+        let (fast, guard, prof) = (legs[0], legs[1], legs[2]);
         hot_rows.push(vec![
             profile.name.to_string(),
             tree.size().to_string(),
-            format!("{:.1}µs", t_fast.as_secs_f64() * 1e6),
-            format!("{:.1}µs", t_guard.as_secs_f64() * 1e6),
-            format!(
-                "{:+.1}%",
-                (t_guard.as_secs_f64() / t_fast.as_secs_f64() - 1.0) * 100.0
-            ),
-            format!("{:.1}µs", t_prof.as_secs_f64() * 1e6),
-            format!(
-                "{:+.1}%",
-                (t_prof.as_secs_f64() / t_fast.as_secs_f64() - 1.0) * 100.0
-            ),
+            format!("{:.1}µs", fast.median.as_secs_f64() * 1e6),
+            format!("{:.1}µs", guard.median.as_secs_f64() * 1e6),
+            format!("{:+.1}%", (guard.ratio - 1.0) * 100.0),
+            format!("{:.1}µs", prof.median.as_secs_f64() * 1e6),
+            format!("{:+.1}%", (prof.ratio - 1.0) * 100.0),
         ]);
+        guard_spread.push(guard.spread);
+        prof_spread.push(prof.spread);
     }
     println!("{}", render_table(&hot_headers, &hot_rows));
-    if let Some(p) = maybe_emit_json("eval_hotpath", &hot_headers, &hot_rows) {
+    if let Some(p) = maybe_emit_json(
+        "eval_hotpath",
+        &hot_headers,
+        &hot_rows,
+        &[("overhead", &guard_spread), ("prof ovh", &prof_spread)],
+    ) {
         println!("wrote {}\n", p.display());
     }
 
@@ -153,6 +151,7 @@ fn main() {
         "AG", "trees", "threads", "total", "trees/s", "speedup", "steals",
     ];
     let mut thr_rows = Vec::new();
+    let mut thr_spread = Vec::new();
     let batch_size = 256;
     for profile in [
         &TABLE1_PROFILES[0],
@@ -168,45 +167,40 @@ fn main() {
             .map(|t| synthetic_tree(&compiled.grammar, profile, 400, profile.seed ^ t as u64))
             .collect();
         let inputs = RootInputs::new();
-        let mut base = 0f64;
-        for threads in [1usize, 2, 4, 8] {
-            // Median of 5 runs: batch wall-clock is scheduler-noisy.
-            let mut times = Vec::new();
-            let mut steals = 0u64;
-            for _ in 0..5 {
-                let t0 = Instant::now();
-                let report = batch_evaluate_guarded(
-                    &ev,
-                    &trees,
-                    &inputs,
-                    threads,
-                    &EvalBudget::default(),
-                    0,
-                    None,
-                );
-                times.push(t0.elapsed().as_secs_f64());
-                steals = report.stats.steals;
-                assert!(report.all_ok(), "batch evaluation failed");
-            }
-            times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-            let dt = times[times.len() / 2];
-            let tps = batch_size as f64 / dt;
-            if threads == 1 {
-                base = tps;
-            }
+        let threads = [1usize, 2, 4, 8];
+        let steals: [Cell<u64>; 4] = Default::default();
+        let run = |leg: usize| {
+            let report =
+                batch_evaluate_guarded(&ev, &trees, &inputs, threads[leg], &budget, 0, None);
+            assert!(report.all_ok(), "batch evaluation failed");
+            steals[leg].set(report.stats.steals);
+        };
+        let mut legs = [0, 1, 2, 3].map(|leg| move || run(leg));
+        let legs = paired(
+            THREAD_ROUNDS,
+            &mut legs.each_mut().map(|l| l as &mut dyn FnMut()),
+        );
+        for (leg, t) in legs.iter().enumerate() {
+            // Leg 0 is one thread, so the speedup is the inverse ratio.
             thr_rows.push(vec![
                 profile.name.to_string(),
                 batch_size.to_string(),
-                threads.to_string(),
-                format!("{:.2}ms", dt * 1e3),
-                format!("{tps:.0}"),
-                format!("{:.2}x", tps / base),
-                steals.to_string(),
+                threads[leg].to_string(),
+                format!("{:.2}ms", t.median.as_secs_f64() * 1e3),
+                format!("{:.0}", batch_size as f64 / t.median.as_secs_f64()),
+                format!("{:.2}x", 1.0 / t.ratio),
+                steals[leg].get().to_string(),
             ]);
+            thr_spread.push(t.spread);
         }
     }
     println!("{}", render_table(&thr_headers, &thr_rows));
-    if let Some(p) = maybe_emit_json("throughput", &thr_headers, &thr_rows) {
+    if let Some(p) = maybe_emit_json(
+        "throughput",
+        &thr_headers,
+        &thr_rows,
+        &[("speedup", &thr_spread)],
+    ) {
         println!("wrote {}\n", p.display());
     }
 
@@ -214,6 +208,7 @@ fn main() {
     println!("Startup: full generator cascade vs. compiled-table artifact load\n");
     let start_headers = ["AG", "artifact", "full compile", "table load", "speedup"];
     let mut start_rows = Vec::new();
+    let mut start_spread = Vec::new();
     let sized = sized_ag_source("s40", 2000);
     for (name, source) in [
         ("minipascal", MINIPASCAL_OLGA),
@@ -230,22 +225,30 @@ fn main() {
             loaded.report.class, compiled.report.class,
             "{name}: artifact load diverges from the full cascade"
         );
-        let t_full = time_n(reps, || {
-            std::hint::black_box(pipeline.compile_olga(source).unwrap());
-        });
-        let t_load = time_n(reps, || {
-            std::hint::black_box(fnc2::artifact::load_tables(&bytes, source, &pipeline).unwrap());
-        });
+        let legs = paired(
+            STARTUP_ROUNDS,
+            &mut [
+                &mut || _ = black_box(pipeline.compile_olga(source)),
+                &mut || _ = black_box(fnc2::artifact::load_tables(&bytes, source, &pipeline)),
+            ],
+        );
+        let (full, load) = (legs[0], legs[1]);
         start_rows.push(vec![
             name.to_string(),
             format!("{} B", bytes.len()),
-            format!("{:.2}ms", t_full.as_secs_f64() * 1e3),
-            format!("{:.2}ms", t_load.as_secs_f64() * 1e3),
-            format!("{:.1}x", t_full.as_secs_f64() / t_load.as_secs_f64()),
+            format!("{:.2}ms", full.median.as_secs_f64() * 1e3),
+            format!("{:.2}ms", load.median.as_secs_f64() * 1e3),
+            format!("{:.2}x", 1.0 / load.ratio),
         ]);
+        start_spread.push(load.spread);
     }
     println!("{}", render_table(&start_headers, &start_rows));
-    if let Some(p) = maybe_emit_json("startup", &start_headers, &start_rows) {
+    if let Some(p) = maybe_emit_json(
+        "startup",
+        &start_headers,
+        &start_rows,
+        &[("speedup", &start_spread)],
+    ) {
         println!("wrote {}\n", p.display());
     }
 
@@ -261,6 +264,7 @@ fn main() {
         "journal",
     ];
     let mut ckpt_rows = Vec::new();
+    let mut ckpt_spread = Vec::new();
     let vfs = fnc2::vfs::RealVfs;
     // A RAM-backed journal when the platform has one: the gated overhead
     // column measures the driver's structural cost (digests, journaling,
@@ -292,85 +296,73 @@ fn main() {
 
         // Differential guard: the journaled leg must classify every tree
         // exactly like the plain guarded leg — same class, same digest.
-        let guarded = batch_evaluate_guarded(&ev, &trees, &inputs, threads, &budget, 0, None);
+        let guarded = || {
+            black_box(batch_evaluate_guarded(
+                &ev, &trees, &inputs, threads, &budget, 0, None,
+            ))
+        };
+        // The checkpointed leg recreates the journal every run: a journaled
+        // tree is never re-evaluated, so resuming a finished journal would
+        // measure nothing. Create + appends + compaction are the overhead.
         let checkpointed = || {
             let mut ckpt =
                 Checkpoint::create(&vfs, &journal, fingerprint).expect("bench journal creates");
-            batch_evaluate_checkpointed_recorded(
-                &ev,
-                &trees,
-                &inputs,
-                threads,
-                &budget,
-                0,
-                None,
-                0,
-                &vfs,
-                &mut ckpt,
-                0,
-                &mut NoopRecorder,
+            black_box(
+                batch_evaluate_checkpointed_recorded(
+                    &ev,
+                    &trees,
+                    &inputs,
+                    threads,
+                    &budget,
+                    0,
+                    None,
+                    0,
+                    &vfs,
+                    &mut ckpt,
+                    0,
+                    &mut NoopRecorder,
+                )
+                .expect("checkpointed batch runs"),
             )
-            .expect("checkpointed batch runs")
         };
+        let plain = guarded();
         let report = checkpointed();
         assert_eq!(report.records.len(), trees.len(), "batch lost trees");
         assert_eq!(report.resumed, 0, "fresh journal resumed records");
         for (i, record) in report.records.iter().enumerate() {
             assert_eq!(
                 record.digest,
-                outcome_digest(&guarded.outcomes[i]),
+                outcome_digest(&plain.outcomes[i]),
                 "{}: tree {i} diverges between guarded and checkpointed legs",
                 profile.name
             );
         }
         let journal_bytes = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
 
-        // Paired rounds, median-of-ratios: each round times the guarded and
-        // the checkpointed leg back to back, so slow drift cancels inside a
-        // round and a single scheduler-preempted round cannot move the
-        // (gated) overhead cell past the median. The checkpointed leg
-        // recreates the journal each round — a journaled tree is never
-        // re-evaluated, so resuming a finished journal would measure
-        // nothing. Create + appends + compaction are the overhead.
-        let rounds = 7;
-        let mut t_guards = Vec::with_capacity(rounds);
-        let mut t_ckpts = Vec::with_capacity(rounds);
-        let mut ratios = Vec::with_capacity(rounds);
-        for round in 0..rounds + 2 {
-            let t0 = Instant::now();
-            std::hint::black_box(batch_evaluate_guarded(
-                &ev, &trees, &inputs, threads, &budget, 0, None,
-            ));
-            let g = t0.elapsed();
-            let t0 = Instant::now();
-            std::hint::black_box(checkpointed());
-            let c = t0.elapsed();
-            if round < 2 {
-                continue; // warmup
-            }
-            t_guards.push(g);
-            t_ckpts.push(c);
-            ratios.push(c.as_secs_f64() / g.as_secs_f64());
-        }
-        t_guards.sort();
-        t_ckpts.sort();
-        ratios.sort_by(f64::total_cmp);
-        let t_guard = t_guards[rounds / 2];
-        let t_ckpt = t_ckpts[rounds / 2];
-        let ratio = ratios[rounds / 2];
+        let legs = paired(
+            CHECKPOINT_ROUNDS,
+            &mut [&mut || _ = guarded(), &mut || _ = checkpointed()],
+        );
+        let (guard, ckpt) = (legs[0], legs[1]);
         ckpt_rows.push(vec![
             profile.name.to_string(),
             batch_size.to_string(),
             threads.to_string(),
-            format!("{:.2}ms", t_guard.as_secs_f64() * 1e3),
-            format!("{:.2}ms", t_ckpt.as_secs_f64() * 1e3),
-            format!("{:+.1}%", (ratio - 1.0) * 100.0),
+            format!("{:.2}ms", guard.median.as_secs_f64() * 1e3),
+            format!("{:.2}ms", ckpt.median.as_secs_f64() * 1e3),
+            format!("{:+.1}%", (ckpt.ratio - 1.0) * 100.0),
             format!("{journal_bytes} B"),
         ]);
+        ckpt_spread.push(ckpt.spread);
     }
     let _ = std::fs::remove_file(&journal);
     println!("{}", render_table(&ckpt_headers, &ckpt_rows));
-    if let Some(p) = maybe_emit_json("checkpoint", &ckpt_headers, &ckpt_rows) {
+    if let Some(p) = maybe_emit_json(
+        "checkpoint",
+        &ckpt_headers,
+        &ckpt_rows,
+        &[("overhead", &ckpt_spread)],
+    ) {
         println!("wrote {}", p.display());
     }
     println!("Expected shape: the journal buffers 25-byte checksummed records and appends");
@@ -383,6 +375,7 @@ fn main() {
     println!("\nLint: grammar-level static analyses vs. the full generator cascade\n");
     let lint_headers = ["AG", "findings", "full compile", "lint pass", "share"];
     let mut lint_rows = Vec::new();
+    let mut lint_spread = Vec::new();
     for (name, source) in [
         ("minipascal", MINIPASCAL_OLGA),
         ("blocks", BLOCKS_OLGA_LIST),
@@ -391,28 +384,31 @@ fn main() {
         let pipeline = Pipeline::new();
         let compiled = pipeline.compile_olga(source).expect("corpus AG compiles");
         let findings = compiled.lint.diags.len();
-        let t_full = time_n(reps, || {
-            std::hint::black_box(pipeline.compile_olga(source).unwrap());
-        });
-        let t_lint = time_n(reps, || {
-            std::hint::black_box(fnc2::lint::lint_grammar(
-                &compiled.grammar,
-                Some(&compiled.classification),
-            ));
-        });
+        let classes = Some(&compiled.classification);
+        let legs = paired(
+            LINT_ROUNDS,
+            &mut [
+                &mut || _ = black_box(pipeline.compile_olga(source)),
+                &mut || _ = black_box(fnc2::lint::lint_grammar(&compiled.grammar, classes)),
+            ],
+        );
+        let (full, lint) = (legs[0], legs[1]);
         lint_rows.push(vec![
             name.to_string(),
             findings.to_string(),
-            format!("{:.2}ms", t_full.as_secs_f64() * 1e3),
-            format!("{:.3}ms", t_lint.as_secs_f64() * 1e3),
-            format!(
-                "{:+.1}%",
-                100.0 * t_lint.as_secs_f64() / t_full.as_secs_f64()
-            ),
+            format!("{:.2}ms", full.median.as_secs_f64() * 1e3),
+            format!("{:.3}ms", lint.median.as_secs_f64() * 1e3),
+            format!("{:+.1}%", 100.0 * lint.ratio),
         ]);
+        lint_spread.push(lint.spread);
     }
     println!("{}", render_table(&lint_headers, &lint_rows));
-    if let Some(p) = maybe_emit_json("lint", &lint_headers, &lint_rows) {
+    if let Some(p) = maybe_emit_json(
+        "lint",
+        &lint_headers,
+        &lint_rows,
+        &[("share", &lint_spread)],
+    ) {
         println!("wrote {}", p.display());
     }
     println!("Expected shape: the lint re-walks every rule a handful of times (liveness");

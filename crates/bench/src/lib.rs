@@ -2,11 +2,12 @@
 //!
 //! Shared machinery for the table binaries (`table1` … `table4`,
 //! `table_partitions`, `table_space`, `table_evaluator`,
-//! `table_incremental`) and the `benches/` targets: hand-written reference
-//! evaluators (the §4.2 comparison point), a byte-counting global-allocator
-//! hook (the Table 2/3 "memory" column), a dependency-free timing harness
-//! ([`harness`]), table rendering, and optional JSON table dumps
-//! ([`maybe_emit_json`]).
+//! `table_incremental`, `table_throughput`) and `bench_compare`:
+//! hand-written reference evaluators (the §4.2 comparison point), a
+//! byte-counting global-allocator hook (the Table 2/3 "memory" column), the
+//! paired-rounds timing harness every ratio cell comes from ([`harness`]),
+//! table rendering, and the JSON table dumps ([`maybe_emit_json`],
+//! [`BenchTable`]).
 
 #![warn(missing_docs)]
 
@@ -465,9 +466,10 @@ pub fn bit_string(len: usize, seed: u64) -> String {
 // Table rendering
 // ---------------------------------------------------------------------------
 
-/// Renders rows as a fixed-width table with a header.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// Renders rows as a fixed-width table with a header. Lines carry no
+/// trailing blanks, so the text can be quoted verbatim in the docs.
+pub fn render_table<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
@@ -475,14 +477,19 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     }
     let mut out = String::new();
     let line = |out: &mut String, cells: &[String]| {
+        let mut text = String::new();
         for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
+            text.push_str(&format!("{:>w$}  ", c, w = widths[i]));
         }
+        out.push_str(text.trim_end());
         out.push('\n');
     };
     line(
         &mut out,
-        &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        &headers
+            .iter()
+            .map(|s| s.as_ref().to_string())
+            .collect::<Vec<_>>(),
     );
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
     out.push('\n');
@@ -500,36 +507,43 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// directory, or to `1` for the current directory), so table runs start
 /// accumulating a machine-readable perf trajectory.
 ///
-/// The document is `{"table": name, "headers": [...], "rows": [[...]]}`.
-/// Returns the path written, or `None` when the env var is unset.
+/// The document is `{"table": name, "headers": [...], "rows": [[...]],
+/// "spread": {column: [...]}}`: for each timed ratio column, the
+/// [`harness::Leg::spread`] behind each row's cell. Returns the path
+/// written, or `None` when the env var is unset.
 pub fn maybe_emit_json(
     name: &str,
     headers: &[&str],
     rows: &[Vec<String>],
+    spread: &[(&str, &[f64])],
 ) -> Option<std::path::PathBuf> {
+    use fnc2_obs::Json;
     let dest = std::env::var("FNC2_BENCH_JSON").ok()?;
     let dir = if dest == "1" {
         std::path::PathBuf::from(".")
     } else {
         std::path::PathBuf::from(dest)
     };
-    let doc = fnc2_obs::Json::obj([
-        ("table", fnc2_obs::Json::str(name)),
+    let strings =
+        |cells: &[String]| Json::Arr(cells.iter().map(|c| Json::str(c.clone())).collect());
+    // Four decimals: the spread is for people to read, never gated.
+    let floats = |xs: &[f64]| {
+        Json::Arr(
+            xs.iter()
+                .map(|x| Json::Float((x * 1e4).round() / 1e4))
+                .collect(),
+        )
+    };
+    let doc = Json::obj([
+        ("table", Json::str(name)),
         (
             "headers",
-            fnc2_obs::Json::Arr(headers.iter().map(|h| fnc2_obs::Json::str(*h)).collect()),
+            Json::Arr(headers.iter().map(|h| Json::str(*h)).collect()),
         ),
+        ("rows", Json::Arr(rows.iter().map(|r| strings(r)).collect())),
         (
-            "rows",
-            fnc2_obs::Json::Arr(
-                rows.iter()
-                    .map(|row| {
-                        fnc2_obs::Json::Arr(
-                            row.iter().map(|c| fnc2_obs::Json::str(c.clone())).collect(),
-                        )
-                    })
-                    .collect(),
-            ),
+            "spread",
+            Json::obj(spread.iter().map(|(col, xs)| (*col, floats(xs)))),
         ),
     ]);
     let path = dir.join(format!("BENCH_{name}.json"));
@@ -542,79 +556,240 @@ pub fn maybe_emit_json(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Timing harness (replaces the external bench framework; offline builds)
-// ---------------------------------------------------------------------------
+/// A `BENCH_<table>.json` document read back: what [`maybe_emit_json`]
+/// wrote.
+#[derive(Debug)]
+pub struct BenchTable {
+    /// The table name, as in `BENCH_<name>.json`.
+    pub name: String,
+    /// The column headers.
+    pub headers: Vec<String>,
+    /// The rendered cells, row by row.
+    pub rows: Vec<Vec<String>>,
+    /// For each timed ratio column, the spread behind each row's cell.
+    pub spread: std::collections::BTreeMap<String, Vec<f64>>,
+}
 
-/// A minimal measurement harness for the `benches/` targets
-/// (`harness = false`): fixed warmup, fixed sample count, median-of-samples
-/// reporting. Dependency-free by construction — the workspace builds
-/// offline.
-pub mod harness {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// One benchmark's result.
-    #[derive(Clone, Debug)]
-    pub struct Measurement {
-        /// Group/name label, e.g. `"evaluator/binary-1024/generated"`.
-        pub name: String,
-        /// Median nanoseconds per iteration.
-        pub median_ns: f64,
-        /// Minimum nanoseconds per iteration.
-        pub min_ns: f64,
-        /// Number of timed samples.
-        pub samples: usize,
-    }
-
-    impl Measurement {
-        /// `"name  median  (min)"` with µs/ms scaling.
-        pub fn render(&self) -> String {
-            format!(
-                "{:<48} {:>12} (min {})",
-                self.name,
-                fmt_ns(self.median_ns),
-                fmt_ns(self.min_ns)
-            )
+impl BenchTable {
+    /// Reads one dump.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable file, malformed JSON, or a missing or mistyped field,
+    /// as a message naming the file.
+    pub fn load(path: &std::path::Path) -> Result<BenchTable, String> {
+        use fnc2_obs::Json;
+        fn list<T>(v: &Json, item: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+            v.as_arr()?.iter().map(item).collect()
         }
-    }
-
-    fn fmt_ns(ns: f64) -> String {
-        if ns >= 1e9 {
-            format!("{:.3} s", ns / 1e9)
-        } else if ns >= 1e6 {
-            format!("{:.3} ms", ns / 1e6)
-        } else if ns >= 1e3 {
-            format!("{:.3} µs", ns / 1e3)
-        } else {
-            format!("{ns:.0} ns")
-        }
-    }
-
-    /// Runs `f` for `warmup` untimed and `samples` timed iterations and
-    /// prints the median. The closure's result is passed through
-    /// [`black_box`] so the optimizer cannot delete the work.
-    pub fn bench<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) -> Measurement {
-        let samples = samples.max(3);
-        let warmup = (samples / 4).max(1);
-        for _ in 0..warmup {
-            black_box(f());
-        }
-        let mut times: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let t0 = Instant::now();
-            black_box(f());
-            times.push(t0.elapsed().as_nanos() as f64);
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-        let m = Measurement {
-            name: name.to_string(),
-            median_ns: times[times.len() / 2],
-            min_ns: times[0],
-            samples,
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let doc = Json::parse(&text).map_err(|e| format!("{}: bad JSON: {e}", path.display()))?;
+        let mistyped = |key: &str| format!("{}: missing or mistyped \"{key}\"", path.display());
+        let field = |key: &str| doc.get(key).ok_or_else(|| mistyped(key));
+        let strings = |v: &Json| list(v, |c| c.as_str().map(str::to_string));
+        let floats = |v: &Json| {
+            list(v, |c| {
+                if let Json::Float(x) = c {
+                    Some(*x)
+                } else {
+                    None
+                }
+            })
         };
-        println!("{}", m.render());
-        m
+        let spread = match field("spread")? {
+            Json::Obj(cols) => cols
+                .iter()
+                .map(|(c, xs)| Some((c.clone(), floats(xs)?)))
+                .collect(),
+            _ => None,
+        };
+        Ok(BenchTable {
+            name: field("table")?
+                .as_str()
+                .ok_or_else(|| mistyped("table"))?
+                .into(),
+            headers: strings(field("headers")?).ok_or_else(|| mistyped("headers"))?,
+            rows: list(field("rows")?, strings).ok_or_else(|| mistyped("rows"))?,
+            spread: spread.ok_or_else(|| mistyped("spread"))?,
+        })
+    }
+
+    /// The table as [`render_table`] prints it.
+    pub fn render(&self) -> String {
+        render_table(&self.headers, &self.rows)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Timing harness: paired, rotating rounds
+// ---------------------------------------------------------------------------
+
+/// The one way a ratio cell is timed. Every leg runs once per round, and
+/// each leg's ratio is the median of its per-round ratios to leg 0. Pairing
+/// cancels drift slower than a round (another tenant, frequency scaling)
+/// inside each ratio. Rotating which leg goes first keeps any one leg from
+/// always inheriting the cache and scheduler state of the same
+/// predecessor. The median keeps one preempted round from moving a cell.
+pub mod harness {
+    use std::time::{Duration, Instant};
+
+    /// Untimed rounds before the timed ones, so caches, lazy allocations
+    /// and the allocator's free lists are warm.
+    pub const WARMUP_ROUNDS: usize = 2;
+
+    /// One leg's result from [`paired`].
+    #[derive(Clone, Copy, Debug)]
+    pub struct Leg {
+        /// Median time of one run of the leg.
+        pub median: Duration,
+        /// Median over the timed rounds of this leg's time over leg 0's
+        /// time in the same round (1 for leg 0).
+        pub ratio: f64,
+        /// The interquartile range of those per-round ratios over their
+        /// median (0 for leg 0).
+        pub spread: f64,
+    }
+
+    /// Runs [`WARMUP_ROUNDS`] untimed rounds, then `rounds` timed ones.
+    /// Every round runs each leg once: round `r` starts with leg
+    /// `r mod legs.len()` and continues in index order, wrapping around, so
+    /// over the timed rounds each leg goes first equally often, give or
+    /// take one. Returns one [`Leg`] per leg, in input order. Legs pass
+    /// their results through [`std::hint::black_box`] themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounds` is zero or `legs` is empty.
+    pub fn paired(rounds: usize, legs: &mut [&mut dyn FnMut()]) -> Vec<Leg> {
+        let n = legs.len();
+        assert!(rounds > 0 && n > 0, "paired needs a round and a leg");
+        let mut times = vec![Vec::with_capacity(WARMUP_ROUNDS + rounds); n];
+        for round in 0..WARMUP_ROUNDS + rounds {
+            for k in 0..n {
+                let leg = (round + k) % n;
+                let t0 = Instant::now();
+                legs[leg]();
+                times[leg].push(t0.elapsed());
+            }
+        }
+        for leg in &mut times {
+            leg.drain(..WARMUP_ROUNDS);
+        }
+        summarize(&times)
+    }
+
+    /// Per-leg medians, median ratios to leg 0 and their spreads, from
+    /// `times[leg][round]`.
+    fn summarize(times: &[Vec<Duration>]) -> Vec<Leg> {
+        times
+            .iter()
+            .map(|leg| {
+                let mut sorted = leg.clone();
+                sorted.sort_unstable();
+                let m = sorted.len();
+                let mut ratios: Vec<f64> = leg
+                    .iter()
+                    .zip(&times[0])
+                    .map(|(t, t0)| t.as_secs_f64() / t0.as_secs_f64())
+                    .collect();
+                let (q1, ratio, q3) = quartiles(&mut ratios);
+                Leg {
+                    median: (sorted[(m - 1) / 2] + sorted[m / 2]) / 2,
+                    ratio,
+                    spread: (q3 - q1) / ratio,
+                }
+            })
+            .collect()
+    }
+
+    /// First quartile, median and third quartile, interpolating linearly
+    /// between order statistics.
+    fn quartiles(xs: &mut [f64]) -> (f64, f64, f64) {
+        xs.sort_by(f64::total_cmp);
+        let at = |p: f64| {
+            let pos = p * (xs.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+        };
+        (at(0.25), at(0.5), at(0.75))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use std::cell::RefCell;
+
+        #[test]
+        fn every_round_runs_each_leg_once_rotating_the_first() {
+            for (n, rounds) in [(3usize, 7usize), (2, 5), (4, 4), (1, 3)] {
+                let log = RefCell::new(Vec::new());
+                let mut l0 = || log.borrow_mut().push(0);
+                let mut l1 = || log.borrow_mut().push(1);
+                let mut l2 = || log.borrow_mut().push(2);
+                let mut l3 = || log.borrow_mut().push(3);
+                let mut legs: [&mut dyn FnMut(); 4] = [&mut l0, &mut l1, &mut l2, &mut l3];
+                assert_eq!(paired(rounds, &mut legs[..n]).len(), n);
+                let log = log.borrow().clone();
+                assert_eq!(log.len(), (WARMUP_ROUNDS + rounds) * n);
+                let timed: Vec<&[usize]> = log.chunks(n).skip(WARMUP_ROUNDS).collect();
+                for round in &timed {
+                    let mut seen = round.to_vec();
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..n).collect::<Vec<_>>(), "each leg once per round");
+                }
+                for leg in 0..n {
+                    let first = timed.iter().filter(|r| r[0] == leg).count();
+                    assert!(
+                        (rounds / n..=rounds.div_ceil(n)).contains(&first),
+                        "{n} legs, {rounds} rounds: leg {leg} first in {first}"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn warmup_rounds_are_not_timed() {
+            // Leg 1 is slow only while warming up; were those rounds
+            // counted, its median ratio over one timed round would be ~5.
+            let mut calls = 0;
+            let legs = paired(
+                1,
+                &mut [
+                    &mut || std::thread::sleep(Duration::from_millis(1)),
+                    &mut || {
+                        calls += 1;
+                        if calls <= WARMUP_ROUNDS {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                    },
+                ],
+            );
+            assert!(legs[1].ratio < 1.0, "{:?}", legs[1]);
+            assert_eq!((legs[0].ratio, legs[0].spread), (1.0, 0.0));
+        }
+
+        #[test]
+        fn median_and_spread_of_fixed_per_round_ratios() {
+            let ms = |v: &[u64]| {
+                v.iter()
+                    .map(|&m| Duration::from_millis(m))
+                    .collect::<Vec<_>>()
+            };
+            // Leg 1 over leg 0, round by round: 1.1, 1.4, 1.2, 3.0, 1.3.
+            let legs = summarize(&[ms(&[10, 10, 20, 10, 10]), ms(&[11, 14, 24, 30, 13])]);
+            assert_eq!(legs[0].median, Duration::from_millis(10));
+            assert_eq!((legs[0].ratio, legs[0].spread), (1.0, 0.0));
+            assert_eq!(legs[1].median, Duration::from_millis(14));
+            assert!((legs[1].ratio - 1.3).abs() < 1e-12, "{:?}", legs[1]);
+            // Quartiles 1.2 and 1.4: IQR 0.2 over the median 1.3.
+            assert!((legs[1].spread - 0.2 / 1.3).abs() < 1e-12, "{:?}", legs[1]);
+            // Even counts interpolate: ratios 1, 2, 3, 4 give median 2.5
+            // and quartiles 1.75 and 3.25.
+            let legs = summarize(&[ms(&[10, 10, 10, 10]), ms(&[10, 20, 30, 40])]);
+            assert!((legs[1].ratio - 2.5).abs() < 1e-12);
+            assert!((legs[1].spread - 1.5 / 2.5).abs() < 1e-12);
+        }
     }
 }
 

@@ -1,0 +1,45 @@
+//! The docs quote the committed baselines verbatim. Every
+//! `crates/bench/baselines/BENCH_*.json`, rendered with `render_table`,
+//! must appear in EXPERIMENTS.md, and the startup table in README.md too,
+//! so a regenerated baseline cannot leave stale numbers in the prose.
+
+use std::path::{Path, PathBuf};
+
+use fnc2_bench::BenchTable;
+
+fn repo_file(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn docs_quote_the_committed_baselines() {
+    let experiments = repo_file("EXPERIMENTS.md");
+    let readme = repo_file("README.md");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("baselines directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no baselines in {}", dir.display());
+    for path in &paths {
+        let table = BenchTable::load(path).unwrap();
+        let text = table.render();
+        assert!(
+            experiments.contains(&text),
+            "EXPERIMENTS.md does not quote {} as rendered:\n{text}",
+            path.display()
+        );
+        if table.name == "startup" {
+            assert!(
+                readme.contains(&text),
+                "README.md does not quote {} as rendered:\n{text}",
+                path.display()
+            );
+        }
+    }
+}

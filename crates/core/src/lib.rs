@@ -240,25 +240,26 @@ impl Compiled {
     }
 
     /// Evaluates `tree` under the space plan; only node-stored values return.
+    /// When no plan stands (the pipeline ran without space optimization, or
+    /// [`degrade_to_exhaustive_recorded`](Self::degrade_to_exhaustive_recorded)
+    /// dropped it), runs the trivial plan, node storage, like
+    /// [`evaluate`](Self::evaluate).
     ///
     /// # Errors
     ///
     /// See [`EvalError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline was configured without space optimization.
     pub fn evaluate_optimized(
         &self,
         tree: &Tree,
         inputs: &RootInputs,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
-        let fp = self.flat.as_ref().expect("space optimization enabled");
-        let plan = self
-            .space_plan
-            .as_ref()
-            .expect("space optimization enabled");
-        fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan).evaluate(tree, inputs)
+        match (&self.flat, &self.space_plan) {
+            (Some(fp), Some(plan)) => {
+                fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan)
+                    .evaluate(tree, inputs)
+            }
+            _ => self.evaluate(tree, inputs),
+        }
     }
 
     /// [`evaluate`](Self::evaluate), instrumented: run counters are
