@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::ids::NodeId;
+
 /// An error detected while building or validating an attribute grammar.
 ///
 /// Well-definedness (paper §3.3, the `asx` processor) requires every output
@@ -176,6 +178,20 @@ pub enum TreeError {
         /// Found phylum name.
         found: String,
     },
+    /// An edit targets a node that is not in the tree: outside the arena,
+    /// or left behind by an earlier replacement.
+    Detached {
+        /// The target.
+        node: NodeId,
+    },
+    /// An edit of a batch targets a node inside another edit's subtree.
+    NestedEdit {
+        /// The inner target.
+        inner: NodeId,
+        /// The target whose subtree holds it (`inner` itself when a
+        /// target is named twice).
+        outer: NodeId,
+    },
 }
 
 impl fmt::Display for TreeError {
@@ -205,6 +221,11 @@ impl fmt::Display for TreeError {
             TreeError::RootPhylum { expected, found } => {
                 write!(f, "tree root derives `{found}`, expected `{expected}`")
             }
+            TreeError::Detached { node } => write!(f, "node {node} is not in the tree"),
+            TreeError::NestedEdit { inner, outer } => write!(
+                f,
+                "edit at node {inner} lies inside the subtree of the edit at node {outer}"
+            ),
         }
     }
 }

@@ -146,14 +146,6 @@ impl Interner {
         }
     }
 
-    /// True when `v` is a compound value already canonical in this table.
-    pub fn is_canonical(&self, v: &Value) -> bool {
-        match compound_addr(v) {
-            Some(addr) => self.canonical.contains(&addr),
-            None => false,
-        }
-    }
-
     /// True when `v`'s identity is stable for the lifetime of this interner:
     /// scalars always, compounds only when canonical here. Only stable
     /// identities may be used in memo-cache keys or O(1) equality cuts.

@@ -95,15 +95,55 @@ impl Tree {
     ///
     /// # Errors
     ///
-    /// Fails with [`TreeError::ReplacePhylum`] if the replacement derives a
-    /// different phylum, or [`TreeError::RootPhylum`] when replacing the
-    /// root with a tree of the wrong phylum.
+    /// Fails with [`TreeError::Detached`] if `at` is not in the tree, or
+    /// [`TreeError::ReplacePhylum`] if the replacement derives a different
+    /// phylum. A rejected replacement leaves the tree unchanged.
     pub fn replace_subtree(
         &mut self,
         grammar: &Grammar,
         at: NodeId,
         replacement: &Tree,
     ) -> Result<NodeId, TreeError> {
+        self.check_replacement(grammar, at, replacement)?;
+        Ok(self.graft(at, replacement))
+    }
+
+    /// Applies several subtree replacements and returns the new subtree
+    /// roots in edit order (paper §2.1.2: "multiple subtree
+    /// replacements").
+    ///
+    /// # Errors
+    ///
+    /// Every edit is checked before any is applied, so a rejected batch
+    /// leaves the tree unchanged. Each edit fails as for
+    /// [`replace_subtree`](Self::replace_subtree), and with
+    /// [`TreeError::NestedEdit`] when its target lies inside another
+    /// target's subtree or is named twice.
+    pub fn replace_subtrees(
+        &mut self,
+        grammar: &Grammar,
+        edits: &[(NodeId, Tree)],
+    ) -> Result<Vec<NodeId>, TreeError> {
+        for (i, (at, replacement)) in edits.iter().enumerate() {
+            let ancestry = self.check_replacement(grammar, *at, replacement)?;
+            for (j, &(outer, _)) in edits.iter().enumerate() {
+                if j != i && ancestry.contains(&outer) {
+                    return Err(TreeError::NestedEdit { inner: *at, outer });
+                }
+            }
+        }
+        Ok(edits.iter().map(|(at, r)| self.graft(*at, r)).collect())
+    }
+
+    /// Checks that `at` is in the tree and `replacement` derives its
+    /// phylum, returning `at` and its ancestors.
+    fn check_replacement(
+        &self,
+        grammar: &Grammar,
+        at: NodeId,
+        replacement: &Tree,
+    ) -> Result<Vec<NodeId>, TreeError> {
+        let ancestry = self.ancestry(at)?;
         let want = self.phylum(grammar, at);
         let got = replacement.phylum(grammar, replacement.root());
         if want != got {
@@ -112,7 +152,34 @@ impl Tree {
                 found: grammar.phylum(got).name().to_string(),
             });
         }
-        // Graft the replacement nodes, remapping ids.
+        Ok(ancestry)
+    }
+
+    /// `id` followed by its ancestors up to the root, or
+    /// [`TreeError::Detached`] when `id` is outside the arena or was left
+    /// behind by a replacement.
+    fn ancestry(&self, id: NodeId) -> Result<Vec<NodeId>, TreeError> {
+        let detached = TreeError::Detached { node: id };
+        if id.index() >= self.nodes.len() {
+            return Err(detached);
+        }
+        let mut path = vec![id];
+        let mut cur = id;
+        while let Some(parent) = self.nodes[cur.index()].parent {
+            if !self.nodes[parent.index()].children.contains(&cur) {
+                return Err(detached);
+            }
+            path.push(parent);
+            cur = parent;
+        }
+        if cur != self.root {
+            return Err(detached);
+        }
+        Ok(path)
+    }
+
+    /// Grafts `replacement` at the checked target `at`.
+    fn graft(&mut self, at: NodeId, replacement: &Tree) -> NodeId {
         let base = self.nodes.len() as u32;
         for (i, n) in replacement.nodes.iter().enumerate() {
             let mut n = n.clone();
@@ -135,32 +202,39 @@ impl Tree {
                     .children
                     .iter()
                     .position(|&c| c == at)
-                    .expect("parent lists child");
+                    .expect("checked target is listed by its parent");
                 self.nodes[parent.index()].children[slot] = new_root;
             }
             None => self.root = new_root,
         }
-        Ok(new_root)
+        new_root
     }
 
     /// Replaces the production applied at `at` **in place**, keeping the
-    /// node's children. The new production must derive the same phylum
-    /// with the same RHS signature (the paper's operator-swap edit, e.g.
-    /// exchanging `add` for `sub`); attribute stores shaped for the old
-    /// production re-shape themselves on [`AttrValues::sync`] /
-    /// [`LocalFrames::sync`].
+    /// node's children, and returns the production it replaced. The new
+    /// production must derive the same phylum with the same RHS signature
+    /// (the paper's operator-swap edit, e.g. exchanging `add` for `sub`).
+    ///
+    /// The attribute stores do not notice the swap. The node's
+    /// [`AttrValues`] block still fits, since the phylum is unchanged; which
+    /// of its cells are stale is the caller's decision. When the local count
+    /// changes, the caller gives the node a fresh frame with
+    /// [`LocalFrames::reframe`].
     ///
     /// # Errors
     ///
-    /// Fails with [`TreeError::ReplacePhylum`] when the LHS phylum
-    /// differs, [`TreeError::ChildCount`] when the arity differs, or
-    /// [`TreeError::ChildPhylum`] when an RHS phylum differs.
+    /// Fails with [`TreeError::Detached`] if `at` is not in the tree,
+    /// [`TreeError::ReplacePhylum`] when the LHS phylum differs,
+    /// [`TreeError::ChildCount`] when the arity differs, or
+    /// [`TreeError::ChildPhylum`] when an RHS phylum differs. A rejected
+    /// swap leaves the tree unchanged.
     pub fn replace_production(
         &mut self,
         grammar: &Grammar,
         at: NodeId,
         production: ProductionId,
-    ) -> Result<(), TreeError> {
+    ) -> Result<ProductionId, TreeError> {
+        self.ancestry(at)?;
         let old = grammar.production(self.nodes[at.index()].production);
         let new = grammar.production(production);
         if old.lhs() != new.lhs() {
@@ -186,8 +260,10 @@ impl Tree {
                 });
             }
         }
-        self.nodes[at.index()].production = production;
-        Ok(())
+        Ok(std::mem::replace(
+            &mut self.nodes[at.index()].production,
+            production,
+        ))
     }
 
     /// Depth of `id` (root has depth 0).
@@ -400,27 +476,18 @@ impl<'g> TreeBuilder<'g> {
 /// Values live in a single flat arena (`cells`) addressed by a per-node base
 /// offset plus the attribute's offset within its phylum — one contiguous
 /// allocation instead of one `Vec` per node, so the slot-compiled evaluators
-/// can turn an attribute fetch into two indexed loads.
+/// can turn an attribute fetch into two indexed loads. A node's block is
+/// sized by its phylum, which no edit changes, so the store never needs to
+/// know which production a node applies.
 #[derive(Clone, Debug, Default)]
 pub struct AttrValues {
     /// The flat cell arena; node `n`'s block starts at `offsets[n]`.
     cells: Vec<Option<Value>>,
     /// Per-node base offset into `cells`.
     offsets: Vec<u32>,
-    /// The production each node's block was shaped for, so [`sync`]
-    /// detects in-place production swaps (see
-    /// [`Tree::replace_production`]).
-    ///
-    /// [`sync`]: AttrValues::sync
-    shaped: Vec<ProductionId>,
 }
 
 impl AttrValues {
-    fn width(grammar: &Grammar, production: ProductionId) -> usize {
-        let ph = grammar.production(production).lhs();
-        grammar.phylum(ph).attrs().len()
-    }
-
     /// Creates an empty store shaped for `tree` under `grammar`.
     pub fn new(grammar: &Grammar, tree: &Tree) -> Self {
         let mut vals = AttrValues::default();
@@ -428,29 +495,15 @@ impl AttrValues {
         vals
     }
 
-    /// Re-shapes the store after a tree edit: grows it to cover nodes
-    /// grafted after creation, and drops the stale cells of any node whose
-    /// production changed in place (its attribute values are unknown again,
-    /// paper §2.1.2) so a subsequent evaluation pass recomputes them.
+    /// Appends empty blocks for the nodes grafted into `tree` since the
+    /// last call. Existing blocks, including those of replaced nodes, are
+    /// left alone: invalidating cells after an edit is the evaluator's
+    /// decision.
     pub fn sync(&mut self, grammar: &Grammar, tree: &Tree) {
-        for (i, node) in tree.nodes.iter().enumerate().take(self.shaped.len()) {
-            if self.shaped[i] == node.production {
-                continue;
-            }
-            // `Tree::replace_production` keeps the phylum, so the block
-            // width cannot change.
-            let w = Self::width(grammar, node.production);
-            debug_assert_eq!(w, Self::width(grammar, self.shaped[i]));
-            let base = self.offsets[i] as usize;
-            for cell in &mut self.cells[base..base + w] {
-                *cell = None;
-            }
-            self.shaped[i] = node.production;
-        }
-        for node in &tree.nodes[self.shaped.len()..] {
+        for node in &tree.nodes[self.offsets.len()..] {
             self.offsets.push(self.cells.len() as u32);
-            self.shaped.push(node.production);
-            let w = Self::width(grammar, node.production);
+            let ph = grammar.production(node.production).lhs();
+            let w = grammar.phylum(ph).attrs().len();
             self.cells.extend(std::iter::repeat_with(|| None).take(w));
         }
     }
@@ -517,8 +570,6 @@ pub struct LocalFrames {
     cells: Vec<Option<Value>>,
     /// Per-node frame base offset into `cells`.
     offsets: Vec<u32>,
-    /// The production each frame was shaped for (see [`AttrValues::sync`]).
-    shaped: Vec<ProductionId>,
 }
 
 impl LocalFrames {
@@ -529,52 +580,23 @@ impl LocalFrames {
         frames
     }
 
-    /// Re-shapes the frames after a tree edit: appends frames for grafted
-    /// nodes and resets the frame of any node whose production changed in
-    /// place. A production swap may change the frame width, in which case
-    /// the arena is re-laid while keeping untouched frames.
+    /// Appends empty frames for the nodes grafted into `tree` since the
+    /// last call, leaving existing frames alone (see [`AttrValues::sync`]).
     pub fn sync(&mut self, grammar: &Grammar, tree: &Tree) {
-        let width = |p: ProductionId| grammar.production(p).locals().len();
-        let relayout = tree
-            .nodes
-            .iter()
-            .zip(&self.shaped)
-            .any(|(n, &s)| n.production != s && width(n.production) != width(s));
-        if relayout {
-            let mut old = std::mem::take(self);
-            for (i, node) in tree.nodes.iter().enumerate() {
-                self.offsets.push(self.cells.len() as u32);
-                self.shaped.push(node.production);
-                if i < old.shaped.len() && old.shaped[i] == node.production {
-                    let base = old.offsets[i] as usize;
-                    self.cells.extend(
-                        old.cells[base..base + width(node.production)]
-                            .iter_mut()
-                            .map(Option::take),
-                    );
-                } else {
-                    self.cells
-                        .extend(std::iter::repeat_with(|| None).take(width(node.production)));
-                }
-            }
-            return;
-        }
-        for (i, node) in tree.nodes.iter().enumerate().take(self.shaped.len()) {
-            if self.shaped[i] == node.production {
-                continue;
-            }
-            let base = self.offsets[i] as usize;
-            for cell in &mut self.cells[base..base + width(node.production)] {
-                *cell = None;
-            }
-            self.shaped[i] = node.production;
-        }
-        for node in &tree.nodes[self.shaped.len()..] {
+        for node in &tree.nodes[self.offsets.len()..] {
             self.offsets.push(self.cells.len() as u32);
-            self.shaped.push(node.production);
-            self.cells
-                .extend(std::iter::repeat_with(|| None).take(width(node.production)));
+            let w = grammar.production(node.production).locals().len();
+            self.cells.extend(std::iter::repeat_with(|| None).take(w));
         }
+    }
+
+    /// Gives `node` a fresh, empty frame of `width` locals at the end of
+    /// the arena: the frame it needs after [`Tree::replace_production`]
+    /// swapped in a production with a different local count.
+    pub fn reframe(&mut self, node: NodeId, width: usize) {
+        self.offsets[node.index()] = self.cells.len() as u32;
+        self.cells
+            .extend(std::iter::repeat_with(|| None).take(width));
     }
 
     /// The value of `local` in `node`'s frame, if computed.
@@ -707,6 +729,16 @@ mod tests {
             t.replace_subtree(&g, new_root, &s_tree),
             Err(TreeError::ReplacePhylum { .. })
         ));
+        // The replaced node, and any node below it, is no longer a target.
+        let cons2 = g.production_by_name("cons2").unwrap();
+        let inner = t.node(target).children()[0];
+        for gone in [target, inner, NodeId::from_raw(t.arena_len() as u32)] {
+            let before = t.clone();
+            let err = TreeError::Detached { node: gone };
+            assert_eq!(t.replace_subtree(&g, gone, &sub), Err(err.clone()));
+            assert_eq!(t.replace_production(&g, gone, cons2), Err(err));
+            assert_eq!(format!("{t:?}"), format!("{before:?}"));
+        }
     }
 
     #[test]
@@ -765,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_reshapes_swapped_productions() {
+    fn sync_covers_grafts_and_keeps_existing_cells() {
         let g = list_grammar();
         let mut t = chain(&g, 2);
         let l = g.phylum_by_name("L").unwrap();
@@ -779,15 +811,23 @@ mod tests {
         let leaf = t.preorder().last().unwrap().0;
         vals.set(&g, target, len, Value::Int(2));
         vals.set(&g, leaf, len, Value::Int(0));
+        // An in-place swap keeps the node's block and values: which cells
+        // it invalidates is the evaluator's decision.
         let cons2 = g.production_by_name("cons2").unwrap();
         t.replace_production(&g, target, cons2).unwrap();
         vals.sync(&g, &t);
-        // The swapped node's stale cells were cleared; untouched nodes survive.
-        assert_eq!(vals.get(&g, target, len), None);
+        assert_eq!(vals.get(&g, target, len), Some(&Value::Int(2)));
+        // A graft gets fresh, empty blocks; the replaced node keeps its own.
+        let mut b = TreeBuilder::new(&g);
+        let nil = b.op("nil", &[]).unwrap();
+        let new_leaf = t.replace_subtree(&g, leaf, &b.finish(nil)).unwrap();
+        vals.sync(&g, &t);
+        assert_eq!(vals.get(&g, new_leaf, len), None);
         assert_eq!(vals.get(&g, leaf, len), Some(&Value::Int(0)));
-        assert_eq!(vals.live_count(), 1);
+        vals.set(&g, new_leaf, len, Value::Int(0));
         // A second sync with no edits is a no-op.
         vals.sync(&g, &t);
-        assert_eq!(vals.get(&g, leaf, len), Some(&Value::Int(0)));
+        assert_eq!(vals.get(&g, new_leaf, len), Some(&Value::Int(0)));
+        assert_eq!(vals.live_count(), 3);
     }
 }

@@ -194,33 +194,6 @@ impl Value {
         Value::Map(m)
     }
 
-    /// Functional map removal: returns a map equal to `self` without `key`.
-    ///
-    /// # Panics
-    /// Panics if the value is not a `Map`.
-    pub fn map_remove(&self, key: &str) -> Value {
-        let Value::Map(m) = self else {
-            panic!("expected map, got {self:?}")
-        };
-        let mut m = Arc::clone(m);
-        Arc::make_mut(&mut m).remove(key);
-        Value::Map(m)
-    }
-
-    /// Functional list append: returns a list equal to `self` with `value`
-    /// pushed at the back, mutating in place when uniquely owned.
-    ///
-    /// # Panics
-    /// Panics if the value is not a `List`.
-    pub fn list_push(&self, value: Value) -> Value {
-        let Value::List(l) = self else {
-            panic!("expected list, got {self:?}")
-        };
-        let mut l = Arc::clone(l);
-        Arc::make_mut(&mut l).push(value);
-        Value::List(l)
-    }
-
     /// Map lookup. Returns `None` when absent.
     ///
     /// # Panics

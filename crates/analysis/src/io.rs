@@ -57,11 +57,6 @@ impl PhylumRels {
         self.rels[phylum.index()].union_in_place(rel)
     }
 
-    /// Total number of pairs across all phyla.
-    pub fn total_pairs(&self) -> usize {
-        self.rels.iter().map(BitMatrix::count).sum()
-    }
-
     /// The per-phylum relations, indexed by phylum, for serialization.
     pub fn rels(&self) -> &[BitMatrix] {
         &self.rels

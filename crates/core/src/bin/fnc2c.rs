@@ -592,18 +592,7 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
     // The checked AG is needed for the translators.
     let checked = || -> Result<fnc2::olga::CheckedAg, CliError> {
         let units = fnc2::olga::parse_units(source).map_err(|e| diag(e.to_string()))?;
-        let mut compiler = fnc2::olga::Compiler::new();
-        let mut ag = None;
-        for u in units {
-            match u {
-                fnc2::olga::ast::Unit::Module(m) => {
-                    compiler.add_module(m).map_err(|e| diag(e.to_string()))?
-                }
-                fnc2::olga::ast::Unit::Ag(a) => ag = Some(a),
-            }
-        }
-        let ag = ag.ok_or_else(|| diag("fnc2c: source contains no attribute grammar"))?;
-        compiler.check_ag(ag).map_err(|e| diag(e.to_string()))
+        fnc2::olga::check_units(units).map_err(|e| diag(e.to_string()))
     };
 
     match cmd {

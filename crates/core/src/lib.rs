@@ -715,39 +715,13 @@ pub(crate) fn olga_front_end_recorded(
     source: &str,
     obs: &mut Obs,
 ) -> Result<Grammar, PipelineError> {
-    use fnc2_olga::ast::Unit;
-
     obs.tracer.begin("phase", "olga.parse");
     let parsed = fnc2_olga::parse_units(source);
     obs.tracer.end();
     let units = parsed.map_err(|e| PipelineError::Olga(e.into()))?;
 
     obs.tracer.begin("phase", "olga.check");
-    let checked = (|| {
-        let mut compiler = fnc2_olga::Compiler::new();
-        let mut ag = None;
-        for unit in units {
-            match unit {
-                Unit::Module(m) => compiler.add_module(m)?,
-                Unit::Ag(a) => {
-                    if ag.is_some() {
-                        return Err(fnc2_olga::OlgaError::Parse(fnc2_olga::ParseError {
-                            message: "source contains more than one attribute grammar".into(),
-                            pos: fnc2_olga::Pos { line: 1, col: 1 },
-                        }));
-                    }
-                    ag = Some(a);
-                }
-            }
-        }
-        let Some(ag) = ag else {
-            return Err(fnc2_olga::OlgaError::Parse(fnc2_olga::ParseError {
-                message: "source contains no attribute grammar".into(),
-                pos: fnc2_olga::Pos { line: 1, col: 1 },
-            }));
-        };
-        Ok(compiler.check_ag(ag)?)
-    })();
+    let checked = fnc2_olga::check_units(units);
     obs.tracer.end();
     let checked = checked.map_err(PipelineError::Olga)?;
 

@@ -260,6 +260,26 @@ fn conflicting_flags_are_diagnostics() {
     }
 }
 
+/// Every command that reads one attribute grammar rejects a source
+/// holding two, `check` included.
+#[test]
+fn two_attribute_grammars_are_rejected() {
+    let two = format!("{COUNT}{}", COUNT.replace("grammar count", "grammar again"));
+    for cmd in ["check", "report", "c", "lisp", "seqs", "lint"] {
+        let out = run_with_stdin(&[cmd, "-"], &two);
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            text.contains("source contains more than one attribute grammar"),
+            "{cmd}: {text}"
+        );
+    }
+}
+
 /// The `eval.intern_*` and `eval.memo_hits` lines of a `--metrics` block
 /// whose count is not zero.
 fn interning_counters(metrics: &[u8]) -> Vec<String> {

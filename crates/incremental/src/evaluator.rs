@@ -1,17 +1,17 @@
 //! The DNC-based incremental evaluator.
 //!
-//! Keeps a fully decorated tree; after one or more subtree replacements it
-//! (1) evaluates the fresh subtree *starting at its root* — legal exactly
-//! because DNC argument selectors are closed from above and below — and
+//! Keeps a fully decorated tree. Every edit — one or more subtree
+//! replacements, or an in-place production swap — ends in one wave that
+//! (1) evaluates each edited subtree *starting at its root*, legal exactly
+//! because DNC argument selectors are closed from above and below, and
 //! (2) runs the semantic-control propagation: dependents of a **Changed**
 //! instance are reevaluated, and propagation is **cut** at instances whose
 //! new value equals the old one.
 
 use std::collections::VecDeque;
+use std::error::Error;
 
-use fnc2_ag::{
-    AttrKind, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, TreeError, Value,
-};
+use fnc2_ag::{AttrId, AttrKind, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value};
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
 use fnc2_visit::{Cells, CompiledProgram, EvalError, RootInputs};
@@ -31,19 +31,9 @@ pub struct IncrementalStats {
 }
 
 impl IncrementalStats {
-    /// The stats as seen through the shared [`fnc2_obs`] counter
-    /// vocabulary (`cut` maps to `inc.unchanged`).
-    pub fn from_counters(counters: &Counters) -> IncrementalStats {
-        IncrementalStats {
-            reevaluated: counters.get(Key::IncReevaluated) as usize,
-            changed: counters.get(Key::IncChanged) as usize,
-            cut: counters.get(Key::IncUnchanged) as usize,
-        }
-    }
-
-    /// The stats as a dense counter block (inverse of
-    /// [`IncrementalStats::from_counters`]; `inc.unknown` is tracked by
-    /// the evaluator itself, not by this view).
+    /// The stats in the shared [`fnc2_obs`] counter vocabulary (`cut` maps
+    /// to `inc.unchanged`; `inc.unknown` is tracked by the evaluator
+    /// itself, not by this view).
     pub fn to_counters(&self) -> Counters {
         let mut c = Counters::new();
         c.set(Key::IncReevaluated, self.reevaluated as u64);
@@ -68,8 +58,19 @@ pub struct IncrementalEvaluator<'g> {
 /// An attribute or local instance.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Inst {
-    Attr(NodeId, fnc2_ag::AttrId),
+    Attr(NodeId, AttrId),
     Local(NodeId, LocalId),
+}
+
+/// An edited node's attributes with the values they had before the edit.
+type Decoration = Vec<(AttrId, Option<Value>)>;
+
+/// What one wave has spent and counted so far.
+struct Wave {
+    stats: IncrementalStats,
+    /// Instances computed with no prior value (`inc.unknown`).
+    unknown: usize,
+    meter: BudgetMeter,
 }
 
 impl<'g> IncrementalEvaluator<'g> {
@@ -99,44 +100,29 @@ impl<'g> IncrementalEvaluator<'g> {
         eq: Equality,
         budget: EvalBudget,
     ) -> Result<Self, EvalError> {
+        let root = tree.root();
+        if let Some(attr) = grammar
+            .inherited(tree.phylum(grammar, root))
+            .into_iter()
+            .find(|a| !inputs.contains_key(a))
+        {
+            return Err(EvalError::MissingRootInput {
+                what: grammar.attr(attr).name().to_string(),
+            });
+        }
         let mut this = IncrementalEvaluator {
             grammar,
             program: CompiledProgram::new(grammar),
+            cells: Cells::new(grammar, &tree),
             tree,
-            cells: Cells::default(),
             inputs,
             eq,
             budget,
         };
-        this.cells = Cells::new(grammar, &this.tree);
-        let root = this.tree.root();
-        let root_ph = grammar.production(this.tree.node(root).production()).lhs();
-        for attr in grammar.inherited(root_ph) {
-            let v = this
-                .inputs
-                .get(&attr)
-                .ok_or_else(|| EvalError::MissingRootInput {
-                    what: grammar.attr(attr).name().to_string(),
-                })?
-                .clone();
-            this.cells.values.set(grammar, root, attr, v);
-        }
-        let mut stats = IncrementalStats::default();
-        let mut unknown = 0usize;
-        let mut meter = BudgetMeter::new(&this.budget);
-        this.eval_subtree(
-            root,
-            &mut stats,
-            &mut unknown,
-            &mut meter,
-            &mut NoopRecorder,
-        )?;
+        // The initial decoration is a wave over the whole tree with
+        // nothing to compare against.
+        this.wave(vec![(root, Vec::new())], &mut NoopRecorder)?;
         Ok(this)
-    }
-
-    /// Replaces the budget governing subsequent edit waves.
-    pub fn set_budget(&mut self, budget: EvalBudget) {
-        self.budget = budget;
     }
 
     /// Decides whether `old` and `new` are the same value for the change
@@ -153,7 +139,7 @@ impl<'g> IncrementalEvaluator<'g> {
     }
 
     /// The current value of `(node, attr)`.
-    pub fn value(&self, node: NodeId, attr: fnc2_ag::AttrId) -> Option<&Value> {
+    pub fn value(&self, node: NodeId, attr: AttrId) -> Option<&Value> {
         self.cells.values.get(self.grammar, node, attr)
     }
 
@@ -173,13 +159,12 @@ impl<'g> IncrementalEvaluator<'g> {
     ///
     /// # Errors
     ///
-    /// Fails if the replacement derives the wrong phylum, or evaluation
-    /// fails.
+    /// As for [`replace_subtrees`](Self::replace_subtrees).
     pub fn replace_subtree(
         &mut self,
         at: NodeId,
         replacement: &Tree,
-    ) -> Result<IncrementalStats, Box<dyn std::error::Error>> {
+    ) -> Result<IncrementalStats, Box<dyn Error>> {
         self.replace_subtrees(vec![(at, replacement.clone())])
     }
 
@@ -187,14 +172,22 @@ impl<'g> IncrementalEvaluator<'g> {
     /// reevaluation wave (paper §2.1.2: "this method can accommodate
     /// multiple subtree replacements").
     ///
+    /// The batch is checked whole before the tree changes: every target
+    /// must be a node of the current tree (not one an earlier edit
+    /// replaced), every replacement must derive its target's phylum, and
+    /// no target may lie inside another target's subtree. A rejected
+    /// batch changes nothing.
+    ///
     /// # Errors
     ///
-    /// Fails if a replacement derives the wrong phylum ([`TreeError`]), or
-    /// evaluation fails ([`EvalError`]).
+    /// Fails with a [`TreeError`](fnc2_ag::TreeError) when the batch is
+    /// rejected, or an [`EvalError`] when the wave fails. A wave stopped by
+    /// its budget is not rolled back: the tree keeps the edits and some
+    /// instances keep stale or missing values.
     pub fn replace_subtrees(
         &mut self,
         edits: Vec<(NodeId, Tree)>,
-    ) -> Result<IncrementalStats, Box<dyn std::error::Error>> {
+    ) -> Result<IncrementalStats, Box<dyn Error>> {
         self.replace_subtrees_recorded(edits, &mut NoopRecorder)
     }
 
@@ -211,85 +204,18 @@ impl<'g> IncrementalEvaluator<'g> {
         &mut self,
         edits: Vec<(NodeId, Tree)>,
         rec: &mut R,
-    ) -> Result<IncrementalStats, Box<dyn std::error::Error>> {
+    ) -> Result<IncrementalStats, Box<dyn Error>> {
         let g = self.grammar;
-        let mut stats = IncrementalStats::default();
-        let mut unknown = 0usize;
-        let mut meter = BudgetMeter::new(&self.budget);
-        let mut frontier: Vec<NodeId> = Vec::new();
-
-        for (at, replacement) in edits {
-            // Save the old boundary values of the replaced node.
-            let ph = self.tree.phylum(g, at);
-            let old: Vec<(fnc2_ag::AttrId, Option<Value>)> = g
-                .phylum(ph)
-                .attrs()
-                .iter()
-                .map(|&a| (a, self.cells.values.get(g, at, a).cloned()))
-                .collect();
-            let new_root = self
-                .tree
-                .replace_subtree(g, at, &replacement)
-                .map_err(Box::<TreeError>::new)?;
-            self.cells.values.sync(g, &self.tree);
-            self.cells.locals.sync(g, &self.tree);
-
-            // Re-establish the inherited attributes of the new subtree root
-            // (same defining rules in the parent, hence the old values).
-            for (a, v) in &old {
-                if g.attr(*a).kind() == AttrKind::Inherited {
-                    if let Some(v) = v.clone() {
-                        self.cells.values.set(g, new_root, *a, v);
-                    }
-                }
-            }
-            if self.tree.node(new_root).parent().is_none() {
-                // Replacing the root: supply the root inputs.
-                for a in g.inherited(ph) {
-                    if let Some(v) = self.inputs.get(&a) {
-                        self.cells.values.set(g, new_root, a, v.clone());
-                    }
-                }
-            }
-            // Evaluate the fresh subtree, starting at its root (DNC).
-            self.eval_subtree(new_root, &mut stats, &mut unknown, &mut meter, rec)
-                .map_err(Box::new)?;
-            // Seed propagation with the synthesized attributes whose value
-            // differs from the replaced node's.
-            for (a, oldv) in old {
-                if g.attr(a).kind() != AttrKind::Synthesized {
-                    continue;
-                }
-                let newv = self.cells.values.get(g, new_root, a);
-                let same = match (&oldv, newv) {
-                    (Some(o), Some(n)) => self.values_same(o, n),
-                    (None, None) => true,
-                    _ => false,
-                };
-                if !same {
-                    stats.changed += 1;
-                    frontier.push(new_root);
-                }
-            }
-        }
-
-        // Propagation wave over changed instances.
-        let mut queue: VecDeque<Inst> = VecDeque::new();
-        let mut seed_changed: Vec<Inst> = Vec::new();
-        for n in frontier {
-            let ph = self.tree.phylum(g, n);
-            for a in g.synthesized(ph) {
-                seed_changed.push(Inst::Attr(n, a));
-            }
-        }
-        for inst in seed_changed {
-            self.enqueue_dependents(inst, &mut queue);
-        }
-        self.propagate(&mut queue, &mut stats, &mut unknown, &mut meter, rec)?;
-        let mut counters = stats.to_counters();
-        counters.set(Key::IncUnknown, unknown as u64);
-        counters.replay(rec);
-        Ok(stats)
+        let new_roots = self.tree.replace_subtrees(g, &edits)?;
+        self.cells.values.sync(g, &self.tree);
+        self.cells.locals.sync(g, &self.tree);
+        // A replaced node keeps its cells: they are its pre-edit decoration.
+        let edited = edits
+            .iter()
+            .zip(new_roots)
+            .map(|(&(at, _), new_root)| (new_root, self.decoration(at)))
+            .collect();
+        Ok(self.wave(edited, rec)?)
     }
 
     /// Replaces the production applied at `at` **in place** (the
@@ -300,13 +226,15 @@ impl<'g> IncrementalEvaluator<'g> {
     ///
     /// # Errors
     ///
-    /// Fails if the new production has a different LHS phylum or RHS
-    /// signature ([`TreeError`]), or evaluation fails ([`EvalError`]).
+    /// Fails with a [`TreeError`](fnc2_ag::TreeError), changing nothing,
+    /// when `at` is not in the tree or the new production has a different
+    /// LHS phylum or RHS signature; or with an [`EvalError`] when the wave
+    /// fails, as for [`replace_subtrees`](Self::replace_subtrees).
     pub fn swap_production(
         &mut self,
         at: NodeId,
         production: ProductionId,
-    ) -> Result<IncrementalStats, Box<dyn std::error::Error>> {
+    ) -> Result<IncrementalStats, Box<dyn Error>> {
         self.swap_production_recorded(at, production, &mut NoopRecorder)
     }
 
@@ -321,161 +249,115 @@ impl<'g> IncrementalEvaluator<'g> {
         at: NodeId,
         production: ProductionId,
         rec: &mut R,
-    ) -> Result<IncrementalStats, Box<dyn std::error::Error>> {
+    ) -> Result<IncrementalStats, Box<dyn Error>> {
         let g = self.grammar;
-        let mut stats = IncrementalStats::default();
-        let mut unknown = 0usize;
-        let mut meter = BudgetMeter::new(&self.budget);
-        let ph = self.tree.phylum(g, at);
-        let old: Vec<(fnc2_ag::AttrId, Option<Value>)> = g
-            .phylum(ph)
-            .attrs()
-            .iter()
-            .map(|&a| (a, self.cells.values.get(g, at, a).cloned()))
-            .collect();
-        self.tree
-            .replace_production(g, at, production)
-            .map_err(Box::<TreeError>::new)?;
-        // The stores detect the in-place swap and drop the node's stale
-        // cells; the subtree below is invalidated explicitly, since its
-        // inherited attributes flowed through the replaced rules.
-        self.cells.values.sync(g, &self.tree);
-        self.cells.locals.sync(g, &self.tree);
-        let mut subtree = vec![at];
-        let mut i = 0;
-        while i < subtree.len() {
-            let n = subtree[i];
-            i += 1;
-            subtree.extend(self.tree.node(n).children().iter().copied());
+        let width = |p: ProductionId| g.production(p).locals().len();
+        let before = self.tree.replace_production(g, at, production)?;
+        if width(before) != width(production) {
+            self.cells.locals.reframe(at, width(production));
         }
-        for &n in &subtree[1..] {
-            let nph = self.tree.phylum(g, n);
-            for &a in g.phylum(nph).attrs() {
+        let old = self.decoration(at);
+        // Every cell at and below the node is stale: the inherited
+        // attributes below flowed through the replaced rules.
+        for n in self.subtree(at) {
+            for &a in g.phylum(self.tree.phylum(g, n)).attrs() {
                 self.cells.values.clear(g, n, a);
             }
-        }
-        for &n in &subtree {
-            let p = self.tree.node(n).production();
-            for li in 0..g.production(p).locals().len() {
-                self.cells.locals.clear(n, LocalId::from_raw(li as u32));
+            for l in 0..width(self.tree.node(n).production()) {
+                self.cells.locals.clear(n, LocalId::from_raw(l as u32));
             }
         }
-        // Re-establish the node's inherited attributes: their defining
-        // rules live in the (unchanged) parent production.
-        for (a, v) in &old {
-            if g.attr(*a).kind() == AttrKind::Inherited {
-                if let Some(v) = v.clone() {
-                    self.cells.values.set(g, at, *a, v);
-                }
-            }
-        }
-        if self.tree.node(at).parent().is_none() {
-            for a in g.inherited(ph) {
-                if let Some(v) = self.inputs.get(&a) {
-                    self.cells.values.set(g, at, a, v.clone());
-                }
-            }
-        }
-        self.eval_subtree(at, &mut stats, &mut unknown, &mut meter, rec)
-            .map_err(Box::new)?;
-        // Seed propagation with the synthesized attributes whose value
-        // differs from the pre-swap decoration.
-        let mut queue: VecDeque<Inst> = VecDeque::new();
-        let mut changed_syn = false;
-        for (a, oldv) in old {
-            if g.attr(a).kind() != AttrKind::Synthesized {
-                continue;
-            }
-            let newv = self.cells.values.get(g, at, a);
-            let same = match (&oldv, newv) {
-                (Some(o), Some(n)) => self.values_same(o, n),
-                (None, None) => true,
-                _ => false,
-            };
-            if !same {
-                stats.changed += 1;
-                changed_syn = true;
-            }
-        }
-        if changed_syn {
-            for a in g.synthesized(ph) {
-                self.enqueue_dependents(Inst::Attr(at, a), &mut queue);
-            }
-        }
-        self.propagate(&mut queue, &mut stats, &mut unknown, &mut meter, rec)?;
-        let mut counters = stats.to_counters();
-        counters.set(Key::IncUnknown, unknown as u64);
-        counters.replay(rec);
-        Ok(stats)
+        Ok(self.wave(vec![(at, old)], rec)?)
     }
 
-    /// Drains the propagation queue: dependents of changed instances are
-    /// reevaluated, with propagation cut where the new value equals the
-    /// old one.
-    fn propagate<R: Recorder>(
+    /// The wave every edit ends with (paper §2.1.2). Each edited node gets
+    /// back the inherited values of its pre-edit decoration (the root
+    /// inputs at the root) and its subtree is demanded; each node whose
+    /// synthesized values differ from the decoration seeds one
+    /// propagation. The wave's counters are replayed into `rec` once.
+    fn wave<R: Recorder>(
         &mut self,
-        queue: &mut VecDeque<Inst>,
-        stats: &mut IncrementalStats,
-        unknown: &mut usize,
-        meter: &mut BudgetMeter,
+        edited: Vec<(NodeId, Decoration)>,
         rec: &mut R,
-    ) -> Result<(), Box<dyn std::error::Error>> {
+    ) -> Result<IncrementalStats, EvalError> {
         let g = self.grammar;
-        while let Some(inst) = queue.pop_front() {
-            meter
-                .step()
-                .map_err(|k| Box::new(EvalError::budget(k, "incremental propagation")))?;
-            let (newv, oldv) = {
-                let old = match inst {
-                    Inst::Attr(n, a) => self.cells.values.get(g, n, a).cloned(),
-                    Inst::Local(n, l) => self.cells.locals.get(n, l).cloned(),
+        let mut w = Wave {
+            stats: IncrementalStats::default(),
+            unknown: 0,
+            meter: BudgetMeter::new(&self.budget),
+        };
+        let mut seeds = Vec::new();
+        for (node, old) in edited {
+            for (a, v) in &old {
+                if let (AttrKind::Inherited, Some(v)) = (g.attr(*a).kind(), v) {
+                    self.cells.values.set(g, node, *a, v.clone());
+                }
+            }
+            if self.tree.node(node).parent().is_none() {
+                for a in g.inherited(self.tree.phylum(g, node)) {
+                    if let Some(v) = self.inputs.get(&a) {
+                        self.cells.values.set(g, node, a, v.clone());
+                    }
+                }
+            }
+            self.eval_subtree(node, &mut w, rec)?;
+            let mut changed = false;
+            for (a, old) in old {
+                if g.attr(a).kind() != AttrKind::Synthesized {
+                    continue;
+                }
+                let same = match (&old, self.cells.values.get(g, node, a)) {
+                    (Some(o), Some(n)) => self.values_same(o, n),
+                    (None, None) => true,
+                    _ => false,
                 };
-                let new = self.compute_instance(inst, rec).map_err(Box::new)?;
-                (new, old)
-            };
-            meter
-                .grow_cells(newv.cell_count() as u64)
-                .map_err(|k| Box::new(EvalError::budget(k, "incremental propagation")))?;
-            stats.reevaluated += 1;
-            let same = oldv
-                .as_ref()
-                .map(|o| self.values_same(o, &newv))
-                .unwrap_or(false);
-            if oldv.is_none() {
-                *unknown += 1;
-            }
-            if rec.trace() {
-                if let Inst::Attr(n, a) = inst {
-                    let status = if oldv.is_none() {
-                        ChangeStatus::Unknown
-                    } else if same {
-                        ChangeStatus::Unchanged
-                    } else {
-                        ChangeStatus::Changed
-                    };
-                    rec.emit(Event::StatusComputed {
-                        node: n.index() as u32,
-                        attr: a.index() as u32,
-                        status,
-                    });
+                if !same {
+                    w.stats.changed += 1;
+                    changed = true;
                 }
             }
-            if same {
-                stats.cut += 1;
-                continue;
+            if changed {
+                seeds.push(node);
             }
-            stats.changed += 1;
-            match inst {
-                Inst::Attr(n, a) => {
-                    self.cells.values.set(g, n, a, newv);
-                }
-                Inst::Local(n, l) => {
-                    self.cells.locals.set(n, l, newv);
-                }
-            }
-            self.enqueue_dependents(inst, queue);
         }
-        Ok(())
+        let mut queue = VecDeque::new();
+        for n in seeds {
+            for a in g.synthesized(self.tree.phylum(g, n)) {
+                self.enqueue_dependents(Inst::Attr(n, a), &mut queue);
+            }
+        }
+        while let Some(inst) = queue.pop_front() {
+            if self.fire(inst, "incremental propagation", &mut w, rec)? != ChangeStatus::Unchanged {
+                w.stats.changed += 1;
+                self.enqueue_dependents(inst, &mut queue);
+            }
+        }
+        let mut counters = w.stats.to_counters();
+        counters.set(Key::IncUnknown, w.unknown as u64);
+        counters.replay(rec);
+        Ok(w.stats)
+    }
+
+    /// Every attribute of `node`'s phylum with its current value.
+    fn decoration(&self, node: NodeId) -> Decoration {
+        let g = self.grammar;
+        let ph = self.tree.phylum(g, node);
+        g.phylum(ph)
+            .attrs()
+            .iter()
+            .map(|&a| (a, self.cells.values.get(g, node, a).cloned()))
+            .collect()
+    }
+
+    /// `node` and every node below it.
+    fn subtree(&self, node: NodeId) -> Vec<NodeId> {
+        let mut nodes = Vec::new();
+        let mut stack = vec![node];
+        while let Some(n) = stack.pop() {
+            nodes.push(n);
+            stack.extend(self.tree.node(n).children().iter().copied());
+        }
+        nodes
     }
 
     /// Exhaustively evaluates the subtree rooted at `node`, whose inherited
@@ -483,42 +365,20 @@ impl<'g> IncrementalEvaluator<'g> {
     fn eval_subtree<R: Recorder>(
         &mut self,
         node: NodeId,
-        stats: &mut IncrementalStats,
-        unknown: &mut usize,
-        meter: &mut BudgetMeter,
+        w: &mut Wave,
         rec: &mut R,
     ) -> Result<(), EvalError> {
         let g = self.grammar;
-        // Demand-driven over the subtree's instances (memoized by
-        // presence).
-        let subtree: Vec<NodeId> = {
-            let mut v = Vec::new();
-            let mut stack = vec![node];
-            while let Some(n) = stack.pop() {
-                v.push(n);
-                stack.extend(self.tree.node(n).children().iter().copied());
+        for n in self.subtree(node) {
+            for &a in g.phylum(self.tree.phylum(g, n)).attrs() {
+                self.demand(Inst::Attr(n, a), w, rec)?;
             }
-            v
-        };
-        let goals: Vec<Inst> = subtree
-            .iter()
-            .flat_map(|&n| {
-                let ph = self.tree.phylum(g, n);
-                g.phylum(ph)
-                    .attrs()
-                    .iter()
-                    .map(move |&a| Inst::Attr(n, a))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for goal in goals {
-            self.demand(goal, stats, unknown, meter, rec)?;
         }
         Ok(())
     }
 
-    /// Demand-evaluates `goal` within the subtree rooted at `limit`;
-    /// instances outside the subtree must already have values.
+    /// Demand-evaluates `goal`; the instances it reads outside the
+    /// subtree being evaluated must already have values.
     ///
     /// Runs on an explicit work-stack so tree depth is a checked budget
     /// rather than native stack exhaustion. DNC membership guarantees the
@@ -527,9 +387,7 @@ impl<'g> IncrementalEvaluator<'g> {
     fn demand<R: Recorder>(
         &mut self,
         goal: Inst,
-        stats: &mut IncrementalStats,
-        unknown: &mut usize,
-        meter: &mut BudgetMeter,
+        w: &mut Wave,
         rec: &mut R,
     ) -> Result<(), EvalError> {
         enum Task {
@@ -541,10 +399,8 @@ impl<'g> IncrementalEvaluator<'g> {
         while let Some(task) = stack.pop() {
             match task {
                 Task::Enter(goal) => {
-                    match goal {
-                        Inst::Attr(n, a) if self.cells.values.get(g, n, a).is_some() => continue,
-                        Inst::Local(n, l) if self.cells.locals.get(n, l).is_some() => continue,
-                        _ => {}
+                    if self.get(goal).is_some() {
+                        continue;
                     }
                     // Resolve the defining rule through the compiled index.
                     let (def_node, target) = self.definition_of(goal);
@@ -557,56 +413,74 @@ impl<'g> IncrementalEvaluator<'g> {
                     let rule = &g.production(p).rules()[rule_ix as usize];
                     stack.push(Task::Finish(goal));
                     let base = stack.len();
-                    for arg in rule.read_nodes() {
-                        let sub = match arg {
-                            ONode::Attr(Occ { pos, attr }) => {
-                                let at = if pos == 0 {
-                                    def_node
-                                } else {
-                                    self.tree.node(def_node).children()[pos as usize - 1]
-                                };
-                                Inst::Attr(at, attr)
-                            }
-                            ONode::Local(l) => Inst::Local(def_node, l),
-                        };
-                        stack.push(Task::Enter(sub));
-                    }
+                    stack.extend(
+                        rule.read_nodes()
+                            .map(|arg| Task::Enter(self.instance(def_node, arg))),
+                    );
                     stack[base..].reverse();
-                    meter.check_depth(stack.len()).map_err(|k| {
+                    w.meter.check_depth(stack.len()).map_err(|k| {
                         EvalError::budget(k, format!("incremental evaluator, {def_node}"))
                     })?;
                 }
                 Task::Finish(goal) => {
-                    meter
-                        .step()
-                        .map_err(|k| EvalError::budget(k, "incremental evaluator"))?;
-                    let v = self.compute_instance(goal, rec)?;
-                    meter
-                        .grow_cells(v.cell_count() as u64)
-                        .map_err(|k| EvalError::budget(k, "incremental evaluator"))?;
-                    stats.reevaluated += 1;
-                    *unknown += 1;
-                    if rec.trace() {
-                        if let Inst::Attr(n, a) = goal {
-                            rec.emit(Event::StatusComputed {
-                                node: n.index() as u32,
-                                attr: a.index() as u32,
-                                status: ChangeStatus::Unknown,
-                            });
-                        }
-                    }
-                    match goal {
-                        Inst::Attr(n, a) => {
-                            self.cells.values.set(g, n, a, v);
-                        }
-                        Inst::Local(n, l) => {
-                            self.cells.locals.set(n, l, v);
-                        }
-                    }
+                    self.fire(goal, "incremental evaluator", w, rec)?;
                 }
             }
         }
         Ok(())
+    }
+
+    /// The current value of an instance.
+    fn get(&self, inst: Inst) -> Option<&Value> {
+        match inst {
+            Inst::Attr(n, a) => self.cells.values.get(self.grammar, n, a),
+            Inst::Local(n, l) => self.cells.locals.get(n, l),
+        }
+    }
+
+    /// Fires the rule defining `inst` on behalf of the wave: steps the
+    /// meter, computes the value, grows the cells, counts the
+    /// reevaluation, emits the instance's status, and stores the value
+    /// unless it equals the old one (the cut). `at` names the calling
+    /// loop in a budget error.
+    fn fire<R: Recorder>(
+        &mut self,
+        inst: Inst,
+        at: &str,
+        w: &mut Wave,
+        rec: &mut R,
+    ) -> Result<ChangeStatus, EvalError> {
+        let g = self.grammar;
+        w.meter.step().map_err(|k| EvalError::budget(k, at))?;
+        let new = self.compute_instance(inst, rec)?;
+        w.meter
+            .grow_cells(new.cell_count() as u64)
+            .map_err(|k| EvalError::budget(k, at))?;
+        w.stats.reevaluated += 1;
+        let status = match self.get(inst) {
+            None => ChangeStatus::Unknown,
+            Some(old) if self.values_same(old, &new) => ChangeStatus::Unchanged,
+            Some(_) => ChangeStatus::Changed,
+        };
+        if rec.trace() {
+            if let Inst::Attr(n, a) = inst {
+                rec.emit(Event::StatusComputed {
+                    node: n.index() as u32,
+                    attr: a.index() as u32,
+                    status,
+                });
+            }
+        }
+        if status == ChangeStatus::Unchanged {
+            w.stats.cut += 1;
+            return Ok(status);
+        }
+        w.unknown += usize::from(status == ChangeStatus::Unknown);
+        match inst {
+            Inst::Attr(n, a) => self.cells.values.set(g, n, a, new),
+            Inst::Local(n, l) => self.cells.locals.set(n, l, new),
+        };
+        Ok(status)
     }
 
     /// The (defining node, target occurrence) of an instance.
@@ -705,29 +579,29 @@ impl<'g> IncrementalEvaluator<'g> {
         for (host, as_node) in contexts {
             let p = self.tree.node(host).production();
             for rule in g.production(p).rules() {
-                if !rule.read_nodes().any(|r| r == as_node) {
-                    continue;
+                if rule.read_nodes().any(|r| r == as_node) {
+                    push(self.instance(host, rule.target()));
                 }
-                let dep = match rule.target() {
-                    ONode::Attr(Occ { pos, attr }) => {
-                        let at = if pos == 0 {
-                            host
-                        } else {
-                            self.tree.node(host).children()[pos as usize - 1]
-                        };
-                        Inst::Attr(at, attr)
-                    }
-                    ONode::Local(l) => Inst::Local(host, l),
-                };
-                push(dep);
             }
+        }
+    }
+
+    /// The instance that occurrence `occ` of the production applied at
+    /// `host` names.
+    fn instance(&self, host: NodeId, occ: ONode) -> Inst {
+        match occ {
+            ONode::Attr(Occ { pos: 0, attr }) => Inst::Attr(host, attr),
+            ONode::Attr(Occ { pos, attr }) => {
+                Inst::Attr(self.tree.node(host).children()[pos as usize - 1], attr)
+            }
+            ONode::Local(l) => Inst::Local(host, l),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use fnc2_ag::{Grammar, GrammarBuilder, Occ, TreeBuilder, Value};
+    use fnc2_ag::{Grammar, GrammarBuilder, Occ, TreeBuilder, TreeError, Value};
     use fnc2_visit::DynamicEvaluator;
 
     use super::*;
@@ -779,7 +653,83 @@ mod tests {
             "maxf",
             [Occ::new(1, sum).into(), Occ::new(2, sum).into()],
         );
+        // Same signature again, but doubling the sum through two locals:
+        // the swap target whose local count differs from `fork`'s.
+        let forkdbl = g.production("forkdbl", e, &[e, e]);
+        let both = g.local(forkdbl, "both");
+        let twice = g.local(forkdbl, "twice");
+        g.call(
+            forkdbl,
+            Occ::new(1, depth),
+            "succ",
+            [Occ::lhs(depth).into()],
+        );
+        g.call(
+            forkdbl,
+            Occ::new(2, depth),
+            "succ",
+            [Occ::lhs(depth).into()],
+        );
+        g.call(
+            forkdbl,
+            both,
+            "add",
+            [Occ::new(1, sum).into(), Occ::new(2, sum).into()],
+        );
+        g.call(
+            forkdbl,
+            twice,
+            "add",
+            [ONode::Local(both).into(), ONode::Local(both).into()],
+        );
+        g.copy(forkdbl, Occ::lhs(sum), ONode::Local(twice));
         g.finish().unwrap()
+    }
+
+    /// A one-leaf replacement tree carrying `v`.
+    fn leaf_tree(g: &Grammar, v: i64) -> Tree {
+        let mut tb = TreeBuilder::new(g);
+        let leafe = g.production_by_name("leafe").unwrap();
+        let nl = tb.node_with_token(leafe, &[], Some(Value::Int(v))).unwrap();
+        tb.finish(nl)
+    }
+
+    /// The live leaf carrying token `v`.
+    fn leaf(inc: &IncrementalEvaluator, v: i64) -> NodeId {
+        let t = inc.tree();
+        t.preorder()
+            .map(|(n, _)| n)
+            .find(|&n| t.node(n).token() == Some(&Value::Int(v)))
+            .unwrap()
+    }
+
+    /// Checks every attribute instance of `inc.tree()` against a
+    /// from-scratch evaluation.
+    fn assert_matches_scratch(g: &Grammar, inc: &IncrementalEvaluator) {
+        let t = inc.tree();
+        let (want, _) = DynamicEvaluator::new(g)
+            .evaluate(t, &RootInputs::new())
+            .unwrap();
+        for (n, _) in t.preorder() {
+            for &a in g.phylum(t.phylum(g, n)).attrs() {
+                let name = g.attr(a).name();
+                assert_eq!(inc.value(n, a), want.get(g, n, a), "{n}.{name}");
+            }
+        }
+    }
+
+    /// Runs `edit`, which must fail with `want` and change nothing.
+    fn assert_rejected(
+        g: &Grammar,
+        inc: &mut IncrementalEvaluator,
+        want: TreeError,
+        edit: impl FnOnce(&mut IncrementalEvaluator) -> Result<IncrementalStats, Box<dyn Error>>,
+    ) {
+        let before = format!("{:?}", inc.tree());
+        let err = edit(inc).unwrap_err();
+        assert_eq!(format!("{:?}", inc.tree()), before);
+        assert_matches_scratch(g, inc);
+        assert_eq!(err.downcast_ref::<TreeError>(), Some(&want));
     }
 
     fn build_tree(g: &Grammar, values: &[i64]) -> Tree {
@@ -987,5 +937,148 @@ mod tests {
         );
         // Propagation from a deep swap changes the spine above it.
         assert!(stats.changed > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn nested_batch_is_rejected_whole() {
+        let g = sum_grammar();
+        let mut inc =
+            IncrementalEvaluator::new(&g, build_tree(&g, &[1, 2, 3, 4]), Equality::default())
+                .unwrap();
+        let two = leaf(&inc, 2);
+        let parent = inc.tree().node(two).parent().unwrap();
+        let nested = TreeError::NestedEdit {
+            inner: two,
+            outer: parent,
+        };
+        for order in [[two, parent], [parent, two]] {
+            let edits = order.map(|at| (at, leaf_tree(&g, 100))).to_vec();
+            assert_rejected(&g, &mut inc, nested.clone(), |inc| {
+                inc.replace_subtrees(edits)
+            });
+        }
+        let twice = vec![(two, leaf_tree(&g, 100)), (two, leaf_tree(&g, 200))];
+        let dup = TreeError::NestedEdit {
+            inner: two,
+            outer: two,
+        };
+        assert_rejected(&g, &mut inc, dup, |inc| inc.replace_subtrees(twice));
+    }
+
+    #[test]
+    fn replaced_leaf_is_no_longer_a_target() {
+        let g = sum_grammar();
+        let mut inc =
+            IncrementalEvaluator::new(&g, build_tree(&g, &[1, 2, 3, 4]), Equality::default())
+                .unwrap();
+        let one = leaf(&inc, 1);
+        inc.replace_subtree(one, &leaf_tree(&g, 100)).unwrap();
+        let gone = TreeError::Detached { node: one };
+        assert_rejected(&g, &mut inc, gone, |inc| {
+            inc.replace_subtree(one, &leaf_tree(&g, 5))
+        });
+    }
+
+    #[test]
+    fn swap_below_a_replaced_node_is_rejected() {
+        let g = sum_grammar();
+        let mut inc = IncrementalEvaluator::new(
+            &g,
+            build_tree(&g, &[1, 2, 3, 4, 5, 6, 7, 8]),
+            Equality::default(),
+        )
+        .unwrap();
+        // Replace the fork over 2..8; the fork over 3..8 goes with it.
+        let upper = inc.tree().node(leaf(&inc, 2)).parent().unwrap();
+        let lower = inc.tree().node(upper).children()[1];
+        inc.replace_subtree(upper, &leaf_tree(&g, 5)).unwrap();
+        let forkmax = g.production_by_name("forkmax").unwrap();
+        let gone = TreeError::Detached { node: lower };
+        assert_rejected(&g, &mut inc, gone, |inc| {
+            inc.swap_production(lower, forkmax)
+        });
+    }
+
+    #[test]
+    fn batch_with_a_bad_edit_changes_nothing() {
+        let g = sum_grammar();
+        let mut inc =
+            IncrementalEvaluator::new(&g, build_tree(&g, &[1, 2, 3, 4]), Equality::default())
+                .unwrap();
+        let mut tb = TreeBuilder::new(&g);
+        let leafe = g.production_by_name("leafe").unwrap();
+        let nl = tb.node_with_token(leafe, &[], Some(Value::Int(7))).unwrap();
+        let s_root = tb.op("root", &[nl]).unwrap();
+        let s_tree = tb.finish(s_root);
+        let edits = vec![(leaf(&inc, 1), leaf_tree(&g, 100)), (leaf(&inc, 2), s_tree)];
+        let wrong = TreeError::ReplacePhylum {
+            expected: "E".into(),
+            found: "S".into(),
+        };
+        assert_rejected(&g, &mut inc, wrong, |inc| inc.replace_subtrees(edits));
+        let s = g.phylum_by_name("S").unwrap();
+        let total = g.attr_by_name(s, "total").unwrap();
+        assert_eq!(inc.value(inc.tree().root(), total), Some(&Value::Int(10)));
+    }
+
+    #[test]
+    fn swap_changing_the_local_count_and_back() {
+        let g = sum_grammar();
+        let mut inc =
+            IncrementalEvaluator::new(&g, build_tree(&g, &[1, 2, 3, 4, 5]), Equality::default())
+                .unwrap();
+        let fork = g.production_by_name("fork").unwrap();
+        let forkdbl = g.production_by_name("forkdbl").unwrap();
+        let forks: Vec<NodeId> = inc
+            .tree()
+            .preorder()
+            .map(|(n, _)| n)
+            .filter(|&n| inc.tree().node(n).production() == fork)
+            .collect();
+        // Two locals in, none out, at an inner node and at the top.
+        for &at in &[forks[2], forks[0]] {
+            inc.swap_production(at, forkdbl).unwrap();
+            assert_matches_scratch(&g, &inc);
+        }
+        let s = g.phylum_by_name("S").unwrap();
+        let total = g.attr_by_name(s, "total").unwrap();
+        // 2 * (1 + 2 + 2 * (3 + 4 + 5)) = 54.
+        assert_eq!(inc.value(inc.tree().root(), total), Some(&Value::Int(54)));
+        for &at in &[forks[0], forks[2]] {
+            inc.swap_production(at, fork).unwrap();
+            assert_matches_scratch(&g, &inc);
+        }
+        assert_eq!(inc.value(inc.tree().root(), total), Some(&Value::Int(15)));
+    }
+
+    #[test]
+    fn batch_decorates_like_one_edit_at_a_time() {
+        let g = sum_grammar();
+        let tree = build_tree(&g, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let mut batch = IncrementalEvaluator::new(&g, tree.clone(), Equality::default()).unwrap();
+        let mut single = IncrementalEvaluator::new(&g, tree, Equality::default()).unwrap();
+        // Leaf 8 becomes a fork over two fresh leaves.
+        let mut tb = TreeBuilder::new(&g);
+        let leafe = g.production_by_name("leafe").unwrap();
+        let kids = [20, 30].map(|v| tb.node_with_token(leafe, &[], Some(Value::Int(v))).unwrap());
+        let pair = tb.op("fork", &kids).unwrap();
+        let edits = vec![
+            (leaf(&batch, 1), leaf_tree(&g, 10)),
+            (leaf(&batch, 8), tb.finish(pair)),
+        ];
+        for (at, sub) in &edits {
+            single.replace_subtree(*at, sub).unwrap();
+        }
+        batch.replace_subtrees(edits).unwrap();
+        assert_eq!(
+            format!("{:?}", batch.tree()),
+            format!("{:?}", single.tree())
+        );
+        for (n, _) in batch.tree().preorder() {
+            for &a in g.phylum(batch.tree().phylum(&g, n)).attrs() {
+                assert_eq!(batch.value(n, a), single.value(n, a), "{n}");
+            }
+        }
+        assert_matches_scratch(&g, &batch);
     }
 }

@@ -11,6 +11,18 @@
 //! at hand" ([`Equality`]). Multiple subtree replacements are supported
 //! ([`IncrementalEvaluator::replace_subtrees`]).
 //!
+//! Every edit — one subtree replacement, a batch of them, or an in-place
+//! production swap ([`IncrementalEvaluator::swap_production`]) — ends in
+//! the same reevaluation wave. An edit is checked before the tree changes:
+//! each target must be a node of the current tree, each replacement must
+//! derive its target's phylum, and no target of a batch may lie inside
+//! another's subtree. A rejected edit returns a
+//! [`TreeError`](fnc2_ag::TreeError) and changes nothing. A wave stopped
+//! by its [`EvalBudget`](fnc2_guard::EvalBudget) is not rolled back: the
+//! edit stays applied and some instances may hold stale or missing values,
+//! so build a fresh evaluator over [`IncrementalEvaluator::tree`] to
+//! recover.
+//!
 //! ```
 //! use fnc2_ag::{GrammarBuilder, Occ, TreeBuilder, Value};
 //! use fnc2_incremental::IncrementalEvaluator;
@@ -45,4 +57,4 @@ mod evaluator;
 mod status;
 
 pub use evaluator::{IncrementalEvaluator, IncrementalStats};
-pub use status::{Equality, Status};
+pub use status::Equality;

@@ -1,22 +1,9 @@
-//! Semantic-control status and adaptable equality.
+//! The adaptable equality behind the semantic-control cutoff.
 
 use std::fmt;
 use std::sync::Arc;
 
 use fnc2_ag::Value;
-
-/// The status of an attribute instance during incremental reevaluation
-/// (paper §2.1.2): the semantic-control functions compare old and new
-/// values and propagate only past `Changed` instances.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Status {
-    /// The new value differs from the old one (per the chosen equality).
-    Changed,
-    /// The new value equals the old one: propagation is cut here.
-    Unchanged,
-    /// Not yet reevaluated in this wave.
-    Unknown,
-}
 
 /// The boxed comparison implementation.
 type EqImpl = Arc<dyn Fn(&Value, &Value) -> bool + Send + Sync>;

@@ -36,12 +36,6 @@ pub struct RuleCost {
 }
 
 impl RuleCost {
-    /// Mean nanoseconds per firing over the sampled subset, if any
-    /// firing was sampled.
-    pub fn mean_nanos(&self) -> Option<f64> {
-        (self.samples > 0).then(|| self.sampled_nanos as f64 / self.samples as f64)
-    }
-
     /// Estimated total nanoseconds: mean sampled cost scaled to every
     /// firing. Zero when nothing was sampled.
     pub fn estimated_total_nanos(&self) -> u128 {

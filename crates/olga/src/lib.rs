@@ -101,7 +101,18 @@ impl From<LowerError> for OlgaError {
 ///
 /// Returns the first parse/check/lowering error.
 pub fn compile_ag_source(src: &str) -> Result<(Grammar, LowerInfo), OlgaError> {
-    let units = parse_units(src)?;
+    let checked = check_units(parse_units(src)?)?;
+    Ok(lower(&checked)?)
+}
+
+/// Checks parsed units — any number of modules and exactly one attribute
+/// grammar — and returns the checked attribute grammar.
+///
+/// # Errors
+///
+/// Returns the first check error, or a parse error when the units hold no
+/// attribute grammar or more than one.
+pub fn check_units(units: Vec<Unit>) -> Result<CheckedAg, OlgaError> {
     let mut compiler = Compiler::new();
     let mut ag = None;
     for unit in units {
@@ -124,8 +135,7 @@ pub fn compile_ag_source(src: &str) -> Result<(Grammar, LowerInfo), OlgaError> {
             pos: Pos { line: 1, col: 1 },
         }));
     };
-    let checked = compiler.check_ag(ag)?;
-    Ok(lower(&checked)?)
+    Ok(compiler.check_ag(ag)?)
 }
 
 /// Parses and checks a source of modules only, returning the compiler

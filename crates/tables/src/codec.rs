@@ -19,8 +19,8 @@ use fnc2_analysis::{
 use fnc2_gfa::{BitMatrix, FixpointStats};
 use fnc2_lint::{Code as LintCode, Diagnostic, Severity as LintSeverity, Span};
 use fnc2_space::{
-    FlatItem, FlatProgram, FlatSeq, Instance, InstanceKind, Lifetimes, Object, ObjectIndex,
-    ObjectSet, ReadPath, SeqAccess, SpacePlan, SpaceStats, StepAccess, Storage, WritePath,
+    FlatItem, FlatProgram, FlatSeq, Instance, InstanceKind, Lifetimes, Object, ObjectSet, ReadPath,
+    SeqAccess, SpacePlan, SpaceStats, StepAccess, Storage, WritePath,
 };
 use fnc2_visit::{CBody, CompiledProgram, FetchOp, Instr, SlotRef, VisitSeq, VisitSeqs};
 
@@ -999,12 +999,6 @@ pub fn encode_compiled_program(g: &Grammar, prog: &CompiledProgram) -> Vec<u8> {
     }
     enc_vec(&mut e, prog.consts(), enc_value);
     e.into_bytes()
-}
-
-/// Rebuilds the object index — a deterministic function of the grammar,
-/// so it is not serialized at all.
-pub fn rebuild_object_index(g: &Grammar) -> ObjectIndex {
-    ObjectIndex::new(g)
 }
 
 #[cfg(test)]

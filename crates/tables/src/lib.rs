@@ -332,13 +332,6 @@ impl Tables {
         out
     }
 
-    /// Reads the fingerprint from an artifact header without touching the
-    /// payload (magic and version are still verified).
-    pub fn peek_fingerprint(bytes: &[u8]) -> Result<u64, ArtifactError> {
-        let (fingerprint, _) = check_header(bytes)?;
-        Ok(fingerprint)
-    }
-
     /// Deserializes an artifact, verifying magic, version, and payload
     /// checksum. The fingerprint is *returned with* the tables (callers
     /// check it against their expected fingerprint — this function cannot,
