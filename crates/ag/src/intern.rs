@@ -53,7 +53,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::value::{Value, ValueIdent};
+use crate::value::{List, Value, ValueIdent};
 
 /// Default bound on distinct canonical values per interner; past it new
 /// values pass through uncanonicalized (correct, just not shared), so a
@@ -163,12 +163,13 @@ impl Interner {
         match v {
             Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Real(_) => v,
             Value::Str(_) => self.canonize(v),
-            Value::List(mut l) => {
-                if l.iter().any(|c| self.needs_work(c)) {
-                    for c in Arc::make_mut(&mut l).iter_mut() {
-                        *c = self.intern(std::mem::take(c));
-                    }
-                }
+            Value::List(l) => {
+                let work = l.iter().any(|c| self.needs_work(c));
+                let l = if work {
+                    List::new(l.iter().map(|c| self.intern(c.clone())).collect())
+                } else {
+                    l
+                };
                 self.canonize(Value::List(l))
             }
             Value::Tuple(mut t) => {
@@ -239,7 +240,7 @@ fn compound_addr(v: &Value) -> Option<usize> {
     match v {
         Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Real(_) => None,
         Value::Str(s) => Some(Arc::as_ptr(s) as *const u8 as usize),
-        Value::List(l) => Some(Arc::as_ptr(l) as usize),
+        Value::List(l) => Some(l.addr()),
         Value::Tuple(t) => Some(Arc::as_ptr(t) as usize),
         Value::Map(m) => Some(Arc::as_ptr(m) as usize),
         Value::Term(t) => Some(Arc::as_ptr(t) as usize),
@@ -259,7 +260,7 @@ fn shallow_hash(v: &Value) -> u64 {
         }
         Value::List(l) => {
             1u8.hash(&mut h);
-            hash_children(l, &mut h);
+            hash_children(l.as_slice(), &mut h);
         }
         Value::Tuple(t) => {
             2u8.hash(&mut h);
@@ -297,7 +298,8 @@ fn hash_children(children: &[Value], h: &mut DefaultHasher) {
 fn shallow_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::List(x), Value::List(y)) | (Value::Tuple(x), Value::Tuple(y)) => eq_children(x, y),
+        (Value::List(x), Value::List(y)) => eq_children(x.as_slice(), y.as_slice()),
+        (Value::Tuple(x), Value::Tuple(y)) => eq_children(x, y),
         (Value::Map(x), Value::Map(y)) => {
             x.len() == y.len()
                 && x.iter()
@@ -439,7 +441,7 @@ mod tests {
                 for _ in 0..n {
                     m.insert(format!("k{}", rng.below(5)), random_value(rng, depth - 1));
                 }
-                Value::Map(Arc::new(m))
+                Value::map(m)
             }
             _ => {
                 let n = rng.below(3);

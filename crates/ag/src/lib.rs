@@ -83,4 +83,4 @@ pub use grammar::{
 pub use ids::{AttrId, FuncId, LocalId, NodeId, ONode, Occ, PhylumId, ProductionId};
 pub use intern::{InternStats, Interner, MemoCache, MemoKey};
 pub use tree::{term_to_tree, AttrValues, LocalFrames, Node, Preorder, Tree, TreeBuilder};
-pub use value::{Term, Value, ValueIdent};
+pub use value::{List, Map, Term, Value, ValueIdent, FLAT_MAX};

@@ -10,11 +10,22 @@
 //! parallel batch driver's worker threads) so that copy rules (the dominant
 //! rule form in real AGs) are O(1), mirroring the pointer-copy semantics of
 //! the original C back-end.
+//!
+//! Lists are persistent ([`List`]): a list is a flat chunk, a shared tail
+//! of one, or the concatenation of two lists, so `++`, `::` and `tl` share
+//! their operands instead of copying them. Lists and maps cache their
+//! [`Value::cell_count`] (lists also their length and an element hash).
+//! The count is *logical*: a list that holds one sub-list twice counts it
+//! twice, whatever is shared, so the budget meter's charge is O(1) per
+//! rule and independent of how the value was built. Nothing but time and
+//! memory depends on that shape: equality, `Debug`/`Display`, interning
+//! and every encoding see only the element sequence.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// A dynamically typed attribute value.
 #[derive(Clone, Default)]
@@ -30,12 +41,12 @@ pub enum Value {
     Real(f64),
     /// An immutable string.
     Str(Arc<str>),
-    /// An immutable list.
-    List(Arc<Vec<Value>>),
+    /// An immutable, persistent list.
+    List(List),
     /// An immutable tuple.
     Tuple(Arc<Vec<Value>>),
     /// A finite map with string keys (symbol tables, environments).
-    Map(Arc<BTreeMap<String, Value>>),
+    Map(Arc<Map>),
     /// A term of an output tree (tree-to-tree mapping, paper §2.3).
     Term(Arc<Term>),
 }
@@ -55,9 +66,9 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    /// Builds a list value.
+    /// Builds a (flat) list value.
     pub fn list(items: impl IntoIterator<Item = Value>) -> Value {
-        Value::List(Arc::new(items.into_iter().collect()))
+        Value::List(List::new(items.into_iter().collect()))
     }
 
     /// Builds a tuple value.
@@ -65,9 +76,14 @@ impl Value {
         Value::Tuple(Arc::new(items.into_iter().collect()))
     }
 
+    /// Builds a map value.
+    pub fn map(entries: BTreeMap<String, Value>) -> Value {
+        Value::Map(Arc::new(Map::new(entries)))
+    }
+
     /// Builds an empty map value.
     pub fn empty_map() -> Value {
-        Value::Map(Arc::new(BTreeMap::new()))
+        Value::map(BTreeMap::new())
     }
 
     /// Builds a term value.
@@ -128,14 +144,15 @@ impl Value {
         }
     }
 
-    /// The list payload.
+    /// The list payload as a slice (flattening a concatenation once; see
+    /// [`List::as_slice`]).
     ///
     /// # Panics
     /// Panics if the value is not a `List`.
     #[track_caller]
     pub fn as_list(&self) -> &[Value] {
         match self {
-            Value::List(l) => l,
+            Value::List(l) => l.as_slice(),
             other => panic!("expected list, got {other:?}"),
         }
     }
@@ -233,24 +250,26 @@ impl Value {
             Value::Int(i) => ValueIdent::Int(*i),
             Value::Real(r) => ValueIdent::Real(r.to_bits()),
             Value::Str(s) => ValueIdent::Str(Arc::as_ptr(s) as *const u8 as usize),
-            Value::List(l) => ValueIdent::List(Arc::as_ptr(l) as usize),
+            Value::List(l) => ValueIdent::List(l.addr()),
             Value::Tuple(t) => ValueIdent::Tuple(Arc::as_ptr(t) as usize),
             Value::Map(m) => ValueIdent::Map(Arc::as_ptr(m) as usize),
             Value::Term(t) => ValueIdent::Term(Arc::as_ptr(t) as usize),
         }
     }
 
-    /// A coarse measure of the number of heap cells this value transitively
-    /// owns; used by the space-consumption benchmarks (paper §4.1).
+    /// A coarse, logical measure of the heap cells this value denotes: one
+    /// per node of the value read as a tree, shared parts counted at every
+    /// occurrence, saturating at `usize::MAX`. O(1) for lists and maps,
+    /// which cache it; used by the budget meter and the space-consumption
+    /// benchmarks (paper §4.1).
     pub fn cell_count(&self) -> usize {
         match self {
             Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Real(_) => 1,
             Value::Str(_) => 1,
-            Value::List(items) | Value::Tuple(items) => {
-                1 + items.iter().map(Value::cell_count).sum::<usize>()
-            }
-            Value::Map(m) => 1 + m.values().map(Value::cell_count).sum::<usize>(),
-            Value::Term(t) => 1 + t.children.iter().map(Value::cell_count).sum::<usize>(),
+            Value::List(l) => l.cell_count(),
+            Value::Map(m) => m.cell_count(),
+            Value::Tuple(items) => node_cells(items.iter()),
+            Value::Term(t) => node_cells(t.children.iter()),
         }
     }
 }
@@ -297,7 +316,7 @@ impl PartialEq for Value {
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Real(a), Value::Real(b)) => a == b,
             (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b) || a == b,
-            (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Value::List(a), Value::List(b)) => a == b,
             (Value::Tuple(a), Value::Tuple(b)) => Arc::ptr_eq(a, b) || a == b,
             (Value::Map(a), Value::Map(b)) => Arc::ptr_eq(a, b) || a == b,
             (Value::Term(a), Value::Term(b)) => Arc::ptr_eq(a, b) || a == b,
@@ -358,7 +377,7 @@ impl fmt::Debug for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Real(r) => write!(f, "{r}"),
             Value::Str(s) => write!(f, "{s:?}"),
-            Value::List(items) => f.debug_list().entries(items.iter()).finish(),
+            Value::List(l) => l.fmt(f),
             Value::Tuple(items) => {
                 write!(f, "(")?;
                 for (i, v) in items.iter().enumerate() {
@@ -394,6 +413,313 @@ impl fmt::Display for Value {
             Value::Str(s) => write!(f, "{s}"),
             other => write!(f, "{other:?}"),
         }
+    }
+}
+
+/// The cell count of a node with `children`: one for the node plus theirs.
+fn node_cells<'a>(children: impl Iterator<Item = &'a Value>) -> usize {
+    children.fold(1, |n, c| n.saturating_add(c.cell_count()))
+}
+
+/// [`List::concat`] builds results of at most this many elements flat: a
+/// short copy is cheaper than a node, and it keeps chunk walks dense.
+pub const FLAT_MAX: usize = 32;
+
+/// The odd multiplier of the lists' polynomial hash: `x1 … xn` hashes to
+/// `Σ h(xi)·K^(n-i)` (mod 2^64), so a concatenation's hash is
+/// `h(a)·K^|b| + h(b)` and a tail's is `h(l) - h(x1)·K^(n-1)`.
+const K: u64 = 0x0000_0100_0000_01b3;
+
+/// `h·K^n` (mod 2^64).
+fn shift(h: u64, n: usize) -> u64 {
+    const K32: u64 = K.wrapping_pow(1 << 31).wrapping_pow(2);
+    let hi = K32.wrapping_pow((n as u64 >> 32) as u32);
+    h.wrapping_mul(hi).wrapping_mul(K.wrapping_pow(n as u32))
+}
+
+/// An element's hash: equal values hash alike. Scalars, strings and lists
+/// hash their contents (`+ 0.0` makes `-0.0` hash as `0.0`); unit,
+/// tuples, maps and terms all hash to 0.
+fn elem_hash(v: &Value) -> u64 {
+    match v {
+        Value::Bool(b) => *b as u64,
+        Value::Int(i) => *i as u64,
+        Value::Real(r) => (r + 0.0).to_bits(),
+        Value::Str(s) => s.bytes().fold(!0, |h, b| (h ^ b as u64).wrapping_mul(K)),
+        Value::List(l) => l.0.hash.wrapping_add(l.len() as u64),
+        _ => 0,
+    }
+}
+
+/// A persistent list: an `Arc`'d node that is a flat chunk, a view of a
+/// flat chunk from an offset on, or the concatenation of two non-empty
+/// lists (with its flattening, once a caller asked for a slice).
+///
+/// Every node caches its length, its [`Value::cell_count`] (both
+/// saturating) and a hash of its elements, so `len`, `concat`, `first`
+/// and `cell_count` never walk the elements, and most unequal lists are
+/// told apart in O(1). Equality, drop and iteration use explicit stacks: a
+/// chain of any depth never recurses.
+#[derive(Clone)]
+pub struct List(Arc<Node>);
+
+struct Node {
+    len: usize,
+    /// The cell count of the elements (the list's own cell excluded).
+    cells: usize,
+    hash: u64,
+    repr: Repr,
+}
+
+enum Repr {
+    Flat(Box<[Value]>),
+    View(List, usize),
+    Cat(List, List, OnceLock<List>),
+}
+
+impl List {
+    fn node(len: usize, cells: usize, hash: u64, repr: Repr) -> List {
+        List(Arc::new(Node {
+            len,
+            cells,
+            hash,
+            repr,
+        }))
+    }
+
+    /// A flat list of `items`.
+    pub fn new(items: Vec<Value>) -> List {
+        let cells = node_cells(items.iter()) - 1;
+        let hash = items
+            .iter()
+            .fold(0, |h, x| shift(h, 1).wrapping_add(elem_hash(x)));
+        List::node(items.len(), cells, hash, Repr::Flat(items.into()))
+    }
+
+    /// The number of elements (saturating). O(1).
+    pub fn len(&self) -> usize {
+        self.0.len
+    }
+
+    /// True when the list has no elements. O(1).
+    pub fn is_empty(&self) -> bool {
+        self.0.len == 0
+    }
+
+    /// This list's [`Value::cell_count`]. O(1).
+    pub fn cell_count(&self) -> usize {
+        self.0.cells.saturating_add(1)
+    }
+
+    /// The address of this list's node (its [`Value::ident`]).
+    pub fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
+    }
+
+    /// The elements of `self`, then those of `other`: O(1), sharing both,
+    /// unless the result has at most [`FLAT_MAX`] elements, which are
+    /// copied into one flat chunk.
+    pub fn concat(&self, other: &List) -> List {
+        if self.is_empty() {
+            return other.clone();
+        }
+        if other.is_empty() {
+            return self.clone();
+        }
+        let len = self.len().saturating_add(other.len());
+        let cells = self.0.cells.saturating_add(other.0.cells);
+        let hash = shift(self.0.hash, other.len()).wrapping_add(other.0.hash);
+        let repr = if len <= FLAT_MAX {
+            // Concatenation nodes are longer, so neither slice flattens.
+            Repr::Flat([self.as_slice(), other.as_slice()].concat().into())
+        } else {
+            Repr::Cat(self.clone(), other.clone(), OnceLock::new())
+        };
+        List::node(len, cells, hash, repr)
+    }
+
+    /// The first element, found down the left spine without flattening.
+    pub fn first(&self) -> Option<&Value> {
+        let mut l = self;
+        loop {
+            match &l.0.repr {
+                Repr::Flat(items) => return items.first(),
+                Repr::View(base, at) => return base.as_slice().get(*at),
+                Repr::Cat(left, _, _) => l = left,
+            }
+        }
+    }
+
+    /// All elements but the first (the empty list stays empty), sharing
+    /// them without flattening: a view into a flat chunk, or the leftmost
+    /// chunk's tail concatenated with the rest. The left spine is rotated on
+    /// the way down (`(a ++ b) ++ c` becomes `a ++ (b ++ c)`), so walking a
+    /// list by `tail` costs amortized O(1) per step.
+    pub fn tail(&self) -> List {
+        let Some(head) = self.first() else {
+            return self.clone();
+        };
+        let (base, at) = match &self.0.repr {
+            Repr::Flat(_) => (self, 0),
+            Repr::View(base, at) => (base, *at),
+            Repr::Cat(_, _, flat) if flat.get().is_some() => (self.flat(), 0),
+            Repr::Cat(left, right, _) => {
+                let (mut left, mut right) = (left, right.clone());
+                while let Repr::Cat(a, b, _) = &left.0.repr {
+                    right = b.concat(&right);
+                    left = a;
+                }
+                return match left.len() {
+                    1 => right,
+                    _ => left.tail().concat(&right),
+                };
+            }
+        };
+        let len = self.len() - 1;
+        let cells = self.0.cells.saturating_sub(head.cell_count());
+        let hash = self.0.hash.wrapping_sub(shift(elem_hash(head), len));
+        List::node(len, cells, hash, Repr::View(base.clone(), at + 1))
+    }
+
+    /// The elements in order, walked chunk by chunk without flattening.
+    pub fn iter(&self) -> impl Iterator<Item = &Value> {
+        let mut pending = vec![self];
+        std::iter::from_fn(move || {
+            let mut l = pending.pop()?;
+            while let Repr::Cat(left, right, flat) = &l.0.repr {
+                if let Some(flat) = flat.get() {
+                    l = flat;
+                } else {
+                    pending.push(right);
+                    l = left;
+                }
+            }
+            Some(l.as_slice())
+        })
+        .flatten()
+    }
+
+    /// The elements as one slice. A concatenation is flattened on the
+    /// first call, and the result is cached in its node.
+    pub fn as_slice(&self) -> &[Value] {
+        match &self.0.repr {
+            Repr::Flat(items) => items,
+            Repr::View(base, at) => &base.as_slice()[*at..],
+            Repr::Cat(..) => self.flat().as_slice(),
+        }
+    }
+
+    /// The flat list of a concatenation's elements (built once), or `self`.
+    fn flat(&self) -> &List {
+        match &self.0.repr {
+            Repr::Cat(left, right, flat) => {
+                flat.get_or_init(|| List::new(left.iter().chain(right.iter()).cloned().collect()))
+            }
+            _ => self,
+        }
+    }
+}
+
+impl Drop for Node {
+    /// Unlinks uniquely owned nodes with an explicit stack, so dropping a
+    /// deep concatenation does not recurse.
+    fn drop(&mut self) {
+        let empty = || Repr::Flat(Box::default());
+        let mut stack = Vec::new();
+        let mut repr = std::mem::replace(&mut self.repr, empty());
+        loop {
+            match repr {
+                Repr::Cat(left, right, flat) => {
+                    stack.extend([left, right].into_iter().chain(flat.into_inner()))
+                }
+                Repr::View(base, _) => stack.push(base),
+                Repr::Flat(_) => {}
+            }
+            let Some(l) = stack.pop() else { return };
+            repr = Arc::into_inner(l.0)
+                .map_or_else(empty, |mut n| std::mem::replace(&mut n.repr, empty()));
+        }
+    }
+}
+
+impl PartialEq for List {
+    /// Element-wise equality that uses the sharing: pointer-equal lists
+    /// are equal; lists of different lengths or hashes are not;
+    /// concatenations split at the same length compare part by part; and
+    /// anything else walks both element sequences chunk by chunk.
+    fn eq(&self, other: &List) -> bool {
+        let mut pairs = vec![(self, other)];
+        while let Some((a, b)) = pairs.pop() {
+            if Arc::ptr_eq(&a.0, &b.0) {
+                continue;
+            }
+            if a.len() != b.len() || a.0.hash != b.0.hash {
+                return false;
+            }
+            match (&a.0.repr, &b.0.repr) {
+                (Repr::Cat(al, ar, _), Repr::Cat(bl, br, _)) if al.len() == bl.len() => {
+                    // `l ++ l` on both sides: one comparison covers both.
+                    if !(Arc::ptr_eq(&al.0, &ar.0) && Arc::ptr_eq(&bl.0, &br.0)) {
+                        pairs.push((ar, br));
+                    }
+                    pairs.push((al, bl));
+                }
+                _ if !a.iter().eq(b.iter()) => return false,
+                _ => {}
+            }
+        }
+        true
+    }
+}
+
+impl fmt::Debug for List {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A finite map with string keys and its cached [`Value::cell_count`],
+/// kept up to date by [`insert`](Map::insert). Reads go through `Deref`
+/// to the `BTreeMap`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Map {
+    /// The cell count of the values (the map's own cell excluded).
+    cells: usize,
+    entries: BTreeMap<String, Value>,
+}
+
+impl Map {
+    /// A map of `entries`.
+    pub fn new(entries: BTreeMap<String, Value>) -> Map {
+        let cells = node_cells(entries.values()) - 1;
+        Map { cells, entries }
+    }
+
+    /// This map's [`Value::cell_count`]. O(1).
+    pub fn cell_count(&self) -> usize {
+        self.cells.saturating_add(1)
+    }
+
+    /// Adds or replaces `key ↦ value`.
+    pub fn insert(&mut self, key: String, value: Value) {
+        self.cells = self.cells.saturating_add(value.cell_count());
+        if let Some(old) = self.entries.insert(key, value) {
+            self.cells = self.cells.saturating_sub(old.cell_count());
+        }
+    }
+
+    /// The values, mutably, for replacing each by an equal one (which
+    /// keeps the cached count).
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.entries.values_mut()
+    }
+}
+
+impl Deref for Map {
+    type Target = BTreeMap<String, Value>;
+
+    fn deref(&self) -> &BTreeMap<String, Value> {
+        &self.entries
     }
 }
 

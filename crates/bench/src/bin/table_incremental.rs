@@ -5,15 +5,18 @@
 //! multi-subtree replacements to growing trees, comparing instances
 //! reevaluated against the exhaustive instance count. A second table times
 //! a one-leaf edit against reevaluating the whole tree from scratch with
-//! the demand-driven evaluator.
+//! the demand-driven evaluator. A third does both on mini-Pascal: one
+//! literal edit in `sample_program` at three sizes, the wave timed against
+//! `Compiled::evaluate` on the same tree.
 //!
 //! Run with `cargo run --release --bin table_incremental -p fnc2-bench`.
 
 use std::hint::black_box;
 
-use fnc2::ag::{Grammar, GrammarBuilder, NodeId, Occ, TreeBuilder, Value};
+use fnc2::ag::{Grammar, GrammarBuilder, NodeId, Occ, ProductionId, TreeBuilder, Value};
 use fnc2::incremental::{Equality, IncrementalEvaluator};
 use fnc2::visit::{DynamicEvaluator, RootInputs};
+use fnc2::Pipeline;
 use fnc2_bench::harness::paired;
 use fnc2_bench::render_table;
 
@@ -209,6 +212,140 @@ fn main() {
     println!("{}", render_table(&headers, &rows));
     let spread = [("speedup", &[legs[1].spread][..])];
     fnc2_bench::maybe_emit_json("table_incremental_edit", &headers, &rows, &spread);
+
+    minipascal_edits();
+}
+
+/// Mini-Pascal rows: `sample_program` at 8, 32 and 128 blocks, with the
+/// first, middle and last integer literal of the program (source order)
+/// replaced by a new value. The first sits in the first statement, the
+/// last in the last block's `while` loop. The counts are the first wave's;
+/// the times are medians of paired rounds, each wave against one
+/// `Compiled::evaluate` of the unedited tree.
+fn minipascal_edits() {
+    println!("\nMini-Pascal: one-literal edit vs. from-scratch evaluation\n");
+    let headers = [
+        "blocks",
+        "nodes",
+        "literal",
+        "reevaluated",
+        "changed",
+        "cut",
+        "wave",
+        "from scratch",
+        "µs/node",
+        "wave/scratch",
+    ];
+    let compiled = Pipeline::new()
+        .compile_olga(fnc2_corpus::MINIPASCAL_OLGA)
+        .expect("mini-Pascal compiles");
+    let g = &compiled.grammar;
+    let elit = g.production_by_name("elit").expect("literal production");
+    let sizes = [8, 32, 128];
+    let trees: Vec<fnc2::ag::Tree> = sizes
+        .iter()
+        .map(|&b| {
+            fnc2_corpus::parse_minipascal(g, &fnc2_corpus::sample_program(b)).expect("parses")
+        })
+        .collect();
+    let (mut rows, mut spread) = (Vec::new(), Vec::new());
+    for (&blocks, tree) in sizes.iter().zip(&trees) {
+        let lits: Vec<NodeId> = tree
+            .preorder()
+            .filter(|&(n, _)| tree.node(n).production() == elit)
+            .map(|(n, _)| n)
+            .collect();
+        for (name, k) in [
+            ("first", 0),
+            ("middle", lits.len() / 2),
+            ("last", lits.len() - 1),
+        ] {
+            let mut inc =
+                IncrementalEvaluator::new(g, tree.clone(), Equality::default()).expect("evaluates");
+            // An edit replaces the literal node, so it is found again
+            // through its parent, which keeps its identity.
+            let parent = tree.node(lits[k]).parent().expect("a literal has a parent");
+            let pos = tree.child_index(lits[k]).expect("a literal is a child");
+            let mut value = 1000;
+            let mut edit = |inc: &mut IncrementalEvaluator| {
+                value += 1;
+                let at = inc.tree().node(parent).children()[pos - 1];
+                inc.replace_subtree(at, &literal(g, elit, value))
+                    .expect("edits")
+            };
+            let stats = edit(&mut inc);
+            let legs = paired(
+                ROUNDS,
+                &mut [
+                    &mut || {
+                        _ = black_box(compiled.evaluate(tree, &RootInputs::new()).expect("runs"))
+                    },
+                    &mut || _ = black_box(edit(&mut inc)),
+                ],
+            );
+            let per_node = legs[0].median.as_secs_f64() * 1e6 / tree.size() as f64;
+            rows.push(vec![
+                blocks.to_string(),
+                tree.size().to_string(),
+                name.into(),
+                stats.reevaluated.to_string(),
+                stats.changed.to_string(),
+                stats.cut.to_string(),
+                format!("{:.2?}", legs[1].median),
+                format!("{:.2?}", legs[0].median),
+                format!("{per_node:.2}"),
+                format!("{:.3}", legs[1].ratio),
+            ]);
+            spread.push(legs[1].spread);
+        }
+    }
+    println!("{}", render_table(&headers, &rows));
+    let spread = [("wave/scratch", &spread[..])];
+    fnc2_bench::maybe_emit_json("table_incremental_minipascal", &headers, &rows, &spread);
+
+    // Per-node cost across sizes, free of the host's drift between rows:
+    // the three from-scratch evaluations share each round.
+    println!("\nMini-Pascal: from-scratch time per node across sizes\n");
+    let headers = [
+        "blocks",
+        "nodes",
+        "from scratch",
+        "µs/node",
+        "per node ÷ 8 blocks",
+    ];
+    let mut legs: Vec<Box<dyn FnMut() + '_>> = trees
+        .iter()
+        .map(|t| {
+            Box::new(|| _ = black_box(compiled.evaluate(t, &RootInputs::new()).expect("runs")))
+                as Box<dyn FnMut()>
+        })
+        .collect();
+    let mut legs: Vec<&mut dyn FnMut()> = legs.iter_mut().map(|l| &mut **l as _).collect();
+    let timed = paired(ROUNDS, &mut legs);
+    let rows: Vec<Vec<String>> = sizes
+        .iter()
+        .zip(&trees)
+        .zip(&timed)
+        .map(|((blocks, tree), leg)| {
+            let per_node = leg.median.as_secs_f64() * 1e6 / tree.size() as f64;
+            let vs_8 = leg.ratio * trees[0].size() as f64 / tree.size() as f64;
+            vec![
+                blocks.to_string(),
+                tree.size().to_string(),
+                format!("{:.2?}", leg.median),
+                format!("{per_node:.2}"),
+                format!("{vs_8:.2}x"),
+            ]
+        })
+        .collect();
+    println!("{}", render_table(&headers, &rows));
+}
+
+/// A one-node literal subtree holding `v`.
+fn literal(g: &Grammar, elit: ProductionId, v: i64) -> fnc2::ag::Tree {
+    let mut tb = TreeBuilder::new(g);
+    let n = tb.node_with_token(elit, &[], Some(Value::Int(v))).unwrap();
+    tb.finish(n)
 }
 
 /// The first leaf in preorder: the victim of every single-leaf edit.

@@ -331,7 +331,7 @@ pub fn run_decision(
                     if i == 0 {
                         items.first()?.clone()
                     } else {
-                        fnc2_ag::Value::list(items.iter().skip(1).cloned())
+                        fnc2_ag::Value::List(items.tail())
                     }
                 }
                 fnc2_ag::Value::Term(t) => t.children.get(i)?.clone(),

@@ -75,6 +75,7 @@ fn linear_match(pats: &[Pat], v: &Value) -> Option<usize> {
             (Pat::Str(s, _), Value::Str(t)) => s.as_str() == &**t,
             (Pat::Nil(_), Value::List(l)) => l.is_empty(),
             (Pat::Cons(h, t, _), Value::List(l)) => {
+                let l = l.as_slice();
                 !l.is_empty()
                     && matches(h, &l[0])
                     && matches(t, &Value::list(l[1..].iter().cloned()))

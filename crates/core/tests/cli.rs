@@ -144,6 +144,28 @@ fn budget_exhaustion_maps_to_exit_2() {
     assert!(err.contains("budget exceeded"), "{err}");
 }
 
+/// A rule whose result is `[1]` doubled 40 times with `++`: 40 shared
+/// nodes in memory, 2^40 + 1 cells to the meter, so the smoke evaluation
+/// trips the default value-cell budget.
+#[test]
+fn huge_list_trips_the_default_budget() {
+    let src = r#"
+attribute grammar doubling;
+  phylum S;
+  operator leaf : S ::= ;
+  synthesized k : int of S;
+  synthesized out : list of int of S;
+  function dbl(l : list of int, n : int) : list of int =
+    if n = 0 then l else dbl(l ++ l, n - 1) end;
+  for leaf { S.k := 40; S.out := dbl([1], S.k); }
+end
+"#;
+    let out = run_with_stdin(&["report", "-"], src);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("budget exceeded (value-cells)"), "{err}");
+}
+
 fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
     let mut child = fnc2c()
         .args(args)

@@ -219,7 +219,7 @@ pub fn blocks() -> Grammar {
         for (k, v) in a[1].as_map() {
             m.insert(k.clone(), v.clone());
         }
-        Value::Map(std::sync::Arc::new(m))
+        Value::map(m)
     });
     g.func("decl1", 1, |a| {
         Value::empty_map().map_insert(a[0].as_str(), Value::Bool(true))

@@ -115,7 +115,9 @@ pub struct EvalBudget {
     /// Maximum visit/demand nesting depth.
     pub max_depth: usize,
     /// Maximum aggregate cells of produced values, counted the way
-    /// `fnc2_ag::Value::cell_count` counts them.
+    /// `fnc2_ag::Value::cell_count` counts them: logically (a shared part
+    /// counts at every occurrence), from counts cached in lists and maps,
+    /// so each rule's charge is O(1) however large its result.
     pub max_value_cells: u64,
     /// Optional wall-clock deadline.
     pub deadline: Option<Deadline>,
@@ -305,10 +307,11 @@ impl BudgetMeter {
         }
     }
 
-    /// Accounts `cells` more cells of produced value storage.
+    /// Accounts `cells` more cells of produced value storage. The total
+    /// saturates, so no charge, however large, wraps under the limit.
     #[inline]
     pub fn grow_cells(&mut self, cells: u64) -> Result<(), BudgetKind> {
-        self.cells += cells;
+        self.cells = self.cells.saturating_add(cells);
         if self.cells > self.max_cells {
             Err(BudgetKind::ValueCells)
         } else {

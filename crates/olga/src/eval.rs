@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use fnc2_ag::Value;
+use fnc2_ag::{List, Map, Value};
 
 use crate::ast::{Expr, Pat};
 use crate::check::UnitEnv;
@@ -339,10 +339,12 @@ impl EvalCtx {
                 .first()
                 .cloned()
                 .ok_or_else(|| abort("hd of empty list".to_string(), pos)),
-            "tl" => Ok(Value::list(
-                want_list(arg(0)?, pos)?.iter().skip(1).cloned(),
-            )),
-            "rev" => Ok(Value::list(want_list(arg(0)?, pos)?.iter().rev().cloned())),
+            "tl" => Ok(Value::List(want_list(arg(0)?, pos)?.tail())),
+            "rev" => {
+                let mut items: Vec<Value> = want_list(arg(0)?, pos)?.iter().cloned().collect();
+                items.reverse();
+                Ok(Value::List(List::new(items)))
+            }
             "empty_map" => Ok(Value::empty_map()),
             "size" => Ok(Value::Int(want_map(arg(0)?, pos)?.len() as i64)),
             "insert" => {
@@ -363,9 +365,9 @@ impl EvalCtx {
                 Ok(Value::Bool(arg(0)?.map_get(key).is_some()))
             }
             "remove" => {
-                let mut m = want_map(arg(0)?, pos)?.clone();
+                let mut m = (**want_map(arg(0)?, pos)?).clone();
                 m.remove(want_str(arg(1)?, pos)?);
-                Ok(Value::Map(Arc::new(m)))
+                Ok(Value::map(m))
             }
             "itoa" => Ok(Value::str(want_int(arg(0)?, pos)?.to_string())),
             "rtoa" => Ok(Value::str(format!("{}", want_real(arg(0)?, pos)?))),
@@ -499,17 +501,14 @@ fn want_str(v: &Value, pos: Pos) -> Result<&str, Box<EvalAbort>> {
     }
 }
 
-fn want_list(v: &Value, pos: Pos) -> Result<&[Value], Box<EvalAbort>> {
+fn want_list(v: &Value, pos: Pos) -> Result<&List, Box<EvalAbort>> {
     match v {
         Value::List(l) => Ok(l),
         v => Err(type_confusion("list", v, pos)),
     }
 }
 
-fn want_map(
-    v: &Value,
-    pos: Pos,
-) -> Result<&std::collections::BTreeMap<String, Value>, Box<EvalAbort>> {
+fn want_map(v: &Value, pos: Pos) -> Result<&Map, Box<EvalAbort>> {
     match v {
         Value::Map(m) => Ok(m),
         v => Err(type_confusion("map", v, pos)),
@@ -555,14 +554,9 @@ fn binop(op: &str, l: Value, r: Value, pos: Pos) -> EResult {
             a.partial_cmp(b),
             Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
         )),
-        ("::", _, List(items)) => {
-            let mut v = Vec::with_capacity(items.len() + 1);
-            v.push(l.clone());
-            v.extend(items.iter().cloned());
-            Value::list(v)
-        }
+        ("::", _, List(items)) => concat(&fnc2_ag::List::new(vec![l.clone()]), items, pos)?,
         ("++", Str(a), Str(b)) => Value::str(format!("{a}{b}")),
-        ("++", List(a), List(b)) => Value::list(a.iter().chain(b.iter()).cloned()),
+        ("++", List(a), List(b)) => concat(a, b, pos)?,
         (op, l, r) => {
             return Err(abort(
                 format!(
@@ -574,6 +568,18 @@ fn binop(op: &str, l: Value, r: Value, pos: Pos) -> EResult {
             ));
         }
     })
+}
+
+/// `a ++ b` for lists, sharing both; aborts rather than build a list
+/// longer than `isize::MAX` elements (no slice could ever hold it).
+fn concat(a: &List, b: &List, pos: Pos) -> EResult {
+    match a.len().checked_add(b.len()) {
+        Some(n) if n <= isize::MAX as usize => Ok(Value::List(a.concat(b))),
+        _ => Err(abort(
+            format!("list too long: {} + {} elements", a.len(), b.len()),
+            pos,
+        )),
+    }
 }
 
 /// Pattern match; pushes bindings into `scope` (caller pops `*pushed`).
@@ -589,13 +595,13 @@ fn match_pat(pat: &Pat, v: &Value, scope: &mut Scope, pushed: &mut usize) -> boo
         (Pat::Bool(b, _), Value::Bool(c)) => b == c,
         (Pat::Str(s, _), Value::Str(t)) => s.as_str() == &**t,
         (Pat::Nil(_), Value::List(items)) => items.is_empty(),
-        (Pat::Cons(h, t, _), Value::List(items)) => {
-            if items.is_empty() {
-                return false;
+        (Pat::Cons(h, t, _), Value::List(items)) => match items.first() {
+            Some(x) => {
+                match_pat(h, x, scope, pushed)
+                    && match_pat(t, &Value::List(items.tail()), scope, pushed)
             }
-            match_pat(h, &items[0], scope, pushed)
-                && match_pat(t, &Value::list(items[1..].iter().cloned()), scope, pushed)
-        }
+            None => false,
+        },
         (Pat::Tuple(ps, _), Value::Tuple(items)) => {
             ps.len() == items.len()
                 && ps
@@ -674,6 +680,94 @@ mod tests {
             apply(&ctx, "second", vec![Value::list([Value::Int(9)])]),
             Value::Int(-1)
         );
+    }
+
+    /// The same element sequence as a flat list, as concatenations
+    /// (balanced, left- and right-leaning) and as a view into a flat chunk.
+    fn shapes(items: &[Value]) -> Vec<Value> {
+        let one = |x: &Value| List::new(vec![x.clone()]);
+        let mut left = List::new(Vec::new());
+        let mut right = List::new(Vec::new());
+        for (x, y) in items.iter().zip(items.iter().rev()) {
+            left = left.concat(&one(x));
+            right = one(y).concat(&right);
+        }
+        let (a, b) = items.split_at(items.len() / 2);
+        let halves = List::new(a.to_vec()).concat(&List::new(b.to_vec()));
+        let view = List::new([Value::Int(-9)].iter().chain(items).cloned().collect()).tail();
+        let mut out = vec![Value::list(items.to_vec())];
+        out.extend([left, right, halves, view].map(Value::List));
+        out
+    }
+
+    #[test]
+    fn list_builtins_agree_on_every_shape() {
+        let ctx = ctx_for(
+            r#"
+            module m;
+              function f_len(l : list of int) : int = len(l);
+              function f_null(l : list of int) : bool = null(l);
+              function f_hd(l : list of int) : int = if null(l) then -1 else hd(l) end;
+              function f_tl(l : list of int) : list of int = tl(l);
+              function f_tl2(l : list of int) : list of int = tl(tl(l));
+              function f_rev(l : list of int) : list of int = rev(l);
+              function f_cons(l : list of int) : list of int = 7 :: l;
+              function f_app(l : list of int) : list of int = l ++ [8] ++ l;
+              function f_sum(l : list of int) : int =
+                case l of [] => 0 | x :: r => x + 2 * f_sum(r) end;
+              function f_second(l : list of int) : int =
+                case l of _ :: y :: _ => y | _ => -1 end;
+              function f_rest(l : list of int) : list of int =
+                case l of _ :: _ :: r => r | _ => [] end;
+              function f_nil(l : list of int) : bool = case l of [] => true | _ => false end;
+              function f_eq(l : list of int, k : list of int) : bool = l = k;
+            end
+            "#,
+        );
+        let unary = [
+            "f_len", "f_null", "f_hd", "f_tl", "f_tl2", "f_rev", "f_cons", "f_app", "f_sum",
+            "f_second", "f_rest", "f_nil",
+        ];
+        for n in [0, 1, 2, 3, 31, 32, 33, 34, 64, 70] {
+            let items: Vec<Value> = (0..n).map(|i| Value::Int(i * 3 % 11)).collect();
+            let shapes = shapes(&items);
+            for f in unary {
+                let want = apply(&ctx, f, vec![shapes[0].clone()]);
+                for (k, shape) in shapes.iter().enumerate() {
+                    let got = apply(&ctx, f, vec![shape.clone()]);
+                    assert_eq!(got, want, "{f} on {n} elements, shape {k}");
+                    assert_eq!(got.to_string(), want.to_string(), "{f}, shape {k}");
+                    assert_eq!(got.cell_count(), want.cell_count(), "{f}, shape {k}");
+                }
+            }
+            for a in &shapes {
+                for b in &shapes {
+                    let args = vec![a.clone(), b.clone()];
+                    assert_eq!(apply(&ctx, "f_eq", args), Value::Bool(true));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn doubling_shares_and_huge_lengths_abort() {
+        let ctx = ctx_for(
+            r#"
+            module m;
+              function dbl(l : list of int, n : int) : list of int =
+                if n = 0 then l else dbl(l ++ l, n - 1) end;
+              function len_dbl(n : int) : int = len(dbl([1], n));
+              function eq_dbl(n : int) : bool = dbl([1], n) = dbl([1], n);
+              function hd_tl_dbl(n : int) : int = hd(tl(dbl([1], n)));
+            end
+            "#,
+        );
+        let n = vec![Value::Int(62)];
+        assert_eq!(apply(&ctx, "len_dbl", n.clone()), Value::Int(1 << 62));
+        assert_eq!(apply(&ctx, "eq_dbl", n.clone()), Value::Bool(true));
+        assert_eq!(apply(&ctx, "hd_tl_dbl", n), Value::Int(1));
+        let err = ctx.apply("dbl", vec![Value::list([Value::Int(1)]), Value::Int(70)]);
+        assert!(err.unwrap_err().message.starts_with("list too long"));
     }
 
     #[test]

@@ -321,7 +321,13 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo), LowerError> {
                         } else if matches!(vals[0], fnc2_ag::Value::Str(_)) {
                             fnc2_ag::Value::str(vals.iter().map(|v| v.as_str()).collect::<String>())
                         } else {
-                            fnc2_ag::Value::list(vals.iter().flat_map(|v| v.as_list().to_vec()))
+                            fnc2_ag::Value::List(vals.iter().fold(
+                                fnc2_ag::List::new(Vec::new()),
+                                |acc, v| match v {
+                                    fnc2_ag::Value::List(l) => acc.concat(l),
+                                    v => panic!("expected list, got {v:?}"),
+                                },
+                            ))
                         }
                     });
                     b.call(pid, target, &fname, many.to_vec());

@@ -321,7 +321,7 @@ impl ValueDigests {
                 self.seen.insert(key, h.0);
             }
             Value::List(xs) => {
-                let key = std::sync::Arc::as_ptr(xs) as usize;
+                let key = xs.addr();
                 if let Some(&d) = self.seen.get(&key) {
                     return d;
                 }
@@ -848,6 +848,37 @@ mod tests {
         let snc = snc_test(g);
         let lo = snc_to_l_ordered(g, &snc, Inclusion::Long).unwrap();
         build_visit_seqs(g, &lo)
+    }
+
+    /// The digest sees a list's element sequence only: flat, concatenated
+    /// either way and tail-viewed lists of the same elements digest alike.
+    #[test]
+    fn outcome_digest_ignores_list_shape() {
+        use fnc2_ag::{AttrValues, List};
+
+        let g = count_grammar();
+        let tree = &chains(&g, 1)[0];
+        let n = g.attr_by_name(g.phylum_by_name("S").unwrap(), "n").unwrap();
+        let digest = |v: Value| {
+            let mut vals = AttrValues::new(&g, tree);
+            vals.set(&g, tree.root(), n, Value::list([v.clone(), v]));
+            outcome_digest(&TreeOutcome::Ok(vals, Default::default()))
+        };
+        let items: Vec<Value> = (0..80).map(|i| Value::Int(i % 9)).collect();
+        let one = |x: &Value| List::new(vec![x.clone()]);
+        let left = items
+            .iter()
+            .fold(List::new(Vec::new()), |acc, x| acc.concat(&one(x)));
+        let right = items
+            .iter()
+            .rev()
+            .fold(List::new(Vec::new()), |acc, x| one(x).concat(&acc));
+        let tail = List::new([Value::Unit].iter().chain(&items).cloned().collect()).tail();
+        let want = digest(Value::list(items.clone()));
+        for shape in [left, right, tail] {
+            assert_eq!(digest(Value::List(shape)), want);
+        }
+        assert_ne!(digest(Value::list(items[1..].to_vec())), want);
     }
 
     #[test]

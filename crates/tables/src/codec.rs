@@ -204,7 +204,7 @@ pub(crate) fn enc_value(e: &mut Enc, v: &Value) {
         }
         Value::List(items) => {
             e.u8(5);
-            enc_vec(e, items, enc_value);
+            enc_vec(e, items.as_slice(), enc_value);
         }
         Value::Tuple(items) => {
             e.u8(6);
@@ -244,7 +244,7 @@ pub(crate) fn dec_value(d: &mut Dec<'_>) -> WireResult<Value> {
                 let v = dec_value(d)?;
                 m.insert(k, v);
             }
-            Ok(Value::Map(std::sync::Arc::new(m)))
+            Ok(Value::map(m))
         }
         8 => {
             let op = d.str()?;
@@ -1005,6 +1005,38 @@ pub fn encode_compiled_program(g: &Grammar, prog: &CompiledProgram) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// The encoding sees a list's element sequence only: a flat list, its
+    /// concatenations and a tail view of a longer chunk encode alike.
+    #[test]
+    fn list_encoding_ignores_shape() {
+        use fnc2_ag::List;
+
+        let bytes = |v: &Value| {
+            let mut e = Enc::new();
+            enc_value(&mut e, v);
+            e.into_bytes()
+        };
+        let items: Vec<Value> = (0..80).map(|i| Value::str(format!("x{}", i % 5))).collect();
+        let one = |x: &Value| List::new(vec![x.clone()]);
+        let left = items
+            .iter()
+            .fold(List::new(Vec::new()), |acc, x| acc.concat(&one(x)));
+        let right = items
+            .iter()
+            .rev()
+            .fold(List::new(Vec::new()), |acc, x| one(x).concat(&acc));
+        let (a, b) = items.split_at(33);
+        let halves = List::new(a.to_vec()).concat(&List::new(b.to_vec()));
+        let tail = List::new([Value::Unit].iter().chain(&items).cloned().collect()).tail();
+        let flat = Value::list(items);
+        let want = bytes(&flat);
+        for shape in [left, right, halves, tail] {
+            let v = Value::List(shape);
+            assert_eq!(bytes(&v), want);
+            assert_eq!(dec_value(&mut Dec::new(&want)).unwrap(), v);
+        }
+    }
+
     #[test]
     fn values_round_trip_bit_exactly() {
         let vals = [
@@ -1016,9 +1048,7 @@ mod tests {
             Value::str("σ"),
             Value::list([Value::Int(1), Value::str("x")]),
             Value::tuple([Value::Unit, Value::Bool(false)]),
-            Value::Map(std::sync::Arc::new(
-                [("k".to_string(), Value::Int(3))].into_iter().collect(),
-            )),
+            Value::map([("k".to_string(), Value::Int(3))].into_iter().collect()),
             Value::term("node", [Value::term("leaf", []), Value::Int(9)]),
         ];
         for v in &vals {

@@ -7,7 +7,7 @@
 //! attribute values. Inputs are drawn from the in-repo deterministic
 //! generator (`fnc2_corpus::rng`), so every run covers the same cases.
 
-use fnc2::ag::{Grammar, NodeId, Tree, TreeBuilder, Value};
+use fnc2::ag::{Grammar, List, NodeId, Tree, TreeBuilder, Value};
 use fnc2::incremental::{Equality, IncrementalEvaluator};
 use fnc2::visit::{DynamicEvaluator, RootInputs};
 use fnc2::Pipeline;
@@ -664,6 +664,134 @@ fn exceeded_budgets_surface_as_classified_errors() {
 // thread count, the surviving trees must be bit-identical to a no-fault
 // run and the poisoned trees must surface as classified outcomes
 // ---------------------------------------------------------------------------
+
+/// An AG whose one rule doubles a one-element list `S.k` times with `++`.
+const DOUBLING: &str = r#"
+attribute grammar doubling;
+  phylum S;
+  root S;
+  operator leaf : S ::= ;
+  synthesized k : int of S;
+  synthesized out : list of int of S;
+  function dbl(l : list of int, n : int) : list of int =
+    if n = 0 then l else dbl(l ++ l, n - 1) end;
+  for leaf { S.k := 40; S.out := dbl([1], S.k); }
+end
+"#;
+
+/// `++` shares its operands, so a 2^40-element result costs 40 nodes to
+/// build; the meter's logical count still sees 2^40 + 1 cells, and every
+/// evaluator ends in a classified value-cell budget error under the
+/// default budget — not a wrapped counter, not an OOM.
+#[test]
+fn huge_lists_exceed_the_value_cell_budget() {
+    use fnc2::guard::BudgetKind;
+    use fnc2::visit::EvalError;
+
+    let compiled = Pipeline::new().compile_olga(DOUBLING).unwrap();
+    let g = &compiled.grammar;
+    let tree = || {
+        let mut tb = TreeBuilder::new(g);
+        let leaf = tb.op("leaf", &[]).unwrap();
+        tb.finish_root(leaf).unwrap()
+    };
+    let is_cells = |e: &EvalError| {
+        matches!(
+            e,
+            EvalError::BudgetExceeded {
+                kind: BudgetKind::ValueCells,
+                ..
+            }
+        )
+    };
+    let err = compiled.evaluate(&tree(), &RootInputs::new()).unwrap_err();
+    assert!(is_cells(&err), "exhaustive: {err}");
+    let err = DynamicEvaluator::new(g)
+        .evaluate(&tree(), &RootInputs::new())
+        .unwrap_err();
+    assert!(is_cells(&err), "dynamic: {err}");
+    let err = IncrementalEvaluator::new(g, tree(), Equality::default()).unwrap_err();
+    assert!(is_cells(&err), "incremental: {err}");
+}
+
+/// Depth of the concatenation chains of the `deep_list_*` tests.
+const DEEP: usize = 1_000_000;
+
+/// `DEEP` one-element lists folded with `List::concat`, to the left
+/// (`acc ++ [x]`) or to the right (`[x] ++ acc`); element `i` is `i % 7`.
+fn deep_list(left: bool) -> List {
+    let leaves: Vec<List> = (0..7).map(|k| List::new(vec![Value::Int(k)])).collect();
+    let mut acc = List::new(Vec::new());
+    if left {
+        for i in 0..DEEP {
+            acc = acc.concat(&leaves[i % 7]);
+        }
+    } else {
+        for i in (0..DEEP).rev() {
+            acc = leaves[i % 7].concat(&acc);
+        }
+    }
+    acc
+}
+
+fn deep_elements() -> Vec<Value> {
+    (0..DEEP).map(|i| Value::Int((i % 7) as i64)).collect()
+}
+
+#[test]
+fn deep_list_drop_does_not_recurse() {
+    drop(deep_list(true));
+    drop(deep_list(false));
+    // A chain dropped while another list still shares part of it.
+    let chain = deep_list(false);
+    let tail = chain.tail().tail();
+    drop(chain);
+    assert_eq!(tail.len(), DEEP - 2);
+}
+
+#[test]
+fn deep_list_equality_walks_iteratively() {
+    let left = Value::List(deep_list(true));
+    let flat = Value::list(deep_elements());
+    assert!(left == flat, "chain vs equal flat list");
+    assert!(flat == left, "chain vs equal flat list");
+    let again = Value::List(deep_list(true));
+    assert!(left == again, "chains of the same shape");
+    assert!(again == left, "chains of the same shape");
+    let right = Value::List(deep_list(false));
+    assert!(left == right, "the other association");
+    assert!(right == left, "the other association");
+    let mut off = deep_elements();
+    off[DEEP - 1] = Value::Int(-1);
+    let off = Value::list(off);
+    assert!(left != off, "last element differs");
+    assert!(off != right, "last element differs");
+}
+
+#[test]
+fn deep_list_iteration_slices_and_counts() {
+    let want = deep_elements();
+    for left in [true, false] {
+        let l = deep_list(left);
+        assert_eq!(l.len(), DEEP);
+        assert_eq!(l.cell_count(), DEEP + 1);
+        assert!(l.iter().eq(want.iter()), "left={left}: iteration");
+        assert_eq!(l.as_slice(), &want[..], "left={left}: as_slice");
+        assert_eq!(Value::List(l).cell_count(), DEEP + 1);
+    }
+}
+
+#[test]
+fn deep_list_display_matches_the_flat_list() {
+    let flat = Value::list(deep_elements()).to_string();
+    for left in [true, false] {
+        assert_eq!(
+            Value::List(deep_list(left)).to_string(),
+            flat,
+            "left={left}"
+        );
+    }
+}
 
 #[test]
 fn guarded_batch_survives_injected_panics_deterministically() {
