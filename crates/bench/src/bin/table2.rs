@@ -81,7 +81,7 @@ fn main() {
             }
         }
         let checked = compiler.check_ag(ag.expect("AG present")).expect("checks");
-        let (grammar, _) = fnc2::olga::lower(&checked).expect("lowers");
+        let (grammar, _, rules) = fnc2::olga::lower(&checked).expect("lowers");
         let typing = t1.elapsed();
 
         // evaluator generation (the Table 2 runs include it in the total).
@@ -91,7 +91,7 @@ fn main() {
 
         // translator: OLGA to C.
         let t3 = Instant::now();
-        let c_text = fnc2::codegen::to_c(&checked, &compiled.grammar, &compiled.seqs);
+        let c_text = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
         let translator = t3.elapsed();
         std::hint::black_box(c_text.len());
 

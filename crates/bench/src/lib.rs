@@ -463,6 +463,79 @@ pub fn bit_string(len: usize, seed: u64) -> String {
 }
 
 // ---------------------------------------------------------------------------
+// Figure 1: partition counts of the two transformations
+// ---------------------------------------------------------------------------
+
+/// Figure 1's grammars: three corpus AGs, the SNC-only AG5 shape, and the
+/// AG5-profile synthetic grammar.
+pub fn figure1_grammars() -> Vec<(&'static str, Grammar)> {
+    use fnc2_corpus as corpus;
+    vec![
+        ("binary", corpus::binary()),
+        ("blocks", corpus::blocks()),
+        ("minipascal", corpus::minipascal().0),
+        ("snc_only(AG5)", corpus::snc_only()),
+        ("synthAG5", corpus::synthetic(&corpus::TABLE1_PROFILES[4])),
+    ]
+}
+
+/// The headers of [`figure1_rows`].
+pub const FIGURE1_HEADERS: [&str; 6] = [
+    "AG",
+    "strategy",
+    "part/NT avg",
+    "part/NT max",
+    "visit-seqs",
+    "dyn. visits",
+];
+
+/// Figure 1's count columns, one row per grammar of [`figure1_grammars`]
+/// and strategy (long inclusion, then equality): partitions per
+/// non-terminal (average and maximum), visit-sequences, and the visits
+/// that evaluate a representative tree ("-" for grammars without one).
+/// Every cell repeats exactly from run to run.
+pub fn figure1_rows() -> Vec<Vec<String>> {
+    use fnc2::analysis::{snc_test, snc_to_l_ordered, Inclusion};
+    use fnc2::visit::{build_visit_seqs, Evaluator, RootInputs};
+    use fnc2_corpus as corpus;
+    let mut rows = Vec::new();
+    for (name, g) in figure1_grammars() {
+        let tree = match name {
+            "binary" => Some(corpus::binary_tree(&g, &bit_string(64, 3))),
+            "blocks" => Some(corpus::blocks_tree(
+                &g,
+                "d:a u:a [ d:b u:b u:a [ u:b d:c u:c ] ] u:a",
+            )),
+            "minipascal" => {
+                Some(corpus::parse_minipascal(&g, &corpus::sample_program(6)).expect("parses"))
+            }
+            _ => None,
+        };
+        let snc = snc_test(&g);
+        assert!(snc.is_snc(), "{name}");
+        for (label, inc) in [("long", Inclusion::Long), ("equality", Inclusion::Equality)] {
+            let lo = snc_to_l_ordered(&g, &snc, inc).expect("SNC grammars transform");
+            let visits = tree.as_ref().map_or("-".to_string(), |tree| {
+                let seqs = build_visit_seqs(&g, &lo);
+                let (_, stats) = Evaluator::new(&g, &seqs)
+                    .evaluate(tree, &RootInputs::new())
+                    .expect("evaluates");
+                stats.visits.to_string()
+            });
+            rows.push(vec![
+                name.to_string(),
+                label.to_string(),
+                format!("{:.2}", lo.stats.avg_partitions()),
+                lo.stats.max_partitions().to_string(),
+                lo.stats.plans.to_string(),
+                visits,
+            ]);
+        }
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
 // Table rendering
 // ---------------------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 //! The docs quote the committed baselines verbatim. Every
 //! `crates/bench/baselines/BENCH_*.json`, rendered with `render_table`,
 //! must appear in EXPERIMENTS.md, and the startup table in README.md too,
-//! so a regenerated baseline cannot leave stale numbers in the prose.
+//! so a regenerated baseline cannot leave stale numbers in the prose. The
+//! tables whose cells repeat exactly from run to run (Figure 1's counts)
+//! are rebuilt here and must appear as rendered too.
 
 use std::path::{Path, PathBuf};
 
-use fnc2_bench::BenchTable;
+use fnc2_bench::{figure1_rows, render_table, BenchTable, FIGURE1_HEADERS};
 
 fn repo_file(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -42,4 +44,13 @@ fn docs_quote_the_committed_baselines() {
             );
         }
     }
+}
+
+#[test]
+fn docs_quote_figure1_counts() {
+    let text = render_table(&FIGURE1_HEADERS, &figure1_rows());
+    assert!(
+        repo_file("EXPERIMENTS.md").contains(&text),
+        "EXPERIMENTS.md does not quote Figure 1's counts as rendered:\n{text}"
+    );
 }

@@ -9,33 +9,36 @@
 //! never freed, which the paper reports as its own implementation's most
 //! noticeable naïveté.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use fnc2_ag::{Grammar, ONode, Occ};
-use fnc2_olga::ast::{Expr, Pat, RuleTarget};
-use fnc2_olga::{CheckedAg, OpCtx};
+use fnc2_ag::{Arg, Grammar, ONode, Occ, ProductionId, RuleBody, Value};
+use fnc2_olga::ast::{Expr, Pat};
+use fnc2_olga::{RuleText, UnitEnv};
 use fnc2_visit::{Instr, VisitSeqs};
 
 use crate::optimizer::{compile_arms, tail_info, Decision, Test};
 
-/// Generates the complete C text for a checked AG and its visit sequences.
+/// Generates the complete C text for an AG: its unit's functions and
+/// constants, its rule table and its visit sequences.
 ///
-/// `grammar` and `seqs` must come from lowering the same `checked` AG.
-pub fn to_c(checked: &CheckedAg, grammar: &Grammar, seqs: &VisitSeqs) -> String {
+/// `rules`, `grammar` and `seqs` must come from lowering the same checked
+/// AG, whose environment is `env`.
+pub fn to_c(env: &UnitEnv, rules: &[RuleText], grammar: &Grammar, seqs: &VisitSeqs) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "/* Generated by fnc2-codegen from attribute grammar `{}`. */",
-        checked.ast.name
+        grammar.name()
     );
     out.push_str(PRELUDE);
 
     // ---- semantic functions -------------------------------------------
     // Prototypes first (mutual recursion).
-    let mut fnames: Vec<&String> = checked.env.funcs.keys().collect();
+    let mut fnames: Vec<&String> = env.funcs.keys().collect();
     fnames.sort();
     for f in &fnames {
-        let sig = &checked.env.funcs[*f];
+        let sig = &env.funcs[*f];
         let params: Vec<String> = sig
             .params
             .iter()
@@ -45,12 +48,12 @@ pub fn to_c(checked: &CheckedAg, grammar: &Grammar, seqs: &VisitSeqs) -> String 
     }
     out.push('\n');
     for f in &fnames {
-        let sig = &checked.env.funcs[*f];
+        let sig = &env.funcs[*f];
         emit_function(&mut out, f, sig);
     }
 
     // ---- constants ------------------------------------------------------
-    let mut cnames: Vec<&String> = checked.env.consts.keys().collect();
+    let mut cnames: Vec<&String> = env.consts.keys().collect();
     cnames.sort();
     for c in &cnames {
         let _ = writeln!(
@@ -61,7 +64,7 @@ pub fn to_c(checked: &CheckedAg, grammar: &Grammar, seqs: &VisitSeqs) -> String 
     }
     out.push_str("static void init_consts(void) {\n");
     for c in &cnames {
-        let (_, body) = &checked.env.consts[*c];
+        let (_, body) = &env.consts[*c];
         let mut ctx = EmitCtx::new();
         let v = emit_expr(&mut ctx, body);
         out.push_str(&ctx.indented(1));
@@ -88,43 +91,14 @@ pub fn to_c(checked: &CheckedAg, grammar: &Grammar, seqs: &VisitSeqs) -> String 
     }
     out.push('\n');
 
-    // ---- rule functions ---------------------------------------------------
-    // Re-derive parameterizations exactly like the lowering does.
-    for op in &checked.ast.operators {
-        let octx = OpCtx::new(op, &checked.attr_table);
-        for phase in &checked.ast.phases {
-            for block in phase.blocks.iter().filter(|b| b.operator == op.name) {
-                for l in &block.locals {
-                    emit_rule_fn(
-                        &mut out,
-                        checked,
-                        grammar,
-                        &octx,
-                        op,
-                        &format!("rule_{}_local_{}", cid(&op.name), cid(&l.name)),
-                        &l.body,
-                        block,
-                    );
-                }
-                for r in &block.rules {
-                    let tname = match &r.target {
-                        RuleTarget::Occ(o) => format!(
-                            "rule_{}_{}_{}",
-                            cid(&op.name),
-                            occ_pos_name(&octx, o),
-                            cid(&o.attr)
-                        ),
-                        RuleTarget::Local(n, _) => {
-                            format!("rule_{}_localdef_{}", cid(&op.name), cid(n))
-                        }
-                    };
-                    emit_rule_fn(
-                        &mut out, checked, grammar, &octx, op, &tname, &r.body, block,
-                    );
-                }
-            }
-        }
+    // ---- rule functions: one per rule of the OLGA text --------------------
+    for r in rules {
+        emit_rule_fn(&mut out, grammar, r);
     }
+    let by_target: HashMap<(ProductionId, ONode), &RuleText> = rules
+        .iter()
+        .map(|r| ((r.production, r.target), r))
+        .collect();
 
     // ---- visit functions ----------------------------------------------------
     out.push_str("static void visit(Node* n, int partition, int v);\n\n");
@@ -154,7 +128,8 @@ pub fn to_c(checked: &CheckedAg, grammar: &Grammar, seqs: &VisitSeqs) -> String 
                         );
                     }
                     Instr::Eval(target) => {
-                        emit_eval(&mut out, checked, grammar, p, target);
+                        let rule = by_target.get(&(p, *target)).copied();
+                        emit_eval(&mut out, grammar, rule, p, *target);
                     }
                 }
             }
@@ -370,25 +345,11 @@ fn cid(s: &str) -> String {
         .collect()
 }
 
-fn occ_pos_name(octx: &OpCtx, o: &fnc2_olga::ast::OccRef) -> String {
-    let (pos, _, _) = octx.resolve(o).expect("checked");
-    format!("p{pos}")
-}
-
 /// Expression-emission context: accumulated statements + temp counter.
 struct EmitCtx {
     stmts: Vec<String>,
     next: usize,
-    /// Occurrence/local parameters seen so far (name → C parameter).
-    params: Vec<(ParamKey, String)>,
     bound: Vec<String>,
-}
-
-#[derive(Clone, PartialEq)]
-enum ParamKey {
-    Occ(u16, String),
-    Local(String),
-    Token,
 }
 
 impl EmitCtx {
@@ -396,7 +357,6 @@ impl EmitCtx {
         EmitCtx {
             stmts: Vec::new(),
             next: 0,
-            params: Vec::new(),
             bound: Vec::new(),
         }
     }
@@ -414,15 +374,20 @@ impl EmitCtx {
         let pad = "    ".repeat(level);
         self.stmts.iter().map(|s| format!("{pad}{s}\n")).collect()
     }
+}
 
-    fn param(&mut self, key: ParamKey) -> String {
-        if let Some((_, p)) = self.params.iter().find(|(k, _)| *k == key) {
-            return p.clone();
-        }
-        let p = format!("o{}", self.params.len());
-        self.params.push((key, p.clone()));
-        p
+/// Runs `f` on a context for statements nested one level inside the
+/// current braces, then appends them indented.
+fn nested<R>(ctx: &mut EmitCtx, f: impl FnOnce(&mut EmitCtx) -> R) -> R {
+    let mut inner = EmitCtx::new();
+    inner.next = ctx.next;
+    inner.bound = ctx.bound.clone();
+    let r = f(&mut inner);
+    ctx.next = inner.next;
+    for s in inner.stmts {
+        ctx.push(format!("    {s}"));
     }
+    r
 }
 
 /// Emits one user function, compiling self-tail-recursion to a loop.
@@ -491,30 +456,12 @@ fn emit_expr_tail(
             let t = ctx.tmp();
             ctx.push(format!("V {t} = mk_unit();"));
             ctx.push(format!("if ({c}.u.i) {{"));
-            let mut inner = EmitCtx::new();
-            inner.next = ctx.next;
-            inner.bound = ctx.bound.clone();
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            let tv = emit_expr_tail(&mut inner, then, fname, params);
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            ctx.next = inner.next;
-            for s in inner.stmts {
-                ctx.push(format!("    {s}"));
-            }
+            let tv = nested(ctx, |inner| emit_expr_tail(inner, then, fname, params));
             if tv != TAIL_CONTINUED {
                 ctx.push(format!("    {t} = {tv}; break;"));
             }
             ctx.push("} else {".to_string());
-            let mut inner = EmitCtx::new();
-            inner.next = ctx.next;
-            inner.bound = ctx.bound.clone();
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            let ev = emit_expr_tail(&mut inner, els, fname, params);
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            ctx.next = inner.next;
-            for s in inner.stmts {
-                ctx.push(format!("    {s}"));
-            }
+            let ev = nested(ctx, |inner| emit_expr_tail(inner, els, fname, params));
             if ev != TAIL_CONTINUED {
                 ctx.push(format!("    {t} = {ev}; break;"));
             }
@@ -542,24 +489,16 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
         Expr::Real(r, _) => format!("mk_real({r:?})"),
         Expr::Bool(b, _) => format!("mk_bool({})", i32::from(*b)),
         Expr::Str(s, _) => format!("mk_str({})", c_string(s)),
-        Expr::Var(n, _) => {
-            if ctx.bound.contains(n) {
-                cid(n)
-            } else {
-                // Constant or parameter; parameters are always bound, so a
-                // free variable names a constant unless it is a rule
-                // local (handled by the rule emitter via `bound`).
-                format!("c_{}", cid(n))
-            }
-        }
-        Expr::Occ(o) => {
-            // Only reachable from rule bodies; the rule emitter pre-binds
-            // occurrence parameters via `ParamKey`.
-            ctx.param(ParamKey::Occ(u16::MAX, format!("{}.{}", o.name, o.attr)))
-        }
+        Expr::Var(n, _) => match n.strip_prefix('$') {
+            // Argument `k` of a rule function.
+            Some(k) => format!("o{k}"),
+            None if ctx.bound.contains(n) => cid(n),
+            None => format!("c_{}", cid(n)),
+        },
+        Expr::Occ(_) => unreachable!("the lowering turns occurrences into rule arguments"),
         Expr::Call { name, args, .. } => {
             let vals: Vec<String> = args.iter().map(|a| emit_expr(ctx, a)).collect();
-            builtin_call(ctx, name, &vals)
+            builtin_call(name, &vals)
         }
         Expr::Unop { op, expr, .. } => {
             let v = emit_expr(ctx, expr);
@@ -586,16 +525,7 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
                     format!("if (!{t}.u.i) {{")
                 };
                 ctx.push(guard);
-                let mut inner = EmitCtx::new();
-                inner.next = ctx.next;
-                inner.bound = ctx.bound.clone();
-                std::mem::swap(&mut inner.params, &mut ctx.params);
-                let r = emit_expr(&mut inner, rhs);
-                std::mem::swap(&mut inner.params, &mut ctx.params);
-                ctx.next = inner.next;
-                for s in inner.stmts {
-                    ctx.push(format!("    {s}"));
-                }
+                let r = emit_block(ctx, rhs);
                 ctx.push(format!("    {t} = {r};"));
                 ctx.push("}".to_string());
                 t
@@ -697,17 +627,7 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
 /// Emits a sub-expression whose statements must live inside the current
 /// braces (then/else bodies).
 fn emit_block(ctx: &mut EmitCtx, e: &Expr) -> String {
-    let mut inner = EmitCtx::new();
-    inner.next = ctx.next;
-    inner.bound = ctx.bound.clone();
-    std::mem::swap(&mut inner.params, &mut ctx.params);
-    let v = emit_expr(&mut inner, e);
-    std::mem::swap(&mut inner.params, &mut ctx.params);
-    ctx.next = inner.next;
-    for s in inner.stmts {
-        ctx.push(format!("    {s}"));
-    }
-    v
+    nested(ctx, |inner| emit_expr(inner, e))
 }
 
 /// Emits the decision tree of a `case` as nested ifs.
@@ -759,27 +679,13 @@ fn emit_decision(
                 }
             };
             ctx.push(format!("if ({cond}) {{"));
-            let mut inner = EmitCtx::new();
-            inner.next = ctx.next;
-            inner.bound = ctx.bound.clone();
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            emit_decision(&mut inner, yes, scrutinee, result, arms);
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            ctx.next = inner.next;
-            for s in inner.stmts {
-                ctx.push(format!("    {s}"));
-            }
+            nested(ctx, |inner| {
+                emit_decision(inner, yes, scrutinee, result, arms)
+            });
             ctx.push("} else {".to_string());
-            let mut inner = EmitCtx::new();
-            inner.next = ctx.next;
-            inner.bound = ctx.bound.clone();
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            emit_decision(&mut inner, no, scrutinee, result, arms);
-            std::mem::swap(&mut inner.params, &mut ctx.params);
-            ctx.next = inner.next;
-            for s in inner.stmts {
-                ctx.push(format!("    {s}"));
-            }
+            nested(ctx, |inner| {
+                emit_decision(inner, no, scrutinee, result, arms)
+            });
             ctx.push("}".to_string());
         }
     }
@@ -802,9 +708,8 @@ fn emit_path(root: &str, path: &[usize]) -> String {
     acc
 }
 
-fn builtin_call(ctx: &mut EmitCtx, name: &str, vals: &[String]) -> String {
+fn builtin_call(name: &str, vals: &[String]) -> String {
     match name {
-        "token" => ctx.param(ParamKey::Token),
         "to_real" => format!("mk_real((double){}.u.i)", vals[0]),
         "to_int" => format!("mk_int((long){}.u.r)", vals[0]),
         "abs" => format!("mk_int(labs({}.u.i))", vals[0]),
@@ -850,323 +755,84 @@ fn c_string(s: &str) -> String {
     out
 }
 
-/// Emits one rule function: parameters are the occurrence/local/token
-/// references of the body, in first-use order (matching the lowering).
-#[allow(clippy::too_many_arguments)]
-fn emit_rule_fn(
-    out: &mut String,
-    checked: &CheckedAg,
-    grammar: &Grammar,
-    octx: &OpCtx,
-    op: &fnc2_olga::ast::OpDef,
-    fname: &str,
-    body: &Expr,
-    block: &fnc2_olga::ast::RuleBlock,
-) {
-    let _ = grammar;
-    let _ = checked;
-    // Rewrite occurrences/locals/token into parameters.
+/// Emits the function of one OLGA rule: its parameters are the rule's
+/// arguments, `o0`, `o1`, … in the table's order.
+fn emit_rule_fn(out: &mut String, grammar: &Grammar, r: &RuleText) {
     let mut ctx = EmitCtx::new();
-    let local_names: Vec<&str> = block.locals.iter().map(|l| l.name.as_str()).collect();
-    let rewritten = rewrite_refs(body, octx, &local_names, &mut ctx);
-    // Occurrence/local/token parameters are in scope in the rule body.
-    let param_names: Vec<String> = ctx.params.iter().map(|(_, p)| p.clone()).collect();
-    ctx.bound.extend(param_names);
-    let v = emit_expr(&mut ctx, &rewritten);
-    let params: Vec<String> = ctx.params.iter().map(|(_, p)| format!("V {p}")).collect();
-    let _ = writeln!(out, "static V {fname}({}) {{", params.join(", "));
+    let v = emit_expr(&mut ctx, &r.body);
+    let params: Vec<String> = (0..r.args.len()).map(|k| format!("V o{k}")).collect();
+    let name = rule_fn(grammar, r.production, r.target);
+    let _ = writeln!(out, "static V {name}({}) {{", params.join(", "));
     out.push_str(&ctx.indented(1));
     let _ = writeln!(out, "    return {v};");
     let _ = writeln!(out, "}}");
-    let _ = writeln!(
-        out,
-        "/* used by visit sequences of operator {} */\n",
-        op.name
-    );
+    let op = grammar.production(r.production).name();
+    let _ = writeln!(out, "/* used by visit sequences of operator {op} */\n");
 }
 
-/// Replaces occurrence/local/token references by parameter variables.
-fn rewrite_refs(e: &Expr, octx: &OpCtx, locals: &[&str], ctx: &mut EmitCtx) -> Expr {
-    use fnc2_olga::Pos;
-    match e {
-        Expr::Occ(o) => {
-            let (pos, _, _) = octx.resolve(o).expect("checked");
-            let p = ctx.param(ParamKey::Occ(pos, o.attr.clone()));
-            Expr::Var(p, Pos { line: 0, col: 0 })
+/// The C name of the function of the OLGA rule defining `target` in `p`.
+fn rule_fn(grammar: &Grammar, p: ProductionId, target: ONode) -> String {
+    crate::rule_name(grammar, p, target)
+        .map(|w| cid(&w))
+        .join("_")
+}
+
+/// The C expression reading `arg` at the node `n`.
+fn access(grammar: &Grammar, arg: &Arg) -> String {
+    match arg {
+        Arg::Node(ONode::Attr(Occ { pos: 0, attr })) => {
+            format!("n->attrs[{}]", grammar.attr(*attr).offset())
         }
-        Expr::Var(n, pos) => {
-            if !ctx.bound.contains(n) && locals.contains(&n.as_str()) {
-                let p = ctx.param(ParamKey::Local(n.clone()));
-                Expr::Var(p, *pos)
-            } else {
-                e.clone()
-            }
-        }
-        Expr::Call { name, args, pos } if name == "token" && args.is_empty() => {
-            let p = ctx.param(ParamKey::Token);
-            Expr::Var(p, *pos)
-        }
-        Expr::Call { name, args, pos } => Expr::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_refs(a, octx, locals, ctx))
-                .collect(),
-            pos: *pos,
-        },
-        Expr::Unop { op, expr, pos } => Expr::Unop {
-            op,
-            expr: Box::new(rewrite_refs(expr, octx, locals, ctx)),
-            pos: *pos,
-        },
-        Expr::Binop { op, lhs, rhs, pos } => Expr::Binop {
-            op,
-            lhs: Box::new(rewrite_refs(lhs, octx, locals, ctx)),
-            rhs: Box::new(rewrite_refs(rhs, octx, locals, ctx)),
-            pos: *pos,
-        },
-        Expr::If {
-            cond,
-            then,
-            els,
-            pos,
-        } => Expr::If {
-            cond: Box::new(rewrite_refs(cond, octx, locals, ctx)),
-            then: Box::new(rewrite_refs(then, octx, locals, ctx)),
-            els: Box::new(rewrite_refs(els, octx, locals, ctx)),
-            pos: *pos,
-        },
-        Expr::Let {
-            name,
-            value,
-            body,
-            pos,
-        } => {
-            let value = Box::new(rewrite_refs(value, octx, locals, ctx));
-            ctx.bound.push(name.clone());
-            let body = Box::new(rewrite_refs(body, octx, locals, ctx));
-            ctx.bound.pop();
-            Expr::Let {
-                name: name.clone(),
-                value,
-                body,
-                pos: *pos,
-            }
-        }
-        Expr::Case {
-            scrutinee,
-            arms,
-            pos,
-        } => {
-            let scrutinee = Box::new(rewrite_refs(scrutinee, octx, locals, ctx));
-            let arms = arms
-                .iter()
-                .map(|(p, b)| {
-                    let binders: Vec<String> = p.binders().into_iter().map(String::from).collect();
-                    let n = binders.len();
-                    ctx.bound.extend(binders);
-                    let b = rewrite_refs(b, octx, locals, ctx);
-                    ctx.bound.truncate(ctx.bound.len() - n);
-                    (p.clone(), b)
-                })
-                .collect();
-            Expr::Case {
-                scrutinee,
-                arms,
-                pos: *pos,
-            }
-        }
-        Expr::ListLit(items, pos) => Expr::ListLit(
-            items
-                .iter()
-                .map(|i| rewrite_refs(i, octx, locals, ctx))
-                .collect(),
-            *pos,
+        Arg::Node(ONode::Attr(Occ { pos, attr })) => format!(
+            "n->kids[{}]->attrs[{}]",
+            pos - 1,
+            grammar.attr(*attr).offset()
         ),
-        Expr::TupleLit(items, pos) => Expr::TupleLit(
-            items
-                .iter()
-                .map(|i| rewrite_refs(i, octx, locals, ctx))
-                .collect(),
-            *pos,
-        ),
-        Expr::TreeCons { op, args, pos } => Expr::TreeCons {
-            op: op.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_refs(a, octx, locals, ctx))
-                .collect(),
-            pos: *pos,
-        },
-        other => other.clone(),
+        Arg::Node(ONode::Local(l)) => format!("n->locals[{}]", l.index()),
+        Arg::Token => "n->token".to_string(),
+        Arg::Const(Value::Int(i)) => format!("mk_int({i})"),
+        Arg::Const(Value::Real(r)) => format!("mk_real({r:?})"),
+        Arg::Const(Value::Bool(b)) => format!("mk_bool({})", i32::from(*b)),
+        Arg::Const(Value::Str(s)) => format!("mk_str({})", c_string(s)),
+        Arg::Const(_) => "mk_unit()".to_string(),
     }
 }
 
-/// Emits the EVAL of `target` in production `p` of a visit function.
+/// Emits the EVAL of `target` in production `p` of a visit function: a call
+/// of the function of its OLGA rule, or, for a rule the lowering generated,
+/// the copy or the rule model's fold that the grammar holds.
 fn emit_eval(
     out: &mut String,
-    checked: &CheckedAg,
     grammar: &Grammar,
-    p: fnc2_ag::ProductionId,
-    target: &ONode,
+    rule: Option<&RuleText>,
+    p: ProductionId,
+    target: ONode,
 ) {
-    let prod = grammar.production(p);
-    // Locate the OLGA rule for this target to learn the argument order.
-    let op = checked
-        .ast
-        .operators
-        .iter()
-        .find(|o| o.name == prod.name())
-        .expect("operator exists");
-    let octx = OpCtx::new(op, &checked.attr_table);
-    // C lvalue for the target.
-    let lvalue = |node: &ONode| -> String {
-        match node {
-            ONode::Attr(Occ { pos: 0, attr }) => {
-                format!("n->attrs[{}]", grammar.attr(*attr).offset())
-            }
-            ONode::Attr(Occ { pos, attr }) => format!(
-                "n->kids[{}]->attrs[{}]",
-                pos - 1,
-                grammar.attr(*attr).offset()
-            ),
-            ONode::Local(l) => format!("n->locals[{}]", l.index()),
-        }
-    };
-    // Find the OLGA rule: search blocks.
-    let mut found: Option<(&Expr, String, Vec<&str>)> = None;
-    'outer: for phase in &checked.ast.phases {
-        for block in phase.blocks.iter().filter(|b| b.operator == op.name) {
-            let locals: Vec<&str> = block.locals.iter().map(|l| l.name.as_str()).collect();
-            for l in &block.locals {
-                if let ONode::Local(li) = target {
-                    let my_index = block
-                        .locals
-                        .iter()
-                        .position(|x| x.name == l.name)
-                        .unwrap_or(0);
-                    if li.index() == my_index && l.name == block.locals[my_index].name {
-                        found = Some((
-                            &l.body,
-                            format!("rule_{}_local_{}", cid(&op.name), cid(&l.name)),
-                            locals.clone(),
-                        ));
-                        break 'outer;
-                    }
-                }
-            }
-            for r in &block.rules {
-                let hit = match (&r.target, target) {
-                    (RuleTarget::Occ(o), ONode::Attr(occ)) => {
-                        let (pos, _, _) = octx.resolve(o).expect("checked");
-                        pos == occ.pos && o.attr == grammar.attr(occ.attr).name()
-                    }
-                    (RuleTarget::Local(n, _), ONode::Local(li)) => {
-                        block.locals.iter().position(|x| &x.name == n) == Some(li.index())
-                    }
-                    _ => false,
+    let reads = |args: &[Arg]| args.iter().map(|a| access(grammar, a)).collect::<Vec<_>>();
+    let rhs = match rule {
+        Some(r) => format!(
+            "{}({})",
+            rule_fn(grammar, p, target),
+            reads(&r.args).join(", ")
+        ),
+        None => match grammar
+            .rule_for(p, target)
+            .expect("well-defined grammar")
+            .body()
+        {
+            RuleBody::Copy(src) => access(grammar, src),
+            RuleBody::Call { func, args } => {
+                let op = if crate::is_sum_model(grammar.function(*func).name()) {
+                    "v_add"
+                } else {
+                    "v_append"
                 };
-                if hit {
-                    let tname = match &r.target {
-                        RuleTarget::Occ(o) => format!(
-                            "rule_{}_{}_{}",
-                            cid(&op.name),
-                            occ_pos_name(&octx, o),
-                            cid(&o.attr)
-                        ),
-                        RuleTarget::Local(n, _) => {
-                            format!("rule_{}_localdef_{}", cid(&op.name), cid(n))
-                        }
-                    };
-                    found = Some((&r.body, tname, locals.clone()));
-                    break 'outer;
-                }
+                let folded = reads(args)
+                    .into_iter()
+                    .reduce(|acc, a| format!("{op}({acc}, {a})"));
+                folded.expect("a rule model folds its carriers")
             }
-        }
-    }
-    match found {
-        Some((body, fname, locals)) => {
-            // Re-derive parameter order.
-            let mut ctx = EmitCtx::new();
-            let _ = rewrite_refs(body, &octx, &locals, &mut ctx);
-            let args: Vec<String> = ctx
-                .params
-                .iter()
-                .map(|(k, _)| match k {
-                    ParamKey::Occ(pos, attr) => {
-                        let ph = prod.phylum_at(*pos);
-                        let a = grammar.attr_by_name(ph, attr).expect("checked attribute");
-                        lvalue(&ONode::Attr(Occ::new(*pos, a)))
-                    }
-                    ParamKey::Local(n) => {
-                        let li = locals.iter().position(|x| x == n).expect("local exists");
-                        format!("n->locals[{li}]")
-                    }
-                    ParamKey::Token => "n->token".to_string(),
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "    {} = {fname}({});",
-                lvalue(target),
-                args.join(", ")
-            );
-        }
-        None => {
-            // Auto-generated copy rule: find it in the lowered grammar.
-            let rule = grammar.rule_for(p, *target).expect("well-defined grammar");
-            match rule.body() {
-                fnc2_ag::RuleBody::Copy(fnc2_ag::Arg::Node(src)) => {
-                    let _ = writeln!(out, "    {} = {};", lvalue(target), lvalue(src));
-                }
-                fnc2_ag::RuleBody::Copy(fnc2_ag::Arg::Token) => {
-                    let _ = writeln!(out, "    {} = n->token;", lvalue(target));
-                }
-                fnc2_ag::RuleBody::Copy(fnc2_ag::Arg::Const(v)) => {
-                    let c = match v {
-                        fnc2_ag::Value::Int(i) => format!("mk_int({i})"),
-                        fnc2_ag::Value::Real(r) => format!("mk_real({r:?})"),
-                        fnc2_ag::Value::Bool(b) => format!("mk_bool({})", i32::from(*b)),
-                        fnc2_ag::Value::Str(s) => format!("mk_str({})", c_string(s)),
-                        _ => "mk_unit()".to_string(),
-                    };
-                    let _ = writeln!(out, "    {} = {c};", lvalue(target));
-                }
-                fnc2_ag::RuleBody::Call { func, args } => {
-                    // Model-instantiated rules (threading is plain copies;
-                    // concat/sum folds) have no OLGA text: fold inline.
-                    let fname = grammar.function(*func).name();
-                    let arg_exprs: Vec<String> = args
-                        .iter()
-                        .map(|a| match a {
-                            fnc2_ag::Arg::Node(n) => lvalue(n),
-                            fnc2_ag::Arg::Token => "n->token".to_string(),
-                            fnc2_ag::Arg::Const(v) => match v {
-                                fnc2_ag::Value::Int(i) => format!("mk_int({i})"),
-                                fnc2_ag::Value::Str(s) => format!("mk_str({})", c_string(s)),
-                                _ => "mk_unit()".to_string(),
-                            },
-                        })
-                        .collect();
-                    if fname.starts_with("model@") {
-                        let op = if fname.contains("Sum") {
-                            "v_add"
-                        } else {
-                            "v_append"
-                        };
-                        let mut acc = arg_exprs[0].clone();
-                        for a in &arg_exprs[1..] {
-                            acc = format!("{op}({acc}, {a})");
-                        }
-                        let _ = writeln!(out, "    {} = {acc};", lvalue(target));
-                    } else {
-                        let _ = writeln!(
-                            out,
-                            "    /* unreachable: computed rules come from OLGA text */"
-                        );
-                    }
-                }
-            }
-        }
-    }
+        },
+    };
+    let _ = writeln!(out, "    {} = {rhs};", access(grammar, &Arg::Node(target)));
 }

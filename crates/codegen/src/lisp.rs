@@ -10,78 +10,59 @@
 
 use std::fmt::Write as _;
 
-use fnc2_ag::{Grammar, ONode, Occ};
-use fnc2_olga::ast::{Expr, Pat, RuleTarget};
-use fnc2_olga::{CheckedAg, OpCtx};
+use fnc2_ag::{Arg, Grammar, ONode, Occ, ProductionId, RuleBody, Value};
+use fnc2_olga::ast::{Expr, Pat};
+use fnc2_olga::{RuleText, UnitEnv};
 use fnc2_visit::{Instr, VisitSeqs};
 
-/// Generates the Lisp text for a checked AG and its visit sequences.
-pub fn to_lisp(checked: &CheckedAg, grammar: &Grammar, seqs: &VisitSeqs) -> String {
+/// Generates the Lisp text for an AG: its unit's functions and constants,
+/// its rule table and its visit sequences.
+///
+/// `rules`, `grammar` and `seqs` must come from lowering the same checked
+/// AG, whose environment is `env`.
+pub fn to_lisp(env: &UnitEnv, rules: &[RuleText], grammar: &Grammar, seqs: &VisitSeqs) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         ";;; Generated by fnc2-codegen from attribute grammar `{}`.",
-        checked.ast.name
+        grammar.name()
     );
     out.push_str(PRELUDE);
 
     // Functions.
-    let mut fnames: Vec<&String> = checked.env.funcs.keys().collect();
+    let mut fnames: Vec<&String> = env.funcs.keys().collect();
     fnames.sort();
     for f in fnames {
-        let sig = &checked.env.funcs[f];
+        let sig = &env.funcs[f];
         let params: Vec<String> = sig.params.iter().map(|(n, _)| lid(n)).collect();
         let _ = writeln!(
             out,
             "(defun f-{} ({})\n  {})\n",
             lid(f),
             params.join(" "),
-            expr(&sig.body, &mut Vec::new())
+            Printer::new(&[]).expr(&sig.body)
         );
     }
     // Constants.
-    let mut cnames: Vec<&String> = checked.env.consts.keys().collect();
+    let mut cnames: Vec<&String> = env.consts.keys().collect();
     cnames.sort();
     for c in cnames {
-        let (_, body) = &checked.env.consts[c];
+        let (_, body) = &env.consts[c];
         let _ = writeln!(
             out,
             "(defparameter c-{} {})\n",
             lid(c),
-            expr(body, &mut Vec::new())
+            Printer::new(&[]).expr(body)
         );
     }
 
-    // Rule functions + visit sequences.
-    for op in &checked.ast.operators {
-        let octx = OpCtx::new(op, &checked.attr_table);
-        for phase in &checked.ast.phases {
-            for block in phase.blocks.iter().filter(|b| b.operator == op.name) {
-                for r in &block.rules {
-                    let name = match &r.target {
-                        RuleTarget::Occ(o) => {
-                            let (pos, _, _) = octx.resolve(o).expect("checked");
-                            format!("rule-{}-p{pos}-{}", lid(&op.name), lid(&o.attr))
-                        }
-                        RuleTarget::Local(n, _) => {
-                            format!("rule-{}-local-{}", lid(&op.name), lid(n))
-                        }
-                    };
-                    // Rule bodies reference occurrences via (attr node off).
-                    let body = rule_expr(&r.body, &octx, &mut Vec::new(), grammar, op);
-                    let _ = writeln!(out, "(defun {name} (node)\n  {body})\n");
-                }
-                for l in &block.locals {
-                    let body = rule_expr(&l.body, &octx, &mut Vec::new(), grammar, op);
-                    let _ = writeln!(
-                        out,
-                        "(defun rule-{}-local-{} (node)\n  {body})\n",
-                        lid(&op.name),
-                        lid(&l.name)
-                    );
-                }
-            }
-        }
+    // Rule functions: one per rule of the OLGA text, reading its arguments
+    // from the node.
+    for r in rules {
+        let args: Vec<String> = r.args.iter().map(|a| access(grammar, a)).collect();
+        let body = Printer::new(&args).expr(&r.body);
+        let name = rule_fn(grammar, r.production, r.target);
+        let _ = writeln!(out, "(defun {name} (node)\n  {body})\n");
     }
 
     for &(p, pi) in &seqs.keys() {
@@ -109,8 +90,9 @@ pub fn to_lisp(checked: &CheckedAg, grammar: &Grammar, seqs: &VisitSeqs) -> Stri
                         );
                     }
                     Instr::Eval(target) => {
-                        let (setter, rule_name) = eval_parts(checked, grammar, p, target, prod);
-                        let _ = writeln!(out, "  ({setter} {rule_name})");
+                        let place = access(grammar, &Arg::Node(*target));
+                        let rhs = eval_rhs(grammar, p, *target);
+                        let _ = writeln!(out, "  (setf {place} {rhs})");
                     }
                 }
             }
@@ -170,384 +152,179 @@ fn lid(s: &str) -> String {
         .collect()
 }
 
-/// Translates a pure expression (no occurrence refs).
-fn expr(e: &Expr, bound: &mut Vec<String>) -> String {
-    match e {
-        Expr::Int(i, _) => i.to_string(),
-        Expr::Real(r, _) => format!("{r:?}"),
-        Expr::Bool(b, _) => if *b { "t" } else { "nil" }.to_string(),
-        Expr::Str(s, _) => lisp_string(s),
-        Expr::Var(n, _) => {
-            if bound.contains(n) {
-                lid(n)
-            } else {
-                format!("c-{}", lid(n))
+/// Prints OLGA expressions as Lisp. A rule body reads its argument `k`
+/// as `$k`, which prints as that argument's access.
+struct Printer<'a> {
+    args: &'a [String],
+    bound: Vec<String>,
+}
+
+impl<'a> Printer<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Printer {
+            args,
+            bound: Vec::new(),
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) -> String {
+        match e {
+            Expr::Int(i, _) => i.to_string(),
+            Expr::Real(r, _) => format!("{r:?}"),
+            Expr::Bool(b, _) => if *b { "t" } else { "nil" }.to_string(),
+            Expr::Str(s, _) => lisp_string(s),
+            Expr::Var(n, _) => match n.strip_prefix('$') {
+                Some(k) => self.args[k.parse::<usize>().expect("a rule argument")].clone(),
+                None if self.bound.contains(n) => lid(n),
+                None => format!("c-{}", lid(n)),
+            },
+            Expr::Occ(_) => unreachable!("the lowering turns occurrences into rule arguments"),
+            Expr::Call { name, args, .. } => {
+                let vals: Vec<String> = args.iter().map(|a| self.expr(a)).collect();
+                call(name, &vals)
             }
-        }
-        Expr::Occ(o) => format!(";;unexpected-occurrence {}.{}", o.name, o.attr),
-        Expr::Call { name, args, .. } => {
-            let vals: Vec<String> = args.iter().map(|a| expr(a, bound)).collect();
-            call(name, &vals)
-        }
-        Expr::Unop {
-            op, expr: inner, ..
-        } => {
-            let v = expr(inner, bound);
-            match *op {
-                "-" => format!("(- {v})"),
-                "not" => format!("(not {v})"),
-                _ => unreachable!(),
-            }
-        }
-        Expr::Binop { op, lhs, rhs, .. } => {
-            let l = expr(lhs, bound);
-            let r = expr(rhs, bound);
-            match *op {
-                "+" => format!("(if (stringp {l}) (concatenate 'string {l} {r}) (+ {l} {r}))"),
-                "-" => format!("(- {l} {r})"),
-                "*" => format!("(* {l} {r})"),
-                "/" => format!("(if (integerp {l}) (truncate {l} {r}) (/ {l} {r}))"),
-                "%" => format!("(mod {l} {r})"),
-                "=" => format!("(equal {l} {r})"),
-                "<>" => format!("(not (equal {l} {r}))"),
-                "<" => format!("(if (stringp {l}) (string< {l} {r}) (< {l} {r}))"),
-                "<=" => format!("(if (stringp {l}) (string<= {l} {r}) (<= {l} {r}))"),
-                ">" => format!("(if (stringp {l}) (string> {l} {r}) (> {l} {r}))"),
-                ">=" => format!("(if (stringp {l}) (string>= {l} {r}) (>= {l} {r}))"),
-                "::" => format!("(cons {l} {r})"),
-                "++" => format!("(v-append {l} {r})"),
-                "and" => format!("(and {l} {r})"),
-                "or" => format!("(or {l} {r})"),
-                _ => unreachable!(),
-            }
-        }
-        Expr::If {
-            cond, then, els, ..
-        } => format!(
-            "(if {} {} {})",
-            expr(cond, bound),
-            expr(then, bound),
-            expr(els, bound)
-        ),
-        Expr::Let {
-            name, value, body, ..
-        } => {
-            let v = expr(value, bound);
-            bound.push(name.clone());
-            let b = expr(body, bound);
-            bound.pop();
-            format!("(let (({} {v})) {b})", lid(name))
-        }
-        Expr::Case {
-            scrutinee, arms, ..
-        } => {
-            let s = expr(scrutinee, bound);
-            let mut body = String::from("(let ((scrutinee ");
-            body.push_str(&s);
-            body.push_str(")) (cond");
-            for (p, b) in arms {
-                let (test, bindings) = pat_test("scrutinee", p);
-                for (n, _) in &bindings {
-                    bound.push(n.clone());
-                }
-                let be = expr(b, bound);
-                for _ in &bindings {
-                    bound.pop();
-                }
-                let binds: Vec<String> = bindings
-                    .iter()
-                    .map(|(n, access)| format!("({} {access})", lid(n)))
-                    .collect();
-                if binds.is_empty() {
-                    let _ = write!(body, " ({test} {be})");
-                } else {
-                    let _ = write!(body, " ({test} (let ({}) {be}))", binds.join(" "));
+            Expr::Unop {
+                op, expr: inner, ..
+            } => {
+                let v = self.expr(inner);
+                match *op {
+                    "-" => format!("(- {v})"),
+                    "not" => format!("(not {v})"),
+                    _ => unreachable!(),
                 }
             }
-            body.push_str(" (t (error \"match failure\"))))");
-            body
-        }
-        Expr::ListLit(items, _) => {
-            let vals: Vec<String> = items.iter().map(|i| expr(i, bound)).collect();
-            format!("(list {})", vals.join(" "))
-        }
-        Expr::TupleLit(items, _) => {
-            let vals: Vec<String> = items.iter().map(|i| expr(i, bound)).collect();
-            format!("(vector {})", vals.join(" "))
-        }
-        Expr::TreeCons { op, args, .. } => {
-            let vals: Vec<String> = args.iter().map(|a| expr(a, bound)).collect();
-            format!("(make-term {} {})", lisp_string(op), vals.join(" "))
-        }
-    }
-}
-
-/// Rule bodies: occurrence references become node accesses.
-fn rule_expr(
-    e: &Expr,
-    octx: &OpCtx,
-    bound: &mut Vec<String>,
-    grammar: &Grammar,
-    op: &fnc2_olga::ast::OpDef,
-) -> String {
-    // Substitute occurrences first by rewriting to Var with an accessor
-    // spliced in — simplest: recurse mirroring `expr` but handling Occ.
-    match e {
-        Expr::Occ(o) => {
-            let (pos, _, _) = octx.resolve(o).expect("checked");
-            occ_access(grammar, op, pos, &o.attr)
-        }
-        Expr::Call { name, args, .. } if name == "token" && args.is_empty() => {
-            "(node-token node)".to_string()
-        }
-        Expr::Var(n, p) => {
-            // Production locals are stored on the node.
-            if !bound.contains(n) {
-                // We cannot see the local table here; treat unknown frees
-                // as constants, locals are rewritten by caller when needed.
-                expr(&Expr::Var(n.clone(), *p), bound)
-            } else {
-                lid(n)
+            Expr::Binop { op, lhs, rhs, .. } => {
+                let l = self.expr(lhs);
+                let r = self.expr(rhs);
+                match *op {
+                    "+" => format!("(if (stringp {l}) (concatenate 'string {l} {r}) (+ {l} {r}))"),
+                    "-" => format!("(- {l} {r})"),
+                    "*" => format!("(* {l} {r})"),
+                    "/" => format!("(if (integerp {l}) (truncate {l} {r}) (/ {l} {r}))"),
+                    "%" => format!("(rem {l} {r})"),
+                    "=" => format!("(equal {l} {r})"),
+                    "<>" => format!("(not (equal {l} {r}))"),
+                    "<" => format!("(if (stringp {l}) (string< {l} {r}) (< {l} {r}))"),
+                    "<=" => format!("(if (stringp {l}) (string<= {l} {r}) (<= {l} {r}))"),
+                    ">" => format!("(if (stringp {l}) (string> {l} {r}) (> {l} {r}))"),
+                    ">=" => format!("(if (stringp {l}) (string>= {l} {r}) (>= {l} {r}))"),
+                    "::" => format!("(cons {l} {r})"),
+                    "++" => format!("(v-append {l} {r})"),
+                    "and" => format!("(and {l} {r})"),
+                    "or" => format!("(or {l} {r})"),
+                    _ => unreachable!(),
+                }
+            }
+            Expr::If {
+                cond, then, els, ..
+            } => format!(
+                "(if {} {} {})",
+                self.expr(cond),
+                self.expr(then),
+                self.expr(els)
+            ),
+            Expr::Let {
+                name, value, body, ..
+            } => {
+                let v = self.expr(value);
+                self.bound.push(name.clone());
+                let b = self.expr(body);
+                self.bound.pop();
+                format!("(let (({} {v})) {b})", lid(name))
+            }
+            Expr::Case {
+                scrutinee, arms, ..
+            } => {
+                let s = self.expr(scrutinee);
+                let mut body = String::from("(let ((scrutinee ");
+                body.push_str(&s);
+                body.push_str(")) (cond");
+                for (p, b) in arms {
+                    let (test, bindings) = pat_test("scrutinee", p);
+                    for (n, _) in &bindings {
+                        self.bound.push(n.clone());
+                    }
+                    let be = self.expr(b);
+                    for _ in &bindings {
+                        self.bound.pop();
+                    }
+                    let binds: Vec<String> = bindings
+                        .iter()
+                        .map(|(n, access)| format!("({} {access})", lid(n)))
+                        .collect();
+                    if binds.is_empty() {
+                        let _ = write!(body, " ({test} {be})");
+                    } else {
+                        let _ = write!(body, " ({test} (let ({}) {be}))", binds.join(" "));
+                    }
+                }
+                body.push_str(" (t (error \"match failure\"))))");
+                body
+            }
+            Expr::ListLit(items, _) => {
+                let vals: Vec<String> = items.iter().map(|i| self.expr(i)).collect();
+                format!("(list {})", vals.join(" "))
+            }
+            Expr::TupleLit(items, _) => {
+                let vals: Vec<String> = items.iter().map(|i| self.expr(i)).collect();
+                format!("(vector {})", vals.join(" "))
+            }
+            Expr::TreeCons { op, args, .. } => {
+                let vals: Vec<String> = args.iter().map(|a| self.expr(a)).collect();
+                format!("(make-term {} {})", lisp_string(op), vals.join(" "))
             }
         }
-        // For compound forms, delegate by rebuilding with substituted
-        // children — reuse `expr` on a pre-substituted clone.
-        other => {
-            let substituted = substitute(other, octx, grammar, op);
-            expr(&substituted, bound)
-        }
     }
 }
 
-/// Replaces occurrences/token calls by `Var` holding the splice text; the
-/// plain `expr` printer then prints those vars verbatim via a marker.
-fn substitute(e: &Expr, octx: &OpCtx, grammar: &Grammar, op: &fnc2_olga::ast::OpDef) -> Expr {
-    use fnc2_olga::Pos;
-    let p0 = Pos { line: 0, col: 0 };
-    match e {
-        Expr::Occ(o) => {
-            let (pos, _, _) = octx.resolve(o).expect("checked");
-            Expr::Str(
-                format!("\u{1}{}", occ_access(grammar, op, pos, &o.attr)),
-                p0,
-            )
-        }
-        Expr::Call { name, args, pos } if name == "token" && args.is_empty() => {
-            Expr::Str("\u{1}(node-token node)".to_string(), *pos)
-        }
-        Expr::Call { name, args, pos } => Expr::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute(a, octx, grammar, op))
-                .collect(),
-            pos: *pos,
-        },
-        Expr::Unop {
-            op: o,
-            expr: i,
-            pos,
-        } => Expr::Unop {
-            op: o,
-            expr: Box::new(substitute(i, octx, grammar, op)),
-            pos: *pos,
-        },
-        Expr::Binop {
-            op: o,
-            lhs,
-            rhs,
-            pos,
-        } => Expr::Binop {
-            op: o,
-            lhs: Box::new(substitute(lhs, octx, grammar, op)),
-            rhs: Box::new(substitute(rhs, octx, grammar, op)),
-            pos: *pos,
-        },
-        Expr::If {
-            cond,
-            then,
-            els,
-            pos,
-        } => Expr::If {
-            cond: Box::new(substitute(cond, octx, grammar, op)),
-            then: Box::new(substitute(then, octx, grammar, op)),
-            els: Box::new(substitute(els, octx, grammar, op)),
-            pos: *pos,
-        },
-        Expr::Let {
-            name,
-            value,
-            body,
-            pos,
-        } => Expr::Let {
-            name: name.clone(),
-            value: Box::new(substitute(value, octx, grammar, op)),
-            body: Box::new(substitute(body, octx, grammar, op)),
-            pos: *pos,
-        },
-        Expr::Case {
-            scrutinee,
-            arms,
-            pos,
-        } => Expr::Case {
-            scrutinee: Box::new(substitute(scrutinee, octx, grammar, op)),
-            arms: arms
-                .iter()
-                .map(|(p, b)| (p.clone(), substitute(b, octx, grammar, op)))
-                .collect(),
-            pos: *pos,
-        },
-        Expr::ListLit(items, pos) => Expr::ListLit(
-            items
-                .iter()
-                .map(|i| substitute(i, octx, grammar, op))
-                .collect(),
-            *pos,
-        ),
-        Expr::TupleLit(items, pos) => Expr::TupleLit(
-            items
-                .iter()
-                .map(|i| substitute(i, octx, grammar, op))
-                .collect(),
-            *pos,
-        ),
-        Expr::TreeCons { op: o, args, pos } => Expr::TreeCons {
-            op: o.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute(a, octx, grammar, op))
-                .collect(),
-            pos: *pos,
-        },
-        other => other.clone(),
-    }
+/// The Lisp name of the function of the OLGA rule defining `target` in `p`.
+fn rule_fn(grammar: &Grammar, p: ProductionId, target: ONode) -> String {
+    crate::rule_name(grammar, p, target)
+        .map(|w| lid(&w))
+        .join("-")
 }
 
-fn occ_access(grammar: &Grammar, op: &fnc2_olga::ast::OpDef, pos: u16, attr: &str) -> String {
-    let ph_name = if pos == 0 {
-        &op.lhs
-    } else {
-        &op.rhs[pos as usize - 1]
-    };
-    let ph = grammar.phylum_by_name(ph_name).expect("phylum exists");
-    let a = grammar.attr_by_name(ph, attr).expect("attr exists");
-    let off = grammar.attr(a).offset();
-    if pos == 0 {
-        format!("(aref (node-attrs node) {off})")
-    } else {
-        format!(
-            "(aref (node-attrs (nth {} (node-kids node))) {off})",
-            pos - 1
-        )
-    }
-}
-
-fn eval_parts(
-    checked: &CheckedAg,
-    grammar: &Grammar,
-    p: fnc2_ag::ProductionId,
-    target: &ONode,
-    prod: &fnc2_ag::Production,
-) -> (String, String) {
-    let _ = checked;
-    let setter = match target {
-        ONode::Attr(Occ { pos: 0, attr }) => format!(
-            "setf (aref (node-attrs node) {})",
-            grammar.attr(*attr).offset()
-        ),
-        ONode::Attr(Occ { pos, attr }) => format!(
-            "setf (aref (node-attrs (nth {} (node-kids node))) {})",
+/// The Lisp expression reading `arg` at `node`.
+fn access(grammar: &Grammar, arg: &Arg) -> String {
+    match arg {
+        Arg::Node(ONode::Attr(Occ { pos: 0, attr })) => {
+            format!("(aref (node-attrs node) {})", grammar.attr(*attr).offset())
+        }
+        Arg::Node(ONode::Attr(Occ { pos, attr })) => format!(
+            "(aref (node-attrs (nth {} (node-kids node))) {})",
             pos - 1,
             grammar.attr(*attr).offset()
         ),
-        ONode::Local(l) => format!("setf (aref (node-locals node) {})", l.index()),
-    };
-    // Use the lowered grammar's rule to decide copy vs call.
-    let rule = grammar.rule_for(p, *target).expect("well-defined");
-    let rhs = match rule.body() {
-        fnc2_ag::RuleBody::Copy(fnc2_ag::Arg::Node(src)) => match src {
-            ONode::Attr(Occ { pos: 0, attr }) => {
-                format!("(aref (node-attrs node) {})", grammar.attr(*attr).offset())
-            }
-            ONode::Attr(Occ { pos, attr }) => format!(
-                "(aref (node-attrs (nth {} (node-kids node))) {})",
-                pos - 1,
-                grammar.attr(*attr).offset()
-            ),
-            ONode::Local(l) => format!("(aref (node-locals node) {})", l.index()),
-        },
-        fnc2_ag::RuleBody::Copy(fnc2_ag::Arg::Token) => "(node-token node)".to_string(),
-        fnc2_ag::RuleBody::Copy(fnc2_ag::Arg::Const(v)) => lisp_value(v),
-        fnc2_ag::RuleBody::Call { func, args }
-            if grammar.function(*func).name().starts_with("model@") =>
-        {
-            let op = if grammar.function(*func).name().contains("Sum") {
+        Arg::Node(ONode::Local(l)) => format!("(aref (node-locals node) {})", l.index()),
+        Arg::Token => "(node-token node)".to_string(),
+        Arg::Const(Value::Int(i)) => i.to_string(),
+        Arg::Const(Value::Real(r)) => format!("{r:?}"),
+        Arg::Const(Value::Bool(b)) => if *b { "t" } else { "nil" }.to_string(),
+        Arg::Const(Value::Str(s)) => lisp_string(s),
+        Arg::Const(_) => "nil".to_string(),
+    }
+}
+
+/// The value an EVAL of `target` in production `p` stores: the grammar's
+/// copy or rule-model fold inline, or a call of the OLGA rule's function.
+fn eval_rhs(grammar: &Grammar, p: ProductionId, target: ONode) -> String {
+    match grammar.rule_for(p, target).expect("well-defined").body() {
+        RuleBody::Copy(src) => access(grammar, src),
+        RuleBody::Call { func, args } if grammar.function(*func).name().starts_with("model@") => {
+            let op = if crate::is_sum_model(grammar.function(*func).name()) {
                 "+"
             } else {
                 "v-append"
             };
-            let arg_exprs: Vec<String> = args
-                .iter()
-                .map(|a| match a {
-                    fnc2_ag::Arg::Node(ONode::Attr(Occ { pos: 0, attr })) => {
-                        format!("(aref (node-attrs node) {})", grammar.attr(*attr).offset())
-                    }
-                    fnc2_ag::Arg::Node(ONode::Attr(Occ { pos, attr })) => format!(
-                        "(aref (node-attrs (nth {} (node-kids node))) {})",
-                        pos - 1,
-                        grammar.attr(*attr).offset()
-                    ),
-                    fnc2_ag::Arg::Node(ONode::Local(l)) => {
-                        format!("(aref (node-locals node) {})", l.index())
-                    }
-                    fnc2_ag::Arg::Token => "(node-token node)".to_string(),
-                    fnc2_ag::Arg::Const(v) => lisp_value(v),
-                })
-                .collect();
-            let mut acc = arg_exprs[0].clone();
-            for a in &arg_exprs[1..] {
-                acc = format!("({op} {acc} {a})");
-            }
-            acc
+            let args = args.iter().map(|a| access(grammar, a));
+            let folded = args.reduce(|acc, a| format!("({op} {acc} {a})"));
+            folded.expect("a rule model folds its carriers")
         }
-        fnc2_ag::RuleBody::Call { .. } => {
-            let tname = match target {
-                ONode::Attr(occ) => {
-                    let a = grammar.attr(occ.attr);
-                    format!(
-                        "rule-{}-p{}-{} node",
-                        lid(prod.name()),
-                        occ.pos,
-                        lid(a.name())
-                    )
-                }
-                ONode::Local(l) => format!(
-                    "rule-{}-local-{} node",
-                    lid(prod.name()),
-                    lid(prod.locals()[l.index()].name())
-                ),
-            };
-            format!("({tname})")
-        }
-    };
-    (setter, rhs)
-}
-
-fn lisp_value(v: &fnc2_ag::Value) -> String {
-    match v {
-        fnc2_ag::Value::Int(i) => i.to_string(),
-        fnc2_ag::Value::Real(r) => format!("{r:?}"),
-        fnc2_ag::Value::Bool(b) => if *b { "t" } else { "nil" }.to_string(),
-        fnc2_ag::Value::Str(s) => lisp_string(s),
-        _ => "nil".to_string(),
+        RuleBody::Call { .. } => format!("({} node)", rule_fn(grammar, p, target)),
     }
 }
 
 fn lisp_string(s: &str) -> String {
-    // Splice marker: strings beginning with \u{1} are verbatim code.
-    if let Some(code) = s.strip_prefix('\u{1}') {
-        return code.to_string();
-    }
     let mut out = String::from("\"");
     for c in s.chars() {
         match c {

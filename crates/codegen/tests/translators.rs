@@ -1,12 +1,11 @@
 //! Integration tests: generate C and Lisp for a real AG; the C text is
 //! syntax-checked with the system compiler when one is available.
 
-use std::io::Write as _;
 use std::process::Command;
 
 use fnc2_analysis::{snc_test, snc_to_l_ordered, Inclusion};
 use fnc2_codegen::{to_c, to_lisp};
-use fnc2_olga::{lower, parse_unit, Compiler};
+use fnc2_olga::{check_units, lower, parse_units};
 use fnc2_visit::build_visit_seqs;
 
 const DESK: &str = r#"
@@ -34,27 +33,43 @@ attribute grammar desk;
 end
 "#;
 
-fn artifacts() -> (
-    fnc2_olga::CheckedAg,
-    fnc2_ag::Grammar,
-    fnc2_visit::VisitSeqs,
-) {
-    let fnc2_olga::ast::Unit::Ag(ag) = parse_unit(DESK).unwrap() else {
-        panic!("expected AG")
-    };
-    let checked = Compiler::new().check_ag(ag).unwrap();
-    let (grammar, _) = lower(&checked).unwrap();
+/// Lowers `src` and translates it to C and to Lisp.
+fn translate(src: &str) -> (String, String) {
+    let checked = check_units(parse_units(src).unwrap()).unwrap();
+    let (grammar, _, rules) = lower(&checked).unwrap();
     let snc = snc_test(&grammar);
     assert!(snc.is_snc());
     let lo = snc_to_l_ordered(&grammar, &snc, Inclusion::Long).unwrap();
     let seqs = build_visit_seqs(&grammar, &lo);
-    (checked, grammar, seqs)
+    let c = to_c(&checked.env, &rules, &grammar, &seqs);
+    let l = to_lisp(&checked.env, &rules, &grammar, &seqs);
+    (c, l)
+}
+
+/// Syntax-checks `c` with the system C compiler when one is present.
+fn assert_cc_accepts(name: &str, c: &str) {
+    if Command::new("cc").arg("--version").output().is_err() {
+        return;
+    }
+    let dir = std::env::temp_dir().join("fnc2_codegen_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.c"));
+    std::fs::write(&path, c).unwrap();
+    let out = Command::new("cc")
+        .args(["-std=c99", "-fsyntax-only", "-Wno-unused-function"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "cc rejected the generated C:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
 fn c_translation_is_complete_and_compiles() {
-    let (checked, grammar, seqs) = artifacts();
-    let c = to_c(&checked, &grammar, &seqs);
+    let (c, _) = translate(DESK);
     // Structural checks.
     assert!(c.contains("static V f_get(V e, V k)"));
     assert!(c.contains("evaluate_root"));
@@ -65,32 +80,12 @@ fn c_translation_is_complete_and_compiles() {
     let open = c.matches('{').count();
     let close = c.matches('}').count();
     assert_eq!(open, close, "unbalanced braces");
-
-    // Compile with the system C compiler when present.
-    if Command::new("cc").arg("--version").output().is_ok() {
-        let dir = std::env::temp_dir().join("fnc2_codegen_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("desk.c");
-        let mut f = std::fs::File::create(&path).unwrap();
-        f.write_all(c.as_bytes()).unwrap();
-        drop(f);
-        let out = Command::new("cc")
-            .args(["-std=c99", "-fsyntax-only", "-Wno-unused-function"])
-            .arg(&path)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "cc rejected the generated C:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
+    assert_cc_accepts("desk", &c);
 }
 
 #[test]
 fn lisp_translation_is_balanced() {
-    let (checked, grammar, seqs) = artifacts();
-    let l = to_lisp(&checked, &grammar, &seqs);
+    let (_, l) = translate(DESK);
     assert!(l.contains("(defun f-get ("));
     assert!(l.contains("(defun visit "));
     assert!(l.contains("evaluate-root"));
@@ -112,8 +107,109 @@ fn lisp_translation_is_balanced() {
 }
 
 #[test]
+fn lisp_reads_locals_from_the_node() {
+    let (_, l) = translate(DESK);
+    assert!(
+        l.contains("(length (aref (node-locals node) 0))"),
+        "`banner` is read from the node:\n{l}"
+    );
+    assert!(!l.contains("c-banner"), "`banner` is no constant:\n{l}");
+}
+
+/// Two phases, each with its own local for `leaf`.
+const TWO_PHASES: &str = r#"
+attribute grammar two;
+  phylum S;
+  root S;
+  operator leaf : S ::= ;
+  synthesized a : int of S;
+  synthesized b : int of S;
+  phase one { for leaf { local x : int := token() + 20; S.a := x + 1; } }
+  phase two { for leaf { local y : int := token() * 30; S.b := y + 2; } }
+end
+"#;
+
+#[test]
+fn c_computes_the_locals_of_every_phase() {
+    let (c, _) = translate(TWO_PHASES);
+    assert!(!c.contains("unreachable"), "{c}");
+    for line in [
+        "n->locals[0] = rule_leaf_local_x(n->token);",
+        "n->attrs[0] = rule_leaf_p0_a(n->locals[0]);",
+        "n->locals[1] = rule_leaf_local_y(n->token);",
+        "n->attrs[1] = rule_leaf_p0_b(n->locals[1]);",
+    ] {
+        assert!(c.contains(line), "missing `{line}` in:\n{c}");
+    }
+    assert_cc_accepts("two", &c);
+}
+
+#[test]
+fn same_named_locals_of_two_phases_get_their_own_functions() {
+    let (c, l) = translate(
+        "attribute grammar dup;
+           phylum S;
+           operator leaf : S ::= ;
+           synthesized a : int of S;
+           synthesized b : int of S;
+           phase one { for leaf { local x : int := 20; S.a := x + 1; } }
+           phase two { for leaf { local x : int := 30; S.b := x + 2; } }
+         end",
+    );
+    for line in [
+        "n->locals[0] = rule_leaf_local0_x();",
+        "n->attrs[0] = rule_leaf_p0_a(n->locals[0]);",
+        "n->locals[1] = rule_leaf_local1_x();",
+        "n->attrs[1] = rule_leaf_p0_b(n->locals[1]);",
+    ] {
+        assert!(c.contains(line), "missing `{line}` in:\n{c}");
+    }
+    assert_cc_accepts("dup", &c);
+    assert!(l.contains("(defun rule-leaf-local0-x (node)\n  20)"), "{l}");
+    assert!(l.contains("(defun rule-leaf-local1-x (node)\n  30)"), "{l}");
+}
+
+#[test]
+fn lisp_prints_control_characters_as_string_contents() {
+    // A leading U+0001 is string content, never code to splice.
+    let (_, l) = translate(
+        "attribute grammar inject;
+           phylum S;
+           operator leaf : S ::= ;
+           synthesized s : string of S;
+           for leaf {
+             S.s := case \"\u{1}(f)\" of \"\u{1}(g)\" => \"\" | _ => \"\u{1}(delete-file \\\"x\\\")\" ++ \"!\" end;
+           }
+         end",
+    );
+    assert!(
+        l.contains("(v-append \"\u{1}(delete-file \\\"x\\\")\" \"!\")"),
+        "{l}"
+    );
+    assert!(l.contains("(equal scrutinee \"\u{1}(g)\")"), "{l}");
+    assert!(!l.contains("(delete-file \"x\")"), "{l}");
+}
+
+#[test]
+fn lisp_remainder_truncates_like_olga_and_c() {
+    // OLGA's `%` is Rust's `wrapping_rem` and C's `v_mod` is `%`: both
+    // give -1 for -7 % 2, which is Lisp's `rem`, not `mod`.
+    let (c, l) = translate(
+        "attribute grammar r;
+           phylum S;
+           operator leaf : S ::= ;
+           synthesized v : int of S;
+           for leaf { S.v := token() % 2; }
+         end",
+    );
+    assert!(c.contains("v_mod(o0, mk_int(2))"), "{c}");
+    assert!(l.contains("(rem (node-token node) 2)"), "{l}");
+}
+
+#[test]
 fn tail_recursive_function_becomes_a_loop_in_c() {
-    let src = r#"
+    let (c, _) = translate(
+        r#"
 attribute grammar t;
   phylum S;
   operator leaf : S ::= ;
@@ -122,16 +218,8 @@ attribute grammar t;
     case l of [] => acc | _ :: r => count(r, acc + 1) end;
   for leaf { S.v := count([1, 2, 3], 0); }
 end
-"#;
-    let fnc2_olga::ast::Unit::Ag(ag) = parse_unit(src).unwrap() else {
-        panic!()
-    };
-    let checked = Compiler::new().check_ag(ag).unwrap();
-    let (grammar, _) = lower(&checked).unwrap();
-    let snc = snc_test(&grammar);
-    let lo = snc_to_l_ordered(&grammar, &snc, Inclusion::Long).unwrap();
-    let seqs = build_visit_seqs(&grammar, &lo);
-    let c = to_c(&checked, &grammar, &seqs);
+"#,
+    );
     assert!(
         c.contains("tail-recursion eliminated"),
         "expected TCO marker in:\n{c}"
@@ -140,7 +228,8 @@ end
 
 #[test]
 fn model_rules_translate_to_c() {
-    let src = r#"
+    let (c, l) = translate(
+        r#"
 attribute grammar modeled;
   phylum Prog, Stmts, Stmt;
   root Prog;
@@ -155,17 +244,8 @@ attribute grammar modeled;
   for nil { Stmts.count := 0; Stmts.names := []; }
   for one { Stmt.count := 1; Stmt.names := ["x"]; Stmt.lab_out := Stmt.lab_in + 1; }
 end
-"#;
-    let fnc2_olga::ast::Unit::Ag(ag) = parse_unit(src).unwrap() else {
-        panic!()
-    };
-    let checked = Compiler::new().check_ag(ag).unwrap();
-    let (grammar, _) = lower(&checked).unwrap();
-    let snc = snc_test(&grammar);
-    assert!(snc.is_snc());
-    let lo = snc_to_l_ordered(&grammar, &snc, Inclusion::Long).unwrap();
-    let seqs = build_visit_seqs(&grammar, &lo);
-    let c = to_c(&checked, &grammar, &seqs);
+"#,
+    );
     assert!(
         c.contains("v_add") || c.contains("v_append"),
         "model folds inlined"
@@ -174,22 +254,6 @@ end
         !c.contains("unreachable: computed rules"),
         "all rules emitted"
     );
-    if Command::new("cc").arg("--version").output().is_ok() {
-        let dir = std::env::temp_dir().join("fnc2_codegen_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("modeled.c");
-        std::fs::write(&path, &c).unwrap();
-        let out = Command::new("cc")
-            .args(["-std=c99", "-fsyntax-only", "-Wno-unused-function"])
-            .arg(&path)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "cc rejected: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let l = to_lisp(&checked, &grammar, &seqs);
+    assert_cc_accepts("modeled", &c);
     assert!(l.contains("v-append") || l.contains("(+ "));
 }

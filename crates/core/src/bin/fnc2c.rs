@@ -598,7 +598,8 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
     match cmd {
         Check => {
             let checked = checked()?;
-            let (grammar, info) = fnc2::olga::lower(&checked).map_err(|e| diag(e.to_string()))?;
+            let (grammar, info, _) =
+                fnc2::olga::lower(&checked).map_err(|e| diag(e.to_string()))?;
             Ok(format!(
                 "ok: {} phyla, {} operators, {} rules ({} explicit copies, {} auto copies)\n",
                 grammar.phylum_count(),
@@ -627,12 +628,15 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
         C | Lisp => {
             let checked = checked()?;
             let compiled = compile_via(source, opts, obs)?;
+            // The rule table; lowering is deterministic, so its ids are
+            // those of `compiled.grammar`, cached or not.
+            let (_, _, rules) = fnc2::olga::lower(&checked).map_err(|e| diag(e.to_string()))?;
             let translate = if cmd == C {
                 fnc2::codegen::to_c
             } else {
                 fnc2::codegen::to_lisp
             };
-            let out = translate(&checked, &compiled.grammar, &compiled.seqs);
+            let out = translate(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
             emit_side_channel(opts, obs, &compiled.grammar);
             Ok(out)
         }

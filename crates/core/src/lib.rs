@@ -728,7 +728,7 @@ pub(crate) fn olga_front_end_recorded(
     obs.tracer.begin("phase", "olga.lower");
     let lowered = fnc2_olga::lower(&checked);
     obs.tracer.end();
-    let (grammar, _) = lowered.map_err(|e| PipelineError::Olga(e.into()))?;
+    let (grammar, _, _) = lowered.map_err(|e| PipelineError::Olga(e.into()))?;
     Ok(grammar)
 }
 

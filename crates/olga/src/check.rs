@@ -667,7 +667,7 @@ fn declare_consts(consts: &[ConstDef], env: &mut UnitEnv) -> Result<(), CheckErr
 
 /// Occurrence-resolution context for one operator.
 #[derive(Clone, Debug)]
-pub struct OpCtx {
+pub(crate) struct OpCtx {
     /// Phylum name at each position (0 = LHS).
     pub positions: Vec<String>,
     /// Attribute table reference (cloned rows for the phyla involved).

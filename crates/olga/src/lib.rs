@@ -44,11 +44,11 @@ mod parser;
 mod types;
 
 pub use check::{
-    AgAttrTable, CheckError, CheckedAg, CheckedModule, Compiler, FunSig, OpCtx, ThreadInfo, UnitEnv,
+    AgAttrTable, CheckError, CheckedAg, CheckedModule, Compiler, FunSig, ThreadInfo, UnitEnv,
 };
 pub use eval::{EvalAbort, EvalCtx};
 pub use lexer::{lex, LexError, Pos, Tok, Token};
-pub use lower::{lower, LowerError, LowerInfo};
+pub use lower::{lower, LowerError, LowerInfo, RuleText};
 pub use parser::{parse_unit, parse_units, ParseError};
 pub use types::{resolve_type, Ty};
 
@@ -101,8 +101,8 @@ impl From<LowerError> for OlgaError {
 ///
 /// Returns the first parse/check/lowering error.
 pub fn compile_ag_source(src: &str) -> Result<(Grammar, LowerInfo), OlgaError> {
-    let checked = check_units(parse_units(src)?)?;
-    Ok(lower(&checked)?)
+    let (grammar, info, _) = lower(&check_units(parse_units(src)?)?)?;
+    Ok((grammar, info))
 }
 
 /// Checks parsed units — any number of modules and exactly one attribute

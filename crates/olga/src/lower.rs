@@ -14,10 +14,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
-use fnc2_ag::{Arg, AttrId, Grammar, GrammarBuilder, LocalId, ONode, Occ, PhylumId, ProductionId};
+use fnc2_ag::{
+    Arg, AttrId, Grammar, GrammarBuilder, LocalId, ONode, Occ, PhylumId, ProductionId, Value,
+};
 
-use crate::ast::{Expr, Pat, RuleTarget};
+use crate::ast::{Expr, OccRef, RuleTarget};
 use crate::check::{CheckedAg, OpCtx};
 use crate::eval::{EvalAbort, EvalCtx};
 use crate::lexer::Pos;
@@ -98,13 +101,33 @@ pub struct LowerInfo {
     pub computed_rules: usize,
 }
 
-/// Lowers a checked AG to an executable [`Grammar`].
+/// One semantic rule of the OLGA text — a rule or a local definition —
+/// resolved once by the lowering. The back ends print from it.
+#[derive(Clone, Debug)]
+pub struct RuleText {
+    /// The production the rule belongs to.
+    pub production: ProductionId,
+    /// The occurrence or production local it defines.
+    pub target: ONode,
+    /// The body's occurrence, local and `token()` references, in first-use
+    /// order.
+    pub args: Vec<Arg>,
+    /// The body, reading argument `k` as the variable `$k`. The
+    /// interpreter's closure shares it.
+    pub body: Arc<Expr>,
+}
+
+/// Lowers a checked AG to an executable [`Grammar`], plus its rule table:
+/// every rule and local definition of the OLGA text, in source order (by
+/// operator, phase and block; a block's locals before its rules). The
+/// rules the lowering generates (automatic copies, rule models) are only
+/// in the grammar.
 ///
 /// # Errors
 ///
 /// Fails if, even after automatic copy-rule generation, some output
 /// occurrence has no rule (or any other well-definedness violation).
-pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo), LowerError> {
+pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), LowerError> {
     let ag = &checked.ast;
     let ctx = EvalCtx::new(&checked.env).map_err(LowerError::Eval)?;
     let mut b = GrammarBuilder::new(ag.name.clone());
@@ -140,30 +163,19 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo), LowerError> {
         prod_ids.insert(&op.name, id);
     }
 
-    // Rules per production, across phases.
+    // Rules per production, across phases. Locals are scoped per block,
+    // as the checker scopes them: a local's body sees the locals declared
+    // before it, a rule all of its block's.
     let mut defined: HashMap<ProductionId, HashSet<ONode>> = HashMap::new();
+    let mut table = Vec::new();
     for op in &ag.operators {
         let pid = prod_ids[op.name.as_str()];
         let octx = OpCtx::new(op, &checked.attr_table);
-        // Locals from every block of this operator.
-        let mut local_ids: HashMap<&str, LocalId> = HashMap::new();
-        for phase in &ag.phases {
-            for block in phase.blocks.iter().filter(|bl| bl.operator == op.name) {
-                for l in &block.locals {
-                    let id = b.local(pid, l.name.clone());
-                    local_ids.insert(&l.name, id);
-                }
-            }
-        }
-        let resolve_occ = |o: &crate::ast::OccRef| -> Result<ONode, LowerError> {
+        let resolve_occ = |o: &OccRef| -> Result<ONode, LowerError> {
             let (pos, _, _) = octx.resolve(o).map_err(|e| {
                 LowerError::Internal(format!("occurrence failed to re-resolve: {e}"), o.pos)
             })?;
-            let ph = if pos == 0 {
-                &op.lhs
-            } else {
-                &op.rhs[pos as usize - 1]
-            };
+            let ph = &octx.positions[pos as usize];
             let id = attr_ids
                 .get(&(ph.as_str(), o.attr.as_str()))
                 .copied()
@@ -175,41 +187,41 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo), LowerError> {
                 })?;
             Ok(ONode::Attr(Occ::new(pos, id)))
         };
-
-        for phase in &ag.phases {
-            for block in phase.blocks.iter().filter(|bl| bl.operator == op.name) {
-                // Local definitions are rules targeting locals.
-                for l in &block.locals {
-                    let target = ONode::Local(local_ids[l.name.as_str()]);
-                    add_rule(
-                        &mut b,
-                        pid,
-                        target,
-                        &l.body,
-                        &resolve_occ,
-                        &local_ids,
-                        &ctx,
-                        &mut info,
-                    )?;
-                    defined.entry(pid).or_default().insert(target);
-                }
-                for rule in &block.rules {
-                    let target = match &rule.target {
-                        RuleTarget::Occ(o) => resolve_occ(o)?,
-                        RuleTarget::Local(name, _) => ONode::Local(local_ids[name.as_str()]),
-                    };
-                    add_rule(
-                        &mut b,
-                        pid,
-                        target,
-                        &rule.body,
-                        &resolve_occ,
-                        &local_ids,
-                        &ctx,
-                        &mut info,
-                    )?;
-                    defined.entry(pid).or_default().insert(target);
-                }
+        let blocks = ag.phases.iter().flat_map(|ph| &ph.blocks);
+        for block in blocks.filter(|bl| bl.operator == op.name) {
+            let scope: Vec<(&str, LocalId)> = block
+                .locals
+                .iter()
+                .map(|l| (l.name.as_str(), b.local(pid, l.name.clone())))
+                .collect();
+            let mut rules = Vec::new();
+            for (i, l) in block.locals.iter().enumerate() {
+                rules.push((ONode::Local(scope[i].1), &l.body, &scope[..i]));
+            }
+            for rule in &block.rules {
+                let target = match &rule.target {
+                    RuleTarget::Occ(o) => resolve_occ(o)?,
+                    RuleTarget::Local(name, pos) => match scope.iter().find(|(n, _)| n == name) {
+                        Some(&(_, l)) => ONode::Local(l),
+                        None => {
+                            return Err(LowerError::Internal(
+                                format!("unknown local `{name}`"),
+                                *pos,
+                            ))
+                        }
+                    },
+                };
+                rules.push((target, &rule.body, &scope[..]));
+            }
+            for (target, body, locals) in rules {
+                let slots = Slots {
+                    resolve_occ: &resolve_occ,
+                    locals,
+                    args: Vec::new(),
+                    bound: Vec::new(),
+                };
+                table.push(add_rule(&mut b, pid, target, body, slots, &ctx, &mut info)?);
+                defined.entry(pid).or_default().insert(target);
             }
         }
     }
@@ -296,15 +308,15 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo), LowerError> {
             match (carriers.as_slice(), class) {
                 ([], crate::ast::AttrClass::Concat) => {
                     let empty = if is_str {
-                        fnc2_ag::Value::str("")
+                        Value::str("")
                     } else {
-                        fnc2_ag::Value::list([])
+                        Value::list([])
                     };
                     b.constant(pid, target, empty);
                     info.computed_rules += 1;
                 }
                 ([], crate::ast::AttrClass::Sum) => {
-                    b.constant(pid, target, fnc2_ag::Value::Int(0));
+                    b.constant(pid, target, Value::Int(0));
                     info.computed_rules += 1;
                 }
                 ([one], _) => {
@@ -315,16 +327,16 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo), LowerError> {
                     let n = many.len();
                     let fname = format!("model@{cls:?}@{n}@{}@{aname}", op.name);
                     let summing = matches!(cls, crate::ast::AttrClass::Sum);
-                    b.func(fname.clone(), n, move |vals: &[fnc2_ag::Value]| {
+                    b.func(fname.clone(), n, move |vals: &[Value]| {
                         if summing {
-                            fnc2_ag::Value::Int(vals.iter().map(|v| v.as_int()).sum())
-                        } else if matches!(vals[0], fnc2_ag::Value::Str(_)) {
-                            fnc2_ag::Value::str(vals.iter().map(|v| v.as_str()).collect::<String>())
+                            Value::Int(vals.iter().map(|v| v.as_int()).sum())
+                        } else if matches!(vals[0], Value::Str(_)) {
+                            Value::str(vals.iter().map(|v| v.as_str()).collect::<String>())
                         } else {
-                            fnc2_ag::Value::List(vals.iter().fold(
+                            Value::List(vals.iter().fold(
                                 fnc2_ag::List::new(Vec::new()),
                                 |acc, v| match v {
-                                    fnc2_ag::Value::List(l) => acc.concat(l),
+                                    Value::List(l) => acc.concat(l),
                                     v => panic!("expected list, got {v:?}"),
                                 },
                             ))
@@ -392,248 +404,186 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo), LowerError> {
     }
 
     let grammar = b.finish_verbose()?;
-    Ok((grammar, info))
+    Ok((grammar, info, table))
 }
 
 /// Adds one rule: plain occurrence bodies become copy rules, literals
 /// become constants, everything else becomes a registered closure over the
-/// interpreter.
-#[allow(clippy::too_many_arguments)]
+/// interpreter. Returns the rule's entry in the rule table.
 fn add_rule(
     b: &mut GrammarBuilder,
-    pid: ProductionId,
+    production: ProductionId,
     target: ONode,
     body: &Expr,
-    resolve_occ: &dyn Fn(&crate::ast::OccRef) -> Result<ONode, LowerError>,
-    local_ids: &HashMap<&str, LocalId>,
+    mut slots: Slots,
     ctx: &EvalCtx,
     info: &mut LowerInfo,
-) -> Result<(), LowerError> {
-    // Literal constants.
-    match body {
-        Expr::Int(i, _) => {
-            b.constant(pid, target, fnc2_ag::Value::Int(*i));
-            info.computed_rules += 1;
-            return Ok(());
-        }
-        Expr::Real(r, _) => {
-            b.constant(pid, target, fnc2_ag::Value::Real(*r));
-            info.computed_rules += 1;
-            return Ok(());
-        }
-        Expr::Bool(v, _) => {
-            b.constant(pid, target, fnc2_ag::Value::Bool(*v));
-            info.computed_rules += 1;
-            return Ok(());
-        }
-        Expr::Str(s, _) => {
-            b.constant(pid, target, fnc2_ag::Value::str(s));
-            info.computed_rules += 1;
-            return Ok(());
-        }
-        _ => {}
-    }
-
-    // Extract occurrence/local/token references into argument slots.
-    let mut args: Vec<Arg> = Vec::new();
-    let mut keys: Vec<ArgKey> = Vec::new();
-    let mut bound: Vec<String> = Vec::new();
-    let transformed = extract(
-        body,
-        resolve_occ,
-        local_ids,
-        &mut args,
-        &mut keys,
-        &mut bound,
-    )?;
-
-    // A bare occurrence/local/token reference is a copy rule.
-    if args.len() == 1 {
-        if let Expr::Var(v, _) = &transformed {
-            if v == "$0" {
-                b.copy(pid, target, args.remove(0));
-                info.explicit_copies += 1;
-                return Ok(());
-            }
-        }
-    }
-
-    let fname = format!("rule@{pid}@{target:?}");
-    let ctx = ctx.clone();
-    let arity = args.len();
-    b.func_fallible(fname.clone(), arity, move |vals: &[fnc2_ag::Value]| {
-        let bindings: Vec<(String, fnc2_ag::Value)> = vals
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (format!("${i}"), v.clone()))
-            .collect();
-        ctx.eval_with(&transformed, &bindings)
-            .map_err(|e| fnc2_ag::SemError::new(e.to_string()))
-    });
-    b.call(pid, target, &fname, args);
-    info.computed_rules += 1;
-    Ok(())
-}
-
-/// Identity of an extracted argument, for deduplication.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum ArgKey {
-    Node(ONode),
-    Token,
-}
-
-/// Rewrites occurrence references, production-local references, and
-/// `token()` calls into `$k` variables, collecting the argument list.
-fn extract(
-    e: &Expr,
-    resolve_occ: &dyn Fn(&crate::ast::OccRef) -> Result<ONode, LowerError>,
-    local_ids: &HashMap<&str, LocalId>,
-    args: &mut Vec<Arg>,
-    keys: &mut Vec<ArgKey>,
-    bound: &mut Vec<String>,
-) -> Result<Expr, LowerError> {
-    let slot = |key: ArgKey, args: &mut Vec<Arg>, keys: &mut Vec<ArgKey>| -> Expr {
-        let i = match keys.iter().position(|k| *k == key) {
-            Some(i) => i,
-            None => {
-                keys.push(key.clone());
-                args.push(match key {
-                    ArgKey::Node(n) => Arg::Node(n),
-                    ArgKey::Token => Arg::Token,
-                });
-                keys.len() - 1
-            }
-        };
-        Expr::Var(format!("${i}"), Pos { line: 0, col: 0 })
+) -> Result<RuleText, LowerError> {
+    let constant = match body {
+        Expr::Int(i, _) => Some(Value::Int(*i)),
+        Expr::Real(r, _) => Some(Value::Real(*r)),
+        Expr::Bool(v, _) => Some(Value::Bool(*v)),
+        Expr::Str(s, _) => Some(Value::str(s)),
+        _ => None,
     };
-    Ok(match e {
-        Expr::Occ(o) => slot(ArgKey::Node(resolve_occ(o)?), args, keys),
-        Expr::Var(n, p) => {
-            if !bound.contains(n) {
-                if let Some(&l) = local_ids.get(n.as_str()) {
-                    return Ok(slot(ArgKey::Node(ONode::Local(l)), args, keys));
-                }
-            }
-            Expr::Var(n.clone(), *p)
-        }
-        Expr::Call {
-            name,
-            args: cargs,
-            pos: _,
-        } if name == "token" && cargs.is_empty() => slot(ArgKey::Token, args, keys),
-        Expr::Call {
-            name,
-            args: cargs,
-            pos,
-        } => Expr::Call {
-            name: name.clone(),
-            args: cargs
+    let body = Arc::new(slots.extract(body)?);
+    let args = slots.args;
+    if let Some(v) = constant {
+        b.constant(production, target, v);
+        info.computed_rules += 1;
+    } else if matches!(&*body, Expr::Var(v, _) if v == "$0") {
+        // A bare occurrence/local/token reference is a copy rule.
+        b.copy(production, target, args[0].clone());
+        info.explicit_copies += 1;
+    } else {
+        let fname = format!("rule@{production}@{target:?}");
+        let ctx = ctx.clone();
+        let shared = Arc::clone(&body);
+        b.func_fallible(fname.clone(), args.len(), move |vals: &[Value]| {
+            let bindings: Vec<(String, Value)> = vals
                 .iter()
-                .map(|a| extract(a, resolve_occ, local_ids, args, keys, bound))
-                .collect::<Result<_, _>>()?,
-            pos: *pos,
-        },
-        Expr::Unop { op, expr, pos } => Expr::Unop {
-            op,
-            expr: Box::new(extract(expr, resolve_occ, local_ids, args, keys, bound)?),
-            pos: *pos,
-        },
-        Expr::Binop { op, lhs, rhs, pos } => Expr::Binop {
-            op,
-            lhs: Box::new(extract(lhs, resolve_occ, local_ids, args, keys, bound)?),
-            rhs: Box::new(extract(rhs, resolve_occ, local_ids, args, keys, bound)?),
-            pos: *pos,
-        },
-        Expr::If {
-            cond,
-            then,
-            els,
-            pos,
-        } => Expr::If {
-            cond: Box::new(extract(cond, resolve_occ, local_ids, args, keys, bound)?),
-            then: Box::new(extract(then, resolve_occ, local_ids, args, keys, bound)?),
-            els: Box::new(extract(els, resolve_occ, local_ids, args, keys, bound)?),
-            pos: *pos,
-        },
-        Expr::Let {
-            name,
-            value,
-            body,
-            pos,
-        } => {
-            let value = Box::new(extract(value, resolve_occ, local_ids, args, keys, bound)?);
-            bound.push(name.clone());
-            let body = extract(body, resolve_occ, local_ids, args, keys, bound);
-            bound.pop();
-            Expr::Let {
-                name: name.clone(),
-                value,
-                body: Box::new(body?),
-                pos: *pos,
-            }
-        }
-        Expr::Case {
-            scrutinee,
-            arms,
-            pos,
-        } => {
-            let scrutinee = Box::new(extract(
-                scrutinee,
-                resolve_occ,
-                local_ids,
-                args,
-                keys,
-                bound,
-            )?);
-            let arms = arms
-                .iter()
-                .map(|(p, b)| {
-                    let binders: Vec<String> = p.binders().into_iter().map(String::from).collect();
-                    let n = binders.len();
-                    bound.extend(binders);
-                    let b = extract(b, resolve_occ, local_ids, args, keys, bound);
-                    bound.truncate(bound.len() - n);
-                    Ok((clone_pat(p), b?))
-                })
-                .collect::<Result<_, LowerError>>()?;
-            Expr::Case {
-                scrutinee,
-                arms,
-                pos: *pos,
-            }
-        }
-        Expr::ListLit(items, pos) => Expr::ListLit(
-            items
-                .iter()
-                .map(|i| extract(i, resolve_occ, local_ids, args, keys, bound))
-                .collect::<Result<_, _>>()?,
-            *pos,
-        ),
-        Expr::TupleLit(items, pos) => Expr::TupleLit(
-            items
-                .iter()
-                .map(|i| extract(i, resolve_occ, local_ids, args, keys, bound))
-                .collect::<Result<_, _>>()?,
-            *pos,
-        ),
-        Expr::TreeCons {
-            op,
-            args: targs,
-            pos,
-        } => Expr::TreeCons {
-            op: op.clone(),
-            args: targs
-                .iter()
-                .map(|a| extract(a, resolve_occ, local_ids, args, keys, bound))
-                .collect::<Result<_, _>>()?,
-            pos: *pos,
-        },
-        other => other.clone(),
+                .enumerate()
+                .map(|(i, v)| (format!("${i}"), v.clone()))
+                .collect();
+            ctx.eval_with(&shared, &bindings)
+                .map_err(|e| fnc2_ag::SemError::new(e.to_string()))
+        });
+        b.call(production, target, &fname, args.clone());
+        info.computed_rules += 1;
+    }
+    Ok(RuleText {
+        production,
+        target,
+        args,
+        body,
     })
 }
 
-fn clone_pat(p: &Pat) -> Pat {
-    p.clone()
+/// Rewrites occurrence references, references to the production locals in
+/// scope, and `token()` calls into `$k` variables, collecting the argument
+/// list.
+struct Slots<'a> {
+    resolve_occ: &'a dyn Fn(&OccRef) -> Result<ONode, LowerError>,
+    locals: &'a [(&'a str, LocalId)],
+    args: Vec<Arg>,
+    /// `let` and `case` binders, which shadow locals.
+    bound: Vec<String>,
+}
+
+impl Slots<'_> {
+    fn slot(&mut self, arg: Arg) -> Expr {
+        let i = match self.args.iter().position(|a| *a == arg) {
+            Some(i) => i,
+            None => {
+                self.args.push(arg);
+                self.args.len() - 1
+            }
+        };
+        Expr::Var(format!("${i}"), Pos { line: 0, col: 0 })
+    }
+
+    fn all(&mut self, es: &[Expr]) -> Result<Vec<Expr>, LowerError> {
+        es.iter().map(|e| self.extract(e)).collect()
+    }
+
+    fn boxed(&mut self, e: &Expr) -> Result<Box<Expr>, LowerError> {
+        Ok(Box::new(self.extract(e)?))
+    }
+
+    fn extract(&mut self, e: &Expr) -> Result<Expr, LowerError> {
+        Ok(match e {
+            Expr::Occ(o) => {
+                let node = (self.resolve_occ)(o)?;
+                self.slot(Arg::Node(node))
+            }
+            Expr::Var(n, p) => {
+                let local = self.locals.iter().find(|(name, _)| name == n);
+                match local {
+                    Some(&(_, l)) if !self.bound.contains(n) => {
+                        self.slot(Arg::Node(ONode::Local(l)))
+                    }
+                    _ => Expr::Var(n.clone(), *p),
+                }
+            }
+            Expr::Call { name, args, .. } if name == "token" && args.is_empty() => {
+                self.slot(Arg::Token)
+            }
+            Expr::Call { name, args, pos } => Expr::Call {
+                name: name.clone(),
+                args: self.all(args)?,
+                pos: *pos,
+            },
+            Expr::Unop { op, expr, pos } => Expr::Unop {
+                op,
+                expr: self.boxed(expr)?,
+                pos: *pos,
+            },
+            Expr::Binop { op, lhs, rhs, pos } => Expr::Binop {
+                op,
+                lhs: self.boxed(lhs)?,
+                rhs: self.boxed(rhs)?,
+                pos: *pos,
+            },
+            Expr::If {
+                cond,
+                then,
+                els,
+                pos,
+            } => Expr::If {
+                cond: self.boxed(cond)?,
+                then: self.boxed(then)?,
+                els: self.boxed(els)?,
+                pos: *pos,
+            },
+            Expr::Let {
+                name,
+                value,
+                body,
+                pos,
+            } => {
+                let value = self.boxed(value)?;
+                self.bound.push(name.clone());
+                let body = self.boxed(body);
+                self.bound.pop();
+                Expr::Let {
+                    name: name.clone(),
+                    value,
+                    body: body?,
+                    pos: *pos,
+                }
+            }
+            Expr::Case {
+                scrutinee,
+                arms,
+                pos,
+            } => {
+                let scrutinee = self.boxed(scrutinee)?;
+                let arms = arms
+                    .iter()
+                    .map(|(p, b)| {
+                        let before = self.bound.len();
+                        self.bound.extend(p.binders().into_iter().map(String::from));
+                        let b = self.extract(b);
+                        self.bound.truncate(before);
+                        Ok((p.clone(), b?))
+                    })
+                    .collect::<Result<_, LowerError>>()?;
+                Expr::Case {
+                    scrutinee,
+                    arms,
+                    pos: *pos,
+                }
+            }
+            Expr::ListLit(items, pos) => Expr::ListLit(self.all(items)?, *pos),
+            Expr::TupleLit(items, pos) => Expr::TupleLit(self.all(items)?, *pos),
+            Expr::TreeCons { op, args, pos } => Expr::TreeCons {
+                op: op.clone(),
+                args: self.all(args)?,
+                pos: *pos,
+            },
+            other => other.clone(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -649,7 +599,8 @@ mod tests {
     use super::*;
 
     fn lower_src(src: &str) -> (Grammar, LowerInfo) {
-        lower(&check_src(src)).unwrap()
+        let (g, info, _) = lower(&check_src(src)).unwrap();
+        (g, info)
     }
 
     fn check_src(src: &str) -> CheckedAg {

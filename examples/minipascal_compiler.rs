@@ -70,19 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The C translation (paper §3.2). Print its head.
-    let checked = {
-        let units = fnc2::olga::parse_units(fnc2_corpus::MINIPASCAL_OLGA)?;
-        let mut compiler = fnc2::olga::Compiler::new();
-        let mut ag = None;
-        for u in units {
-            match u {
-                fnc2::olga::ast::Unit::Module(m) => compiler.add_module(m)?,
-                fnc2::olga::ast::Unit::Ag(a) => ag = Some(a),
-            }
-        }
-        compiler.check_ag(ag.expect("AG present"))?
-    };
-    let c_text = fnc2::codegen::to_c(&checked, &compiled.grammar, &compiled.seqs);
+    let checked = fnc2::olga::check_units(fnc2::olga::parse_units(fnc2_corpus::MINIPASCAL_OLGA)?)?;
+    let (_, _, rules) = fnc2::olga::lower(&checked)?;
+    let c_text = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
     println!(
         "\ngenerated C translation: {} lines; first visit function:",
         c_text.lines().count()

@@ -882,3 +882,61 @@ fn guarded_batch_survives_injected_panics_deterministically() {
         }
     }
 }
+
+/// Production locals are scoped per rule block, as the checker scopes
+/// them. In `shadow`, phase two's `x` is the imported constant, not phase
+/// one's local; in `dup`, two phases each declare their own `x`.
+#[test]
+fn phase_locals_are_scoped_per_block_under_all_four_evaluators() {
+    const SHADOW: &str = "
+        module m;
+          export x;
+          const x : int = 5;
+        end
+        attribute grammar shadow;
+          import x from m;
+          phylum S;
+          root S;
+          operator leaf : S ::= ;
+          synthesized a : int of S;
+          synthesized b : int of S;
+          phase one { for leaf { local x : int := 20; S.a := x + 1; } }
+          phase two { for leaf { S.b := x + 2; } }
+        end";
+    const DUP: &str = "
+        attribute grammar dup;
+          phylum S;
+          root S;
+          operator leaf : S ::= ;
+          synthesized a : int of S;
+          synthesized b : int of S;
+          phase one { for leaf { local x : int := 20; S.a := x + 1; } }
+          phase two { for leaf { local x : int := 30; S.b := x + 2; } }
+        end";
+    for (src, want) in [(SHADOW, [21, 7]), (DUP, [21, 32])] {
+        let compiled = Pipeline::new().compile_olga(src).unwrap();
+        let g = &compiled.grammar;
+        let mut tb = TreeBuilder::new(g);
+        let leaf = tb.op("leaf", &[]).unwrap();
+        let tree = tb.finish_root(leaf).unwrap();
+        let root = tree.root();
+        let (a, _) = compiled.evaluate(&tree, &RootInputs::new()).unwrap();
+        let (b, _) = DynamicEvaluator::new(g)
+            .evaluate(&tree, &RootInputs::new())
+            .unwrap();
+        let (c, _) = compiled
+            .evaluate_optimized(&tree, &RootInputs::new())
+            .unwrap();
+        let inc = IncrementalEvaluator::new(g, tree.clone(), Equality::default()).unwrap();
+        let s = g.phylum_by_name("S").unwrap();
+        for (name, want) in ["a", "b"].into_iter().zip(want) {
+            let attr = g.attr_by_name(s, name).unwrap();
+            let want = Some(&Value::Int(want));
+            let ag = g.name();
+            assert_eq!(a.get(g, root, attr), want, "{ag}: exhaustive S.{name}");
+            assert_eq!(b.get(g, root, attr), want, "{ag}: dynamic S.{name}");
+            assert_eq!(c.get(g, root, attr), want, "{ag}: space-optimized S.{name}");
+            assert_eq!(inc.value(root, attr), want, "{ag}: incremental S.{name}");
+        }
+    }
+}

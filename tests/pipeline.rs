@@ -158,24 +158,34 @@ fn classes_match_the_table1_ladder() {
 #[test]
 fn translators_cover_the_corpus_olga_ags() {
     // Generate C and Lisp for the mini-Pascal AG; both texts are
-    // structurally complete.
+    // structurally complete, and the system C compiler, when present,
+    // accepts the C.
     let units = fnc2::olga::parse_units(corpus::MINIPASCAL_OLGA).unwrap();
-    let mut compiler = fnc2::olga::Compiler::new();
-    let mut ag = None;
-    for u in units {
-        match u {
-            fnc2::olga::ast::Unit::Module(m) => compiler.add_module(m).unwrap(),
-            fnc2::olga::ast::Unit::Ag(a) => ag = Some(a),
-        }
-    }
-    let checked = compiler.check_ag(ag.unwrap()).unwrap();
-    let (grammar, _) = fnc2::olga::lower(&checked).unwrap();
+    let checked = fnc2::olga::check_units(units).unwrap();
+    let (grammar, _, rules) = fnc2::olga::lower(&checked).unwrap();
     let compiled = Pipeline::new().compile(grammar).unwrap();
-    let c = fnc2::codegen::to_c(&checked, &compiled.grammar, &compiled.seqs);
+    let c = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
     assert!(c.contains("evaluate_root"));
     assert_eq!(c.matches('{').count(), c.matches('}').count());
-    let l = fnc2::codegen::to_lisp(&checked, &compiled.grammar, &compiled.seqs);
+    let l = fnc2::codegen::to_lisp(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
     assert!(l.contains("evaluate-root"));
+    let cc = || std::process::Command::new("cc");
+    if cc().arg("--version").output().is_ok() {
+        let dir = std::env::temp_dir().join("fnc2_pipeline_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("minipascal.c");
+        std::fs::write(&path, &c).unwrap();
+        let out = cc()
+            .args(["-std=c99", "-fsyntax-only", "-Wno-unused-function"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "cc rejected the mini-Pascal C:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
