@@ -130,7 +130,7 @@ fn main() {
     println!("Paper shape: a small constant factor over hand-written code (2-4x in the");
     println!("paper), bracketed here: trivial-rule AGs pay the full interpretation");
     println!("overhead (~4-6x), while AGs whose semantic functions do real work (the");
-    println!("mini-Pascal code generator) land at ~1-2x — confirming the paper's");
+    println!("mini-Pascal code generator) land at or below ~1x — confirming the paper's");
     println!("\"this slowdown must not be attributed to the evaluator as such but to the");
     println!("execution of the semantic rules\". Static scheduling beats demand-driven.");
 }

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use fnc2_ag::{Arg, Grammar, ONode, Occ, ProductionId, RuleBody, Value};
-use fnc2_olga::ast::{Expr, Pat};
+use fnc2_olga::ast::{Callee, Expr, Pat, VarRef};
 use fnc2_olga::{RuleText, UnitEnv};
 use fnc2_visit::{Instr, VisitSeqs};
 
@@ -33,44 +33,7 @@ pub fn to_c(env: &UnitEnv, rules: &[RuleText], grammar: &Grammar, seqs: &VisitSe
     );
     out.push_str(PRELUDE);
 
-    // ---- semantic functions -------------------------------------------
-    // Prototypes first (mutual recursion).
-    let mut fnames: Vec<&String> = env.funcs.keys().collect();
-    fnames.sort();
-    for f in &fnames {
-        let sig = &env.funcs[*f];
-        let params: Vec<String> = sig
-            .params
-            .iter()
-            .map(|(n, _)| format!("V {}", cid(n)))
-            .collect();
-        let _ = writeln!(out, "static V f_{}({});", cid(f), params.join(", "));
-    }
-    out.push('\n');
-    for f in &fnames {
-        let sig = &env.funcs[*f];
-        emit_function(&mut out, f, sig);
-    }
-
-    // ---- constants ------------------------------------------------------
-    let mut cnames: Vec<&String> = env.consts.keys().collect();
-    cnames.sort();
-    for c in &cnames {
-        let _ = writeln!(
-            out,
-            "static V c_{}; /* initialised in init_consts */",
-            cid(c)
-        );
-    }
-    out.push_str("static void init_consts(void) {\n");
-    for c in &cnames {
-        let (_, body) = &env.consts[*c];
-        let mut ctx = EmitCtx::new();
-        let v = emit_expr(&mut ctx, body);
-        out.push_str(&ctx.indented(1));
-        let _ = writeln!(out, "    c_{} = {};", cid(c), v);
-    }
-    out.push_str("}\n\n");
+    emit_unit(&mut out, env);
 
     // ---- tree representation -------------------------------------------
     let _ = writeln!(out, "{}", NODE_DEF);
@@ -167,15 +130,24 @@ pub fn to_c(env: &UnitEnv, rules: &[RuleText], grammar: &Grammar, seqs: &VisitSe
 
 /// Generates C for a plain module (no AG): the Table 3 "translator"
 /// phase, which translates the non-AG parts of an OLGA text.
-pub fn module_to_c(env: &fnc2_olga::UnitEnv) -> String {
+pub fn module_to_c(env: &UnitEnv) -> String {
     let mut out = String::new();
     out.push_str("/* Generated by fnc2-codegen (module translation). */\n");
     out.push_str(PRELUDE);
+    emit_unit(&mut out, env);
+    out.push_str("int main(void) { init_consts(); return 0; }\n");
+    out
+}
+
+/// Prints a unit's functions and constants: the prototypes (functions may
+/// be mutually recursive), the constants' declarations (functions may read
+/// them), the function bodies, and `init_consts`, which computes the
+/// constants in [`UnitEnv::const_order`].
+fn emit_unit(out: &mut String, env: &UnitEnv) {
     let mut fnames: Vec<&String> = env.funcs.keys().collect();
     fnames.sort();
     for f in &fnames {
-        let sig = &env.funcs[*f];
-        let params: Vec<String> = sig
+        let params: Vec<String> = env.funcs[*f]
             .params
             .iter()
             .map(|(n, _)| format!("V {}", cid(n)))
@@ -183,24 +155,25 @@ pub fn module_to_c(env: &fnc2_olga::UnitEnv) -> String {
         let _ = writeln!(out, "static V f_{}({});", cid(f), params.join(", "));
     }
     out.push('\n');
-    for f in &fnames {
-        emit_function(&mut out, f, &env.funcs[*f]);
+    let (consts, _) = env.const_order();
+    for c in &consts {
+        let _ = writeln!(
+            out,
+            "static V c_{}; /* initialised in init_consts */",
+            cid(c)
+        );
     }
-    let mut cnames: Vec<&String> = env.consts.keys().collect();
-    cnames.sort();
-    for c in &cnames {
-        let _ = writeln!(out, "static V c_{};", cid(c));
+    for f in &fnames {
+        emit_function(out, f, &env.funcs[*f]);
     }
     out.push_str("static void init_consts(void) {\n");
-    for c in &cnames {
-        let (_, body) = &env.consts[*c];
+    for c in &consts {
         let mut ctx = EmitCtx::new();
-        let v = emit_expr(&mut ctx, body);
+        let v = emit_expr(&mut ctx, &env.consts[*c].1);
         out.push_str(&ctx.indented(1));
         let _ = writeln!(out, "    c_{} = {};", cid(c), v);
     }
-    out.push_str("}\n\nint main(void) { init_consts(); return 0; }\n");
-    out
+    out.push_str("}\n\n");
 }
 
 const PRELUDE: &str = r#"
@@ -349,7 +322,6 @@ fn cid(s: &str) -> String {
 struct EmitCtx {
     stmts: Vec<String>,
     next: usize,
-    bound: Vec<String>,
 }
 
 impl EmitCtx {
@@ -357,7 +329,6 @@ impl EmitCtx {
         EmitCtx {
             stmts: Vec::new(),
             next: 0,
-            bound: Vec::new(),
         }
     }
 
@@ -381,7 +352,6 @@ impl EmitCtx {
 fn nested<R>(ctx: &mut EmitCtx, f: impl FnOnce(&mut EmitCtx) -> R) -> R {
     let mut inner = EmitCtx::new();
     inner.next = ctx.next;
-    inner.bound = ctx.bound.clone();
     let r = f(&mut inner);
     ctx.next = inner.next;
     for s in inner.stmts {
@@ -404,7 +374,6 @@ fn emit_function(out: &mut String, name: &str, sig: &fnc2_olga::FunSig) {
         // loop; tail self-calls assign the parameters and continue.
         let _ = writeln!(out, "    for (;;) {{ /* tail-recursion eliminated */");
         let mut ctx = EmitCtx::new();
-        ctx.bound = sig.params.iter().map(|(n, _)| n.clone()).collect();
         let v = emit_expr_tail(&mut ctx, &sig.body, name, &sig.params);
         out.push_str(&ctx.indented(2));
         if v != TAIL_CONTINUED {
@@ -413,7 +382,6 @@ fn emit_function(out: &mut String, name: &str, sig: &fnc2_olga::FunSig) {
         let _ = writeln!(out, "    }}");
     } else {
         let mut ctx = EmitCtx::new();
-        ctx.bound = sig.params.iter().map(|(n, _)| n.clone()).collect();
         let v = emit_expr(&mut ctx, &sig.body);
         out.push_str(&ctx.indented(1));
         let _ = writeln!(out, "    return {v};");
@@ -432,7 +400,12 @@ fn emit_expr_tail(
     params: &[(String, fnc2_olga::Ty)],
 ) -> String {
     match e {
-        Expr::Call { name, args, .. } if name == fname => {
+        Expr::Call {
+            name,
+            args,
+            callee: Callee::User,
+            ..
+        } if name == fname => {
             let vals: Vec<String> = args.iter().map(|a| emit_expr(ctx, a)).collect();
             // Assign via temporaries (simultaneous assignment).
             let tmps: Vec<String> = vals
@@ -489,12 +462,17 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
         Expr::Real(r, _) => format!("mk_real({r:?})"),
         Expr::Bool(b, _) => format!("mk_bool({})", i32::from(*b)),
         Expr::Str(s, _) => format!("mk_str({})", c_string(s)),
-        Expr::Var(n, _) => match n.strip_prefix('$') {
-            // Argument `k` of a rule function.
-            Some(k) => format!("o{k}"),
-            None if ctx.bound.contains(n) => cid(n),
-            None => format!("c_{}", cid(n)),
+        Expr::Var { name, var, .. } => match var {
+            VarRef::Binder(_) => cid(name),
+            VarRef::Const => format!("c_{}", cid(name)),
+            VarRef::Local | VarRef::Unresolved => {
+                unreachable!(
+                    "the checker resolves `{name}`; the lowering turns locals into arguments"
+                )
+            }
         },
+        // Argument `k` of a rule function.
+        Expr::Arg(k) => format!("o{k}"),
         Expr::Occ(_) => unreachable!("the lowering turns occurrences into rule arguments"),
         Expr::Call { name, args, .. } => {
             let vals: Vec<String> = args.iter().map(|a| emit_expr(ctx, a)).collect();
@@ -573,9 +551,7 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
             let r = ctx.tmp();
             ctx.push(format!("V {r};"));
             ctx.push(format!("{{ V {} = {v};", cid(name)));
-            ctx.bound.push(name.clone());
             let b = emit_block(ctx, body);
-            ctx.bound.pop();
             ctx.push(format!("  {r} = {b}; }}"));
             r
         }
@@ -649,9 +625,7 @@ fn emit_decision(
                 let access = emit_path(scrutinee, path);
                 ctx.push(format!("{{ V {} = {access};", cid(name)));
             }
-            ctx.bound.extend(bindings.iter().map(|(n, _)| n.clone()));
             let v = emit_block(ctx, &arms[*arm].1);
-            ctx.bound.truncate(ctx.bound.len() - bindings.len());
             ctx.push(format!("{result} = {v};"));
             for _ in bindings {
                 ctx.push("}".to_string());

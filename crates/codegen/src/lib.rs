@@ -7,7 +7,8 @@
 //! source texts for a generated evaluator: [`to_c`] and [`to_lisp`].
 //! Both print the rule functions from the lowering's rule table
 //! ([`fnc2_olga::RuleText`]) and the rules the lowering generated from the
-//! grammar, so neither resolves a name in a rule body itself.
+//! grammar, and read every variable as the checker marked it
+//! ([`fnc2_olga::ast::VarRef`]), so neither resolves a name itself.
 //!
 //! Like the 1990 implementation, the C back end is deliberately naïve about
 //! memory (no garbage collector) — the paper names that as the main reason

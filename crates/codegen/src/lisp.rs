@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use fnc2_ag::{Arg, Grammar, ONode, Occ, ProductionId, RuleBody, Value};
-use fnc2_olga::ast::{Expr, Pat};
+use fnc2_olga::ast::{Expr, Pat, VarRef};
 use fnc2_olga::{RuleText, UnitEnv};
 use fnc2_visit::{Instr, VisitSeqs};
 
@@ -40,27 +40,20 @@ pub fn to_lisp(env: &UnitEnv, rules: &[RuleText], grammar: &Grammar, seqs: &Visi
             "(defun f-{} ({})\n  {})\n",
             lid(f),
             params.join(" "),
-            Printer::new(&[]).expr(&sig.body)
+            expr(&sig.body, &[])
         );
     }
-    // Constants.
-    let mut cnames: Vec<&String> = env.consts.keys().collect();
-    cnames.sort();
-    for c in cnames {
+    // Constants, in dependency order.
+    for c in env.const_order().0 {
         let (_, body) = &env.consts[c];
-        let _ = writeln!(
-            out,
-            "(defparameter c-{} {})\n",
-            lid(c),
-            Printer::new(&[]).expr(body)
-        );
+        let _ = writeln!(out, "(defparameter c-{} {})\n", lid(c), expr(body, &[]));
     }
 
     // Rule functions: one per rule of the OLGA text, reading its arguments
     // from the node.
     for r in rules {
         let args: Vec<String> = r.args.iter().map(|a| access(grammar, a)).collect();
-        let body = Printer::new(&args).expr(&r.body);
+        let body = expr(&r.body, &args);
         let name = rule_fn(grammar, r.production, r.target);
         let _ = writeln!(out, "(defun {name} (node)\n  {body})\n");
     }
@@ -152,127 +145,111 @@ fn lid(s: &str) -> String {
         .collect()
 }
 
-/// Prints OLGA expressions as Lisp. A rule body reads its argument `k`
-/// as `$k`, which prints as that argument's access.
-struct Printer<'a> {
-    args: &'a [String],
-    bound: Vec<String>,
-}
-
-impl<'a> Printer<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Printer {
-            args,
-            bound: Vec::new(),
+/// Prints an OLGA expression as Lisp. A rule body's argument `k` prints as
+/// `rule_args[k]`, that argument's access.
+fn expr(e: &Expr, rule_args: &[String]) -> String {
+    match e {
+        Expr::Int(i, _) => i.to_string(),
+        Expr::Real(r, _) => format!("{r:?}"),
+        Expr::Bool(b, _) => if *b { "t" } else { "nil" }.to_string(),
+        Expr::Str(s, _) => lisp_string(s),
+        Expr::Var { name, var, .. } => match var {
+            VarRef::Binder(_) => lid(name),
+            VarRef::Const => format!("c-{}", lid(name)),
+            VarRef::Local | VarRef::Unresolved => {
+                unreachable!(
+                    "the checker resolves `{name}`; the lowering turns locals into arguments"
+                )
+            }
+        },
+        Expr::Arg(k) => rule_args[*k].clone(),
+        Expr::Occ(_) => unreachable!("the lowering turns occurrences into rule arguments"),
+        Expr::Call { name, args, .. } => {
+            let vals: Vec<String> = args.iter().map(|a| expr(a, rule_args)).collect();
+            call(name, &vals)
         }
-    }
-
-    fn expr(&mut self, e: &Expr) -> String {
-        match e {
-            Expr::Int(i, _) => i.to_string(),
-            Expr::Real(r, _) => format!("{r:?}"),
-            Expr::Bool(b, _) => if *b { "t" } else { "nil" }.to_string(),
-            Expr::Str(s, _) => lisp_string(s),
-            Expr::Var(n, _) => match n.strip_prefix('$') {
-                Some(k) => self.args[k.parse::<usize>().expect("a rule argument")].clone(),
-                None if self.bound.contains(n) => lid(n),
-                None => format!("c-{}", lid(n)),
-            },
-            Expr::Occ(_) => unreachable!("the lowering turns occurrences into rule arguments"),
-            Expr::Call { name, args, .. } => {
-                let vals: Vec<String> = args.iter().map(|a| self.expr(a)).collect();
-                call(name, &vals)
+        Expr::Unop {
+            op, expr: inner, ..
+        } => {
+            let v = expr(inner, rule_args);
+            match *op {
+                "-" => format!("(- {v})"),
+                "not" => format!("(not {v})"),
+                _ => unreachable!(),
             }
-            Expr::Unop {
-                op, expr: inner, ..
-            } => {
-                let v = self.expr(inner);
-                match *op {
-                    "-" => format!("(- {v})"),
-                    "not" => format!("(not {v})"),
-                    _ => unreachable!(),
+        }
+        Expr::Binop { op, lhs, rhs, .. } => {
+            let l = expr(lhs, rule_args);
+            let r = expr(rhs, rule_args);
+            match *op {
+                "+" => format!("(if (stringp {l}) (concatenate 'string {l} {r}) (+ {l} {r}))"),
+                "-" => format!("(- {l} {r})"),
+                "*" => format!("(* {l} {r})"),
+                "/" => format!("(if (integerp {l}) (truncate {l} {r}) (/ {l} {r}))"),
+                "%" => format!("(rem {l} {r})"),
+                "=" => format!("(equal {l} {r})"),
+                "<>" => format!("(not (equal {l} {r}))"),
+                "<" => format!("(if (stringp {l}) (string< {l} {r}) (< {l} {r}))"),
+                "<=" => format!("(if (stringp {l}) (string<= {l} {r}) (<= {l} {r}))"),
+                ">" => format!("(if (stringp {l}) (string> {l} {r}) (> {l} {r}))"),
+                ">=" => format!("(if (stringp {l}) (string>= {l} {r}) (>= {l} {r}))"),
+                "::" => format!("(cons {l} {r})"),
+                "++" => format!("(v-append {l} {r})"),
+                "and" => format!("(and {l} {r})"),
+                "or" => format!("(or {l} {r})"),
+                _ => unreachable!(),
+            }
+        }
+        Expr::If {
+            cond, then, els, ..
+        } => format!(
+            "(if {} {} {})",
+            expr(cond, rule_args),
+            expr(then, rule_args),
+            expr(els, rule_args)
+        ),
+        Expr::Let {
+            name, value, body, ..
+        } => format!(
+            "(let (({} {})) {})",
+            lid(name),
+            expr(value, rule_args),
+            expr(body, rule_args)
+        ),
+        Expr::Case {
+            scrutinee, arms, ..
+        } => {
+            let s = expr(scrutinee, rule_args);
+            let mut body = String::from("(let ((scrutinee ");
+            body.push_str(&s);
+            body.push_str(")) (cond");
+            for (p, b) in arms {
+                let (test, bindings) = pat_test("scrutinee", p);
+                let be = expr(b, rule_args);
+                let binds: Vec<String> = bindings
+                    .iter()
+                    .map(|(n, access)| format!("({} {access})", lid(n)))
+                    .collect();
+                if binds.is_empty() {
+                    let _ = write!(body, " ({test} {be})");
+                } else {
+                    let _ = write!(body, " ({test} (let ({}) {be}))", binds.join(" "));
                 }
             }
-            Expr::Binop { op, lhs, rhs, .. } => {
-                let l = self.expr(lhs);
-                let r = self.expr(rhs);
-                match *op {
-                    "+" => format!("(if (stringp {l}) (concatenate 'string {l} {r}) (+ {l} {r}))"),
-                    "-" => format!("(- {l} {r})"),
-                    "*" => format!("(* {l} {r})"),
-                    "/" => format!("(if (integerp {l}) (truncate {l} {r}) (/ {l} {r}))"),
-                    "%" => format!("(rem {l} {r})"),
-                    "=" => format!("(equal {l} {r})"),
-                    "<>" => format!("(not (equal {l} {r}))"),
-                    "<" => format!("(if (stringp {l}) (string< {l} {r}) (< {l} {r}))"),
-                    "<=" => format!("(if (stringp {l}) (string<= {l} {r}) (<= {l} {r}))"),
-                    ">" => format!("(if (stringp {l}) (string> {l} {r}) (> {l} {r}))"),
-                    ">=" => format!("(if (stringp {l}) (string>= {l} {r}) (>= {l} {r}))"),
-                    "::" => format!("(cons {l} {r})"),
-                    "++" => format!("(v-append {l} {r})"),
-                    "and" => format!("(and {l} {r})"),
-                    "or" => format!("(or {l} {r})"),
-                    _ => unreachable!(),
-                }
-            }
-            Expr::If {
-                cond, then, els, ..
-            } => format!(
-                "(if {} {} {})",
-                self.expr(cond),
-                self.expr(then),
-                self.expr(els)
-            ),
-            Expr::Let {
-                name, value, body, ..
-            } => {
-                let v = self.expr(value);
-                self.bound.push(name.clone());
-                let b = self.expr(body);
-                self.bound.pop();
-                format!("(let (({} {v})) {b})", lid(name))
-            }
-            Expr::Case {
-                scrutinee, arms, ..
-            } => {
-                let s = self.expr(scrutinee);
-                let mut body = String::from("(let ((scrutinee ");
-                body.push_str(&s);
-                body.push_str(")) (cond");
-                for (p, b) in arms {
-                    let (test, bindings) = pat_test("scrutinee", p);
-                    for (n, _) in &bindings {
-                        self.bound.push(n.clone());
-                    }
-                    let be = self.expr(b);
-                    for _ in &bindings {
-                        self.bound.pop();
-                    }
-                    let binds: Vec<String> = bindings
-                        .iter()
-                        .map(|(n, access)| format!("({} {access})", lid(n)))
-                        .collect();
-                    if binds.is_empty() {
-                        let _ = write!(body, " ({test} {be})");
-                    } else {
-                        let _ = write!(body, " ({test} (let ({}) {be}))", binds.join(" "));
-                    }
-                }
-                body.push_str(" (t (error \"match failure\"))))");
-                body
-            }
-            Expr::ListLit(items, _) => {
-                let vals: Vec<String> = items.iter().map(|i| self.expr(i)).collect();
-                format!("(list {})", vals.join(" "))
-            }
-            Expr::TupleLit(items, _) => {
-                let vals: Vec<String> = items.iter().map(|i| self.expr(i)).collect();
-                format!("(vector {})", vals.join(" "))
-            }
-            Expr::TreeCons { op, args, .. } => {
-                let vals: Vec<String> = args.iter().map(|a| self.expr(a)).collect();
-                format!("(make-term {} {})", lisp_string(op), vals.join(" "))
-            }
+            body.push_str(" (t (error \"match failure\"))))");
+            body
+        }
+        Expr::ListLit(items, _) => {
+            let vals: Vec<String> = items.iter().map(|i| expr(i, rule_args)).collect();
+            format!("(list {})", vals.join(" "))
+        }
+        Expr::TupleLit(items, _) => {
+            let vals: Vec<String> = items.iter().map(|i| expr(i, rule_args)).collect();
+            format!("(vector {})", vals.join(" "))
+        }
+        Expr::TreeCons { op, args, .. } => {
+            let vals: Vec<String> = args.iter().map(|a| expr(a, rule_args)).collect();
+            format!("(make-term {} {})", lisp_string(op), vals.join(" "))
         }
     }
 }

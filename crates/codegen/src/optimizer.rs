@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use fnc2_olga::ast::{Expr, Pat};
+use fnc2_olga::ast::{Callee, Expr, Pat};
 
 // ---------------------------------------------------------------------------
 // Tail-recursion analysis (AG 6 of Table 1 is exactly this test)
@@ -37,11 +37,16 @@ pub fn tail_info(name: &str, body: &Expr) -> TailInfo {
 
 fn walk(name: &str, e: &Expr, tail: bool, info: &mut TailInfo) {
     match e {
-        Expr::Call { name: n, args, .. } => {
+        Expr::Call {
+            name: n,
+            args,
+            callee,
+            ..
+        } => {
             for a in args {
                 walk(name, a, false, info);
             }
-            if n == name {
+            if n == name && *callee == Callee::User {
                 if tail {
                     info.tail_self_calls += 1;
                 } else {
@@ -277,7 +282,6 @@ impl Row2 {
             // Either mutually exclusive with the test (the row can only
             // match in the no-branch) or a different test on the same path
             // (retried in the no-branch, preserving first-match order).
-            let _ = incompatible(&own, test);
             Refined::No(self.clone())
         }
     }
@@ -295,20 +299,6 @@ fn test_of(p: &Pat) -> Test {
         Pat::Wild(_) | Pat::Bind(..) => {
             unreachable!("irrefutable patterns are simplified away")
         }
-    }
-}
-
-/// True if passing `test` rules out `own` entirely.
-fn incompatible(own: &Test, test: &Test) -> bool {
-    use Test::*;
-    match (own, test) {
-        (IntIs(a), IntIs(b)) => a != b,
-        (BoolIs(a), BoolIs(b)) => a != b,
-        (StrIs(a), StrIs(b)) => a != b,
-        (IsNil, IsCons) | (IsCons, IsNil) => true,
-        (IsTerm(a, n), IsTerm(b, m)) => a != b || n != m,
-        (IsTuple(n), IsTuple(m)) => n != m,
-        _ => false,
     }
 }
 
@@ -377,21 +367,13 @@ pub fn run_decision(
 #[cfg(test)]
 mod tests {
     use fnc2_ag::Value;
-    use fnc2_olga::ast::Unit;
-    use fnc2_olga::parse_unit;
 
     use super::*;
 
+    /// The checked body of function `name` of module `m` in `src`.
     fn fun_body(src: &str, name: &str) -> Expr {
-        let Unit::Module(m) = parse_unit(src).unwrap() else {
-            panic!()
-        };
-        m.funcs
-            .iter()
-            .find(|f| f.name == name)
-            .unwrap()
-            .body
-            .clone()
+        let compiler = fnc2_olga::compile_modules(src).unwrap();
+        compiler.module("m").unwrap().env.funcs[name].body.clone()
     }
 
     #[test]

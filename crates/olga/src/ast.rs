@@ -285,6 +285,34 @@ pub enum TypeExpr {
     Named(String),
 }
 
+/// What a variable denotes. The parser leaves every variable unresolved;
+/// the checker marks it, and everything after the checker reads the mark.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VarRef {
+    /// Not resolved yet.
+    Unresolved,
+    /// A function parameter, `let` or `case` binder: its slot in the
+    /// frame, which holds a function's parameters first and then every
+    /// binder in scope, outermost first, a pattern's in left-to-right
+    /// order.
+    Binder(usize),
+    /// A production-local attribute of the enclosing rule block.
+    Local,
+    /// A constant of the unit.
+    Const,
+}
+
+/// What a call invokes, as the checker resolved it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Callee {
+    /// Not resolved yet.
+    Unresolved,
+    /// A builtin (`len`, `insert`, `token`, …).
+    Builtin,
+    /// A function of the unit, its own or imported.
+    User,
+}
+
 /// Binary operators.
 pub type BinOp = &'static str;
 
@@ -299,9 +327,19 @@ pub enum Expr {
     Bool(bool, Pos),
     /// String literal.
     Str(String, Pos),
-    /// A variable: let binder, parameter, constant, or production-local
-    /// attribute (resolved by the checker).
-    Var(String, Pos),
+    /// A variable: a parameter, `let` or `case` binder, production-local
+    /// attribute or constant, as the checker resolved it.
+    Var {
+        /// The name.
+        name: String,
+        /// What the name denotes.
+        var: VarRef,
+        /// Position.
+        pos: Pos,
+    },
+    /// Argument `k` of a lowered rule: one of the occurrence, local and
+    /// `token()` reads that the lowering takes out of a rule body.
+    Arg(usize),
     /// An attribute occurrence.
     Occ(OccRef),
     /// Function call.
@@ -310,6 +348,8 @@ pub enum Expr {
         name: String,
         /// Arguments.
         args: Vec<Expr>,
+        /// What the name calls.
+        callee: Callee,
         /// Position.
         pos: Pos,
     },
@@ -387,17 +427,84 @@ impl Expr {
             | Expr::Real(_, p)
             | Expr::Bool(_, p)
             | Expr::Str(_, p)
-            | Expr::Var(_, p)
             | Expr::ListLit(_, p)
             | Expr::TupleLit(_, p) => *p,
+            Expr::Arg(_) => Pos { line: 0, col: 0 },
             Expr::Occ(o) => o.pos,
-            Expr::Call { pos, .. }
+            Expr::Var { pos, .. }
+            | Expr::Call { pos, .. }
             | Expr::Unop { pos, .. }
             | Expr::Binop { pos, .. }
             | Expr::If { pos, .. }
             | Expr::Let { pos, .. }
             | Expr::Case { pos, .. }
             | Expr::TreeCons { pos, .. } => *pos,
+        }
+    }
+
+    /// Calls `f` on this expression and then on each of its
+    /// sub-expressions, in source order.
+    pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        match self {
+            Expr::Call { args: es, .. }
+            | Expr::TreeCons { args: es, .. }
+            | Expr::ListLit(es, _)
+            | Expr::TupleLit(es, _) => es.iter().for_each(|e| e.walk(f)),
+            Expr::Unop { expr, .. } => expr.walk(f),
+            Expr::Binop { lhs: a, rhs: b, .. }
+            | Expr::Let {
+                value: a, body: b, ..
+            } => {
+                a.walk(f);
+                b.walk(f);
+            }
+            Expr::If {
+                cond, then, els, ..
+            } => [cond, then, els].into_iter().for_each(|e| e.walk(f)),
+            Expr::Case {
+                scrutinee, arms, ..
+            } => {
+                scrutinee.walk(f);
+                arms.iter().for_each(|(_, b)| b.walk(f));
+            }
+            _ => {}
+        }
+    }
+
+    /// Calls `f` on this expression and then on each sub-expression of
+    /// what `f` left in its place, in source order, stopping at the first
+    /// error.
+    pub(crate) fn try_walk_mut<E>(
+        &mut self,
+        f: &mut impl FnMut(&mut Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        f(self)?;
+        match self {
+            Expr::Call { args: es, .. }
+            | Expr::TreeCons { args: es, .. }
+            | Expr::ListLit(es, _)
+            | Expr::TupleLit(es, _) => es.iter_mut().try_for_each(|e| e.try_walk_mut(f)),
+            Expr::Unop { expr, .. } => expr.try_walk_mut(f),
+            Expr::Binop { lhs: a, rhs: b, .. }
+            | Expr::Let {
+                value: a, body: b, ..
+            } => {
+                a.try_walk_mut(f)?;
+                b.try_walk_mut(f)
+            }
+            Expr::If {
+                cond, then, els, ..
+            } => [cond, then, els]
+                .into_iter()
+                .try_for_each(|e| e.try_walk_mut(f)),
+            Expr::Case {
+                scrutinee, arms, ..
+            } => {
+                scrutinee.try_walk_mut(f)?;
+                arms.iter_mut().try_for_each(|(_, b)| b.try_walk_mut(f))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -430,28 +537,4 @@ pub enum Pat {
         /// Position.
         pos: Pos,
     },
-}
-
-impl Pat {
-    /// Names bound by this pattern, in left-to-right order.
-    pub fn binders(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        fn walk<'a>(p: &'a Pat, out: &mut Vec<&'a str>) {
-            match p {
-                Pat::Bind(n, _) => out.push(n),
-                Pat::Cons(a, b, _) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Pat::Tuple(ps, _) | Pat::Term { args: ps, .. } => {
-                    for q in ps {
-                        walk(q, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
 }

@@ -3,9 +3,10 @@
 //! OLGA "is strongly typed, with polymorphism, overloading and type
 //! inference" (paper §2.4). The checker resolves imports, types every
 //! expression (operators are overloaded over int/real/string, list/map
-//! primitives are polymorphic through [`Ty::Any`]), resolves attribute
-//! occurrences `Phylum$k.attr` inside rule blocks, and verifies that rules
-//! only define output occurrences. Exactly-once definition (after automatic
+//! primitives are polymorphic through [`Ty::Any`]), marks in place what
+//! every variable and call denotes ([`VarRef`], [`Callee`]) for everything
+//! after it to read, resolves attribute occurrences `Phylum$k.attr` inside
+//! rule blocks, and verifies that rules only define output occurrences. Exactly-once definition (after automatic
 //! copy-rule insertion) is enforced by the lowering step.
 
 use std::collections::{BTreeMap, HashMap};
@@ -164,12 +165,9 @@ impl Compiler {
                 phyla: t.phyla,
             });
         }
-        let ag = ag;
         let mut env = UnitEnv::default();
         self.apply_imports(&ag.imports, &mut env)?;
-        declare_types(&ag.types, &mut env)?;
-        declare_functions(&ag.funcs, &mut env)?;
-        declare_consts(&ag.consts, &mut env)?;
+        declare_unit(&ag.types, &mut ag.funcs, &mut ag.consts, &mut env)?;
 
         // Phyla.
         let mut phyla: Vec<&str> = Vec::new();
@@ -217,10 +215,7 @@ impl Compiler {
         };
         let mut classes: BTreeMap<String, AttrClass> = BTreeMap::new();
         for a in &ag.attrs {
-            let ty = resolve_type(&a.ty, &env.types, a.pos).map_err(|(n, pos)| CheckError {
-                message: format!("unknown type `{n}`"),
-                pos,
-            })?;
+            let ty = type_of(&a.ty, &env.types, a.pos)?;
             match a.class {
                 AttrClass::Plain => {}
                 AttrClass::Concat => {
@@ -264,25 +259,20 @@ impl Compiler {
             }
         }
 
-        // Rule blocks.
-        for phase in &ag.phases {
-            for block in &phase.blocks {
+        // Rule blocks, resolved in place.
+        for phase in &mut ag.phases {
+            for block in &mut phase.blocks {
                 let Some(op) = op_by_name.get(block.operator.as_str()) else {
                     return err(format!("unknown operator `{}`", block.operator), block.pos);
                 };
                 let ctx = OpCtx::new(op, &attr_table);
                 let mut locals: HashMap<String, Ty> = HashMap::new();
-                for l in &block.locals {
-                    let ty =
-                        resolve_type(&l.ty, &env.types, l.pos).map_err(|(n, pos)| CheckError {
-                            message: format!("unknown type `{n}`"),
-                            pos,
-                        })?;
-                    let mut scope = Scope::new();
+                for l in &mut block.locals {
+                    let ty = type_of(&l.ty, &env.types, l.pos)?;
                     let got = check_expr(
-                        &l.body,
+                        &mut l.body,
                         &env,
-                        &mut scope,
+                        &mut Scope::default(),
                         Some(&CtxWithLocals {
                             ctx: &ctx,
                             locals: &locals,
@@ -301,7 +291,7 @@ impl Compiler {
                         return err(format!("duplicate local `{}`", l.name), l.pos);
                     }
                 }
-                for rule in &block.rules {
+                for rule in &mut block.rules {
                     let want = match &rule.target {
                         RuleTarget::Occ(occ) => {
                             let (pos_idx, syn, ty) = ctx.resolve(occ)?;
@@ -324,11 +314,10 @@ impl Compiler {
                             None => return err(format!("unknown local `{name}`"), *pos),
                         },
                     };
-                    let mut scope = Scope::new();
                     let got = check_expr(
-                        &rule.body,
+                        &mut rule.body,
                         &env,
-                        &mut scope,
+                        &mut Scope::default(),
                         Some(&CtxWithLocals {
                             ctx: &ctx,
                             locals: &locals,
@@ -353,12 +342,10 @@ impl Compiler {
         })
     }
 
-    fn check_module(&self, m: Module) -> Result<CheckedModule, CheckError> {
+    fn check_module(&self, mut m: Module) -> Result<CheckedModule, CheckError> {
         let mut env = UnitEnv::default();
         self.apply_imports(&m.imports, &mut env)?;
-        declare_types(&m.types, &mut env)?;
-        declare_functions(&m.funcs, &mut env)?;
-        declare_consts(&m.consts, &mut env)?;
+        declare_unit(&m.types, &mut m.funcs, &mut m.consts, &mut env)?;
 
         // Export surface. Opaque type exports abstract the representation,
         // so exported signatures are re-resolved from their *syntactic*
@@ -373,12 +360,7 @@ impl Compiler {
                     view.insert(e.name.clone(), Ty::Opaque(e.name.clone()));
                 }
             }
-            let reresolve = |te: &crate::ast::TypeExpr, pos: Pos| {
-                resolve_type(te, &view, pos).map_err(|(n, pos)| CheckError {
-                    message: format!("unknown type `{n}`"),
-                    pos,
-                })
-            };
+            let reresolve = |te: &TypeExpr, pos: Pos| type_of(te, &view, pos);
             for e in &m.exports {
                 let mut found = false;
                 if let Some(t) = view.get(&e.name) {
@@ -479,98 +461,52 @@ impl Compiler {
 /// Imported bodies may reference entities of their defining module that the
 /// importer never named (private helpers, transitive constants). Pull the
 /// transitive closure of those dependencies into the importing environment
-/// so the interpreter (and the translators) can resolve them.
-fn pull_private_deps(body: &Expr, src: &UnitEnv, dst: &mut UnitEnv) {
-    let mut queue: Vec<String> = Vec::new();
-    collect_refs(body, &mut queue);
-    while let Some(n) = queue.pop() {
-        if let Some(c) = src.consts.get(&n) {
-            if !dst.consts.contains_key(&n) {
-                dst.consts.insert(n.clone(), c.clone());
-                collect_refs(&c.1, &mut queue);
+/// so the interpreter (and the translators) can resolve them. The bodies
+/// are resolved, so a binder never passes for a constant of the same name.
+fn pull_private_deps<'a>(body: &'a Expr, src: &'a UnitEnv, dst: &mut UnitEnv) {
+    let mut bodies = vec![body];
+    while let Some(body) = bodies.pop() {
+        body.walk(&mut |e| match e {
+            Expr::Var {
+                name,
+                var: VarRef::Const,
+                ..
+            } => {
+                if let Some(c) = src.consts.get(name) {
+                    if !dst.consts.contains_key(name) {
+                        dst.consts.insert(name.clone(), c.clone());
+                        bodies.push(&c.1);
+                    }
+                }
             }
-        }
-        if let Some(f) = src.funcs.get(&n) {
-            if !dst.funcs.contains_key(&n) {
-                let f = f.clone();
-                collect_refs(&f.body, &mut queue);
-                dst.funcs.insert(n.clone(), f);
+            Expr::Call {
+                name,
+                callee: Callee::User,
+                ..
+            } => {
+                if let Some(f) = src.funcs.get(name) {
+                    if !dst.funcs.contains_key(name) {
+                        dst.funcs.insert(name.clone(), f.clone());
+                        bodies.push(&f.body);
+                    }
+                }
             }
-        }
+            _ => {}
+        });
     }
 }
 
-/// Names an expression references as free variables or calls. The scan is
-/// binder-aware: `let`- and `case`-bound names shadow outer constants, so
-/// a shadowed occurrence is not a reference (a naive scan would pull — or
-/// later cycle-check — entities the body never uses). Call names are always
-/// collected: value binders never shadow the function namespace.
-fn collect_refs(e: &Expr, out: &mut Vec<String>) {
-    let mut bound = Vec::new();
-    collect_refs_bound(e, &mut bound, out);
-}
-
-fn collect_refs_bound(e: &Expr, bound: &mut Vec<String>, out: &mut Vec<String>) {
-    match e {
-        Expr::Var(n, _) if !bound.iter().any(|b| b == n) => out.push(n.clone()),
-        Expr::Var(..) => {}
-        Expr::Call { name, args, .. } => {
-            out.push(name.clone());
-            for a in args {
-                collect_refs_bound(a, bound, out);
-            }
-        }
-        Expr::Unop { expr, .. } => collect_refs_bound(expr, bound, out),
-        Expr::Binop { lhs, rhs, .. } => {
-            collect_refs_bound(lhs, bound, out);
-            collect_refs_bound(rhs, bound, out);
-        }
-        Expr::If {
-            cond, then, els, ..
-        } => {
-            collect_refs_bound(cond, bound, out);
-            collect_refs_bound(then, bound, out);
-            collect_refs_bound(els, bound, out);
-        }
-        Expr::Let {
-            name, value, body, ..
-        } => {
-            collect_refs_bound(value, bound, out);
-            bound.push(name.clone());
-            collect_refs_bound(body, bound, out);
-            bound.pop();
-        }
-        Expr::Case {
-            scrutinee, arms, ..
-        } => {
-            collect_refs_bound(scrutinee, bound, out);
-            for (p, b) in arms {
-                let before = bound.len();
-                bound.extend(p.binders().into_iter().map(String::from));
-                collect_refs_bound(b, bound, out);
-                bound.truncate(before);
-            }
-        }
-        Expr::ListLit(items, _) | Expr::TupleLit(items, _) => {
-            for i in items {
-                collect_refs_bound(i, bound, out);
-            }
-        }
-        Expr::TreeCons { args, .. } => {
-            for a in args {
-                collect_refs_bound(a, bound, out);
-            }
-        }
-        _ => {}
-    }
+/// Resolves a type expression against the named types in scope.
+fn type_of(te: &TypeExpr, types: &HashMap<String, Ty>, pos: Pos) -> Result<Ty, CheckError> {
+    resolve_type(te, types, pos).map_err(|(n, pos)| CheckError {
+        message: format!("unknown type `{n}`"),
+        pos,
+    })
 }
 
 fn declare_types(types: &[TypeDef], env: &mut UnitEnv) -> Result<(), CheckError> {
     for t in types {
-        let ty = resolve_type(&t.ty, &env.types, t.pos).map_err(|(n, pos)| CheckError {
-            message: format!("unknown type `{n}`"),
-            pos,
-        })?;
+        let ty = type_of(&t.ty, &env.types, t.pos)?;
         if env.types.insert(t.name.clone(), ty).is_some() {
             return err(format!("duplicate type `{}`", t.name), t.pos);
         }
@@ -578,47 +514,52 @@ fn declare_types(types: &[TypeDef], env: &mut UnitEnv) -> Result<(), CheckError>
     Ok(())
 }
 
-fn declare_functions(funcs: &[FunDef], env: &mut UnitEnv) -> Result<(), CheckError> {
-    // Two passes: signatures first so functions can be mutually recursive.
-    for f in funcs {
-        let params: Vec<(String, Ty)> = f
+/// Declares a unit's types, function signatures and constant types, then
+/// checks the function and constant bodies, which may call any function
+/// of the unit and read any of its constants (cycles are caught at
+/// evaluation time). Each body is resolved in place and entered into
+/// `env` once checked.
+fn declare_unit(
+    types: &[TypeDef],
+    funcs: &mut [FunDef],
+    consts: &mut [ConstDef],
+    env: &mut UnitEnv,
+) -> Result<(), CheckError> {
+    declare_types(types, env)?;
+    for f in funcs.iter() {
+        let params = f
             .params
             .iter()
-            .map(|(n, te)| {
-                resolve_type(te, &env.types, f.pos)
-                    .map(|t| (n.clone(), t))
-                    .map_err(|(n, pos)| CheckError {
-                        message: format!("unknown type `{n}`"),
-                        pos,
-                    })
-            })
+            .map(|(n, te)| type_of(te, &env.types, f.pos).map(|t| (n.clone(), t)))
             .collect::<Result<_, _>>()?;
-        let ret = resolve_type(&f.ret, &env.types, f.pos).map_err(|(n, pos)| CheckError {
-            message: format!("unknown type `{n}`"),
-            pos,
-        })?;
-        if env
-            .funcs
-            .insert(
-                f.name.clone(),
-                FunSig {
-                    params,
-                    ret,
-                    body: f.body.clone(),
-                },
-            )
-            .is_some()
-        {
+        let ret = type_of(&f.ret, &env.types, f.pos)?;
+        let sig = FunSig {
+            params,
+            ret,
+            body: Expr::Bool(false, f.pos),
+        };
+        if env.funcs.insert(f.name.clone(), sig).is_some() {
             return err(format!("duplicate function `{}`", f.name), f.pos);
         }
     }
-    for f in funcs {
-        let sig = env.funcs[&f.name].clone();
-        let mut scope = Scope::new();
-        for (n, t) in &sig.params {
-            scope.bind(n.clone(), t.clone());
+    for c in consts.iter() {
+        let ty = type_of(&c.ty, &env.types, c.pos)?;
+        let placeholder = Expr::Bool(false, c.pos);
+        if env
+            .consts
+            .insert(c.name.clone(), (ty, placeholder))
+            .is_some()
+        {
+            return err(format!("duplicate constant `{}`", c.name), c.pos);
         }
-        let got = check_expr(&f.body, env, &mut scope, None)?;
+    }
+    for f in funcs {
+        let sig = &env.funcs[&f.name];
+        let mut scope = Scope {
+            stack: sig.params.clone(),
+        };
+        let got = check_expr(&mut f.body, env, &mut scope, None)?;
+        let sig = env.funcs.get_mut(&f.name).expect("declared above");
         if !got.compatible(&sig.ret) {
             return err(
                 format!(
@@ -628,31 +569,12 @@ fn declare_functions(funcs: &[FunDef], env: &mut UnitEnv) -> Result<(), CheckErr
                 f.pos,
             );
         }
-    }
-    Ok(())
-}
-
-fn declare_consts(consts: &[ConstDef], env: &mut UnitEnv) -> Result<(), CheckError> {
-    // Two passes so constants may reference each other regardless of
-    // declaration order (cycles are caught at evaluation time).
-    for c in consts {
-        let ty = resolve_type(&c.ty, &env.types, c.pos).map_err(|(n, pos)| CheckError {
-            message: format!("unknown type `{n}`"),
-            pos,
-        })?;
-        if env
-            .consts
-            .insert(c.name.clone(), (ty, c.body.clone()))
-            .is_some()
-        {
-            return err(format!("duplicate constant `{}`", c.name), c.pos);
-        }
+        sig.body = f.body.clone();
     }
     for c in consts {
-        let ty = env.consts[&c.name].0.clone();
-        let mut scope = Scope::new();
-        let got = check_expr(&c.body, env, &mut scope, None)?;
-        if !got.compatible(&ty) {
+        let got = check_expr(&mut c.body, env, &mut Scope::default(), None)?;
+        let (ty, body) = env.consts.get_mut(&c.name).expect("declared above");
+        if !got.compatible(ty) {
             return err(
                 format!(
                     "constant `{}` declared `{ty}` but defined with `{got}`",
@@ -661,6 +583,7 @@ fn declare_consts(consts: &[ConstDef], env: &mut UnitEnv) -> Result<(), CheckErr
                 c.pos,
             );
         }
+        *body = c.body.clone();
     }
     Ok(())
 }
@@ -747,34 +670,30 @@ struct CtxWithLocals<'a> {
     locals: &'a HashMap<String, Ty>,
 }
 
-/// Lexical scope of binders.
+/// Lexical scope of binders: a function's parameters, then the `let` and
+/// `case` binders in scope. A binder's index is its frame slot.
 #[derive(Default)]
 struct Scope {
     stack: Vec<(String, Ty)>,
 }
 
 impl Scope {
-    fn new() -> Self {
-        Scope::default()
-    }
     fn bind(&mut self, name: String, ty: Ty) {
         self.stack.push((name, ty));
     }
     fn unbind(&mut self, n: usize) {
         self.stack.truncate(self.stack.len() - n);
     }
-    fn lookup(&self, name: &str) -> Option<&Ty> {
-        self.stack
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t)
+    fn lookup(&self, name: &str) -> Option<(usize, &Ty)> {
+        let slot = self.stack.iter().rposition(|(n, _)| n == name)?;
+        Some((slot, &self.stack[slot].1))
     }
 }
 
-/// Types an expression.
+/// Types an expression and marks what each of its variables and calls
+/// denotes.
 fn check_expr(
-    e: &Expr,
+    e: &mut Expr,
     env: &UnitEnv,
     scope: &mut Scope,
     rule_ctx: Option<&CtxWithLocals>,
@@ -784,20 +703,23 @@ fn check_expr(
         Expr::Real(..) => Ok(Ty::Real),
         Expr::Bool(..) => Ok(Ty::Bool),
         Expr::Str(..) => Ok(Ty::Str),
-        Expr::Var(name, pos) => {
-            if let Some(t) = scope.lookup(name) {
-                return Ok(t.clone());
-            }
-            if let Some(ctx) = rule_ctx {
-                if let Some(t) = ctx.locals.get(name) {
-                    return Ok(t.clone());
-                }
-            }
-            if let Some((t, _)) = env.consts.get(name) {
-                return Ok(t.clone());
-            }
-            err(format!("unknown name `{name}`"), *pos)
+        Expr::Var { name, var, pos } => {
+            let (denotes, t) = if let Some((slot, t)) = scope.lookup(name) {
+                (VarRef::Binder(slot), t)
+            } else if let Some(t) = rule_ctx.and_then(|ctx| ctx.locals.get(name.as_str())) {
+                (VarRef::Local, t)
+            } else if let Some((t, _)) = env.consts.get(name.as_str()) {
+                (VarRef::Const, t)
+            } else {
+                return err(format!("unknown name `{name}`"), *pos);
+            };
+            *var = denotes;
+            Ok(t.clone())
         }
+        Expr::Arg(_) => err(
+            "rule argument outside a lowered rule",
+            Pos { line: 0, col: 0 },
+        ),
         Expr::Occ(occ) => match rule_ctx {
             Some(ctx) => ctx.ctx.resolve(occ).map(|(_, _, t)| t),
             None => err(
@@ -805,7 +727,12 @@ fn check_expr(
                 occ.pos,
             ),
         },
-        Expr::Call { name, args, pos } => check_call(name, args, *pos, env, scope, rule_ctx),
+        Expr::Call {
+            name,
+            args,
+            callee,
+            pos,
+        } => check_call(name, args, callee, *pos, env, scope, rule_ctx),
         Expr::Unop { op, expr, pos } => {
             let t = check_expr(expr, env, scope, rule_ctx)?;
             match (*op, &t) {
@@ -873,7 +800,7 @@ fn check_expr(
         }
         Expr::ListLit(items, _) => {
             let mut elem = Ty::Any;
-            for (i, it) in items.iter().enumerate() {
+            for (i, it) in items.iter_mut().enumerate() {
                 let t = check_expr(it, env, scope, rule_ctx)?;
                 if !t.compatible(&elem) {
                     return err(
@@ -887,7 +814,7 @@ fn check_expr(
         }
         Expr::TupleLit(items, _) => {
             let ts = items
-                .iter()
+                .iter_mut()
                 .map(|it| check_expr(it, env, scope, rule_ctx))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Ty::Tuple(ts))
@@ -904,14 +831,15 @@ fn check_expr(
 /// Types a call: built-ins first, then user functions.
 fn check_call(
     name: &str,
-    args: &[Expr],
+    args: &mut [Expr],
+    callee: &mut Callee,
     pos: Pos,
     env: &UnitEnv,
     scope: &mut Scope,
     rule_ctx: Option<&CtxWithLocals>,
 ) -> Result<Ty, CheckError> {
     let tys: Vec<Ty> = args
-        .iter()
+        .iter_mut()
         .map(|a| check_expr(a, env, scope, rule_ctx))
         .collect::<Result<_, _>>()?;
     let arity = |n: usize| -> Result<(), CheckError> {
@@ -938,6 +866,8 @@ fn check_call(
             Ok(())
         }
     };
+    // Every arm but the last is a builtin.
+    *callee = Callee::Builtin;
     match name {
         "token" => {
             arity(0)?;
@@ -1052,6 +982,7 @@ fn check_call(
         }
         _ => match env.funcs.get(name) {
             Some(sig) => {
+                *callee = Callee::User;
                 arity(sig.params.len())?;
                 for (i, (_, pt)) in sig.params.iter().enumerate() {
                     want(i, pt.clone())?;
@@ -1463,18 +1394,25 @@ mod tests {
     }
 
     #[test]
+    fn functions_see_their_units_constants() {
+        check_module_src("module m; const b : int = 41; function f(x : int) : int = x + b; end")
+            .unwrap();
+    }
+
+    #[test]
     fn shadowed_binders_do_not_pull_false_deps() {
-        // The free-variable scan that drives dependency pulling must not
-        // report `let`/`case`-bound names: `helper`'s body binds `secret`,
-        // which shares its name with a private const of `base` that the
-        // body never actually references.
+        // Dependency pulling reads the resolved bodies, so a binder is no
+        // reference: `helper` binds `secret` with a `let` and `bump` as a
+        // parameter, and `secret` is also a private const of `base` that
+        // neither body reads.
         let mut c = Compiler::new();
         let Unit::Module(m) = parse_unit(
             r#"
             module base;
-              export helper;
+              export helper, bump;
               const secret : int = 7;
               function helper(n : int) : int = let secret = n in secret + 1 end;
+              function bump(secret : int) : int = secret + 1;
             end
             "#,
         )
@@ -1485,8 +1423,8 @@ mod tests {
         let Unit::Module(m2) = parse_unit(
             r#"
             module user;
-              import helper from base;
-              const out : int = helper(1);
+              import helper, bump from base;
+              const out : int = helper(1) + bump(1);
             end
             "#,
         )

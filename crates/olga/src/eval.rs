@@ -14,13 +14,13 @@
 //! constant) surface as [`EvalAbort`] values, never as Rust panics, so the
 //! surrounding pipeline can report them as ordinary diagnostics.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
 use fnc2_ag::{List, Map, Value};
 
-use crate::ast::{Expr, Pat};
+use crate::ast::{Callee, Expr, Pat, VarRef};
 use crate::check::UnitEnv;
 use crate::lexer::Pos;
 
@@ -83,9 +83,16 @@ pub struct EvalCtx {
     consts: Arc<HashMap<String, Value>>,
 }
 
+/// The values a body reads by position: a lowered rule's arguments, and
+/// the frame of parameters and binders in the checker's slot order.
+struct Frame<'a> {
+    args: &'a [Value],
+    slots: Vec<Value>,
+}
+
 impl EvalCtx {
     /// Builds the context for a checked unit: constant definitions are
-    /// evaluated once, in dependency order.
+    /// evaluated once, into one table, in [`UnitEnv::const_order`].
     ///
     /// # Errors
     ///
@@ -93,55 +100,21 @@ impl EvalCtx {
     /// check to here) or when a constant's body aborts at evaluation time.
     pub fn new(env: &UnitEnv) -> Result<EvalCtx, EvalAbort> {
         let env = Arc::new(env.clone());
-        // Dependency-order the constants by the constant names their
-        // bodies reference.
-        let mut names: Vec<&String> = env.consts.keys().collect();
-        names.sort();
-        let mut order: Vec<&String> = Vec::new();
-        let mut state: HashMap<&str, u8> = HashMap::new(); // 1=visiting, 2=done
-        fn visit<'a>(
-            n: &'a String,
-            env: &'a UnitEnv,
-            state: &mut HashMap<&'a str, u8>,
-            order: &mut Vec<&'a String>,
-        ) -> Result<(), EvalAbort> {
-            match state.get(n.as_str()) {
-                Some(2) => return Ok(()),
-                Some(1) => {
-                    return Err(EvalAbort::at(
-                        format!("circular constant definition involving `{n}`"),
-                        env.consts[n].1.pos(),
-                    ))
-                }
-                _ => {}
-            }
-            state.insert(n, 1);
-            let mut refs = Vec::new();
-            let mut bound = Vec::new();
-            collect_const_refs(&env.consts[n].1, env, &mut bound, &mut refs);
-            for r in refs {
-                visit(r, env, state, order)?;
-            }
-            state.insert(n, 2);
-            order.push(n);
-            Ok(())
+        let (order, cycle) = env.const_order();
+        if let Some(cycle) = cycle {
+            return Err(cycle);
         }
-        for n in names {
-            visit(n, &env, &mut state, &mut order)?;
+        let mut ctx = EvalCtx {
+            env: Arc::clone(&env),
+            consts: Arc::default(),
+        };
+        for name in order {
+            let v = ctx.eval_closed(&env.consts[name].1)?;
+            Arc::get_mut(&mut ctx.consts)
+                .expect("the table is not shared while it is built")
+                .insert(name.to_string(), v);
         }
-        let mut done: HashMap<String, Value> = HashMap::new();
-        for n in order {
-            let ctx = EvalCtx {
-                env: env.clone(),
-                consts: Arc::new(done.clone()),
-            };
-            let v = ctx.eval_closed(&env.consts[n].1.clone())?;
-            done.insert(n.clone(), v);
-        }
-        Ok(EvalCtx {
-            env,
-            consts: Arc::new(done),
-        })
+        Ok(ctx)
     }
 
     /// The unit environment.
@@ -154,20 +127,20 @@ impl EvalCtx {
     /// # Errors
     /// Fails when evaluation aborts (see [`EvalAbort`]).
     pub fn eval_closed(&self, e: &Expr) -> Result<Value, EvalAbort> {
-        let mut scope = Scope::default();
-        self.eval(e, &mut scope).map_err(|e| *e)
+        self.eval_with(e, &[])
     }
 
-    /// Evaluates `e` under `bindings` (used by lowered semantic rules).
+    /// Evaluates a lowered rule body, which reads [`Expr::Arg`]`(k)` as
+    /// `args[k]`.
     ///
     /// # Errors
     /// Fails when evaluation aborts (see [`EvalAbort`]).
-    pub fn eval_with(&self, e: &Expr, bindings: &[(String, Value)]) -> Result<Value, EvalAbort> {
-        let mut scope = Scope::default();
-        for (n, v) in bindings {
-            scope.bind(n.clone(), v.clone());
-        }
-        self.eval(e, &mut scope).map_err(|e| *e)
+    pub fn eval_with(&self, e: &Expr, args: &[Value]) -> Result<Value, EvalAbort> {
+        let mut frame = Frame {
+            args,
+            slots: Vec::new(),
+        };
+        self.eval(e, &mut frame).map_err(|e| *e)
     }
 
     /// Applies a user function by name.
@@ -192,27 +165,38 @@ impl EvalCtx {
                 args.len()
             ))));
         }
-        let mut scope = Scope::default();
-        for ((p, _), v) in sig.params.iter().zip(args) {
-            scope.bind(p.clone(), v);
-        }
-        self.eval(&sig.body, &mut scope)
+        let mut frame = Frame {
+            args: &[],
+            slots: args,
+        };
+        self.eval(&sig.body, &mut frame)
     }
 
-    fn eval(&self, e: &Expr, scope: &mut Scope) -> EResult {
+    fn eval(&self, e: &Expr, frame: &mut Frame) -> EResult {
         match e {
             Expr::Int(i, _) => Ok(Value::Int(*i)),
             Expr::Real(r, _) => Ok(Value::Real(*r)),
             Expr::Bool(b, _) => Ok(Value::Bool(*b)),
             Expr::Str(s, _) => Ok(Value::str(s)),
-            Expr::Var(n, pos) => match scope.lookup(n) {
-                Some(v) => Ok(v.clone()),
-                None => self
-                    .consts
-                    .get(n)
-                    .cloned()
-                    .ok_or_else(|| abort(format!("unbound variable `{n}`"), *pos)),
-            },
+            Expr::Var { name, var, pos } => {
+                let v = match var {
+                    VarRef::Binder(slot) => frame.slots.get(*slot),
+                    VarRef::Const => self.consts.get(name),
+                    VarRef::Local | VarRef::Unresolved => {
+                        return Err(abort(
+                            format!("variable `{name}` reached the interpreter unresolved"),
+                            *pos,
+                        ))
+                    }
+                };
+                v.cloned()
+                    .ok_or_else(|| abort(format!("unbound variable `{name}`"), *pos))
+            }
+            Expr::Arg(k) => frame
+                .args
+                .get(*k)
+                .cloned()
+                .ok_or_else(|| abort(format!("missing rule argument {k}"), e.pos())),
             Expr::Occ(o) => Err(abort(
                 format!(
                     "occurrence `{}.{}` reached the interpreter; lowering must substitute it",
@@ -220,15 +204,27 @@ impl EvalCtx {
                 ),
                 o.pos,
             )),
-            Expr::Call { name, args, pos } => {
+            Expr::Call {
+                name,
+                args,
+                callee,
+                pos,
+            } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(self.eval(a, scope)?);
+                    vals.push(self.eval(a, frame)?);
                 }
-                self.call(name, vals, *pos)
+                match callee {
+                    Callee::User => self.apply_inner(name, vals),
+                    Callee::Builtin => self.builtin(name, vals, *pos),
+                    Callee::Unresolved => Err(abort(
+                        format!("call of `{name}` reached the interpreter unresolved"),
+                        *pos,
+                    )),
+                }
             }
             Expr::Unop { op, expr, pos } => {
-                let v = self.eval(expr, scope)?;
+                let v = self.eval(expr, frame)?;
                 match (*op, v) {
                     ("-", Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
                     ("-", Value::Real(r)) => Ok(Value::Real(-r)),
@@ -242,39 +238,37 @@ impl EvalCtx {
             Expr::Binop { op, lhs, rhs, pos } => {
                 // Short-circuit and/or.
                 if *op == "and" {
-                    return if want_bool(&self.eval(lhs, scope)?, *pos)? {
-                        self.eval(rhs, scope)
+                    return if want_bool(&self.eval(lhs, frame)?, *pos)? {
+                        self.eval(rhs, frame)
                     } else {
                         Ok(Value::Bool(false))
                     };
                 }
                 if *op == "or" {
-                    return if want_bool(&self.eval(lhs, scope)?, *pos)? {
+                    return if want_bool(&self.eval(lhs, frame)?, *pos)? {
                         Ok(Value::Bool(true))
                     } else {
-                        self.eval(rhs, scope)
+                        self.eval(rhs, frame)
                     };
                 }
-                let l = self.eval(lhs, scope)?;
-                let r = self.eval(rhs, scope)?;
+                let l = self.eval(lhs, frame)?;
+                let r = self.eval(rhs, frame)?;
                 binop(op, l, r, *pos)
             }
             Expr::If {
                 cond, then, els, ..
             } => {
-                if want_bool(&self.eval(cond, scope)?, cond.pos())? {
-                    self.eval(then, scope)
+                if want_bool(&self.eval(cond, frame)?, cond.pos())? {
+                    self.eval(then, frame)
                 } else {
-                    self.eval(els, scope)
+                    self.eval(els, frame)
                 }
             }
-            Expr::Let {
-                name, value, body, ..
-            } => {
-                let v = self.eval(value, scope)?;
-                scope.bind(name.clone(), v);
-                let out = self.eval(body, scope);
-                scope.unbind(1);
+            Expr::Let { value, body, .. } => {
+                let v = self.eval(value, frame)?;
+                frame.slots.push(v);
+                let out = self.eval(body, frame);
+                frame.slots.pop();
                 out
             }
             Expr::Case {
@@ -282,43 +276,43 @@ impl EvalCtx {
                 arms,
                 pos,
             } => {
-                let v = self.eval(scrutinee, scope)?;
+                let v = self.eval(scrutinee, frame)?;
+                let base = frame.slots.len();
                 for (pat, body) in arms {
-                    let mut n = 0;
-                    if match_pat(pat, &v, scope, &mut n) {
-                        let out = self.eval(body, scope);
-                        scope.unbind(n);
+                    let matched = match_pat(pat, &v, &mut frame.slots);
+                    let out = matched.then(|| self.eval(body, frame));
+                    frame.slots.truncate(base);
+                    if let Some(out) = out {
                         return out;
                     }
-                    scope.unbind(n);
                 }
                 Err(abort(format!("case expression: no arm matched {v}"), *pos))
             }
             Expr::ListLit(items, _) => {
                 let mut vs = Vec::with_capacity(items.len());
                 for i in items {
-                    vs.push(self.eval(i, scope)?);
+                    vs.push(self.eval(i, frame)?);
                 }
                 Ok(Value::list(vs))
             }
             Expr::TupleLit(items, _) => {
                 let mut vs = Vec::with_capacity(items.len());
                 for i in items {
-                    vs.push(self.eval(i, scope)?);
+                    vs.push(self.eval(i, frame)?);
                 }
                 Ok(Value::tuple(vs))
             }
             Expr::TreeCons { op, args, .. } => {
                 let mut vs = Vec::with_capacity(args.len());
                 for a in args {
-                    vs.push(self.eval(a, scope)?);
+                    vs.push(self.eval(a, frame)?);
                 }
                 Ok(Value::term(op.clone(), vs))
             }
         }
     }
 
-    fn call(&self, name: &str, args: Vec<Value>, pos: Pos) -> EResult {
+    fn builtin(&self, name: &str, args: Vec<Value>, pos: Pos) -> EResult {
         let arg = |i: usize| -> Result<&Value, Box<EvalAbort>> {
             args.get(i)
                 .ok_or_else(|| abort(format!("builtin `{name}`: missing argument {i}"), pos))
@@ -376,101 +370,82 @@ impl EvalCtx {
                 format!("OLGA error: {}", want_str(arg(0)?, pos)?),
                 pos,
             )),
-            _ => self.apply_inner(name, args),
+            _ => Err(abort(format!("unknown builtin `{name}`"), pos)),
         }
     }
 }
 
-/// Collects references to constant names in `e` for dependency ordering.
-///
-/// The scan is binder-aware: `let` and `case` binders shadow constants of
-/// the same name, so a shadowed occurrence contributes no dependency edge
-/// (a naive scan reports `let c = 1 in c end` as a self-cycle of `c`).
-fn collect_const_refs<'a>(
-    e: &Expr,
-    env: &'a UnitEnv,
-    bound: &mut Vec<String>,
-    out: &mut Vec<&'a String>,
-) {
-    match e {
-        Expr::Var(n, _) => {
-            if bound.iter().any(|b| b == n) {
+impl UnitEnv {
+    /// The unit's constants in dependency order: each after every
+    /// constant its body reads, directly or through the functions it
+    /// calls. Roots are taken in name order. Also returns the first
+    /// circular definition met, if any; the order then leaves out the
+    /// edge that closes the cycle.
+    pub fn const_order(&self) -> (Vec<&str>, Option<EvalAbort>) {
+        fn visit<'a>(
+            env: &'a UnitEnv,
+            name: &'a str,
+            done: &mut HashMap<&'a str, bool>,
+            order: &mut Vec<&'a str>,
+            cycle: &mut Option<EvalAbort>,
+        ) {
+            let Some((_, body)) = env.consts.get(name) else {
                 return;
+            };
+            match done.get(name) {
+                Some(true) => return,
+                Some(false) => {
+                    cycle.get_or_insert_with(|| {
+                        EvalAbort::at(
+                            format!("circular constant definition involving `{name}`"),
+                            body.pos(),
+                        )
+                    });
+                    return;
+                }
+                None => {}
             }
-            if let Some((k, _)) = env.consts.get_key_value(n) {
-                out.push(k);
+            done.insert(name, false);
+            for read in const_reads(body, env) {
+                visit(env, read, done, order, cycle);
             }
+            done.insert(name, true);
+            order.push(name);
         }
-        Expr::Call { args, .. } => {
-            for a in args {
-                collect_const_refs(a, env, bound, out);
-            }
+        let mut names: Vec<&str> = self.consts.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        let (mut done, mut order, mut cycle) = (HashMap::new(), Vec::new(), None);
+        for name in names {
+            visit(self, name, &mut done, &mut order, &mut cycle);
         }
-        Expr::Unop { expr, .. } => collect_const_refs(expr, env, bound, out),
-        Expr::Binop { lhs, rhs, .. } => {
-            collect_const_refs(lhs, env, bound, out);
-            collect_const_refs(rhs, env, bound, out);
-        }
-        Expr::If {
-            cond, then, els, ..
-        } => {
-            collect_const_refs(cond, env, bound, out);
-            collect_const_refs(then, env, bound, out);
-            collect_const_refs(els, env, bound, out);
-        }
-        Expr::Let {
-            name, value, body, ..
-        } => {
-            collect_const_refs(value, env, bound, out);
-            bound.push(name.clone());
-            collect_const_refs(body, env, bound, out);
-            bound.pop();
-        }
-        Expr::Case {
-            scrutinee, arms, ..
-        } => {
-            collect_const_refs(scrutinee, env, bound, out);
-            for (p, b) in arms {
-                let before = bound.len();
-                bound.extend(p.binders().into_iter().map(String::from));
-                collect_const_refs(b, env, bound, out);
-                bound.truncate(before);
-            }
-        }
-        Expr::ListLit(items, _) | Expr::TupleLit(items, _) => {
-            for i in items {
-                collect_const_refs(i, env, bound, out);
-            }
-        }
-        Expr::TreeCons { args, .. } => {
-            for a in args {
-                collect_const_refs(a, env, bound, out);
-            }
-        }
-        _ => {}
+        (order, cycle)
     }
 }
 
-/// Lexical runtime scope.
-#[derive(Default, Debug)]
-struct Scope {
-    stack: Vec<(String, Value)>,
-}
-
-impl Scope {
-    fn bind(&mut self, name: String, v: Value) {
-        self.stack.push((name, v));
+/// The constants `body` reads, directly or through the functions it calls,
+/// each function walked once.
+fn const_reads<'a>(body: &'a Expr, env: &'a UnitEnv) -> Vec<&'a str> {
+    let mut reads = Vec::new();
+    let mut called = HashSet::new();
+    let mut bodies = vec![body];
+    while let Some(body) = bodies.pop() {
+        body.walk(&mut |e| match e {
+            Expr::Var {
+                name,
+                var: VarRef::Const,
+                ..
+            } => reads.push(name.as_str()),
+            Expr::Call {
+                name,
+                callee: Callee::User,
+                ..
+            } if called.insert(name.as_str()) => {
+                bodies.extend(env.funcs.get(name).map(|f| &f.body));
+            }
+            _ => {}
+        });
     }
-    fn unbind(&mut self, n: usize) {
-        self.stack.truncate(self.stack.len() - n);
-    }
-    fn lookup(&self, name: &str) -> Option<&Value> {
-        self.stack
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-    }
+    reads
 }
 
 fn want_int(v: &Value, pos: Pos) -> Result<i64, Box<EvalAbort>> {
@@ -582,13 +557,13 @@ fn concat(a: &List, b: &List, pos: Pos) -> EResult {
     }
 }
 
-/// Pattern match; pushes bindings into `scope` (caller pops `*pushed`).
-fn match_pat(pat: &Pat, v: &Value, scope: &mut Scope, pushed: &mut usize) -> bool {
+/// Pattern match; pushes the binders' values onto `slots` in the
+/// checker's order (the caller truncates them).
+fn match_pat(pat: &Pat, v: &Value, slots: &mut Vec<Value>) -> bool {
     match (pat, v) {
         (Pat::Wild(_), _) => true,
-        (Pat::Bind(n, _), v) => {
-            scope.bind(n.clone(), v.clone());
-            *pushed += 1;
+        (Pat::Bind(..), v) => {
+            slots.push(v.clone());
             true
         }
         (Pat::Int(i, _), Value::Int(j)) => i == j,
@@ -596,10 +571,7 @@ fn match_pat(pat: &Pat, v: &Value, scope: &mut Scope, pushed: &mut usize) -> boo
         (Pat::Str(s, _), Value::Str(t)) => s.as_str() == &**t,
         (Pat::Nil(_), Value::List(items)) => items.is_empty(),
         (Pat::Cons(h, t, _), Value::List(items)) => match items.first() {
-            Some(x) => {
-                match_pat(h, x, scope, pushed)
-                    && match_pat(t, &Value::List(items.tail()), scope, pushed)
-            }
+            Some(x) => match_pat(h, x, slots) && match_pat(t, &Value::List(items.tail()), slots),
             None => false,
         },
         (Pat::Tuple(ps, _), Value::Tuple(items)) => {
@@ -607,7 +579,7 @@ fn match_pat(pat: &Pat, v: &Value, scope: &mut Scope, pushed: &mut usize) -> boo
                 && ps
                     .iter()
                     .zip(items.iter())
-                    .all(|(p, v)| match_pat(p, v, scope, pushed))
+                    .all(|(p, v)| match_pat(p, v, slots))
         }
         (Pat::Term { op, args, .. }, Value::Term(t)) => {
             op == &t.op
@@ -615,7 +587,7 @@ fn match_pat(pat: &Pat, v: &Value, scope: &mut Scope, pushed: &mut usize) -> boo
                 && args
                     .iter()
                     .zip(&t.children)
-                    .all(|(p, v)| match_pat(p, v, scope, pushed))
+                    .all(|(p, v)| match_pat(p, v, slots))
         }
         _ => false,
     }
@@ -793,14 +765,7 @@ mod tests {
             apply(&ctx, "get", vec![m1, Value::str("b")]),
             Value::str("?")
         );
-        assert_eq!(
-            ctx.eval_closed(&crate::ast::Expr::Var(
-                "greeting".into(),
-                crate::lexer::Pos { line: 0, col: 0 }
-            ))
-            .unwrap(),
-            Value::str("hi there")
-        );
+        assert_eq!(ctx.consts["greeting"], Value::str("hi there"));
     }
 
     #[test]
@@ -830,14 +795,7 @@ mod tests {
             end
             "#,
         );
-        assert_eq!(
-            ctx.eval_closed(&crate::ast::Expr::Var(
-                "b".into(),
-                crate::lexer::Pos { line: 0, col: 0 }
-            ))
-            .unwrap(),
-            Value::Int(42)
-        );
+        assert_eq!(ctx.consts["b"], Value::Int(42));
     }
 
     #[test]
@@ -885,9 +843,34 @@ mod tests {
     }
 
     #[test]
+    fn constants_follow_the_functions_they_call() {
+        // `a` sorts before `b` but reads it through `f`.
+        let ctx = ctx_for(
+            r#"
+            module m;
+              const a : int = f(1);
+              const b : int = 41;
+              function f(x : int) : int = x + b;
+            end
+            "#,
+        );
+        assert_eq!(ctx.consts["a"], Value::Int(42));
+    }
+
+    #[test]
+    fn a_cycle_through_a_function_is_circular() {
+        let err = try_ctx_for(
+            "module m;\nconst a : int = f(1);\nfunction f(x : int) : int = x + a;\nend",
+        )
+        .unwrap_err();
+        assert_eq!(err.message, "circular constant definition involving `a`");
+        assert_eq!(err.pos, Some(Pos { line: 2, col: 17 }), "at `a`'s body");
+    }
+
+    #[test]
     fn let_shadowing_is_not_a_constant_cycle() {
         // A naive free-variable scan sees `c` in the let body and reports a
-        // self-cycle; the binder-aware scan must not.
+        // self-cycle; the checker marks that `c` as a binder.
         let ctx = ctx_for(
             r#"
             module m;
@@ -895,14 +878,7 @@ mod tests {
             end
             "#,
         );
-        assert_eq!(
-            ctx.eval_closed(&crate::ast::Expr::Var(
-                "c".into(),
-                crate::lexer::Pos { line: 0, col: 0 }
-            ))
-            .unwrap(),
-            Value::Int(42)
-        );
+        assert_eq!(ctx.consts["c"], Value::Int(42));
     }
 
     #[test]
@@ -914,14 +890,7 @@ mod tests {
             end
             "#,
         );
-        assert_eq!(
-            ctx.eval_closed(&crate::ast::Expr::Var(
-                "c".into(),
-                crate::lexer::Pos { line: 0, col: 0 }
-            ))
-            .unwrap(),
-            Value::Int(7)
-        );
+        assert_eq!(ctx.consts["c"], Value::Int(7));
     }
 
     #[test]

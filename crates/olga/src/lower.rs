@@ -20,7 +20,7 @@ use fnc2_ag::{
     Arg, AttrId, Grammar, GrammarBuilder, LocalId, ONode, Occ, PhylumId, ProductionId, Value,
 };
 
-use crate::ast::{Expr, OccRef, RuleTarget};
+use crate::ast::{Callee, Expr, OccRef, RuleTarget, VarRef};
 use crate::check::{CheckedAg, OpCtx};
 use crate::eval::{EvalAbort, EvalCtx};
 use crate::lexer::Pos;
@@ -112,7 +112,7 @@ pub struct RuleText {
     /// The body's occurrence, local and `token()` references, in first-use
     /// order.
     pub args: Vec<Arg>,
-    /// The body, reading argument `k` as the variable `$k`. The
+    /// The body, reading argument `k` as [`Expr::Arg`]`(k)`. The
     /// interpreter's closure shares it.
     pub body: Arc<Expr>,
 }
@@ -214,13 +214,11 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>),
                 rules.push((target, &rule.body, &scope[..]));
             }
             for (target, body, locals) in rules {
-                let slots = Slots {
+                let reads = Reads {
                     resolve_occ: &resolve_occ,
                     locals,
-                    args: Vec::new(),
-                    bound: Vec::new(),
                 };
-                table.push(add_rule(&mut b, pid, target, body, slots, &ctx, &mut info)?);
+                table.push(add_rule(&mut b, pid, target, body, reads, &ctx, &mut info)?);
                 defined.entry(pid).or_default().insert(target);
             }
         }
@@ -415,7 +413,7 @@ fn add_rule(
     production: ProductionId,
     target: ONode,
     body: &Expr,
-    mut slots: Slots,
+    reads: Reads,
     ctx: &EvalCtx,
     info: &mut LowerInfo,
 ) -> Result<RuleText, LowerError> {
@@ -426,12 +424,12 @@ fn add_rule(
         Expr::Str(s, _) => Some(Value::str(s)),
         _ => None,
     };
-    let body = Arc::new(slots.extract(body)?);
-    let args = slots.args;
+    let (body, args) = reads.extract(body)?;
+    let body = Arc::new(body);
     if let Some(v) = constant {
         b.constant(production, target, v);
         info.computed_rules += 1;
-    } else if matches!(&*body, Expr::Var(v, _) if v == "$0") {
+    } else if matches!(*body, Expr::Arg(0)) {
         // A bare occurrence/local/token reference is a copy rule.
         b.copy(production, target, args[0].clone());
         info.explicit_copies += 1;
@@ -440,12 +438,7 @@ fn add_rule(
         let ctx = ctx.clone();
         let shared = Arc::clone(&body);
         b.func_fallible(fname.clone(), args.len(), move |vals: &[Value]| {
-            let bindings: Vec<(String, Value)> = vals
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (format!("${i}"), v.clone()))
-                .collect();
-            ctx.eval_with(&shared, &bindings)
+            ctx.eval_with(&shared, vals)
                 .map_err(|e| fnc2_ag::SemError::new(e.to_string()))
         });
         b.call(production, target, &fname, args.clone());
@@ -459,130 +452,51 @@ fn add_rule(
     })
 }
 
-/// Rewrites occurrence references, references to the production locals in
-/// scope, and `token()` calls into `$k` variables, collecting the argument
-/// list.
-struct Slots<'a> {
+/// What a rule body reads from its production: occurrences, the
+/// production locals in scope, and `token()`.
+struct Reads<'a> {
     resolve_occ: &'a dyn Fn(&OccRef) -> Result<ONode, LowerError>,
     locals: &'a [(&'a str, LocalId)],
-    args: Vec<Arg>,
-    /// `let` and `case` binders, which shadow locals.
-    bound: Vec<String>,
 }
 
-impl Slots<'_> {
-    fn slot(&mut self, arg: Arg) -> Expr {
-        let i = match self.args.iter().position(|a| *a == arg) {
-            Some(i) => i,
-            None => {
-                self.args.push(arg);
-                self.args.len() - 1
-            }
-        };
-        Expr::Var(format!("${i}"), Pos { line: 0, col: 0 })
-    }
-
-    fn all(&mut self, es: &[Expr]) -> Result<Vec<Expr>, LowerError> {
-        es.iter().map(|e| self.extract(e)).collect()
-    }
-
-    fn boxed(&mut self, e: &Expr) -> Result<Box<Expr>, LowerError> {
-        Ok(Box::new(self.extract(e)?))
-    }
-
-    fn extract(&mut self, e: &Expr) -> Result<Expr, LowerError> {
-        Ok(match e {
-            Expr::Occ(o) => {
-                let node = (self.resolve_occ)(o)?;
-                self.slot(Arg::Node(node))
-            }
-            Expr::Var(n, p) => {
-                let local = self.locals.iter().find(|(name, _)| name == n);
-                match local {
-                    Some(&(_, l)) if !self.bound.contains(n) => {
-                        self.slot(Arg::Node(ONode::Local(l)))
+impl Reads<'_> {
+    /// Copies `body` with each read replaced by [`Expr::Arg`], and returns
+    /// the reads in first-use order.
+    fn extract(&self, body: &Expr) -> Result<(Expr, Vec<Arg>), LowerError> {
+        let mut body = body.clone();
+        let mut args: Vec<Arg> = Vec::new();
+        body.try_walk_mut(&mut |e| {
+            let arg = match e {
+                Expr::Occ(o) => Arg::Node((self.resolve_occ)(o)?),
+                Expr::Var {
+                    name,
+                    var: VarRef::Local,
+                    pos,
+                } => match self.locals.iter().find(|(n, _)| n == name) {
+                    Some(&(_, l)) => Arg::Node(ONode::Local(l)),
+                    None => {
+                        let message = format!("unknown local `{name}`");
+                        return Err(LowerError::Internal(message, *pos));
                     }
-                    _ => Expr::Var(n.clone(), *p),
+                },
+                Expr::Call {
+                    name,
+                    callee: Callee::Builtin,
+                    ..
+                } if name == "token" => Arg::Token,
+                _ => return Ok(()),
+            };
+            let k = match args.iter().position(|a| *a == arg) {
+                Some(k) => k,
+                None => {
+                    args.push(arg);
+                    args.len() - 1
                 }
-            }
-            Expr::Call { name, args, .. } if name == "token" && args.is_empty() => {
-                self.slot(Arg::Token)
-            }
-            Expr::Call { name, args, pos } => Expr::Call {
-                name: name.clone(),
-                args: self.all(args)?,
-                pos: *pos,
-            },
-            Expr::Unop { op, expr, pos } => Expr::Unop {
-                op,
-                expr: self.boxed(expr)?,
-                pos: *pos,
-            },
-            Expr::Binop { op, lhs, rhs, pos } => Expr::Binop {
-                op,
-                lhs: self.boxed(lhs)?,
-                rhs: self.boxed(rhs)?,
-                pos: *pos,
-            },
-            Expr::If {
-                cond,
-                then,
-                els,
-                pos,
-            } => Expr::If {
-                cond: self.boxed(cond)?,
-                then: self.boxed(then)?,
-                els: self.boxed(els)?,
-                pos: *pos,
-            },
-            Expr::Let {
-                name,
-                value,
-                body,
-                pos,
-            } => {
-                let value = self.boxed(value)?;
-                self.bound.push(name.clone());
-                let body = self.boxed(body);
-                self.bound.pop();
-                Expr::Let {
-                    name: name.clone(),
-                    value,
-                    body: body?,
-                    pos: *pos,
-                }
-            }
-            Expr::Case {
-                scrutinee,
-                arms,
-                pos,
-            } => {
-                let scrutinee = self.boxed(scrutinee)?;
-                let arms = arms
-                    .iter()
-                    .map(|(p, b)| {
-                        let before = self.bound.len();
-                        self.bound.extend(p.binders().into_iter().map(String::from));
-                        let b = self.extract(b);
-                        self.bound.truncate(before);
-                        Ok((p.clone(), b?))
-                    })
-                    .collect::<Result<_, LowerError>>()?;
-                Expr::Case {
-                    scrutinee,
-                    arms,
-                    pos: *pos,
-                }
-            }
-            Expr::ListLit(items, pos) => Expr::ListLit(self.all(items)?, *pos),
-            Expr::TupleLit(items, pos) => Expr::TupleLit(self.all(items)?, *pos),
-            Expr::TreeCons { op, args, pos } => Expr::TreeCons {
-                op: op.clone(),
-                args: self.all(args)?,
-                pos: *pos,
-            },
-            other => other.clone(),
-        })
+            };
+            *e = Expr::Arg(k);
+            Ok(())
+        })?;
+        Ok((body, args))
     }
 }
 

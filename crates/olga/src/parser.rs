@@ -789,7 +789,12 @@ impl Parser {
                         }
                         self.expect_punct(")")?;
                     }
-                    Ok(Expr::Call { name, args, pos })
+                    Ok(Expr::Call {
+                        name,
+                        args,
+                        callee: Callee::Unresolved,
+                        pos,
+                    })
                 } else if self.peek() == &Tok::Punct("$") || self.peek() == &Tok::Punct(".") {
                     let index = if self.eat_punct("$") {
                         match self.bump() {
@@ -808,7 +813,11 @@ impl Parser {
                         pos,
                     }))
                 } else {
-                    Ok(Expr::Var(name, pos))
+                    Ok(Expr::Var {
+                        name,
+                        var: VarRef::Unresolved,
+                        pos,
+                    })
                 }
             }
             other => self.err(format!("expected an expression, found {other}")),

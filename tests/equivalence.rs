@@ -883,12 +883,67 @@ fn guarded_batch_survives_injected_panics_deterministically() {
     }
 }
 
+/// Compiles `src`, a single-leaf AG of root `S`, and checks the named
+/// root attributes under the exhaustive, dynamic, space-optimized and
+/// incremental evaluators.
+fn assert_leaf_ints(src: &str, want: &[(&str, i64)]) {
+    let compiled = Pipeline::new().compile_olga(src).unwrap();
+    let g = &compiled.grammar;
+    let mut tb = TreeBuilder::new(g);
+    let leaf = tb.op("leaf", &[]).unwrap();
+    let tree = tb.finish_root(leaf).unwrap();
+    let root = tree.root();
+    let (a, _) = compiled.evaluate(&tree, &RootInputs::new()).unwrap();
+    let (b, _) = DynamicEvaluator::new(g)
+        .evaluate(&tree, &RootInputs::new())
+        .unwrap();
+    let (c, _) = compiled
+        .evaluate_optimized(&tree, &RootInputs::new())
+        .unwrap();
+    let inc = IncrementalEvaluator::new(g, tree.clone(), Equality::default()).unwrap();
+    let s = g.phylum_by_name("S").unwrap();
+    for &(name, want) in want {
+        let attr = g.attr_by_name(s, name).unwrap();
+        let want = Some(&Value::Int(want));
+        let ag = g.name();
+        assert_eq!(a.get(g, root, attr), want, "{ag}: exhaustive S.{name}");
+        assert_eq!(b.get(g, root, attr), want, "{ag}: dynamic S.{name}");
+        assert_eq!(c.get(g, root, attr), want, "{ag}: space-optimized S.{name}");
+        assert_eq!(inc.value(root, attr), want, "{ag}: incremental S.{name}");
+    }
+}
+
+/// Translates `src` to C, which the system C compiler, when present, must
+/// accept, and to Lisp.
+fn translations(src: &str) -> (String, String) {
+    let units = fnc2::olga::parse_units(src).unwrap();
+    let checked = fnc2::olga::check_units(units).unwrap();
+    let (grammar, _, rules) = fnc2::olga::lower(&checked).unwrap();
+    let compiled = Pipeline::new().compile(grammar).unwrap();
+    let (g, seqs) = (&compiled.grammar, &compiled.seqs);
+    let c = fnc2::codegen::to_c(&checked.env, &rules, g, seqs);
+    let cc = || std::process::Command::new("cc");
+    if cc().arg("--version").output().is_ok() {
+        let path = std::env::temp_dir().join(format!("fnc2_equivalence_{}.c", g.name()));
+        std::fs::write(&path, &c).unwrap();
+        let out = cc()
+            .args(["-std=c99", "-fsyntax-only", "-Wno-unused-function"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "cc rejected the C:\n{err}\n{c}");
+    }
+    (c, fnc2::codegen::to_lisp(&checked.env, &rules, g, seqs))
+}
+
 /// Production locals are scoped per rule block, as the checker scopes
 /// them. In `shadow`, phase two's `x` is the imported constant, not phase
 /// one's local; in `dup`, two phases each declare their own `x`.
 #[test]
 fn phase_locals_are_scoped_per_block_under_all_four_evaluators() {
-    const SHADOW: &str = "
+    assert_leaf_ints(
+        "
         module m;
           export x;
           const x : int = 5;
@@ -902,8 +957,11 @@ fn phase_locals_are_scoped_per_block_under_all_four_evaluators() {
           synthesized b : int of S;
           phase one { for leaf { local x : int := 20; S.a := x + 1; } }
           phase two { for leaf { S.b := x + 2; } }
-        end";
-    const DUP: &str = "
+        end",
+        &[("a", 21), ("b", 7)],
+    );
+    assert_leaf_ints(
+        "
         attribute grammar dup;
           phylum S;
           root S;
@@ -912,31 +970,96 @@ fn phase_locals_are_scoped_per_block_under_all_four_evaluators() {
           synthesized b : int of S;
           phase one { for leaf { local x : int := 20; S.a := x + 1; } }
           phase two { for leaf { local x : int := 30; S.b := x + 2; } }
+        end",
+        &[("a", 21), ("b", 32)],
+    );
+}
+
+/// One fixture through every consumer of the checker's name resolution:
+/// a parameter, a `let` binder and a `case` binder each shadow a constant,
+/// a binder shadows a production local, and `ten` is reached only
+/// through `scale`. Then a parameter that shares its name with a private
+/// constant of its module, which is therefore no dependency: the importer
+/// may declare its own.
+#[test]
+fn binders_shadow_constants_and_locals_in_every_consumer() {
+    const SRC: &str = "
+        module lib;
+          export x, scale;
+          const x : int = 1000;
+          const ten : int = 10;
+          function scale(x : int) : int = x * ten;
+        end
+        attribute grammar shadowing;
+          import x, scale from lib;
+          phylum S;
+          root S;
+          operator leaf : S ::= ;
+          synthesized v : int of S;
+          const y : int = 5;
+          function pick(l : list of int) : int = case l of y :: _ => y | [] => x end;
+          for leaf {
+            local n : int := 3;
+            S.v := let x = 2 in scale(x) end + pick([4]) + let n = 7 in n end + n + x + y;
+          }
         end";
-    for (src, want) in [(SHADOW, [21, 7]), (DUP, [21, 32])] {
-        let compiled = Pipeline::new().compile_olga(src).unwrap();
-        let g = &compiled.grammar;
-        let mut tb = TreeBuilder::new(g);
-        let leaf = tb.op("leaf", &[]).unwrap();
-        let tree = tb.finish_root(leaf).unwrap();
-        let root = tree.root();
-        let (a, _) = compiled.evaluate(&tree, &RootInputs::new()).unwrap();
-        let (b, _) = DynamicEvaluator::new(g)
-            .evaluate(&tree, &RootInputs::new())
-            .unwrap();
-        let (c, _) = compiled
-            .evaluate_optimized(&tree, &RootInputs::new())
-            .unwrap();
-        let inc = IncrementalEvaluator::new(g, tree.clone(), Equality::default()).unwrap();
-        let s = g.phylum_by_name("S").unwrap();
-        for (name, want) in ["a", "b"].into_iter().zip(want) {
-            let attr = g.attr_by_name(s, name).unwrap();
-            let want = Some(&Value::Int(want));
-            let ag = g.name();
-            assert_eq!(a.get(g, root, attr), want, "{ag}: exhaustive S.{name}");
-            assert_eq!(b.get(g, root, attr), want, "{ag}: dynamic S.{name}");
-            assert_eq!(c.get(g, root, attr), want, "{ag}: space-optimized S.{name}");
-            assert_eq!(inc.value(root, attr), want, "{ag}: incremental S.{name}");
-        }
+    assert_leaf_ints(SRC, &[("v", 20 + 4 + 7 + 3 + 1000 + 5)]);
+    let (c, l) = translations(SRC);
+    for bound in [
+        "static V f_scale(V x) {\n    return v_mul(x, c_ten);",
+        "{ V x = mk_int(2);",
+        "f_scale(x)",
+        "{ V y = v_path(",
+        "= y;",
+        "{ V n = mk_int(7);",
+    ] {
+        assert!(c.contains(bound), "missing `{bound}` in:\n{c}");
     }
+    for bound in [
+        "(defun f-scale (x)\n  (* x c-ten))",
+        "(let ((x 2)) (f-scale x))",
+        "(let ((y (car scrutinee))) y)",
+        "(let ((n 7)) n)",
+    ] {
+        assert!(l.contains(bound), "missing `{bound}` in:\n{l}");
+    }
+    assert!(!c.contains("c_n") && !l.contains("c-n"), "`n` is a binder");
+    assert_leaf_ints(
+        "
+        module m; export f; const b : int = 7; function f(b : int) : int = b + 1; end
+        attribute grammar ps;
+          import f from m;
+          phylum S; root S; operator leaf : S ::= ; synthesized v : int of S;
+          const b : int = 41;
+          for leaf { S.v := f(b); }
+        end",
+        &[("v", 42)],
+    );
+}
+
+/// A constant reached through a function is evaluated after the constants
+/// the function reads, and both translators initialise it after them too.
+#[test]
+fn constants_read_through_functions_in_every_consumer() {
+    const SRC: &str = "
+        module n; export b; const b : int = 41; end
+        attribute grammar cfun;
+          import b from n;
+          phylum S; root S; operator leaf : S ::= ; synthesized v : int of S;
+          function f(x : int) : int = x + b;
+          const a : int = f(1);
+          for leaf { S.v := a; }
+        end";
+    assert_leaf_ints(SRC, &[("v", 42)]);
+    let (c, l) = translations(SRC);
+    let at = |text: &str, needle: &str| text.find(needle).expect(needle);
+    assert!(at(&c, "c_b = ") < at(&c, "c_a = "), "{c}");
+    assert!(
+        at(&c, "static V c_b;") < at(&c, "static V f_f(V x) {"),
+        "{c}"
+    );
+    assert!(
+        at(&l, "(defparameter c-b ") < at(&l, "(defparameter c-a "),
+        "{l}"
+    );
 }

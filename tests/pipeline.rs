@@ -169,6 +169,17 @@ fn translators_cover_the_corpus_olga_ags() {
     assert_eq!(c.matches('{').count(), c.matches('}').count());
     let l = fnc2::codegen::to_lisp(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
     assert!(l.contains("evaluate-root"));
+    // Every function reads its parameters, not constants of their names.
+    assert!(l.contains("(defun f-emit2 (op arg)\n  (list (v-append op (v-append \" \" arg))))"));
+    for (name, sig) in &checked.env.funcs {
+        let start = l
+            .find(&format!("(defun f-{name} "))
+            .expect("a defun per function");
+        let defun = l[start..].split("\n\n").next().unwrap();
+        for (param, _) in &sig.params {
+            assert!(!defun.contains(&format!("c-{param}")), "{defun}");
+        }
+    }
     let cc = || std::process::Command::new("cc");
     if cc().arg("--version").output().is_ok() {
         let dir = std::env::temp_dir().join("fnc2_pipeline_test");
