@@ -15,7 +15,7 @@
 //! paper's Figure 3.
 
 use fnc2_ag::{AttrKind, Grammar, ONode, PhylumId, ProductionId};
-use fnc2_gfa::{fixpoint_recorded, BitMatrix, FixpointStats};
+use fnc2_gfa::{dependents, fixpoint_recorded, BitMatrix, FixpointStats};
 use fnc2_obs::{NoopRecorder, Recorder};
 
 use crate::attrs::AttrIndex;
@@ -87,18 +87,23 @@ impl SncResult {
     }
 }
 
-/// For each phylum, the productions having it on their right-hand side —
-/// the dependents of a bottom-up grammar flow.
-pub(crate) fn users_of_phylum(grammar: &Grammar) -> Vec<Vec<usize>> {
-    let mut users = vec![Vec::new(); grammar.phylum_count()];
-    for p in grammar.productions() {
-        for &ph in grammar.production(p).rhs() {
-            if !users[ph.index()].contains(&p.index()) {
-                users[ph.index()].push(p.index());
-            }
-        }
-    }
-    users
+/// The dependents of a bottom-up grammar flow over productions (e.g.
+/// `IO`): a production writes its LHS phylum and reads its RHS phyla.
+pub fn bottom_up_dependents(grammar: &Grammar) -> Vec<Vec<usize>> {
+    let (n, phyla) = (grammar.production_count(), grammar.phylum_count());
+    dependents(n, phyla, |p| lhs_of(grammar, p), |p| rhs_of(grammar, p))
+}
+
+/// The LHS phylum of production `p`, as a fact index.
+pub(crate) fn lhs_of(grammar: &Grammar, p: usize) -> [usize; 1] {
+    let prod = grammar.production(ProductionId::from_raw(p as u32));
+    [prod.lhs().index()]
+}
+
+/// The RHS phyla of production `p`, as fact indices.
+pub(crate) fn rhs_of(grammar: &Grammar, p: usize) -> impl Iterator<Item = usize> + '_ {
+    let prod = grammar.production(ProductionId::from_raw(p as u32));
+    prod.rhs().iter().map(|ph| ph.index())
 }
 
 /// Runs the SNC test on `grammar`.
@@ -110,16 +115,9 @@ pub fn snc_test(grammar: &Grammar) -> SncResult {
 pub fn snc_test_recorded<R: Recorder>(grammar: &Grammar, rec: &mut R) -> SncResult {
     let ix = AttrIndex::new(grammar);
     let mut io = PhylumRels::empty(grammar, &ix);
-    let users = users_of_phylum(grammar);
-    let dependents: Vec<Vec<usize>> = grammar
-        .productions()
-        .map(|p| users[grammar.production(p).lhs().index()].clone())
-        .collect();
-
-    let n = grammar.production_count();
     let stats = fixpoint_recorded(
-        n,
-        &dependents,
+        grammar.production_count(),
+        &bottom_up_dependents(grammar),
         |pi| {
             let p = ProductionId::from_raw(pi as u32);
             let pasted = pasted_with_io(grammar, &ix, p, &io, None);
@@ -201,26 +199,12 @@ pub fn dnc_test_recorded<R: Recorder>(
     let ix = AttrIndex::new(grammar);
     let mut oi = PhylumRels::empty(grammar, &ix);
     // Top-down flow: production p reads oi[lhs(p)] and writes oi of its RHS
-    // phyla, so the dependents of p are the productions of its RHS phyla.
-    let dependents: Vec<Vec<usize>> = grammar
-        .productions()
-        .map(|p| {
-            let mut d: Vec<usize> = Vec::new();
-            for &ph in grammar.production(p).rhs() {
-                for &q in grammar.phylum(ph).productions() {
-                    if !d.contains(&q.index()) {
-                        d.push(q.index());
-                    }
-                }
-            }
-            d
-        })
-        .collect();
-
-    let n = grammar.production_count();
+    // phyla.
+    let (n, phyla) = (grammar.production_count(), grammar.phylum_count());
+    let top_down = dependents(n, phyla, |p| rhs_of(grammar, p), |p| lhs_of(grammar, p));
     let stats = fixpoint_recorded(
         n,
-        &dependents,
+        &top_down,
         |pi| {
             let p = ProductionId::from_raw(pi as u32);
             let prod = grammar.production(p);

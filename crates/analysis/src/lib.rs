@@ -55,8 +55,8 @@ mod transform;
 pub use attrs::AttrIndex;
 pub use class::{classify, classify_recorded, AgClass, Classification};
 pub use io::{
-    dnc_test, dnc_test_recorded, snc_test, snc_test_recorded, CircWitness, DncResult, PhylumRels,
-    SncResult,
+    bottom_up_dependents, dnc_test, dnc_test_recorded, snc_test, snc_test_recorded, CircWitness,
+    DncResult, PhylumRels, SncResult,
 };
 pub use nc::{nc_test, NcResult};
 pub use oag::{oag_test, oag_test_recorded, OagResult};

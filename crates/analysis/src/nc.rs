@@ -10,10 +10,10 @@
 use std::collections::HashSet;
 
 use fnc2_ag::{AttrKind, Grammar, ProductionId};
-use fnc2_gfa::BitMatrix;
+use fnc2_gfa::{fixpoint, BitMatrix};
 
 use crate::attrs::AttrIndex;
-use crate::io::CircWitness;
+use crate::io::{bottom_up_dependents, CircWitness};
 use crate::paste::Pasted;
 
 /// Result of the exact non-circularity test.
@@ -41,52 +41,43 @@ impl NcResult {
 /// accumulates more than `max_graphs` distinct IO graphs.
 pub fn nc_test(grammar: &Grammar, max_graphs: usize) -> NcResult {
     let ix = AttrIndex::new(grammar);
-    let mut io_sets: Vec<HashSet<BitMatrix>> = grammar
-        .phyla()
-        .map(|ph| {
-            let _ = ph;
-            HashSet::new()
-        })
-        .collect();
+    let mut io_sets: Vec<HashSet<BitMatrix>> = vec![HashSet::new(); grammar.phylum_count()];
     let mut combinations = 0usize;
+    let mut witness = None;
+    let mut aborted = false;
 
-    // Round-robin until stable (sets only grow; bounded by max_graphs).
-    loop {
-        let mut changed = false;
-        for p in grammar.productions() {
+    // A bottom-up flow whose sets only grow; once a witness or the budget
+    // ends the test, the remaining steps change nothing.
+    fixpoint(
+        grammar.production_count(),
+        &bottom_up_dependents(grammar),
+        |pi| {
+            if witness.is_some() || aborted {
+                return false;
+            }
+            let p = ProductionId::from_raw(pi as u32);
             match expand(grammar, &ix, p, &io_sets, &mut combinations) {
                 Expansion::Cycle(w) => {
-                    return NcResult {
-                        io_sets,
-                        witness: Some(w),
-                        aborted: false,
-                        combinations,
-                    }
+                    witness = Some(w);
+                    false
                 }
                 Expansion::Graphs(gs) => {
-                    let lhs = grammar.production(p).lhs();
+                    let set = &mut io_sets[grammar.production(p).lhs().index()];
+                    let mut changed = false;
                     for g in gs {
-                        changed |= io_sets[lhs.index()].insert(g);
+                        changed |= set.insert(g);
                     }
-                    if io_sets[lhs.index()].len() > max_graphs {
-                        return NcResult {
-                            io_sets,
-                            witness: None,
-                            aborted: true,
-                            combinations,
-                        };
-                    }
+                    aborted = set.len() > max_graphs;
+                    changed && !aborted
                 }
             }
-        }
-        if !changed {
-            return NcResult {
-                io_sets,
-                witness: None,
-                aborted: false,
-                combinations,
-            };
-        }
+        },
+    );
+    NcResult {
+        io_sets,
+        witness,
+        aborted,
+        combinations,
     }
 }
 

@@ -16,11 +16,11 @@
 //! l-ordered, with witnesses separating the levels (see the corpus).
 
 use fnc2_ag::{AttrKind, Grammar, ONode, Occ, PhylumId, ProductionId};
-use fnc2_gfa::{fixpoint_recorded, FixpointStats};
+use fnc2_gfa::{dependents, fixpoint_recorded, FixpointStats};
 use fnc2_obs::{NoopRecorder, Recorder};
 
 use crate::attrs::AttrIndex;
-use crate::io::{CircWitness, PhylumRels};
+use crate::io::{lhs_of, rhs_of, CircWitness, PhylumRels};
 use crate::partition::{TotalOrder, VisitSlot};
 use crate::paste::Pasted;
 
@@ -130,34 +130,12 @@ fn induced_dependencies<R: Recorder>(
     let mut ds = PhylumRels::empty(grammar, ix);
     // A production reads and writes the DS of every phylum it mentions, so
     // its dependents are all productions sharing a phylum with it.
-    let mut mentioning: Vec<Vec<usize>> = vec![Vec::new(); grammar.phylum_count()];
-    for p in grammar.productions() {
-        let prod = grammar.production(p);
-        for pos in 0..=prod.arity() as u16 {
-            let ph = prod.phylum_at(pos);
-            if !mentioning[ph.index()].contains(&p.index()) {
-                mentioning[ph.index()].push(p.index());
-            }
-        }
-    }
-    let dependents: Vec<Vec<usize>> = grammar
-        .productions()
-        .map(|p| {
-            let prod = grammar.production(p);
-            let mut d: Vec<usize> = Vec::new();
-            for pos in 0..=prod.arity() as u16 {
-                for &q in &mentioning[prod.phylum_at(pos).index()] {
-                    if !d.contains(&q) {
-                        d.push(q);
-                    }
-                }
-            }
-            d
-        })
-        .collect();
+    let mentioned = |p: usize| lhs_of(grammar, p).into_iter().chain(rhs_of(grammar, p));
+    let n = grammar.production_count();
+    let dependents = dependents(n, grammar.phylum_count(), mentioned, mentioned);
 
     let stats = fixpoint_recorded(
-        grammar.production_count(),
+        n,
         &dependents,
         |pi| {
             let p = ProductionId::from_raw(pi as u32);

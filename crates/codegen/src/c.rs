@@ -150,7 +150,7 @@ fn emit_unit(out: &mut String, env: &UnitEnv) {
         let params: Vec<String> = env.funcs[*f]
             .params
             .iter()
-            .map(|(n, _)| format!("V {}", cid(n)))
+            .map(|(n, _)| format!("V {}", uid(n)))
             .collect();
         let _ = writeln!(out, "static V f_{}({});", cid(f), params.join(", "));
     }
@@ -318,6 +318,14 @@ fn cid(s: &str) -> String {
         .collect()
 }
 
+/// The C name of a user-written variable, a parameter or a `let`/`case`
+/// binder: `u_<name>`. No prelude or generated name starts with `u_`, so
+/// user names never meet the temporaries `t<k>`, the rule parameters
+/// `o<k>`, the `c_`/`f_` globals or the runtime's own names.
+fn uid(s: &str) -> String {
+    format!("u_{}", cid(s))
+}
+
 /// Expression-emission context: accumulated statements + temp counter.
 struct EmitCtx {
     stmts: Vec<String>,
@@ -366,7 +374,7 @@ fn emit_function(out: &mut String, name: &str, sig: &fnc2_olga::FunSig) {
     let params: Vec<String> = sig
         .params
         .iter()
-        .map(|(n, _)| format!("V {}", cid(n)))
+        .map(|(n, _)| format!("V {}", uid(n)))
         .collect();
     let _ = writeln!(out, "static V f_{}({}) {{", cid(name), params.join(", "));
     if info.is_tail_recursive() {
@@ -417,7 +425,7 @@ fn emit_expr_tail(
                 })
                 .collect();
             for ((p, _), t) in params.iter().zip(&tmps) {
-                ctx.push(format!("{} = {t};", cid(p)));
+                ctx.push(format!("{} = {t};", uid(p)));
             }
             ctx.push("continue;".to_string());
             TAIL_CONTINUED.to_string()
@@ -463,7 +471,7 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
         Expr::Bool(b, _) => format!("mk_bool({})", i32::from(*b)),
         Expr::Str(s, _) => format!("mk_str({})", c_string(s)),
         Expr::Var { name, var, .. } => match var {
-            VarRef::Binder(_) => cid(name),
+            VarRef::Binder(_) => uid(name),
             VarRef::Const => format!("c_{}", cid(name)),
             VarRef::Local | VarRef::Unresolved => {
                 unreachable!(
@@ -550,7 +558,7 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
             let v = emit_expr(ctx, value);
             let r = ctx.tmp();
             ctx.push(format!("V {r};"));
-            ctx.push(format!("{{ V {} = {v};", cid(name)));
+            ctx.push(format!("{{ V {} = {v};", uid(name)));
             let b = emit_block(ctx, body);
             ctx.push(format!("  {r} = {b}; }}"));
             r
@@ -623,7 +631,7 @@ fn emit_decision(
         Decision::Leaf { arm, bindings } => {
             for (name, path) in bindings {
                 let access = emit_path(scrutinee, path);
-                ctx.push(format!("{{ V {} = {access};", cid(name)));
+                ctx.push(format!("{{ V {} = {access};", uid(name)));
             }
             let v = emit_block(ctx, &arms[*arm].1);
             ctx.push(format!("{result} = {v};"));
@@ -744,11 +752,27 @@ fn emit_rule_fn(out: &mut String, grammar: &Grammar, r: &RuleText) {
     let _ = writeln!(out, "/* used by visit sequences of operator {op} */\n");
 }
 
-/// The C name of the function of the OLGA rule defining `target` in `p`.
+/// The C name of the function of the OLGA rule defining `target` in `p`:
+/// `rule`, the operator, then `p<k>` and the attribute for an occurrence
+/// at position `k`, or `local` and the local's name. A local that shares
+/// its name with another local of the production (two blocks may each
+/// declare one) says `local<i>`, with its index.
 fn rule_fn(grammar: &Grammar, p: ProductionId, target: ONode) -> String {
-    crate::rule_name(grammar, p, target)
-        .map(|w| cid(&w))
-        .join("_")
+    let prod = grammar.production(p);
+    let (kind, name) = match target {
+        ONode::Attr(o) => (format!("p{}", o.pos), grammar.attr(o.attr).name()),
+        ONode::Local(l) => {
+            let name = prod.locals()[l.index()].name();
+            let shared = prod.locals().iter().filter(|x| x.name() == name).count() > 1;
+            let kind = if shared {
+                format!("local{}", l.index())
+            } else {
+                "local".to_string()
+            };
+            (kind, name)
+        }
+    };
+    format!("rule_{}_{kind}_{}", cid(prod.name()), cid(name))
 }
 
 /// The C expression reading `arg` at the node `n`.
@@ -796,7 +820,9 @@ fn emit_eval(
         {
             RuleBody::Copy(src) => access(grammar, src),
             RuleBody::Call { func, args } => {
-                let op = if crate::is_sum_model(grammar.function(*func).name()) {
+                // The lowering's `with sum` rule model adds; `with concat`
+                // appends.
+                let op = if grammar.function(*func).name().starts_with("model@Sum@") {
                     "v_add"
                 } else {
                     "v_append"

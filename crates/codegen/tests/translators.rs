@@ -1,10 +1,10 @@
-//! Integration tests: generate C and Lisp for a real AG; the C text is
-//! syntax-checked with the system compiler when one is available.
+//! Integration tests: generate C for real AGs; the C text is syntax-checked
+//! with the system compiler when one is available.
 
 use std::process::Command;
 
 use fnc2_analysis::{snc_test, snc_to_l_ordered, Inclusion};
-use fnc2_codegen::{to_c, to_lisp};
+use fnc2_codegen::to_c;
 use fnc2_olga::{check_units, lower, parse_units};
 use fnc2_visit::build_visit_seqs;
 
@@ -33,17 +33,15 @@ attribute grammar desk;
 end
 "#;
 
-/// Lowers `src` and translates it to C and to Lisp.
-fn translate(src: &str) -> (String, String) {
+/// Lowers `src` and translates it to C.
+fn translate(src: &str) -> String {
     let checked = check_units(parse_units(src).unwrap()).unwrap();
     let (grammar, _, rules) = lower(&checked).unwrap();
     let snc = snc_test(&grammar);
     assert!(snc.is_snc());
     let lo = snc_to_l_ordered(&grammar, &snc, Inclusion::Long).unwrap();
     let seqs = build_visit_seqs(&grammar, &lo);
-    let c = to_c(&checked.env, &rules, &grammar, &seqs);
-    let l = to_lisp(&checked.env, &rules, &grammar, &seqs);
-    (c, l)
+    to_c(&checked.env, &rules, &grammar, &seqs)
 }
 
 /// Syntax-checks `c` with the system C compiler when one is present.
@@ -67,11 +65,35 @@ fn assert_cc_accepts(name: &str, c: &str) {
     );
 }
 
+/// Compiles `c` with a `main` that prints the integer `call` returns,
+/// runs it and returns its output; `None` without a C compiler.
+fn run_c(name: &str, c: &str, call: &str) -> Option<String> {
+    if Command::new("cc").arg("--version").output().is_err() {
+        return None;
+    }
+    let dir = std::env::temp_dir().join("fnc2_codegen_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (path, exe) = (dir.join(format!("{name}.c")), dir.join(name));
+    let main = format!(
+        "#undef main\nint main(void) {{ init_consts(); printf(\"%ld\", {call}.u.i); return 0; }}\n"
+    );
+    std::fs::write(&path, format!("{c}{main}")).unwrap();
+    let out = Command::new("cc")
+        .args(["-std=c99", "-Dmain=generated_main", "-o"])
+        .args([&exe, &path])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "cc rejected the C:\n{err}");
+    let out = Command::new(&exe).output().unwrap();
+    Some(String::from_utf8(out.stdout).unwrap())
+}
+
 #[test]
 fn c_translation_is_complete_and_compiles() {
-    let (c, _) = translate(DESK);
+    let c = translate(DESK);
     // Structural checks.
-    assert!(c.contains("static V f_get(V e, V k)"));
+    assert!(c.contains("static V f_get(V u_e, V u_k)"));
     assert!(c.contains("evaluate_root"));
     assert!(c.contains("visit_prog_pi0_v1"));
     assert!(c.contains("n->kids[0]"));
@@ -81,39 +103,6 @@ fn c_translation_is_complete_and_compiles() {
     let close = c.matches('}').count();
     assert_eq!(open, close, "unbalanced braces");
     assert_cc_accepts("desk", &c);
-}
-
-#[test]
-fn lisp_translation_is_balanced() {
-    let (_, l) = translate(DESK);
-    assert!(l.contains("(defun f-get ("));
-    assert!(l.contains("(defun visit "));
-    assert!(l.contains("evaluate-root"));
-    // Balanced parentheses outside strings.
-    let mut depth: i64 = 0;
-    let mut in_str = false;
-    let mut prev = ' ';
-    for ch in l.chars() {
-        match ch {
-            '"' if prev != '\\' => in_str = !in_str,
-            '(' if !in_str => depth += 1,
-            ')' if !in_str => depth -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0, "unbalanced parens");
-        prev = ch;
-    }
-    assert_eq!(depth, 0, "unbalanced parens at end");
-}
-
-#[test]
-fn lisp_reads_locals_from_the_node() {
-    let (_, l) = translate(DESK);
-    assert!(
-        l.contains("(length (aref (node-locals node) 0))"),
-        "`banner` is read from the node:\n{l}"
-    );
-    assert!(!l.contains("c-banner"), "`banner` is no constant:\n{l}");
 }
 
 /// Two phases, each with its own local for `leaf`.
@@ -131,7 +120,7 @@ end
 
 #[test]
 fn c_computes_the_locals_of_every_phase() {
-    let (c, _) = translate(TWO_PHASES);
+    let c = translate(TWO_PHASES);
     assert!(!c.contains("unreachable"), "{c}");
     for line in [
         "n->locals[0] = rule_leaf_local_x(n->token);",
@@ -146,7 +135,7 @@ fn c_computes_the_locals_of_every_phase() {
 
 #[test]
 fn same_named_locals_of_two_phases_get_their_own_functions() {
-    let (c, l) = translate(
+    let c = translate(
         "attribute grammar dup;
            phylum S;
            operator leaf : S ::= ;
@@ -165,50 +154,11 @@ fn same_named_locals_of_two_phases_get_their_own_functions() {
         assert!(c.contains(line), "missing `{line}` in:\n{c}");
     }
     assert_cc_accepts("dup", &c);
-    assert!(l.contains("(defun rule-leaf-local0-x (node)\n  20)"), "{l}");
-    assert!(l.contains("(defun rule-leaf-local1-x (node)\n  30)"), "{l}");
-}
-
-#[test]
-fn lisp_prints_control_characters_as_string_contents() {
-    // A leading U+0001 is string content, never code to splice.
-    let (_, l) = translate(
-        "attribute grammar inject;
-           phylum S;
-           operator leaf : S ::= ;
-           synthesized s : string of S;
-           for leaf {
-             S.s := case \"\u{1}(f)\" of \"\u{1}(g)\" => \"\" | _ => \"\u{1}(delete-file \\\"x\\\")\" ++ \"!\" end;
-           }
-         end",
-    );
-    assert!(
-        l.contains("(v-append \"\u{1}(delete-file \\\"x\\\")\" \"!\")"),
-        "{l}"
-    );
-    assert!(l.contains("(equal scrutinee \"\u{1}(g)\")"), "{l}");
-    assert!(!l.contains("(delete-file \"x\")"), "{l}");
-}
-
-#[test]
-fn lisp_remainder_truncates_like_olga_and_c() {
-    // OLGA's `%` is Rust's `wrapping_rem` and C's `v_mod` is `%`: both
-    // give -1 for -7 % 2, which is Lisp's `rem`, not `mod`.
-    let (c, l) = translate(
-        "attribute grammar r;
-           phylum S;
-           operator leaf : S ::= ;
-           synthesized v : int of S;
-           for leaf { S.v := token() % 2; }
-         end",
-    );
-    assert!(c.contains("v_mod(o0, mk_int(2))"), "{c}");
-    assert!(l.contains("(rem (node-token node) 2)"), "{l}");
 }
 
 #[test]
 fn tail_recursive_function_becomes_a_loop_in_c() {
-    let (c, _) = translate(
+    let c = translate(
         r#"
 attribute grammar t;
   phylum S;
@@ -228,7 +178,7 @@ end
 
 #[test]
 fn model_rules_translate_to_c() {
-    let (c, l) = translate(
+    let c = translate(
         r#"
 attribute grammar modeled;
   phylum Prog, Stmts, Stmt;
@@ -255,5 +205,44 @@ end
         "all rules emitted"
     );
     assert_cc_accepts("modeled", &c);
-    assert!(l.contains("v-append") || l.contains("(+ "));
+}
+
+/// User names print as `u_<name>`, apart from the temporaries, the prelude
+/// and the constants: parameters and binders named like temporaries, like
+/// C keywords and prelude names, and like a constant's C name.
+#[test]
+fn user_names_have_their_own_c_namespace() {
+    let ag = |name: &str, decls: &str, value: &str| {
+        translate(&format!(
+            "attribute grammar {name};
+               phylum S;
+               operator leaf : S ::= ;
+               synthesized v : int of S;
+               {decls}
+               for leaf {{ S.v := {value}; }}
+             end"
+        ))
+    };
+    let temps = ag(
+        "temps",
+        "function f(t1 : int) : int = let t2 = t1 + 1 in t2 * 2 end;",
+        "f(1)",
+    );
+    assert!(temps.contains("static V f_f(V u_t1) {"), "{temps}");
+    assert_cc_accepts("temps", &temps);
+    let reserved = ag(
+        "reserved",
+        "function h(static : int, V : int, mk_int : int) : int = static + V + mk_int;",
+        "h(1, 2, 3)",
+    );
+    assert_cc_accepts("reserved", &reserved);
+    let consts = ag(
+        "consts",
+        "const y : int = 5; function g(c_y : int) : int = c_y + y;",
+        "g(100)",
+    );
+    assert!(consts.contains("return v_add(u_c_y, c_y);"), "{consts}");
+    if let Some(out) = run_c("consts", &consts, "f_g(mk_int(100))") {
+        assert_eq!(out, "105");
+    }
 }

@@ -5,7 +5,6 @@
 //! fnc2c check   <file.olga>       # front-end + well-definedness only
 //! fnc2c lint    <file.olga>       # grammar-level static analyses (L001..L102)
 //! fnc2c c       <file.olga>       # translate the AG to C on stdout
-//! fnc2c lisp    <file.olga>       # translate the AG to Lisp on stdout
 //! fnc2c seqs    <file.olga>       # print the visit sequences
 //! fnc2c compile --emit-tables FILE <file.olga>
 //!                                 # persist the compiled tables artifact
@@ -31,7 +30,7 @@
 //!
 //! ```text
 //! --report json|text   report format (json bundles phases+counters+trace)
-//! --metrics            print phase times and counters (stderr for c/lisp/seqs)
+//! --metrics            print phase times and counters (stderr for c/seqs)
 //! --trace[=N]          capture an event trace (ring of N entries, default 4096)
 //! --chrome-trace FILE  write a Chrome trace-event JSON (open in Perfetto)
 //! ```
@@ -96,7 +95,6 @@ enum Cmd {
     Report,
     Check,
     C,
-    Lisp,
     Seqs,
     Compile,
     Lint,
@@ -108,8 +106,8 @@ enum Cmd {
 }
 
 impl Cmd {
-    const ALL: [Cmd; 12] = [
-        Report, Check, C, Lisp, Seqs, Compile, Lint, Profile, Explain, Fuzz, Batch, CacheGc,
+    const ALL: [Cmd; 11] = [
+        Report, Check, C, Seqs, Compile, Lint, Profile, Explain, Fuzz, Batch, CacheGc,
     ];
 
     fn name(self) -> &'static str {
@@ -117,7 +115,6 @@ impl Cmd {
             Report => "report",
             Check => "check",
             C => "c",
-            Lisp => "lisp",
             Seqs => "seqs",
             Compile => "compile",
             Lint => "lint",
@@ -202,18 +199,18 @@ struct Flag {
 /// Commands that accept the budget flags.
 const BUDGET: &[Cmd] = &[Report, Profile, Batch];
 /// Commands that accept `--tables` and `--cache-dir`.
-const TABLES: &[Cmd] = &[Report, C, Lisp, Seqs, Lint, Profile, Explain];
+const TABLES: &[Cmd] = &[Report, C, Seqs, Lint, Profile, Explain];
 
 const FLAGS: &[Flag] = &[
     Flag {
         name: "--metrics",
         kind: Kind::Switch(|o| o.metrics = true),
-        cmds: &[Report, C, Lisp, Seqs, Batch],
+        cmds: &[Report, C, Seqs, Batch],
     },
     Flag {
         name: "--trace",
         kind: Kind::Count(|o, n| o.trace = Some(n)),
-        cmds: &[Report, C, Lisp, Seqs, Explain],
+        cmds: &[Report, C, Seqs, Explain],
     },
     Flag {
         name: "--report",
@@ -223,7 +220,7 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--chrome-trace",
         kind: Kind::Path("file", |o, p| o.chrome_trace = Some(p)),
-        cmds: &[Report, Check, C, Lisp, Seqs, Compile, Batch],
+        cmds: &[Report, Check, C, Seqs, Compile, Batch],
     },
     Flag {
         name: "--tables",
@@ -371,7 +368,7 @@ fn usage() -> String {
     "usage: fnc2c [report] [--metrics] [--trace[=N]] [--report json|text] \
      [--chrome-trace FILE] [--tables FILE | --cache-dir DIR] [budget flags] \
      <file.olga | ->\n\
-     \u{20}      fnc2c <c|lisp|seqs> [--metrics] [--trace[=N]] [--chrome-trace FILE] \
+     \u{20}      fnc2c <c|seqs> [--metrics] [--trace[=N]] [--chrome-trace FILE] \
      [--tables FILE | --cache-dir DIR] <file.olga | ->\n\
      \u{20}      fnc2c check [--chrome-trace FILE] <file.olga | ->\n\
      \u{20}      fnc2c compile --emit-tables FILE [--chrome-trace FILE] <file.olga | ->\n\
@@ -511,7 +508,7 @@ fn run_command(cmd: Cmd, args: &[String], opts: &Opts) -> Result<ExitCode, CliEr
         CacheGc => run_cache_gc(&args[0])?,
         Profile => profile_source(&args[0], opts)?,
         Explain => explain_source(&args[0], &args[1], opts)?,
-        Report | Check | C | Lisp | Seqs | Compile => run(cmd, &read_source(&args[0])?, opts)?,
+        Report | Check | C | Seqs | Compile => run(cmd, &read_source(&args[0])?, opts)?,
     };
     print!("{out}");
     Ok(ExitCode::SUCCESS)
@@ -589,7 +586,7 @@ fn run(cmd: Cmd, source: &str, opts: &Opts) -> Result<String, CliError> {
 }
 
 fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String, CliError> {
-    // The checked AG is needed for the translators.
+    // The checked AG is needed for the C translator.
     let checked = || -> Result<fnc2::olga::CheckedAg, CliError> {
         let units = fnc2::olga::parse_units(source).map_err(|e| diag(e.to_string()))?;
         fnc2::olga::check_units(units).map_err(|e| diag(e.to_string()))
@@ -625,18 +622,13 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
                 Ok(out)
             }
         }
-        C | Lisp => {
+        C => {
             let checked = checked()?;
             let compiled = compile_via(source, opts, obs)?;
             // The rule table; lowering is deterministic, so its ids are
             // those of `compiled.grammar`, cached or not.
             let (_, _, rules) = fnc2::olga::lower(&checked).map_err(|e| diag(e.to_string()))?;
-            let translate = if cmd == C {
-                fnc2::codegen::to_c
-            } else {
-                fnc2::codegen::to_lisp
-            };
-            let out = translate(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
+            let out = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
             emit_side_channel(opts, obs, &compiled.grammar);
             Ok(out)
         }
@@ -1179,7 +1171,7 @@ fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
 }
 
 /// Prints the instrumentation report to stderr for commands whose stdout
-/// is a generated artifact (C, Lisp, visit sequences).
+/// is a generated artifact (C, visit sequences).
 fn emit_side_channel(opts: &Opts, obs: &Obs, grammar: &fnc2::ag::Grammar) {
     if opts.metrics || opts.trace.is_some() {
         eprint!("{}", obs.render(&GrammarResolver(grammar)));

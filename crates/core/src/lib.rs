@@ -4,8 +4,7 @@
 //! the evaluator generator (Figure 3's cascade: SNC test → DNC test →
 //! OAG(k) test → SNC-to-l-ordered transformation → visit-sequence
 //! generation → space optimization), the generated evaluators (plain,
-//! space-optimized, demand-driven, incremental), and the translators
-//! (to C and to Lisp).
+//! space-optimized, demand-driven, incremental), and the translator to C.
 //!
 //! ```
 //! use fnc2::Pipeline;
@@ -447,41 +446,18 @@ impl Resolver for GrammarResolver<'_> {
 }
 
 /// Builds a minimal derivation of the grammar's axiom: for every phylum
-/// the production of least derivation height, tokens defaulting to
-/// `Int(0)`. Returns `None` if some phylum on the minimal path derives no
-/// finite tree (useless phyla elsewhere don't matter).
+/// the production of least derivation height (the heights lint's
+/// [`Usefulness`](fnc2_lint::Usefulness) computes), tokens defaulting to
+/// `Int(0)`. Returns `None` if the axiom derives no finite tree (useless
+/// phyla elsewhere don't matter).
 pub fn smoke_tree(grammar: &Grammar) -> Option<Tree> {
-    // Least derivation height per phylum (a small fixpoint).
-    let nph = grammar.phylum_count();
-    let mut height: Vec<Option<usize>> = vec![None; nph];
-    let prod_height = |height: &[Option<usize>], p: ProductionId| -> Option<usize> {
-        let prod = grammar.production(p);
-        let mut h = 0;
-        for ph in prod.rhs() {
-            h = h.max(height[ph.index()]?);
-        }
-        Some(h + 1)
-    };
-    loop {
-        let mut changed = false;
-        for p in grammar.productions() {
-            if let Some(h) = prod_height(&height, p) {
-                let lhs = grammar.production(p).lhs().index();
-                if height[lhs].is_none_or(|old| h < old) {
-                    height[lhs] = Some(h);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // The height-minimal production of each phylum.
-    let mut best: Vec<Option<ProductionId>> = vec![None; nph];
+    let useful = fnc2_lint::Usefulness::compute(grammar);
+    // The height-minimal production of each derivable phylum.
+    let mut best: Vec<Option<ProductionId>> = vec![None; grammar.phylum_count()];
     for p in grammar.productions() {
         let lhs = grammar.production(p).lhs().index();
-        if best[lhs].is_none() && prod_height(&height, p) == height[lhs] {
+        let h = useful.production_height(grammar, p);
+        if best[lhs].is_none() && h.is_some() && h == useful.height[lhs] {
             best[lhs] = Some(p);
         }
     }

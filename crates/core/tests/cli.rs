@@ -123,6 +123,30 @@ fn usage_on_bad_arguments() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// The Lisp translator is not reproduced: `lisp` is an unknown command.
+#[test]
+fn lisp_is_not_a_command() {
+    let out = run_with_stdin(&["lisp", "-"], COUNT);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command `lisp`"), "{err}");
+}
+
+/// A root that derives no finite tree has no smoke tree to decorate: the
+/// report still prints, instead of recursing for ever.
+#[test]
+fn report_on_an_underivable_root_succeeds() {
+    let spin = "attribute grammar pit;
+                  phylum S;
+                  operator spin : S ::= S;
+                  synthesized v : int of S;
+                  for spin { S$1.v := S$2.v; }
+                end";
+    let out = run_with_stdin(&["report", "-"], spin);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("1 operators"));
+}
+
 #[test]
 fn budget_exhaustion_maps_to_exit_2() {
     let mut child = fnc2c()
@@ -287,7 +311,7 @@ fn conflicting_flags_are_diagnostics() {
 #[test]
 fn two_attribute_grammars_are_rejected() {
     let two = format!("{COUNT}{}", COUNT.replace("grammar count", "grammar again"));
-    for cmd in ["check", "report", "c", "lisp", "seqs", "lint"] {
+    for cmd in ["check", "report", "c", "seqs", "lint"] {
         let out = run_with_stdin(&[cmd, "-"], &two);
         assert_eq!(out.status.code(), Some(1), "{cmd}");
         let text = format!(

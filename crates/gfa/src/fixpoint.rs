@@ -1,62 +1,25 @@
 //! The worklist fixpoint engine of Grammar Flow Analysis.
 //!
-//! Every global AG analysis in the paper — SNC's `IO` relations, DNC's `OI`
-//! relations, Kastens' `DS`, the may-evaluate sets of the space optimizer —
-//! is a least fixed point of a monotone transfer function attached to
-//! productions (Möncke's *Grammar Flow Analysis*, which FNC-2 improved
-//! [26]). This module provides the shared engine: a deduplicating worklist
-//! with explicit dependents, so a production is re-examined only when
-//! information it reads has changed.
+//! Every global grammar flow of the system is a least fixed point of a
+//! monotone transfer function attached to items, usually productions
+//! (Möncke's *Grammar Flow Analysis*, which FNC-2 improved [26]), and each
+//! runs on this one engine:
+//!
+//! * SNC's `IO` and DNC's `OI` relations, Kastens' `DS` and the NC test's
+//!   sets of `IO` graphs (`fnc2-analysis`);
+//! * the space optimizer's may-evaluate sets (`fnc2-space`);
+//! * least derivation heights and backward liveness (`fnc2-lint`; the
+//!   pipeline's smoke trees read the same heights);
+//! * the LL(1) NULLABLE, FIRST and FOLLOW sets (`fnc2-syntax`).
+//!
+//! A flow states which facts each item writes and reads; [`dependents`]
+//! turns that into the items to re-examine after a change, and [`fixpoint`]
+//! runs a deduplicating worklist over them, so an item is re-examined only
+//! when information it reads has changed.
 
 use std::collections::VecDeque;
 
 use fnc2_obs::{Key, NoopRecorder, Recorder};
-
-/// A deduplicating FIFO worklist over dense item indices.
-#[derive(Clone, Debug)]
-pub struct Worklist {
-    queue: VecDeque<usize>,
-    queued: Vec<bool>,
-}
-
-impl Worklist {
-    /// A worklist for items `0..n`, initially containing all of them in
-    /// order.
-    pub fn full(n: usize) -> Self {
-        Worklist {
-            queue: (0..n).collect(),
-            queued: vec![true; n],
-        }
-    }
-
-    /// An empty worklist for items `0..n`.
-    pub fn empty(n: usize) -> Self {
-        Worklist {
-            queue: VecDeque::new(),
-            queued: vec![false; n],
-        }
-    }
-
-    /// Enqueues `i` unless already pending.
-    pub fn push(&mut self, i: usize) {
-        if !self.queued[i] {
-            self.queued[i] = true;
-            self.queue.push_back(i);
-        }
-    }
-
-    /// Dequeues the next pending item.
-    pub fn pop(&mut self) -> Option<usize> {
-        let i = self.queue.pop_front()?;
-        self.queued[i] = false;
-        Some(i)
-    }
-
-    /// True if nothing is pending.
-    pub fn is_done(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
 
 /// Statistics of one fixpoint run, for the generator benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -67,13 +30,54 @@ pub struct FixpointStats {
     pub changes: usize,
 }
 
+/// The dependents lists of a flow over items `0..n` and facts `0..facts`:
+/// for each item, the items that read a fact it writes. `writes(i)` and
+/// `reads(i)` list the facts item `i` writes and reads.
+///
+/// Each dependent appears once per list, in the order of the item's
+/// written facts and, per fact, by increasing index. For a bottom-up flow
+/// over productions (e.g. `IO`), an item writes its LHS phylum and reads
+/// its RHS phyla; for a top-down flow (e.g. `OI`), the other way round.
+pub fn dependents<W, R>(
+    n: usize,
+    facts: usize,
+    mut writes: impl FnMut(usize) -> W,
+    mut reads: impl FnMut(usize) -> R,
+) -> Vec<Vec<usize>>
+where
+    W: IntoIterator<Item = usize>,
+    R: IntoIterator<Item = usize>,
+{
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); facts];
+    for i in 0..n {
+        for f in reads(i) {
+            if readers[f].last() != Some(&i) {
+                readers[f].push(i);
+            }
+        }
+    }
+    // `listed[r] == i` once `r` is on item `i`'s list.
+    let mut listed = vec![usize::MAX; n];
+    (0..n)
+        .map(|i| {
+            let mut out = Vec::new();
+            for f in writes(i) {
+                for &r in &readers[f] {
+                    if listed[r] != i {
+                        listed[r] = i;
+                        out.push(r);
+                    }
+                }
+            }
+            out
+        })
+        .collect()
+}
+
 /// Runs `step` to fixpoint over items `0..n`.
 ///
 /// `dependents[i]` lists the items to re-examine whenever `step(i)` reports
-/// a change (returns `true`). For a bottom-up grammar flow (e.g. `IO`),
-/// items are productions and the dependents of `p` are the productions
-/// having `lhs(p)` on their right-hand side; for a top-down flow (e.g.
-/// `OI`), the productions of the phyla on `p`'s right-hand side.
+/// a change (returns `true`); build it with [`dependents`].
 ///
 /// `step` must be monotone w.r.t. some finite-height lattice, otherwise the
 /// loop may diverge.
@@ -88,6 +92,11 @@ pub fn fixpoint(
 /// [`fixpoint`], instrumented: the run's step and change counts are added
 /// to `rec` under `gfa.fixpoint.steps` / `gfa.fixpoint.changes` (several
 /// fixpoints in one cascade accumulate).
+///
+/// In debug builds, once the worklist drains, every step is applied once
+/// more, uncounted, and must report no change: a dependents list that
+/// misses a reader would otherwise yield a fixpoint that is silently too
+/// small.
 pub fn fixpoint_recorded<R: Recorder>(
     n: usize,
     dependents: &[Vec<usize>],
@@ -95,16 +104,28 @@ pub fn fixpoint_recorded<R: Recorder>(
     rec: &mut R,
 ) -> FixpointStats {
     assert_eq!(dependents.len(), n, "one dependents list per item");
-    let mut wl = Worklist::full(n);
+    // A deduplicating FIFO worklist, initially holding every item in order.
+    let mut queue: VecDeque<usize> = (0..n).collect();
+    let mut queued = vec![true; n];
     let mut stats = FixpointStats::default();
-    while let Some(i) = wl.pop() {
+    while let Some(i) = queue.pop_front() {
+        queued[i] = false;
         stats.steps += 1;
         if step(i) {
             stats.changes += 1;
             for &d in &dependents[i] {
-                wl.push(d);
+                if !std::mem::replace(&mut queued[d], true) {
+                    queue.push_back(d);
+                }
             }
         }
+    }
+    #[cfg(debug_assertions)]
+    for i in 0..n {
+        assert!(
+            !step(i),
+            "item {i} changes after the fixpoint: a dependents list misses a reader"
+        );
     }
     rec.count(Key::GfaFixpointSteps, stats.steps as u64);
     rec.count(Key::GfaFixpointChanges, stats.changes as u64);
@@ -117,26 +138,49 @@ mod tests {
 
     #[test]
     fn worklist_deduplicates() {
-        let mut wl = Worklist::empty(3);
-        wl.push(1);
-        wl.push(1);
-        wl.push(2);
-        assert_eq!(wl.pop(), Some(1));
-        assert_eq!(wl.pop(), Some(2));
-        assert_eq!(wl.pop(), None);
-        assert!(wl.is_done());
+        // Items 0 and 1 both change once and both list item 2, which is
+        // still pending; item 2 then changes once and lists item 0 twice.
+        let deps = vec![vec![2], vec![2], vec![0, 0]];
+        let mut changed = [false; 3];
+        let mut order = Vec::new();
+        let stats = fixpoint(3, &deps, |i| {
+            order.push(i);
+            !std::mem::replace(&mut changed[i], true)
+        });
+        // (Debug builds then apply every step once more, uncounted.)
+        assert_eq!(order[..4], [0, 1, 2, 0]);
+        assert_eq!(
+            stats,
+            FixpointStats {
+                steps: 4,
+                changes: 3
+            }
+        );
+    }
+
+    #[test]
+    fn dependents_list_each_reader_once_in_write_order() {
+        // Item 0 writes facts 1 then 0; items 2, 1 and 0 read them.
+        let writes = [vec![1, 0], vec![], vec![0]];
+        let reads = [vec![0], vec![1, 0, 1], vec![1]];
+        let deps = dependents(
+            3,
+            2,
+            |i| writes[i].iter().copied(),
+            |i| reads[i].iter().copied(),
+        );
+        assert_eq!(deps, vec![vec![1, 2, 0], vec![], vec![0, 1]]);
     }
 
     #[test]
     fn fixpoint_longest_path() {
         // Items 0..4 in a chain: value[i] = value[i-1] + 1, seeded at 0.
-        // dependents[i] = [i+1].
+        // Item i writes fact i and reads fact i - 1.
         let n = 5;
-        let dependents: Vec<Vec<usize>> = (0..n)
-            .map(|i| if i + 1 < n { vec![i + 1] } else { vec![] })
-            .collect();
+        let deps = dependents(n, n, |i| [i], |i| i.checked_sub(1));
+        assert_eq!(deps[0], vec![1]);
         let mut value = vec![0u32; n];
-        let stats = fixpoint(n, &dependents, |i| {
+        let stats = fixpoint(n, &deps, |i| {
             let next = if i == 0 { 0 } else { value[i - 1] + 1 };
             if next > value[i] {
                 value[i] = next;
@@ -160,5 +204,20 @@ mod tests {
             false
         });
         assert!(seen.iter().all(|&b| b));
+    }
+
+    /// Item 0 copies item 1's value, but item 1 does not list it as a
+    /// dependent, so the worklist drains before item 0 sees the change.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "item 0 changes after the fixpoint")]
+    fn an_incomplete_dependents_list_panics_in_debug_builds() {
+        let mut value = [0u32, 0];
+        fixpoint(2, &[vec![], vec![]], |i| {
+            let next = if i == 0 { value[1] } else { 5 };
+            let changed = next != value[i];
+            value[i] = next;
+            changed
+        });
     }
 }

@@ -1,16 +1,20 @@
 //! # fnc2-gfa — the Grammar Flow Analysis substrate
 //!
 //! FNC-2's evaluator generator is built on *Grammar Flow Analysis*
-//! (Möncke \[38\], improved by Jourdan & Parigot \[26\]): every global AG
-//! property — the `IO`/`OI` graphs of the (strong/double) non-circularity
-//! tests, Kastens' induced dependencies, the space optimizer's may-evaluate
-//! sets — is a least fixed point over the grammar. This crate provides the
-//! shared machinery:
+//! (Möncke \[38\], improved by Jourdan & Parigot \[26\]): every global
+//! grammar property — the `IO`/`OI` graphs of the (strong/double)
+//! non-circularity tests, the NC test's `IO` graph sets, Kastens' induced
+//! dependencies, the space optimizer's may-evaluate sets, lint's derivation
+//! heights and liveness, the LL(1) NULLABLE/FIRST/FOLLOW sets — is a least
+//! fixed point over the grammar, computed by one engine. This crate
+//! provides the shared machinery:
 //!
 //! * [`BitMatrix`] — dense relations with fast transitive closure,
 //! * [`Digraph`] — deterministic topological sorting, cycle extraction
 //!   (feeding the circularity trace), SCCs,
-//! * [`fixpoint`] — the dependency-driven worklist engine.
+//! * [`fixpoint`] — the dependency-driven worklist engine that runs every
+//!   grammar flow, with [`dependents`] building each flow's re-examination
+//!   lists from the facts its items write and read.
 //!
 //! ```
 //! use fnc2_gfa::BitMatrix;
@@ -32,4 +36,4 @@ mod fixpoint;
 
 pub use bitmat::BitMatrix;
 pub use digraph::Digraph;
-pub use fixpoint::{fixpoint, fixpoint_recorded, FixpointStats, Worklist};
+pub use fixpoint::{dependents, fixpoint, fixpoint_recorded, FixpointStats};

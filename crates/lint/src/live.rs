@@ -20,6 +20,7 @@
 use std::collections::HashSet;
 
 use fnc2_ag::{AttrId, AttrKind, Grammar, LocalId, ONode, ProductionId};
+use fnc2_gfa::{dependents, fixpoint};
 
 use crate::diag::{Code, Diagnostic, Span};
 
@@ -55,36 +56,47 @@ impl Liveness {
         for a in grammar.synthesized(grammar.root()) {
             live_attrs[a.index()] = true;
         }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for p in grammar.productions() {
-                for rule in grammar.production(p).rules() {
-                    let target_live = match rule.target() {
-                        ONode::Attr(o) => live_attrs[o.attr.index()],
-                        ONode::Local(l) => live_locals.contains(&(p, l)),
+        // A backward flow over productions: a production writes the facts
+        // its rules read and reads the facts its rules define. Its locals
+        // are one fact of its own, which makes it its own dependent.
+        let n = grammar.production_count();
+        let attrs = grammar.attr_count();
+        let fact = move |p: usize, node: ONode| match node {
+            ONode::Attr(o) => o.attr.index(),
+            ONode::Local(_) => attrs + p,
+        };
+        let rules = |p: usize| grammar.production(ProductionId::from_raw(p as u32)).rules();
+        let deps = dependents(
+            n,
+            attrs + n,
+            |p| {
+                rules(p)
+                    .iter()
+                    .flat_map(|r| r.read_nodes())
+                    .map(move |x| fact(p, x))
+            },
+            |p| rules(p).iter().map(move |r| fact(p, r.target())),
+        );
+        fixpoint(n, &deps, |p| {
+            let p = ProductionId::from_raw(p as u32);
+            let mut changed = false;
+            for rule in grammar.production(p).rules() {
+                let target_live = match rule.target() {
+                    ONode::Attr(o) => live_attrs[o.attr.index()],
+                    ONode::Local(l) => live_locals.contains(&(p, l)),
+                };
+                if !target_live {
+                    continue;
+                }
+                for n in rule.read_nodes() {
+                    changed |= match n {
+                        ONode::Attr(o) => !std::mem::replace(&mut live_attrs[o.attr.index()], true),
+                        ONode::Local(l) => live_locals.insert((p, l)),
                     };
-                    if !target_live {
-                        continue;
-                    }
-                    for n in rule.read_nodes() {
-                        match n {
-                            ONode::Attr(o) => {
-                                if !live_attrs[o.attr.index()] {
-                                    live_attrs[o.attr.index()] = true;
-                                    changed = true;
-                                }
-                            }
-                            ONode::Local(l) => {
-                                if live_locals.insert((p, l)) {
-                                    changed = true;
-                                }
-                            }
-                        }
-                    }
                 }
             }
-        }
+            changed
+        });
         Liveness {
             live_attrs,
             live_locals,

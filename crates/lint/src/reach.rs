@@ -2,46 +2,52 @@
 //! underivable phyla (`L004`).
 //!
 //! Classic grammar hygiene, transposed to the abstract AG: a phylum is
-//! *derivable* when at least one of its productions has only derivable
-//! RHS phyla (least fixpoint — the same bottom-up height argument as the
-//! pipeline's smoke-tree builder), and a phylum is *reachable* when the
-//! root derives it. A production is useless when its LHS is unreachable
-//! or any RHS phylum is underivable: no derivation tree can ever contain
-//! it, so the evaluators can never visit it.
+//! *derivable* when it has a least derivation height, the bottom-up grammar
+//! flow that the pipeline's smoke-tree builder reads too, and a phylum is
+//! *reachable* when the root derives it. A production is useless when its
+//! LHS is unreachable or any RHS phylum is underivable: no derivation tree
+//! can ever contain it, so the evaluators can never visit it.
 
-use fnc2_ag::{Grammar, PhylumId};
+use fnc2_ag::{Grammar, PhylumId, ProductionId};
+use fnc2_analysis::bottom_up_dependents;
+use fnc2_gfa::fixpoint;
 
 use crate::diag::{Code, Diagnostic, Span};
 
-/// Reachability/derivability facts, exposed for the fuzz oracle.
+/// Reachability/derivability facts; the pipeline's smoke-tree builder
+/// reads the heights.
 #[derive(Clone, Debug)]
 pub struct Usefulness {
-    /// `derivable[ph]` — the phylum derives at least one finite tree.
-    pub derivable: Vec<bool>,
+    /// `height[ph]` — the least height of a finite tree the phylum derives
+    /// (a leaf has height 1), or `None` when it derives none.
+    pub height: Vec<Option<usize>>,
     /// `reachable[ph]` — the root derives the phylum.
     pub reachable: Vec<bool>,
 }
 
 impl Usefulness {
-    /// Computes both fixpoints for `grammar`.
+    /// Computes the least derivation heights and reachability of `grammar`.
     pub fn compute(grammar: &Grammar) -> Usefulness {
-        let mut derivable = vec![false; grammar.phylum_count()];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for p in grammar.productions() {
-                let prod = grammar.production(p);
-                if derivable[prod.lhs().index()] {
-                    continue;
+        let mut useful = Usefulness {
+            height: vec![None; grammar.phylum_count()],
+            reachable: vec![false; grammar.phylum_count()],
+        };
+        fixpoint(
+            grammar.production_count(),
+            &bottom_up_dependents(grammar),
+            |p| {
+                let p = ProductionId::from_raw(p as u32);
+                let h = useful.production_height(grammar, p);
+                let lhs = &mut useful.height[grammar.production(p).lhs().index()];
+                let lower = h.is_some_and(|h| lhs.is_none_or(|old| h < old));
+                if lower {
+                    *lhs = h;
                 }
-                if prod.rhs().iter().all(|ph| derivable[ph.index()]) {
-                    derivable[prod.lhs().index()] = true;
-                    changed = true;
-                }
-            }
-        }
+                lower
+            },
+        );
 
-        let mut reachable = vec![false; grammar.phylum_count()];
+        let reachable = &mut useful.reachable;
         let mut work = vec![grammar.root()];
         reachable[grammar.root().index()] = true;
         while let Some(ph) = work.pop() {
@@ -54,24 +60,30 @@ impl Usefulness {
                 }
             }
         }
-        Usefulness {
-            derivable,
-            reachable,
+        useful
+    }
+
+    /// The least height of a tree rooted at production `p`: one more than
+    /// its tallest RHS phylum's height, or `None` when some RHS phylum
+    /// derives no finite tree.
+    pub fn production_height(&self, grammar: &Grammar, p: ProductionId) -> Option<usize> {
+        let mut h = 0;
+        for ph in grammar.production(p).rhs() {
+            h = h.max(self.height[ph.index()]?);
         }
+        Some(h + 1)
     }
 
     /// True when the production can appear in a derivation tree.
-    pub fn production_useful(&self, grammar: &Grammar, p: fnc2_ag::ProductionId) -> bool {
-        let prod = grammar.production(p);
-        self.reachable[prod.lhs().index()] && prod.rhs().iter().all(|ph| self.derivable[ph.index()])
+    pub fn production_useful(&self, grammar: &Grammar, p: ProductionId) -> bool {
+        self.reachable[grammar.production(p).lhs().index()]
+            && self.production_height(grammar, p).is_some()
     }
 
     /// Phyla that derive no finite tree, in id order.
     pub fn underivable(&self, grammar: &Grammar) -> Vec<PhylumId> {
-        grammar
-            .phyla()
-            .filter(|ph| !self.derivable[ph.index()])
-            .collect()
+        let underivable = |ph: &PhylumId| self.height[ph.index()].is_none();
+        grammar.phyla().filter(underivable).collect()
     }
 }
 
@@ -138,9 +150,9 @@ mod tests {
         let grammar = g.finish().unwrap();
 
         let useful = Usefulness::compute(&grammar);
-        assert!(useful.derivable[s.index()]);
-        assert!(useful.derivable[orphan.index()]);
-        assert!(!useful.derivable[pit.index()]);
+        assert_eq!(useful.height[s.index()], Some(1));
+        assert!(useful.height[orphan.index()].is_some());
+        assert_eq!(useful.height[pit.index()], None);
         assert!(useful.reachable[s.index()]);
         assert!(!useful.reachable[orphan.index()]);
 

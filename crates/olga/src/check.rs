@@ -461,7 +461,7 @@ impl Compiler {
 /// Imported bodies may reference entities of their defining module that the
 /// importer never named (private helpers, transitive constants). Pull the
 /// transitive closure of those dependencies into the importing environment
-/// so the interpreter (and the translators) can resolve them. The bodies
+/// so the interpreter (and the C translator) can resolve them. The bodies
 /// are resolved, so a binder never passes for a constant of the same name.
 fn pull_private_deps<'a>(body: &'a Expr, src: &'a UnitEnv, dst: &mut UnitEnv) {
     let mut bodies = vec![body];

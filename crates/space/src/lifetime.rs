@@ -144,19 +144,15 @@ fn may_eval_sets(
         }
     }
 
-    // Dependents: key k is read by keys whose bodies nest k.
-    let mut dependents: Vec<Vec<usize>> = keys.iter().map(|_| Vec::new()).collect();
-    for (ki, bs) in bodies.iter().enumerate() {
-        for b in bs {
-            for &nk in &b.nested {
-                if !dependents[nk].contains(&ki) {
-                    dependents[nk].push(ki);
-                }
-            }
-        }
-    }
-
-    fnc2_gfa::fixpoint(keys.len(), &dependents, |ki| {
+    // Key k writes its own set and reads the sets its bodies nest.
+    let n = keys.len();
+    let dependents = fnc2_gfa::dependents(
+        n,
+        n,
+        |ki| [ki],
+        |ki| bodies[ki].iter().flat_map(|b| b.nested.iter().copied()),
+    );
+    fnc2_gfa::fixpoint(n, &dependents, |ki| {
         let mut acc = ObjectSet::new(objects.len());
         for b in &bodies[ki] {
             acc.union_in_place(&b.direct);

@@ -13,6 +13,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use fnc2_ag::{Grammar, NodeId, ProductionId, Tree, TreeBuilder, Value};
+use fnc2_gfa::{dependents, fixpoint};
 
 use crate::scanner::{Lexeme, Scanned};
 
@@ -220,78 +221,89 @@ impl Ll1Parser {
             }
         }
 
-        // NULLABLE / FIRST / FOLLOW.
+        // NULLABLE / FIRST / FOLLOW: grammar flows over the rules, whose
+        // facts are the nonterminals. NULLABLE and FIRST flow bottom-up (a
+        // rule writes its LHS and reads its RHS nonterminals), FOLLOW
+        // top-down.
         let n = nts.len();
+        let m = cfg.rules.len();
+        let lhs = |r: usize| [nts[&cfg.rules[r].lhs]];
+        let rhs = |r: usize| {
+            cfg.rules[r].rhs.iter().filter_map(|s| match s {
+                Sym::N(x) => Some(nts[x]),
+                Sym::T(_) => None,
+            })
+        };
         let mut nullable = vec![false; n];
         let mut first: Vec<HashSet<String>> = vec![HashSet::new(); n];
-        let mut follow: Vec<HashSet<String>> = vec![HashSet::new(); n];
-        follow[nts[&cfg.start]].insert("EOF".to_string());
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for r in &cfg.rules {
-                let a = nts[&r.lhs];
-                // nullable
-                if !nullable[a]
-                    && r.rhs.iter().all(|s| match s {
-                        Sym::T(_) => false,
-                        Sym::N(x) => nullable[nts[x]],
-                    })
-                {
-                    nullable[a] = true;
-                    changed = true;
-                }
-                // first
-                for s in &r.rhs {
-                    match s {
-                        Sym::T(t) => {
-                            changed |= first[a].insert(t.clone());
-                            break;
-                        }
-                        Sym::N(x) => {
-                            let add: Vec<String> = first[nts[x]].iter().cloned().collect();
-                            for t in add {
-                                changed |= first[a].insert(t);
-                            }
-                            if !nullable[nts[x]] {
-                                break;
-                            }
-                        }
+        fixpoint(m, &dependents(m, n, lhs, rhs), |ri| {
+            let r = &cfg.rules[ri];
+            let a = nts[&r.lhs];
+            let mut changed = false;
+            let mut all_nullable = true;
+            for s in &r.rhs {
+                match s {
+                    Sym::T(t) => {
+                        changed |= first[a].insert(t.clone());
+                        all_nullable = false;
+                        break;
                     }
-                }
-                // follow
-                for (i, s) in r.rhs.iter().enumerate() {
-                    let Sym::N(x) = s else { continue };
-                    let xi = nts[x];
-                    let mut rest_nullable = true;
-                    for t in &r.rhs[i + 1..] {
-                        match t {
-                            Sym::T(t) => {
-                                changed |= follow[xi].insert(t.clone());
-                                rest_nullable = false;
-                                break;
-                            }
-                            Sym::N(y) => {
-                                let add: Vec<String> = first[nts[y]].iter().cloned().collect();
-                                for t in add {
-                                    changed |= follow[xi].insert(t);
-                                }
-                                if !nullable[nts[y]] {
-                                    rest_nullable = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if rest_nullable {
-                        let add: Vec<String> = follow[a].iter().cloned().collect();
+                    Sym::N(x) => {
+                        let x = nts[x];
+                        let add: Vec<String> = first[x].iter().cloned().collect();
                         for t in add {
-                            changed |= follow[xi].insert(t);
+                            changed |= first[a].insert(t);
+                        }
+                        if !nullable[x] {
+                            all_nullable = false;
+                            break;
                         }
                     }
                 }
             }
-        }
+            if all_nullable && !nullable[a] {
+                nullable[a] = true;
+                changed = true;
+            }
+            changed
+        });
+        let mut follow: Vec<HashSet<String>> = vec![HashSet::new(); n];
+        follow[nts[&cfg.start]].insert("EOF".to_string());
+        fixpoint(m, &dependents(m, n, rhs, lhs), |ri| {
+            let r = &cfg.rules[ri];
+            let a = nts[&r.lhs];
+            let mut changed = false;
+            for (i, s) in r.rhs.iter().enumerate() {
+                let Sym::N(x) = s else { continue };
+                let xi = nts[x];
+                let mut rest_nullable = true;
+                for t in &r.rhs[i + 1..] {
+                    match t {
+                        Sym::T(t) => {
+                            changed |= follow[xi].insert(t.clone());
+                            rest_nullable = false;
+                            break;
+                        }
+                        Sym::N(y) => {
+                            for t in &first[nts[y]] {
+                                changed |= follow[xi].insert(t.clone());
+                            }
+                            if !nullable[nts[y]] {
+                                rest_nullable = false;
+                                break;
+                            }
+                        }
+                    }
+                }
+                if rest_nullable {
+                    let add: Vec<String> = follow[a].iter().cloned().collect();
+                    for t in add {
+                        changed |= follow[xi].insert(t);
+                    }
+                }
+            }
+            changed
+        });
 
         // Predictive table.
         let mut table: HashMap<(usize, String), usize> = HashMap::new();

@@ -1,7 +1,7 @@
 //! Modularity and the companion processors (paper §2.3, §3.3, Figure 4):
 //! an application as a set of OLGA modules plus an AG, the `mkfnc2`
-//! dependency graph and Table-4-style statistics, the `asx` diagnostics,
-//! and a `ppat` unparser for the AG's output trees.
+//! dependency graph and Table-4-style statistics, lint's diagnostics
+//! (`asx`'s checks among them), and a `ppat` unparser for the AG's output trees.
 //!
 //! Run with `cargo run --example olga_pipeline`.
 
@@ -76,15 +76,12 @@ end
     let compiled = Pipeline::new().compile_olga(&source)?;
     println!("generator report:\n{}\n", compiled.report);
 
-    // asx diagnostics on the abstract syntax.
-    let report = fnc2::tools::analyze(&compiled.grammar);
-    if report.is_clean() {
-        println!("asx: abstract syntax is clean");
-    } else {
-        for d in &report.diags {
-            println!("asx: {d}");
-        }
-    }
+    // lint's findings on the grammar: unused attributes, useless
+    // productions and phyla (what the paper's `asx` checks), copy chains.
+    print!(
+        "{}",
+        fnc2::lint::lint_grammar(&compiled.grammar, None).render_text()
+    );
 
     // ---- evaluate and unparse the output tree with ppat ----------------
     let mut tb = fnc2::ag::TreeBuilder::new(&compiled.grammar);

@@ -914,8 +914,8 @@ fn assert_leaf_ints(src: &str, want: &[(&str, i64)]) {
 }
 
 /// Translates `src` to C, which the system C compiler, when present, must
-/// accept, and to Lisp.
-fn translations(src: &str) -> (String, String) {
+/// accept.
+fn translation(src: &str) -> String {
     let units = fnc2::olga::parse_units(src).unwrap();
     let checked = fnc2::olga::check_units(units).unwrap();
     let (grammar, _, rules) = fnc2::olga::lower(&checked).unwrap();
@@ -934,7 +934,7 @@ fn translations(src: &str) -> (String, String) {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "cc rejected the C:\n{err}\n{c}");
     }
-    (c, fnc2::codegen::to_lisp(&checked.env, &rules, g, seqs))
+    c
 }
 
 /// Production locals are scoped per rule block, as the checker scopes
@@ -1004,26 +1004,18 @@ fn binders_shadow_constants_and_locals_in_every_consumer() {
           }
         end";
     assert_leaf_ints(SRC, &[("v", 20 + 4 + 7 + 3 + 1000 + 5)]);
-    let (c, l) = translations(SRC);
+    let c = translation(SRC);
     for bound in [
-        "static V f_scale(V x) {\n    return v_mul(x, c_ten);",
-        "{ V x = mk_int(2);",
-        "f_scale(x)",
-        "{ V y = v_path(",
-        "= y;",
-        "{ V n = mk_int(7);",
+        "static V f_scale(V u_x) {\n    return v_mul(u_x, c_ten);",
+        "{ V u_x = mk_int(2);",
+        "f_scale(u_x)",
+        "{ V u_y = v_path(",
+        "= u_y;",
+        "{ V u_n = mk_int(7);",
     ] {
         assert!(c.contains(bound), "missing `{bound}` in:\n{c}");
     }
-    for bound in [
-        "(defun f-scale (x)\n  (* x c-ten))",
-        "(let ((x 2)) (f-scale x))",
-        "(let ((y (car scrutinee))) y)",
-        "(let ((n 7)) n)",
-    ] {
-        assert!(l.contains(bound), "missing `{bound}` in:\n{l}");
-    }
-    assert!(!c.contains("c_n") && !l.contains("c-n"), "`n` is a binder");
+    assert!(!c.contains("c_n"), "`n` is a binder");
     assert_leaf_ints(
         "
         module m; export f; const b : int = 7; function f(b : int) : int = b + 1; end
@@ -1038,7 +1030,7 @@ fn binders_shadow_constants_and_locals_in_every_consumer() {
 }
 
 /// A constant reached through a function is evaluated after the constants
-/// the function reads, and both translators initialise it after them too.
+/// the function reads, and the C translator initialises it after them too.
 #[test]
 fn constants_read_through_functions_in_every_consumer() {
     const SRC: &str = "
@@ -1051,15 +1043,11 @@ fn constants_read_through_functions_in_every_consumer() {
           for leaf { S.v := a; }
         end";
     assert_leaf_ints(SRC, &[("v", 42)]);
-    let (c, l) = translations(SRC);
+    let c = translation(SRC);
     let at = |text: &str, needle: &str| text.find(needle).expect(needle);
     assert!(at(&c, "c_b = ") < at(&c, "c_a = "), "{c}");
     assert!(
-        at(&c, "static V c_b;") < at(&c, "static V f_f(V x) {"),
+        at(&c, "static V c_b;") < at(&c, "static V f_f(V u_x) {"),
         "{c}"
-    );
-    assert!(
-        at(&l, "(defparameter c-b ") < at(&l, "(defparameter c-a "),
-        "{l}"
     );
 }

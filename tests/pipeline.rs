@@ -157,9 +157,8 @@ fn classes_match_the_table1_ladder() {
 
 #[test]
 fn translators_cover_the_corpus_olga_ags() {
-    // Generate C and Lisp for the mini-Pascal AG; both texts are
-    // structurally complete, and the system C compiler, when present,
-    // accepts the C.
+    // Generate C for the mini-Pascal AG; the text is structurally
+    // complete, and the system C compiler, when present, accepts it.
     let units = fnc2::olga::parse_units(corpus::MINIPASCAL_OLGA).unwrap();
     let checked = fnc2::olga::check_units(units).unwrap();
     let (grammar, _, rules) = fnc2::olga::lower(&checked).unwrap();
@@ -167,17 +166,13 @@ fn translators_cover_the_corpus_olga_ags() {
     let c = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
     assert!(c.contains("evaluate_root"));
     assert_eq!(c.matches('{').count(), c.matches('}').count());
-    let l = fnc2::codegen::to_lisp(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
-    assert!(l.contains("evaluate-root"));
     // Every function reads its parameters, not constants of their names.
-    assert!(l.contains("(defun f-emit2 (op arg)\n  (list (v-append op (v-append \" \" arg))))"));
     for (name, sig) in &checked.env.funcs {
-        let start = l
-            .find(&format!("(defun f-{name} "))
-            .expect("a defun per function");
-        let defun = l[start..].split("\n\n").next().unwrap();
+        let start = c.rfind(&format!("static V f_{name}(")).unwrap();
+        let def = &c[start..start + c[start..].find("\n}\n").unwrap()];
         for (param, _) in &sig.params {
-            assert!(!defun.contains(&format!("c-{param}")), "{defun}");
+            assert!(def.contains(&format!("u_{param}")), "{def}");
+            assert!(!def.contains(&format!("c_{param}")), "{def}");
         }
     }
     let cc = || std::process::Command::new("cc");
@@ -229,11 +224,94 @@ fn long_inclusion_never_worse_than_equality() {
 }
 
 #[test]
-fn asx_is_clean_on_real_grammars() {
+fn real_grammars_have_no_unused_or_useless_symbols() {
+    use fnc2::lint::Code;
+    let useless = [
+        Code::UnusedAttribute,
+        Code::UnreachableProduction,
+        Code::UnderivablePhylum,
+    ];
     for g in [corpus::binary(), corpus::desk(), corpus::minipascal().0] {
-        let report = fnc2::tools::analyze(&g);
-        assert!(report.is_clean(), "{}: {:?}", g.name(), report.diags);
+        let report = fnc2::lint::lint_grammar(&g, None);
+        let found: Vec<_> = report
+            .diags
+            .iter()
+            .filter(|d| useless.contains(&d.code))
+            .collect();
+        assert!(found.is_empty(), "{}: {found:?}", g.name());
     }
+}
+
+/// A 64-deep chain declared against each grammar flow's direction: the
+/// productions come root first, so the bottom-up flows (derivation heights,
+/// the NC test's graph sets, FIRST) meet the leaf last, and the inherited
+/// attribute that carries the value down makes liveness climb back up
+/// against the declaration order. Every flow must still reach its
+/// fixpoint.
+#[test]
+fn a_chain_declared_against_every_flow_reaches_each_fixpoint() {
+    use fnc2::ag::{GrammarBuilder, Occ, Value};
+    use fnc2::lint::Code;
+    use fnc2::syntax::{n, t, Action, Cfg, CfgRule, Ll1Parser};
+    const DEPTH: usize = 64;
+    let mut g = GrammarBuilder::new("chain");
+    let r = g.phylum("R");
+    let out = g.syn(r, "out");
+    let xs: Vec<_> = (0..DEPTH).map(|k| g.phylum(format!("X{k}"))).collect();
+    let s: Vec<_> = xs.iter().map(|&x| g.syn(x, "s")).collect();
+    let i: Vec<_> = xs.iter().map(|&x| g.inh(x, "i")).collect();
+    let top = g.production("top", r, &[xs[0]]);
+    g.copy(top, Occ::lhs(out), Occ::new(1, s[0]));
+    g.constant(top, Occ::new(1, i[0]), Value::Int(0));
+    for k in 0..DEPTH - 1 {
+        let step = g.production(format!("step{k}"), xs[k], &[xs[k + 1]]);
+        g.copy(step, Occ::lhs(s[k]), Occ::new(1, s[k + 1]));
+        g.copy(step, Occ::new(1, i[k + 1]), Occ::lhs(i[k]));
+    }
+    let leaf = g.production("leaf", xs[DEPTH - 1], &[]);
+    g.copy(leaf, Occ::lhs(s[DEPTH - 1]), Occ::lhs(i[DEPTH - 1]));
+    let g = g.finish().unwrap();
+
+    let tree = fnc2::smoke_tree(&g).expect("the chain derives a tree");
+    let deepest = tree.preorder().map(|(_, depth)| depth).max();
+    assert_eq!(deepest, Some(DEPTH));
+
+    let report = fnc2::lint::lint_grammar(&g, None);
+    let useless = [
+        Code::UnusedAttribute,
+        Code::DeadRule,
+        Code::UnreachableProduction,
+        Code::UnderivablePhylum,
+    ];
+    let found: Vec<_> = report
+        .diags
+        .iter()
+        .filter(|d| useless.contains(&d.code))
+        .collect();
+    assert!(found.is_empty(), "{found:?}");
+
+    assert!(fnc2::analysis::nc_test(&g, 4).is_nc());
+
+    let rule = |lhs: String, rhs, operator: String| CfgRule {
+        lhs,
+        rhs,
+        action: Action::Node {
+            operator,
+            token_from: None,
+        },
+    };
+    let mut rules = vec![rule("R".into(), vec![n("X0")], "top".into())];
+    for k in 0..DEPTH - 1 {
+        let next = format!("X{}", k + 1);
+        rules.push(rule(format!("X{k}"), vec![n(&next)], format!("step{k}")));
+    }
+    rules.push(rule(format!("X{}", DEPTH - 1), vec![t("x")], "leaf".into()));
+    let cfg = Cfg {
+        start: "R".into(),
+        rules,
+    };
+    let parser = Ll1Parser::new(cfg, &g).unwrap();
+    assert!(parser.first_of("R").unwrap().contains("x"));
 }
 
 #[test]
