@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use fnc2_ag::{Arg, Grammar, ONode, Occ, ProductionId, RuleBody, Value};
-use fnc2_olga::ast::{Callee, Expr, Pat, VarRef};
-use fnc2_olga::{RuleText, UnitEnv};
+use fnc2_olga::ast::{BinOp, Builtin, Callee, Expr, Pat, UnOp, VarRef};
+use fnc2_olga::{Function, RuleText, UnitEnv};
 use fnc2_visit::{Instr, VisitSeqs};
 
 use crate::optimizer::{compile_arms, tail_info, Decision, Test};
@@ -139,39 +139,40 @@ pub fn module_to_c(env: &UnitEnv) -> String {
     out
 }
 
-/// Prints a unit's functions and constants: the prototypes (functions may
-/// be mutually recursive), the constants' declarations (functions may read
-/// them), the function bodies, and `init_consts`, which computes the
-/// constants in [`UnitEnv::const_order`].
+/// Prints the functions and constants a unit reaches
+/// ([`UnitEnv::reach`]): the prototypes (functions may be mutually
+/// recursive), the constants' declarations (functions may read them), the
+/// function bodies, and `init_consts`, which computes the constants in
+/// [`UnitEnv::const_order`].
 fn emit_unit(out: &mut String, env: &UnitEnv) {
-    let mut fnames: Vec<&String> = env.funcs.keys().collect();
-    fnames.sort();
-    for f in &fnames {
-        let params: Vec<String> = env.funcs[*f]
-            .params
-            .iter()
-            .map(|(n, _)| format!("V {}", uid(n)))
-            .collect();
-        let _ = writeln!(out, "static V f_{}({});", cid(f), params.join(", "));
+    let prog = &*env.program;
+    let (funcs, _) = env.reach();
+    for &f in &funcs {
+        let fun = &prog.funcs[f];
+        let params: Vec<String> = fun.params.iter().map(|n| format!("V {}", uid(n))).collect();
+        let _ = writeln!(
+            out,
+            "static V {}({});",
+            global('f', f, &fun.name),
+            params.join(", ")
+        );
     }
     out.push('\n');
     let (consts, _) = env.const_order();
-    for c in &consts {
-        let _ = writeln!(
-            out,
-            "static V c_{}; /* initialised in init_consts */",
-            cid(c)
-        );
+    for &c in &consts {
+        let name = global('c', c, &prog.consts[c].0);
+        let _ = writeln!(out, "static V {name}; /* initialised in init_consts */");
     }
-    for f in &fnames {
-        emit_function(out, f, &env.funcs[*f]);
+    for &f in &funcs {
+        emit_function(out, f, &prog.funcs[f]);
     }
     out.push_str("static void init_consts(void) {\n");
-    for c in &consts {
+    for &c in &consts {
+        let (name, body) = &prog.consts[c];
         let mut ctx = EmitCtx::new();
-        let v = emit_expr(&mut ctx, &env.consts[*c].1);
+        let v = emit_expr(&mut ctx, body);
         out.push_str(&ctx.indented(1));
-        let _ = writeln!(out, "    c_{} = {};", cid(c), v);
+        let _ = writeln!(out, "    {} = {v};", global('c', c, name));
     }
     out.push_str("}\n\n");
 }
@@ -321,9 +322,16 @@ fn cid(s: &str) -> String {
 /// The C name of a user-written variable, a parameter or a `let`/`case`
 /// binder: `u_<name>`. No prelude or generated name starts with `u_`, so
 /// user names never meet the temporaries `t<k>`, the rule parameters
-/// `o<k>`, the `c_`/`f_` globals or the runtime's own names.
+/// `o<k>`, the globals or the runtime's own names.
 fn uid(s: &str) -> String {
     format!("u_{}", cid(s))
+}
+
+/// The C name of the function (`kind` `f`) or constant (`c`) of id `id`
+/// in the program: `f<id>_<name>`, so same-named entities of two modules
+/// keep apart.
+fn global(kind: char, id: usize, name: &str) -> String {
+    format!("{kind}{id}_{}", cid(name))
 }
 
 /// Expression-emission context: accumulated statements + temp counter.
@@ -368,21 +376,19 @@ fn nested<R>(ctx: &mut EmitCtx, f: impl FnOnce(&mut EmitCtx) -> R) -> R {
     r
 }
 
-/// Emits one user function, compiling self-tail-recursion to a loop.
-fn emit_function(out: &mut String, name: &str, sig: &fnc2_olga::FunSig) {
-    let info = tail_info(name, &sig.body);
-    let params: Vec<String> = sig
-        .params
-        .iter()
-        .map(|(n, _)| format!("V {}", uid(n)))
-        .collect();
-    let _ = writeln!(out, "static V f_{}({}) {{", cid(name), params.join(", "));
+/// Emits the user function of id `id`, compiling self-tail-recursion to a
+/// loop.
+fn emit_function(out: &mut String, id: usize, fun: &Function) {
+    let info = tail_info(&fun.name, &fun.body);
+    let params: Vec<String> = fun.params.iter().map(|n| format!("V {}", uid(n))).collect();
+    let name = global('f', id, &fun.name);
+    let _ = writeln!(out, "static V {name}({}) {{", params.join(", "));
     if info.is_tail_recursive() {
         // The common optimizer's tail-recursion elimination: wrap in a
         // loop; tail self-calls assign the parameters and continue.
         let _ = writeln!(out, "    for (;;) {{ /* tail-recursion eliminated */");
         let mut ctx = EmitCtx::new();
-        let v = emit_expr_tail(&mut ctx, &sig.body, name, &sig.params);
+        let v = emit_expr_tail(&mut ctx, &fun.body, &fun.name, &fun.params);
         out.push_str(&ctx.indented(2));
         if v != TAIL_CONTINUED {
             let _ = writeln!(out, "        return {v};");
@@ -390,7 +396,7 @@ fn emit_function(out: &mut String, name: &str, sig: &fnc2_olga::FunSig) {
         let _ = writeln!(out, "    }}");
     } else {
         let mut ctx = EmitCtx::new();
-        let v = emit_expr(&mut ctx, &sig.body);
+        let v = emit_expr(&mut ctx, &fun.body);
         out.push_str(&ctx.indented(1));
         let _ = writeln!(out, "    return {v};");
     }
@@ -401,17 +407,12 @@ const TAIL_CONTINUED: &str = "/*continue*/";
 
 /// Emits `e` in tail position of `fname`: self-calls become parameter
 /// reassignment + `continue`.
-fn emit_expr_tail(
-    ctx: &mut EmitCtx,
-    e: &Expr,
-    fname: &str,
-    params: &[(String, fnc2_olga::Ty)],
-) -> String {
+fn emit_expr_tail(ctx: &mut EmitCtx, e: &Expr, fname: &str, params: &[String]) -> String {
     match e {
         Expr::Call {
             name,
             args,
-            callee: Callee::User,
+            callee: Callee::User(_),
             ..
         } if name == fname => {
             let vals: Vec<String> = args.iter().map(|a| emit_expr(ctx, a)).collect();
@@ -424,7 +425,7 @@ fn emit_expr_tail(
                     t
                 })
                 .collect();
-            for ((p, _), t) in params.iter().zip(&tmps) {
+            for (p, t) in params.iter().zip(&tmps) {
                 ctx.push(format!("{} = {t};", uid(p)));
             }
             ctx.push("continue;".to_string());
@@ -469,10 +470,10 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
         Expr::Int(i, _) => format!("mk_int({i})"),
         Expr::Real(r, _) => format!("mk_real({r:?})"),
         Expr::Bool(b, _) => format!("mk_bool({})", i32::from(*b)),
-        Expr::Str(s, _) => format!("mk_str({})", c_string(s)),
-        Expr::Var { name, var, .. } => match var {
+        Expr::Str(s, _) => format!("mk_str({})", c_string(s.as_str())),
+        Expr::Var { name, var, .. } => match *var {
             VarRef::Binder(_) => uid(name),
-            VarRef::Const => format!("c_{}", cid(name)),
+            VarRef::Const(c) => global('c', c, name),
             VarRef::Local | VarRef::Unresolved => {
                 unreachable!(
                     "the checker resolves `{name}`; the lowering turns locals into arguments"
@@ -482,30 +483,35 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
         // Argument `k` of a rule function.
         Expr::Arg(k) => format!("o{k}"),
         Expr::Occ(_) => unreachable!("the lowering turns occurrences into rule arguments"),
-        Expr::Call { name, args, .. } => {
+        Expr::Call {
+            name, args, callee, ..
+        } => {
             let vals: Vec<String> = args.iter().map(|a| emit_expr(ctx, a)).collect();
-            builtin_call(name, &vals)
+            match *callee {
+                Callee::Builtin(b) => builtin_call(b, &vals),
+                Callee::User(f) => format!("{}({})", global('f', f, name), vals.join(", ")),
+                Callee::Unresolved => unreachable!("the checker resolves `{name}`"),
+            }
         }
         Expr::Unop { op, expr, .. } => {
             let v = emit_expr(ctx, expr);
             match *op {
-                "-" => {
+                UnOp::Neg => {
                     let t = ctx.tmp();
                     ctx.push(format!(
                         "V {t} = ({v}.tag == T_INT) ? mk_int(-{v}.u.i) : mk_real(-{v}.u.r);"
                     ));
                     t
                 }
-                "not" => format!("mk_bool(!{v}.u.i)"),
-                _ => unreachable!("unknown unop"),
+                UnOp::Not => format!("mk_bool(!{v}.u.i)"),
             }
         }
         Expr::Binop { op, lhs, rhs, .. } => match *op {
-            "and" | "or" => {
+            BinOp::And | BinOp::Or => {
                 let l = emit_expr(ctx, lhs);
                 let t = ctx.tmp();
                 ctx.push(format!("V {t} = {l};"));
-                let guard = if *op == "and" {
+                let guard = if *op == BinOp::And {
                     format!("if ({t}.u.i) {{")
                 } else {
                     format!("if (!{t}.u.i) {{")
@@ -520,20 +526,20 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
                 let l = emit_expr(ctx, lhs);
                 let r = emit_expr(ctx, rhs);
                 match *op {
-                    "+" => format!("v_add({l}, {r})"),
-                    "-" => format!("v_sub({l}, {r})"),
-                    "*" => format!("v_mul({l}, {r})"),
-                    "/" => format!("v_div({l}, {r})"),
-                    "%" => format!("v_mod({l}, {r})"),
-                    "=" => format!("mk_bool(v_eq({l}, {r}))"),
-                    "<>" => format!("mk_bool(!v_eq({l}, {r}))"),
-                    "<" => format!("mk_bool(v_lt({l}, {r}))"),
-                    ">" => format!("mk_bool(v_lt({r}, {l}))"),
-                    "<=" => format!("mk_bool(!v_lt({r}, {l}))"),
-                    ">=" => format!("mk_bool(!v_lt({l}, {r}))"),
-                    "::" => format!("v_cons({l}, {r})"),
-                    "++" => format!("v_append({l}, {r})"),
-                    _ => unreachable!("unknown binop"),
+                    BinOp::Add => format!("v_add({l}, {r})"),
+                    BinOp::Sub => format!("v_sub({l}, {r})"),
+                    BinOp::Mul => format!("v_mul({l}, {r})"),
+                    BinOp::Div => format!("v_div({l}, {r})"),
+                    BinOp::Rem => format!("v_mod({l}, {r})"),
+                    BinOp::Eq => format!("mk_bool(v_eq({l}, {r}))"),
+                    BinOp::Ne => format!("mk_bool(!v_eq({l}, {r}))"),
+                    BinOp::Lt => format!("mk_bool(v_lt({l}, {r}))"),
+                    BinOp::Gt => format!("mk_bool(v_lt({r}, {l}))"),
+                    BinOp::Le => format!("mk_bool(!v_lt({r}, {l}))"),
+                    BinOp::Ge => format!("mk_bool(!v_lt({l}, {r}))"),
+                    BinOp::Cons => format!("v_cons({l}, {r})"),
+                    BinOp::Concat => format!("v_append({l}, {r})"),
+                    BinOp::And | BinOp::Or => unreachable!("short-circuited above"),
                 }
             }
         },
@@ -576,7 +582,7 @@ fn emit_expr(ctx: &mut EmitCtx, e: &Expr) -> String {
             emit_decision(ctx, &decision, &sv, &result, arms);
             result
         }
-        Expr::ListLit(items, _) => {
+        Expr::ListLit(items, _, _) => {
             let mut acc = "mk_nil()".to_string();
             for it in items.iter().rev() {
                 let v = emit_expr(ctx, it);
@@ -690,35 +696,36 @@ fn emit_path(root: &str, path: &[usize]) -> String {
     acc
 }
 
-fn builtin_call(name: &str, vals: &[String]) -> String {
-    match name {
-        "to_real" => format!("mk_real((double){}.u.i)", vals[0]),
-        "to_int" => format!("mk_int((long){}.u.r)", vals[0]),
-        "abs" => format!("mk_int(labs({}.u.i))", vals[0]),
-        "min" => format!(
+fn builtin_call(b: Builtin, vals: &[String]) -> String {
+    use Builtin::*;
+    match b {
+        ToReal => format!("mk_real((double){}.u.i)", vals[0]),
+        ToInt => format!("mk_int((long){}.u.r)", vals[0]),
+        Abs => format!("mk_int(labs({}.u.i))", vals[0]),
+        Min => format!(
             "mk_int({0}.u.i < {1}.u.i ? {0}.u.i : {1}.u.i)",
             vals[0], vals[1]
         ),
-        "max" => format!(
+        Max => format!(
             "mk_int({0}.u.i > {1}.u.i ? {0}.u.i : {1}.u.i)",
             vals[0], vals[1]
         ),
-        "len" => format!("mk_int(v_len({}))", vals[0]),
-        "null" => format!("v_null({})", vals[0]),
-        "hd" => format!("v_hd({})", vals[0]),
-        "tl" => format!("v_tl({})", vals[0]),
-        "rev" => format!("v_rev({})", vals[0]),
-        "empty_map" => "mk_map()".to_string(),
-        "size" => format!("mk_int(v_size({}))", vals[0]),
-        "insert" => format!("v_insert({}, {}, {})", vals[0], vals[1], vals[2]),
-        "lookup" => format!("v_lookup({}, {})", vals[0], vals[1]),
-        "bound" => format!("v_bound({}, {})", vals[0], vals[1]),
-        "remove" => format!("v_remove({}, {})", vals[0], vals[1]),
-        "itoa" => format!("v_itoa({})", vals[0]),
-        "rtoa" => format!("v_rtoa({})", vals[0]),
-        "strlen" => format!("mk_int((long)strlen({}.u.s))", vals[0]),
-        "error" => format!("v_error({})", vals[0]),
-        _ => format!("f_{}({})", cid(name), vals.join(", ")),
+        Len => format!("mk_int(v_len({}))", vals[0]),
+        Null => format!("v_null({})", vals[0]),
+        Hd => format!("v_hd({})", vals[0]),
+        Tl => format!("v_tl({})", vals[0]),
+        Rev => format!("v_rev({})", vals[0]),
+        EmptyMap => "mk_map()".to_string(),
+        Size => format!("mk_int(v_size({}))", vals[0]),
+        Insert => format!("v_insert({}, {}, {})", vals[0], vals[1], vals[2]),
+        Lookup => format!("v_lookup({}, {})", vals[0], vals[1]),
+        Bound => format!("v_bound({}, {})", vals[0], vals[1]),
+        Remove => format!("v_remove({}, {})", vals[0], vals[1]),
+        Itoa => format!("v_itoa({})", vals[0]),
+        Rtoa => format!("v_rtoa({})", vals[0]),
+        Strlen => format!("mk_int((long)strlen({}.u.s))", vals[0]),
+        Error => format!("v_error({})", vals[0]),
+        Token => unreachable!("the lowering turns `token()` into a rule argument"),
     }
 }
 
@@ -753,10 +760,12 @@ fn emit_rule_fn(out: &mut String, grammar: &Grammar, r: &RuleText) {
 }
 
 /// The C name of the function of the OLGA rule defining `target` in `p`:
-/// `rule`, the operator, then `p<k>` and the attribute for an occurrence
-/// at position `k`, or `local` and the local's name. A local that shares
-/// its name with another local of the production (two blocks may each
-/// declare one) says `local<i>`, with its index.
+/// `rule`, the production's index, the operator, then `p<k>` and the
+/// attribute for an occurrence at position `k`, or `local` and the local's
+/// name. A local that shares its name with another local of the production
+/// (two blocks may each declare one) says `local<i>`, with its index. The
+/// index keeps the names of two productions apart even when an operator's
+/// name, joined with `_`, reads like another's with a position.
 fn rule_fn(grammar: &Grammar, p: ProductionId, target: ONode) -> String {
     let prod = grammar.production(p);
     let (kind, name) = match target {
@@ -772,7 +781,12 @@ fn rule_fn(grammar: &Grammar, p: ProductionId, target: ONode) -> String {
             (kind, name)
         }
     };
-    format!("rule_{}_{kind}_{}", cid(prod.name()), cid(name))
+    format!(
+        "rule{}_{}_{kind}_{}",
+        p.index(),
+        cid(prod.name()),
+        cid(name)
+    )
 }
 
 /// The C expression reading `arg` at the node `n`.

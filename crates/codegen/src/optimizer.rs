@@ -46,7 +46,7 @@ fn walk(name: &str, e: &Expr, tail: bool, info: &mut TailInfo) {
             for a in args {
                 walk(name, a, false, info);
             }
-            if n == name && *callee == Callee::User {
+            if n == name && matches!(callee, Callee::User(_)) {
                 if tail {
                     info.tail_self_calls += 1;
                 } else {
@@ -78,7 +78,7 @@ fn walk(name: &str, e: &Expr, tail: bool, info: &mut TailInfo) {
                 walk(name, b, tail, info);
             }
         }
-        Expr::ListLit(items, _) | Expr::TupleLit(items, _) => {
+        Expr::ListLit(items, _, _) | Expr::TupleLit(items, _) => {
             for i in items {
                 walk(name, i, false, info);
             }
@@ -373,7 +373,8 @@ mod tests {
     /// The checked body of function `name` of module `m` in `src`.
     fn fun_body(src: &str, name: &str) -> Expr {
         let compiler = fnc2_olga::compile_modules(src).unwrap();
-        compiler.module("m").unwrap().env.funcs[name].body.clone()
+        let env = &compiler.module("m").unwrap().env;
+        env.program.funcs[env.funcs[name].id].body.clone()
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn run_c(name: &str, c: &str, call: &str) -> Option<String> {
 fn c_translation_is_complete_and_compiles() {
     let c = translate(DESK);
     // Structural checks.
-    assert!(c.contains("static V f_get(V u_e, V u_k)"));
+    assert!(c.contains("static V f0_get(V u_e, V u_k)"));
     assert!(c.contains("evaluate_root"));
     assert!(c.contains("visit_prog_pi0_v1"));
     assert!(c.contains("n->kids[0]"));
@@ -123,10 +123,10 @@ fn c_computes_the_locals_of_every_phase() {
     let c = translate(TWO_PHASES);
     assert!(!c.contains("unreachable"), "{c}");
     for line in [
-        "n->locals[0] = rule_leaf_local_x(n->token);",
-        "n->attrs[0] = rule_leaf_p0_a(n->locals[0]);",
-        "n->locals[1] = rule_leaf_local_y(n->token);",
-        "n->attrs[1] = rule_leaf_p0_b(n->locals[1]);",
+        "n->locals[0] = rule0_leaf_local_x(n->token);",
+        "n->attrs[0] = rule0_leaf_p0_a(n->locals[0]);",
+        "n->locals[1] = rule0_leaf_local_y(n->token);",
+        "n->attrs[1] = rule0_leaf_p0_b(n->locals[1]);",
     ] {
         assert!(c.contains(line), "missing `{line}` in:\n{c}");
     }
@@ -146,10 +146,10 @@ fn same_named_locals_of_two_phases_get_their_own_functions() {
          end",
     );
     for line in [
-        "n->locals[0] = rule_leaf_local0_x();",
-        "n->attrs[0] = rule_leaf_p0_a(n->locals[0]);",
-        "n->locals[1] = rule_leaf_local1_x();",
-        "n->attrs[1] = rule_leaf_p0_b(n->locals[1]);",
+        "n->locals[0] = rule0_leaf_local0_x();",
+        "n->attrs[0] = rule0_leaf_p0_a(n->locals[0]);",
+        "n->locals[1] = rule0_leaf_local1_x();",
+        "n->attrs[1] = rule0_leaf_p0_b(n->locals[1]);",
     ] {
         assert!(c.contains(line), "missing `{line}` in:\n{c}");
     }
@@ -228,7 +228,7 @@ fn user_names_have_their_own_c_namespace() {
         "function f(t1 : int) : int = let t2 = t1 + 1 in t2 * 2 end;",
         "f(1)",
     );
-    assert!(temps.contains("static V f_f(V u_t1) {"), "{temps}");
+    assert!(temps.contains("static V f0_f(V u_t1) {"), "{temps}");
     assert_cc_accepts("temps", &temps);
     let reserved = ag(
         "reserved",
@@ -238,11 +238,66 @@ fn user_names_have_their_own_c_namespace() {
     assert_cc_accepts("reserved", &reserved);
     let consts = ag(
         "consts",
-        "const y : int = 5; function g(c_y : int) : int = c_y + y;",
+        "const y : int = 5; function g(c0_y : int) : int = c0_y + y;",
         "g(100)",
     );
-    assert!(consts.contains("return v_add(u_c_y, c_y);"), "{consts}");
-    if let Some(out) = run_c("consts", &consts, "f_g(mk_int(100))") {
+    assert!(consts.contains("return v_add(u_c0_y, c0_y);"), "{consts}");
+    if let Some(out) = run_c("consts", &consts, "f0_g(mk_int(100))") {
         assert_eq!(out, "105");
     }
+}
+
+/// Two modules each keep a private `helper` that their export calls; the C
+/// names functions by id, so each export calls its own.
+#[test]
+fn same_named_private_functions_of_two_modules_keep_apart() {
+    let c = translate(
+        "module m1; export f1;
+           function helper(x : int) : int = x + 1;
+           function f1(x : int) : int = helper(x);
+         end
+         module m2; export f2;
+           function helper(x : int) : int = x * 100;
+           function f2(x : int) : int = helper(x);
+         end
+         attribute grammar both;
+           import f1 from m1;
+           import f2 from m2;
+           phylum S;
+           operator leaf : S ::= ;
+           synthesized v : int of S;
+           for leaf { S.v := f1(5) + f2(5); }
+         end",
+    );
+    assert!(c.contains("return f0_helper(u_x);"), "{c}");
+    assert!(c.contains("return f2_helper(u_x);"), "{c}");
+    if let Some(out) = run_c("helpers", &c, "f3_f2(mk_int(5))") {
+        assert_eq!(out, "500");
+    }
+}
+
+/// Rule functions of two operators whose names, joined with `_`, read
+/// alike: `a`'s `S.p0_x` and `a_p0`'s `S.x`.
+#[test]
+fn rule_function_names_are_injective() {
+    let c = translate(
+        "attribute grammar clash;
+           phylum S;
+           operator a : S ::= ;
+           operator a_p0 : S ::= ;
+           synthesized x : int of S;
+           synthesized p0_x : int of S;
+           for a { S.x := token() + 1; S.p0_x := token() + 2; }
+           for a_p0 { S.x := token() + 3; S.p0_x := token() + 4; }
+         end",
+    );
+    let defs: Vec<&str> = c
+        .lines()
+        .filter(|l| l.starts_with("static V rule"))
+        .collect();
+    assert_eq!(defs.len(), 4, "{c}");
+    for (i, d) in defs.iter().enumerate() {
+        assert!(!defs[..i].contains(d), "`{d}` twice in:\n{c}");
+    }
+    assert_cc_accepts("clash", &c);
 }

@@ -17,6 +17,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use fnc2_obs::{Key, Obs, Recorder as _};
 use fnc2_space::ObjectIndex;
@@ -194,6 +195,7 @@ fn load_inner(
         lint,
         report,
         intern: false,
+        lowered: OnceLock::new(),
     })
 }
 

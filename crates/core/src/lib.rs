@@ -40,6 +40,7 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use fnc2_ag::{
@@ -49,7 +50,9 @@ use fnc2_analysis::{classify_recorded, AgClass, Classification, Inclusion};
 use fnc2_guard::EvalBudget;
 use fnc2_obs::{Json, Key, Obs, Recorder, Resolver};
 use fnc2_space::{analyze_space, FlatProgram, Lifetimes, ObjectIndex, SpacePlan};
-use fnc2_visit::{build_visit_seqs, EvalError, EvalStats, Evaluator, RootInputs, VisitSeqs};
+use fnc2_visit::{
+    build_visit_seqs, EvalError, EvalStats, Evaluator, Lowered, RootInputs, VisitSeqs,
+};
 
 pub use fnc2_ag as ag;
 pub use fnc2_analysis as analysis;
@@ -206,6 +209,9 @@ pub struct Compiled {
     /// `false` after compile and table load. The evaluation methods of
     /// this type never intern.
     pub intern: bool,
+    /// The rules and op streams that [`evaluate`](Self::evaluate) runs,
+    /// built from `grammar` and `seqs` once, by the first evaluation.
+    lowered: OnceLock<Lowered>,
 }
 
 /// Result of [`Compiled::smoke_evaluate`].
@@ -235,7 +241,15 @@ impl Compiled {
         tree: &Tree,
         inputs: &RootInputs,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
-        Evaluator::new(&self.grammar, &self.seqs).evaluate(tree, inputs)
+        self.evaluator().evaluate(tree, inputs)
+    }
+
+    /// The plain evaluator, over the rules and op streams built once.
+    fn evaluator(&self) -> Evaluator<'_> {
+        let lowered = self
+            .lowered
+            .get_or_init(|| Lowered::new(&self.grammar, &self.seqs));
+        Evaluator::with_lowered(&self.grammar, &self.seqs, lowered)
     }
 
     /// Evaluates `tree` under the space plan; only node-stored values return.
@@ -274,12 +288,8 @@ impl Compiled {
         inputs: &RootInputs,
         rec: &mut R,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
-        Evaluator::new(&self.grammar, &self.seqs).evaluate_with(
-            tree,
-            inputs,
-            &EvalBudget::default(),
-            rec,
-        )
+        self.evaluator()
+            .evaluate_with(tree, inputs, &EvalBudget::default(), rec)
     }
 
     /// Runs the generated evaluators once on a minimal derivation of the
@@ -301,8 +311,7 @@ impl Compiled {
             inputs.insert(attr, Value::Int(0));
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let ev = Evaluator::new(&self.grammar, &self.seqs);
-            match ev.evaluate_with(&tree, &inputs, budget, rec) {
+            match self.evaluator().evaluate_with(&tree, &inputs, budget, rec) {
                 Ok(_) => SmokeOutcome::Ok,
                 Err(EvalError::SemanticFailure { message, .. }) => {
                     SmokeOutcome::SemanticFailure(message)
@@ -579,6 +588,7 @@ impl Pipeline {
             lint,
             report,
             intern: false,
+            lowered: OnceLock::new(),
         })
     }
 

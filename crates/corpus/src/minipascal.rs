@@ -9,9 +9,11 @@
 //! synthesized counter pair, the shape that exercises visit-sequence
 //! scheduling and the space optimizer's stacks.
 
-use fnc2_ag::{Grammar, Tree, Value};
+use std::sync::OnceLock;
+
+use fnc2_ag::{Grammar, ProductionId, Tree, Value};
 use fnc2_olga::{compile_ag_source, LowerInfo};
-use fnc2_syntax::{scan, ScannerSpec};
+use fnc2_syntax::{scan, Lexeme, ScannerSpec};
 
 /// The OLGA source of the mini-Pascal compiler AG.
 pub const MINIPASCAL_OLGA: &str = r#"
@@ -220,20 +222,82 @@ pub fn minipascal_scanner() -> ScannerSpec {
     )
 }
 
+/// The operators the parser builds, as [`Px::prods`] indexes them.
+#[derive(Clone, Copy)]
+enum Op {
+    Program,
+    DeclsCons,
+    DeclsNil,
+    Decl,
+    Tint,
+    Tbool,
+    StmtsCons,
+    StmtsNil,
+    Assign,
+    Sif,
+    Swhile,
+    Swrite,
+    Eadd,
+    Esub,
+    Emul,
+    Elt,
+    Eeq,
+    Enot,
+    Elit,
+    Etrue,
+    Efalse,
+    Evar,
+}
+
+/// The names of [`Op`]'s operators, in its order.
+const OPS: [&str; 22] = [
+    "program",
+    "decls_cons",
+    "decls_nil",
+    "decl",
+    "tint",
+    "tbool",
+    "stmts_cons",
+    "stmts_nil",
+    "assign",
+    "sif",
+    "swhile",
+    "swrite",
+    "eadd",
+    "esub",
+    "emul",
+    "elt",
+    "eeq",
+    "enot",
+    "elit",
+    "etrue",
+    "efalse",
+    "evar",
+];
+
 /// Parses a concrete mini-Pascal program into an abstract tree.
 ///
 /// A hand-written predictive parser over the `fnc2-syntax` scanner — the
 /// expression levels fold left-associatively into the binary abstract
 /// operators, which a table-driven LL(1) constructor cannot do directly.
+/// The scanner spec is built once per process, and the production ids once
+/// per call; lookahead compares the tokens' terminal names in place.
 ///
 /// # Errors
 ///
 /// Returns a message with the position of the first syntax error.
 pub fn parse_minipascal(grammar: &Grammar, src: &str) -> Result<Tree, String> {
-    let toks = scan(&minipascal_scanner(), src).map_err(|e| e.to_string())?;
+    static SPEC: OnceLock<ScannerSpec> = OnceLock::new();
+    let toks = scan(SPEC.get_or_init(minipascal_scanner), src).map_err(|e| e.to_string())?;
+    let mut prods = [ProductionId::from_raw(0); OPS.len()];
+    for (id, name) in prods.iter_mut().zip(OPS) {
+        *id = grammar
+            .production_by_name(name)
+            .ok_or_else(|| format!("unknown operator {name}"))?;
+    }
     let mut p = Px {
-        g: grammar,
         tb: fnc2_ag::TreeBuilder::new(grammar),
+        prods,
         toks,
         at: 0,
     };
@@ -242,15 +306,15 @@ pub fn parse_minipascal(grammar: &Grammar, src: &str) -> Result<Tree, String> {
 }
 
 struct Px<'g> {
-    g: &'g Grammar,
     tb: fnc2_ag::TreeBuilder<'g>,
+    prods: [ProductionId; OPS.len()],
     toks: Vec<fnc2_syntax::Scanned>,
     at: usize,
 }
 
 impl Px<'_> {
-    fn look(&self) -> &fnc2_syntax::Lexeme {
-        &self.toks[self.at].lexeme
+    fn look(&self) -> &str {
+        self.toks[self.at].lexeme.terminal()
     }
 
     fn err<T>(&self, msg: &str) -> Result<T, String> {
@@ -258,41 +322,44 @@ impl Px<'_> {
         Err(format!("{}:{}: {msg}, found {}", t.line, t.col, t.lexeme))
     }
 
-    fn eat(&mut self, term: &str) -> Result<fnc2_syntax::Lexeme, String> {
-        if self.look().terminal() == term {
-            let l = self.look().clone();
-            self.at += 1;
-            Ok(l)
+    fn eat(&mut self, term: &str) -> Result<(), String> {
+        if self.eat_if(term) {
+            Ok(())
         } else {
             self.err(&format!("expected `{term}`"))
         }
     }
 
     fn eat_if(&mut self, term: &str) -> bool {
-        if self.look().terminal() == term {
-            self.at += 1;
-            true
-        } else {
-            false
+        let hit = self.look() == term;
+        self.at += usize::from(hit);
+        hit
+    }
+
+    /// Eats an identifier, returning its name as a token value.
+    fn ident(&mut self) -> Result<Value, String> {
+        match &self.toks[self.at].lexeme {
+            Lexeme::Ident(s) => {
+                let name = Value::str(s);
+                self.at += 1;
+                Ok(name)
+            }
+            _ => self.err("expected `IDENT`"),
         }
     }
 
-    fn node(&mut self, op: &str, kids: &[fnc2_ag::NodeId]) -> Result<fnc2_ag::NodeId, String> {
-        self.tb.op(op, kids).map_err(|e| e.to_string())
+    fn node(&mut self, op: Op, kids: &[fnc2_ag::NodeId]) -> Result<fnc2_ag::NodeId, String> {
+        self.node_tok(op, kids, None)
     }
 
     fn node_tok(
         &mut self,
-        op: &str,
+        op: Op,
         kids: &[fnc2_ag::NodeId],
-        token: Value,
+        token: Option<Value>,
     ) -> Result<fnc2_ag::NodeId, String> {
-        let p = self
-            .g
-            .production_by_name(op)
-            .ok_or_else(|| format!("unknown operator {op}"))?;
         self.tb
-            .node_with_token(p, kids, Some(token))
+            .node_with_token(self.prods[op as usize], kids, token)
             .map_err(|e| e.to_string())
     }
 
@@ -305,62 +372,52 @@ impl Px<'_> {
         let stmts = self.stmts()?;
         self.eat("end")?;
         self.eat(".")?;
-        if self.look().terminal() != "EOF" {
+        if self.look() != "EOF" {
             return self.err("expected end of input");
         }
-        self.node("program", &[decls, stmts])
+        self.node(Op::Program, &[decls, stmts])
     }
 
     fn decls(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        if self.look().terminal() == "var" {
-            self.at += 1;
-            let name = match self.eat("IDENT")? {
-                fnc2_syntax::Lexeme::Ident(s) => s,
-                _ => unreachable!(),
-            };
+        if self.eat_if("var") {
+            let name = self.ident()?;
             self.eat(":")?;
             let ty = if self.eat_if("integer") {
-                self.node("tint", &[])?
+                self.node(Op::Tint, &[])?
             } else {
                 self.eat("boolean")?;
-                self.node("tbool", &[])?
+                self.node(Op::Tbool, &[])?
             };
             self.eat(";")?;
-            let d = self.node_tok("decl", &[ty], Value::str(name))?;
+            let d = self.node_tok(Op::Decl, &[ty], Some(name))?;
             let rest = self.decls()?;
-            self.node("decls_cons", &[d, rest])
+            self.node(Op::DeclsCons, &[d, rest])
         } else {
-            self.node("decls_nil", &[])
+            self.node(Op::DeclsNil, &[])
         }
     }
 
     fn stmts(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        if matches!(
-            self.look().terminal().as_str(),
-            "IDENT" | "if" | "while" | "write"
-        ) {
+        if matches!(self.look(), "IDENT" | "if" | "while" | "write") {
             let s = self.stmt()?;
             let rest = if self.eat_if(";") {
                 self.stmts()?
             } else {
-                self.node("stmts_nil", &[])?
+                self.node(Op::StmtsNil, &[])?
             };
-            self.node("stmts_cons", &[s, rest])
+            self.node(Op::StmtsCons, &[s, rest])
         } else {
-            self.node("stmts_nil", &[])
+            self.node(Op::StmtsNil, &[])
         }
     }
 
     fn stmt(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        match self.look().terminal().as_str() {
+        match self.look() {
             "IDENT" => {
-                let name = match self.eat("IDENT")? {
-                    fnc2_syntax::Lexeme::Ident(s) => s,
-                    _ => unreachable!(),
-                };
+                let name = self.ident()?;
                 self.eat(":=")?;
                 let e = self.expr()?;
-                self.node_tok("assign", &[e], Value::str(name))
+                self.node_tok(Op::Assign, &[e], Some(name))
             }
             "if" => {
                 self.at += 1;
@@ -370,7 +427,7 @@ impl Px<'_> {
                 self.eat("else")?;
                 let b = self.stmts()?;
                 self.eat("end")?;
-                self.node("sif", &[c, a, b])
+                self.node(Op::Sif, &[c, a, b])
             }
             "while" => {
                 self.at += 1;
@@ -378,12 +435,12 @@ impl Px<'_> {
                 self.eat("do")?;
                 let body = self.stmts()?;
                 self.eat("end")?;
-                self.node("swhile", &[c, body])
+                self.node(Op::Swhile, &[c, body])
             }
             "write" => {
                 self.at += 1;
                 let e = self.expr()?;
-                self.node("swrite", &[e])
+                self.node(Op::Swrite, &[e])
             }
             _ => self.err("expected a statement"),
         }
@@ -393,10 +450,10 @@ impl Px<'_> {
         let lhs = self.simple()?;
         if self.eat_if("<") {
             let rhs = self.simple()?;
-            self.node("elt", &[lhs, rhs])
+            self.node(Op::Elt, &[lhs, rhs])
         } else if self.eat_if("=") {
             let rhs = self.simple()?;
-            self.node("eeq", &[lhs, rhs])
+            self.node(Op::Eeq, &[lhs, rhs])
         } else {
             Ok(lhs)
         }
@@ -407,10 +464,10 @@ impl Px<'_> {
         loop {
             if self.eat_if("+") {
                 let rhs = self.term()?;
-                acc = self.node("eadd", &[acc, rhs])?;
+                acc = self.node(Op::Eadd, &[acc, rhs])?;
             } else if self.eat_if("-") {
                 let rhs = self.term()?;
-                acc = self.node("esub", &[acc, rhs])?;
+                acc = self.node(Op::Esub, &[acc, rhs])?;
             } else {
                 return Ok(acc);
             }
@@ -421,42 +478,34 @@ impl Px<'_> {
         let mut acc = self.factor()?;
         while self.eat_if("*") {
             let rhs = self.factor()?;
-            acc = self.node("emul", &[acc, rhs])?;
+            acc = self.node(Op::Emul, &[acc, rhs])?;
         }
         Ok(acc)
     }
 
     fn factor(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        match self.look().clone() {
-            fnc2_syntax::Lexeme::Int(i) => {
-                self.at += 1;
-                self.node_tok("elit", &[], Value::Int(i))
-            }
-            fnc2_syntax::Lexeme::Ident(name) => {
-                self.at += 1;
-                self.node_tok("evar", &[], Value::str(name))
-            }
-            fnc2_syntax::Lexeme::Keyword(k) if k == "true" => {
-                self.at += 1;
-                self.node("etrue", &[])
-            }
-            fnc2_syntax::Lexeme::Keyword(k) if k == "false" => {
-                self.at += 1;
-                self.node("efalse", &[])
-            }
-            fnc2_syntax::Lexeme::Keyword(k) if k == "not" => {
-                self.at += 1;
-                let e = self.factor()?;
-                self.node("enot", &[e])
-            }
-            fnc2_syntax::Lexeme::Op(o) if o == "(" => {
-                self.at += 1;
-                let e = self.expr()?;
-                self.eat(")")?;
-                Ok(e)
-            }
-            _ => self.err("expected a factor"),
-        }
+        let (op, token) = match &self.toks[self.at].lexeme {
+            Lexeme::Int(i) => (Op::Elit, Some(Value::Int(*i))),
+            Lexeme::Ident(name) => (Op::Evar, Some(Value::str(name))),
+            l => match l.terminal() {
+                "true" => (Op::Etrue, None),
+                "false" => (Op::Efalse, None),
+                "not" => {
+                    self.at += 1;
+                    let e = self.factor()?;
+                    return self.node(Op::Enot, &[e]);
+                }
+                "(" => {
+                    self.at += 1;
+                    let e = self.expr()?;
+                    self.eat(")")?;
+                    return Ok(e);
+                }
+                _ => return self.err("expected a factor"),
+            },
+        };
+        self.at += 1;
+        self.node_tok(op, &[], token)
     }
 }
 

@@ -1,5 +1,7 @@
 //! Abstract syntax of the OLGA subset.
 
+use fnc2_ag::Value;
+
 use crate::lexer::Pos;
 
 /// A compilation unit: a module or an attribute grammar (paper §2.4:
@@ -292,14 +294,15 @@ pub enum VarRef {
     /// Not resolved yet.
     Unresolved,
     /// A function parameter, `let` or `case` binder: its slot in the
-    /// frame, which holds a function's parameters first and then every
-    /// binder in scope, outermost first, a pattern's in left-to-right
-    /// order.
+    /// frame, which holds a function's parameters first and then, outermost
+    /// first, every binder in scope and every argument already evaluated
+    /// for an enclosing call of a user function; a pattern's binders are in
+    /// left-to-right order.
     Binder(usize),
     /// A production-local attribute of the enclosing rule block.
     Local,
-    /// A constant of the unit.
-    Const,
+    /// A constant: its id in the compiler's [`Program`](crate::Program).
+    Const(usize),
 }
 
 /// What a call invokes, as the checker resolved it.
@@ -307,14 +310,63 @@ pub enum VarRef {
 pub enum Callee {
     /// Not resolved yet.
     Unresolved,
-    /// A builtin (`len`, `insert`, `token`, …).
-    Builtin,
-    /// A function of the unit, its own or imported.
-    User,
+    /// A builtin.
+    Builtin(Builtin),
+    /// A function of the unit, its own or imported: its id in the
+    /// compiler's [`Program`](crate::Program).
+    User(usize),
 }
 
-/// Binary operators.
-pub type BinOp = &'static str;
+/// Declares a fieldless enum of OLGA names, with its spelling both ways.
+macro_rules! named {
+    ($(#[$doc:meta])* $ty:ident { $($v:ident = $s:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $ty { $(#[doc = concat!("`", $s, "`")] $v,)* }
+
+        impl $ty {
+            /// The OLGA spelling.
+            pub fn name(self) -> &'static str {
+                match self { $($ty::$v => $s,)* }
+            }
+
+            /// The value spelled `name`, if any.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                match name { $($s => Some($ty::$v),)* _ => None }
+            }
+        }
+
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+    };
+}
+
+named! {
+    /// A builtin function.
+    Builtin {
+        Token = "token", ToReal = "to_real", ToInt = "to_int", Abs = "abs", Min = "min",
+        Max = "max", Len = "len", Null = "null", Hd = "hd", Tl = "tl", Rev = "rev",
+        EmptyMap = "empty_map", Size = "size", Insert = "insert", Lookup = "lookup",
+        Bound = "bound", Remove = "remove", Itoa = "itoa", Rtoa = "rtoa", Strlen = "strlen",
+        Error = "error",
+    }
+}
+
+named! {
+    /// A binary operator.
+    BinOp {
+        Or = "or", And = "and", Eq = "=", Ne = "<>", Lt = "<", Le = "<=", Gt = ">", Ge = ">=",
+        Cons = "::", Concat = "++", Add = "+", Sub = "-", Mul = "*", Div = "/", Rem = "%",
+    }
+}
+
+named! {
+    /// A unary operator.
+    UnOp { Neg = "-", Not = "not", }
+}
 
 /// An expression.
 #[derive(Clone, Debug, PartialEq)]
@@ -325,8 +377,8 @@ pub enum Expr {
     Real(f64, Pos),
     /// Boolean literal.
     Bool(bool, Pos),
-    /// String literal.
-    Str(String, Pos),
+    /// String literal, built once.
+    Str(Value, Pos),
     /// A variable: a parameter, `let` or `case` binder, production-local
     /// attribute or constant, as the checker resolved it.
     Var {
@@ -356,7 +408,7 @@ pub enum Expr {
     /// Unary operator (`-`, `not`).
     Unop {
         /// The operator.
-        op: BinOp,
+        op: UnOp,
         /// Operand.
         expr: Box<Expr>,
         /// Position.
@@ -404,8 +456,8 @@ pub enum Expr {
         /// Position.
         pos: Pos,
     },
-    /// `[e, …]`
-    ListLit(Vec<Expr>, Pos),
+    /// `[e, …]`, and its value, built once, when every item is a literal.
+    ListLit(Vec<Expr>, Option<Value>, Pos),
     /// `(e, e, …)` (2+ elements).
     TupleLit(Vec<Expr>, Pos),
     /// `@op(e, …)` — output-tree construction (tree-to-tree mapping).
@@ -427,7 +479,7 @@ impl Expr {
             | Expr::Real(_, p)
             | Expr::Bool(_, p)
             | Expr::Str(_, p)
-            | Expr::ListLit(_, p)
+            | Expr::ListLit(_, _, p)
             | Expr::TupleLit(_, p) => *p,
             Expr::Arg(_) => Pos { line: 0, col: 0 },
             Expr::Occ(o) => o.pos,
@@ -442,6 +494,18 @@ impl Expr {
         }
     }
 
+    /// The value of a literal: a number, boolean or string, or a list of
+    /// literals.
+    pub fn literal(&self) -> Option<Value> {
+        match self {
+            Expr::Int(i, _) => Some(Value::Int(*i)),
+            Expr::Real(r, _) => Some(Value::Real(*r)),
+            Expr::Bool(b, _) => Some(Value::Bool(*b)),
+            Expr::Str(v, _) | Expr::ListLit(_, Some(v), _) => Some(v.clone()),
+            _ => None,
+        }
+    }
+
     /// Calls `f` on this expression and then on each of its
     /// sub-expressions, in source order.
     pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
@@ -449,7 +513,7 @@ impl Expr {
         match self {
             Expr::Call { args: es, .. }
             | Expr::TreeCons { args: es, .. }
-            | Expr::ListLit(es, _)
+            | Expr::ListLit(es, _, _)
             | Expr::TupleLit(es, _) => es.iter().for_each(|e| e.walk(f)),
             Expr::Unop { expr, .. } => expr.walk(f),
             Expr::Binop { lhs: a, rhs: b, .. }
@@ -483,7 +547,7 @@ impl Expr {
         match self {
             Expr::Call { args: es, .. }
             | Expr::TreeCons { args: es, .. }
-            | Expr::ListLit(es, _)
+            | Expr::ListLit(es, _, _)
             | Expr::TupleLit(es, _) => es.iter_mut().try_for_each(|e| e.try_walk_mut(f)),
             Expr::Unop { expr, .. } => expr.try_walk_mut(f),
             Expr::Binop { lhs: a, rhs: b, .. }

@@ -9,8 +9,9 @@
 //! rule blocks, and verifies that rules only define output occurrences. Exactly-once definition (after automatic
 //! copy-rule insertion) is enforced by the lowering step.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::lexer::Pos;
@@ -40,15 +41,38 @@ fn err<T>(message: impl Into<String>, pos: Pos) -> Result<T, CheckError> {
     })
 }
 
-/// A checked function: resolved signature plus retained body.
+/// A function as a unit sees it: its id in the [`Program`] and its
+/// signature under the unit's view of opaque types.
 #[derive(Clone, Debug)]
 pub struct FunSig {
-    /// Parameter names and types.
-    pub params: Vec<(String, Ty)>,
+    /// The function's id.
+    pub id: usize,
+    /// Parameter types.
+    pub params: Vec<Ty>,
     /// Return type.
     pub ret: Ty,
-    /// The body, evaluated by the interpreter.
+}
+
+/// A checked function.
+#[derive(Clone, Debug)]
+pub struct Function {
+    /// Its name in its unit.
+    pub name: String,
+    /// Parameter names.
+    pub params: Vec<String>,
+    /// The body, resolved by the checker of its unit.
     pub body: Expr,
+}
+
+/// Every function and constant a [`Compiler`] checked, indexed by the ids
+/// the checker marks calls and constant reads with, so an imported body
+/// keeps the names of its own module.
+#[derive(Clone, Debug, Default)]
+pub struct Program {
+    /// Functions by id.
+    pub funcs: Vec<Function>,
+    /// Constants by id: name and defining expression.
+    pub consts: Vec<(String, Expr)>,
 }
 
 /// The entities visible inside one unit (own + imported).
@@ -56,10 +80,39 @@ pub struct FunSig {
 pub struct UnitEnv {
     /// Named types.
     pub types: HashMap<String, Ty>,
-    /// Constants: type and defining expression.
-    pub consts: HashMap<String, (Ty, Expr)>,
+    /// Constants: id and type.
+    pub consts: HashMap<String, (usize, Ty)>,
     /// Functions.
     pub funcs: HashMap<String, FunSig>,
+    /// The bodies of these and of every unit checked before this one.
+    pub program: Arc<Program>,
+}
+
+impl UnitEnv {
+    /// The ids of the functions and of the constants the unit reaches: the
+    /// ones it can name and, transitively, those their bodies read; each
+    /// list in increasing order.
+    pub fn reach(&self) -> (Vec<usize>, Vec<usize>) {
+        let prog = &*self.program;
+        let mut funcs: BTreeSet<usize> = self.funcs.values().map(|f| f.id).collect();
+        let mut consts: BTreeSet<usize> = self.consts.values().map(|c| c.0).collect();
+        let mut bodies: Vec<&Expr> = funcs.iter().map(|&f| &prog.funcs[f].body).collect();
+        bodies.extend(consts.iter().map(|&c| &prog.consts[c].1));
+        while let Some(body) = bodies.pop() {
+            body.walk(&mut |e| match e {
+                Expr::Var {
+                    var: VarRef::Const(c),
+                    ..
+                } if consts.insert(*c) => bodies.push(&prog.consts[*c].1),
+                Expr::Call {
+                    callee: Callee::User(f),
+                    ..
+                } if funcs.insert(*f) => bodies.push(&prog.funcs[*f].body),
+                _ => {}
+            });
+        }
+        (funcs.into_iter().collect(), consts.into_iter().collect())
+    }
 }
 
 /// A checked module, with its export surface.
@@ -109,6 +162,7 @@ pub struct CheckedAg {
 #[derive(Debug, Default)]
 pub struct Compiler {
     modules: HashMap<String, CheckedModule>,
+    program: Arc<Program>,
 }
 
 impl Compiler {
@@ -129,6 +183,7 @@ impl Compiler {
     /// Returns the first semantic error.
     pub fn add_module(&mut self, m: Module) -> Result<(), CheckError> {
         let checked = self.check_module(m)?;
+        self.program = Arc::clone(&checked.env.program);
         self.modules.insert(checked.ast.name.clone(), checked);
         Ok(())
     }
@@ -165,8 +220,7 @@ impl Compiler {
                 phyla: t.phyla,
             });
         }
-        let mut env = UnitEnv::default();
-        self.apply_imports(&ag.imports, &mut env)?;
+        let mut env = self.unit_env(&ag.imports)?;
         declare_unit(&ag.types, &mut ag.funcs, &mut ag.consts, &mut env)?;
 
         // Phyla.
@@ -343,14 +397,16 @@ impl Compiler {
     }
 
     fn check_module(&self, mut m: Module) -> Result<CheckedModule, CheckError> {
-        let mut env = UnitEnv::default();
-        self.apply_imports(&m.imports, &mut env)?;
+        let mut env = self.unit_env(&m.imports)?;
         declare_unit(&m.types, &mut m.funcs, &mut m.consts, &mut env)?;
 
         // Export surface. Opaque type exports abstract the representation,
         // so exported signatures are re-resolved from their *syntactic*
         // types under the abstracted view.
-        let mut exports = UnitEnv::default();
+        let mut exports = UnitEnv {
+            program: Arc::clone(&env.program),
+            ..UnitEnv::default()
+        };
         if m.exports.is_empty() {
             exports = env.clone();
         } else {
@@ -367,44 +423,30 @@ impl Compiler {
                     exports.types.insert(e.name.clone(), t.clone());
                     found = true;
                 }
-                if let Some(imported) = env.consts.get(&e.name) {
+                if let Some((id, ty)) = env.consts.get(&e.name) {
                     // Defined here: re-resolve from the syntactic type under
                     // the abstracted view. Imported: re-export as checked.
-                    match m.consts.iter().find(|c| c.name == e.name) {
-                        Some(def) => {
-                            let ty = reresolve(&def.ty, def.pos)?;
-                            exports
-                                .consts
-                                .insert(e.name.clone(), (ty, def.body.clone()));
-                        }
-                        None => {
-                            exports.consts.insert(e.name.clone(), imported.clone());
-                        }
-                    }
+                    let ty = match m.consts.iter().find(|c| c.name == e.name) {
+                        Some(def) => reresolve(&def.ty, def.pos)?,
+                        None => ty.clone(),
+                    };
+                    exports.consts.insert(e.name.clone(), (*id, ty));
                     found = true;
                 }
-                if let Some(imported) = env.funcs.get(&e.name) {
-                    match m.funcs.iter().find(|f| f.name == e.name) {
-                        Some(def) => {
-                            let params = def
+                if let Some(sig) = env.funcs.get(&e.name) {
+                    let sig = match m.funcs.iter().find(|f| f.name == e.name) {
+                        Some(def) => FunSig {
+                            id: sig.id,
+                            params: def
                                 .params
                                 .iter()
-                                .map(|(n, te)| reresolve(te, def.pos).map(|t| (n.clone(), t)))
-                                .collect::<Result<Vec<_>, _>>()?;
-                            let ret = reresolve(&def.ret, def.pos)?;
-                            exports.funcs.insert(
-                                e.name.clone(),
-                                FunSig {
-                                    params,
-                                    ret,
-                                    body: def.body.clone(),
-                                },
-                            );
-                        }
-                        None => {
-                            exports.funcs.insert(e.name.clone(), imported.clone());
-                        }
-                    }
+                                .map(|(_, te)| reresolve(te, def.pos))
+                                .collect::<Result<_, _>>()?,
+                            ret: reresolve(&def.ret, def.pos)?,
+                        },
+                        None => sig.clone(),
+                    };
+                    exports.funcs.insert(e.name.clone(), sig);
                     found = true;
                 }
                 if !found {
@@ -425,7 +467,13 @@ impl Compiler {
         })
     }
 
-    fn apply_imports(&self, imports: &[Import], env: &mut UnitEnv) -> Result<(), CheckError> {
+    /// The environment a unit starts from: the compiler's program and what
+    /// `imports` name, each under its id.
+    fn unit_env(&self, imports: &[Import]) -> Result<UnitEnv, CheckError> {
+        let mut env = UnitEnv {
+            program: Arc::clone(&self.program),
+            ..UnitEnv::default()
+        };
         for imp in imports {
             let Some(module) = self.modules.get(&imp.from) else {
                 return err(format!("unknown module `{}`", imp.from), imp.pos);
@@ -438,12 +486,10 @@ impl Compiler {
                 }
                 if let Some(c) = module.exports.consts.get(name) {
                     env.consts.insert(name.clone(), c.clone());
-                    pull_private_deps(&c.1, &module.env, env);
                     found = true;
                 }
                 if let Some(f) = module.exports.funcs.get(name) {
                     env.funcs.insert(name.clone(), f.clone());
-                    pull_private_deps(&f.body, &module.env, env);
                     found = true;
                 }
                 if !found {
@@ -454,45 +500,7 @@ impl Compiler {
                 }
             }
         }
-        Ok(())
-    }
-}
-
-/// Imported bodies may reference entities of their defining module that the
-/// importer never named (private helpers, transitive constants). Pull the
-/// transitive closure of those dependencies into the importing environment
-/// so the interpreter (and the C translator) can resolve them. The bodies
-/// are resolved, so a binder never passes for a constant of the same name.
-fn pull_private_deps<'a>(body: &'a Expr, src: &'a UnitEnv, dst: &mut UnitEnv) {
-    let mut bodies = vec![body];
-    while let Some(body) = bodies.pop() {
-        body.walk(&mut |e| match e {
-            Expr::Var {
-                name,
-                var: VarRef::Const,
-                ..
-            } => {
-                if let Some(c) = src.consts.get(name) {
-                    if !dst.consts.contains_key(name) {
-                        dst.consts.insert(name.clone(), c.clone());
-                        bodies.push(&c.1);
-                    }
-                }
-            }
-            Expr::Call {
-                name,
-                callee: Callee::User,
-                ..
-            } => {
-                if let Some(f) = src.funcs.get(name) {
-                    if !dst.funcs.contains_key(name) {
-                        dst.funcs.insert(name.clone(), f.clone());
-                        bodies.push(&f.body);
-                    }
-                }
-            }
-            _ => {}
-        });
+        Ok(env)
     }
 }
 
@@ -517,8 +525,8 @@ fn declare_types(types: &[TypeDef], env: &mut UnitEnv) -> Result<(), CheckError>
 /// Declares a unit's types, function signatures and constant types, then
 /// checks the function and constant bodies, which may call any function
 /// of the unit and read any of its constants (cycles are caught at
-/// evaluation time). Each body is resolved in place and entered into
-/// `env` once checked.
+/// evaluation time). Each body is resolved in place and then appended to
+/// the program under the id it was declared with.
 fn declare_unit(
     types: &[TypeDef],
     funcs: &mut [FunDef],
@@ -526,54 +534,54 @@ fn declare_unit(
     env: &mut UnitEnv,
 ) -> Result<(), CheckError> {
     declare_types(types, env)?;
-    for f in funcs.iter() {
+    let (first_fun, first_const) = (env.program.funcs.len(), env.program.consts.len());
+    for (i, f) in funcs.iter().enumerate() {
         let params = f
             .params
             .iter()
-            .map(|(n, te)| type_of(te, &env.types, f.pos).map(|t| (n.clone(), t)))
+            .map(|(_, te)| type_of(te, &env.types, f.pos))
             .collect::<Result<_, _>>()?;
         let ret = type_of(&f.ret, &env.types, f.pos)?;
         let sig = FunSig {
+            id: first_fun + i,
             params,
             ret,
-            body: Expr::Bool(false, f.pos),
         };
         if env.funcs.insert(f.name.clone(), sig).is_some() {
             return err(format!("duplicate function `{}`", f.name), f.pos);
         }
     }
-    for c in consts.iter() {
+    for (i, c) in consts.iter().enumerate() {
         let ty = type_of(&c.ty, &env.types, c.pos)?;
-        let placeholder = Expr::Bool(false, c.pos);
         if env
             .consts
-            .insert(c.name.clone(), (ty, placeholder))
+            .insert(c.name.clone(), (first_const + i, ty))
             .is_some()
         {
             return err(format!("duplicate constant `{}`", c.name), c.pos);
         }
     }
-    for f in funcs {
+    for f in funcs.iter_mut() {
         let sig = &env.funcs[&f.name];
+        let names = f.params.iter().map(|(n, _)| n.clone());
         let mut scope = Scope {
-            stack: sig.params.clone(),
+            stack: names.zip(sig.params.iter().cloned()).collect(),
         };
         let got = check_expr(&mut f.body, env, &mut scope, None)?;
-        let sig = env.funcs.get_mut(&f.name).expect("declared above");
-        if !got.compatible(&sig.ret) {
+        let ret = &env.funcs[&f.name].ret;
+        if !got.compatible(ret) {
             return err(
                 format!(
-                    "function `{}` declared to return `{}` but body has type `{got}`",
-                    f.name, sig.ret
+                    "function `{}` declared to return `{ret}` but body has type `{got}`",
+                    f.name
                 ),
                 f.pos,
             );
         }
-        sig.body = f.body.clone();
     }
-    for c in consts {
+    for c in consts.iter_mut() {
         let got = check_expr(&mut c.body, env, &mut Scope::default(), None)?;
-        let (ty, body) = env.consts.get_mut(&c.name).expect("declared above");
+        let (_, ty) = &env.consts[&c.name];
         if !got.compatible(ty) {
             return err(
                 format!(
@@ -583,8 +591,16 @@ fn declare_unit(
                 c.pos,
             );
         }
-        *body = c.body.clone();
     }
+    let program = Arc::make_mut(&mut env.program);
+    program.funcs.extend(funcs.iter().map(|f| Function {
+        name: f.name.clone(),
+        params: f.params.iter().map(|(n, _)| n.clone()).collect(),
+        body: f.body.clone(),
+    }));
+    program
+        .consts
+        .extend(consts.iter().map(|c| (c.name.clone(), c.body.clone())));
     Ok(())
 }
 
@@ -708,8 +724,8 @@ fn check_expr(
                 (VarRef::Binder(slot), t)
             } else if let Some(t) = rule_ctx.and_then(|ctx| ctx.locals.get(name.as_str())) {
                 (VarRef::Local, t)
-            } else if let Some((t, _)) = env.consts.get(name.as_str()) {
-                (VarRef::Const, t)
+            } else if let Some((id, t)) = env.consts.get(name.as_str()) {
+                (VarRef::Const(*id), t)
             } else {
                 return err(format!("unknown name `{name}`"), *pos);
             };
@@ -736,15 +752,15 @@ fn check_expr(
         Expr::Unop { op, expr, pos } => {
             let t = check_expr(expr, env, scope, rule_ctx)?;
             match (*op, &t) {
-                ("-", Ty::Int) | ("-", Ty::Real) | ("-", Ty::Any) => Ok(t),
-                ("not", Ty::Bool) | ("not", Ty::Any) => Ok(Ty::Bool),
+                (UnOp::Neg, Ty::Int | Ty::Real | Ty::Any) => Ok(t),
+                (UnOp::Not, Ty::Bool | Ty::Any) => Ok(Ty::Bool),
                 _ => err(format!("operator `{op}` does not apply to `{t}`"), *pos),
             }
         }
         Expr::Binop { op, lhs, rhs, pos } => {
             let lt = check_expr(lhs, env, scope, rule_ctx)?;
             let rt = check_expr(rhs, env, scope, rule_ctx)?;
-            check_binop(op, &lt, &rt, *pos)
+            check_binop(*op, &lt, &rt, *pos)
         }
         Expr::If {
             cond,
@@ -798,7 +814,7 @@ fn check_expr(
                 pos: *pos,
             })
         }
-        Expr::ListLit(items, _) => {
+        Expr::ListLit(items, _, _) => {
             let mut elem = Ty::Any;
             for (i, it) in items.iter_mut().enumerate() {
                 let t = check_expr(it, env, scope, rule_ctx)?;
@@ -838,10 +854,19 @@ fn check_call(
     scope: &mut Scope,
     rule_ctx: Option<&CtxWithLocals>,
 ) -> Result<Ty, CheckError> {
-    let tys: Vec<Ty> = args
-        .iter_mut()
-        .map(|a| check_expr(a, env, scope, rule_ctx))
-        .collect::<Result<_, _>>()?;
+    let builtin = Builtin::from_name(name);
+    let mut tys = Vec::with_capacity(args.len());
+    for a in args.iter_mut() {
+        tys.push(check_expr(a, env, scope, rule_ctx)?);
+        if builtin.is_none() {
+            // The interpreter keeps a user function's evaluated arguments
+            // in the frame while it evaluates the next ones.
+            scope.bind(String::new(), Ty::Any);
+        }
+    }
+    if builtin.is_none() {
+        scope.unbind(args.len());
+    }
     let arity = |n: usize| -> Result<(), CheckError> {
         if tys.len() != n {
             err(
@@ -866,139 +891,69 @@ fn check_call(
             Ok(())
         }
     };
-    // Every arm but the last is a builtin.
-    *callee = Callee::Builtin;
-    match name {
-        "token" => {
-            arity(0)?;
-            if rule_ctx.is_none() {
-                return err("`token()` is only available in semantic rules", pos);
-            }
-            Ok(Ty::Any)
+    let Some(b) = builtin else {
+        let Some(sig) = env.funcs.get(name) else {
+            return err(format!("unknown function `{name}`"), pos);
+        };
+        *callee = Callee::User(sig.id);
+        arity(sig.params.len())?;
+        for (i, pt) in sig.params.iter().enumerate() {
+            want(i, pt.clone())?;
         }
-        "to_real" => {
-            arity(1)?;
-            want(0, Ty::Int)?;
-            Ok(Ty::Real)
+        return Ok(sig.ret.clone());
+    };
+    *callee = Callee::Builtin(b);
+    use Builtin::*;
+    use Ty::{Any, Bool, Int, Real, Str};
+    let (list, map) = (Ty::List(Box::new(Any)), Ty::Map(Box::new(Any)));
+    let params = match b {
+        Token | EmptyMap => vec![],
+        ToReal | Abs | Itoa => vec![Int],
+        ToInt | Rtoa => vec![Real],
+        Min | Max => vec![Int, Int],
+        Len | Null | Hd | Tl | Rev => vec![list.clone()],
+        Size => vec![map.clone()],
+        Lookup | Bound | Remove => vec![map.clone(), Str],
+        Insert => vec![map.clone(), Str, Any],
+        Strlen | Error => vec![Str],
+    };
+    arity(params.len())?;
+    for (i, t) in params.into_iter().enumerate() {
+        want(i, t)?;
+    }
+    let map_elem = || match &tys[0] {
+        Ty::Map(t) => (**t).clone(),
+        _ => Any,
+    };
+    Ok(match b {
+        Token if rule_ctx.is_none() => {
+            return err("`token()` is only available in semantic rules", pos);
         }
-        "to_int" => {
-            arity(1)?;
-            want(0, Ty::Real)?;
-            Ok(Ty::Int)
-        }
-        "abs" => {
-            arity(1)?;
-            want(0, Ty::Int)?;
-            Ok(Ty::Int)
-        }
-        "min" | "max" => {
-            arity(2)?;
-            want(0, Ty::Int)?;
-            want(1, Ty::Int)?;
-            Ok(Ty::Int)
-        }
-        "len" => {
-            arity(1)?;
-            want(0, Ty::List(Box::new(Ty::Any)))?;
-            Ok(Ty::Int)
-        }
-        "null" => {
-            arity(1)?;
-            want(0, Ty::List(Box::new(Ty::Any)))?;
-            Ok(Ty::Bool)
-        }
-        "hd" => {
-            arity(1)?;
-            want(0, Ty::List(Box::new(Ty::Any)))?;
-            Ok(tys[0].elem().unwrap_or(Ty::Any))
-        }
-        "tl" | "rev" => {
-            arity(1)?;
-            want(0, Ty::List(Box::new(Ty::Any)))?;
-            Ok(tys[0].clone().join(&Ty::List(Box::new(Ty::Any))))
-        }
-        "empty_map" => {
-            arity(0)?;
-            Ok(Ty::Map(Box::new(Ty::Any)))
-        }
-        "size" => {
-            arity(1)?;
-            want(0, Ty::Map(Box::new(Ty::Any)))?;
-            Ok(Ty::Int)
-        }
-        "insert" => {
-            arity(3)?;
-            want(0, Ty::Map(Box::new(Ty::Any)))?;
-            want(1, Ty::Str)?;
-            let elem = match &tys[0] {
-                Ty::Map(t) => (**t).clone(),
-                _ => Ty::Any,
-            };
+        Token | Error => Any,
+        ToReal => Real,
+        ToInt | Abs | Min | Max | Len | Size | Strlen => Int,
+        Null | Bound => Bool,
+        Hd => tys[0].elem().unwrap_or(Any),
+        Tl | Rev => tys[0].clone().join(&list),
+        EmptyMap => map,
+        Insert => {
+            let elem = map_elem();
             if !tys[2].compatible(&elem) {
                 return err(format!("inserting `{}` into `map of {elem}`", tys[2]), pos);
             }
-            Ok(Ty::Map(Box::new(elem.join(&tys[2]))))
+            Ty::Map(Box::new(elem.join(&tys[2])))
         }
-        "lookup" => {
-            arity(2)?;
-            want(0, Ty::Map(Box::new(Ty::Any)))?;
-            want(1, Ty::Str)?;
-            Ok(match &tys[0] {
-                Ty::Map(t) => (**t).clone(),
-                _ => Ty::Any,
-            })
-        }
-        "bound" => {
-            arity(2)?;
-            want(0, Ty::Map(Box::new(Ty::Any)))?;
-            want(1, Ty::Str)?;
-            Ok(Ty::Bool)
-        }
-        "remove" => {
-            arity(2)?;
-            want(0, Ty::Map(Box::new(Ty::Any)))?;
-            want(1, Ty::Str)?;
-            Ok(tys[0].clone())
-        }
-        "itoa" => {
-            arity(1)?;
-            want(0, Ty::Int)?;
-            Ok(Ty::Str)
-        }
-        "rtoa" => {
-            arity(1)?;
-            want(0, Ty::Real)?;
-            Ok(Ty::Str)
-        }
-        "strlen" => {
-            arity(1)?;
-            want(0, Ty::Str)?;
-            Ok(Ty::Int)
-        }
-        "error" => {
-            arity(1)?;
-            want(0, Ty::Str)?;
-            Ok(Ty::Any)
-        }
-        _ => match env.funcs.get(name) {
-            Some(sig) => {
-                *callee = Callee::User;
-                arity(sig.params.len())?;
-                for (i, (_, pt)) in sig.params.iter().enumerate() {
-                    want(i, pt.clone())?;
-                }
-                Ok(sig.ret.clone())
-            }
-            None => err(format!("unknown function `{name}`"), pos),
-        },
-    }
+        Lookup => map_elem(),
+        Remove => tys[0].clone(),
+        Itoa | Rtoa => Str,
+    })
 }
 
-fn check_binop(op: &str, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> {
+fn check_binop(op: BinOp, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> {
     use Ty::*;
     let both = |t: &Ty| lt.compatible(t) && rt.compatible(t);
     match op {
-        "+" => {
+        BinOp::Add => {
             if both(&Int) {
                 Ok(Int)
             } else if both(&Real) {
@@ -1009,7 +964,7 @@ fn check_binop(op: &str, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> {
                 err(format!("`+` does not apply to `{lt}` and `{rt}`"), pos)
             }
         }
-        "-" | "*" | "/" => {
+        BinOp::Sub | BinOp::Mul | BinOp::Div => {
             if both(&Int) {
                 Ok(Int)
             } else if both(&Real) {
@@ -1018,28 +973,28 @@ fn check_binop(op: &str, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> {
                 err(format!("`{op}` does not apply to `{lt}` and `{rt}`"), pos)
             }
         }
-        "%" => {
+        BinOp::Rem => {
             if both(&Int) {
                 Ok(Int)
             } else {
                 err(format!("`%` does not apply to `{lt}` and `{rt}`"), pos)
             }
         }
-        "=" | "<>" => {
+        BinOp::Eq | BinOp::Ne => {
             if lt.compatible(rt) {
                 Ok(Bool)
             } else {
                 err(format!("cannot compare `{lt}` with `{rt}`"), pos)
             }
         }
-        "<" | "<=" | ">" | ">=" => {
+        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             if both(&Int) || both(&Real) || both(&Str) {
                 Ok(Bool)
             } else {
                 err(format!("`{op}` does not apply to `{lt}` and `{rt}`"), pos)
             }
         }
-        "and" | "or" => {
+        BinOp::And | BinOp::Or => {
             if both(&Bool) {
                 Ok(Bool)
             } else {
@@ -1049,7 +1004,7 @@ fn check_binop(op: &str, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> {
                 )
             }
         }
-        "::" => {
+        BinOp::Cons => {
             let want = Ty::List(Box::new(lt.clone()));
             if rt.compatible(&want) {
                 Ok(rt.join(&want))
@@ -1057,7 +1012,7 @@ fn check_binop(op: &str, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> {
                 err(format!("cannot cons `{lt}` onto `{rt}`"), pos)
             }
         }
-        "++" => {
+        BinOp::Concat => {
             if both(&Str) {
                 Ok(Str)
             } else if lt.compatible(&Ty::List(Box::new(Ty::Any))) && lt.compatible(rt) {
@@ -1066,7 +1021,6 @@ fn check_binop(op: &str, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> {
                 err(format!("`++` does not apply to `{lt}` and `{rt}`"), pos)
             }
         }
-        other => err(format!("unknown operator `{other}`"), pos),
     }
 }
 
@@ -1433,9 +1387,10 @@ mod tests {
         };
         c.add_module(m2).unwrap();
         let env = &c.module("user").unwrap().env;
+        let (_, consts) = env.reach();
         assert!(
-            !env.consts.contains_key("secret"),
-            "shadowed binder must not pull the unrelated private const"
+            consts.iter().all(|&k| env.program.consts[k].0 != "secret"),
+            "a shadowed binder is no read of the unrelated private const"
         );
     }
 }

@@ -5,6 +5,16 @@
 //! generated C text is produced by `fnc2-codegen`; measurement runs execute
 //! in-process through this interpreter).
 //!
+//! It runs what the checker resolved: a call carries its function's id or
+//! its [`Builtin`], a constant read its constant's id, an operator its enum
+//! value, a string literal its value. Functions and constant values sit in
+//! vectors indexed by those ids. Every body runs on one value stack per
+//! thread, reused across firings: a user call pushes its arguments, which
+//! become the callee's parameters, and `let` and `case` push their binders,
+//! so a binder's slot is its offset from the frame's base. Operands that are
+//! binders, rule arguments, constants or literals are read in place, and a
+//! chain of string `++`s builds one string.
+//!
 //! # Errors
 //!
 //! OLGA's `error("…")` builtin — the documented abort path of a language
@@ -14,14 +24,16 @@
 //! constant) surface as [`EvalAbort`] values, never as Rust panics, so the
 //! surrounding pipeline can report them as ordinary diagnostics.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::fmt;
+use std::io::Write as _;
 use std::sync::Arc;
 
 use fnc2_ag::{List, Map, Value};
 
-use crate::ast::{Callee, Expr, Pat, VarRef};
-use crate::check::UnitEnv;
+use crate::ast::{BinOp, Builtin, Callee, Expr, Pat, UnOp, VarRef};
+use crate::check::{Program, UnitEnv};
 use crate::lexer::Pos;
 
 /// A runtime failure inside the OLGA interpreter: the `error` builtin, a
@@ -69,65 +81,74 @@ impl std::error::Error for EvalAbort {}
 /// the interpreter's (deeply recursive) frames stay pointer-sized — debug
 /// builds do not coalesce stack slots, and OLGA programs recurse hundreds
 /// of frames deep.
-type EResult = Result<Value, Box<EvalAbort>>;
+type EResult<T = Value> = Result<T, Box<EvalAbort>>;
 
 #[cold]
 fn abort(message: String, pos: Pos) -> Box<EvalAbort> {
     Box::new(EvalAbort::at(message, pos))
 }
 
-/// Immutable evaluation context: functions and constant values.
+/// Immutable evaluation context: the program's functions and the values
+/// of the constants the unit reaches, both by id.
 #[derive(Clone, Debug)]
 pub struct EvalCtx {
-    env: Arc<UnitEnv>,
-    consts: Arc<HashMap<String, Value>>,
+    program: Arc<Program>,
+    consts: Arc<[Option<Value>]>,
 }
 
-/// The values a body reads by position: a lowered rule's arguments, and
-/// the frame of parameters and binders in the checker's slot order.
-struct Frame<'a> {
+thread_local! {
+    /// The value stack and the text buffer of this thread's interpreter.
+    static SCRATCH: Cell<(Vec<Value>, String)> = const { Cell::new((Vec::new(), String::new())) };
+}
+
+/// Runs `f` on a machine over the thread's scratch space, which it takes
+/// for the run: a nested run gets a fresh one, and a run that panics drops
+/// its own, so no slots outlive it.
+fn run<'a>(
+    program: &'a Program,
+    consts: &'a [Option<Value>],
     args: &'a [Value],
-    slots: Vec<Value>,
+    f: impl FnOnce(&mut Machine<'a>) -> EResult,
+) -> Result<Value, EvalAbort> {
+    let (stack, text) = SCRATCH.take();
+    let mut m = Machine {
+        program,
+        consts,
+        args,
+        stack,
+        text,
+        base: 0,
+    };
+    let out = f(&mut m);
+    m.stack.clear();
+    m.text.clear();
+    SCRATCH.set((m.stack, m.text));
+    out.map_err(|e| *e)
 }
 
 impl EvalCtx {
-    /// Builds the context for a checked unit: constant definitions are
-    /// evaluated once, into one table, in [`UnitEnv::const_order`].
+    /// Builds the context for a checked unit: the constants it reaches are
+    /// evaluated once, in [`UnitEnv::const_order`].
     ///
     /// # Errors
     ///
     /// Fails on circular constant definitions (the checker defers the cycle
     /// check to here) or when a constant's body aborts at evaluation time.
     pub fn new(env: &UnitEnv) -> Result<EvalCtx, EvalAbort> {
-        let env = Arc::new(env.clone());
         let (order, cycle) = env.const_order();
         if let Some(cycle) = cycle {
             return Err(cycle);
         }
-        let mut ctx = EvalCtx {
-            env: Arc::clone(&env),
-            consts: Arc::default(),
-        };
-        for name in order {
-            let v = ctx.eval_closed(&env.consts[name].1)?;
-            Arc::get_mut(&mut ctx.consts)
-                .expect("the table is not shared while it is built")
-                .insert(name.to_string(), v);
+        let program = Arc::clone(&env.program);
+        let mut consts = vec![None; program.consts.len()];
+        for c in order {
+            let body = &program.consts[c].1;
+            consts[c] = Some(run(&program, &consts, &[], |m| m.eval(body))?);
         }
-        Ok(ctx)
-    }
-
-    /// The unit environment.
-    pub fn env(&self) -> &UnitEnv {
-        &self.env
-    }
-
-    /// Evaluates a closed expression.
-    ///
-    /// # Errors
-    /// Fails when evaluation aborts (see [`EvalAbort`]).
-    pub fn eval_closed(&self, e: &Expr) -> Result<Value, EvalAbort> {
-        self.eval_with(e, &[])
+        Ok(EvalCtx {
+            program,
+            consts: consts.into(),
+        })
     }
 
     /// Evaluates a lowered rule body, which reads [`Expr::Arg`]`(k)` as
@@ -136,67 +157,106 @@ impl EvalCtx {
     /// # Errors
     /// Fails when evaluation aborts (see [`EvalAbort`]).
     pub fn eval_with(&self, e: &Expr, args: &[Value]) -> Result<Value, EvalAbort> {
-        let mut frame = Frame {
-            args,
-            slots: Vec::new(),
-        };
-        self.eval(e, &mut frame).map_err(|e| *e)
+        run(&self.program, &self.consts, args, |m| m.eval(e))
     }
 
-    /// Applies a user function by name.
+    /// Applies the function of id `f` (see [`crate::FunSig::id`]).
     ///
     /// # Errors
     /// Fails if the function is unknown, the arity is wrong (the checker
     /// prevents both for checked programs), or the body aborts.
-    pub fn apply(&self, name: &str, args: Vec<Value>) -> Result<Value, EvalAbort> {
-        self.apply_inner(name, args).map_err(|e| *e)
+    pub fn apply(&self, f: usize, args: Vec<Value>) -> Result<Value, EvalAbort> {
+        run(&self.program, &self.consts, &[], |m| {
+            m.stack.extend(args);
+            m.enter(f, 0)
+        })
     }
+}
 
-    fn apply_inner(&self, name: &str, args: Vec<Value>) -> EResult {
-        let sig = self
-            .env
-            .funcs
-            .get(name)
-            .ok_or_else(|| Box::new(EvalAbort::new(format!("unknown function `{name}`"))))?;
-        if sig.params.len() != args.len() {
-            return Err(Box::new(EvalAbort::new(format!(
-                "arity mismatch applying `{name}`: expected {} arguments, got {}",
-                sig.params.len(),
-                args.len()
-            ))));
+/// One run: the program, the constant values, a lowered rule's arguments,
+/// the value stack, whose frame from `base` on holds the current
+/// function's parameters and binders, and the text buffer that string
+/// chains are built in.
+struct Machine<'a> {
+    program: &'a Program,
+    consts: &'a [Option<Value>],
+    args: &'a [Value],
+    stack: Vec<Value>,
+    text: String,
+    base: usize,
+}
+
+/// An operand: a value read in place (a literal, a constant or a rule
+/// argument), a slot of the value stack, or a value computed for it.
+enum Opnd<'a> {
+    Ref(&'a Value),
+    Slot(usize),
+    Own(Value),
+}
+
+impl Opnd<'_> {
+    fn get<'s>(&'s self, stack: &'s [Value]) -> &'s Value {
+        match self {
+            Opnd::Ref(v) => v,
+            Opnd::Slot(k) => &stack[*k],
+            Opnd::Own(v) => v,
         }
-        let mut frame = Frame {
-            args: &[],
-            slots: args,
-        };
-        self.eval(&sig.body, &mut frame)
     }
 
-    fn eval(&self, e: &Expr, frame: &mut Frame) -> EResult {
+    fn into_value(self, stack: &[Value]) -> Value {
+        match self {
+            Opnd::Own(v) => v,
+            o => o.get(stack).clone(),
+        }
+    }
+}
+
+impl<'a> Machine<'a> {
+    /// Evaluates `e` as an operand, reading literals, constants, rule
+    /// arguments and binders in place.
+    fn operand(&mut self, e: &'a Expr) -> EResult<Opnd<'a>> {
+        match e {
+            Expr::Str(v, _) | Expr::ListLit(_, Some(v), _) => Ok(Opnd::Ref(v)),
+            Expr::Var { name, var, pos } => {
+                let unbound = || abort(format!("unbound variable `{name}`"), *pos);
+                match *var {
+                    VarRef::Binder(k) if self.base + k < self.stack.len() => {
+                        Ok(Opnd::Slot(self.base + k))
+                    }
+                    VarRef::Binder(_) => Err(unbound()),
+                    VarRef::Const(c) => match self.consts.get(c) {
+                        Some(Some(v)) => Ok(Opnd::Ref(v)),
+                        _ => Err(unbound()),
+                    },
+                    VarRef::Local | VarRef::Unresolved => Err(abort(
+                        format!("variable `{name}` reached the interpreter unresolved"),
+                        *pos,
+                    )),
+                }
+            }
+            Expr::Arg(k) => self
+                .args
+                .get(*k)
+                .map(Opnd::Ref)
+                .ok_or_else(|| abort(format!("missing rule argument {k}"), e.pos())),
+            _ => self.eval(e).map(Opnd::Own),
+        }
+    }
+
+    /// Evaluates `e` as a condition.
+    fn truth(&mut self, e: &'a Expr, pos: Pos) -> EResult<bool> {
+        let v = self.operand(e)?;
+        want_bool(v.get(&self.stack), pos)
+    }
+
+    fn eval(&mut self, e: &'a Expr) -> EResult {
         match e {
             Expr::Int(i, _) => Ok(Value::Int(*i)),
             Expr::Real(r, _) => Ok(Value::Real(*r)),
             Expr::Bool(b, _) => Ok(Value::Bool(*b)),
-            Expr::Str(s, _) => Ok(Value::str(s)),
-            Expr::Var { name, var, pos } => {
-                let v = match var {
-                    VarRef::Binder(slot) => frame.slots.get(*slot),
-                    VarRef::Const => self.consts.get(name),
-                    VarRef::Local | VarRef::Unresolved => {
-                        return Err(abort(
-                            format!("variable `{name}` reached the interpreter unresolved"),
-                            *pos,
-                        ))
-                    }
-                };
-                v.cloned()
-                    .ok_or_else(|| abort(format!("unbound variable `{name}`"), *pos))
+            Expr::Str(..) | Expr::ListLit(_, Some(_), _) | Expr::Var { .. } | Expr::Arg(_) => {
+                Ok(self.operand(e)?.into_value(&self.stack))
             }
-            Expr::Arg(k) => frame
-                .args
-                .get(*k)
-                .cloned()
-                .ok_or_else(|| abort(format!("missing rule argument {k}"), e.pos())),
             Expr::Occ(o) => Err(abort(
                 format!(
                     "occurrence `{}.{}` reached the interpreter; lowering must substitute it",
@@ -209,66 +269,80 @@ impl EvalCtx {
                 args,
                 callee,
                 pos,
-            } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, frame)?);
+            } => match *callee {
+                Callee::User(f) => {
+                    let base = self.stack.len();
+                    for a in args {
+                        let v = self.eval(a)?;
+                        self.stack.push(v);
+                    }
+                    self.enter(f, base)
                 }
-                match callee {
-                    Callee::User => self.apply_inner(name, vals),
-                    Callee::Builtin => self.builtin(name, vals, *pos),
-                    Callee::Unresolved => Err(abort(
-                        format!("call of `{name}` reached the interpreter unresolved"),
-                        *pos,
-                    )),
-                }
-            }
+                Callee::Builtin(b) => self.builtin(b, args, *pos),
+                Callee::Unresolved => Err(abort(
+                    format!("call of `{name}` reached the interpreter unresolved"),
+                    *pos,
+                )),
+            },
             Expr::Unop { op, expr, pos } => {
-                let v = self.eval(expr, frame)?;
-                match (*op, v) {
-                    ("-", Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
-                    ("-", Value::Real(r)) => Ok(Value::Real(-r)),
-                    ("not", Value::Bool(b)) => Ok(Value::Bool(!b)),
+                let v = self.operand(expr)?;
+                match (*op, v.get(&self.stack)) {
+                    (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
+                    (UnOp::Neg, Value::Real(r)) => Ok(Value::Real(-r)),
+                    (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
                     (op, v) => Err(abort(
                         format!("unary `{op}` applied to a {}", v.type_name()),
                         *pos,
                     )),
                 }
             }
+            // Short-circuit and/or.
+            Expr::Binop {
+                op: BinOp::And,
+                lhs,
+                rhs,
+                pos,
+            } => match self.truth(lhs, *pos)? {
+                true => self.eval(rhs),
+                false => Ok(Value::Bool(false)),
+            },
+            Expr::Binop {
+                op: BinOp::Or,
+                lhs,
+                rhs,
+                pos,
+            } => match self.truth(lhs, *pos)? {
+                true => Ok(Value::Bool(true)),
+                false => self.eval(rhs),
+            },
+            Expr::Binop {
+                op: BinOp::Concat, ..
+            } => {
+                let mark = self.text.len();
+                let out = self.append(e);
+                let out = out.map(|v| v.unwrap_or_else(|| Value::str(&self.text[mark..])));
+                self.text.truncate(mark);
+                out
+            }
             Expr::Binop { op, lhs, rhs, pos } => {
-                // Short-circuit and/or.
-                if *op == "and" {
-                    return if want_bool(&self.eval(lhs, frame)?, *pos)? {
-                        self.eval(rhs, frame)
-                    } else {
-                        Ok(Value::Bool(false))
-                    };
-                }
-                if *op == "or" {
-                    return if want_bool(&self.eval(lhs, frame)?, *pos)? {
-                        Ok(Value::Bool(true))
-                    } else {
-                        self.eval(rhs, frame)
-                    };
-                }
-                let l = self.eval(lhs, frame)?;
-                let r = self.eval(rhs, frame)?;
-                binop(op, l, r, *pos)
+                let l = self.operand(lhs)?;
+                let r = self.operand(rhs)?;
+                binop(*op, l.get(&self.stack), r.get(&self.stack), *pos)
             }
             Expr::If {
                 cond, then, els, ..
             } => {
-                if want_bool(&self.eval(cond, frame)?, cond.pos())? {
-                    self.eval(then, frame)
+                if self.truth(cond, cond.pos())? {
+                    self.eval(then)
                 } else {
-                    self.eval(els, frame)
+                    self.eval(els)
                 }
             }
             Expr::Let { value, body, .. } => {
-                let v = self.eval(value, frame)?;
-                frame.slots.push(v);
-                let out = self.eval(body, frame);
-                frame.slots.pop();
+                let v = self.eval(value)?;
+                self.stack.push(v);
+                let out = self.eval(body);
+                self.stack.pop();
                 out
             }
             Expr::Case {
@@ -276,76 +350,139 @@ impl EvalCtx {
                 arms,
                 pos,
             } => {
-                let v = self.eval(scrutinee, frame)?;
-                let base = frame.slots.len();
+                // Owned: the arms' binders go onto the stack it may be in.
+                let v = self.eval(scrutinee)?;
+                let depth = self.stack.len();
                 for (pat, body) in arms {
-                    let matched = match_pat(pat, &v, &mut frame.slots);
-                    let out = matched.then(|| self.eval(body, frame));
-                    frame.slots.truncate(base);
+                    let matched = match_pat(pat, &v, &mut self.stack);
+                    let out = matched.then(|| self.eval(body));
+                    self.stack.truncate(depth);
                     if let Some(out) = out {
                         return out;
                     }
                 }
                 Err(abort(format!("case expression: no arm matched {v}"), *pos))
             }
-            Expr::ListLit(items, _) => {
+            Expr::ListLit(items, None, _) => {
                 let mut vs = Vec::with_capacity(items.len());
                 for i in items {
-                    vs.push(self.eval(i, frame)?);
+                    vs.push(self.eval(i)?);
                 }
                 Ok(Value::list(vs))
             }
             Expr::TupleLit(items, _) => {
                 let mut vs = Vec::with_capacity(items.len());
                 for i in items {
-                    vs.push(self.eval(i, frame)?);
+                    vs.push(self.eval(i)?);
                 }
                 Ok(Value::tuple(vs))
             }
             Expr::TreeCons { op, args, .. } => {
                 let mut vs = Vec::with_capacity(args.len());
                 for a in args {
-                    vs.push(self.eval(a, frame)?);
+                    vs.push(self.eval(a)?);
                 }
                 Ok(Value::term(op.clone(), vs))
             }
         }
     }
 
-    fn builtin(&self, name: &str, args: Vec<Value>, pos: Pos) -> EResult {
-        let arg = |i: usize| -> Result<&Value, Box<EvalAbort>> {
-            args.get(i)
-                .ok_or_else(|| abort(format!("builtin `{name}`: missing argument {i}"), pos))
+    /// Runs the function of id `f` on the arguments pushed from `base` on.
+    fn enter(&mut self, f: usize, base: usize) -> EResult {
+        let fun = self
+            .program
+            .funcs
+            .get(f)
+            .ok_or_else(|| Box::new(EvalAbort::new(format!("unknown function #{f}"))))?;
+        let got = self.stack.len() - base;
+        if fun.params.len() != got {
+            return Err(Box::new(EvalAbort::new(format!(
+                "arity mismatch applying `{}`: expected {} arguments, got {got}",
+                fun.name,
+                fun.params.len()
+            ))));
+        }
+        let caller = std::mem::replace(&mut self.base, base);
+        let out = self.eval(&fun.body);
+        self.base = caller;
+        self.stack.truncate(base);
+        out
+    }
+
+    /// Evaluates `e`, appending it to the text buffer when it is a string
+    /// (`None`) and returning it otherwise. `++` is right-associative, so
+    /// the strings of a chain append in order; the operands are all
+    /// evaluated before any is rejected, as they are for a lone `++`.
+    fn append(&mut self, e: &'a Expr) -> EResult<Option<Value>> {
+        let Expr::Binop {
+            op: BinOp::Concat,
+            lhs,
+            rhs,
+            pos,
+        } = e
+        else {
+            let o = self.operand(e)?;
+            if let Value::Str(s) = o.get(&self.stack) {
+                self.text.push_str(s);
+                return Ok(None);
+            }
+            return Ok(Some(o.into_value(&self.stack)));
         };
-        match name {
-            "to_real" => Ok(Value::Real(want_int(arg(0)?, pos)? as f64)),
-            "to_int" => Ok(Value::Int(want_real(arg(0)?, pos)? as i64)),
-            "abs" => Ok(Value::Int(want_int(arg(0)?, pos)?.wrapping_abs())),
-            "min" => Ok(Value::Int(
+        let l = self.operand(lhs)?;
+        let r = if let Value::Str(s) = l.get(&self.stack) {
+            self.text.push_str(s);
+            match self.append(rhs)? {
+                None => return Ok(None),
+                Some(r) => r,
+            }
+        } else {
+            self.eval(rhs)?
+        };
+        binop(BinOp::Concat, l.get(&self.stack), &r, *pos).map(Some)
+    }
+
+    fn builtin(&mut self, b: Builtin, args: &'a [Expr], pos: Pos) -> EResult {
+        let mut ops: [Option<Opnd>; 3] = [None, None, None];
+        for (o, a) in ops.iter_mut().zip(args) {
+            *o = Some(self.operand(a)?);
+        }
+        let stack = &self.stack;
+        let arg = |i: usize| -> EResult<&Value> {
+            ops[i]
+                .as_ref()
+                .map(|o| o.get(stack))
+                .ok_or_else(|| abort(format!("builtin `{b}`: missing argument {i}"), pos))
+        };
+        use Builtin::*;
+        match b {
+            ToReal => Ok(Value::Real(want_int(arg(0)?, pos)? as f64)),
+            ToInt => Ok(Value::Int(want_real(arg(0)?, pos)? as i64)),
+            Abs => Ok(Value::Int(want_int(arg(0)?, pos)?.wrapping_abs())),
+            Min => Ok(Value::Int(
                 want_int(arg(0)?, pos)?.min(want_int(arg(1)?, pos)?),
             )),
-            "max" => Ok(Value::Int(
+            Max => Ok(Value::Int(
                 want_int(arg(0)?, pos)?.max(want_int(arg(1)?, pos)?),
             )),
-            "len" => Ok(Value::Int(want_list(arg(0)?, pos)?.len() as i64)),
-            "null" => Ok(Value::Bool(want_list(arg(0)?, pos)?.is_empty())),
-            "hd" => want_list(arg(0)?, pos)?
+            Len => Ok(Value::Int(want_list(arg(0)?, pos)?.len() as i64)),
+            Null => Ok(Value::Bool(want_list(arg(0)?, pos)?.is_empty())),
+            Hd => want_list(arg(0)?, pos)?
                 .first()
                 .cloned()
                 .ok_or_else(|| abort("hd of empty list".to_string(), pos)),
-            "tl" => Ok(Value::List(want_list(arg(0)?, pos)?.tail())),
-            "rev" => {
+            Tl => Ok(Value::List(want_list(arg(0)?, pos)?.tail())),
+            Rev => {
                 let mut items: Vec<Value> = want_list(arg(0)?, pos)?.iter().cloned().collect();
                 items.reverse();
                 Ok(Value::List(List::new(items)))
             }
-            "empty_map" => Ok(Value::empty_map()),
-            "size" => Ok(Value::Int(want_map(arg(0)?, pos)?.len() as i64)),
-            "insert" => {
+            EmptyMap => Ok(Value::empty_map()),
+            Size => Ok(Value::Int(want_map(arg(0)?, pos)?.len() as i64)),
+            Insert => {
                 let key = want_str(arg(1)?, pos)?.to_string();
                 Ok(arg(0)?.map_insert(key, arg(2)?.clone()))
             }
-            "lookup" => {
+            Lookup => {
                 want_map(arg(0)?, pos)?;
                 let key = want_str(arg(1)?, pos)?;
                 arg(0)?
@@ -353,46 +490,52 @@ impl EvalCtx {
                     .cloned()
                     .ok_or_else(|| abort(format!("lookup: unbound key {key:?}"), pos))
             }
-            "bound" => {
+            Bound => {
                 want_map(arg(0)?, pos)?;
                 let key = want_str(arg(1)?, pos)?;
                 Ok(Value::Bool(arg(0)?.map_get(key).is_some()))
             }
-            "remove" => {
+            Remove => {
                 let mut m = (**want_map(arg(0)?, pos)?).clone();
                 m.remove(want_str(arg(1)?, pos)?);
                 Ok(Value::map(m))
             }
-            "itoa" => Ok(Value::str(want_int(arg(0)?, pos)?.to_string())),
-            "rtoa" => Ok(Value::str(format!("{}", want_real(arg(0)?, pos)?))),
-            "strlen" => Ok(Value::Int(want_str(arg(0)?, pos)?.chars().count() as i64)),
-            "error" => Err(abort(
+            Itoa => {
+                let mut digits = [0u8; 20];
+                let mut rest = &mut digits[..];
+                write!(rest, "{}", want_int(arg(0)?, pos)?).expect("an i64 has 20 characters");
+                let n = 20 - rest.len();
+                Ok(Value::str(
+                    std::str::from_utf8(&digits[..n]).expect("digits"),
+                ))
+            }
+            Rtoa => Ok(Value::str(format!("{}", want_real(arg(0)?, pos)?))),
+            Strlen => Ok(Value::Int(want_str(arg(0)?, pos)?.chars().count() as i64)),
+            Error => Err(abort(
                 format!("OLGA error: {}", want_str(arg(0)?, pos)?),
                 pos,
             )),
-            _ => Err(abort(format!("unknown builtin `{name}`"), pos)),
+            Token => Err(abort(format!("unknown builtin `{b}`"), pos)),
         }
     }
 }
 
 impl UnitEnv {
-    /// The unit's constants in dependency order: each after every
-    /// constant its body reads, directly or through the functions it
-    /// calls. Roots are taken in name order. Also returns the first
-    /// circular definition met, if any; the order then leaves out the
-    /// edge that closes the cycle.
-    pub fn const_order(&self) -> (Vec<&str>, Option<EvalAbort>) {
-        fn visit<'a>(
-            env: &'a UnitEnv,
-            name: &'a str,
-            done: &mut HashMap<&'a str, bool>,
-            order: &mut Vec<&'a str>,
+    /// The constants the unit reaches (see [`UnitEnv::reach`]) in
+    /// dependency order: each after every constant its body reads, directly
+    /// or through the functions it calls. Roots are taken in name order.
+    /// Also returns the first circular definition met, if any; the order
+    /// then leaves out the edge that closes the cycle.
+    pub fn const_order(&self) -> (Vec<usize>, Option<EvalAbort>) {
+        fn visit(
+            prog: &Program,
+            c: usize,
+            done: &mut [Option<bool>],
+            order: &mut Vec<usize>,
             cycle: &mut Option<EvalAbort>,
         ) {
-            let Some((_, body)) = env.consts.get(name) else {
-                return;
-            };
-            match done.get(name) {
+            let (name, body) = &prog.consts[c];
+            match done[c] {
                 Some(true) => return,
                 Some(false) => {
                     cycle.get_or_insert_with(|| {
@@ -405,18 +548,20 @@ impl UnitEnv {
                 }
                 None => {}
             }
-            done.insert(name, false);
-            for read in const_reads(body, env) {
-                visit(env, read, done, order, cycle);
+            done[c] = Some(false);
+            for read in const_reads(body, prog) {
+                visit(prog, read, done, order, cycle);
             }
-            done.insert(name, true);
-            order.push(name);
+            done[c] = Some(true);
+            order.push(c);
         }
-        let mut names: Vec<&str> = self.consts.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        let (mut done, mut order, mut cycle) = (HashMap::new(), Vec::new(), None);
-        for name in names {
-            visit(self, name, &mut done, &mut order, &mut cycle);
+        let prog = &*self.program;
+        let (_, mut roots) = self.reach();
+        roots.sort_by(|&a, &b| prog.consts[a].0.cmp(&prog.consts[b].0));
+        let mut done = vec![None; prog.consts.len()];
+        let (mut order, mut cycle) = (Vec::new(), None);
+        for c in roots {
+            visit(prog, c, &mut done, &mut order, &mut cycle);
         }
         (order, cycle)
     }
@@ -424,70 +569,45 @@ impl UnitEnv {
 
 /// The constants `body` reads, directly or through the functions it calls,
 /// each function walked once.
-fn const_reads<'a>(body: &'a Expr, env: &'a UnitEnv) -> Vec<&'a str> {
+fn const_reads(body: &Expr, prog: &Program) -> Vec<usize> {
     let mut reads = Vec::new();
     let mut called = HashSet::new();
     let mut bodies = vec![body];
     while let Some(body) = bodies.pop() {
         body.walk(&mut |e| match e {
             Expr::Var {
-                name,
-                var: VarRef::Const,
+                var: VarRef::Const(c),
                 ..
-            } => reads.push(name.as_str()),
+            } => reads.push(*c),
             Expr::Call {
-                name,
-                callee: Callee::User,
+                callee: Callee::User(f),
                 ..
-            } if called.insert(name.as_str()) => {
-                bodies.extend(env.funcs.get(name).map(|f| &f.body));
-            }
+            } if called.insert(*f) => bodies.push(&prog.funcs[*f].body),
             _ => {}
         });
     }
     reads
 }
 
-fn want_int(v: &Value, pos: Pos) -> Result<i64, Box<EvalAbort>> {
-    match v {
-        Value::Int(i) => Ok(*i),
-        v => Err(type_confusion("int", v, pos)),
-    }
+/// Declares `want_<type>`, which unwraps a value of that type or aborts.
+macro_rules! want {
+    ($($f:ident($pat:pat => $out:expr) -> $ty:ty, $name:literal;)*) => {$(
+        fn $f(v: &Value, pos: Pos) -> EResult<$ty> {
+            match v {
+                $pat => Ok($out),
+                v => Err(type_confusion($name, v, pos)),
+            }
+        }
+    )*};
 }
 
-fn want_real(v: &Value, pos: Pos) -> Result<f64, Box<EvalAbort>> {
-    match v {
-        Value::Real(r) => Ok(*r),
-        v => Err(type_confusion("real", v, pos)),
-    }
-}
-
-fn want_bool(v: &Value, pos: Pos) -> Result<bool, Box<EvalAbort>> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        v => Err(type_confusion("bool", v, pos)),
-    }
-}
-
-fn want_str(v: &Value, pos: Pos) -> Result<&str, Box<EvalAbort>> {
-    match v {
-        Value::Str(s) => Ok(s),
-        v => Err(type_confusion("string", v, pos)),
-    }
-}
-
-fn want_list(v: &Value, pos: Pos) -> Result<&List, Box<EvalAbort>> {
-    match v {
-        Value::List(l) => Ok(l),
-        v => Err(type_confusion("list", v, pos)),
-    }
-}
-
-fn want_map(v: &Value, pos: Pos) -> Result<&Map, Box<EvalAbort>> {
-    match v {
-        Value::Map(m) => Ok(m),
-        v => Err(type_confusion("map", v, pos)),
-    }
+want! {
+    want_int(Value::Int(i) => *i) -> i64, "int";
+    want_real(Value::Real(r) => *r) -> f64, "real";
+    want_bool(Value::Bool(b) => *b) -> bool, "bool";
+    want_str(Value::Str(s) => s) -> &str, "string";
+    want_list(Value::List(l) => l) -> &List, "list";
+    want_map(Value::Map(m) => m) -> &Map, "map";
 }
 
 #[cold]
@@ -498,40 +618,35 @@ fn type_confusion(wanted: &str, got: &Value, pos: Pos) -> Box<EvalAbort> {
     )
 }
 
-fn binop(op: &str, l: Value, r: Value, pos: Pos) -> EResult {
-    use Value::*;
-    Ok(match (op, &l, &r) {
-        ("+", Int(a), Int(b)) => Int(a.wrapping_add(*b)),
-        ("+", Real(a), Real(b)) => Real(a + b),
-        ("+", Str(a), Str(b)) => Value::str(format!("{a}{b}")),
-        ("-", Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
-        ("-", Real(a), Real(b)) => Real(a - b),
-        ("*", Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
-        ("*", Real(a), Real(b)) => Real(a * b),
-        ("/", Int(_), Int(0)) => {
+fn binop(op: BinOp, l: &Value, r: &Value, pos: Pos) -> EResult {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    use BinOp::*;
+    use Value::{Int, List, Real, Str};
+    Ok(match (op, l, r) {
+        (Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
+        (Add, Real(a), Real(b)) => Real(a + b),
+        (Add | Concat, Str(a), Str(b)) => Value::str(format!("{a}{b}")),
+        (Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
+        (Sub, Real(a), Real(b)) => Real(a - b),
+        (Mul, Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
+        (Mul, Real(a), Real(b)) => Real(a * b),
+        (Div, Int(_), Int(0)) => {
             return Err(abort("integer division by zero".to_string(), pos));
         }
-        ("/", Int(a), Int(b)) => Int(a.wrapping_div(*b)),
-        ("/", Real(a), Real(b)) => Real(a / b),
-        ("%", Int(_), Int(0)) => {
+        (Div, Int(a), Int(b)) => Int(a.wrapping_div(*b)),
+        (Div, Real(a), Real(b)) => Real(a / b),
+        (Rem, Int(_), Int(0)) => {
             return Err(abort("integer remainder by zero".to_string(), pos));
         }
-        ("%", Int(a), Int(b)) => Int(a.wrapping_rem(*b)),
-        ("=", a, b) => Bool(a == b),
-        ("<>", a, b) => Bool(a != b),
-        ("<", a, b) => Bool(a.partial_cmp(b) == Some(std::cmp::Ordering::Less)),
-        ("<=", a, b) => Bool(matches!(
-            a.partial_cmp(b),
-            Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-        )),
-        (">", a, b) => Bool(a.partial_cmp(b) == Some(std::cmp::Ordering::Greater)),
-        (">=", a, b) => Bool(matches!(
-            a.partial_cmp(b),
-            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-        )),
-        ("::", _, List(items)) => concat(&fnc2_ag::List::new(vec![l.clone()]), items, pos)?,
-        ("++", Str(a), Str(b)) => Value::str(format!("{a}{b}")),
-        ("++", List(a), List(b)) => concat(a, b, pos)?,
+        (Rem, Int(a), Int(b)) => Int(a.wrapping_rem(*b)),
+        (Eq, a, b) => Value::Bool(a == b),
+        (Ne, a, b) => Value::Bool(a != b),
+        (Lt, a, b) => Value::Bool(a.partial_cmp(b) == Some(Less)),
+        (Le, a, b) => Value::Bool(matches!(a.partial_cmp(b), Some(Less | Equal))),
+        (Gt, a, b) => Value::Bool(a.partial_cmp(b) == Some(Greater)),
+        (Ge, a, b) => Value::Bool(matches!(a.partial_cmp(b), Some(Greater | Equal))),
+        (Cons, _, List(items)) => concat(&fnc2_ag::List::new(vec![l.clone()]), items, pos)?,
+        (Concat, List(a), List(b)) => concat(a, b, pos)?,
         (op, l, r) => {
             return Err(abort(
                 format!(
@@ -601,20 +716,35 @@ mod tests {
 
     use super::*;
 
-    fn ctx_for(src: &str) -> EvalCtx {
+    /// A module's context and environment.
+    #[derive(Debug)]
+    struct Ctx(EvalCtx, UnitEnv);
+
+    impl Ctx {
+        fn apply(&self, name: &str, args: Vec<Value>) -> Result<Value, EvalAbort> {
+            self.0.apply(self.1.funcs[name].id, args)
+        }
+
+        fn konst(&self, name: &str) -> &Value {
+            self.0.consts[self.1.consts[name].0].as_ref().unwrap()
+        }
+    }
+
+    fn ctx_for(src: &str) -> Ctx {
         try_ctx_for(src).unwrap()
     }
 
-    fn try_ctx_for(src: &str) -> Result<EvalCtx, EvalAbort> {
+    fn try_ctx_for(src: &str) -> Result<Ctx, EvalAbort> {
         let Unit::Module(m) = parse_unit(src).unwrap() else {
             panic!("expected module")
         };
         let mut c = Compiler::new();
         c.add_module(m.clone()).unwrap();
-        EvalCtx::new(&c.module(&m.name).unwrap().env)
+        let env = c.module(&m.name).unwrap().env.clone();
+        Ok(Ctx(EvalCtx::new(&env)?, env))
     }
 
-    fn apply(ctx: &EvalCtx, name: &str, args: Vec<Value>) -> Value {
+    fn apply(ctx: &Ctx, name: &str, args: Vec<Value>) -> Value {
         ctx.apply(name, args).unwrap()
     }
 
@@ -765,7 +895,7 @@ mod tests {
             apply(&ctx, "get", vec![m1, Value::str("b")]),
             Value::str("?")
         );
-        assert_eq!(ctx.consts["greeting"], Value::str("hi there"));
+        assert_eq!(ctx.konst("greeting"), &Value::str("hi there"));
     }
 
     #[test]
@@ -795,7 +925,7 @@ mod tests {
             end
             "#,
         );
-        assert_eq!(ctx.consts["b"], Value::Int(42));
+        assert_eq!(ctx.konst("b"), &Value::Int(42));
     }
 
     #[test]
@@ -854,7 +984,7 @@ mod tests {
             end
             "#,
         );
-        assert_eq!(ctx.consts["a"], Value::Int(42));
+        assert_eq!(ctx.konst("a"), &Value::Int(42));
     }
 
     #[test]
@@ -878,7 +1008,7 @@ mod tests {
             end
             "#,
         );
-        assert_eq!(ctx.consts["c"], Value::Int(42));
+        assert_eq!(ctx.konst("c"), &Value::Int(42));
     }
 
     #[test]
@@ -890,7 +1020,24 @@ mod tests {
             end
             "#,
         );
-        assert_eq!(ctx.consts["c"], Value::Int(7));
+        assert_eq!(ctx.konst("c"), &Value::Int(7));
+    }
+
+    #[test]
+    fn a_panicking_run_leaves_no_slots_behind() {
+        let prog = Program::default();
+        let caught = std::panic::catch_unwind(|| {
+            run(&prog, &[], &[], |m| {
+                m.stack.push(Value::Int(1));
+                m.text.push_str("partial");
+                panic!("a panic inside a rule")
+            })
+        });
+        assert!(caught.is_err());
+        let left = run(&prog, &[], &[], |m| {
+            Ok(Value::Int((m.stack.len() + m.text.len()) as i64))
+        });
+        assert_eq!(left, Ok(Value::Int(0)));
     }
 
     #[test]

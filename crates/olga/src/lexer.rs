@@ -134,167 +134,102 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes `src`.
+/// Tokenizes `src`, walking it by byte offset; columns count characters.
 ///
 /// # Errors
 ///
 /// Fails on unterminated strings, malformed numbers, or stray characters.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let bytes: Vec<char> = src.chars().collect();
     let mut out = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
-    let n = bytes.len();
-
-    let advance = |c: char, line: &mut u32, col: &mut u32| {
-        if c == '\n' {
-            *line += 1;
-            *col = 1;
-        } else {
-            *col += 1;
-        }
-    };
-
-    while i < n {
-        let c = bytes[i];
+    let (mut i, mut line, mut col) = (0, 1u32, 1u32);
+    while let Some(c) = src[i..].chars().next() {
+        let rest = &src[i..];
         let pos = Pos { line, col };
-        // Whitespace.
-        if c.is_whitespace() {
-            advance(c, &mut line, &mut col);
-            i += 1;
-            continue;
-        }
-        // Comment: -- to end of line.
-        if c == '-' && i + 1 < n && bytes[i + 1] == '-' {
-            while i < n && bytes[i] != '\n' {
-                advance(bytes[i], &mut line, &mut col);
-                i += 1;
-            }
-            continue;
-        }
-        // Identifier / keyword.
-        if c.is_ascii_alphabetic() {
-            let start = i;
-            while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                advance(bytes[i], &mut line, &mut col);
-                i += 1;
-            }
-            let word: String = bytes[start..i].iter().collect();
-            let tok = match KEYWORDS.iter().find(|&&k| k == word) {
+        let error = |message: String| LexError { message, pos };
+        let mut push = |tok: Tok| out.push(Token { tok, pos });
+        // The length in bytes of what starts at `i`.
+        let len = if c.is_whitespace() {
+            c.len_utf8()
+        } else if rest.starts_with("--") {
+            // Comment: -- to end of line.
+            rest.find('\n').unwrap_or(rest.len())
+        } else if c.is_ascii_alphabetic() {
+            let n = rest
+                .find(|d: char| !d.is_ascii_alphanumeric() && d != '_')
+                .unwrap_or(rest.len());
+            let word = &rest[..n];
+            push(match KEYWORDS.iter().find(|&&k| k == word) {
                 Some(&k) => Tok::Kw(k),
-                None => Tok::Ident(word),
-            };
-            out.push(Token { tok, pos });
-            continue;
-        }
-        // Number.
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < n && bytes[i].is_ascii_digit() {
-                advance(bytes[i], &mut line, &mut col);
-                i += 1;
-            }
-            let mut is_real = false;
-            if i + 1 < n && bytes[i] == '.' && bytes[i + 1].is_ascii_digit() {
-                is_real = true;
-                advance('.', &mut line, &mut col);
-                i += 1;
-                while i < n && bytes[i].is_ascii_digit() {
-                    advance(bytes[i], &mut line, &mut col);
-                    i += 1;
-                }
-            }
-            let text: String = bytes[start..i].iter().collect();
-            let tok = if is_real {
-                Tok::Real(text.parse().map_err(|_| LexError {
-                    message: format!("malformed real literal `{text}`"),
-                    pos,
-                })?)
-            } else {
-                Tok::Int(text.parse().map_err(|_| LexError {
-                    message: format!("integer literal `{text}` out of range"),
-                    pos,
-                })?)
-            };
-            out.push(Token { tok, pos });
-            continue;
-        }
-        // String literal.
-        if c == '"' {
-            advance(c, &mut line, &mut col);
-            i += 1;
-            let mut s = String::new();
-            loop {
-                if i >= n {
-                    return Err(LexError {
-                        message: "unterminated string literal".into(),
-                        pos,
-                    });
-                }
-                let c = bytes[i];
-                advance(c, &mut line, &mut col);
-                i += 1;
-                match c {
-                    '"' => break,
-                    '\\' => {
-                        if i >= n {
-                            return Err(LexError {
-                                message: "unterminated escape".into(),
-                                pos,
-                            });
-                        }
-                        let e = bytes[i];
-                        advance(e, &mut line, &mut col);
-                        i += 1;
-                        s.push(match e {
-                            'n' => '\n',
-                            't' => '\t',
-                            '\\' => '\\',
-                            '"' => '"',
-                            other => {
-                                return Err(LexError {
-                                    message: format!("unknown escape `\\{other}`"),
-                                    pos,
-                                })
-                            }
-                        });
-                    }
-                    other => s.push(other),
-                }
-            }
-            out.push(Token {
-                tok: Tok::Str(s),
-                pos,
+                None => Tok::Ident(word.to_string()),
             });
-            continue;
-        }
-        // Punctuation.
-        let rest: String = bytes[i..(i + 3).min(n)].iter().collect();
-        match PUNCTS.iter().find(|&&p| rest.starts_with(p)) {
-            Some(&p) => {
-                for c in p.chars() {
-                    advance(c, &mut line, &mut col);
-                }
-                i += p.chars().count();
-                out.push(Token {
-                    tok: Tok::Punct(p),
-                    pos,
-                });
+            n
+        } else if c.is_ascii_digit() {
+            let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+            let mut n = digits(rest);
+            let b = rest.as_bytes();
+            let real = b.get(n) == Some(&b'.') && b.get(n + 1).is_some_and(u8::is_ascii_digit);
+            if real {
+                n += 1 + digits(&rest[n + 1..]);
             }
-            None => {
-                return Err(LexError {
-                    message: format!("unexpected character `{c}`"),
-                    pos,
-                })
+            let text = &rest[..n];
+            push(if real {
+                Tok::Real(
+                    text.parse()
+                        .map_err(|_| error(format!("malformed real literal `{text}`")))?,
+                )
+            } else {
+                Tok::Int(
+                    text.parse()
+                        .map_err(|_| error(format!("integer literal `{text}` out of range")))?,
+                )
+            });
+            n
+        } else if c == '"' {
+            let (text, n) = string(rest).map_err(error)?;
+            push(Tok::Str(text));
+            n
+        } else if let Some(&p) = PUNCTS.iter().find(|&&p| rest.starts_with(p)) {
+            push(Tok::Punct(p));
+            p.len()
+        } else {
+            return Err(error(format!("unexpected character `{c}`")));
+        };
+        for d in rest[..len].chars() {
+            if d == '\n' {
+                line += 1;
+                col = 1;
+            } else {
+                col += 1;
             }
         }
+        i += len;
     }
     out.push(Token {
         tok: Tok::Eof,
         pos: Pos { line, col },
     });
     Ok(out)
+}
+
+/// The text of the string literal `src` starts with, escapes replaced, and
+/// the literal's length in bytes, quotes included.
+fn string(src: &str) -> Result<(String, usize), String> {
+    let mut text = String::new();
+    let mut chars = src.char_indices().skip(1);
+    while let Some((i, c)) = chars.next() {
+        text.push(match c {
+            '"' => return Ok((text, i + 1)),
+            '\\' => match chars.next() {
+                None => return Err("unterminated escape".into()),
+                Some((_, 'n')) => '\n',
+                Some((_, 't')) => '\t',
+                Some((_, e @ ('\\' | '"'))) => e,
+                Some((_, other)) => return Err(format!("unknown escape `\\{other}`")),
+            },
+            other => other,
+        });
+    }
+    Err("unterminated string literal".into())
 }
 
 #[cfg(test)]

@@ -44,7 +44,8 @@ mod parser;
 mod types;
 
 pub use check::{
-    AgAttrTable, CheckError, CheckedAg, CheckedModule, Compiler, FunSig, ThreadInfo, UnitEnv,
+    AgAttrTable, CheckError, CheckedAg, CheckedModule, Compiler, FunSig, Function, Program,
+    ThreadInfo, UnitEnv,
 };
 pub use eval::{EvalAbort, EvalCtx};
 pub use lexer::{lex, LexError, Pos, Tok, Token};

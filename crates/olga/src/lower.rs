@@ -20,7 +20,7 @@ use fnc2_ag::{
     Arg, AttrId, Grammar, GrammarBuilder, LocalId, ONode, Occ, PhylumId, ProductionId, Value,
 };
 
-use crate::ast::{Callee, Expr, OccRef, RuleTarget, VarRef};
+use crate::ast::{Builtin, Callee, Expr, OccRef, RuleTarget, VarRef};
 use crate::check::{CheckedAg, OpCtx};
 use crate::eval::{EvalAbort, EvalCtx};
 use crate::lexer::Pos;
@@ -418,11 +418,8 @@ fn add_rule(
     info: &mut LowerInfo,
 ) -> Result<RuleText, LowerError> {
     let constant = match body {
-        Expr::Int(i, _) => Some(Value::Int(*i)),
-        Expr::Real(r, _) => Some(Value::Real(*r)),
-        Expr::Bool(v, _) => Some(Value::Bool(*v)),
-        Expr::Str(s, _) => Some(Value::str(s)),
-        _ => None,
+        Expr::ListLit(..) => None,
+        literal => literal.literal(),
     };
     let (body, args) = reads.extract(body)?;
     let body = Arc::new(body);
@@ -480,10 +477,9 @@ impl Reads<'_> {
                     }
                 },
                 Expr::Call {
-                    name,
-                    callee: Callee::Builtin,
+                    callee: Callee::Builtin(Builtin::Token),
                     ..
-                } if name == "token" => Arg::Token,
+                } => Arg::Token,
                 _ => return Ok(()),
             };
             let k = match args.iter().position(|a| *a == arg) {

@@ -116,6 +116,20 @@ impl Parser {
         }
     }
 
+    /// Parses one or more `item`s separated by commas into `items`.
+    fn comma_list<T>(
+        &mut self,
+        items: &mut Vec<T>,
+        item: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<(), ParseError> {
+        loop {
+            items.push(item(self)?);
+            if !self.eat_punct(",") {
+                return Ok(());
+            }
+        }
+    }
+
     fn eat_punct(&mut self, p: &'static str) -> bool {
         if self.peek() == &Tok::Punct(p) {
             self.bump();
@@ -522,7 +536,7 @@ impl Parser {
             self.bump();
             let rhs = self.and_expr()?;
             lhs = Expr::Binop {
-                op: "or",
+                op: BinOp::Or,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
                 pos,
@@ -538,7 +552,7 @@ impl Parser {
             self.bump();
             let rhs = self.cmp_expr()?;
             lhs = Expr::Binop {
-                op: "and",
+                op: BinOp::And,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
                 pos,
@@ -550,12 +564,12 @@ impl Parser {
     fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.cons_expr()?;
         let op = match self.peek() {
-            Tok::Punct("=") => "=",
-            Tok::Punct("<>") => "<>",
-            Tok::Punct("<") => "<",
-            Tok::Punct("<=") => "<=",
-            Tok::Punct(">") => ">",
-            Tok::Punct(">=") => ">=",
+            Tok::Punct("=") => BinOp::Eq,
+            Tok::Punct("<>") => BinOp::Ne,
+            Tok::Punct("<") => BinOp::Lt,
+            Tok::Punct("<=") => BinOp::Le,
+            Tok::Punct(">") => BinOp::Gt,
+            Tok::Punct(">=") => BinOp::Ge,
             _ => return Ok(lhs),
         };
         let pos = self.pos();
@@ -572,8 +586,8 @@ impl Parser {
     fn cons_expr(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
-            Tok::Punct("::") => "::",
-            Tok::Punct("++") => "++",
+            Tok::Punct("::") => BinOp::Cons,
+            Tok::Punct("++") => BinOp::Concat,
             _ => return Ok(lhs),
         };
         let pos = self.pos();
@@ -591,8 +605,8 @@ impl Parser {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
-                Tok::Punct("+") => "+",
-                Tok::Punct("-") => "-",
+                Tok::Punct("+") => BinOp::Add,
+                Tok::Punct("-") => BinOp::Sub,
                 _ => break,
             };
             let pos = self.pos();
@@ -612,9 +626,9 @@ impl Parser {
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
-                Tok::Punct("*") => "*",
-                Tok::Punct("/") => "/",
-                Tok::Punct("%") => "%",
+                Tok::Punct("*") => BinOp::Mul,
+                Tok::Punct("/") => BinOp::Div,
+                Tok::Punct("%") => BinOp::Rem,
                 _ => break,
             };
             let pos = self.pos();
@@ -636,7 +650,7 @@ impl Parser {
                 let pos = self.pos();
                 self.bump();
                 Ok(Expr::Unop {
-                    op: "-",
+                    op: UnOp::Neg,
                     expr: Box::new(self.unary_expr()?),
                     pos,
                 })
@@ -645,7 +659,7 @@ impl Parser {
                 let pos = self.pos();
                 self.bump();
                 Ok(Expr::Unop {
-                    op: "not",
+                    op: UnOp::Not,
                     expr: Box::new(self.unary_expr()?),
                     pos,
                 })
@@ -667,7 +681,7 @@ impl Parser {
             }
             Tok::Str(s) => {
                 self.bump();
-                Ok(Expr::Str(s, pos))
+                Ok(Expr::Str(fnc2_ag::Value::str(s), pos))
             }
             Tok::Kw("true") => {
                 self.bump();
@@ -733,12 +747,7 @@ impl Parser {
                 let first = self.expr()?;
                 if self.eat_punct(",") {
                     let mut items = vec![first];
-                    loop {
-                        items.push(self.expr()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
+                    self.comma_list(&mut items, Self::expr)?;
                     self.expect_punct(")")?;
                     Ok(Expr::TupleLit(items, pos))
                 } else {
@@ -750,27 +759,18 @@ impl Parser {
                 self.bump();
                 let mut items = Vec::new();
                 if !self.eat_punct("]") {
-                    loop {
-                        items.push(self.expr()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
+                    self.comma_list(&mut items, Self::expr)?;
                     self.expect_punct("]")?;
                 }
-                Ok(Expr::ListLit(items, pos))
+                let value = items.iter().map(Expr::literal).collect::<Option<Vec<_>>>();
+                Ok(Expr::ListLit(items, value.map(fnc2_ag::Value::list), pos))
             }
             Tok::Punct("@") => {
                 self.bump();
                 let op = self.ident()?;
                 let mut args = Vec::new();
                 if self.eat_punct("(") && !self.eat_punct(")") {
-                    loop {
-                        args.push(self.expr()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
+                    self.comma_list(&mut args, Self::expr)?;
                     self.expect_punct(")")?;
                 }
                 Ok(Expr::TreeCons { op, args, pos })
@@ -781,12 +781,7 @@ impl Parser {
                 if self.eat_punct("(") {
                     let mut args = Vec::new();
                     if !self.eat_punct(")") {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat_punct(",") {
-                                break;
-                            }
-                        }
+                        self.comma_list(&mut args, Self::expr)?;
                         self.expect_punct(")")?;
                     }
                     Ok(Expr::Call {
@@ -894,12 +889,7 @@ impl Parser {
                 let op = self.ident()?;
                 let mut args = Vec::new();
                 if self.eat_punct("(") && !self.eat_punct(")") {
-                    loop {
-                        args.push(self.pattern()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
+                    self.comma_list(&mut args, Self::pattern)?;
                     self.expect_punct(")")?;
                 }
                 Ok(Pat::Term { op, args, pos })
@@ -972,7 +962,11 @@ mod tests {
         // Seq$2.value parses with index 2.
         let r0 = &pair.rules[0];
         match &r0.body {
-            Expr::Binop { op: "+", lhs, .. } => match &**lhs {
+            Expr::Binop {
+                op: BinOp::Add,
+                lhs,
+                ..
+            } => match &**lhs {
                 Expr::Occ(o) => {
                     assert_eq!(o.name, "Seq");
                     assert_eq!(o.index, Some(2));
@@ -1061,8 +1055,12 @@ mod tests {
             panic!()
         };
         match &m.consts[0].body {
-            Expr::Binop { op: "+", rhs, .. } => {
-                assert!(matches!(&**rhs, Expr::Binop { op: "*", .. }));
+            Expr::Binop {
+                op: BinOp::Add,
+                rhs,
+                ..
+            } => {
+                assert!(matches!(&**rhs, Expr::Binop { op: BinOp::Mul, .. }));
             }
             other => panic!("expected + at top, got {other:?}"),
         }

@@ -221,3 +221,66 @@ fn multiple_ags_in_one_source_rejected() {
     .unwrap_err();
     assert!(matches!(err, OlgaError::Parse(_)), "{err}");
 }
+
+/// Checks the source's attribute grammar and applies each named function
+/// of its environment to 5.
+fn apply_to_five(src: &str, want: &[(&str, i64)]) {
+    let checked = fnc2_olga::check_units(fnc2_olga::parse_units(src).unwrap()).unwrap();
+    let ctx = fnc2_olga::EvalCtx::new(&checked.env).unwrap();
+    for &(f, v) in want {
+        let got = ctx.apply(checked.env.funcs[f].id, vec![fnc2_ag::Value::Int(5)]);
+        assert_eq!(got, Ok(fnc2_ag::Value::Int(v)), "{f}(5)");
+    }
+}
+
+const HELPER_M1: &str = "module m1; export f1;
+  function helper(x : int) : int = x + 1;
+  function f1(x : int) : int = helper(x);
+end";
+
+#[test]
+fn imported_functions_call_their_own_modules_private_helpers() {
+    let src = format!(
+        "{HELPER_M1}
+        module m2; export f2;
+          function helper(x : int) : int = x * 100;
+          function f2(x : int) : int = helper(x);
+        end
+        attribute grammar both;
+          import f1 from m1;
+          import f2 from m2;
+          phylum S; operator leaf : S ::= ; synthesized v : int of S;
+          for leaf {{ S.v := f1(5) + f2(5); }}
+        end"
+    );
+    apply_to_five(&src, &[("f1", 6), ("f2", 500)]);
+}
+
+#[test]
+fn imported_functions_read_their_own_modules_private_constants() {
+    apply_to_five(
+        "module m1; export f1; const k : int = 1; function f1(x : int) : int = x + k; end
+        module m2; export f2; const k : int = 100; function f2(x : int) : int = x + k; end
+        attribute grammar both;
+          import f1 from m1;
+          import f2 from m2;
+          phylum S; operator leaf : S ::= ; synthesized v : int of S;
+          for leaf { S.v := f1(5) + f2(5); }
+        end",
+        &[("f1", 6), ("f2", 105)],
+    );
+}
+
+#[test]
+fn an_importer_may_name_its_own_function_like_a_private_helper() {
+    let src = format!(
+        "{HELPER_M1}
+        attribute grammar own;
+          import f1 from m1;
+          phylum S; operator leaf : S ::= ; synthesized v : int of S;
+          function helper(x : int) : int = x * 2;
+          for leaf {{ S.v := f1(5) + helper(5); }}
+        end"
+    );
+    apply_to_five(&src, &[("f1", 6), ("helper", 10)]);
+}

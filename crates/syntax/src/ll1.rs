@@ -401,7 +401,7 @@ impl Ll1Parser {
         at: &mut usize,
     ) -> Result<NodeId, DriveError> {
         let look = tokens[*at].lexeme.terminal();
-        let Some(&ri) = self.table.get(&(nt, look.clone())) else {
+        let Some(&ri) = self.table.get(&(nt, look.to_string())) else {
             let name = self
                 .nts
                 .iter()
@@ -421,7 +421,7 @@ impl Ll1Parser {
             match s {
                 Sym::T(t) => {
                     let tok = &tokens[*at];
-                    if tok.lexeme.terminal() != *t {
+                    if tok.lexeme.terminal() != t.as_str() {
                         return Err(DriveError {
                             message: format!("expected `{t}`, found {}", tok.lexeme),
                             line: tok.line,

@@ -32,15 +32,14 @@ impl Lexeme {
     /// The terminal name used by grammar specifications: keywords and
     /// operators are their literal text; classes are `IDENT`, `INT`,
     /// `REAL`, `STRING`, `EOF`.
-    pub fn terminal(&self) -> String {
+    pub fn terminal(&self) -> &str {
         match self {
-            Lexeme::Keyword(k) => k.clone(),
-            Lexeme::Op(o) => o.clone(),
-            Lexeme::Ident(_) => "IDENT".into(),
-            Lexeme::Int(_) => "INT".into(),
-            Lexeme::Real(_) => "REAL".into(),
-            Lexeme::Str(_) => "STRING".into(),
-            Lexeme::Eof => "EOF".into(),
+            Lexeme::Keyword(k) | Lexeme::Op(k) => k,
+            Lexeme::Ident(_) => "IDENT",
+            Lexeme::Int(_) => "INT",
+            Lexeme::Real(_) => "REAL",
+            Lexeme::Str(_) => "STRING",
+            Lexeme::Eof => "EOF",
         }
     }
 }
@@ -123,147 +122,85 @@ impl fmt::Display for ScanError {
 
 impl std::error::Error for ScanError {}
 
-/// Scans `src` under `spec`.
+/// Scans `src` under `spec`, walking it by byte offset: a token's text is
+/// a slice of `src`, and columns count characters.
 ///
 /// # Errors
 ///
 /// Fails on stray characters or unterminated strings.
 pub fn scan(spec: &ScannerSpec, src: &str) -> Result<Vec<Scanned>, ScanError> {
-    let chars: Vec<char> = src.chars().collect();
-    let n = chars.len();
     let mut out = Vec::new();
-    let mut i = 0;
-    let mut line = 1u32;
-    let mut col = 1u32;
-
-    let advance = |c: char, line: &mut u32, col: &mut u32| {
-        if c == '\n' {
-            *line += 1;
-            *col = 1;
-        } else {
-            *col += 1;
-        }
-    };
-
-    'outer: while i < n {
-        let c = chars[i];
-        if c.is_whitespace() {
-            advance(c, &mut line, &mut col);
-            i += 1;
-            continue;
-        }
-        if let Some(cm) = &spec.line_comment {
-            if chars[i..].starts_with(&cm.chars().collect::<Vec<_>>()[..]) {
-                while i < n && chars[i] != '\n' {
-                    advance(chars[i], &mut line, &mut col);
-                    i += 1;
-                }
-                continue;
-            }
-        }
-        let (tl, tc) = (line, col);
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < n && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                advance(chars[i], &mut line, &mut col);
-                i += 1;
-            }
-            let word: String = chars[start..i].iter().collect();
-            let lexeme = if spec.keywords.contains(&word) {
+    let (mut i, mut line, mut col) = (0, 1u32, 1u32);
+    while let Some(c) = src[i..].chars().next() {
+        let rest = &src[i..];
+        let error = |message: String| ScanError { message, line, col };
+        let mut push = |lexeme: Lexeme| out.push(Scanned { lexeme, line, col });
+        let comment = spec.line_comment.as_deref();
+        // The length in bytes of what starts at `i`.
+        let len = if c.is_whitespace() {
+            c.len_utf8()
+        } else if comment.is_some_and(|cm| rest.starts_with(cm)) {
+            rest.find('\n').unwrap_or(rest.len())
+        } else if c.is_ascii_alphabetic() || c == '_' {
+            let n = rest
+                .find(|d: char| !d.is_ascii_alphanumeric() && d != '_')
+                .unwrap_or(rest.len());
+            let word = rest[..n].to_string();
+            push(if spec.keywords.contains(&word) {
                 Lexeme::Keyword(word)
             } else {
                 Lexeme::Ident(word)
-            };
-            out.push(Scanned {
-                lexeme,
-                line: tl,
-                col: tc,
             });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < n && chars[i].is_ascii_digit() {
-                advance(chars[i], &mut line, &mut col);
-                i += 1;
+            n
+        } else if c.is_ascii_digit() {
+            let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+            let mut n = digits(rest);
+            let b = rest.as_bytes();
+            let real = spec.reals
+                && b.get(n) == Some(&b'.')
+                && b.get(n + 1).is_some_and(u8::is_ascii_digit);
+            if real {
+                n += 1 + digits(&rest[n + 1..]);
             }
-            let mut is_real = false;
-            if spec.reals && i + 1 < n && chars[i] == '.' && chars[i + 1].is_ascii_digit() {
-                is_real = true;
-                advance('.', &mut line, &mut col);
-                i += 1;
-                while i < n && chars[i].is_ascii_digit() {
-                    advance(chars[i], &mut line, &mut col);
-                    i += 1;
-                }
-            }
-            let text: String = chars[start..i].iter().collect();
-            let lexeme = if is_real {
-                Lexeme::Real(text.parse().map_err(|_| ScanError {
-                    message: format!("malformed real `{text}`"),
-                    line: tl,
-                    col: tc,
-                })?)
+            let text = &rest[..n];
+            push(if real {
+                Lexeme::Real(
+                    text.parse()
+                        .map_err(|_| error(format!("malformed real `{text}`")))?,
+                )
             } else {
-                Lexeme::Int(text.parse().map_err(|_| ScanError {
-                    message: format!("integer `{text}` out of range"),
-                    line: tl,
-                    col: tc,
-                })?)
+                Lexeme::Int(
+                    text.parse()
+                        .map_err(|_| error(format!("integer `{text}` out of range")))?,
+                )
+            });
+            n
+        } else if c == '\'' || c == '"' {
+            let Some(n) = rest[1..].find(c) else {
+                return Err(error("unterminated string".into()));
             };
-            out.push(Scanned {
-                lexeme,
-                line: tl,
-                col: tc,
-            });
-            continue;
-        }
-        if c == '\'' || c == '"' {
-            let quote = c;
-            advance(c, &mut line, &mut col);
-            i += 1;
-            let mut s = String::new();
-            while i < n {
-                let d = chars[i];
-                advance(d, &mut line, &mut col);
-                i += 1;
-                if d == quote {
-                    out.push(Scanned {
-                        lexeme: Lexeme::Str(s),
-                        line: tl,
-                        col: tc,
-                    });
-                    continue 'outer;
-                }
-                s.push(d);
-            }
-            return Err(ScanError {
-                message: "unterminated string".into(),
-                line: tl,
-                col: tc,
-            });
-        }
-        // Operators: longest-first from the (pre-sorted) spec.
-        for op in &spec.operators {
-            let opc: Vec<char> = op.chars().collect();
-            if chars[i..].starts_with(&opc[..]) {
-                for &d in &opc {
-                    advance(d, &mut line, &mut col);
-                }
-                i += opc.len();
-                out.push(Scanned {
-                    lexeme: Lexeme::Op(op.clone()),
-                    line: tl,
-                    col: tc,
-                });
-                continue 'outer;
+            push(Lexeme::Str(rest[1..=n].to_string()));
+            n + 2
+        } else if let Some(op) = spec
+            .operators
+            .iter()
+            .find(|op| rest.starts_with(op.as_str()))
+        {
+            // Longest first: the spec's operators are sorted by length.
+            push(Lexeme::Op(op.clone()));
+            op.len()
+        } else {
+            return Err(error(format!("unexpected character `{c}`")));
+        };
+        for d in rest[..len].chars() {
+            if d == '\n' {
+                line += 1;
+                col = 1;
+            } else {
+                col += 1;
             }
         }
-        return Err(ScanError {
-            message: format!("unexpected character `{c}`"),
-            line,
-            col,
-        });
+        i += len;
     }
     out.push(Scanned {
         lexeme: Lexeme::Eof,
@@ -287,7 +224,7 @@ mod tests {
     #[test]
     fn scans_program_fragment() {
         let toks = scan(&spec(), "begin x := 1 + 2; end").unwrap();
-        let kinds: Vec<String> = toks.iter().map(|t| t.lexeme.terminal()).collect();
+        let kinds: Vec<&str> = toks.iter().map(|t| t.lexeme.terminal()).collect();
         assert_eq!(
             kinds,
             vec!["begin", "IDENT", ":=", "INT", "+", "INT", ";", "end", "EOF"]
@@ -297,7 +234,7 @@ mod tests {
     #[test]
     fn longest_operator_wins() {
         let toks = scan(&spec(), "a <= b < c").unwrap();
-        let kinds: Vec<String> = toks.iter().map(|t| t.lexeme.terminal()).collect();
+        let kinds: Vec<&str> = toks.iter().map(|t| t.lexeme.terminal()).collect();
         assert_eq!(kinds, vec!["IDENT", "<=", "IDENT", "<", "IDENT", "EOF"]);
     }
 

@@ -12,6 +12,7 @@
 //! plan-only bookkeeping (pops, live-cell counts) is compiled out of the
 //! trivial plan's loop.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use fnc2_ag::{AttrId, AttrValues, Grammar, NodeId, ONode, Occ, ProductionId, Tree, Value};
@@ -72,17 +73,12 @@ impl EvalStats {
 /// Values of the root's inherited attributes, supplied by the caller.
 pub type RootInputs = HashMap<AttrId, Value>;
 
-/// The visit-sequence evaluator.
-///
-/// Construction compiles the grammar's rules into a [`CompiledProgram`]
-/// and lowers the visit-sequences into flat op streams; evaluation is
-/// read-only on the evaluator, so a single instance can decorate many
-/// trees concurrently (the `fnc2-par` batch driver shares one `&Evaluator`
-/// across its worker threads).
-#[derive(Debug)]
-pub struct Evaluator<'g> {
-    grammar: &'g Grammar,
-    seqs: &'g VisitSeqs,
+/// What an [`Evaluator`] runs: the grammar's rules compiled into a
+/// [`CompiledProgram`] and the visit-sequences lowered into flat op
+/// streams. Built once, it serves any number of evaluators
+/// ([`Evaluator::with_lowered`]).
+#[derive(Clone, Debug)]
+pub struct Lowered {
     program: CompiledProgram,
     /// `ops[prod][partition][visit-1]` — the lowered op streams.
     ops: Vec<Vec<Vec<Box<[Op]>>>>,
@@ -91,6 +87,44 @@ pub struct Evaluator<'g> {
     plan: bool,
     variables: usize,
     stacks: usize,
+}
+
+impl Lowered {
+    /// Slot-compiles every rule of `grammar` and lowers every sequence of
+    /// `seqs` under the trivial plan.
+    pub fn new(grammar: &Grammar, seqs: &VisitSeqs) -> Lowered {
+        let program = CompiledProgram::new(grammar);
+        let mut ops = vec![Vec::new(); grammar.production_count()];
+        for (p, pi) in seqs.keys() {
+            let visits = seqs
+                .seq(p, pi)
+                .segments
+                .iter()
+                .map(|segment| segment.iter().map(|i| program.lower(p, i)).collect())
+                .collect();
+            install(&mut ops, (p, pi), visits);
+        }
+        Lowered {
+            program,
+            ops,
+            plan: false,
+            variables: 0,
+            stacks: 0,
+        }
+    }
+}
+
+/// The visit-sequence evaluator.
+///
+/// It runs a [`Lowered`] program, its own or one built once and borrowed;
+/// evaluation is read-only on the evaluator, so a single instance can
+/// decorate many trees concurrently (the `fnc2-par` batch driver shares one
+/// `&Evaluator` across its worker threads).
+#[derive(Debug)]
+pub struct Evaluator<'g> {
+    grammar: &'g Grammar,
+    seqs: &'g VisitSeqs,
+    code: Cow<'g, Lowered>,
     intern: bool,
 }
 
@@ -111,25 +145,21 @@ impl<'g> Evaluator<'g> {
     /// Creates an evaluator for `grammar` driven by `seqs`, slot-compiling
     /// every rule and lowering every sequence under the trivial plan.
     pub fn new(grammar: &'g Grammar, seqs: &'g VisitSeqs) -> Self {
-        let program = CompiledProgram::new(grammar);
-        let mut ops = vec![Vec::new(); grammar.production_count()];
-        for (p, pi) in seqs.keys() {
-            let visits = seqs
-                .seq(p, pi)
-                .segments
-                .iter()
-                .map(|segment| segment.iter().map(|i| program.lower(p, i)).collect())
-                .collect();
-            install(&mut ops, (p, pi), visits);
-        }
         Evaluator {
             grammar,
             seqs,
-            program,
-            ops,
-            plan: false,
-            variables: 0,
-            stacks: 0,
+            code: Cow::Owned(Lowered::new(grammar, seqs)),
+            intern: false,
+        }
+    }
+
+    /// An evaluator running `code`, which must have been lowered from
+    /// `grammar` and `seqs`; it builds nothing.
+    pub fn with_lowered(grammar: &'g Grammar, seqs: &'g VisitSeqs, code: &'g Lowered) -> Self {
+        Evaluator {
+            grammar,
+            seqs,
+            code: Cow::Borrowed(code),
             intern: false,
         }
     }
@@ -144,12 +174,13 @@ impl<'g> Evaluator<'g> {
         variables: usize,
         stacks: usize,
     ) -> Self {
+        let code = self.code.to_mut();
         for (key, visits) in ops {
-            install(&mut self.ops, key, visits);
+            install(&mut code.ops, key, visits);
         }
-        self.plan = true;
-        self.variables = variables;
-        self.stacks = stacks;
+        code.plan = true;
+        code.variables = variables;
+        code.stacks = stacks;
         self
     }
 
@@ -164,7 +195,7 @@ impl<'g> Evaluator<'g> {
     /// The slot-compiled rule programs driving this evaluator, shared with
     /// the other members of the cascade.
     pub fn program(&self) -> &CompiledProgram {
-        &self.program
+        &self.code.program
     }
 
     /// The grammar this evaluator decorates trees of.
@@ -211,7 +242,7 @@ impl<'g> Evaluator<'g> {
         budget: &EvalBudget,
         rec: &mut R,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
-        if self.plan {
+        if self.code.plan {
             self.run::<R, true>(tree, inputs, budget, rec)
         } else {
             self.run::<R, false>(tree, inputs, budget, rec)
@@ -228,8 +259,8 @@ impl<'g> Evaluator<'g> {
         let g = self.grammar;
         let mut meter = BudgetMeter::new(budget);
         let mut cells = Cells {
-            variables: vec![None; self.variables],
-            stacks: vec![Vec::new(); self.stacks],
+            variables: vec![None; self.code.variables],
+            stacks: vec![Vec::new(); self.code.stacks],
             ..Cells::new(g, tree)
         };
         let mut counters = Counters::new();
@@ -311,13 +342,14 @@ impl<'g> Evaluator<'g> {
             at: usize,
         }
         let label = if PLAN { "space" } else { "exhaustive" };
+        let lowered: &Lowered = &self.code;
         let frame = |node: NodeId, partition: usize, visit: u16| {
             let p = tree.node(node).production();
             Frame {
                 node,
                 p,
                 visit,
-                ops: &self.ops[p.index()][partition][visit as usize - 1],
+                ops: &lowered.ops[p.index()][partition][visit as usize - 1],
                 at: 0,
             }
         };
@@ -364,7 +396,7 @@ impl<'g> Evaluator<'g> {
                         .profiler()
                         .is_some_and(RuleProfiler::should_sample)
                         .then(std::time::Instant::now);
-                    let (value, is_copy) = self.program.exec_rule(
+                    let (value, is_copy) = lowered.program.exec_rule(
                         self.grammar,
                         tree,
                         p,

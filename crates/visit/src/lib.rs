@@ -53,7 +53,7 @@ mod rules;
 mod seq;
 
 pub use dynamic::DynamicEvaluator;
-pub use exhaustive::{EvalStats, Evaluator, RootInputs};
+pub use exhaustive::{EvalStats, Evaluator, Lowered, RootInputs};
 pub use program::{
     CBody, Cells, CompiledProduction, CompiledProgram, CompiledRule, FetchOp, InternCtx, Op,
     SlotRef,

@@ -1006,16 +1006,19 @@ fn binders_shadow_constants_and_locals_in_every_consumer() {
     assert_leaf_ints(SRC, &[("v", 20 + 4 + 7 + 3 + 1000 + 5)]);
     let c = translation(SRC);
     for bound in [
-        "static V f_scale(V u_x) {\n    return v_mul(u_x, c_ten);",
+        "static V f0_scale(V u_x) {\n    return v_mul(u_x, c1_ten);",
         "{ V u_x = mk_int(2);",
-        "f_scale(u_x)",
+        "f0_scale(u_x)",
         "{ V u_y = v_path(",
         "= u_y;",
         "{ V u_n = mk_int(7);",
     ] {
         assert!(c.contains(bound), "missing `{bound}` in:\n{c}");
     }
-    assert!(!c.contains("c_n"), "`n` is a binder");
+    assert!(
+        (0..3).all(|k| !c.contains(&format!("c{k}_n"))),
+        "`n` is a binder"
+    );
     assert_leaf_ints(
         "
         module m; export f; const b : int = 7; function f(b : int) : int = b + 1; end
@@ -1045,9 +1048,9 @@ fn constants_read_through_functions_in_every_consumer() {
     assert_leaf_ints(SRC, &[("v", 42)]);
     let c = translation(SRC);
     let at = |text: &str, needle: &str| text.find(needle).expect(needle);
-    assert!(at(&c, "c_b = ") < at(&c, "c_a = "), "{c}");
+    assert!(at(&c, "c0_b = ") < at(&c, "c1_a = "), "{c}");
     assert!(
-        at(&c, "static V c_b;") < at(&c, "static V f_f(V u_x) {"),
+        at(&c, "static V c0_b;") < at(&c, "static V f0_f(V u_x) {"),
         "{c}"
     );
 }

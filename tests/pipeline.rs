@@ -167,12 +167,21 @@ fn translators_cover_the_corpus_olga_ags() {
     assert!(c.contains("evaluate_root"));
     assert_eq!(c.matches('{').count(), c.matches('}').count());
     // Every function reads its parameters, not constants of their names.
-    for (name, sig) in &checked.env.funcs {
-        let start = c.rfind(&format!("static V f_{name}(")).unwrap();
+    let prog = &checked.env.program;
+    for f in checked.env.reach().0 {
+        let fun = &prog.funcs[f];
+        let start = c.rfind(&format!("static V f{f}_{}(", fun.name)).unwrap();
         let def = &c[start..start + c[start..].find("\n}\n").unwrap()];
-        for (param, _) in &sig.params {
+        for param in &fun.params {
             assert!(def.contains(&format!("u_{param}")), "{def}");
-            assert!(!def.contains(&format!("c_{param}")), "{def}");
+            for (k, _) in prog
+                .consts
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.0 == *param)
+            {
+                assert!(!def.contains(&format!("c{k}_{param}")), "{def}");
+            }
         }
     }
     let cc = || std::process::Command::new("cc");
