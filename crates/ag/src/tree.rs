@@ -12,11 +12,15 @@ use crate::grammar::Grammar;
 use crate::ids::{AttrId, LocalId, NodeId, PhylumId, ProductionId};
 use crate::value::Value;
 
-/// A node of an attributed tree.
+/// A node of an attributed tree. Its children are listed by the tree
+/// ([`Tree::children`]): every node's list lies in one arena, so building
+/// a tree allocates per tree, not per node.
 #[derive(Clone, Debug)]
 pub struct Node {
     pub(crate) production: ProductionId,
-    pub(crate) children: Vec<NodeId>,
+    /// The children are `kids[first..first + arity]` of the tree.
+    pub(crate) first: u32,
+    pub(crate) arity: u32,
     pub(crate) parent: Option<NodeId>,
     pub(crate) token: Option<Value>,
 }
@@ -25,11 +29,6 @@ impl Node {
     /// The production applied at this node.
     pub fn production(&self) -> ProductionId {
         self.production
-    }
-
-    /// Children, left to right.
-    pub fn children(&self) -> &[NodeId] {
-        &self.children
     }
 
     /// The parent, or `None` at the root.
@@ -51,6 +50,8 @@ impl Node {
 #[derive(Clone, Debug)]
 pub struct Tree {
     pub(crate) nodes: Vec<Node>,
+    /// Every node's children, each node's list contiguous.
+    pub(crate) kids: Vec<NodeId>,
     pub(crate) root: NodeId,
 }
 
@@ -63,6 +64,13 @@ impl Tree {
     /// The node table entry.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
+    }
+
+    /// The children of `id`, left to right.
+    #[inline]
+    pub fn children(&self, id: NodeId) -> &[NodeId] {
+        let n = &self.nodes[id.index()];
+        &self.kids[n.first as usize..(n.first + n.arity) as usize]
     }
 
     /// Number of *live* nodes (reachable from the root).
@@ -166,7 +174,7 @@ impl Tree {
         let mut path = vec![id];
         let mut cur = id;
         while let Some(parent) = self.nodes[cur.index()].parent {
-            if !self.nodes[parent.index()].children.contains(&cur) {
+            if !self.children(parent).contains(&cur) {
                 return Err(detached);
             }
             path.push(parent);
@@ -181,13 +189,16 @@ impl Tree {
     /// Grafts `replacement` at the checked target `at`.
     fn graft(&mut self, at: NodeId, replacement: &Tree) -> NodeId {
         let base = self.nodes.len() as u32;
+        let kids_base = self.kids.len() as u32;
+        self.kids.extend(
+            replacement
+                .kids
+                .iter()
+                .map(|c| NodeId::from_raw(c.0 + base)),
+        );
         for (i, n) in replacement.nodes.iter().enumerate() {
             let mut n = n.clone();
-            n.children = n
-                .children
-                .iter()
-                .map(|c| NodeId::from_raw(c.0 + base))
-                .collect();
+            n.first += kids_base;
             n.parent = if i as u32 == replacement.root.0 {
                 self.nodes[at.index()].parent
             } else {
@@ -198,12 +209,13 @@ impl Tree {
         let new_root = NodeId::from_raw(replacement.root.0 + base);
         match self.nodes[at.index()].parent {
             Some(parent) => {
-                let slot = self.nodes[parent.index()]
-                    .children
+                let slot = self
+                    .children(parent)
                     .iter()
                     .position(|&c| c == at)
                     .expect("checked target is listed by its parent");
-                self.nodes[parent.index()].children[slot] = new_root;
+                let first = self.nodes[parent.index()].first as usize;
+                self.kids[first + slot] = new_root;
             }
             None => self.root = new_root,
         }
@@ -281,8 +293,7 @@ impl Tree {
     /// the root. This is the `j` of the paper's `VISIT i, j` instruction.
     pub fn child_index(&self, id: NodeId) -> Option<usize> {
         let parent = self.node(id).parent()?;
-        self.node(parent)
-            .children()
+        self.children(parent)
             .iter()
             .position(|&c| c == id)
             .map(|i| i + 1)
@@ -301,8 +312,7 @@ impl Iterator for Preorder<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (id, depth) = self.stack.pop()?;
-        let node = self.tree.node(id);
-        for &c in node.children().iter().rev() {
+        for &c in self.tree.children(id).iter().rev() {
             self.stack.push((c, depth + 1));
         }
         Some((id, depth))
@@ -355,6 +365,7 @@ pub fn term_to_tree(grammar: &Grammar, term: &crate::value::Term) -> Result<Tree
 pub struct TreeBuilder<'g> {
     grammar: &'g Grammar,
     nodes: Vec<Node>,
+    kids: Vec<NodeId>,
 }
 
 impl<'g> TreeBuilder<'g> {
@@ -363,6 +374,7 @@ impl<'g> TreeBuilder<'g> {
         TreeBuilder {
             grammar,
             nodes: Vec::new(),
+            kids: Vec::new(),
         }
     }
 
@@ -412,10 +424,12 @@ impl<'g> TreeBuilder<'g> {
         let id = NodeId::from_raw(self.nodes.len() as u32);
         self.nodes.push(Node {
             production,
-            children: children.to_vec(),
+            first: self.kids.len() as u32,
+            arity: children.len() as u32,
             parent: None,
             token,
         });
+        self.kids.extend_from_slice(children);
         for &c in children {
             self.nodes[c.index()].parent = Some(id);
         }
@@ -446,6 +460,7 @@ impl<'g> TreeBuilder<'g> {
     pub fn finish(self, root: NodeId) -> Tree {
         Tree {
             nodes: self.nodes,
+            kids: self.kids,
             root,
         }
     }
@@ -529,7 +544,8 @@ impl AttrValues {
     /// Clears the value of `attr` at `node`.
     #[inline]
     pub fn clear(&mut self, grammar: &Grammar, node: NodeId, attr: AttrId) -> Option<Value> {
-        self.cells[self.offsets[node.index()] as usize + grammar.attr(attr).offset()].take()
+        let i = self.slot_index(node, grammar.attr(attr).offset());
+        self.cells[i].take()
     }
 
     /// The value in `node`'s block at pre-computed slot offset `off` (an
@@ -537,13 +553,22 @@ impl AttrValues {
     /// construction).
     #[inline]
     pub fn get_slot(&self, node: NodeId, off: usize) -> Option<&Value> {
-        self.cells[self.offsets[node.index()] as usize + off].as_ref()
+        self.cells[self.slot_index(node, off)].as_ref()
     }
 
     /// Sets the slot at pre-computed offset `off` in `node`'s block.
     #[inline]
     pub fn set_slot(&mut self, node: NodeId, off: usize, value: Value) -> Option<Value> {
-        self.cells[self.offsets[node.index()] as usize + off].replace(value)
+        let i = self.slot_index(node, off);
+        self.cells[i].replace(value)
+    }
+
+    /// The arena index of slot `off` in `node`'s block: a dense number per
+    /// attribute instance, fixed for the store's life (blocks are only
+    /// appended), so an evaluator can keep a side table per instance.
+    #[inline]
+    pub fn slot_index(&self, node: NodeId, off: usize) -> usize {
+        self.offsets[node.index()] as usize + off
     }
 
     /// Number of currently stored (live) attribute values.
@@ -602,19 +627,29 @@ impl LocalFrames {
     /// The value of `local` in `node`'s frame, if computed.
     #[inline]
     pub fn get(&self, node: NodeId, local: LocalId) -> Option<&Value> {
-        self.cells[self.offsets[node.index()] as usize + local.index()].as_ref()
+        self.cells[self.slot_index(node, local)].as_ref()
     }
 
     /// Sets `local` in `node`'s frame, returning the previous value.
     #[inline]
     pub fn set(&mut self, node: NodeId, local: LocalId, value: Value) -> Option<Value> {
-        self.cells[self.offsets[node.index()] as usize + local.index()].replace(value)
+        let i = self.slot_index(node, local);
+        self.cells[i].replace(value)
     }
 
     /// Clears `local` in `node`'s frame.
     #[inline]
     pub fn clear(&mut self, node: NodeId, local: LocalId) -> Option<Value> {
-        self.cells[self.offsets[node.index()] as usize + local.index()].take()
+        let i = self.slot_index(node, local);
+        self.cells[i].take()
+    }
+
+    /// The arena index of `local` in `node`'s frame: a dense number per
+    /// local instance (see [`AttrValues::slot_index`]), fixed until
+    /// [`reframe`](Self::reframe) moves the node's frame.
+    #[inline]
+    pub fn slot_index(&self, node: NodeId, local: LocalId) -> usize {
+        self.offsets[node.index()] as usize + local.index()
     }
 
     /// Number of currently stored (live) local values.
@@ -731,7 +766,7 @@ mod tests {
         ));
         // The replaced node, and any node below it, is no longer a target.
         let cons2 = g.production_by_name("cons2").unwrap();
-        let inner = t.node(target).children()[0];
+        let inner = t.children(target)[0];
         for gone in [target, inner, NodeId::from_raw(t.arena_len() as u32)] {
             let before = t.clone();
             let err = TreeError::Detached { node: gone };

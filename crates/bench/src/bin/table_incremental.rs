@@ -5,9 +5,9 @@
 //! multi-subtree replacements to growing trees, comparing instances
 //! reevaluated against the exhaustive instance count. A second table times
 //! a one-leaf edit against reevaluating the whole tree from scratch with
-//! the demand-driven evaluator. A third does both on mini-Pascal: one
-//! literal edit in `sample_program` at three sizes, the wave timed against
-//! `Compiled::evaluate` on the same tree.
+//! the demand-driven evaluator. A third does both on mini-Pascal: literal,
+//! statement and declaration edits in `sample_program` at three sizes,
+//! each wave timed against `Compiled::evaluate` on the same tree.
 //!
 //! Run with `cargo run --release --bin table_incremental -p fnc2-bench`.
 
@@ -146,7 +146,7 @@ fn main() {
         let leaves: Vec<NodeId> = inc
             .tree()
             .preorder()
-            .filter(|&(n, _)| inc.tree().node(n).children().is_empty())
+            .filter(|&(n, _)| inc.tree().children(n).is_empty())
             .map(|(n, _)| n)
             .take(4)
             .collect();
@@ -216,18 +216,22 @@ fn main() {
     minipascal_edits();
 }
 
-/// Mini-Pascal rows: `sample_program` at 8, 32 and 128 blocks, with the
-/// first, middle and last integer literal of the program (source order)
-/// replaced by a new value. The first sits in the first statement, the
-/// last in the last block's `while` loop. The counts are the first wave's;
-/// the times are medians of paired rounds, each wave against one
-/// `Compiled::evaluate` of the unedited tree.
+/// Mini-Pascal rows: `sample_program` at 8, 32 and 128 blocks, with five
+/// edit sites. The first, middle and last integer literal of the program
+/// (source order) get a new value; the first sits in the first statement,
+/// the last in the last block's `while` loop. The first statement,
+/// `n := 100`, becomes `while true do end` and back, which shifts the
+/// labels of every later `if` and `while` by two. The first declaration,
+/// `n : integer`, flips to `boolean` and back, which changes `env`
+/// everywhere and the type errors of every use of `n`. The counts are the
+/// first wave's; the times are medians of paired rounds, each wave against
+/// one `Compiled::evaluate` of the unedited tree.
 fn minipascal_edits() {
-    println!("\nMini-Pascal: one-literal edit vs. from-scratch evaluation\n");
+    println!("\nMini-Pascal: one edit vs. from-scratch evaluation\n");
     let headers = [
         "blocks",
         "nodes",
-        "literal",
+        "edit",
         "reevaluated",
         "changed",
         "cut",
@@ -240,7 +244,8 @@ fn minipascal_edits() {
         .compile_olga(fnc2_corpus::MINIPASCAL_OLGA)
         .expect("mini-Pascal compiles");
     let g = &compiled.grammar;
-    let elit = g.production_by_name("elit").expect("literal production");
+    let op = |name: &str| g.production_by_name(name).expect("mini-Pascal production");
+    let (elit, assign, tint) = (op("elit"), op("assign"), op("tint"));
     let sizes = [8, 32, 128];
     let trees: Vec<fnc2::ag::Tree> = sizes
         .iter()
@@ -248,30 +253,58 @@ fn minipascal_edits() {
             fnc2_corpus::parse_minipascal(g, &fnc2_corpus::sample_program(b)).expect("parses")
         })
         .collect();
+    // The replacement for the `i`-th edit of a site (from 0).
+    let new_literal = |i: usize| literal(g, elit, 1000 + i as i64);
+    let new_statement = |i: usize| {
+        let mut tb = TreeBuilder::new(g);
+        let s = if i.is_multiple_of(2) {
+            let cond = tb.op("etrue", &[]).expect("builds");
+            let body = tb.op("stmts_nil", &[]).expect("builds");
+            tb.op("swhile", &[cond, body]).expect("builds")
+        } else {
+            let e = tb
+                .node_with_token(elit, &[], Some(Value::Int(100)))
+                .expect("builds");
+            tb.node_with_token(assign, &[e], Some(Value::str("n")))
+                .expect("builds")
+        };
+        tb.finish(s)
+    };
+    let new_type = |i: usize| {
+        let mut tb = TreeBuilder::new(g);
+        let t = tb
+            .op(if i.is_multiple_of(2) { "tbool" } else { "tint" }, &[])
+            .expect("builds");
+        tb.finish(t)
+    };
     let (mut rows, mut spread) = (Vec::new(), Vec::new());
     for (&blocks, tree) in sizes.iter().zip(&trees) {
-        let lits: Vec<NodeId> = tree
-            .preorder()
-            .filter(|&(n, _)| tree.node(n).production() == elit)
-            .map(|(n, _)| n)
-            .collect();
-        for (name, k) in [
-            ("first", 0),
-            ("middle", lits.len() / 2),
-            ("last", lits.len() - 1),
-        ] {
+        let of = |p: ProductionId| -> Vec<NodeId> {
+            tree.preorder()
+                .map(|(n, _)| n)
+                .filter(|&n| tree.node(n).production() == p)
+                .collect()
+        };
+        let lits = of(elit);
+        let sites: [(&str, NodeId, Replacement); 5] = [
+            ("first literal", lits[0], &new_literal),
+            ("middle literal", lits[lits.len() / 2], &new_literal),
+            ("last literal", lits[lits.len() - 1], &new_literal),
+            ("statement", of(assign)[0], &new_statement),
+            ("declaration", of(tint)[0], &new_type),
+        ];
+        for (name, site, make) in sites {
             let mut inc =
                 IncrementalEvaluator::new(g, tree.clone(), Equality::default()).expect("evaluates");
-            // An edit replaces the literal node, so it is found again
+            // An edit replaces the site's node, so it is found again
             // through its parent, which keeps its identity.
-            let parent = tree.node(lits[k]).parent().expect("a literal has a parent");
-            let pos = tree.child_index(lits[k]).expect("a literal is a child");
-            let mut value = 1000;
+            let parent = tree.node(site).parent().expect("a site has a parent");
+            let pos = tree.child_index(site).expect("a site is a child");
+            let mut i = 0;
             let mut edit = |inc: &mut IncrementalEvaluator| {
-                value += 1;
-                let at = inc.tree().node(parent).children()[pos - 1];
-                inc.replace_subtree(at, &literal(g, elit, value))
-                    .expect("edits")
+                let at = inc.tree().children(parent)[pos - 1];
+                i += 1;
+                inc.replace_subtree(at, &make(i - 1)).expect("edits")
             };
             let stats = edit(&mut inc);
             let legs = paired(
@@ -341,6 +374,9 @@ fn minipascal_edits() {
     println!("{}", render_table(&headers, &rows));
 }
 
+/// The replacement for the `i`-th edit of a mini-Pascal edit site (from 0).
+type Replacement<'a> = &'a dyn Fn(usize) -> fnc2::ag::Tree;
+
 /// A one-node literal subtree holding `v`.
 fn literal(g: &Grammar, elit: ProductionId, v: i64) -> fnc2::ag::Tree {
     let mut tb = TreeBuilder::new(g);
@@ -352,7 +388,7 @@ fn literal(g: &Grammar, elit: ProductionId, v: i64) -> fnc2::ag::Tree {
 fn first_leaf(inc: &IncrementalEvaluator) -> NodeId {
     inc.tree()
         .preorder()
-        .find(|&(n, _)| inc.tree().node(n).children().is_empty())
+        .find(|&(n, _)| inc.tree().children(n).is_empty())
         .map(|(n, _)| n)
         .expect("a balanced tree has leaves")
 }

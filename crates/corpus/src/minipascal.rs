@@ -9,7 +9,7 @@
 //! synthesized counter pair, the shape that exercises visit-sequence
 //! scheduling and the space optimizer's stacks.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use fnc2_ag::{Grammar, ProductionId, Tree, Value};
 use fnc2_olga::{compile_ag_source, LowerInfo};
@@ -340,7 +340,7 @@ impl Px<'_> {
     fn ident(&mut self) -> Result<Value, String> {
         match &self.toks[self.at].lexeme {
             Lexeme::Ident(s) => {
-                let name = Value::str(s);
+                let name = Value::Str(Arc::clone(s));
                 self.at += 1;
                 Ok(name)
             }
@@ -486,7 +486,7 @@ impl Px<'_> {
     fn factor(&mut self) -> Result<fnc2_ag::NodeId, String> {
         let (op, token) = match &self.toks[self.at].lexeme {
             Lexeme::Int(i) => (Op::Elit, Some(Value::Int(*i))),
-            Lexeme::Ident(name) => (Op::Evar, Some(Value::str(name))),
+            Lexeme::Ident(name) => (Op::Evar, Some(Value::Str(Arc::clone(name)))),
             l => match l.terminal() {
                 "true" => (Op::Etrue, None),
                 "false" => (Op::Efalse, None),

@@ -587,6 +587,23 @@ mod tests {
         assert!(run_case(&parsed).is_err(), "reproducer must still diverge");
     }
 
+    /// Shrunk cases where the stack planner accepted a callee that leaves
+    /// its synthesized members on top in evaluation order, while every
+    /// caller reads them in canonical order: the space evaluator returned
+    /// wrong values (513 instead of 8 at the root of the first).
+    #[test]
+    fn stack_leave_order_cases_agree() {
+        for line in [
+            "seed=14598794612339600354 phyla=1 passes=3 max_children=3 tree_budget=1 edits=0 inject=0",
+            "seed=15303306990489867254 phyla=4 passes=3 max_children=3 tree_budget=14 edits=0 inject=0",
+        ] {
+            let params = CaseParams::parse(line).expect("params line parses");
+            if let Err(d) = run_case(&params) {
+                panic!("{line}: {} — {}", d.stage, d.detail);
+            }
+        }
+    }
+
     #[test]
     fn edit_scripts_exercise_incremental() {
         // At least one of the first cases must actually apply edits.

@@ -1,20 +1,45 @@
 //! The DNC-based incremental evaluator.
 //!
 //! Keeps a fully decorated tree. Every edit — one or more subtree
-//! replacements, or an in-place production swap — ends in one wave that
-//! (1) evaluates each edited subtree *starting at its root*, legal exactly
-//! because DNC argument selectors are closed from above and below, and
-//! (2) runs the semantic-control propagation: dependents of a **Changed**
-//! instance are reevaluated, and propagation is **cut** at instances whose
-//! new value equals the old one.
+//! replacements, or an in-place production swap — ends in one wave of
+//! three steps:
+//!
+//! 0. Each edited subtree is evaluated *starting at its root*, legal
+//!    exactly because DNC argument selectors are closed from above and
+//!    below. The root's synthesized instances whose values differ from
+//!    its pre-edit decoration are the wave's **sources**.
+//! 1. The wave walks readers from the sources, once per instance,
+//!    recording each reached instance's readers and how many reached
+//!    instances it reads.
+//! 2. It settles the reached instances in topological (Kahn) order. An
+//!    instance fires only if something it reads is **Changed**, and
+//!    propagation is **cut** where the new value equals the old one.
+//!
+//! Step 2 fires an instance at most once, however many paths of different
+//! lengths lead to it from the edit: the optimal-time change propagation
+//! of Reps, Teitelbaum and Demers ("Incremental context-dependent analysis
+//! for language-based editors", TOPLAS 1983). Step 0 fired each instance
+//! of an edited subtree once already; such an instance fires again only
+//! when a value it read has changed since, typically a later visit's
+//! inherited input. That is how a source comes to fire twice. A source's
+//! readers in its parent's production read its pre-edit value, so it
+//! releases them as changed whatever it fires to; its readers in its own
+//! production read its step-0 value, and see it as changed only if it
+//! fires to a new one.
+//!
+//! A wave's bookkeeping costs what it reaches, not the tree's size: one
+//! generation-tagged word per instance cell tells whether the wave has
+//! reached it, readers come from the per-production index of
+//! [`CompiledProduction`](fnc2_visit::CompiledProduction), and every
+//! vector is reused from wave to wave.
 
-use std::collections::VecDeque;
 use std::error::Error;
+use std::time::Instant;
 
 use fnc2_ag::{AttrId, AttrKind, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value};
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
-use fnc2_visit::{Cells, CompiledProgram, EvalError, RootInputs};
+use fnc2_visit::{Cells, CompiledProduction, CompiledProgram, EvalError, RootInputs};
 
 use crate::status::Equality;
 
@@ -24,7 +49,7 @@ use crate::status::Equality;
 pub struct IncrementalStats {
     /// Rule evaluations performed (fresh subtree + propagation).
     pub reevaluated: usize,
-    /// Instances whose value actually changed.
+    /// Instances whose value actually changed, each counted once.
     pub changed: usize,
     /// Instances reevaluated to an equal value (propagation cut there).
     pub cut: usize,
@@ -53,13 +78,25 @@ pub struct IncrementalEvaluator<'g> {
     inputs: RootInputs,
     eq: Equality,
     budget: EvalBudget,
+    /// Instances a failed wave left unsettled: the next wave fires them.
+    pending: Vec<Inst>,
+    /// Work space reused from wave to wave.
+    s: Scratch,
 }
 
 /// An attribute or local instance.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Inst {
     Attr(NodeId, AttrId),
     Local(NodeId, LocalId),
+}
+
+impl Inst {
+    fn node(self) -> NodeId {
+        match self {
+            Inst::Attr(n, _) | Inst::Local(n, _) => n,
+        }
+    }
 }
 
 /// An edited node's attributes with the values they had before the edit.
@@ -71,6 +108,104 @@ struct Wave {
     /// Instances computed with no prior value (`inc.unknown`).
     unknown: usize,
     meter: BudgetMeter,
+    /// Fetch counters of the wave's firings, replayed once at its end.
+    counters: Counters,
+}
+
+/// One instance the wave has reached.
+#[derive(Clone, Copy, Debug)]
+struct Reached {
+    inst: Inst,
+    /// The node whose production defines the instance, and the rule.
+    def: NodeId,
+    rule: u32,
+    /// Its readers are `Scratch::readers[first..last]`: those in the
+    /// production at its node up to `mid`, those in the parent's after.
+    first: u32,
+    mid: u32,
+    last: u32,
+    /// Reached instances it reads that have not settled yet.
+    waiting: u32,
+    /// Something it reads changed (or it is pending): it must fire.
+    dirty: bool,
+    /// A source: its readers see it as changed whatever it fires to.
+    source: bool,
+    /// Fired or passed over, and its readers released.
+    settled: bool,
+}
+
+/// Demand evaluation's work items.
+#[derive(Clone, Copy, Debug)]
+enum Task {
+    Enter(Inst),
+    Finish(Inst, NodeId, u32),
+}
+
+/// The work space of a wave, kept between waves so that none allocates
+/// once the vectors have grown.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The current wave's number; it tags the marks.
+    wave: u32,
+    /// One word per cell of the value arena (and of the local arena):
+    /// `wave << 32 | entry` once wave `wave` has reached the instance.
+    attr_marks: Vec<u64>,
+    local_marks: Vec<u64>,
+    reached: Vec<Reached>,
+    /// Reader lists of the reached instances, as `reached` indices.
+    readers: Vec<u32>,
+    /// Instances to walk (step 1), then instances ready to settle (step 2).
+    work: Vec<u32>,
+    /// The argument buffer rules fire with.
+    args: Vec<Value>,
+    tasks: Vec<Task>,
+}
+
+impl Scratch {
+    /// Starts a new wave's reached set without touching the marks.
+    fn begin(&mut self) {
+        self.wave = self.wave.wrapping_add(1);
+        if self.wave == 0 {
+            self.attr_marks.fill(0);
+            self.local_marks.fill(0);
+            self.wave = 1;
+        }
+        self.reached.clear();
+        self.readers.clear();
+        self.work.clear();
+    }
+
+    /// The entry of the instance in cell `cell` (of the local arena when
+    /// `local`), added, and queued for the walk, on first reach.
+    fn reach(&mut self, (local, cell): (bool, usize), inst: Inst, def: NodeId, rule: u32) -> usize {
+        let marks = if local {
+            &mut self.local_marks
+        } else {
+            &mut self.attr_marks
+        };
+        if cell >= marks.len() {
+            marks.resize(cell + 1, 0);
+        }
+        if marks[cell] >> 32 == u64::from(self.wave) {
+            return marks[cell] as u32 as usize;
+        }
+        let i = self.reached.len();
+        marks[cell] = u64::from(self.wave) << 32 | i as u64;
+        self.reached.push(Reached {
+            inst,
+            def,
+            rule,
+            first: 0,
+            mid: 0,
+            last: 0,
+            waiting: 0,
+            dirty: false,
+            source: false,
+            settled: false,
+        });
+        self.work.push(i as u32);
+        i
+    }
 }
 
 impl<'g> IncrementalEvaluator<'g> {
@@ -118,6 +253,8 @@ impl<'g> IncrementalEvaluator<'g> {
             inputs,
             eq,
             budget,
+            pending: Vec::new(),
+            s: Scratch::default(),
         };
         // The initial decoration is a wave over the whole tree with
         // nothing to compare against.
@@ -181,9 +318,10 @@ impl<'g> IncrementalEvaluator<'g> {
     /// # Errors
     ///
     /// Fails with a [`TreeError`](fnc2_ag::TreeError) when the batch is
-    /// rejected, or an [`EvalError`] when the wave fails. A wave stopped by
-    /// its budget is not rolled back: the tree keeps the edits and some
-    /// instances keep stale or missing values.
+    /// rejected, or an [`EvalError`] when the wave fails. A failed wave is
+    /// not rolled back: the tree keeps the edits, and the instances the
+    /// wave left unsettled keep stale or missing values until the next
+    /// wave, which settles them first.
     pub fn replace_subtrees(
         &mut self,
         edits: Vec<(NodeId, Tree)>,
@@ -209,6 +347,15 @@ impl<'g> IncrementalEvaluator<'g> {
         let new_roots = self.tree.replace_subtrees(g, &edits)?;
         self.cells.values.sync(g, &self.tree);
         self.cells.locals.sync(g, &self.tree);
+        // A pending attribute of a replaced node is pending at its
+        // replacement, which inherits the node's decoration.
+        for inst in &mut self.pending {
+            if let Inst::Attr(n, _) = inst {
+                if let Some(k) = edits.iter().position(|&(at, _)| at == *n) {
+                    *n = new_roots[k];
+                }
+            }
+        }
         // A replaced node keeps its cells: they are its pre-edit decoration.
         let edited = edits
             .iter()
@@ -256,6 +403,10 @@ impl<'g> IncrementalEvaluator<'g> {
         if width(before) != width(production) {
             self.cells.locals.reframe(at, width(production));
         }
+        // The swapped-out production's locals are gone; the wave computes
+        // the new ones.
+        self.pending
+            .retain(|i| !matches!(*i, Inst::Local(n, _) if n == at));
         let old = self.decoration(at);
         // Every cell at and below the node is stale: the inherited
         // attributes below flowed through the replaced rules.
@@ -270,72 +421,234 @@ impl<'g> IncrementalEvaluator<'g> {
         Ok(self.wave(vec![(at, old)], rec)?)
     }
 
-    /// The wave every edit ends with (paper §2.1.2). Each edited node gets
-    /// back the inherited values of its pre-edit decoration (the root
-    /// inputs at the root) and its subtree is demanded; each node whose
-    /// synthesized values differ from the decoration seeds one
-    /// propagation. The wave's counters are replayed into `rec` once.
+    /// The wave every edit ends with (paper §2.1.2): the three steps of
+    /// the module doc. Each edited node gets back the inherited values of
+    /// its pre-edit decoration (the root inputs at the root) and its
+    /// subtree is demanded; each synthesized value that differs from the
+    /// decoration is a source. Instances an earlier failed wave left
+    /// pending settle with the sources. The wave's counters are replayed
+    /// into `rec` once.
     fn wave<R: Recorder>(
         &mut self,
         edited: Vec<(NodeId, Decoration)>,
         rec: &mut R,
     ) -> Result<IncrementalStats, EvalError> {
-        let g = self.grammar;
         let mut w = Wave {
             stats: IncrementalStats::default(),
             unknown: 0,
             meter: BudgetMeter::new(&self.budget),
+            counters: Counters::new(),
         };
-        let mut seeds = Vec::new();
+        let result = self.run_wave(&edited, &mut w, rec);
+        self.s.args.clear();
+        if result.is_ok() {
+            w.counters.merge(&w.stats.to_counters());
+            w.counters.set(Key::IncUnknown, w.unknown as u64);
+        }
+        w.counters.replay(rec);
+        result.map(|()| w.stats)
+    }
+
+    /// The steps of [`wave`](Self::wave). A failure leaves the instances
+    /// the wave did not settle pending.
+    fn run_wave<R: Recorder>(
+        &mut self,
+        edited: &[(NodeId, Decoration)],
+        w: &mut Wave,
+        rec: &mut R,
+    ) -> Result<(), EvalError> {
+        let g = self.grammar;
         for (node, old) in edited {
-            for (a, v) in &old {
+            for (a, v) in old {
                 if let (AttrKind::Inherited, Some(v)) = (g.attr(*a).kind(), v) {
-                    self.cells.values.set(g, node, *a, v.clone());
+                    self.cells.values.set(g, *node, *a, v.clone());
                 }
             }
-            if self.tree.node(node).parent().is_none() {
-                for a in g.inherited(self.tree.phylum(g, node)) {
+            if self.tree.node(*node).parent().is_none() {
+                for a in g.inherited(self.tree.phylum(g, *node)) {
                     if let Some(v) = self.inputs.get(&a) {
-                        self.cells.values.set(g, node, a, v.clone());
+                        self.cells.values.set(g, *node, a, v.clone());
                     }
                 }
             }
-            self.eval_subtree(node, &mut w, rec)?;
-            let mut changed = false;
+        }
+        for &(node, _) in edited {
+            if let Err(e) = self.eval_subtree(node, w, rec) {
+                self.abandon(edited);
+                return Err(e);
+            }
+        }
+        // Step 1: the reached set, from the sources and the pending.
+        self.s.begin();
+        for (node, old) in edited {
             for (a, old) in old {
-                if g.attr(a).kind() != AttrKind::Synthesized {
+                if g.attr(*a).kind() != AttrKind::Synthesized {
                     continue;
                 }
-                let same = match (&old, self.cells.values.get(g, node, a)) {
+                let same = match (old, self.cells.values.get(g, *node, *a)) {
                     (Some(o), Some(n)) => self.values_same(o, n),
                     (None, None) => true,
                     _ => false,
                 };
                 if !same {
                     w.stats.changed += 1;
-                    changed = true;
+                    let i = self.reach(Inst::Attr(*node, *a));
+                    self.s.reached[i].source = true;
                 }
             }
-            if changed {
-                seeds.push(node);
+        }
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|i| self.is_live(i.node()));
+        for &inst in &pending {
+            let i = self.reach(inst);
+            self.s.reached[i].dirty = true;
+        }
+        while let Some(i) = self.s.work.pop() {
+            let first = self.s.readers.len() as u32;
+            // Readers live in the production at the node (the LHS
+            // occurrence of an attribute, or a local) and, for an
+            // attribute, in the parent's (a child occurrence).
+            let (n, lhs) = match self.s.reached[i as usize].inst {
+                Inst::Local(n, l) => (n, Err(l)),
+                Inst::Attr(n, a) => (n, Ok(g.attr(a).offset())),
+            };
+            let cp = self.program.production(self.tree.node(n).production());
+            let rules = match lhs {
+                Ok(off) => cp.attr_readers(0, off),
+                Err(l) => cp.local_readers(l),
+            };
+            reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, n);
+            let mid = self.s.readers.len() as u32;
+            if let (Ok(off), Some(parent)) = (lhs, self.tree.node(n).parent()) {
+                let pos = self.tree.child_index(n).expect("child position") as u16;
+                let cp = self.program.production(self.tree.node(parent).production());
+                let rules = cp.attr_readers(pos, off);
+                reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, parent);
+            }
+            let e = &mut self.s.reached[i as usize];
+            (e.first, e.mid, e.last) = (first, mid, self.s.readers.len() as u32);
+        }
+        // Step 2: settle in topological order.
+        for (i, e) in self.s.reached.iter().enumerate() {
+            if e.waiting == 0 {
+                self.s.work.push(i as u32);
             }
         }
-        let mut queue = VecDeque::new();
-        for n in seeds {
-            for a in g.synthesized(self.tree.phylum(g, n)) {
-                self.enqueue_dependents(Inst::Attr(n, a), &mut queue);
+        // A source changed for the readers in its parent's production,
+        // which read its pre-edit value, but for those in its own (inside
+        // the edited subtree) only if it fires to a new value here.
+        let mut settled = 0;
+        while let Some(i) = self.s.work.pop() {
+            let e = self.s.reached[i as usize];
+            let (changed, changed_below) = if e.dirty {
+                match self.fire(e.inst, e.def, e.rule, "incremental propagation", w, rec) {
+                    Ok(status) if e.source => (true, status != ChangeStatus::Unchanged),
+                    Ok(ChangeStatus::Unchanged) => {
+                        w.stats.cut += 1;
+                        (false, false)
+                    }
+                    Ok(_) => {
+                        w.stats.changed += 1;
+                        (true, true)
+                    }
+                    Err(err) => {
+                        self.pending = self.unsettled();
+                        return Err(err);
+                    }
+                }
+            } else {
+                (e.source, false)
+            };
+            self.s.reached[i as usize].settled = true;
+            settled += 1;
+            for k in e.first..e.last {
+                let j = self.s.readers[k as usize] as usize;
+                let r = &mut self.s.reached[j];
+                r.waiting -= 1;
+                r.dirty |= if k < e.mid { changed_below } else { changed };
+                if r.waiting == 0 {
+                    self.s.work.push(j as u32);
+                }
             }
         }
-        while let Some(inst) = queue.pop_front() {
-            if self.fire(inst, "incremental propagation", &mut w, rec)? != ChangeStatus::Unchanged {
-                w.stats.changed += 1;
-                self.enqueue_dependents(inst, &mut queue);
+        if settled < self.s.reached.len() {
+            self.pending = self.unsettled();
+            let (node, what) = match self.pending[0] {
+                Inst::Attr(n, a) => (n, g.attr(a).name().to_string()),
+                Inst::Local(n, l) => {
+                    let p = self.tree.node(n).production();
+                    (n, g.production(p).locals()[l.index()].name().to_string())
+                }
+            };
+            return Err(EvalError::CircularInstance { node, what });
+        }
+        Ok(())
+    }
+
+    /// The wave's entry for `inst`, reached now if it was not yet.
+    fn reach(&mut self, inst: Inst) -> usize {
+        let (def, target) = self.definition_of(inst);
+        let p = self.tree.node(def).production();
+        let rule = self
+            .program
+            .production(p)
+            .rule_index(target)
+            .expect("validated grammar");
+        let cell = cell_of(self.grammar, &self.cells, inst);
+        self.s.reach(cell, inst, def, rule)
+    }
+
+    /// The reached instances that have not settled.
+    fn unsettled(&self) -> Vec<Inst> {
+        self.s
+            .reached
+            .iter()
+            .filter(|e| !e.settled)
+            .map(|e| e.inst)
+            .collect()
+    }
+
+    /// Leaves a wave whose step 0 failed pending: every instance of the
+    /// edited subtrees that a rule defines, with each edited node's
+    /// synthesized cells back at their pre-edit values, the ones their
+    /// readers outside were computed from.
+    fn abandon(&mut self, edited: &[(NodeId, Decoration)]) {
+        let g = self.grammar;
+        for (node, old) in edited {
+            for (a, v) in old {
+                if g.attr(*a).kind() == AttrKind::Synthesized {
+                    match v {
+                        Some(v) => self.cells.values.set(g, *node, *a, v.clone()),
+                        None => self.cells.values.clear(g, *node, *a),
+                    };
+                }
+            }
+            for n in self.subtree(*node) {
+                let is_root = self.tree.node(n).parent().is_none();
+                for &a in g.phylum(self.tree.phylum(g, n)).attrs() {
+                    if !(is_root && g.attr(a).kind() == AttrKind::Inherited) {
+                        self.pending.push(Inst::Attr(n, a));
+                    }
+                }
+                let p = self.tree.node(n).production();
+                for l in 0..g.production(p).locals().len() {
+                    self.pending
+                        .push(Inst::Local(n, LocalId::from_raw(l as u32)));
+                }
             }
         }
-        let mut counters = w.stats.to_counters();
-        counters.set(Key::IncUnknown, w.unknown as u64);
-        counters.replay(rec);
-        Ok(w.stats)
+    }
+
+    /// Whether `node` is in the tree, not left behind by a replacement.
+    fn is_live(&self, node: NodeId) -> bool {
+        let mut cur = node;
+        while let Some(parent) = self.tree.node(cur).parent() {
+            if !self.tree.children(parent).contains(&cur) {
+                return false;
+            }
+            cur = parent;
+        }
+        cur == self.tree.root()
     }
 
     /// Every attribute of `node`'s phylum with its current value.
@@ -355,7 +668,7 @@ impl<'g> IncrementalEvaluator<'g> {
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             nodes.push(n);
-            stack.extend(self.tree.node(n).children().iter().copied());
+            stack.extend(self.tree.children(n).iter().copied());
         }
         nodes
     }
@@ -390,40 +703,36 @@ impl<'g> IncrementalEvaluator<'g> {
         w: &mut Wave,
         rec: &mut R,
     ) -> Result<(), EvalError> {
-        enum Task {
-            Enter(Inst),
-            Finish(Inst),
-        }
         let g = self.grammar;
-        let mut stack: Vec<Task> = vec![Task::Enter(goal)];
-        while let Some(task) = stack.pop() {
+        self.s.tasks.clear();
+        self.s.tasks.push(Task::Enter(goal));
+        while let Some(task) = self.s.tasks.pop() {
             match task {
                 Task::Enter(goal) => {
                     if self.get(goal).is_some() {
                         continue;
                     }
                     // Resolve the defining rule through the compiled index.
-                    let (def_node, target) = self.definition_of(goal);
-                    let p = self.tree.node(def_node).production();
-                    let rule_ix = self
+                    let (def, target) = self.definition_of(goal);
+                    let p = self.tree.node(def).production();
+                    let rule = self
                         .program
                         .production(p)
                         .rule_index(target)
                         .expect("validated grammar");
-                    let rule = &g.production(p).rules()[rule_ix as usize];
-                    stack.push(Task::Finish(goal));
-                    let base = stack.len();
-                    stack.extend(
-                        rule.read_nodes()
-                            .map(|arg| Task::Enter(self.instance(def_node, arg))),
-                    );
-                    stack[base..].reverse();
-                    w.meter.check_depth(stack.len()).map_err(|k| {
-                        EvalError::budget(k, format!("incremental evaluator, {def_node}"))
+                    self.s.tasks.push(Task::Finish(goal, def, rule));
+                    let base = self.s.tasks.len();
+                    for arg in g.production(p).rules()[rule as usize].read_nodes() {
+                        let read = instance(&self.tree, def, arg);
+                        self.s.tasks.push(Task::Enter(read));
+                    }
+                    self.s.tasks[base..].reverse();
+                    w.meter.check_depth(self.s.tasks.len()).map_err(|k| {
+                        EvalError::budget(k, format!("incremental evaluator, {def}"))
                     })?;
                 }
-                Task::Finish(goal) => {
-                    self.fire(goal, "incremental evaluator", w, rec)?;
+                Task::Finish(goal, def, rule) => {
+                    self.fire(goal, def, rule, "incremental evaluator", w, rec)?;
                 }
             }
         }
@@ -438,21 +747,23 @@ impl<'g> IncrementalEvaluator<'g> {
         }
     }
 
-    /// Fires the rule defining `inst` on behalf of the wave: steps the
-    /// meter, computes the value, grows the cells, counts the
-    /// reevaluation, emits the instance's status, and stores the value
-    /// unless it equals the old one (the cut). `at` names the calling
-    /// loop in a budget error.
+    /// Fires rule `rule` of the production at `def`, which defines `inst`,
+    /// on behalf of the wave: steps the meter, computes the value, grows
+    /// the cells, counts the reevaluation, emits the instance's status,
+    /// and stores the value unless it equals the old one (the cut). `at`
+    /// names the calling loop in a budget error.
     fn fire<R: Recorder>(
         &mut self,
         inst: Inst,
+        def: NodeId,
+        rule: u32,
         at: &str,
         w: &mut Wave,
         rec: &mut R,
     ) -> Result<ChangeStatus, EvalError> {
         let g = self.grammar;
         w.meter.step().map_err(|k| EvalError::budget(k, at))?;
-        let new = self.compute_instance(inst, rec)?;
+        let new = self.compute(def, rule, w, rec)?;
         w.meter
             .grow_cells(new.cell_count() as u64)
             .map_err(|k| EvalError::budget(k, at))?;
@@ -472,7 +783,6 @@ impl<'g> IncrementalEvaluator<'g> {
             }
         }
         if status == ChangeStatus::Unchanged {
-            w.stats.cut += 1;
             return Ok(status);
         }
         w.unknown += usize::from(status == ChangeStatus::Unknown);
@@ -503,39 +813,32 @@ impl<'g> IncrementalEvaluator<'g> {
         }
     }
 
-    /// Recomputes an instance's value through the slot-compiled program,
-    /// replaying fetch counters into `rec` and — when profiling or tracing
-    /// is on — attributing the firing to its `(production, rule)` pair.
-    fn compute_instance<R: Recorder>(
+    /// Runs rule `rule` of the production applied at `def` through the
+    /// slot-compiled program and, when profiling or tracing is on,
+    /// attributes the firing to its `(production, rule)` pair. Fetch
+    /// counters go to the wave's block.
+    fn compute<R: Recorder>(
         &mut self,
-        inst: Inst,
+        def: NodeId,
+        rule: u32,
+        w: &mut Wave,
         rec: &mut R,
     ) -> Result<Value, EvalError> {
-        let g = self.grammar;
-        let (def_node, target) = self.definition_of(inst);
-        let p = self.tree.node(def_node).production();
-        let rule = self
-            .program
-            .production(p)
-            .rule_index(target)
-            .expect("validated grammar");
-        let mut buf = Vec::with_capacity(4);
-        let mut counters = Counters::new();
+        let p = self.tree.node(def).production();
         let t0 = rec
             .profiler()
             .is_some_and(RuleProfiler::should_sample)
-            .then(std::time::Instant::now);
+            .then(Instant::now);
         let (v, is_copy) = self.program.eval_rule(
-            g,
+            self.grammar,
             &self.tree,
             p,
             rule,
-            def_node,
+            def,
             &self.cells,
-            &mut buf,
-            &mut counters,
+            &mut self.s.args,
+            &mut w.counters,
         )?;
-        counters.replay(rec);
         if let Some(prof) = rec.profiler() {
             prof.record(
                 p.index() as u32,
@@ -546,56 +849,49 @@ impl<'g> IncrementalEvaluator<'g> {
         }
         if rec.trace() {
             rec.emit(Event::RuleFired {
-                node: def_node.index() as u32,
+                node: def.index() as u32,
                 production: p.index() as u32,
                 rule,
             });
         }
         Ok(v)
     }
+}
 
-    /// Enqueues the instances that read `inst`.
-    fn enqueue_dependents(&self, inst: Inst, queue: &mut VecDeque<Inst>) {
-        let g = self.grammar;
-        let mut push = |i: Inst| {
-            if !queue.contains(&i) {
-                queue.push_back(i);
-            }
-        };
-        // Readers live in the production at the node (LHS occurrence of an
-        // attribute, or a local) and — for attributes — in the parent's
-        // production (child occurrence).
-        let mut contexts: Vec<(NodeId, ONode)> = Vec::new();
-        match inst {
-            Inst::Local(n, l) => contexts.push((n, ONode::Local(l))),
-            Inst::Attr(n, a) => {
-                contexts.push((n, ONode::Attr(Occ::lhs(a))));
-                if let Some(parent) = self.tree.node(n).parent() {
-                    let pos = self.tree.child_index(n).expect("child position") as u16;
-                    contexts.push((parent, ONode::Attr(Occ::new(pos, a))));
-                }
-            }
-        }
-        for (host, as_node) in contexts {
-            let p = self.tree.node(host).production();
-            for rule in g.production(p).rules() {
-                if rule.read_nodes().any(|r| r == as_node) {
-                    push(self.instance(host, rule.target()));
-                }
-            }
-        }
+/// The instance that occurrence `occ` of the production applied at `host`
+/// names.
+fn instance(tree: &Tree, host: NodeId, occ: ONode) -> Inst {
+    match occ {
+        ONode::Attr(Occ { pos: 0, attr }) => Inst::Attr(host, attr),
+        ONode::Attr(Occ { pos, attr }) => Inst::Attr(tree.children(host)[pos as usize - 1], attr),
+        ONode::Local(l) => Inst::Local(host, l),
     }
+}
 
-    /// The instance that occurrence `occ` of the production applied at
-    /// `host` names.
-    fn instance(&self, host: NodeId, occ: ONode) -> Inst {
-        match occ {
-            ONode::Attr(Occ { pos: 0, attr }) => Inst::Attr(host, attr),
-            ONode::Attr(Occ { pos, attr }) => {
-                Inst::Attr(self.tree.node(host).children()[pos as usize - 1], attr)
-            }
-            ONode::Local(l) => Inst::Local(host, l),
-        }
+/// Which arena cell holds `inst`: `(is a local, index)`.
+fn cell_of(g: &Grammar, cells: &Cells, inst: Inst) -> (bool, usize) {
+    match inst {
+        Inst::Attr(n, a) => (false, cells.values.slot_index(n, g.attr(a).offset())),
+        Inst::Local(n, l) => (true, cells.locals.slot_index(n, l)),
+    }
+}
+
+/// Reaches the instances that `rules` of `cp`, the production applied at
+/// `host`, define: the readers of the entry being walked.
+fn reach_readers(
+    s: &mut Scratch,
+    g: &Grammar,
+    tree: &Tree,
+    cells: &Cells,
+    cp: &CompiledProduction,
+    rules: &[u32],
+    host: NodeId,
+) {
+    for &r in rules {
+        let inst = instance(tree, host, cp.rules[r as usize].target);
+        let j = s.reach(cell_of(g, cells, inst), inst, host, r);
+        s.reached[j].waiting += 1;
+        s.readers.push(j as u32);
     }
 }
 
@@ -827,7 +1123,7 @@ mod tests {
         let leaves: Vec<NodeId> = inc
             .tree()
             .preorder()
-            .filter(|&(n, _)| inc.tree().node(n).children().is_empty())
+            .filter(|&(n, _)| inc.tree().children(n).is_empty())
             .map(|(n, _)| n)
             .collect();
         let leafe = g.production_by_name("leafe").unwrap();
@@ -990,7 +1286,7 @@ mod tests {
         .unwrap();
         // Replace the fork over 2..8; the fork over 3..8 goes with it.
         let upper = inc.tree().node(leaf(&inc, 2)).parent().unwrap();
-        let lower = inc.tree().node(upper).children()[1];
+        let lower = inc.tree().children(upper)[1];
         inc.replace_subtree(upper, &leaf_tree(&g, 5)).unwrap();
         let forkmax = g.production_by_name("forkmax").unwrap();
         let gone = TreeError::Detached { node: lower };

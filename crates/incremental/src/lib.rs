@@ -13,15 +13,26 @@
 //!
 //! Every edit — one subtree replacement, a batch of them, or an in-place
 //! production swap ([`IncrementalEvaluator::swap_production`]) — ends in
-//! the same reevaluation wave. An edit is checked before the tree changes:
-//! each target must be a node of the current tree, each replacement must
-//! derive its target's phylum, and no target of a batch may lie inside
-//! another's subtree. A rejected edit returns a
-//! [`TreeError`](fnc2_ag::TreeError) and changes nothing. A wave stopped
-//! by its [`EvalBudget`](fnc2_guard::EvalBudget) is not rolled back: the
-//! edit stays applied and some instances may hold stale or missing values,
-//! so build a fresh evaluator over [`IncrementalEvaluator::tree`] to
-//! recover.
+//! the same reevaluation wave. The wave evaluates each edited subtree from
+//! its root; the root's synthesized instances whose values changed are its
+//! sources. It then walks the instances that read them, transitively, and
+//! settles those in topological order: an instance fires only when
+//! something it reads changed, and at most once (the optimal-time
+//! propagation of Reps, Teitelbaum and Demers). An instance of an edited
+//! subtree, which the subtree evaluation fired already, fires a second
+//! time only when a value it read has changed since: an edited node's
+//! synthesized instance, say, whose later-visit inherited input the
+//! propagation changed.
+//!
+//! An edit is checked before the tree changes: each target must be a node
+//! of the current tree, each replacement must derive its target's phylum,
+//! and no target of a batch may lie inside another's subtree. A rejected
+//! edit returns a [`TreeError`](fnc2_ag::TreeError) and changes nothing.
+//! A wave that fails — stopped by its
+//! [`EvalBudget`](fnc2_guard::EvalBudget), say — is not rolled back: the
+//! edit stays applied and the instances the wave did not settle keep stale
+//! or missing values. They stay pending, and the next wave settles them
+//! with its own sources.
 //!
 //! ```
 //! use fnc2_ag::{GrammarBuilder, Occ, TreeBuilder, Value};

@@ -717,11 +717,12 @@ impl StackSim {
                     if stack.len() != baseline + syn.len() {
                         return None;
                     }
-                    let mut top: Vec<ONode> = stack[stack.len() - syn.len()..].to_vec();
-                    top.sort();
-                    let mut syn_sorted = syn;
-                    syn_sorted.sort();
-                    if top != syn_sorted {
+                    // In canonical order, not merely as a set: every caller's
+                    // VISIT handoff pushes them sorted and reads them at
+                    // their sorted depths.
+                    let mut syn = syn;
+                    syn.sort();
+                    if stack[stack.len() - syn.len()..] != syn[..] {
                         return None;
                     }
                 }
@@ -951,6 +952,11 @@ fn arg_path(
 /// consistent symbolic stack simulation under the plan's copy eliminations,
 /// and every eliminated copy must actually share its storage between source
 /// and target.
+///
+/// The stack re-check reuses the planner's own `StackSim`, so it is not
+/// independent of it: a fault in the simulation passes both the planner
+/// and this check. The differential comparison of the evaluators' results
+/// is what catches such a fault.
 ///
 /// # Errors
 ///

@@ -11,6 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use fnc2_ag::{Grammar, NodeId, ProductionId, Tree, TreeBuilder, Value};
 use fnc2_gfa::{dependents, fixpoint};
@@ -457,8 +458,8 @@ impl Ll1Parser {
 /// Converts a lexeme to the token [`Value`] attached to tree nodes.
 fn lexeme_value(l: &Lexeme) -> Value {
     match l {
-        Lexeme::Ident(s) | Lexeme::Str(s) => Value::str(s),
-        Lexeme::Keyword(s) | Lexeme::Op(s) => Value::str(s),
+        Lexeme::Ident(s) => Value::Str(Arc::clone(s)),
+        Lexeme::Keyword(s) | Lexeme::Op(s) | Lexeme::Str(s) => Value::str(s),
         Lexeme::Int(i) => Value::Int(*i),
         Lexeme::Real(r) => Value::Real(*r),
         Lexeme::Eof => Value::Unit,

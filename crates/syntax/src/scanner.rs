@@ -8,6 +8,7 @@
 //! classes (identifiers, integers, reals, strings), with line comments.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The class of a scanned token.
 #[derive(Clone, Debug, PartialEq)]
@@ -16,8 +17,8 @@ pub enum Lexeme {
     Keyword(String),
     /// An operator/punctuation literal from the spec.
     Op(String),
-    /// An identifier.
-    Ident(String),
+    /// An identifier, in the one allocation a token value can share.
+    Ident(Arc<str>),
     /// An integer literal.
     Int(i64),
     /// A real literal.
@@ -145,11 +146,11 @@ pub fn scan(spec: &ScannerSpec, src: &str) -> Result<Vec<Scanned>, ScanError> {
             let n = rest
                 .find(|d: char| !d.is_ascii_alphanumeric() && d != '_')
                 .unwrap_or(rest.len());
-            let word = rest[..n].to_string();
-            push(if spec.keywords.contains(&word) {
-                Lexeme::Keyword(word)
+            let word = &rest[..n];
+            push(if spec.keywords.iter().any(|k| k == word) {
+                Lexeme::Keyword(word.to_string())
             } else {
-                Lexeme::Ident(word)
+                Lexeme::Ident(Arc::from(word))
             });
             n
         } else if c.is_ascii_digit() {
