@@ -12,15 +12,11 @@ use crate::grammar::Grammar;
 use crate::ids::{AttrId, LocalId, NodeId, PhylumId, ProductionId};
 use crate::value::Value;
 
-/// A node of an attributed tree. Its children are listed by the tree
-/// ([`Tree::children`]): every node's list lies in one arena, so building
-/// a tree allocates per tree, not per node.
+/// A node of an attributed tree.
 #[derive(Clone, Debug)]
 pub struct Node {
     pub(crate) production: ProductionId,
-    /// The children are `kids[first..first + arity]` of the tree.
-    pub(crate) first: u32,
-    pub(crate) arity: u32,
+    pub(crate) children: Vec<NodeId>,
     pub(crate) parent: Option<NodeId>,
     pub(crate) token: Option<Value>,
 }
@@ -29,6 +25,11 @@ impl Node {
     /// The production applied at this node.
     pub fn production(&self) -> ProductionId {
         self.production
+    }
+
+    /// Children, left to right.
+    pub fn children(&self) -> &[NodeId] {
+        &self.children
     }
 
     /// The parent, or `None` at the root.
@@ -50,8 +51,6 @@ impl Node {
 #[derive(Clone, Debug)]
 pub struct Tree {
     pub(crate) nodes: Vec<Node>,
-    /// Every node's children, each node's list contiguous.
-    pub(crate) kids: Vec<NodeId>,
     pub(crate) root: NodeId,
 }
 
@@ -64,13 +63,6 @@ impl Tree {
     /// The node table entry.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
-    }
-
-    /// The children of `id`, left to right.
-    #[inline]
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        let n = &self.nodes[id.index()];
-        &self.kids[n.first as usize..(n.first + n.arity) as usize]
     }
 
     /// Number of *live* nodes (reachable from the root).
@@ -163,42 +155,42 @@ impl Tree {
         Ok(ancestry)
     }
 
-    /// `id` followed by its ancestors up to the root, or
-    /// [`TreeError::Detached`] when `id` is outside the arena or was left
-    /// behind by a replacement.
-    fn ancestry(&self, id: NodeId) -> Result<Vec<NodeId>, TreeError> {
-        let detached = TreeError::Detached { node: id };
+    /// Whether `id` is a node of the tree: inside the arena, and not left
+    /// behind by a replacement (each ancestor still lists the node below
+    /// it, up to the root).
+    pub fn is_live(&self, id: NodeId) -> bool {
         if id.index() >= self.nodes.len() {
-            return Err(detached);
+            return false;
         }
-        let mut path = vec![id];
         let mut cur = id;
         while let Some(parent) = self.nodes[cur.index()].parent {
-            if !self.children(parent).contains(&cur) {
-                return Err(detached);
+            if !self.nodes[parent.index()].children.contains(&cur) {
+                return false;
             }
-            path.push(parent);
             cur = parent;
         }
-        if cur != self.root {
-            return Err(detached);
+        cur == self.root
+    }
+
+    /// `id` followed by its ancestors up to the root, or
+    /// [`TreeError::Detached`] when `id` is not [live](Self::is_live).
+    fn ancestry(&self, id: NodeId) -> Result<Vec<NodeId>, TreeError> {
+        if !self.is_live(id) {
+            return Err(TreeError::Detached { node: id });
         }
-        Ok(path)
+        Ok(std::iter::successors(Some(id), |n| self.nodes[n.index()].parent).collect())
     }
 
     /// Grafts `replacement` at the checked target `at`.
     fn graft(&mut self, at: NodeId, replacement: &Tree) -> NodeId {
         let base = self.nodes.len() as u32;
-        let kids_base = self.kids.len() as u32;
-        self.kids.extend(
-            replacement
-                .kids
-                .iter()
-                .map(|c| NodeId::from_raw(c.0 + base)),
-        );
         for (i, n) in replacement.nodes.iter().enumerate() {
             let mut n = n.clone();
-            n.first += kids_base;
+            n.children = n
+                .children
+                .iter()
+                .map(|c| NodeId::from_raw(c.0 + base))
+                .collect();
             n.parent = if i as u32 == replacement.root.0 {
                 self.nodes[at.index()].parent
             } else {
@@ -209,13 +201,12 @@ impl Tree {
         let new_root = NodeId::from_raw(replacement.root.0 + base);
         match self.nodes[at.index()].parent {
             Some(parent) => {
-                let slot = self
-                    .children(parent)
+                let slot = self.nodes[parent.index()]
+                    .children
                     .iter()
                     .position(|&c| c == at)
                     .expect("checked target is listed by its parent");
-                let first = self.nodes[parent.index()].first as usize;
-                self.kids[first + slot] = new_root;
+                self.nodes[parent.index()].children[slot] = new_root;
             }
             None => self.root = new_root,
         }
@@ -293,7 +284,8 @@ impl Tree {
     /// the root. This is the `j` of the paper's `VISIT i, j` instruction.
     pub fn child_index(&self, id: NodeId) -> Option<usize> {
         let parent = self.node(id).parent()?;
-        self.children(parent)
+        self.node(parent)
+            .children()
             .iter()
             .position(|&c| c == id)
             .map(|i| i + 1)
@@ -312,7 +304,8 @@ impl Iterator for Preorder<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (id, depth) = self.stack.pop()?;
-        for &c in self.tree.children(id).iter().rev() {
+        let node = self.tree.node(id);
+        for &c in node.children().iter().rev() {
             self.stack.push((c, depth + 1));
         }
         Some((id, depth))
@@ -365,7 +358,6 @@ pub fn term_to_tree(grammar: &Grammar, term: &crate::value::Term) -> Result<Tree
 pub struct TreeBuilder<'g> {
     grammar: &'g Grammar,
     nodes: Vec<Node>,
-    kids: Vec<NodeId>,
 }
 
 impl<'g> TreeBuilder<'g> {
@@ -374,7 +366,6 @@ impl<'g> TreeBuilder<'g> {
         TreeBuilder {
             grammar,
             nodes: Vec::new(),
-            kids: Vec::new(),
         }
     }
 
@@ -424,12 +415,10 @@ impl<'g> TreeBuilder<'g> {
         let id = NodeId::from_raw(self.nodes.len() as u32);
         self.nodes.push(Node {
             production,
-            first: self.kids.len() as u32,
-            arity: children.len() as u32,
+            children: children.to_vec(),
             parent: None,
             token,
         });
-        self.kids.extend_from_slice(children);
         for &c in children {
             self.nodes[c.index()].parent = Some(id);
         }
@@ -460,7 +449,6 @@ impl<'g> TreeBuilder<'g> {
     pub fn finish(self, root: NodeId) -> Tree {
         Tree {
             nodes: self.nodes,
-            kids: self.kids,
             root,
         }
     }
@@ -766,8 +754,10 @@ mod tests {
         ));
         // The replaced node, and any node below it, is no longer a target.
         let cons2 = g.production_by_name("cons2").unwrap();
-        let inner = t.children(target)[0];
+        let inner = t.node(target).children()[0];
+        assert!(t.is_live(new_root) && t.is_live(t.node(new_root).children()[0]));
         for gone in [target, inner, NodeId::from_raw(t.arena_len() as u32)] {
+            assert!(!t.is_live(gone));
             let before = t.clone();
             let err = TreeError::Detached { node: gone };
             assert_eq!(t.replace_subtree(&g, gone, &sub), Err(err.clone()));

@@ -146,7 +146,7 @@ fn main() {
         let leaves: Vec<NodeId> = inc
             .tree()
             .preorder()
-            .filter(|&(n, _)| inc.tree().children(n).is_empty())
+            .filter(|&(n, _)| inc.tree().node(n).children().is_empty())
             .map(|(n, _)| n)
             .take(4)
             .collect();
@@ -302,7 +302,7 @@ fn minipascal_edits() {
             let pos = tree.child_index(site).expect("a site is a child");
             let mut i = 0;
             let mut edit = |inc: &mut IncrementalEvaluator| {
-                let at = inc.tree().children(parent)[pos - 1];
+                let at = inc.tree().node(parent).children()[pos - 1];
                 i += 1;
                 inc.replace_subtree(at, &make(i - 1)).expect("edits")
             };
@@ -388,7 +388,7 @@ fn literal(g: &Grammar, elit: ProductionId, v: i64) -> fnc2::ag::Tree {
 fn first_leaf(inc: &IncrementalEvaluator) -> NodeId {
     inc.tree()
         .preorder()
-        .find(|&(n, _)| inc.tree().children(n).is_empty())
+        .find(|&(n, _)| inc.tree().node(n).children().is_empty())
         .map(|(n, _)| n)
         .expect("a balanced tree has leaves")
 }

@@ -73,12 +73,12 @@ pub fn handwritten_binary(g: &Grammar, tree: &Tree) -> f64 {
         let prod = g.production(tree.node(n).production());
         match prod.name() {
             "pair" => {
-                let kids = tree.children(n);
+                let kids = tree.node(n).children();
                 let b = bit(g, tree, kids[1], scale);
                 let (v, len) = seq(g, tree, kids[0], scale + 1);
                 (v + b, len + 1)
             }
-            "single" => (bit(g, tree, tree.children(n)[0], scale), 1),
+            "single" => (bit(g, tree, tree.node(n).children()[0], scale), 1),
             other => unreachable!("not a Seq production: {other}"),
         }
     }
@@ -92,7 +92,7 @@ pub fn handwritten_binary(g: &Grammar, tree: &Tree) -> f64 {
     }
     let root = tree.root();
     let prod = g.production(tree.node(root).production());
-    let kids = tree.children(root);
+    let kids = tree.node(root).children();
     match prod.name() {
         "number" => seq(g, tree, kids[0], 0).0,
         "fraction" => {
@@ -100,7 +100,7 @@ pub fn handwritten_binary(g: &Grammar, tree: &Tree) -> f64 {
             // Fractional part: scale = -length.
             fn length(tree: &Tree, g: &Grammar, n: NodeId) -> i64 {
                 match g.production(tree.node(n).production()).name() {
-                    "pair" => 1 + length(tree, g, tree.children(n)[0]),
+                    "pair" => 1 + length(tree, g, tree.node(n).children()[0]),
                     _ => 1,
                 }
             }
@@ -121,7 +121,7 @@ pub fn handwritten_binary_boxed(g: &Grammar, tree: &Tree) -> Value {
         let prod = g.production(tree.node(n).production());
         match prod.name() {
             "pair" => {
-                let kids = tree.children(n);
+                let kids = tree.node(n).children();
                 let b = bit(g, tree, kids[1], scale.clone());
                 let (v, len) = seq(g, tree, kids[0], Value::Int(scale.as_int() + 1));
                 (
@@ -129,7 +129,10 @@ pub fn handwritten_binary_boxed(g: &Grammar, tree: &Tree) -> Value {
                     Value::Int(len.as_int() + 1),
                 )
             }
-            "single" => (bit(g, tree, tree.children(n)[0], scale), Value::Int(1)),
+            "single" => (
+                bit(g, tree, tree.node(n).children()[0], scale),
+                Value::Int(1),
+            ),
             other => unreachable!("not a Seq production: {other}"),
         }
     }
@@ -142,13 +145,13 @@ pub fn handwritten_binary_boxed(g: &Grammar, tree: &Tree) -> Value {
         }
     }
     let root = tree.root();
-    let kids = tree.children(root);
+    let kids = tree.node(root).children();
     match g.production(tree.node(root).production()).name() {
         "number" => seq(g, tree, kids[0], Value::Int(0)).0,
         "fraction" => {
             fn length(tree: &Tree, g: &Grammar, n: NodeId) -> i64 {
                 match g.production(tree.node(n).production()).name() {
-                    "pair" => 1 + length(tree, g, tree.children(n)[0]),
+                    "pair" => 1 + length(tree, g, tree.node(n).children()[0]),
                     _ => 1,
                 }
             }
@@ -170,7 +173,7 @@ pub fn handwritten_desk(g: &Grammar, tree: &Tree) -> i64 {
     type Env = Rc<BTreeMap<String, i64>>;
     fn expr(g: &Grammar, tree: &Tree, n: NodeId, env: &Env) -> i64 {
         let node = tree.node(n);
-        let kids = tree.children(n);
+        let kids = node.children();
         match g.production(node.production()).name() {
             "add" => expr(g, tree, kids[0], env).wrapping_add(expr(g, tree, kids[1], env)),
             "mul" => expr(g, tree, kids[0], env).wrapping_mul(expr(g, tree, kids[1], env)),
@@ -189,7 +192,7 @@ pub fn handwritten_desk(g: &Grammar, tree: &Tree) -> i64 {
         }
     }
     let root = tree.root();
-    let body = tree.children(root)[0];
+    let body = tree.node(root).children()[0];
     expr(g, tree, body, &Rc::new(BTreeMap::new()))
 }
 
@@ -222,12 +225,9 @@ pub fn handwritten_minipascal(g: &Grammar, tree: &Tree) -> (Vec<String>, Vec<Str
         let node = tree.node(n);
         match g.production(node.production()).name() {
             "decls_cons" => {
-                let kids = tree.children(n);
+                let kids = node.children();
                 let d = tree.node(kids[0]);
-                let ty = match g
-                    .production(tree.node(tree.children(kids[0])[0]).production())
-                    .name()
-                {
+                let ty = match g.production(tree.node(d.children()[0]).production()).name() {
                     "tint" => "int",
                     _ => "bool",
                 };
@@ -243,7 +243,7 @@ pub fn handwritten_minipascal(g: &Grammar, tree: &Tree) -> (Vec<String>, Vec<Str
 
     fn expr(g: &Grammar, tree: &Tree, n: NodeId, env: &Env) -> (&'static str, L, L) {
         let node = tree.node(n);
-        let kids = tree.children(n);
+        let kids = node.children();
         let prod = g.production(node.production()).name();
         let binop = |op: &str, want: &'static str, out: &'static str| {
             let (t1, c1, e1) = expr(g, tree, kids[0], env);
@@ -321,7 +321,7 @@ pub fn handwritten_minipascal(g: &Grammar, tree: &Tree) -> (Vec<String>, Vec<Str
         let node = tree.node(n);
         match g.production(node.production()).name() {
             "stmts_cons" => {
-                let kids = tree.children(n);
+                let kids = node.children();
                 let (lab, c1, e1) = stmt(g, tree, kids[0], env, lab);
                 let (lab, c2, e2) = stmts(g, tree, kids[1], env, lab);
                 (lab, cat(&c1, &c2), cat(&e1, &e2))
@@ -332,7 +332,7 @@ pub fn handwritten_minipascal(g: &Grammar, tree: &Tree) -> (Vec<String>, Vec<Str
 
     fn stmt(g: &Grammar, tree: &Tree, n: NodeId, env: &Env, lab: i64) -> (i64, L, L) {
         let node = tree.node(n);
-        let kids = tree.children(n);
+        let kids = node.children();
         match g.production(node.production()).name() {
             "assign" => {
                 let name = node.token().expect("assign").as_str().to_string();
@@ -396,7 +396,7 @@ pub fn handwritten_minipascal(g: &Grammar, tree: &Tree) -> (Vec<String>, Vec<Str
     }
 
     let root = tree.root();
-    let kids = tree.children(root);
+    let kids = tree.node(root).children();
     let mut env = BTreeMap::new();
     let count = decls(g, tree, kids[0], 0, &mut env);
     let (_, body, errs) = stmts(g, tree, kids[1], &env, 0);

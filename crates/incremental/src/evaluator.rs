@@ -29,9 +29,8 @@
 //!
 //! A wave's bookkeeping costs what it reaches, not the tree's size: one
 //! generation-tagged word per instance cell tells whether the wave has
-//! reached it, readers come from the per-production index of
-//! [`CompiledProduction`](fnc2_visit::CompiledProduction), and every
-//! vector is reused from wave to wave.
+//! reached it, readers come from a per-production index that the
+//! evaluator builds once, and every vector is reused from wave to wave.
 
 use std::error::Error;
 use std::time::Instant;
@@ -41,6 +40,7 @@ use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
 use fnc2_visit::{Cells, CompiledProduction, CompiledProgram, EvalError, RootInputs};
 
+use crate::readers::Readers;
 use crate::status::Equality;
 
 /// Counters for one incremental wave (the §2.1.2 economy argument: compare
@@ -73,6 +73,7 @@ impl IncrementalStats {
 pub struct IncrementalEvaluator<'g> {
     grammar: &'g Grammar,
     program: CompiledProgram,
+    readers: Readers,
     tree: Tree,
     cells: Cells,
     inputs: RootInputs,
@@ -248,6 +249,7 @@ impl<'g> IncrementalEvaluator<'g> {
         let mut this = IncrementalEvaluator {
             grammar,
             program: CompiledProgram::new(grammar),
+            readers: Readers::new(grammar),
             cells: Cells::new(grammar, &tree),
             tree,
             inputs,
@@ -498,7 +500,7 @@ impl<'g> IncrementalEvaluator<'g> {
             }
         }
         let mut pending = std::mem::take(&mut self.pending);
-        pending.retain(|i| self.is_live(i.node()));
+        pending.retain(|i| self.tree.is_live(i.node()));
         for &inst in &pending {
             let i = self.reach(inst);
             self.s.reached[i].dirty = true;
@@ -512,17 +514,19 @@ impl<'g> IncrementalEvaluator<'g> {
                 Inst::Local(n, l) => (n, Err(l)),
                 Inst::Attr(n, a) => (n, Ok(g.attr(a).offset())),
             };
-            let cp = self.program.production(self.tree.node(n).production());
+            let p = self.tree.node(n).production();
             let rules = match lhs {
-                Ok(off) => cp.attr_readers(0, off),
-                Err(l) => cp.local_readers(l),
+                Ok(off) => self.readers.attr(p, 0, off),
+                Err(l) => self.readers.local(p, l),
             };
+            let cp = self.program.production(p);
             reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, n);
             let mid = self.s.readers.len() as u32;
             if let (Ok(off), Some(parent)) = (lhs, self.tree.node(n).parent()) {
                 let pos = self.tree.child_index(n).expect("child position") as u16;
-                let cp = self.program.production(self.tree.node(parent).production());
-                let rules = cp.attr_readers(pos, off);
+                let p = self.tree.node(parent).production();
+                let rules = self.readers.attr(p, pos, off);
+                let cp = self.program.production(p);
                 reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, parent);
             }
             let e = &mut self.s.reached[i as usize];
@@ -639,18 +643,6 @@ impl<'g> IncrementalEvaluator<'g> {
         }
     }
 
-    /// Whether `node` is in the tree, not left behind by a replacement.
-    fn is_live(&self, node: NodeId) -> bool {
-        let mut cur = node;
-        while let Some(parent) = self.tree.node(cur).parent() {
-            if !self.tree.children(parent).contains(&cur) {
-                return false;
-            }
-            cur = parent;
-        }
-        cur == self.tree.root()
-    }
-
     /// Every attribute of `node`'s phylum with its current value.
     fn decoration(&self, node: NodeId) -> Decoration {
         let g = self.grammar;
@@ -668,7 +660,7 @@ impl<'g> IncrementalEvaluator<'g> {
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             nodes.push(n);
-            stack.extend(self.tree.children(n).iter().copied());
+            stack.extend(self.tree.node(n).children().iter().copied());
         }
         nodes
     }
@@ -863,7 +855,9 @@ impl<'g> IncrementalEvaluator<'g> {
 fn instance(tree: &Tree, host: NodeId, occ: ONode) -> Inst {
     match occ {
         ONode::Attr(Occ { pos: 0, attr }) => Inst::Attr(host, attr),
-        ONode::Attr(Occ { pos, attr }) => Inst::Attr(tree.children(host)[pos as usize - 1], attr),
+        ONode::Attr(Occ { pos, attr }) => {
+            Inst::Attr(tree.node(host).children()[pos as usize - 1], attr)
+        }
         ONode::Local(l) => Inst::Local(host, l),
     }
 }
@@ -1123,7 +1117,7 @@ mod tests {
         let leaves: Vec<NodeId> = inc
             .tree()
             .preorder()
-            .filter(|&(n, _)| inc.tree().children(n).is_empty())
+            .filter(|&(n, _)| inc.tree().node(n).children().is_empty())
             .map(|(n, _)| n)
             .collect();
         let leafe = g.production_by_name("leafe").unwrap();
@@ -1286,7 +1280,7 @@ mod tests {
         .unwrap();
         // Replace the fork over 2..8; the fork over 3..8 goes with it.
         let upper = inc.tree().node(leaf(&inc, 2)).parent().unwrap();
-        let lower = inc.tree().children(upper)[1];
+        let lower = inc.tree().node(upper).children()[1];
         inc.replace_subtree(upper, &leaf_tree(&g, 5)).unwrap();
         let forkmax = g.production_by_name("forkmax").unwrap();
         let gone = TreeError::Detached { node: lower };

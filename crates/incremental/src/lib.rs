@@ -65,6 +65,7 @@
 #![warn(missing_debug_implementations)]
 
 mod evaluator;
+mod readers;
 mod status;
 
 pub use evaluator::{IncrementalEvaluator, IncrementalStats};

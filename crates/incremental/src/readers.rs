@@ -1,0 +1,143 @@
+//! The readers index: for every production, the rules that read each of
+//! its occurrences. The wave's walk looks readers up here instead of
+//! scanning every rule's arguments; the index is built once per
+//! evaluator, so no other evaluator pays for it.
+
+use fnc2_ag::{Grammar, LocalId, ONode, Occ, ProductionId};
+
+/// The rules reading each occurrence, for every production of a grammar.
+#[derive(Debug)]
+pub(crate) struct Readers {
+    prods: Vec<ProductionReaders>,
+}
+
+/// One production's readers. Every occurrence of the LHS, of the RHS and
+/// every local has a dense number `k`, and the rules reading it are
+/// `rules[start[k]..start[k + 1]]`.
+#[derive(Debug)]
+struct ProductionReaders {
+    /// Where each position's attribute slots start in the numbering; the
+    /// entry after the last position starts the locals.
+    occ_base: Box<[u32]>,
+    start: Box<[u32]>,
+    rules: Box<[u32]>,
+}
+
+impl Readers {
+    pub(crate) fn new(grammar: &Grammar) -> Self {
+        Readers {
+            prods: grammar
+                .productions()
+                .map(|p| ProductionReaders::new(grammar, p))
+                .collect(),
+        }
+    }
+
+    /// The rules of `p` that read attribute slot `off` (the attribute's
+    /// offset in its phylum's block) at position `pos` (0 = the LHS), each
+    /// once, in rule order.
+    #[inline]
+    pub(crate) fn attr(&self, p: ProductionId, pos: u16, off: usize) -> &[u32] {
+        let pr = &self.prods[p.index()];
+        pr.at(pr.occ_base[pos as usize] as usize + off)
+    }
+
+    /// The rules of `p` that read `local`, each once, in rule order.
+    #[inline]
+    pub(crate) fn local(&self, p: ProductionId, local: LocalId) -> &[u32] {
+        let pr = &self.prods[p.index()];
+        pr.at(pr.occ_base[pr.occ_base.len() - 1] as usize + local.index())
+    }
+}
+
+impl ProductionReaders {
+    fn new(grammar: &Grammar, p: ProductionId) -> Self {
+        let prod = grammar.production(p);
+        let mut occ_base = Vec::with_capacity(prod.arity() + 2);
+        let mut width = 0;
+        for ph in std::iter::once(prod.lhs()).chain(prod.rhs().iter().copied()) {
+            occ_base.push(width);
+            width += grammar.phylum(ph).attrs().len() as u32;
+        }
+        occ_base.push(width);
+        width += prod.locals().len() as u32;
+        let key = |read: ONode| match read {
+            ONode::Attr(Occ { pos, attr }) => {
+                occ_base[pos as usize] + grammar.attr(attr).offset() as u32
+            }
+            ONode::Local(l) => occ_base[prod.arity() + 1] + l.index() as u32,
+        };
+        let mut reads: Vec<(u32, u32)> = prod
+            .rules()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, rule)| rule.read_nodes().map(move |read| (read, i as u32)))
+            .map(|(read, i)| (key(read), i))
+            .collect();
+        reads.sort_unstable();
+        reads.dedup();
+        let mut start = vec![0; width as usize + 1];
+        for &(k, _) in &reads {
+            start[k as usize + 1] += 1;
+        }
+        for k in 0..width as usize {
+            start[k + 1] += start[k];
+        }
+        ProductionReaders {
+            occ_base: occ_base.into(),
+            start: start.into(),
+            rules: reads.into_iter().map(|(_, rule)| rule).collect(),
+        }
+    }
+
+    #[inline]
+    fn at(&self, k: usize) -> &[u32] {
+        &self.rules[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fnc2_ag::{GrammarBuilder, Value};
+
+    use super::*;
+
+    #[test]
+    fn readers_index_lists_each_reading_rule_once() {
+        // root : S ::= A A with `both := add(A$1.w, A$1.w)`, `S.out := both`
+        // and `A$2.i := A$1.w`.
+        let mut g = GrammarBuilder::new("t");
+        let s = g.phylum("S");
+        let a = g.phylum("A");
+        let out = g.syn(s, "out");
+        let i = g.inh(a, "i");
+        let w = g.syn(a, "w");
+        g.func("add", 2, |v| Value::Int(v[0].as_int() + v[1].as_int()));
+        let root = g.production("root", s, &[a, a]);
+        let both = g.local(root, "both");
+        g.call(
+            root,
+            both,
+            "add",
+            [Occ::new(1, w).into(), Occ::new(1, w).into()],
+        );
+        g.copy(root, Occ::lhs(out), ONode::Local(both));
+        g.copy(root, Occ::new(2, i), Occ::new(1, w));
+        g.constant(root, Occ::new(1, i), Value::Int(0));
+        let leaf = g.production("leaf", a, &[]);
+        g.copy(leaf, Occ::lhs(w), Occ::lhs(i));
+        let g = g.finish().unwrap();
+
+        let readers = Readers::new(&g);
+        let (root, leaf) = (
+            g.production_by_name("root").unwrap(),
+            g.production_by_name("leaf").unwrap(),
+        );
+        let (w_off, i_off) = (g.attr(w).offset(), g.attr(i).offset());
+        assert_eq!(readers.attr(root, 1, w_off), &[0, 2]);
+        assert_eq!(readers.local(root, both), &[1]);
+        assert!(readers.attr(root, 2, w_off).is_empty());
+        assert!(readers.attr(root, 1, i_off).is_empty());
+        assert_eq!(readers.attr(leaf, 0, i_off), &[0]);
+    }
+}

@@ -142,13 +142,13 @@ fn a_source_fires_again_when_its_later_visit_input_changes() {
         let root = tb.op("root", &[leaf]).unwrap();
         let tree = tb.finish_root(root).unwrap();
         let mut inc = IncrementalEvaluator::new(&g, tree, Equality::default()).unwrap();
-        let at = inc.tree().children(inc.tree().root())[0];
+        let at = inc.tree().node(inc.tree().root()).children()[0];
         let mut fired = Firings::default();
         let stats = inc
             .replace_subtrees_recorded(vec![(at, token_leaf(&g, op, 5))], &mut fired)
             .unwrap();
         assert_matches_scratch(&g, &inc);
-        let new = inc.tree().children(inc.tree().root())[0];
+        let new = inc.tree().node(inc.tree().root()).children()[0];
         let want = if op == "add" { 10 } else { 50 };
         assert_eq!(inc.value(new, s2), Some(&Value::Int(want)), "{op}");
         let s2_rule = 2;
@@ -241,10 +241,10 @@ fn a_budget_trip_leaves_the_next_wave_correct() {
     let mut inc =
         IncrementalEvaluator::with_inputs(&g, tree, RootInputs::new(), Equality::default(), budget)
             .unwrap();
-    let a_at = |inc: &IncrementalEvaluator| inc.tree().children(inc.tree().root())[0];
+    let a_at = |inc: &IncrementalEvaluator| inc.tree().node(inc.tree().root()).children()[0];
     let b_leaf = |inc: &IncrementalEvaluator| {
-        let b = inc.tree().children(inc.tree().root())[1];
-        inc.tree().children(b)[0]
+        let b = inc.tree().node(inc.tree().root()).children()[1];
+        inc.tree().node(b).children()[0]
     };
 
     // Six steps evaluate the new A, and the propagation through B's four

@@ -149,7 +149,7 @@ impl Unparser {
                             }
                         }
                         Item::Child(i) => {
-                            let c = tree.children(id)[i - 1];
+                            let c = tree.node(id).children()[i - 1];
                             self.node(grammar, tree, c, out);
                         }
                         Item::Newline => out.newline(),
@@ -162,7 +162,7 @@ impl Unparser {
                 out.push(prod.name());
                 if prod.arity() > 0 {
                     out.push("(");
-                    for (i, &c) in tree.children(id).iter().enumerate() {
+                    for (i, &c) in tree.node(id).children().iter().enumerate() {
                         if i > 0 {
                             out.push(", ");
                         }

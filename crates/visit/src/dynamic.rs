@@ -253,7 +253,7 @@ impl<'g> DynamicEvaluator<'g> {
                                 let at = if pos == 0 {
                                     def_node
                                 } else {
-                                    tree.children(def_node)[pos as usize - 1]
+                                    tree.node(def_node).children()[pos as usize - 1]
                                 };
                                 Goal::Attr(at, attr)
                             }

@@ -270,7 +270,7 @@ pub(crate) fn at_child(tree: &Tree, node: NodeId, child: u16) -> NodeId {
     if child == 0 {
         node
     } else {
-        tree.children(node)[child as usize - 1]
+        tree.node(node).children()[child as usize - 1]
     }
 }
 
@@ -281,14 +281,6 @@ pub struct CompiledProduction {
     /// Compiled rules, parallel to the production's declared rule order.
     pub rules: Vec<Arc<CompiledRule>>,
     rule_of: HashMap<ONode, u32>,
-    /// Where each position's attribute slots start in the production's
-    /// dense occurrence numbering; the entry after the last position
-    /// starts the locals.
-    occ_base: Box<[u32]>,
-    /// The rules reading dense occurrence `k` are
-    /// `reader_rules[readers[k]..readers[k + 1]]`.
-    readers: Box<[u32]>,
-    reader_rules: Box<[u32]>,
 }
 
 impl CompiledProduction {
@@ -297,25 +289,6 @@ impl CompiledProduction {
     #[inline]
     pub fn rule_index(&self, target: ONode) -> Option<u32> {
         self.rule_of.get(&target).copied()
-    }
-
-    /// The rules that read attribute slot `off` (the attribute's offset in
-    /// its phylum's block) at position `pos` (0 = the LHS), each once, in
-    /// rule order: the incremental evaluator's readers index.
-    #[inline]
-    pub fn attr_readers(&self, pos: u16, off: usize) -> &[u32] {
-        self.readers_at(self.occ_base[pos as usize] as usize + off)
-    }
-
-    /// The rules that read `local`, each once, in rule order.
-    #[inline]
-    pub fn local_readers(&self, local: LocalId) -> &[u32] {
-        self.readers_at(self.occ_base[self.occ_base.len() - 1] as usize + local.index())
-    }
-
-    #[inline]
-    fn readers_at(&self, k: usize) -> &[u32] {
-        &self.reader_rules[self.readers[k] as usize..self.readers[k + 1] as usize]
     }
 }
 
@@ -326,49 +299,6 @@ impl CompiledProduction {
 pub struct CompiledProgram {
     prods: Vec<CompiledProduction>,
     consts: Vec<Value>,
-}
-
-/// An empty [`CompiledProduction`] for `p` carrying its readers index:
-/// every occurrence of the LHS, the RHS and the locals gets a dense number,
-/// and each number the rules that read it, each rule once.
-fn readers_index(grammar: &Grammar, p: ProductionId) -> CompiledProduction {
-    let prod = grammar.production(p);
-    let mut occ_base = Vec::with_capacity(prod.arity() + 2);
-    let mut width = 0;
-    for ph in std::iter::once(prod.lhs()).chain(prod.rhs().iter().copied()) {
-        occ_base.push(width);
-        width += grammar.phylum(ph).attrs().len() as u32;
-    }
-    occ_base.push(width);
-    width += prod.locals().len() as u32;
-    let key = |read: ONode| match read {
-        ONode::Attr(Occ { pos, attr }) => {
-            occ_base[pos as usize] + grammar.attr(attr).offset() as u32
-        }
-        ONode::Local(l) => occ_base[prod.arity() + 1] + l.index() as u32,
-    };
-    let mut reads: Vec<(u32, u32)> = prod
-        .rules()
-        .iter()
-        .enumerate()
-        .flat_map(|(i, rule)| rule.read_nodes().map(move |read| (read, i as u32)))
-        .map(|(read, i)| (key(read), i))
-        .collect();
-    reads.sort_unstable();
-    reads.dedup();
-    let mut readers = vec![0; width as usize + 1];
-    for &(k, _) in &reads {
-        readers[k as usize + 1] += 1;
-    }
-    for k in 0..width as usize {
-        readers[k + 1] += readers[k];
-    }
-    CompiledProduction {
-        occ_base: occ_base.into(),
-        readers: readers.into(),
-        reader_rules: reads.into_iter().map(|(_, rule)| rule).collect(),
-        ..CompiledProduction::default()
-    }
 }
 
 fn intern(consts: &mut Vec<Value>, v: &Value) -> u32 {
@@ -398,7 +328,7 @@ impl CompiledProgram {
         let mut prods = Vec::with_capacity(grammar.production_count());
         for pid in grammar.productions() {
             let p = grammar.production(pid);
-            let mut cp = readers_index(grammar, pid);
+            let mut cp = CompiledProduction::default();
             for (i, rule) in p.rules().iter().enumerate() {
                 let target = rule.target();
                 let slot = match target {
@@ -678,42 +608,5 @@ mod tests {
             prog.production(root_p).rule_index(Occ::lhs(out).into()),
             Some(0)
         );
-    }
-
-    #[test]
-    fn readers_index_lists_each_reading_rule_once() {
-        // root : S ::= A A with `both := add(A$1.w, A$1.w)`, `S.out := both`
-        // and `A$2.i := A$1.w`.
-        let mut g = GrammarBuilder::new("t");
-        let s = g.phylum("S");
-        let a = g.phylum("A");
-        let out = g.syn(s, "out");
-        let i = g.inh(a, "i");
-        let w = g.syn(a, "w");
-        g.func("add", 2, |v| Value::Int(v[0].as_int() + v[1].as_int()));
-        let root = g.production("root", s, &[a, a]);
-        let both = g.local(root, "both");
-        g.call(
-            root,
-            both,
-            "add",
-            [Occ::new(1, w).into(), Occ::new(1, w).into()],
-        );
-        g.copy(root, Occ::lhs(out), ONode::Local(both));
-        g.copy(root, Occ::new(2, i), Occ::new(1, w));
-        g.constant(root, Occ::new(1, i), Value::Int(0));
-        let leaf = g.production("leaf", a, &[]);
-        g.copy(leaf, Occ::lhs(w), Occ::lhs(i));
-        let g = g.finish().unwrap();
-
-        let prog = CompiledProgram::new(&g);
-        let cp = prog.production(g.production_by_name("root").unwrap());
-        let (w_off, i_off) = (g.attr(w).offset(), g.attr(i).offset());
-        assert_eq!(cp.attr_readers(1, w_off), &[0, 2]);
-        assert_eq!(cp.local_readers(both), &[1]);
-        assert!(cp.attr_readers(2, w_off).is_empty());
-        assert!(cp.attr_readers(1, i_off).is_empty());
-        let leaf = prog.production(g.production_by_name("leaf").unwrap());
-        assert_eq!(leaf.attr_readers(0, i_off), &[0]);
     }
 }

@@ -183,7 +183,7 @@ fn resolve(tree: &Tree, node: NodeId, occ: ONode) -> Inst {
             let at = if pos == 0 {
                 node
             } else {
-                tree.children(node)[pos as usize - 1]
+                tree.node(node).children()[pos as usize - 1]
             };
             Inst::Attr(at, attr)
         }

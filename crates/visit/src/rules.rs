@@ -159,7 +159,7 @@ pub fn eval_rule_resolved<S: Store>(
                 let at = if *pos == 0 {
                     node
                 } else {
-                    tree.children(node)[*pos as usize - 1]
+                    tree.node(node).children()[*pos as usize - 1]
                 };
                 store
                     .value(at, *attr)

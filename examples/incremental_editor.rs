@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let victim = inc
             .tree()
             .preorder()
-            .find(|&(n, _)| inc.tree().children(n).is_empty())
+            .find(|&(n, _)| inc.tree().node(n).children().is_empty())
             .map(|(n, _)| n)
             .expect("a leaf exists");
         let mut tb = TreeBuilder::new(&g);
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let victim = coarse
         .tree()
         .preorder()
-        .find(|&(n, _)| coarse.tree().children(n).is_empty())
+        .find(|&(n, _)| coarse.tree().node(n).children().is_empty())
         .map(|(n, _)| n)
         .expect("a leaf exists");
     let mut tb = TreeBuilder::new(&g2);
