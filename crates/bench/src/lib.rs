@@ -536,6 +536,145 @@ pub fn figure1_rows() -> Vec<Vec<String>> {
 }
 
 // ---------------------------------------------------------------------------
+// §2.1.2: incremental reevaluation counts
+// ---------------------------------------------------------------------------
+
+/// The sum grammar of `table_incremental`: `S.total` sums the leaves of an
+/// `E` tree, and every `E` also gets its `depth` from above.
+pub fn sum_grammar() -> Grammar {
+    use fnc2::ag::{Arg, GrammarBuilder, Occ};
+    let mut g = GrammarBuilder::new("sum");
+    let s = g.phylum("S");
+    let e = g.phylum("E");
+    let total = g.syn(s, "total");
+    let depth = g.inh(e, "depth");
+    let sum = g.syn(e, "sum");
+    g.func("succ", 1, |v| Value::Int(v[0].as_int() + 1));
+    g.func("add", 2, |v| Value::Int(v[0].as_int() + v[1].as_int()));
+    let root = g.production("root", s, &[e]);
+    g.copy(root, Occ::lhs(total), Occ::new(1, sum));
+    g.constant(root, Occ::new(1, depth), Value::Int(0));
+    let fork = g.production("fork", e, &[e, e]);
+    g.call(fork, Occ::new(1, depth), "succ", [Occ::lhs(depth).into()]);
+    g.call(fork, Occ::new(2, depth), "succ", [Occ::lhs(depth).into()]);
+    g.call(
+        fork,
+        Occ::lhs(sum),
+        "add",
+        [Occ::new(1, sum).into(), Occ::new(2, sum).into()],
+    );
+    let leaf = g.production("leafe", e, &[]);
+    g.copy(leaf, Occ::lhs(sum), Arg::Token);
+    g.finish().expect("well-defined")
+}
+
+/// A balanced [`sum_grammar`] tree with `2^depth` leaves holding
+/// `1, 2, …` modulo 23.
+pub fn balanced_sum_tree(g: &Grammar, depth: usize) -> Tree {
+    use fnc2::ag::TreeBuilder;
+    fn balanced(g: &Grammar, tb: &mut TreeBuilder, depth: usize, next: &mut i64) -> NodeId {
+        if depth == 0 {
+            *next += 1;
+            let leafe = g.production_by_name("leafe").unwrap();
+            tb.node_with_token(leafe, &[], Some(Value::Int(*next % 23)))
+                .unwrap()
+        } else {
+            let a = balanced(g, tb, depth - 1, next);
+            let b = balanced(g, tb, depth - 1, next);
+            tb.op("fork", &[a, b]).unwrap()
+        }
+    }
+    let mut tb = TreeBuilder::new(g);
+    let body = balanced(g, &mut tb, depth, &mut 0);
+    let root = tb.op("root", &[body]).unwrap();
+    tb.finish_root(root).unwrap()
+}
+
+/// A one-leaf [`sum_grammar`] subtree holding `v`.
+pub fn sum_leaf(g: &Grammar, v: i64) -> Tree {
+    let mut tb = fnc2::ag::TreeBuilder::new(g);
+    let leafe = g.production_by_name("leafe").unwrap();
+    let n = tb.node_with_token(leafe, &[], Some(Value::Int(v))).unwrap();
+    tb.finish(n)
+}
+
+/// The first leaf of `tree` in preorder: the victim of every single-leaf
+/// edit.
+pub fn first_leaf(tree: &Tree) -> NodeId {
+    tree.preorder()
+        .find(|&(n, _)| tree.node(n).children().is_empty())
+        .map(|(n, _)| n)
+        .expect("a balanced tree has leaves")
+}
+
+/// The headers of [`incremental_rows`].
+pub const INCREMENTAL_HEADERS: [&str; 7] = [
+    "tree depth",
+    "instances",
+    "edit",
+    "reevaluated",
+    "changed",
+    "cut",
+    "fraction",
+];
+
+/// §2.1.2's count table: on balanced [`sum_grammar`] trees of depth 8, 11
+/// and 14, in turn, the first leaf gets a new value, then the same value
+/// again, then the first four leaves get new values in one wave. Each row
+/// is one wave's counts and the share of the tree's instances it
+/// reevaluated. Every cell repeats exactly from run to run.
+pub fn incremental_rows() -> Vec<Vec<String>> {
+    use fnc2::incremental::{Equality, IncrementalEvaluator, IncrementalStats};
+    let g = sum_grammar();
+    let mut rows = Vec::new();
+    for depth in [8usize, 11, 14] {
+        let tree = balanced_sum_tree(&g, depth);
+        let mut inc = IncrementalEvaluator::new(&g, tree, Equality::default()).expect("evaluates");
+        let instances = inc.instance_count();
+        let mut row = |edit: &str, stats: IncrementalStats| {
+            rows.push(vec![
+                depth.to_string(),
+                instances.to_string(),
+                edit.to_string(),
+                stats.reevaluated.to_string(),
+                stats.changed.to_string(),
+                stats.cut.to_string(),
+                format!(
+                    "{:.3}%",
+                    100.0 * stats.reevaluated as f64 / instances as f64
+                ),
+            ]);
+        };
+        let stats = inc
+            .replace_subtree(first_leaf(inc.tree()), &sum_leaf(&g, 999))
+            .expect("edits");
+        row("1 leaf, changed", stats);
+        let victim = first_leaf(inc.tree());
+        let old = inc
+            .tree()
+            .node(victim)
+            .token()
+            .expect("leaf token")
+            .as_int();
+        let stats = inc
+            .replace_subtree(victim, &sum_leaf(&g, old))
+            .expect("edits");
+        row("1 leaf, same value", stats);
+        let edits = inc
+            .tree()
+            .preorder()
+            .filter(|&(n, _)| inc.tree().node(n).children().is_empty())
+            .take(4)
+            .enumerate()
+            .map(|(i, (n, _))| (n, sum_leaf(&g, 500 + i as i64)))
+            .collect();
+        let stats = inc.replace_subtrees(edits).expect("edits");
+        row("4 leaves, one wave", stats);
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
 // Table rendering
 // ---------------------------------------------------------------------------
 

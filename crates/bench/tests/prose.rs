@@ -2,12 +2,15 @@
 //! `crates/bench/baselines/BENCH_*.json`, rendered with `render_table`,
 //! must appear in EXPERIMENTS.md, and the startup table in README.md too,
 //! so a regenerated baseline cannot leave stale numbers in the prose. The
-//! tables whose cells repeat exactly from run to run (Figure 1's counts)
-//! are rebuilt here and must appear as rendered too.
+//! tables whose cells repeat exactly from run to run (Figure 1's counts,
+//! §2.1.2's incremental counts) are rebuilt here and must appear as
+//! rendered too.
 
 use std::path::{Path, PathBuf};
 
-use fnc2_bench::{figure1_rows, render_table, BenchTable, FIGURE1_HEADERS};
+use fnc2_bench::{
+    figure1_rows, incremental_rows, render_table, BenchTable, FIGURE1_HEADERS, INCREMENTAL_HEADERS,
+};
 
 fn repo_file(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -52,5 +55,14 @@ fn docs_quote_figure1_counts() {
     assert!(
         repo_file("EXPERIMENTS.md").contains(&text),
         "EXPERIMENTS.md does not quote Figure 1's counts as rendered:\n{text}"
+    );
+}
+
+#[test]
+fn docs_quote_incremental_counts() {
+    let text = render_table(&INCREMENTAL_HEADERS, &incremental_rows());
+    assert!(
+        repo_file("EXPERIMENTS.md").contains(&text),
+        "EXPERIMENTS.md does not quote §2.1.2's incremental counts as rendered:\n{text}"
     );
 }

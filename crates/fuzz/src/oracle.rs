@@ -2,6 +2,7 @@
 //! space plan's symbolic re-validation, with first-divergence reporting
 //! and deterministic parameter shrinking.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -10,7 +11,7 @@ use fnc2_analysis::{classify, Inclusion};
 use fnc2_corpus::rng::Rng;
 use fnc2_guard::EvalBudget;
 use fnc2_incremental::{Equality, IncrementalEvaluator};
-use fnc2_obs::Obs;
+use fnc2_obs::{Event, Obs, Recorder};
 use fnc2_par::{batch_evaluate_guarded, TreeOutcome};
 use fnc2_space::{analyze_space, plan_evaluator, validate_plan};
 use fnc2_tables::{Tables, TablesConfig};
@@ -330,8 +331,9 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
     }
 
     // ---- Incremental evaluator under random edit scripts. --------------
-    // After every edit, every instance must match a from-scratch
-    // re-evaluation of the edited tree.
+    // Every wave fires each instance at most once, and after every edit,
+    // every instance must match a from-scratch re-evaluation of the edited
+    // tree.
     let mut inc = IncrementalEvaluator::new(g, tree.clone(), Equality::default())
         .map_err(|e| div("incremental", format!("initial evaluation failed: {e}")))?;
     let mut rng = Rng::seed_from_u64(params.seed ^ 0x0ed1_7000);
@@ -340,8 +342,26 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
             Some(e) => e,
             None => break,
         };
-        inc.replace_subtree(at, &sub)
+        let mut fired = Firings::default();
+        let stats = inc
+            .replace_subtrees_recorded(vec![(at, sub)], &mut fired)
             .map_err(|e| div("incremental", format!("edit {edit} failed: {e}")))?;
+        let events = fired.0.values().sum::<usize>();
+        if let Some((&(node, rule), &k)) = fired.0.iter().filter(|&(_, &k)| k > 1).min() {
+            return Err(div(
+                "incremental-at-most-once",
+                format!("edit {edit}: rule {rule} at node n{node} fired {k} times"),
+            ));
+        }
+        if events != stats.reevaluated {
+            return Err(div(
+                "incremental-at-most-once",
+                format!(
+                    "edit {edit}: {events} firings, but the wave counts {} reevaluated",
+                    stats.reevaluated
+                ),
+            ));
+        }
         let (want, _) = DynamicEvaluator::new(g)
             .evaluate(inc.tree(), &inputs)
             .map_err(|e| div("incremental", format!("re-evaluation failed: {e}")))?;
@@ -368,6 +388,22 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
         nodes: tree.size(),
         edits: params.edits,
     })
+}
+
+/// Counts a wave's `RuleFired` events per `(node, rule)`.
+#[derive(Default)]
+struct Firings(HashMap<(u32, u32), usize>);
+
+impl Recorder for Firings {
+    fn trace(&self) -> bool {
+        true
+    }
+
+    fn emit(&mut self, event: Event) {
+        if let Event::RuleFired { node, rule, .. } = event {
+            *self.0.entry((node, rule)).or_default() += 1;
+        }
+    }
 }
 
 /// Re-runs the exhaustive evaluator over `tree` with the event trace on

@@ -1,31 +1,29 @@
-//! The DNC-based incremental evaluator.
+//! The incremental evaluator (paper §2.1.2).
 //!
 //! Keeps a fully decorated tree. Every edit — one or more subtree
-//! replacements, or an in-place production swap — ends in one wave of
-//! three steps:
+//! replacements, or an in-place production swap — ends in one wave of two
+//! steps. Each edited node first gets back its whole pre-edit decoration,
+//! its inherited values and its synthesized ones; every instance that a
+//! rule of an edited subtree defines starts the wave **dirty**, as do the
+//! instances an earlier failed wave left pending.
 //!
-//! 0. Each edited subtree is evaluated *starting at its root*, legal
-//!    exactly because DNC argument selectors are closed from above and
-//!    below. The root's synthesized instances whose values differ from
-//!    its pre-edit decoration are the wave's **sources**.
-//! 1. The wave walks readers from the sources, once per instance,
+//! 1. The wave walks readers from the dirty instances, once per instance,
 //!    recording each reached instance's readers and how many reached
 //!    instances it reads.
 //! 2. It settles the reached instances in topological (Kahn) order. An
-//!    instance fires only if something it reads is **Changed**, and
-//!    propagation is **cut** where the new value equals the old one.
+//!    instance fires when it is dirty or something it reads is
+//!    **Changed**, and propagation is **cut** where the new value equals
+//!    the old one, which it keeps. An edited node's synthesized instance
+//!    is compared with its pre-edit value, so its readers outside the
+//!    subtree fire only if it changed.
 //!
 //! Step 2 fires an instance at most once, however many paths of different
 //! lengths lead to it from the edit: the optimal-time change propagation
 //! of Reps, Teitelbaum and Demers ("Incremental context-dependent analysis
-//! for language-based editors", TOPLAS 1983). Step 0 fired each instance
-//! of an edited subtree once already; such an instance fires again only
-//! when a value it read has changed since, typically a later visit's
-//! inherited input. That is how a source comes to fire twice. A source's
-//! readers in its parent's production read its pre-edit value, so it
-//! releases them as changed whatever it fires to; its readers in its own
-//! production read its step-0 value, and see it as changed only if it
-//! fires to a new one.
+//! for language-based editors", TOPLAS 1983). The settle has no nesting,
+//! so a wave charges its budget steps, value cells and the deadline, never
+//! `max_depth`; a circular tree leaves instances that never become ready,
+//! reported as [`EvalError::CircularInstance`].
 //!
 //! A wave's bookkeeping costs what it reaches, not the tree's size: one
 //! generation-tagged word per instance cell tells whether the wave has
@@ -47,7 +45,7 @@ use crate::status::Equality;
 /// `reevaluated` with the instance count of a full evaluation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    /// Rule evaluations performed (fresh subtree + propagation).
+    /// Rule evaluations performed, each instance at most once.
     pub reevaluated: usize,
     /// Instances whose value actually changed, each counted once.
     pub changed: usize,
@@ -120,26 +118,15 @@ struct Reached {
     /// The node whose production defines the instance, and the rule.
     def: NodeId,
     rule: u32,
-    /// Its readers are `Scratch::readers[first..last]`: those in the
-    /// production at its node up to `mid`, those in the parent's after.
+    /// Its readers are `Scratch::readers[first..last]`.
     first: u32,
-    mid: u32,
     last: u32,
     /// Reached instances it reads that have not settled yet.
     waiting: u32,
-    /// Something it reads changed (or it is pending): it must fire.
+    /// It is edited or pending, or something it reads changed: it fires.
     dirty: bool,
-    /// A source: its readers see it as changed whatever it fires to.
-    source: bool,
     /// Fired or passed over, and its readers released.
     settled: bool,
-}
-
-/// Demand evaluation's work items.
-#[derive(Clone, Copy, Debug)]
-enum Task {
-    Enter(Inst),
-    Finish(Inst, NodeId, u32),
 }
 
 /// The work space of a wave, kept between waves so that none allocates
@@ -159,7 +146,6 @@ struct Scratch {
     work: Vec<u32>,
     /// The argument buffer rules fire with.
     args: Vec<Value>,
-    tasks: Vec<Task>,
 }
 
 impl Scratch {
@@ -197,11 +183,9 @@ impl Scratch {
             def,
             rule,
             first: 0,
-            mid: 0,
             last: 0,
             waiting: 0,
             dirty: false,
-            source: false,
             settled: false,
         });
         self.work.push(i as u32);
@@ -216,7 +200,9 @@ impl<'g> IncrementalEvaluator<'g> {
     ///
     /// # Errors
     ///
-    /// Fails if the tree's instances are circular or a token is missing.
+    /// Fails with [`EvalError::CircularInstance`] if the tree's instances
+    /// are circular, or with [`EvalError::MissingToken`] if a rule reads a
+    /// token that its node lacks.
     pub fn new(grammar: &'g Grammar, tree: Tree, eq: Equality) -> Result<Self, EvalError> {
         Self::with_inputs(grammar, tree, RootInputs::new(), eq, EvalBudget::default())
     }
@@ -259,8 +245,10 @@ impl<'g> IncrementalEvaluator<'g> {
             s: Scratch::default(),
         };
         // The initial decoration is a wave over the whole tree with
-        // nothing to compare against.
+        // nothing to compare against. Its work space is as large as the
+        // tree; edit waves grow their own.
         this.wave(vec![(root, Vec::new())], &mut NoopRecorder)?;
+        this.s = Scratch::default();
         Ok(this)
     }
 
@@ -334,8 +322,8 @@ impl<'g> IncrementalEvaluator<'g> {
     /// [`replace_subtrees`](Self::replace_subtrees), instrumented: the
     /// wave's counters are replayed into `rec` under the `inc.*` keys
     /// (`inc.unknown` counts fresh instances with no prior value), and
-    /// when tracing is on every semantic-control decision emits a
-    /// `StatusComputed` event.
+    /// when tracing is on every firing emits a `RuleFired` event and every
+    /// semantic-control decision a `StatusComputed` event.
     ///
     /// # Errors
     ///
@@ -423,13 +411,11 @@ impl<'g> IncrementalEvaluator<'g> {
         Ok(self.wave(vec![(at, old)], rec)?)
     }
 
-    /// The wave every edit ends with (paper §2.1.2): the three steps of
-    /// the module doc. Each edited node gets back the inherited values of
-    /// its pre-edit decoration (the root inputs at the root) and its
-    /// subtree is demanded; each synthesized value that differs from the
-    /// decoration is a source. Instances an earlier failed wave left
-    /// pending settle with the sources. The wave's counters are replayed
-    /// into `rec` once.
+    /// The wave every edit ends with (paper §2.1.2): the two steps of the
+    /// module doc. Each edited node gets back its pre-edit decoration (the
+    /// root inputs at the root), and every instance a rule of its subtree
+    /// defines is dirty, as is every instance an earlier failed wave left
+    /// pending. The wave's counters are replayed into `rec` once.
     fn wave<R: Recorder>(
         &mut self,
         edited: Vec<(NodeId, Decoration)>,
@@ -460,9 +446,10 @@ impl<'g> IncrementalEvaluator<'g> {
         rec: &mut R,
     ) -> Result<(), EvalError> {
         let g = self.grammar;
+        self.s.begin();
         for (node, old) in edited {
             for (a, v) in old {
-                if let (AttrKind::Inherited, Some(v)) = (g.attr(*a).kind(), v) {
+                if let Some(v) = v {
                     self.cells.values.set(g, *node, *a, v.clone());
                 }
             }
@@ -473,29 +460,14 @@ impl<'g> IncrementalEvaluator<'g> {
                     }
                 }
             }
-        }
-        for &(node, _) in edited {
-            if let Err(e) = self.eval_subtree(node, w, rec) {
-                self.abandon(edited);
-                return Err(e);
-            }
-        }
-        // Step 1: the reached set, from the sources and the pending.
-        self.s.begin();
-        for (node, old) in edited {
-            for (a, old) in old {
-                if g.attr(*a).kind() != AttrKind::Synthesized {
-                    continue;
-                }
-                let same = match (old, self.cells.values.get(g, *node, *a)) {
-                    (Some(o), Some(n)) => self.values_same(o, n),
-                    (None, None) => true,
-                    _ => false,
-                };
-                if !same {
-                    w.stats.changed += 1;
-                    let i = self.reach(Inst::Attr(*node, *a));
-                    self.s.reached[i].source = true;
+            for n in self.subtree(*node) {
+                let cp = self.program.production(self.tree.node(n).production());
+                for (r, rule) in cp.rules.iter().enumerate() {
+                    let inst = instance(&self.tree, n, rule.target);
+                    let i = self
+                        .s
+                        .reach(cell_of(g, &self.cells, inst), inst, n, r as u32);
+                    self.s.reached[i].dirty = true;
                 }
             }
         }
@@ -505,6 +477,7 @@ impl<'g> IncrementalEvaluator<'g> {
             let i = self.reach(inst);
             self.s.reached[i].dirty = true;
         }
+        // Step 1: the reached set.
         while let Some(i) = self.s.work.pop() {
             let first = self.s.readers.len() as u32;
             // Readers live in the production at the node (the LHS
@@ -521,7 +494,6 @@ impl<'g> IncrementalEvaluator<'g> {
             };
             let cp = self.program.production(p);
             reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, n);
-            let mid = self.s.readers.len() as u32;
             if let (Ok(off), Some(parent)) = (lhs, self.tree.node(n).parent()) {
                 let pos = self.tree.child_index(n).expect("child position") as u16;
                 let p = self.tree.node(parent).production();
@@ -530,7 +502,7 @@ impl<'g> IncrementalEvaluator<'g> {
                 reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, parent);
             }
             let e = &mut self.s.reached[i as usize];
-            (e.first, e.mid, e.last) = (first, mid, self.s.readers.len() as u32);
+            (e.first, e.last) = (first, self.s.readers.len() as u32);
         }
         // Step 2: settle in topological order.
         for (i, e) in self.s.reached.iter().enumerate() {
@@ -538,38 +510,24 @@ impl<'g> IncrementalEvaluator<'g> {
                 self.s.work.push(i as u32);
             }
         }
-        // A source changed for the readers in its parent's production,
-        // which read its pre-edit value, but for those in its own (inside
-        // the edited subtree) only if it fires to a new value here.
         let mut settled = 0;
         while let Some(i) = self.s.work.pop() {
             let e = self.s.reached[i as usize];
-            let (changed, changed_below) = if e.dirty {
-                match self.fire(e.inst, e.def, e.rule, "incremental propagation", w, rec) {
-                    Ok(status) if e.source => (true, status != ChangeStatus::Unchanged),
-                    Ok(ChangeStatus::Unchanged) => {
-                        w.stats.cut += 1;
-                        (false, false)
-                    }
-                    Ok(_) => {
-                        w.stats.changed += 1;
-                        (true, true)
-                    }
+            let changed = e.dirty
+                && match self.fire(e.inst, e.def, e.rule, w, rec) {
+                    Ok(status) => status != ChangeStatus::Unchanged,
                     Err(err) => {
                         self.pending = self.unsettled();
                         return Err(err);
                     }
-                }
-            } else {
-                (e.source, false)
-            };
+                };
             self.s.reached[i as usize].settled = true;
             settled += 1;
             for k in e.first..e.last {
                 let j = self.s.readers[k as usize] as usize;
                 let r = &mut self.s.reached[j];
                 r.waiting -= 1;
-                r.dirty |= if k < e.mid { changed_below } else { changed };
+                r.dirty |= changed;
                 if r.waiting == 0 {
                     self.s.work.push(j as u32);
                 }
@@ -612,37 +570,6 @@ impl<'g> IncrementalEvaluator<'g> {
             .collect()
     }
 
-    /// Leaves a wave whose step 0 failed pending: every instance of the
-    /// edited subtrees that a rule defines, with each edited node's
-    /// synthesized cells back at their pre-edit values, the ones their
-    /// readers outside were computed from.
-    fn abandon(&mut self, edited: &[(NodeId, Decoration)]) {
-        let g = self.grammar;
-        for (node, old) in edited {
-            for (a, v) in old {
-                if g.attr(*a).kind() == AttrKind::Synthesized {
-                    match v {
-                        Some(v) => self.cells.values.set(g, *node, *a, v.clone()),
-                        None => self.cells.values.clear(g, *node, *a),
-                    };
-                }
-            }
-            for n in self.subtree(*node) {
-                let is_root = self.tree.node(n).parent().is_none();
-                for &a in g.phylum(self.tree.phylum(g, n)).attrs() {
-                    if !(is_root && g.attr(a).kind() == AttrKind::Inherited) {
-                        self.pending.push(Inst::Attr(n, a));
-                    }
-                }
-                let p = self.tree.node(n).production();
-                for l in 0..g.production(p).locals().len() {
-                    self.pending
-                        .push(Inst::Local(n, LocalId::from_raw(l as u32)));
-                }
-            }
-        }
-    }
-
     /// Every attribute of `node`'s phylum with its current value.
     fn decoration(&self, node: NodeId) -> Decoration {
         let g = self.grammar;
@@ -665,72 +592,6 @@ impl<'g> IncrementalEvaluator<'g> {
         nodes
     }
 
-    /// Exhaustively evaluates the subtree rooted at `node`, whose inherited
-    /// attributes must already have values.
-    fn eval_subtree<R: Recorder>(
-        &mut self,
-        node: NodeId,
-        w: &mut Wave,
-        rec: &mut R,
-    ) -> Result<(), EvalError> {
-        let g = self.grammar;
-        for n in self.subtree(node) {
-            for &a in g.phylum(self.tree.phylum(g, n)).attrs() {
-                self.demand(Inst::Attr(n, a), w, rec)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Demand-evaluates `goal`; the instances it reads outside the
-    /// subtree being evaluated must already have values.
-    ///
-    /// Runs on an explicit work-stack so tree depth is a checked budget
-    /// rather than native stack exhaustion. DNC membership guarantees the
-    /// demand graph is acyclic; the depth budget bounds accidental cycles
-    /// from malformed programs.
-    fn demand<R: Recorder>(
-        &mut self,
-        goal: Inst,
-        w: &mut Wave,
-        rec: &mut R,
-    ) -> Result<(), EvalError> {
-        let g = self.grammar;
-        self.s.tasks.clear();
-        self.s.tasks.push(Task::Enter(goal));
-        while let Some(task) = self.s.tasks.pop() {
-            match task {
-                Task::Enter(goal) => {
-                    if self.get(goal).is_some() {
-                        continue;
-                    }
-                    // Resolve the defining rule through the compiled index.
-                    let (def, target) = self.definition_of(goal);
-                    let p = self.tree.node(def).production();
-                    let rule = self
-                        .program
-                        .production(p)
-                        .rule_index(target)
-                        .expect("validated grammar");
-                    self.s.tasks.push(Task::Finish(goal, def, rule));
-                    let base = self.s.tasks.len();
-                    for arg in g.production(p).rules()[rule as usize].read_nodes() {
-                        let read = instance(&self.tree, def, arg);
-                        self.s.tasks.push(Task::Enter(read));
-                    }
-                    self.s.tasks[base..].reverse();
-                    w.meter.check_depth(self.s.tasks.len()).map_err(|k| {
-                        EvalError::budget(k, format!("incremental evaluator, {def}"))
-                    })?;
-                }
-                Task::Finish(goal, def, rule) => {
-                    self.fire(goal, def, rule, "incremental evaluator", w, rec)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The current value of an instance.
     fn get(&self, inst: Inst) -> Option<&Value> {
         match inst {
@@ -741,24 +602,22 @@ impl<'g> IncrementalEvaluator<'g> {
 
     /// Fires rule `rule` of the production at `def`, which defines `inst`,
     /// on behalf of the wave: steps the meter, computes the value, grows
-    /// the cells, counts the reevaluation, emits the instance's status,
-    /// and stores the value unless it equals the old one (the cut). `at`
-    /// names the calling loop in a budget error.
+    /// the cells, counts the firing and its outcome, emits the instance's
+    /// status, and stores the value unless it equals the old one (the
+    /// cut).
     fn fire<R: Recorder>(
         &mut self,
         inst: Inst,
         def: NodeId,
         rule: u32,
-        at: &str,
         w: &mut Wave,
         rec: &mut R,
     ) -> Result<ChangeStatus, EvalError> {
         let g = self.grammar;
-        w.meter.step().map_err(|k| EvalError::budget(k, at))?;
+        let at = |k| EvalError::budget(k, format!("incremental evaluator, {def}"));
+        w.meter.step().map_err(at)?;
         let new = self.compute(def, rule, w, rec)?;
-        w.meter
-            .grow_cells(new.cell_count() as u64)
-            .map_err(|k| EvalError::budget(k, at))?;
+        w.meter.grow_cells(new.cell_count() as u64).map_err(at)?;
         w.stats.reevaluated += 1;
         let status = match self.get(inst) {
             None => ChangeStatus::Unknown,
@@ -774,10 +633,14 @@ impl<'g> IncrementalEvaluator<'g> {
                 });
             }
         }
-        if status == ChangeStatus::Unchanged {
-            return Ok(status);
+        match status {
+            ChangeStatus::Unchanged => {
+                w.stats.cut += 1;
+                return Ok(status);
+            }
+            ChangeStatus::Changed => w.stats.changed += 1,
+            ChangeStatus::Unknown => w.unknown += 1,
         }
-        w.unknown += usize::from(status == ChangeStatus::Unknown);
         match inst {
             Inst::Attr(n, a) => self.cells.values.set(g, n, a, new),
             Inst::Local(n, l) => self.cells.locals.set(n, l, new),
@@ -1105,8 +968,13 @@ mod tests {
         let nl = tb.node_with_token(leafe, &[], Some(Value::Int(5))).unwrap();
         let sub = tb.finish(nl);
         let stats = inc.replace_subtree(target, &sub).unwrap();
-        // The fresh leaf is evaluated but no propagation occurs.
-        assert_eq!(stats.changed, 0, "{stats:?}");
+        // The fresh leaf fires, returns its old sum and is cut there.
+        let want = IncrementalStats {
+            reevaluated: 1,
+            changed: 0,
+            cut: 1,
+        };
+        assert_eq!(stats, want);
     }
 
     #[test]
@@ -1159,6 +1027,10 @@ mod tests {
         let sub = tb.finish(nl);
         let stats = inc.replace_subtree(target, &sub).unwrap();
         assert_eq!(stats.changed, 0, "{stats:?}");
+        // The cut keeps the old value, at the edited leaf as anywhere.
+        let e = g.phylum_by_name("E").unwrap();
+        let sum = g.attr_by_name(e, "sum").unwrap();
+        assert_eq!(inc.value(leaf(&inc, 6), sum), Some(&Value::Int(4)));
     }
 
     #[test]

@@ -9,30 +9,38 @@
 //! **Unknown** — and the comparison of old and new values, where "the
 //! notion of equality used in this comparison can be adapted to the problem
 //! at hand" ([`Equality`]). Multiple subtree replacements are supported
-//! ([`IncrementalEvaluator::replace_subtrees`]).
+//! ([`IncrementalEvaluator::replace_subtrees`]). This reproduction orders
+//! the affected instances by their dependencies as it goes, so it does not
+//! need to start an exhaustive evaluator inside the tree, and it works on
+//! any tree whose instances are not circular.
 //!
 //! Every edit — one subtree replacement, a batch of them, or an in-place
 //! production swap ([`IncrementalEvaluator::swap_production`]) — ends in
-//! the same reevaluation wave. The wave evaluates each edited subtree from
-//! its root; the root's synthesized instances whose values changed are its
-//! sources. It then walks the instances that read them, transitively, and
-//! settles those in topological order: an instance fires only when
-//! something it reads changed, and at most once (the optimal-time
-//! propagation of Reps, Teitelbaum and Demers). An instance of an edited
-//! subtree, which the subtree evaluation fired already, fires a second
-//! time only when a value it read has changed since: an edited node's
-//! synthesized instance, say, whose later-visit inherited input the
-//! propagation changed.
+//! the same reevaluation wave, of two steps. Each edited node gets back its
+//! pre-edit decoration, and every instance that a rule of an edited
+//! subtree defines is dirty. The wave first walks the instances that read
+//! the dirty ones, transitively, then settles all of them in topological
+//! order: an instance fires when it is dirty or something it reads
+//! changed, and at most once (the optimal-time propagation of Reps,
+//! Teitelbaum and Demers). Where a firing returns a value equal to the old
+//! one, the old value stays and propagation is cut; an edited node's
+//! synthesized instances are compared with their pre-edit values, so an
+//! edit whose subtree computes the same outputs goes no further.
+//!
+//! The settle has no nesting, so a wave charges its
+//! [`EvalBudget`](fnc2_guard::EvalBudget) steps, value cells and the
+//! deadline, but never `max_depth`. A circular tree leaves instances that
+//! never become ready, and the wave reports
+//! [`EvalError::CircularInstance`](fnc2_visit::EvalError::CircularInstance).
 //!
 //! An edit is checked before the tree changes: each target must be a node
 //! of the current tree, each replacement must derive its target's phylum,
 //! and no target of a batch may lie inside another's subtree. A rejected
 //! edit returns a [`TreeError`](fnc2_ag::TreeError) and changes nothing.
-//! A wave that fails — stopped by its
-//! [`EvalBudget`](fnc2_guard::EvalBudget), say — is not rolled back: the
-//! edit stays applied and the instances the wave did not settle keep stale
-//! or missing values. They stay pending, and the next wave settles them
-//! with its own sources.
+//! A wave that fails — stopped by its budget, say — is not rolled back:
+//! the edit stays applied and the instances the wave did not settle keep
+//! stale or missing values. They stay pending, and the next wave settles
+//! them with its own.
 //!
 //! ```
 //! use fnc2_ag::{GrammarBuilder, Occ, TreeBuilder, Value};

@@ -5,7 +5,8 @@
 //! and are driven by, parsers constructed by the SYNTAX system". Our
 //! reproduction provides a table-free scanner configured by a
 //! [`ScannerSpec`]: keyword and operator literals plus the standard lexeme
-//! classes (identifiers, integers, reals, strings), with line comments.
+//! classes (identifiers, integers, reals, strings), with line comments. A
+//! keyword or operator token shares its text with the spec.
 
 use std::fmt;
 use std::sync::Arc;
@@ -13,10 +14,11 @@ use std::sync::Arc;
 /// The class of a scanned token.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Lexeme {
-    /// A keyword (exact identifier match from the spec).
-    Keyword(String),
-    /// An operator/punctuation literal from the spec.
-    Op(String),
+    /// A keyword (exact identifier match from the spec), sharing the
+    /// spec's text.
+    Keyword(Arc<str>),
+    /// An operator/punctuation literal from the spec, sharing its text.
+    Op(Arc<str>),
     /// An identifier, in the one allocation a token value can share.
     Ident(Arc<str>),
     /// An integer literal.
@@ -74,9 +76,9 @@ pub struct Scanned {
 #[derive(Clone, Debug, Default)]
 pub struct ScannerSpec {
     /// Reserved identifiers.
-    pub keywords: Vec<String>,
+    pub keywords: Vec<Arc<str>>,
     /// Operator literals (longest match wins).
-    pub operators: Vec<String>,
+    pub operators: Vec<Arc<str>>,
     /// Line-comment introducer (e.g. `"--"` or `"//"`), if any.
     pub line_comment: Option<String>,
     /// Whether the language has real literals (`12.5`).
@@ -85,14 +87,12 @@ pub struct ScannerSpec {
 
 impl ScannerSpec {
     /// Spec with the given keywords and operators, `--` comments, reals on.
-    pub fn new<K: Into<String> + Clone, O: Into<String> + Clone>(
-        keywords: &[K],
-        operators: &[O],
-    ) -> ScannerSpec {
-        let mut operators: Vec<String> = operators.iter().cloned().map(Into::into).collect();
+    pub fn new<K: AsRef<str>, O: AsRef<str>>(keywords: &[K], operators: &[O]) -> ScannerSpec {
+        let mut operators: Vec<Arc<str>> =
+            operators.iter().map(|o| Arc::from(o.as_ref())).collect();
         operators.sort_by_key(|o| std::cmp::Reverse(o.len()));
         ScannerSpec {
-            keywords: keywords.iter().cloned().map(Into::into).collect(),
+            keywords: keywords.iter().map(|k| Arc::from(k.as_ref())).collect(),
             operators,
             line_comment: Some("--".into()),
             reals: true,
@@ -147,10 +147,9 @@ pub fn scan(spec: &ScannerSpec, src: &str) -> Result<Vec<Scanned>, ScanError> {
                 .find(|d: char| !d.is_ascii_alphanumeric() && d != '_')
                 .unwrap_or(rest.len());
             let word = &rest[..n];
-            push(if spec.keywords.iter().any(|k| k == word) {
-                Lexeme::Keyword(word.to_string())
-            } else {
-                Lexeme::Ident(Arc::from(word))
+            push(match spec.keywords.iter().find(|k| ***k == *word) {
+                Some(k) => Lexeme::Keyword(Arc::clone(k)),
+                None => Lexeme::Ident(Arc::from(word)),
             });
             n
         } else if c.is_ascii_digit() {
@@ -182,13 +181,9 @@ pub fn scan(spec: &ScannerSpec, src: &str) -> Result<Vec<Scanned>, ScanError> {
             };
             push(Lexeme::Str(rest[1..=n].to_string()));
             n + 2
-        } else if let Some(op) = spec
-            .operators
-            .iter()
-            .find(|op| rest.starts_with(op.as_str()))
-        {
+        } else if let Some(op) = spec.operators.iter().find(|op| rest.starts_with(&***op)) {
             // Longest first: the spec's operators are sorted by length.
-            push(Lexeme::Op(op.clone()));
+            push(Lexeme::Op(Arc::clone(op)));
             op.len()
         } else {
             return Err(error(format!("unexpected character `{c}`")));

@@ -16,9 +16,10 @@ pub enum EvalError {
         /// Display name of the attribute or local.
         what: String,
     },
-    /// The dynamic evaluator found a cycle among attribute instances.
+    /// The dynamic or the incremental evaluator found a cycle among
+    /// attribute instances.
     CircularInstance {
-        /// The node on the cycle.
+        /// The node of an instance on the cycle or waiting on it.
         node: NodeId,
         /// Display name of the attribute.
         what: String,
