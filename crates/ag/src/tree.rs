@@ -501,14 +501,17 @@ impl AttrValues {
     /// Appends empty blocks for the nodes grafted into `tree` since the
     /// last call. Existing blocks, including those of replaced nodes, are
     /// left alone: invalidating cells after an edit is the evaluator's
-    /// decision.
+    /// decision. The blocks are reserved in one pass, so a store is
+    /// allocated once when a tree is first synced and grows amortized by
+    /// the grafts of later edits.
     pub fn sync(&mut self, grammar: &Grammar, tree: &Tree) {
-        for node in &tree.nodes[self.offsets.len()..] {
-            self.offsets.push(self.cells.len() as u32);
-            let ph = grammar.production(node.production).lhs();
-            let w = grammar.phylum(ph).attrs().len();
-            self.cells.extend(std::iter::repeat_with(|| None).take(w));
-        }
+        let widths = tree.nodes[self.offsets.len()..].iter().map(|n| {
+            grammar
+                .phylum(grammar.production(n.production).lhs())
+                .attrs()
+                .len()
+        });
+        append_blocks(&mut self.cells, &mut self.offsets, widths);
     }
 
     /// The value of `attr` at `node`, if evaluated.
@@ -594,13 +597,14 @@ impl LocalFrames {
     }
 
     /// Appends empty frames for the nodes grafted into `tree` since the
-    /// last call, leaving existing frames alone (see [`AttrValues::sync`]).
+    /// last call, leaving existing frames alone. Like
+    /// [`AttrValues::sync`], it sizes a fresh store in one pass and grows
+    /// amortized after edits.
     pub fn sync(&mut self, grammar: &Grammar, tree: &Tree) {
-        for node in &tree.nodes[self.offsets.len()..] {
-            self.offsets.push(self.cells.len() as u32);
-            let w = grammar.production(node.production).locals().len();
-            self.cells.extend(std::iter::repeat_with(|| None).take(w));
-        }
+        let widths = tree.nodes[self.offsets.len()..]
+            .iter()
+            .map(|n| grammar.production(n.production).locals().len());
+        append_blocks(&mut self.cells, &mut self.offsets, widths);
     }
 
     /// Gives `node` a fresh, empty frame of `width` locals at the end of
@@ -643,6 +647,22 @@ impl LocalFrames {
     /// Number of currently stored (live) local values.
     pub fn live_count(&self) -> usize {
         self.cells.iter().filter(|v| v.is_some()).count()
+    }
+}
+
+/// Appends one empty block per width to a flat arena, recording each
+/// block's base in `offsets`. Both vectors reserve the whole run first:
+/// `Vec::reserve` is exact on an empty vector and amortized on a full one.
+fn append_blocks(
+    cells: &mut Vec<Option<Value>>,
+    offsets: &mut Vec<u32>,
+    widths: impl ExactSizeIterator<Item = usize> + Clone,
+) {
+    offsets.reserve(widths.len());
+    cells.reserve(widths.clone().sum());
+    for w in widths {
+        offsets.push(cells.len() as u32);
+        cells.resize(cells.len() + w, None);
     }
 }
 

@@ -6,7 +6,7 @@
 //! reevaluated against the exhaustive instance count; its rows come from
 //! [`fnc2_bench::incremental_rows`], so a test checks that the docs quote
 //! them. A second table times
-//! a one-leaf edit against reevaluating the whole tree from scratch with
+//! one-leaf edits against reevaluating the whole tree from scratch with
 //! the demand-driven evaluator. A third does both on mini-Pascal: literal,
 //! statement and declaration edits in `sample_program` at three sizes,
 //! each wave timed against `Compiled::evaluate` on the same tree.
@@ -28,6 +28,12 @@ use fnc2_bench::{
 /// Timed rounds of the edit-vs-from-scratch table (`harness::paired`).
 const ROUNDS: usize = 31;
 
+/// One-leaf edits per timed round. A warm edit takes about 3 µs and a cold
+/// one up to 8, so a round takes more than 1 ms: long enough that its time
+/// is the edits', not the allocator and cache state that the from-scratch
+/// leg left behind.
+const EDITS: u32 = 512;
+
 fn main() {
     println!("Section 2.1.2: incremental vs. exhaustive reevaluation\n");
     let (headers, rows) = (INCREMENTAL_HEADERS, incremental_rows());
@@ -41,7 +47,8 @@ fn main() {
     let headers = [
         "tree depth",
         "instances",
-        "one-leaf edit",
+        "edits",
+        "per edit",
         "from scratch",
         "speedup",
     ];
@@ -51,17 +58,19 @@ fn main() {
     let mut inc =
         IncrementalEvaluator::new(&g, tree.clone(), Equality::default()).expect("evaluates");
     let demand = DynamicEvaluator::new(&g);
-    // Leaves hold values below 23, so every edit changes a value and
-    // propagates.
-    let mut value = 23;
+    // Leaves hold values below 23, and the first leaf toggles between 23
+    // and 24, so every edit changes a value and propagates.
+    let leaves = [sum_leaf(&g, 23), sum_leaf(&g, 24)];
+    let mut next = 0;
     let legs = paired(
         ROUNDS,
         &mut [
             &mut || {
-                value += 1;
-                let edit = sum_leaf(&g, value);
-                let at = first_leaf(inc.tree());
-                black_box(inc.replace_subtree(at, &edit).expect("edits"));
+                for _ in 0..EDITS {
+                    let at = first_leaf(inc.tree());
+                    black_box(inc.replace_subtree(at, &leaves[next]).expect("edits"));
+                    next = 1 - next;
+                }
             },
             &mut || _ = black_box(demand.evaluate(&tree, &RootInputs::new()).expect("runs")),
         ],
@@ -69,9 +78,10 @@ fn main() {
     let rows = [vec![
         depth.to_string(),
         inc.instance_count().to_string(),
-        format!("{:.2?}", legs[0].median),
+        EDITS.to_string(),
+        format!("{:.2?}", legs[0].median / EDITS),
         format!("{:.2?}", legs[1].median),
-        format!("{:.0}x", legs[1].ratio),
+        format!("{:.0}x", legs[1].ratio * f64::from(EDITS)),
     ]];
     println!("{}", render_table(&headers, &rows));
     let spread = [("speedup", &[legs[1].spread][..])];

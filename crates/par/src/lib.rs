@@ -119,7 +119,9 @@ pub struct BatchStats {
     pub trees: u64,
     /// Successful steals: tasks a worker took from another worker's deque.
     pub steals: u64,
-    /// Worker threads actually spawned.
+    /// Workers that ran, after clamping to the batch's size. The caller's
+    /// thread is worker 0, so a batch of `threads` workers spawns
+    /// `threads - 1` threads.
     pub threads: u64,
 }
 

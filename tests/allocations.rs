@@ -1,7 +1,8 @@
 //! A deterministic allocation gate on the mini-Pascal compile path: scan,
-//! parse, evaluation and single rule firings. Heap traffic, not name
-//! lookup, bounds that path, and unlike timings the counts repeat exactly,
-//! so a change that allocates per token or per call again fails here.
+//! parse, evaluation and single rule firings, plus one evaluation of a
+//! synthetic tree. Heap traffic, not name lookup, bounds that path, and
+//! unlike timings the counts repeat exactly, so a change that allocates per
+//! token, per call or per node again fails here.
 //!
 //! The global allocator counts each thread's allocations (`alloc`,
 //! `alloc_zeroed` and `realloc`), so tests running in parallel do not see
@@ -11,8 +12,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fnc2::ag::{Arg, Occ, RuleBody, Value};
+use fnc2::visit::{Evaluator, RootInputs};
 use fnc2::{Compiled, Pipeline};
-use fnc2_corpus::{minipascal_scanner, parse_minipascal, sample_program, MINIPASCAL_OLGA};
+use fnc2_corpus::{
+    minipascal_scanner, parse_minipascal, sample_program, synthetic, synthetic_tree,
+    MINIPASCAL_OLGA, TABLE1_PROFILES,
+};
 
 struct Counting;
 
@@ -92,12 +97,37 @@ fn parsing_and_evaluation_stay_within_their_allocations() {
     let (tree, parse) = allocations(|| parse_minipascal(&c.grammar, &src).unwrap());
     let (_, eval) = allocations(|| c.evaluate(&tree, &Default::default()).unwrap());
     println!("scan + parse: {parse} allocations; evaluation: {eval}");
-    // 1,416 and 7,937 when the bounds were set, plus about 10%: scanning
+    // 1,416 and 7,907 when the bounds were set, plus about 10%: scanning
     // allocates once per identifier or string token, parsing once per
     // interior node (its children), and a token value shares its lexeme's
     // text.
     assert!(parse <= 1560, "scan + parse: {parse} allocations");
-    assert!(eval <= 8750, "evaluation: {eval} allocations");
+    assert!(eval <= 8700, "evaluation: {eval} allocations");
+}
+
+#[test]
+fn one_tree_allocates_its_stores_once() {
+    for p in [&TABLE1_PROFILES[0], &TABLE1_PROFILES[6]] {
+        let c = Pipeline::new().compile(synthetic(p)).unwrap();
+        let ev = Evaluator::new(&c.grammar, &c.seqs);
+        let counts = [100, 800].map(|target| {
+            let tree = synthetic_tree(&c.grammar, p, target, 7);
+            ev.evaluate(&tree, &RootInputs::new()).unwrap();
+            let (_, n) = allocations(|| ev.evaluate(&tree, &RootInputs::new()).unwrap());
+            println!("{}: {} nodes, {n} allocations", p.name, tree.size());
+            n
+        });
+        // 10 and 13 when the bounds were set, plus 2. The stores take three
+        // (`AttrValues`' cells and offsets, `LocalFrames`' offsets: these
+        // grammars have no locals), the argument buffer one, and the frame
+        // stack the rest, doubling up to the tree's depth (both trees are
+        // chains, 65 and 693 deep). Stores that grow per node again make a
+        // dozen more calls on the bigger tree.
+        let [small, big] = counts;
+        assert!(small <= 12, "{}: {small} allocations", p.name);
+        assert!(big <= 15, "{}: {big} allocations", p.name);
+        assert!(big <= small + 4, "{}: {small} then {big}", p.name);
+    }
 }
 
 /// Fires the `code` rule of `op` on `args` twice and returns the second
