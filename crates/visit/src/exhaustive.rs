@@ -70,16 +70,6 @@ impl EvalStats {
     }
 }
 
-/// A suspended visit on [`Evaluator`]'s explicit frame stack: the next op
-/// of `node`'s visit `visit` is `ops[at]`.
-struct Frame<'a> {
-    node: NodeId,
-    p: ProductionId,
-    visit: u16,
-    ops: &'a [Op],
-    at: usize,
-}
-
 /// Values of the root's inherited attributes, supplied by the caller.
 pub type RootInputs = HashMap<AttrId, Value>;
 
@@ -290,7 +280,6 @@ impl<'g> Evaluator<'g> {
         }
         let visits = self.seqs.partitions_of(root_ph)[0].visit_count();
         let mut buf = Vec::with_capacity(8);
-        let mut stack = Vec::new();
         let mut ictx = self.intern.then(InternCtx::new);
         let label = if PLAN { "space" } else { "exhaustive" };
         for v in 1..=visits {
@@ -304,7 +293,6 @@ impl<'g> Evaluator<'g> {
                 &mut stats,
                 &mut counters,
                 &mut buf,
-                &mut stack,
                 &mut meter,
                 &mut ictx,
                 rec,
@@ -332,22 +320,27 @@ impl<'g> Evaluator<'g> {
     /// stack: generated evaluators must digest trees of arbitrary depth —
     /// list-like programs produce very deep spines). When a child frame
     /// finishes, the parent resumes at the op after its suspended
-    /// `Op::Visit`, whose delayed pops run first. `stack` is the run's one
-    /// frame stack, reused by each of the root's visits.
+    /// `Op::Visit`, whose delayed pops run first.
     #[allow(clippy::too_many_arguments)]
-    fn run_visit<'s, R: Recorder, const PLAN: bool>(
-        &'s self,
+    fn run_visit<R: Recorder, const PLAN: bool>(
+        &self,
         tree: &Tree,
         visit: usize,
         cells: &mut Cells,
         stats: &mut EvalStats,
         counters: &mut Counters,
         buf: &mut Vec<Value>,
-        stack: &mut Vec<Frame<'s>>,
         meter: &mut BudgetMeter,
         ictx: &mut Option<InternCtx>,
         rec: &mut R,
     ) -> Result<(), EvalError> {
+        struct Frame<'a> {
+            node: NodeId,
+            p: ProductionId,
+            visit: u16,
+            ops: &'a [Op],
+            at: usize,
+        }
         let label = if PLAN { "space" } else { "exhaustive" };
         let lowered: &Lowered = &self.code;
         let frame = |node: NodeId, partition: usize, visit: u16| {
@@ -369,8 +362,7 @@ impl<'g> Evaluator<'g> {
                 });
             }
         };
-        stack.clear();
-        stack.push(frame(tree.root(), 0, visit as u16));
+        let mut stack = vec![frame(tree.root(), 0, visit as u16)];
         stats.visits += 1;
         enter(rec, &stack[0]);
         while let Some(top) = stack.last_mut() {

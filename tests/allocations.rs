@@ -97,7 +97,7 @@ fn parsing_and_evaluation_stay_within_their_allocations() {
     let (tree, parse) = allocations(|| parse_minipascal(&c.grammar, &src).unwrap());
     let (_, eval) = allocations(|| c.evaluate(&tree, &Default::default()).unwrap());
     println!("scan + parse: {parse} allocations; evaluation: {eval}");
-    // 1,416 and 7,907 when the bounds were set, plus about 10%: scanning
+    // 1,416 and 7,908 when the bounds were set, plus about 10%: scanning
     // allocates once per identifier or string token, parsing once per
     // interior node (its children), and a token value shares its lexeme's
     // text.
@@ -117,15 +117,15 @@ fn one_tree_allocates_its_stores_once() {
             println!("{}: {} nodes, {n} allocations", p.name, tree.size());
             n
         });
-        // 10 and 13 when the bounds were set, plus 2. The stores take three
+        // 11 and 14 when the bounds were set, plus 2. The stores take three
         // (`AttrValues`' cells and offsets, `LocalFrames`' offsets: these
-        // grammars have no locals), the argument buffer one, and the frame
-        // stack the rest, doubling up to the tree's depth (both trees are
-        // chains, 65 and 693 deep). Stores that grow per node again make a
-        // dozen more calls on the bigger tree.
+        // grammars have no locals), the argument buffer one, and the root
+        // visit's frame stack the rest, doubling up to the tree's depth
+        // (both trees are chains, 65 and 693 deep). Stores that grow per
+        // node again make a dozen more calls on the bigger tree.
         let [small, big] = counts;
-        assert!(small <= 12, "{}: {small} allocations", p.name);
-        assert!(big <= 15, "{}: {big} allocations", p.name);
+        assert!(small <= 13, "{}: {small} allocations", p.name);
+        assert!(big <= 16, "{}: {big} allocations", p.name);
         assert!(big <= small + 4, "{}: {small} then {big}", p.name);
     }
 }
