@@ -69,7 +69,6 @@ mod deps;
 mod error;
 mod grammar;
 mod ids;
-pub mod intern;
 mod tree;
 mod value;
 
@@ -81,6 +80,5 @@ pub use grammar::{
     SemRule,
 };
 pub use ids::{AttrId, FuncId, LocalId, NodeId, ONode, Occ, PhylumId, ProductionId};
-pub use intern::{InternStats, Interner, MemoCache, MemoKey};
 pub use tree::{term_to_tree, AttrValues, LocalFrames, Node, Preorder, Tree, TreeBuilder};
-pub use value::{List, Map, Term, Value, ValueIdent, FLAT_MAX};
+pub use value::{List, Map, Term, Value, FLAT_MAX};

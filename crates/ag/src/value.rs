@@ -18,8 +18,8 @@
 //! The count is *logical*: a list that holds one sub-list twice counts it
 //! twice, whatever is shared, so the budget meter's charge is O(1) per
 //! rule and independent of how the value was built. Nothing but time and
-//! memory depends on that shape: equality, `Debug`/`Display`, interning
-//! and every encoding see only the element sequence.
+//! memory depends on that shape: equality, `Debug`/`Display` and every
+//! encoding see only the element sequence.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -234,29 +234,6 @@ impl Value {
         }
     }
 
-    /// The identity token of this value: scalars by payload (reals by bit
-    /// pattern), compound values by the address of their shared allocation.
-    ///
-    /// Two values with equal identities are bitwise-structurally equal
-    /// **provided** compound allocations are kept alive for the comparison
-    /// window (an address can be reused once its `Arc` drops) — the
-    /// [`Interner`](crate::intern::Interner) guarantees exactly that for
-    /// canonical values, which is what makes identity comparison a sound
-    /// O(1) equality for interned attribute stores.
-    pub fn ident(&self) -> ValueIdent {
-        match self {
-            Value::Unit => ValueIdent::Unit,
-            Value::Bool(b) => ValueIdent::Bool(*b),
-            Value::Int(i) => ValueIdent::Int(*i),
-            Value::Real(r) => ValueIdent::Real(r.to_bits()),
-            Value::Str(s) => ValueIdent::Str(Arc::as_ptr(s) as *const u8 as usize),
-            Value::List(l) => ValueIdent::List(l.addr()),
-            Value::Tuple(t) => ValueIdent::Tuple(Arc::as_ptr(t) as usize),
-            Value::Map(m) => ValueIdent::Map(Arc::as_ptr(m) as usize),
-            Value::Term(t) => ValueIdent::Term(Arc::as_ptr(t) as usize),
-        }
-    }
-
     /// A coarse, logical measure of the heap cells this value denotes: one
     /// per node of the value read as a tree, shared parts counted at every
     /// occurrence, saturating at `usize::MAX`. O(1) for lists and maps,
@@ -274,39 +251,9 @@ impl Value {
     }
 }
 
-/// A value's identity: the payload for scalars (reals by bit pattern), the
-/// shared allocation's address for compound values, tagged by variant.
-///
-/// Identity equality implies structural equality whenever the compound
-/// allocations involved are pinned (see [`Value::ident`]); the converse
-/// holds only for values canonicalized in the *same*
-/// [`Interner`](crate::intern::Interner). `ValueIdent` is `Copy + Eq +
-/// Hash`, which is what makes it usable as a memo-cache key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ValueIdent {
-    /// The unit value.
-    Unit,
-    /// A boolean, by payload.
-    Bool(bool),
-    /// An integer, by payload.
-    Int(i64),
-    /// A real, by IEEE-754 bit pattern.
-    Real(u64),
-    /// A string, by allocation address.
-    Str(usize),
-    /// A list, by allocation address.
-    List(usize),
-    /// A tuple, by allocation address.
-    Tuple(usize),
-    /// A map, by allocation address.
-    Map(usize),
-    /// A term, by allocation address.
-    Term(usize),
-}
-
 impl PartialEq for Value {
     /// Structural equality with an O(1) fast path: compound values sharing
-    /// one allocation (copy rules, interned canonical representatives) are
+    /// one allocation (as every copy rule's source and target do) are
     /// equal without recursion. The slow path is the usual deep recursion,
     /// which itself short-circuits on shared subtrees.
     fn eq(&self, other: &Self) -> bool {
@@ -511,7 +458,7 @@ impl List {
         self.0.cells.saturating_add(1)
     }
 
-    /// The address of this list's node (its [`Value::ident`]).
+    /// The address of this list's node.
     pub fn addr(&self) -> usize {
         Arc::as_ptr(&self.0) as usize
     }
@@ -706,12 +653,6 @@ impl Map {
         if let Some(old) = self.entries.insert(key, value) {
             self.cells = self.cells.saturating_sub(old.cell_count());
         }
-    }
-
-    /// The values, mutably, for replacing each by an equal one (which
-    /// keeps the cached count).
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
-        self.entries.values_mut()
     }
 }
 

@@ -6,8 +6,8 @@
 //! trivial plan) and with the space plan on growing inputs and reports the
 //! high-water mark of live storage cells, the reduction factor, the
 //! runtime copy-elimination volume, and the time of the trivial plan over
-//! the real plan's (median of 31 paired rounds, interning off; above 1 the
-//! plan is faster).
+//! the real plan's (median of 31 paired rounds; above 1 the plan is
+//! faster).
 //!
 //! Run with `cargo run --release --bin table_space -p fnc2-bench`.
 

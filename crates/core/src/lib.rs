@@ -204,10 +204,9 @@ pub struct Compiled {
     pub lint: fnc2_lint::LintReport,
     /// The generator's summary.
     pub report: Report,
-    /// The hash-consing setting for callers that build their own
-    /// [`Evaluator`]: pass it to [`Evaluator::with_interning`]. Always
-    /// `false` after compile and table load. The evaluation methods of
-    /// this type never intern.
+    /// Always `false`: values are never hash-consed. Inert, kept only
+    /// because the e2e benchmark still reads it; it goes once the
+    /// benchmark's revision drops that read.
     pub intern: bool,
     /// The rules and op streams that [`evaluate`](Self::evaluate) runs,
     /// built from `grammar` and `seqs` once, by the first evaluation.

@@ -96,38 +96,6 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
         .evaluate(&tree, &inputs)
         .map_err(|e| div("exhaustive", format!("reference evaluation failed: {e}")))?;
 
-    // ---- Interned evaluation: hash-consing must be invisible. ----------
-    // The canonical-representative transport may share allocations but
-    // must never change a single attribute value or run counter.
-    {
-        let (vals, stats) = Evaluator::new(g, &seqs)
-            .with_interning(true)
-            .evaluate(&tree, &inputs)
-            .map_err(|e| div("interned", format!("interned evaluation failed: {e}")))?;
-        if stats != ref_stats {
-            return Err(div(
-                "interned-vs-plain",
-                format!("interned stats {stats:?} != plain {ref_stats:?}"),
-            ));
-        }
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(g, n);
-            for &attr in g.phylum(ph).attrs() {
-                if vals.get(g, n, attr) != reference.get(g, n, attr) {
-                    return Err(div(
-                        "interned-vs-plain",
-                        format!(
-                            "node {n:?} attr {}: interned {:?}, plain {:?}",
-                            g.attr(attr).name(),
-                            vals.get(g, n, attr),
-                            reference.get(g, n, attr)
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
     // ---- Work-stealing batch driver: bit-identical to sequential. ------
     let batch_trees = vec![tree.clone(), tree.clone(), tree.clone()];
     let budget = EvalBudget::default();

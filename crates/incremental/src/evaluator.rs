@@ -252,14 +252,6 @@ impl<'g> IncrementalEvaluator<'g> {
         Ok(this)
     }
 
-    /// Decides whether `old` and `new` are the same value for the change
-    /// cutoff. Identity equality short-circuits first: two live values
-    /// with one identity are the same allocation, and any reflexive
-    /// equality accepts them.
-    fn values_same(&self, old: &Value, new: &Value) -> bool {
-        old.ident() == new.ident() || self.eq.same(old, new)
-    }
-
     /// The decorated tree.
     pub fn tree(&self) -> &Tree {
         &self.tree
@@ -621,7 +613,7 @@ impl<'g> IncrementalEvaluator<'g> {
         w.stats.reevaluated += 1;
         let status = match self.get(inst) {
             None => ChangeStatus::Unknown,
-            Some(old) if self.values_same(old, &new) => ChangeStatus::Unchanged,
+            Some(old) if self.eq.same(old, &new) => ChangeStatus::Unchanged,
             Some(_) => ChangeStatus::Changed,
         };
         if rec.trace() {
@@ -1031,6 +1023,39 @@ mod tests {
         let e = g.phylum_by_name("E").unwrap();
         let sum = g.attr_by_name(e, "sum").unwrap();
         assert_eq!(inc.value(leaf(&inc, 6), sum), Some(&Value::Int(4)));
+    }
+
+    #[test]
+    fn the_cutoff_asks_the_equality_once_per_firing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let g = sum_grammar();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let eq = Equality::new(move |a, b| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            a == b
+        });
+        let mut inc = IncrementalEvaluator::new(&g, build_tree(&g, &[5, 2, 3]), eq).unwrap();
+        // The initial decoration has no old values to compare.
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 0);
+
+        // An equal leaf fires once and is cut: the equality decides that
+        // too, even though old and new are the same integer.
+        let stats = inc
+            .replace_subtree(leaf(&inc, 5), &leaf_tree(&g, 5))
+            .unwrap();
+        assert_eq!((stats.reevaluated, stats.cut), (1, 1));
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 1);
+
+        // A changed leaf: every firing has an old value to compare with.
+        let stats = inc
+            .replace_subtree(leaf(&inc, 2), &leaf_tree(&g, 7))
+            .unwrap();
+        assert!(stats.changed > 0, "{stats:?}");
+        assert_eq!(calls.load(Ordering::Relaxed), stats.reevaluated);
+        assert_matches_scratch(&g, &inc);
     }
 
     #[test]

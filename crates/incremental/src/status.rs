@@ -23,8 +23,7 @@ impl Equality {
     /// Wraps a custom comparison.
     ///
     /// The comparison must be reflexive (`eq(v, v)` is `true` for every
-    /// value): the evaluator takes bitwise-identical old/new values as
-    /// unchanged without consulting it.
+    /// value).
     pub fn new(eq: impl Fn(&Value, &Value) -> bool + Send + Sync + 'static) -> Self {
         Equality { eq: Arc::new(eq) }
     }

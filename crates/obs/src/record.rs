@@ -68,7 +68,7 @@ pub enum Key {
     SpacePlanNode,
     /// Copy rules eliminated by storage grouping.
     SpacePlanCopiesEliminated,
-    /// Constant fetches served from the evaluator's interned pool
+    /// Constant fetches served from the evaluator's constant pool
     /// (proof that per-execution deep clones of `Arg::Const` are gone).
     EvalConstHits,
     /// Trees evaluated by the parallel batch driver.
@@ -90,13 +90,15 @@ pub enum Key {
     /// Artifacts rejected (stale fingerprint, version skew, corruption)
     /// and recovered from by full recompilation.
     TablesCacheRejected,
-    /// Values found already canonical in the hash-cons intern table.
+    /// Never counted: values are not hash-consed. This key and the next
+    /// three are inert, kept only because the e2e benchmark still reads
+    /// them; they go once the benchmark's revision drops those reads.
     EvalInternHits,
-    /// Fresh values canonicalized into the hash-cons intern table.
+    /// Never counted (see [`Key::EvalInternHits`]).
     EvalInternMisses,
-    /// Semantic-function applications served from the memo cache.
+    /// Never counted (see [`Key::EvalInternHits`]).
     EvalMemoHits,
-    /// High-water occupancy of the hash-cons intern table.
+    /// Never counted (see [`Key::EvalInternHits`]).
     EvalInternSize,
     /// Corrupt/mismatched artifacts moved to the cache's `quarantine/`
     /// subdirectory instead of being silently overwritten.
@@ -222,7 +224,7 @@ impl Key {
     /// True for keys with high-water-mark (max) semantics rather than
     /// additive semantics.
     pub fn is_high_water(self) -> bool {
-        matches!(self, Key::SpaceMaxLiveCells | Key::EvalInternSize)
+        matches!(self, Key::SpaceMaxLiveCells)
     }
 }
 

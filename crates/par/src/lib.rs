@@ -770,35 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn interned_batch_is_bit_identical_across_thread_counts() {
-        let g = count_grammar();
-        let seqs = seqs_for(&g);
-        let trees = chains(&g, 24);
-        let n = g.attr_by_name(g.phylum_by_name("S").unwrap(), "n").unwrap();
-
-        // Ground truth: the plain uninterned sequential evaluator.
-        let plain = Evaluator::new(&g, &seqs);
-        let want = plain_batch(&plain, &trees, 1);
-
-        // A private per-evaluation interner, at every thread count, must
-        // reproduce it bit for bit.
-        let local = Evaluator::new(&g, &seqs).with_interning(true);
-        for threads in [1, 2, 4, 8] {
-            let got = plain_batch(&local, &trees, threads);
-            for (i, (a, b)) in want.outcomes.iter().zip(&got.outcomes).enumerate() {
-                let (va, sa) = decorated(a);
-                let (vb, sb) = decorated(b);
-                assert_eq!(sa, sb, "stats diverge on tree {i} at {threads} threads");
-                assert_eq!(
-                    va.get(&g, trees[i].root(), n),
-                    vb.get(&g, trees[i].root(), n),
-                    "values diverge on tree {i} at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn one_poisoned_tree_never_loses_the_others() {
         let g = count_grammar();
         let seqs = seqs_for(&g);

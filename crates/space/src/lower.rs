@@ -195,46 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn interned_run_matches_plain() {
-        let g = two_pass();
-        let mut tb = TreeBuilder::new(&g);
-        let mut cur = tb.op("leaf", &[]).unwrap();
-        for _ in 0..20 {
-            cur = tb.op("mid", &[cur]).unwrap();
-        }
-        let root = tb.op("root", &[cur]).unwrap();
-        let tree = tb.finish_root(root).unwrap();
-
-        let snc = snc_test(&g);
-        let lo = snc_to_l_ordered(&g, &snc, Inclusion::Long).unwrap();
-        let seqs = build_visit_seqs(&g, &lo);
-        let fp = FlatProgram::new(&g, &seqs);
-        let objects = ObjectIndex::new(&g);
-        let lt = Lifetimes::analyze(&g, &seqs, &fp, &objects);
-        let plan = crate::alloc::plan_storage(&g, &seqs, &fp, &objects, &lt);
-
-        let (want, want_stats) = plan_evaluator(&g, &seqs, &fp, &plan)
-            .evaluate(&tree, &RootInputs::new())
-            .unwrap();
-        let (got, got_stats) = plan_evaluator(&g, &seqs, &fp, &plan)
-            .with_interning(true)
-            .evaluate(&tree, &RootInputs::new())
-            .unwrap();
-
-        let root_ph = g.production(tree.node(tree.root()).production()).lhs();
-        for attr in g.synthesized(root_ph) {
-            assert_eq!(
-                got.get(&g, tree.root(), attr),
-                want.get(&g, tree.root(), attr),
-                "root attribute {}",
-                g.attr(attr).name()
-            );
-        }
-        // Interning must not change the storage accounting.
-        assert_eq!(got_stats, want_stats);
-    }
-
-    #[test]
     fn stacks_drain_completely() {
         let g = two_pass();
         let mut tb = TreeBuilder::new(&g);

@@ -263,8 +263,7 @@ fn desk_tree(g: &Grammar) -> Tree {
 /// Pins what each run executes, so merging the node-storage and the plan
 /// interpreters can be shown to change none of it: for the node-storage
 /// run `[visits, evals, copies, eval.const_hits]`, for the plan run
-/// `[visits, evals, copies_skipped, max_live_cells, final_node_cells]`,
-/// with interning off and on alike.
+/// `[visits, evals, copies_skipped, max_live_cells, final_node_cells]`.
 #[test]
 fn run_stats_match_their_pinned_values() {
     type Case = (Grammar, Box<dyn Fn(&Grammar) -> Tree>, [u64; 4], [usize; 5]);
@@ -314,33 +313,29 @@ fn run_stats_match_their_pinned_values() {
         let seqs = build_visit_seqs(g, &c.l_ordered.unwrap());
         let (fp, _, _, plan) = analyze_space(g, &seqs);
         let tree = tree_of(g);
-        for intern in [false, true] {
-            let mut obs = Obs::new();
-            let (_, s) = Evaluator::new(g, &seqs)
-                .with_interning(intern)
-                .evaluate_with(&tree, &RootInputs::new(), &EvalBudget::default(), &mut obs)
-                .unwrap();
-            let node = [s.visits, s.evals, s.copies].map(|n| n as u64);
-            let node = [
-                node[0],
-                node[1],
-                node[2],
-                obs.metrics.counter("eval.const_hits"),
-            ];
-            assert_eq!(&node, want_node, "{} node run, intern {intern}", g.name());
-            let (_, s) = plan_evaluator(g, &seqs, &fp, &plan)
-                .with_interning(intern)
-                .evaluate(&tree, &RootInputs::new())
-                .unwrap();
-            let got = [
-                s.visits,
-                s.evals,
-                s.copies_skipped,
-                s.max_live_cells,
-                s.final_node_cells,
-            ];
-            assert_eq!(&got, want_plan, "{} plan run, intern {intern}", g.name());
-        }
+        let mut obs = Obs::new();
+        let (_, s) = Evaluator::new(g, &seqs)
+            .evaluate_with(&tree, &RootInputs::new(), &EvalBudget::default(), &mut obs)
+            .unwrap();
+        let node = [s.visits, s.evals, s.copies].map(|n| n as u64);
+        let node = [
+            node[0],
+            node[1],
+            node[2],
+            obs.metrics.counter("eval.const_hits"),
+        ];
+        assert_eq!(&node, want_node, "{} node run", g.name());
+        let (_, s) = plan_evaluator(g, &seqs, &fp, &plan)
+            .evaluate(&tree, &RootInputs::new())
+            .unwrap();
+        let got = [
+            s.visits,
+            s.evals,
+            s.copies_skipped,
+            s.max_live_cells,
+            s.final_node_cells,
+        ];
+        assert_eq!(&got, want_plan, "{} plan run", g.name());
     }
 }
 

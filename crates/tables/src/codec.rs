@@ -204,7 +204,10 @@ pub(crate) fn enc_value(e: &mut Enc, v: &Value) {
         }
         Value::List(items) => {
             e.u8(5);
-            enc_vec(e, items.as_slice(), enc_value);
+            e.usize(items.len());
+            for x in items.iter() {
+                enc_value(e, x);
+            }
         }
         Value::Tuple(items) => {
             e.u8(6);

@@ -19,7 +19,7 @@ use fnc2_ag::{AttrId, AttrValues, Grammar, NodeId, ONode, Occ, ProductionId, Tre
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler, StorageClass};
 
-use crate::program::{at_child, Cells, CompiledProgram, CompiledRule, InternCtx, Op, SlotRef};
+use crate::program::{at_child, Cells, CompiledProgram, CompiledRule, Op, SlotRef};
 use crate::rules::EvalError;
 use crate::seq::VisitSeqs;
 
@@ -125,7 +125,6 @@ pub struct Evaluator<'g> {
     grammar: &'g Grammar,
     seqs: &'g VisitSeqs,
     code: Cow<'g, Lowered>,
-    intern: bool,
 }
 
 /// Installs the op streams of the visit-sequence `key`, one per visit.
@@ -149,7 +148,6 @@ impl<'g> Evaluator<'g> {
             grammar,
             seqs,
             code: Cow::Owned(Lowered::new(grammar, seqs)),
-            intern: false,
         }
     }
 
@@ -160,7 +158,6 @@ impl<'g> Evaluator<'g> {
             grammar,
             seqs,
             code: Cow::Borrowed(code),
-            intern: false,
         }
     }
 
@@ -184,11 +181,10 @@ impl<'g> Evaluator<'g> {
         self
     }
 
-    /// Enables or disables hash-cons interning for this evaluator (a
-    /// private table and memo cache per evaluation). Off by default; no
-    /// product entry point turns it on.
-    pub fn with_interning(mut self, on: bool) -> Self {
-        self.intern = on;
+    /// Returns `self` unchanged: values are never hash-consed. Inert, kept
+    /// only because the e2e benchmark still calls it; it goes once the
+    /// benchmark's revision drops that call.
+    pub fn with_interning(self, _on: bool) -> Self {
         self
     }
 
@@ -280,7 +276,6 @@ impl<'g> Evaluator<'g> {
         }
         let visits = self.seqs.partitions_of(root_ph)[0].visit_count();
         let mut buf = Vec::with_capacity(8);
-        let mut ictx = self.intern.then(InternCtx::new);
         let label = if PLAN { "space" } else { "exhaustive" };
         for v in 1..=visits {
             if let Some(t) = rec.spans() {
@@ -294,7 +289,6 @@ impl<'g> Evaluator<'g> {
                 &mut counters,
                 &mut buf,
                 &mut meter,
-                &mut ictx,
                 rec,
             );
             if let Some(t) = rec.spans() {
@@ -331,7 +325,6 @@ impl<'g> Evaluator<'g> {
         counters: &mut Counters,
         buf: &mut Vec<Value>,
         meter: &mut BudgetMeter,
-        ictx: &mut Option<InternCtx>,
         rec: &mut R,
     ) -> Result<(), EvalError> {
         struct Frame<'a> {
@@ -400,13 +393,11 @@ impl<'g> Evaluator<'g> {
                         self.grammar,
                         tree,
                         p,
-                        *rule,
                         code,
                         node,
                         cells,
                         buf,
                         counters,
-                        ictx.as_mut(),
                     )?;
                     if let Some(prof) = rec.profiler() {
                         prof.record(
@@ -759,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn const_fetches_hit_the_interned_pool() {
+    fn const_fetches_hit_the_constant_pool() {
         let g = binary();
         let snc = snc_test(&g);
         let lo = snc_to_l_ordered(&g, &snc, Inclusion::Long).unwrap();
@@ -770,7 +761,7 @@ mod tests {
         ev.evaluate_with(&tree, &RootInputs::new(), &EvalBudget::default(), &mut obs)
             .unwrap();
         // "1001": one `number` const-scale, one `single` const-length, and
-        // two `zero` const bit values — four interned-constant fetches.
+        // two `zero` const bit values — four constant-pool fetches.
         assert_eq!(obs.metrics.counter("eval.const_hits"), 4);
     }
 }

@@ -55,8 +55,7 @@ mod seq;
 pub use dynamic::DynamicEvaluator;
 pub use exhaustive::{EvalStats, Evaluator, Lowered, RootInputs};
 pub use program::{
-    CBody, Cells, CompiledProduction, CompiledProgram, CompiledRule, FetchOp, InternCtx, Op,
-    SlotRef,
+    CBody, Cells, CompiledProduction, CompiledProgram, CompiledRule, FetchOp, Op, SlotRef,
 };
 pub use provenance::{dependency_slice, Inst, Slice, SliceStep};
 pub use rules::{eval_rule, eval_rule_resolved, EvalError, Store};

@@ -7,7 +7,7 @@
 //! reproduction to the same shape. At evaluator-construction time every
 //! semantic rule of every production is compiled once into a
 //! [`CompiledRule`]: each argument becomes a [`FetchOp`] with its storage
-//! location fully resolved — constants interned into a shared pool, node
+//! location fully resolved — constants pooled once per program, node
 //! attributes reduced to `(child position, slot offset)` pairs addressing
 //! the flat [`AttrValues`] arena, production locals reduced to frame slots
 //! in [`LocalFrames`]. Each visit-sequence instruction is then lowered to
@@ -23,66 +23,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fnc2_ag::{
-    Arg, AttrId, AttrValues, FuncId, Grammar, Interner, LocalFrames, LocalId, MemoCache, MemoKey,
-    NodeId, ONode, Occ, ProductionId, RuleBody, Tree, Value,
+    Arg, AttrId, AttrValues, FuncId, Grammar, LocalFrames, LocalId, NodeId, ONode, Occ,
+    ProductionId, RuleBody, Tree, Value,
 };
 use fnc2_obs::{Counters, Key};
 
 use crate::rules::EvalError;
 use crate::seq::Instr;
 
-/// The per-evaluation interning context: a private hash-cons table plus
-/// the `(rule, canonical argument ids) → result` memo cache.
-///
-/// When the visit-sequence interpreter runs with one of these (its
-/// `with_interning` opt-in), every value a rule produces or transports is
-/// canonicalized, and repeated applications of a pure semantic function
-/// to bitwise-equal arguments are served from the memo cache without
-/// calling the function.
-#[derive(Debug, Default)]
-pub struct InternCtx {
-    table: Interner,
-    memo: MemoCache,
-}
-
-impl InternCtx {
-    /// A context with an empty table and an empty memo cache.
-    pub fn new() -> InternCtx {
-        InternCtx::default()
-    }
-
-    /// Canonicalizes `v`; returns the representative and whether its
-    /// identity is stable (pinned by the table) and therefore usable in
-    /// memo keys. Table statistics stream into `counters`.
-    pub fn intern(&mut self, v: Value, counters: &mut Counters) -> (Value, bool) {
-        let before = self.table.stats();
-        let v = self.table.intern(v);
-        let after = self.table.stats();
-        counters.add(Key::EvalInternHits, after.hits - before.hits);
-        counters.add(Key::EvalInternMisses, after.misses - before.misses);
-        counters.raise(Key::EvalInternSize, after.len);
-        let stable = self.table.is_stable(&v);
-        (v, stable)
-    }
-
-    fn memo_get(&mut self, key: &MemoKey, counters: &mut Counters) -> Option<Value> {
-        let hit = self.memo.get(key);
-        if hit.is_some() {
-            counters.add(Key::EvalMemoHits, 1);
-        }
-        hit
-    }
-
-    fn memo_put(&mut self, key: MemoKey, result: Value) {
-        self.memo.put(key, result);
-    }
-}
-
 /// A pre-resolved argument fetch: where one rule argument comes from, with
 /// every lookup done at compile time.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FetchOp {
-    /// An interned constant — an index into [`CompiledProgram::consts`].
+    /// A pooled constant — an index into [`CompiledProgram::consts`].
     Const(u32),
     /// The lexical token attached to the node the rule applies at.
     Token,
@@ -301,7 +254,8 @@ pub struct CompiledProgram {
     consts: Vec<Value>,
 }
 
-fn intern(consts: &mut Vec<Value>, v: &Value) -> u32 {
+/// The index of `v` in the constant pool, added if it is new.
+fn pool(consts: &mut Vec<Value>, v: &Value) -> u32 {
     match consts.iter().position(|c| c == v) {
         Some(i) => i as u32,
         None => {
@@ -316,7 +270,7 @@ impl CompiledProgram {
     pub fn new(grammar: &Grammar) -> Self {
         let mut consts = Vec::new();
         let compile_fetch = |consts: &mut Vec<Value>, arg: &Arg| match arg {
-            Arg::Const(v) => FetchOp::Const(intern(consts, v)),
+            Arg::Const(v) => FetchOp::Const(pool(consts, v)),
             Arg::Token => FetchOp::Token,
             Arg::Node(ONode::Attr(Occ { pos, attr })) => FetchOp::Attr {
                 child: *pos,
@@ -365,7 +319,7 @@ impl CompiledProgram {
         &self.prods[production.index()]
     }
 
-    /// The interned constant pool shared by all rules.
+    /// The constant pool shared by all rules, each constant once.
     pub fn consts(&self) -> &[Value] {
         &self.consts
     }
@@ -490,14 +444,12 @@ impl CompiledProgram {
         counters: &mut Counters,
     ) -> Result<(Value, bool), EvalError> {
         let cr = &self.prods[p.index()].rules[rule as usize];
-        self.exec_rule(grammar, tree, p, rule, cr, node, cells, buf, counters, None)
+        self.exec_rule(grammar, tree, p, cr, node, cells, buf, counters)
     }
 
     /// [`eval_rule`](Self::eval_rule) with the [`CompiledRule`] already in
     /// hand — the interpreter's ops carry it, lowered under their storage
     /// plan, for both execution and the store, so this is forced inline.
-    /// With an [`InternCtx`], every produced value is canonicalized and
-    /// function calls consult the memo cache.
     ///
     /// # Errors
     ///
@@ -509,63 +461,21 @@ impl CompiledProgram {
         grammar: &Grammar,
         tree: &Tree,
         p: ProductionId,
-        rule: u32,
         cr: &CompiledRule,
         node: NodeId,
         cells: &Cells,
         buf: &mut Vec<Value>,
         counters: &mut Counters,
-        ictx: Option<&mut InternCtx>,
     ) -> Result<(Value, bool), EvalError> {
         match &cr.body {
             CBody::Copy(op) => {
                 let v = self.fetch(grammar, tree, p, node, op, cells, counters)?;
-                let v = match ictx {
-                    Some(ictx) => ictx.intern(v, counters).0,
-                    None => v,
-                };
                 Ok((v, cr.is_copy))
             }
             CBody::Call { func, args } => {
                 buf.clear();
                 for op in args {
                     buf.push(self.fetch(grammar, tree, p, node, op, cells, counters)?);
-                }
-                if let Some(ictx) = ictx {
-                    // Canonicalize the argument vector; copy-rule transport
-                    // keeps stores canonical, so these are O(1) hits in the
-                    // steady state.
-                    let mut stable = true;
-                    for a in buf.iter_mut() {
-                        let (v, s) = ictx.intern(std::mem::take(a), counters);
-                        *a = v;
-                        stable &= s;
-                    }
-                    let key: Option<MemoKey> = stable.then(|| {
-                        (
-                            p.index() as u32,
-                            rule,
-                            buf.iter().map(Value::ident).collect(),
-                        )
-                    });
-                    if let Some(key) = &key {
-                        if let Some(hit) = ictx.memo_get(key, counters) {
-                            return Ok((hit, false));
-                        }
-                    }
-                    let v = grammar.function(*func).apply(buf).map_err(|e| {
-                        EvalError::SemanticFailure {
-                            node,
-                            message: e.message,
-                        }
-                    })?;
-                    let (v, result_stable) = ictx.intern(v, counters);
-                    if let Some(key) = key {
-                        if result_stable {
-                            ictx.memo_put(key, v.clone());
-                        }
-                    }
-                    return Ok((v, false));
                 }
                 let v =
                     grammar
@@ -588,7 +498,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constants_are_interned_once() {
+    fn constants_are_pooled_once() {
         // Two productions both using the constant 0 share one pool slot.
         let mut g = GrammarBuilder::new("t");
         let s = g.phylum("S");

@@ -287,84 +287,6 @@ fn batch_driver_is_deterministic_across_thread_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// Hash-consed evaluation vs. plain, across batch thread counts: interning
-// (a private table per evaluation) must be invisible in every value and
-// every stats block
-// ---------------------------------------------------------------------------
-
-#[test]
-fn interned_batch_matches_plain_across_thread_counts() {
-    use fnc2::guard::EvalBudget;
-    use fnc2::par::{batch_evaluate_guarded, TreeOutcome};
-    use fnc2::visit::Evaluator;
-
-    let mut rng = Rng::seed_from_u64(0x1e7a);
-    for corpus in ["binary", "blocks"] {
-        let (compiled, trees): (_, Vec<Tree>) = match corpus {
-            "binary" => {
-                let compiled = Pipeline::new().compile(fnc2_corpus::binary()).unwrap();
-                let trees = (0..24)
-                    .map(|_| fnc2_corpus::binary_tree(&compiled.grammar, &random_bits(&mut rng)))
-                    .collect();
-                (compiled, trees)
-            }
-            _ => {
-                let compiled = Pipeline::new().compile(fnc2_corpus::blocks()).unwrap();
-                let trees = (0..24)
-                    .map(|_| {
-                        let spec = format!(
-                            "{} [ {} ]",
-                            random_blocks_spec(&mut rng),
-                            random_blocks_spec(&mut rng)
-                        );
-                        fnc2_corpus::blocks_tree(&compiled.grammar, &spec)
-                    })
-                    .collect();
-                (compiled, trees)
-            }
-        };
-        let g = &compiled.grammar;
-        let inputs = RootInputs::new();
-
-        // Plain sequential reference: no interner anywhere.
-        let plain = Evaluator::new(g, &compiled.seqs);
-        let reference: Vec<_> = trees
-            .iter()
-            .map(|t| plain.evaluate(t, &inputs).expect("plain evaluation"))
-            .collect();
-
-        let interned = Evaluator::new(g, &compiled.seqs).with_interning(true);
-        for threads in [1usize, 2, 4, 8] {
-            let budget = EvalBudget::default();
-            let report =
-                batch_evaluate_guarded(&interned, &trees, &inputs, threads, &budget, 0, None);
-            for (i, o) in report.outcomes.iter().enumerate() {
-                let TreeOutcome::Ok(vals, stats) = o else {
-                    panic!("{corpus} tree {i}: interned batch {}", o.label());
-                };
-                let (ref_vals, ref_stats) = &reference[i];
-                assert_eq!(
-                    stats, ref_stats,
-                    "{corpus} tree {i} at {threads} threads: stats diverge"
-                );
-                for (n, _) in trees[i].preorder() {
-                    let ph = trees[i].phylum(g, n);
-                    for &attr in g.phylum(ph).attrs() {
-                        assert_eq!(
-                            vals.get(g, n, attr),
-                            ref_vals.get(g, n, attr),
-                            "{corpus} tree {i} at {threads} threads: \
-                             node {n:?} attr {} diverges",
-                            g.attr(attr).name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Incremental vs. from-scratch under random edit sequences
 // ---------------------------------------------------------------------------
 
