@@ -143,6 +143,9 @@ impl GrammarBuilder {
             rhs: rhs.to_vec(),
             rules: Vec::new(),
             locals: Vec::new(),
+            base: Box::default(),
+            nodes: Box::default(),
+            rule_at: Box::default(),
         });
         self.phyla[lhs.index()].productions.push(id);
         id
@@ -296,7 +299,7 @@ impl GrammarBuilder {
             errors.push(GrammarError::Empty);
             return Err(errors);
         }
-        let g = Grammar {
+        let mut g = Grammar {
             name: self.name,
             phyla: self.phyla,
             attrs: self.attrs,
@@ -304,6 +307,9 @@ impl GrammarBuilder {
             functions: self.functions,
             root: self.root.expect("non-empty grammar has a root"),
         };
+        for prod in &mut g.productions {
+            prod.number(&g.phyla, &g.attrs);
+        }
         validate(&g, &mut errors);
         if errors.is_empty() {
             Ok(g)
@@ -316,6 +322,10 @@ impl GrammarBuilder {
 /// Appends every well-definedness violation of `g` to `errors`, in
 /// deterministic production-then-phylum order.
 fn validate(g: &Grammar, errors: &mut Vec<GrammarError>) {
+    // Per node of the production at hand: the rules defining it, and
+    // whether it is an output.
+    let mut defs: Vec<u32> = Vec::new();
+    let mut is_output: Vec<bool> = Vec::new();
     for pid in g.productions() {
         let prod = g.production(pid);
         let arity = prod.arity();
@@ -364,9 +374,20 @@ fn validate(g: &Grammar, errors: &mut Vec<GrammarError>) {
             }
         }
         // Exactly-once definition of each output occurrence.
+        defs.clear();
+        defs.resize(prod.nodes().len(), 0);
+        for rule in prod.rules() {
+            if let Some(k) = g.node_index(pid, rule.target()) {
+                defs[k] += 1;
+            }
+        }
         let outputs = g.outputs(pid);
+        is_output.clear();
+        is_output.resize(prod.nodes().len(), false);
         for &out in &outputs {
-            let n = prod.rules().iter().filter(|r| r.target() == out).count();
+            let k = g.node_index(pid, out).expect("outputs are nodes");
+            is_output[k] = true;
+            let n = defs[k];
             if n == 0 {
                 errors.push(GrammarError::MissingRule {
                     production: prod.name().to_string(),
@@ -393,7 +414,10 @@ fn validate(g: &Grammar, errors: &mut Vec<GrammarError>) {
                 }
                 ONode::Local(l) => l.index() >= prod.locals().len(),
             };
-            if !already_flagged && !outputs.contains(&rule.target()) {
+            let output = g
+                .node_index(pid, rule.target())
+                .is_some_and(|k| is_output[k]);
+            if !already_flagged && !output {
                 errors.push(GrammarError::RuleDefinesInput {
                     production: prod.name().to_string(),
                     target: g.occ_name(pid, rule.target()),

@@ -4,57 +4,41 @@
 //! attribute occurrence (and per production-local attribute) and an edge
 //! `u → v` whenever the semantic rule defining `v` reads `u`.
 
-use std::collections::HashMap;
-
 use crate::grammar::Grammar;
 use crate::ids::{ONode, ProductionId};
 
 /// The local dependency graph of one production.
 ///
-/// Node identity is the [`ONode`]; dense indices are assigned in
-/// [`Grammar::occurrences`] order followed by locals, so analyses can build
-/// parallel side tables.
+/// Node identity is the [`ONode`]; a node's dense index is its number in
+/// the production's numbering ([`Production::nodes`](crate::Production::nodes):
+/// occurrences in [`Grammar::occurrences`] order followed by locals), so
+/// analyses can build parallel side tables and find a node by arithmetic.
 #[derive(Clone, Debug)]
-pub struct DepGraph {
+pub struct DepGraph<'g> {
+    grammar: &'g Grammar,
     production: ProductionId,
-    nodes: Vec<ONode>,
-    index: HashMap<ONode, usize>,
     /// Adjacency: `succs[u]` lists v with `u → v`.
     succs: Vec<Vec<usize>>,
 }
 
-impl DepGraph {
+impl<'g> DepGraph<'g> {
     /// Builds `D(p)` for production `p` of `grammar`.
-    pub fn of(grammar: &Grammar, p: ProductionId) -> DepGraph {
-        let mut nodes: Vec<ONode> = grammar
-            .occurrences(p)
-            .into_iter()
-            .map(ONode::Attr)
-            .collect();
+    pub fn of(grammar: &'g Grammar, p: ProductionId) -> DepGraph<'g> {
         let prod = grammar.production(p);
-        for i in 0..prod.locals().len() as u32 {
-            nodes.push(ONode::Local(crate::ids::LocalId::from_raw(i)));
-        }
-        let index: HashMap<ONode, usize> = nodes
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, n)| (n, i))
-            .collect();
-        let mut succs = vec![Vec::new(); nodes.len()];
+        let index = |n: ONode| grammar.node_index(p, n).expect("validated grammar");
+        let mut succs = vec![Vec::new(); prod.nodes().len()];
         for rule in prod.rules() {
-            let t = index[&rule.target()];
+            let t = index(rule.target());
             for src in rule.read_nodes() {
-                let s = index[&src];
+                let s = index(src);
                 if !succs[s].contains(&t) {
                     succs[s].push(t);
                 }
             }
         }
         DepGraph {
+            grammar,
             production: p,
-            nodes,
-            index,
             succs,
         }
     }
@@ -66,27 +50,33 @@ impl DepGraph {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.succs.len()
     }
 
     /// True if the production has no occurrences at all.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.succs.is_empty()
     }
 
     /// The node at dense index `i`.
     pub fn node(&self, i: usize) -> ONode {
-        self.nodes[i]
+        self.nodes()[i]
     }
 
     /// All nodes in dense-index order.
-    pub fn nodes(&self) -> &[ONode] {
-        &self.nodes
+    pub fn nodes(&self) -> &'g [ONode] {
+        self.grammar.production(self.production).nodes()
     }
 
-    /// The dense index of `node`, if present.
+    /// The dense index of `node`, if it is a node of the production.
     pub fn index_of(&self, node: ONode) -> Option<usize> {
-        self.index.get(&node).copied()
+        self.grammar.node_index(self.production, node)
+    }
+
+    /// The dense index of the attribute at `offset` in the phylum at
+    /// position `pos`.
+    pub fn attr_index(&self, pos: u16, offset: usize) -> usize {
+        self.grammar.production(self.production).occ_base(pos) + offset
     }
 
     /// Successors of dense index `i`.

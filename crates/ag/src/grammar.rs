@@ -179,7 +179,16 @@ impl LocalInfo {
     }
 }
 
+/// Marks an occurrence that no rule of its production defines.
+const NO_RULE: u32 = u32::MAX;
+
 /// A production (operator): `lhs ::= rhs…`, with semantic rules.
+///
+/// Every attribute occurrence and every local of a finished production has
+/// a dense number: the LHS attributes in phylum order, then each child's
+/// in turn, then the locals. [`nodes`](Self::nodes) lists them in that
+/// order and [`Grammar::node_index`] finds a node's number, so analyses
+/// keep per-occurrence tables in plain vectors.
 #[derive(Clone, Debug)]
 pub struct Production {
     pub(crate) name: String,
@@ -187,6 +196,14 @@ pub struct Production {
     pub(crate) rhs: Vec<PhylumId>,
     pub(crate) rules: Vec<SemRule>,
     pub(crate) locals: Vec<LocalInfo>,
+    /// `base[pos]` numbers the first attribute at position `pos`;
+    /// `base[arity + 1]` numbers the first local.
+    pub(crate) base: Box<[u32]>,
+    /// Every node, in number order.
+    pub(crate) nodes: Box<[ONode]>,
+    /// `rule_at[k]`: the index in `rules` of the rule defining node `k`,
+    /// or [`NO_RULE`].
+    pub(crate) rule_at: Box<[u32]>,
 }
 
 impl Production {
@@ -229,6 +246,93 @@ impl Production {
             self.lhs
         } else {
             self.rhs[pos as usize - 1]
+        }
+    }
+
+    /// Every attribute occurrence and local of this production, in its
+    /// dense numbering: a node's number is its place here.
+    pub fn nodes(&self) -> &[ONode] {
+        &self.nodes
+    }
+
+    /// The number of the first attribute occurrence at position `pos`
+    /// (0 = LHS); at `pos == arity + 1`, the number of the first local.
+    ///
+    /// # Panics
+    /// Panics if `pos > arity + 1`.
+    #[inline]
+    pub fn occ_base(&self, pos: u16) -> usize {
+        self.base[pos as usize] as usize
+    }
+
+    /// The number of the first local.
+    #[inline]
+    pub fn local_base(&self) -> usize {
+        self.base[self.rhs.len() + 1] as usize
+    }
+
+    /// The rule defining node number `k`, if any.
+    #[inline]
+    pub fn rule_at(&self, k: usize) -> Option<&SemRule> {
+        match self.rule_at.get(k) {
+            Some(&r) if r != NO_RULE => Some(&self.rules[r as usize]),
+            _ => None,
+        }
+    }
+
+    /// Numbers this production's nodes against the phyla `phyla`: fills
+    /// `base` and `nodes` (every position is in range by construction) and
+    /// then `rule_at`, where the first rule for a node wins and a target
+    /// that is not a node of the production is skipped.
+    pub(crate) fn number(&mut self, phyla: &[Phylum], attrs: &[AttrInfo]) {
+        let arity = self.rhs.len();
+        let width = (0..=arity as u16)
+            .map(|pos| phyla[self.phylum_at(pos).index()].attrs.len())
+            .sum::<usize>()
+            + self.locals.len();
+        let mut base = Vec::with_capacity(arity + 2);
+        let mut nodes = Vec::with_capacity(width);
+        for pos in 0..=arity as u16 {
+            base.push(nodes.len() as u32);
+            let ph = self.phylum_at(pos);
+            nodes.extend(
+                phyla[ph.index()]
+                    .attrs
+                    .iter()
+                    .map(|&a| ONode::Attr(Occ::new(pos, a))),
+            );
+        }
+        base.push(nodes.len() as u32);
+        nodes.extend((0..self.locals.len() as u32).map(|l| ONode::Local(LocalId::from_raw(l))));
+        self.base = base.into();
+        self.nodes = nodes.into();
+        let mut rule_at = vec![NO_RULE; self.nodes.len()];
+        for (i, rule) in self.rules.iter().enumerate() {
+            if let Some(k) = self.index_in(attrs, rule.target) {
+                if rule_at[k] == NO_RULE {
+                    rule_at[k] = i as u32;
+                }
+            }
+        }
+        self.rule_at = rule_at.into();
+    }
+
+    /// The number of `node`, or `None` when it is not a node of this
+    /// production: a position past the arity, an attribute not of the
+    /// phylum at its position, or a local past the production's locals.
+    fn index_in(&self, attrs: &[AttrInfo], node: ONode) -> Option<usize> {
+        match node {
+            ONode::Attr(Occ { pos, attr }) => {
+                let ph = match pos {
+                    0 => self.lhs,
+                    _ => *self.rhs.get(pos as usize - 1)?,
+                };
+                let info = attrs.get(attr.index())?;
+                (info.phylum == ph).then(|| self.base[pos as usize] as usize + info.offset)
+            }
+            ONode::Local(l) => {
+                (l.index() < self.locals.len()).then(|| self.local_base() + l.index())
+            }
         }
     }
 }
@@ -450,17 +554,23 @@ impl Grammar {
     }
 
     /// All attribute occurrences of production `p`: `(pos, attr)` for every
-    /// position and every attribute of the phylum at that position.
+    /// position and every attribute of the phylum at that position, in the
+    /// production's numbering.
     pub fn occurrences(&self, p: ProductionId) -> Vec<Occ> {
         let prod = &self.productions[p.index()];
-        let mut out = Vec::new();
-        for pos in 0..=prod.rhs.len() as u16 {
-            let ph = prod.phylum_at(pos);
-            for &a in &self.phyla[ph.index()].attrs {
-                out.push(Occ::new(pos, a));
-            }
-        }
-        out
+        prod.nodes[..prod.local_base()]
+            .iter()
+            .filter_map(|n| n.occ())
+            .collect()
+    }
+
+    /// The number of `node` in production `p`'s numbering (see
+    /// [`Production::nodes`]), or `None` when `node` is not a node of `p`:
+    /// a position past the arity, an attribute not of the phylum at its
+    /// position, or a local past the production's locals.
+    #[inline]
+    pub fn node_index(&self, p: ProductionId, node: ONode) -> Option<usize> {
+        self.productions[p.index()].index_in(&self.attrs, node)
     }
 
     /// Output occurrences (targets that must be defined) of production `p`,
@@ -479,10 +589,7 @@ impl Grammar {
 
     /// The rule defining `target` in production `p`, if any.
     pub fn rule_for(&self, p: ProductionId, target: ONode) -> Option<&SemRule> {
-        self.productions[p.index()]
-            .rules
-            .iter()
-            .find(|r| r.target == target)
+        self.productions[p.index()].rule_at(self.node_index(p, target)?)
     }
 
     /// Display form of an occurrence, e.g. `Seq$1.scale`.

@@ -147,13 +147,13 @@ pub fn snc_test_recorded<R: Recorder>(grammar: &Grammar, rec: &mut R) -> SncResu
 }
 
 /// `D(p)` + `IO` pasted on every RHS position, skipping `skip_pos` if given.
-fn pasted_with_io(
-    grammar: &Grammar,
+fn pasted_with_io<'g>(
+    grammar: &'g Grammar,
     ix: &AttrIndex,
     p: ProductionId,
     io: &PhylumRels,
     skip_pos: Option<u16>,
-) -> Pasted {
+) -> Pasted<'g> {
     let mut pasted = Pasted::base(grammar, p);
     let prod = grammar.production(p);
     for pos in 1..=prod.arity() as u16 {

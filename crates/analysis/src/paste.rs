@@ -3,26 +3,23 @@
 //! OI-graphs, induced dependencies, or partition orders) attached to chosen
 //! occurrence positions.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-
-use fnc2_ag::{DepGraph, Grammar, ONode, Occ, ProductionId};
+use fnc2_ag::{DepGraph, Grammar, ONode, ProductionId};
 use fnc2_gfa::{BitMatrix, Digraph};
 
 use crate::attrs::AttrIndex;
 
 /// `D(p)` plus pasted relations, with matching dense node indexing.
 #[derive(Clone, Debug)]
-pub struct Pasted {
+pub struct Pasted<'g> {
     /// Node identities (the indexing of `graph`).
-    pub dep: DepGraph,
+    pub dep: DepGraph<'g>,
     /// The combined digraph.
     pub graph: Digraph,
 }
 
-impl Pasted {
+impl<'g> Pasted<'g> {
     /// Starts from the bare local dependency graph of `p`.
-    pub fn base(grammar: &Grammar, p: ProductionId) -> Pasted {
+    pub fn base(grammar: &'g Grammar, p: ProductionId) -> Pasted<'g> {
         let dep = DepGraph::of(grammar, p);
         let mut graph = Digraph::new(dep.len());
         for (u, v) in dep.edges() {
@@ -39,12 +36,8 @@ impl Pasted {
         let ph = grammar.production(p).phylum_at(pos);
         debug_assert_eq!(rel.len(), ix.len(ph), "relation sized for phylum");
         for (i, j) in rel.pairs() {
-            let u = ONode::Attr(Occ::new(pos, ix.attr_at(ph, i)));
-            let v = ONode::Attr(Occ::new(pos, ix.attr_at(ph, j)));
-            let (Some(u), Some(v)) = (self.dep.index_of(u), self.dep.index_of(v)) else {
-                continue;
-            };
-            self.graph.add_edge(u, v);
+            self.graph
+                .add_edge(self.dep.attr_index(pos, i), self.dep.attr_index(pos, j));
         }
     }
 
@@ -83,18 +76,12 @@ impl Pasted {
         let k = ix.len(ph);
         let mut out = BitMatrix::new(k);
         for i in 0..k {
-            let u = self
-                .dep
-                .index_of(ONode::Attr(Occ::new(pos, ix.attr_at(ph, i))))
-                .expect("occurrence exists");
+            let u = self.dep.attr_index(pos, i);
             for j in 0..k {
                 if i == j || !keep(i, j) {
                     continue;
                 }
-                let v = self
-                    .dep
-                    .index_of(ONode::Attr(Occ::new(pos, ix.attr_at(ph, j))))
-                    .expect("occurrence exists");
+                let v = self.dep.attr_index(pos, j);
                 if closed.get(u, v) {
                     out.set(i, j);
                 }
@@ -137,21 +124,24 @@ impl Pasted {
         let p = self.dep.production();
         let ph = grammar.production(p).phylum_at(pos);
         let k = ix.len(ph);
-        let node_of = |i: usize| {
-            self.dep
-                .index_of(ONode::Attr(Occ::new(pos, ix.attr_at(ph, i))))
-                .expect("occurrence exists")
-        };
-        let mut skip: HashSet<(usize, usize)> = HashSet::new();
+        let node_of = |i: usize| self.dep.attr_index(pos, i);
+        // The pairs to skip, by local index: those `excluded` relates that
+        // are not also an edge of `D(p)`.
+        let mut skip = BitMatrix::new(k);
         if let Some(rel) = excluded {
             debug_assert_eq!(rel.len(), k, "relation sized for phylum");
             for (i, j) in rel.pairs() {
-                let (u, v) = (node_of(i), node_of(j));
-                if !self.dep.succs(u).contains(&v) {
-                    skip.insert((u, v));
+                if !self.dep.succs(node_of(i)).contains(&node_of(j)) {
+                    skip.set(i, j);
                 }
             }
         }
+        // `pos`'s occurrences are numbered `base..base + k`.
+        let base = node_of(0);
+        let skipped = |u: usize, v: usize| {
+            let (i, j) = (u.wrapping_sub(base), v.wrapping_sub(base));
+            i < k && j < k && skip.get(i, j)
+        };
         let mut out = BitMatrix::new(k);
         let mut seen = vec![false; self.dep.len()];
         let mut queue: Vec<usize> = Vec::new();
@@ -169,7 +159,7 @@ impl Pasted {
                 let u = queue[head];
                 head += 1;
                 for &v in self.graph.succs(u) {
-                    if !seen[v] && !skip.contains(&(u, v)) {
+                    if !seen[v] && !skipped(u, v) {
                         seen[v] = true;
                         queue.push(v);
                     }
@@ -211,8 +201,7 @@ impl Pasted {
         let pos_of: Vec<Option<u16>> = (0..n)
             .map(|u| self.dep.node(u).occ().map(|o| o.pos))
             .collect();
-        let mut groups: HashMap<Vec<u64>, Vec<u16>> = HashMap::new();
-        let mut order: Vec<Vec<u64>> = Vec::new();
+        let mut sigs: Vec<(Vec<u64>, u16)> = Vec::with_capacity(arity as usize);
         for pos in 1..=arity {
             let ph = prod.phylum_at(pos);
             let k = ix.len(ph);
@@ -230,10 +219,7 @@ impl Pasted {
                 }
             };
             for i in 0..k {
-                let u = self
-                    .dep
-                    .index_of(ONode::Attr(Occ::new(pos, ix.attr_at(ph, i))))
-                    .expect("occurrence exists");
+                let u = self.dep.attr_index(pos, i);
                 for list in [self.graph.succs(u), &preds[u]] {
                     let mut enc: Vec<u64> = list.iter().map(|&w| encode(w)).collect();
                     enc.sort_unstable();
@@ -241,18 +227,20 @@ impl Pasted {
                     sig.extend(enc);
                 }
             }
-            match groups.entry(sig) {
-                Entry::Occupied(mut e) => e.get_mut().push(pos),
-                Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(vec![pos]);
-                }
+            sigs.push((sig, pos));
+        }
+        // Equal signatures end up adjacent, each class in position order;
+        // the classes are then ordered by their first position.
+        sigs.sort_unstable();
+        let mut groups: Vec<Vec<u16>> = Vec::new();
+        for (i, (sig, pos)) in sigs.iter().enumerate() {
+            match groups.last_mut() {
+                Some(group) if sigs[i - 1].0 == *sig => group.push(*pos),
+                _ => groups.push(vec![*pos]),
             }
         }
-        order
-            .into_iter()
-            .map(|sig| groups.remove(&sig).expect("group recorded"))
-            .collect()
+        groups.sort_unstable_by_key(|group| group[0]);
+        groups
     }
 
     /// Finds a dependency cycle in the combined graph, as occurrence nodes.

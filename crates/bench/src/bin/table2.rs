@@ -8,6 +8,10 @@
 //! runs the same phases of this reproduction's OLGA pipeline on generated
 //! AG sources of seven sizes.
 //!
+//! A second table times evaluator generation alone on one production of
+//! growing width, `fnc2_corpus::flat(width)`: one `Pipeline::compile` per
+//! width, the generator phase's cost per occurrence.
+//!
 //! Run with `cargo run --release --bin table2 -p fnc2-bench`.
 
 use std::time::{Duration, Instant};
@@ -112,5 +116,19 @@ fn main() {
     fnc2_bench::maybe_emit_json("table2", &headers, &rows, &[]);
     println!("Paper shape: typing dominates input; the whole process is roughly linear in");
     println!("lines except the generator phase; memory grows with source size (the paper");
-    println!("reports 1.3–1.4 KB/line on a Sun-3/60).");
+    println!("reports 1.3–1.4 KB/line on a Sun-3/60).\n");
+
+    println!("Evaluator generation on one wide production (flat(width), one run each):\n");
+    let rows: Vec<Vec<String>> = [1_000, 2_000, 4_000, 10_000]
+        .into_iter()
+        .map(|width| {
+            let g = fnc2_corpus::flat(width);
+            let t0 = Instant::now();
+            let compiled = fnc2::Pipeline::new().compile(g).expect("generates");
+            let generator = t0.elapsed();
+            std::hint::black_box(compiled.seqs.len());
+            vec![width.to_string(), format!("{generator:.2?}")]
+        })
+        .collect();
+    println!("{}", render_table(&["width", "generator"], &rows));
 }

@@ -19,12 +19,19 @@
 //! long inclusion's (median per-round ratio, with its spread: the
 //! interquartile range over the median).
 //!
+//! A last table scales `fnc2_corpus::partition_blowup(12, d)`, the family
+//! on which long inclusion cannot merge partitions: the deepest phylum's
+//! partitions, the plans, and one run's transformation and space-analysis
+//! times per depth.
+//!
 //! Run with `cargo run --release --bin table_partitions -p fnc2-bench`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use fnc2::analysis::{snc_test, snc_to_l_ordered, Inclusion};
+use fnc2::space::analyze_space;
+use fnc2::visit::build_visit_seqs;
 use fnc2_bench::harness::paired;
 use fnc2_bench::{figure1_grammars, figure1_rows, render_table, FIGURE1_HEADERS};
 
@@ -34,6 +41,13 @@ const ROUNDS: usize = 21;
 /// About how long one leg of a round runs, so that the shortest
 /// transformations still outlast the clock's noise.
 const LEG: Duration = Duration::from_millis(2);
+
+/// Pairs per phylum of the blow-up table's grammars.
+const BLOWUP_PAIRS: usize = 12;
+
+/// The blow-up table's deepest grammar: `2^7` partitions on its deepest
+/// phylum, about a second of generator time.
+const BLOWUP_DEPTH: usize = 7;
 
 fn main() {
     println!("Figure 1 / section 2.1.1: classical (equality) vs. long-inclusion transformation\n");
@@ -76,5 +90,31 @@ fn main() {
     );
     println!("Expected shape: long inclusion never registers more partitions than equality,");
     println!("collapses to ~1 partition/NT on realistic AGs (max 2 on the AG5 shape), and");
-    println!("the dynamic visit counts of the two strategies differ by <2%.");
+    println!("the dynamic visit counts of the two strategies differ by <2%.\n");
+
+    println!("Partition blow-up, partition_blowup({BLOWUP_PAIRS}, d), one run per depth:\n");
+    let headers = ["d", "partitions", "plans", "transform ms", "space ms"];
+    let ms = |t: Duration| format!("{:.1}", t.as_secs_f64() * 1e3);
+    let rows: Vec<Vec<String>> = (1..=BLOWUP_DEPTH)
+        .map(|d| {
+            let g = fnc2_corpus::partition_blowup(BLOWUP_PAIRS, d);
+            let snc = snc_test(&g);
+            let t0 = Instant::now();
+            let lo = snc_to_l_ordered(&g, &snc, Inclusion::Long).expect("SNC grammars transform");
+            let transform = t0.elapsed();
+            let seqs = build_visit_seqs(&g, &lo);
+            let t1 = Instant::now();
+            black_box(analyze_space(&g, &seqs));
+            let space = t1.elapsed();
+            vec![
+                d.to_string(),
+                lo.stats.max_partitions().to_string(),
+                lo.stats.plans.to_string(),
+                ms(transform),
+                ms(space),
+            ]
+        })
+        .collect();
+    println!("{}", render_table(&headers, &rows));
+    println!("The deepest phylum gets 2^d partitions and the transformation 3 * 2^d - 1 plans.");
 }

@@ -1,19 +1,23 @@
 //! Corruption matrix for the compiled-table artifact loader.
 //!
 //! Every class of damaged artifact — truncated, bit-flipped fingerprint,
-//! version skew, checksum failure, artifact for a different grammar —
+//! version skew, checksum failure, re-checksummed damage to the sequence
+//! keys, artifact for a different grammar —
 //! must be *classified* (the right [`ArtifactError`] variant) and must
 //! *fall back* to full recompilation when it arrives through the cache:
 //! never a panic, never a wrong answer, always the `tables.cache_rejected`
 //! counter.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 
+use fnc2::ag::ProductionId;
 use fnc2::artifact::{
     cache_path, compile_olga_cached, emit_tables, load_tables, CacheOutcome, TablesError,
 };
 use fnc2::obs::Obs;
-use fnc2::tables::{fingerprint_source, ArtifactError, HEADER_LEN};
+use fnc2::tables::{fingerprint_source, ArtifactError, Tables, HEADER_LEN};
+use fnc2::visit::VisitSeqs;
 use fnc2::Pipeline;
 
 const COUNT: &str = r#"
@@ -119,6 +123,61 @@ fn payload_damage_is_a_checksum_mismatch() {
     match rejection(&bytes) {
         ArtifactError::ChecksumMismatch => {}
         other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
+}
+
+/// Decodes `bytes`, lets `damage` edit the tables and encodes them again:
+/// the payload changes but its checksum is recomputed, so only the
+/// decoder's and the loader's own checks can reject it.
+fn redamaged(bytes: &[u8], damage: impl FnOnce(&mut Tables)) -> Vec<u8> {
+    let (mut tables, _) = Tables::from_bytes(bytes).unwrap();
+    damage(&mut tables);
+    tables.to_bytes()
+}
+
+#[test]
+fn re_checksummed_sequence_key_damage_is_corrupt() {
+    let good = emit(COUNT);
+    assert!(redamaged(&good, |_| {}) == good, "re-encoding is canonical");
+    // A duplicated sequence key in the flattened program.
+    let duplicated = redamaged(&good, |t| {
+        let fp = t.flat.as_mut().unwrap();
+        fp.seqs[1] = fp.seqs[0].clone();
+    });
+    // A sequence of a production the grammar does not have, added to every
+    // section keyed by sequences alike, so that only the check against the
+    // rebuilt grammar can tell.
+    let out_of_range = redamaged(&good, |t| {
+        let key = (ProductionId::from_raw(7), 0);
+        let first = t.seqs.keys()[0];
+        let mut seqs: HashMap<_, _> = t
+            .seqs
+            .keys()
+            .into_iter()
+            .map(|(p, pi)| ((p, pi), t.seqs.seq(p, pi).clone()))
+            .collect();
+        let mut extra = seqs[&first].clone();
+        extra.production = key.0;
+        seqs.insert(key, extra);
+        t.seqs = VisitSeqs::from_parts(seqs, t.seqs.partitions().to_vec());
+        let fp = t.flat.as_mut().unwrap();
+        let mut fs = fp.seqs[0].clone();
+        fs.key = key;
+        fp.seqs.push(fs);
+        fp.instances.push(fp.instances[0].clone());
+        let plan = t.space_plan.as_mut().unwrap();
+        let access = plan.access[&first].clone();
+        plan.access.insert(key, access);
+    });
+    for (what, bytes) in [
+        ("duplicated key", duplicated),
+        ("out-of-range key", out_of_range),
+    ] {
+        assert!(bytes != good, "{what}: the damage changed the payload");
+        match rejection(&bytes) {
+            ArtifactError::Corrupt(_) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
     }
 }
 

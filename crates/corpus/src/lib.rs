@@ -27,7 +27,9 @@ pub use minipascal::{
     minipascal, minipascal_scanner, parse_minipascal, sample_program, MINIPASCAL_OLGA,
 };
 pub use olga_sources::{module_source, sized_ag_source, TABLE3_MODULES};
-pub use pathological::{circular, dnc_not_oag, nc_not_snc, oag1_not_oag0, snc_only};
+pub use pathological::{
+    circular, dnc_not_oag, nc_not_snc, oag1_not_oag0, partition_blowup, snc_only,
+};
 pub use shapes::{
     balloon, balloon_expected, balloon_tree, chain, chain_expected, chain_tree, flat,
     flat_expected, flat_tree,

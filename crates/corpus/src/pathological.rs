@@ -159,9 +159,68 @@ pub fn dnc_not_oag(pairs: usize) -> Grammar {
     g.finish().expect("well-defined")
 }
 
+/// The transformation's worst case (ROADMAP item 7): phyla `X0…Xd` under
+/// a root phylum `R`, each `Xl` with `k` inherited/synthesized pairs
+/// `i0/s0 … i{k-1}/s{k-1}`. The root chains `X0`'s pairs in one order
+/// (`i0 := 0`, `i{j+1} := s{j}`, `out := s{k-1}`). Each level `l < d` has
+/// two productions: `straight{l}` copies every pair to its `X{l+1}` child,
+/// and `swap{l}` copies them through the adjacent transposition of pairs
+/// `t` and `t + 1`, `t = l mod (k - 1)`. The leaf `leaf{d}` copies each
+/// `ij` to `sj`. Every path of choices orders the pairs differently and
+/// long inclusion cannot merge orders that differ, so for `d < k` the
+/// deepest phylum gets `2^d` partitions and the transformation plans
+/// `3 · 2^d - 1` visit sequences.
+pub fn partition_blowup(k: usize, d: usize) -> Grammar {
+    assert!(k >= 2, "at least two pairs to transpose");
+    let mut g = GrammarBuilder::new(format!("partition_blowup_{k}_{d}"));
+    let r = g.phylum("R");
+    let out = g.syn(r, "out");
+    let levels: Vec<_> = (0..=d)
+        .map(|l| {
+            let x = g.phylum(format!("X{l}"));
+            let pairs: Vec<_> = (0..k)
+                .map(|j| (g.inh(x, format!("i{j}")), g.syn(x, format!("s{j}"))))
+                .collect();
+            (x, pairs)
+        })
+        .collect();
+    let (x0, top) = &levels[0];
+    let root = g.production("root", r, &[*x0]);
+    g.constant(root, Occ::new(1, top[0].0), Value::Int(0));
+    for j in 1..k {
+        g.copy(root, Occ::new(1, top[j].0), Occ::new(1, top[j - 1].1));
+    }
+    g.copy(root, Occ::lhs(out), Occ::new(1, top[k - 1].1));
+    for (l, pair) in levels.windows(2).enumerate() {
+        let [(x, upper), (y, lower)] = pair else {
+            unreachable!("windows of two")
+        };
+        let t = l % (k - 1);
+        let swap = |j: usize| match j {
+            _ if j == t => t + 1,
+            _ if j == t + 1 => t,
+            _ => j,
+        };
+        for (name, perm) in [("straight", None), ("swap", Some(swap))] {
+            let p = g.production(format!("{name}{l}"), *x, &[*y]);
+            for (j, &(i, s)) in upper.iter().enumerate() {
+                let (ci, cs) = lower[perm.map_or(j, |f| f(j))];
+                g.copy(p, Occ::new(1, ci), Occ::lhs(i));
+                g.copy(p, Occ::lhs(s), Occ::new(1, cs));
+            }
+        }
+    }
+    let (xd, deepest) = &levels[d];
+    let leaf = g.production(format!("leaf{d}"), *xd, &[]);
+    for &(i, s) in deepest {
+        g.copy(leaf, Occ::lhs(s), Occ::lhs(i));
+    }
+    g.finish().expect("well-defined")
+}
+
 #[cfg(test)]
 mod tests {
-    use fnc2_analysis::{classify, nc_test, AgClass, Inclusion};
+    use fnc2_analysis::{classify, nc_test, snc_test, snc_to_l_ordered, AgClass, Inclusion};
 
     use super::*;
 
@@ -228,6 +287,21 @@ mod tests {
             let out = g.attr_by_name(s, "out").unwrap();
             let v = vals.get(&g, tree.root(), out).unwrap();
             assert_eq!(v.as_tuple().len(), 2, "{ctx}: {v:?}");
+        }
+    }
+
+    /// The deepest phylum's partitions and the plans of
+    /// `partition_blowup(k, d)`: `2^d` and `3 · 2^d - 1`, none reused.
+    #[test]
+    fn partition_blowup_doubles_per_level() {
+        for (k, d, deepest, plans) in [(2, 1, 2, 5), (3, 2, 4, 11), (4, 3, 8, 23), (5, 4, 16, 47)] {
+            let g = partition_blowup(k, d);
+            assert_eq!(g.phylum_count(), d + 2, "R and X0..X{d}");
+            let lo = snc_to_l_ordered(&g, &snc_test(&g), Inclusion::Long).unwrap();
+            let per_phylum = &lo.stats.partitions_per_phylum;
+            assert_eq!(per_phylum[d + 1], deepest, "k = {k}, d = {d}");
+            assert_eq!(lo.stats.plans, plans, "k = {k}, d = {d}");
+            assert_eq!(lo.stats.reuses, 0, "k = {k}, d = {d}");
         }
     }
 }

@@ -71,7 +71,7 @@ impl IncrementalStats {
 pub struct IncrementalEvaluator<'g> {
     grammar: &'g Grammar,
     program: CompiledProgram,
-    readers: Readers,
+    readers: Readers<'g>,
     tree: Tree,
     cells: Cells,
     inputs: RootInputs,

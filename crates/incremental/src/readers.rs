@@ -3,28 +3,25 @@
 //! scanning every rule's arguments; the index is built once per
 //! evaluator, so no other evaluator pays for it.
 
-use fnc2_ag::{Grammar, LocalId, ONode, Occ, ProductionId};
+use fnc2_ag::{Grammar, LocalId, Production, ProductionId};
 
 /// The rules reading each occurrence, for every production of a grammar.
 #[derive(Debug)]
-pub(crate) struct Readers {
-    prods: Vec<ProductionReaders>,
+pub(crate) struct Readers<'g> {
+    prods: Vec<ProductionReaders<'g>>,
 }
 
-/// One production's readers. Every occurrence of the LHS, of the RHS and
-/// every local has a dense number `k`, and the rules reading it are
-/// `rules[start[k]..start[k + 1]]`.
+/// One production's readers. The rules reading the node numbered `k` in
+/// the production ([`Production::nodes`]) are `rules[start[k]..start[k + 1]]`.
 #[derive(Debug)]
-struct ProductionReaders {
-    /// Where each position's attribute slots start in the numbering; the
-    /// entry after the last position starts the locals.
-    occ_base: Box<[u32]>,
+struct ProductionReaders<'g> {
+    prod: &'g Production,
     start: Box<[u32]>,
     rules: Box<[u32]>,
 }
 
-impl Readers {
-    pub(crate) fn new(grammar: &Grammar) -> Self {
+impl<'g> Readers<'g> {
+    pub(crate) fn new(grammar: &'g Grammar) -> Self {
         Readers {
             prods: grammar
                 .productions()
@@ -39,52 +36,42 @@ impl Readers {
     #[inline]
     pub(crate) fn attr(&self, p: ProductionId, pos: u16, off: usize) -> &[u32] {
         let pr = &self.prods[p.index()];
-        pr.at(pr.occ_base[pos as usize] as usize + off)
+        pr.at(pr.prod.occ_base(pos) + off)
     }
 
     /// The rules of `p` that read `local`, each once, in rule order.
     #[inline]
     pub(crate) fn local(&self, p: ProductionId, local: LocalId) -> &[u32] {
         let pr = &self.prods[p.index()];
-        pr.at(pr.occ_base[pr.occ_base.len() - 1] as usize + local.index())
+        pr.at(pr.prod.local_base() + local.index())
     }
 }
 
-impl ProductionReaders {
-    fn new(grammar: &Grammar, p: ProductionId) -> Self {
+impl<'g> ProductionReaders<'g> {
+    fn new(grammar: &'g Grammar, p: ProductionId) -> Self {
         let prod = grammar.production(p);
-        let mut occ_base = Vec::with_capacity(prod.arity() + 2);
-        let mut width = 0;
-        for ph in std::iter::once(prod.lhs()).chain(prod.rhs().iter().copied()) {
-            occ_base.push(width);
-            width += grammar.phylum(ph).attrs().len() as u32;
-        }
-        occ_base.push(width);
-        width += prod.locals().len() as u32;
-        let key = |read: ONode| match read {
-            ONode::Attr(Occ { pos, attr }) => {
-                occ_base[pos as usize] + grammar.attr(attr).offset() as u32
-            }
-            ONode::Local(l) => occ_base[prod.arity() + 1] + l.index() as u32,
-        };
+        let width = prod.nodes().len();
         let mut reads: Vec<(u32, u32)> = prod
             .rules()
             .iter()
             .enumerate()
             .flat_map(|(i, rule)| rule.read_nodes().map(move |read| (read, i as u32)))
-            .map(|(read, i)| (key(read), i))
+            .map(|(read, i)| {
+                let k = grammar.node_index(p, read).expect("validated grammar");
+                (k as u32, i)
+            })
             .collect();
         reads.sort_unstable();
         reads.dedup();
-        let mut start = vec![0; width as usize + 1];
+        let mut start = vec![0; width + 1];
         for &(k, _) in &reads {
             start[k as usize + 1] += 1;
         }
-        for k in 0..width as usize {
+        for k in 0..width {
             start[k + 1] += start[k];
         }
         ProductionReaders {
-            occ_base: occ_base.into(),
+            prod,
             start: start.into(),
             rules: reads.into_iter().map(|(_, rule)| rule).collect(),
         }
@@ -98,7 +85,7 @@ impl ProductionReaders {
 
 #[cfg(test)]
 mod tests {
-    use fnc2_ag::{GrammarBuilder, Value};
+    use fnc2_ag::{GrammarBuilder, ONode, Occ, Value};
 
     use super::*;
 

@@ -14,8 +14,6 @@
 //! profiler, such as [`NoopRecorder`](crate::NoopRecorder), return
 //! `None`, so their instantiations compile the whole mechanism away.
 
-use std::collections::HashMap;
-
 use crate::event::Resolver;
 use crate::json::Json;
 
@@ -49,7 +47,9 @@ impl RuleCost {
 /// The per-rule cost profiler.
 #[derive(Clone, Debug)]
 pub struct RuleProfiler {
-    costs: HashMap<(u32, u32), RuleCost>,
+    /// `costs[production][rule]`; each production's row grows on its first
+    /// firing of a higher rule, and a pair with no firing has zero `fires`.
+    costs: Vec<Vec<RuleCost>>,
     sample_every: u32,
     until_sample: u32,
 }
@@ -71,7 +71,7 @@ impl RuleProfiler {
     pub fn with_sample_every(n: u32) -> RuleProfiler {
         let n = n.max(1);
         RuleProfiler {
-            costs: HashMap::new(),
+            costs: Vec::new(),
             sample_every: n,
             // Sample the first firing so short runs still get timings.
             until_sample: 1,
@@ -100,7 +100,15 @@ impl RuleProfiler {
     /// `nanos` carries the wall-clock sample when the caller timed this
     /// firing (i.e. when [`should_sample`](Self::should_sample) said so).
     pub fn record(&mut self, production: u32, rule: u32, is_copy: bool, nanos: Option<u64>) {
-        let c = self.costs.entry((production, rule)).or_default();
+        let (p, r) = (production as usize, rule as usize);
+        if self.costs.len() <= p {
+            self.costs.resize_with(p + 1, Vec::new);
+        }
+        let row = &mut self.costs[p];
+        if row.len() <= r {
+            row.resize(r + 1, RuleCost::default());
+        }
+        let c = &mut row[r];
         c.fires += 1;
         if is_copy {
             c.copy_fires += 1;
@@ -113,19 +121,29 @@ impl RuleProfiler {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
+        self.pairs().next().is_none()
     }
 
     /// Total firings across all pairs.
     pub fn total_fires(&self) -> u64 {
-        self.costs.values().map(|c| c.fires).sum()
+        self.pairs().map(|(_, c)| c.fires).sum()
+    }
+
+    /// Every recorded pair with its cost, by `(production, rule)`.
+    fn pairs(&self) -> impl Iterator<Item = ((u32, u32), RuleCost)> + '_ {
+        self.costs.iter().enumerate().flat_map(|(p, row)| {
+            row.iter()
+                .enumerate()
+                .filter(|(_, c)| c.fires > 0)
+                .map(move |(r, c)| ((p as u32, r as u32), *c))
+        })
     }
 
     /// All pairs ranked hottest-first: by estimated total nanoseconds,
     /// then by firing count, then by `(production, rule)` — a total,
     /// deterministic order.
     pub fn ranked(&self) -> Vec<((u32, u32), RuleCost)> {
-        let mut v: Vec<_> = self.costs.iter().map(|(k, c)| (*k, *c)).collect();
+        let mut v: Vec<_> = self.pairs().collect();
         v.sort_by(|a, b| {
             b.1.estimated_total_nanos()
                 .cmp(&a.1.estimated_total_nanos())

@@ -18,12 +18,12 @@
 //!   variable becomes a no-op; a copy whose source is on top of the shared
 //!   stack and dies at the copy is a top *rename*.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use fnc2_ag::{Grammar, ONode, Occ, ProductionId, RuleBody};
 use fnc2_visit::{Instr, VisitSeqs};
 
-use crate::flat::{FlatItem, FlatProgram, InstanceKind};
+use crate::flat::{FlatItem, FlatProgram, Instance, InstanceKind};
 use crate::lifetime::{interval_hits_visit, Lifetimes};
 use crate::object::{Object, ObjectIndex};
 
@@ -190,6 +190,10 @@ enum Class {
 /// sequence: it is the fuzz oracle's independent re-check and the guard
 /// behind plan degradation, so this shortcut is re-checked on every plan
 /// it validates.
+///
+/// Sequences are named by their number in `fp` and occurrences by their
+/// number in their production ([`fnc2_ag::Production::nodes`]), so every
+/// table of the planner is a vector or a sorted list.
 pub fn plan_storage(
     grammar: &Grammar,
     seqs: &VisitSeqs,
@@ -203,10 +207,12 @@ pub fn plan_storage(
     // sequences where some member has instances.
     let fits = |c: Class, members: &[usize]| {
         let keys = seqs_of(&occ, members);
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
         match c {
-            Class::Variable => variable_feasible(grammar, fp, lt, objects, members, &keys),
+            Class::Variable => variable_feasible(grammar, fp, lt, objects, &sorted, &keys),
             Class::Stack => {
-                StackSim::run(grammar, seqs, fp, objects, members, &HashSet::new(), &keys).is_some()
+                StackSim::run(grammar, seqs, fp, objects, &sorted, &[], &keys).is_some()
             }
             Class::Node => false,
         }
@@ -241,8 +247,9 @@ pub fn plan_storage(
     let mut root: Vec<usize> = (0..n).collect();
     let mut group: Vec<Vec<usize>> = (0..n).map(|x| vec![x]).collect();
 
-    // Candidate pairs: copy rules between same-class objects.
-    let mut benefit: HashMap<(usize, usize), usize> = HashMap::new();
+    // Candidate pairs: copy rules between same-class objects, each pair
+    // with the number of copies between its two objects.
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
             let Some((src, dst)) = copy_objects(p, rule) else {
@@ -252,11 +259,17 @@ pub fn plan_storage(
             if si == di || class[si] != class[di] || class[si] == Class::Node {
                 continue;
             }
-            let key = (si.min(di), si.max(di));
-            *benefit.entry(key).or_insert(0) += 1;
+            pairs.push((si.min(di), si.max(di)));
         }
     }
-    let mut candidates: Vec<((usize, usize), usize)> = benefit.into_iter().collect();
+    pairs.sort_unstable();
+    let mut candidates: Vec<((usize, usize), usize)> = Vec::new();
+    for pair in pairs {
+        match candidates.last_mut() {
+            Some((last, benefit)) if *last == pair => *benefit += 1,
+            _ => candidates.push((pair, 1)),
+        }
+    }
     candidates.sort_by_key(|&((a, b), ben)| (std::cmp::Reverse(ben), a, b));
 
     for ((a, b), _) in candidates {
@@ -274,23 +287,27 @@ pub fn plan_storage(
     }
 
     // ---- Final numbering ------------------------------------------------
-    let mut var_ids: HashMap<usize, usize> = HashMap::new();
-    let mut stack_ids: HashMap<usize, usize> = HashMap::new();
+    // Ids in order of each group's first object: `var_id[r]` and
+    // `stack_id[r]` are group r's, once given.
+    let mut var_id = vec![NONE; n];
+    let mut stack_id = vec![NONE; n];
+    let (mut n_variables, mut n_stacks) = (0, 0);
     let mut storage = vec![Storage::Node; n];
     for oi in 0..n {
-        match class[oi] {
-            Class::Node => {}
-            Class::Variable => {
-                let next = var_ids.len();
-                let id = *var_ids.entry(root[oi]).or_insert(next);
-                storage[oi] = Storage::Variable(id);
-            }
-            Class::Stack => {
-                let next = stack_ids.len();
-                let id = *stack_ids.entry(root[oi]).or_insert(next);
-                storage[oi] = Storage::Stack(id);
-            }
+        let (ids, count) = match class[oi] {
+            Class::Node => continue,
+            Class::Variable => (&mut var_id, &mut n_variables),
+            Class::Stack => (&mut stack_id, &mut n_stacks),
+        };
+        let id = &mut ids[root[oi]];
+        if *id == NONE {
+            *id = *count;
+            *count += 1;
         }
+        storage[oi] = match class[oi] {
+            Class::Variable => Storage::Variable(*id),
+            _ => Storage::Stack(*id),
+        };
     }
 
     // ---- Copy elimination ------------------------------------------------
@@ -298,21 +315,19 @@ pub fn plan_storage(
     // (feasibility coalesced their intervals).
     // Stacks: a copy whose source dies at the copy with the source on top
     // becomes a rename; tentative per stack until its final simulation.
-    let mut eliminated: HashSet<(ProductionId, ONode)> = HashSet::new();
-    let mut stack_elim: Vec<HashSet<(ProductionId, ONode)>> = vec![HashSet::new(); stack_ids.len()];
+    // A copy is named by (production, target number).
+    let mut eliminated: Vec<(ProductionId, usize)> = Vec::new();
+    let mut stack_elim: Vec<Vec<(ProductionId, usize)>> = vec![Vec::new(); n_stacks];
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
             let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
+            let copy = (p, node_number(grammar, p, rule.target()));
             match (storage[si], storage[di]) {
-                (Storage::Variable(x), Storage::Variable(y)) if x == y => {
-                    eliminated.insert((p, rule.target()));
-                }
-                (Storage::Stack(x), Storage::Stack(y)) if x == y => {
-                    stack_elim[x].insert((p, rule.target()));
-                }
+                (Storage::Variable(x), Storage::Variable(y)) if x == y => eliminated.push(copy),
+                (Storage::Stack(x), Storage::Stack(y)) if x == y => stack_elim[x].push(copy),
                 _ => {}
             }
         }
@@ -323,7 +338,7 @@ pub fn plan_storage(
     // rejects a rename drops its smallest tentative elimination and is
     // simulated again; no other stack is affected, since a simulation
     // reads only its own members and its own eliminations.
-    let mut stacks: Vec<Vec<usize>> = vec![Vec::new(); stack_ids.len()];
+    let mut stacks: Vec<Vec<usize>> = vec![Vec::new(); n_stacks];
     for (oi, s) in storage.iter().enumerate() {
         if let Storage::Stack(id) = *s {
             stacks[id].push(oi);
@@ -331,6 +346,7 @@ pub fn plan_storage(
     }
     let mut recs = Vec::with_capacity(stacks.len());
     for (members, mut elim) in stacks.iter().zip(stack_elim) {
+        elim.sort_unstable();
         let keys = seqs_of(&occ, members);
         let rec = loop {
             if let Some(rec) = StackSim::run(grammar, seqs, fp, objects, members, &elim, &keys) {
@@ -338,24 +354,24 @@ pub fn plan_storage(
             }
             // Packing checked the group without eliminations, so the
             // rejection is one of them.
-            let victim = elim
-                .iter()
-                .min()
-                .copied()
-                .expect("rejection implies a tentative elimination");
-            elim.remove(&victim);
+            assert!(
+                !elim.is_empty(),
+                "rejection implies a tentative elimination"
+            );
+            elim.remove(0);
         };
         eliminated.extend(elim);
         recs.push(rec);
     }
+    eliminated.sort_unstable();
     let access = build_access(grammar, fp, objects, &storage, &eliminated, &recs);
 
     // ---- Statistics -------------------------------------------------------
     let mut stats = SpaceStats {
         variables_before,
-        variables_after: var_ids.len(),
+        variables_after: n_variables,
         stacks_before,
-        stacks_after: stack_ids.len(),
+        stacks_after: n_stacks,
         copies_total: grammar.copy_rule_count(),
         copies_eliminated: eliminated.len(),
         temporary_ratio: lt.temporary_ratio(),
@@ -390,9 +406,12 @@ pub fn plan_storage(
 
     SpacePlan {
         storage,
-        n_variables: var_ids.len(),
-        n_stacks: stack_ids.len(),
-        eliminated,
+        n_variables,
+        n_stacks,
+        eliminated: eliminated
+            .into_iter()
+            .map(|(p, t)| (p, grammar.production(p).nodes()[t]))
+            .collect(),
         access,
         stats,
     }
@@ -401,25 +420,35 @@ pub fn plan_storage(
 /// A flattened sequence's key: (production, LHS partition).
 type SeqKey = (ProductionId, usize);
 
-/// The occurrence index: for each object, the sorted keys of the sequences
-/// where it has instances.
-fn occurrence_index(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<Vec<SeqKey>> {
-    let mut occ = vec![Vec::new(); objects.len()];
-    for (&key, insts) in &fp.instances {
+/// Marks an unset entry of a dense table.
+const NONE: usize = usize::MAX;
+
+/// The number of `node` in production `p`.
+fn node_number(grammar: &Grammar, p: ProductionId, node: ONode) -> usize {
+    grammar
+        .node_index(p, node)
+        .expect("a node of the production")
+}
+
+/// The occurrence index: for each object, the sorted numbers of the
+/// sequences where it has instances.
+fn occurrence_index(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<Vec<usize>> {
+    let mut occ: Vec<Vec<usize>> = vec![Vec::new(); objects.len()];
+    for (k, insts) in fp.instances.iter().enumerate() {
         for inst in insts {
-            occ[objects.index(inst.object)].push(key);
+            let seqs = &mut occ[objects.index(inst.object)];
+            if seqs.last() != Some(&k) {
+                seqs.push(k);
+            }
         }
-    }
-    for keys in &mut occ {
-        keys.sort_unstable();
-        keys.dedup();
     }
     occ
 }
 
-/// The sorted keys of the sequences where any of `members` has instances.
-fn seqs_of(occ: &[Vec<SeqKey>], members: &[usize]) -> Vec<SeqKey> {
-    let mut keys: Vec<SeqKey> = members
+/// The sorted numbers of the sequences where any of `members` has
+/// instances.
+fn seqs_of(occ: &[Vec<usize>], members: &[usize]) -> Vec<usize> {
+    let mut keys: Vec<usize> = members
         .iter()
         .flat_map(|&m| occ[m].iter().copied())
         .collect();
@@ -446,35 +475,36 @@ fn copy_objects(p: ProductionId, rule: &fnc2_ag::SemRule) -> Option<(Object, Obj
 // Variable feasibility
 // ---------------------------------------------------------------------------
 
-/// True if the objects `members` can share one global variable: in each
-/// sequence of `keys`, the (copy-coalesced) live intervals of their
-/// instances are pairwise disjoint, and no interval contains a `VISIT` that
-/// may evaluate a member.
+/// True if the objects `members` (sorted) can share one global variable:
+/// in each sequence numbered in `keys`, the (copy-coalesced) live
+/// intervals of their instances are pairwise disjoint, and no interval
+/// contains a `VISIT` that may evaluate a member.
 fn variable_feasible(
     grammar: &Grammar,
     fp: &FlatProgram,
     lt: &Lifetimes,
     objects: &ObjectIndex,
     members: &[usize],
-    keys: &[SeqKey],
+    keys: &[usize],
 ) -> bool {
-    let member_set: HashSet<usize> = members.iter().copied().collect();
-    for &key in keys {
-        // Instances of member objects, with their intervals.
-        let mine: Vec<&crate::flat::Instance> = fp
-            .instances_of(key)
-            .iter()
-            .filter(|i| member_set.contains(&objects.index(i.object)))
-            .collect();
+    for &k in keys {
+        let p = fp.seqs[k].key.0;
+        // Instances of member objects (`mine`), and where each instance
+        // sits among them (`place`, by instance number).
+        let insts = &fp.instances[k];
+        let mut place = vec![NONE; insts.len()];
+        let mut mine: Vec<&Instance> = Vec::new();
+        for (i, inst) in insts.iter().enumerate() {
+            if members.binary_search(&objects.index(inst.object)).is_ok() {
+                place[i] = mine.len();
+                mine.push(inst);
+            }
+        }
         if mine.is_empty() {
             continue;
         }
         // Coalesce copy-linked instances (the copy target holds the same
         // value, so overlap between source and target is harmless).
-        let mut comp: HashMap<ONode, usize> = HashMap::new();
-        for (idx, inst) in mine.iter().enumerate() {
-            comp.insert(inst.node, idx);
-        }
         let mut uf: Vec<usize> = (0..mine.len()).collect();
         fn find(uf: &mut [usize], x: usize) -> usize {
             let mut r = x;
@@ -484,23 +514,25 @@ fn variable_feasible(
             uf[x] = r;
             r
         }
-        for rule in grammar.production(key.0).rules() {
+        for rule in grammar.production(p).rules() {
             if !rule.is_copy() {
                 continue;
             }
             let Some(src) = rule.read_nodes().next() else {
                 continue;
             };
-            if let (Some(&a), Some(&b)) = (comp.get(&src), comp.get(&rule.target())) {
+            let a = place[node_number(grammar, p, src)];
+            let b = place[node_number(grammar, p, rule.target())];
+            if a != NONE && b != NONE {
                 let (ra, rb) = (find(&mut uf, a), find(&mut uf, b));
                 uf[rb] = ra;
             }
         }
         // Merge intervals per component.
-        let mut merged: HashMap<usize, (usize, usize)> = HashMap::new();
+        let mut merged: Vec<Option<(usize, usize)>> = vec![None; mine.len()];
         for (idx, inst) in mine.iter().enumerate() {
             let r = find(&mut uf, idx);
-            let e = merged.entry(r).or_insert((inst.def_pos, inst.last_use()));
+            let e = merged[r].get_or_insert((inst.def_pos, inst.last_use()));
             e.0 = e.0.min(inst.def_pos);
             e.1 = e.1.max(inst.last_use());
         }
@@ -508,7 +540,7 @@ fn variable_feasible(
         // at any single position, reads happen before the write (an `EVAL`
         // reads its arguments first; a `VISIT` handoff is validated by the
         // per-sequence checks of the visited phylum's own productions).
-        let ivals: Vec<(usize, usize)> = merged.values().copied().collect();
+        let ivals: Vec<(usize, usize)> = merged.into_iter().flatten().collect();
         for (i, &(d1, u1)) in ivals.iter().enumerate() {
             for &(d2, u2) in &ivals[i + 1..] {
                 if d1 < u2 && d2 < u1 {
@@ -524,8 +556,8 @@ fn variable_feasible(
             if interval_hits_visit(
                 grammar,
                 fp,
-                &lt.may_eval,
-                key,
+                lt,
+                k,
                 inst.def_pos,
                 inst.last_use(),
                 members,
@@ -542,40 +574,136 @@ fn variable_feasible(
 // Stack simulation
 // ---------------------------------------------------------------------------
 
-/// What the final simulation records for the runtime.
+/// What the final simulation of one sequence records for the runtime; each
+/// list is in position order.
 #[derive(Clone, Debug, Default)]
 struct SimRecord {
-    /// (position, instance node) → depth below top at that read.
-    depths: HashMap<(usize, ONode), usize>,
-    /// position → number of pops to execute after it.
-    pops: HashMap<usize, usize>,
-    /// positions whose Eval became a stack-top rename.
-    renames: HashSet<usize>,
+    /// `(position, instance, depth)`: the `EVAL` at `position` reads member
+    /// `instance` at `depth` below the top.
+    depths: Vec<(usize, usize, usize)>,
+    /// `(position, n)`: `n` pops to execute after `position`.
+    pops: Vec<(usize, usize)>,
+    /// Positions whose `EVAL` became a stack-top rename.
+    renames: Vec<usize>,
+}
+
+impl SimRecord {
+    /// The depth at which the `EVAL` at `pos` reads `inst`.
+    fn depth(&self, pos: usize, inst: usize) -> Option<usize> {
+        let from = self.depths.partition_point(|&(at, _, _)| at < pos);
+        self.depths[from..]
+            .iter()
+            .take_while(|&&(at, _, _)| at == pos)
+            .find(|&&(_, i, _)| i == inst)
+            .map(|&(_, _, depth)| depth)
+    }
+
+    /// The number of pops after `pos`.
+    fn pops_after(&self, pos: usize) -> usize {
+        self.pops
+            .binary_search_by_key(&pos, |&(at, _)| at)
+            .map_or(0, |i| self.pops[i].1)
+    }
+
+    /// Counts one pop after `pos`, the latest position so far.
+    fn pop(&mut self, pos: usize) {
+        match self.pops.last_mut() {
+            Some((at, n)) if *at == pos => *n += 1,
+            _ => self.pops.push((pos, 1)),
+        }
+    }
+}
+
+/// The state of one sequence's simulation: the symbolic stack of instance
+/// numbers, each instance's slot on it (so membership and depth queries
+/// stay O(1) on stacks holding one instance per child of a wide
+/// production), and the delayed pops.
+struct SimState {
+    stack: Vec<usize>,
+    /// `slot[i]`: where instance `i` sits on the stack, or [`NONE`].
+    slot: Vec<usize>,
+    /// `pending[i]`: instance `i` is dead and waits to surface.
+    pending: Vec<bool>,
+    n_pending: usize,
+    /// The next entry of the pop schedule.
+    next_pop: usize,
+    rec: SimRecord,
+}
+
+impl SimState {
+    fn push(&mut self, i: usize) {
+        self.slot[i] = self.stack.len();
+        self.stack.push(i);
+    }
+
+    fn pop(&mut self, pos: usize) {
+        let i = self.stack.pop().expect("nonempty");
+        self.slot[i] = NONE;
+        self.rec.pop(pos);
+    }
+
+    /// Executes the pops scheduled at `pos` (dead instances), delaying any
+    /// that are not on top, and draining delayed pops that surface; false
+    /// if a scheduled instance is not on the stack. For `EVAL` positions
+    /// this runs between the reads and the push, so dead sources never get
+    /// trapped under the fresh value. `schedule` lists `(position,
+    /// instance)` in order; a superseded entry carries [`NONE`].
+    fn do_pops(&mut self, schedule: &[(usize, usize)], pos: usize) -> bool {
+        while schedule.get(self.next_pop).is_some_and(|&(at, _)| at < pos) {
+            self.next_pop += 1;
+        }
+        while let Some(&(at, i)) = schedule.get(self.next_pop) {
+            if at != pos {
+                break;
+            }
+            self.next_pop += 1;
+            if i == NONE {
+                continue;
+            }
+            if self.stack.last() == Some(&i) {
+                self.pop(pos);
+                while let Some(&top) = self.stack.last() {
+                    if !self.pending[top] {
+                        break;
+                    }
+                    self.pending[top] = false;
+                    self.n_pending -= 1;
+                    self.pop(pos);
+                }
+            } else if self.slot[i] != NONE {
+                self.pending[i] = true; // delayed pop
+                self.n_pending += 1;
+            } else {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// Symbolic per-sequence stack simulation for one group of objects.
 struct StackSim;
 
 impl StackSim {
-    /// Runs the simulation for `members` over the sequences `keys`; returns
-    /// the per-sequence records, or `None` if the group is infeasible.
-    /// `eliminate` holds (production, target) copies tentatively turned
-    /// into top renames; if a rename is invalid the simulation fails (the
-    /// caller retries without it).
+    /// Runs the simulation for `members` (sorted) over the sequences
+    /// numbered in `keys`; returns each sequence's record, or `None` if the
+    /// group is infeasible. `eliminate` holds the copies, as sorted
+    /// (production, target number) pairs, tentatively turned into top
+    /// renames; if a rename is invalid the simulation fails (the caller
+    /// retries without it).
     fn run(
         grammar: &Grammar,
         seqs: &VisitSeqs,
         fp: &FlatProgram,
         objects: &ObjectIndex,
         members: &[usize],
-        eliminate: &HashSet<(ProductionId, ONode)>,
-        keys: &[SeqKey],
-    ) -> Option<HashMap<SeqKey, SimRecord>> {
-        let member_set: HashSet<usize> = members.iter().copied().collect();
+        eliminate: &[(ProductionId, usize)],
+        keys: &[usize],
+    ) -> Option<Vec<(usize, SimRecord)>> {
         keys.iter()
-            .map(|&key| {
-                let rec = Self::run_seq(grammar, seqs, fp, objects, &member_set, eliminate, key)?;
-                Some((key, rec))
+            .map(|&k| {
+                let rec = Self::run_seq(grammar, seqs, fp, objects, members, eliminate, k)?;
+                Some((k, rec))
             })
             .collect()
     }
@@ -585,195 +713,141 @@ impl StackSim {
         seqs: &VisitSeqs,
         fp: &FlatProgram,
         objects: &ObjectIndex,
-        members: &HashSet<usize>,
-        eliminate: &HashSet<(ProductionId, ONode)>,
-        key: SeqKey,
+        members: &[usize],
+        eliminate: &[(ProductionId, usize)],
+        k: usize,
     ) -> Option<SimRecord> {
-        let (p, _pi) = key;
+        let fs = &fp.seqs[k];
+        let p = fs.key.0;
         let prod = grammar.production(p);
-        let fs = &fp.seqs[&key];
-        let insts = fp.instances_of(key);
-        let by_node: HashMap<ONode, &crate::flat::Instance> =
-            insts.iter().map(|i| (i.node, i)).collect();
-        let is_member = |n: ONode| -> bool {
-            by_node
-                .get(&n)
-                .map(|i| members.contains(&objects.index(i.object)))
-                .unwrap_or(false)
-        };
-        // Pop schedule: position → instances whose last use is there (and
-        // that this sequence must pop: ChildInh, ChildSyn, Local). Member
-        // child-side instances are also bucketed by child position so the
-        // VISIT handoff checks don't rescan every instance of a wide
-        // production at every visit.
-        let mut pops_at: HashMap<usize, Vec<ONode>> = HashMap::new();
-        let mut member_child: HashMap<u16, Vec<&crate::flat::Instance>> = HashMap::new();
-        for inst in insts {
-            if !members.contains(&objects.index(inst.object)) {
-                continue;
-            }
-            if matches!(
-                inst.kind,
-                InstanceKind::ChildInh | InstanceKind::ChildSyn | InstanceKind::Local
-            ) {
-                pops_at.entry(inst.last_use()).or_default().push(inst.node);
-            }
-            if matches!(inst.kind, InstanceKind::ChildInh | InstanceKind::ChildSyn) {
-                if let ONode::Attr(o) = inst.node {
-                    member_child.entry(o.pos).or_default().push(inst);
-                }
-            }
-        }
+        let insts = &fp.instances[k];
+        // member[i]: instance i belongs to the group.
+        let member: Vec<bool> = insts
+            .iter()
+            .map(|i| members.binary_search(&objects.index(i.object)).is_ok())
+            .collect();
+        // The LHS occurrences are the first instances.
+        let lhs = 0..prod.occ_base(1);
+        // Pop schedule: (position, instance) for the member instances whose
+        // last use is there and that this sequence must pop (ChildInh,
+        // ChildSyn, Local), by position and then instance.
+        let mut schedule: Vec<(usize, usize)> = insts
+            .iter()
+            .enumerate()
+            .filter(|&(i, inst)| {
+                member[i]
+                    && matches!(
+                        inst.kind,
+                        InstanceKind::ChildInh | InstanceKind::ChildSyn | InstanceKind::Local
+                    )
+            })
+            .map(|(i, inst)| (inst.last_use(), i))
+            .collect();
+        schedule.sort_unstable();
 
-        let mut rec = SimRecord::default();
-        // The symbolic stack plus a mirror index (node → stack slot) so
-        // membership and depth queries stay O(1) on stacks holding one
-        // instance per child of a wide production.
-        let mut stack: Vec<ONode> = Vec::new();
-        let mut in_stack: HashMap<ONode, usize> = HashMap::new();
-        let mut pending: HashSet<ONode> = HashSet::new();
+        let mut sim = SimState {
+            stack: Vec::new(),
+            slot: vec![NONE; insts.len()],
+            pending: vec![false; insts.len()],
+            n_pending: 0,
+            next_pop: 0,
+            rec: SimRecord::default(),
+        };
         let mut baseline = 0usize;
-
-        // Executes the pops scheduled at `pos` (dead instances), delaying
-        // any that are not on top, and draining delayed pops that surface.
-        // For EVAL positions this runs between the reads and the push, so
-        // dead sources never get trapped under the fresh value.
-        let do_pops = |stack: &mut Vec<ONode>,
-                       in_stack: &mut HashMap<ONode, usize>,
-                       pending: &mut HashSet<ONode>,
-                       rec: &mut SimRecord,
-                       pops_at: &HashMap<usize, Vec<ONode>>,
-                       pos: usize|
-         -> bool {
-            let drain = |stack: &mut Vec<ONode>,
-                         in_stack: &mut HashMap<ONode, usize>,
-                         pending: &mut HashSet<ONode>,
-                         rec: &mut SimRecord| {
-                while let Some(top) = stack.last().copied() {
-                    if pending.remove(&top) {
-                        stack.pop();
-                        in_stack.remove(&top);
-                        *rec.pops.entry(pos).or_insert(0) += 1;
-                    } else {
-                        break;
-                    }
-                }
-            };
-            if let Some(nodes) = pops_at.get(&pos) {
-                for &node in nodes {
-                    if stack.last() == Some(&node) {
-                        stack.pop();
-                        in_stack.remove(&node);
-                        *rec.pops.entry(pos).or_insert(0) += 1;
-                        drain(stack, in_stack, pending, rec);
-                    } else if in_stack.contains_key(&node) {
-                        pending.insert(node); // delayed pop
-                    } else {
-                        return false;
-                    }
-                }
-            }
-            true
-        };
 
         for (pos, item) in fs.items.iter().enumerate() {
             match item {
                 FlatItem::Begin(v) => {
                     // Virtual pushes for the LHS inherited of this visit.
-                    let mut virt: Vec<ONode> = insts
-                        .iter()
-                        .filter(|i| {
-                            i.kind == InstanceKind::LhsInh
-                                && members.contains(&objects.index(i.object))
-                                && fs.visit_at(i.def_pos) == *v
-                                && i.def_pos == pos
+                    let virt: Vec<usize> = lhs
+                        .clone()
+                        .filter(|&i| {
+                            let inst = &insts[i];
+                            inst.kind == InstanceKind::LhsInh
+                                && member[i]
+                                && fs.visit_at(inst.def_pos) == *v
+                                && inst.def_pos == pos
                         })
-                        .map(|i| i.node)
                         .collect();
                     if virt.len() > 1 {
                         return None; // ambiguous handoff order
                     }
-                    virt.sort();
-                    for n in virt {
-                        in_stack.insert(n, stack.len());
-                        stack.push(n);
+                    for i in virt {
+                        sim.push(i);
                     }
-                    baseline = stack.len();
+                    baseline = sim.stack.len();
                 }
                 FlatItem::Leave(v) => {
-                    if !pending.is_empty() {
+                    if sim.n_pending != 0 {
                         return None; // unresolvable delayed pops
                     }
-                    // Top region must be exactly this visit's LHS syn.
-                    let syn: Vec<ONode> = insts
-                        .iter()
-                        .filter(|i| {
-                            i.kind == InstanceKind::LhsSyn
-                                && members.contains(&objects.index(i.object))
-                                && fs.visit_at(i.def_pos) == *v
+                    // Top region must be exactly this visit's LHS syn, in
+                    // canonical (number) order, not merely as a set: every
+                    // caller's VISIT handoff pushes them sorted and reads
+                    // them at their sorted depths.
+                    let syn: Vec<usize> = lhs
+                        .clone()
+                        .filter(|&i| {
+                            let inst = &insts[i];
+                            inst.kind == InstanceKind::LhsSyn
+                                && member[i]
+                                && fs.visit_at(inst.def_pos) == *v
                         })
-                        .map(|i| i.node)
                         .collect();
-                    if stack.len() != baseline + syn.len() {
+                    if sim.stack.len() != baseline + syn.len() {
                         return None;
                     }
-                    // In canonical order, not merely as a set: every caller's
-                    // VISIT handoff pushes them sorted and reads them at
-                    // their sorted depths.
-                    let mut syn = syn;
-                    syn.sort();
-                    if stack[stack.len() - syn.len()..] != syn[..] {
+                    if sim.stack[sim.stack.len() - syn.len()..] != syn[..] {
                         return None;
                     }
                 }
                 FlatItem::Op { instr, .. } => match instr {
                     Instr::Eval(target) => {
-                        let rule = grammar.rule_for(p, *target).expect("rule exists");
+                        let t = node_number(grammar, p, *target);
+                        let rule = prod.rule_at(t).expect("rule exists");
                         // Reads first.
                         for read in rule.read_nodes() {
-                            if is_member(read) {
-                                let at = *in_stack.get(&read)?;
-                                rec.depths.insert((pos, read), stack.len() - 1 - at);
+                            let r = node_number(grammar, p, read);
+                            if member[r] {
+                                let at = sim.slot[r];
+                                if at == NONE {
+                                    return None;
+                                }
+                                let depth = sim.stack.len() - 1 - at;
+                                sim.rec.depths.push((pos, r, depth));
                             }
                         }
                         // Rename elimination claims the top before pops.
                         let mut renamed = false;
-                        if is_member(*target) && eliminate.contains(&(p, *target)) {
+                        if member[t] && eliminate.binary_search(&(p, t)).is_ok() {
                             // Rename: source must be on top and die here.
                             let src = rule.read_nodes().next().expect("copy has a source");
-                            if stack.last() != Some(&src) || !is_member(src) {
+                            let src = node_number(grammar, p, src);
+                            if sim.stack.last() != Some(&src) || !member[src] {
                                 return None;
                             }
-                            let src_inst = by_node[&src];
-                            if src_inst.last_use() != pos {
+                            if insts[src].last_use() != pos {
                                 return None;
                             }
                             // The source's scheduled pop at `pos` is
                             // superseded by the rename.
-                            if let Some(v) = pops_at.get_mut(&pos) {
-                                v.retain(|&n| n != src);
+                            if let Ok(e) = schedule.binary_search(&(pos, src)) {
+                                schedule[e].1 = NONE;
                             }
-                            *stack.last_mut().expect("nonempty") = *target;
-                            in_stack.remove(&src);
-                            in_stack.insert(*target, stack.len() - 1);
-                            rec.renames.insert(pos);
+                            let top = sim.stack.len() - 1;
+                            sim.stack[top] = t;
+                            sim.slot[src] = NONE;
+                            sim.slot[t] = top;
+                            sim.rec.renames.push(pos);
                             renamed = true;
                         }
                         // Dead sources are popped before the fresh push so
                         // they are not trapped under it.
-                        if !do_pops(
-                            &mut stack,
-                            &mut in_stack,
-                            &mut pending,
-                            &mut rec,
-                            &pops_at,
-                            pos,
-                        ) {
+                        if !sim.do_pops(&schedule, pos) {
                             return None;
                         }
-                        if is_member(*target) && !renamed {
-                            in_stack.insert(*target, stack.len());
-                            stack.push(*target);
+                        if member[t] && !renamed {
+                            sim.push(t);
                         }
                     }
                     Instr::Visit {
@@ -783,58 +857,41 @@ impl StackSim {
                     } => {
                         let ph = prod.phylum_at(*child);
                         let part = &seqs.partitions_of(ph)[*partition];
-                        let of_child = member_child.get(child).map(Vec::as_slice).unwrap_or(&[]);
-                        // Handoff check: this visit's inherited members must
-                        // be exactly the topmost items, in canonical order.
-                        let mut handoff: Vec<ONode> = of_child
-                            .iter()
-                            .filter(|i| {
-                                i.kind == InstanceKind::ChildInh
-                                    && matches!(i.node, ONode::Attr(o)
+                        // The child's member instances of this visit of a
+                        // kind, in canonical (number) order.
+                        let member = &member;
+                        let of_child = |kind: InstanceKind| {
+                            (prod.occ_base(*child)..prod.occ_base(*child + 1)).filter(move |&i| {
+                                member[i]
+                                    && insts[i].kind == kind
+                                    && matches!(insts[i].node, ONode::Attr(o)
                                         if part.visit_of(o.attr) == Some(*visit))
                             })
-                            .map(|i| i.node)
-                            .collect();
-                        handoff.sort();
+                        };
+                        // Handoff check: this visit's inherited members must
+                        // be exactly the topmost items, in canonical order.
+                        let handoff: Vec<usize> = of_child(InstanceKind::ChildInh).collect();
                         if !handoff.is_empty() {
-                            if stack.len() < handoff.len() {
+                            if sim.stack.len() < handoff.len() {
                                 return None;
                             }
-                            if stack[stack.len() - handoff.len()..] != handoff[..] {
+                            if sim.stack[sim.stack.len() - handoff.len()..] != handoff[..] {
                                 return None;
                             }
                         }
                         // The child's synthesized members of this visit
                         // materialize on top, in canonical order.
-                        let mut syn: Vec<ONode> = of_child
-                            .iter()
-                            .filter(|i| {
-                                i.kind == InstanceKind::ChildSyn
-                                    && matches!(i.node, ONode::Attr(o)
-                                        if part.visit_of(o.attr) == Some(*visit))
-                            })
-                            .map(|i| i.node)
-                            .collect();
-                        syn.sort();
-                        for n in syn {
-                            in_stack.insert(n, stack.len());
-                            stack.push(n);
+                        for i in of_child(InstanceKind::ChildSyn) {
+                            sim.push(i);
                         }
-                        if !do_pops(
-                            &mut stack,
-                            &mut in_stack,
-                            &mut pending,
-                            &mut rec,
-                            &pops_at,
-                            pos,
-                        ) {
+                        if !sim.do_pops(&schedule, pos) {
                             return None;
                         }
                     }
                 },
             }
         }
-        Some(rec)
+        Some(sim.rec)
     }
 }
 
@@ -842,19 +899,35 @@ impl StackSim {
 // Final access tables
 // ---------------------------------------------------------------------------
 
-/// Builds the runtime access tables from the final storage and each
-/// stack's simulation records (`recs[id]`).
+/// The record of stack `id` among one sequence's records (sorted by id).
+fn record_of<'r>(recs: &[(usize, &'r SimRecord)], id: usize) -> &'r SimRecord {
+    let i = recs
+        .binary_search_by_key(&id, |&(s, _)| s)
+        .expect("a stack is simulated on every sequence of its members");
+    recs[i].1
+}
+
+/// Builds the runtime access tables from the final storage, the sorted
+/// eliminated copies and each stack's simulation records (`recs[id]`).
 fn build_access(
     grammar: &Grammar,
     fp: &FlatProgram,
     objects: &ObjectIndex,
     storage: &[Storage],
-    eliminated: &HashSet<(ProductionId, ONode)>,
-    recs: &[HashMap<SeqKey, SimRecord>],
+    eliminated: &[(ProductionId, usize)],
+    recs: &[Vec<(usize, SimRecord)>],
 ) -> HashMap<SeqKey, SeqAccess> {
-    let mut access = HashMap::new();
-    for (&key, fs) in &fp.seqs {
-        let (p, _) = key;
+    // Each sequence's records, by stack id.
+    let mut by_seq: Vec<Vec<(usize, &SimRecord)>> = vec![Vec::new(); fp.seqs.len()];
+    for (id, per_seq) in recs.iter().enumerate() {
+        for (k, rec) in per_seq {
+            by_seq[*k].push((id, rec));
+        }
+    }
+    let mut access = HashMap::with_capacity(fp.seqs.len());
+    for (fs, recs) in fp.seqs.iter().zip(&by_seq) {
+        let p = fs.key.0;
+        let prod = grammar.production(p);
         let mut steps: Vec<StepAccess> = Vec::with_capacity(fs.items.len());
         for (pos, item) in fs.items.iter().enumerate() {
             let mut step = StepAccess::default();
@@ -863,14 +936,13 @@ fn build_access(
                 ..
             } = item
             {
-                let rule = grammar.rule_for(p, *target).expect("rule exists");
+                let t = node_number(grammar, p, *target);
+                let rule = prod.rule_at(t).expect("rule exists");
+                let path = |a| arg_path(grammar, objects, storage, recs, p, pos, a);
                 // Argument paths, in rule-argument order.
                 let args: Vec<ReadPath> = match rule.body() {
-                    RuleBody::Copy(a) => vec![arg_path(objects, storage, recs, key, pos, a)],
-                    RuleBody::Call { args, .. } => args
-                        .iter()
-                        .map(|a| arg_path(objects, storage, recs, key, pos, a))
-                        .collect(),
+                    RuleBody::Copy(a) => vec![path(a)],
+                    RuleBody::Call { args, .. } => args.iter().map(path).collect(),
                 };
                 let tobj = match target {
                     ONode::Attr(o) => Object::Attr(o.attr),
@@ -879,14 +951,14 @@ fn build_access(
                 let write = match storage[objects.index(tobj)] {
                     Storage::Node => WritePath::Node,
                     Storage::Variable(id) => {
-                        if eliminated.contains(&(p, *target)) {
+                        if eliminated.binary_search(&(p, t)).is_ok() {
                             WritePath::SkipVariable
                         } else {
                             WritePath::Variable(id)
                         }
                     }
                     Storage::Stack(id) => {
-                        if recs[id][&key].renames.contains(&pos) {
+                        if record_of(recs, id).renames.binary_search(&pos).is_ok() {
                             WritePath::SkipStackTop
                         } else {
                             WritePath::Stack(id)
@@ -897,27 +969,26 @@ fn build_access(
                 step.write = Some(write);
             }
             // Pops scheduled after this position, in stack-id order.
-            for (id, per_seq) in recs.iter().enumerate() {
-                if let Some(&n) = per_seq.get(&key).and_then(|r| r.pops.get(&pos)) {
-                    step.pops_after.extend(std::iter::repeat_n(id, n));
-                }
+            for &(id, rec) in recs {
+                step.pops_after
+                    .extend(std::iter::repeat_n(id, rec.pops_after(pos)));
             }
             steps.push(step);
         }
-        access.insert(key, SeqAccess { steps });
+        access.insert(fs.key, SeqAccess { steps });
     }
     access
 }
 
 fn arg_path(
+    grammar: &Grammar,
     objects: &ObjectIndex,
     storage: &[Storage],
-    recs: &[HashMap<SeqKey, SimRecord>],
-    key: SeqKey,
+    recs: &[(usize, &SimRecord)],
+    p: ProductionId,
     pos: usize,
     arg: &fnc2_ag::Arg,
 ) -> ReadPath {
-    let p = key.0;
     match arg {
         fnc2_ag::Arg::Const(_) | fnc2_ag::Arg::Token => ReadPath::Immediate,
         fnc2_ag::Arg::Node(n) => {
@@ -929,10 +1000,8 @@ fn arg_path(
                 Storage::Node => ReadPath::Node,
                 Storage::Variable(id) => ReadPath::Variable(id),
                 Storage::Stack(id) => {
-                    let depth = recs[id][&key]
-                        .depths
-                        .get(&(pos, *n))
-                        .copied()
+                    let depth = record_of(recs, id)
+                        .depth(pos, node_number(grammar, p, *n))
                         .expect("simulation recorded every member read");
                     ReadPath::Stack(id, depth)
                 }
@@ -969,8 +1038,9 @@ pub fn validate_plan(
     lt: &Lifetimes,
     plan: &SpacePlan,
 ) -> Result<(), String> {
-    let mut variables: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut stacks: HashMap<usize, Vec<usize>> = HashMap::new();
+    // Members per variable and per stack id, each list sorted.
+    let mut variables: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let mut stacks: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (oi, s) in plan.storage.iter().enumerate() {
         match s {
             Storage::Variable(id) => variables.entry(*id).or_default().push(oi),
@@ -994,20 +1064,16 @@ pub fn validate_plan(
     }
     // Every sequence, not just the occurrence-indexed ones the planner
     // visits: this is the independent re-check of that shortcut.
-    let every: Vec<SeqKey> = fp.seqs.keys().copied().collect();
-    let mut var_ids: Vec<usize> = variables.keys().copied().collect();
-    var_ids.sort_unstable();
-    for id in var_ids {
-        if !variable_feasible(grammar, fp, lt, objects, &variables[&id], &every) {
+    let every: Vec<usize> = (0..fp.seqs.len()).collect();
+    for (id, members) in &variables {
+        if !variable_feasible(grammar, fp, lt, objects, members, &every) {
             return Err(format!(
                 "variable {id} groups objects with overlapping lifetimes"
             ));
         }
     }
-    let mut stack_ids: Vec<usize> = stacks.keys().copied().collect();
-    stack_ids.sort_unstable();
-    for id in stack_ids {
-        let elim: HashSet<(ProductionId, ONode)> = plan
+    for (&id, members) in &stacks {
+        let mut elim: Vec<(ProductionId, usize)> = plan
             .eliminated
             .iter()
             .filter(|(p, t)| {
@@ -1017,9 +1083,10 @@ pub fn validate_plan(
                 };
                 plan.storage[objects.index(obj)] == Storage::Stack(id)
             })
-            .copied()
+            .filter_map(|&(p, t)| Some((p, grammar.node_index(p, t)?)))
             .collect();
-        if StackSim::run(grammar, seqs, fp, objects, &stacks[&id], &elim, &every).is_none() {
+        elim.sort_unstable();
+        if StackSim::run(grammar, seqs, fp, objects, members, &elim, &every).is_none() {
             return Err(format!(
                 "stack {id} fails the symbolic simulation under the plan's eliminations"
             ));

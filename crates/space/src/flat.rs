@@ -7,9 +7,9 @@
 //! into the `BEGIN`/`LEAVE` markers (LHS occurrences) and the `VISIT`
 //! instructions (child occurrences).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use fnc2_ag::{AttrKind, Grammar, LocalId, ONode, Occ, PhylumId, ProductionId};
+use fnc2_ag::{AttrId, AttrKind, Grammar, ONode, Occ, PhylumId, ProductionId};
 use fnc2_visit::{Instr, VisitSeqs};
 
 use crate::object::Object;
@@ -112,31 +112,40 @@ impl Instance {
 }
 
 /// Flattened sequences plus instance tables for the whole grammar.
+///
+/// Every sequence has a dense number, its place in [`VisitSeqs::keys`]
+/// (sorted by key): `seqs[k]` and `instances[k]` describe the same
+/// sequence, and [`seq_index`](Self::seq_index) finds a key's number. Within a
+/// sequence, instance `i` is node `i` of the production's numbering
+/// ([`Production::nodes`](fnc2_ag::Production::nodes)).
 #[derive(Clone, Debug)]
 pub struct FlatProgram {
-    /// Flattened sequences, keyed like [`VisitSeqs`].
-    pub seqs: HashMap<(ProductionId, usize), FlatSeq>,
-    /// Instances per sequence, same keys.
-    pub instances: HashMap<(ProductionId, usize), Vec<Instance>>,
+    /// Flattened sequences, in [`VisitSeqs::keys`] order.
+    pub seqs: Vec<FlatSeq>,
+    /// Instances per sequence, in the same order.
+    pub instances: Vec<Vec<Instance>>,
     /// `last_read_visit[(phylum, partition, attr)]`: the latest visit in
     /// which any production of `phylum` (under that partition) reads the
     /// LHS occurrence of the inherited attribute. Missing = never read.
-    pub last_read_visit: HashMap<(PhylumId, usize, fnc2_ag::AttrId), usize>,
+    pub last_read_visit: BTreeMap<(PhylumId, usize, AttrId), usize>,
 }
 
 impl FlatProgram {
     /// Builds the flattened program for `grammar` under `seqs`.
     pub fn new(grammar: &Grammar, seqs: &VisitSeqs) -> FlatProgram {
-        let keys = seqs.keys();
-        let flat: HashMap<_, _> = keys.iter().map(|&k| (k, FlatSeq::new(k, seqs))).collect();
+        let flat: Vec<FlatSeq> = seqs
+            .keys()
+            .into_iter()
+            .map(|k| FlatSeq::new(k, seqs))
+            .collect();
 
         // Pass 1: latest visit reading each (phylum, partition, inherited
         // attr) at its LHS occurrence.
-        let mut last_read_visit: HashMap<(PhylumId, usize, fnc2_ag::AttrId), usize> =
-            HashMap::new();
-        for (&(p, pi), fs) in &flat {
+        let mut last_read_visit = BTreeMap::new();
+        for fs in &flat {
+            let (p, pi) = fs.key;
             let lhs = grammar.production(p).lhs();
-            for (pos, item) in fs.items.iter().enumerate() {
+            for item in &fs.items {
                 let FlatItem::Op {
                     visit,
                     instr: Instr::Eval(target),
@@ -144,7 +153,6 @@ impl FlatProgram {
                 else {
                     continue;
                 };
-                let _ = pos;
                 let rule = grammar.rule_for(p, *target).expect("rule exists");
                 for read in rule.read_nodes() {
                     if let ONode::Attr(Occ { pos: 0, attr }) = read {
@@ -158,13 +166,10 @@ impl FlatProgram {
         }
 
         // Pass 2: instances per sequence.
-        let mut instances = HashMap::new();
-        for (&(p, pi), fs) in &flat {
-            instances.insert(
-                (p, pi),
-                build_instances(grammar, seqs, fs, &last_read_visit),
-            );
-        }
+        let instances = flat
+            .iter()
+            .map(|fs| build_instances(grammar, seqs, fs, &last_read_visit))
+            .collect();
 
         FlatProgram {
             seqs: flat,
@@ -173,158 +178,168 @@ impl FlatProgram {
         }
     }
 
+    /// The number of the sequence `key`, if the program has it.
+    pub fn seq_index(&self, key: (ProductionId, usize)) -> Option<usize> {
+        self.seqs.binary_search_by_key(&key, |fs| fs.key).ok()
+    }
+
     /// Instances of a sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has no sequence `key`.
     pub fn instances_of(&self, key: (ProductionId, usize)) -> &[Instance] {
-        &self.instances[&key]
+        &self.instances[self.seq_index(key).expect("a sequence of this program")]
     }
 }
+
+/// Records `x` at `v[i]`, growing `v` with [`NONE`] as needed.
+fn put(v: &mut Vec<usize>, i: usize, x: usize) {
+    if v.len() <= i {
+        v.resize(i + 1, NONE);
+    }
+    v[i] = x;
+}
+
+/// An unset position.
+const NONE: usize = usize::MAX;
 
 fn build_instances(
     grammar: &Grammar,
     seqs: &VisitSeqs,
     fs: &FlatSeq,
-    last_read_visit: &HashMap<(PhylumId, usize, fnc2_ag::AttrId), usize>,
+    last_read_visit: &BTreeMap<(PhylumId, usize, AttrId), usize>,
 ) -> Vec<Instance> {
     let (p, pi) = fs.key;
     let prod = grammar.production(p);
-    let lhs = prod.lhs();
-    let lhs_part = &seqs.partitions_of(lhs)[pi];
+    let lhs_part = &seqs.partitions_of(prod.lhs())[pi];
+    let nodes = prod.nodes();
+    let number = |node: ONode| {
+        grammar
+            .node_index(p, node)
+            .expect("a node of the production")
+    };
 
-    // Where is each node defined / visited?
-    let mut def_pos: HashMap<ONode, usize> = HashMap::new();
-    let mut begin_pos: HashMap<usize, usize> = HashMap::new(); // visit -> position
-    let mut leave_pos: HashMap<usize, usize> = HashMap::new();
-    let mut visit_pos: HashMap<(u16, usize), (usize, usize)> = HashMap::new(); // (child, visit) -> (pos, partition)
-    let mut child_part: HashMap<u16, usize> = HashMap::new(); // child -> partition
+    // Where is each node defined (by number), each visit begun and left
+    // (by visit - 1), each child visited (by child, then visit - 1), and
+    // under which partition is each child visited?
+    let mut def_pos = vec![NONE; nodes.len()];
+    let mut begin_pos = Vec::new();
+    let mut leave_pos = Vec::new();
+    let mut visit_pos: Vec<Vec<usize>> = vec![Vec::new(); prod.arity() + 1];
+    let mut child_part = vec![NONE; prod.arity() + 1];
+    // Reads: node number -> positions of EVALs whose rule reads it.
+    let mut reads: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
     for (pos, item) in fs.items.iter().enumerate() {
         match item {
-            FlatItem::Begin(v) => {
-                begin_pos.insert(*v, pos);
-            }
-            FlatItem::Leave(v) => {
-                leave_pos.insert(*v, pos);
-            }
+            FlatItem::Begin(v) => put(&mut begin_pos, v - 1, pos),
+            FlatItem::Leave(v) => put(&mut leave_pos, v - 1, pos),
             FlatItem::Op { instr, .. } => match instr {
                 Instr::Eval(target) => {
-                    def_pos.insert(*target, pos);
+                    def_pos[number(*target)] = pos;
+                    let rule = grammar.rule_for(p, *target).expect("rule exists");
+                    for read in rule.read_nodes() {
+                        reads[number(read)].push(pos);
+                    }
                 }
                 Instr::Visit {
                     child,
                     visit,
                     partition,
                 } => {
-                    visit_pos.insert((*child, *visit), (pos, *partition));
-                    child_part.insert(*child, *partition);
+                    put(&mut visit_pos[*child as usize], visit - 1, pos);
+                    child_part[*child as usize] = *partition;
                 }
             },
         }
     }
+    let defined = |k: usize| {
+        assert_ne!(def_pos[k], NONE, "every output is evaluated");
+        def_pos[k]
+    };
 
-    // Reads: occurrence -> positions of EVALs whose rule reads it.
-    let mut reads: HashMap<ONode, Vec<usize>> = HashMap::new();
-    for (pos, item) in fs.items.iter().enumerate() {
-        let FlatItem::Op {
-            instr: Instr::Eval(target),
-            ..
-        } = item
-        else {
-            continue;
-        };
-        let rule = grammar.rule_for(p, *target).expect("rule exists");
-        for read in rule.read_nodes() {
-            reads.entry(read).or_default().push(pos);
-        }
-    }
-
-    let mut out = Vec::new();
-
-    // LHS occurrences.
-    for &attr in grammar.phylum(lhs).attrs() {
-        let node = ONode::Attr(Occ::lhs(attr));
-        let v = lhs_part.visit_of(attr).expect("partition is complete");
-        match grammar.attr(attr).kind() {
-            AttrKind::Inherited => {
-                out.push(Instance {
-                    node,
-                    object: Object::Attr(attr),
-                    kind: InstanceKind::LhsInh,
-                    def_pos: begin_pos[&v],
-                    uses: reads.get(&node).cloned().unwrap_or_default(),
-                });
-            }
-            AttrKind::Synthesized => {
-                let mut uses = reads.get(&node).cloned().unwrap_or_default();
-                uses.push(leave_pos[&v]); // handoff to the parent
-                out.push(Instance {
-                    node,
-                    object: Object::Attr(attr),
-                    kind: InstanceKind::LhsSyn,
-                    def_pos: def_pos[&node],
-                    uses,
-                });
-            }
-        }
-    }
-
-    // Child occurrences.
-    for pos_j in 1..=prod.arity() as u16 {
-        let ph = prod.phylum_at(pos_j);
-        for &attr in grammar.phylum(ph).attrs() {
-            let node = ONode::Attr(Occ::new(pos_j, attr));
-            // Partition used on this child: from any VISIT instruction.
-            let cpart = *child_part
-                .get(&pos_j)
-                .expect("every child is visited at least once");
-            let part = &seqs.partitions_of(ph)[cpart];
-            let w = part.visit_of(attr).expect("partition is complete");
-            match grammar.attr(attr).kind() {
-                AttrKind::Inherited => {
-                    let mut uses = reads.get(&node).cloned().unwrap_or_default();
-                    // The child consumes it during visits w ..= last read.
-                    let last = last_read_visit
-                        .get(&(ph, cpart, attr))
-                        .copied()
-                        .unwrap_or(0)
-                        .max(w);
-                    for wv in w..=last {
-                        if let Some(&(vp, _)) = visit_pos.get(&(pos_j, wv)) {
-                            uses.push(vp);
+    // One instance per node, in number order: the LHS occurrences, each
+    // child's, then the locals.
+    let mut out = Vec::with_capacity(nodes.len());
+    for (k, (&node, uses)) in nodes.iter().zip(reads).enumerate() {
+        let inst = match node {
+            ONode::Attr(Occ { pos: 0, attr }) => {
+                let v = lhs_part.visit_of(attr).expect("partition is complete");
+                match grammar.attr(attr).kind() {
+                    AttrKind::Inherited => Instance {
+                        node,
+                        object: Object::Attr(attr),
+                        kind: InstanceKind::LhsInh,
+                        def_pos: begin_pos[v - 1],
+                        uses,
+                    },
+                    AttrKind::Synthesized => {
+                        let mut uses = uses;
+                        uses.push(leave_pos[v - 1]); // handoff to the parent
+                        Instance {
+                            node,
+                            object: Object::Attr(attr),
+                            kind: InstanceKind::LhsSyn,
+                            def_pos: defined(k),
+                            uses,
                         }
                     }
-                    out.push(Instance {
-                        node,
-                        object: Object::Attr(attr),
-                        kind: InstanceKind::ChildInh,
-                        def_pos: def_pos[&node],
-                        uses,
-                    });
-                }
-                AttrKind::Synthesized => {
-                    let (vp, _) = visit_pos[&(pos_j, w)];
-                    out.push(Instance {
-                        node,
-                        object: Object::Attr(attr),
-                        kind: InstanceKind::ChildSyn,
-                        def_pos: vp,
-                        uses: reads.get(&node).cloned().unwrap_or_default(),
-                    });
                 }
             }
-        }
+            ONode::Attr(Occ { pos, attr }) => {
+                let ph = prod.phylum_at(pos);
+                // Partition used on this child: from any VISIT instruction.
+                let cpart = child_part[pos as usize];
+                assert_ne!(cpart, NONE, "every child is visited at least once");
+                let part = &seqs.partitions_of(ph)[cpart];
+                let w = part.visit_of(attr).expect("partition is complete");
+                let visits = &visit_pos[pos as usize];
+                match grammar.attr(attr).kind() {
+                    AttrKind::Inherited => {
+                        let mut uses = uses;
+                        // The child consumes it during visits w ..= last read.
+                        let last = last_read_visit
+                            .get(&(ph, cpart, attr))
+                            .copied()
+                            .unwrap_or(0)
+                            .max(w);
+                        for wv in w..=last {
+                            match visits.get(wv - 1) {
+                                Some(&vp) if vp != NONE => uses.push(vp),
+                                _ => {}
+                            }
+                        }
+                        Instance {
+                            node,
+                            object: Object::Attr(attr),
+                            kind: InstanceKind::ChildInh,
+                            def_pos: defined(k),
+                            uses,
+                        }
+                    }
+                    AttrKind::Synthesized => {
+                        let vp = visits.get(w - 1).copied().unwrap_or(NONE);
+                        assert_ne!(vp, NONE, "the visit computing it is scheduled");
+                        Instance {
+                            node,
+                            object: Object::Attr(attr),
+                            kind: InstanceKind::ChildSyn,
+                            def_pos: vp,
+                            uses,
+                        }
+                    }
+                }
+            }
+            ONode::Local(l) => Instance {
+                node,
+                object: Object::Local(p, l),
+                kind: InstanceKind::Local,
+                def_pos: defined(k),
+                uses,
+            },
+        };
+        out.push(inst);
     }
-
-    // Locals.
-    for l in 0..prod.locals().len() as u32 {
-        let node = ONode::Local(LocalId::from_raw(l));
-        out.push(Instance {
-            node,
-            object: Object::Local(p, LocalId::from_raw(l)),
-            kind: InstanceKind::Local,
-            def_pos: def_pos[&node],
-            uses: reads.get(&node).cloned().unwrap_or_default(),
-        });
-    }
-
     out
 }
 
@@ -363,7 +378,7 @@ mod tests {
         let (g, seqs) = two_pass();
         let fp = FlatProgram::new(&g, &seqs);
         let root = g.production_by_name("root").unwrap();
-        let fs = &fp.seqs[&(root, 0)];
+        let fs = &fp.seqs[fp.seq_index((root, 0)).unwrap()];
         // BEGIN, EVAL down, VISIT, EVAL out, LEAVE.
         assert_eq!(fs.items.len(), 5);
         assert!(matches!(fs.items[0], FlatItem::Begin(1)));

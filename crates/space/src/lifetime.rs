@@ -8,9 +8,7 @@
 //! global-variable test; they are a grammar-flow fixpoint over the
 //! sequences, FNC-2's "grammar of visits and contexts" in set form.
 
-use std::collections::HashMap;
-
-use fnc2_ag::{Grammar, ONode, Occ, PhylumId, ProductionId};
+use fnc2_ag::{Grammar, ONode, Occ, PhylumId};
 use fnc2_visit::{Instr, VisitSeqs};
 
 use crate::flat::{FlatItem, FlatProgram};
@@ -22,9 +20,9 @@ pub struct Lifetimes {
     /// `temporary[i]`: object `i`'s lifetime never crosses a visit
     /// boundary.
     pub temporary: Vec<bool>,
-    /// `may_eval[(phylum, partition, visit)]`: objects that may be
+    /// `may_eval[phylum][partition][visit - 1]`: objects that may be
     /// evaluated during that visit of a subtree of that phylum.
-    pub may_eval: HashMap<(PhylumId, usize, usize), ObjectSet>,
+    pub may_eval: Vec<Vec<Vec<ObjectSet>>>,
 }
 
 impl Lifetimes {
@@ -41,6 +39,13 @@ impl Lifetimes {
             temporary,
             may_eval,
         }
+    }
+
+    /// The objects that may be evaluated during visit `visit` (1-based) of
+    /// a subtree of `phylum` under partition `partition`.
+    #[inline]
+    pub fn may_evaluate(&self, phylum: PhylumId, partition: usize, visit: usize) -> &ObjectSet {
+        &self.may_eval[phylum.index()][partition][visit - 1]
     }
 
     /// True if `o` is temporary.
@@ -61,8 +66,7 @@ impl Lifetimes {
 /// uses stay in the visit of its definition.
 fn temporaries(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<bool> {
     let mut temp = vec![true; objects.len()];
-    for (key, insts) in &fp.instances {
-        let fs = &fp.seqs[key];
+    for (fs, insts) in fp.seqs.iter().zip(&fp.instances) {
         for inst in insts {
             let dv = fs.visit_at(inst.def_pos);
             if inst.uses.iter().any(|&u| fs.visit_at(u) != dv) {
@@ -79,73 +83,75 @@ fn may_eval_sets(
     seqs: &VisitSeqs,
     fp: &FlatProgram,
     objects: &ObjectIndex,
-) -> HashMap<(PhylumId, usize, usize), ObjectSet> {
-    // Enumerate keys (phylum, partition, visit).
-    let mut keys: Vec<(PhylumId, usize, usize)> = Vec::new();
+) -> Vec<Vec<Vec<ObjectSet>>> {
+    // Number the keys (phylum, partition, visit) densely: `first[phylum]
+    // [partition]` is the number of visit 1.
+    let mut first: Vec<Vec<usize>> = Vec::with_capacity(grammar.phylum_count());
+    let mut n = 0;
     for ph in grammar.phyla() {
-        for (pi, part) in seqs.partitions_of(ph).iter().enumerate() {
-            for v in 1..=part.visit_count() {
-                keys.push((ph, pi, v));
-            }
-        }
+        let parts = seqs.partitions_of(ph);
+        first.push(
+            parts
+                .iter()
+                .map(|part| {
+                    n += part.visit_count();
+                    n - part.visit_count()
+                })
+                .collect(),
+        );
     }
-    let key_ix: HashMap<(PhylumId, usize, usize), usize> = keys
-        .iter()
-        .copied()
-        .enumerate()
-        .map(|(i, k)| (k, i))
-        .collect();
-    let mut sets: Vec<ObjectSet> = keys.iter().map(|_| ObjectSet::new(objects.len())).collect();
+    let key = |ph: PhylumId, pi: usize, v: usize| first[ph.index()][pi] + v - 1;
+    let mut sets: Vec<ObjectSet> = (0..n).map(|_| ObjectSet::new(objects.len())).collect();
 
     // Per key, the (sequence, visit) bodies contributing to it, and the
     // nested keys referenced by their VISITs.
     struct Body {
         direct: ObjectSet,
-        nested: Vec<usize>, // key indices
+        nested: Vec<usize>, // key numbers
     }
-    let mut bodies: Vec<Vec<Body>> = keys.iter().map(|_| Vec::new()).collect();
-    for (&(p, pi), fs) in &fp.seqs {
-        let lhs = grammar.production(p).lhs();
+    let mut bodies: Vec<Vec<Body>> = (0..n).map(|_| Vec::new()).collect();
+    for fs in &fp.seqs {
+        let (p, pi) = fs.key;
         let prod = grammar.production(p);
-        // Group items by visit.
+        let lhs = prod.lhs();
         let nvisits = seqs.partitions_of(lhs)[pi].visit_count();
-        for v in 1..=nvisits {
-            let Some(&ki) = key_ix.get(&(lhs, pi, v)) else {
+        let mut own: Vec<Body> = (0..nvisits)
+            .map(|_| Body {
+                direct: ObjectSet::new(objects.len()),
+                nested: Vec::new(),
+            })
+            .collect();
+        for item in &fs.items {
+            let FlatItem::Op { visit, instr } = item else {
                 continue;
             };
-            let mut direct = ObjectSet::new(objects.len());
-            let mut nested = Vec::new();
-            for item in &fs.items {
-                let FlatItem::Op { visit, instr } = item else {
-                    continue;
-                };
-                if *visit != v {
-                    continue;
+            let Some(body) = own.get_mut(visit - 1) else {
+                continue;
+            };
+            match instr {
+                Instr::Eval(target) => {
+                    let obj = match target {
+                        ONode::Attr(Occ { attr, .. }) => Object::Attr(*attr),
+                        ONode::Local(l) => Object::Local(p, *l),
+                    };
+                    body.direct.insert(objects.index(obj));
                 }
-                match instr {
-                    Instr::Eval(target) => {
-                        let obj = match target {
-                            ONode::Attr(Occ { attr, .. }) => Object::Attr(*attr),
-                            ONode::Local(l) => Object::Local(p, *l),
-                        };
-                        direct.insert(objects.index(obj));
-                    }
-                    Instr::Visit {
-                        child,
-                        visit: w,
-                        partition,
-                    } => {
-                        let ph = prod.phylum_at(*child);
-                        nested.push(key_ix[&(ph, *partition, *w)]);
-                    }
+                Instr::Visit {
+                    child,
+                    visit: w,
+                    partition,
+                } => {
+                    let ph = prod.phylum_at(*child);
+                    body.nested.push(key(ph, *partition, *w));
                 }
             }
-            bodies[ki].push(Body { direct, nested });
+        }
+        for (v, body) in own.into_iter().enumerate() {
+            bodies[key(lhs, pi, v + 1)].push(body);
         }
     }
 
     // Key k writes its own set and reads the sets its bodies nest.
-    let n = keys.len();
     let dependents = fnc2_gfa::dependents(
         n,
         n,
@@ -170,7 +176,17 @@ fn may_eval_sets(
         sets[ki].union_in_place(&acc)
     });
 
-    keys.into_iter().zip(sets).collect()
+    // Back into (phylum, partition, visit) shape.
+    let mut sets = sets.into_iter();
+    grammar
+        .phyla()
+        .map(|ph| {
+            seqs.partitions_of(ph)
+                .iter()
+                .map(|part| sets.by_ref().take(part.visit_count()).collect())
+                .collect()
+        })
+        .collect()
 }
 
 /// The strict-stack test for **non-temporary** attributes — the extension
@@ -207,8 +223,7 @@ pub fn strict_stack_candidates(
         if grammar.attr(a).phylum() == grammar.root() {
             continue;
         }
-        for (key, insts) in &fp.instances {
-            let fs = &fp.seqs[key];
+        for (k, (fs, insts)) in fp.seqs.iter().zip(&fp.instances).enumerate() {
             for inst in insts.iter().filter(|i| i.object == obj) {
                 match inst.kind {
                     // Cross-visit uses at the own node are the allowed
@@ -234,8 +249,8 @@ pub fn strict_stack_candidates(
                         if interval_hits_visit(
                             grammar,
                             fp,
-                            &lt.may_eval,
-                            *key,
+                            lt,
+                            k,
                             inst.def_pos,
                             inst.last_use(),
                             &[oi],
@@ -253,24 +268,25 @@ pub fn strict_stack_candidates(
     candidates
 }
 
-/// Returns true if the interval `[def, last]` of a sequence contains a
-/// `VISIT` that may evaluate any of the object indices `objs` — the
-/// global-variable conflict test. Positions listed in `exclude` (the
-/// instance's own uses: visits during which the visited subtree reads the
-/// instance and whose sequences are checked directly) are skipped.
+/// Returns true if the interval `[def, last]` of sequence number `seq` (see
+/// [`FlatProgram`]) contains a `VISIT` that may evaluate any of the object
+/// indices `objs` — the global-variable conflict test. Positions listed in
+/// `exclude` (the instance's own uses: visits during which the visited
+/// subtree reads the instance and whose sequences are checked directly)
+/// are skipped.
 #[allow(clippy::too_many_arguments)]
 pub fn interval_hits_visit(
     grammar: &Grammar,
     fp: &FlatProgram,
-    may_eval: &HashMap<(PhylumId, usize, usize), ObjectSet>,
-    key: (ProductionId, usize),
+    lt: &Lifetimes,
+    seq: usize,
     def: usize,
     last: usize,
     objs: &[usize],
     exclude: &[usize],
 ) -> bool {
-    let fs = &fp.seqs[&key];
-    let prod = grammar.production(key.0);
+    let fs = &fp.seqs[seq];
+    let prod = grammar.production(fs.key.0);
     for pos in def + 1..=last.min(fs.items.len().saturating_sub(1)) {
         if exclude.contains(&pos) {
             continue;
@@ -286,7 +302,7 @@ pub fn interval_hits_visit(
         } = &fs.items[pos]
         {
             let ph = prod.phylum_at(*child);
-            let set = &may_eval[&(ph, *partition, *visit)];
+            let set = lt.may_evaluate(ph, *partition, *visit);
             if objs.iter().any(|&oi| set.contains(oi)) {
                 return true;
             }
@@ -387,7 +403,7 @@ mod tests {
         let a = g.phylum_by_name("A").unwrap();
         let down = g.attr_by_name(a, "down").unwrap();
         let up = g.attr_by_name(a, "up").unwrap();
-        let me = &lt.may_eval[&(a, 0, 1)];
+        let me = lt.may_evaluate(a, 0, 1);
         // Visiting an A subtree evaluates nested down (via mid) and up.
         assert!(me.contains(objects.index(Object::Attr(down))));
         assert!(me.contains(objects.index(Object::Attr(up))));

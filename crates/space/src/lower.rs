@@ -31,12 +31,13 @@ pub fn plan_evaluator<'g>(
     plan: &SpacePlan,
 ) -> Evaluator<'g> {
     let ev = Evaluator::new(grammar, seqs);
-    let ops: Vec<_> = seqs
-        .keys()
-        .into_iter()
-        .map(|key| {
+    let ops: Vec<_> = fp
+        .seqs
+        .iter()
+        .map(|fs| {
+            let key = fs.key;
             let mut visits = vec![Vec::new(); seqs.seq(key.0, key.1).segments.len()];
-            for (item, step) in fp.seqs[&key].items.iter().zip(&plan.access[&key].steps) {
+            for (item, step) in fs.items.iter().zip(&plan.access[&key].steps) {
                 if let FlatItem::Op { visit, instr } = item {
                     visits[visit - 1].push(lower_step(ev.program(), key.0, instr, step));
                 }

@@ -1,8 +1,6 @@
 //! Storage objects: the units the space optimizer assigns to variables,
 //! stacks, or tree nodes.
 
-use std::collections::HashMap;
-
 use fnc2_ag::{AttrId, Grammar, LocalId, ProductionId};
 
 /// Something that needs storage: an attribute declaration or a
@@ -33,11 +31,13 @@ impl Object {
     }
 }
 
-/// Dense indexing of all storage objects of a grammar.
+/// Dense indexing of all storage objects of a grammar: the attributes by
+/// their [`AttrId`], then each production's locals in production order.
 #[derive(Clone, Debug)]
 pub struct ObjectIndex {
     list: Vec<Object>,
-    map: HashMap<Object, usize>,
+    /// `local_base[p]`: the index of production `p`'s first local.
+    local_base: Vec<usize>,
 }
 
 impl ObjectIndex {
@@ -46,18 +46,14 @@ impl ObjectIndex {
         let mut list: Vec<Object> = (0..grammar.attr_count() as u32)
             .map(|i| Object::Attr(AttrId::from_raw(i)))
             .collect();
+        let mut local_base = Vec::with_capacity(grammar.production_count());
         for p in grammar.productions() {
+            local_base.push(list.len());
             for l in 0..grammar.production(p).locals().len() as u32 {
                 list.push(Object::Local(p, LocalId::from_raw(l)));
             }
         }
-        let map = list
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, o)| (o, i))
-            .collect();
-        ObjectIndex { list, map }
+        ObjectIndex { list, local_base }
     }
 
     /// Number of objects.
@@ -71,8 +67,12 @@ impl ObjectIndex {
     }
 
     /// The dense index of `o`.
+    #[inline]
     pub fn index(&self, o: Object) -> usize {
-        self.map[&o]
+        match o {
+            Object::Attr(a) => a.index(),
+            Object::Local(p, l) => self.local_base[p.index()] + l.index(),
+        }
     }
 
     /// The object at dense index `i`.

@@ -206,8 +206,10 @@ fn plan_digest(plan: &SpacePlan) -> u64 {
     })
 }
 
-/// Pins the plan of each corpus grammar and each Table 1 profile, so a
-/// faster planner can be shown to decide exactly what the old one did.
+/// Pins the plan of each corpus grammar, each Table 1 profile and one
+/// partition blow-up grammar (several partitions per phylum, so many
+/// sequences per production), so a faster planner can be shown to decide
+/// exactly what the old one did.
 #[test]
 fn space_plans_match_their_pinned_digests() {
     let mut grammars = vec![
@@ -216,7 +218,8 @@ fn space_plans_match_their_pinned_digests() {
         fnc2_corpus::desk(),
     ];
     grammars.extend(TABLE1_PROFILES.iter().map(synthetic));
-    let want: [u64; 10] = [
+    grammars.push(fnc2_corpus::partition_blowup(4, 3));
+    let want: [u64; 11] = [
         0x04fc_aba5_9c44_dc0f, // minipascal
         0x5fef_409d_a18a_8ccf, // blocks
         0x893a_3234_1c24_802c, // desk
@@ -227,6 +230,7 @@ fn space_plans_match_their_pinned_digests() {
         0xb845_5194_f940_83f2, // AG5
         0x208b_7389_ed6f_e9b3, // AG6
         0x681f_a2d8_19fd_f52c, // AG7
+        0x8451_662c_e475_16f7, // partition_blowup(4, 3): 8 partitions on X3
     ];
     for (g, want) in grammars.iter().zip(want) {
         let got = plan_digest(&plan_of(g));

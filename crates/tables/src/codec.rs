@@ -6,7 +6,7 @@
 //! freshly computed structure by plain byte comparison, and what makes
 //! the re-encode-idempotence check in the fuzz oracle meaningful.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use fnc2_ag::{
     Arg, AttrId, AttrKind, FuncId, Grammar, LocalId, ONode, Occ, PhylumId, ProductionId, RuleBody,
@@ -27,7 +27,10 @@ use fnc2_visit::{CBody, CompiledProgram, FetchOp, Instr, SlotRef, VisitSeq, Visi
 use crate::wire::{Dec, Enc, WireError, WireResult};
 
 fn invalid(what: &'static str, d: &Dec<'_>) -> WireError {
-    WireError::Invalid { what, at: d.pos() }
+    invalid_at(what, d.pos())
+}
+fn invalid_at(what: &'static str, at: usize) -> WireError {
+    WireError::Invalid { what, at }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,27 +159,62 @@ fn enc_map<K: Ord + Copy + std::hash::Hash, V>(
         val(e, &map[&k]);
     }
 }
-fn dec_map<K: std::hash::Hash + Eq, V>(
+/// A visit sequence's key: (production, LHS partition).
+type SeqKey = (ProductionId, usize);
+
+fn enc_seq_key(e: &mut Enc, k: SeqKey) {
+    enc_production(e, k.0);
+    e.usize(k.1);
+}
+fn dec_seq_key(d: &mut Dec<'_>) -> WireResult<SeqKey> {
+    Ok((dec_production(d)?, d.usize()?))
+}
+
+/// Decodes a map keyed by sequence keys, which [`enc_map`] wrote in sorted
+/// order, as a list in that order. The keys must be strictly increasing,
+/// and each production's partitions must run 0, 1, 2, … without a gap, so
+/// that an entry's place is its sequence's number.
+fn dec_seq_entries<V>(
     d: &mut Dec<'_>,
-    mut key: impl FnMut(&mut Dec<'_>) -> WireResult<K>,
     mut val: impl FnMut(&mut Dec<'_>) -> WireResult<V>,
-) -> WireResult<HashMap<K, V>> {
+) -> WireResult<Vec<(SeqKey, V)>> {
     let n = d.seq_len()?;
-    let mut out = HashMap::with_capacity(n);
+    let mut out: Vec<(SeqKey, V)> = Vec::with_capacity(n);
     for _ in 0..n {
-        let k = key(d)?;
-        let v = val(d)?;
-        out.insert(k, v);
+        let at = d.pos();
+        let key = dec_seq_key(d)?;
+        let next = match out.last() {
+            None => key.1 == 0,
+            Some(&((p, pi), _)) => key == (p, pi + 1) || (key.0 > p && key.1 == 0),
+        };
+        if !next {
+            return Err(invalid_at("sequence key order", at));
+        }
+        out.push((key, val(d)?));
     }
     Ok(out)
 }
 
-fn enc_seq_key(e: &mut Enc, k: (ProductionId, usize)) {
-    enc_production(e, k.0);
-    e.usize(k.1);
-}
-fn dec_seq_key(d: &mut Dec<'_>) -> WireResult<(ProductionId, usize)> {
-    Ok((dec_production(d)?, d.usize()?))
+/// Decodes a map keyed by sequence keys that must hold one entry per key
+/// of `keys` (the visit sequences' keys), in that order.
+fn dec_per_seq<V>(
+    d: &mut Dec<'_>,
+    keys: &[SeqKey],
+    mut val: impl FnMut(&mut Dec<'_>, SeqKey) -> WireResult<V>,
+) -> WireResult<Vec<V>> {
+    let at = d.pos();
+    if d.seq_len()? != keys.len() {
+        return Err(invalid_at("sequence count", at));
+    }
+    keys.iter()
+        .map(|&want| {
+            let at = d.pos();
+            if dec_seq_key(d)? != want {
+                return Err(invalid_at("sequence key", at));
+            }
+            val(d, want)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -359,12 +397,14 @@ fn enc_l_ordered(e: &mut Enc, lo: &LOrdered) {
 fn dec_l_ordered(d: &mut Dec<'_>) -> WireResult<LOrdered> {
     Ok(LOrdered {
         partitions: dec_partitions(d)?,
-        plans: dec_map(d, dec_seq_key, |d| {
+        plans: dec_seq_entries(d, |d| {
             Ok(Plan {
                 rhs_partitions: dec_usizes(d)?,
                 linear: dec_vec(d, dec_onode)?,
             })
-        })?,
+        })?
+        .into_iter()
+        .collect(),
         stats: dec_transform_stats(d)?,
     })
 }
@@ -493,20 +533,17 @@ pub(crate) fn enc_visit_seqs(e: &mut Enc, seqs: &VisitSeqs) {
 }
 
 pub(crate) fn dec_visit_seqs(d: &mut Dec<'_>) -> WireResult<VisitSeqs> {
-    let n = d.seq_len()?;
-    let mut map = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let (p, part) = dec_seq_key(d)?;
-        let segments = dec_vec(d, |d| dec_vec(d, dec_instr))?;
-        map.insert(
-            (p, part),
-            VisitSeq {
+    let map = dec_seq_entries(d, |d| dec_vec(d, |d| dec_vec(d, dec_instr)))?
+        .into_iter()
+        .map(|((p, part), segments)| {
+            let seq = VisitSeq {
                 production: p,
                 lhs_partition: part,
                 segments,
-            },
-        );
-    }
+            };
+            ((p, part), seq)
+        })
+        .collect();
     let partitions = dec_partitions(d)?;
     Ok(VisitSeqs::from_parts(map, partitions))
 }
@@ -611,26 +648,57 @@ fn dec_visit_key(d: &mut Dec<'_>) -> WireResult<(PhylumId, usize, AttrId)> {
     Ok((dec_phylum(d)?, d.usize()?, dec_attr(d)?))
 }
 
+/// Written as three key-sorted maps, like [`enc_map`]: the sequences in
+/// order are already sorted by key.
 pub(crate) fn enc_flat_program(e: &mut Enc, fp: &FlatProgram) {
-    enc_map(e, &fp.seqs, enc_seq_key, |e, s| {
+    e.usize(fp.seqs.len());
+    for s in &fp.seqs {
+        enc_seq_key(e, s.key);
         enc_seq_key(e, s.key);
         enc_vec(e, &s.items, enc_flat_item);
-    });
-    enc_map(e, &fp.instances, enc_seq_key, |e, is| {
+    }
+    e.usize(fp.instances.len());
+    for (s, is) in fp.seqs.iter().zip(&fp.instances) {
+        enc_seq_key(e, s.key);
         enc_vec(e, is, enc_instance);
-    });
-    enc_map(e, &fp.last_read_visit, enc_visit_key, |e, &v| e.usize(v));
+    }
+    e.usize(fp.last_read_visit.len());
+    for (&k, &v) in &fp.last_read_visit {
+        enc_visit_key(e, k);
+        e.usize(v);
+    }
 }
-pub(crate) fn dec_flat_program(d: &mut Dec<'_>) -> WireResult<FlatProgram> {
+/// `keys` are the visit sequences' keys: the flattened program must have
+/// exactly those sequences, in that order.
+pub(crate) fn dec_flat_program(d: &mut Dec<'_>, keys: &[SeqKey]) -> WireResult<FlatProgram> {
+    let seqs = dec_per_seq(d, keys, |d, want| {
+        let at = d.pos();
+        if dec_seq_key(d)? != want {
+            return Err(invalid_at("flattened sequence key", at));
+        }
+        Ok(FlatSeq {
+            key: want,
+            items: dec_vec(d, dec_flat_item)?,
+        })
+    })?;
+    let instances = dec_per_seq(d, keys, |d, _| dec_vec(d, dec_instance))?;
+    let n = d.seq_len()?;
+    let mut last_read_visit = BTreeMap::new();
+    for _ in 0..n {
+        let at = d.pos();
+        let key = dec_visit_key(d)?;
+        if last_read_visit
+            .last_key_value()
+            .is_some_and(|(&last, _)| last >= key)
+        {
+            return Err(invalid_at("last-read key order", at));
+        }
+        last_read_visit.insert(key, d.usize()?);
+    }
     Ok(FlatProgram {
-        seqs: dec_map(d, dec_seq_key, |d| {
-            Ok(FlatSeq {
-                key: dec_seq_key(d)?,
-                items: dec_vec(d, dec_flat_item)?,
-            })
-        })?,
-        instances: dec_map(d, dec_seq_key, |d| dec_vec(d, dec_instance))?,
-        last_read_visit: dec_map(d, dec_visit_key, |d| d.usize())?,
+        seqs,
+        instances,
+        last_read_visit,
     })
 }
 
@@ -643,18 +711,55 @@ fn dec_may_eval_key(d: &mut Dec<'_>) -> WireResult<(PhylumId, usize, usize)> {
     Ok((dec_phylum(d)?, d.usize()?, d.usize()?))
 }
 
+/// The may-evaluate sets are written as a map sorted by (phylum,
+/// partition, visit), which is their nesting order.
 pub(crate) fn enc_lifetimes(e: &mut Enc, lt: &Lifetimes) {
     enc_vec(e, &lt.temporary, |e, &b| e.bool(b));
-    enc_map(e, &lt.may_eval, enc_may_eval_key, |e, set| {
-        enc_vec(e, set.raw_words(), |e, &w| e.u64(w));
-    });
+    e.usize(lt.may_eval.iter().flatten().map(Vec::len).sum());
+    for (ph, parts) in lt.may_eval.iter().enumerate() {
+        for (pi, visits) in parts.iter().enumerate() {
+            for (v, set) in visits.iter().enumerate() {
+                enc_may_eval_key(e, (PhylumId::from_raw(ph as u32), pi, v + 1));
+                enc_vec(e, set.raw_words(), |e, &w| e.u64(w));
+            }
+        }
+    }
 }
-pub(crate) fn dec_lifetimes(d: &mut Dec<'_>) -> WireResult<Lifetimes> {
+/// `partitions` are the visit sequences' partitions: there must be one set
+/// per visit of each, in order.
+pub(crate) fn dec_lifetimes(
+    d: &mut Dec<'_>,
+    partitions: &[Vec<TotalOrder>],
+) -> WireResult<Lifetimes> {
+    let temporary = dec_vec(d, |d| d.bool())?;
+    let at = d.pos();
+    let want: usize = partitions
+        .iter()
+        .flatten()
+        .map(TotalOrder::visit_count)
+        .sum();
+    if d.seq_len()? != want {
+        return Err(invalid_at("may-evaluate set count", at));
+    }
+    let mut may_eval = Vec::with_capacity(partitions.len());
+    for (ph, parts) in partitions.iter().enumerate() {
+        let mut per_part = Vec::with_capacity(parts.len());
+        for (pi, part) in parts.iter().enumerate() {
+            let mut sets = Vec::with_capacity(part.visit_count());
+            for v in 1..=part.visit_count() {
+                let at = d.pos();
+                if dec_may_eval_key(d)? != (PhylumId::from_raw(ph as u32), pi, v) {
+                    return Err(invalid_at("may-evaluate key", at));
+                }
+                sets.push(ObjectSet::from_raw_words(dec_vec(d, |d| d.u64())?));
+            }
+            per_part.push(sets);
+        }
+        may_eval.push(per_part);
+    }
     Ok(Lifetimes {
-        temporary: dec_vec(d, |d| d.bool())?,
-        may_eval: dec_map(d, dec_may_eval_key, |d| {
-            Ok(ObjectSet::from_raw_words(dec_vec(d, |d| d.u64())?))
-        })?,
+        temporary,
+        may_eval,
     })
 }
 
@@ -779,7 +884,9 @@ pub(crate) fn enc_space_plan(e: &mut Enc, p: &SpacePlan) {
     });
     enc_space_stats(e, &p.stats);
 }
-pub(crate) fn dec_space_plan(d: &mut Dec<'_>) -> WireResult<SpacePlan> {
+/// `keys` are the visit sequences' keys: the plan must have one access
+/// table per sequence, in that order.
+pub(crate) fn dec_space_plan(d: &mut Dec<'_>, keys: &[SeqKey]) -> WireResult<SpacePlan> {
     let storage = dec_vec(d, dec_storage)?;
     let n_variables = d.usize()?;
     let n_stacks = d.usize()?;
@@ -790,7 +897,7 @@ pub(crate) fn dec_space_plan(d: &mut Dec<'_>) -> WireResult<SpacePlan> {
     })?
     .into_iter()
     .collect();
-    let access = dec_map(d, dec_seq_key, |d| {
+    let access = dec_per_seq(d, keys, |d, _| {
         Ok(SeqAccess {
             steps: dec_vec(d, |d| {
                 Ok(StepAccess {
@@ -801,6 +908,7 @@ pub(crate) fn dec_space_plan(d: &mut Dec<'_>) -> WireResult<SpacePlan> {
             })?,
         })
     })?;
+    let access = keys.iter().copied().zip(access).collect();
     let stats = dec_space_stats(d)?;
     Ok(SpacePlan {
         storage,

@@ -348,18 +348,20 @@ impl Tables {
         let grammar_shape = d.bytes().map_err(ArtifactError::from)?.to_vec();
         let classification = codec::dec_classification(&mut d).map_err(ArtifactError::from)?;
         let seqs = codec::dec_visit_seqs(&mut d).map_err(ArtifactError::from)?;
+        // The space sections are keyed by the sequences and partitions.
+        let keys = seqs.keys();
         let flat = if d.bool().map_err(ArtifactError::from)? {
-            Some(codec::dec_flat_program(&mut d).map_err(ArtifactError::from)?)
+            Some(codec::dec_flat_program(&mut d, &keys).map_err(ArtifactError::from)?)
         } else {
             None
         };
         let lifetimes = if d.bool().map_err(ArtifactError::from)? {
-            Some(codec::dec_lifetimes(&mut d).map_err(ArtifactError::from)?)
+            Some(codec::dec_lifetimes(&mut d, seqs.partitions()).map_err(ArtifactError::from)?)
         } else {
             None
         };
         let space_plan = if d.bool().map_err(ArtifactError::from)? {
-            Some(codec::dec_space_plan(&mut d).map_err(ArtifactError::from)?)
+            Some(codec::dec_space_plan(&mut d, &keys).map_err(ArtifactError::from)?)
         } else {
             None
         };
@@ -383,7 +385,10 @@ impl Tables {
 
     /// Verifies this artifact against a rebuilt grammar: shape bytes must
     /// match exactly, and a fresh slot-compile of the grammar must
-    /// reproduce the program verification section.
+    /// reproduce the program verification section. The sequences must then
+    /// be the grammar's: one per (production, LHS partition), with each
+    /// flattened sequence's instances in its production's numbering, which
+    /// is how the space sections are indexed.
     pub fn verify_against(&self, grammar: &Grammar) -> Result<(), ArtifactError> {
         if self.grammar_shape != encode_grammar_shape(grammar) {
             return Err(ArtifactError::GrammarMismatch);
@@ -391,6 +396,26 @@ impl Tables {
         let fresh = encode_compiled_program(grammar, &CompiledProgram::new(grammar));
         if self.program != fresh {
             return Err(ArtifactError::ProgramMismatch);
+        }
+        let partitions = self.seqs.partitions();
+        let corrupt = |what: &str| Err(ArtifactError::Corrupt(what.into()));
+        if partitions.len() != grammar.phylum_count() {
+            return corrupt("partitions do not match the grammar's phyla");
+        }
+        let want = grammar.productions().flat_map(|p| {
+            let n = partitions[grammar.production(p).lhs().index()].len();
+            (0..n).map(move |pi| (p, pi))
+        });
+        if !self.seqs.keys().into_iter().eq(want) {
+            return corrupt("visit sequences do not match the grammar's partitions");
+        }
+        if let Some(fp) = &self.flat {
+            for (fs, insts) in fp.seqs.iter().zip(&fp.instances) {
+                let nodes = grammar.production(fs.key.0).nodes();
+                if !insts.iter().map(|i| i.node).eq(nodes.iter().copied()) {
+                    return corrupt("flattened instances do not follow the numbering");
+                }
+            }
         }
         Ok(())
     }
