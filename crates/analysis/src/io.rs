@@ -15,7 +15,7 @@
 //! paper's Figure 3.
 
 use fnc2_ag::{AttrKind, Grammar, ONode, PhylumId, ProductionId};
-use fnc2_gfa::{dependents, fixpoint_recorded, BitMatrix, FixpointStats};
+use fnc2_gfa::{dependents, fixpoint, BitMatrix};
 use fnc2_obs::{NoopRecorder, Recorder};
 
 use crate::attrs::AttrIndex;
@@ -56,16 +56,6 @@ impl PhylumRels {
     pub fn absorb(&mut self, phylum: PhylumId, rel: &BitMatrix) -> bool {
         self.rels[phylum.index()].union_in_place(rel)
     }
-
-    /// The per-phylum relations, indexed by phylum, for serialization.
-    pub fn rels(&self) -> &[BitMatrix] {
-        &self.rels
-    }
-
-    /// Rebuilds relations from a per-phylum matrix list.
-    pub fn from_rels(rels: Vec<BitMatrix>) -> Self {
-        PhylumRels { rels }
-    }
 }
 
 /// Result of the SNC test.
@@ -76,8 +66,6 @@ pub struct SncResult {
     pub io: PhylumRels,
     /// A cycle witness if the AG is *not* strongly non-circular.
     pub witness: Option<CircWitness>,
-    /// Fixpoint statistics.
-    pub stats: FixpointStats,
 }
 
 impl SncResult {
@@ -115,7 +103,7 @@ pub fn snc_test(grammar: &Grammar) -> SncResult {
 pub fn snc_test_recorded<R: Recorder>(grammar: &Grammar, rec: &mut R) -> SncResult {
     let ix = AttrIndex::new(grammar);
     let mut io = PhylumRels::empty(grammar, &ix);
-    let stats = fixpoint_recorded(
+    fixpoint(
         grammar.production_count(),
         &bottom_up_dependents(grammar),
         |pi| {
@@ -143,7 +131,7 @@ pub fn snc_test_recorded<R: Recorder>(grammar: &Grammar, rec: &mut R) -> SncResu
             break;
         }
     }
-    SncResult { io, witness, stats }
+    SncResult { io, witness }
 }
 
 /// `D(p)` + `IO` pasted on every RHS position, skipping `skip_pos` if given.
@@ -172,8 +160,6 @@ pub struct DncResult {
     pub oi: PhylumRels,
     /// A cycle witness if the AG is *not* doubly non-circular.
     pub witness: Option<CircWitness>,
-    /// Fixpoint statistics.
-    pub stats: FixpointStats,
 }
 
 impl DncResult {
@@ -202,7 +188,7 @@ pub fn dnc_test_recorded<R: Recorder>(
     // phyla.
     let (n, phyla) = (grammar.production_count(), grammar.phylum_count());
     let top_down = dependents(n, phyla, |p| rhs_of(grammar, p), |p| lhs_of(grammar, p));
-    let stats = fixpoint_recorded(
+    fixpoint(
         n,
         &top_down,
         |pi| {
@@ -249,7 +235,7 @@ pub fn dnc_test_recorded<R: Recorder>(
             break;
         }
     }
-    DncResult { oi, witness, stats }
+    DncResult { oi, witness }
 }
 
 #[cfg(test)]

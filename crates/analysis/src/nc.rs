@@ -11,6 +11,7 @@ use std::collections::HashSet;
 
 use fnc2_ag::{AttrKind, Grammar, ProductionId};
 use fnc2_gfa::{fixpoint, BitMatrix};
+use fnc2_obs::NoopRecorder;
 
 use crate::attrs::AttrIndex;
 use crate::io::{bottom_up_dependents, CircWitness};
@@ -72,6 +73,7 @@ pub fn nc_test(grammar: &Grammar, max_graphs: usize) -> NcResult {
                 }
             }
         },
+        &mut NoopRecorder,
     );
     NcResult {
         io_sets,

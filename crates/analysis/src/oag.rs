@@ -16,7 +16,7 @@
 //! l-ordered, with witnesses separating the levels (see the corpus).
 
 use fnc2_ag::{AttrKind, Grammar, ONode, Occ, PhylumId, ProductionId};
-use fnc2_gfa::{dependents, fixpoint_recorded, FixpointStats};
+use fnc2_gfa::{dependents, fixpoint};
 use fnc2_obs::{NoopRecorder, Recorder};
 
 use crate::attrs::AttrIndex;
@@ -35,8 +35,6 @@ pub struct OagResult {
     pub witness: Option<CircWitness>,
     /// Number of repair steps actually spent (≤ the requested `k`).
     pub repairs_used: usize,
-    /// Fixpoint statistics of the `DS` computation.
-    pub stats: FixpointStats,
 }
 
 impl OagResult {
@@ -54,7 +52,7 @@ pub fn oag_test(grammar: &Grammar, k: usize) -> OagResult {
 /// [`oag_test`], with the `DS` fixpoint run recorded into `rec`.
 pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) -> OagResult {
     let ix = AttrIndex::new(grammar);
-    let (ds, stats) = induced_dependencies(grammar, &ix, rec);
+    let ds = induced_dependencies(grammar, &ix, rec);
 
     // DS(X) must be acyclic for a partition to exist at all.
     for ph in grammar.phyla() {
@@ -65,7 +63,6 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
                 partitions: None,
                 witness,
                 repairs_used: 0,
-                stats,
             };
         }
     }
@@ -82,7 +79,6 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
                     partitions: None,
                     witness,
                     repairs_used: 0,
-                    stats,
                 };
             }
         }
@@ -101,7 +97,6 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
                     partitions: Some(partitions),
                     witness: None,
                     repairs_used,
-                    stats,
                 }
             }
             Some(witness) => {
@@ -111,7 +106,6 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
                         partitions: None,
                         witness: Some(witness),
                         repairs_used,
-                        stats,
                     };
                 }
                 repairs_used += 1;
@@ -122,11 +116,7 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
 
 /// Computes `DS(X)` for every phylum: the up-and-down fixpoint of projected
 /// transitive closures (Kastens [29], in GFA form).
-fn induced_dependencies<R: Recorder>(
-    grammar: &Grammar,
-    ix: &AttrIndex,
-    rec: &mut R,
-) -> (PhylumRels, FixpointStats) {
+fn induced_dependencies<R: Recorder>(grammar: &Grammar, ix: &AttrIndex, rec: &mut R) -> PhylumRels {
     let mut ds = PhylumRels::empty(grammar, ix);
     // A production reads and writes the DS of every phylum it mentions, so
     // its dependents are all productions sharing a phylum with it.
@@ -134,7 +124,7 @@ fn induced_dependencies<R: Recorder>(
     let n = grammar.production_count();
     let dependents = dependents(n, grammar.phylum_count(), mentioned, mentioned);
 
-    let stats = fixpoint_recorded(
+    fixpoint(
         n,
         &dependents,
         |pi| {
@@ -156,7 +146,7 @@ fn induced_dependencies<R: Recorder>(
         },
         rec,
     );
-    (ds, stats)
+    ds
 }
 
 /// Assigns each attribute of `ph` a *slot*: even slots inherited, odd

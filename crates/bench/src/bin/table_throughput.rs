@@ -384,7 +384,9 @@ fn main() {
         let pipeline = Pipeline::new();
         let compiled = pipeline.compile_olga(source).expect("corpus AG compiles");
         let findings = compiled.lint.diags.len();
-        let classes = Some(&compiled.classification);
+        let cls =
+            fnc2::analysis::classify(&compiled.grammar, pipeline.max_oag_k, pipeline.inclusion);
+        let classes = cls.as_ref().ok();
         let legs = paired(
             LINT_ROUNDS,
             &mut [

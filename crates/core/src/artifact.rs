@@ -6,7 +6,7 @@
 //! (see [`fnc2_tables`]), and [`load_tables`] turns such an artifact back
 //! into a [`Compiled`] — re-running only the cheap front end to rebuild
 //! the semantic closures, while the expensive Figure-3 cascade results
-//! (classification, visit sequences, storage plan) are deserialized.
+//! (visit sequences, lifetimes, storage plan) are deserialized.
 //!
 //! [`compile_olga_cached`] wraps the two in an on-disk cache keyed by the
 //! content fingerprint. The cache is never trusted: a stale, corrupt,
@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use fnc2_obs::{Key, Obs, Recorder as _};
-use fnc2_space::ObjectIndex;
+use fnc2_space::analyze_space;
 use fnc2_tables::fingerprint_source;
 pub use fnc2_tables::store::{GcReport, TableStore};
 pub use fnc2_tables::{ArtifactError, Tables, TablesConfig};
@@ -35,7 +35,6 @@ impl Pipeline {
         TablesConfig {
             max_oag_k: self.max_oag_k,
             inclusion: self.inclusion,
-            optimize_space: self.optimize_space,
         }
     }
 }
@@ -65,17 +64,27 @@ impl fmt::Display for TablesError {
 impl std::error::Error for TablesError {}
 
 /// Serializes a finished compilation into artifact bytes for `source`
-/// under `pipeline`'s configuration.
+/// under `pipeline`'s configuration. A compilation whose space plan
+/// [`degrade_to_exhaustive_recorded`](Compiled::degrade_to_exhaustive_recorded)
+/// dropped stores the plan the cascade builds for it.
 pub fn emit_tables(compiled: &Compiled, pipeline: &Pipeline, source: &str) -> Vec<u8> {
+    let rebuilt;
+    let (lifetimes, plan) = match (&compiled.lifetimes, &compiled.space_plan) {
+        (Some(lt), Some(plan)) => (lt, plan),
+        _ => {
+            rebuilt = analyze_space(&compiled.grammar, &compiled.seqs);
+            (&rebuilt.2, &rebuilt.3)
+        }
+    };
     Tables::build(
         &compiled.grammar,
         pipeline.tables_config(),
         Some(source),
-        &compiled.classification,
+        compiled.report.class,
+        &compiled.report.transform.clone().unwrap_or_default(),
         &compiled.seqs,
-        compiled.flat.as_ref(),
-        compiled.lifetimes.as_ref(),
-        compiled.space_plan.as_ref(),
+        lifetimes,
+        plan,
         &compiled.lint.diags,
     )
     .to_bytes()
@@ -97,8 +106,10 @@ pub fn load_tables(
 /// Loads a compiled grammar from artifact bytes: verifies header,
 /// checksum, configuration and fingerprint, re-runs the OLGA front end on
 /// `source` to rebuild the grammar (with its semantic closures), verifies
-/// the artifact's grammar-shape and compiled-program sections against it,
-/// and assembles a [`Compiled`] from the deserialized cascade results.
+/// the artifact against it ([`Tables::verify_against`]: the grammar-shape
+/// and compiled-program sections, then every partition, sequence and
+/// access table), and assembles a [`Compiled`] from the deserialized
+/// cascade results and the flattened program derived from them.
 ///
 /// The whole load runs inside a `tables.load` phase span, with the
 /// nested `olga.*` front-end spans inside it.
@@ -138,28 +149,16 @@ fn load_inner(
             expected,
         }));
     }
-    // The space sections must be present exactly when the configuration
-    // says the optimizer ran.
-    let space_sections = [
-        tables.flat.is_some(),
-        tables.lifetimes.is_some(),
-        tables.space_plan.is_some(),
-    ];
-    if space_sections != [config.optimize_space; 3] {
-        return Err(TablesError::Rejected(ArtifactError::Corrupt(
-            "space sections do not match the recorded configuration".into(),
-        )));
-    }
     let grammar =
         olga_front_end_recorded(source, obs).map_err(|e| TablesError::Source(Box::new(e)))?;
-    tables
+    let flat = tables
         .verify_against(&grammar)
         .map_err(TablesError::Rejected)?;
 
     let Tables {
-        classification,
+        class,
+        transform,
         seqs,
-        flat,
         lifetimes,
         space_plan,
         lint,
@@ -170,28 +169,23 @@ fn load_inner(
     // compile, without re-running the analyses.
     let lint = fnc2_lint::LintReport::new(lint);
     fnc2_lint::record_report(&lint, obs);
-    // The object index is a cheap deterministic function of the grammar;
-    // it is rebuilt rather than serialized.
-    let objects = flat.is_some().then(|| ObjectIndex::new(&grammar));
     let report = Report {
-        class: classification.class,
+        class,
         phyla: grammar.phylum_count(),
         operators: grammar.production_count(),
         occurrences: grammar.attr_count(),
         rules: grammar.rule_count(),
-        transform: classification.l_ordered.as_ref().map(|l| l.stats.clone()),
-        space: space_plan.as_ref().map(|p| p.stats.clone()),
+        transform: Some(transform),
+        space: Some(space_plan.stats.clone()),
         // The cascade did not run, so the generator time is zero.
         generator_time: std::time::Duration::ZERO,
     };
     Ok(Compiled {
         grammar,
-        classification,
         seqs,
-        flat,
-        objects,
-        lifetimes,
-        space_plan,
+        flat: Some(flat),
+        lifetimes: Some(lifetimes),
+        space_plan: Some(space_plan),
         lint,
         report,
         intern: false,
@@ -312,15 +306,42 @@ mod tests {
         emit_tables(&compiled, pipeline, source)
     }
 
+    /// Everything a report says except its timing, and the lint findings.
+    fn report_key(c: &Compiled) -> String {
+        let r = &c.report;
+        format!(
+            "{} {} {} {} {} {:?} {:?} {:?}",
+            r.class,
+            r.phyla,
+            r.operators,
+            r.occurrences,
+            r.rules,
+            r.transform,
+            r.space,
+            c.lint.diags
+        )
+    }
+
     #[test]
     fn emit_then_load_round_trips() {
         let pipeline = Pipeline::new();
+        let sized = fnc2_corpus::sized_ag_source("g", 300);
+        for source in [
+            fnc2_corpus::DESK_OLGA,
+            fnc2_corpus::BLOCKS_OLGA_LIST,
+            fnc2_corpus::MINIPASCAL_OLGA,
+            &sized,
+        ] {
+            let fresh = pipeline.compile_olga(source).unwrap();
+            let bytes = emit_tables(&fresh, &pipeline, source);
+            let loaded = load_tables(&bytes, source, &pipeline).unwrap();
+            assert_eq!(report_key(&loaded), report_key(&fresh));
+            // The flattened program the load derives is the cascade's.
+            assert_eq!(format!("{:?}", loaded.flat), format!("{:?}", fresh.flat));
+        }
         let bytes = emit(COUNT, &pipeline);
         let loaded = load_tables(&bytes, COUNT, &pipeline).unwrap();
         let fresh = pipeline.compile_olga(COUNT).unwrap();
-        assert_eq!(loaded.report.class, fresh.report.class);
-        assert!(loaded.flat.is_some());
-        assert!(loaded.objects.is_some());
         // The loaded evaluator computes the same answers.
         let tree = crate::smoke_tree(&loaded.grammar).unwrap();
         let (vals, _) = loaded.evaluate(&tree, &Default::default()).unwrap();
@@ -348,11 +369,11 @@ mod tests {
     fn config_mismatch_is_rejected() {
         let pipeline = Pipeline::new();
         let bytes = emit(COUNT, &pipeline);
-        let no_space = Pipeline {
-            optimize_space: false,
+        let k2 = Pipeline {
+            max_oag_k: 2,
             ..Pipeline::new()
         };
-        match load_tables(&bytes, COUNT, &no_space) {
+        match load_tables(&bytes, COUNT, &k2) {
             Err(TablesError::Rejected(ArtifactError::ConfigMismatch)) => {}
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use fnc2_ag::{
     AttrId, AttrValues, Grammar, NodeId, PhylumId, ProductionId, Tree, TreeBuilder, Value,
 };
-use fnc2_analysis::{classify_recorded, AgClass, Classification, Inclusion};
+use fnc2_analysis::{classify_recorded, AgClass, Inclusion};
 use fnc2_guard::EvalBudget;
 use fnc2_obs::{Json, Key, Obs, Recorder, Resolver};
 use fnc2_space::{analyze_space, FlatProgram, Lifetimes, ObjectIndex, SpacePlan};
@@ -81,8 +81,6 @@ pub struct Pipeline {
     pub max_oag_k: usize,
     /// Partition-reuse strategy for the transformation.
     pub inclusion: Inclusion,
-    /// Whether to run the space optimizer.
-    pub optimize_space: bool,
 }
 
 impl Default for Pipeline {
@@ -90,7 +88,6 @@ impl Default for Pipeline {
         Pipeline {
             max_oag_k: 1,
             inclusion: Inclusion::Long,
-            optimize_space: true,
         }
     }
 }
@@ -187,17 +184,15 @@ impl From<fnc2_olga::OlgaError> for PipelineError {
 pub struct Compiled {
     /// The (abstract) grammar.
     pub grammar: Grammar,
-    /// The classification, including IO/OI/DS relations.
-    pub classification: Classification,
     /// The visit sequences.
     pub seqs: VisitSeqs,
-    /// The flattened program (when space optimization ran).
+    /// The flattened program the space plan indexes (`None` once
+    /// [`degrade_to_exhaustive_recorded`](Self::degrade_to_exhaustive_recorded)
+    /// dropped the plan, as for the two fields below).
     pub flat: Option<FlatProgram>,
-    /// Object index (when space optimization ran).
-    pub objects: Option<ObjectIndex>,
-    /// Lifetimes (when space optimization ran).
+    /// Lifetimes.
     pub lifetimes: Option<Lifetimes>,
-    /// The storage plan (when space optimization ran).
+    /// The storage plan.
     pub space_plan: Option<SpacePlan>,
     /// The lint findings (grammar-level static analyses; see
     /// [`fnc2_lint`]). Loaded artifacts replay these from the cache.
@@ -252,8 +247,8 @@ impl Compiled {
     }
 
     /// Evaluates `tree` under the space plan; only node-stored values return.
-    /// When no plan stands (the pipeline ran without space optimization, or
-    /// [`degrade_to_exhaustive_recorded`](Self::degrade_to_exhaustive_recorded)
+    /// When no plan stands
+    /// ([`degrade_to_exhaustive_recorded`](Self::degrade_to_exhaustive_recorded)
     /// dropped it), runs the trivial plan, node storage, like
     /// [`evaluate`](Self::evaluate).
     ///
@@ -347,15 +342,15 @@ impl Compiled {
         budget: &EvalBudget,
         rec: &mut R,
     ) -> Option<String> {
-        let (Some(fp), Some(ox), Some(lt), Some(plan)) = (
+        let (Some(fp), Some(lt), Some(plan)) = (
             self.flat.as_ref(),
-            self.objects.as_ref(),
             self.lifetimes.as_ref(),
             self.space_plan.as_ref(),
         ) else {
             return None;
         };
-        let reason = match fnc2_space::validate_plan(&self.grammar, &self.seqs, fp, ox, lt, plan) {
+        let ox = ObjectIndex::new(&self.grammar);
+        let reason = match fnc2_space::validate_plan(&self.grammar, &self.seqs, fp, &ox, lt, plan) {
             Err(e) => Some(format!("space plan failed re-validation: {e}")),
             Ok(()) => {
                 let slots = (plan.stats.variables_after + plan.stats.stacks_after) as u64;
@@ -372,7 +367,6 @@ impl Compiled {
         };
         let reason = reason?;
         self.flat = None;
-        self.objects = None;
         self.lifetimes = None;
         self.space_plan = None;
         let mut counters = fnc2_obs::Counters::new();
@@ -493,7 +487,7 @@ pub fn smoke_tree(grammar: &Grammar) -> Option<Tree> {
 
 impl Pipeline {
     /// A pipeline with the default configuration (OAG(k≤1), long
-    /// inclusion, space optimization on).
+    /// inclusion).
     pub fn new() -> Pipeline {
         Pipeline::default()
     }
@@ -549,21 +543,14 @@ impl Pipeline {
         obs.tracer.end();
 
         obs.tracer.begin("phase", "space.analysis");
-        let (flat, objects, lifetimes, space_plan) = if self.optimize_space {
-            let (fp, ox, lt, plan) = analyze_space(&grammar, &seqs);
-            (Some(fp), Some(ox), Some(lt), Some(plan))
-        } else {
-            (None, None, None, None)
-        };
-        if let Some(plan) = &space_plan {
-            obs.count(Key::SpacePlanVariables, plan.stats.variables_after as u64);
-            obs.count(Key::SpacePlanStacks, plan.stats.stacks_after as u64);
-            obs.count(Key::SpacePlanNode, plan.stats.occ_node as u64);
-            obs.count(
-                Key::SpacePlanCopiesEliminated,
-                plan.stats.copies_eliminated as u64,
-            );
-        }
+        let (flat, _, lifetimes, plan) = analyze_space(&grammar, &seqs);
+        obs.count(Key::SpacePlanVariables, plan.stats.variables_after as u64);
+        obs.count(Key::SpacePlanStacks, plan.stats.stacks_after as u64);
+        obs.count(Key::SpacePlanNode, plan.stats.occ_node as u64);
+        obs.count(
+            Key::SpacePlanCopiesEliminated,
+            plan.stats.copies_eliminated as u64,
+        );
         obs.tracer.end();
 
         let report = Report {
@@ -572,18 +559,16 @@ impl Pipeline {
             operators: grammar.production_count(),
             occurrences: grammar.attr_count(),
             rules: grammar.rule_count(),
-            transform: classification.l_ordered.as_ref().map(|l| l.stats.clone()),
-            space: space_plan.as_ref().map(|p| p.stats.clone()),
+            transform: Some(lo.stats.clone()),
+            space: Some(plan.stats.clone()),
             generator_time: started.elapsed(),
         };
         Ok(Compiled {
             grammar,
-            classification,
             seqs,
-            flat,
-            objects,
-            lifetimes,
-            space_plan,
+            flat: Some(flat),
+            lifetimes: Some(lifetimes),
+            space_plan: Some(plan),
             lint,
             report,
             intern: false,

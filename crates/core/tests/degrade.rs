@@ -1,8 +1,10 @@
 //! Evaluation after the space plan is dropped: `degrade_to_exhaustive_recorded`
 //! promises that later evaluation falls back to node storage, the trivial
-//! plan, so `evaluate_optimized` must keep working.
+//! plan, so `evaluate_optimized` must keep working, and that an artifact
+//! emitted afterwards still carries the cascade's plan.
 
 use fnc2::ag::{TreeBuilder, Value};
+use fnc2::artifact::emit_tables;
 use fnc2::guard::EvalBudget;
 use fnc2::obs::NoopRecorder;
 use fnc2::visit::RootInputs;
@@ -43,4 +45,21 @@ fn evaluate_optimized_runs_the_trivial_plan_after_a_degrade() {
         .attr_by_name(g.phylum_by_name("Prog").unwrap(), "value")
         .unwrap();
     assert_eq!(vals.get(g, tree.root(), value), Some(&Value::Int(14)));
+}
+
+/// A compile whose plan was dropped still emits the artifact the cascade
+/// builds, space plan included, so a later load gets the plan back.
+#[test]
+fn a_degraded_compile_emits_the_cascades_artifact() {
+    let pipeline = Pipeline::new();
+    let source = fnc2_corpus::DESK_OLGA;
+    let mut compiled = pipeline.compile_olga(source).expect("desk compiles");
+    let fresh = emit_tables(&compiled, &pipeline, source);
+    let budget = EvalBudget {
+        max_value_cells: 0,
+        ..EvalBudget::default()
+    };
+    let reason = compiled.degrade_to_exhaustive_recorded(&budget, &mut NoopRecorder);
+    assert!(reason.is_some() && compiled.space_plan.is_none());
+    assert!(emit_tables(&compiled, &pipeline, source) == fresh);
 }

@@ -2,7 +2,8 @@
 //!
 //! Every class of damaged artifact — truncated, bit-flipped fingerprint,
 //! version skew, checksum failure, re-checksummed damage to the sequence
-//! keys, artifact for a different grammar —
+//! keys, the partitions, the sequences or the space plan, artifact for a
+//! different grammar —
 //! must be *classified* (the right [`ArtifactError`] variant) and must
 //! *fall back* to full recompilation when it arrives through the cache:
 //! never a panic, never a wrong answer, always the `tables.cache_rejected`
@@ -11,13 +12,15 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use fnc2::ag::ProductionId;
+use fnc2::ag::{ONode, Occ, ProductionId};
+use fnc2::analysis::TotalOrder;
 use fnc2::artifact::{
     cache_path, compile_olga_cached, emit_tables, load_tables, CacheOutcome, TablesError,
 };
 use fnc2::obs::Obs;
+use fnc2::space::{StepAccess, WritePath};
 use fnc2::tables::{fingerprint_source, ArtifactError, Tables, HEADER_LEN};
-use fnc2::visit::VisitSeqs;
+use fnc2::visit::{Instr, VisitSeq, VisitSeqs};
 use fnc2::Pipeline;
 
 const COUNT: &str = r#"
@@ -135,50 +138,119 @@ fn redamaged(bytes: &[u8], damage: impl FnOnce(&mut Tables)) -> Vec<u8> {
     tables.to_bytes()
 }
 
-#[test]
-fn re_checksummed_sequence_key_damage_is_corrupt() {
+type SeqMap = HashMap<(ProductionId, usize), VisitSeq>;
+
+/// Rebuilds `t`'s visit sequences after `edit` changed them or their
+/// partitions.
+fn edit_seqs(t: &mut Tables, edit: impl FnOnce(&mut SeqMap, &mut Vec<Vec<TotalOrder>>)) {
+    let keys = t.seqs.keys().into_iter();
+    let mut seqs: SeqMap = keys
+        .map(|(p, pi)| ((p, pi), t.seqs.seq(p, pi).clone()))
+        .collect();
+    let mut partitions = t.seqs.partitions().to_vec();
+    edit(&mut seqs, &mut partitions);
+    t.seqs = VisitSeqs::from_parts(seqs, partitions);
+}
+
+/// [`COUNT`]'s `node : S ::= S`, whose one sequence is `VISIT 1,1`
+/// (partition 0), `EVAL S$1.n`.
+const NODE: (ProductionId, usize) = (ProductionId::from_raw(1), 0);
+
+/// Lets `edit` change the segments of `node`'s sequence.
+fn edit_node(t: &mut Tables, edit: impl FnOnce(&mut Vec<Vec<Instr>>)) {
+    edit_seqs(t, |seqs, _| {
+        let segments = &mut seqs.get_mut(&NODE).unwrap().segments;
+        assert_eq!(segments.len(), 1);
+        assert!(matches!(
+            segments[0][..],
+            [Instr::Visit { .. }, Instr::Eval(_)]
+        ));
+        edit(segments);
+    });
+}
+
+/// Lets `edit` change the access step of `node`'s `EVAL`.
+fn edit_node_eval_step(t: &mut Tables, edit: impl FnOnce(&mut StepAccess, usize)) {
+    let n_variables = t.space_plan.n_variables;
+    let steps = &mut t.space_plan.access.get_mut(&NODE).unwrap().steps;
+    // BEGIN 1, VISIT 1,1, EVAL S$1.n, LEAVE 1.
+    assert!(steps[2].write.is_some());
+    edit(&mut steps[2], n_variables);
+}
+
+/// A named edit of decoded tables.
+type Damage = (&'static str, fn(&mut Tables));
+
+/// Re-encodes [`COUNT`]'s artifact under each damage and asserts that the
+/// load calls it `Corrupt`.
+fn assert_each_corrupt(cases: &[Damage]) {
     let good = emit(COUNT);
     assert!(redamaged(&good, |_| {}) == good, "re-encoding is canonical");
-    // A duplicated sequence key in the flattened program.
-    let duplicated = redamaged(&good, |t| {
-        let fp = t.flat.as_mut().unwrap();
-        fp.seqs[1] = fp.seqs[0].clone();
-    });
-    // A sequence of a production the grammar does not have, added to every
-    // section keyed by sequences alike, so that only the check against the
-    // rebuilt grammar can tell.
-    let out_of_range = redamaged(&good, |t| {
-        let key = (ProductionId::from_raw(7), 0);
-        let first = t.seqs.keys()[0];
-        let mut seqs: HashMap<_, _> = t
-            .seqs
-            .keys()
-            .into_iter()
-            .map(|(p, pi)| ((p, pi), t.seqs.seq(p, pi).clone()))
-            .collect();
-        let mut extra = seqs[&first].clone();
-        extra.production = key.0;
-        seqs.insert(key, extra);
-        t.seqs = VisitSeqs::from_parts(seqs, t.seqs.partitions().to_vec());
-        let fp = t.flat.as_mut().unwrap();
-        let mut fs = fp.seqs[0].clone();
-        fs.key = key;
-        fp.seqs.push(fs);
-        fp.instances.push(fp.instances[0].clone());
-        let plan = t.space_plan.as_mut().unwrap();
-        let access = plan.access[&first].clone();
-        plan.access.insert(key, access);
-    });
-    for (what, bytes) in [
-        ("duplicated key", duplicated),
-        ("out-of-range key", out_of_range),
-    ] {
+    for &(what, damage) in cases {
+        let bytes = redamaged(&good, damage);
         assert!(bytes != good, "{what}: the damage changed the payload");
         match rejection(&bytes) {
             ArtifactError::Corrupt(_) => {}
             other => panic!("{what}: expected Corrupt, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn re_checksummed_sequence_key_damage_is_corrupt() {
+    // A sequence of a production the grammar does not have, added to every
+    // section keyed by sequences alike, so that only the check against the
+    // rebuilt grammar can tell.
+    assert_each_corrupt(&[("out-of-range key", |t| {
+        let key = (ProductionId::from_raw(7), 0);
+        edit_seqs(t, |seqs, _| {
+            let mut extra = seqs[&NODE].clone();
+            extra.production = key.0;
+            seqs.insert(key, extra);
+        });
+        let access = t.space_plan.access[&NODE].clone();
+        t.space_plan.access.insert(key, access);
+    })]);
+}
+
+/// Damage the decoder cannot see: each of these artifacts decodes, and
+/// evaluating it would index past a child, a partition, a segment, a rule
+/// or a variable.
+#[test]
+fn re_checksummed_sequence_and_plan_damage_is_corrupt() {
+    assert_each_corrupt(&[
+        ("VISIT child 9", |t| {
+            edit_node(t, |s| {
+                if let Instr::Visit { child, .. } = &mut s[0][0] {
+                    *child = 9;
+                }
+            })
+        }),
+        ("VISIT partition 5", |t| {
+            edit_node(t, |s| {
+                if let Instr::Visit { partition, .. } = &mut s[0][0] {
+                    *partition = 5;
+                }
+            })
+        }),
+        ("EVAL of a node no rule defines", |t| {
+            edit_node(t, |s| {
+                if let Instr::Eval(ONode::Attr(lhs)) = s[0][1] {
+                    s[0].push(Instr::Eval(ONode::Attr(Occ::new(1, lhs.attr))));
+                }
+            })
+        }),
+        ("one segment too few", |t| edit_node(t, |s| _ = s.pop())),
+        ("partition without an attribute", |t| {
+            edit_seqs(t, |_, partitions| partitions[0][0].visits[0].syn.clear())
+        }),
+        ("EVAL step without a write", |t| {
+            edit_node_eval_step(t, |step, _| step.write = None)
+        }),
+        ("write past the variables", |t| {
+            edit_node_eval_step(t, |step, n| step.write = Some(WritePath::Variable(n + 5)))
+        }),
+    ]);
 }
 
 #[test]

@@ -198,17 +198,16 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
         let config = TablesConfig {
             max_oag_k: 2,
             inclusion: Inclusion::Long,
-            optimize_space: true,
         };
         let tables = Tables::build(
             g,
             config,
             None,
-            &cls,
+            cls.class,
+            &lo.stats,
             &seqs,
-            Some(&fp),
-            Some(&lt),
-            Some(&plan),
+            &lt,
+            &plan,
             &fnc2_lint::lint_grammar(g, Some(&cls)).diags,
         );
         let bytes = tables.to_bytes();
@@ -223,7 +222,7 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
                 ),
             ));
         }
-        loaded
+        let dfp = loaded
             .verify_against(g)
             .map_err(|e| div("tables-roundtrip", format!("verification failed: {e}")))?;
         let reencoded = loaded.to_bytes();
@@ -267,12 +266,7 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
                 }
             }
         }
-        let dfp = loaded.flat.as_ref().expect("built with space sections");
-        let dplan = loaded
-            .space_plan
-            .as_ref()
-            .expect("built with space sections");
-        let (sp2, _) = plan_evaluator(g, &loaded.seqs, dfp, dplan)
+        let (sp2, _) = plan_evaluator(g, &loaded.seqs, &dfp, &loaded.space_plan)
             .evaluate(&tree, &inputs)
             .map_err(|e| {
                 div(

@@ -32,22 +32,6 @@ impl BitMatrix {
         self.n
     }
 
-    /// The raw row words (`n` rows of `⌈n/64⌉` words each), for
-    /// serialization.
-    pub fn raw_words(&self) -> &[u64] {
-        &self.rows
-    }
-
-    /// Rebuilds a matrix from [`raw_words`](Self::raw_words) output.
-    /// Returns `None` if `rows` has the wrong length for dimension `n`.
-    pub fn from_raw_words(n: usize, rows: Vec<u64>) -> Option<Self> {
-        let words = n.div_ceil(64).max(1);
-        if rows.len() != n * words {
-            return None;
-        }
-        Some(BitMatrix { n, words, rows })
-    }
-
     /// True if the dimension is zero.
     pub fn is_empty(&self) -> bool {
         self.n == 0

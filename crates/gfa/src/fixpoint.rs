@@ -19,16 +19,7 @@
 
 use std::collections::VecDeque;
 
-use fnc2_obs::{Key, NoopRecorder, Recorder};
-
-/// Statistics of one fixpoint run, for the generator benchmarks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FixpointStats {
-    /// Number of transfer-function applications.
-    pub steps: usize,
-    /// Number of applications that changed the solution.
-    pub changes: usize,
-}
+use fnc2_obs::{Key, Recorder};
 
 /// The dependents lists of a flow over items `0..n` and facts `0..facts`:
 /// for each item, the items that read a fact it writes. `writes(i)` and
@@ -77,42 +68,32 @@ where
 /// Runs `step` to fixpoint over items `0..n`.
 ///
 /// `dependents[i]` lists the items to re-examine whenever `step(i)` reports
-/// a change (returns `true`); build it with [`dependents`].
+/// a change (returns `true`); build it with [`dependents`]. The run's step
+/// and change counts are added to `rec` under `gfa.fixpoint.steps` /
+/// `gfa.fixpoint.changes` (several fixpoints in one cascade accumulate;
+/// pass a `NoopRecorder` to count nothing).
 ///
 /// `step` must be monotone w.r.t. some finite-height lattice, otherwise the
-/// loop may diverge.
-pub fn fixpoint(
-    n: usize,
-    dependents: &[Vec<usize>],
-    step: impl FnMut(usize) -> bool,
-) -> FixpointStats {
-    fixpoint_recorded(n, dependents, step, &mut NoopRecorder)
-}
-
-/// [`fixpoint`], instrumented: the run's step and change counts are added
-/// to `rec` under `gfa.fixpoint.steps` / `gfa.fixpoint.changes` (several
-/// fixpoints in one cascade accumulate).
-///
-/// In debug builds, once the worklist drains, every step is applied once
-/// more, uncounted, and must report no change: a dependents list that
-/// misses a reader would otherwise yield a fixpoint that is silently too
-/// small.
-pub fn fixpoint_recorded<R: Recorder>(
+/// loop may diverge. In debug builds, once the worklist drains, every step
+/// is applied once more, uncounted, and must report no change: a
+/// dependents list that misses a reader would otherwise yield a fixpoint
+/// that is silently too small.
+pub fn fixpoint<R: Recorder>(
     n: usize,
     dependents: &[Vec<usize>],
     mut step: impl FnMut(usize) -> bool,
     rec: &mut R,
-) -> FixpointStats {
+) {
     assert_eq!(dependents.len(), n, "one dependents list per item");
     // A deduplicating FIFO worklist, initially holding every item in order.
     let mut queue: VecDeque<usize> = (0..n).collect();
     let mut queued = vec![true; n];
-    let mut stats = FixpointStats::default();
+    let (mut steps, mut changes) = (0u64, 0u64);
     while let Some(i) = queue.pop_front() {
         queued[i] = false;
-        stats.steps += 1;
+        steps += 1;
         if step(i) {
-            stats.changes += 1;
+            changes += 1;
             for &d in &dependents[i] {
                 if !std::mem::replace(&mut queued[d], true) {
                     queue.push_back(d);
@@ -127,13 +108,14 @@ pub fn fixpoint_recorded<R: Recorder>(
             "item {i} changes after the fixpoint: a dependents list misses a reader"
         );
     }
-    rec.count(Key::GfaFixpointSteps, stats.steps as u64);
-    rec.count(Key::GfaFixpointChanges, stats.changes as u64);
-    stats
+    rec.count(Key::GfaFixpointSteps, steps);
+    rec.count(Key::GfaFixpointChanges, changes);
 }
 
 #[cfg(test)]
 mod tests {
+    use fnc2_obs::{Counters, NoopRecorder};
+
     use super::*;
 
     #[test]
@@ -143,19 +125,16 @@ mod tests {
         let deps = vec![vec![2], vec![2], vec![0, 0]];
         let mut changed = [false; 3];
         let mut order = Vec::new();
-        let stats = fixpoint(3, &deps, |i| {
+        let mut counts = Counters::new();
+        let step = |i: usize| {
             order.push(i);
             !std::mem::replace(&mut changed[i], true)
-        });
+        };
+        fixpoint(3, &deps, step, &mut counts);
         // (Debug builds then apply every step once more, uncounted.)
         assert_eq!(order[..4], [0, 1, 2, 0]);
-        assert_eq!(
-            stats,
-            FixpointStats {
-                steps: 4,
-                changes: 3
-            }
-        );
+        assert_eq!(counts.get(Key::GfaFixpointSteps), 4);
+        assert_eq!(counts.get(Key::GfaFixpointChanges), 3);
     }
 
     #[test]
@@ -180,7 +159,8 @@ mod tests {
         let deps = dependents(n, n, |i| [i], |i| i.checked_sub(1));
         assert_eq!(deps[0], vec![1]);
         let mut value = vec![0u32; n];
-        let stats = fixpoint(n, &deps, |i| {
+        let mut counts = Counters::new();
+        let step = |i: usize| {
             let next = if i == 0 { 0 } else { value[i - 1] + 1 };
             if next > value[i] {
                 value[i] = next;
@@ -188,10 +168,11 @@ mod tests {
             } else {
                 false
             }
-        });
+        };
+        fixpoint(n, &deps, step, &mut counts);
         assert_eq!(value, vec![0, 1, 2, 3, 4]);
-        assert!(stats.steps >= n);
-        assert_eq!(stats.changes, 4);
+        assert!(counts.get(Key::GfaFixpointSteps) >= n as u64);
+        assert_eq!(counts.get(Key::GfaFixpointChanges), 4);
     }
 
     #[test]
@@ -199,10 +180,11 @@ mod tests {
         let n = 4;
         let deps = vec![vec![]; n];
         let mut seen = vec![false; n];
-        fixpoint(n, &deps, |i| {
+        let step = |i: usize| {
             seen[i] = true;
             false
-        });
+        };
+        fixpoint(n, &deps, step, &mut NoopRecorder);
         assert!(seen.iter().all(|&b| b));
     }
 
@@ -213,11 +195,12 @@ mod tests {
     #[should_panic(expected = "item 0 changes after the fixpoint")]
     fn an_incomplete_dependents_list_panics_in_debug_builds() {
         let mut value = [0u32, 0];
-        fixpoint(2, &[vec![], vec![]], |i| {
+        let step = |i: usize| {
             let next = if i == 0 { value[1] } else { 5 };
             let changed = next != value[i];
             value[i] = next;
             changed
-        });
+        };
+        fixpoint(2, &[vec![], vec![]], step, &mut NoopRecorder);
     }
 }

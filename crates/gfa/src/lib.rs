@@ -36,4 +36,4 @@ mod fixpoint;
 
 pub use bitmat::BitMatrix;
 pub use digraph::Digraph;
-pub use fixpoint::{dependents, fixpoint, fixpoint_recorded, FixpointStats};
+pub use fixpoint::{dependents, fixpoint};

@@ -21,6 +21,7 @@ use std::collections::HashSet;
 
 use fnc2_ag::{AttrId, AttrKind, Grammar, LocalId, ONode, ProductionId};
 use fnc2_gfa::{dependents, fixpoint};
+use fnc2_obs::NoopRecorder;
 
 use crate::diag::{Code, Diagnostic, Span};
 
@@ -77,7 +78,7 @@ impl Liveness {
             },
             |p| rules(p).iter().map(move |r| fact(p, r.target())),
         );
-        fixpoint(n, &deps, |p| {
+        let step = |p: usize| {
             let p = ProductionId::from_raw(p as u32);
             let mut changed = false;
             for rule in grammar.production(p).rules() {
@@ -96,7 +97,8 @@ impl Liveness {
                 }
             }
             changed
-        });
+        };
+        fixpoint(n, &deps, step, &mut NoopRecorder);
         Liveness {
             live_attrs,
             live_locals,

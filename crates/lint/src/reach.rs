@@ -11,6 +11,7 @@
 use fnc2_ag::{Grammar, PhylumId, ProductionId};
 use fnc2_analysis::bottom_up_dependents;
 use fnc2_gfa::fixpoint;
+use fnc2_obs::NoopRecorder;
 
 use crate::diag::{Code, Diagnostic, Span};
 
@@ -45,6 +46,7 @@ impl Usefulness {
                 }
                 lower
             },
+            &mut NoopRecorder,
         );
 
         let reachable = &mut useful.reachable;

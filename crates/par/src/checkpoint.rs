@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use fnc2_ag::{Tree, Value};
 use fnc2_guard::{EvalBudget, FaultPlan};
 use fnc2_obs::{Key, Recorder};
-use fnc2_vfs::{Vfs, VfsError};
+use fnc2_vfs::{fnv1a, Vfs, VfsError};
 use fnc2_visit::{Evaluator, RootInputs};
 
 use crate::{Batch, BatchStats, TreeOutcome};
@@ -64,19 +64,6 @@ pub const CKPT_RECORD_LEN: usize = 8 + 1 + 8 + 8;
 /// but it cuts the journal syscall count by the group size, which keeps
 /// checkpointing off the batch hot path.
 pub const JOURNAL_FLUSH_EVERY: usize = 16;
-
-/// FNV-1a over chunks (same constants as `fnc2_tables::wire::fnv1a`;
-/// re-implemented so this crate stays dependency-light).
-fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Why a checkpoint journal could not be used. `Io` is a storage fault
 /// (exit code 2 territory); the rest are journal-validation failures the

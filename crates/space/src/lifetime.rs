@@ -158,7 +158,7 @@ fn may_eval_sets(
         |ki| [ki],
         |ki| bodies[ki].iter().flat_map(|b| b.nested.iter().copied()),
     );
-    fnc2_gfa::fixpoint(n, &dependents, |ki| {
+    let step = |ki: usize| {
         let mut acc = ObjectSet::new(objects.len());
         for b in &bodies[ki] {
             acc.union_in_place(&b.direct);
@@ -174,7 +174,8 @@ fn may_eval_sets(
             }
         }
         sets[ki].union_in_place(&acc)
-    });
+    };
+    fnc2_gfa::fixpoint(n, &dependents, step, &mut fnc2_obs::NoopRecorder);
 
     // Back into (phylum, partition, visit) shape.
     let mut sets = sets.into_iter();

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use fnc2_ag::{Grammar, NodeId, ProductionId, Tree, TreeBuilder, Value};
 use fnc2_gfa::{dependents, fixpoint};
+use fnc2_obs::NoopRecorder;
 
 use crate::scanner::{Lexeme, Scanned};
 
@@ -237,7 +238,7 @@ impl Ll1Parser {
         };
         let mut nullable = vec![false; n];
         let mut first: Vec<HashSet<String>> = vec![HashSet::new(); n];
-        fixpoint(m, &dependents(m, n, lhs, rhs), |ri| {
+        let step = |ri: usize| {
             let r = &cfg.rules[ri];
             let a = nts[&r.lhs];
             let mut changed = false;
@@ -267,10 +268,11 @@ impl Ll1Parser {
                 changed = true;
             }
             changed
-        });
+        };
+        fixpoint(m, &dependents(m, n, lhs, rhs), step, &mut NoopRecorder);
         let mut follow: Vec<HashSet<String>> = vec![HashSet::new(); n];
         follow[nts[&cfg.start]].insert("EOF".to_string());
-        fixpoint(m, &dependents(m, n, rhs, lhs), |ri| {
+        let step = |ri: usize| {
             let r = &cfg.rules[ri];
             let a = nts[&r.lhs];
             let mut changed = false;
@@ -304,7 +306,8 @@ impl Ll1Parser {
                 }
             }
             changed
-        });
+        };
+        fixpoint(m, &dependents(m, n, rhs, lhs), step, &mut NoopRecorder);
 
         // Predictive table.
         let mut table: HashMap<(usize, String), usize> = HashMap::new();

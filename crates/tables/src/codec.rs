@@ -6,21 +6,17 @@
 //! freshly computed structure by plain byte comparison, and what makes
 //! the re-encode-idempotence check in the fuzz oracle meaningful.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use fnc2_ag::{
     Arg, AttrId, AttrKind, FuncId, Grammar, LocalId, ONode, Occ, PhylumId, ProductionId, RuleBody,
     Value,
 };
-use fnc2_analysis::{
-    AgClass, CircWitness, Classification, DncResult, LOrdered, OagResult, PhylumRels, Plan,
-    SncResult, TotalOrder, TransformStats, VisitSlot,
-};
-use fnc2_gfa::{BitMatrix, FixpointStats};
+use fnc2_analysis::{AgClass, TotalOrder, TransformStats, VisitSlot};
 use fnc2_lint::{Code as LintCode, Diagnostic, Severity as LintSeverity, Span};
 use fnc2_space::{
-    FlatItem, FlatProgram, FlatSeq, Instance, InstanceKind, Lifetimes, Object, ObjectSet, ReadPath,
-    SeqAccess, SpacePlan, SpaceStats, StepAccess, Storage, WritePath,
+    Lifetimes, ObjectSet, ReadPath, SeqAccess, SpacePlan, SpaceStats, StepAccess, Storage,
+    WritePath,
 };
 use fnc2_visit::{CBody, CompiledProgram, FetchOp, Instr, SlotRef, VisitSeq, VisitSeqs};
 
@@ -300,49 +296,6 @@ pub(crate) fn dec_value(d: &mut Dec<'_>) -> WireResult<Value> {
 // Analysis results
 // ---------------------------------------------------------------------------
 
-fn enc_bitmatrix(e: &mut Enc, m: &BitMatrix) {
-    e.usize(m.len());
-    enc_vec(e, m.raw_words(), |e, &w| e.u64(w));
-}
-fn dec_bitmatrix(d: &mut Dec<'_>) -> WireResult<BitMatrix> {
-    let n = d.usize()?;
-    let at_words = d.pos();
-    let words = dec_vec(d, |d| d.u64())?;
-    BitMatrix::from_raw_words(n, words).ok_or(WireError::Invalid {
-        what: "BitMatrix word count",
-        at: at_words,
-    })
-}
-
-fn enc_rels(e: &mut Enc, r: &PhylumRels) {
-    enc_vec(e, r.rels(), enc_bitmatrix);
-}
-fn dec_rels(d: &mut Dec<'_>) -> WireResult<PhylumRels> {
-    Ok(PhylumRels::from_rels(dec_vec(d, dec_bitmatrix)?))
-}
-
-fn enc_fixpoint(e: &mut Enc, s: &FixpointStats) {
-    e.usize(s.steps);
-    e.usize(s.changes);
-}
-fn dec_fixpoint(d: &mut Dec<'_>) -> WireResult<FixpointStats> {
-    Ok(FixpointStats {
-        steps: d.usize()?,
-        changes: d.usize()?,
-    })
-}
-
-fn enc_witness(e: &mut Enc, w: &CircWitness) {
-    enc_production(e, w.production);
-    enc_vec(e, &w.cycle, |e, &n| enc_onode(e, n));
-}
-fn dec_witness(d: &mut Dec<'_>) -> WireResult<CircWitness> {
-    Ok(CircWitness {
-        production: dec_production(d)?,
-        cycle: dec_vec(d, dec_onode)?,
-    })
-}
-
 fn enc_total_order(e: &mut Enc, t: &TotalOrder) {
     enc_phylum(e, t.phylum);
     enc_vec(e, &t.visits, |e, v| {
@@ -371,13 +324,13 @@ fn dec_partitions(d: &mut Dec<'_>) -> WireResult<Vec<Vec<TotalOrder>>> {
     dec_vec(d, |d| dec_vec(d, dec_total_order))
 }
 
-fn enc_transform_stats(e: &mut Enc, s: &TransformStats) {
+pub(crate) fn enc_transform_stats(e: &mut Enc, s: &TransformStats) {
     enc_usizes(e, &s.partitions_per_phylum);
     e.usize(s.plans);
     e.usize(s.reuses);
     e.usize(s.fresh);
 }
-fn dec_transform_stats(d: &mut Dec<'_>) -> WireResult<TransformStats> {
+pub(crate) fn dec_transform_stats(d: &mut Dec<'_>) -> WireResult<TransformStats> {
     Ok(TransformStats {
         partitions_per_phylum: dec_usizes(d)?,
         plans: d.usize()?,
@@ -386,30 +339,7 @@ fn dec_transform_stats(d: &mut Dec<'_>) -> WireResult<TransformStats> {
     })
 }
 
-fn enc_l_ordered(e: &mut Enc, lo: &LOrdered) {
-    enc_partitions(e, &lo.partitions);
-    enc_map(e, &lo.plans, enc_seq_key, |e, plan| {
-        enc_usizes(e, &plan.rhs_partitions);
-        enc_vec(e, &plan.linear, |e, &n| enc_onode(e, n));
-    });
-    enc_transform_stats(e, &lo.stats);
-}
-fn dec_l_ordered(d: &mut Dec<'_>) -> WireResult<LOrdered> {
-    Ok(LOrdered {
-        partitions: dec_partitions(d)?,
-        plans: dec_seq_entries(d, |d| {
-            Ok(Plan {
-                rhs_partitions: dec_usizes(d)?,
-                linear: dec_vec(d, dec_onode)?,
-            })
-        })?
-        .into_iter()
-        .collect(),
-        stats: dec_transform_stats(d)?,
-    })
-}
-
-fn enc_class(e: &mut Enc, c: AgClass) {
+pub(crate) fn enc_class(e: &mut Enc, c: AgClass) {
     match c {
         AgClass::Oag0 => e.u8(0),
         AgClass::OagK(k) => {
@@ -421,7 +351,7 @@ fn enc_class(e: &mut Enc, c: AgClass) {
         AgClass::NotSnc => e.u8(4),
     }
 }
-fn dec_class(d: &mut Dec<'_>) -> WireResult<AgClass> {
+pub(crate) fn dec_class(d: &mut Dec<'_>) -> WireResult<AgClass> {
     match d.u8()? {
         0 => Ok(AgClass::Oag0),
         1 => Ok(AgClass::OagK(d.usize()?)),
@@ -430,61 +360,6 @@ fn dec_class(d: &mut Dec<'_>) -> WireResult<AgClass> {
         4 => Ok(AgClass::NotSnc),
         _ => Err(invalid("AgClass tag", d)),
     }
-}
-
-pub(crate) fn enc_classification(e: &mut Enc, c: &Classification) {
-    enc_class(e, c.class);
-    enc_rels(e, &c.snc.io);
-    enc_option(e, c.snc.witness.as_ref(), enc_witness);
-    enc_fixpoint(e, &c.snc.stats);
-    enc_option(e, c.dnc.as_ref(), |e, dnc| {
-        enc_rels(e, &dnc.oi);
-        enc_option(e, dnc.witness.as_ref(), enc_witness);
-        enc_fixpoint(e, &dnc.stats);
-    });
-    enc_option(e, c.oag.as_ref(), |e, oag| {
-        enc_rels(e, &oag.ds);
-        enc_option(e, oag.partitions.as_ref(), |e, p| {
-            enc_vec(e, p, enc_total_order);
-        });
-        enc_option(e, oag.witness.as_ref(), enc_witness);
-        e.usize(oag.repairs_used);
-        enc_fixpoint(e, &oag.stats);
-    });
-    enc_option(e, c.l_ordered.as_ref(), enc_l_ordered);
-}
-
-pub(crate) fn dec_classification(d: &mut Dec<'_>) -> WireResult<Classification> {
-    let class = dec_class(d)?;
-    let snc = SncResult {
-        io: dec_rels(d)?,
-        witness: dec_option(d, dec_witness)?,
-        stats: dec_fixpoint(d)?,
-    };
-    let dnc = dec_option(d, |d| {
-        Ok(DncResult {
-            oi: dec_rels(d)?,
-            witness: dec_option(d, dec_witness)?,
-            stats: dec_fixpoint(d)?,
-        })
-    })?;
-    let oag = dec_option(d, |d| {
-        Ok(OagResult {
-            ds: dec_rels(d)?,
-            partitions: dec_option(d, |d| dec_vec(d, dec_total_order))?,
-            witness: dec_option(d, dec_witness)?,
-            repairs_used: d.usize()?,
-            stats: dec_fixpoint(d)?,
-        })
-    })?;
-    let l_ordered = dec_option(d, dec_l_ordered)?;
-    Ok(Classification {
-        class,
-        snc,
-        dnc,
-        oag,
-        l_ordered,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -551,156 +426,6 @@ pub(crate) fn dec_visit_seqs(d: &mut Dec<'_>) -> WireResult<VisitSeqs> {
 // ---------------------------------------------------------------------------
 // Space optimization
 // ---------------------------------------------------------------------------
-
-fn enc_object(e: &mut Enc, o: Object) {
-    match o {
-        Object::Attr(a) => {
-            e.u8(0);
-            enc_attr(e, a);
-        }
-        Object::Local(p, l) => {
-            e.u8(1);
-            enc_production(e, p);
-            enc_local(e, l);
-        }
-    }
-}
-fn dec_object(d: &mut Dec<'_>) -> WireResult<Object> {
-    match d.u8()? {
-        0 => Ok(Object::Attr(dec_attr(d)?)),
-        1 => Ok(Object::Local(dec_production(d)?, dec_local(d)?)),
-        _ => Err(invalid("Object tag", d)),
-    }
-}
-
-fn enc_flat_item(e: &mut Enc, i: &FlatItem) {
-    match i {
-        FlatItem::Begin(v) => {
-            e.u8(0);
-            e.usize(*v);
-        }
-        FlatItem::Op { visit, instr } => {
-            e.u8(1);
-            e.usize(*visit);
-            enc_instr(e, instr);
-        }
-        FlatItem::Leave(v) => {
-            e.u8(2);
-            e.usize(*v);
-        }
-    }
-}
-fn dec_flat_item(d: &mut Dec<'_>) -> WireResult<FlatItem> {
-    match d.u8()? {
-        0 => Ok(FlatItem::Begin(d.usize()?)),
-        1 => Ok(FlatItem::Op {
-            visit: d.usize()?,
-            instr: dec_instr(d)?,
-        }),
-        2 => Ok(FlatItem::Leave(d.usize()?)),
-        _ => Err(invalid("FlatItem tag", d)),
-    }
-}
-
-fn enc_instance_kind(e: &mut Enc, k: InstanceKind) {
-    e.u8(match k {
-        InstanceKind::LhsInh => 0,
-        InstanceKind::LhsSyn => 1,
-        InstanceKind::ChildInh => 2,
-        InstanceKind::ChildSyn => 3,
-        InstanceKind::Local => 4,
-    });
-}
-fn dec_instance_kind(d: &mut Dec<'_>) -> WireResult<InstanceKind> {
-    match d.u8()? {
-        0 => Ok(InstanceKind::LhsInh),
-        1 => Ok(InstanceKind::LhsSyn),
-        2 => Ok(InstanceKind::ChildInh),
-        3 => Ok(InstanceKind::ChildSyn),
-        4 => Ok(InstanceKind::Local),
-        _ => Err(invalid("InstanceKind tag", d)),
-    }
-}
-
-fn enc_instance(e: &mut Enc, i: &Instance) {
-    enc_onode(e, i.node);
-    enc_object(e, i.object);
-    enc_instance_kind(e, i.kind);
-    e.usize(i.def_pos);
-    enc_usizes(e, &i.uses);
-}
-fn dec_instance(d: &mut Dec<'_>) -> WireResult<Instance> {
-    Ok(Instance {
-        node: dec_onode(d)?,
-        object: dec_object(d)?,
-        kind: dec_instance_kind(d)?,
-        def_pos: d.usize()?,
-        uses: dec_usizes(d)?,
-    })
-}
-
-fn enc_visit_key(e: &mut Enc, k: (PhylumId, usize, AttrId)) {
-    enc_phylum(e, k.0);
-    e.usize(k.1);
-    enc_attr(e, k.2);
-}
-fn dec_visit_key(d: &mut Dec<'_>) -> WireResult<(PhylumId, usize, AttrId)> {
-    Ok((dec_phylum(d)?, d.usize()?, dec_attr(d)?))
-}
-
-/// Written as three key-sorted maps, like [`enc_map`]: the sequences in
-/// order are already sorted by key.
-pub(crate) fn enc_flat_program(e: &mut Enc, fp: &FlatProgram) {
-    e.usize(fp.seqs.len());
-    for s in &fp.seqs {
-        enc_seq_key(e, s.key);
-        enc_seq_key(e, s.key);
-        enc_vec(e, &s.items, enc_flat_item);
-    }
-    e.usize(fp.instances.len());
-    for (s, is) in fp.seqs.iter().zip(&fp.instances) {
-        enc_seq_key(e, s.key);
-        enc_vec(e, is, enc_instance);
-    }
-    e.usize(fp.last_read_visit.len());
-    for (&k, &v) in &fp.last_read_visit {
-        enc_visit_key(e, k);
-        e.usize(v);
-    }
-}
-/// `keys` are the visit sequences' keys: the flattened program must have
-/// exactly those sequences, in that order.
-pub(crate) fn dec_flat_program(d: &mut Dec<'_>, keys: &[SeqKey]) -> WireResult<FlatProgram> {
-    let seqs = dec_per_seq(d, keys, |d, want| {
-        let at = d.pos();
-        if dec_seq_key(d)? != want {
-            return Err(invalid_at("flattened sequence key", at));
-        }
-        Ok(FlatSeq {
-            key: want,
-            items: dec_vec(d, dec_flat_item)?,
-        })
-    })?;
-    let instances = dec_per_seq(d, keys, |d, _| dec_vec(d, dec_instance))?;
-    let n = d.seq_len()?;
-    let mut last_read_visit = BTreeMap::new();
-    for _ in 0..n {
-        let at = d.pos();
-        let key = dec_visit_key(d)?;
-        if last_read_visit
-            .last_key_value()
-            .is_some_and(|(&last, _)| last >= key)
-        {
-            return Err(invalid_at("last-read key order", at));
-        }
-        last_read_visit.insert(key, d.usize()?);
-    }
-    Ok(FlatProgram {
-        seqs,
-        instances,
-        last_read_visit,
-    })
-}
 
 fn enc_may_eval_key(e: &mut Enc, k: (PhylumId, usize, usize)) {
     enc_phylum(e, k.0);

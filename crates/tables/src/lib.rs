@@ -17,22 +17,29 @@
 //! [`Grammar`] with its closures — while the (potentially exponential)
 //! analysis results are deserialized:
 //!
-//! * the [`Classification`] — IO/OI/DS relations, witnesses, the
-//!   l-ordered partitions and plans;
-//! * the [`VisitSeqs`];
-//! * the space-optimization outputs — [`FlatProgram`], [`Lifetimes`],
-//!   [`SpacePlan`];
+//! * the [`VisitSeqs`] with the partitions they follow;
+//! * the space optimizer's [`Lifetimes`] and [`SpacePlan`];
+//! * the lint findings, and the report's class and [`TransformStats`];
 //! * two *verification sections*: a canonical encoding of the grammar
 //!   shape (everything but the closure bodies) and of the slot-compiled
 //!   rule program, byte-compared against their freshly rebuilt
 //!   counterparts at load time.
 //!
+//! Each is stored once. What a load can rederive cheaply is rederived:
+//! the flattened program ([`FlatProgram::new`] over the sequences), the
+//! object index, and the slot-compiled rules. The class tests' relations
+//! and the transformation's plans are not kept: nothing reads them after
+//! the sequences are built.
+//!
 //! ## Trust model
 //!
 //! An artifact is never trusted: the header carries a magic, a format
 //! version, a content fingerprint (FNV-1a over format version, pipeline
-//! configuration, and source), and a payload checksum. Every load
-//! failure is a classified [`ArtifactError`] — callers fall back to full
+//! configuration, and source), and a payload checksum. A re-checksummed
+//! payload passes the checksum, so [`Tables::verify_against`] checks
+//! every partition, sequence, lifetime table and access table against the
+//! rebuilt grammar before anything runs them. Every load failure is a
+//! classified [`ArtifactError`] — callers fall back to full
 //! recompilation; nothing in this crate panics on hostile input.
 
 #![warn(missing_docs)]
@@ -41,10 +48,12 @@
 use std::fmt;
 
 use fnc2_ag::Grammar;
-use fnc2_analysis::{Classification, Inclusion};
+use fnc2_analysis::{AgClass, Inclusion, TransformStats};
 use fnc2_space::{FlatProgram, Lifetimes, SpacePlan};
+use fnc2_vfs::fnv1a;
 use fnc2_visit::{CompiledProgram, VisitSeqs};
 
+mod check;
 pub mod codec;
 pub mod store;
 pub mod wire;
@@ -52,7 +61,6 @@ pub mod wire;
 use wire::{Dec, Enc, WireError};
 
 pub use codec::{encode_compiled_program, encode_grammar_shape};
-pub use wire::fnv1a;
 
 /// The artifact magic: `FNC2TBL` + a format byte.
 pub const MAGIC: [u8; 8] = *b"FNC2TBL\0";
@@ -60,7 +68,7 @@ pub const MAGIC: [u8; 8] = *b"FNC2TBL\0";
 /// Current artifact format version. Bump on ANY change to the wire
 /// encoding of any serialized structure — version skew is detected before
 /// the payload is touched and rejected as [`ArtifactError::VersionSkew`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Header size in bytes: magic (8) + version (4) + fingerprint (8) +
 /// payload checksum (8) + payload length (8).
@@ -95,7 +103,7 @@ pub enum ArtifactError {
     /// The payload failed structural decoding.
     Corrupt(String),
     /// The artifact's pipeline configuration differs from the requested
-    /// one (e.g. built without space optimization).
+    /// one (e.g. built with another `max_oag_k`).
     ConfigMismatch,
     /// The artifact's grammar shape does not match the grammar it is
     /// being loaded for.
@@ -167,8 +175,8 @@ impl From<WireError> for ArtifactError {
     }
 }
 
-/// The pipeline configuration an artifact was generated under. All three
-/// knobs change the analysis results, so all three are part of the
+/// The pipeline configuration an artifact was generated under. Both
+/// knobs change the analysis results, so both are part of the
 /// fingerprint and checked on load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TablesConfig {
@@ -176,8 +184,6 @@ pub struct TablesConfig {
     pub max_oag_k: usize,
     /// Partition-reuse strategy of the transformation.
     pub inclusion: Inclusion,
-    /// Whether the space optimizer ran.
-    pub optimize_space: bool,
 }
 
 impl TablesConfig {
@@ -187,7 +193,6 @@ impl TablesConfig {
             Inclusion::Equality => 0,
             Inclusion::Long => 1,
         });
-        e.bool(self.optimize_space);
     }
 
     fn decode(d: &mut Dec<'_>) -> Result<TablesConfig, ArtifactError> {
@@ -197,11 +202,9 @@ impl TablesConfig {
             1 => Inclusion::Long,
             _ => return Err(ArtifactError::Corrupt("bad Inclusion tag".into())),
         };
-        let optimize_space = d.bool()?;
         Ok(TablesConfig {
             max_oag_k,
             inclusion,
-            optimize_space,
         })
     }
 
@@ -224,16 +227,16 @@ pub struct Tables {
     pub source: Option<String>,
     /// Canonical grammar-shape bytes (verification section).
     pub grammar_shape: Vec<u8>,
-    /// The full classification (IO/OI/DS, partitions, plans).
-    pub classification: Classification,
-    /// The visit sequences.
+    /// The smallest class the cascade found.
+    pub class: AgClass,
+    /// The transformation's statistics, for the report.
+    pub transform: TransformStats,
+    /// The visit sequences, with the partitions they follow.
     pub seqs: VisitSeqs,
-    /// The flattened program, when space optimization ran.
-    pub flat: Option<FlatProgram>,
-    /// The lifetime analysis, when space optimization ran.
-    pub lifetimes: Option<Lifetimes>,
-    /// The storage plan, when space optimization ran.
-    pub space_plan: Option<SpacePlan>,
+    /// The lifetime analysis.
+    pub lifetimes: Lifetimes,
+    /// The storage plan.
+    pub space_plan: SpacePlan,
     /// The lint findings recorded when the cascade ran, so cached
     /// startups replay diagnostics without re-running the analyses.
     pub lint: Vec<fnc2_lint::Diagnostic>,
@@ -250,11 +253,11 @@ impl Tables {
         grammar: &Grammar,
         config: TablesConfig,
         source: Option<&str>,
-        classification: &Classification,
+        class: AgClass,
+        transform: &TransformStats,
         seqs: &VisitSeqs,
-        flat: Option<&FlatProgram>,
-        lifetimes: Option<&Lifetimes>,
-        space_plan: Option<&SpacePlan>,
+        lifetimes: &Lifetimes,
+        space_plan: &SpacePlan,
         lint: &[fnc2_lint::Diagnostic],
     ) -> Tables {
         let program = encode_compiled_program(grammar, &CompiledProgram::new(grammar));
@@ -262,11 +265,11 @@ impl Tables {
             config,
             source: source.map(str::to_owned),
             grammar_shape: encode_grammar_shape(grammar),
-            classification: classification.clone(),
+            class,
+            transform: transform.clone(),
             seqs: seqs.clone(),
-            flat: flat.cloned(),
-            lifetimes: lifetimes.cloned(),
-            space_plan: space_plan.cloned(),
+            lifetimes: lifetimes.clone(),
+            space_plan: space_plan.clone(),
             lint: lint.to_vec(),
             program,
         }
@@ -295,29 +298,11 @@ impl Tables {
             None => p.bool(false),
         }
         p.bytes(&self.grammar_shape);
-        codec::enc_classification(&mut p, &self.classification);
+        codec::enc_class(&mut p, self.class);
+        codec::enc_transform_stats(&mut p, &self.transform);
         codec::enc_visit_seqs(&mut p, &self.seqs);
-        match &self.flat {
-            Some(fp) => {
-                p.bool(true);
-                codec::enc_flat_program(&mut p, fp);
-            }
-            None => p.bool(false),
-        }
-        match &self.lifetimes {
-            Some(lt) => {
-                p.bool(true);
-                codec::enc_lifetimes(&mut p, lt);
-            }
-            None => p.bool(false),
-        }
-        match &self.space_plan {
-            Some(plan) => {
-                p.bool(true);
-                codec::enc_space_plan(&mut p, plan);
-            }
-            None => p.bool(false),
-        }
+        codec::enc_lifetimes(&mut p, &self.lifetimes);
+        codec::enc_space_plan(&mut p, &self.space_plan);
         codec::enc_lint(&mut p, &self.lint);
         p.bytes(&self.program);
         let payload = p.into_bytes();
@@ -340,41 +325,24 @@ impl Tables {
         let (fingerprint, payload) = check_header(bytes)?;
         let mut d = Dec::new(payload);
         let config = TablesConfig::decode(&mut d)?;
-        let source = if d.bool().map_err(ArtifactError::from)? {
-            Some(d.str().map_err(ArtifactError::from)?)
-        } else {
-            None
-        };
-        let grammar_shape = d.bytes().map_err(ArtifactError::from)?.to_vec();
-        let classification = codec::dec_classification(&mut d).map_err(ArtifactError::from)?;
-        let seqs = codec::dec_visit_seqs(&mut d).map_err(ArtifactError::from)?;
+        let source = if d.bool()? { Some(d.str()?) } else { None };
+        let grammar_shape = d.bytes()?.to_vec();
+        let class = codec::dec_class(&mut d)?;
+        let transform = codec::dec_transform_stats(&mut d)?;
+        let seqs = codec::dec_visit_seqs(&mut d)?;
         // The space sections are keyed by the sequences and partitions.
-        let keys = seqs.keys();
-        let flat = if d.bool().map_err(ArtifactError::from)? {
-            Some(codec::dec_flat_program(&mut d, &keys).map_err(ArtifactError::from)?)
-        } else {
-            None
-        };
-        let lifetimes = if d.bool().map_err(ArtifactError::from)? {
-            Some(codec::dec_lifetimes(&mut d, seqs.partitions()).map_err(ArtifactError::from)?)
-        } else {
-            None
-        };
-        let space_plan = if d.bool().map_err(ArtifactError::from)? {
-            Some(codec::dec_space_plan(&mut d, &keys).map_err(ArtifactError::from)?)
-        } else {
-            None
-        };
-        let lint = codec::dec_lint(&mut d).map_err(ArtifactError::from)?;
-        let program = d.bytes().map_err(ArtifactError::from)?.to_vec();
-        d.finish().map_err(ArtifactError::from)?;
+        let lifetimes = codec::dec_lifetimes(&mut d, seqs.partitions())?;
+        let space_plan = codec::dec_space_plan(&mut d, &seqs.keys())?;
+        let lint = codec::dec_lint(&mut d)?;
+        let program = d.bytes()?.to_vec();
+        d.finish()?;
         let tables = Tables {
             config,
             source,
             grammar_shape,
-            classification,
+            class,
+            transform,
             seqs,
-            flat,
             lifetimes,
             space_plan,
             lint,
@@ -383,13 +351,15 @@ impl Tables {
         Ok((tables, fingerprint))
     }
 
-    /// Verifies this artifact against a rebuilt grammar: shape bytes must
-    /// match exactly, and a fresh slot-compile of the grammar must
-    /// reproduce the program verification section. The sequences must then
-    /// be the grammar's: one per (production, LHS partition), with each
-    /// flattened sequence's instances in its production's numbering, which
-    /// is how the space sections are indexed.
-    pub fn verify_against(&self, grammar: &Grammar) -> Result<(), ArtifactError> {
+    /// Verifies this artifact against a rebuilt grammar and derives the
+    /// flattened program its space plan indexes. Shape bytes must match
+    /// exactly, and a fresh slot-compile of the grammar must reproduce the
+    /// program verification section. The partitions and sequences must
+    /// then be the grammar's, and the lifetimes and access tables must fit
+    /// the program flattened from them: every index the evaluators follow
+    /// is checked, so a damaged artifact is [`ArtifactError::Corrupt`]
+    /// rather than a panic at evaluation.
+    pub fn verify_against(&self, grammar: &Grammar) -> Result<FlatProgram, ArtifactError> {
         if self.grammar_shape != encode_grammar_shape(grammar) {
             return Err(ArtifactError::GrammarMismatch);
         }
@@ -397,27 +367,10 @@ impl Tables {
         if self.program != fresh {
             return Err(ArtifactError::ProgramMismatch);
         }
-        let partitions = self.seqs.partitions();
-        let corrupt = |what: &str| Err(ArtifactError::Corrupt(what.into()));
-        if partitions.len() != grammar.phylum_count() {
-            return corrupt("partitions do not match the grammar's phyla");
-        }
-        let want = grammar.productions().flat_map(|p| {
-            let n = partitions[grammar.production(p).lhs().index()].len();
-            (0..n).map(move |pi| (p, pi))
-        });
-        if !self.seqs.keys().into_iter().eq(want) {
-            return corrupt("visit sequences do not match the grammar's partitions");
-        }
-        if let Some(fp) = &self.flat {
-            for (fs, insts) in fp.seqs.iter().zip(&fp.instances) {
-                let nodes = grammar.production(fs.key.0).nodes();
-                if !insts.iter().map(|i| i.node).eq(nodes.iter().copied()) {
-                    return corrupt("flattened instances do not follow the numbering");
-                }
-            }
-        }
-        Ok(())
+        check::sequences(grammar, &self.seqs)?;
+        let fp = FlatProgram::new(grammar, &self.seqs);
+        check::space(grammar, &fp, &self.lifetimes, &self.space_plan)?;
+        Ok(fp)
     }
 }
 
@@ -484,21 +437,20 @@ mod tests {
         let cls = classify(&g, 1, Inclusion::Long).unwrap();
         let lo = cls.l_ordered.as_ref().unwrap();
         let seqs = build_visit_seqs(&g, lo);
-        let (fp, _ox, lt, plan) = analyze_space(&g, &seqs);
+        let (_, _, lt, plan) = analyze_space(&g, &seqs);
         let config = TablesConfig {
             max_oag_k: 1,
             inclusion: Inclusion::Long,
-            optimize_space: true,
         };
         let t = Tables::build(
             &g,
             config,
             None,
-            &cls,
+            cls.class,
+            &lo.stats,
             &seqs,
-            Some(&fp),
-            Some(&lt),
-            Some(&plan),
+            &lt,
+            &plan,
             &fnc2_lint::lint_grammar(&g, Some(&cls)).diags,
         );
         (g, t)
@@ -587,16 +539,20 @@ mod tests {
         let config = TablesConfig {
             max_oag_k: 1,
             inclusion: Inclusion::Long,
-            optimize_space: true,
         };
         let a = fingerprint_source("grammar one", &config);
         let b = fingerprint_source("grammar two", &config);
         assert_ne!(a, b);
-        let no_space = TablesConfig {
-            optimize_space: false,
+        let equality = TablesConfig {
+            inclusion: Inclusion::Equality,
             ..config
         };
-        assert_ne!(a, fingerprint_source("grammar one", &no_space));
+        assert_ne!(a, fingerprint_source("grammar one", &equality));
+        let k2 = TablesConfig {
+            max_oag_k: 2,
+            ..config
+        };
+        assert_ne!(a, fingerprint_source("grammar one", &k2));
     }
 
     /// The artifact loader proves identity by re-running the OLGA front

@@ -262,19 +262,6 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// FNV-1a 64-bit hash — the artifact fingerprint and payload checksum
-/// primitive (stable across platforms, no dependencies).
-pub fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,15 +325,5 @@ mod tests {
         let mut d = Dec::new(&bytes);
         d.u8().unwrap();
         assert_eq!(d.finish(), Err(WireError::Trailing { extra: 1 }));
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(&[b""]), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(&[b"foobar"]), 0x8594_4171_f739_67e8);
-        // Chunking must not affect the hash.
-        assert_eq!(fnv1a(&[b"foo", b"bar"]), fnv1a(&[b"foobar"]));
     }
 }

@@ -22,7 +22,8 @@
 //!   is modeled by re-opening the same directory with a fresh [`RealVfs`].
 //!
 //! The crate is dependency-free on purpose: `fnc2-tables`, `fnc2-par` and
-//! `fnc2` all sit on top of it.
+//! `fnc2` all sit on top of it, and the first two checksum their durable
+//! formats with its [`fnv1a`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -657,10 +658,34 @@ impl Vfs for FaultVfs {
     }
 }
 
+/// FNV-1a 64-bit hash over `chunks` read as one byte string — the
+/// checksum of every durable format built on this crate (compiled-table
+/// artifacts, batch journals), stable across platforms.
+pub fn fnv1a(chunks: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in chunks {
+        for &b in *chunk {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a test vectors.
+        assert_eq!(fnv1a(&[b""]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(&[b"foobar"]), 0x8594_4171_f739_67e8);
+        // Chunking must not affect the hash.
+        assert_eq!(fnv1a(&[b"foo", b"bar"]), fnv1a(&[b"foobar"]));
+    }
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 

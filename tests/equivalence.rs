@@ -522,12 +522,11 @@ fn balloon_grammar_agrees_while_in_budget() {
 fn exceeded_budgets_surface_as_classified_errors() {
     use fnc2::guard::EvalBudget;
     use fnc2::obs::NoopRecorder;
-    use fnc2::visit::{build_visit_seqs, Evaluator};
+    use fnc2::visit::Evaluator;
 
     let compiled = Pipeline::new().compile(fnc2_corpus::chain()).unwrap();
     let g = &compiled.grammar;
-    let seqs = build_visit_seqs(g, compiled.classification.l_ordered.as_ref().unwrap());
-    let ev = Evaluator::new(g, &seqs);
+    let ev = Evaluator::new(g, &compiled.seqs);
     let tree = fnc2_corpus::chain_tree(g, 5_000);
     let inputs = RootInputs::new();
 
@@ -556,8 +555,7 @@ fn exceeded_budgets_surface_as_classified_errors() {
     // Value-cell budget on the ballooning grammar: stops the geometric
     // growth long before it would materialize 2^24 cells.
     let bg = Pipeline::new().compile(fnc2_corpus::balloon()).unwrap();
-    let bseqs = build_visit_seqs(&bg.grammar, bg.classification.l_ordered.as_ref().unwrap());
-    let bev = Evaluator::new(&bg.grammar, &bseqs);
+    let bev = Evaluator::new(&bg.grammar, &bg.seqs);
     let btree = fnc2_corpus::balloon_tree(&bg.grammar, 24);
     let err = bev
         .evaluate_with(
@@ -719,12 +717,11 @@ fn deep_list_display_matches_the_flat_list() {
 fn guarded_batch_survives_injected_panics_deterministically() {
     use fnc2::guard::{EvalBudget, FaultPlan, InjectedFault, PlannedFault, INJECTED_PANIC_MSG};
     use fnc2::par::{batch_evaluate_guarded, TreeOutcome};
-    use fnc2::visit::{build_visit_seqs, Evaluator};
+    use fnc2::visit::Evaluator;
 
     let compiled = Pipeline::new().compile(fnc2_corpus::chain()).unwrap();
     let g = &compiled.grammar;
-    let seqs = build_visit_seqs(g, compiled.classification.l_ordered.as_ref().unwrap());
-    let ev = Evaluator::new(g, &seqs);
+    let ev = Evaluator::new(g, &compiled.seqs);
     let trees: Vec<Tree> = (0..10)
         .map(|i| fnc2_corpus::chain_tree(g, 50 + 37 * i))
         .collect();
