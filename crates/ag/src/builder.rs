@@ -1,6 +1,7 @@
 //! Incremental construction and validation of [`Grammar`]s.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crate::error::GrammarError;
@@ -46,6 +47,8 @@ pub struct GrammarBuilder {
     productions: Vec<Production>,
     functions: Vec<SemFn>,
     func_names: HashMap<String, FuncId>,
+    /// The hashes of the phylum and production names declared so far.
+    names: HashSet<(&'static str, u64)>,
     root: Option<PhylumId>,
     errors: Vec<GrammarError>,
 }
@@ -61,6 +64,7 @@ impl GrammarBuilder {
             productions: Vec::new(),
             functions: Vec::new(),
             func_names: HashMap::new(),
+            names: HashSet::new(),
             root: None,
             errors: Vec::new(),
         }
@@ -69,12 +73,7 @@ impl GrammarBuilder {
     /// Declares a phylum (non-terminal).
     pub fn phylum(&mut self, name: impl Into<String>) -> PhylumId {
         let name = name.into();
-        if self.phyla.iter().any(|p| p.name == name) {
-            self.errors.push(GrammarError::DuplicateName {
-                kind: "phylum",
-                name: name.clone(),
-            });
-        }
+        self.declare("phylum", &name);
         let id = PhylumId::from_raw(self.phyla.len() as u32);
         self.phyla.push(Phylum {
             name,
@@ -85,6 +84,21 @@ impl GrammarBuilder {
             self.root = Some(id);
         }
         id
+    }
+
+    /// Records the declaration of `name`, a duplicate of its `kind` being
+    /// an error. A repeated hash is confirmed against the names themselves.
+    fn declare(&mut self, kind: &'static str, name: &str) {
+        let hash = self.names.hasher().hash_one(name);
+        let taken = !self.names.insert((kind, hash))
+            && match kind {
+                "phylum" => self.phyla.iter().any(|p| p.name == name),
+                _ => self.productions.iter().any(|p| p.name == name),
+            };
+        if taken {
+            let name = name.to_string();
+            self.errors.push(GrammarError::DuplicateName { kind, name });
+        }
     }
 
     /// Overrides the root phylum (default: the first declared).
@@ -130,12 +144,7 @@ impl GrammarBuilder {
         rhs: &[PhylumId],
     ) -> ProductionId {
         let name = name.into();
-        if self.productions.iter().any(|p| p.name == name) {
-            self.errors.push(GrammarError::DuplicateName {
-                kind: "production",
-                name: name.clone(),
-            });
-        }
+        self.declare("production", &name);
         let id = ProductionId::from_raw(self.productions.len() as u32);
         self.productions.push(Production {
             name,
@@ -202,14 +211,13 @@ impl GrammarBuilder {
         f: impl Fn(&[Value]) -> Result<Value, SemError> + Send + Sync + 'static,
     ) -> FuncId {
         let name = name.into();
-        if self.func_names.contains_key(&name) {
+        let id = FuncId::from_raw(self.functions.len() as u32);
+        if self.func_names.insert(name.clone(), id).is_some() {
             self.errors.push(GrammarError::DuplicateName {
                 kind: "function",
                 name: name.clone(),
             });
         }
-        let id = FuncId::from_raw(self.functions.len() as u32);
-        self.func_names.insert(name.clone(), id);
         self.functions.push(SemFn {
             name,
             arity,
@@ -245,27 +253,37 @@ impl GrammarBuilder {
         func: &str,
         args: impl IntoIterator<Item = Arg>,
     ) {
-        let args: Vec<Arg> = args.into_iter().collect();
         match self.func_names.get(func) {
-            Some(&id) => {
-                let arity = self.functions[id.index()].arity;
-                if arity != args.len() {
-                    self.errors.push(GrammarError::ArityMismatch {
-                        function: func.to_string(),
-                        expected: arity,
-                        found: args.len(),
-                    });
-                }
-                self.productions[p.index()].rules.push(SemRule {
-                    target: target.into(),
-                    body: RuleBody::Call { func: id, args },
-                });
-            }
+            Some(&id) => self.call_func(p, target, id, args),
             None => self.errors.push(GrammarError::UnknownName {
                 kind: "function",
                 name: func.to_string(),
             }),
         }
+    }
+
+    /// Adds the rule `target := func(args…)` for the function registered
+    /// as `func`.
+    pub fn call_func(
+        &mut self,
+        p: ProductionId,
+        target: impl Into<ONode>,
+        func: FuncId,
+        args: impl IntoIterator<Item = Arg>,
+    ) {
+        let args: Vec<Arg> = args.into_iter().collect();
+        let f = &self.functions[func.index()];
+        if f.arity != args.len() {
+            self.errors.push(GrammarError::ArityMismatch {
+                function: f.name.clone(),
+                expected: f.arity,
+                found: args.len(),
+            });
+        }
+        self.productions[p.index()].rules.push(SemRule {
+            target: target.into(),
+            body: RuleBody::Call { func, args },
+        });
     }
 
     /// Validates everything and produces the immutable [`Grammar`].
@@ -381,11 +399,13 @@ fn validate(g: &Grammar, errors: &mut Vec<GrammarError>) {
                 defs[k] += 1;
             }
         }
-        let outputs = g.outputs(pid);
         is_output.clear();
         is_output.resize(prod.nodes().len(), false);
-        for &out in &outputs {
-            let k = g.node_index(pid, out).expect("outputs are nodes");
+        // The outputs in the production's numbering, locals last.
+        for (k, &out) in prod.nodes().iter().enumerate() {
+            if out.occ().is_some_and(|o| !g.is_output(pid, o)) {
+                continue;
+            }
             is_output[k] = true;
             let n = defs[k];
             if n == 0 {
@@ -464,6 +484,31 @@ mod tests {
             g.finish(),
             Err(GrammarError::DuplicateRule { .. })
         ));
+    }
+
+    #[test]
+    fn duplicate_names_are_rejected_per_kind() {
+        let mut g = GrammarBuilder::new("bad");
+        let s = g.phylum("S");
+        g.phylum("T");
+        g.phylum("S");
+        // A production may share a phylum's name, not another production's.
+        g.production("S", s, &[]);
+        g.production("S", s, &[]);
+        g.func("f", 0, |_| Value::Int(0));
+        g.func("f", 0, |_| Value::Int(1));
+        let dups: Vec<_> = match g.finish_verbose() {
+            Err(errs) => errs
+                .into_iter()
+                .filter_map(|e| match e {
+                    GrammarError::DuplicateName { kind, name } => Some((kind, name)),
+                    _ => None,
+                })
+                .collect(),
+            Ok(_) => panic!("duplicates accepted"),
+        };
+        let want = [("phylum", "S"), ("production", "S"), ("function", "f")];
+        assert_eq!(dups, want.map(|(k, n)| (k, n.to_string())));
     }
 
     #[test]

@@ -65,9 +65,9 @@ impl Classification {
     }
 }
 
-/// Runs the generator cascade on `grammar`, testing `OAG(k)` for
-/// `k = 0 ..= max_k`, and building the l-ordered view with the given
-/// inclusion strategy when the transformation is needed.
+/// Runs the generator cascade on `grammar`, placing it at the smallest
+/// `OAG(k)` with `k ≤ max_k` it passes, and building the l-ordered view
+/// with the given inclusion strategy when the transformation is needed.
 ///
 /// # Errors
 ///
@@ -130,21 +130,12 @@ pub fn classify_recorded(
             l_ordered: Some(lo),
         });
     }
-    // OAG(0), then larger k on demand.
-    let mut best: Option<(usize, OagResult)> = None;
+    // One OAG(max_k) run: the test is deterministic and `k` only caps its
+    // repairs, so the smallest `k` the grammar passes at is the number of
+    // repairs it spent.
     obs.tracer.begin("phase", "analysis.oag");
-    for k in 0..=max_k {
-        let r = oag_test_recorded(grammar, k, obs);
-        if r.is_oag() {
-            best = Some((k, r));
-            break;
-        }
-        if k == max_k {
-            best = Some((k, r));
-        }
-    }
+    let oag = oag_test_recorded(grammar, max_k, obs);
     obs.tracer.end();
-    let (k, oag) = best.expect("loop ran at least once");
     if oag.is_oag() {
         let parts = oag.partitions.clone().expect("ordered");
         obs.tracer.begin("phase", "analysis.transform");
@@ -152,10 +143,9 @@ pub fn classify_recorded(
         record_transform(&lo.stats, obs);
         obs.tracer.end();
         return Ok(Classification {
-            class: if k == 0 {
-                AgClass::Oag0
-            } else {
-                AgClass::OagK(k)
+            class: match oag.repairs_used {
+                0 => AgClass::Oag0,
+                k => AgClass::OagK(k),
             },
             snc,
             dnc: Some(dnc),

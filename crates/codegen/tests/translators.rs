@@ -36,12 +36,13 @@ end
 /// Lowers `src` and translates it to C.
 fn translate(src: &str) -> String {
     let checked = check_units(parse_units(src).unwrap()).unwrap();
-    let (grammar, _, rules) = lower(&checked).unwrap();
+    let env = checked.env.clone();
+    let (grammar, _, rules) = lower(checked).unwrap();
     let snc = snc_test(&grammar);
     assert!(snc.is_snc());
     let lo = snc_to_l_ordered(&grammar, &snc, Inclusion::Long).unwrap();
     let seqs = build_visit_seqs(&grammar, &lo);
-    to_c(&checked.env, &rules, &grammar, &seqs)
+    to_c(&env, &rules, &grammar, &seqs)
 }
 
 /// Syntax-checks `c` with the system C compiler when one is present.

@@ -595,8 +595,7 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
     match cmd {
         Check => {
             let checked = checked()?;
-            let (grammar, info, _) =
-                fnc2::olga::lower(&checked).map_err(|e| diag(e.to_string()))?;
+            let (grammar, info, _) = fnc2::olga::lower(checked).map_err(|e| diag(e.to_string()))?;
             Ok(format!(
                 "ok: {} phyla, {} operators, {} rules ({} explicit copies, {} auto copies)\n",
                 grammar.phylum_count(),
@@ -627,8 +626,9 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
             let compiled = compile_via(source, opts, obs)?;
             // The rule table; lowering is deterministic, so its ids are
             // those of `compiled.grammar`, cached or not.
-            let (_, _, rules) = fnc2::olga::lower(&checked).map_err(|e| diag(e.to_string()))?;
-            let out = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
+            let env = checked.env.clone();
+            let (_, _, rules) = fnc2::olga::lower(checked).map_err(|e| diag(e.to_string()))?;
+            let out = fnc2::codegen::to_c(&env, &rules, &compiled.grammar, &compiled.seqs);
             emit_side_channel(opts, obs, &compiled.grammar);
             Ok(out)
         }
@@ -868,7 +868,7 @@ fn run_fuzz(opts: &Opts) -> ExitCode {
     let report = fnc2::fuzz::run(cfg, &mut obs);
     println!(
         "fuzz: seed {}: {} grammar cases ({} tree nodes, {} edits), \
-         {} front-end cases ({} accepted, {} rejected), \
+         {} front-end cases ({} accepted, {} rejected, digest {:016x}), \
          {} fault cases ({} faults injected, {} panics caught), \
          {} crash cases ({} storage faults, {} records resumed), \
          {} lint cases ({} L001 + {} L002 verdicts checked, {} flips, {} witnesses replayed)",
@@ -879,6 +879,7 @@ fn run_fuzz(opts: &Opts) -> ExitCode {
         report.front_cases,
         report.front_accepted,
         report.front_rejected,
+        report.front_digest,
         report.fault_cases,
         report.faults_injected,
         report.panics_caught,

@@ -696,7 +696,7 @@ pub(crate) fn olga_front_end_recorded(
     let checked = checked.map_err(PipelineError::Olga)?;
 
     obs.tracer.begin("phase", "olga.lower");
-    let lowered = fnc2_olga::lower(&checked);
+    let lowered = fnc2_olga::lower(checked);
     obs.tracer.end();
     let (grammar, _, _) = lowered.map_err(|e| PipelineError::Olga(e.into()))?;
     Ok(grammar)

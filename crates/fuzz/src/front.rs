@@ -1,6 +1,9 @@
 //! Front-end fuzzing: mutated and truncated OLGA sources through the full
 //! lexer → parser → checker → lowering pipeline, asserting the pipeline
-//! returns `Err` (or `Ok`, for harmless mutations) and never panics.
+//! returns `Err` (or `Ok`, for harmless mutations) and never panics. Each
+//! outcome is also summed up as text, which [`run`](crate::run) folds into
+//! one digest, so a change to any diagnostic (message or line:col) or to
+//! what an accepted mutant lowers to shows as a different digest.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -52,10 +55,12 @@ fn bases() -> Vec<(&'static str, Entry, String)> {
     ]
 }
 
-/// Runs one mutated front-end case. `Ok(true)` means the mutant still
-/// compiled, `Ok(false)` means it was rejected with an error; `Err` means
-/// the pipeline panicked.
-pub fn run_front_case(master_seed: u64, case: u64) -> Result<bool, FrontFailure> {
+/// Runs one mutated front-end case. `Ok(Ok(summary))` means the mutant
+/// still compiled: for an attribute grammar, the summary is the lowering's
+/// [`LowerInfo`](fnc2_olga::LowerInfo) and the grammar's production and
+/// rule counts. `Ok(Err(diagnostic))` means it was rejected, with the
+/// error's `Display`. `Err` means the pipeline panicked.
+pub fn run_front_case(master_seed: u64, case: u64) -> Result<Result<String, String>, FrontFailure> {
     let mut rng = Rng::seed_from_u64(
         master_seed ^ 0xf0f0_f0f0_0000_0000 ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(case + 1),
     );
@@ -73,20 +78,20 @@ pub fn run_front_case(master_seed: u64, case: u64) -> Result<bool, FrontFailure>
     let src = source.clone();
     let entry = *entry;
     let outcome = catch_unwind(AssertUnwindSafe(move || match entry {
-        Entry::Ag => compile_ag_source(&src).map(|_| ()).map_err(|_| ()),
-        Entry::Modules => compile_modules(&src).map(|_| ()).map_err(|_| ()),
+        Entry::Ag => compile_ag_source(&src)
+            .map(|(g, info)| format!("{info:?} {} {}", g.production_count(), g.rule_count()))
+            .map_err(|e| e.to_string()),
+        Entry::Modules => compile_modules(&src)
+            .map(|_| "modules".to_string())
+            .map_err(|e| e.to_string()),
     }));
-    match outcome {
-        Ok(Ok(())) => Ok(true),
-        Ok(Err(())) => Ok(false),
-        Err(payload) => Err(FrontFailure {
-            case,
-            base: name,
-            mutations,
-            panic: panic_message(&payload),
-            source,
-        }),
-    }
+    outcome.map_err(|payload| FrontFailure {
+        case,
+        base: name,
+        mutations,
+        panic: panic_message(&payload),
+        source,
+    })
 }
 
 const NASTY: &[char] = &[
@@ -198,8 +203,8 @@ mod tests {
         let mut stats = FrontStats::default();
         for case in 0..200 {
             match run_front_case(0, case) {
-                Ok(true) => stats.accepted += 1,
-                Ok(false) => stats.rejected += 1,
+                Ok(Ok(_)) => stats.accepted += 1,
+                Ok(Err(_)) => stats.rejected += 1,
                 Err(f) => panic!(
                     "case {case} panicked on base {} ({}): {}\n--- source ---\n{}",
                     f.base, f.mutations, f.panic, f.source

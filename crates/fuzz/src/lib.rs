@@ -105,6 +105,10 @@ pub struct FuzzReport {
     pub front_accepted: u64,
     /// Front-end mutants rejected with a proper error.
     pub front_rejected: u64,
+    /// FNV-1a digest of every front-end case's outcome in order: the
+    /// error's `Display` for a rejected mutant, the lowering statistics and
+    /// grammar sizes for an accepted one.
+    pub front_digest: u64,
     /// Fault-injection cases run.
     pub fault_cases: u64,
     /// Faults injected across clean fault cases.
@@ -175,13 +179,17 @@ fn run_inner(cfg: &FuzzConfig, obs: &mut Obs) -> FuzzReport {
         report.front_cases += 1;
         obs.metrics.count("fuzz.front_cases", 1);
         match front::run_front_case(cfg.seed, case) {
-            Ok(true) => {
-                report.front_accepted += 1;
-                obs.metrics.count("fuzz.front_accepted", 1);
-            }
-            Ok(false) => {
-                report.front_rejected += 1;
-                obs.metrics.count("fuzz.front_rejected", 1);
+            Ok(outcome) => {
+                let (Ok(text) | Err(text)) = &outcome;
+                let digest = report.front_digest.to_le_bytes();
+                report.front_digest = fnc2_vfs::fnv1a(&[&digest, text.as_bytes()]);
+                if outcome.is_ok() {
+                    report.front_accepted += 1;
+                    obs.metrics.count("fuzz.front_accepted", 1);
+                } else {
+                    report.front_rejected += 1;
+                    obs.metrics.count("fuzz.front_rejected", 1);
+                }
             }
             Err(f) => {
                 obs.metrics.count("fuzz.front_panics", 1);
@@ -299,5 +307,25 @@ mod tests {
             obs.metrics.counter("fuzz.front_accepted") + obs.metrics.counter("fuzz.front_rejected"),
             24
         );
+    }
+
+    #[test]
+    fn front_end_diagnostics_are_pinned() {
+        // Every rejected mutant's message and line:col and every accepted
+        // mutant's lowering, folded in case order. The mutants replace
+        // characters with `é`, `∀`, `🦀`, tab and NUL, so the digest also
+        // covers columns counted in characters.
+        let cfg = FuzzConfig {
+            grammar_cases: 0,
+            front_cases: 512,
+            fault_cases: 0,
+            crash_cases: 0,
+            lint_cases: 0,
+            ..FuzzConfig::default()
+        };
+        let report = run(&cfg, &mut Obs::new());
+        assert!(report.is_clean(), "{:?}", report.failure);
+        assert_eq!((report.front_accepted, report.front_rejected), (26, 486));
+        assert_eq!(report.front_digest, 0xcdab_6f7f_76fa_aec9);
     }
 }

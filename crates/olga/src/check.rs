@@ -129,8 +129,9 @@ pub struct CheckedModule {
 /// Attribute information per phylum of an AG.
 #[derive(Clone, Debug)]
 pub struct AgAttrTable {
-    /// `attrs[phylum][attr] = (synthesized, type)`.
-    pub attrs: HashMap<String, HashMap<String, (bool, Ty)>>,
+    /// `attrs[phylum][attr] = (synthesized, type, k)`, where `k` numbers
+    /// the (attribute, phylum) pairs in declaration order.
+    pub attrs: HashMap<String, HashMap<String, (bool, Ty, usize)>>,
 }
 
 /// A threaded attribute pair after expansion.
@@ -223,14 +224,16 @@ impl Compiler {
         let mut env = self.unit_env(&ag.imports)?;
         declare_unit(&ag.types, &mut ag.funcs, &mut ag.consts, &mut env)?;
 
-        // Phyla.
-        let mut phyla: Vec<&str> = Vec::new();
+        // Phyla, each with its (still empty) row of the attribute table.
+        let mut attr_table = AgAttrTable {
+            attrs: HashMap::with_capacity(ag.phyla.len()),
+        };
         for p in &ag.phyla {
-            if phyla.contains(&p.as_str()) {
+            if attr_table.attrs.insert(p.clone(), HashMap::new()).is_some() {
                 return err(format!("duplicate phylum `{p}`"), Pos { line: 1, col: 1 });
             }
-            phyla.push(p);
         }
+        let phyla = &attr_table.attrs;
         if phyla.is_empty() {
             return err(
                 format!("attribute grammar `{}` declares no phyla", ag.name),
@@ -238,7 +241,7 @@ impl Compiler {
             );
         }
         if let Some(root) = &ag.root {
-            if !phyla.contains(&root.as_str()) {
+            if !phyla.contains_key(root) {
                 return err(
                     format!("unknown root phylum `{root}`"),
                     Pos { line: 1, col: 1 },
@@ -251,23 +254,18 @@ impl Compiler {
             if op_by_name.insert(&op.name, op).is_some() {
                 return err(format!("duplicate operator `{}`", op.name), op.pos);
             }
-            if !phyla.contains(&op.lhs.as_str()) {
+            if !phyla.contains_key(&op.lhs) {
                 return err(format!("unknown phylum `{}`", op.lhs), op.pos);
             }
             for r in &op.rhs {
-                if !phyla.contains(&r.as_str()) {
+                if !phyla.contains_key(r) {
                     return err(format!("unknown phylum `{r}`"), op.pos);
                 }
             }
         }
         // Attributes.
-        let mut attr_table = AgAttrTable {
-            attrs: phyla
-                .iter()
-                .map(|&p| (p.to_string(), HashMap::new()))
-                .collect(),
-        };
         let mut classes: BTreeMap<String, AttrClass> = BTreeMap::new();
+        let mut declared = 0;
         for a in &ag.attrs {
             let ty = type_of(&a.ty, &env.types, a.pos)?;
             match a.class {
@@ -276,7 +274,7 @@ impl Compiler {
                     if !a.synthesized {
                         return err("`with concat` applies to synthesized attributes", a.pos);
                     }
-                    if !ty.compatible(&Ty::List(Box::new(Ty::Any))) && !ty.compatible(&Ty::Str) {
+                    if !ty.is_list() && !ty.compatible(&Ty::Str) {
                         return err(
                             format!("`with concat` needs a list or string attribute, found `{ty}`"),
                             a.pos,
@@ -301,10 +299,9 @@ impl Compiler {
                 let Some(per) = attr_table.attrs.get_mut(p) else {
                     return err(format!("unknown phylum `{p}`"), a.pos);
                 };
-                if per
-                    .insert(a.name.clone(), (a.synthesized, ty.clone()))
-                    .is_some()
-                {
+                let decl = (a.synthesized, ty.clone(), declared);
+                declared += 1;
+                if per.insert(a.name.clone(), decl).is_some() {
                     return err(
                         format!("attribute `{}` declared twice on `{p}`", a.name),
                         a.pos,
@@ -348,7 +345,7 @@ impl Compiler {
                 for rule in &mut block.rules {
                     let want = match &rule.target {
                         RuleTarget::Occ(occ) => {
-                            let (pos_idx, syn, ty) = ctx.resolve(occ)?;
+                            let (pos_idx, &(syn, ref ty, _)) = ctx.resolve(occ)?;
                             // Output occurrences only: synthesized on the
                             // LHS, inherited on the RHS.
                             let is_output = (pos_idx == 0) == syn;
@@ -361,7 +358,7 @@ impl Compiler {
                                     occ.pos,
                                 );
                             }
-                            ty
+                            ty.clone()
                         }
                         RuleTarget::Local(name, pos) => match locals.get(name) {
                             Some(t) => t.clone(),
@@ -604,74 +601,70 @@ fn declare_unit(
     Ok(())
 }
 
-/// Occurrence-resolution context for one operator.
+/// A phylum's row of the attribute table.
+type Row = HashMap<String, (bool, Ty, usize)>;
+
+/// Occurrence resolution for one operator: a borrowed view of its phyla
+/// and of their rows of the attribute table.
 #[derive(Clone, Debug)]
-pub(crate) struct OpCtx {
-    /// Phylum name at each position (0 = LHS).
-    pub positions: Vec<String>,
-    /// Attribute table reference (cloned rows for the phyla involved).
-    attrs: HashMap<String, HashMap<String, (bool, Ty)>>,
+pub(crate) struct OpCtx<'a> {
+    op: &'a OpDef,
+    rows: Vec<Option<&'a Row>>,
 }
 
-impl OpCtx {
-    /// Builds the context of `op`.
-    pub fn new(op: &OpDef, table: &AgAttrTable) -> OpCtx {
-        let mut positions = vec![op.lhs.clone()];
-        positions.extend(op.rhs.iter().cloned());
-        let attrs = positions
-            .iter()
-            .map(|p| (p.clone(), table.attrs.get(p).cloned().unwrap_or_default()))
-            .collect();
-        OpCtx { positions, attrs }
+impl<'a> OpCtx<'a> {
+    /// The view of `op`.
+    pub fn new(op: &'a OpDef, table: &'a AgAttrTable) -> OpCtx<'a> {
+        let positions = std::iter::once(&op.lhs).chain(&op.rhs);
+        let rows = positions.map(|p| table.attrs.get(p)).collect();
+        OpCtx { op, rows }
     }
 
-    /// Resolves `occ` to `(position, synthesized?, type)`.
+    /// The phylum at each position, the LHS (position 0) first.
+    pub fn positions(&self) -> impl Iterator<Item = &'a str> + Clone {
+        std::iter::once(&self.op.lhs)
+            .chain(&self.op.rhs)
+            .map(String::as_str)
+    }
+
+    /// Resolves `occ` to its position and its attribute's table entry.
     ///
     /// # Errors
     ///
     /// Reports unknown phyla/attributes and missing/invalid `$k` indices.
-    pub fn resolve(&self, occ: &OccRef) -> Result<(u16, bool, Ty), CheckError> {
-        let hits: Vec<u16> = self
-            .positions
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p == occ.name)
-            .map(|(i, _)| i as u16)
-            .collect();
-        if hits.is_empty() {
-            return err(
-                format!("phylum `{}` does not occur in this production", occ.name),
-                occ.pos,
-            );
-        }
-        let pos_idx = match occ.index {
-            None if hits.len() == 1 => hits[0],
-            None => {
+    pub fn resolve(&self, occ: &OccRef) -> Result<(u16, &'a (bool, Ty, usize)), CheckError> {
+        let mut hits = self.positions().enumerate().filter(|(_, p)| *p == occ.name);
+        let k = match (occ.index, hits.clone().count()) {
+            (_, 0) => {
+                return err(
+                    format!("phylum `{}` does not occur in this production", occ.name),
+                    occ.pos,
+                )
+            }
+            (None, 1) => 1,
+            (None, n) => {
                 return err(
                     format!(
-                        "phylum `{}` occurs {} times; use `{}$k.{}`",
-                        occ.name,
-                        hits.len(),
-                        occ.name,
-                        occ.attr
+                        "phylum `{}` occurs {n} times; use `{}$k.{}`",
+                        occ.name, occ.name, occ.attr
                     ),
                     occ.pos,
                 )
             }
-            Some(k) if (k as usize) <= hits.len() => hits[k as usize - 1],
-            Some(k) => {
+            (Some(k), n) if (k as usize) <= n => k as usize,
+            (Some(k), n) => {
                 return err(
                     format!(
-                        "occurrence index ${k} out of range (phylum `{}` occurs {} times)",
-                        occ.name,
-                        hits.len()
+                        "occurrence index ${k} out of range (phylum `{}` occurs {n} times)",
+                        occ.name
                     ),
                     occ.pos,
                 )
             }
         };
-        match self.attrs[&occ.name].get(&occ.attr) {
-            Some((syn, ty)) => Ok((pos_idx, *syn, ty.clone())),
+        let (pos, _) = hits.nth(k - 1).expect("the count covers the index");
+        match self.rows[pos].and_then(|row| row.get(&occ.attr)) {
+            Some(decl) => Ok((pos as u16, decl)),
             None => err(
                 format!("attribute `{}` is not declared on `{}`", occ.attr, occ.name),
                 occ.pos,
@@ -682,7 +675,7 @@ impl OpCtx {
 
 /// Context passed into rule-body checking.
 struct CtxWithLocals<'a> {
-    ctx: &'a OpCtx,
+    ctx: &'a OpCtx<'a>,
     locals: &'a HashMap<String, Ty>,
 }
 
@@ -737,7 +730,7 @@ fn check_expr(
             Pos { line: 0, col: 0 },
         ),
         Expr::Occ(occ) => match rule_ctx {
-            Some(ctx) => ctx.ctx.resolve(occ).map(|(_, _, t)| t),
+            Some(ctx) => ctx.ctx.resolve(occ).map(|(_, (_, t, _))| t.clone()),
             None => err(
                 "attribute occurrences are only allowed in semantic rules",
                 occ.pos,
@@ -826,14 +819,14 @@ fn check_expr(
                 }
                 elem = elem.join(&t);
             }
-            Ok(Ty::List(Box::new(elem)))
+            Ok(Ty::List(Arc::new(elem)))
         }
         Expr::TupleLit(items, _) => {
             let ts = items
                 .iter_mut()
                 .map(|it| check_expr(it, env, scope, rule_ctx))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(Ty::Tuple(ts))
+            Ok(Ty::Tuple(ts.into()))
         }
         Expr::TreeCons { args, .. } => {
             for a in args {
@@ -905,7 +898,7 @@ fn check_call(
     *callee = Callee::Builtin(b);
     use Builtin::*;
     use Ty::{Any, Bool, Int, Real, Str};
-    let (list, map) = (Ty::List(Box::new(Any)), Ty::Map(Box::new(Any)));
+    let (list, map) = (Ty::List(Arc::new(Any)), Ty::Map(Arc::new(Any)));
     let params = match b {
         Token | EmptyMap => vec![],
         ToReal | Abs | Itoa => vec![Int],
@@ -941,7 +934,7 @@ fn check_call(
             if !tys[2].compatible(&elem) {
                 return err(format!("inserting `{}` into `map of {elem}`", tys[2]), pos);
             }
-            Ty::Map(Box::new(elem.join(&tys[2])))
+            Ty::Map(Arc::new(elem.join(&tys[2])))
         }
         Lookup => map_elem(),
         Remove => tys[0].clone(),
@@ -1005,7 +998,7 @@ fn check_binop(op: BinOp, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> 
             }
         }
         BinOp::Cons => {
-            let want = Ty::List(Box::new(lt.clone()));
+            let want = Ty::List(Arc::new(lt.clone()));
             if rt.compatible(&want) {
                 Ok(rt.join(&want))
             } else {
@@ -1015,7 +1008,7 @@ fn check_binop(op: BinOp, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty, CheckError> 
         BinOp::Concat => {
             if both(&Str) {
                 Ok(Str)
-            } else if lt.compatible(&Ty::List(Box::new(Ty::Any))) && lt.compatible(rt) {
+            } else if lt.is_list() && lt.compatible(rt) {
                 Ok(lt.join(rt))
             } else {
                 err(format!("`++` does not apply to `{lt}` and `{rt}`"), pos)
@@ -1055,25 +1048,25 @@ fn bind_pattern(pat: &Pat, scrutinee: &Ty, scope: &mut Scope) -> Result<usize, C
             }
         }
         Pat::Nil(p) => {
-            if scrutinee.compatible(&Ty::List(Box::new(Ty::Any))) {
+            if scrutinee.is_list() {
                 Ok(0)
             } else {
                 err(format!("list pattern against `{scrutinee}`"), *p)
             }
         }
         Pat::Cons(h, t, p) => {
-            if !scrutinee.compatible(&Ty::List(Box::new(Ty::Any))) {
+            if !scrutinee.is_list() {
                 return err(format!("list pattern against `{scrutinee}`"), *p);
             }
             let elem = scrutinee.elem().unwrap_or(Ty::Any);
             let n1 = bind_pattern(h, &elem, scope)?;
-            let n2 = bind_pattern(t, &Ty::List(Box::new(elem)), scope)?;
+            let n2 = bind_pattern(t, &Ty::List(Arc::new(elem)), scope)?;
             Ok(n1 + n2)
         }
         Pat::Tuple(ps, p) => {
-            let elems: Vec<Ty> = match scrutinee {
-                Ty::Tuple(ts) if ts.len() == ps.len() => ts.clone(),
-                Ty::Any => vec![Ty::Any; ps.len()],
+            let elems = match scrutinee {
+                Ty::Tuple(ts) if ts.len() == ps.len() => Some(ts),
+                Ty::Any => None,
                 other => {
                     return err(
                         format!("tuple pattern of {} against `{other}`", ps.len()),
@@ -1082,8 +1075,8 @@ fn bind_pattern(pat: &Pat, scrutinee: &Ty, scope: &mut Scope) -> Result<usize, C
                 }
             };
             let mut n = 0;
-            for (q, t) in ps.iter().zip(&elems) {
-                n += bind_pattern(q, t, scope)?;
+            for (i, q) in ps.iter().enumerate() {
+                n += bind_pattern(q, elems.map_or(&Ty::Any, |ts| &ts[i]), scope)?;
             }
             Ok(n)
         }

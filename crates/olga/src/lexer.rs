@@ -6,6 +6,7 @@
 //! as tree-to-tree mappings, pattern matching and automatic copy rules.
 //! Comments run from `--` to end of line.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A source position (1-based line and column).
@@ -23,17 +24,19 @@ impl fmt::Display for Pos {
     }
 }
 
-/// Token kinds.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
+/// Token kinds. An identifier or string literal borrows its text from the
+/// source, so a token is `Copy` and lexing allocates only the token vector.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Tok<'a> {
     /// Identifier.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Real literal.
     Real(f64),
-    /// String literal (unescaped).
-    Str(String),
+    /// String literal: the text between the quotes, its escapes checked
+    /// but not yet replaced (the parser replaces them).
+    Str(&'a str),
     /// A reserved word of the OLGA subset.
     Kw(&'static str),
     /// Punctuation / operator.
@@ -42,13 +45,13 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
             Tok::Int(i) => write!(f, "integer `{i}`"),
             Tok::Real(r) => write!(f, "real `{r}`"),
-            Tok::Str(s) => write!(f, "string {s:?}"),
+            Tok::Str(s) => write!(f, "string {:?}", unescape(s)),
             Tok::Kw(k) => write!(f, "keyword `{k}`"),
             Tok::Punct(p) => write!(f, "`{p}`"),
             Tok::Eof => write!(f, "end of input"),
@@ -57,65 +60,47 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its position.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Token<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Where it starts.
     pub pos: Pos,
 }
 
-/// The reserved words of the OLGA subset.
-pub const KEYWORDS: &[&str] = &[
-    "module",
-    "end",
-    "attribute",
-    "grammar",
-    "phylum",
-    "root",
-    "operator",
-    "synthesized",
-    "inherited",
-    "of",
-    "phase",
-    "for",
-    "local",
-    "function",
-    "const",
-    "type",
-    "import",
-    "from",
-    "export",
-    "opaque",
-    "if",
-    "then",
-    "else",
-    "let",
-    "in",
-    "case",
-    "and",
-    "or",
-    "not",
-    "true",
-    "threaded",
-    "with",
-    "false",
-    "int",
-    "real",
-    "bool",
-    "string",
-    "unit",
-    "list",
-    "map",
-    "tree",
-    "tuple",
-];
+/// The reserved word `word` is, if it is one.
+fn keyword(word: &str) -> Option<&'static str> {
+    macro_rules! keywords {
+        ($($k:literal)*) => { match word { $($k => Some($k),)* _ => None } };
+    }
+    keywords!(
+        "module" "end" "attribute" "grammar" "phylum" "root" "operator" "synthesized"
+        "inherited" "of" "phase" "for" "local" "function" "const" "type" "import" "from"
+        "export" "opaque" "if" "then" "else" "let" "in" "case" "and" "or" "not" "true"
+        "threaded" "with" "false" "int" "real" "bool" "string" "unit" "list" "map" "tree"
+        "tuple"
+    )
+}
 
-/// Multi-character punctuation, longest first.
-const PUNCTS: &[&str] = &[
-    "::=", ":=", "=>", "<>", "<=", ">=", "::", "++", "(", ")", "{", "}", "[", "]", ",", ";", ":",
-    ".", "$", "@", "+", "-", "*", "/", "%", "=", "<", ">", "|", "_",
-];
+/// The punctuation `rest` starts with, the longest that matches.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    const SINGLE: &str = "(){}[],;:.$@+-*/%=<>|_";
+    Some(match rest {
+        [b':', b':', b'=', ..] => "::=",
+        [b':', b'=', ..] => ":=",
+        [b'=', b'>', ..] => "=>",
+        [b'<', b'>', ..] => "<>",
+        [b'<', b'=', ..] => "<=",
+        [b'>', b'=', ..] => ">=",
+        [b':', b':', ..] => "::",
+        [b'+', b'+', ..] => "++",
+        [c, ..] => {
+            let k = SINGLE.bytes().position(|s| s == *c)?;
+            &SINGLE[k..k + 1]
+        }
+        [] => return None,
+    })
+}
 
 /// A lexical error.
 #[derive(Clone, Debug, PartialEq)]
@@ -139,70 +124,106 @@ impl std::error::Error for LexError {}
 /// # Errors
 ///
 /// Fails on unterminated strings, malformed numbers, or stray characters.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut out = Vec::new();
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+    let b = src.as_bytes();
+    // The corpus sources average 3.5–3.8 bytes per token.
+    let mut out = Vec::with_capacity(src.len() / 4);
     let (mut i, mut line, mut col) = (0, 1u32, 1u32);
-    while let Some(c) = src[i..].chars().next() {
-        let rest = &src[i..];
+    while i < b.len() {
         let pos = Pos { line, col };
         let error = |message: String| LexError { message, pos };
-        let mut push = |tok: Tok| out.push(Token { tok, pos });
-        // The length in bytes of what starts at `i`.
-        let len = if c.is_whitespace() {
-            c.len_utf8()
-        } else if rest.starts_with("--") {
-            // Comment: -- to end of line.
-            rest.find('\n').unwrap_or(rest.len())
-        } else if c.is_ascii_alphabetic() {
-            let n = rest
-                .find(|d: char| !d.is_ascii_alphanumeric() && d != '_')
-                .unwrap_or(rest.len());
-            let word = &rest[..n];
-            push(match KEYWORDS.iter().find(|&&k| k == word) {
-                Some(&k) => Tok::Kw(k),
-                None => Tok::Ident(word.to_string()),
-            });
-            n
-        } else if c.is_ascii_digit() {
-            let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
-            let mut n = digits(rest);
-            let b = rest.as_bytes();
-            let real = b.get(n) == Some(&b'.') && b.get(n + 1).is_some_and(u8::is_ascii_digit);
-            if real {
-                n += 1 + digits(&rest[n + 1..]);
+        let start = i;
+        let tok = match b[i] {
+            b'\n' => {
+                (i, line, col) = (i + 1, line + 1, 1);
+                continue;
             }
-            let text = &rest[..n];
-            push(if real {
-                Tok::Real(
-                    text.parse()
-                        .map_err(|_| error(format!("malformed real literal `{text}`")))?,
-                )
-            } else {
-                Tok::Int(
-                    text.parse()
-                        .map_err(|_| error(format!("integer literal `{text}` out of range")))?,
-                )
-            });
-            n
-        } else if c == '"' {
-            let (text, n) = string(rest).map_err(error)?;
-            push(Tok::Str(text));
-            n
-        } else if let Some(&p) = PUNCTS.iter().find(|&&p| rest.starts_with(p)) {
-            push(Tok::Punct(p));
-            p.len()
-        } else {
-            return Err(error(format!("unexpected character `{c}`")));
-        };
-        for d in rest[..len].chars() {
-            if d == '\n' {
-                line += 1;
-                col = 1;
-            } else {
+            // Blanks in a run: the ASCII whitespace other than newline.
+            b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c' => {
+                i += b[i..]
+                    .iter()
+                    .take_while(|c| matches!(c, b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c'))
+                    .count();
+                col += (i - start) as u32;
+                continue;
+            }
+            // Comment: -- to end of line. The newline resets the column, so
+            // only a comment that ends the source counts its characters.
+            b'-' if b.get(i + 1) == Some(&b'-') => {
+                match b[i..].iter().position(|&c| c == b'\n') {
+                    Some(n) => i += n,
+                    None => {
+                        col += src[i..].chars().count() as u32;
+                        i = b.len();
+                    }
+                }
+                continue;
+            }
+            b'a'..=b'z' | b'A'..=b'Z' => {
+                i += b[i..]
+                    .iter()
+                    .take_while(|c| c.is_ascii_alphanumeric() || **c == b'_')
+                    .count();
+                let word = &src[start..i];
+                keyword(word).map_or(Tok::Ident(word), Tok::Kw)
+            }
+            b'0'..=b'9' => {
+                let digits =
+                    |from: usize| b[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+                i += digits(i);
+                let real = b.get(i) == Some(&b'.') && b.get(i + 1).is_some_and(u8::is_ascii_digit);
+                if real {
+                    i += 1 + digits(i + 1);
+                }
+                let text = &src[start..i];
+                if real {
+                    Tok::Real(
+                        text.parse()
+                            .map_err(|_| error(format!("malformed real literal `{text}`")))?,
+                    )
+                } else {
+                    Tok::Int(
+                        text.parse()
+                            .map_err(|_| error(format!("integer literal `{text}` out of range")))?,
+                    )
+                }
+            }
+            b'"' => {
+                i += string(&src[i..]).map_err(error)?;
+                // A literal may span lines and hold any character.
+                for d in src[start..i].chars() {
+                    (line, col) = if d == '\n' {
+                        (line + 1, 1)
+                    } else {
+                        (line, col + 1)
+                    };
+                }
+                out.push(Token {
+                    tok: Tok::Str(&src[start + 1..i - 1]),
+                    pos,
+                });
+                continue;
+            }
+            c if c.is_ascii() => match punct(&b[i..]) {
+                Some(p) => {
+                    i += p.len();
+                    Tok::Punct(p)
+                }
+                None => return Err(error(format!("unexpected character `{}`", char::from(c)))),
+            },
+            _ => {
+                let c = src[i..].chars().next().expect("`i` is a char boundary");
+                if !c.is_whitespace() {
+                    return Err(error(format!("unexpected character `{c}`")));
+                }
+                i += c.len_utf8();
                 col += 1;
+                continue;
             }
-        }
-        i += len;
+        };
+        // Every other token is ASCII: one column per byte.
+        col += (i - start) as u32;
+        out.push(Token { tok, pos });
     }
     out.push(Token {
         tok: Tok::Eof,
@@ -211,32 +232,51 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     Ok(out)
 }
 
-/// The text of the string literal `src` starts with, escapes replaced, and
-/// the literal's length in bytes, quotes included.
-fn string(src: &str) -> Result<(String, usize), String> {
-    let mut text = String::new();
+/// The length in bytes, quotes included, of the string literal `src`
+/// starts with, after checking its escapes.
+fn string(src: &str) -> Result<usize, String> {
     let mut chars = src.char_indices().skip(1);
     while let Some((i, c)) = chars.next() {
-        text.push(match c {
-            '"' => return Ok((text, i + 1)),
+        match c {
+            '"' => return Ok(i + 1),
             '\\' => match chars.next() {
                 None => return Err("unterminated escape".into()),
-                Some((_, 'n')) => '\n',
-                Some((_, 't')) => '\t',
-                Some((_, e @ ('\\' | '"'))) => e,
+                Some((_, 'n' | 't' | '\\' | '"')) => {}
                 Some((_, other)) => return Err(format!("unknown escape `\\{other}`")),
             },
-            other => other,
-        });
+            _ => {}
+        }
     }
     Err("unterminated string literal".into())
+}
+
+/// The text of a string literal's [`Tok::Str`], escapes replaced; borrowed
+/// when it has none.
+pub(crate) fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut text = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        text.push(match c {
+            '\\' => match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                // `\\` or `\"`: the lexer checked every escape.
+                e => e.unwrap_or(c),
+            },
+            c => c,
+        });
+    }
+    Cow::Owned(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -246,7 +286,7 @@ mod tests {
             kinds("phylum Number;"),
             vec![
                 Tok::Kw("phylum"),
-                Tok::Ident("Number".into()),
+                Tok::Ident("Number"),
                 Tok::Punct(";"),
                 Tok::Eof
             ]
@@ -267,8 +307,9 @@ mod tests {
     fn strings_and_escapes() {
         assert_eq!(
             kinds(r#""a\nb\"c""#),
-            vec![Tok::Str("a\nb\"c".into()), Tok::Eof]
+            vec![Tok::Str(r#"a\nb\"c"#), Tok::Eof]
         );
+        assert_eq!(unescape(r#"a\nb\"c\\"#), "a\nb\"c\\");
         assert!(lex("\"oops").is_err());
     }
 

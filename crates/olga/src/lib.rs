@@ -102,7 +102,7 @@ impl From<LowerError> for OlgaError {
 ///
 /// Returns the first parse/check/lowering error.
 pub fn compile_ag_source(src: &str) -> Result<(Grammar, LowerInfo), OlgaError> {
-    let (grammar, info, _) = lower(&check_units(parse_units(src)?)?)?;
+    let (grammar, info, _) = lower(check_units(parse_units(src)?)?)?;
     Ok((grammar, info))
 }
 

@@ -16,11 +16,9 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use fnc2_ag::{
-    Arg, AttrId, Grammar, GrammarBuilder, LocalId, ONode, Occ, PhylumId, ProductionId, Value,
-};
+use fnc2_ag::{Arg, Grammar, GrammarBuilder, LocalId, ONode, Occ, PhylumId, ProductionId, Value};
 
-use crate::ast::{Builtin, Callee, Expr, OccRef, RuleTarget, VarRef};
+use crate::ast::{Builtin, Callee, Expr, OccRef, RuleBlock, RuleTarget, VarRef};
 use crate::check::{CheckedAg, OpCtx};
 use crate::eval::{EvalAbort, EvalCtx};
 use crate::lexer::Pos;
@@ -121,85 +119,96 @@ pub struct RuleText {
 /// every rule and local definition of the OLGA text, in source order (by
 /// operator, phase and block; a block's locals before its rules). The
 /// rules the lowering generates (automatic copies, rule models) are only
-/// in the grammar.
+/// in the grammar. The rule bodies move into the rule table, so the
+/// checked AG is consumed; a caller that translates the rules to C keeps
+/// a clone of its `env`.
 ///
 /// # Errors
 ///
 /// Fails if, even after automatic copy-rule generation, some output
 /// occurrence has no rule (or any other well-definedness violation).
-pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), LowerError> {
-    let ag = &checked.ast;
-    let ctx = EvalCtx::new(&checked.env).map_err(LowerError::Eval)?;
-    let mut b = GrammarBuilder::new(ag.name.clone());
+pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), LowerError> {
+    let CheckedAg {
+        ast: ag,
+        env,
+        attr_table,
+        classes,
+        threads,
+    } = checked;
+    let ctx = EvalCtx::new(&env).map_err(LowerError::Eval)?;
+    let mut b = GrammarBuilder::new(ag.name);
     let mut info = LowerInfo::default();
 
     // Phyla.
     let mut phylum_ids: HashMap<&str, PhylumId> = HashMap::new();
     for p in &ag.phyla {
-        phylum_ids.insert(p, b.phylum(p.clone()));
+        phylum_ids.insert(p, b.phylum(p.as_str()));
     }
     if let Some(root) = &ag.root {
         b.set_root(phylum_ids[root.as_str()]);
     }
 
-    // Attributes, in declaration order per phylum.
-    let mut attr_ids: HashMap<(&str, &str), AttrId> = HashMap::new();
+    // Attributes, in declaration order: `attr_ids[k]` is the id of the
+    // table's declaration `k`.
+    let mut attr_ids = Vec::new();
     for a in &ag.attrs {
         for p in &a.phyla {
-            let id = if a.synthesized {
-                b.syn(phylum_ids[p.as_str()], a.name.clone())
+            let ph = phylum_ids[p.as_str()];
+            attr_ids.push(if a.synthesized {
+                b.syn(ph, a.name.as_str())
             } else {
-                b.inh(phylum_ids[p.as_str()], a.name.clone())
-            };
-            attr_ids.insert((p, &a.name), id);
+                b.inh(ph, a.name.as_str())
+            });
         }
     }
+    let rows = &attr_table.attrs;
+    let id = |ph: &str, attr: &str| attr_ids[rows[ph][attr].2];
 
-    // Productions.
-    let mut prod_ids: HashMap<&str, ProductionId> = HashMap::new();
-    for op in &ag.operators {
-        let rhs: Vec<PhylumId> = op.rhs.iter().map(|r| phylum_ids[r.as_str()]).collect();
-        let id = b.production(op.name.clone(), phylum_ids[op.lhs.as_str()], &rhs);
-        prod_ids.insert(&op.name, id);
+    // Productions, and the rule blocks by production, phase by phase.
+    let mut op_index: HashMap<&str, usize> = HashMap::new();
+    let (mut pids, mut rhs) = (Vec::with_capacity(ag.operators.len()), Vec::new());
+    for (i, op) in ag.operators.iter().enumerate() {
+        rhs.clear();
+        rhs.extend(op.rhs.iter().map(|r| phylum_ids[r.as_str()]));
+        pids.push(b.production(op.name.as_str(), phylum_ids[op.lhs.as_str()], &rhs));
+        op_index.insert(&op.name, i);
     }
+    let mut blocks: Vec<(usize, RuleBlock)> = ag
+        .phases
+        .into_iter()
+        .flat_map(|ph| ph.blocks)
+        .filter_map(|bl| Some((*op_index.get(bl.operator.as_str())?, bl)))
+        .collect();
+    blocks.sort_by_key(|&(i, _)| i);
+    let mut blocks = blocks.into_iter().peekable();
 
     // Rules per production, across phases. Locals are scoped per block,
     // as the checker scopes them: a local's body sees the locals declared
     // before it, a rule all of its block's.
-    let mut defined: HashMap<ProductionId, HashSet<ONode>> = HashMap::new();
-    let mut table = Vec::new();
-    for op in &ag.operators {
-        let pid = prod_ids[op.name.as_str()];
-        let octx = OpCtx::new(op, &checked.attr_table);
+    let mut defined: HashSet<(ProductionId, ONode)> = HashSet::new();
+    let (mut table, mut targets) = (Vec::new(), Vec::new());
+    for (i, (op, &pid)) in ag.operators.iter().zip(&pids).enumerate() {
+        let octx = OpCtx::new(op, &attr_table);
         let resolve_occ = |o: &OccRef| -> Result<ONode, LowerError> {
-            let (pos, _, _) = octx.resolve(o).map_err(|e| {
+            let (pos, &(_, _, k)) = octx.resolve(o).map_err(|e| {
                 LowerError::Internal(format!("occurrence failed to re-resolve: {e}"), o.pos)
             })?;
-            let ph = &octx.positions[pos as usize];
-            let id = attr_ids
-                .get(&(ph.as_str(), o.attr.as_str()))
-                .copied()
-                .ok_or_else(|| {
-                    LowerError::Internal(
-                        format!("attribute `{}` is not declared of phylum `{ph}`", o.attr),
-                        o.pos,
-                    )
-                })?;
-            Ok(ONode::Attr(Occ::new(pos, id)))
+            let id = attr_ids.get(k).ok_or_else(|| {
+                let message = format!("attribute `{}` is not declared", o.attr);
+                LowerError::Internal(message, o.pos)
+            })?;
+            Ok(ONode::Attr(Occ::new(pos, *id)))
         };
-        let blocks = ag.phases.iter().flat_map(|ph| &ph.blocks);
-        for block in blocks.filter(|bl| bl.operator == op.name) {
-            let scope: Vec<(&str, LocalId)> = block
-                .locals
+        while let Some((_, block)) = blocks.next_if(|&(k, _)| k == i) {
+            let (names, bodies): (Vec<String>, Vec<Expr>) =
+                block.locals.into_iter().map(|l| (l.name, l.body)).unzip();
+            let scope: Vec<(&str, LocalId)> = names
                 .iter()
-                .map(|l| (l.name.as_str(), b.local(pid, l.name.clone())))
+                .map(|n| (n.as_str(), b.local(pid, n.as_str())))
                 .collect();
-            let mut rules = Vec::new();
-            for (i, l) in block.locals.iter().enumerate() {
-                rules.push((ONode::Local(scope[i].1), &l.body, &scope[..i]));
-            }
+            targets.clear();
             for rule in &block.rules {
-                let target = match &rule.target {
+                targets.push(match &rule.target {
                     RuleTarget::Occ(o) => resolve_occ(o)?,
                     RuleTarget::Local(name, pos) => match scope.iter().find(|(n, _)| n == name) {
                         Some(&(_, l)) => ONode::Local(l),
@@ -210,16 +219,21 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>),
                             ))
                         }
                     },
-                };
-                rules.push((target, &rule.body, &scope[..]));
+                });
             }
-            for (target, body, locals) in rules {
+            let locals = bodies
+                .into_iter()
+                .enumerate()
+                .map(|(i, body)| (ONode::Local(scope[i].1), body, &scope[..i]));
+            let rules = block.rules.into_iter().zip(&targets);
+            for (target, body, locals) in locals.chain(rules.map(|(r, &t)| (t, r.body, &scope[..])))
+            {
                 let reads = Reads {
                     resolve_occ: &resolve_occ,
                     locals,
                 };
                 table.push(add_rule(&mut b, pid, target, body, reads, &ctx, &mut info)?);
-                defined.entry(pid).or_default().insert(target);
+                defined.insert((pid, target));
             }
         }
     }
@@ -227,79 +241,68 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>),
     // Rule-model instantiation (paper §2.4 / [35]): threading pairs and
     // collection classes fill missing outputs before the generic copy
     // rules.
-    for op in &ag.operators {
-        let pid = prod_ids[op.name.as_str()];
-        let table = &checked.attr_table.attrs;
+    let threads: Vec<_> = threads
+        .iter()
+        .map(|t| (t, format!("{}_in", t.base), format!("{}_out", t.base)))
+        .collect();
+    for (op, &pid) in ag.operators.iter().zip(&pids) {
         // --- threading: base_in snakes through the carrying children ---
-        for t in &checked.threads {
-            let inn = format!("{}_in", t.base);
-            let outn = format!("{}_out", t.base);
+        for (t, inn, outn) in &threads {
+            let (inn, outn) = (inn.as_str(), outn.as_str());
             let lhs_carries = t.phyla.contains(&op.lhs);
-            // Positions of carrying children, left to right.
-            let carriers: Vec<(u16, &String)> = op
+            // Source of the incoming state at each point: the last carrying
+            // child to the left, or the LHS.
+            let mut prev: Option<(u16, &str)> = None;
+            let carriers = op
                 .rhs
                 .iter()
                 .enumerate()
-                .filter(|(_, ph)| t.phyla.contains(ph))
-                .map(|(j, ph)| ((j + 1) as u16, ph))
-                .collect();
-            // Source of the incoming state at each point.
-            let mut prev: Option<(u16, &String)> = None;
-            for &(pos, ph) in &carriers {
-                let target = ONode::Attr(Occ::new(pos, attr_ids[&(ph.as_str(), inn.as_str())]));
-                let have = defined.entry(pid).or_default();
-                if !have.contains(&target) {
+                .filter(|(_, ph)| t.phyla.contains(ph));
+            for (j, ph) in carriers {
+                let pos = (j + 1) as u16;
+                let target = ONode::Attr(Occ::new(pos, id(ph, inn)));
+                if !defined.contains(&(pid, target)) {
                     let src = match prev {
-                        Some((ppos, pph)) => {
-                            Occ::new(ppos, attr_ids[&(pph.as_str(), outn.as_str())])
-                        }
-                        None if lhs_carries => {
-                            Occ::new(0, attr_ids[&(op.lhs.as_str(), inn.as_str())])
-                        }
+                        Some((ppos, pph)) => Occ::new(ppos, id(pph, outn)),
+                        None if lhs_carries => Occ::new(0, id(&op.lhs, inn)),
                         None => continue, // no upstream state: leave missing
                     };
                     b.copy(pid, target, src);
                     info.auto_copies += 1;
-                    defined.entry(pid).or_default().insert(target);
+                    defined.insert((pid, target));
                 }
                 prev = Some((pos, ph));
             }
             // Outgoing state of the LHS.
             if lhs_carries {
-                let target = ONode::Attr(Occ::new(0, attr_ids[&(op.lhs.as_str(), outn.as_str())]));
-                let have = defined.entry(pid).or_default();
-                if !have.contains(&target) {
+                let target = ONode::Attr(Occ::new(0, id(&op.lhs, outn)));
+                if !defined.contains(&(pid, target)) {
                     let src = match prev {
-                        Some((ppos, pph)) => {
-                            Occ::new(ppos, attr_ids[&(pph.as_str(), outn.as_str())])
-                        }
-                        None => Occ::new(0, attr_ids[&(op.lhs.as_str(), inn.as_str())]),
+                        Some((ppos, pph)) => Occ::new(ppos, id(pph, outn)),
+                        None => Occ::new(0, id(&op.lhs, inn)),
                     };
                     b.copy(pid, target, src);
                     info.auto_copies += 1;
-                    defined.entry(pid).or_default().insert(target);
+                    defined.insert((pid, target));
                 }
             }
         }
         // --- collection classes: concat / sum over carrying children ---
-        for (aname, class) in &checked.classes {
-            let Some((true, ty)) = table[&op.lhs].get(aname) else {
+        for (aname, class) in &classes {
+            let Some(&(true, ref ty, k)) = rows[&op.lhs].get(aname) else {
                 continue;
             };
-            let target = ONode::Attr(Occ::new(0, attr_ids[&(op.lhs.as_str(), aname.as_str())]));
-            if defined.entry(pid).or_default().contains(&target) {
+            let target = ONode::Attr(Occ::new(0, attr_ids[k]));
+            if defined.contains(&(pid, target)) {
                 continue;
             }
             let carriers: Vec<Arg> = op
                 .rhs
                 .iter()
                 .enumerate()
-                .filter(|(_, ph)| matches!(table[ph.as_str()].get(aname), Some((true, _))))
-                .map(|(j, ph)| {
-                    Arg::from(Occ::new(
-                        (j + 1) as u16,
-                        attr_ids[&(ph.as_str(), aname.as_str())],
-                    ))
+                .filter_map(|(j, ph)| match rows[ph.as_str()].get(aname) {
+                    Some(&(true, _, k)) => Some(Occ::new((j + 1) as u16, attr_ids[k]).into()),
+                    _ => None,
                 })
                 .collect();
             let is_str = matches!(ty, crate::types::Ty::Str);
@@ -325,7 +328,7 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>),
                     let n = many.len();
                     let fname = format!("model@{cls:?}@{n}@{}@{aname}", op.name);
                     let summing = matches!(cls, crate::ast::AttrClass::Sum);
-                    b.func(fname.clone(), n, move |vals: &[Value]| {
+                    let func = b.func(fname, n, move |vals: &[Value]| {
                         if summing {
                             Value::Int(vals.iter().map(|v| v.as_int()).sum())
                         } else if matches!(vals[0], Value::Str(_)) {
@@ -340,62 +343,49 @@ pub fn lower(checked: &CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>),
                             ))
                         }
                     });
-                    b.call(pid, target, &fname, many.to_vec());
+                    b.call_func(pid, target, func, carriers);
                     info.computed_rules += 1;
                 }
             }
-            defined.entry(pid).or_default().insert(target);
+            defined.insert((pid, target));
         }
     }
 
     // Automatic copy rules for missing output occurrences.
-    for op in &ag.operators {
-        let pid = prod_ids[op.name.as_str()];
-        let have = defined.entry(pid).or_default().clone();
-        let table = &checked.attr_table.attrs;
+    for (op, &pid) in ag.operators.iter().zip(&pids) {
+        let lhs_row = &rows[&op.lhs];
         // RHS inherited occurrences.
         for (j, rhs_ph) in op.rhs.iter().enumerate() {
             let pos = (j + 1) as u16;
-            for (aname, (syn, ty)) in &table[rhs_ph] {
-                if *syn {
-                    continue;
-                }
-                let node = ONode::Attr(Occ::new(pos, attr_ids[&(rhs_ph.as_str(), aname.as_str())]));
-                if have.contains(&node) {
+            for (aname, &(syn, ref ty, k)) in &rows[rhs_ph] {
+                let node = ONode::Attr(Occ::new(pos, attr_ids[k]));
+                if syn || defined.contains(&(pid, node)) {
                     continue;
                 }
                 // Same-named inherited attribute on the LHS?
-                if let Some((false, lty)) = table[&op.lhs].get(aname) {
+                if let Some(&(false, ref lty, lk)) = lhs_row.get(aname) {
                     if lty.compatible(ty) {
-                        let src = Occ::new(0, attr_ids[&(op.lhs.as_str(), aname.as_str())]);
-                        b.copy(pid, node, src);
+                        b.copy(pid, node, Occ::new(0, attr_ids[lk]));
                         info.auto_copies += 1;
                     }
                 }
             }
         }
-        // LHS synthesized occurrences.
-        for (aname, (syn, ty)) in &table[&op.lhs] {
-            if !*syn {
+        // LHS synthesized occurrences: copied from the one child with a
+        // compatible synthesized attribute of the same name.
+        for (aname, &(syn, ref ty, k)) in lhs_row {
+            let node = ONode::Attr(Occ::new(0, attr_ids[k]));
+            if !syn || defined.contains(&(pid, node)) {
                 continue;
             }
-            let node = ONode::Attr(Occ::new(0, attr_ids[&(op.lhs.as_str(), aname.as_str())]));
-            if have.contains(&node) {
-                continue;
-            }
-            let candidates: Vec<u16> = op
-                .rhs
-                .iter()
-                .enumerate()
-                .filter(|(_, ph)| {
-                    matches!(table[ph.as_str()].get(aname), Some((true, cty)) if cty.compatible(ty))
-                })
-                .map(|(j, _)| (j + 1) as u16)
-                .collect();
-            if let [only] = candidates[..] {
-                let ph = &op.rhs[only as usize - 1];
-                let src = Occ::new(only, attr_ids[&(ph.as_str(), aname.as_str())]);
-                b.copy(pid, node, src);
+            let mut candidates = op.rhs.iter().enumerate().filter_map(|(j, ph)| {
+                match rows[ph.as_str()].get(aname) {
+                    Some(&(true, ref cty, ck)) if cty.compatible(ty) => Some((j + 1, ck)),
+                    _ => None,
+                }
+            });
+            if let (Some((pos, ck)), None) = (candidates.next(), candidates.next()) {
+                b.copy(pid, node, Occ::new(pos as u16, attr_ids[ck]));
                 info.auto_copies += 1;
             }
         }
@@ -412,16 +402,16 @@ fn add_rule(
     b: &mut GrammarBuilder,
     production: ProductionId,
     target: ONode,
-    body: &Expr,
+    mut body: Expr,
     reads: Reads,
     ctx: &EvalCtx,
     info: &mut LowerInfo,
 ) -> Result<RuleText, LowerError> {
-    let constant = match body {
+    let constant = match &body {
         Expr::ListLit(..) => None,
         literal => literal.literal(),
     };
-    let (body, args) = reads.extract(body)?;
+    let args = reads.extract(&mut body)?;
     let body = Arc::new(body);
     if let Some(v) = constant {
         b.constant(production, target, v);
@@ -434,11 +424,11 @@ fn add_rule(
         let fname = format!("rule@{production}@{target:?}");
         let ctx = ctx.clone();
         let shared = Arc::clone(&body);
-        b.func_fallible(fname.clone(), args.len(), move |vals: &[Value]| {
+        let func = b.func_fallible(fname, args.len(), move |vals: &[Value]| {
             ctx.eval_with(&shared, vals)
                 .map_err(|e| fnc2_ag::SemError::new(e.to_string()))
         });
-        b.call(production, target, &fname, args.clone());
+        b.call_func(production, target, func, args.iter().cloned());
         info.computed_rules += 1;
     }
     Ok(RuleText {
@@ -457,10 +447,9 @@ struct Reads<'a> {
 }
 
 impl Reads<'_> {
-    /// Copies `body` with each read replaced by [`Expr::Arg`], and returns
-    /// the reads in first-use order.
-    fn extract(&self, body: &Expr) -> Result<(Expr, Vec<Arg>), LowerError> {
-        let mut body = body.clone();
+    /// Replaces each read in `body` with [`Expr::Arg`], and returns the
+    /// reads in first-use order.
+    fn extract(&self, body: &mut Expr) -> Result<Vec<Arg>, LowerError> {
         let mut args: Vec<Arg> = Vec::new();
         body.try_walk_mut(&mut |e| {
             let arg = match e {
@@ -492,7 +481,7 @@ impl Reads<'_> {
             *e = Expr::Arg(k);
             Ok(())
         })?;
-        Ok((body, args))
+        Ok(args)
     }
 }
 
@@ -509,7 +498,7 @@ mod tests {
     use super::*;
 
     fn lower_src(src: &str) -> (Grammar, LowerInfo) {
-        let (g, info, _) = lower(&check_src(src)).unwrap();
+        let (g, info, _) = lower(check_src(src)).unwrap();
         (g, info)
     }
 
@@ -526,7 +515,7 @@ mod tests {
     /// both be reported.
     #[test]
     fn lowering_reports_every_well_definedness_violation() {
-        let err = lower(&check_src(
+        let err = lower(check_src(
             r#"
             attribute grammar bad;
               phylum S;
@@ -548,7 +537,7 @@ mod tests {
     /// A single violation keeps the historical single-error shape.
     #[test]
     fn single_violation_stays_singular() {
-        let err = lower(&check_src(
+        let err = lower(check_src(
             r#"
             attribute grammar bad;
               phylum S;
@@ -712,7 +701,7 @@ mod tests {
             panic!()
         };
         let checked = Compiler::new().check_ag(ag).unwrap();
-        let err = lower(&checked).unwrap_err();
+        let err = lower(checked).unwrap_err();
         // S.v has no rule and no same-named child attribute.
         assert!(err.to_string().contains("S.v"), "{err}");
     }
@@ -746,7 +735,7 @@ mod tests {
                 }
             }
         }
-        let err = lower(&checked).unwrap_err();
+        let err = lower(checked).unwrap_err();
         assert!(matches!(err, LowerError::Internal(..)), "{err}");
         assert!(err.to_string().contains("internal lowering error"), "{err}");
     }
@@ -782,7 +771,7 @@ mod tests {
                 }
             }
         }
-        let err = lower(&checked).unwrap_err();
+        let err = lower(checked).unwrap_err();
         assert!(matches!(err, LowerError::Internal(..)), "{err}");
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError, Pos, Tok, Token};
+use crate::lexer::{lex, unescape, LexError, Pos, Tok, Token};
 
 /// A parse error with position.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,14 +65,14 @@ pub fn parse_unit(src: &str) -> Result<Unit, ParseError> {
     Ok(units.remove(0))
 }
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'a> {
+    toks: Vec<Token<'a>>,
     at: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.at].tok
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.at].tok
     }
 
     fn pos(&self) -> Pos {
@@ -83,8 +83,8 @@ impl Parser {
         matches!(self.peek(), Tok::Eof)
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.at].tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.peek();
         if self.at + 1 < self.toks.len() {
             self.at += 1;
         }
@@ -99,7 +99,7 @@ impl Parser {
     }
 
     fn expect_kw(&mut self, kw: &'static str) -> Result<(), ParseError> {
-        if self.peek() == &Tok::Kw(kw) {
+        if self.peek() == Tok::Kw(kw) {
             self.bump();
             Ok(())
         } else {
@@ -108,7 +108,7 @@ impl Parser {
     }
 
     fn expect_punct(&mut self, p: &'static str) -> Result<(), ParseError> {
-        if self.peek() == &Tok::Punct(p) {
+        if self.peek() == Tok::Punct(p) {
             self.bump();
             Ok(())
         } else {
@@ -131,7 +131,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: &'static str) -> bool {
-        if self.peek() == &Tok::Punct(p) {
+        if self.peek() == Tok::Punct(p) {
             self.bump();
             true
         } else {
@@ -140,7 +140,7 @@ impl Parser {
     }
 
     fn eat_kw(&mut self, kw: &'static str) -> bool {
-        if self.peek() == &Tok::Kw(kw) {
+        if self.peek() == Tok::Kw(kw) {
             self.bump();
             true
         } else {
@@ -149,10 +149,10 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_owned())
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
@@ -411,7 +411,7 @@ impl Parser {
         let mut locals = Vec::new();
         let mut rules = Vec::new();
         while !self.eat_punct("}") {
-            if self.peek() == &Tok::Kw("local") {
+            if self.peek() == Tok::Kw("local") {
                 let pos = self.pos();
                 self.bump();
                 let name = self.ident()?;
@@ -441,23 +441,8 @@ impl Parser {
     fn rule(&mut self) -> Result<Rule, ParseError> {
         let pos = self.pos();
         let name = self.ident()?;
-        let target = if self.peek() == &Tok::Punct(".") || self.peek() == &Tok::Punct("$") {
-            let index = if self.eat_punct("$") {
-                match self.bump() {
-                    Tok::Int(i) if i >= 1 => Some(i as u32),
-                    _ => return self.err("expected a positive occurrence index after `$`"),
-                }
-            } else {
-                None
-            };
-            self.expect_punct(".")?;
-            let attr = self.ident()?;
-            RuleTarget::Occ(OccRef {
-                name,
-                index,
-                attr,
-                pos,
-            })
+        let target = if self.peek() == Tok::Punct(".") || self.peek() == Tok::Punct("$") {
+            RuleTarget::Occ(self.occ(name, pos)?)
         } else {
             RuleTarget::Local(name, pos)
         };
@@ -467,60 +452,60 @@ impl Parser {
         Ok(Rule { target, body, pos })
     }
 
+    /// The rest of the occurrence `name$k.attr` or `name.attr`, after its
+    /// `name`.
+    fn occ(&mut self, name: String, pos: Pos) -> Result<OccRef, ParseError> {
+        let index = if self.eat_punct("$") {
+            match self.bump() {
+                Tok::Int(i) if i >= 1 => Some(i as u32),
+                _ => return self.err("expected a positive occurrence index after `$`"),
+            }
+        } else {
+            None
+        };
+        self.expect_punct(".")?;
+        let attr = self.ident()?;
+        Ok(OccRef {
+            name,
+            index,
+            attr,
+            pos,
+        })
+    }
+
     // ---- types ----------------------------------------------------------
 
     fn type_expr(&mut self) -> Result<TypeExpr, ParseError> {
-        match self.peek().clone() {
-            Tok::Kw("int") => {
-                self.bump();
-                Ok(TypeExpr::Int)
-            }
-            Tok::Kw("real") => {
-                self.bump();
-                Ok(TypeExpr::Real)
-            }
-            Tok::Kw("bool") => {
-                self.bump();
-                Ok(TypeExpr::Bool)
-            }
-            Tok::Kw("string") => {
-                self.bump();
-                Ok(TypeExpr::Str)
-            }
-            Tok::Kw("unit") => {
-                self.bump();
-                Ok(TypeExpr::Unit)
-            }
-            Tok::Kw("tree") => {
-                self.bump();
-                Ok(TypeExpr::Tree)
-            }
-            Tok::Kw("list") => {
-                self.bump();
+        let ty = match self.peek() {
+            Tok::Kw("int") => TypeExpr::Int,
+            Tok::Kw("real") => TypeExpr::Real,
+            Tok::Kw("bool") => TypeExpr::Bool,
+            Tok::Kw("string") => TypeExpr::Str,
+            Tok::Kw("unit") => TypeExpr::Unit,
+            Tok::Kw("tree") => TypeExpr::Tree,
+            Tok::Ident(name) => TypeExpr::Named(name.to_owned()),
+            Tok::Kw("list" | "map") => {
+                let list = self.bump() == Tok::Kw("list");
                 self.expect_kw("of")?;
-                Ok(TypeExpr::List(Box::new(self.type_expr()?)))
-            }
-            Tok::Kw("map") => {
-                self.bump();
-                self.expect_kw("of")?;
-                Ok(TypeExpr::Map(Box::new(self.type_expr()?)))
+                let elem = Box::new(self.type_expr()?);
+                return Ok(if list {
+                    TypeExpr::List(elem)
+                } else {
+                    TypeExpr::Map(elem)
+                });
             }
             Tok::Kw("tuple") => {
                 self.bump();
                 self.expect_punct("(")?;
-                let mut items = vec![self.type_expr()?];
-                while self.eat_punct(",") {
-                    items.push(self.type_expr()?);
-                }
+                let mut items = Vec::new();
+                self.comma_list(&mut items, Self::type_expr)?;
                 self.expect_punct(")")?;
-                Ok(TypeExpr::Tuple(items))
+                return Ok(TypeExpr::Tuple(items));
             }
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(TypeExpr::Named(name))
-            }
-            other => self.err(format!("expected a type, found {other}")),
-        }
+            other => return self.err(format!("expected a type, found {other}")),
+        };
+        self.bump();
+        Ok(ty)
     }
 
     // ---- expressions -------------------------------------------------------
@@ -530,35 +515,15 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &Tok::Kw("or") {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binop {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
+        self.left(Self::and_expr, |t| {
+            (t == Tok::Kw("or")).then_some(BinOp::Or)
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek() == &Tok::Kw("and") {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binop {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
+        self.left(Self::cmp_expr, |t| {
+            (t == Tok::Kw("and")).then_some(BinOp::And)
+        })
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
@@ -572,15 +537,7 @@ impl Parser {
             Tok::Punct(">=") => BinOp::Ge,
             _ => return Ok(lhs),
         };
-        let pos = self.pos();
-        self.bump();
-        let rhs = self.cons_expr()?;
-        Ok(Expr::Binop {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            pos,
-        })
+        self.binop(op, lhs, Self::cons_expr)
     }
 
     fn cons_expr(&mut self) -> Result<Expr, ParseError> {
@@ -590,58 +547,55 @@ impl Parser {
             Tok::Punct("++") => BinOp::Concat,
             _ => return Ok(lhs),
         };
-        let pos = self.pos();
-        self.bump();
-        let rhs = self.cons_expr()?; // right-associative
-        Ok(Expr::Binop {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            pos,
-        })
+        self.binop(op, lhs, Self::cons_expr) // right-associative
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Punct("+") => BinOp::Add,
-                Tok::Punct("-") => BinOp::Sub,
-                _ => break,
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binop {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
+        self.left(Self::mul_expr, |t| match t {
+            Tok::Punct("+") => Some(BinOp::Add),
+            Tok::Punct("-") => Some(BinOp::Sub),
+            _ => None,
+        })
+    }
+
+    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+        self.left(Self::unary_expr, |t| match t {
+            Tok::Punct("*") => Some(BinOp::Mul),
+            Tok::Punct("/") => Some(BinOp::Div),
+            Tok::Punct("%") => Some(BinOp::Rem),
+            _ => None,
+        })
+    }
+
+    /// A left-associative chain of `operand`s joined by the operators that
+    /// `op` recognizes.
+    fn left(
+        &mut self,
+        operand: impl Fn(&mut Self) -> Result<Expr, ParseError>,
+        op: impl Fn(Tok<'a>) -> Option<BinOp>,
+    ) -> Result<Expr, ParseError> {
+        let mut lhs = operand(self)?;
+        while let Some(op) = op(self.peek()) {
+            lhs = self.binop(op, lhs, &operand)?;
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Punct("*") => BinOp::Mul,
-                Tok::Punct("/") => BinOp::Div,
-                Tok::Punct("%") => BinOp::Rem,
-                _ => break,
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binop {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
+    /// `lhs op rhs`, the operator being the next token.
+    fn binop(
+        &mut self,
+        op: BinOp,
+        lhs: Expr,
+        rhs: impl Fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        Ok(Expr::Binop {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs(self)?),
+            pos,
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
@@ -670,7 +624,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(i) => {
                 self.bump();
                 Ok(Expr::Int(i, pos))
@@ -681,7 +635,7 @@ impl Parser {
             }
             Tok::Str(s) => {
                 self.bump();
-                Ok(Expr::Str(fnc2_ag::Value::str(s), pos))
+                Ok(Expr::Str(fnc2_ag::Value::str(unescape(s)), pos))
             }
             Tok::Kw("true") => {
                 self.bump();
@@ -777,6 +731,7 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 self.bump();
+                let name = name.to_owned();
                 // Call, occurrence, or plain variable.
                 if self.eat_punct("(") {
                     let mut args = Vec::new();
@@ -790,23 +745,8 @@ impl Parser {
                         callee: Callee::Unresolved,
                         pos,
                     })
-                } else if self.peek() == &Tok::Punct("$") || self.peek() == &Tok::Punct(".") {
-                    let index = if self.eat_punct("$") {
-                        match self.bump() {
-                            Tok::Int(i) if i >= 1 => Some(i as u32),
-                            _ => return self.err("expected a positive occurrence index after `$`"),
-                        }
-                    } else {
-                        None
-                    };
-                    self.expect_punct(".")?;
-                    let attr = self.ident()?;
-                    Ok(Expr::Occ(OccRef {
-                        name,
-                        index,
-                        attr,
-                        pos,
-                    }))
+                } else if self.peek() == Tok::Punct("$") || self.peek() == Tok::Punct(".") {
+                    self.occ(name, pos).map(Expr::Occ)
                 } else {
                     Ok(Expr::Var {
                         name,
@@ -823,7 +763,7 @@ impl Parser {
 
     fn pattern(&mut self) -> Result<Pat, ParseError> {
         let lhs = self.pattern_prim()?;
-        if self.peek() == &Tok::Punct("::") {
+        if self.peek() == Tok::Punct("::") {
             let pos = self.pos();
             self.bump();
             let rhs = self.pattern()?; // right-associative
@@ -834,7 +774,7 @@ impl Parser {
 
     fn pattern_prim(&mut self) -> Result<Pat, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Punct("_") => {
                 self.bump();
                 Ok(Pat::Wild(pos))
@@ -852,7 +792,7 @@ impl Parser {
             }
             Tok::Str(s) => {
                 self.bump();
-                Ok(Pat::Str(s, pos))
+                Ok(Pat::Str(unescape(s).into_owned(), pos))
             }
             Tok::Kw("true") => {
                 self.bump();
@@ -864,7 +804,7 @@ impl Parser {
             }
             Tok::Ident(n) => {
                 self.bump();
-                Ok(Pat::Bind(n, pos))
+                Ok(Pat::Bind(n.to_owned(), pos))
             }
             Tok::Punct("[") => {
                 self.bump();

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::TypeExpr;
 use crate::lexer::Pos;
@@ -12,6 +13,7 @@ use crate::lexer::Pos;
 /// `error(…)`, and of tree-pattern binders. It is compatible with every
 /// type — a pragmatic rendition of the paper's partially implemented
 /// polymorphism ("the most notable omissions are full polymorphism…").
+/// Component types are shared, so cloning a type never allocates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Ty {
     /// 64-bit integers.
@@ -27,11 +29,11 @@ pub enum Ty {
     /// Output-tree terms.
     Tree,
     /// Homogeneous lists.
-    List(Box<Ty>),
+    List(Arc<Ty>),
     /// String-keyed finite maps.
-    Map(Box<Ty>),
+    Map(Arc<Ty>),
     /// Tuples.
-    Tuple(Vec<Ty>),
+    Tuple(Arc<[Ty]>),
     /// An opaque (abstract) imported type.
     Opaque(String),
     /// The polymorphic hole.
@@ -73,7 +75,7 @@ impl Ty {
             (Ty::Any, _) | (_, Ty::Any) => true,
             (Ty::List(a), Ty::List(b)) | (Ty::Map(a), Ty::Map(b)) => a.compatible(b),
             (Ty::Tuple(a), Ty::Tuple(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.compatible(y))
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.compatible(y))
             }
             (a, b) => a == b,
         }
@@ -84,13 +86,19 @@ impl Ty {
         match (self, other) {
             (Ty::Any, t) => t.clone(),
             (t, Ty::Any) => t.clone(),
-            (Ty::List(a), Ty::List(b)) => Ty::List(Box::new(a.join(b))),
-            (Ty::Map(a), Ty::Map(b)) => Ty::Map(Box::new(a.join(b))),
+            (Ty::List(a), Ty::List(b)) => Ty::List(Arc::new(a.join(b))),
+            (Ty::Map(a), Ty::Map(b)) => Ty::Map(Arc::new(a.join(b))),
             (Ty::Tuple(a), Ty::Tuple(b)) if a.len() == b.len() => {
-                Ty::Tuple(a.iter().zip(b).map(|(x, y)| x.join(y)).collect())
+                Ty::Tuple(a.iter().zip(b.iter()).map(|(x, y)| x.join(y)).collect())
             }
             (t, _) => t.clone(),
         }
+    }
+
+    /// True if a list can be used where `self` is expected: `self` is
+    /// `list of` some type, or `Any`.
+    pub fn is_list(&self) -> bool {
+        matches!(self, Ty::List(_) | Ty::Any)
     }
 
     /// The element type, if this is a list (`Any` yields `Any`).
@@ -120,8 +128,8 @@ pub fn resolve_type(
         TypeExpr::Str => Ty::Str,
         TypeExpr::Unit => Ty::Unit,
         TypeExpr::Tree => Ty::Tree,
-        TypeExpr::List(t) => Ty::List(Box::new(resolve_type(t, named, pos)?)),
-        TypeExpr::Map(t) => Ty::Map(Box::new(resolve_type(t, named, pos)?)),
+        TypeExpr::List(t) => Ty::List(Arc::new(resolve_type(t, named, pos)?)),
+        TypeExpr::Map(t) => Ty::Map(Arc::new(resolve_type(t, named, pos)?)),
         TypeExpr::Tuple(ts) => Ty::Tuple(
             ts.iter()
                 .map(|t| resolve_type(t, named, pos))
@@ -139,34 +147,37 @@ mod tests {
     fn compatibility() {
         assert!(Ty::Int.compatible(&Ty::Int));
         assert!(!Ty::Int.compatible(&Ty::Real));
-        assert!(Ty::Any.compatible(&Ty::List(Box::new(Ty::Int))));
-        assert!(Ty::List(Box::new(Ty::Any)).compatible(&Ty::List(Box::new(Ty::Str))));
-        assert!(!Ty::List(Box::new(Ty::Int)).compatible(&Ty::List(Box::new(Ty::Str))));
-        assert!(Ty::Tuple(vec![Ty::Int, Ty::Any]).compatible(&Ty::Tuple(vec![Ty::Int, Ty::Str])));
-        assert!(!Ty::Tuple(vec![Ty::Int]).compatible(&Ty::Tuple(vec![Ty::Int, Ty::Int])));
+        assert!(Ty::Any.compatible(&Ty::List(Arc::new(Ty::Int))));
+        assert!(Ty::List(Arc::new(Ty::Any)).compatible(&Ty::List(Arc::new(Ty::Str))));
+        assert!(!Ty::List(Arc::new(Ty::Int)).compatible(&Ty::List(Arc::new(Ty::Str))));
+        assert!(Ty::Any.is_list() && Ty::List(Arc::new(Ty::Str)).is_list() && !Ty::Str.is_list());
+        assert!(
+            Ty::Tuple([Ty::Int, Ty::Any].into()).compatible(&Ty::Tuple([Ty::Int, Ty::Str].into()))
+        );
+        assert!(!Ty::Tuple([Ty::Int].into()).compatible(&Ty::Tuple([Ty::Int, Ty::Int].into())));
     }
 
     #[test]
     fn join_prefers_specific() {
-        let j = Ty::List(Box::new(Ty::Any)).join(&Ty::List(Box::new(Ty::Int)));
-        assert_eq!(j, Ty::List(Box::new(Ty::Int)));
+        let j = Ty::List(Arc::new(Ty::Any)).join(&Ty::List(Arc::new(Ty::Int)));
+        assert_eq!(j, Ty::List(Arc::new(Ty::Int)));
     }
 
     #[test]
     fn resolve_named() {
         let mut named = HashMap::new();
-        named.insert("env".to_string(), Ty::Map(Box::new(Ty::Int)));
+        named.insert("env".to_string(), Ty::Map(Arc::new(Ty::Int)));
         let pos = Pos { line: 1, col: 1 };
         let t = resolve_type(&TypeExpr::Named("env".into()), &named, pos).unwrap();
-        assert_eq!(t, Ty::Map(Box::new(Ty::Int)));
+        assert_eq!(t, Ty::Map(Arc::new(Ty::Int)));
         assert!(resolve_type(&TypeExpr::Named("nope".into()), &named, pos).is_err());
     }
 
     #[test]
     fn display_forms() {
-        assert_eq!(Ty::List(Box::new(Ty::Int)).to_string(), "list of int");
+        assert_eq!(Ty::List(Arc::new(Ty::Int)).to_string(), "list of int");
         assert_eq!(
-            Ty::Tuple(vec![Ty::Int, Ty::Str]).to_string(),
+            Ty::Tuple([Ty::Int, Ty::Str].into()).to_string(),
             "tuple(int, string)"
         );
     }

@@ -71,8 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The C translation (paper §3.2). Print its head.
     let checked = fnc2::olga::check_units(fnc2::olga::parse_units(fnc2_corpus::MINIPASCAL_OLGA)?)?;
-    let (_, _, rules) = fnc2::olga::lower(&checked)?;
-    let c_text = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
+    let env = checked.env.clone();
+    let (_, _, rules) = fnc2::olga::lower(checked)?;
+    let c_text = fnc2::codegen::to_c(&env, &rules, &compiled.grammar, &compiled.seqs);
     println!(
         "\ngenerated C translation: {} lines; first visit function:",
         c_text.lines().count()

@@ -837,10 +837,11 @@ fn assert_leaf_ints(src: &str, want: &[(&str, i64)]) {
 fn translation(src: &str) -> String {
     let units = fnc2::olga::parse_units(src).unwrap();
     let checked = fnc2::olga::check_units(units).unwrap();
-    let (grammar, _, rules) = fnc2::olga::lower(&checked).unwrap();
+    let env = checked.env.clone();
+    let (grammar, _, rules) = fnc2::olga::lower(checked).unwrap();
     let compiled = Pipeline::new().compile(grammar).unwrap();
     let (g, seqs) = (&compiled.grammar, &compiled.seqs);
-    let c = fnc2::codegen::to_c(&checked.env, &rules, g, seqs);
+    let c = fnc2::codegen::to_c(&env, &rules, g, seqs);
     let cc = || std::process::Command::new("cc");
     if cc().arg("--version").output().is_ok() {
         let path = std::env::temp_dir().join(format!("fnc2_equivalence_{}.c", g.name()));

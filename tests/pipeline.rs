@@ -161,14 +161,15 @@ fn translators_cover_the_corpus_olga_ags() {
     // complete, and the system C compiler, when present, accepts it.
     let units = fnc2::olga::parse_units(corpus::MINIPASCAL_OLGA).unwrap();
     let checked = fnc2::olga::check_units(units).unwrap();
-    let (grammar, _, rules) = fnc2::olga::lower(&checked).unwrap();
+    let env = checked.env.clone();
+    let (grammar, _, rules) = fnc2::olga::lower(checked).unwrap();
     let compiled = Pipeline::new().compile(grammar).unwrap();
-    let c = fnc2::codegen::to_c(&checked.env, &rules, &compiled.grammar, &compiled.seqs);
+    let c = fnc2::codegen::to_c(&env, &rules, &compiled.grammar, &compiled.seqs);
     assert!(c.contains("evaluate_root"));
     assert_eq!(c.matches('{').count(), c.matches('}').count());
     // Every function reads its parameters, not constants of their names.
-    let prog = &checked.env.program;
-    for f in checked.env.reach().0 {
+    let prog = &env.program;
+    for f in env.reach().0 {
         let fun = &prog.funcs[f];
         let start = c.rfind(&format!("static V f{f}_{}(", fun.name)).unwrap();
         let def = &c[start..start + c[start..].find("\n}\n").unwrap()];
