@@ -60,7 +60,7 @@
 //! |------|---------|
 //! | 0    | success |
 //! | 1    | diagnostics: bad usage, front-end/class errors, fuzz findings |
-//! | 2    | a budget was exceeded, an injected fault surfaced, or a storage fault was classified |
+//! | 2    | a budget was exceeded, an injected fault surfaced, a storage fault was classified, or writing standard output failed |
 //! | 101  | never — panics and I/O errors are caught and classified, not propagated |
 //!
 //! With flags but no command, `report` is assumed, so
@@ -68,7 +68,7 @@
 //! report. The input is an OLGA text: any number of modules followed by
 //! one attribute grammar (`-` reads standard input).
 
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::num::ParseIntError;
 use std::process::ExitCode;
 
@@ -502,7 +502,7 @@ fn main() -> ExitCode {
 /// own exit code.
 fn run_command(cmd: Cmd, args: &[String], opts: &Opts) -> Result<ExitCode, CliError> {
     let out = match cmd {
-        Fuzz => return Ok(run_fuzz(opts)),
+        Fuzz => return run_fuzz(opts),
         Batch => return run_batch(opts),
         Lint => return run_lint(&args[0], opts),
         CacheGc => run_cache_gc(&args[0])?,
@@ -510,8 +510,21 @@ fn run_command(cmd: Cmd, args: &[String], opts: &Opts) -> Result<ExitCode, CliEr
         Explain => explain_source(&args[0], &args[1], opts)?,
         Report | Check | C | Seqs | Compile => run(cmd, &read_source(&args[0])?, opts)?,
     };
-    print!("{out}");
+    emit(format_args!("{out}"))?;
     Ok(ExitCode::SUCCESS)
+}
+
+/// Writes to standard output. A failed write (a closed pipe, a full disk)
+/// is an environmental fault like a storage fault: exit 2 with a one-line
+/// diagnostic, never a panic.
+fn emit(text: std::fmt::Arguments) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    out.write_fmt(text).and_then(|()| out.flush()).map_err(|e| {
+        (
+            format!("fnc2c: cannot write to standard output: {e}"),
+            EXIT_BUDGET,
+        )
+    })
 }
 
 /// A diagnostic message plus the exit code it maps to.
@@ -823,7 +836,7 @@ fn explain_source(target: &str, path: &str, opts: &Opts) -> Result<String, CliEr
 /// diagnostics (`L100`–`L102`), not hard errors, so the exit contract is
 /// uniform: 0 when the report is clean (no errors; warnings allowed
 /// unless `--deny warnings`), 1 when findings deny the grammar, 2 only
-/// for environmental faults (an unreadable input).
+/// for environmental faults (an unreadable input, a failed write).
 fn run_lint(path: &str, opts: &Opts) -> Result<ExitCode, CliError> {
     // An unreadable input is environmental, not a lint finding.
     let source = read_source(path).map_err(|(msg, _)| (msg, EXIT_BUDGET))?;
@@ -844,9 +857,9 @@ fn run_lint(path: &str, opts: &Opts) -> Result<ExitCode, CliError> {
     };
 
     if opts.report_json {
-        println!("{}", report.to_json());
+        emit(format_args!("{}\n", report.to_json()))?;
     } else {
-        print!("{}", report.render_text());
+        emit(format_args!("{}", report.render_text()))?;
     }
     let denied = report.errors() > 0 || (opts.deny_warnings && report.warnings() > 0);
     if denied {
@@ -862,16 +875,16 @@ fn run_lint(path: &str, opts: &Opts) -> Result<ExitCode, CliError> {
 /// The `fuzz` subcommand: runs the differential oracle with the given
 /// seed and budgets, prints the counter summary, and on failure prints
 /// the (shrunk) reproducer to stderr and exits nonzero.
-fn run_fuzz(opts: &Opts) -> ExitCode {
+fn run_fuzz(opts: &Opts) -> Result<ExitCode, CliError> {
     let cfg = &opts.fuzz;
     let mut obs = Obs::new();
     let report = fnc2::fuzz::run(cfg, &mut obs);
-    println!(
+    emit(format_args!(
         "fuzz: seed {}: {} grammar cases ({} tree nodes, {} edits), \
          {} front-end cases ({} accepted, {} rejected, digest {:016x}), \
          {} fault cases ({} faults injected, {} panics caught), \
          {} crash cases ({} storage faults, {} records resumed), \
-         {} lint cases ({} L001 + {} L002 verdicts checked, {} flips, {} witnesses replayed)",
+         {} lint cases ({} L001 + {} L002 verdicts checked, {} flips, {} witnesses replayed)\n",
         cfg.seed,
         report.grammar_cases,
         report.nodes,
@@ -891,13 +904,13 @@ fn run_fuzz(opts: &Opts) -> ExitCode {
         report.lint_dead_checked,
         report.lint_flips,
         report.lint_witnesses
-    );
-    match report.failure {
+    ))?;
+    Ok(match report.failure {
         None => {
-            println!(
+            emit(format_args!(
                 "fuzz: no divergence, no panic, no fault escape, no crash inconsistency, \
-                 no unsound lint"
-            );
+                 no unsound lint\n"
+            ))?;
             ExitCode::SUCCESS
         }
         Some(fnc2::fuzz::FuzzFailure::Divergence(d)) => {
@@ -925,7 +938,7 @@ fn run_fuzz(opts: &Opts) -> ExitCode {
             eprintln!("fuzz: LINT-SOUNDNESS VIOLATION: {f}");
             ExitCode::from(EXIT_DIAGNOSTICS)
         }
-    }
+    })
 }
 
 /// FNV-1a over everything that determines a batch's work-list and
@@ -934,9 +947,8 @@ fn run_fuzz(opts: &Opts) -> ExitCode {
 /// instead of silently skipping the wrong trees.
 fn batch_fingerprint(opts: &Opts, grammars: u64, trees: usize) -> u64 {
     let budget = &opts.budget;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in [
-        b"fnc2c-batch-v1".as_slice(),
+    fnc2::vfs::fnv1a(&[
+        b"fnc2c-batch-v1",
         &opts.fuzz.seed.to_le_bytes(),
         &grammars.to_le_bytes(),
         &(trees as u64).to_le_bytes(),
@@ -946,13 +958,7 @@ fn batch_fingerprint(opts: &Opts, grammars: u64, trees: usize) -> u64 {
         &(budget.max_depth as u64).to_le_bytes(),
         &budget.max_value_cells.to_le_bytes(),
         &[u8::from(budget.deadline.is_some())],
-    ] {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    ])
 }
 
 /// Classifies a checkpoint failure: a storage fault takes the fault exit
@@ -1003,23 +1009,22 @@ fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
         None => None,
         Some(path) => {
             let p = std::path::Path::new(path);
-            let opened = if opts.resume && vfs.exists(p) {
-                fnc2::par::Checkpoint::open(&vfs, p, batch_fp).map(|(c, info)| {
-                    println!(
-                        "batch: checkpoint {path}: resumed {} record(s){}",
-                        info.resumed,
-                        if info.compacted {
-                            format!(" (dropped {} torn byte(s))", info.torn_bytes)
-                        } else {
-                            String::new()
-                        }
-                    );
-                    c
-                })
+            let fail = |e| checkpoint_error(e, &format!("checkpoint {path}"));
+            Some(if opts.resume && vfs.exists(p) {
+                let (c, info) = fnc2::par::Checkpoint::open(&vfs, p, batch_fp).map_err(fail)?;
+                let torn = if info.compacted {
+                    format!(" (dropped {} torn byte(s))", info.torn_bytes)
+                } else {
+                    String::new()
+                };
+                emit(format_args!(
+                    "batch: checkpoint {path}: resumed {} record(s){torn}\n",
+                    info.resumed
+                ))?;
+                c
             } else {
-                fnc2::par::Checkpoint::create(&vfs, p, batch_fp)
-            };
-            Some(opened.map_err(|e| checkpoint_error(e, &format!("checkpoint {path}")))?)
+                fnc2::par::Checkpoint::create(&vfs, p, batch_fp).map_err(fail)?
+            })
         }
     };
 
@@ -1085,28 +1090,28 @@ fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
             let dt = start.elapsed().as_secs_f64();
             let n = trees as u64;
             let (ok, failed, panicked, budget_trips) = report.counts();
-            println!(
+            emit(format_args!(
                 "batch: grammar {gi}: {n} trees in {:.2}ms ({:.0} trees/s, {} steals, \
                  {} resumed); outcomes: {ok} ok, {failed} failed, {panicked} panicked, \
-                 {budget_trips} budget-exceeded; {} retries, {} panics caught",
+                 {budget_trips} budget-exceeded; {} retries, {} panics caught\n",
                 dt * 1e3,
                 n as f64 / dt.max(1e-9),
                 report.stats.steals,
                 report.resumed,
                 report.retries,
                 report.panics_caught
-            );
+            ))?;
             // The per-tree classification is printed from the journal
             // records, so the lines are bit-identical between an
             // uninterrupted run and any kill -> resume sequence.
             for r in &report.records {
                 if r.outcome != fnc2::par::CkptOutcome::Ok {
-                    println!(
-                        "batch: grammar {gi} tree {}: {} (digest {:016x})",
+                    emit(format_args!(
+                        "batch: grammar {gi} tree {}: {} (digest {:016x})\n",
                         r.index - index_base,
                         r.outcome,
                         r.digest
-                    );
+                    ))?;
                 }
             }
             print_losses(gi, report.fresh.iter().map(Option::as_ref));
@@ -1136,28 +1141,28 @@ fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
         let n = (trees * repeat) as u64;
         let report = last_report.expect("repeat >= 1");
         let (ok, failed, panicked) = report.counts();
-        println!(
+        emit(format_args!(
             "batch: grammar {gi}: {n} trees in {:.2}ms ({:.0} trees/s, {steals} steals); \
              outcomes: {ok} ok, {failed} failed, {panicked} panicked; \
-             {} retries, {} panics caught, {} budget trips",
+             {} retries, {} panics caught, {} budget trips\n",
             dt * 1e3,
             n as f64 / dt.max(1e-9),
             report.retries,
             report.panics_caught,
             report.budget_exceeded
-        );
+        ))?;
         print_losses(gi, report.outcomes.iter().map(Some));
         any_lost |= !report.all_ok();
         total_trees += n;
         total_steals += steals;
         total_secs += dt;
     }
-    println!(
+    emit(format_args!(
         "batch: seed {seed}: {total_trees} trees over {grammars} grammars in {:.2}ms \
-         ({:.0} trees/s, {total_steals} steals, {threads} threads)",
+         ({:.0} trees/s, {total_steals} steals, {threads} threads)\n",
         total_secs * 1e3,
         total_trees as f64 / total_secs.max(1e-9)
-    );
+    ))?;
     if opts.metrics {
         eprint!("{}", obs.render(&fnc2::obs::RawResolver));
     }

@@ -750,3 +750,47 @@ fn lint_via_cache_replays_the_same_report() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A failed stdout write is an environmental fault: every command that
+/// prints exits 2 with a one-line diagnostic, never 101 with a panic.
+#[test]
+fn a_failed_stdout_write_exits_2_without_a_panic() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("fnc2-cli-full-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ag = dir.join("count.olga");
+    std::fs::write(&ag, COUNT).unwrap();
+    let (ag, tbl, gc) = (ag.to_str().unwrap(), dir.join("count.tbl"), dir.join("gc"));
+    let commands: [&[&str]; 11] = [
+        &["report", ag],
+        &["check", ag],
+        &["c", ag],
+        &["seqs", ag],
+        &["compile", "--emit-tables", tbl.to_str().unwrap(), ag],
+        &["lint", ag],
+        &["profile", ag],
+        &["explain", "n@0", ag],
+        &[
+            "fuzz", "--cases", "0", "--front", "8", "--fault", "0", "--crash", "0", "--lint", "0",
+        ],
+        &["batch", "--grammars", "1", "--trees", "2", "--threads", "1"],
+        &["cache-gc", gc.to_str().unwrap()],
+    ];
+    for args in commands {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let out = fnc2c().args(args).stdout(full).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            err.contains("cannot write to standard output"),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -24,7 +24,8 @@ pub use blocks_olga::{blocks_olga, BLOCKS_OLGA_LIST};
 pub use classic::{binary, binary_tree, blocks, blocks_tree, blocks_tree_generic, desk};
 pub use desk_olga::{desk_olga, DESK_OLGA};
 pub use minipascal::{
-    minipascal, minipascal_scanner, parse_minipascal, sample_program, MINIPASCAL_OLGA,
+    minipascal, minipascal_scanner, minipascal_syntax, parse_minipascal, sample_program,
+    MINIPASCAL_OLGA,
 };
 pub use olga_sources::{module_source, sized_ag_source, TABLE3_MODULES};
 pub use pathological::{

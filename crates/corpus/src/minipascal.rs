@@ -9,11 +9,11 @@
 //! synthesized counter pair, the shape that exercises visit-sequence
 //! scheduling and the space optimizer's stacks.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use fnc2_ag::{Grammar, ProductionId, Tree, Value};
+use fnc2_ag::{Grammar, Tree};
 use fnc2_olga::{compile_ag_source, LowerInfo};
-use fnc2_syntax::{scan, Lexeme, ScannerSpec};
+use fnc2_syntax::{scan, Action, Cfg, Ll1Parser, ScannerSpec};
 
 /// The OLGA source of the mini-Pascal compiler AG.
 pub const MINIPASCAL_OLGA: &str = r#"
@@ -222,291 +222,81 @@ pub fn minipascal_scanner() -> ScannerSpec {
     )
 }
 
-/// The operators the parser builds, as [`Px::prods`] indexes them.
-#[derive(Clone, Copy)]
-enum Op {
-    Program,
-    DeclsCons,
-    DeclsNil,
-    Decl,
-    Tint,
-    Tbool,
-    StmtsCons,
-    StmtsNil,
-    Assign,
-    Sif,
-    Swhile,
-    Swrite,
-    Eadd,
-    Esub,
-    Emul,
-    Elt,
-    Eeq,
-    Enot,
-    Elit,
-    Etrue,
-    Efalse,
-    Evar,
+/// The concrete mini-Pascal syntax: an LL(1) grammar whose rules build the
+/// abstract tree. Each binary level ends in a tail that folds its operands
+/// to the left (`Rel`, `Adds`, `Muls`), so `a - b - c` builds
+/// `esub(esub(a, b), c)`; `<` and `=` do not chain.
+pub fn minipascal_syntax() -> Cfg {
+    use Action::Forward;
+    let node = |op: &str, token_from| Action::Node {
+        operator: op.into(),
+        token_from,
+    };
+    let fold = |op: &str| Action::Fold {
+        operator: op.into(),
+        token_from: None,
+    };
+    Cfg::from_rules([
+        (
+            "Program",
+            "program IDENT ; Decls begin Stmts end .",
+            node("program", None),
+        ),
+        ("Decls", "Decl Decls", node("decls_cons", None)),
+        ("Decls", "", node("decls_nil", None)),
+        ("Decl", "var IDENT : Type ;", node("decl", Some(1))),
+        ("Type", "integer", node("tint", None)),
+        ("Type", "boolean", node("tbool", None)),
+        ("Stmts", "Stmt More", node("stmts_cons", None)),
+        ("Stmts", "", node("stmts_nil", None)),
+        ("More", "; Stmts", Forward),
+        ("More", "", node("stmts_nil", None)),
+        ("Stmt", "IDENT := Expr", node("assign", Some(0))),
+        (
+            "Stmt",
+            "if Expr then Stmts else Stmts end",
+            node("sif", None),
+        ),
+        ("Stmt", "while Expr do Stmts end", node("swhile", None)),
+        ("Stmt", "write Expr", node("swrite", None)),
+        ("Expr", "Simple Rel", Forward),
+        ("Rel", "< Simple", fold("elt")),
+        ("Rel", "= Simple", fold("eeq")),
+        ("Rel", "", Forward),
+        ("Simple", "Term Adds", Forward),
+        ("Adds", "+ Term Adds", fold("eadd")),
+        ("Adds", "- Term Adds", fold("esub")),
+        ("Adds", "", Forward),
+        ("Term", "Factor Muls", Forward),
+        ("Muls", "* Factor Muls", fold("emul")),
+        ("Muls", "", Forward),
+        ("Factor", "INT", node("elit", Some(0))),
+        ("Factor", "IDENT", node("evar", Some(0))),
+        ("Factor", "true", node("etrue", None)),
+        ("Factor", "false", node("efalse", None)),
+        ("Factor", "not Factor", node("enot", None)),
+        ("Factor", "( Expr )", Forward),
+    ])
 }
 
-/// The names of [`Op`]'s operators, in its order.
-const OPS: [&str; 22] = [
-    "program",
-    "decls_cons",
-    "decls_nil",
-    "decl",
-    "tint",
-    "tbool",
-    "stmts_cons",
-    "stmts_nil",
-    "assign",
-    "sif",
-    "swhile",
-    "swrite",
-    "eadd",
-    "esub",
-    "emul",
-    "elt",
-    "eeq",
-    "enot",
-    "elit",
-    "etrue",
-    "efalse",
-    "evar",
-];
-
-/// Parses a concrete mini-Pascal program into an abstract tree.
+/// Parses a concrete mini-Pascal program into an abstract tree of
+/// `grammar`, mini-Pascal's AG or any grammar with its operators.
 ///
-/// A hand-written predictive parser over the `fnc2-syntax` scanner — the
-/// expression levels fold left-associatively into the binary abstract
-/// operators, which a table-driven LL(1) constructor cannot do directly.
-/// The scanner spec is built once per process, and the production ids once
-/// per call; lookahead compares the tokens' terminal names in place.
+/// [`minipascal_syntax`] runs through the generated `fnc2-syntax` LL(1)
+/// driver. The scanner spec and the parse tables are built once per
+/// process, and the operators are resolved in `grammar` once per call.
 ///
 /// # Errors
 ///
 /// Returns a message with the position of the first syntax error.
 pub fn parse_minipascal(grammar: &Grammar, src: &str) -> Result<Tree, String> {
     static SPEC: OnceLock<ScannerSpec> = OnceLock::new();
+    static PARSER: OnceLock<Ll1Parser> = OnceLock::new();
+    let parser = PARSER.get_or_init(|| {
+        Ll1Parser::new(minipascal_syntax()).expect("the mini-Pascal syntax is LL(1)")
+    });
     let toks = scan(SPEC.get_or_init(minipascal_scanner), src).map_err(|e| e.to_string())?;
-    let mut prods = [ProductionId::from_raw(0); OPS.len()];
-    for (id, name) in prods.iter_mut().zip(OPS) {
-        *id = grammar
-            .production_by_name(name)
-            .ok_or_else(|| format!("unknown operator {name}"))?;
-    }
-    let mut p = Px {
-        tb: fnc2_ag::TreeBuilder::new(grammar),
-        prods,
-        toks,
-        at: 0,
-    };
-    let root = p.program()?;
-    p.tb.finish_root(root).map_err(|e| e.to_string())
-}
-
-struct Px<'g> {
-    tb: fnc2_ag::TreeBuilder<'g>,
-    prods: [ProductionId; OPS.len()],
-    toks: Vec<fnc2_syntax::Scanned>,
-    at: usize,
-}
-
-impl Px<'_> {
-    fn look(&self) -> &str {
-        self.toks[self.at].lexeme.terminal()
-    }
-
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        let t = &self.toks[self.at];
-        Err(format!("{}:{}: {msg}, found {}", t.line, t.col, t.lexeme))
-    }
-
-    fn eat(&mut self, term: &str) -> Result<(), String> {
-        if self.eat_if(term) {
-            Ok(())
-        } else {
-            self.err(&format!("expected `{term}`"))
-        }
-    }
-
-    fn eat_if(&mut self, term: &str) -> bool {
-        let hit = self.look() == term;
-        self.at += usize::from(hit);
-        hit
-    }
-
-    /// Eats an identifier, returning its name as a token value.
-    fn ident(&mut self) -> Result<Value, String> {
-        match &self.toks[self.at].lexeme {
-            Lexeme::Ident(s) => {
-                let name = Value::Str(Arc::clone(s));
-                self.at += 1;
-                Ok(name)
-            }
-            _ => self.err("expected `IDENT`"),
-        }
-    }
-
-    fn node(&mut self, op: Op, kids: &[fnc2_ag::NodeId]) -> Result<fnc2_ag::NodeId, String> {
-        self.node_tok(op, kids, None)
-    }
-
-    fn node_tok(
-        &mut self,
-        op: Op,
-        kids: &[fnc2_ag::NodeId],
-        token: Option<Value>,
-    ) -> Result<fnc2_ag::NodeId, String> {
-        self.tb
-            .node_with_token(self.prods[op as usize], kids, token)
-            .map_err(|e| e.to_string())
-    }
-
-    fn program(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        self.eat("program")?;
-        self.eat("IDENT")?;
-        self.eat(";")?;
-        let decls = self.decls()?;
-        self.eat("begin")?;
-        let stmts = self.stmts()?;
-        self.eat("end")?;
-        self.eat(".")?;
-        if self.look() != "EOF" {
-            return self.err("expected end of input");
-        }
-        self.node(Op::Program, &[decls, stmts])
-    }
-
-    fn decls(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        if self.eat_if("var") {
-            let name = self.ident()?;
-            self.eat(":")?;
-            let ty = if self.eat_if("integer") {
-                self.node(Op::Tint, &[])?
-            } else {
-                self.eat("boolean")?;
-                self.node(Op::Tbool, &[])?
-            };
-            self.eat(";")?;
-            let d = self.node_tok(Op::Decl, &[ty], Some(name))?;
-            let rest = self.decls()?;
-            self.node(Op::DeclsCons, &[d, rest])
-        } else {
-            self.node(Op::DeclsNil, &[])
-        }
-    }
-
-    fn stmts(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        if matches!(self.look(), "IDENT" | "if" | "while" | "write") {
-            let s = self.stmt()?;
-            let rest = if self.eat_if(";") {
-                self.stmts()?
-            } else {
-                self.node(Op::StmtsNil, &[])?
-            };
-            self.node(Op::StmtsCons, &[s, rest])
-        } else {
-            self.node(Op::StmtsNil, &[])
-        }
-    }
-
-    fn stmt(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        match self.look() {
-            "IDENT" => {
-                let name = self.ident()?;
-                self.eat(":=")?;
-                let e = self.expr()?;
-                self.node_tok(Op::Assign, &[e], Some(name))
-            }
-            "if" => {
-                self.at += 1;
-                let c = self.expr()?;
-                self.eat("then")?;
-                let a = self.stmts()?;
-                self.eat("else")?;
-                let b = self.stmts()?;
-                self.eat("end")?;
-                self.node(Op::Sif, &[c, a, b])
-            }
-            "while" => {
-                self.at += 1;
-                let c = self.expr()?;
-                self.eat("do")?;
-                let body = self.stmts()?;
-                self.eat("end")?;
-                self.node(Op::Swhile, &[c, body])
-            }
-            "write" => {
-                self.at += 1;
-                let e = self.expr()?;
-                self.node(Op::Swrite, &[e])
-            }
-            _ => self.err("expected a statement"),
-        }
-    }
-
-    fn expr(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        let lhs = self.simple()?;
-        if self.eat_if("<") {
-            let rhs = self.simple()?;
-            self.node(Op::Elt, &[lhs, rhs])
-        } else if self.eat_if("=") {
-            let rhs = self.simple()?;
-            self.node(Op::Eeq, &[lhs, rhs])
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn simple(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        let mut acc = self.term()?;
-        loop {
-            if self.eat_if("+") {
-                let rhs = self.term()?;
-                acc = self.node(Op::Eadd, &[acc, rhs])?;
-            } else if self.eat_if("-") {
-                let rhs = self.term()?;
-                acc = self.node(Op::Esub, &[acc, rhs])?;
-            } else {
-                return Ok(acc);
-            }
-        }
-    }
-
-    fn term(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        let mut acc = self.factor()?;
-        while self.eat_if("*") {
-            let rhs = self.factor()?;
-            acc = self.node(Op::Emul, &[acc, rhs])?;
-        }
-        Ok(acc)
-    }
-
-    fn factor(&mut self) -> Result<fnc2_ag::NodeId, String> {
-        let (op, token) = match &self.toks[self.at].lexeme {
-            Lexeme::Int(i) => (Op::Elit, Some(Value::Int(*i))),
-            Lexeme::Ident(name) => (Op::Evar, Some(Value::Str(Arc::clone(name)))),
-            l => match l.terminal() {
-                "true" => (Op::Etrue, None),
-                "false" => (Op::Efalse, None),
-                "not" => {
-                    self.at += 1;
-                    let e = self.factor()?;
-                    return self.node(Op::Enot, &[e]);
-                }
-                "(" => {
-                    self.at += 1;
-                    let e = self.expr()?;
-                    self.eat(")")?;
-                    return Ok(e);
-                }
-                _ => return self.err("expected a factor"),
-            },
-        };
-        self.at += 1;
-        self.node_tok(op, &[], token)
-    }
+    parser.parse(grammar, &toks).map_err(|e| e.to_string())
 }
 
 /// Generates a well-formed mini-Pascal program of roughly `stmt_blocks`
@@ -546,7 +336,8 @@ mod tests {
     #[test]
     fn compiles_a_program_to_pcode() {
         let (g, _) = minipascal();
-        let src = "program p;\nvar a : integer;\nbegin\n  a := 2 + 3 * 4;\n  write a\nend.\n";
+        let src = "program p;\nvar a : integer;\nbegin\n  a := 2 + 3 * 4;\n  write a;\n  \
+                   a := 10 - 3 - 2\nend.\n";
         let tree = parse_minipascal(&g, src).unwrap();
         let c = classify(&g, 1, Inclusion::Long).unwrap();
         let seqs = build_visit_seqs(&g, &c.l_ordered.unwrap());
@@ -562,9 +353,13 @@ mod tests {
             .iter()
             .map(|v| v.as_str().to_string())
             .collect();
+        // `10 - 3 - 2` associates to the left: (10 - 3) - 2.
         assert_eq!(
             code_list,
-            vec!["ENT 1", "LDC 2", "LDC 3", "LDC 4", "MUL", "ADD", "STO 0", "LOD 0", "WRI", "HLT"]
+            [
+                "ENT 1", "LDC 2", "LDC 3", "LDC 4", "MUL", "ADD", "STO 0", "LOD 0", "WRI",
+                "LDC 10", "LDC 3", "SUB", "LDC 2", "SUB", "STO 0", "HLT"
+            ]
         );
         assert!(vals
             .get(&g, tree.root(), errs)
@@ -622,10 +417,29 @@ mod tests {
         assert!(labs.values().all(|&c| c == 1), "{labs:?}");
     }
 
+    /// The positions were pinned with the hand-written recursive-descent
+    /// parser this repository had before its LL(1) driver took over.
     #[test]
     fn syntax_errors_have_positions() {
         let (g, _) = minipascal();
-        let err = parse_minipascal(&g, "program p;\nbegin\n  a := ;\nend.\n").unwrap_err();
-        assert!(err.starts_with("3:"), "{err}");
+        let cases = [
+            ("program p;\nbegin\n  a := ;\nend.\n", "3:8"),
+            ("program p;\nbegin\n  f := a < b < c\nend.\n", "3:14"),
+            ("program p;\nbegin\n  a := 1\n", "4:1"),
+            ("program p;\nbegin\n  while f do a := 1\nend.\n", "4:4"),
+            ("program p;\nbegin\nend.\nx\n", "4:1"),
+            ("program p;\nvar x : real;\nbegin\nend.\n", "2:9"),
+            ("program p;\nbegin\n  a := (1 + 2;\nend.\n", "3:14"),
+            ("", "1:1"),
+            ("program p;\nbegin\n  a := 1;;\nend.\n", "3:10"),
+            ("program p;\nbegin\n  if f then a := 1 end\nend.\n", "3:20"),
+            ("program p;\nvar x;\nbegin\nend.\n", "2:6"),
+            ("program p;\nbegin\n  write\nend.\n", "4:1"),
+            ("program p;\nbegin\n  a := 1.5\nend.\n", "3:8"),
+        ];
+        for (src, at) in cases {
+            let err = parse_minipascal(&g, src).unwrap_err();
+            assert!(err.starts_with(&format!("{at}: ")), "{src:?}: {err}");
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! * [`scan`] — a specification-driven scanner ([`ScannerSpec`]);
 //! * [`Ll1Parser`] — FIRST/FOLLOW computation, predictive-table
 //!   construction with conflict reporting, and a parse driver that builds
-//!   attributed abstract trees directly (tokens attached as node values).
+//!   attributed abstract trees directly (tokens attached as node values,
+//!   operator levels folded left through tail nonterminals).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -5,12 +5,25 @@
 //!
 //! A [`Cfg`] maps each concrete rule to a tree-construction [`Action`]:
 //! build an abstract operator node (optionally attaching one terminal's
-//! lexeme as the node token) or forward the single sub-tree. The generator
-//! computes NULLABLE/FIRST/FOLLOW, builds the predictive table, and reports
-//! conflicts; the driver parses token streams into [`fnc2_ag::Tree`]s.
+//! lexeme as the node token), forward the single sub-tree, or fold to the
+//! left. The generator computes NULLABLE/FIRST/FOLLOW, builds the
+//! predictive table over dense terminal and nonterminal numbers, and
+//! reports conflicts. The driver parses token streams into
+//! [`fnc2_ag::Tree`]s on explicit stacks, so neither nesting nor a long
+//! operand list deepens the machine stack.
+//!
+//! A nonterminal with a [`Action::Fold`] rule is a *tail*: it inherits the
+//! tree to its left, which is the first child of each of its rules, and it
+//! ends every rule that uses it. Such a rule's action applies to the
+//! symbols before the tail, and the tail inherits the result. With
+//! `Simple -> Term Adds`, `Adds -> + Term Adds` folding `eadd` and
+//! `Adds -> ε` forwarding, `a + b + c` builds `eadd(eadd(a, b), c)`: each
+//! `+` rule builds `eadd(left, Term)` and hands it on, and the ε rule
+//! yields what it inherited.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use fnc2_ag::{Grammar, NodeId, ProductionId, Tree, TreeBuilder, Value};
@@ -41,8 +54,17 @@ pub enum Action {
         /// Index into the rule's terminals for the token, if any.
         token_from: Option<usize>,
     },
-    /// Forward the single RHS nonterminal's tree (brackets, chaining).
+    /// Forward the single RHS nonterminal's tree (brackets, chaining), or
+    /// in a tail's rule without one, the tree the tail inherited.
     Forward,
+    /// Fold left: a rule of a tail, building `operator(left, children…)`
+    /// from the inherited tree and the RHS nonterminals' trees.
+    Fold {
+        /// Abstract operator (production) name.
+        operator: String,
+        /// Index into the rule's terminals for the token, if any.
+        token_from: Option<usize>,
+    },
 }
 
 /// One concrete rule.
@@ -65,27 +87,52 @@ pub struct Cfg {
     pub rules: Vec<CfgRule>,
 }
 
+impl Cfg {
+    /// A grammar from `(lhs, rhs, action)` rules whose first LHS is the
+    /// start symbol. A right-hand side lists its symbols separated by
+    /// spaces: a symbol that heads some rule is a nonterminal, any other a
+    /// terminal.
+    pub fn from_rules<'a>(rules: impl IntoIterator<Item = (&'a str, &'a str, Action)>) -> Cfg {
+        let rules: Vec<_> = rules.into_iter().collect();
+        let heads: HashSet<&str> = rules.iter().map(|r| r.0).collect();
+        let sym = |s: &str| if heads.contains(s) { n(s) } else { t(s) };
+        let rules: Vec<CfgRule> = (rules.into_iter())
+            .map(|(lhs, rhs, action)| CfgRule {
+                lhs: lhs.to_string(),
+                rhs: rhs.split_whitespace().map(sym).collect(),
+                action,
+            })
+            .collect();
+        let start = rules.first().map_or_else(String::new, |r| r.lhs.clone());
+        Cfg { start, rules }
+    }
+}
+
 /// Errors in the specification (including LL(1) conflicts).
 #[derive(Clone, Debug, PartialEq)]
 pub enum CfgError {
     /// A rule references an undefined nonterminal.
     UnknownNonterminal(String),
-    /// An action references an unknown abstract operator.
+    /// An action references an operator the abstract grammar lacks.
     UnknownOperator(String),
-    /// The number of RHS nonterminals does not match the abstract
-    /// production's arity.
+    /// The number of subtrees a rule provides (the RHS nonterminals', and
+    /// a tail's inherited tree) does not match the abstract production's
+    /// arity.
     ArityMismatch {
         /// Operator name.
         operator: String,
         /// Abstract arity.
         expected: usize,
-        /// Concrete nonterminal count.
+        /// Concrete subtree count.
         found: usize,
     },
-    /// `Forward` on a rule without exactly one nonterminal.
+    /// `Forward` on a rule without exactly one subtree.
     BadForward(String),
     /// A `token_from` index with no such terminal.
     BadTokenIndex(String),
+    /// A tail that starts the grammar, does not end a rule using it, or
+    /// has a `Node` rule.
+    BadTail(String),
     /// Two rules of one nonterminal compete for the same lookahead.
     Ll1Conflict {
         /// The nonterminal.
@@ -109,9 +156,14 @@ impl fmt::Display for CfgError {
                 "operator `{operator}` has arity {expected}, rule provides {found} subtree(s)"
             ),
             CfgError::BadForward(n) => {
-                write!(f, "forward rule of `{n}` must have exactly one nonterminal")
+                write!(f, "forward rule of `{n}` must have exactly one subtree")
             }
             CfgError::BadTokenIndex(n) => write!(f, "token index out of range in a rule of `{n}`"),
+            CfgError::BadTail(n) => write!(
+                f,
+                "tail `{n}` must end every rule using it, not start the grammar, \
+                 and fold or forward in its own rules"
+            ),
             CfgError::Ll1Conflict {
                 nonterminal,
                 terminal,
@@ -148,314 +200,429 @@ impl fmt::Display for DriveError {
 
 impl std::error::Error for DriveError {}
 
-/// A generated LL(1) parser with tree-construction actions.
+/// A symbol by dense number.
+#[derive(Clone, Copy)]
+enum Dense {
+    T(usize),
+    N(usize),
+}
+
+/// One step of the driver.
+#[derive(Clone, Copy, Debug)]
+enum Item {
+    /// Match a terminal; `token` keeps its position for the rule's node.
+    T { terminal: usize, token: bool },
+    /// Expand a nonterminal.
+    N(usize),
+    /// Replace the top children by operator `op`'s node over them, with
+    /// the last kept token if `token`.
+    Build { op: usize, token: bool },
+}
+
+/// A generated LL(1) parser with tree-construction actions. The tables
+/// are independent of the abstract grammar; [`parse`](Self::parse)
+/// resolves the operators in the grammar it builds trees of.
 #[derive(Clone, Debug)]
 pub struct Ll1Parser {
-    cfg: Cfg,
-    /// Nonterminal → dense index.
-    nts: HashMap<String, usize>,
-    /// Predictive table: `(nt index, terminal) → rule index`.
-    table: HashMap<(usize, String), usize>,
-    /// Abstract production per Node action, resolved once.
-    productions: Vec<Option<ProductionId>>,
-    first: Vec<HashSet<String>>,
-    follow: Vec<HashSet<String>>,
+    /// Nonterminal names by dense number, in order of first definition.
+    nonterminals: Vec<String>,
+    /// Terminal names by dense number, sorted.
+    terminals: Vec<String>,
+    /// Terminal numbers by name, looked up once per token.
+    numbers: HashMap<String, usize, BuildHasherDefault<Fnv>>,
+    /// Each `Build`'s abstract operator and the number of its children.
+    operators: Vec<(String, usize)>,
     nullable: Vec<bool>,
+    /// FIRST and FOLLOW: per nonterminal, one flag per terminal.
+    first: Vec<Vec<bool>>,
+    follow: Vec<Vec<bool>>,
+    /// `table[nt * width + terminal]`: the rule to expand, if any. The
+    /// last column stands for terminals the grammar does not use.
+    table: Vec<Option<usize>>,
+    width: usize,
+    /// The items of rule `r`, last first, are `code[spans[r].0..spans[r].1]`.
+    code: Vec<Item>,
+    spans: Vec<(usize, usize)>,
+    start: usize,
+    eof: usize,
 }
 
 impl Ll1Parser {
-    /// Builds the parser, validating actions against the abstract grammar
-    /// and checking the LL(1) property.
+    /// Builds the parser, checking the rules' actions and the LL(1)
+    /// property.
     ///
     /// # Errors
     ///
     /// Reports specification errors and LL(1) conflicts.
-    pub fn new(cfg: Cfg, grammar: &Grammar) -> Result<Ll1Parser, CfgError> {
-        let mut nts: HashMap<String, usize> = HashMap::new();
+    pub fn new(cfg: Cfg) -> Result<Ll1Parser, CfgError> {
+        let mut number: HashMap<&str, usize> = HashMap::new();
+        let mut nonterminals = Vec::new();
         for r in &cfg.rules {
-            let next = nts.len();
-            nts.entry(r.lhs.clone()).or_insert(next);
+            number.entry(r.lhs.as_str()).or_insert_with(|| {
+                nonterminals.push(r.lhs.clone());
+                nonterminals.len() - 1
+            });
         }
-        if !nts.contains_key(&cfg.start) {
-            return Err(CfgError::UnknownNonterminal(cfg.start.clone()));
+        let nt = |name: &str| {
+            number
+                .get(name)
+                .copied()
+                .ok_or_else(|| CfgError::UnknownNonterminal(name.to_string()))
+        };
+        let start = nt(&cfg.start)?;
+        let names: BTreeSet<&str> = cfg
+            .rules
+            .iter()
+            .flat_map(|r| &r.rhs)
+            .filter_map(|s| match s {
+                Sym::T(t) => Some(t.as_str()),
+                Sym::N(_) => None,
+            })
+            .chain(["EOF"])
+            .collect();
+        let terminals: Vec<String> = names.iter().map(|t| t.to_string()).collect();
+        let numbers: HashMap<String, usize, _> = (terminals.iter().cloned()).zip(0..).collect();
+        let rhs = cfg
+            .rules
+            .iter()
+            .map(|r| {
+                r.rhs
+                    .iter()
+                    .map(|s| match s {
+                        Sym::T(t) => Ok(Dense::T(numbers[t])),
+                        Sym::N(x) => nt(x).map(Dense::N),
+                    })
+                    .collect()
+            })
+            .collect::<Result<Vec<Vec<Dense>>, CfgError>>()?;
+        let lhs_of: Vec<usize> = cfg.rules.iter().map(|r| number[r.lhs.as_str()]).collect();
+        let mut tail = vec![false; nonterminals.len()];
+        for (r, rule) in cfg.rules.iter().enumerate() {
+            tail[lhs_of[r]] |= matches!(rule.action, Action::Fold { .. });
         }
-        // Validate symbols and actions.
-        let mut productions = Vec::with_capacity(cfg.rules.len());
-        for r in &cfg.rules {
-            for s in &r.rhs {
-                if let Sym::N(n) = s {
-                    if !nts.contains_key(n) {
-                        return Err(CfgError::UnknownNonterminal(n.clone()));
-                    }
-                }
+        if tail[start] {
+            return Err(CfgError::BadTail(cfg.start.clone()));
+        }
+
+        // Each rule's items, pushed last first: its symbols up to a
+        // trailing tail, the node its action builds, then the tail.
+        let (mut operators, mut code, mut spans) = (Vec::new(), Vec::new(), Vec::new());
+        for (r, rule) in cfg.rules.iter().enumerate() {
+            let (lead, trailing) = match rhs[r].split_last() {
+                Some((&Dense::N(x), lead)) if tail[x] => (lead, Some(x)),
+                _ => (&rhs[r][..], None),
+            };
+            if let Some(&Dense::N(x)) = lead.iter().find(|s| matches!(s, Dense::N(x) if tail[*x])) {
+                return Err(CfgError::BadTail(nonterminals[x].clone()));
             }
-            let n_children = r.rhs.iter().filter(|s| matches!(s, Sym::N(_))).count();
-            let n_terminals = r.rhs.iter().filter(|s| matches!(s, Sym::T(_))).count();
-            match &r.action {
-                Action::Forward => {
-                    if n_children != 1 {
-                        return Err(CfgError::BadForward(r.lhs.clone()));
-                    }
-                    productions.push(None);
-                }
+            let nts = lead.iter().filter(|s| matches!(s, Dense::N(_))).count();
+            let children = usize::from(tail[lhs_of[r]]) + nts;
+            let mut k = lead.len() - nts;
+            let (operator, kept) = match &rule.action {
+                Action::Forward => (None, None),
                 Action::Node {
-                    operator,
-                    token_from,
-                } => {
-                    let Some(p) = grammar.production_by_name(operator) else {
-                        return Err(CfgError::UnknownOperator(operator.clone()));
-                    };
-                    let arity = grammar.production(p).arity();
-                    if arity != n_children {
-                        return Err(CfgError::ArityMismatch {
-                            operator: operator.clone(),
-                            expected: arity,
-                            found: n_children,
-                        });
-                    }
-                    if let Some(i) = token_from {
-                        if *i >= n_terminals {
-                            return Err(CfgError::BadTokenIndex(r.lhs.clone()));
-                        }
-                    }
-                    productions.push(Some(p));
-                }
+                    operator: o,
+                    token_from: i,
+                } => (Some(o), *i),
+                Action::Fold {
+                    operator: o,
+                    token_from: i,
+                } => (Some(o), *i),
+            };
+            let bad: Option<fn(String) -> CfgError> = if operator.is_none() && children != 1 {
+                Some(CfgError::BadForward)
+            } else if tail[lhs_of[r]] && matches!(rule.action, Action::Node { .. }) {
+                Some(CfgError::BadTail)
+            } else if kept.is_some_and(|i| i >= k) {
+                Some(CfgError::BadTokenIndex)
+            } else {
+                None
+            };
+            if let Some(bad) = bad {
+                return Err(bad(rule.lhs.clone()));
             }
+            let begin = code.len();
+            code.extend(trailing.map(Item::N));
+            if let Some(operator) = operator {
+                operators.push((operator.clone(), children));
+                let (op, token) = (operators.len() - 1, kept.is_some());
+                code.push(Item::Build { op, token });
+            }
+            for s in lead.iter().rev() {
+                code.push(match *s {
+                    Dense::T(terminal) => {
+                        k -= 1;
+                        let token = kept == Some(k);
+                        Item::T { terminal, token }
+                    }
+                    Dense::N(x) => Item::N(x),
+                });
+            }
+            spans.push((begin, code.len()));
         }
 
         // NULLABLE / FIRST / FOLLOW: grammar flows over the rules, whose
         // facts are the nonterminals. NULLABLE and FIRST flow bottom-up (a
         // rule writes its LHS and reads its RHS nonterminals), FOLLOW
         // top-down.
-        let n = nts.len();
-        let m = cfg.rules.len();
-        let lhs = |r: usize| [nts[&cfg.rules[r].lhs]];
-        let rhs = |r: usize| {
-            cfg.rules[r].rhs.iter().filter_map(|s| match s {
-                Sym::N(x) => Some(nts[x]),
-                Sym::T(_) => None,
+        let (n, m, w) = (nonterminals.len(), cfg.rules.len(), terminals.len());
+        let lhs = |r: usize| [lhs_of[r]];
+        let rhs_nts = |r: usize| {
+            rhs[r].iter().filter_map(|s| match *s {
+                Dense::N(x) => Some(x),
+                Dense::T(_) => None,
             })
         };
         let mut nullable = vec![false; n];
-        let mut first: Vec<HashSet<String>> = vec![HashSet::new(); n];
-        let step = |ri: usize| {
-            let r = &cfg.rules[ri];
-            let a = nts[&r.lhs];
-            let mut changed = false;
-            let mut all_nullable = true;
-            for s in &r.rhs {
-                match s {
-                    Sym::T(t) => {
-                        changed |= first[a].insert(t.clone());
-                        all_nullable = false;
-                        break;
-                    }
-                    Sym::N(x) => {
-                        let x = nts[x];
-                        let add: Vec<String> = first[x].iter().cloned().collect();
-                        for t in add {
-                            changed |= first[a].insert(t);
-                        }
-                        if !nullable[x] {
-                            all_nullable = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if all_nullable && !nullable[a] {
-                nullable[a] = true;
-                changed = true;
-            }
-            changed
+        let mut first = vec![vec![false; w]; n];
+        let step = |r: usize| {
+            let a = lhs_of[r];
+            let mut row = first[a].clone();
+            let (grew, eps) = first_of_seq(&rhs[r], &first, &nullable, &mut row);
+            first[a] = row;
+            let newly = eps && !nullable[a];
+            nullable[a] |= eps;
+            grew || newly
         };
-        fixpoint(m, &dependents(m, n, lhs, rhs), step, &mut NoopRecorder);
-        let mut follow: Vec<HashSet<String>> = vec![HashSet::new(); n];
-        follow[nts[&cfg.start]].insert("EOF".to_string());
-        let step = |ri: usize| {
-            let r = &cfg.rules[ri];
-            let a = nts[&r.lhs];
+        fixpoint(m, &dependents(m, n, lhs, rhs_nts), step, &mut NoopRecorder);
+        let eof = numbers["EOF"];
+        let mut follow = vec![vec![false; w]; n];
+        follow[start][eof] = true;
+        let step = |r: usize| {
+            let a = lhs_of[r];
             let mut changed = false;
-            for (i, s) in r.rhs.iter().enumerate() {
-                let Sym::N(x) = s else { continue };
-                let xi = nts[x];
-                let mut rest_nullable = true;
-                for t in &r.rhs[i + 1..] {
-                    match t {
-                        Sym::T(t) => {
-                            changed |= follow[xi].insert(t.clone());
-                            rest_nullable = false;
-                            break;
-                        }
-                        Sym::N(y) => {
-                            for t in &first[nts[y]] {
-                                changed |= follow[xi].insert(t.clone());
-                            }
-                            if !nullable[nts[y]] {
-                                rest_nullable = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if rest_nullable {
-                    let add: Vec<String> = follow[a].iter().cloned().collect();
-                    for t in add {
-                        changed |= follow[xi].insert(t);
-                    }
+            for (i, s) in rhs[r].iter().enumerate() {
+                let Dense::N(x) = *s else { continue };
+                let (grew, eps) = first_of_seq(&rhs[r][i + 1..], &first, &nullable, &mut follow[x]);
+                changed |= grew;
+                if eps && x != a {
+                    let from = follow[a].clone();
+                    changed |= add(&mut follow[x], &from);
                 }
             }
             changed
         };
-        fixpoint(m, &dependents(m, n, rhs, lhs), step, &mut NoopRecorder);
+        fixpoint(m, &dependents(m, n, rhs_nts, lhs), step, &mut NoopRecorder);
 
         // Predictive table.
-        let mut table: HashMap<(usize, String), usize> = HashMap::new();
-        for (ri, r) in cfg.rules.iter().enumerate() {
-            let a = nts[&r.lhs];
-            let mut lookaheads: HashSet<String> = HashSet::new();
-            let mut all_nullable = true;
-            for s in &r.rhs {
-                match s {
-                    Sym::T(t) => {
-                        lookaheads.insert(t.clone());
-                        all_nullable = false;
-                        break;
-                    }
-                    Sym::N(x) => {
-                        lookaheads.extend(first[nts[x]].iter().cloned());
-                        if !nullable[nts[x]] {
-                            all_nullable = false;
-                            break;
-                        }
-                    }
-                }
+        let width = w + 1;
+        let mut table = vec![None; n * width];
+        for (r, body) in rhs.iter().enumerate() {
+            let a = lhs_of[r];
+            let mut look = vec![false; w];
+            if first_of_seq(body, &first, &nullable, &mut look).1 {
+                add(&mut look, &follow[a]);
             }
-            if all_nullable {
-                lookaheads.extend(follow[a].iter().cloned());
-            }
-            for t in lookaheads {
-                if table.insert((a, t.clone()), ri).is_some() {
+            for t in (0..w).filter(|&t| look[t]) {
+                if table[a * width + t].replace(r).is_some() {
                     return Err(CfgError::Ll1Conflict {
-                        nonterminal: r.lhs.clone(),
-                        terminal: t,
+                        nonterminal: nonterminals[a].clone(),
+                        terminal: terminals[t].clone(),
                     });
                 }
             }
         }
 
         Ok(Ll1Parser {
-            cfg,
-            nts,
-            table,
-            productions,
+            nonterminals,
+            terminals,
+            numbers,
+            operators,
+            nullable,
             first,
             follow,
-            nullable,
+            table,
+            width,
+            code,
+            spans,
+            start,
+            eof,
         })
     }
 
     /// FIRST set of a nonterminal (diagnostics, tests).
-    pub fn first_of(&self, nt: &str) -> Option<&HashSet<String>> {
-        self.nts.get(nt).map(|&i| &self.first[i])
+    pub fn first_of(&self, nt: &str) -> Option<BTreeSet<&str>> {
+        self.terminal_set(&self.first, nt)
     }
 
     /// FOLLOW set of a nonterminal.
-    pub fn follow_of(&self, nt: &str) -> Option<&HashSet<String>> {
-        self.nts.get(nt).map(|&i| &self.follow[i])
+    pub fn follow_of(&self, nt: &str) -> Option<BTreeSet<&str>> {
+        self.terminal_set(&self.follow, nt)
     }
 
     /// True if the nonterminal derives ε.
     pub fn is_nullable(&self, nt: &str) -> Option<bool> {
-        self.nts.get(nt).map(|&i| self.nullable[i])
+        let i = self.nonterminals.iter().position(|n| n == nt)?;
+        Some(self.nullable[i])
     }
 
-    /// Parses a token stream into an abstract tree of `grammar` (the same
-    /// grammar the parser was built against).
+    fn terminal_set<'a>(&'a self, sets: &[Vec<bool>], nt: &str) -> Option<BTreeSet<&'a str>> {
+        let i = self.nonterminals.iter().position(|n| n == nt)?;
+        let on = self.terminals.iter().zip(&sets[i]).filter(|(_, &on)| on);
+        Some(on.map(|(t, _)| t.as_str()).collect())
+    }
+
+    /// Parses a token stream into an abstract tree of `grammar`, whose
+    /// productions the rules' operators name. The end of `tokens` reads
+    /// as `EOF`, whether or not [`scan`](crate::scan)'s `Eof` ends it.
     ///
     /// # Errors
     ///
-    /// Reports the first syntax error with its position.
+    /// Reports the first syntax error with its position, or, at the first
+    /// token, an operator `grammar` lacks or whose arity differs.
     pub fn parse(&self, grammar: &Grammar, tokens: &[Scanned]) -> Result<Tree, DriveError> {
+        let prods = self
+            .bind(grammar)
+            .map_err(|e| drive_error(tokens, 0, e.to_string()))?;
         let mut tb = TreeBuilder::new(grammar);
-        let mut at = 0usize;
-        let root = self.parse_nt(grammar, &mut tb, self.nts[&self.cfg.start], tokens, &mut at)?;
-        // All input must be consumed.
-        if tokens[at].lexeme != Lexeme::Eof {
-            return Err(DriveError {
-                message: format!("unexpected {} after the program", tokens[at].lexeme),
-                line: tokens[at].line,
-                col: tokens[at].col,
-            });
+        let mut stack = Vec::with_capacity(64);
+        stack.push(Item::N(self.start));
+        let mut children: Vec<NodeId> = Vec::with_capacity(64);
+        let mut kept: Vec<usize> = Vec::new();
+        let mut at = 0;
+        let mut look = self.terminal(tokens, at);
+        while let Some(item) = stack.pop() {
+            match item {
+                Item::T { terminal, token } => {
+                    if terminal != look {
+                        let what = format!(
+                            "expected `{}`, found {}",
+                            self.terminals[terminal],
+                            lexeme(tokens, at)
+                        );
+                        return Err(drive_error(tokens, at, what));
+                    }
+                    if token {
+                        kept.push(at);
+                    }
+                    at += 1;
+                    look = self.terminal(tokens, at);
+                }
+                Item::N(nt) => {
+                    let Some(r) = self.table[nt * self.width + look] else {
+                        let what = format!(
+                            "unexpected {} while parsing {}",
+                            lexeme(tokens, at),
+                            self.nonterminals[nt]
+                        );
+                        return Err(drive_error(tokens, at, what));
+                    };
+                    let (begin, end) = self.spans[r];
+                    stack.extend_from_slice(&self.code[begin..end]);
+                }
+                Item::Build { op, token } => {
+                    let base = children.len() - self.operators[op].1;
+                    let token = match token {
+                        true => kept.pop().map(|i| lexeme_value(&tokens[i].lexeme)),
+                        false => None,
+                    };
+                    let node = tb
+                        .node_with_token(prods[op], &children[base..], token)
+                        .map_err(|e| drive_error(tokens, at, e.to_string()))?;
+                    children.truncate(base);
+                    children.push(node);
+                }
+            }
         }
-        tb.finish_root(root).map_err(|e| DriveError {
-            message: e.to_string(),
-            line: 1,
-            col: 1,
-        })
+        if look != self.eof {
+            let what = format!("unexpected {} after the program", lexeme(tokens, at));
+            return Err(drive_error(tokens, at, what));
+        }
+        tb.finish_root(children[0])
+            .map_err(|e| drive_error(tokens, at, e.to_string()))
     }
 
-    #[allow(clippy::only_used_in_recursion)]
-    fn parse_nt(
-        &self,
-        grammar: &Grammar,
-        tb: &mut TreeBuilder,
-        nt: usize,
-        tokens: &[Scanned],
-        at: &mut usize,
-    ) -> Result<NodeId, DriveError> {
-        let look = tokens[*at].lexeme.terminal();
-        let Some(&ri) = self.table.get(&(nt, look.to_string())) else {
-            let name = self
-                .nts
-                .iter()
-                .find(|(_, &i)| i == nt)
-                .map(|(n, _)| n.as_str())
-                .unwrap_or("?");
-            return Err(DriveError {
-                message: format!("unexpected {} while parsing {name}", tokens[*at].lexeme),
-                line: tokens[*at].line,
-                col: tokens[*at].col,
-            });
+    /// Resolves each operator in `grammar`, checking its arity.
+    fn bind(&self, grammar: &Grammar) -> Result<Vec<ProductionId>, CfgError> {
+        let bind = |(name, found): &(String, usize)| {
+            let p = grammar.production_by_name(name);
+            let p = p.ok_or_else(|| CfgError::UnknownOperator(name.clone()))?;
+            match grammar.production(p).arity() {
+                expected if expected != *found => Err(CfgError::ArityMismatch {
+                    operator: name.clone(),
+                    expected,
+                    found: *found,
+                }),
+                _ => Ok(p),
+            }
         };
-        let rule = &self.cfg.rules[ri];
-        let mut children: Vec<NodeId> = Vec::new();
-        let mut terminals: Vec<Lexeme> = Vec::new();
-        for s in &rule.rhs {
-            match s {
-                Sym::T(t) => {
-                    let tok = &tokens[*at];
-                    if tok.lexeme.terminal() != t.as_str() {
-                        return Err(DriveError {
-                            message: format!("expected `{t}`, found {}", tok.lexeme),
-                            line: tok.line,
-                            col: tok.col,
-                        });
-                    }
-                    terminals.push(tok.lexeme.clone());
-                    *at += 1;
-                }
-                Sym::N(x) => {
-                    let c = self.parse_nt(grammar, tb, self.nts[x], tokens, at)?;
-                    children.push(c);
-                }
-            }
-        }
-        match (&rule.action, self.productions[ri]) {
-            (Action::Forward, _) => Ok(children[0]),
-            (Action::Node { token_from, .. }, Some(p)) => {
-                let token = token_from.map(|i| lexeme_value(&terminals[i]));
-                let here = (*at).min(tokens.len() - 1);
-                tb.node_with_token(p, &children, token)
-                    .map_err(|e| DriveError {
-                        message: e.to_string(),
-                        line: tokens[here].line,
-                        col: tokens[here].col,
-                    })
-            }
-            (Action::Node { .. }, None) => unreachable!("validated at construction"),
+        self.operators.iter().map(bind).collect()
+    }
+
+    /// The number of the terminal at `at`; past the end, `EOF`'s.
+    fn terminal(&self, tokens: &[Scanned], at: usize) -> usize {
+        let name = tokens.get(at).map_or("EOF", |t| t.lexeme.terminal());
+        self.numbers.get(name).copied().unwrap_or(self.width - 1)
+    }
+}
+
+/// FNV-1a, which hashes a short terminal name several times faster than
+/// the standard hasher. Its keys are the grammar's terminal names, and a
+/// lookup is a spec literal or a class name, never an input identifier.
+#[derive(Default)]
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Adds FIRST(`seq`) to `into`; returns whether that added a terminal and
+/// whether `seq` derives ε.
+fn first_of_seq(
+    seq: &[Dense],
+    first: &[Vec<bool>],
+    nullable: &[bool],
+    into: &mut [bool],
+) -> (bool, bool) {
+    let mut grew = false;
+    for s in seq {
+        match *s {
+            Dense::T(t) => {
+                grew |= !into[t];
+                into[t] = true;
+                return (grew, false);
+            }
+            Dense::N(x) => {
+                grew |= add(into, &first[x]);
+                if !nullable[x] {
+                    return (grew, false);
+                }
+            }
+        }
+    }
+    (grew, true)
+}
+
+/// Adds the flags of `from` to `into`; returns whether any was new.
+fn add(into: &mut [bool], from: &[bool]) -> bool {
+    let mut grew = false;
+    for (i, &f) in into.iter_mut().zip(from) {
+        grew |= f && !*i;
+        *i |= f;
+    }
+    grew
+}
+
+/// The lexeme at `at`; past the end, `Eof`.
+fn lexeme(tokens: &[Scanned], at: usize) -> &Lexeme {
+    tokens.get(at).map_or(&Lexeme::Eof, |t| &t.lexeme)
+}
+
+/// An error at the token at `at`, or past the end, at the last token.
+fn drive_error(tokens: &[Scanned], at: usize, message: String) -> DriveError {
+    let (line, col) = tokens
+        .get(at)
+        .or(tokens.last())
+        .map_or((1, 1), |t| (t.line, t.col));
+    DriveError { message, line, col }
 }
 
 /// Converts a lexeme to the token [`Value`] attached to tree nodes.
@@ -505,66 +672,36 @@ mod tests {
         g.finish().unwrap()
     }
 
+    fn node(operator: &str, token_from: Option<usize>) -> Action {
+        Action::Node {
+            operator: operator.into(),
+            token_from,
+        }
+    }
+
     /// Concrete grammar:
     ///   E  -> T E'
-    ///   E' -> + T E' | ε      (left-assoc folded right here; fine for tests)
+    ///   E' -> + T E' | ε      (the AG folds the sum through `acc`)
     ///   T  -> INT | ( E )
     fn expr_cfg() -> Cfg {
-        Cfg {
-            start: "E".into(),
-            rules: vec![
-                CfgRule {
-                    lhs: "E".into(),
-                    rhs: vec![n("T"), n("E'")],
-                    action: Action::Node {
-                        operator: "fold".into(),
-                        token_from: None,
-                    },
-                },
-                CfgRule {
-                    lhs: "E'".into(),
-                    rhs: vec![t("+"), n("T"), n("E'")],
-                    action: Action::Node {
-                        operator: "fold".into(),
-                        token_from: None,
-                    },
-                },
-                CfgRule {
-                    lhs: "E'".into(),
-                    rhs: vec![],
-                    action: Action::Node {
-                        operator: "nil".into(),
-                        token_from: None,
-                    },
-                },
-                CfgRule {
-                    lhs: "T".into(),
-                    rhs: vec![t("INT")],
-                    action: Action::Node {
-                        operator: "lit".into(),
-                        token_from: Some(0),
-                    },
-                },
-                CfgRule {
-                    lhs: "T".into(),
-                    rhs: vec![t("("), n("E"), t(")")],
-                    action: Action::Forward,
-                },
-            ],
-        }
+        Cfg::from_rules([
+            ("E", "T E'", node("fold", None)),
+            ("E'", "+ T E'", node("fold2", None)),
+            ("E'", "", node("nil", None)),
+            ("T", "INT", node("lit", Some(0))),
+            ("T", "( E )", Action::Forward),
+        ])
+    }
+
+    /// The scanner spec of the expression tests.
+    fn spec() -> ScannerSpec {
+        ScannerSpec::new::<&str, &str>(&[], &["+", "(", ")"])
     }
 
     #[test]
     fn ll1_sets_are_correct() {
-        // The E-level "fold" has children (T:E, E':R) — but E' derives
-        // fold(+TE')|nil at the R level. Adjust the cfg: E' rules build
-        // R-phylum nodes. The first cfg rule's "fold" takes (E, R).
-        let mut cfg = expr_cfg();
-        // E' -> + T E' builds R ::= fold2(E, R).
-        cfg.rules[1].action = Action::Node {
-            operator: "fold2".into(),
-            token_from: None,
-        };
+        // E ::= fold(E, R) hands the left operand to R's `acc`; R ::=
+        // fold2(E, R) | nil adds up the rest.
         let mut g = GrammarBuilder::new("fold");
         let e = g.phylum("E");
         let v = g.syn(e, "v");
@@ -589,7 +726,7 @@ mod tests {
         g.copy(lit, Occ::lhs(v), fnc2_ag::Arg::Token);
         let g = g.finish().unwrap();
 
-        let p = Ll1Parser::new(cfg, &g).unwrap();
+        let p = Ll1Parser::new(expr_cfg()).unwrap();
         assert_eq!(p.is_nullable("E'"), Some(true));
         assert_eq!(p.is_nullable("T"), Some(false));
         assert!(p.first_of("T").unwrap().contains("INT"));
@@ -598,9 +735,8 @@ mod tests {
         assert!(p.follow_of("E'").unwrap().contains("EOF"));
         assert!(p.follow_of("E").unwrap().contains(")"));
 
-        // Parse and evaluate 1 + 2 + 3 (+ (4)).
-        let spec = ScannerSpec::new::<&str, &str>(&[], &["+", "(", ")"]);
-        let toks = scan(&spec, "1 + 2 + (3 + 4)").unwrap();
+        // Parse and evaluate 1 + 2 + (3 + 4).
+        let toks = scan(&spec(), "1 + 2 + (3 + 4)").unwrap();
         let tree = p.parse(&g, &toks).unwrap();
         assert!(tree.size() >= 7);
         let dynev = fnc2_visit::DynamicEvaluator::new(&g);
@@ -610,73 +746,99 @@ mod tests {
         assert_eq!(vals.get(&g, tree.root(), v), Some(&Value::Int(10)));
     }
 
+    /// E -> T Es; Es -> + T Es (folding `add`) | ε; T -> INT | ( E ).
+    fn fold_cfg() -> Cfg {
+        let add = Action::Fold {
+            operator: "add".into(),
+            token_from: None,
+        };
+        Cfg::from_rules([
+            ("E", "T Es", Action::Forward),
+            ("Es", "+ T Es", add),
+            ("Es", "", Action::Forward),
+            ("T", "INT", node("lit", Some(0))),
+            ("T", "( E )", Action::Forward),
+        ])
+    }
+
+    #[test]
+    fn folds_build_left_associated_trees() {
+        let g = expr_grammar();
+        let p = Ll1Parser::new(fold_cfg()).unwrap();
+        let toks = scan(&spec(), "1 + 2 + (3 + 4)").unwrap();
+        let tree = p.parse(&g, &toks).unwrap();
+        // add(add(1, 2), add(3, 4)), each node built after its children.
+        let shape: Vec<String> = (0..tree.size())
+            .map(|i| {
+                let node = tree.node(NodeId::from_raw(i as u32));
+                let kids: Vec<usize> = node.children().iter().map(|c| c.index()).collect();
+                match node.token() {
+                    Some(v) => format!("{v}"),
+                    None => format!("{kids:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(shape, ["1", "2", "[0, 1]", "3", "4", "[3, 4]", "[2, 5]"]);
+        assert_eq!(tree.root().index(), 6);
+    }
+
     #[test]
     fn conflicts_are_reported() {
-        let g = expr_grammar();
-        let cfg = Cfg {
-            start: "E".into(),
-            rules: vec![
-                CfgRule {
-                    lhs: "E".into(),
-                    rhs: vec![t("INT")],
-                    action: Action::Node {
-                        operator: "lit".into(),
-                        token_from: Some(0),
-                    },
-                },
-                CfgRule {
-                    lhs: "E".into(),
-                    rhs: vec![t("INT"), t("+")],
-                    action: Action::Node {
-                        operator: "lit".into(),
-                        token_from: Some(0),
-                    },
-                },
-            ],
-        };
-        let e = Ll1Parser::new(cfg, &g).unwrap_err();
-        assert!(matches!(e, CfgError::Ll1Conflict { .. }), "{e}");
+        let cfg = Cfg::from_rules([
+            ("E", "INT", node("lit", Some(0))),
+            ("E", "INT +", node("lit", Some(0))),
+        ]);
+        let e = Ll1Parser::new(cfg).unwrap_err();
+        assert_eq!(
+            e,
+            CfgError::Ll1Conflict {
+                nonterminal: "E".into(),
+                terminal: "INT".into()
+            }
+        );
+    }
+
+    #[test]
+    fn tails_must_end_their_rules() {
+        let mut cfg = fold_cfg();
+        cfg.rules[0].rhs.reverse();
+        assert_eq!(
+            Ll1Parser::new(cfg).unwrap_err(),
+            CfgError::BadTail("Es".into())
+        );
+        let mut cfg = fold_cfg();
+        cfg.start = "Es".into();
+        assert_eq!(
+            Ll1Parser::new(cfg).unwrap_err(),
+            CfgError::BadTail("Es".into())
+        );
     }
 
     #[test]
     fn arity_validated_against_abstract_grammar() {
         let g = expr_grammar();
-        let cfg = Cfg {
-            start: "E".into(),
-            rules: vec![CfgRule {
-                lhs: "E".into(),
-                rhs: vec![t("INT")],
-                action: Action::Node {
-                    operator: "add".into(), // needs 2 children
-                    token_from: None,
-                },
-            }],
-        };
-        assert!(matches!(
-            Ll1Parser::new(cfg, &g),
-            Err(CfgError::ArityMismatch {
+        // `add` needs 2 children.
+        let p = Ll1Parser::new(Cfg::from_rules([("E", "INT", node("add", None))])).unwrap();
+        let toks = scan(&spec(), "1").unwrap();
+        let e = p.parse(&g, &toks).unwrap_err();
+        assert_eq!(
+            e.message,
+            CfgError::ArityMismatch {
+                operator: "add".into(),
                 expected: 2,
-                found: 0,
-                ..
-            })
-        ));
+                found: 0
+            }
+            .to_string()
+        );
+        let p = Ll1Parser::new(Cfg::from_rules([("E", "INT", node("mul", None))])).unwrap();
+        let e = p.parse(&g, &toks).unwrap_err();
+        assert!(e.message.contains("`mul`"), "{e}");
     }
 
     #[test]
     fn syntax_errors_carry_positions() {
         let g = expr_grammar();
-        let cfg = Cfg {
-            start: "E".into(),
-            rules: vec![CfgRule {
-                lhs: "E".into(),
-                rhs: vec![t("INT")],
-                action: Action::Node {
-                    operator: "lit".into(),
-                    token_from: Some(0),
-                },
-            }],
-        };
-        let p = Ll1Parser::new(cfg, &g).unwrap();
+        let p = Ll1Parser::new(Cfg::from_rules([("E", "INT", node("lit", Some(0)))])).unwrap();
         let spec = ScannerSpec::new::<&str, &str>(&[], &["+"]);
         let toks = scan(&spec, "\n +").unwrap();
         let e = p.parse(&g, &toks).unwrap_err();
@@ -685,5 +847,24 @@ mod tests {
         let toks = scan(&spec, "1 1").unwrap();
         let e = p.parse(&g, &toks).unwrap_err();
         assert!(e.message.contains("after the program"), "{e}");
+    }
+
+    #[test]
+    fn the_end_of_the_slice_reads_as_eof() {
+        let g = expr_grammar();
+        let p = Ll1Parser::new(fold_cfg()).unwrap();
+        let e = p.parse(&g, &[]).unwrap_err();
+        assert_eq!((e.line, e.col), (1, 1));
+        assert!(e.message.contains("end of input"), "{e}");
+        // Without `scan`'s `Eof`: a whole sum parses, a cut one fails at
+        // its last token.
+        let mut toks = scan(&spec(), "1 + 2").unwrap();
+        toks.pop();
+        assert_eq!(p.parse(&g, &toks).unwrap().size(), 3);
+        let mut toks = scan(&spec(), "1 + (2").unwrap();
+        toks.pop();
+        let e = p.parse(&g, &toks).unwrap_err();
+        assert_eq!((e.line, e.col), (1, 6), "{e}");
+        assert!(e.message.contains("end of input"), "{e}");
     }
 }

@@ -320,8 +320,11 @@ fn a_chain_declared_against_every_flow_reaches_each_fixpoint() {
         start: "R".into(),
         rules,
     };
-    let parser = Ll1Parser::new(cfg, &g).unwrap();
+    let parser = Ll1Parser::new(cfg).unwrap();
     assert!(parser.first_of("R").unwrap().contains("x"));
+    let spec = fnc2::syntax::ScannerSpec::new(&["x"], &[] as &[&str]);
+    let tokens = fnc2::syntax::scan(&spec, "x").unwrap();
+    assert_eq!(parser.parse(&g, &tokens).unwrap().size(), DEPTH + 1);
 }
 
 #[test]
