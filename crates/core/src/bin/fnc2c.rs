@@ -874,12 +874,41 @@ fn run_lint(path: &str, opts: &Opts) -> Result<ExitCode, CliError> {
 
 /// The `fuzz` subcommand: runs the differential oracle with the given
 /// seed and budgets, prints the counter summary, and on failure prints
-/// the (shrunk) reproducer to stderr and exits nonzero.
+/// the (shrunk) reproducer to stderr and exits nonzero. A failure's
+/// reproducer and exit code come first, so a failed stdout write cannot
+/// hide them.
 fn run_fuzz(opts: &Opts) -> Result<ExitCode, CliError> {
     let cfg = &opts.fuzz;
     let mut obs = Obs::new();
     let report = fnc2::fuzz::run(cfg, &mut obs);
-    emit(format_args!(
+    let failure = report.failure.as_ref().map(|failure| match failure {
+        fnc2::fuzz::FuzzFailure::Divergence(d) => {
+            eprintln!("fuzz: DIVERGENCE at stage `{}`", d.stage);
+            eprint!("{}", fnc2::fuzz::render_reproducer(d));
+            EXIT_DIAGNOSTICS
+        }
+        fnc2::fuzz::FuzzFailure::FrontPanic(f) => {
+            eprintln!(
+                "fuzz: FRONT-END PANIC on case {} (base {}, mutations: {}): {}",
+                f.case, f.base, f.mutations, f.panic
+            );
+            eprintln!("-- mutated source --\n{}", f.source);
+            EXIT_DIAGNOSTICS
+        }
+        fnc2::fuzz::FuzzFailure::Fault(f) => {
+            eprintln!("fuzz: FAULT-ISOLATION VIOLATION: {f}");
+            EXIT_BUDGET
+        }
+        fnc2::fuzz::FuzzFailure::Crash(f) => {
+            eprintln!("fuzz: CRASH-CONSISTENCY VIOLATION: {f}");
+            EXIT_BUDGET
+        }
+        fnc2::fuzz::FuzzFailure::Lint(f) => {
+            eprintln!("fuzz: LINT-SOUNDNESS VIOLATION: {f}");
+            EXIT_DIAGNOSTICS
+        }
+    });
+    let summary = emit(format_args!(
         "fuzz: seed {}: {} grammar cases ({} tree nodes, {} edits), \
          {} front-end cases ({} accepted, {} rejected, digest {:016x}), \
          {} fault cases ({} faults injected, {} panics caught), \
@@ -904,41 +933,23 @@ fn run_fuzz(opts: &Opts) -> Result<ExitCode, CliError> {
         report.lint_dead_checked,
         report.lint_flips,
         report.lint_witnesses
-    ))?;
-    Ok(match report.failure {
+    ));
+    match failure {
+        Some(code) => {
+            if let Err((msg, _)) = summary {
+                eprintln!("{msg}");
+            }
+            Ok(ExitCode::from(code))
+        }
         None => {
+            summary?;
             emit(format_args!(
                 "fuzz: no divergence, no panic, no fault escape, no crash inconsistency, \
                  no unsound lint\n"
             ))?;
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(fnc2::fuzz::FuzzFailure::Divergence(d)) => {
-            eprintln!("fuzz: DIVERGENCE at stage `{}`", d.stage);
-            eprint!("{}", fnc2::fuzz::render_reproducer(&d));
-            ExitCode::from(EXIT_DIAGNOSTICS)
-        }
-        Some(fnc2::fuzz::FuzzFailure::FrontPanic(f)) => {
-            eprintln!(
-                "fuzz: FRONT-END PANIC on case {} (base {}, mutations: {}): {}",
-                f.case, f.base, f.mutations, f.panic
-            );
-            eprintln!("-- mutated source --\n{}", f.source);
-            ExitCode::from(EXIT_DIAGNOSTICS)
-        }
-        Some(fnc2::fuzz::FuzzFailure::Fault(f)) => {
-            eprintln!("fuzz: FAULT-ISOLATION VIOLATION: {f}");
-            ExitCode::from(EXIT_BUDGET)
-        }
-        Some(fnc2::fuzz::FuzzFailure::Crash(f)) => {
-            eprintln!("fuzz: CRASH-CONSISTENCY VIOLATION: {f}");
-            ExitCode::from(EXIT_BUDGET)
-        }
-        Some(fnc2::fuzz::FuzzFailure::Lint(f)) => {
-            eprintln!("fuzz: LINT-SOUNDNESS VIOLATION: {f}");
-            ExitCode::from(EXIT_DIAGNOSTICS)
-        }
-    })
+    }
 }
 
 /// FNV-1a over everything that determines a batch's work-list and

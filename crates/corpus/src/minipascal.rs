@@ -232,10 +232,7 @@ pub fn minipascal_syntax() -> Cfg {
         operator: op.into(),
         token_from,
     };
-    let fold = |op: &str| Action::Fold {
-        operator: op.into(),
-        token_from: None,
-    };
+    let fold = |op: &str| Action::Fold(op.into());
     Cfg::from_rules([
         (
             "Program",
@@ -320,6 +317,7 @@ pub fn sample_program(stmt_blocks: usize) -> String {
 #[cfg(test)]
 mod tests {
     use fnc2_analysis::{classify, AgClass, Inclusion};
+    use fnc2_syntax::Sym;
     use fnc2_visit::{build_visit_seqs, Evaluator, RootInputs};
 
     use super::*;
@@ -417,29 +415,89 @@ mod tests {
         assert!(labs.values().all(|&c| c == 1), "{labs:?}");
     }
 
+    /// A right-hand side's symbol that heads no rule reads as a terminal,
+    /// so a misspelt nonterminal would still make an LL(1) parser. Every
+    /// terminal must be a keyword or operator of the scanner, or a lexeme
+    /// class.
+    #[test]
+    fn the_syntax_uses_only_terminals_the_scanner_produces() {
+        let spec = minipascal_scanner();
+        let known: std::collections::HashSet<&str> = (spec.keywords.iter())
+            .chain(&spec.operators)
+            .map(|k| &**k)
+            .chain(["IDENT", "INT", "REAL", "STRING", "EOF"])
+            .collect();
+        for rule in minipascal_syntax().rules {
+            for sym in &rule.rhs {
+                if let Sym::T(t) = sym {
+                    assert!(known.contains(t.as_str()), "`{t}` in {}", rule.lhs);
+                }
+            }
+        }
+    }
+
     /// The positions were pinned with the hand-written recursive-descent
-    /// parser this repository had before its LL(1) driver took over.
+    /// parser this repository had before its LL(1) driver took over. The
+    /// messages name the terminal or the nonterminal the driver expected.
     #[test]
     fn syntax_errors_have_positions() {
         let (g, _) = minipascal();
         let cases = [
-            ("program p;\nbegin\n  a := ;\nend.\n", "3:8"),
-            ("program p;\nbegin\n  f := a < b < c\nend.\n", "3:14"),
-            ("program p;\nbegin\n  a := 1\n", "4:1"),
-            ("program p;\nbegin\n  while f do a := 1\nend.\n", "4:4"),
-            ("program p;\nbegin\nend.\nx\n", "4:1"),
-            ("program p;\nvar x : real;\nbegin\nend.\n", "2:9"),
-            ("program p;\nbegin\n  a := (1 + 2;\nend.\n", "3:14"),
-            ("", "1:1"),
-            ("program p;\nbegin\n  a := 1;;\nend.\n", "3:10"),
-            ("program p;\nbegin\n  if f then a := 1 end\nend.\n", "3:20"),
-            ("program p;\nvar x;\nbegin\nend.\n", "2:6"),
-            ("program p;\nbegin\n  write\nend.\n", "4:1"),
-            ("program p;\nbegin\n  a := 1.5\nend.\n", "3:8"),
+            (
+                "program p;\nbegin\n  a := ;\nend.\n",
+                "3:8: syntax error: expected Expr, found `;`",
+            ),
+            (
+                "program p;\nbegin\n  f := a < b < c\nend.\n",
+                "3:14: syntax error: expected `end`, found `<`",
+            ),
+            (
+                "program p;\nbegin\n  a := 1\n",
+                "4:1: syntax error: expected `end`, found end of input",
+            ),
+            (
+                "program p;\nbegin\n  while f do a := 1\nend.\n",
+                "4:4: syntax error: expected `end`, found `.`",
+            ),
+            (
+                "program p;\nbegin\nend.\nx\n",
+                "4:1: syntax error: unexpected identifier `x` after the program",
+            ),
+            (
+                "program p;\nvar x : real;\nbegin\nend.\n",
+                "2:9: syntax error: expected Type, found identifier `real`",
+            ),
+            (
+                "program p;\nbegin\n  a := (1 + 2;\nend.\n",
+                "3:14: syntax error: expected `)`, found `;`",
+            ),
+            (
+                "",
+                "1:1: syntax error: expected Program, found end of input",
+            ),
+            (
+                "program p;\nbegin\n  a := 1;;\nend.\n",
+                "3:10: syntax error: expected `end`, found `;`",
+            ),
+            (
+                "program p;\nbegin\n  if f then a := 1 end\nend.\n",
+                "3:20: syntax error: expected `else`, found `end`",
+            ),
+            (
+                "program p;\nvar x;\nbegin\nend.\n",
+                "2:6: syntax error: expected `:`, found `;`",
+            ),
+            (
+                "program p;\nbegin\n  write\nend.\n",
+                "4:1: syntax error: expected Expr, found `end`",
+            ),
+            (
+                "program p;\nbegin\n  a := 1.5\nend.\n",
+                "3:8: syntax error: expected Expr, found real `1.5`",
+            ),
         ];
-        for (src, at) in cases {
-            let err = parse_minipascal(&g, src).unwrap_err();
-            assert!(err.starts_with(&format!("{at}: ")), "{src:?}: {err}");
+        for (src, message) in cases {
+            assert_eq!(parse_minipascal(&g, src).unwrap_err(), message, "{src:?}");
         }
     }
 }

@@ -57,14 +57,10 @@ pub enum Action {
     /// Forward the single RHS nonterminal's tree (brackets, chaining), or
     /// in a tail's rule without one, the tree the tail inherited.
     Forward,
-    /// Fold left: a rule of a tail, building `operator(left, children…)`
-    /// from the inherited tree and the RHS nonterminals' trees.
-    Fold {
-        /// Abstract operator (production) name.
-        operator: String,
-        /// Index into the rule's terminals for the token, if any.
-        token_from: Option<usize>,
-    },
+    /// Fold left: a rule of a tail, building the named operator's node
+    /// `operator(left, children…)` from the inherited tree and the RHS
+    /// nonterminals' trees.
+    Fold(String),
 }
 
 /// One concrete rule.
@@ -298,7 +294,7 @@ impl Ll1Parser {
         let lhs_of: Vec<usize> = cfg.rules.iter().map(|r| number[r.lhs.as_str()]).collect();
         let mut tail = vec![false; nonterminals.len()];
         for (r, rule) in cfg.rules.iter().enumerate() {
-            tail[lhs_of[r]] |= matches!(rule.action, Action::Fold { .. });
+            tail[lhs_of[r]] |= matches!(rule.action, Action::Fold(_));
         }
         if tail[start] {
             return Err(CfgError::BadTail(cfg.start.clone()));
@@ -324,10 +320,7 @@ impl Ll1Parser {
                     operator: o,
                     token_from: i,
                 } => (Some(o), *i),
-                Action::Fold {
-                    operator: o,
-                    token_from: i,
-                } => (Some(o), *i),
+                Action::Fold(o) => (Some(o), None),
             };
             let bad: Option<fn(String) -> CfgError> = if operator.is_none() && children != 1 {
                 Some(CfgError::BadForward)
@@ -422,6 +415,19 @@ impl Ll1Parser {
                 }
             }
         }
+        // On any other lookahead, a nullable nonterminal expands the rule
+        // it expands on what follows it, which derives ε. That consumes no
+        // token, so a syntax error shows at the same token, but at the
+        // next terminal or non-nullable nonterminal ("expected `end`"),
+        // not at a tail's missing entry.
+        for a in (0..n).filter(|&a| nullable[a]) {
+            let row = &mut table[a * width..][..width];
+            if let Some(r) = (0..w).find(|&t| follow[a][t]).and_then(|t| row[t]) {
+                for e in row {
+                    *e = e.or(Some(r));
+                }
+            }
+        }
 
         Ok(Ll1Parser {
             nonterminals,
@@ -501,9 +507,9 @@ impl Ll1Parser {
                 Item::N(nt) => {
                     let Some(r) = self.table[nt * self.width + look] else {
                         let what = format!(
-                            "unexpected {} while parsing {}",
-                            lexeme(tokens, at),
-                            self.nonterminals[nt]
+                            "expected {}, found {}",
+                            self.nonterminals[nt],
+                            lexeme(tokens, at)
                         );
                         return Err(drive_error(tokens, at, what));
                     };
@@ -748,13 +754,9 @@ mod tests {
 
     /// E -> T Es; Es -> + T Es (folding `add`) | ε; T -> INT | ( E ).
     fn fold_cfg() -> Cfg {
-        let add = Action::Fold {
-            operator: "add".into(),
-            token_from: None,
-        };
         Cfg::from_rules([
             ("E", "T Es", Action::Forward),
-            ("Es", "+ T Es", add),
+            ("Es", "+ T Es", Action::Fold("add".into())),
             ("Es", "", Action::Forward),
             ("T", "INT", node("lit", Some(0))),
             ("T", "( E )", Action::Forward),
@@ -847,6 +849,15 @@ mod tests {
         let toks = scan(&spec, "1 1").unwrap();
         let e = p.parse(&g, &toks).unwrap_err();
         assert!(e.message.contains("after the program"), "{e}");
+        // A tail derives ε on a lookahead it has no rule for, so the error
+        // names the terminal expected next, not the tail.
+        let p = Ll1Parser::new(fold_cfg()).unwrap();
+        let toks = scan(&self::spec(), "(1 1").unwrap();
+        let e = p.parse(&g, &toks).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "1:4: syntax error: expected `)`, found integer `1`"
+        );
     }
 
     #[test]
