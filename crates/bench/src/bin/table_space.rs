@@ -29,8 +29,8 @@ const ROUNDS: usize = 31;
 /// on the smallest trees still outlasts the clock's own noise.
 fn plan_speedup(c: &Compiled, tree: &Tree) -> Leg {
     let trivial = Evaluator::new(&c.grammar, &c.seqs);
-    let (fp, plan) = (c.flat.as_ref().unwrap(), c.space_plan.as_ref().unwrap());
-    let planned = plan_evaluator(&c.grammar, &c.seqs, fp, plan);
+    let space = c.space.as_ref().unwrap();
+    let planned = plan_evaluator(&c.grammar, &c.seqs, &space.flat, &space.plan);
     let reps = (4000 / tree.size()).max(1);
     let run = |ev: &Evaluator| {
         for _ in 0..reps {

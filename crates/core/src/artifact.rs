@@ -26,7 +26,7 @@ pub use fnc2_tables::store::{GcReport, TableStore};
 pub use fnc2_tables::{ArtifactError, Tables, TablesConfig};
 use fnc2_vfs::{RealVfs, Vfs};
 
-use crate::{olga_front_end_recorded, Compiled, Pipeline, PipelineError, Report};
+use crate::{olga_front_end_recorded, Compiled, Pipeline, PipelineError, Report, Space};
 
 impl Pipeline {
     /// The artifact-facing view of this configuration (the knobs that
@@ -69,9 +69,9 @@ impl std::error::Error for TablesError {}
 /// dropped stores the plan the cascade builds for it.
 pub fn emit_tables(compiled: &Compiled, pipeline: &Pipeline, source: &str) -> Vec<u8> {
     let rebuilt;
-    let (lifetimes, plan) = match (&compiled.lifetimes, &compiled.space_plan) {
-        (Some(lt), Some(plan)) => (lt, plan),
-        _ => {
+    let (lifetimes, plan) = match &compiled.space {
+        Some(space) => (&space.lifetimes, &space.plan),
+        None => {
             rebuilt = analyze_space(&compiled.grammar, &compiled.seqs);
             (&rebuilt.2, &rebuilt.3)
         }
@@ -107,9 +107,10 @@ pub fn load_tables(
 /// checksum, configuration and fingerprint, re-runs the OLGA front end on
 /// `source` to rebuild the grammar (with its semantic closures), verifies
 /// the artifact against it ([`Tables::verify_against`]: the grammar-shape
-/// and compiled-program sections, then every partition, sequence and
-/// access table), and assembles a [`Compiled`] from the deserialized
-/// cascade results and the flattened program derived from them.
+/// section, then every partition, sequence and access table), and
+/// assembles a [`Compiled`] from the deserialized cascade results and the
+/// flattened program derived from them. Nothing is slot-compiled: the
+/// evaluator compiles the rules when it first runs.
 ///
 /// The whole load runs inside a `tables.load` phase span, with the
 /// nested `olga.*` front-end spans inside it.
@@ -183,13 +184,16 @@ fn load_inner(
     Ok(Compiled {
         grammar,
         seqs,
-        flat: Some(flat),
-        lifetimes: Some(lifetimes),
-        space_plan: Some(space_plan),
+        space: Some(Space {
+            flat,
+            lifetimes,
+            plan: space_plan,
+        }),
         lint,
         report,
         intern: false,
         lowered: OnceLock::new(),
+        planned: OnceLock::new(),
     })
 }
 
@@ -337,7 +341,8 @@ mod tests {
             let loaded = load_tables(&bytes, source, &pipeline).unwrap();
             assert_eq!(report_key(&loaded), report_key(&fresh));
             // The flattened program the load derives is the cascade's.
-            assert_eq!(format!("{:?}", loaded.flat), format!("{:?}", fresh.flat));
+            let flat = |c: &Compiled| format!("{:?}", c.space.as_ref().map(|s| &s.flat));
+            assert_eq!(flat(&loaded), flat(&fresh));
         }
         let bytes = emit(COUNT, &pipeline);
         let loaded = load_tables(&bytes, COUNT, &pipeline).unwrap();

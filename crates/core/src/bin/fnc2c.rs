@@ -61,7 +61,7 @@
 //! | 0    | success |
 //! | 1    | diagnostics: bad usage, front-end/class errors, fuzz findings |
 //! | 2    | a budget was exceeded, an injected fault surfaced, a storage fault was classified, or writing standard output failed |
-//! | 101  | never — panics and I/O errors are caught and classified, not propagated |
+//! | 101  | never — panics and I/O errors are caught and classified, not propagated; a failed write to standard error is dropped and the code stands |
 //!
 //! With flags but no command, `report` is assumed, so
 //! `fnc2c --report json grammar.olga` emits the single-document JSON
@@ -492,7 +492,7 @@ fn main() -> ExitCode {
         .map_err(diag)
         .and_then(|(cmd, args, opts)| run_command(cmd, &args, &opts));
     r.unwrap_or_else(|(msg, code)| {
-        eprintln!("{msg}");
+        to_stderr(format_args!("{msg}\n"));
         ExitCode::from(code)
     })
 }
@@ -525,6 +525,13 @@ fn emit(text: std::fmt::Arguments) -> Result<(), CliError> {
             EXIT_BUDGET,
         )
     })
+}
+
+/// Writes to standard error. A failed write (a full disk, a closed
+/// descriptor) is dropped: standard error is the last channel left, and
+/// the exit code still says how the command ended.
+fn to_stderr(text: std::fmt::Arguments) {
+    let _ = std::io::stderr().lock().write_fmt(text);
 }
 
 /// A diagnostic message plus the exit code it maps to.
@@ -702,7 +709,9 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
 /// failure is a diagnostic, a budget trip maps to the budget/fault code.
 fn smoke(compiled: &mut Compiled, opts: &Opts, runs: usize, obs: &mut Obs) -> Result<(), CliError> {
     if let Some(reason) = compiled.degrade_to_exhaustive_recorded(&opts.budget, obs) {
-        eprintln!("fnc2c: warning: degrading to exhaustive evaluator: {reason}");
+        to_stderr(format_args!(
+            "fnc2c: warning: degrading to exhaustive evaluator: {reason}\n"
+        ));
     }
     for _ in 0..runs {
         match compiled.smoke_evaluate(&opts.budget, obs) {
@@ -817,10 +826,10 @@ fn explain_source(target: &str, path: &str, opts: &Opts) -> Result<String, CliEr
 
     let buf = trace_obs.events.as_ref().expect("trace enabled above");
     if let Some((from, to)) = buf.dropped_span() {
-        eprintln!(
+        to_stderr(format_args!(
             "fnc2c: warning: the trace ring wrapped (events {from}..{to} discarded); \
-             the slice may bottom out early — rerun with --trace=N larger than {capacity}"
-        );
+             the slice may bottom out early — rerun with --trace=N larger than {capacity}\n"
+        ));
     }
     let node = fnc2::ag::NodeId::from_raw(node_ix as u32);
     let slice = fnc2::visit::dependency_slice(g, &tree, buf.iter(), node, attr);
@@ -864,7 +873,7 @@ fn run_lint(path: &str, opts: &Opts) -> Result<ExitCode, CliError> {
     let denied = report.errors() > 0 || (opts.deny_warnings && report.warnings() > 0);
     if denied {
         if report.errors() == 0 {
-            eprintln!("fnc2c: denying warnings (--deny warnings)");
+            to_stderr(format_args!("fnc2c: denying warnings (--deny warnings)\n"));
         }
         Ok(ExitCode::from(EXIT_DIAGNOSTICS))
     } else {
@@ -883,28 +892,28 @@ fn run_fuzz(opts: &Opts) -> Result<ExitCode, CliError> {
     let report = fnc2::fuzz::run(cfg, &mut obs);
     let failure = report.failure.as_ref().map(|failure| match failure {
         fnc2::fuzz::FuzzFailure::Divergence(d) => {
-            eprintln!("fuzz: DIVERGENCE at stage `{}`", d.stage);
-            eprint!("{}", fnc2::fuzz::render_reproducer(d));
+            to_stderr(format_args!("fuzz: DIVERGENCE at stage `{}`\n", d.stage));
+            to_stderr(format_args!("{}", fnc2::fuzz::render_reproducer(d)));
             EXIT_DIAGNOSTICS
         }
         fnc2::fuzz::FuzzFailure::FrontPanic(f) => {
-            eprintln!(
-                "fuzz: FRONT-END PANIC on case {} (base {}, mutations: {}): {}",
+            to_stderr(format_args!(
+                "fuzz: FRONT-END PANIC on case {} (base {}, mutations: {}): {}\n",
                 f.case, f.base, f.mutations, f.panic
-            );
-            eprintln!("-- mutated source --\n{}", f.source);
+            ));
+            to_stderr(format_args!("-- mutated source --\n{}\n", f.source));
             EXIT_DIAGNOSTICS
         }
         fnc2::fuzz::FuzzFailure::Fault(f) => {
-            eprintln!("fuzz: FAULT-ISOLATION VIOLATION: {f}");
+            to_stderr(format_args!("fuzz: FAULT-ISOLATION VIOLATION: {f}\n"));
             EXIT_BUDGET
         }
         fnc2::fuzz::FuzzFailure::Crash(f) => {
-            eprintln!("fuzz: CRASH-CONSISTENCY VIOLATION: {f}");
+            to_stderr(format_args!("fuzz: CRASH-CONSISTENCY VIOLATION: {f}\n"));
             EXIT_BUDGET
         }
         fnc2::fuzz::FuzzFailure::Lint(f) => {
-            eprintln!("fuzz: LINT-SOUNDNESS VIOLATION: {f}");
+            to_stderr(format_args!("fuzz: LINT-SOUNDNESS VIOLATION: {f}\n"));
             EXIT_DIAGNOSTICS
         }
     });
@@ -937,7 +946,7 @@ fn run_fuzz(opts: &Opts) -> Result<ExitCode, CliError> {
     match failure {
         Some(code) => {
             if let Err((msg, _)) = summary {
-                eprintln!("{msg}");
+                to_stderr(format_args!("{msg}\n"));
             }
             Ok(ExitCode::from(code))
         }
@@ -987,9 +996,11 @@ fn print_losses<'a>(gi: u64, outcomes: impl Iterator<Item = Option<&'a fnc2::par
     for (i, o) in outcomes.enumerate() {
         let Some(o) = o else { continue };
         if let Some(e) = o.error() {
-            eprintln!("fnc2c: batch grammar {gi} tree {i}: {e}");
+            to_stderr(format_args!("fnc2c: batch grammar {gi} tree {i}: {e}\n"));
         } else if let Some(m) = o.panic_message() {
-            eprintln!("fnc2c: batch grammar {gi} tree {i}: panicked: {m}");
+            to_stderr(format_args!(
+                "fnc2c: batch grammar {gi} tree {i}: panicked: {m}\n"
+            ));
         }
     }
 }
@@ -1175,7 +1186,7 @@ fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
         total_trees as f64 / total_secs.max(1e-9)
     ))?;
     if opts.metrics {
-        eprint!("{}", obs.render(&fnc2::obs::RawResolver));
+        to_stderr(format_args!("{}", obs.render(&fnc2::obs::RawResolver)));
     }
     if let Some(path) = &opts.chrome_trace {
         write_chrome_trace(path, &obs)?;
@@ -1191,7 +1202,7 @@ fn run_batch(opts: &Opts) -> Result<ExitCode, CliError> {
 /// is a generated artifact (C, visit sequences).
 fn emit_side_channel(opts: &Opts, obs: &Obs, grammar: &fnc2::ag::Grammar) {
     if opts.metrics || opts.trace.is_some() {
-        eprint!("{}", obs.render(&GrammarResolver(grammar)));
+        to_stderr(format_args!("{}", obs.render(&GrammarResolver(grammar))));
     }
 }
 
@@ -1226,7 +1237,9 @@ fn compile_via(source: &str, opts: &Opts, obs: &mut Obs) -> Result<Compiled, Cli
             Err(TablesError::Source(e)) => return Err(pipeline_diag(*e)),
             Err(TablesError::Rejected(e)) => {
                 obs.count(Key::TablesCacheRejected, 1);
-                eprintln!("fnc2c: warning: ignoring tables artifact {path}: {e}; recompiling");
+                to_stderr(format_args!(
+                    "fnc2c: warning: ignoring tables artifact {path}: {e}; recompiling\n"
+                ));
             }
         }
         compile(source, obs)
@@ -1235,7 +1248,9 @@ fn compile_via(source: &str, opts: &Opts, obs: &mut Obs) -> Result<Compiled, Cli
             artifact::compile_olga_cached(&Pipeline::new(), source, std::path::Path::new(dir), obs)
                 .map_err(pipeline_diag)?;
         if let CacheOutcome::Rejected(e) = outcome {
-            eprintln!("fnc2c: warning: rejected cached tables artifact: {e}; recompiled");
+            to_stderr(format_args!(
+                "fnc2c: warning: rejected cached tables artifact: {e}; recompiled\n"
+            ));
         }
         Ok(compiled)
     } else {

@@ -38,9 +38,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::borrow::Cow;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use fnc2_ag::{
@@ -186,14 +187,10 @@ pub struct Compiled {
     pub grammar: Grammar,
     /// The visit sequences.
     pub seqs: VisitSeqs,
-    /// The flattened program the space plan indexes (`None` once
+    /// The space optimizer's results (`None` once
     /// [`degrade_to_exhaustive_recorded`](Self::degrade_to_exhaustive_recorded)
-    /// dropped the plan, as for the two fields below).
-    pub flat: Option<FlatProgram>,
-    /// Lifetimes.
-    pub lifetimes: Option<Lifetimes>,
-    /// The storage plan.
-    pub space_plan: Option<SpacePlan>,
+    /// dropped the plan).
+    pub space: Option<Space>,
     /// The lint findings (grammar-level static analyses; see
     /// [`fnc2_lint`]). Loaded artifacts replay these from the cache.
     pub lint: fnc2_lint::LintReport,
@@ -206,6 +203,21 @@ pub struct Compiled {
     /// The rules and op streams that [`evaluate`](Self::evaluate) runs,
     /// built from `grammar` and `seqs` once, by the first evaluation.
     lowered: OnceLock<Lowered>,
+    /// The space plan's op streams that
+    /// [`evaluate_optimized`](Self::evaluate_optimized) runs, over
+    /// `lowered`'s rules, built once by the first optimized evaluation.
+    planned: OnceLock<Lowered>,
+}
+
+/// The space optimizer's results for one grammar (paper §2.2).
+#[derive(Debug)]
+pub struct Space {
+    /// The flattened program the plan's access tables index.
+    pub flat: FlatProgram,
+    /// The lifetimes the plan was made from.
+    pub lifetimes: Lifetimes,
+    /// The storage plan.
+    pub plan: SpacePlan,
 }
 
 /// Result of [`Compiled::smoke_evaluate`].
@@ -240,10 +252,25 @@ impl Compiled {
 
     /// The plain evaluator, over the rules and op streams built once.
     fn evaluator(&self) -> Evaluator<'_> {
-        let lowered = self
-            .lowered
-            .get_or_init(|| Lowered::new(&self.grammar, &self.seqs));
-        Evaluator::with_lowered(&self.grammar, &self.seqs, lowered)
+        Evaluator::with_lowered(&self.grammar, &self.seqs, Cow::Borrowed(self.lowered()))
+    }
+
+    /// The node-storage rules and op streams, built by the first call.
+    fn lowered(&self) -> &Lowered {
+        self.lowered
+            .get_or_init(|| Lowered::new(&self.grammar, &self.seqs))
+    }
+
+    /// The space plan's evaluator, over op streams built once from the
+    /// plain evaluator's rules; `None` when no plan stands.
+    fn optimized(&self) -> Option<Evaluator<'_>> {
+        let space = self.space.as_ref()?;
+        let planned = self.planned.get_or_init(|| {
+            let program = Arc::clone(self.lowered().program());
+            fnc2_space::plan_lowering(program, &self.seqs, &space.flat, &space.plan)
+        });
+        let code = Cow::Borrowed(planned);
+        Some(Evaluator::with_lowered(&self.grammar, &self.seqs, code))
     }
 
     /// Evaluates `tree` under the space plan; only node-stored values return.
@@ -260,13 +287,8 @@ impl Compiled {
         tree: &Tree,
         inputs: &RootInputs,
     ) -> Result<(AttrValues, EvalStats), EvalError> {
-        match (&self.flat, &self.space_plan) {
-            (Some(fp), Some(plan)) => {
-                fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan)
-                    .evaluate(tree, inputs)
-            }
-            _ => self.evaluate(tree, inputs),
-        }
+        let ev = self.optimized().unwrap_or_else(|| self.evaluator());
+        ev.evaluate(tree, inputs)
     }
 
     /// [`evaluate`](Self::evaluate), instrumented: run counters are
@@ -316,22 +338,22 @@ impl Compiled {
         }))
         .unwrap_or(SmokeOutcome::Skipped);
         if matches!(outcome, SmokeOutcome::Ok) {
-            if let (Some(fp), Some(plan)) = (self.flat.as_ref(), self.space_plan.as_ref()) {
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let _ = fnc2_space::plan_evaluator(&self.grammar, &self.seqs, fp, plan)
-                        .evaluate_with(&tree, &inputs, budget, rec);
-                }));
-            }
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(ev) = self.optimized() {
+                    let _ = ev.evaluate_with(&tree, &inputs, budget, rec);
+                }
+            }));
         }
         outcome
     }
 
     /// Re-validates the space plan from first principles and checks it
-    /// against a plan-time budget bound. On failure the plan is dropped —
-    /// subsequent evaluation (including [`smoke_evaluate`](Self::smoke_evaluate))
-    /// degrades to the exhaustive node-storage evaluator — the degradation
-    /// is counted under [`Key::GuardDegraded`], and the reason is returned
-    /// for logging. `None` means the plan stands (or none was built).
+    /// against a plan-time budget bound. On failure the plan and its op
+    /// streams are dropped — subsequent evaluation (including
+    /// [`smoke_evaluate`](Self::smoke_evaluate)) degrades to the
+    /// exhaustive node-storage evaluator — the degradation is counted
+    /// under [`Key::GuardDegraded`], and the reason is returned for
+    /// logging. `None` means the plan stands (or none was built).
     ///
     /// The plan-time budget check: a plan that allocates more global
     /// variable/stack slots than the budget's value-cell allowance cannot
@@ -342,15 +364,14 @@ impl Compiled {
         budget: &EvalBudget,
         rec: &mut R,
     ) -> Option<String> {
-        let (Some(fp), Some(lt), Some(plan)) = (
-            self.flat.as_ref(),
-            self.lifetimes.as_ref(),
-            self.space_plan.as_ref(),
-        ) else {
-            return None;
-        };
+        let Space {
+            flat,
+            lifetimes,
+            plan,
+        } = self.space.as_ref()?;
         let ox = ObjectIndex::new(&self.grammar);
-        let reason = match fnc2_space::validate_plan(&self.grammar, &self.seqs, fp, &ox, lt, plan) {
+        let g = &self.grammar;
+        let reason = match fnc2_space::validate_plan(g, &self.seqs, flat, &ox, lifetimes, plan) {
             Err(e) => Some(format!("space plan failed re-validation: {e}")),
             Ok(()) => {
                 let slots = (plan.stats.variables_after + plan.stats.stacks_after) as u64;
@@ -366,9 +387,8 @@ impl Compiled {
             }
         };
         let reason = reason?;
-        self.flat = None;
-        self.lifetimes = None;
-        self.space_plan = None;
+        self.space = None;
+        self.planned = OnceLock::new();
         let mut counters = fnc2_obs::Counters::new();
         counters.add(Key::GuardDegraded, 1);
         counters.replay(rec);
@@ -566,13 +586,16 @@ impl Pipeline {
         Ok(Compiled {
             grammar,
             seqs,
-            flat: Some(flat),
-            lifetimes: Some(lifetimes),
-            space_plan: Some(plan),
+            space: Some(Space {
+                flat,
+                lifetimes,
+                plan,
+            }),
             lint,
             report,
             intern: false,
             lowered: OnceLock::new(),
+            planned: OnceLock::new(),
         })
     }
 

@@ -794,3 +794,33 @@ fn a_failed_stdout_write_exits_2_without_a_panic() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A failed stderr write is dropped: each command keeps the exit code it
+/// ends with when its diagnostics can be written, never 101 with a panic.
+#[test]
+fn a_failed_stderr_write_keeps_the_exit_code() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("fnc2-cli-errfull-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ag = dir.join("count.olga");
+    std::fs::write(&ag, COUNT).unwrap();
+    let ag = ag.to_str().unwrap();
+    let cases: [(&[&str], i32); 5] = [
+        (&["--max-steps", "0", "report", ag], 2),
+        (&["check", "--max-steps", "5", ag], 1),
+        (&["nosuchcmd", "x"], 1),
+        (&["--tables", "/nonexistent", "report", ag], 1),
+        (&["--metrics", "seqs", ag], 0),
+    ];
+    for (args, code) in cases {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let out = fnc2c().args(args).stderr(full).output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

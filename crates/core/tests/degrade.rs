@@ -35,7 +35,7 @@ fn evaluate_optimized_runs_the_trivial_plan_after_a_degrade() {
     };
     let reason = compiled.degrade_to_exhaustive_recorded(&budget, &mut NoopRecorder);
     assert!(reason.is_some_and(|r| r.contains("budget")));
-    assert!(compiled.space_plan.is_none());
+    assert!(compiled.space.is_none());
 
     let (vals, _) = compiled
         .evaluate_optimized(&tree, &RootInputs::new())
@@ -60,6 +60,6 @@ fn a_degraded_compile_emits_the_cascades_artifact() {
         ..EvalBudget::default()
     };
     let reason = compiled.degrade_to_exhaustive_recorded(&budget, &mut NoopRecorder);
-    assert!(reason.is_some() && compiled.space_plan.is_none());
+    assert!(reason.is_some() && compiled.space.is_none());
     assert!(emit_tables(&compiled, &pipeline, source) == fresh);
 }

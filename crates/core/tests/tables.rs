@@ -18,7 +18,7 @@ use fnc2::artifact::{
     cache_path, compile_olga_cached, emit_tables, load_tables, CacheOutcome, TablesError,
 };
 use fnc2::obs::Obs;
-use fnc2::space::{StepAccess, WritePath};
+use fnc2::space::{ReadPath, StepAccess, WritePath};
 use fnc2::tables::{fingerprint_source, ArtifactError, Tables, HEADER_LEN};
 use fnc2::visit::{Instr, VisitSeq, VisitSeqs};
 use fnc2::Pipeline;
@@ -215,7 +215,9 @@ fn re_checksummed_sequence_key_damage_is_corrupt() {
 
 /// Damage the decoder cannot see: each of these artifacts decodes, and
 /// evaluating it would index past a child, a partition, a segment, a rule
-/// or a variable.
+/// or a variable, or lower an `EVAL` whose read paths do not match its
+/// rule's arguments (nothing but this check ties the plan to the rules the
+/// evaluator slot-compiles).
 #[test]
 fn re_checksummed_sequence_and_plan_damage_is_corrupt() {
     assert_each_corrupt(&[
@@ -249,6 +251,12 @@ fn re_checksummed_sequence_and_plan_damage_is_corrupt() {
         }),
         ("write past the variables", |t| {
             edit_node_eval_step(t, |step, n| step.write = Some(WritePath::Variable(n + 5)))
+        }),
+        ("one read path more than the rule's arguments", |t| {
+            edit_node_eval_step(t, |step, _| step.args.push(ReadPath::Node))
+        }),
+        ("one read path fewer than the rule's arguments", |t| {
+            edit_node_eval_step(t, |step, _| assert!(step.args.pop().is_some()))
         }),
     ]);
 }

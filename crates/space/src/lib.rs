@@ -16,9 +16,9 @@
 //! * copy-rule elimination itself (shared variables; stack-top renames).
 //!
 //! Entry points: [`analyze_space`] builds a [`SpacePlan`];
-//! [`plan_evaluator`] lowers it into the visit-sequence interpreter, which
-//! then runs with optimized storage and reports the live-cell high-water
-//! mark.
+//! [`plan_lowering`] lowers it into the visit-sequence interpreter's op
+//! streams ([`plan_evaluator`] wraps them in an evaluator), which then run
+//! with optimized storage and report the live-cell high-water mark.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,7 +35,7 @@ pub use alloc::{
 };
 pub use flat::{FlatItem, FlatProgram, FlatSeq, Instance, InstanceKind};
 pub use lifetime::{interval_hits_visit, strict_stack_candidates, Lifetimes};
-pub use lower::plan_evaluator;
+pub use lower::{plan_evaluator, plan_lowering};
 pub use object::{Object, ObjectIndex, ObjectSet};
 
 use fnc2_ag::Grammar;

@@ -2,36 +2,37 @@
 //! stream.
 //!
 //! `fnc2_visit::Evaluator` runs every visit-sequence; node storage is its
-//! trivial plan. [`plan_evaluator`] rewrites that lowering step by step
-//! with the plan's access tables: an `EVAL`'s reads become global-variable
-//! reads or stack reads at the statically computed depths, its write a
-//! variable write or a stack push, an eliminated copy rule a `Skip`, and
-//! every step carries its scheduled delayed pops. The run then keeps
-//! attributes in global variables and stacks, and at tree nodes only as a
-//! last resort, and tracks the high-water mark of live storage cells — the
-//! dynamic measure behind the paper's "decrease of the number of attribute
-//! storage cells by a factor of 4 to 8" (§4.1).
+//! trivial plan. [`plan_lowering`] lowers each step with the plan's access
+//! tables instead, over the same slot-compiled rules: an `EVAL`'s reads
+//! become global-variable reads or stack reads at the statically computed
+//! depths, its write a variable write or a stack push, an eliminated copy
+//! rule a `Skip`, and every step carries its scheduled delayed pops. The
+//! run then keeps attributes in global variables and stacks, and at tree
+//! nodes only as a last resort, and tracks the high-water mark of live
+//! storage cells — the dynamic measure behind the paper's "decrease of the
+//! number of attribute storage cells by a factor of 4 to 8" (§4.1).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use fnc2_ag::{Grammar, ProductionId};
-use fnc2_visit::{CBody, CompiledProgram, Evaluator, FetchOp, Instr, Op, SlotRef, VisitSeqs};
+use fnc2_visit::{
+    CBody, CompiledProgram, Evaluator, FetchOp, Instr, Lowered, Op, SlotRef, VisitSeqs,
+};
 
 use crate::alloc::{ReadPath, SpacePlan, StepAccess, WritePath};
 use crate::flat::{FlatItem, FlatProgram};
 
-/// An evaluator that runs `seqs` with the storage `plan` decided for them
-/// (`fp` is the flattening the plan's access tables index). It runs the
-/// same interpreter and rule executor as [`Evaluator::new`]'s trivial
-/// plan; its stats report the `space.*` counters.
-pub fn plan_evaluator<'g>(
-    grammar: &'g Grammar,
-    seqs: &'g VisitSeqs,
+/// The op streams that run `seqs` with the storage `plan` decided for them
+/// (`fp` is the flattening the plan's access tables index), over the
+/// slot-compiled rules of `program`, which the lowering shares.
+pub fn plan_lowering(
+    program: Arc<CompiledProgram>,
+    seqs: &VisitSeqs,
     fp: &FlatProgram,
     plan: &SpacePlan,
-) -> Evaluator<'g> {
-    let ev = Evaluator::new(grammar, seqs);
-    let ops: Vec<_> = fp
+) -> Lowered {
+    let streams: Vec<_> = fp
         .seqs
         .iter()
         .map(|fs| {
@@ -39,17 +40,31 @@ pub fn plan_evaluator<'g>(
             let mut visits = vec![Vec::new(); seqs.seq(key.0, key.1).segments.len()];
             for (item, step) in fs.items.iter().zip(&plan.access[&key].steps) {
                 if let FlatItem::Op { visit, instr } = item {
-                    visits[visit - 1].push(lower_step(ev.program(), key.0, instr, step));
+                    visits[visit - 1].push(lower_step(&program, key.0, instr, step));
                 }
             }
             (key, visits)
         })
         .collect();
-    ev.with_plan(ops, plan.n_variables, plan.n_stacks)
+    Lowered::planned(program, streams, plan.n_variables, plan.n_stacks)
 }
 
-/// Rewrites the trivial lowering of one instruction of production `p` with
-/// the plan's decisions for its position.
+/// An evaluator that runs `seqs` with the storage `plan` decided for them
+/// ([`plan_lowering`] over a fresh slot-compile of `grammar`). It runs the
+/// same interpreter and rule executor as the trivial plan's
+/// [`Evaluator::new`]; its stats report the `space.*` counters.
+pub fn plan_evaluator<'g>(
+    grammar: &'g Grammar,
+    seqs: &'g VisitSeqs,
+    fp: &FlatProgram,
+    plan: &SpacePlan,
+) -> Evaluator<'g> {
+    let code = plan_lowering(Arc::new(CompiledProgram::new(grammar)), seqs, fp, plan);
+    Evaluator::with_lowered(grammar, seqs, Cow::Owned(code))
+}
+
+/// Lowers one instruction of production `p` with the plan's decisions for
+/// its position, rewriting the trivial lowering's reads and write.
 fn lower_step(program: &CompiledProgram, p: ProductionId, instr: &Instr, step: &StepAccess) -> Op {
     let pops: Box<[u32]> = step.pops_after.iter().map(|&s| s as u32).collect();
     match program.lower(p, instr) {

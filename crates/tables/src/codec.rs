@@ -18,7 +18,7 @@ use fnc2_space::{
     Lifetimes, ObjectSet, ReadPath, SeqAccess, SpacePlan, SpaceStats, StepAccess, Storage,
     WritePath,
 };
-use fnc2_visit::{CBody, CompiledProgram, FetchOp, Instr, SlotRef, VisitSeq, VisitSeqs};
+use fnc2_visit::{Instr, VisitSeq, VisitSeqs};
 
 use crate::wire::{Dec, Enc, WireError, WireResult};
 
@@ -689,7 +689,7 @@ pub(crate) fn dec_lint(d: &mut Dec<'_>) -> WireResult<Vec<Diagnostic>> {
 }
 
 // ---------------------------------------------------------------------------
-// Grammar shape and compiled programs (verification sections)
+// Grammar shape (verification section)
 // ---------------------------------------------------------------------------
 
 fn enc_arg(e: &mut Enc, a: &Arg) {
@@ -765,75 +765,6 @@ pub fn encode_grammar_shape(g: &Grammar) -> Vec<u8> {
         e.usize(f.arity());
         e.u32(f.cost());
     }
-    e.into_bytes()
-}
-
-fn enc_fetch(e: &mut Enc, f: &FetchOp) {
-    match f {
-        FetchOp::Const(i) => {
-            e.u8(0);
-            e.u32(*i);
-        }
-        FetchOp::Token => e.u8(1),
-        FetchOp::Attr { child, attr, off } => {
-            e.u8(2);
-            e.u16(*child);
-            enc_attr(e, *attr);
-            e.u32(*off);
-        }
-        FetchOp::Local(l) => {
-            e.u8(3);
-            enc_local(e, *l);
-        }
-        FetchOp::Variable(_) | FetchOp::Stack { .. } => unreachable!("plans lower at load"),
-    }
-}
-
-fn enc_slot(e: &mut Enc, s: &SlotRef) {
-    match s {
-        SlotRef::Attr { child, attr, off } => {
-            e.u8(0);
-            e.u16(*child);
-            enc_attr(e, *attr);
-            e.u32(*off);
-        }
-        SlotRef::Local(l) => {
-            e.u8(1);
-            enc_local(e, *l);
-        }
-        SlotRef::Variable(_) | SlotRef::Stack(_) => unreachable!("plans lower at load"),
-    }
-}
-
-/// Canonical encoding of a slot-compiled program. The loader does not
-/// decode this: [`CompiledProgram::new`] is a cheap deterministic function
-/// of the grammar, so the artifact's copy serves as a verification section
-/// — a byte mismatch against a fresh compile means the artifact was built
-/// by an incompatible slot-compiler and must be rejected.
-pub fn encode_compiled_program(g: &Grammar, prog: &CompiledProgram) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.usize(g.production_count());
-    for pid in g.productions() {
-        let cp = prog.production(pid);
-        e.usize(cp.rules.len());
-        for r in &cp.rules {
-            enc_onode(&mut e, r.target);
-            enc_slot(&mut e, &r.slot);
-            match &r.body {
-                CBody::Copy(f) => {
-                    e.u8(0);
-                    enc_fetch(&mut e, f);
-                }
-                CBody::Call { func, args } => {
-                    e.u8(1);
-                    enc_func(&mut e, *func);
-                    enc_vec(&mut e, args, enc_fetch);
-                }
-            }
-            e.bool(r.is_copy);
-        }
-    }
-    enc_vec(&mut e, prog.consts(), enc_value);
     e.into_bytes()
 }
 

@@ -20,16 +20,18 @@
 //! * the [`VisitSeqs`] with the partitions they follow;
 //! * the space optimizer's [`Lifetimes`] and [`SpacePlan`];
 //! * the lint findings, and the report's class and [`TransformStats`];
-//! * two *verification sections*: a canonical encoding of the grammar
-//!   shape (everything but the closure bodies) and of the slot-compiled
-//!   rule program, byte-compared against their freshly rebuilt
-//!   counterparts at load time.
+//! * a *verification section*: a canonical encoding of the grammar shape
+//!   (everything but the closure bodies), byte-compared against the
+//!   rebuilt grammar's at load time.
 //!
 //! Each is stored once. What a load can rederive cheaply is rederived:
-//! the flattened program ([`FlatProgram::new`] over the sequences), the
-//! object index, and the slot-compiled rules. The class tests' relations
-//! and the transformation's plans are not kept: nothing reads them after
-//! the sequences are built.
+//! the flattened program ([`FlatProgram::new`] over the sequences) and
+//! the object index. The slot-compiled rules are not stored either: the
+//! shape pins every input of the slot compiler (attribute offsets, rule
+//! targets, arguments and constants, function signatures), and the
+//! evaluator compiles them once, when it first runs. The class tests'
+//! relations and the transformation's plans are not kept: nothing reads
+//! them after the sequences are built.
 //!
 //! ## Trust model
 //!
@@ -38,7 +40,9 @@
 //! configuration, and source), and a payload checksum. A re-checksummed
 //! payload passes the checksum, so [`Tables::verify_against`] checks
 //! every partition, sequence, lifetime table and access table against the
-//! rebuilt grammar before anything runs them. Every load failure is a
+//! rebuilt grammar before anything runs them; an access table needs one
+//! read path per argument of the rule its `EVAL` runs, which is all that
+//! ties the plan to the slot-compiled rules. Every load failure is a
 //! classified [`ArtifactError`] — callers fall back to full
 //! recompilation; nothing in this crate panics on hostile input.
 
@@ -51,7 +55,7 @@ use fnc2_ag::Grammar;
 use fnc2_analysis::{AgClass, Inclusion, TransformStats};
 use fnc2_space::{FlatProgram, Lifetimes, SpacePlan};
 use fnc2_vfs::fnv1a;
-use fnc2_visit::{CompiledProgram, VisitSeqs};
+use fnc2_visit::VisitSeqs;
 
 mod check;
 pub mod codec;
@@ -60,7 +64,7 @@ pub mod wire;
 
 use wire::{Dec, Enc, WireError};
 
-pub use codec::{encode_compiled_program, encode_grammar_shape};
+pub use codec::encode_grammar_shape;
 
 /// The artifact magic: `FNC2TBL` + a format byte.
 pub const MAGIC: [u8; 8] = *b"FNC2TBL\0";
@@ -68,7 +72,7 @@ pub const MAGIC: [u8; 8] = *b"FNC2TBL\0";
 /// Current artifact format version. Bump on ANY change to the wire
 /// encoding of any serialized structure — version skew is detected before
 /// the payload is touched and rejected as [`ArtifactError::VersionSkew`].
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Header size in bytes: magic (8) + version (4) + fingerprint (8) +
 /// payload checksum (8) + payload length (8).
@@ -108,9 +112,6 @@ pub enum ArtifactError {
     /// The artifact's grammar shape does not match the grammar it is
     /// being loaded for.
     GrammarMismatch,
-    /// The artifact's slot-compiled program differs from a fresh compile
-    /// of the rebuilt grammar (incompatible slot-compiler).
-    ProgramMismatch,
 }
 
 impl fmt::Display for ArtifactError {
@@ -138,10 +139,6 @@ impl fmt::Display for ArtifactError {
             ArtifactError::GrammarMismatch => {
                 write!(f, "artifact was built for a different grammar")
             }
-            ArtifactError::ProgramMismatch => write!(
-                f,
-                "artifact's compiled rule program does not match this build's slot compiler"
-            ),
         }
     }
 }
@@ -159,7 +156,6 @@ impl ArtifactError {
             ArtifactError::Corrupt(_) => "corrupt",
             ArtifactError::ConfigMismatch => "config",
             ArtifactError::GrammarMismatch => "grammar",
-            ArtifactError::ProgramMismatch => "program",
         }
     }
 }
@@ -240,14 +236,10 @@ pub struct Tables {
     /// The lint findings recorded when the cascade ran, so cached
     /// startups replay diagnostics without re-running the analyses.
     pub lint: Vec<fnc2_lint::Diagnostic>,
-    /// Canonical slot-compiled program bytes (verification section).
-    pub program: Vec<u8>,
 }
 
 impl Tables {
-    /// Assembles the serializable view of a finished cascade. The
-    /// compiled-program verification section is built here from the
-    /// grammar (it is a cheap deterministic function of it).
+    /// Assembles the serializable view of a finished cascade.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         grammar: &Grammar,
@@ -260,7 +252,6 @@ impl Tables {
         space_plan: &SpacePlan,
         lint: &[fnc2_lint::Diagnostic],
     ) -> Tables {
-        let program = encode_compiled_program(grammar, &CompiledProgram::new(grammar));
         Tables {
             config,
             source: source.map(str::to_owned),
@@ -271,7 +262,6 @@ impl Tables {
             lifetimes: lifetimes.clone(),
             space_plan: space_plan.clone(),
             lint: lint.to_vec(),
-            program,
         }
     }
 
@@ -304,7 +294,6 @@ impl Tables {
         codec::enc_lifetimes(&mut p, &self.lifetimes);
         codec::enc_space_plan(&mut p, &self.space_plan);
         codec::enc_lint(&mut p, &self.lint);
-        p.bytes(&self.program);
         let payload = p.into_bytes();
 
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -334,7 +323,6 @@ impl Tables {
         let lifetimes = codec::dec_lifetimes(&mut d, seqs.partitions())?;
         let space_plan = codec::dec_space_plan(&mut d, &seqs.keys())?;
         let lint = codec::dec_lint(&mut d)?;
-        let program = d.bytes()?.to_vec();
         d.finish()?;
         let tables = Tables {
             config,
@@ -346,26 +334,21 @@ impl Tables {
             lifetimes,
             space_plan,
             lint,
-            program,
         };
         Ok((tables, fingerprint))
     }
 
     /// Verifies this artifact against a rebuilt grammar and derives the
     /// flattened program its space plan indexes. Shape bytes must match
-    /// exactly, and a fresh slot-compile of the grammar must reproduce the
-    /// program verification section. The partitions and sequences must
-    /// then be the grammar's, and the lifetimes and access tables must fit
+    /// exactly, so the rules the evaluator slot-compiles are the ones the
+    /// plan was made for. The partitions and sequences must then be the
+    /// grammar's, and the lifetimes and access tables must fit
     /// the program flattened from them: every index the evaluators follow
     /// is checked, so a damaged artifact is [`ArtifactError::Corrupt`]
     /// rather than a panic at evaluation.
     pub fn verify_against(&self, grammar: &Grammar) -> Result<FlatProgram, ArtifactError> {
         if self.grammar_shape != encode_grammar_shape(grammar) {
             return Err(ArtifactError::GrammarMismatch);
-        }
-        let fresh = encode_compiled_program(grammar, &CompiledProgram::new(grammar));
-        if self.program != fresh {
-            return Err(ArtifactError::ProgramMismatch);
         }
         check::sequences(grammar, &self.seqs)?;
         let fp = FlatProgram::new(grammar, &self.seqs);

@@ -4,16 +4,17 @@
 //! scheduling at all — "as much information as possible about the
 //! evaluation order [is] embodied in the code of the evaluator itself".
 //! It runs one op stream per visit (see [`Op`]), lowered under a storage
-//! plan. [`Evaluator::new`] lowers under the *trivial plan*: every
+//! plan. [`Lowered::new`] lowers under the *trivial plan*: every
 //! attribute instance lives at its tree node, so every instance is
 //! decorated (exhaustive evaluation). `fnc2-space` lowers a real plan with
-//! [`Evaluator::with_plan`]: global variables, global stacks (below-top
-//! reads at static depths, delayed pops), and eliminated copy rules. The
-//! plan-only bookkeeping (pops, live-cell counts) is compiled out of the
-//! trivial plan's loop.
+//! [`Lowered::planned`], over the same slot-compiled rules: global
+//! variables, global stacks (below-top reads at static depths, delayed
+//! pops), and eliminated copy rules. The plan-only bookkeeping (pops,
+//! live-cell counts) is compiled out of the trivial plan's loop.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fnc2_ag::{AttrId, AttrValues, Grammar, NodeId, ONode, Occ, ProductionId, Tree, Value};
 use fnc2_guard::{BudgetMeter, EvalBudget};
@@ -75,11 +76,12 @@ pub type RootInputs = HashMap<AttrId, Value>;
 
 /// What an [`Evaluator`] runs: the grammar's rules compiled into a
 /// [`CompiledProgram`] and the visit-sequences lowered into flat op
-/// streams. Built once, it serves any number of evaluators
-/// ([`Evaluator::with_lowered`]).
+/// streams, under the trivial plan or a storage plan. Built once, it
+/// serves any number of evaluators ([`Evaluator::with_lowered`]), and two
+/// lowerings of one grammar share one program.
 #[derive(Clone, Debug)]
 pub struct Lowered {
-    program: CompiledProgram,
+    program: Arc<CompiledProgram>,
     /// `ops[prod][partition][visit-1]` — the lowered op streams.
     ops: Vec<Vec<Vec<Box<[Op]>>>>,
     /// Whether `ops` were lowered under a storage plan (not the trivial
@@ -93,24 +95,57 @@ impl Lowered {
     /// Slot-compiles every rule of `grammar` and lowers every sequence of
     /// `seqs` under the trivial plan.
     pub fn new(grammar: &Grammar, seqs: &VisitSeqs) -> Lowered {
-        let program = CompiledProgram::new(grammar);
-        let mut ops = vec![Vec::new(); grammar.production_count()];
-        for (p, pi) in seqs.keys() {
-            let visits = seqs
-                .seq(p, pi)
-                .segments
-                .iter()
-                .map(|segment| segment.iter().map(|i| program.lower(p, i)).collect())
-                .collect();
-            install(&mut ops, (p, pi), visits);
+        let program = Arc::new(CompiledProgram::new(grammar));
+        let streams: Vec<_> = seqs
+            .keys()
+            .into_iter()
+            .map(|(p, pi)| {
+                let visits = seqs.seq(p, pi).segments.iter();
+                let lower =
+                    |segment: &Vec<_>| segment.iter().map(|i| program.lower(p, i)).collect();
+                ((p, pi), visits.map(lower).collect())
+            })
+            .collect();
+        Lowered {
+            plan: false,
+            ..Lowered::planned(program, streams, 0, 0)
+        }
+    }
+
+    /// A storage plan's lowering over `program`: `streams` gives, per
+    /// visit-sequence key, each visit's lowered steps, which may read and
+    /// write `variables` global variables and `stacks` global stacks. The
+    /// run then replays the `space.*` counters instead of `eval.*`.
+    pub fn planned(
+        program: Arc<CompiledProgram>,
+        streams: impl IntoIterator<Item = ((ProductionId, usize), Vec<Vec<Op>>)>,
+        variables: usize,
+        stacks: usize,
+    ) -> Lowered {
+        let mut ops: Vec<Vec<Vec<Box<[Op]>>>> = Vec::new();
+        for ((p, partition), visits) in streams {
+            if ops.len() <= p.index() {
+                ops.resize_with(p.index() + 1, Vec::new);
+            }
+            let slot = &mut ops[p.index()];
+            if slot.len() <= partition {
+                slot.resize(partition + 1, Vec::new());
+            }
+            slot[partition] = visits.into_iter().map(Vec::into_boxed_slice).collect();
         }
         Lowered {
             program,
             ops,
-            plan: false,
-            variables: 0,
-            stacks: 0,
+            plan: true,
+            variables,
+            stacks,
         }
+    }
+
+    /// The slot-compiled rules these op streams run, to share with
+    /// another lowering of the same grammar.
+    pub fn program(&self) -> &Arc<CompiledProgram> {
+        &self.program
     }
 }
 
@@ -127,58 +162,21 @@ pub struct Evaluator<'g> {
     code: Cow<'g, Lowered>,
 }
 
-/// Installs the op streams of the visit-sequence `key`, one per visit.
-fn install(
-    ops: &mut [Vec<Vec<Box<[Op]>>>],
-    (p, partition): (ProductionId, usize),
-    visits: Vec<Vec<Op>>,
-) {
-    let slot = &mut ops[p.index()];
-    if slot.len() <= partition {
-        slot.resize(partition + 1, Vec::new());
-    }
-    slot[partition] = visits.into_iter().map(Vec::into_boxed_slice).collect();
-}
-
 impl<'g> Evaluator<'g> {
     /// Creates an evaluator for `grammar` driven by `seqs`, slot-compiling
     /// every rule and lowering every sequence under the trivial plan.
     pub fn new(grammar: &'g Grammar, seqs: &'g VisitSeqs) -> Self {
+        Evaluator::with_lowered(grammar, seqs, Cow::Owned(Lowered::new(grammar, seqs)))
+    }
+
+    /// An evaluator running `code`, owned or borrowed, which must have
+    /// been lowered from `grammar` and `seqs`; it builds nothing.
+    pub fn with_lowered(grammar: &'g Grammar, seqs: &'g VisitSeqs, code: Cow<'g, Lowered>) -> Self {
         Evaluator {
             grammar,
             seqs,
-            code: Cow::Owned(Lowered::new(grammar, seqs)),
+            code,
         }
-    }
-
-    /// An evaluator running `code`, which must have been lowered from
-    /// `grammar` and `seqs`; it builds nothing.
-    pub fn with_lowered(grammar: &'g Grammar, seqs: &'g VisitSeqs, code: &'g Lowered) -> Self {
-        Evaluator {
-            grammar,
-            seqs,
-            code: Cow::Borrowed(code),
-        }
-    }
-
-    /// Replaces the trivial lowering with a storage plan's: `ops` gives,
-    /// per visit-sequence key, each visit's lowered steps, which may read
-    /// and write `variables` global variables and `stacks` global stacks.
-    /// The run then replays the `space.*` counters instead of `eval.*`.
-    pub fn with_plan(
-        mut self,
-        ops: impl IntoIterator<Item = ((ProductionId, usize), Vec<Vec<Op>>)>,
-        variables: usize,
-        stacks: usize,
-    ) -> Self {
-        let code = self.code.to_mut();
-        for (key, visits) in ops {
-            install(&mut code.ops, key, visits);
-        }
-        code.plan = true;
-        code.variables = variables;
-        code.stacks = stacks;
-        self
     }
 
     /// Returns `self` unchanged: values are never hash-consed. Inert, kept
@@ -186,12 +184,6 @@ impl<'g> Evaluator<'g> {
     /// benchmark's revision drops that call.
     pub fn with_interning(self, _on: bool) -> Self {
         self
-    }
-
-    /// The slot-compiled rule programs driving this evaluator, shared with
-    /// the other members of the cascade.
-    pub fn program(&self) -> &CompiledProgram {
-        &self.code.program
     }
 
     /// The grammar this evaluator decorates trees of.
@@ -336,6 +328,7 @@ impl<'g> Evaluator<'g> {
         }
         let label = if PLAN { "space" } else { "exhaustive" };
         let lowered: &Lowered = &self.code;
+        let program: &CompiledProgram = &lowered.program;
         let frame = |node: NodeId, partition: usize, visit: u16| {
             let p = tree.node(node).production();
             Frame {
@@ -389,7 +382,7 @@ impl<'g> Evaluator<'g> {
                         .profiler()
                         .is_some_and(RuleProfiler::should_sample)
                         .then(std::time::Instant::now);
-                    let (value, is_copy) = lowered.program.exec_rule(
+                    let (value, is_copy) = program.exec_rule(
                         self.grammar,
                         tree,
                         p,

@@ -246,8 +246,9 @@ impl CompiledProduction {
 }
 
 /// All productions of a grammar, slot-compiled, plus the shared constant
-/// pool. Build once per evaluator with [`CompiledProgram::new`]; execution
-/// is read-only, so one program serves any number of concurrent workers.
+/// pool. Build once per grammar with [`CompiledProgram::new`]; execution
+/// is read-only, so one program serves any number of lowerings and
+/// concurrent workers.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     prods: Vec<CompiledProduction>,

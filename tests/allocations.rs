@@ -1,6 +1,7 @@
 //! A deterministic allocation gate on the mini-Pascal compile path: the
-//! OLGA front end and a cached start, scan, parse, evaluation and single
-//! rule firings, plus one evaluation of a synthetic tree. Heap traffic, not name lookup, bounds that path, and
+//! OLGA front end and a cached start, scan, parse, evaluation, repeated
+//! evaluations on one compiled grammar and single rule firings, plus one
+//! evaluation of a synthetic tree. Heap traffic, not name lookup, bounds that path, and
 //! unlike timings the counts repeat exactly, so a change that allocates per
 //! token, per call or per node again fails here.
 //!
@@ -13,9 +14,11 @@ use std::cell::Cell;
 
 use fnc2::ag::{Arg, Occ, RuleBody, Value};
 use fnc2::artifact::{emit_tables, load_tables};
+use fnc2::guard::EvalBudget;
+use fnc2::obs::NoopRecorder;
 use fnc2::olga::compile_ag_source;
 use fnc2::visit::{Evaluator, RootInputs};
-use fnc2::{Compiled, Pipeline};
+use fnc2::{smoke_tree, Compiled, Pipeline, SmokeOutcome};
 use fnc2_corpus::{
     minipascal_scanner, parse_minipascal, sample_program, synthetic, synthetic_tree,
     MINIPASCAL_OLGA, TABLE1_PROFILES,
@@ -83,12 +86,43 @@ fn the_front_end_allocates_once_per_name() {
     let (_, front) = allocations(|| compile_ag_source(MINIPASCAL_OLGA).unwrap());
     let (_, load) = allocations(|| load_tables(&bytes, MINIPASCAL_OLGA, &pipeline).unwrap());
     println!("front end: {front} allocations; table load: {load}");
-    // 2,053 and 3,022 when the bounds were set, plus about 10%. The lexer
-    // allocates only its token vector, the parser each name of the AST
-    // once, and neither the checker nor the lowering copies an attribute
-    // row or a rule body; a load runs the front end again.
+    // 2,053 and 2,825 when the bounds were set, plus about 10% and 4%. The
+    // lexer allocates only its token vector, the parser each name of the
+    // AST once, and neither the checker nor the lowering copies an
+    // attribute row or a rule body; a load runs the front end again, but
+    // slot-compiles nothing (that took 197 more).
     assert!(front <= 2260, "front end: {front} allocations");
-    assert!(load <= 3320, "table load: {load} allocations");
+    assert!(load <= 2950, "table load: {load} allocations");
+}
+
+/// One `Compiled` builds its evaluators once: the first optimized
+/// evaluation slot-compiles the rules and lowers the node-storage and the
+/// plan's op streams over them, and every later call, plain, optimized or
+/// smoke, allocates only its own run.
+#[test]
+fn each_evaluator_is_built_once() {
+    let c = compiled();
+    let tree = smoke_tree(&c.grammar).unwrap();
+    let inputs: RootInputs = c
+        .grammar
+        .inherited(c.grammar.root())
+        .into_iter()
+        .map(|a| (a, Value::Int(0)))
+        .collect();
+    let budget = EvalBudget::default();
+    c.evaluate_optimized(&tree, &inputs).unwrap();
+    let (_, plain) = allocations(|| c.evaluate(&tree, &inputs).unwrap());
+    let (_, optimized) = allocations(|| c.evaluate_optimized(&tree, &inputs).unwrap());
+    let (smoked, smoke) = allocations(|| c.smoke_evaluate(&budget, &mut NoopRecorder));
+    assert_eq!(smoked, SmokeOutcome::Ok);
+    println!("plain: {plain}, optimized: {optimized}, smoke: {smoke} allocations");
+    // 13, 19 and 94 when the bounds were set, plus 2 or about 5%: each
+    // run's stores, and for the smoke run the 3-node smoke tree it builds
+    // (62) and both evaluators' stores. Building the plan's evaluator
+    // again costs about 540 more, the node-storage one about 280.
+    assert!(plain <= 15, "plain: {plain} allocations");
+    assert!(optimized <= 21, "optimized: {optimized} allocations");
+    assert!(smoke <= 100, "smoke: {smoke} allocations");
 }
 
 #[test]
