@@ -1,9 +1,10 @@
 //! Space-optimizer integration tests: non-temporary node storage,
 //! strict-stack candidates, equivalence on two-visit grammars, the
-//! static/dynamic accounting contracts, and pinned plans and run counters.
+//! static/dynamic accounting contracts, and pinned cascade decisions, plans
+//! and run counters.
 
 use fnc2_ag::{Grammar, GrammarBuilder, Occ, Tree, TreeBuilder, Value};
-use fnc2_analysis::{classify, Inclusion};
+use fnc2_analysis::{classify, classify_recorded, nc_test, snc_to_l_ordered, Inclusion, LOrdered};
 use fnc2_corpus::{synthetic, synthetic_tree, TABLE1_PROFILES};
 use fnc2_guard::EvalBudget;
 use fnc2_obs::Obs;
@@ -235,6 +236,96 @@ fn space_plans_match_their_pinned_digests() {
     for (g, want) in grammars.iter().zip(want) {
         let got = plan_digest(&plan_of(g));
         assert_eq!(got, want, "{}: plan digest {got:#018x}", g.name());
+    }
+}
+
+/// FNV-1a over everything the class cascade decides for `g`: the `IO`,
+/// `OI` and `DS` relations, the OAG partitions and repairs, the witnesses,
+/// both inclusions' key-sorted l-ordered plans with their statistics, the
+/// exact NC test's sorted graph sets and outcome, and the cascade's
+/// fixpoint counts. (The NC test's `combinations` is left out: debug
+/// builds re-run every fixpoint step, and its steps count there too.)
+fn cascade_digest(g: &Grammar) -> u64 {
+    let mut obs = Obs::new();
+    let c = classify_recorded(g, 1, Inclusion::Long, &mut obs).unwrap();
+    let lo_text = |lo: &LOrdered| {
+        let mut plans: Vec<_> = lo.plans.iter().collect();
+        plans.sort_by_key(|(key, _)| **key);
+        format!("{:?} {plans:?} {:?}", lo.partitions, lo.stats)
+    };
+    let equality = c
+        .snc
+        .is_snc()
+        .then(|| lo_text(&snc_to_l_ordered(g, &c.snc, Inclusion::Equality).unwrap()));
+    let nc = nc_test(g, 16);
+    let nc_sets: Vec<Vec<String>> = nc
+        .io_sets
+        .iter()
+        .map(|set| {
+            let mut graphs: Vec<String> = set.iter().map(|m| format!("{m:?}")).collect();
+            graphs.sort();
+            graphs
+        })
+        .collect();
+    let text = format!(
+        "{} {:?} {:?} {:?} {:?} {equality:?} {nc_sets:?} {:?} {} {} {}",
+        c.class,
+        c.snc,
+        c.dnc,
+        c.oag,
+        c.l_ordered.as_ref().map(lo_text),
+        nc.witness,
+        nc.aborted,
+        obs.metrics.counter("gfa.fixpoint.steps"),
+        obs.metrics.counter("gfa.fixpoint.changes"),
+    );
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the class cascade's decisions on the corpus grammars, the Table 1
+/// profiles, one partition blow-up grammar and the pathological grammars
+/// of the class ladder, so a leaner generator can be shown to decide
+/// exactly what the old one did, fixpoint step counts and cycle
+/// witnesses included.
+#[test]
+fn cascade_decisions_match_their_pinned_digests() {
+    let mut grammars = vec![
+        fnc2_corpus::minipascal().0,
+        fnc2_corpus::blocks(),
+        fnc2_corpus::desk(),
+    ];
+    grammars.extend(TABLE1_PROFILES.iter().map(synthetic));
+    grammars.extend([
+        fnc2_corpus::partition_blowup(4, 3),
+        fnc2_corpus::circular(),
+        fnc2_corpus::nc_not_snc(),
+        fnc2_corpus::snc_only(),
+        fnc2_corpus::oag1_not_oag0(),
+        fnc2_corpus::dnc_not_oag(3),
+    ]);
+    let want: [u64; 16] = [
+        0xffdc_2254_387b_dc72, // minipascal
+        0x9eff_9ccb_7a6d_38bc, // blocks
+        0xd23c_656f_0847_e5b2, // desk
+        0x1921_0839_4f86_b0c7, // AG1
+        0xb690_4359_baea_6da0, // AG2
+        0xdca4_8ac0_d62c_22b2, // AG3
+        0x0a97_f094_b22e_eaa4, // AG4
+        0x07b2_0627_73bb_7f5c, // AG5
+        0xbf87_f1e6_76b8_d3b8, // AG6
+        0xd301_7289_2b52_8193, // AG7
+        0xa3a4_9dbf_10cc_b64e, // partition_blowup(4, 3)
+        0x1675_85c7_51eb_7976, // circular
+        0x363c_77e7_e4a6_5a09, // nc_not_snc
+        0xb741_7f67_665c_5e77, // snc_only
+        0x817b_5af5_63b0_9309, // oag1_not_oag0
+        0x5fe6_9d4c_0cb8_ca81, // dnc_not_oag(3)
+    ];
+    for (g, want) in grammars.iter().zip(want) {
+        let got = cascade_digest(g);
+        assert_eq!(got, want, "{}: cascade digest {got:#018x}", g.name());
     }
 }
 
