@@ -13,12 +13,16 @@ use crate::ids::{ONode, ProductionId};
 /// the production's numbering ([`Production::nodes`](crate::Production::nodes):
 /// occurrences in [`Grammar::occurrences`] order followed by locals), so
 /// analyses can build parallel side tables and find a node by arithmetic.
+/// The edges are stored compactly: one array of successors, sliced per
+/// node by an offset table.
 #[derive(Clone, Debug)]
 pub struct DepGraph<'g> {
     grammar: &'g Grammar,
     production: ProductionId,
-    /// Adjacency: `succs[u]` lists v with `u → v`.
-    succs: Vec<Vec<usize>>,
+    /// `succs[offsets[u]..offsets[u + 1]]` lists v with `u → v`, in the
+    /// order of the rules that first create each edge.
+    succs: Vec<usize>,
+    offsets: Vec<usize>,
 }
 
 impl<'g> DepGraph<'g> {
@@ -26,20 +30,48 @@ impl<'g> DepGraph<'g> {
     pub fn of(grammar: &'g Grammar, p: ProductionId) -> DepGraph<'g> {
         let prod = grammar.production(p);
         let index = |n: ONode| grammar.node_index(p, n).expect("validated grammar");
-        let mut succs = vec![Vec::new(); prod.nodes().len()];
+        let n = prod.nodes().len();
+        // Count each source's reads, then place them in rule order. Every
+        // rule has its own target, so a repeated edge is a repeated read
+        // of one rule (`placed[u]` is the target of `u`'s last edge).
+        let mut offsets = vec![0; n + 1];
+        for rule in prod.rules() {
+            for src in rule.read_nodes() {
+                offsets[index(src) + 1] += 1;
+            }
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut succs = vec![0; offsets[n]];
+        let mut placed = vec![usize::MAX; n];
         for rule in prod.rules() {
             let t = index(rule.target());
             for src in rule.read_nodes() {
                 let s = index(src);
-                if !succs[s].contains(&t) {
-                    succs[s].push(t);
+                if placed[s] != t {
+                    placed[s] = t;
+                    succs[fill[s]] = t;
+                    fill[s] += 1;
                 }
             }
         }
+        // Close the gaps the repeated edges left.
+        let mut len = 0;
+        for u in 0..n {
+            let start = offsets[u];
+            succs.copy_within(start..fill[u], len);
+            offsets[u] = len;
+            len += fill[u] - start;
+        }
+        offsets[n] = len;
+        succs.truncate(len);
         DepGraph {
             grammar,
             production: p,
             succs,
+            offsets,
         }
     }
 
@@ -50,12 +82,12 @@ impl<'g> DepGraph<'g> {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.offsets.len() - 1
     }
 
     /// True if the production has no occurrences at all.
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.len() == 0
     }
 
     /// The node at dense index `i`.
@@ -81,20 +113,17 @@ impl<'g> DepGraph<'g> {
 
     /// Successors of dense index `i`.
     pub fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+        &self.succs[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// All edges as `(from, to)` dense-index pairs.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.succs
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
+        (0..self.len()).flat_map(move |u| self.succs(u).iter().map(move |&v| (u, v)))
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs.len()
     }
 }
 

@@ -10,9 +10,12 @@
 use fnc2_ag::Grammar;
 use fnc2_obs::{Key, Obs, Recorder};
 
-use crate::io::{dnc_test_recorded, snc_test_recorded, DncResult, SncResult};
-use crate::oag::{oag_test_recorded, OagResult};
-use crate::transform::{snc_to_l_ordered, Inclusion, LOrdered, TransformError, TransformStats};
+use crate::io::{dnc, snc, DncResult, SncResult};
+use crate::oag::{oag, OagResult};
+use crate::paste::Deps;
+use crate::transform::{
+    from_partitions, transform, Inclusion, LOrdered, TransformError, TransformStats,
+};
 
 /// The smallest class of the ladder an AG belongs to, as determined by the
 /// generator (the "class" row of Table 1).
@@ -94,15 +97,17 @@ fn record_transform<R: Recorder>(stats: &TransformStats, rec: &mut R) {
 /// phase span (`analysis.snc`, `analysis.dnc`, `analysis.oag`,
 /// `analysis.transform`), every GFA fixpoint feeds the
 /// `gfa.fixpoint.*` counters, and the transformation's partition/plan
-/// economy lands in the `transform.*` counters.
+/// economy lands in the `transform.*` counters. Every stage reads the
+/// same `D(p)`s, built once per run.
 pub fn classify_recorded(
     grammar: &Grammar,
     max_k: usize,
     inclusion: Inclusion,
     obs: &mut Obs,
 ) -> Result<Classification, TransformError> {
+    let deps = Deps::new(grammar);
     obs.tracer.begin("phase", "analysis.snc");
-    let snc = snc_test_recorded(grammar, obs);
+    let snc = snc(&deps, obs);
     obs.tracer.end();
     if !snc.is_snc() {
         return Ok(Classification {
@@ -114,12 +119,12 @@ pub fn classify_recorded(
         });
     }
     obs.tracer.begin("phase", "analysis.dnc");
-    let dnc = dnc_test_recorded(grammar, &snc, obs);
+    let dnc = dnc(&deps, &snc, obs);
     obs.tracer.end();
     if !dnc.is_dnc() {
         // SNC but not DNC: the transformation still applies.
         obs.tracer.begin("phase", "analysis.transform");
-        let lo = snc_to_l_ordered(grammar, &snc, inclusion)?;
+        let lo = transform(&deps, &snc, inclusion)?;
         record_transform(&lo.stats, obs);
         obs.tracer.end();
         return Ok(Classification {
@@ -134,12 +139,12 @@ pub fn classify_recorded(
     // repairs, so the smallest `k` the grammar passes at is the number of
     // repairs it spent.
     obs.tracer.begin("phase", "analysis.oag");
-    let oag = oag_test_recorded(grammar, max_k, obs);
+    let oag = oag(&deps, max_k, obs);
     obs.tracer.end();
     if oag.is_oag() {
         let parts = oag.partitions.clone().expect("ordered");
         obs.tracer.begin("phase", "analysis.transform");
-        let lo = crate::transform::l_ordered_from_partitions(grammar, parts)?;
+        let lo = from_partitions(&deps, parts)?;
         record_transform(&lo.stats, obs);
         obs.tracer.end();
         return Ok(Classification {
@@ -155,7 +160,7 @@ pub fn classify_recorded(
     }
     // DNC but not OAG(max_k): transformation.
     obs.tracer.begin("phase", "analysis.transform");
-    let lo = snc_to_l_ordered(grammar, &snc, inclusion)?;
+    let lo = transform(&deps, &snc, inclusion)?;
     record_transform(&lo.stats, obs);
     obs.tracer.end();
     Ok(Classification {

@@ -19,7 +19,7 @@ use fnc2_gfa::{dependents, fixpoint, BitMatrix};
 use fnc2_obs::{NoopRecorder, Recorder};
 
 use crate::attrs::AttrIndex;
-use crate::paste::Pasted;
+use crate::paste::{Deps, Pasted};
 
 /// A dependency cycle witnessing the failure of a class test.
 #[derive(Clone, Debug)]
@@ -101,54 +101,51 @@ pub fn snc_test(grammar: &Grammar) -> SncResult {
 
 /// [`snc_test`], with the underlying fixpoint run recorded into `rec`.
 pub fn snc_test_recorded<R: Recorder>(grammar: &Grammar, rec: &mut R) -> SncResult {
-    let ix = AttrIndex::new(grammar);
-    let mut io = PhylumRels::empty(grammar, &ix);
+    snc(&Deps::new(grammar), rec)
+}
+
+/// The SNC test on a cascade run's `D(p)`s.
+pub(crate) fn snc<R: Recorder>(deps: &Deps, rec: &mut R) -> SncResult {
+    let (grammar, ix) = (deps.grammar, &deps.ix);
+    let mut io = PhylumRels::empty(grammar, ix);
+    let mut pasted = Pasted::new(deps);
     fixpoint(
         grammar.production_count(),
         &bottom_up_dependents(grammar),
         |pi| {
             let p = ProductionId::from_raw(pi as u32);
-            let pasted = pasted_with_io(grammar, &ix, p, &io, None);
             let lhs = grammar.production(p).lhs();
-            let proj = pasted.project_reach(grammar, &ix, 0, |i, j| {
+            let proj = paste_io(&mut pasted, grammar, p, &io).project_reach(0, |i, j| {
                 grammar.attr(ix.attr_at(lhs, i)).kind() == AttrKind::Inherited
                     && grammar.attr(ix.attr_at(lhs, j)).kind() == AttrKind::Synthesized
             });
-            io.absorb(lhs, &proj)
+            io.absorb(lhs, proj)
         },
         rec,
     );
 
     // Final acyclicity check per production.
-    let mut witness = None;
-    for p in grammar.productions() {
-        let pasted = pasted_with_io(grammar, &ix, p, &io, None);
-        if let Some(cycle) = pasted.find_cycle() {
-            witness = Some(CircWitness {
-                production: p,
-                cycle,
-            });
-            break;
-        }
-    }
+    let witness = grammar.productions().find_map(|p| {
+        let cycle = paste_io(&mut pasted, grammar, p, &io).find_cycle()?;
+        Some(CircWitness {
+            production: p,
+            cycle,
+        })
+    });
     SncResult { io, witness }
 }
 
-/// `D(p)` + `IO` pasted on every RHS position, skipping `skip_pos` if given.
-fn pasted_with_io<'g>(
-    grammar: &'g Grammar,
-    ix: &AttrIndex,
+/// Resets `pasted` to `D(p)` + `IO` pasted on every RHS position.
+fn paste_io<'a, 'd, 'g>(
+    pasted: &'a mut Pasted<'d, 'g>,
+    grammar: &Grammar,
     p: ProductionId,
     io: &PhylumRels,
-    skip_pos: Option<u16>,
-) -> Pasted<'g> {
-    let mut pasted = Pasted::base(grammar, p);
+) -> &'a mut Pasted<'d, 'g> {
     let prod = grammar.production(p);
+    pasted.reset(p);
     for pos in 1..=prod.arity() as u16 {
-        if Some(pos) == skip_pos {
-            continue;
-        }
-        pasted.paste(grammar, ix, pos, io.get(prod.phylum_at(pos)));
+        pasted.paste(pos, io.get(prod.phylum_at(pos)));
     }
     pasted
 }
@@ -182,8 +179,14 @@ pub fn dnc_test_recorded<R: Recorder>(
     snc: &SncResult,
     rec: &mut R,
 ) -> DncResult {
-    let ix = AttrIndex::new(grammar);
-    let mut oi = PhylumRels::empty(grammar, &ix);
+    dnc(&Deps::new(grammar), snc, rec)
+}
+
+/// The DNC test on a cascade run's `D(p)`s.
+pub(crate) fn dnc<R: Recorder>(deps: &Deps, snc: &SncResult, rec: &mut R) -> DncResult {
+    let (grammar, ix) = (deps.grammar, &deps.ix);
+    let mut oi = PhylumRels::empty(grammar, ix);
+    let mut pasted = Pasted::new(deps);
     // Top-down flow: production p reads oi[lhs(p)] and writes oi of its RHS
     // phyla.
     let (n, phyla) = (grammar.production_count(), grammar.phylum_count());
@@ -199,23 +202,16 @@ pub fn dnc_test_recorded<R: Recorder>(
             // *traversing around* its own IO instead of rebuilding the
             // graph per position. Positions with identical signatures share
             // one projection.
-            let mut pasted = pasted_with_io(grammar, &ix, p, &snc.io, None);
-            pasted.paste(grammar, &ix, 0, oi.get(prod.lhs()));
+            paste_io(&mut pasted, grammar, p, &snc.io).paste(0, oi.get(prod.lhs()));
             let mut changed = false;
-            for group in pasted.rhs_position_groups(grammar, &ix) {
-                let pos = group[0];
-                let ph = prod.phylum_at(pos);
-                let proj = pasted.project_reach_excluding(
-                    grammar,
-                    &ix,
-                    pos,
-                    Some(snc.io.get(ph)),
-                    |i, j| {
+            for group in deps.rhs_position_groups(p) {
+                let ph = prod.phylum_at(group[0]);
+                let proj =
+                    pasted.project_reach_excluding(group[0], Some(snc.io.get(ph)), |i, j| {
                         grammar.attr(ix.attr_at(ph, i)).kind() == AttrKind::Synthesized
                             && grammar.attr(ix.attr_at(ph, j)).kind() == AttrKind::Inherited
-                    },
-                );
-                changed |= oi.absorb(ph, &proj);
+                    });
+                changed |= oi.absorb(ph, proj);
             }
             changed
         },
@@ -223,18 +219,16 @@ pub fn dnc_test_recorded<R: Recorder>(
     );
 
     // DNC check: D(p) + OI(lhs) + all IO(rhs) acyclic.
-    let mut witness = None;
-    for p in grammar.productions() {
-        let mut pasted = pasted_with_io(grammar, &ix, p, &snc.io, None);
-        pasted.paste(grammar, &ix, 0, oi.get(grammar.production(p).lhs()));
-        if let Some(cycle) = pasted.find_cycle() {
-            witness = Some(CircWitness {
-                production: p,
-                cycle,
-            });
-            break;
-        }
-    }
+    let witness = grammar.productions().find_map(|p| {
+        let lhs = grammar.production(p).lhs();
+        let cycle = paste_io(&mut pasted, grammar, p, &snc.io)
+            .paste(0, oi.get(lhs))
+            .find_cycle()?;
+        Some(CircWitness {
+            production: p,
+            cycle,
+        })
+    });
     DncResult { oi, witness }
 }
 

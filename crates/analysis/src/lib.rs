@@ -61,7 +61,6 @@ pub use io::{
 pub use nc::{nc_test, NcResult};
 pub use oag::{oag_test, oag_test_recorded, OagResult};
 pub use partition::{TotalOrder, VisitSlot};
-pub use paste::Pasted;
 pub use trace::explain;
 pub use transform::{
     l_ordered_from_partitions, linear_respects, snc_to_l_ordered, Inclusion, LOrdered, Plan,

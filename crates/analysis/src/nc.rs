@@ -13,9 +13,8 @@ use fnc2_ag::{AttrKind, Grammar, ProductionId};
 use fnc2_gfa::{fixpoint, BitMatrix};
 use fnc2_obs::NoopRecorder;
 
-use crate::attrs::AttrIndex;
 use crate::io::{bottom_up_dependents, CircWitness};
-use crate::paste::Pasted;
+use crate::paste::{Deps, Pasted};
 
 /// Result of the exact non-circularity test.
 #[derive(Clone, Debug)]
@@ -41,7 +40,8 @@ impl NcResult {
 /// Runs the exact non-circularity test, giving up once any phylum
 /// accumulates more than `max_graphs` distinct IO graphs.
 pub fn nc_test(grammar: &Grammar, max_graphs: usize) -> NcResult {
-    let ix = AttrIndex::new(grammar);
+    let deps = Deps::new(grammar);
+    let mut pasted = Pasted::new(&deps);
     let mut io_sets: Vec<HashSet<BitMatrix>> = vec![HashSet::new(); grammar.phylum_count()];
     let mut combinations = 0usize;
     let mut witness = None;
@@ -57,7 +57,7 @@ pub fn nc_test(grammar: &Grammar, max_graphs: usize) -> NcResult {
                 return false;
             }
             let p = ProductionId::from_raw(pi as u32);
-            match expand(grammar, &ix, p, &io_sets, &mut combinations) {
+            match expand(&mut pasted, p, &io_sets, &mut combinations) {
                 Expansion::Cycle(w) => {
                     witness = Some(w);
                     false
@@ -91,12 +91,12 @@ enum Expansion {
 /// All IO graphs of `lhs(p)` obtainable by choosing one IO graph per RHS
 /// occurrence from the current sets.
 fn expand(
-    grammar: &Grammar,
-    ix: &AttrIndex,
+    pasted: &mut Pasted,
     p: ProductionId,
     io_sets: &[HashSet<BitMatrix>],
     combinations: &mut usize,
 ) -> Expansion {
+    let (grammar, ix) = (pasted.deps().grammar, &pasted.deps().ix);
     let prod = grammar.production(p);
     let arity = prod.arity();
     let lhs = prod.lhs();
@@ -118,21 +118,21 @@ fn expand(
     let mut pick = vec![0usize; arity];
     loop {
         *combinations += 1;
-        let mut pasted = Pasted::base(grammar, p);
+        pasted.reset(p);
         for (i, &c) in pick.iter().enumerate() {
-            pasted.paste(grammar, ix, (i + 1) as u16, choices[i][c]);
+            pasted.paste((i + 1) as u16, choices[i][c]);
         }
-        let closed = pasted.closure();
-        if !closed.is_irreflexive() {
+        if let Some(cycle) = pasted.find_cycle() {
             return Expansion::Cycle(CircWitness {
                 production: p,
-                cycle: pasted.find_cycle().expect("cyclic"),
+                cycle,
             });
         }
-        out.push(pasted.project(grammar, ix, &closed, 0, |i, j| {
+        let proj = pasted.project_reach(0, |i, j| {
             grammar.attr(ix.attr_at(lhs, i)).kind() == AttrKind::Inherited
                 && grammar.attr(ix.attr_at(lhs, j)).kind() == AttrKind::Synthesized
-        }));
+        });
+        out.push(proj.clone());
         // Next combination (odometer).
         let mut k = 0;
         loop {

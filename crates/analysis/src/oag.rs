@@ -16,13 +16,13 @@
 //! l-ordered, with witnesses separating the levels (see the corpus).
 
 use fnc2_ag::{AttrKind, Grammar, ONode, Occ, PhylumId, ProductionId};
-use fnc2_gfa::{dependents, fixpoint};
+use fnc2_gfa::{dependents, fixpoint, BitMatrix};
 use fnc2_obs::{NoopRecorder, Recorder};
 
 use crate::attrs::AttrIndex;
 use crate::io::{lhs_of, rhs_of, CircWitness, PhylumRels};
 use crate::partition::{TotalOrder, VisitSlot};
-use crate::paste::Pasted;
+use crate::paste::{Deps, Pasted};
 
 /// Result of the OAG(k) test.
 #[derive(Clone, Debug)]
@@ -51,13 +51,19 @@ pub fn oag_test(grammar: &Grammar, k: usize) -> OagResult {
 
 /// [`oag_test`], with the `DS` fixpoint run recorded into `rec`.
 pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) -> OagResult {
-    let ix = AttrIndex::new(grammar);
-    let ds = induced_dependencies(grammar, &ix, rec);
+    oag(&Deps::new(grammar), k, rec)
+}
+
+/// The OAG(k) test on a cascade run's `D(p)`s.
+pub(crate) fn oag<R: Recorder>(deps: &Deps, k: usize, rec: &mut R) -> OagResult {
+    let (grammar, ix) = (deps.grammar, &deps.ix);
+    let mut pasted = Pasted::new(deps);
+    let ds = induced_dependencies(&mut pasted, rec);
 
     // DS(X) must be acyclic for a partition to exist at all.
     for ph in grammar.phyla() {
         if !ds.get(ph).closure().is_irreflexive() {
-            let witness = cycle_witness_for_phylum(grammar, &ix, &ds, ph);
+            let witness = cycle_witness_for_phylum(&mut pasted, &ds, ph);
             return OagResult {
                 ds,
                 partitions: None,
@@ -70,10 +76,10 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
     // Initial slot assignment per phylum by backwards peeling.
     let mut slots: Vec<Vec<usize>> = Vec::with_capacity(grammar.phylum_count());
     for ph in grammar.phyla() {
-        match peel_slots(grammar, &ix, &ds, ph) {
+        match peel_slots(grammar, ix, &ds, ph) {
             Some(s) => slots.push(s),
             None => {
-                let witness = cycle_witness_for_phylum(grammar, &ix, &ds, ph);
+                let witness = cycle_witness_for_phylum(&mut pasted, &ds, ph);
                 return OagResult {
                     ds,
                     partitions: None,
@@ -88,9 +94,9 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
     loop {
         let partitions: Vec<TotalOrder> = grammar
             .phyla()
-            .map(|ph| slots_to_partition(grammar, &ix, ph, &slots[ph.index()]))
+            .map(|ph| slots_to_partition(grammar, ix, ph, &slots[ph.index()]))
             .collect();
-        match edp_check(grammar, &ix, &partitions) {
+        match edp_check(&mut pasted, &partitions) {
             None => {
                 return OagResult {
                     ds,
@@ -100,7 +106,7 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
                 }
             }
             Some(witness) => {
-                if repairs_used >= k || !repair(grammar, &ix, &ds, &mut slots, &witness) {
+                if repairs_used >= k || !repair(deps, &ds, &mut slots, &witness) {
                     return OagResult {
                         ds,
                         partitions: None,
@@ -116,8 +122,10 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
 
 /// Computes `DS(X)` for every phylum: the up-and-down fixpoint of projected
 /// transitive closures (Kastens [29], in GFA form).
-fn induced_dependencies<R: Recorder>(grammar: &Grammar, ix: &AttrIndex, rec: &mut R) -> PhylumRels {
-    let mut ds = PhylumRels::empty(grammar, ix);
+fn induced_dependencies<R: Recorder>(pasted: &mut Pasted, rec: &mut R) -> PhylumRels {
+    let deps = pasted.deps();
+    let grammar = deps.grammar;
+    let mut ds = PhylumRels::empty(grammar, &deps.ix);
     // A production reads and writes the DS of every phylum it mentions, so
     // its dependents are all productions sharing a phylum with it.
     let mentioned = |p: usize| lhs_of(grammar, p).into_iter().chain(rhs_of(grammar, p));
@@ -130,23 +138,27 @@ fn induced_dependencies<R: Recorder>(grammar: &Grammar, ix: &AttrIndex, rec: &mu
         |pi| {
             let p = ProductionId::from_raw(pi as u32);
             let prod = grammar.production(p);
-            let mut pasted = Pasted::base(grammar, p);
-            for pos in 0..=prod.arity() as u16 {
-                pasted.paste(grammar, ix, pos, ds.get(prod.phylum_at(pos)));
-            }
-            let mut changed = false;
-            let proj = pasted.project_reach(grammar, ix, 0, |_, _| true);
-            changed |= ds.absorb(prod.lhs(), &proj);
-            for group in pasted.rhs_position_groups(grammar, ix) {
-                let pos = group[0];
-                let proj = pasted.project_reach(grammar, ix, pos, |_, _| true);
-                changed |= ds.absorb(prod.phylum_at(pos), &proj);
+            paste_all(pasted, p, |ph| ds.get(ph));
+            let mut changed = ds.absorb(prod.lhs(), pasted.project_reach(0, |_, _| true));
+            for group in deps.rhs_position_groups(p) {
+                let proj = pasted.project_reach(group[0], |_, _| true);
+                changed |= ds.absorb(prod.phylum_at(group[0]), proj);
             }
             changed
         },
         rec,
     );
     ds
+}
+
+/// Resets `pasted` to `D(p)` with `rel(X)` pasted at every position of
+/// phylum `X`, the LHS included.
+fn paste_all<'a>(pasted: &mut Pasted, p: ProductionId, rel: impl Fn(PhylumId) -> &'a BitMatrix) {
+    let prod = pasted.deps().grammar.production(p);
+    pasted.reset(p);
+    for pos in 0..=prod.arity() as u16 {
+        pasted.paste(pos, rel(prod.phylum_at(pos)));
+    }
 }
 
 /// Assigns each attribute of `ph` a *slot*: even slots inherited, odd
@@ -248,27 +260,19 @@ fn slots_to_partition(
 
 /// Checks every production's EDP (D(p) + partition orders pasted at all
 /// positions); returns a witness for the first cyclic one.
-fn edp_check(grammar: &Grammar, ix: &AttrIndex, partitions: &[TotalOrder]) -> Option<CircWitness> {
-    for p in grammar.productions() {
-        let prod = grammar.production(p);
-        let mut pasted = Pasted::base(grammar, p);
-        for pos in 0..=prod.arity() as u16 {
-            let ph = prod.phylum_at(pos);
-            pasted.paste(
-                grammar,
-                ix,
-                pos,
-                &partitions[ph.index()].as_matrix(grammar, ix),
-            );
-        }
-        if let Some(cycle) = pasted.find_cycle() {
-            return Some(CircWitness {
-                production: p,
-                cycle,
-            });
-        }
-    }
-    None
+fn edp_check(pasted: &mut Pasted, partitions: &[TotalOrder]) -> Option<CircWitness> {
+    let deps = pasted.deps();
+    let orders: Vec<BitMatrix> = partitions
+        .iter()
+        .map(|t| t.as_matrix(deps.grammar, &deps.ix))
+        .collect();
+    deps.grammar.productions().find_map(|p| {
+        paste_all(pasted, p, |ph| &orders[ph.index()]);
+        Some(CircWitness {
+            production: p,
+            cycle: pasted.find_cycle()?,
+        })
+    })
 }
 
 /// One OAG(k) repair step: pick a partition-order edge `(q,a) → (q,b)` on
@@ -276,16 +280,11 @@ fn edp_check(grammar: &Grammar, ix: &AttrIndex, partitions: &[TotalOrder]) -> Op
 /// assignment, not a real rule dependency) and delay `a` to `b`'s slot (or
 /// the next slot of `a`'s kind), then re-propagate `DS` consistency.
 /// Returns `false` if no repairable edge exists on the cycle.
-fn repair(
-    grammar: &Grammar,
-    ix: &AttrIndex,
-    ds: &PhylumRels,
-    slots: &mut [Vec<usize>],
-    witness: &CircWitness,
-) -> bool {
+fn repair(deps: &Deps, ds: &PhylumRels, slots: &mut [Vec<usize>], witness: &CircWitness) -> bool {
+    let (grammar, ix) = (deps.grammar, &deps.ix);
     let p = witness.production;
     let prod = grammar.production(p);
-    let dep = fnc2_ag::DepGraph::of(grammar, p);
+    let dep = deps.dep(p);
     // Real dependencies of D(p).
     let is_real = |from: ONode, to: ONode| -> bool {
         dep.index_of(from)
@@ -361,33 +360,32 @@ fn propagate_slots(grammar: &Grammar, ix: &AttrIndex, ds: &PhylumRels, slots: &m
 /// Builds a witness for a phylum whose `DS` relation is cyclic, pointing at
 /// some production that contributes an edge of the cycle.
 fn cycle_witness_for_phylum(
-    grammar: &Grammar,
-    ix: &AttrIndex,
+    pasted: &mut Pasted,
     ds: &PhylumRels,
     ph: PhylumId,
 ) -> Option<CircWitness> {
     // Report the cycle through any production whose pasted graph is cyclic
     // once DS is attached; fall back to the first production of the phylum.
-    for p in grammar.productions() {
-        let prod = grammar.production(p);
-        let mut pasted = Pasted::base(grammar, p);
-        for pos in 0..=prod.arity() as u16 {
-            pasted.paste(grammar, ix, pos, ds.get(prod.phylum_at(pos)));
-        }
-        if let Some(cycle) = pasted.find_cycle() {
-            return Some(CircWitness {
-                production: p,
-                cycle,
-            });
-        }
-    }
+    let deps = pasted.deps();
+    let grammar = deps.grammar;
     grammar
-        .phylum(ph)
         .productions()
-        .first()
-        .map(|&p| CircWitness {
-            production: p,
-            cycle: vec![ONode::Attr(Occ::lhs(ix.attr_at(ph, 0)))],
+        .find_map(|p| {
+            paste_all(pasted, p, |ph| ds.get(ph));
+            Some(CircWitness {
+                production: p,
+                cycle: pasted.find_cycle()?,
+            })
+        })
+        .or_else(|| {
+            grammar
+                .phylum(ph)
+                .productions()
+                .first()
+                .map(|&p| CircWitness {
+                    production: p,
+                    cycle: vec![ONode::Attr(Occ::lhs(deps.ix.attr_at(ph, 0)))],
+                })
         })
 }
 

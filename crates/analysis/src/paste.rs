@@ -2,107 +2,213 @@
 //! augmented with per-phylum relations (argument selectors / IO-graphs,
 //! OI-graphs, induced dependencies, or partition orders) attached to chosen
 //! occurrence positions.
+//!
+//! A cascade run builds every production's `D(p)` once ([`Deps`]) and
+//! pastes onto one workspace ([`Pasted`]) that each use resets to some
+//! `D(p)`; the workspace keeps its graph rows and its search, projection
+//! and signature buffers from one use to the next, so a fixpoint step
+//! allocates only while the productions it visits grow.
+
+use std::cell::OnceCell;
 
 use fnc2_ag::{DepGraph, Grammar, ONode, ProductionId};
-use fnc2_gfa::{BitMatrix, Digraph};
+use fnc2_gfa::{BitMatrix, Digraph, Scratch};
 
 use crate::attrs::AttrIndex;
 
-/// `D(p)` plus pasted relations, with matching dense node indexing.
-#[derive(Clone, Debug)]
-pub struct Pasted<'g> {
-    /// Node identities (the indexing of `graph`).
-    pub dep: DepGraph<'g>,
-    /// The combined digraph.
-    pub graph: Digraph,
+/// Every production's `D(p)` for one cascade run, with its RHS position
+/// classes computed on first use.
+#[derive(Debug)]
+pub(crate) struct Deps<'g> {
+    pub grammar: &'g Grammar,
+    pub ix: AttrIndex,
+    graphs: Vec<DepGraph<'g>>,
+    groups: Vec<OnceCell<Vec<Vec<u16>>>>,
 }
 
-impl<'g> Pasted<'g> {
-    /// Starts from the bare local dependency graph of `p`.
-    pub fn base(grammar: &'g Grammar, p: ProductionId) -> Pasted<'g> {
-        let dep = DepGraph::of(grammar, p);
-        let mut graph = Digraph::new(dep.len());
-        for (u, v) in dep.edges() {
-            graph.add_edge(u, v);
+impl<'g> Deps<'g> {
+    pub fn new(grammar: &'g Grammar) -> Self {
+        Deps {
+            grammar,
+            ix: AttrIndex::new(grammar),
+            graphs: grammar
+                .productions()
+                .map(|p| DepGraph::of(grammar, p))
+                .collect(),
+            groups: grammar.productions().map(|_| OnceCell::new()).collect(),
         }
-        Pasted { dep, graph }
+    }
+
+    /// `D(p)`.
+    pub fn dep(&self, p: ProductionId) -> &DepGraph<'g> {
+        &self.graphs[p.index()]
+    }
+
+    /// Groups the RHS positions `1..=arity` of `p` into classes whose
+    /// projections are guaranteed identical, so a class-test fixpoint only
+    /// projects one representative per class. Two positions land in the
+    /// same class when they hold the same phylum and their occurrence
+    /// nodes have identical edge *signatures* in `D(p)`: every neighbor is
+    /// encoded as either `(local attribute index)` when it belongs to the
+    /// position itself or `(absolute node id)` otherwise. Equal signatures
+    /// make the map that swaps the two positions' nodes (by local index)
+    /// and fixes all other nodes an automorphism of `D(p)` — equality rules
+    /// out edges between the two positions, since such an edge would
+    /// encode as an absolute id on one side with no counterpart on the
+    /// other. Pasting one relation per phylum at each position (the `IO`,
+    /// `OI` and `DS` flows all do) keeps it an automorphism, and an
+    /// automorphism fixing a `keep` predicate preserves reachability
+    /// projections, so the classes hold for every step of those flows. A
+    /// production with thousands of interchangeable children (a wide
+    /// list) collapses to a handful of classes.
+    pub fn rhs_position_groups(&self, p: ProductionId) -> &[Vec<u16>] {
+        self.groups[p.index()].get_or_init(|| self.position_groups(p))
+    }
+
+    fn position_groups(&self, p: ProductionId) -> Vec<Vec<u16>> {
+        let (grammar, ix, dep) = (self.grammar, &self.ix, self.dep(p));
+        let prod = grammar.production(p);
+        let n = dep.len();
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (u, v) in dep.edges() {
+            preds[v].push(u);
+        }
+        let mut sigs: Vec<(Vec<u64>, u16)> = Vec::with_capacity(prod.arity());
+        for pos in 1..=prod.arity() as u16 {
+            let ph = prod.phylum_at(pos);
+            let own = dep.attr_index(pos, 0)..dep.attr_index(pos, ix.len(ph));
+            // Signature: phylum, then per local attribute the sorted
+            // encodings of successor and predecessor neighbors, with
+            // sentinels separating the sections. Own-position neighbors
+            // encode as `2 * local`, everything else as `2 * node + 1`.
+            let mut sig: Vec<u64> = vec![ph.index() as u64];
+            for u in own.clone() {
+                for list in [dep.succs(u), &preds[u]] {
+                    sig.push(u64::MAX);
+                    let from = sig.len();
+                    sig.extend(list.iter().map(|&w| match own.contains(&w) {
+                        true => 2 * (w - own.start) as u64,
+                        false => 2 * w as u64 + 1,
+                    }));
+                    sig[from..].sort_unstable();
+                }
+            }
+            sigs.push((sig, pos));
+        }
+        // Equal signatures end up adjacent, each class in position order;
+        // the classes are then ordered by their first position.
+        sigs.sort_unstable();
+        let mut groups: Vec<Vec<u16>> = Vec::new();
+        for (i, (sig, pos)) in sigs.iter().enumerate() {
+            match groups.last_mut() {
+                Some(group) if sigs[i - 1].0 == *sig => group.push(*pos),
+                _ => groups.push(vec![*pos]),
+            }
+        }
+        groups.sort_unstable_by_key(|group| group[0]);
+        groups
+    }
+}
+
+/// The pasting workspace: `D(p)` of the production it was last
+/// [`reset`](Self::reset) to, plus pasted relations, with matching dense
+/// node indexing.
+#[derive(Debug)]
+pub(crate) struct Pasted<'d, 'g> {
+    deps: &'d Deps<'g>,
+    p: ProductionId,
+    /// The combined digraph.
+    graph: Digraph,
+    scratch: Scratch,
+    proj: BitMatrix,
+    skip: BitMatrix,
+    seen: Vec<bool>,
+    queue: Vec<usize>,
+    lens: Vec<usize>,
+}
+
+impl<'d, 'g> Pasted<'d, 'g> {
+    pub fn new(deps: &'d Deps<'g>) -> Self {
+        Pasted {
+            deps,
+            p: ProductionId::from_raw(0),
+            graph: Digraph::default(),
+            scratch: Scratch::default(),
+            proj: BitMatrix::new(0),
+            skip: BitMatrix::new(0),
+            seen: Vec::new(),
+            queue: Vec::new(),
+            lens: Vec::new(),
+        }
+    }
+
+    /// Makes the graph the bare `D(p)`.
+    pub fn reset(&mut self, p: ProductionId) -> &mut Self {
+        let dep = self.deps.dep(p);
+        self.p = p;
+        self.graph.reset_to(dep.len(), |u| dep.succs(u));
+        self
+    }
+
+    /// The cascade run's graphs.
+    pub fn deps(&self) -> &'d Deps<'g> {
+        self.deps
+    }
+
+    /// `D(p)` of the current production.
+    pub fn dep(&self) -> &'d DepGraph<'g> {
+        self.deps.dep(self.p)
+    }
+
+    /// The combined digraph.
+    pub fn graph(&self) -> &Digraph {
+        &self.graph
     }
 
     /// Pastes relation `rel` (over the local attribute indices of the
     /// phylum at `pos`) onto position `pos`: for each pair `(i, j)` adds an
     /// edge between the corresponding occurrences.
-    pub fn paste(&mut self, grammar: &Grammar, ix: &AttrIndex, pos: u16, rel: &BitMatrix) {
-        let p = self.dep.production();
-        let ph = grammar.production(p).phylum_at(pos);
-        debug_assert_eq!(rel.len(), ix.len(ph), "relation sized for phylum");
+    pub fn paste(&mut self, pos: u16, rel: &BitMatrix) -> &mut Self {
+        let dep = self.dep();
+        let ph = self.deps.grammar.production(self.p).phylum_at(pos);
+        debug_assert_eq!(rel.len(), self.deps.ix.len(ph), "relation sized for phylum");
         for (i, j) in rel.pairs() {
             self.graph
-                .add_edge(self.dep.attr_index(pos, i), self.dep.attr_index(pos, j));
+                .add_edge(dep.attr_index(pos, i), dep.attr_index(pos, j));
         }
+        self
     }
 
-    /// Adds an explicit edge between two occurrence nodes.
-    pub fn add_edge(&mut self, from: ONode, to: ONode) {
-        if let (Some(u), Some(v)) = (self.dep.index_of(from), self.dep.index_of(to)) {
-            self.graph.add_edge(u, v);
+    /// True if the graph stays acyclic with `rel` pasted at `pos`; the
+    /// graph is left as it was either way.
+    pub fn fits(&mut self, pos: u16, rel: &BitMatrix) -> bool {
+        // Pasting at `pos` only appends to the rows of `pos`'s nodes.
+        let nodes = self.dep().attr_index(pos, 0)..self.dep().attr_index(pos, rel.len());
+        self.lens.clear();
+        self.lens
+            .extend(nodes.clone().map(|u| self.graph.succs(u).len()));
+        self.paste(pos, rel);
+        let fits = self.graph.find_cycle_with(&mut self.scratch).is_none();
+        for (u, &len) in nodes.zip(&self.lens) {
+            self.graph.truncate_succs(u, len);
         }
+        fits
     }
 
-    /// The transitive closure of the combined graph as a [`BitMatrix`] over
-    /// the dense node indices.
-    pub fn closure(&self) -> BitMatrix {
-        let mut m = BitMatrix::new(self.dep.len());
-        for (u, v) in self.graph.edges() {
-            m.set(u, v);
-        }
-        m.close();
-        m
-    }
-
-    /// Projects `closed` (a closure from [`closure`](Self::closure)) onto
-    /// position `pos`: the relation over local attribute indices of the
-    /// phylum at `pos` induced by paths between its occurrences. Pairs are
-    /// filtered by `keep(i, j)`.
-    pub fn project(
-        &self,
-        grammar: &Grammar,
-        ix: &AttrIndex,
-        closed: &BitMatrix,
-        pos: u16,
-        mut keep: impl FnMut(usize, usize) -> bool,
-    ) -> BitMatrix {
-        let p = self.dep.production();
-        let ph = grammar.production(p).phylum_at(pos);
-        let k = ix.len(ph);
-        let mut out = BitMatrix::new(k);
-        for i in 0..k {
-            let u = self.dep.attr_index(pos, i);
-            for j in 0..k {
-                if i == j || !keep(i, j) {
-                    continue;
-                }
-                let v = self.dep.attr_index(pos, j);
-                if closed.get(u, v) {
-                    out.set(i, j);
-                }
-            }
-        }
-        out
-    }
-
-    /// Like [`project`](Self::project), but computed by breadth-first
-    /// search from the `k` occurrence nodes of `pos` instead of from a
-    /// dense all-pairs closure: `O(k · (V + E))` where the closure costs
-    /// `O(V³/64)`. The two agree because `closure().get(u, v)` for `u ≠ v`
-    /// is exactly "v reachable from u by a non-empty path".
+    /// Like a projection of the transitive closure onto position `pos` —
+    /// the relation over local attribute indices of the phylum at `pos`
+    /// induced by paths between its occurrences, filtered by `keep(i, j)` —
+    /// computed by breadth-first search from the `k` occurrence nodes of
+    /// `pos`: `O(k · (V + E))` where a closure costs `O(V³/64)`. The two
+    /// agree because a closure's `(u, v)` for `u ≠ v` is exactly "v
+    /// reachable from u by a non-empty path". The result lives in the
+    /// workspace until its next projection.
     pub fn project_reach(
-        &self,
-        grammar: &Grammar,
-        ix: &AttrIndex,
+        &mut self,
         pos: u16,
         keep: impl FnMut(usize, usize) -> bool,
-    ) -> BitMatrix {
-        self.project_reach_excluding(grammar, ix, pos, None, keep)
+    ) -> &BitMatrix {
+        self.project_reach_excluding(pos, None, keep)
     }
 
     /// [`project_reach`](Self::project_reach) over the combined graph
@@ -114,40 +220,38 @@ impl<'g> Pasted<'g> {
     /// `pos`" without rebuilding the graph per position, which is what the
     /// DNC test needs for each child's context.
     pub fn project_reach_excluding(
-        &self,
-        grammar: &Grammar,
-        ix: &AttrIndex,
+        &mut self,
         pos: u16,
         excluded: Option<&BitMatrix>,
         mut keep: impl FnMut(usize, usize) -> bool,
-    ) -> BitMatrix {
-        let p = self.dep.production();
-        let ph = grammar.production(p).phylum_at(pos);
-        let k = ix.len(ph);
-        let node_of = |i: usize| self.dep.attr_index(pos, i);
+    ) -> &BitMatrix {
+        let dep = self.dep();
+        let ph = self.deps.grammar.production(self.p).phylum_at(pos);
+        let k = self.deps.ix.len(ph);
+        // `pos`'s occurrences are numbered `base..base + k`.
+        let base = dep.attr_index(pos, 0);
         // The pairs to skip, by local index: those `excluded` relates that
         // are not also an edge of `D(p)`.
-        let mut skip = BitMatrix::new(k);
+        let skip = &mut self.skip;
+        skip.reset(k);
         if let Some(rel) = excluded {
             debug_assert_eq!(rel.len(), k, "relation sized for phylum");
             for (i, j) in rel.pairs() {
-                if !self.dep.succs(node_of(i)).contains(&node_of(j)) {
+                if !dep.succs(base + i).contains(&(base + j)) {
                     skip.set(i, j);
                 }
             }
         }
-        // `pos`'s occurrences are numbered `base..base + k`.
-        let base = node_of(0);
         let skipped = |u: usize, v: usize| {
             let (i, j) = (u.wrapping_sub(base), v.wrapping_sub(base));
             i < k && j < k && skip.get(i, j)
         };
-        let mut out = BitMatrix::new(k);
-        let mut seen = vec![false; self.dep.len()];
-        let mut queue: Vec<usize> = Vec::new();
+        let (seen, queue) = (&mut self.seen, &mut self.queue);
+        self.proj.reset(k);
         for i in 0..k {
-            let start = node_of(i);
-            seen.iter_mut().for_each(|s| *s = false);
+            let start = base + i;
+            seen.clear();
+            seen.resize(dep.len(), false);
             queue.clear();
             // The start node is not marked reached: closure semantics give
             // `(u, u)` only via a real cycle, and projections skip `i == j`
@@ -166,88 +270,20 @@ impl<'g> Pasted<'g> {
                 }
             }
             for j in 0..k {
-                if i != j && seen[node_of(j)] && keep(i, j) {
-                    out.set(i, j);
+                if i != j && seen[base + j] && keep(i, j) {
+                    self.proj.set(i, j);
                 }
             }
         }
-        out
-    }
-
-    /// Groups the RHS positions `1..=arity` into classes whose projections
-    /// are guaranteed identical, so a class-test fixpoint only projects one
-    /// representative per class. Two positions land in the same class when
-    /// they hold the same phylum and their occurrence nodes have identical
-    /// edge *signatures*: every neighbor is encoded as either
-    /// `(local attribute index)` when it belongs to the position itself or
-    /// `(absolute node id)` otherwise. Equal signatures make the map that
-    /// swaps the two positions' nodes (by local index) and fixes all other
-    /// nodes a graph automorphism — equality rules out edges between the
-    /// two positions, since such an edge would encode as an absolute id on
-    /// one side with no counterpart on the other — and an automorphism
-    /// fixing a `keep` predicate preserves reachability projections. A
-    /// production with thousands of interchangeable children (a wide list)
-    /// collapses to a handful of classes.
-    pub fn rhs_position_groups(&self, grammar: &Grammar, ix: &AttrIndex) -> Vec<Vec<u16>> {
-        let p = self.dep.production();
-        let prod = grammar.production(p);
-        let arity = prod.arity() as u16;
-        let n = self.dep.len();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (u, v) in self.graph.edges() {
-            preds[v].push(u);
-        }
-        // node -> its position, for "own node" testing during encoding.
-        let pos_of: Vec<Option<u16>> = (0..n)
-            .map(|u| self.dep.node(u).occ().map(|o| o.pos))
-            .collect();
-        let mut sigs: Vec<(Vec<u64>, u16)> = Vec::with_capacity(arity as usize);
-        for pos in 1..=arity {
-            let ph = prod.phylum_at(pos);
-            let k = ix.len(ph);
-            // Signature: phylum, then per local attribute the sorted
-            // encodings of successor and predecessor neighbors, with
-            // sentinels separating the sections. Own-position neighbors
-            // encode as `2 * local`, everything else as `2 * node + 1`.
-            let mut sig: Vec<u64> = vec![ph.index() as u64];
-            let encode = |w: usize| -> u64 {
-                if pos_of[w] == Some(pos) {
-                    let a = self.dep.node(w).occ().expect("own node is an occurrence");
-                    2 * ix.local(grammar, a.attr) as u64
-                } else {
-                    2 * w as u64 + 1
-                }
-            };
-            for i in 0..k {
-                let u = self.dep.attr_index(pos, i);
-                for list in [self.graph.succs(u), &preds[u]] {
-                    let mut enc: Vec<u64> = list.iter().map(|&w| encode(w)).collect();
-                    enc.sort_unstable();
-                    sig.push(u64::MAX);
-                    sig.extend(enc);
-                }
-            }
-            sigs.push((sig, pos));
-        }
-        // Equal signatures end up adjacent, each class in position order;
-        // the classes are then ordered by their first position.
-        sigs.sort_unstable();
-        let mut groups: Vec<Vec<u16>> = Vec::new();
-        for (i, (sig, pos)) in sigs.iter().enumerate() {
-            match groups.last_mut() {
-                Some(group) if sigs[i - 1].0 == *sig => group.push(*pos),
-                _ => groups.push(vec![*pos]),
-            }
-        }
-        groups.sort_unstable_by_key(|group| group[0]);
-        groups
+        &self.proj
     }
 
     /// Finds a dependency cycle in the combined graph, as occurrence nodes.
-    pub fn find_cycle(&self) -> Option<Vec<ONode>> {
+    pub fn find_cycle(&mut self) -> Option<Vec<ONode>> {
+        let dep = self.dep();
         self.graph
-            .find_cycle()
-            .map(|c| c.into_iter().map(|u| self.dep.node(u)).collect())
+            .find_cycle_with(&mut self.scratch)
+            .map(|c| c.into_iter().map(|u| dep.node(u)).collect())
     }
 }
 
@@ -278,38 +314,47 @@ mod tests {
     #[test]
     fn paste_and_project() {
         let g = g();
-        let ix = AttrIndex::new(&g);
+        let deps = Deps::new(&g);
         let root = g.production_by_name("root").unwrap();
-        let a = g.phylum_by_name("A").unwrap();
-        let mut pg = Pasted::base(&g, root);
+        let mut pg = Pasted::new(&deps);
         // io(A) = { i -> w }
         let mut io_a = BitMatrix::new(2);
         io_a.set(0, 1);
-        pg.paste(&g, &ix, 1, &io_a);
-        let closed = pg.closure();
-        assert!(closed.is_irreflexive());
+        pg.reset(root).paste(1, &io_a);
+        assert!(pg.find_cycle().is_none());
         // Path S.j -> A.i -> A.w -> S.v projects to j -> v on S.
-        let proj = pg.project(&g, &ix, &closed, 0, |_, _| true);
+        let proj = pg.project_reach(0, |_, _| true);
         assert!(proj.get(0, 1));
         assert!(!proj.get(1, 0));
-        let _ = a;
+        // Without the pasted IO, the path is cut at A.
+        let proj = pg.project_reach_excluding(1, Some(&io_a), |_, _| true);
+        assert_eq!(proj.count(), 0);
     }
 
     #[test]
-    fn cycle_detected_after_paste() {
+    fn cycle_detected_after_paste_and_trials_leave_the_graph() {
         let g = g();
-        let ix = AttrIndex::new(&g);
+        let deps = Deps::new(&g);
         let root = g.production_by_name("root").unwrap();
-        let mut pg = Pasted::base(&g, root);
+        let mut pg = Pasted::new(&deps);
         let mut io_a = BitMatrix::new(2);
         io_a.set(0, 1);
-        pg.paste(&g, &ix, 1, &io_a);
-        // Paste a bogus S relation v -> j, closing the loop.
+        pg.reset(root).paste(1, &io_a);
+        // A bogus S relation v -> j closes the loop.
         let mut rel_s = BitMatrix::new(2);
         rel_s.set(1, 0);
-        pg.paste(&g, &ix, 0, &rel_s);
-        assert!(!pg.closure().is_irreflexive());
+        let edges = pg.graph().edge_count();
+        assert!(!pg.fits(0, &rel_s));
+        assert_eq!(pg.graph().edge_count(), edges);
+        assert!(pg.find_cycle().is_none());
+        pg.paste(0, &rel_s);
         let cyc = pg.find_cycle().unwrap();
         assert!(cyc.len() >= 4);
+        // A reset drops every pasted edge.
+        let leaf = g.production_by_name("leaf").unwrap();
+        pg.reset(leaf);
+        assert_eq!(pg.graph().edge_count(), deps.dep(leaf).edge_count());
+        pg.reset(root);
+        assert_eq!(pg.graph().edge_count(), deps.dep(root).edge_count());
     }
 }

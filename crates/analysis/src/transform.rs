@@ -19,12 +19,11 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use fnc2_ag::{Grammar, ONode, Occ, PhylumId, ProductionId};
-use fnc2_gfa::Digraph;
+use fnc2_gfa::{BitMatrix, Digraph};
 
-use crate::attrs::AttrIndex;
 use crate::io::{CircWitness, SncResult};
 use crate::partition::TotalOrder;
-use crate::paste::Pasted;
+use crate::paste::{Deps, Pasted};
 
 /// Partition-reuse strategy of the transformation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,11 +144,23 @@ fn topo_key(grammar: &Grammar, node: ONode) -> u8 {
     }
 }
 
-fn topo_order(grammar: &Grammar, pasted: &Pasted) -> Option<Vec<ONode>> {
+fn topo_order(pasted: &Pasted) -> Option<Vec<ONode>> {
+    let (grammar, dep) = (pasted.deps().grammar, pasted.dep());
     let order = pasted
-        .graph
-        .topo_order_by(|u| topo_key(grammar, pasted.dep.node(u)))?;
-    Some(order.into_iter().map(|u| pasted.dep.node(u)).collect())
+        .graph()
+        .topo_order_by(|u| topo_key(grammar, dep.node(u)))?;
+    Some(order.into_iter().map(|u| dep.node(u)).collect())
+}
+
+/// The error for a production whose pasted graph turned cyclic.
+fn cyclic(pasted: &mut Pasted, p: ProductionId) -> TransformError {
+    TransformError {
+        production: p,
+        witness: CircWitness {
+            production: p,
+            cycle: pasted.find_cycle().expect("cyclic"),
+        },
+    }
 }
 
 /// Runs the SNC → l-ordered transformation.
@@ -167,15 +178,29 @@ pub fn snc_to_l_ordered(
     snc: &SncResult,
     inclusion: Inclusion,
 ) -> Result<LOrdered, TransformError> {
-    let ix = AttrIndex::new(grammar);
+    transform(&Deps::new(grammar), snc, inclusion)
+}
+
+/// The transformation on a cascade run's `D(p)`s.
+pub(crate) fn transform(
+    deps: &Deps,
+    snc: &SncResult,
+    inclusion: Inclusion,
+) -> Result<LOrdered, TransformError> {
+    let (grammar, ix) = (deps.grammar, &deps.ix);
     let mut partitions: Vec<Vec<TotalOrder>> = vec![Vec::new(); grammar.phylum_count()];
+    // `orders[phylum][i]`: partition i's order as a relation, for pasting.
+    let mut orders: Vec<Vec<BitMatrix>> = vec![Vec::new(); grammar.phylum_count()];
     let mut plans: HashMap<(ProductionId, usize), Plan> = HashMap::new();
     let mut stats = TransformStats::default();
+    let mut pasted = Pasted::new(deps);
 
     // Seed: the root is evaluated in a single visit (its context supplies
     // every inherited attribute up front).
     let root = grammar.root();
-    partitions[root.index()].push(TotalOrder::single_visit(grammar, root));
+    let single = TotalOrder::single_visit(grammar, root);
+    orders[root.index()].push(single.as_matrix(grammar, ix));
+    partitions[root.index()].push(single);
     stats.fresh += 1;
 
     let mut worklist: VecDeque<(ProductionId, usize)> = grammar
@@ -195,40 +220,25 @@ pub fn snc_to_l_ordered(
 
         // Base graph: D(p) + π₀ at the LHS + IO argument selectors on every
         // RHS occurrence.
-        let mut pasted = Pasted::base(grammar, p);
-        let pi0_matrix = partitions[lhs.index()][pi].as_matrix(grammar, &ix);
-        pasted.paste(grammar, &ix, 0, &pi0_matrix);
+        pasted.reset(p).paste(0, &orders[lhs.index()][pi]);
         for pos in 1..=arity {
-            pasted.paste(grammar, &ix, pos, snc.io.get(prod.phylum_at(pos)));
+            pasted.paste(pos, snc.io.get(prod.phylum_at(pos)));
         }
-        if !pasted.closure().is_irreflexive() {
-            return Err(TransformError {
-                production: p,
-                witness: CircWitness {
-                    production: p,
-                    cycle: pasted.find_cycle().expect("cyclic"),
-                },
-            });
+        if pasted.find_cycle().is_some() {
+            return Err(cyclic(&mut pasted, p));
         }
 
         // Choose a partition for each RHS occurrence, left to right.
         let mut chosen: Vec<usize> = Vec::with_capacity(arity as usize);
         for pos in 1..=arity {
             let ph = prod.phylum_at(pos);
-            let mut pick: Option<usize> = None;
-            if inclusion == Inclusion::Long {
-                // Long inclusion: reuse the first registered partition that
-                // keeps the graph acyclic together with the local
-                // dependencies and the siblings chosen so far.
-                for (idx, cand) in partitions[ph.index()].iter().enumerate() {
-                    let mut trial = pasted.clone();
-                    trial.paste(grammar, &ix, pos, &cand.as_matrix(grammar, &ix));
-                    if trial.closure().is_irreflexive() {
-                        pick = Some(idx);
-                        break;
-                    }
-                }
-            }
+            // Long inclusion: reuse the first registered partition that
+            // keeps the graph acyclic together with the local dependencies
+            // and the siblings chosen so far.
+            let pick = match inclusion {
+                Inclusion::Long => orders[ph.index()].iter().position(|m| pasted.fits(pos, m)),
+                Inclusion::Equality => None,
+            };
             let idx = match pick {
                 Some(idx) => {
                     stats.reuses += 1;
@@ -237,7 +247,7 @@ pub fn snc_to_l_ordered(
                 None => {
                     // Derive a fresh partition from a topological order of
                     // the current graph.
-                    let linear = topo_order(grammar, &pasted).expect("acyclic by invariant");
+                    let linear = topo_order(&pasted).expect("acyclic by invariant");
                     let of_pos: Vec<_> = linear
                         .iter()
                         .filter_map(|n| match n {
@@ -254,6 +264,7 @@ pub fn snc_to_l_ordered(
                             idx
                         }
                         None => {
+                            orders[ph.index()].push(fresh.as_matrix(grammar, ix));
                             partitions[ph.index()].push(fresh);
                             stats.fresh += 1;
                             let idx = partitions[ph.index()].len() - 1;
@@ -266,16 +277,12 @@ pub fn snc_to_l_ordered(
                 }
             };
             // Paste the choice and continue with the next position.
-            let m = partitions[ph.index()][idx].as_matrix(grammar, &ix);
-            pasted.paste(grammar, &ix, pos, &m);
-            if !pasted.closure().is_irreflexive() {
-                return Err(TransformError {
-                    production: p,
-                    witness: CircWitness {
-                        production: p,
-                        cycle: pasted.find_cycle().expect("cyclic"),
-                    },
-                });
+            if pasted
+                .paste(pos, &orders[ph.index()][idx])
+                .find_cycle()
+                .is_some()
+            {
+                return Err(cyclic(&mut pasted, p));
             }
             // Make sure the chosen partition's plans exist.
             for &q in grammar.phylum(ph).productions() {
@@ -286,7 +293,7 @@ pub fn snc_to_l_ordered(
             chosen.push(idx);
         }
 
-        let linear = topo_order(grammar, &pasted).expect("acyclic by invariant");
+        let linear = topo_order(&pasted).expect("acyclic by invariant");
         plans.insert(
             (p, pi),
             Plan {
@@ -317,33 +324,34 @@ pub fn l_ordered_from_partitions(
     grammar: &Grammar,
     parts: Vec<TotalOrder>,
 ) -> Result<LOrdered, TransformError> {
+    from_partitions(&Deps::new(grammar), parts)
+}
+
+/// [`l_ordered_from_partitions`] on a cascade run's `D(p)`s.
+pub(crate) fn from_partitions(
+    deps: &Deps,
+    parts: Vec<TotalOrder>,
+) -> Result<LOrdered, TransformError> {
+    let grammar = deps.grammar;
     assert_eq!(
         parts.len(),
         grammar.phylum_count(),
         "one partition per phylum"
     );
-    let ix = AttrIndex::new(grammar);
+    let orders: Vec<BitMatrix> = parts
+        .iter()
+        .map(|t| t.as_matrix(grammar, &deps.ix))
+        .collect();
+    let mut pasted = Pasted::new(deps);
     let mut plans = HashMap::new();
     for p in grammar.productions() {
         let prod = grammar.production(p);
-        let mut pasted = Pasted::base(grammar, p);
+        pasted.reset(p);
         for pos in 0..=prod.arity() as u16 {
-            let ph = prod.phylum_at(pos);
-            pasted.paste(
-                grammar,
-                &ix,
-                pos,
-                &parts[ph.index()].as_matrix(grammar, &ix),
-            );
+            pasted.paste(pos, &orders[prod.phylum_at(pos).index()]);
         }
-        let Some(linear) = topo_order(grammar, &pasted) else {
-            return Err(TransformError {
-                production: p,
-                witness: CircWitness {
-                    production: p,
-                    cycle: pasted.find_cycle().expect("cyclic"),
-                },
-            });
+        let Some(linear) = topo_order(&pasted) else {
+            return Err(cyclic(&mut pasted, p));
         };
         plans.insert(
             (p, 0),
@@ -495,24 +503,24 @@ mod tests {
         let snc = snc_test(&g);
         for inc in [Inclusion::Equality, Inclusion::Long] {
             let lo = snc_to_l_ordered(&g, &snc, inc).unwrap();
+            let deps = Deps::new(&g);
+            let mut pasted = Pasted::new(&deps);
             for ((p, pi), plan) in &lo.plans {
                 // Rebuild the pasted graph and verify the order.
-                let ix = AttrIndex::new(&g);
-                let prod = g.production(*p);
-                let mut pasted = Pasted::base(&g, *p);
+                let (ix, prod) = (&deps.ix, g.production(*p));
                 let lhs_part = &lo.partitions_of(prod.lhs())[*pi];
-                pasted.paste(&g, &ix, 0, &lhs_part.as_matrix(&g, &ix));
+                pasted.reset(*p).paste(0, &lhs_part.as_matrix(&g, ix));
                 for (i, &idx) in plan.rhs_partitions.iter().enumerate() {
                     let pos = (i + 1) as u16;
                     let ph = prod.phylum_at(pos);
-                    pasted.paste(&g, &ix, pos, &lo.partitions_of(ph)[idx].as_matrix(&g, &ix));
+                    pasted.paste(pos, &lo.partitions_of(ph)[idx].as_matrix(&g, ix));
                 }
                 let order: Vec<usize> = plan
                     .linear
                     .iter()
-                    .map(|&n| pasted.dep.index_of(n).unwrap())
+                    .map(|&n| pasted.dep().index_of(n).unwrap())
                     .collect();
-                assert!(linear_respects(&pasted.graph, &order));
+                assert!(linear_respects(pasted.graph(), &order));
             }
         }
     }

@@ -27,6 +27,14 @@ impl BitMatrix {
         }
     }
 
+    /// Makes this the empty relation on `0..n`, reusing its storage.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words = n.div_ceil(64).max(1);
+        self.rows.clear();
+        self.rows.resize(n * self.words, 0);
+    }
+
     /// The dimension `n`.
     pub fn len(&self) -> usize {
         self.n
@@ -81,8 +89,9 @@ impl BitMatrix {
 
     /// Replaces `self` by its transitive closure (Warshall, row-OR form).
     pub fn close(&mut self) {
+        let mut k_row = vec![0; self.words];
         for k in 0..self.n {
-            let k_row: Vec<u64> = self.rows[k * self.words..(k + 1) * self.words].to_vec();
+            k_row.copy_from_slice(&self.rows[k * self.words..(k + 1) * self.words]);
             for i in 0..self.n {
                 if self.get(i, k) {
                     let row = &mut self.rows[i * self.words..(i + 1) * self.words];

@@ -7,25 +7,58 @@ use std::collections::VecDeque;
 /// A directed graph on dense node indices `0..n`.
 #[derive(Clone, Debug, Default)]
 pub struct Digraph {
+    /// `succs[u]` for `u < n`; rows past `n` are kept by [`reset`](Self::reset)
+    /// for reuse.
     succs: Vec<Vec<usize>>,
+    n: usize,
+}
+
+/// Reusable buffers for [`Digraph::find_cycle_with`], so that repeated
+/// searches allocate only while the graphs they search grow.
+#[derive(Clone, Debug, Default)]
+pub struct Scratch {
+    grey: Vec<u8>,
+    path: Vec<usize>,
+    dfs: Vec<(usize, usize)>,
 }
 
 impl Digraph {
     /// An edgeless graph on `n` nodes.
     pub fn new(n: usize) -> Self {
-        Digraph {
-            succs: vec![Vec::new(); n],
+        let mut g = Digraph::default();
+        g.reset_to(n, |_| &[]);
+        g
+    }
+
+    /// Makes this the graph on `n` nodes where `u`'s successors are
+    /// `succs(u)`, in that order, keeping every row's buffer. Each list
+    /// must be free of duplicates, as [`add_edge`](Self::add_edge) keeps
+    /// them.
+    pub fn reset_to<'a>(&mut self, n: usize, succs: impl Fn(usize) -> &'a [usize]) {
+        if self.succs.len() < n {
+            self.succs.resize_with(n, Vec::new);
         }
+        for (u, row) in self.succs[..n].iter_mut().enumerate() {
+            row.clear();
+            row.extend_from_slice(succs(u));
+            debug_assert!(row.iter().all(|&v| v < n), "successor out of range");
+        }
+        self.n = n;
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.n
     }
 
     /// True if the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.n == 0
+    }
+
+    /// Removes the edges added from `u` after its first `len` ones.
+    pub fn truncate_succs(&mut self, u: usize, len: usize) {
+        self.succs[u].truncate(len);
     }
 
     /// Adds the edge `u → v` (duplicates ignored). Returns `true` if new.
@@ -33,7 +66,7 @@ impl Digraph {
     /// # Panics
     /// Panics if `u` or `v` is out of range.
     pub fn add_edge(&mut self, u: usize, v: usize) -> bool {
-        assert!(v < self.succs.len(), "node {v} out of range");
+        assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range");
         let s = &mut self.succs[u];
         if s.contains(&v) {
             false
@@ -50,7 +83,7 @@ impl Digraph {
 
     /// All edges.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.succs
+        self.succs[..self.n]
             .iter()
             .enumerate()
             .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
@@ -58,7 +91,7 @@ impl Digraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs[..self.n].iter().map(Vec::len).sum()
     }
 
     /// Deterministic topological order: Kahn's algorithm, breaking ties by
@@ -104,45 +137,49 @@ impl Digraph {
     /// (first node repeated at the end), or `None` if acyclic. Used by the
     /// interactive circularity trace to show *why* an AG fails a test.
     pub fn find_cycle(&self) -> Option<Vec<usize>> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
-        }
-        let n = self.len();
-        let mut color = vec![Color::White; n];
-        let mut stack: Vec<usize> = Vec::new();
+        self.find_cycle_with(&mut Scratch::default())
+    }
 
-        // Iterative DFS keeping the grey path in `stack`.
-        for start in 0..n {
-            if color[start] != Color::White {
+    /// [`find_cycle`](Self::find_cycle) on the buffers of `scratch`.
+    pub fn find_cycle_with(&self, scratch: &mut Scratch) -> Option<Vec<usize>> {
+        const WHITE: u8 = 0;
+        const GREY: u8 = 1;
+        const BLACK: u8 = 2;
+        let Scratch { grey, path, dfs } = scratch;
+        grey.clear();
+        grey.resize(self.n, WHITE);
+        path.clear();
+
+        // Iterative DFS keeping the grey path in `path`.
+        for start in 0..self.n {
+            if grey[start] != WHITE {
                 continue;
             }
-            let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
-            color[start] = Color::Grey;
-            stack.push(start);
+            dfs.clear();
+            dfs.push((start, 0));
+            grey[start] = GREY;
+            path.push(start);
             while let Some(&mut (u, ref mut i)) = dfs.last_mut() {
                 if *i < self.succs[u].len() {
                     let v = self.succs[u][*i];
                     *i += 1;
-                    match color[v] {
-                        Color::White => {
-                            color[v] = Color::Grey;
-                            stack.push(v);
+                    match grey[v] {
+                        WHITE => {
+                            grey[v] = GREY;
+                            path.push(v);
                             dfs.push((v, 0));
                         }
-                        Color::Grey => {
-                            let at = stack.iter().position(|&x| x == v).expect("grey on stack");
-                            let mut cycle: Vec<usize> = stack[at..].to_vec();
+                        GREY => {
+                            let at = path.iter().position(|&x| x == v).expect("grey on path");
+                            let mut cycle: Vec<usize> = path[at..].to_vec();
                             cycle.push(v);
                             return Some(cycle);
                         }
-                        Color::Black => {}
+                        _ => {}
                     }
                 } else {
-                    color[u] = Color::Black;
-                    stack.pop();
+                    grey[u] = BLACK;
+                    path.pop();
                     dfs.pop();
                 }
             }
@@ -153,7 +190,7 @@ impl Digraph {
     /// Strongly connected components in reverse topological order
     /// (Tarjan, iterative).
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.len();
+        let n = self.n;
         let mut index = vec![usize::MAX; n];
         let mut low = vec![0usize; n];
         let mut on_stack = vec![false; n];
@@ -211,7 +248,7 @@ impl Digraph {
 
     /// Nodes reachable from `start` (including `start`).
     pub fn reachable_from(&self, start: usize) -> Vec<usize> {
-        let n = self.len();
+        let n = self.n;
         let mut seen = vec![false; n];
         let mut q = VecDeque::from([start]);
         seen[start] = true;
@@ -296,6 +333,17 @@ mod tests {
         let g = diamond();
         assert_eq!(g.reachable_from(1), vec![1, 3]);
         assert_eq!(g.reachable_from(0).len(), 4);
+    }
+
+    #[test]
+    fn reset_keeps_only_the_given_edges() {
+        let mut g = diamond();
+        g.reset_to(2, |_| &[]);
+        assert_eq!((g.len(), g.edge_count()), (2, 0));
+        g.add_edge(1, 0);
+        g.reset_to(4, |u| if u == 3 { &[2, 0] } else { &[] });
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(3, 2), (3, 0)]);
+        assert_eq!(g.topo_order(), Some(vec![1, 3, 0, 2]));
     }
 
     #[test]

@@ -35,5 +35,5 @@ mod digraph;
 mod fixpoint;
 
 pub use bitmat::BitMatrix;
-pub use digraph::Digraph;
+pub use digraph::{Digraph, Scratch};
 pub use fixpoint::{dependents, fixpoint};

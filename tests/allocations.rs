@@ -1,7 +1,8 @@
 //! A deterministic allocation gate on the mini-Pascal compile path: the
 //! OLGA front end and a cached start, scan, parse, evaluation, repeated
 //! evaluations on one compiled grammar and single rule firings, plus one
-//! evaluation of a synthetic tree. Heap traffic, not name lookup, bounds that path, and
+//! evaluation of a synthetic tree, and on the evaluator generator's class
+//! cascade and space planner. Heap traffic, not name lookup, bounds that path, and
 //! unlike timings the counts repeat exactly, so a change that allocates per
 //! token, per call or per node again fails here.
 //!
@@ -12,16 +13,18 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fnc2::ag::{Arg, Occ, RuleBody, Value};
+use fnc2::ag::{Arg, Grammar, Occ, RuleBody, Value};
+use fnc2::analysis::{classify, Inclusion};
 use fnc2::artifact::{emit_tables, load_tables};
 use fnc2::guard::EvalBudget;
 use fnc2::obs::NoopRecorder;
 use fnc2::olga::compile_ag_source;
-use fnc2::visit::{Evaluator, RootInputs};
+use fnc2::space::analyze_space;
+use fnc2::visit::{build_visit_seqs, Evaluator, RootInputs};
 use fnc2::{smoke_tree, Compiled, Pipeline, SmokeOutcome};
 use fnc2_corpus::{
-    minipascal_scanner, parse_minipascal, sample_program, synthetic, synthetic_tree,
-    MINIPASCAL_OLGA, TABLE1_PROFILES,
+    minipascal, minipascal_scanner, parse_minipascal, partition_blowup, sample_program, synthetic,
+    synthetic_tree, MINIPASCAL_OLGA, TABLE1_PROFILES,
 };
 
 struct Counting;
@@ -212,4 +215,21 @@ fn one_code_firing_allocates_a_handful() {
     let env = Value::empty_map().map_insert("x".to_string(), entry);
     let evar = code_firing(&c, "evar", &[env, Value::str("x")]);
     assert!(evar <= 4, "evar: {evar} allocations");
+}
+
+/// The allocations of `g`'s class cascade and of its space analysis, as
+/// the pipeline runs them.
+fn generator_allocations(g: &Grammar) -> (u64, u64) {
+    let (c, classify) = allocations(|| classify(g, 1, Inclusion::Long).unwrap());
+    let seqs = build_visit_seqs(g, c.l_ordered.as_ref().unwrap());
+    let (_, space) = allocations(|| analyze_space(g, &seqs));
+    (classify, space)
+}
+
+#[test]
+fn the_generator_allocates_per_production_not_per_step() {
+    let (pascal, ag5) = (minipascal().0, synthetic(&TABLE1_PROFILES[4]));
+    let [(pc, ps), (ac, asp)] = [&pascal, &ag5].map(generator_allocations);
+    println!("mini-Pascal: classify {pc}, analyze_space {ps} allocations");
+    println!("AG5: classify {ac}, analyze_space {asp} allocations");
 }
