@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use fnc2_ag::{Grammar, ONode, Occ, ProductionId, RuleBody};
 use fnc2_visit::{Instr, VisitSeqs};
 
-use crate::flat::{FlatItem, FlatProgram, Instance, InstanceKind};
+use crate::flat::{FlatItem, FlatProgram, InstanceKind};
 use crate::lifetime::{interval_hits_visit, Lifetimes};
 use crate::object::{Object, ObjectIndex};
 
@@ -203,16 +203,30 @@ pub fn plan_storage(
 ) -> SpacePlan {
     let n = objects.len();
     let occ = occurrence_index(fp, objects);
+    let copies = copy_numbers(grammar);
     // Can `members` share one storage of class `c`? Checked only over the
-    // sequences where some member has instances.
-    let fits = |c: Class, members: &[usize]| {
-        let keys = seqs_of(&occ, members);
-        let mut sorted = members.to_vec();
+    // sequences where some member has instances, on buffers kept across
+    // the calls.
+    let (mut sorted, mut found, mut keys) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut scratch, mut sim) = (VarScratch::default(), SimScratch::default());
+    let mut fits = |c: Class, members: &[usize]| {
+        sorted.clear();
+        sorted.extend_from_slice(members);
         sorted.sort_unstable();
+        found.clear();
+        for &m in members {
+            found.extend_from_slice(&occ[m]);
+        }
+        found.sort_unstable();
         match c {
-            Class::Variable => variable_feasible(grammar, fp, lt, objects, &sorted, &keys),
+            Class::Variable => {
+                variable_feasible(grammar, fp, lt, &copies, &sorted, &found, &mut scratch)
+            }
             Class::Stack => {
-                StackSim::run(grammar, seqs, fp, objects, &sorted, &[], &keys).is_some()
+                keys.clear();
+                keys.extend(found.iter().map(|&(k, _)| k));
+                keys.dedup();
+                StackSim::feasible(grammar, seqs, fp, objects, &sorted, &keys, &mut sim)
             }
             Class::Node => false,
         }
@@ -345,11 +359,13 @@ pub fn plan_storage(
         }
     }
     let mut recs = Vec::with_capacity(stacks.len());
+    let mut sim = SimScratch::default();
     for (members, mut elim) in stacks.iter().zip(stack_elim) {
         elim.sort_unstable();
         let keys = seqs_of(&occ, members);
         let rec = loop {
-            if let Some(rec) = StackSim::run(grammar, seqs, fp, objects, members, &elim, &keys) {
+            let run = StackSim::run(grammar, seqs, fp, objects, members, &elim, &keys, &mut sim);
+            if let Some(rec) = run {
                 break rec;
             }
             // Packing checked the group without eliminations, so the
@@ -430,16 +446,13 @@ fn node_number(grammar: &Grammar, p: ProductionId, node: ONode) -> usize {
         .expect("a node of the production")
 }
 
-/// The occurrence index: for each object, the sorted numbers of the
-/// sequences where it has instances.
-fn occurrence_index(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<Vec<usize>> {
-    let mut occ: Vec<Vec<usize>> = vec![Vec::new(); objects.len()];
+/// The occurrence index: for each object, its instances as sorted
+/// (sequence number, instance number) pairs.
+fn occurrence_index(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<Vec<(usize, usize)>> {
+    let mut occ: Vec<Vec<(usize, usize)>> = vec![Vec::new(); objects.len()];
     for (k, insts) in fp.instances.iter().enumerate() {
-        for inst in insts {
-            let seqs = &mut occ[objects.index(inst.object)];
-            if seqs.last() != Some(&k) {
-                seqs.push(k);
-            }
+        for (i, inst) in insts.iter().enumerate() {
+            occ[objects.index(inst.object)].push((k, i));
         }
     }
     occ
@@ -447,14 +460,31 @@ fn occurrence_index(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<Vec<usize>> 
 
 /// The sorted numbers of the sequences where any of `members` has
 /// instances.
-fn seqs_of(occ: &[Vec<usize>], members: &[usize]) -> Vec<usize> {
+fn seqs_of(occ: &[Vec<(usize, usize)>], members: &[usize]) -> Vec<usize> {
     let mut keys: Vec<usize> = members
         .iter()
-        .flat_map(|&m| occ[m].iter().copied())
+        .flat_map(|&m| occ[m].iter().map(|&(k, _)| k))
         .collect();
     keys.sort_unstable();
     keys.dedup();
     keys
+}
+
+/// Each production's copy rules, as (source, target) node numbers.
+fn copy_numbers(grammar: &Grammar) -> Vec<Vec<(usize, usize)>> {
+    grammar
+        .productions()
+        .map(|p| {
+            let rules = grammar.production(p).rules().iter();
+            rules
+                .filter(|rule| rule.is_copy())
+                .filter_map(|rule| {
+                    let src = node_number(grammar, p, rule.read_nodes().next()?);
+                    Some((src, node_number(grammar, p, rule.target())))
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// If `rule` is a copy between occurrences/locals, its (source, target)
@@ -475,84 +505,92 @@ fn copy_objects(p: ProductionId, rule: &fnc2_ag::SemRule) -> Option<(Object, Obj
 // Variable feasibility
 // ---------------------------------------------------------------------------
 
+/// The buffers of [`variable_feasible`], kept across its calls.
+#[derive(Default)]
+struct VarScratch {
+    /// By instance number: its place among the member instances, or
+    /// [`NONE`].
+    place: Vec<usize>,
+    uf: Vec<usize>,
+    merged: Vec<(usize, usize)>,
+    ivals: Vec<(usize, usize)>,
+}
+
 /// True if the objects `members` (sorted) can share one global variable:
-/// in each sequence numbered in `keys`, the (copy-coalesced) live
-/// intervals of their instances are pairwise disjoint, and no interval
-/// contains a `VISIT` that may evaluate a member.
+/// in each sequence where `found`, the members' instances as sorted
+/// (sequence, instance) pairs, lists some, the (copy-coalesced) live
+/// intervals of those instances are pairwise disjoint, and no interval
+/// contains a `VISIT` that may evaluate a member. `copies` lists each
+/// production's copy rules by node number.
 fn variable_feasible(
     grammar: &Grammar,
     fp: &FlatProgram,
     lt: &Lifetimes,
-    objects: &ObjectIndex,
+    copies: &[Vec<(usize, usize)>],
     members: &[usize],
-    keys: &[usize],
+    found: &[(usize, usize)],
+    s: &mut VarScratch,
 ) -> bool {
-    for &k in keys {
-        let p = fp.seqs[k].key.0;
-        // Instances of member objects (`mine`), and where each instance
-        // sits among them (`place`, by instance number).
-        let insts = &fp.instances[k];
-        let mut place = vec![NONE; insts.len()];
-        let mut mine: Vec<&Instance> = Vec::new();
-        for (i, inst) in insts.iter().enumerate() {
-            if members.binary_search(&objects.index(inst.object)).is_ok() {
-                place[i] = mine.len();
-                mine.push(inst);
-            }
+    fn find(uf: &mut [usize], x: usize) -> usize {
+        let mut r = x;
+        while uf[r] != r {
+            r = uf[r];
         }
-        if mine.is_empty() {
-            continue;
+        uf[x] = r;
+        r
+    }
+    for mine in found.chunk_by(|a, b| a.0 == b.0) {
+        let k = mine[0].0;
+        let insts = &fp.instances[k];
+        s.place.clear();
+        s.place.resize(insts.len(), NONE);
+        for (at, &(_, i)) in mine.iter().enumerate() {
+            s.place[i] = at;
         }
         // Coalesce copy-linked instances (the copy target holds the same
         // value, so overlap between source and target is harmless).
-        let mut uf: Vec<usize> = (0..mine.len()).collect();
-        fn find(uf: &mut [usize], x: usize) -> usize {
-            let mut r = x;
-            while uf[r] != r {
-                r = uf[r];
-            }
-            uf[x] = r;
-            r
-        }
-        for rule in grammar.production(p).rules() {
-            if !rule.is_copy() {
-                continue;
-            }
-            let Some(src) = rule.read_nodes().next() else {
-                continue;
-            };
-            let a = place[node_number(grammar, p, src)];
-            let b = place[node_number(grammar, p, rule.target())];
+        s.uf.clear();
+        s.uf.extend(0..mine.len());
+        for &(src, dst) in &copies[fp.seqs[k].key.0.index()] {
+            let (a, b) = (s.place[src], s.place[dst]);
             if a != NONE && b != NONE {
-                let (ra, rb) = (find(&mut uf, a), find(&mut uf, b));
-                uf[rb] = ra;
+                let (ra, rb) = (find(&mut s.uf, a), find(&mut s.uf, b));
+                s.uf[rb] = ra;
             }
         }
         // Merge intervals per component.
-        let mut merged: Vec<Option<(usize, usize)>> = vec![None; mine.len()];
-        for (idx, inst) in mine.iter().enumerate() {
-            let r = find(&mut uf, idx);
-            let e = merged[r].get_or_insert((inst.def_pos, inst.last_use()));
-            e.0 = e.0.min(inst.def_pos);
-            e.1 = e.1.max(inst.last_use());
+        s.merged.clear();
+        s.merged.resize(mine.len(), (NONE, 0));
+        for (at, &(_, i)) in mine.iter().enumerate() {
+            let e = &mut s.merged[find(&mut s.uf, at)];
+            e.0 = e.0.min(insts[i].def_pos);
+            e.1 = e.1.max(insts[i].last_use());
         }
-        // Pairwise disjoint across components. Touching endpoints are safe:
+        // Pairwise disjoint across components: `(d1, u1)` and `(d2, u2)`
+        // overlap when `d1 < u2 && d2 < u1`. Touching endpoints are safe:
         // at any single position, reads happen before the write (an `EVAL`
         // reads its arguments first; a `VISIT` handoff is validated by the
         // per-sequence checks of the visited phylum's own productions).
-        let ivals: Vec<(usize, usize)> = merged.into_iter().flatten().collect();
-        for (i, &(d1, u1)) in ivals.iter().enumerate() {
-            for &(d2, u2) in &ivals[i + 1..] {
-                if d1 < u2 && d2 < u1 {
-                    return false;
-                }
+        // Sorted by start, an interval overlaps an earlier one exactly when
+        // it starts before the latest end so far (an interval never ends
+        // before it starts).
+        s.ivals.clear();
+        s.ivals.extend(s.merged.iter().filter(|e| e.0 != NONE));
+        s.ivals.sort_unstable();
+        let mut end = 0;
+        for &(d, u) in &s.ivals {
+            debug_assert!(d <= u, "an interval ends after it starts");
+            if d < end {
+                return false;
             }
+            end = end.max(u);
         }
         // No intervening VISIT may evaluate any member — except the VISITs
         // that *use* the instance: during those the visited subtree sees
         // the instance as its own LHS occurrence and its sequences are
         // checked directly.
-        for inst in &mine {
+        for &(_, i) in mine {
+            let inst = &insts[i];
             if interval_hits_visit(
                 grammar,
                 fp,
@@ -617,20 +655,33 @@ impl SimRecord {
 /// The state of one sequence's simulation: the symbolic stack of instance
 /// numbers, each instance's slot on it (so membership and depth queries
 /// stay O(1) on stacks holding one instance per child of a wide
-/// production), and the delayed pops.
-struct SimState {
-    stack: Vec<usize>,
+/// production), and the delayed pops. The buffers are a [`SimScratch`]'s.
+struct SimState<'s> {
+    stack: &'s mut Vec<usize>,
     /// `slot[i]`: where instance `i` sits on the stack, or [`NONE`].
-    slot: Vec<usize>,
+    slot: &'s mut Vec<usize>,
     /// `pending[i]`: instance `i` is dead and waits to surface.
-    pending: Vec<bool>,
+    pending: &'s mut Vec<bool>,
     n_pending: usize,
     /// The next entry of the pop schedule.
     next_pop: usize,
+    rec: &'s mut SimRecord,
+}
+
+/// The buffers of [`StackSim`]'s runs, kept across them; `rec` holds the
+/// last simulated sequence's record.
+#[derive(Default)]
+struct SimScratch {
+    member: Vec<bool>,
+    schedule: Vec<(usize, usize)>,
+    stack: Vec<usize>,
+    slot: Vec<usize>,
+    pending: Vec<bool>,
+    group: Vec<usize>,
     rec: SimRecord,
 }
 
-impl SimState {
+impl SimState<'_> {
     fn push(&mut self, i: usize) {
         self.slot[i] = self.stack.len();
         self.stack.push(i);
@@ -691,6 +742,7 @@ impl StackSim {
     /// (production, target number) pairs, tentatively turned into top
     /// renames; if a rename is invalid the simulation fails (the caller
     /// retries without it).
+    #[allow(clippy::too_many_arguments)]
     fn run(
         grammar: &Grammar,
         seqs: &VisitSeqs,
@@ -699,15 +751,35 @@ impl StackSim {
         members: &[usize],
         eliminate: &[(ProductionId, usize)],
         keys: &[usize],
+        scratch: &mut SimScratch,
     ) -> Option<Vec<(usize, SimRecord)>> {
         keys.iter()
             .map(|&k| {
-                let rec = Self::run_seq(grammar, seqs, fp, objects, members, eliminate, k)?;
-                Some((k, rec))
+                Self::run_seq(grammar, seqs, fp, objects, members, eliminate, k, scratch)
+                    .then(|| (k, std::mem::take(&mut scratch.rec)))
             })
             .collect()
     }
 
+    /// True if [`run`](Self::run) would return records, without keeping
+    /// them.
+    #[allow(clippy::too_many_arguments)]
+    fn feasible(
+        grammar: &Grammar,
+        seqs: &VisitSeqs,
+        fp: &FlatProgram,
+        objects: &ObjectIndex,
+        members: &[usize],
+        keys: &[usize],
+        scratch: &mut SimScratch,
+    ) -> bool {
+        keys.iter()
+            .all(|&k| Self::run_seq(grammar, seqs, fp, objects, members, &[], k, scratch))
+    }
+
+    /// Simulates sequence `k` into `scratch.rec`; false if the group is
+    /// infeasible there.
+    #[allow(clippy::too_many_arguments)]
     fn run_seq(
         grammar: &Grammar,
         seqs: &VisitSeqs,
@@ -716,42 +788,64 @@ impl StackSim {
         members: &[usize],
         eliminate: &[(ProductionId, usize)],
         k: usize,
-    ) -> Option<SimRecord> {
+        scratch: &mut SimScratch,
+    ) -> bool {
         let fs = &fp.seqs[k];
         let p = fs.key.0;
         let prod = grammar.production(p);
         let insts = &fp.instances[k];
+        let SimScratch {
+            member,
+            schedule,
+            stack,
+            slot,
+            pending,
+            group,
+            rec,
+        } = scratch;
         // member[i]: instance i belongs to the group.
-        let member: Vec<bool> = insts
-            .iter()
-            .map(|i| members.binary_search(&objects.index(i.object)).is_ok())
-            .collect();
+        member.clear();
+        member.extend(
+            insts
+                .iter()
+                .map(|i| members.binary_search(&objects.index(i.object)).is_ok()),
+        );
         // The LHS occurrences are the first instances.
         let lhs = 0..prod.occ_base(1);
         // Pop schedule: (position, instance) for the member instances whose
         // last use is there and that this sequence must pop (ChildInh,
         // ChildSyn, Local), by position and then instance.
-        let mut schedule: Vec<(usize, usize)> = insts
-            .iter()
-            .enumerate()
-            .filter(|&(i, inst)| {
-                member[i]
-                    && matches!(
-                        inst.kind,
-                        InstanceKind::ChildInh | InstanceKind::ChildSyn | InstanceKind::Local
-                    )
-            })
-            .map(|(i, inst)| (inst.last_use(), i))
-            .collect();
+        schedule.clear();
+        schedule.extend(
+            insts
+                .iter()
+                .enumerate()
+                .filter(|&(i, inst)| {
+                    member[i]
+                        && matches!(
+                            inst.kind,
+                            InstanceKind::ChildInh | InstanceKind::ChildSyn | InstanceKind::Local
+                        )
+                })
+                .map(|(i, inst)| (inst.last_use(), i)),
+        );
         schedule.sort_unstable();
 
+        stack.clear();
+        slot.clear();
+        slot.resize(insts.len(), NONE);
+        pending.clear();
+        pending.resize(insts.len(), false);
+        rec.depths.clear();
+        rec.pops.clear();
+        rec.renames.clear();
         let mut sim = SimState {
-            stack: Vec::new(),
-            slot: vec![NONE; insts.len()],
-            pending: vec![false; insts.len()],
+            stack,
+            slot,
+            pending,
             n_pending: 0,
             next_pop: 0,
-            rec: SimRecord::default(),
+            rec,
         };
         let mut baseline = 0usize;
 
@@ -759,46 +853,42 @@ impl StackSim {
             match item {
                 FlatItem::Begin(v) => {
                     // Virtual pushes for the LHS inherited of this visit.
-                    let virt: Vec<usize> = lhs
-                        .clone()
-                        .filter(|&i| {
-                            let inst = &insts[i];
-                            inst.kind == InstanceKind::LhsInh
-                                && member[i]
-                                && fs.visit_at(inst.def_pos) == *v
-                                && inst.def_pos == pos
-                        })
-                        .collect();
-                    if virt.len() > 1 {
-                        return None; // ambiguous handoff order
+                    group.clear();
+                    group.extend(lhs.clone().filter(|&i| {
+                        let inst = &insts[i];
+                        inst.kind == InstanceKind::LhsInh
+                            && member[i]
+                            && fs.visit_at(inst.def_pos) == *v
+                            && inst.def_pos == pos
+                    }));
+                    if group.len() > 1 {
+                        return false; // ambiguous handoff order
                     }
-                    for i in virt {
+                    for &i in group.iter() {
                         sim.push(i);
                     }
                     baseline = sim.stack.len();
                 }
                 FlatItem::Leave(v) => {
                     if sim.n_pending != 0 {
-                        return None; // unresolvable delayed pops
+                        return false; // unresolvable delayed pops
                     }
                     // Top region must be exactly this visit's LHS syn, in
                     // canonical (number) order, not merely as a set: every
                     // caller's VISIT handoff pushes them sorted and reads
                     // them at their sorted depths.
-                    let syn: Vec<usize> = lhs
-                        .clone()
-                        .filter(|&i| {
-                            let inst = &insts[i];
-                            inst.kind == InstanceKind::LhsSyn
-                                && member[i]
-                                && fs.visit_at(inst.def_pos) == *v
-                        })
-                        .collect();
-                    if sim.stack.len() != baseline + syn.len() {
-                        return None;
+                    group.clear();
+                    group.extend(lhs.clone().filter(|&i| {
+                        let inst = &insts[i];
+                        inst.kind == InstanceKind::LhsSyn
+                            && member[i]
+                            && fs.visit_at(inst.def_pos) == *v
+                    }));
+                    if sim.stack.len() != baseline + group.len() {
+                        return false;
                     }
-                    if sim.stack[sim.stack.len() - syn.len()..] != syn[..] {
-                        return None;
+                    if sim.stack[sim.stack.len() - group.len()..] != group[..] {
+                        return false;
                     }
                 }
                 FlatItem::Op { instr, .. } => match instr {
@@ -811,7 +901,7 @@ impl StackSim {
                             if member[r] {
                                 let at = sim.slot[r];
                                 if at == NONE {
-                                    return None;
+                                    return false;
                                 }
                                 let depth = sim.stack.len() - 1 - at;
                                 sim.rec.depths.push((pos, r, depth));
@@ -824,10 +914,10 @@ impl StackSim {
                             let src = rule.read_nodes().next().expect("copy has a source");
                             let src = node_number(grammar, p, src);
                             if sim.stack.last() != Some(&src) || !member[src] {
-                                return None;
+                                return false;
                             }
                             if insts[src].last_use() != pos {
-                                return None;
+                                return false;
                             }
                             // The source's scheduled pop at `pos` is
                             // superseded by the rename.
@@ -844,7 +934,7 @@ impl StackSim {
                         // Dead sources are popped before the fresh push so
                         // they are not trapped under it.
                         if !sim.do_pops(&schedule, pos) {
-                            return None;
+                            return false;
                         }
                         if member[t] && !renamed {
                             sim.push(t);
@@ -870,13 +960,14 @@ impl StackSim {
                         };
                         // Handoff check: this visit's inherited members must
                         // be exactly the topmost items, in canonical order.
-                        let handoff: Vec<usize> = of_child(InstanceKind::ChildInh).collect();
-                        if !handoff.is_empty() {
-                            if sim.stack.len() < handoff.len() {
-                                return None;
+                        group.clear();
+                        group.extend(of_child(InstanceKind::ChildInh));
+                        if !group.is_empty() {
+                            if sim.stack.len() < group.len() {
+                                return false;
                             }
-                            if sim.stack[sim.stack.len() - handoff.len()..] != handoff[..] {
-                                return None;
+                            if sim.stack[sim.stack.len() - group.len()..] != group[..] {
+                                return false;
                             }
                         }
                         // The child's synthesized members of this visit
@@ -885,13 +976,13 @@ impl StackSim {
                             sim.push(i);
                         }
                         if !sim.do_pops(&schedule, pos) {
-                            return None;
+                            return false;
                         }
                     }
                 },
             }
         }
-        Some(sim.rec)
+        true
     }
 }
 
@@ -1065,13 +1156,21 @@ pub fn validate_plan(
     // Every sequence, not just the occurrence-indexed ones the planner
     // visits: this is the independent re-check of that shortcut.
     let every: Vec<usize> = (0..fp.seqs.len()).collect();
+    let copies = copy_numbers(grammar);
+    let mut scratch = VarScratch::default();
     for (id, members) in &variables {
-        if !variable_feasible(grammar, fp, lt, objects, members, &every) {
+        let found: Vec<(usize, usize)> = (fp.instances.iter().enumerate())
+            .flat_map(|(k, insts)| insts.iter().enumerate().map(move |(i, inst)| (k, i, inst)))
+            .filter(|(_, _, inst)| members.binary_search(&objects.index(inst.object)).is_ok())
+            .map(|(k, i, _)| (k, i))
+            .collect();
+        if !variable_feasible(grammar, fp, lt, &copies, members, &found, &mut scratch) {
             return Err(format!(
                 "variable {id} groups objects with overlapping lifetimes"
             ));
         }
     }
+    let mut sim = SimScratch::default();
     for (&id, members) in &stacks {
         let mut elim: Vec<(ProductionId, usize)> = plan
             .eliminated
@@ -1086,7 +1185,8 @@ pub fn validate_plan(
             .filter_map(|&(p, t)| Some((p, grammar.node_index(p, t)?)))
             .collect();
         elim.sort_unstable();
-        if StackSim::run(grammar, seqs, fp, objects, members, &elim, &every).is_none() {
+        let run = StackSim::run(grammar, seqs, fp, objects, members, &elim, &every, &mut sim);
+        if run.is_none() {
             return Err(format!(
                 "stack {id} fails the symbolic simulation under the plan's eliminations"
             ));

@@ -37,6 +37,8 @@ pub struct FlatSeq {
     pub key: (ProductionId, usize),
     /// Items in execution order.
     pub items: Vec<FlatItem>,
+    /// The positions of the `VISIT` items, ascending.
+    pub visits: Vec<usize>,
 }
 
 impl FlatSeq {
@@ -54,7 +56,19 @@ impl FlatSeq {
             }
             items.push(FlatItem::Leave(v));
         }
-        FlatSeq { key, items }
+        let visits = (items.iter().enumerate())
+            .filter(|(_, item)| {
+                matches!(
+                    item,
+                    FlatItem::Op {
+                        instr: Instr::Visit { .. },
+                        ..
+                    }
+                )
+            })
+            .map(|(pos, _)| pos)
+            .collect();
+        FlatSeq { key, items, visits }
     }
 
     /// The visit a position belongs to.
@@ -97,10 +111,10 @@ pub struct Instance {
     pub kind: InstanceKind,
     /// Position where the value becomes available in this sequence.
     pub def_pos: usize,
-    /// Positions where the value is read in this sequence (`EVAL` argument
-    /// reads; for [`InstanceKind::ChildInh`] also the `VISIT`s during which
-    /// the child reads it; for [`InstanceKind::LhsSyn`] the `LEAVE` that
-    /// hands it up).
+    /// Positions where the value is read in this sequence, ascending
+    /// (`EVAL` argument reads; for [`InstanceKind::ChildInh`] also the
+    /// `VISIT`s during which the child reads it; for
+    /// [`InstanceKind::LhsSyn`] the `LEAVE` that hands it up).
     pub uses: Vec<usize>,
 }
 
@@ -339,6 +353,9 @@ fn build_instances(
             },
         };
         out.push(inst);
+    }
+    for inst in &mut out {
+        inst.uses.sort_unstable();
     }
     out
 }

@@ -158,22 +158,21 @@ fn may_eval_sets(
         |ki| [ki],
         |ki| bodies[ki].iter().flat_map(|b| b.nested.iter().copied()),
     );
+    // A key's set grows in place: its bodies' own objects and the sets
+    // of the keys they nest (a self-nesting key, for a recursive phylum,
+    // adds nothing).
     let step = |ki: usize| {
-        let mut acc = ObjectSet::new(objects.len());
+        let mut changed = false;
         for b in &bodies[ki] {
-            acc.union_in_place(&b.direct);
+            changed |= sets[ki].union_in_place(&b.direct);
             for &nk in &b.nested {
                 if nk != ki {
-                    let nested = sets[nk].clone();
-                    acc.union_in_place(&nested);
-                } else {
-                    // Self-nesting (recursive phylum): already included.
-                    let own = sets[ki].clone();
-                    acc.union_in_place(&own);
+                    let (into, from) = pair_mut(&mut sets, ki, nk);
+                    changed |= into.union_in_place(from);
                 }
             }
         }
-        sets[ki].union_in_place(&acc)
+        changed
     };
     fnc2_gfa::fixpoint(n, &dependents, step, &mut fnc2_obs::NoopRecorder);
 
@@ -188,6 +187,17 @@ fn may_eval_sets(
                 .collect()
         })
         .collect()
+}
+
+/// `v[a]` mutably and `v[b]` shared, for `a != b`.
+fn pair_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
+    if a < b {
+        let (lo, hi) = v.split_at_mut(b);
+        (&mut lo[a], &hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(a);
+        (&mut hi[0], &lo[b])
+    }
 }
 
 /// The strict-stack test for **non-temporary** attributes — the extension
@@ -272,9 +282,10 @@ pub fn strict_stack_candidates(
 /// Returns true if the interval `[def, last]` of sequence number `seq` (see
 /// [`FlatProgram`]) contains a `VISIT` that may evaluate any of the object
 /// indices `objs` — the global-variable conflict test. Positions listed in
-/// `exclude` (the instance's own uses: visits during which the visited
-/// subtree reads the instance and whose sequences are checked directly)
-/// are skipped.
+/// `exclude`, ascending (the instance's own uses: visits during which the
+/// visited subtree reads the instance and whose sequences are checked
+/// directly), are skipped. Only the sequence's `VISIT` positions inside the
+/// interval are looked at.
 #[allow(clippy::too_many_arguments)]
 pub fn interval_hits_visit(
     grammar: &Grammar,
@@ -286,13 +297,17 @@ pub fn interval_hits_visit(
     objs: &[usize],
     exclude: &[usize],
 ) -> bool {
+    debug_assert!(exclude.is_sorted(), "excluded positions ascending");
     let fs = &fp.seqs[seq];
     let prod = grammar.production(fs.key.0);
-    for pos in def + 1..=last.min(fs.items.len().saturating_sub(1)) {
-        if exclude.contains(&pos) {
+    let from = fs.visits.partition_point(|&pos| pos <= def);
+    let mut exclude = exclude.iter().peekable();
+    for &pos in fs.visits[from..].iter().take_while(|&&pos| pos <= last) {
+        while exclude.next_if(|&&x| x < pos).is_some() {}
+        if exclude.peek() == Some(&&pos) {
             continue;
         }
-        if let FlatItem::Op {
+        let FlatItem::Op {
             instr:
                 Instr::Visit {
                     child,
@@ -301,12 +316,12 @@ pub fn interval_hits_visit(
                 },
             ..
         } = &fs.items[pos]
-        {
-            let ph = prod.phylum_at(*child);
-            let set = lt.may_evaluate(ph, *partition, *visit);
-            if objs.iter().any(|&oi| set.contains(oi)) {
-                return true;
-            }
+        else {
+            unreachable!("`visits` lists VISIT positions");
+        };
+        let set = lt.may_evaluate(prod.phylum_at(*child), *partition, *visit);
+        if objs.iter().any(|&oi| set.contains(oi)) {
+            return true;
         }
     }
     false
