@@ -62,7 +62,8 @@ pub struct ConstDef {
     pub name: String,
     /// Declared type.
     pub ty: TypeExpr,
-    /// Defining expression.
+    /// Defining expression; the checker moves it, resolved, into the
+    /// unit's [`Program`](crate::Program) and leaves a placeholder.
     pub body: Expr,
     /// Position.
     pub pos: Pos,
@@ -77,7 +78,8 @@ pub struct FunDef {
     pub params: Vec<(String, TypeExpr)>,
     /// Return type.
     pub ret: TypeExpr,
-    /// Body expression.
+    /// Body expression; the checker moves it, resolved, into the unit's
+    /// [`Program`](crate::Program) and leaves a placeholder.
     pub body: Expr,
     /// Position.
     pub pos: Pos,

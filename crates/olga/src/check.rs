@@ -522,8 +522,8 @@ fn declare_types(types: &[TypeDef], env: &mut UnitEnv) -> Result<(), CheckError>
 /// Declares a unit's types, function signatures and constant types, then
 /// checks the function and constant bodies, which may call any function
 /// of the unit and read any of its constants (cycles are caught at
-/// evaluation time). Each body is resolved in place and then appended to
-/// the program under the id it was declared with.
+/// evaluation time). Each body is resolved in place and then moved to the
+/// program under the id it was declared with.
 fn declare_unit(
     types: &[TypeDef],
     funcs: &mut [FunDef],
@@ -589,15 +589,19 @@ fn declare_unit(
             );
         }
     }
+    // Nothing reads the AST's bodies after checking: move them.
+    let take = |body: &mut Expr, pos| std::mem::replace(body, Expr::Bool(false, pos));
     let program = Arc::make_mut(&mut env.program);
-    program.funcs.extend(funcs.iter().map(|f| Function {
+    program.funcs.extend(funcs.iter_mut().map(|f| Function {
         name: f.name.clone(),
         params: f.params.iter().map(|(n, _)| n.clone()).collect(),
-        body: f.body.clone(),
+        body: take(&mut f.body, f.pos),
     }));
-    program
-        .consts
-        .extend(consts.iter().map(|c| (c.name.clone(), c.body.clone())));
+    (program.consts).extend(
+        consts
+            .iter_mut()
+            .map(|c| (c.name.clone(), take(&mut c.body, c.pos))),
+    );
     Ok(())
 }
 

@@ -216,50 +216,117 @@ pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
     }
 }
 
-/// True if `later` consumes the value produced by `target`.
-fn instr_uses(grammar: &Grammar, p: ProductionId, target: ONode, later: &Instr) -> bool {
-    match later {
-        Instr::Eval(t2) => grammar
-            .rule_for(p, *t2)
-            .expect("validated grammar")
-            .read_nodes()
-            .any(|n| n == target),
-        Instr::Visit { child, .. } => {
-            matches!(target, ONode::Attr(Occ { pos, .. }) if pos == *child)
-        }
-    }
-}
-
 /// Sinks each `EVAL` as late as the segment allows: to just before the
 /// first later instruction that uses its result (or to the segment end if
 /// nothing in the segment does — LHS synthesized attributes are handed to
-/// the parent at `LEAVE`).
+/// the parent at `LEAVE`). The `EVAL`s sink right to left, each among the
+/// instructions after it as those stand once sunk, and a sink never
+/// reorders what it passes. So every `EVAL` hangs just before its
+/// *anchor* (its first user in that order, or the segment's end), after
+/// the `EVAL`s that hung there before it; the `VISIT`s keep their order;
+/// and one walk of that forest reads off the segment.
 fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>) {
-    // Each EVAL moves at most once, processed right-to-left (so already
-    // sunk instructions stay put and the pass terminates).
-    let targets: Vec<ONode> = segment
-        .iter()
-        .filter_map(|i| match i {
-            Instr::Eval(t) => Some(*t),
-            _ => None,
-        })
-        .collect();
-    for &target in targets.iter().rev() {
-        let i = segment
-            .iter()
-            .position(|x| matches!(x, Instr::Eval(t) if *t == target))
-            .expect("target still present");
-        let first_use =
-            (i + 1..segment.len()).find(|&k| instr_uses(grammar, p, target, &segment[k]));
-        let dest = match first_use {
-            Some(k) => k - 1,
-            None => segment.len() - 1,
-        };
-        if dest > i {
-            let instr = segment.remove(i);
-            segment.insert(dest, instr);
+    const NONE: usize = usize::MAX;
+    let n = segment.len();
+    let number = |node: ONode| grammar.node_index(p, node).expect("validated grammar");
+    // Where each node is evaluated, and `(i, k)` for every later `EVAL` k
+    // reading the result of `EVAL` i, sorted.
+    let mut at = vec![NONE; grammar.production(p).nodes().len()];
+    let mut reads: Vec<(usize, usize)> = Vec::new();
+    for (k, instr) in segment.iter().enumerate() {
+        if let Instr::Eval(t) = instr {
+            let rule = grammar.rule_for(p, *t).expect("validated grammar");
+            for read in rule.read_nodes() {
+                let i = at[number(read)];
+                if i != NONE {
+                    reads.push((i, k));
+                }
+            }
+            at[number(*t)] = k;
         }
     }
+    reads.sort_unstable();
+    // `parent[i]`: the anchor of `EVAL` i (`n` is the segment's end);
+    // `VISIT`s and the end are the roots, with `NONE`.
+    let mut parent = vec![NONE; n + 1];
+    let mut depth = vec![0usize; n + 1];
+    // Which of two hung instructions comes first: the roots in position
+    // order, and the instructions hung at one anchor latest-position first.
+    fn precedes(parent: &[usize], depth: &[usize], mut x: usize, mut y: usize) -> bool {
+        while depth[x] > depth[y] {
+            x = parent[x];
+            if x == y {
+                return true;
+            }
+        }
+        while depth[y] > depth[x] {
+            y = parent[y];
+            if y == x {
+                return false;
+            }
+        }
+        while parent[x] != parent[y] {
+            (x, y) = (parent[x], parent[y]);
+        }
+        if parent[x] == NONE {
+            x < y
+        } else {
+            x > y
+        }
+    }
+    // The first `VISIT` of each child to the right of the scan.
+    let mut next_visit = vec![NONE; grammar.production(p).arity() + 1];
+    for j in (0..n).rev() {
+        match segment[j] {
+            Instr::Visit { child, .. } => next_visit[child as usize] = j,
+            Instr::Eval(t) => {
+                let from = reads.partition_point(|&(i, _)| i < j);
+                let users = reads[from..].iter().take_while(|&&(i, _)| i == j);
+                let visit = match t {
+                    ONode::Attr(Occ { pos, .. }) if pos > 0 => next_visit[pos as usize],
+                    _ => NONE,
+                };
+                let users = users
+                    .map(|&(_, k)| k)
+                    .chain((visit != NONE).then_some(visit));
+                let anchor = users.fold(n, |a, k| match precedes(&parent, &depth, k, a) {
+                    true => k,
+                    false => a,
+                });
+                parent[j] = anchor;
+                depth[j] = depth[anchor] + 1;
+            }
+        }
+    }
+    // Read the forest off: each root in position order, every instruction
+    // after what hangs before it.
+    let mut hung: Vec<(usize, std::cmp::Reverse<usize>)> = (0..n)
+        .filter(|&j| parent[j] != NONE)
+        .map(|j| (parent[j], std::cmp::Reverse(j)))
+        .collect();
+    hung.sort_unstable();
+    let first_hung = |u: usize| hung.partition_point(|&(a, _)| a < u);
+    let mut order = Vec::with_capacity(n);
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in (0..n).filter(|&j| parent[j] == NONE).chain([n]) {
+        stack.push((root, first_hung(root)));
+        while let Some(&mut (u, ref mut next)) = stack.last_mut() {
+            match hung.get(*next) {
+                Some(&(a, std::cmp::Reverse(j))) if a == u => {
+                    *next += 1;
+                    stack.push((j, first_hung(j)));
+                }
+                _ => {
+                    stack.pop();
+                    if u < n {
+                        order.push(u);
+                    }
+                }
+            }
+        }
+    }
+    let sunk: Vec<Instr> = order.iter().map(|&i| segment[i].clone()).collect();
+    *segment = sunk;
 }
 
 #[cfg(test)]
@@ -367,5 +434,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The quadratic sink the one-pass [`sink_evals`] replaced: each `EVAL`,
+    /// right to left, found by `position` and moved before its first later
+    /// use by `remove` and `insert`.
+    fn sink_evals_reference(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>) {
+        let uses = |target: ONode, later: &Instr| match later {
+            Instr::Eval(t2) => {
+                (grammar.rule_for(p, *t2).unwrap().read_nodes()).any(|n| n == target)
+            }
+            Instr::Visit { child, .. } => {
+                matches!(target, ONode::Attr(Occ { pos, .. }) if pos == *child)
+            }
+        };
+        let targets: Vec<ONode> = (segment.iter())
+            .filter_map(|i| match i {
+                Instr::Eval(t) => Some(*t),
+                _ => None,
+            })
+            .collect();
+        for &target in targets.iter().rev() {
+            let i = (segment.iter())
+                .position(|x| matches!(x, Instr::Eval(t) if *t == target))
+                .unwrap();
+            let first_use = (i + 1..segment.len()).find(|&k| uses(target, &segment[k]));
+            let dest = first_use.map_or(segment.len() - 1, |k| k - 1);
+            if dest > i {
+                let instr = segment.remove(i);
+                segment.insert(dest, instr);
+            }
+        }
+    }
+
+    /// The one-pass sink agrees with the reference on every segment of
+    /// the corpus grammars, and on each segment's rotations and reversal,
+    /// which put uses before and after their `EVAL`s in new orders.
+    #[test]
+    fn one_pass_sink_matches_the_reference() {
+        let mut grammars = vec![
+            fnc2_corpus::minipascal().0,
+            fnc2_corpus::blocks(),
+            fnc2_corpus::desk(),
+            fnc2_corpus::binary(),
+            fnc2_corpus::flat(64),
+            two_pass(),
+        ];
+        grammars.extend(
+            fnc2_corpus::TABLE1_PROFILES
+                .iter()
+                .map(fnc2_corpus::synthetic),
+        );
+        let mut segments = 0;
+        for g in &grammars {
+            let seqs = seqs_for(g);
+            for seq in seqs.iter() {
+                for segment in &seq.segments {
+                    let mut variants = vec![segment.iter().rev().cloned().collect::<Vec<_>>()];
+                    for r in 0..segment.len().min(8) {
+                        let mut v = segment.clone();
+                        v.rotate_left(r);
+                        variants.push(v);
+                    }
+                    for v in variants {
+                        let (mut fast, mut slow) = (v.clone(), v);
+                        sink_evals(g, seq.production, &mut fast);
+                        sink_evals_reference(g, seq.production, &mut slow);
+                        assert_eq!(fast, slow, "{}", g.name());
+                        segments += 1;
+                    }
+                }
+            }
+        }
+        assert!(segments > 1000, "{segments} segments");
     }
 }
