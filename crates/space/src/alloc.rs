@@ -263,17 +263,20 @@ pub fn plan_storage(
 
     // Candidate pairs: copy rules between same-class objects, each pair
     // with the number of copies between its two objects.
+    // (Copies within one object are trivially shared.)
     let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut same_object = 0;
     for p in grammar.productions() {
         for rule in grammar.production(p).rules() {
             let Some((src, dst)) = copy_objects(p, rule) else {
                 continue;
             };
             let (si, di) = (objects.index(src), objects.index(dst));
-            if si == di || class[si] != class[di] || class[si] == Class::Node {
-                continue;
+            if si == di {
+                same_object += 1;
+            } else if class[si] == class[di] && class[si] != Class::Node {
+                pairs.push((si.min(di), si.max(di)));
             }
-            pairs.push((si.min(di), si.max(di)));
         }
     }
     pairs.sort_unstable();
@@ -286,7 +289,7 @@ pub fn plan_storage(
     }
     candidates.sort_by_key(|&((a, b), ben)| (std::cmp::Reverse(ben), a, b));
 
-    for ((a, b), _) in candidates {
+    for &((a, b), _) in &candidates {
         let (ra, rb) = (root[a], root[b]);
         if ra == rb {
             continue;
@@ -403,22 +406,13 @@ pub fn plan_storage(
             }
         }
     }
-    // Theoretically eliminable copies: pairwise-groupable same-class pairs.
-    for p in grammar.productions() {
-        for rule in grammar.production(p).rules() {
-            let Some((src, dst)) = copy_objects(p, rule) else {
-                continue;
-            };
-            let (si, di) = (objects.index(src), objects.index(dst));
-            if si == di {
-                stats.copies_eliminable += 1; // same object: trivially shared
-                continue;
-            }
-            if class[si] == class[di] && fits(class[si], &[si, di]) {
-                stats.copies_eliminable += 1;
-            }
-        }
-    }
+    // Theoretically eliminable copies: those within one object, and those
+    // of each pairwise-groupable same-class pair, tested once per pair.
+    stats.copies_eliminable = same_object
+        + (candidates.iter())
+            .filter(|&&((a, b), _)| fits(class[a], &[a, b]))
+            .map(|&(_, copies)| copies)
+            .sum::<usize>();
 
     SpacePlan {
         storage,
@@ -933,7 +927,7 @@ impl StackSim {
                         }
                         // Dead sources are popped before the fresh push so
                         // they are not trapped under it.
-                        if !sim.do_pops(&schedule, pos) {
+                        if !sim.do_pops(schedule, pos) {
                             return false;
                         }
                         if member[t] && !renamed {
@@ -975,7 +969,7 @@ impl StackSim {
                         for i in of_child(InstanceKind::ChildSyn) {
                             sim.push(i);
                         }
-                        if !sim.do_pops(&schedule, pos) {
+                        if !sim.do_pops(schedule, pos) {
                             return false;
                         }
                     }

@@ -133,6 +133,7 @@ impl VisitSeqs {
 /// [`fnc2_analysis::l_ordered_from_partitions`] never produce such plans.
 pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
     let mut seqs = HashMap::new();
+    let mut sink = Sink::default();
     for (&(p, pi), plan) in &lo.plans {
         let prod = grammar.production(p);
         let lhs_part = &lo.partitions_of(prod.lhs())[pi];
@@ -199,7 +200,7 @@ pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
         // child's inherited attributes right before the visit that
         // consumes them — without touching the partitions.
         for segment in &mut segments {
-            sink_evals(grammar, p, segment);
+            sink_evals(grammar, p, segment, &mut sink);
         }
         seqs.insert(
             (p, pi),
@@ -216,6 +217,19 @@ pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
     }
 }
 
+/// The buffers of [`sink_evals`], kept across the segments of a grammar.
+#[derive(Default)]
+struct Sink {
+    at: Vec<usize>,
+    reads: Vec<(usize, usize)>,
+    parent: Vec<usize>,
+    depth: Vec<usize>,
+    next_visit: Vec<usize>,
+    hung: Vec<(usize, std::cmp::Reverse<usize>)>,
+    stack: Vec<(usize, usize)>,
+    sunk: Vec<Instr>,
+}
+
 /// Sinks each `EVAL` as late as the segment allows: to just before the
 /// first later instruction that uses its result (or to the segment end if
 /// nothing in the segment does — LHS synthesized attributes are handed to
@@ -225,31 +239,35 @@ pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
 /// *anchor* (its first user in that order, or the segment's end), after
 /// the `EVAL`s that hung there before it; the `VISIT`s keep their order;
 /// and one walk of that forest reads off the segment.
-fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>) {
+fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>, s: &mut Sink) {
     const NONE: usize = usize::MAX;
     let n = segment.len();
     let number = |node: ONode| grammar.node_index(p, node).expect("validated grammar");
     // Where each node is evaluated, and `(i, k)` for every later `EVAL` k
     // reading the result of `EVAL` i, sorted.
-    let mut at = vec![NONE; grammar.production(p).nodes().len()];
-    let mut reads: Vec<(usize, usize)> = Vec::new();
+    s.at.clear();
+    s.at.resize(grammar.production(p).nodes().len(), NONE);
+    s.reads.clear();
     for (k, instr) in segment.iter().enumerate() {
         if let Instr::Eval(t) = instr {
             let rule = grammar.rule_for(p, *t).expect("validated grammar");
             for read in rule.read_nodes() {
-                let i = at[number(read)];
+                let i = s.at[number(read)];
                 if i != NONE {
-                    reads.push((i, k));
+                    s.reads.push((i, k));
                 }
             }
-            at[number(*t)] = k;
+            s.at[number(*t)] = k;
         }
     }
-    reads.sort_unstable();
+    s.reads.sort_unstable();
     // `parent[i]`: the anchor of `EVAL` i (`n` is the segment's end);
     // `VISIT`s and the end are the roots, with `NONE`.
-    let mut parent = vec![NONE; n + 1];
-    let mut depth = vec![0usize; n + 1];
+    let (parent, depth) = (&mut s.parent, &mut s.depth);
+    parent.clear();
+    parent.resize(n + 1, NONE);
+    depth.clear();
+    depth.resize(n + 1, 0);
     // Which of two hung instructions comes first: the roots in position
     // order, and the instructions hung at one anchor latest-position first.
     fn precedes(parent: &[usize], depth: &[usize], mut x: usize, mut y: usize) -> bool {
@@ -275,21 +293,22 @@ fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>) {
         }
     }
     // The first `VISIT` of each child to the right of the scan.
-    let mut next_visit = vec![NONE; grammar.production(p).arity() + 1];
+    s.next_visit.clear();
+    s.next_visit.resize(grammar.production(p).arity() + 1, NONE);
     for j in (0..n).rev() {
         match segment[j] {
-            Instr::Visit { child, .. } => next_visit[child as usize] = j,
+            Instr::Visit { child, .. } => s.next_visit[child as usize] = j,
             Instr::Eval(t) => {
-                let from = reads.partition_point(|&(i, _)| i < j);
-                let users = reads[from..].iter().take_while(|&&(i, _)| i == j);
+                let from = s.reads.partition_point(|&(i, _)| i < j);
+                let users = s.reads[from..].iter().take_while(|&&(i, _)| i == j);
                 let visit = match t {
-                    ONode::Attr(Occ { pos, .. }) if pos > 0 => next_visit[pos as usize],
+                    ONode::Attr(Occ { pos, .. }) if pos > 0 => s.next_visit[pos as usize],
                     _ => NONE,
                 };
                 let users = users
                     .map(|&(_, k)| k)
                     .chain((visit != NONE).then_some(visit));
-                let anchor = users.fold(n, |a, k| match precedes(&parent, &depth, k, a) {
+                let anchor = users.fold(n, |a, k| match precedes(parent, depth, k, a) {
                     true => k,
                     false => a,
                 });
@@ -300,33 +319,34 @@ fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>) {
     }
     // Read the forest off: each root in position order, every instruction
     // after what hangs before it.
-    let mut hung: Vec<(usize, std::cmp::Reverse<usize>)> = (0..n)
-        .filter(|&j| parent[j] != NONE)
-        .map(|j| (parent[j], std::cmp::Reverse(j)))
-        .collect();
+    let hung = &mut s.hung;
+    hung.clear();
+    hung.extend(
+        (0..n)
+            .filter(|&j| parent[j] != NONE)
+            .map(|j| (parent[j], std::cmp::Reverse(j))),
+    );
     hung.sort_unstable();
     let first_hung = |u: usize| hung.partition_point(|&(a, _)| a < u);
-    let mut order = Vec::with_capacity(n);
-    let mut stack: Vec<(usize, usize)> = Vec::new();
+    s.sunk.clear();
     for root in (0..n).filter(|&j| parent[j] == NONE).chain([n]) {
-        stack.push((root, first_hung(root)));
-        while let Some(&mut (u, ref mut next)) = stack.last_mut() {
+        s.stack.push((root, first_hung(root)));
+        while let Some(&mut (u, ref mut next)) = s.stack.last_mut() {
             match hung.get(*next) {
                 Some(&(a, std::cmp::Reverse(j))) if a == u => {
                     *next += 1;
-                    stack.push((j, first_hung(j)));
+                    s.stack.push((j, first_hung(j)));
                 }
                 _ => {
-                    stack.pop();
+                    s.stack.pop();
                     if u < n {
-                        order.push(u);
+                        s.sunk.push(segment[u].clone());
                     }
                 }
             }
         }
     }
-    let sunk: Vec<Instr> = order.iter().map(|&i| segment[i].clone()).collect();
-    *segment = sunk;
+    std::mem::swap(segment, &mut s.sunk);
 }
 
 #[cfg(test)]
@@ -498,7 +518,7 @@ mod tests {
                     }
                     for v in variants {
                         let (mut fast, mut slow) = (v.clone(), v);
-                        sink_evals(g, seq.production, &mut fast);
+                        sink_evals(g, seq.production, &mut fast, &mut Sink::default());
                         sink_evals_reference(g, seq.production, &mut slow);
                         assert_eq!(fast, slow, "{}", g.name());
                         segments += 1;
