@@ -31,42 +31,25 @@ impl<'g> DepGraph<'g> {
         let prod = grammar.production(p);
         let index = |n: ONode| grammar.node_index(p, n).expect("validated grammar");
         let n = prod.nodes().len();
-        // Count each source's reads, then place them in rule order. Every
-        // rule has its own target, so a repeated edge is a repeated read
-        // of one rule (`placed[u]` is the target of `u`'s last edge).
+        // The edges in rule order, grouped by source by a stable sort. Every
+        // rule has its own target, so a repeated edge is a repeated read of
+        // one rule, and the sort leaves the two adjacent.
+        let mut edges: Vec<(usize, usize)> = (prod.rules().iter())
+            .flat_map(|rule| {
+                rule.read_nodes()
+                    .map(|src| (index(src), index(rule.target())))
+            })
+            .collect();
+        edges.sort_by_key(|&(u, _)| u);
+        edges.dedup();
         let mut offsets = vec![0; n + 1];
-        for rule in prod.rules() {
-            for src in rule.read_nodes() {
-                offsets[index(src) + 1] += 1;
-            }
+        for &(u, _) in &edges {
+            offsets[u + 1] += 1;
         }
         for u in 0..n {
             offsets[u + 1] += offsets[u];
         }
-        let mut fill = offsets[..n].to_vec();
-        let mut succs = vec![0; offsets[n]];
-        let mut placed = vec![usize::MAX; n];
-        for rule in prod.rules() {
-            let t = index(rule.target());
-            for src in rule.read_nodes() {
-                let s = index(src);
-                if placed[s] != t {
-                    placed[s] = t;
-                    succs[fill[s]] = t;
-                    fill[s] += 1;
-                }
-            }
-        }
-        // Close the gaps the repeated edges left.
-        let mut len = 0;
-        for u in 0..n {
-            let start = offsets[u];
-            succs.copy_within(start..fill[u], len);
-            offsets[u] = len;
-            len += fill[u] - start;
-        }
-        offsets[n] = len;
-        succs.truncate(len);
+        let succs = edges.into_iter().map(|(_, v)| v).collect();
         DepGraph {
             grammar,
             production: p,

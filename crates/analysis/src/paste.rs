@@ -3,11 +3,9 @@
 //! OI-graphs, induced dependencies, or partition orders) attached to chosen
 //! occurrence positions.
 //!
-//! A cascade run builds every production's `D(p)` once ([`Deps`]) and
-//! pastes onto one workspace ([`Pasted`]) that each use resets to some
-//! `D(p)`; the workspace keeps its graph rows and its search, projection
-//! and signature buffers from one use to the next, so a fixpoint step
-//! allocates only while the productions it visits grow.
+//! A cascade run builds every `D(p)` once ([`Deps`]) and pastes onto one
+//! workspace ([`Pasted`]) that each use resets to some `D(p)`, keeping its
+//! buffers, so a fixpoint step allocates only while its graphs grow.
 
 use std::cell::OnceCell;
 

@@ -7,14 +7,12 @@ use std::collections::VecDeque;
 /// A directed graph on dense node indices `0..n`.
 #[derive(Clone, Debug, Default)]
 pub struct Digraph {
-    /// `succs[u]` for `u < n`; rows past `n` are kept by [`reset`](Self::reset)
-    /// for reuse.
+    /// `succs[u]` for `u < n`; [`reset_to`](Self::reset_to) keeps the rest.
     succs: Vec<Vec<usize>>,
     n: usize,
 }
 
-/// Reusable buffers for [`Digraph::find_cycle_with`], so that repeated
-/// searches allocate only while the graphs they search grow.
+/// Reusable buffers for [`Digraph::find_cycle_with`].
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     grey: Vec<u8>,
@@ -31,9 +29,7 @@ impl Digraph {
     }
 
     /// Makes this the graph on `n` nodes where `u`'s successors are
-    /// `succs(u)`, in that order, keeping every row's buffer. Each list
-    /// must be free of duplicates, as [`add_edge`](Self::add_edge) keeps
-    /// them.
+    /// `succs(u)` (in order, without duplicates), keeping the row buffers.
     pub fn reset_to<'a>(&mut self, n: usize, succs: impl Fn(usize) -> &'a [usize]) {
         if self.succs.len() < n {
             self.succs.resize_with(n, Vec::new);

@@ -226,7 +226,7 @@ pub fn plan_storage(
                 keys.clear();
                 keys.extend(found.iter().map(|&(k, _)| k));
                 keys.dedup();
-                StackSim::feasible(grammar, seqs, fp, objects, &sorted, &keys, &mut sim)
+                StackSim::run(grammar, seqs, fp, objects, &sorted, &[], &keys, &mut sim).is_some()
             }
             Class::Node => false,
         }
@@ -365,7 +365,9 @@ pub fn plan_storage(
     let mut sim = SimScratch::default();
     for (members, mut elim) in stacks.iter().zip(stack_elim) {
         elim.sort_unstable();
-        let keys = seqs_of(&occ, members);
+        let mut keys: Vec<usize> = members.iter().flat_map(|&m| &occ[m]).map(|e| e.0).collect();
+        keys.sort_unstable();
+        keys.dedup();
         let rec = loop {
             let run = StackSim::run(grammar, seqs, fp, objects, members, &elim, &keys, &mut sim);
             if let Some(rec) = run {
@@ -452,33 +454,23 @@ fn occurrence_index(fp: &FlatProgram, objects: &ObjectIndex) -> Vec<Vec<(usize, 
     occ
 }
 
-/// The sorted numbers of the sequences where any of `members` has
-/// instances.
-fn seqs_of(occ: &[Vec<(usize, usize)>], members: &[usize]) -> Vec<usize> {
-    let mut keys: Vec<usize> = members
-        .iter()
-        .flat_map(|&m| occ[m].iter().map(|&(k, _)| k))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
-}
-
 /// Each production's copy rules, as (source, target) node numbers.
 fn copy_numbers(grammar: &Grammar) -> Vec<Vec<(usize, usize)>> {
-    grammar
-        .productions()
-        .map(|p| {
-            let rules = grammar.production(p).rules().iter();
-            rules
-                .filter(|rule| rule.is_copy())
-                .filter_map(|rule| {
-                    let src = node_number(grammar, p, rule.read_nodes().next()?);
-                    Some((src, node_number(grammar, p, rule.target())))
-                })
-                .collect()
-        })
-        .collect()
+    let number = |p, rule: &fnc2_ag::SemRule| {
+        let src = rule.read_nodes().next().filter(|_| rule.is_copy())?;
+        Some((
+            node_number(grammar, p, src),
+            node_number(grammar, p, rule.target()),
+        ))
+    };
+    let copies = |p| {
+        grammar
+            .production(p)
+            .rules()
+            .iter()
+            .filter_map(move |r| number(p, r))
+    };
+    grammar.productions().map(|p| copies(p).collect()).collect()
 }
 
 /// If `rule` is a copy between occurrences/locals, its (source, target)
@@ -755,22 +747,6 @@ impl StackSim {
             .collect()
     }
 
-    /// True if [`run`](Self::run) would return records, without keeping
-    /// them.
-    #[allow(clippy::too_many_arguments)]
-    fn feasible(
-        grammar: &Grammar,
-        seqs: &VisitSeqs,
-        fp: &FlatProgram,
-        objects: &ObjectIndex,
-        members: &[usize],
-        keys: &[usize],
-        scratch: &mut SimScratch,
-    ) -> bool {
-        keys.iter()
-            .all(|&k| Self::run_seq(grammar, seqs, fp, objects, members, &[], k, scratch))
-    }
-
     /// Simulates sequence `k` into `scratch.rec`; false if the group is
     /// infeasible there.
     #[allow(clippy::too_many_arguments)]
@@ -788,18 +764,10 @@ impl StackSim {
         let p = fs.key.0;
         let prod = grammar.production(p);
         let insts = &fp.instances[k];
-        let SimScratch {
-            member,
-            schedule,
-            stack,
-            slot,
-            pending,
-            group,
-            rec,
-        } = scratch;
-        // member[i]: instance i belongs to the group.
-        member.clear();
-        member.extend(
+        let s = scratch;
+        // s.member[i]: instance i belongs to the s.group.
+        s.member.clear();
+        s.member.extend(
             insts
                 .iter()
                 .map(|i| members.binary_search(&objects.index(i.object)).is_ok()),
@@ -809,13 +777,13 @@ impl StackSim {
         // Pop schedule: (position, instance) for the member instances whose
         // last use is there and that this sequence must pop (ChildInh,
         // ChildSyn, Local), by position and then instance.
-        schedule.clear();
-        schedule.extend(
+        s.schedule.clear();
+        s.schedule.extend(
             insts
                 .iter()
                 .enumerate()
                 .filter(|&(i, inst)| {
-                    member[i]
+                    s.member[i]
                         && matches!(
                             inst.kind,
                             InstanceKind::ChildInh | InstanceKind::ChildSyn | InstanceKind::Local
@@ -823,23 +791,23 @@ impl StackSim {
                 })
                 .map(|(i, inst)| (inst.last_use(), i)),
         );
-        schedule.sort_unstable();
+        s.schedule.sort_unstable();
 
-        stack.clear();
-        slot.clear();
-        slot.resize(insts.len(), NONE);
-        pending.clear();
-        pending.resize(insts.len(), false);
-        rec.depths.clear();
-        rec.pops.clear();
-        rec.renames.clear();
+        s.stack.clear();
+        s.slot.clear();
+        s.slot.resize(insts.len(), NONE);
+        s.pending.clear();
+        s.pending.resize(insts.len(), false);
+        s.rec.depths.clear();
+        s.rec.pops.clear();
+        s.rec.renames.clear();
         let mut sim = SimState {
-            stack,
-            slot,
-            pending,
+            stack: &mut s.stack,
+            slot: &mut s.slot,
+            pending: &mut s.pending,
             n_pending: 0,
             next_pop: 0,
-            rec,
+            rec: &mut s.rec,
         };
         let mut baseline = 0usize;
 
@@ -847,18 +815,18 @@ impl StackSim {
             match item {
                 FlatItem::Begin(v) => {
                     // Virtual pushes for the LHS inherited of this visit.
-                    group.clear();
-                    group.extend(lhs.clone().filter(|&i| {
+                    s.group.clear();
+                    s.group.extend(lhs.clone().filter(|&i| {
                         let inst = &insts[i];
                         inst.kind == InstanceKind::LhsInh
-                            && member[i]
+                            && s.member[i]
                             && fs.visit_at(inst.def_pos) == *v
                             && inst.def_pos == pos
                     }));
-                    if group.len() > 1 {
+                    if s.group.len() > 1 {
                         return false; // ambiguous handoff order
                     }
-                    for &i in group.iter() {
+                    for &i in s.group.iter() {
                         sim.push(i);
                     }
                     baseline = sim.stack.len();
@@ -871,17 +839,17 @@ impl StackSim {
                     // canonical (number) order, not merely as a set: every
                     // caller's VISIT handoff pushes them sorted and reads
                     // them at their sorted depths.
-                    group.clear();
-                    group.extend(lhs.clone().filter(|&i| {
+                    s.group.clear();
+                    s.group.extend(lhs.clone().filter(|&i| {
                         let inst = &insts[i];
                         inst.kind == InstanceKind::LhsSyn
-                            && member[i]
+                            && s.member[i]
                             && fs.visit_at(inst.def_pos) == *v
                     }));
-                    if sim.stack.len() != baseline + group.len() {
+                    if sim.stack.len() != baseline + s.group.len() {
                         return false;
                     }
-                    if sim.stack[sim.stack.len() - group.len()..] != group[..] {
+                    if sim.stack[sim.stack.len() - s.group.len()..] != s.group[..] {
                         return false;
                     }
                 }
@@ -892,7 +860,7 @@ impl StackSim {
                         // Reads first.
                         for read in rule.read_nodes() {
                             let r = node_number(grammar, p, read);
-                            if member[r] {
+                            if s.member[r] {
                                 let at = sim.slot[r];
                                 if at == NONE {
                                     return false;
@@ -903,11 +871,11 @@ impl StackSim {
                         }
                         // Rename elimination claims the top before pops.
                         let mut renamed = false;
-                        if member[t] && eliminate.binary_search(&(p, t)).is_ok() {
+                        if s.member[t] && eliminate.binary_search(&(p, t)).is_ok() {
                             // Rename: source must be on top and die here.
                             let src = rule.read_nodes().next().expect("copy has a source");
                             let src = node_number(grammar, p, src);
-                            if sim.stack.last() != Some(&src) || !member[src] {
+                            if sim.stack.last() != Some(&src) || !s.member[src] {
                                 return false;
                             }
                             if insts[src].last_use() != pos {
@@ -915,8 +883,8 @@ impl StackSim {
                             }
                             // The source's scheduled pop at `pos` is
                             // superseded by the rename.
-                            if let Ok(e) = schedule.binary_search(&(pos, src)) {
-                                schedule[e].1 = NONE;
+                            if let Ok(e) = s.schedule.binary_search(&(pos, src)) {
+                                s.schedule[e].1 = NONE;
                             }
                             let top = sim.stack.len() - 1;
                             sim.stack[top] = t;
@@ -927,10 +895,10 @@ impl StackSim {
                         }
                         // Dead sources are popped before the fresh push so
                         // they are not trapped under it.
-                        if !sim.do_pops(schedule, pos) {
+                        if !sim.do_pops(&s.schedule, pos) {
                             return false;
                         }
-                        if member[t] && !renamed {
+                        if s.member[t] && !renamed {
                             sim.push(t);
                         }
                     }
@@ -943,7 +911,7 @@ impl StackSim {
                         let part = &seqs.partitions_of(ph)[*partition];
                         // The child's member instances of this visit of a
                         // kind, in canonical (number) order.
-                        let member = &member;
+                        let member = &s.member;
                         let of_child = |kind: InstanceKind| {
                             (prod.occ_base(*child)..prod.occ_base(*child + 1)).filter(move |&i| {
                                 member[i]
@@ -954,13 +922,13 @@ impl StackSim {
                         };
                         // Handoff check: this visit's inherited members must
                         // be exactly the topmost items, in canonical order.
-                        group.clear();
-                        group.extend(of_child(InstanceKind::ChildInh));
-                        if !group.is_empty() {
-                            if sim.stack.len() < group.len() {
+                        s.group.clear();
+                        s.group.extend(of_child(InstanceKind::ChildInh));
+                        if !s.group.is_empty() {
+                            if sim.stack.len() < s.group.len() {
                                 return false;
                             }
-                            if sim.stack[sim.stack.len() - group.len()..] != group[..] {
+                            if sim.stack[sim.stack.len() - s.group.len()..] != s.group[..] {
                                 return false;
                             }
                         }
@@ -969,7 +937,7 @@ impl StackSim {
                         for i in of_child(InstanceKind::ChildSyn) {
                             sim.push(i);
                         }
-                        if !sim.do_pops(schedule, pos) {
+                        if !sim.do_pops(&s.schedule, pos) {
                             return false;
                         }
                     }

@@ -44,11 +44,14 @@ pub struct FlatSeq {
 impl FlatSeq {
     fn new(key: (ProductionId, usize), seqs: &VisitSeqs) -> FlatSeq {
         let seq = seqs.seq(key.0, key.1);
-        let mut items = Vec::new();
+        let (mut items, mut visits) = (Vec::new(), Vec::new());
         for (i, segment) in seq.segments.iter().enumerate() {
             let v = i + 1;
             items.push(FlatItem::Begin(v));
             for instr in segment {
+                if let Instr::Visit { .. } = instr {
+                    visits.push(items.len());
+                }
                 items.push(FlatItem::Op {
                     visit: v,
                     instr: instr.clone(),

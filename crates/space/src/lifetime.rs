@@ -158,20 +158,19 @@ fn may_eval_sets(
         |ki| [ki],
         |ki| bodies[ki].iter().flat_map(|b| b.nested.iter().copied()),
     );
-    // A key's set grows in place: its bodies' own objects and the sets
+    // A key's set grows in place by its bodies' own objects and the sets
     // of the keys they nest (a self-nesting key, for a recursive phylum,
-    // adds nothing).
+    // adds nothing); taking it out of `sets` allocates nothing.
     let step = |ki: usize| {
+        let mut set = std::mem::take(&mut sets[ki]);
         let mut changed = false;
         for b in &bodies[ki] {
-            changed |= sets[ki].union_in_place(&b.direct);
-            for &nk in &b.nested {
-                if nk != ki {
-                    let (into, from) = pair_mut(&mut sets, ki, nk);
-                    changed |= into.union_in_place(from);
-                }
+            changed |= set.union_in_place(&b.direct);
+            for &nk in b.nested.iter().filter(|&&nk| nk != ki) {
+                changed |= set.union_in_place(&sets[nk]);
             }
         }
+        sets[ki] = set;
         changed
     };
     fnc2_gfa::fixpoint(n, &dependents, step, &mut fnc2_obs::NoopRecorder);
@@ -187,17 +186,6 @@ fn may_eval_sets(
                 .collect()
         })
         .collect()
-}
-
-/// `v[a]` mutably and `v[b]` shared, for `a != b`.
-fn pair_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &lo[b])
-    }
 }
 
 /// The strict-stack test for **non-temporary** attributes — the extension

@@ -222,38 +222,42 @@ pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
 struct Sink {
     at: Vec<usize>,
     reads: Vec<(usize, usize)>,
-    parent: Vec<usize>,
-    depth: Vec<usize>,
     next_visit: Vec<usize>,
-    hung: Vec<(usize, std::cmp::Reverse<usize>)>,
-    stack: Vec<(usize, usize)>,
+    /// Per instruction: the anchor it hangs before (roots have none), its
+    /// depth below a root, and its neighbours in the order.
+    links: Vec<[usize; 4]>,
     sunk: Vec<Instr>,
 }
 
 /// Sinks each `EVAL` as late as the segment allows: to just before the
 /// first later instruction that uses its result (or to the segment end if
 /// nothing in the segment does — LHS synthesized attributes are handed to
-/// the parent at `LEAVE`). The `EVAL`s sink right to left, each among the
-/// instructions after it as those stand once sunk, and a sink never
-/// reorders what it passes. So every `EVAL` hangs just before its
-/// *anchor* (its first user in that order, or the segment's end), after
-/// the `EVAL`s that hung there before it; the `VISIT`s keep their order;
-/// and one walk of that forest reads off the segment.
+/// the parent at `LEAVE`). Right to left, each instruction enters a linked
+/// order of the ones after it: a `VISIT` at the front, an `EVAL` just
+/// before its *anchor*, its first user there or the end. Entering never
+/// reorders, so the anchors form a forest that says which of two users
+/// comes first: the roots (`VISIT`s and the end) in position order, and
+/// an anchor's `EVAL`s after what hangs before them, first come first.
 fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>, s: &mut Sink) {
     const NONE: usize = usize::MAX;
-    let n = segment.len();
+    const ANCHOR: usize = 0;
+    const DEPTH: usize = 1;
+    const PREV: usize = 2;
+    const NEXT: usize = 3;
+    let (n, end, head) = (segment.len(), segment.len(), segment.len() + 1);
     let number = |node: ONode| grammar.node_index(p, node).expect("validated grammar");
-    // Where each node is evaluated, and `(i, k)` for every later `EVAL` k
-    // reading the result of `EVAL` i, sorted.
+    // `(i, k)` for every later `EVAL` k reading the result of `EVAL` i.
     s.at.clear();
     s.at.resize(grammar.production(p).nodes().len(), NONE);
     s.reads.clear();
     for (k, instr) in segment.iter().enumerate() {
         if let Instr::Eval(t) = instr {
-            let rule = grammar.rule_for(p, *t).expect("validated grammar");
-            for read in rule.read_nodes() {
-                let i = s.at[number(read)];
-                if i != NONE {
+            for read in grammar
+                .rule_for(p, *t)
+                .expect("validated grammar")
+                .read_nodes()
+            {
+                if let Some(&i) = s.at.get(number(read)).filter(|&&i| i != NONE) {
                     s.reads.push((i, k));
                 }
             }
@@ -261,43 +265,38 @@ fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>, s: &
         }
     }
     s.reads.sort_unstable();
-    // `parent[i]`: the anchor of `EVAL` i (`n` is the segment's end);
-    // `VISIT`s and the end are the roots, with `NONE`.
-    let (parent, depth) = (&mut s.parent, &mut s.depth);
-    parent.clear();
-    parent.resize(n + 1, NONE);
-    depth.clear();
-    depth.resize(n + 1, 0);
-    // Which of two hung instructions comes first: the roots in position
-    // order, and the instructions hung at one anchor latest-position first.
-    fn precedes(parent: &[usize], depth: &[usize], mut x: usize, mut y: usize) -> bool {
-        while depth[x] > depth[y] {
-            x = parent[x];
+    let links = &mut s.links;
+    links.clear();
+    links.resize(n + 2, [NONE, 0, NONE, NONE]);
+    links[head][NEXT] = end;
+    links[end][PREV] = head;
+    let precedes = |links: &[[usize; 4]], mut x: usize, mut y: usize| {
+        while links[x][DEPTH] > links[y][DEPTH] {
+            x = links[x][ANCHOR];
             if x == y {
                 return true;
             }
         }
-        while depth[y] > depth[x] {
-            y = parent[y];
+        while links[y][DEPTH] > links[x][DEPTH] {
+            y = links[y][ANCHOR];
             if y == x {
                 return false;
             }
         }
-        while parent[x] != parent[y] {
-            (x, y) = (parent[x], parent[y]);
+        while links[x][ANCHOR] != links[y][ANCHOR] {
+            (x, y) = (links[x][ANCHOR], links[y][ANCHOR]);
         }
-        if parent[x] == NONE {
-            x < y
-        } else {
-            x > y
-        }
-    }
+        (links[x][ANCHOR] == NONE) == (x < y)
+    };
     // The first `VISIT` of each child to the right of the scan.
     s.next_visit.clear();
     s.next_visit.resize(grammar.production(p).arity() + 1, NONE);
     for j in (0..n).rev() {
-        match segment[j] {
-            Instr::Visit { child, .. } => s.next_visit[child as usize] = j,
+        let before = match segment[j] {
+            Instr::Visit { child, .. } => {
+                s.next_visit[child as usize] = j;
+                links[head][NEXT]
+            }
             Instr::Eval(t) => {
                 let from = s.reads.partition_point(|&(i, _)| i < j);
                 let users = s.reads[from..].iter().take_while(|&&(i, _)| i == j);
@@ -308,43 +307,22 @@ fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>, s: &
                 let users = users
                     .map(|&(_, k)| k)
                     .chain((visit != NONE).then_some(visit));
-                let anchor = users.fold(n, |a, k| match precedes(parent, depth, k, a) {
-                    true => k,
-                    false => a,
-                });
-                parent[j] = anchor;
-                depth[j] = depth[anchor] + 1;
+                let anchor = users.fold(end, |a, k| if precedes(links, k, a) { k } else { a });
+                links[j][ANCHOR] = anchor;
+                links[j][DEPTH] = links[anchor][DEPTH] + 1;
+                anchor
             }
-        }
+        };
+        let after = links[before][PREV];
+        links[after][NEXT] = j;
+        links[before][PREV] = j;
+        (links[j][PREV], links[j][NEXT]) = (after, before);
     }
-    // Read the forest off: each root in position order, every instruction
-    // after what hangs before it.
-    let hung = &mut s.hung;
-    hung.clear();
-    hung.extend(
-        (0..n)
-            .filter(|&j| parent[j] != NONE)
-            .map(|j| (parent[j], std::cmp::Reverse(j))),
-    );
-    hung.sort_unstable();
-    let first_hung = |u: usize| hung.partition_point(|&(a, _)| a < u);
     s.sunk.clear();
-    for root in (0..n).filter(|&j| parent[j] == NONE).chain([n]) {
-        s.stack.push((root, first_hung(root)));
-        while let Some(&mut (u, ref mut next)) = s.stack.last_mut() {
-            match hung.get(*next) {
-                Some(&(a, std::cmp::Reverse(j))) if a == u => {
-                    *next += 1;
-                    s.stack.push((j, first_hung(j)));
-                }
-                _ => {
-                    s.stack.pop();
-                    if u < n {
-                        s.sunk.push(segment[u].clone());
-                    }
-                }
-            }
-        }
+    let mut i = links[head][NEXT];
+    while i != end {
+        s.sunk.push(segment[i].clone());
+        i = links[i][NEXT];
     }
     std::mem::swap(segment, &mut s.sunk);
 }
