@@ -207,7 +207,7 @@ pub fn plan_storage(
     // Can `members` share one storage of class `c`? Checked only over the
     // sequences where some member has instances, on buffers kept across
     // the calls.
-    let (mut sorted, mut found, mut keys) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut sorted, mut found) = (Vec::new(), Vec::new());
     let (mut scratch, mut sim) = (VarScratch::default(), SimScratch::default());
     let mut fits = |c: Class, members: &[usize]| {
         sorted.clear();
@@ -223,10 +223,10 @@ pub fn plan_storage(
                 variable_feasible(grammar, fp, lt, &copies, &sorted, &found, &mut scratch)
             }
             Class::Stack => {
-                keys.clear();
-                keys.extend(found.iter().map(|&(k, _)| k));
-                keys.dedup();
-                StackSim::run(grammar, seqs, fp, objects, &sorted, &[], &keys, &mut sim).is_some()
+                let mut seqs_of = found.chunk_by(|a, b| a.0 == b.0).map(|mine| mine[0].0);
+                seqs_of.all(|k| {
+                    StackSim::run_seq(grammar, seqs, fp, objects, &sorted, &[], k, &mut sim)
+                })
             }
             Class::Node => false,
         }

@@ -238,14 +238,14 @@ fn the_generator_allocates_per_production_not_per_step() {
     let [(pc, ps), (ac, asp)] = [&pascal, &ag5].map(generator_allocations);
     println!("mini-Pascal: classify {pc}, analyze_space {ps} allocations");
     println!("AG5: classify {ac}, analyze_space {asp} allocations");
-    // 917 and 1,359 on mini-Pascal, 5,497 and 8,172 on AG5 when the bounds
+    // 886 and 1,369 on mini-Pascal, 5,226 and 8,277 on AG5 when the bounds
     // were set, plus about 10%; rebuilding `D(p)` and a digraph on every
     // step, and the planner's per-call buffers, took 5,417 and 5,457, and
     // 29,324 and 46,488.
-    assert!(pc <= 1010, "mini-Pascal classify: {pc} allocations");
-    assert!(ps <= 1500, "mini-Pascal analyze_space: {ps} allocations");
-    assert!(ac <= 6050, "AG5 classify: {ac} allocations");
-    assert!(asp <= 9000, "AG5 analyze_space: {asp} allocations");
+    assert!(pc <= 975, "mini-Pascal classify: {pc} allocations");
+    assert!(ps <= 1505, "mini-Pascal analyze_space: {ps} allocations");
+    assert!(ac <= 5750, "AG5 classify: {ac} allocations");
+    assert!(asp <= 9100, "AG5 analyze_space: {asp} allocations");
 }
 
 /// The generator's reused buffers live no longer than one run: compiling
