@@ -599,7 +599,7 @@ fn variable_feasible(
 // ---------------------------------------------------------------------------
 
 /// What the final simulation of one sequence records for the runtime; each
-/// list is in position order.
+/// list is sorted, by position first.
 #[derive(Clone, Debug, Default)]
 struct SimRecord {
     /// `(position, instance, depth)`: the `EVAL` at `position` reads member
@@ -614,12 +614,14 @@ struct SimRecord {
 impl SimRecord {
     /// The depth at which the `EVAL` at `pos` reads `inst`.
     fn depth(&self, pos: usize, inst: usize) -> Option<usize> {
-        let from = self.depths.partition_point(|&(at, _, _)| at < pos);
-        self.depths[from..]
-            .iter()
-            .take_while(|&&(at, _, _)| at == pos)
-            .find(|&&(_, i, _)| i == inst)
-            .map(|&(_, _, depth)| depth)
+        let at = self
+            .depths
+            .partition_point(|&(at, i, _)| (at, i) < (pos, inst));
+        let read = self
+            .depths
+            .get(at)
+            .filter(|&&(at, i, _)| (at, i) == (pos, inst));
+        read.map(|&(_, _, depth)| depth)
     }
 
     /// The number of pops after `pos`.
@@ -741,8 +743,12 @@ impl StackSim {
     ) -> Option<Vec<(usize, SimRecord)>> {
         keys.iter()
             .map(|&k| {
-                Self::run_seq(grammar, seqs, fp, objects, members, eliminate, k, scratch)
-                    .then(|| (k, std::mem::take(&mut scratch.rec)))
+                Self::run_seq(grammar, seqs, fp, objects, members, eliminate, k, scratch).then(
+                    || {
+                        scratch.rec.depths.sort_unstable();
+                        (k, std::mem::take(&mut scratch.rec))
+                    },
+                )
             })
             .collect()
     }
