@@ -152,13 +152,13 @@ fn topo_order(pasted: &Pasted) -> Option<Vec<ONode>> {
     Some(order.into_iter().map(|u| dep.node(u)).collect())
 }
 
-/// The error for a production whose pasted graph turned cyclic.
-fn cyclic(pasted: &mut Pasted, p: ProductionId) -> TransformError {
+/// The error for production `p`, whose pasted graph has `cycle`.
+fn cyclic(p: ProductionId, cycle: Vec<ONode>) -> TransformError {
     TransformError {
         production: p,
         witness: CircWitness {
             production: p,
-            cycle: pasted.find_cycle().expect("cyclic"),
+            cycle,
         },
     }
 }
@@ -224,8 +224,8 @@ pub(crate) fn transform(
         for pos in 1..=arity {
             pasted.paste(pos, snc.io.get(prod.phylum_at(pos)));
         }
-        if pasted.find_cycle().is_some() {
-            return Err(cyclic(&mut pasted, p));
+        if let Some(cycle) = pasted.find_cycle() {
+            return Err(cyclic(p, cycle));
         }
 
         // Choose a partition for each RHS occurrence, left to right.
@@ -277,12 +277,8 @@ pub(crate) fn transform(
                 }
             };
             // Paste the choice and continue with the next position.
-            if pasted
-                .paste(pos, &orders[ph.index()][idx])
-                .find_cycle()
-                .is_some()
-            {
-                return Err(cyclic(&mut pasted, p));
+            if let Some(cycle) = pasted.paste(pos, &orders[ph.index()][idx]).find_cycle() {
+                return Err(cyclic(p, cycle));
             }
             // Make sure the chosen partition's plans exist.
             for &q in grammar.phylum(ph).productions() {
@@ -351,7 +347,7 @@ pub(crate) fn from_partitions(
             pasted.paste(pos, &orders[prod.phylum_at(pos).index()]);
         }
         let Some(linear) = topo_order(&pasted) else {
-            return Err(cyclic(&mut pasted, p));
+            return Err(cyclic(p, pasted.find_cycle().expect("cyclic")));
         };
         plans.insert(
             (p, 0),
