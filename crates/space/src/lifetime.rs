@@ -295,7 +295,7 @@ pub fn interval_hits_visit(
         if exclude.peek() == Some(&&pos) {
             continue;
         }
-        let FlatItem::Op {
+        if let FlatItem::Op {
             instr:
                 Instr::Visit {
                     child,
@@ -304,12 +304,11 @@ pub fn interval_hits_visit(
                 },
             ..
         } = &fs.items[pos]
-        else {
-            unreachable!("`visits` lists VISIT positions");
-        };
-        let set = lt.may_evaluate(prod.phylum_at(*child), *partition, *visit);
-        if objs.iter().any(|&oi| set.contains(oi)) {
-            return true;
+        {
+            let set = lt.may_evaluate(prod.phylum_at(*child), *partition, *visit);
+            if objs.iter().any(|&oi| set.contains(oi)) {
+                return true;
+            }
         }
     }
     false
