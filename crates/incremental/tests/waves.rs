@@ -91,6 +91,94 @@ fn a_statement_edit_fires_each_instance_once() {
     assert!(twice.is_empty(), "fired more than once: {twice:?}");
 }
 
+/// Folds every `RuleFired` and `StatusComputed` event, in emission order,
+/// and each wave's stats into one FNV-1a hash.
+struct WaveDigest(u64);
+
+impl WaveDigest {
+    fn fold(&mut self, text: &str) {
+        self.0 = text.bytes().fold(self.0, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    }
+}
+
+impl Recorder for WaveDigest {
+    fn trace(&self) -> bool {
+        true
+    }
+
+    fn emit(&mut self, event: Event) {
+        if matches!(
+            event,
+            Event::RuleFired { .. } | Event::StatusComputed { .. }
+        ) {
+            self.fold(&format!("{event:?}"));
+        }
+    }
+}
+
+/// Pins what four mini-Pascal edit waves fire, decide and count, so a
+/// rework of the wave can be shown to fire the same rules in the same
+/// order: the statement edit above, a literal replaced by another, a
+/// declaration's `integer` swapped for `boolean` and a `+` for a `-`.
+#[test]
+fn wave_events_match_their_pinned_digests() {
+    let (g, _) = fnc2_corpus::minipascal();
+    let tree = fnc2_corpus::parse_minipascal(&g, &fnc2_corpus::sample_program(6)).unwrap();
+    let mut inc = IncrementalEvaluator::new(&g, tree, Equality::default()).unwrap();
+    let nodes_of = |inc: &IncrementalEvaluator, op: &str| -> Vec<NodeId> {
+        let p = g.production_by_name(op).unwrap();
+        let t = inc.tree();
+        t.preorder()
+            .map(|(n, _)| n)
+            .filter(|&n| t.node(n).production() == p)
+            .collect()
+    };
+    let want: [u64; 4] = [
+        0x05e2_4594_e27e_ace9, // the statement edit: 290 fired, 280 changed
+        0x2b43_0194_21d6_9fcc, // the last literal: 35 fired, 33 changed
+        0x78ab_a7cb_cd57_9dac, // `integer` to `boolean`: 609 fired, 383 changed
+        0xe1d3_3d4a_139e_8876, // `+` to `-`: 25 fired, 7 changed
+    ];
+    let mut got = Vec::new();
+    for edit in 0..4 {
+        let mut digest = WaveDigest(0xcbf2_9ce4_8422_2325);
+        let stats = match edit {
+            0 => {
+                let at = nodes_of(&inc, "assign")[0];
+                let mut tb = TreeBuilder::new(&g);
+                let cond = tb.op("etrue", &[]).unwrap();
+                let body = tb.op("stmts_nil", &[]).unwrap();
+                let wh = tb.op("swhile", &[cond, body]).unwrap();
+                inc.replace_subtrees_recorded(vec![(at, tb.finish(wh))], &mut digest)
+            }
+            1 => {
+                let at = *nodes_of(&inc, "elit").last().unwrap();
+                let lit = token_leaf(&g, "elit", 42);
+                inc.replace_subtrees_recorded(vec![(at, lit)], &mut digest)
+            }
+            2 => {
+                let at = nodes_of(&inc, "tint")[0];
+                let tbool = g.production_by_name("tbool").unwrap();
+                inc.swap_production_recorded(at, tbool, &mut digest)
+            }
+            _ => {
+                let at = nodes_of(&inc, "eadd")[0];
+                let esub = g.production_by_name("esub").unwrap();
+                inc.swap_production_recorded(at, esub, &mut digest)
+            }
+        }
+        .unwrap();
+        digest.fold(&format!("{stats:?}"));
+        got.push(digest.0);
+    }
+    assert_matches_scratch(&g, &inc);
+    for (edit, (got, want)) in got.iter().zip(want).enumerate() {
+        assert_eq!(*got, want, "edit {edit}: wave digest {got:#018x}");
+    }
+}
+
 /// `root : S ::= X` with `X.i2 := X.s1` and `S.out := X.s2`: `X` has two
 /// visits, and its visit-2 inherited `i2` reads its own visit-1
 /// synthesized `s1`. A leaf copies its token to `s1` and `s1` to a local
