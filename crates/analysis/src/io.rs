@@ -18,7 +18,6 @@ use fnc2_ag::{AttrKind, Grammar, ONode, PhylumId, ProductionId};
 use fnc2_gfa::{dependents, fixpoint, BitMatrix};
 use fnc2_obs::{NoopRecorder, Recorder};
 
-use crate::attrs::AttrIndex;
 use crate::paste::{Deps, Pasted};
 
 /// A dependency cycle witnessing the failure of a class test.
@@ -38,11 +37,11 @@ pub struct PhylumRels {
 
 impl PhylumRels {
     /// Empty relations shaped for `grammar`.
-    pub fn empty(grammar: &Grammar, ix: &AttrIndex) -> Self {
+    pub fn empty(grammar: &Grammar) -> Self {
         PhylumRels {
             rels: grammar
                 .phyla()
-                .map(|ph| BitMatrix::new(ix.len(ph)))
+                .map(|ph| BitMatrix::new(grammar.phylum(ph).attrs().len()))
                 .collect(),
         }
     }
@@ -106,8 +105,8 @@ pub fn snc_test_recorded<R: Recorder>(grammar: &Grammar, rec: &mut R) -> SncResu
 
 /// The SNC test on a cascade run's `D(p)`s.
 pub(crate) fn snc<R: Recorder>(deps: &Deps, rec: &mut R) -> SncResult {
-    let (grammar, ix) = (deps.grammar, &deps.ix);
-    let mut io = PhylumRels::empty(grammar, ix);
+    let grammar = deps.grammar;
+    let mut io = PhylumRels::empty(grammar);
     let mut pasted = Pasted::new(deps);
     fixpoint(
         grammar.production_count(),
@@ -115,9 +114,10 @@ pub(crate) fn snc<R: Recorder>(deps: &Deps, rec: &mut R) -> SncResult {
         |pi| {
             let p = ProductionId::from_raw(pi as u32);
             let lhs = grammar.production(p).lhs();
+            let attrs = grammar.phylum(lhs).attrs();
             let proj = paste_io(&mut pasted, grammar, p, &io).project_reach(0, |i, j| {
-                grammar.attr(ix.attr_at(lhs, i)).kind() == AttrKind::Inherited
-                    && grammar.attr(ix.attr_at(lhs, j)).kind() == AttrKind::Synthesized
+                grammar.attr(attrs[i]).kind() == AttrKind::Inherited
+                    && grammar.attr(attrs[j]).kind() == AttrKind::Synthesized
             });
             io.absorb(lhs, proj)
         },
@@ -184,8 +184,8 @@ pub fn dnc_test_recorded<R: Recorder>(
 
 /// The DNC test on a cascade run's `D(p)`s.
 pub(crate) fn dnc<R: Recorder>(deps: &Deps, snc: &SncResult, rec: &mut R) -> DncResult {
-    let (grammar, ix) = (deps.grammar, &deps.ix);
-    let mut oi = PhylumRels::empty(grammar, ix);
+    let grammar = deps.grammar;
+    let mut oi = PhylumRels::empty(grammar);
     let mut pasted = Pasted::new(deps);
     // Top-down flow: production p reads oi[lhs(p)] and writes oi of its RHS
     // phyla.
@@ -206,10 +206,11 @@ pub(crate) fn dnc<R: Recorder>(deps: &Deps, snc: &SncResult, rec: &mut R) -> Dnc
             let mut changed = false;
             for group in deps.rhs_position_groups(p) {
                 let ph = prod.phylum_at(group[0]);
+                let attrs = grammar.phylum(ph).attrs();
                 let proj =
                     pasted.project_reach_excluding(group[0], Some(snc.io.get(ph)), |i, j| {
-                        grammar.attr(ix.attr_at(ph, i)).kind() == AttrKind::Synthesized
-                            && grammar.attr(ix.attr_at(ph, j)).kind() == AttrKind::Inherited
+                        grammar.attr(attrs[i]).kind() == AttrKind::Synthesized
+                            && grammar.attr(attrs[j]).kind() == AttrKind::Inherited
                     });
                 changed |= oi.absorb(ph, proj);
             }
@@ -375,9 +376,7 @@ mod tests {
         assert!(dnc.is_dnc());
         let a = g.phylum_by_name("A").unwrap();
         // OI(A) contains s -> j.
-        let ix = AttrIndex::new(&g);
-        let s_local = ix.local(&g, asy);
-        let j_local = ix.local(&g, aj);
+        let (s_local, j_local) = (g.attr(asy).offset(), g.attr(aj).offset());
         assert!(dnc.oi.get(a).get(s_local, j_local));
     }
 }

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod attrs;
 mod class;
 mod io;
 mod nc;
@@ -52,7 +51,6 @@ mod paste;
 mod trace;
 mod transform;
 
-pub use attrs::AttrIndex;
 pub use class::{classify, classify_recorded, AgClass, Classification};
 pub use io::{
     bottom_up_dependents, dnc_test, dnc_test_recorded, snc_test, snc_test_recorded, CircWitness,

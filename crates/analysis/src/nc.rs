@@ -26,8 +26,6 @@ pub struct NcResult {
     /// True if the run hit `max_graphs` and gave up (the grammar may still
     /// be non-circular).
     pub aborted: bool,
-    /// Total number of (production × graph-combination) expansions.
-    pub combinations: usize,
 }
 
 impl NcResult {
@@ -43,7 +41,6 @@ pub fn nc_test(grammar: &Grammar, max_graphs: usize) -> NcResult {
     let deps = Deps::new(grammar);
     let mut pasted = Pasted::new(&deps);
     let mut io_sets: Vec<HashSet<BitMatrix>> = vec![HashSet::new(); grammar.phylum_count()];
-    let mut combinations = 0usize;
     let mut witness = None;
     let mut aborted = false;
 
@@ -57,7 +54,7 @@ pub fn nc_test(grammar: &Grammar, max_graphs: usize) -> NcResult {
                 return false;
             }
             let p = ProductionId::from_raw(pi as u32);
-            match expand(&mut pasted, p, &io_sets, &mut combinations) {
+            match expand(&mut pasted, p, &io_sets) {
                 Expansion::Cycle(w) => {
                     witness = Some(w);
                     false
@@ -79,7 +76,6 @@ pub fn nc_test(grammar: &Grammar, max_graphs: usize) -> NcResult {
         io_sets,
         witness,
         aborted,
-        combinations,
     }
 }
 
@@ -90,16 +86,11 @@ enum Expansion {
 
 /// All IO graphs of `lhs(p)` obtainable by choosing one IO graph per RHS
 /// occurrence from the current sets.
-fn expand(
-    pasted: &mut Pasted,
-    p: ProductionId,
-    io_sets: &[HashSet<BitMatrix>],
-    combinations: &mut usize,
-) -> Expansion {
-    let (grammar, ix) = (pasted.deps().grammar, &pasted.deps().ix);
+fn expand(pasted: &mut Pasted, p: ProductionId, io_sets: &[HashSet<BitMatrix>]) -> Expansion {
+    let grammar = pasted.deps().grammar;
     let prod = grammar.production(p);
     let arity = prod.arity();
-    let lhs = prod.lhs();
+    let attrs = grammar.phylum(prod.lhs()).attrs();
     // Choice lists per RHS position; a position whose phylum has no graph
     // yet cannot yield a complete derivation — skip this production for now
     // (leaf productions have no positions, so the base case seeds the sets).
@@ -117,7 +108,6 @@ fn expand(
     let mut out = Vec::new();
     let mut pick = vec![0usize; arity];
     loop {
-        *combinations += 1;
         pasted.reset(p);
         for (i, &c) in pick.iter().enumerate() {
             pasted.paste((i + 1) as u16, choices[i][c]);
@@ -129,8 +119,8 @@ fn expand(
             });
         }
         let proj = pasted.project_reach(0, |i, j| {
-            grammar.attr(ix.attr_at(lhs, i)).kind() == AttrKind::Inherited
-                && grammar.attr(ix.attr_at(lhs, j)).kind() == AttrKind::Synthesized
+            grammar.attr(attrs[i]).kind() == AttrKind::Inherited
+                && grammar.attr(attrs[j]).kind() == AttrKind::Synthesized
         });
         out.push(proj.clone());
         // Next combination (odometer).

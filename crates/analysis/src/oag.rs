@@ -19,7 +19,6 @@ use fnc2_ag::{AttrKind, Grammar, ONode, Occ, PhylumId, ProductionId};
 use fnc2_gfa::{dependents, fixpoint, BitMatrix};
 use fnc2_obs::{NoopRecorder, Recorder};
 
-use crate::attrs::AttrIndex;
 use crate::io::{lhs_of, rhs_of, CircWitness, PhylumRels};
 use crate::partition::{TotalOrder, VisitSlot};
 use crate::paste::{Deps, Pasted};
@@ -56,7 +55,7 @@ pub fn oag_test_recorded<R: Recorder>(grammar: &Grammar, k: usize, rec: &mut R) 
 
 /// The OAG(k) test on a cascade run's `D(p)`s.
 pub(crate) fn oag<R: Recorder>(deps: &Deps, k: usize, rec: &mut R) -> OagResult {
-    let (grammar, ix) = (deps.grammar, &deps.ix);
+    let grammar = deps.grammar;
     let mut pasted = Pasted::new(deps);
     let ds = induced_dependencies(&mut pasted, rec);
 
@@ -76,7 +75,7 @@ pub(crate) fn oag<R: Recorder>(deps: &Deps, k: usize, rec: &mut R) -> OagResult 
     // Initial slot assignment per phylum by backwards peeling.
     let mut slots: Vec<Vec<usize>> = Vec::with_capacity(grammar.phylum_count());
     for ph in grammar.phyla() {
-        match peel_slots(grammar, ix, &ds, ph) {
+        match peel_slots(grammar, &ds, ph) {
             Some(s) => slots.push(s),
             None => {
                 let witness = cycle_witness_for_phylum(&mut pasted, &ds, ph);
@@ -94,7 +93,7 @@ pub(crate) fn oag<R: Recorder>(deps: &Deps, k: usize, rec: &mut R) -> OagResult 
     loop {
         let partitions: Vec<TotalOrder> = grammar
             .phyla()
-            .map(|ph| slots_to_partition(grammar, ix, ph, &slots[ph.index()]))
+            .map(|ph| slots_to_partition(grammar, ph, &slots[ph.index()]))
             .collect();
         match edp_check(&mut pasted, &partitions) {
             None => {
@@ -125,7 +124,7 @@ pub(crate) fn oag<R: Recorder>(deps: &Deps, k: usize, rec: &mut R) -> OagResult 
 fn induced_dependencies<R: Recorder>(pasted: &mut Pasted, rec: &mut R) -> PhylumRels {
     let deps = pasted.deps();
     let grammar = deps.grammar;
-    let mut ds = PhylumRels::empty(grammar, &deps.ix);
+    let mut ds = PhylumRels::empty(grammar);
     // A production reads and writes the DS of every phylum it mentions, so
     // its dependents are all productions sharing a phylum with it.
     let mentioned = |p: usize| lhs_of(grammar, p).into_iter().chain(rhs_of(grammar, p));
@@ -165,13 +164,9 @@ fn paste_all<'a>(pasted: &mut Pasted, p: ProductionId, rel: impl Fn(PhylumId) ->
 /// synthesized, in evaluation order (`I₁=0, S₁=1, I₂=2, …`). Peels from the
 /// end: the last set is the synthesized attributes nothing depends on.
 /// Returns `None` if peeling gets stuck (cyclic `DS`).
-fn peel_slots(
-    grammar: &Grammar,
-    ix: &AttrIndex,
-    ds: &PhylumRels,
-    ph: PhylumId,
-) -> Option<Vec<usize>> {
-    let n = ix.len(ph);
+fn peel_slots(grammar: &Grammar, ds: &PhylumRels, ph: PhylumId) -> Option<Vec<usize>> {
+    let attrs = grammar.phylum(ph).attrs();
+    let n = attrs.len();
     let rel = ds.get(ph);
     let mut remaining: Vec<bool> = vec![true; n];
     let mut left = n;
@@ -183,7 +178,7 @@ fn peel_slots(
         let elig: Vec<usize> = (0..n)
             .filter(|&a| {
                 remaining[a]
-                    && grammar.attr(ix.attr_at(ph, a)).kind() == want
+                    && grammar.attr(attrs[a]).kind() == want
                     && (0..n).all(|b| !remaining[b] || !rel.get(a, b))
             })
             .collect();
@@ -226,18 +221,12 @@ fn peel_slots(
     debug_assert!(slot
         .iter()
         .enumerate()
-        .all(|(a, &s)| (s % 2 == 1)
-            == (grammar.attr(ix.attr_at(ph, a)).kind() == AttrKind::Synthesized)));
+        .all(|(a, &s)| (s % 2 == 1) == (grammar.attr(attrs[a]).kind() == AttrKind::Synthesized)));
     Some(slot)
 }
 
 /// Converts a slot assignment into a [`TotalOrder`].
-fn slots_to_partition(
-    _grammar: &Grammar,
-    ix: &AttrIndex,
-    ph: PhylumId,
-    slot: &[usize],
-) -> TotalOrder {
+fn slots_to_partition(grammar: &Grammar, ph: PhylumId, slot: &[usize]) -> TotalOrder {
     let max_slot = slot.iter().copied().max().unwrap_or(0);
     let n_visits = max_slot / 2 + 1;
     let mut visits: Vec<VisitSlot> = (0..n_visits)
@@ -246,8 +235,7 @@ fn slots_to_partition(
             syn: Vec::new(),
         })
         .collect();
-    for (a, &s) in slot.iter().enumerate() {
-        let attr = ix.attr_at(ph, a);
+    for (&attr, &s) in grammar.phylum(ph).attrs().iter().zip(slot) {
         let v = s / 2;
         if s % 2 == 0 {
             visits[v].inh.push(attr);
@@ -264,7 +252,7 @@ fn edp_check(pasted: &mut Pasted, partitions: &[TotalOrder]) -> Option<CircWitne
     let deps = pasted.deps();
     let orders: Vec<BitMatrix> = partitions
         .iter()
-        .map(|t| t.as_matrix(deps.grammar, &deps.ix))
+        .map(|t| t.as_matrix(deps.grammar))
         .collect();
     deps.grammar.productions().find_map(|p| {
         paste_all(pasted, p, |ph| &orders[ph.index()]);
@@ -281,7 +269,7 @@ fn edp_check(pasted: &mut Pasted, partitions: &[TotalOrder]) -> Option<CircWitne
 /// the next slot of `a`'s kind), then re-propagate `DS` consistency.
 /// Returns `false` if no repairable edge exists on the cycle.
 fn repair(deps: &Deps, ds: &PhylumRels, slots: &mut [Vec<usize>], witness: &CircWitness) -> bool {
-    let (grammar, ix) = (deps.grammar, &deps.ix);
+    let grammar = deps.grammar;
     let p = witness.production;
     let prod = grammar.production(p);
     let dep = deps.dep(p);
@@ -301,8 +289,8 @@ fn repair(deps: &Deps, ds: &PhylumRels, slots: &mut [Vec<usize>], witness: &Circ
         }
         let ph = prod.phylum_at(a.pos);
         // DS pairs must keep their order; only pure partition edges bend.
-        let la = ix.local(grammar, a.attr);
-        let lb = ix.local(grammar, b.attr);
+        let la = grammar.attr(a.attr).offset();
+        let lb = grammar.attr(b.attr).offset();
         if ds.get(ph).closure().get(la, lb) {
             continue;
         }
@@ -318,7 +306,7 @@ fn repair(deps: &Deps, ds: &PhylumRels, slots: &mut [Vec<usize>], witness: &Circ
             continue; // would not move anything
         }
         slots[ph.index()][la] = new_slot;
-        propagate_slots(grammar, ix, ds, slots);
+        propagate_slots(grammar, ds, slots);
         return true;
     }
     false
@@ -327,9 +315,10 @@ fn repair(deps: &Deps, ds: &PhylumRels, slots: &mut [Vec<usize>], witness: &Circ
 /// Restores `DS`-consistency of the slot assignment after a repair: if
 /// `(a, b) ∈ DS(X)` then `slot(a) ≤ slot(b)`, bumping `b` forward (to the
 /// next slot of its kind) where violated.
-fn propagate_slots(grammar: &Grammar, ix: &AttrIndex, ds: &PhylumRels, slots: &mut [Vec<usize>]) {
+fn propagate_slots(grammar: &Grammar, ds: &PhylumRels, slots: &mut [Vec<usize>]) {
     for ph in grammar.phyla() {
-        let n = ix.len(ph);
+        let attrs = grammar.phylum(ph).attrs();
+        let n = attrs.len();
         let rel = ds.get(ph);
         let mut changed = true;
         while changed {
@@ -340,7 +329,7 @@ fn propagate_slots(grammar: &Grammar, ix: &AttrIndex, ds: &PhylumRels, slots: &m
                         // Pull b forward to a's slot, or the next slot of
                         // b's kind. Same-slot DS pairs are fine: intra-set
                         // order is decided by the local topological sort.
-                        let kind_b = grammar.attr(ix.attr_at(ph, b)).kind();
+                        let kind_b = grammar.attr(attrs[b]).kind();
                         let parity = usize::from(kind_b == AttrKind::Synthesized);
                         let mut s = slots[ph.index()][a];
                         if s % 2 != parity {
@@ -384,7 +373,7 @@ fn cycle_witness_for_phylum(
                 .first()
                 .map(|&p| CircWitness {
                     production: p,
-                    cycle: vec![ONode::Attr(Occ::lhs(deps.ix.attr_at(ph, 0)))],
+                    cycle: vec![ONode::Attr(Occ::lhs(grammar.phylum(ph).attrs()[0]))],
                 })
         })
 }

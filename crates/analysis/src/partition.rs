@@ -11,8 +11,6 @@
 use fnc2_ag::{AttrId, AttrKind, Grammar, PhylumId};
 use fnc2_gfa::BitMatrix;
 
-use crate::attrs::AttrIndex;
-
 /// One visit's worth of a partition: inherited in, synthesized out.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct VisitSlot {
@@ -144,8 +142,8 @@ impl TotalOrder {
 
     /// The strict order the partition imposes, as a relation over local
     /// attribute indices: `a → b` when `a`'s set comes before `b`'s.
-    pub fn as_matrix(&self, grammar: &Grammar, ix: &AttrIndex) -> BitMatrix {
-        let k = ix.len(self.phylum);
+    pub fn as_matrix(&self, grammar: &Grammar) -> BitMatrix {
+        let k = grammar.phylum(self.phylum).attrs().len();
         let mut m = BitMatrix::new(k);
         // Linearize sets: I1, S1, I2, S2, ...
         let sets: Vec<&[AttrId]> = self
@@ -157,7 +155,7 @@ impl TotalOrder {
             for j in i + 1..sets.len() {
                 for &a in sets[i] {
                     for &b in sets[j] {
-                        m.set(ix.local(grammar, a), ix.local(grammar, b));
+                        m.set(grammar.attr(a).offset(), grammar.attr(b).offset());
                     }
                 }
             }
@@ -282,10 +280,9 @@ mod tests {
     fn matrix_orders_sets() {
         let (g, a, at) = g();
         let (i1, s1, i2, s2) = (at[0], at[1], at[2], at[3]);
-        let ix = AttrIndex::new(&g);
         let t = TotalOrder::from_linear(&g, a, &[i1, s1, i2, s2]);
-        let m = t.as_matrix(&g, &ix);
-        let l = |x| ix.local(&g, x);
+        let m = t.as_matrix(&g);
+        let l = |x| g.attr(x).offset();
         assert!(m.get(l(i1), l(s1)));
         assert!(m.get(l(s1), l(i2)));
         assert!(m.get(l(i1), l(s2)));

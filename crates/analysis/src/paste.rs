@@ -12,14 +12,11 @@ use std::cell::OnceCell;
 use fnc2_ag::{DepGraph, Grammar, ONode, ProductionId};
 use fnc2_gfa::{BitMatrix, Digraph, Scratch};
 
-use crate::attrs::AttrIndex;
-
 /// Every production's `D(p)` for one cascade run, with its RHS position
 /// classes computed on first use.
 #[derive(Debug)]
 pub(crate) struct Deps<'g> {
     pub grammar: &'g Grammar,
-    pub ix: AttrIndex,
     graphs: Vec<DepGraph<'g>>,
     groups: Vec<OnceCell<Vec<Vec<u16>>>>,
 }
@@ -28,7 +25,6 @@ impl<'g> Deps<'g> {
     pub fn new(grammar: &'g Grammar) -> Self {
         Deps {
             grammar,
-            ix: AttrIndex::new(grammar),
             graphs: grammar
                 .productions()
                 .map(|p| DepGraph::of(grammar, p))
@@ -64,7 +60,7 @@ impl<'g> Deps<'g> {
     }
 
     fn position_groups(&self, p: ProductionId) -> Vec<Vec<u16>> {
-        let (grammar, ix, dep) = (self.grammar, &self.ix, self.dep(p));
+        let (grammar, dep) = (self.grammar, self.dep(p));
         let prod = grammar.production(p);
         let n = dep.len();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -74,7 +70,7 @@ impl<'g> Deps<'g> {
         let mut sigs: Vec<(Vec<u64>, u16)> = Vec::with_capacity(prod.arity());
         for pos in 1..=prod.arity() as u16 {
             let ph = prod.phylum_at(pos);
-            let own = dep.attr_index(pos, 0)..dep.attr_index(pos, ix.len(ph));
+            let own = dep.attr_index(pos, 0)..dep.attr_index(pos, grammar.phylum(ph).attrs().len());
             // Signature: phylum, then per local attribute the sorted
             // encodings of successor and predecessor neighbors, with
             // sentinels separating the sections. Own-position neighbors
@@ -169,7 +165,11 @@ impl<'d, 'g> Pasted<'d, 'g> {
     pub fn paste(&mut self, pos: u16, rel: &BitMatrix) -> &mut Self {
         let dep = self.dep();
         let ph = self.deps.grammar.production(self.p).phylum_at(pos);
-        debug_assert_eq!(rel.len(), self.deps.ix.len(ph), "relation sized for phylum");
+        debug_assert_eq!(
+            rel.len(),
+            self.deps.grammar.phylum(ph).attrs().len(),
+            "relation sized for phylum"
+        );
         for (i, j) in rel.pairs() {
             self.graph
                 .add_edge(dep.attr_index(pos, i), dep.attr_index(pos, j));
@@ -225,7 +225,7 @@ impl<'d, 'g> Pasted<'d, 'g> {
     ) -> &BitMatrix {
         let dep = self.dep();
         let ph = self.deps.grammar.production(self.p).phylum_at(pos);
-        let k = self.deps.ix.len(ph);
+        let k = self.deps.grammar.phylum(ph).attrs().len();
         // `pos`'s occurrences are numbered `base..base + k`.
         let base = dep.attr_index(pos, 0);
         // The pairs to skip, by local index: those `excluded` relates that

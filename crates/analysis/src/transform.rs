@@ -187,7 +187,7 @@ pub(crate) fn transform(
     snc: &SncResult,
     inclusion: Inclusion,
 ) -> Result<LOrdered, TransformError> {
-    let (grammar, ix) = (deps.grammar, &deps.ix);
+    let grammar = deps.grammar;
     let mut partitions: Vec<Vec<TotalOrder>> = vec![Vec::new(); grammar.phylum_count()];
     // `orders[phylum][i]`: partition i's order as a relation, for pasting.
     let mut orders: Vec<Vec<BitMatrix>> = vec![Vec::new(); grammar.phylum_count()];
@@ -199,7 +199,7 @@ pub(crate) fn transform(
     // every inherited attribute up front).
     let root = grammar.root();
     let single = TotalOrder::single_visit(grammar, root);
-    orders[root.index()].push(single.as_matrix(grammar, ix));
+    orders[root.index()].push(single.as_matrix(grammar));
     partitions[root.index()].push(single);
     stats.fresh += 1;
 
@@ -264,7 +264,7 @@ pub(crate) fn transform(
                             idx
                         }
                         None => {
-                            orders[ph.index()].push(fresh.as_matrix(grammar, ix));
+                            orders[ph.index()].push(fresh.as_matrix(grammar));
                             partitions[ph.index()].push(fresh);
                             stats.fresh += 1;
                             let idx = partitions[ph.index()].len() - 1;
@@ -334,10 +334,7 @@ pub(crate) fn from_partitions(
         grammar.phylum_count(),
         "one partition per phylum"
     );
-    let orders: Vec<BitMatrix> = parts
-        .iter()
-        .map(|t| t.as_matrix(grammar, &deps.ix))
-        .collect();
+    let orders: Vec<BitMatrix> = parts.iter().map(|t| t.as_matrix(grammar)).collect();
     let mut pasted = Pasted::new(deps);
     let mut plans = HashMap::new();
     for p in grammar.productions() {
@@ -503,13 +500,13 @@ mod tests {
             let mut pasted = Pasted::new(&deps);
             for ((p, pi), plan) in &lo.plans {
                 // Rebuild the pasted graph and verify the order.
-                let (ix, prod) = (&deps.ix, g.production(*p));
+                let prod = g.production(*p);
                 let lhs_part = &lo.partitions_of(prod.lhs())[*pi];
-                pasted.reset(*p).paste(0, &lhs_part.as_matrix(&g, ix));
+                pasted.reset(*p).paste(0, &lhs_part.as_matrix(&g));
                 for (i, &idx) in plan.rhs_partitions.iter().enumerate() {
                     let pos = (i + 1) as u16;
                     let ph = prod.phylum_at(pos);
-                    pasted.paste(pos, &lo.partitions_of(ph)[idx].as_matrix(&g, ix));
+                    pasted.paste(pos, &lo.partitions_of(ph)[idx].as_matrix(&g));
                 }
                 let order: Vec<usize> = plan
                     .linear

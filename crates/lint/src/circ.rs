@@ -14,7 +14,7 @@
 //! this).
 
 use fnc2_ag::{Grammar, ONode};
-use fnc2_analysis::{explain, AttrIndex, CircWitness, Classification};
+use fnc2_analysis::{explain, CircWitness, Classification};
 
 use crate::diag::{Code, Diagnostic, Span};
 
@@ -77,7 +77,6 @@ pub fn verify_witness(
     if witness.cycle.first() != witness.cycle.last() {
         return Err("cycle does not return to its first node".to_string());
     }
-    let ix = AttrIndex::new(grammar);
     let prod = grammar.production(p);
     let mut justs = Vec::with_capacity(witness.cycle.len() - 1);
     for pair in witness.cycle.windows(2) {
@@ -105,7 +104,10 @@ pub fn verify_witness(
             ));
         }
         let ph = prod.phylum_at(fo.pos);
-        let (fl, tl) = (ix.local(grammar, fo.attr), ix.local(grammar, t.attr));
+        let (fl, tl) = (
+            grammar.attr(fo.attr).offset(),
+            grammar.attr(t.attr).offset(),
+        );
         let induced = match kind {
             WitnessKind::Snc => fo.pos > 0 && class.snc.io.get(ph).get(fl, tl),
             WitnessKind::Dnc => {

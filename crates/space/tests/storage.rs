@@ -243,8 +243,7 @@ fn space_plans_match_their_pinned_digests() {
 /// `OI` and `DS` relations, the OAG partitions and repairs, the witnesses,
 /// both inclusions' key-sorted l-ordered plans with their statistics, the
 /// exact NC test's sorted graph sets and outcome, and the cascade's
-/// fixpoint counts. (The NC test's `combinations` is left out: debug
-/// builds re-run every fixpoint step, and its steps count there too.)
+/// fixpoint counts.
 fn cascade_digest(g: &Grammar) -> u64 {
     let mut obs = Obs::new();
     let c = classify_recorded(g, 1, Inclusion::Long, &mut obs).unwrap();
