@@ -146,6 +146,53 @@ mod tests {
         assert_eq!(dl.edge_count(), 1); // A.i -> A.w
     }
 
+    /// The incremental evaluator's readers of a node are its successors,
+    /// so each reading rule's target appears once, in rule order.
+    #[test]
+    fn successors_are_the_reading_rules_once_in_rule_order() {
+        // root : S ::= A A with `both := add(A$1.w, A$1.w)`, `S.out := both`
+        // and `A$2.i := A$1.w`.
+        let mut g = GrammarBuilder::new("t");
+        let s = g.phylum("S");
+        let a = g.phylum("A");
+        let out = g.syn(s, "out");
+        let i = g.inh(a, "i");
+        let w = g.syn(a, "w");
+        g.func("add", 2, |v| Value::Int(v[0].as_int() + v[1].as_int()));
+        let root = g.production("root", s, &[a, a]);
+        let both = g.local(root, "both");
+        let w1: ONode = Occ::new(1, w).into();
+        g.call(root, both, "add", [w1.into(), w1.into()]);
+        g.copy(root, Occ::lhs(out), ONode::Local(both));
+        g.copy(root, Occ::new(2, i), Occ::new(1, w));
+        g.constant(root, Occ::new(1, i), Value::Int(0));
+        let leaf = g.production("leaf", a, &[]);
+        g.copy(leaf, Occ::lhs(w), Occ::lhs(i));
+        let g = g.finish().unwrap();
+
+        let d = DepGraph::of(&g, root);
+        let prod = g.production(root);
+        let readers = |node: ONode| -> Vec<u32> {
+            let k = d.index_of(node).unwrap();
+            d.succs(k)
+                .iter()
+                .map(|&v| prod.rule_index(v).unwrap())
+                .collect()
+        };
+        assert_eq!(readers(w1), [0, 2]);
+        assert_eq!(readers(ONode::Local(both)), [1]);
+        assert!(readers(Occ::new(2, w).into()).is_empty());
+        assert!(readers(Occ::new(1, i).into()).is_empty());
+        assert_eq!(
+            prod.rule_index(d.index_of(Occ::new(1, i).into()).unwrap()),
+            Some(3)
+        );
+        assert_eq!(
+            prod.rule_index(d.index_of(Occ::new(1, w).into()).unwrap()),
+            None
+        );
+    }
+
     #[test]
     fn duplicate_reads_create_one_edge() {
         let mut g = GrammarBuilder::new("dup");

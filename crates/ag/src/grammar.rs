@@ -271,13 +271,17 @@ impl Production {
         self.base[self.rhs.len() + 1] as usize
     }
 
+    /// The index in [`rules`](Self::rules) of the rule defining node
+    /// number `k`, if any.
+    #[inline]
+    pub fn rule_index(&self, k: usize) -> Option<u32> {
+        self.rule_at.get(k).copied().filter(|&r| r != NO_RULE)
+    }
+
     /// The rule defining node number `k`, if any.
     #[inline]
     pub fn rule_at(&self, k: usize) -> Option<&SemRule> {
-        match self.rule_at.get(k) {
-            Some(&r) if r != NO_RULE => Some(&self.rules[r as usize]),
-            _ => None,
-        }
+        Some(&self.rules[self.rule_index(k)? as usize])
     }
 
     /// Numbers this production's nodes against the phyla `phyla`: fills

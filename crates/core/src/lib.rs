@@ -267,7 +267,8 @@ impl Compiled {
         let space = self.space.as_ref()?;
         let planned = self.planned.get_or_init(|| {
             let program = Arc::clone(self.lowered().program());
-            fnc2_space::plan_lowering(program, &self.seqs, &space.flat, &space.plan)
+            let (flat, plan) = (&space.flat, &space.plan);
+            fnc2_space::plan_lowering(&self.grammar, program, &self.seqs, flat, plan)
         });
         let code = Cow::Borrowed(planned);
         Some(Evaluator::with_lowered(&self.grammar, &self.seqs, code))

@@ -27,18 +27,20 @@
 //!
 //! A wave's bookkeeping costs what it reaches, not the tree's size: one
 //! generation-tagged word per instance cell tells whether the wave has
-//! reached it, readers come from a per-production index that the
-//! evaluator builds once, and every vector is reused from wave to wave.
+//! reached it, an instance's readers are its occurrence's successors in
+//! the production's dependency graph `D(p)`, which the evaluator builds
+//! once, and every vector is reused from wave to wave.
 
 use std::error::Error;
 use std::time::Instant;
 
-use fnc2_ag::{AttrId, AttrKind, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value};
+use fnc2_ag::{
+    AttrId, AttrKind, DepGraph, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value,
+};
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
-use fnc2_visit::{Cells, CompiledProduction, CompiledProgram, EvalError, RootInputs};
+use fnc2_visit::{Cells, CompiledProgram, EvalError, RootInputs};
 
-use crate::readers::Readers;
 use crate::status::Equality;
 
 /// Counters for one incremental wave (the §2.1.2 economy argument: compare
@@ -71,7 +73,9 @@ impl IncrementalStats {
 pub struct IncrementalEvaluator<'g> {
     grammar: &'g Grammar,
     program: CompiledProgram,
-    readers: Readers<'g>,
+    /// `deps[p]`: production `p`'s `D(p)`, whose edges lead from each
+    /// occurrence to the targets of the rules reading it.
+    deps: Vec<DepGraph<'g>>,
     tree: Tree,
     cells: Cells,
     inputs: RootInputs,
@@ -235,7 +239,10 @@ impl<'g> IncrementalEvaluator<'g> {
         let mut this = IncrementalEvaluator {
             grammar,
             program: CompiledProgram::new(grammar),
-            readers: Readers::new(grammar),
+            deps: grammar
+                .productions()
+                .map(|p| DepGraph::of(grammar, p))
+                .collect(),
             cells: Cells::new(grammar, &tree),
             tree,
             inputs,
@@ -453,9 +460,9 @@ impl<'g> IncrementalEvaluator<'g> {
                 }
             }
             for n in self.subtree(*node) {
-                let cp = self.program.production(self.tree.node(n).production());
-                for (r, rule) in cp.rules.iter().enumerate() {
-                    let inst = instance(&self.tree, n, rule.target);
+                let rules = g.production(self.tree.node(n).production()).rules();
+                for (r, rule) in rules.iter().enumerate() {
+                    let inst = instance(&self.tree, n, rule.target());
                     let i = self
                         .s
                         .reach(cell_of(g, &self.cells, inst), inst, n, r as u32);
@@ -479,19 +486,17 @@ impl<'g> IncrementalEvaluator<'g> {
                 Inst::Local(n, l) => (n, Err(l)),
                 Inst::Attr(n, a) => (n, Ok(g.attr(a).offset())),
             };
-            let p = self.tree.node(n).production();
-            let rules = match lhs {
-                Ok(off) => self.readers.attr(p, 0, off),
-                Err(l) => self.readers.local(p, l),
+            let dep = &self.deps[self.tree.node(n).production().index()];
+            let k = match lhs {
+                Ok(off) => dep.attr_index(0, off),
+                Err(l) => g.production(dep.production()).local_base() + l.index(),
             };
-            let cp = self.program.production(p);
-            reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, n);
+            reach_readers(&mut self.s, g, &self.tree, &self.cells, dep, k, n);
             if let (Ok(off), Some(parent)) = (lhs, self.tree.node(n).parent()) {
                 let pos = self.tree.child_index(n).expect("child position") as u16;
-                let p = self.tree.node(parent).production();
-                let rules = self.readers.attr(p, pos, off);
-                let cp = self.program.production(p);
-                reach_readers(&mut self.s, g, &self.tree, &self.cells, cp, rules, parent);
+                let dep = &self.deps[self.tree.node(parent).production().index()];
+                let k = dep.attr_index(pos, off);
+                reach_readers(&mut self.s, g, &self.tree, &self.cells, dep, k, parent);
             }
             let e = &mut self.s.reached[i as usize];
             (e.first, e.last) = (first, self.s.readers.len() as u32);
@@ -543,10 +548,8 @@ impl<'g> IncrementalEvaluator<'g> {
     fn reach(&mut self, inst: Inst) -> usize {
         let (def, target) = self.definition_of(inst);
         let p = self.tree.node(def).production();
-        let rule = self
-            .program
-            .production(p)
-            .rule_index(target)
+        let rule = (self.grammar.node_index(p, target))
+            .and_then(|k| self.grammar.production(p).rule_index(k))
             .expect("validated grammar");
         let cell = cell_of(self.grammar, &self.cells, inst);
         self.s.reach(cell, inst, def, rule)
@@ -725,19 +728,23 @@ fn cell_of(g: &Grammar, cells: &Cells, inst: Inst) -> (bool, usize) {
     }
 }
 
-/// Reaches the instances that `rules` of `cp`, the production applied at
-/// `host`, define: the readers of the entry being walked.
+/// Reaches the readers of the entry being walked, which is node `k` of
+/// `dep`'s production applied at `host`: the instances of `k`'s successors
+/// in `D(p)`, each defined by the rule that reads `k`. `D(p)` lists them
+/// once each, in rule order.
 fn reach_readers(
     s: &mut Scratch,
     g: &Grammar,
     tree: &Tree,
     cells: &Cells,
-    cp: &CompiledProduction,
-    rules: &[u32],
+    dep: &DepGraph,
+    k: usize,
     host: NodeId,
 ) {
-    for &r in rules {
-        let inst = instance(tree, host, cp.rules[r as usize].target);
+    let prod = g.production(dep.production());
+    for &v in dep.succs(k) {
+        let inst = instance(tree, host, dep.node(v));
+        let r = prod.rule_index(v).expect("an edge ends at a rule's target");
         let j = s.reach(cell_of(g, cells, inst), inst, host, r);
         s.reached[j].waiting += 1;
         s.readers.push(j as u32);

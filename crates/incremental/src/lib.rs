@@ -73,7 +73,6 @@
 #![warn(missing_debug_implementations)]
 
 mod evaluator;
-mod readers;
 mod status;
 
 pub use evaluator::{IncrementalEvaluator, IncrementalStats};

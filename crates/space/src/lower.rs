@@ -25,8 +25,10 @@ use crate::flat::{FlatItem, FlatProgram};
 
 /// The op streams that run `seqs` with the storage `plan` decided for them
 /// (`fp` is the flattening the plan's access tables index), over the
-/// slot-compiled rules of `program`, which the lowering shares.
+/// slot-compiled rules of `program`, `grammar`'s, which the lowering
+/// shares.
 pub fn plan_lowering(
+    grammar: &Grammar,
     program: Arc<CompiledProgram>,
     seqs: &VisitSeqs,
     fp: &FlatProgram,
@@ -40,7 +42,7 @@ pub fn plan_lowering(
             let mut visits = vec![Vec::new(); seqs.seq(key.0, key.1).segments.len()];
             for (item, step) in fs.items.iter().zip(&plan.access[&key].steps) {
                 if let FlatItem::Op { visit, instr } = item {
-                    visits[visit - 1].push(lower_step(&program, key.0, instr, step));
+                    visits[visit - 1].push(lower_step(grammar, &program, key.0, instr, step));
                 }
             }
             (key, visits)
@@ -59,15 +61,22 @@ pub fn plan_evaluator<'g>(
     fp: &FlatProgram,
     plan: &SpacePlan,
 ) -> Evaluator<'g> {
-    let code = plan_lowering(Arc::new(CompiledProgram::new(grammar)), seqs, fp, plan);
+    let program = Arc::new(CompiledProgram::new(grammar));
+    let code = plan_lowering(grammar, program, seqs, fp, plan);
     Evaluator::with_lowered(grammar, seqs, Cow::Owned(code))
 }
 
 /// Lowers one instruction of production `p` with the plan's decisions for
 /// its position, rewriting the trivial lowering's reads and write.
-fn lower_step(program: &CompiledProgram, p: ProductionId, instr: &Instr, step: &StepAccess) -> Op {
+fn lower_step(
+    grammar: &Grammar,
+    program: &CompiledProgram,
+    p: ProductionId,
+    instr: &Instr,
+    step: &StepAccess,
+) -> Op {
     let pops: Box<[u32]> = step.pops_after.iter().map(|&s| s as u32).collect();
-    match program.lower(p, instr) {
+    match program.lower(grammar, p, instr) {
         Op::Visit {
             child,
             visit,

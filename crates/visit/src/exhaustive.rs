@@ -101,8 +101,12 @@ impl Lowered {
             .into_iter()
             .map(|(p, pi)| {
                 let visits = seqs.seq(p, pi).segments.iter();
-                let lower =
-                    |segment: &Vec<_>| segment.iter().map(|i| program.lower(p, i)).collect();
+                let lower = |segment: &Vec<_>| {
+                    segment
+                        .iter()
+                        .map(|i| program.lower(grammar, p, i))
+                        .collect()
+                };
                 ((p, pi), visits.map(lower).collect())
             })
             .collect();

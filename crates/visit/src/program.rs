@@ -19,7 +19,6 @@
 //! pays per-evaluation rule lookups, occurrence resolution, or constant
 //! deep-clones.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fnc2_ag::{
@@ -227,31 +226,15 @@ pub(crate) fn at_child(tree: &Tree, node: NodeId, child: u16) -> NodeId {
     }
 }
 
-/// The compiled rules of one production, indexed like
-/// [`Production::rules`](fnc2_ag::Production::rules).
-#[derive(Clone, Debug, Default)]
-pub struct CompiledProduction {
-    /// Compiled rules, parallel to the production's declared rule order.
-    pub rules: Vec<Arc<CompiledRule>>,
-    rule_of: HashMap<ONode, u32>,
-}
-
-impl CompiledProduction {
-    /// The index of the rule defining `target`, replacing the linear
-    /// [`Grammar::rule_for`] scan on the hot path.
-    #[inline]
-    pub fn rule_index(&self, target: ONode) -> Option<u32> {
-        self.rule_of.get(&target).copied()
-    }
-}
-
 /// All productions of a grammar, slot-compiled, plus the shared constant
 /// pool. Build once per grammar with [`CompiledProgram::new`]; execution
 /// is read-only, so one program serves any number of lowerings and
 /// concurrent workers.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
-    prods: Vec<CompiledProduction>,
+    /// `rules[p]`: production `p`'s compiled rules, parallel to
+    /// [`Production::rules`](fnc2_ag::Production::rules).
+    rules: Vec<Vec<Arc<CompiledRule>>>,
     consts: Vec<Value>,
 }
 
@@ -280,11 +263,11 @@ impl CompiledProgram {
             },
             Arg::Node(ONode::Local(l)) => FetchOp::Local(*l),
         };
-        let mut prods = Vec::with_capacity(grammar.production_count());
+        let mut rules = Vec::with_capacity(grammar.production_count());
         for pid in grammar.productions() {
             let p = grammar.production(pid);
-            let mut cp = CompiledProduction::default();
-            for (i, rule) in p.rules().iter().enumerate() {
+            let mut compiled = Vec::with_capacity(p.rules().len());
+            for rule in p.rules() {
                 let target = rule.target();
                 let slot = match target {
                     ONode::Attr(Occ { pos, attr }) => SlotRef::Attr {
@@ -301,23 +284,16 @@ impl CompiledProgram {
                         args: args.iter().map(|a| compile_fetch(&mut consts, a)).collect(),
                     },
                 };
-                cp.rule_of.insert(target, i as u32);
-                cp.rules.push(Arc::new(CompiledRule {
+                compiled.push(Arc::new(CompiledRule {
                     target,
                     slot,
                     body,
                     is_copy: rule.is_copy(),
                 }));
             }
-            prods.push(cp);
+            rules.push(compiled);
         }
-        CompiledProgram { prods, consts }
-    }
-
-    /// The compiled rules of `production`.
-    #[inline]
-    pub fn production(&self, production: ProductionId) -> &CompiledProduction {
-        &self.prods[production.index()]
+        CompiledProgram { rules, consts }
     }
 
     /// The constant pool shared by all rules, each constant once.
@@ -327,16 +303,17 @@ impl CompiledProgram {
 
     /// Lowers one instruction of production `p`'s visit-sequences under the
     /// trivial plan: the rule reads and writes node storage, nothing pops.
-    pub fn lower(&self, p: ProductionId, instr: &Instr) -> Op {
+    /// `grammar`, the program's own, says which rule defines a target.
+    pub fn lower(&self, grammar: &Grammar, p: ProductionId, instr: &Instr) -> Op {
         match *instr {
             Instr::Eval(target) => {
-                let cp = self.production(p);
-                let rule = cp
-                    .rule_index(target)
+                let rule = grammar
+                    .node_index(p, target)
+                    .and_then(|k| grammar.production(p).rule_index(k))
                     .expect("validated grammar defines every output");
                 Op::Eval {
                     rule,
-                    code: Arc::clone(&cp.rules[rule as usize]),
+                    code: Arc::clone(&self.rules[p.index()][rule as usize]),
                     pops: Box::default(),
                 }
             }
@@ -444,7 +421,7 @@ impl CompiledProgram {
         buf: &mut Vec<Value>,
         counters: &mut Counters,
     ) -> Result<(Value, bool), EvalError> {
-        let cr = &self.prods[p.index()].rules[rule as usize];
+        let cr = &self.rules[p.index()][rule as usize];
         self.exec_rule(grammar, tree, p, cr, node, cells, buf, counters)
     }
 
@@ -515,9 +492,10 @@ mod tests {
         let prog = CompiledProgram::new(&g);
         assert_eq!(prog.consts(), &[Value::Int(0)]);
         let root_p = g.production_by_name("root").unwrap();
-        assert_eq!(
-            prog.production(root_p).rule_index(Occ::lhs(out).into()),
-            Some(0)
-        );
+        let eval = Instr::Eval(Occ::lhs(out).into());
+        assert!(matches!(
+            prog.lower(&g, root_p, &eval),
+            Op::Eval { rule: 0, .. }
+        ));
     }
 }
