@@ -194,6 +194,7 @@ fn load_inner(
         intern: false,
         lowered: OnceLock::new(),
         planned: OnceLock::new(),
+        smoke: OnceLock::new(),
     })
 }
 

@@ -805,7 +805,7 @@ fn explain_source(target: &str, path: &str, opts: &Opts) -> Result<String, CliEr
         .parse()
         .map_err(|_| diag(format!("fnc2c: `{node_spec}` is not a node index")))?;
 
-    let tree = fnc2::smoke_tree(g)
+    let tree = (compiled.smoke_tree())
         .ok_or_else(|| diag("fnc2c: the grammar's axiom derives no finite tree"))?;
     if node_ix >= tree.arena_len() {
         return Err(diag(format!(
@@ -821,7 +821,7 @@ fn explain_source(target: &str, path: &str, opts: &Opts) -> Result<String, CliEr
         inputs.insert(a, fnc2::ag::Value::Int(0));
     }
     compiled
-        .evaluate_recorded(&tree, &inputs, &mut trace_obs)
+        .evaluate_recorded(tree, &inputs, &mut trace_obs)
         .map_err(|e| diag(format!("fnc2c: evaluation failed: {e}")))?;
 
     let buf = trace_obs.events.as_ref().expect("trace enabled above");
@@ -832,11 +832,11 @@ fn explain_source(target: &str, path: &str, opts: &Opts) -> Result<String, CliEr
         ));
     }
     let node = fnc2::ag::NodeId::from_raw(node_ix as u32);
-    let slice = fnc2::visit::dependency_slice(g, &tree, buf.iter(), node, attr);
+    let slice = fnc2::visit::dependency_slice(g, tree, buf.iter(), node, attr);
     if opts.report_json {
-        Ok(format!("{}\n", slice.to_json(g, &tree)))
+        Ok(format!("{}\n", slice.to_json(g, tree)))
     } else {
-        Ok(slice.render(g, &tree))
+        Ok(slice.render(g, tree))
     }
 }
 

@@ -207,6 +207,9 @@ pub struct Compiled {
     /// [`evaluate_optimized`](Self::evaluate_optimized) runs, over
     /// `lowered`'s rules, built once by the first optimized evaluation.
     planned: OnceLock<Lowered>,
+    /// The grammar's [`smoke_tree`], built once by the first call of
+    /// [`smoke_tree`](Self::smoke_tree).
+    smoke: OnceLock<Option<Tree>>,
 }
 
 /// The space optimizer's results for one grammar (paper §2.2).
@@ -320,7 +323,7 @@ impl Compiled {
     /// [`SmokeOutcome::BudgetExceeded`] instead of being folded into
     /// `Skipped`, so callers can map it to the budget exit code.
     pub fn smoke_evaluate<R: Recorder>(&self, budget: &EvalBudget, rec: &mut R) -> SmokeOutcome {
-        let Some(tree) = smoke_tree(&self.grammar) else {
+        let Some(tree) = self.smoke_tree() else {
             return SmokeOutcome::Skipped;
         };
         let mut inputs = RootInputs::new();
@@ -328,7 +331,7 @@ impl Compiled {
             inputs.insert(attr, Value::Int(0));
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            match self.evaluator().evaluate_with(&tree, &inputs, budget, rec) {
+            match self.evaluator().evaluate_with(tree, &inputs, budget, rec) {
                 Ok(_) => SmokeOutcome::Ok,
                 Err(EvalError::SemanticFailure { message, .. }) => {
                     SmokeOutcome::SemanticFailure(message)
@@ -341,11 +344,19 @@ impl Compiled {
         if matches!(outcome, SmokeOutcome::Ok) {
             let _ = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(ev) = self.optimized() {
-                    let _ = ev.evaluate_with(&tree, &inputs, budget, rec);
+                    let _ = ev.evaluate_with(tree, &inputs, budget, rec);
                 }
             }));
         }
         outcome
+    }
+
+    /// The grammar's minimal derivation ([`smoke_tree`]), built by the
+    /// first call; `None` when the axiom derives no finite tree.
+    pub fn smoke_tree(&self) -> Option<&Tree> {
+        self.smoke
+            .get_or_init(|| smoke_tree(&self.grammar))
+            .as_ref()
     }
 
     /// Re-validates the space plan from first principles and checks it
@@ -597,6 +608,7 @@ impl Pipeline {
             intern: false,
             lowered: OnceLock::new(),
             planned: OnceLock::new(),
+            smoke: OnceLock::new(),
         })
     }
 
