@@ -81,4 +81,4 @@ pub use grammar::{
 };
 pub use ids::{AttrId, FuncId, LocalId, NodeId, ONode, Occ, PhylumId, ProductionId};
 pub use tree::{term_to_tree, AttrValues, LocalFrames, Node, Preorder, Tree, TreeBuilder};
-pub use value::{List, Map, Term, Value, FLAT_MAX};
+pub use value::{List, ListIter, Map, Term, Value, FLAT_MAX};

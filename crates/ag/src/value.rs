@@ -25,7 +25,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A dynamically typed attribute value.
 #[derive(Clone, Default)]
@@ -144,15 +144,14 @@ impl Value {
         }
     }
 
-    /// The list payload as a slice (flattening a concatenation once; see
-    /// [`List::as_slice`]).
+    /// The list payload, read through [`List::iter`] (nothing flattens).
     ///
     /// # Panics
     /// Panics if the value is not a `List`.
     #[track_caller]
-    pub fn as_list(&self) -> &[Value] {
+    pub fn as_list(&self) -> &List {
         match self {
-            Value::List(l) => l.as_slice(),
+            Value::List(l) => l,
             other => panic!("expected list, got {other:?}"),
         }
     }
@@ -400,7 +399,8 @@ fn elem_hash(v: &Value) -> u64 {
 
 /// A persistent list: an `Arc`'d node that is a flat chunk, a view of a
 /// flat chunk from an offset on, or the concatenation of two non-empty
-/// lists (with its flattening, once a caller asked for a slice).
+/// lists. Nothing flattens a concatenation: readers walk it chunk by
+/// chunk.
 ///
 /// Every node caches its length, its [`Value::cell_count`] (both
 /// saturating) and a hash of its elements, so `len`, `concat`, `first`
@@ -421,7 +421,7 @@ struct Node {
 enum Repr {
     Flat(Box<[Value]>),
     View(List, usize),
-    Cat(List, List, OnceLock<List>),
+    Cat(List, List),
 }
 
 impl List {
@@ -480,7 +480,7 @@ impl List {
             // Concatenation nodes are longer, so neither slice flattens.
             Repr::Flat([self.as_slice(), other.as_slice()].concat().into())
         } else {
-            Repr::Cat(self.clone(), other.clone(), OnceLock::new())
+            Repr::Cat(self.clone(), other.clone())
         };
         List::node(len, cells, hash, repr)
     }
@@ -492,7 +492,7 @@ impl List {
             match &l.0.repr {
                 Repr::Flat(items) => return items.first(),
                 Repr::View(base, at) => return base.as_slice().get(*at),
-                Repr::Cat(left, _, _) => l = left,
+                Repr::Cat(left, _) => l = left,
             }
         }
     }
@@ -509,10 +509,9 @@ impl List {
         let (base, at) = match &self.0.repr {
             Repr::Flat(_) => (self, 0),
             Repr::View(base, at) => (base, *at),
-            Repr::Cat(_, _, flat) if flat.get().is_some() => (self.flat(), 0),
-            Repr::Cat(left, right, _) => {
+            Repr::Cat(left, right) => {
                 let (mut left, mut right) = (left, right.clone());
-                while let Repr::Cat(a, b, _) = &left.0.repr {
+                while let Repr::Cat(a, b) = &left.0.repr {
                     right = b.concat(&right);
                     left = a;
                 }
@@ -529,41 +528,69 @@ impl List {
     }
 
     /// The elements in order, walked chunk by chunk without flattening.
-    pub fn iter(&self) -> impl Iterator<Item = &Value> {
-        let mut pending = vec![self];
-        std::iter::from_fn(move || {
-            let mut l = pending.pop()?;
-            while let Repr::Cat(left, right, flat) = &l.0.repr {
-                if let Some(flat) = flat.get() {
-                    l = flat;
-                } else {
-                    pending.push(right);
-                    l = left;
-                }
-            }
-            Some(l.as_slice())
-        })
-        .flatten()
+    pub fn iter(&self) -> ListIter<'_> {
+        let mut it = ListIter {
+            chunk: [].iter(),
+            pending: Vec::new(),
+        };
+        it.descend(self);
+        it
     }
 
-    /// The elements as one slice. A concatenation is flattened on the
-    /// first call, and the result is cached in its node.
-    pub fn as_slice(&self) -> &[Value] {
+    /// The elements of a flat chunk or of a view of one; a concatenation
+    /// is never sliced.
+    fn as_slice(&self) -> &[Value] {
         match &self.0.repr {
             Repr::Flat(items) => items,
             Repr::View(base, at) => &base.as_slice()[*at..],
-            Repr::Cat(..) => self.flat().as_slice(),
+            Repr::Cat(..) => unreachable!("concatenations are walked, not sliced"),
         }
     }
+}
 
-    /// The flat list of a concatenation's elements (built once), or `self`.
-    fn flat(&self) -> &List {
-        match &self.0.repr {
-            Repr::Cat(left, right, flat) => {
-                flat.get_or_init(|| List::new(left.iter().chain(right.iter()).cloned().collect()))
-            }
-            _ => self,
+/// The elements of a [`List`] in order ([`List::iter`]). Walking a flat
+/// list allocates nothing; a concatenation keeps the right parts still to
+/// walk on a stack.
+#[derive(Clone, Debug)]
+pub struct ListIter<'a> {
+    /// The rest of the current chunk.
+    chunk: std::slice::Iter<'a, Value>,
+    /// The parts after it, the next on top.
+    pending: Vec<&'a List>,
+}
+
+impl<'a> ListIter<'a> {
+    /// Makes the leftmost chunk of `l` current, stacking the right parts
+    /// on the way down.
+    fn descend(&mut self, mut l: &'a List) {
+        while let Repr::Cat(left, right) = &l.0.repr {
+            self.pending.push(right);
+            l = left;
         }
+        self.chunk = l.as_slice().iter();
+    }
+}
+
+impl<'a> Iterator for ListIter<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        loop {
+            if let Some(v) = self.chunk.next() {
+                return Some(v);
+            }
+            let next = self.pending.pop()?;
+            self.descend(next);
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a List {
+    type Item = &'a Value;
+    type IntoIter = ListIter<'a>;
+
+    fn into_iter(self) -> ListIter<'a> {
+        self.iter()
     }
 }
 
@@ -576,9 +603,7 @@ impl Drop for Node {
         let mut repr = std::mem::replace(&mut self.repr, empty());
         loop {
             match repr {
-                Repr::Cat(left, right, flat) => {
-                    stack.extend([left, right].into_iter().chain(flat.into_inner()))
-                }
+                Repr::Cat(left, right) => stack.extend([left, right]),
                 Repr::View(base, _) => stack.push(base),
                 Repr::Flat(_) => {}
             }
@@ -604,7 +629,7 @@ impl PartialEq for List {
                 return false;
             }
             match (&a.0.repr, &b.0.repr) {
-                (Repr::Cat(al, ar, _), Repr::Cat(bl, br, _)) if al.len() == bl.len() => {
+                (Repr::Cat(al, ar), Repr::Cat(bl, br)) if al.len() == bl.len() => {
                     // `l ++ l` on both sides: one comparison covers both.
                     if !(Arc::ptr_eq(&al.0, &ar.0) && Arc::ptr_eq(&bl.0, &br.0)) {
                         pairs.push((ar, br));

@@ -75,10 +75,8 @@ fn linear_match(pats: &[Pat], v: &Value) -> Option<usize> {
             (Pat::Str(s, _), Value::Str(t)) => s.as_str() == &**t,
             (Pat::Nil(_), Value::List(l)) => l.is_empty(),
             (Pat::Cons(h, t, _), Value::List(l)) => {
-                let l = l.as_slice();
-                !l.is_empty()
-                    && matches(h, &l[0])
-                    && matches(t, &Value::list(l[1..].iter().cloned()))
+                l.first().is_some_and(|x| matches(h, x))
+                    && matches(t, &Value::list(l.iter().skip(1).cloned()))
             }
             (Pat::Tuple(ps, _), Value::Tuple(items)) => {
                 ps.len() == items.len() && ps.iter().zip(items.iter()).all(|(p, v)| matches(p, v))

@@ -472,7 +472,8 @@ mod tests {
             .get(&g, tree.root(), errors)
             .unwrap()
             .as_list()
-            .to_vec();
+            .iter()
+            .collect::<Vec<_>>();
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert_eq!(errs[0].as_str(), "undeclared `y`");
     }
