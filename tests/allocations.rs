@@ -1,8 +1,8 @@
 //! A deterministic allocation gate on the mini-Pascal compile path: the
-//! OLGA front end and a cached start, scan, parse, evaluation, repeated
-//! evaluations on one compiled grammar and single rule firings, plus one
-//! evaluation of a synthetic tree, and on the evaluator generator's class
-//! cascade and space planner. Heap traffic, not name lookup, bounds that path, and
+//! OLGA front end and a cached start, the slot compiler, scan, parse,
+//! evaluation, repeated evaluations on one compiled grammar and single
+//! rule firings, plus one evaluation of a synthetic tree, reading a shared
+//! list, and on the evaluator generator's class cascade and space planner. Heap traffic, not name lookup, bounds that path, and
 //! unlike timings the counts repeat exactly, so a change that allocates per
 //! token, per call or per node again fails here.
 //!
@@ -13,14 +13,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fnc2::ag::{Arg, Grammar, Occ, RuleBody, Value};
+use fnc2::ag::{Arg, Grammar, List, Occ, RuleBody, Value};
 use fnc2::analysis::{classify, Inclusion};
 use fnc2::artifact::{emit_tables, load_tables};
 use fnc2::guard::EvalBudget;
 use fnc2::obs::NoopRecorder;
 use fnc2::olga::compile_ag_source;
 use fnc2::space::analyze_space;
-use fnc2::visit::{build_visit_seqs, Evaluator, RootInputs};
+use fnc2::visit::{build_visit_seqs, CompiledProgram, Evaluator, RootInputs};
 use fnc2::{smoke_tree, Compiled, Pipeline, SmokeOutcome};
 use fnc2_corpus::{
     minipascal, minipascal_scanner, parse_minipascal, partition_blowup, sample_program, synthetic,
@@ -102,7 +102,8 @@ fn the_front_end_allocates_once_per_name() {
 /// One `Compiled` builds its evaluators once: the first optimized
 /// evaluation slot-compiles the rules and lowers the node-storage and the
 /// plan's op streams over them, and every later call, plain, optimized or
-/// smoke, allocates only its own run.
+/// smoke, allocates only its own run. The first smoke run builds the smoke
+/// tree, and later ones reuse it.
 #[test]
 fn each_evaluator_is_built_once() {
     let c = compiled();
@@ -119,14 +120,54 @@ fn each_evaluator_is_built_once() {
     let (_, optimized) = allocations(|| c.evaluate_optimized(&tree, &inputs).unwrap());
     let (smoked, smoke) = allocations(|| c.smoke_evaluate(&budget, &mut NoopRecorder));
     assert_eq!(smoked, SmokeOutcome::Ok);
-    println!("plain: {plain}, optimized: {optimized}, smoke: {smoke} allocations");
+    let (smoked, again) = allocations(|| c.smoke_evaluate(&budget, &mut NoopRecorder));
+    assert_eq!(smoked, SmokeOutcome::Ok);
+    println!(
+        "plain: {plain}, optimized: {optimized}, smoke: {smoke}, smoke again: {again} allocations"
+    );
     // 13, 19 and 94 when the bounds were set, plus 2 or about 5%: each
-    // run's stores, and for the smoke run the 3-node smoke tree it builds
-    // (62) and both evaluators' stores. Building the plan's evaluator
-    // again costs about 540 more, the node-storage one about 280.
+    // run's stores, and for the first smoke run the 3-node smoke tree it
+    // builds (62) and both evaluators' stores. A second smoke run, which
+    // reuses the tree, read 32 when its bound was set; building the tree
+    // on every run read 94. Building the plan's evaluator again costs
+    // about 540 more, the node-storage one about 280.
     assert!(plain <= 15, "plain: {plain} allocations");
     assert!(optimized <= 21, "optimized: {optimized} allocations");
     assert!(smoke <= 100, "smoke: {smoke} allocations");
+    assert!(again <= 36, "smoke again: {again} allocations");
+}
+
+/// The slot compiler allocates each production's rule vector and each
+/// compiled rule with its reads, plus the constant pool; which rule
+/// defines a target it asks the grammar, so it builds no index of its own.
+#[test]
+fn the_slot_compiler_allocates_per_rule() {
+    let c = compiled();
+    let (_, n) = allocations(|| CompiledProgram::new(&c.grammar));
+    println!("slot compile: {n} allocations");
+    // 186 with a target-to-rule map per production, and 142 without it
+    // and with each rule vector sized once, when the bound was set.
+    assert!(n <= 165, "slot compile: {n} allocations");
+}
+
+/// Reading a list never flattens it: a one-element list catenated with
+/// itself 20 times has 2^20 elements over 21 shared nodes, and `as_list`
+/// hands out the list itself.
+#[test]
+fn reading_a_shared_list_allocates_nothing() {
+    let mut list = List::new(vec![Value::Int(1)]);
+    for _ in 0..20 {
+        list = list.concat(&list);
+    }
+    let v = Value::List(list);
+    let (len, n) = allocations(|| {
+        let l = v.as_list();
+        assert_eq!(l.first(), Some(&Value::Int(1)));
+        l.len()
+    });
+    assert_eq!(len, 1 << 20);
+    // Flattening it took 25 allocations and 50 MB.
+    assert_eq!(n, 0, "as_list: {n} allocations");
 }
 
 #[test]
