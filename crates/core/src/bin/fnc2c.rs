@@ -805,7 +805,8 @@ fn explain_source(target: &str, path: &str, opts: &Opts) -> Result<String, CliEr
         .parse()
         .map_err(|_| diag(format!("fnc2c: `{node_spec}` is not a node index")))?;
 
-    let tree = (compiled.smoke_tree())
+    let tree = compiled
+        .smoke_tree()
         .ok_or_else(|| diag("fnc2c: the grammar's axiom derives no finite tree"))?;
     if node_ix >= tree.arena_len() {
         return Err(diag(format!(

@@ -548,7 +548,9 @@ impl<'g> IncrementalEvaluator<'g> {
     fn reach(&mut self, inst: Inst) -> usize {
         let (def, target) = self.definition_of(inst);
         let p = self.tree.node(def).production();
-        let rule = (self.grammar.node_index(p, target))
+        let rule = self
+            .grammar
+            .node_index(p, target)
             .and_then(|k| self.grammar.production(p).rule_index(k))
             .expect("validated grammar");
         let cell = cell_of(self.grammar, &self.cells, inst);

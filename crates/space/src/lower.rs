@@ -24,9 +24,8 @@ use crate::alloc::{ReadPath, SpacePlan, StepAccess, WritePath};
 use crate::flat::{FlatItem, FlatProgram};
 
 /// The op streams that run `seqs` with the storage `plan` decided for them
-/// (`fp` is the flattening the plan's access tables index), over the
-/// slot-compiled rules of `program`, `grammar`'s, which the lowering
-/// shares.
+/// (`fp` is the flattening the plan's access tables index), over
+/// `program`, `grammar`'s slot-compiled rules, which the lowering shares.
 pub fn plan_lowering(
     grammar: &Grammar,
     program: Arc<CompiledProgram>,

@@ -2,8 +2,9 @@
 //! OLGA front end and a cached start, the slot compiler, scan, parse,
 //! evaluation, repeated evaluations on one compiled grammar and single
 //! rule firings, plus one evaluation of a synthetic tree, reading a shared
-//! list, and on the evaluator generator's class cascade and space planner. Heap traffic, not name lookup, bounds that path, and
-//! unlike timings the counts repeat exactly, so a change that allocates per
+//! list, and on the evaluator generator's class cascade and space
+//! planner. Heap traffic, not name lookup, bounds that path, and unlike
+//! timings the counts repeat exactly, so a change that allocates per
 //! token, per call or per node again fails here.
 //!
 //! The global allocator counts each thread's allocations (`alloc`,
