@@ -477,7 +477,7 @@ impl List {
         let cells = self.0.cells.saturating_add(other.0.cells);
         let hash = shift(self.0.hash, other.len()).wrapping_add(other.0.hash);
         let repr = if len <= FLAT_MAX {
-            // Concatenation nodes are longer, so neither slice flattens.
+            // Concatenation nodes are longer, so both operands are chunks.
             Repr::Flat([self.as_slice(), other.as_slice()].concat().into())
         } else {
             Repr::Cat(self.clone(), other.clone())
