@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use fnc2::ag::{ONode, Occ, ProductionId};
+use fnc2::ag::{Grammar, ONode, Occ, ProductionId};
 use fnc2::analysis::TotalOrder;
 use fnc2::artifact::{
     cache_path, compile_olga_cached, emit_tables, load_tables, CacheOutcome, TablesError,
@@ -84,6 +84,43 @@ fn minipascal_artifacts_are_byte_identical() {
     let first = emit(fnc2_corpus::MINIPASCAL_OLGA);
     for _ in 0..2 {
         assert!(emit(fnc2_corpus::MINIPASCAL_OLGA) == first);
+    }
+}
+
+/// The artifact of `g`, compiled without an OLGA source, as
+/// [`emit_tables`] builds one for a source.
+fn emit_grammar(g: Grammar) -> Vec<u8> {
+    let pipeline = Pipeline::new();
+    let c = pipeline.compile(g).unwrap();
+    let space = c.space.as_ref().unwrap();
+    let transform = c.report.transform.clone().unwrap_or_default();
+    let (seqs, lifetimes, plan) = (&c.seqs, &space.lifetimes, &space.plan);
+    let (class, lint) = (c.report.class, &c.lint.diags);
+    let config = pipeline.tables_config();
+    Tables::build(&c.grammar, config, None, class, &transform, seqs, lifetimes, plan, lint)
+        .to_bytes()
+}
+
+/// Pins the artifact bytes of desk, blocks and mini-Pascal, and of
+/// `partition_blowup(4, 3)`, whose productions have up to eight sequences
+/// each, so a change to how the tables are laid out in memory can be shown
+/// to write what the old layout wrote. Each artifact also re-encodes to
+/// itself.
+#[test]
+fn artifacts_match_their_pinned_digests() {
+    let blowup = emit_grammar(fnc2_corpus::partition_blowup(4, 3));
+    let keys = Tables::from_bytes(&blowup).unwrap().0.seqs.keys();
+    let shared = keys.windows(2).filter(|w| w[0].0 == w[1].0).count();
+    assert_eq!((keys.len(), shared), (23, 15), "sequences, and those sharing a production");
+    for (name, bytes, want) in [
+        ("desk", emit(fnc2_corpus::DESK_OLGA), 0x5e5e_3d21_fbc4_b53b_u64),
+        ("blocks", emit(fnc2_corpus::BLOCKS_OLGA_LIST), 0xb065_b07b_8b91_4b21),
+        ("minipascal", emit(fnc2_corpus::MINIPASCAL_OLGA), 0x0619_b022_c33a_e6ba),
+        ("partition_blowup(4, 3)", blowup, 0xc0ce_e808_b808_bf53),
+    ] {
+        let got = fnc2::vfs::fnv1a(&[&bytes]);
+        assert_eq!(got, want, "{name}: {} B, digest {got:#018x}", bytes.len());
+        assert!(redamaged(&bytes, |_| {}) == bytes, "{name}: re-encoding");
     }
 }
 
