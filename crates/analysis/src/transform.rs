@@ -15,7 +15,7 @@
 //! On practical AGs this collapses the partition count to ≈1 per phylum
 //! (Table 1 / Figure 1).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use fnc2_ag::{Grammar, ONode, Occ, PhylumId, ProductionId};
@@ -86,8 +86,9 @@ pub struct LOrdered {
     /// Registered partitions, per phylum. Index 0 of the root phylum is the
     /// partition the driver starts evaluation with.
     pub partitions: Vec<Vec<TotalOrder>>,
-    /// Plans keyed by (production, LHS-partition index).
-    pub plans: HashMap<(ProductionId, usize), Plan>,
+    /// Plans, `plans[production][lhs_partition]`: in this order, the
+    /// sequences the plans become are numbered.
+    pub plans: Vec<Vec<Plan>>,
     /// Run statistics.
     pub stats: TransformStats,
 }
@@ -100,7 +101,18 @@ impl LOrdered {
 
     /// The plan for `(production, lhs_partition)`.
     pub fn plan(&self, production: ProductionId, lhs_partition: usize) -> Option<&Plan> {
-        self.plans.get(&(production, lhs_partition))
+        self.plans.get(production.index())?.get(lhs_partition)
+    }
+
+    /// Every plan with its (production, LHS partition), in that order.
+    pub fn iter(&self) -> impl Iterator<Item = ((ProductionId, usize), &Plan)> {
+        self.plans.iter().enumerate().flat_map(|(p, plans)| {
+            let p = ProductionId::from_raw(p as u32);
+            plans
+                .iter()
+                .enumerate()
+                .map(move |(pi, plan)| ((p, pi), plan))
+        })
     }
 }
 
@@ -191,7 +203,7 @@ pub(crate) fn transform(
     let mut partitions: Vec<Vec<TotalOrder>> = vec![Vec::new(); grammar.phylum_count()];
     // `orders[phylum][i]`: partition i's order as a relation, for pasting.
     let mut orders: Vec<Vec<BitMatrix>> = vec![Vec::new(); grammar.phylum_count()];
-    let mut plans: HashMap<(ProductionId, usize), Plan> = HashMap::new();
+    let mut plans: Vec<Vec<Plan>> = vec![Vec::new(); grammar.production_count()];
     let mut stats = TransformStats::default();
     let mut pasted = Pasted::new(deps);
 
@@ -203,6 +215,9 @@ pub(crate) fn transform(
     partitions[root.index()].push(single);
     stats.fresh += 1;
 
+    // Each (production, partition) enters the worklist once, when the
+    // partition is registered, and partitions are registered in index
+    // order: each production's plans are made for partitions 0, 1, 2, ….
     let mut worklist: VecDeque<(ProductionId, usize)> = grammar
         .phylum(root)
         .productions()
@@ -211,9 +226,7 @@ pub(crate) fn transform(
         .collect();
 
     while let Some((p, pi)) = worklist.pop_front() {
-        if plans.contains_key(&(p, pi)) {
-            continue;
-        }
+        assert_eq!(plans[p.index()].len(), pi, "plans in partition order");
         let prod = grammar.production(p);
         let lhs = prod.lhs();
         let arity = prod.arity() as u16;
@@ -280,26 +293,17 @@ pub(crate) fn transform(
             if let Some(cycle) = pasted.paste(pos, &orders[ph.index()][idx]).find_cycle() {
                 return Err(cyclic(p, cycle));
             }
-            // Make sure the chosen partition's plans exist.
-            for &q in grammar.phylum(ph).productions() {
-                if !plans.contains_key(&(q, idx)) {
-                    worklist.push_back((q, idx));
-                }
-            }
             chosen.push(idx);
         }
 
         let linear = topo_order(&pasted).expect("acyclic by invariant");
-        plans.insert(
-            (p, pi),
-            Plan {
-                rhs_partitions: chosen,
-                linear,
-            },
-        );
+        plans[p.index()].push(Plan {
+            rhs_partitions: chosen,
+            linear,
+        });
     }
 
-    stats.plans = plans.len();
+    stats.plans = plans.iter().map(Vec::len).sum();
     stats.partitions_per_phylum = partitions.iter().map(Vec::len).collect();
     Ok(LOrdered {
         partitions,
@@ -336,7 +340,7 @@ pub(crate) fn from_partitions(
     );
     let orders: Vec<BitMatrix> = parts.iter().map(|t| t.as_matrix(grammar)).collect();
     let mut pasted = Pasted::new(deps);
-    let mut plans = HashMap::new();
+    let mut plans = Vec::with_capacity(grammar.production_count());
     for p in grammar.productions() {
         let prod = grammar.production(p);
         pasted.reset(p);
@@ -346,13 +350,10 @@ pub(crate) fn from_partitions(
         let Some(linear) = topo_order(&pasted) else {
             return Err(cyclic(p, pasted.find_cycle().expect("cyclic")));
         };
-        plans.insert(
-            (p, 0),
-            Plan {
-                rhs_partitions: vec![0; prod.arity()],
-                linear,
-            },
-        );
+        plans.push(vec![Plan {
+            rhs_partitions: vec![0; prod.arity()],
+            linear,
+        }]);
     }
     let stats = TransformStats {
         partitions_per_phylum: vec![1; grammar.phylum_count()],
@@ -417,8 +418,8 @@ mod tests {
             // 3 productions × 1 partition each.
             assert_eq!(lo.stats.plans, 3);
             // Every plan's linear order covers all occurrences.
-            for ((p, _), plan) in &lo.plans {
-                let want = fnc2_ag::DepGraph::of(&g, *p).len();
+            for ((p, _), plan) in lo.iter() {
+                let want = fnc2_ag::DepGraph::of(&g, p).len();
                 assert_eq!(plan.linear.len(), want);
             }
         }
@@ -498,11 +499,11 @@ mod tests {
             let lo = snc_to_l_ordered(&g, &snc, inc).unwrap();
             let deps = Deps::new(&g);
             let mut pasted = Pasted::new(&deps);
-            for ((p, pi), plan) in &lo.plans {
+            for ((p, pi), plan) in lo.iter() {
                 // Rebuild the pasted graph and verify the order.
-                let prod = g.production(*p);
-                let lhs_part = &lo.partitions_of(prod.lhs())[*pi];
-                pasted.reset(*p).paste(0, &lhs_part.as_matrix(&g));
+                let prod = g.production(p);
+                let lhs_part = &lo.partitions_of(prod.lhs())[pi];
+                pasted.reset(p).paste(0, &lhs_part.as_matrix(&g));
                 for (i, &idx) in plan.rhs_partitions.iter().enumerate() {
                     let pos = (i + 1) as u16;
                     let ph = prod.phylum_at(pos);

@@ -65,9 +65,8 @@ pub fn to_c(env: &UnitEnv, rules: &[RuleText], grammar: &Grammar, seqs: &VisitSe
 
     // ---- visit functions ----------------------------------------------------
     out.push_str("static void visit(Node* n, int partition, int v);\n\n");
-    let keys = seqs.keys();
-    for &(p, pi) in &keys {
-        let seq = seqs.seq(p, pi);
+    for seq in seqs.iter() {
+        let (p, pi) = (seq.production, seq.lhs_partition);
         let prod = grammar.production(p);
         for (vi, segment) in seq.segments.iter().enumerate() {
             let _ = writeln!(
@@ -101,8 +100,8 @@ pub fn to_c(env: &UnitEnv, rules: &[RuleText], grammar: &Grammar, seqs: &VisitSe
     }
     // Dispatch.
     out.push_str("static void visit(Node* n, int partition, int v) {\n");
-    for &(p, pi) in &keys {
-        let seq = seqs.seq(p, pi);
+    for seq in seqs.iter() {
+        let (p, pi) = (seq.production, seq.lhs_partition);
         let prod = grammar.production(p);
         for vi in 1..=seq.segments.len() {
             let _ = writeln!(

@@ -655,8 +655,8 @@ fn run_cmd(cmd: Cmd, source: &str, opts: &Opts, obs: &mut Obs) -> Result<String,
         Seqs => {
             let compiled = compile_via(source, opts, obs)?;
             let mut out = String::new();
-            for (p, pi) in compiled.seqs.keys() {
-                let seq = compiled.seqs.seq(p, pi);
+            for seq in compiled.seqs.iter() {
+                let (p, pi) = (seq.production, seq.lhs_partition);
                 let prod = compiled.grammar.production(p);
                 out.push_str(&format!("{} (partition {pi}):\n", prod.name()));
                 for (v, segment) in seq.segments.iter().enumerate() {

@@ -9,10 +9,9 @@
 //! never a panic, never a wrong answer, always the `tables.cache_rejected`
 //! counter.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
-use fnc2::ag::{Grammar, ONode, Occ, ProductionId};
+use fnc2::ag::{AttrId, Grammar, ONode, Occ, ProductionId};
 use fnc2::analysis::TotalOrder;
 use fnc2::artifact::{
     cache_path, compile_olga_cached, emit_tables, load_tables, CacheOutcome, TablesError,
@@ -22,6 +21,7 @@ use fnc2::space::{ReadPath, StepAccess, WritePath};
 use fnc2::tables::{fingerprint_source, ArtifactError, Tables, HEADER_LEN};
 use fnc2::visit::{Instr, VisitSeq, VisitSeqs};
 use fnc2::Pipeline;
+use fnc2_corpus::{BLOCKS_OLGA_LIST, DESK_OLGA, MINIPASCAL_OLGA};
 
 const COUNT: &str = r#"
 attribute grammar count;
@@ -81,9 +81,9 @@ fn every_truncation_point_is_classified() {
 fn minipascal_artifacts_are_byte_identical() {
     // Each `emit` compiles afresh; several runs, so a hash-ordered table
     // shows up as a mismatch.
-    let first = emit(fnc2_corpus::MINIPASCAL_OLGA);
+    let first = emit(MINIPASCAL_OLGA);
     for _ in 0..2 {
-        assert!(emit(fnc2_corpus::MINIPASCAL_OLGA) == first);
+        assert!(emit(MINIPASCAL_OLGA) == first);
     }
 }
 
@@ -97,8 +97,10 @@ fn emit_grammar(g: Grammar) -> Vec<u8> {
     let (seqs, lifetimes, plan) = (&c.seqs, &space.lifetimes, &space.plan);
     let (class, lint) = (c.report.class, &c.lint.diags);
     let config = pipeline.tables_config();
-    Tables::build(&c.grammar, config, None, class, &transform, seqs, lifetimes, plan, lint)
-        .to_bytes()
+    Tables::build(
+        &c.grammar, config, None, class, &transform, seqs, lifetimes, plan, lint,
+    )
+    .to_bytes()
 }
 
 /// Pins the artifact bytes of desk, blocks and mini-Pascal, and of
@@ -111,11 +113,16 @@ fn artifacts_match_their_pinned_digests() {
     let blowup = emit_grammar(fnc2_corpus::partition_blowup(4, 3));
     let keys = Tables::from_bytes(&blowup).unwrap().0.seqs.keys();
     let shared = keys.windows(2).filter(|w| w[0].0 == w[1].0).count();
-    assert_eq!((keys.len(), shared), (23, 15), "sequences, and those sharing a production");
+    assert_eq!(
+        (keys.len(), shared),
+        (23, 15),
+        "sequences, and those sharing a production"
+    );
+    let [desk, blocks, minipascal] = [DESK_OLGA, BLOCKS_OLGA_LIST, MINIPASCAL_OLGA].map(emit);
     for (name, bytes, want) in [
-        ("desk", emit(fnc2_corpus::DESK_OLGA), 0x5e5e_3d21_fbc4_b53b_u64),
-        ("blocks", emit(fnc2_corpus::BLOCKS_OLGA_LIST), 0xb065_b07b_8b91_4b21),
-        ("minipascal", emit(fnc2_corpus::MINIPASCAL_OLGA), 0x0619_b022_c33a_e6ba),
+        ("desk", desk, 0x5e5e_3d21_fbc4_b53b_u64),
+        ("blocks", blocks, 0xb065_b07b_8b91_4b21),
+        ("minipascal", minipascal, 0x0619_b022_c33a_e6ba),
         ("partition_blowup(4, 3)", blowup, 0xc0ce_e808_b808_bf53),
     ] {
         let got = fnc2::vfs::fnv1a(&[&bytes]);
@@ -175,28 +182,24 @@ fn redamaged(bytes: &[u8], damage: impl FnOnce(&mut Tables)) -> Vec<u8> {
     tables.to_bytes()
 }
 
-type SeqMap = HashMap<(ProductionId, usize), VisitSeq>;
-
 /// Rebuilds `t`'s visit sequences after `edit` changed them or their
 /// partitions.
-fn edit_seqs(t: &mut Tables, edit: impl FnOnce(&mut SeqMap, &mut Vec<Vec<TotalOrder>>)) {
-    let keys = t.seqs.keys().into_iter();
-    let mut seqs: SeqMap = keys
-        .map(|(p, pi)| ((p, pi), t.seqs.seq(p, pi).clone()))
-        .collect();
+fn edit_seqs(t: &mut Tables, edit: impl FnOnce(&mut Vec<VisitSeq>, &mut Vec<Vec<TotalOrder>>)) {
+    let mut seqs: Vec<VisitSeq> = t.seqs.iter().cloned().collect();
     let mut partitions = t.seqs.partitions().to_vec();
     edit(&mut seqs, &mut partitions);
     t.seqs = VisitSeqs::from_parts(seqs, partitions);
 }
 
-/// [`COUNT`]'s `node : S ::= S`, whose one sequence is `VISIT 1,1`
-/// (partition 0), `EVAL S$1.n`.
-const NODE: (ProductionId, usize) = (ProductionId::from_raw(1), 0);
+/// The number of [`COUNT`]'s one sequence of `node : S ::= S`, which is
+/// `VISIT 1,1` (partition 0), `EVAL S$1.n`.
+const NODE: usize = 1;
 
 /// Lets `edit` change the segments of `node`'s sequence.
 fn edit_node(t: &mut Tables, edit: impl FnOnce(&mut Vec<Vec<Instr>>)) {
     edit_seqs(t, |seqs, _| {
-        let segments = &mut seqs.get_mut(&NODE).unwrap().segments;
+        assert_eq!(seqs[NODE].production, ProductionId::from_raw(1));
+        let segments = &mut seqs[NODE].segments;
         assert_eq!(segments.len(), 1);
         assert!(matches!(
             segments[0][..],
@@ -209,7 +212,7 @@ fn edit_node(t: &mut Tables, edit: impl FnOnce(&mut Vec<Vec<Instr>>)) {
 /// Lets `edit` change the access step of `node`'s `EVAL`.
 fn edit_node_eval_step(t: &mut Tables, edit: impl FnOnce(&mut StepAccess, usize)) {
     let n_variables = t.space_plan.n_variables;
-    let steps = &mut t.space_plan.access.get_mut(&NODE).unwrap().steps;
+    let steps = &mut t.space_plan.access[NODE].steps;
     // BEGIN 1, VISIT 1,1, EVAL S$1.n, LEAVE 1.
     assert!(steps[2].write.is_some());
     edit(&mut steps[2], n_variables);
@@ -239,14 +242,26 @@ fn re_checksummed_sequence_key_damage_is_corrupt() {
     // section keyed by sequences alike, so that only the check against the
     // rebuilt grammar can tell.
     assert_each_corrupt(&[("out-of-range key", |t| {
-        let key = (ProductionId::from_raw(7), 0);
         edit_seqs(t, |seqs, _| {
-            let mut extra = seqs[&NODE].clone();
-            extra.production = key.0;
-            seqs.insert(key, extra);
+            let mut extra = seqs[NODE].clone();
+            extra.production = ProductionId::from_raw(7);
+            seqs.push(extra);
         });
-        let access = t.space_plan.access[&NODE].clone();
-        t.space_plan.access.insert(key, access);
+        let access = t.space_plan.access[NODE].clone();
+        t.space_plan.access.push(access);
+    })]);
+}
+
+#[test]
+fn re_checksummed_eliminated_copies_out_of_order_are_corrupt() {
+    // The planner lists its eliminated copies strictly increasing; a
+    // repeated one is out of that order.
+    assert_each_corrupt(&[("repeated eliminated copy", |t| {
+        let copy = (
+            ProductionId::from_raw(1),
+            ONode::Attr(Occ::lhs(AttrId::from_raw(0))),
+        );
+        t.space_plan.eliminated = vec![copy; 2];
     })]);
 }
 

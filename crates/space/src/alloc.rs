@@ -18,7 +18,7 @@
 //!   variable becomes a no-op; a copy whose source is on top of the shared
 //!   stack and dies at the copy is a top *rename*.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use fnc2_ag::{Grammar, ONode, Occ, ProductionId, RuleBody};
 use fnc2_visit::{Instr, VisitSeqs};
@@ -156,10 +156,11 @@ pub struct SpacePlan {
     pub n_variables: usize,
     /// Number of stacks allocated.
     pub n_stacks: usize,
-    /// Copy rules eliminated, keyed by (production, target).
-    pub eliminated: HashSet<(ProductionId, ONode)>,
-    /// Access tables per sequence.
-    pub access: HashMap<(ProductionId, usize), SeqAccess>,
+    /// Copy rules eliminated, as (production, target), sorted.
+    pub eliminated: Vec<(ProductionId, ONode)>,
+    /// Access tables per sequence, `access[k]` for sequence `k` of the
+    /// flattened program.
+    pub access: Vec<SeqAccess>,
     /// Statistics.
     pub stats: SpaceStats,
 }
@@ -416,21 +417,19 @@ pub fn plan_storage(
             .map(|&(_, copies)| copies)
             .sum::<usize>();
 
+    let mut eliminated: Vec<_> = (eliminated.into_iter())
+        .map(|(p, t)| (p, grammar.production(p).nodes()[t]))
+        .collect();
+    eliminated.sort_unstable();
     SpacePlan {
         storage,
         n_variables,
         n_stacks,
-        eliminated: eliminated
-            .into_iter()
-            .map(|(p, t)| (p, grammar.production(p).nodes()[t]))
-            .collect(),
+        eliminated,
         access,
         stats,
     }
 }
-
-/// A flattened sequence's key: (production, LHS partition).
-type SeqKey = (ProductionId, usize);
 
 /// Marks an unset entry of a dense table.
 const NONE: usize = usize::MAX;
@@ -975,7 +974,7 @@ fn build_access(
     storage: &[Storage],
     eliminated: &[(ProductionId, usize)],
     recs: &[Vec<(usize, SimRecord)>],
-) -> HashMap<SeqKey, SeqAccess> {
+) -> Vec<SeqAccess> {
     // Each sequence's records, by stack id.
     let mut by_seq: Vec<Vec<(usize, &SimRecord)>> = vec![Vec::new(); fp.seqs.len()];
     for (id, per_seq) in recs.iter().enumerate() {
@@ -983,7 +982,7 @@ fn build_access(
             by_seq[*k].push((id, rec));
         }
     }
-    let mut access = HashMap::with_capacity(fp.seqs.len());
+    let mut access = Vec::with_capacity(fp.seqs.len());
     for (fs, recs) in fp.seqs.iter().zip(&by_seq) {
         let p = fs.key.0;
         let prod = grammar.production(p);
@@ -1034,7 +1033,7 @@ fn build_access(
             }
             steps.push(step);
         }
-        access.insert(fs.key, SeqAccess { steps });
+        access.push(SeqAccess { steps });
     }
     access
 }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use fnc2_ag::{AttrId, AttrKind, Grammar, ONode, Occ, PhylumId, ProductionId};
-use fnc2_visit::{Instr, VisitSeqs};
+use fnc2_visit::{Instr, VisitSeq, VisitSeqs};
 
 use crate::object::Object;
 
@@ -42,8 +42,7 @@ pub struct FlatSeq {
 }
 
 impl FlatSeq {
-    fn new(key: (ProductionId, usize), seqs: &VisitSeqs) -> FlatSeq {
-        let seq = seqs.seq(key.0, key.1);
+    fn new(seq: &VisitSeq) -> FlatSeq {
         let (mut items, mut visits) = (Vec::new(), Vec::new());
         for (i, segment) in seq.segments.iter().enumerate() {
             let v = i + 1;
@@ -59,18 +58,7 @@ impl FlatSeq {
             }
             items.push(FlatItem::Leave(v));
         }
-        let visits = (items.iter().enumerate())
-            .filter(|(_, item)| {
-                matches!(
-                    item,
-                    FlatItem::Op {
-                        instr: Instr::Visit { .. },
-                        ..
-                    }
-                )
-            })
-            .map(|(pos, _)| pos)
-            .collect();
+        let key = (seq.production, seq.lhs_partition);
         FlatSeq { key, items, visits }
     }
 
@@ -130,14 +118,13 @@ impl Instance {
 
 /// Flattened sequences plus instance tables for the whole grammar.
 ///
-/// Every sequence has a dense number, its place in [`VisitSeqs::keys`]
-/// (sorted by key): `seqs[k]` and `instances[k]` describe the same
-/// sequence, and [`seq_index`](Self::seq_index) finds a key's number. Within a
-/// sequence, instance `i` is node `i` of the production's numbering
+/// Every sequence has a dense number, its place in [`VisitSeqs`]: `seqs[k]`
+/// and `instances[k]` describe the same sequence. Within a sequence,
+/// instance `i` is node `i` of the production's numbering
 /// ([`Production::nodes`](fnc2_ag::Production::nodes)).
 #[derive(Clone, Debug)]
 pub struct FlatProgram {
-    /// Flattened sequences, in [`VisitSeqs::keys`] order.
+    /// Flattened sequences, in [`VisitSeqs`] order.
     pub seqs: Vec<FlatSeq>,
     /// Instances per sequence, in the same order.
     pub instances: Vec<Vec<Instance>>,
@@ -150,11 +137,7 @@ pub struct FlatProgram {
 impl FlatProgram {
     /// Builds the flattened program for `grammar` under `seqs`.
     pub fn new(grammar: &Grammar, seqs: &VisitSeqs) -> FlatProgram {
-        let flat: Vec<FlatSeq> = seqs
-            .keys()
-            .into_iter()
-            .map(|k| FlatSeq::new(k, seqs))
-            .collect();
+        let flat: Vec<FlatSeq> = seqs.iter().map(FlatSeq::new).collect();
 
         // Pass 1: latest visit reading each (phylum, partition, inherited
         // attr) at its LHS occurrence.
@@ -193,20 +176,6 @@ impl FlatProgram {
             instances,
             last_read_visit,
         }
-    }
-
-    /// The number of the sequence `key`, if the program has it.
-    pub fn seq_index(&self, key: (ProductionId, usize)) -> Option<usize> {
-        self.seqs.binary_search_by_key(&key, |fs| fs.key).ok()
-    }
-
-    /// Instances of a sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has no sequence `key`.
-    pub fn instances_of(&self, key: (ProductionId, usize)) -> &[Instance] {
-        &self.instances[self.seq_index(key).expect("a sequence of this program")]
     }
 }
 
@@ -397,8 +366,9 @@ mod tests {
     fn flatten_marks_visits() {
         let (g, seqs) = two_pass();
         let fp = FlatProgram::new(&g, &seqs);
+        // One partition per production: sequence k is production k's.
         let root = g.production_by_name("root").unwrap();
-        let fs = &fp.seqs[fp.seq_index((root, 0)).unwrap()];
+        let fs = &fp.seqs[root.index()];
         // BEGIN, EVAL down, VISIT, EVAL out, LEAVE.
         assert_eq!(fs.items.len(), 5);
         assert!(matches!(fs.items[0], FlatItem::Begin(1)));
@@ -411,7 +381,7 @@ mod tests {
         let (g, seqs) = two_pass();
         let fp = FlatProgram::new(&g, &seqs);
         let mid = g.production_by_name("mid").unwrap();
-        let insts = fp.instances_of((mid, 0));
+        let insts = &fp.instances[mid.index()];
         // A.down(lhs), A.up(lhs), A.down(child), A.up(child).
         assert_eq!(insts.len(), 4);
         for inst in insts {

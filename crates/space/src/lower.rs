@@ -33,13 +33,11 @@ pub fn plan_lowering(
     fp: &FlatProgram,
     plan: &SpacePlan,
 ) -> Lowered {
-    let streams: Vec<_> = fp
-        .seqs
-        .iter()
-        .map(|fs| {
+    let streams: Vec<_> = (seqs.iter().zip(&fp.seqs).zip(&plan.access))
+        .map(|((seq, fs), access)| {
             let key = fs.key;
-            let mut visits = vec![Vec::new(); seqs.seq(key.0, key.1).segments.len()];
-            for (item, step) in fs.items.iter().zip(&plan.access[&key].steps) {
+            let mut visits = vec![Vec::new(); seq.segments.len()];
+            for (item, step) in fs.items.iter().zip(&access.steps) {
                 if let FlatItem::Op { visit, instr } = item {
                     visits[visit - 1].push(lower_step(grammar, &program, key.0, instr, step));
                 }

@@ -3,7 +3,7 @@
 //! static/dynamic accounting contracts, and pinned cascade decisions, plans
 //! and run counters.
 
-use fnc2_ag::{Grammar, GrammarBuilder, Occ, Tree, TreeBuilder, Value};
+use fnc2_ag::{Grammar, GrammarBuilder, Occ, ProductionId, Tree, TreeBuilder, Value};
 use fnc2_analysis::{classify, classify_recorded, nc_test, snc_to_l_ordered, Inclusion, LOrdered};
 use fnc2_corpus::{synthetic, synthetic_tree, TABLE1_PROFILES};
 use fnc2_guard::EvalBudget;
@@ -161,27 +161,27 @@ fn optimized_runtime_drains_stacks_on_every_corpus_grammar() {
     }
 }
 
-/// Classifies `g` as the pipeline does and plans its storage.
-fn plan_of(g: &Grammar) -> SpacePlan {
+/// Classifies `g` as the pipeline does and plans its storage; with the
+/// keys of the sequences, which the plan's access tables follow.
+fn plan_of(g: &Grammar) -> (Vec<(ProductionId, usize)>, SpacePlan) {
     let c = classify(g, 1, Inclusion::Long).unwrap();
     let seqs = build_visit_seqs(g, &c.l_ordered.unwrap());
-    analyze_space(g, &seqs).3
+    (seqs.keys(), analyze_space(g, &seqs).3)
 }
 
 #[test]
 fn space_plan_is_deterministic() {
     let g = fnc2_corpus::minipascal().0;
-    let p1 = plan_of(&g);
+    let (keys, p1) = plan_of(&g);
     // Several runs, so a hash-ordered choice shows up as a mismatch.
-    for p2 in (0..4).map(|_| plan_of(&g)) {
+    for (_, p2) in (0..4).map(|_| plan_of(&g)) {
         assert_eq!(p1.storage, p2.storage);
         assert_eq!(p1.n_variables, p2.n_variables);
         assert_eq!(p1.n_stacks, p2.n_stacks);
         assert_eq!(p1.eliminated, p2.eliminated);
         assert_eq!(format!("{:?}", p1.stats), format!("{:?}", p2.stats));
         assert_eq!(p1.access.len(), p2.access.len());
-        for (key, a1) in &p1.access {
-            let a2 = &p2.access[key];
+        for ((key, a1), a2) in keys.iter().zip(&p1.access).zip(&p2.access) {
             assert_eq!(a1.steps.len(), a2.steps.len(), "{key:?}");
             for (pos, (s1, s2)) in a1.steps.iter().zip(&a2.steps).enumerate() {
                 assert_eq!(format!("{s1:?}"), format!("{s2:?}"), "{key:?} @ {pos}");
@@ -191,16 +191,13 @@ fn space_plan_is_deterministic() {
 }
 
 /// FNV-1a over everything a plan decides: storage, variable and stack
-/// counts, the sorted eliminated set, the key-sorted access tables and the
-/// statistics.
-fn plan_digest(plan: &SpacePlan) -> u64 {
-    let mut eliminated: Vec<_> = plan.eliminated.iter().collect();
-    eliminated.sort();
-    let mut access: Vec<_> = plan.access.iter().collect();
-    access.sort_by_key(|(key, _)| **key);
+/// counts, the sorted eliminated list, the access tables with their
+/// sequences' keys, in key order, and the statistics.
+fn plan_digest((keys, plan): &(Vec<(ProductionId, usize)>, SpacePlan)) -> u64 {
+    let access: Vec<_> = keys.iter().zip(&plan.access).collect();
     let text = format!(
-        "{:?} {} {} {:?} {:?} {:?}",
-        plan.storage, plan.n_variables, plan.n_stacks, eliminated, access, plan.stats
+        "{:?} {} {} {:?} {access:?} {:?}",
+        plan.storage, plan.n_variables, plan.n_stacks, plan.eliminated, plan.stats
     );
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
@@ -241,15 +238,14 @@ fn space_plans_match_their_pinned_digests() {
 
 /// FNV-1a over everything the class cascade decides for `g`: the `IO`,
 /// `OI` and `DS` relations, the OAG partitions and repairs, the witnesses,
-/// both inclusions' key-sorted l-ordered plans with their statistics, the
+/// both inclusions' l-ordered plans in key order with their statistics, the
 /// exact NC test's sorted graph sets and outcome, and the cascade's
 /// fixpoint counts.
 fn cascade_digest(g: &Grammar) -> u64 {
     let mut obs = Obs::new();
     let c = classify_recorded(g, 1, Inclusion::Long, &mut obs).unwrap();
     let lo_text = |lo: &LOrdered| {
-        let mut plans: Vec<_> = lo.plans.iter().collect();
-        plans.sort_by_key(|(key, _)| **key);
+        let plans: Vec<_> = lo.iter().collect();
         format!("{:?} {plans:?} {:?}", lo.partitions, lo.stats)
     };
     let equality = c

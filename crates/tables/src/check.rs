@@ -8,12 +8,12 @@
 //! Whether a well-formed plan is also *sound* (stack discipline, shared
 //! storage of eliminated copies) stays `fnc2_space::validate_plan`'s job.
 
-use fnc2_ag::{AttrKind, Grammar, ProductionId, RuleBody};
+use fnc2_ag::{AttrKind, Grammar, RuleBody};
 use fnc2_space::{
     FlatItem, FlatProgram, Lifetimes, ObjectIndex, ObjectSet, ReadPath, SpacePlan, Storage,
     WritePath,
 };
-use fnc2_visit::{Instr, VisitSeqs};
+use fnc2_visit::{Instr, VisitSeq, VisitSeqs};
 
 use crate::ArtifactError;
 
@@ -64,21 +64,13 @@ pub(crate) fn sequences(grammar: &Grammar, seqs: &VisitSeqs) -> Result<(), Artif
     if !seqs.keys().into_iter().eq(want) {
         return corrupt("visit sequences do not match the grammar's partitions");
     }
-    for (p, pi) in seqs.keys() {
-        sequence(grammar, seqs, p, pi)?;
-    }
-    Ok(())
+    seqs.iter().try_for_each(|seq| sequence(grammar, seqs, seq))
 }
 
-fn sequence(
-    grammar: &Grammar,
-    seqs: &VisitSeqs,
-    p: ProductionId,
-    pi: usize,
-) -> Result<(), ArtifactError> {
+fn sequence(grammar: &Grammar, seqs: &VisitSeqs, seq: &VisitSeq) -> Result<(), ArtifactError> {
+    let p = seq.production;
     let prod = grammar.production(p);
-    let seq = seqs.seq(p, pi);
-    if seq.segments.len() != seqs.partitions_of(prod.lhs())[pi].visit_count() {
+    if seq.segments.len() != seqs.partitions_of(prod.lhs())[seq.lhs_partition].visit_count() {
         return corrupt("a sequence's segments do not match its partition's visits");
     }
     let mut evaluated = vec![false; prod.nodes().len()];
@@ -168,12 +160,14 @@ pub(crate) fn space(
     if !stored {
         return corrupt("the storage map names a variable or stack the plan lacks");
     }
-    for fs in &fp.seqs {
-        let steps = plan.access.get(&fs.key).map_or(&[][..], |a| &a.steps);
-        if steps.len() != fs.items.len() {
+    if plan.access.len() != fp.seqs.len() {
+        return corrupt("the access tables do not match the flattened sequences");
+    }
+    for (fs, access) in fp.seqs.iter().zip(&plan.access) {
+        if access.steps.len() != fs.items.len() {
             return corrupt("an access table does not match its flattened sequence");
         }
-        for (item, step) in fs.items.iter().zip(steps) {
+        for (item, step) in fs.items.iter().zip(&access.steps) {
             if let FlatItem::Op {
                 instr: Instr::Eval(target),
                 ..

@@ -1,12 +1,11 @@
 //! Codecs for every structure the compiled-table artifact carries.
 //!
-//! Encoding is canonical: hash maps and sets are written in sorted key
-//! order, so the same analysis results always produce the same bytes —
+//! Encoding is canonical: every table is a vector written in its one
+//! order (the sequences' in key order, production then LHS partition), so
+//! the same analysis results always produce the same bytes —
 //! which is what lets the loader verify a deserialized artifact against a
 //! freshly computed structure by plain byte comparison, and what makes
 //! the re-encode-idempotence check in the fuzz oracle meaningful.
-
-use std::collections::{HashMap, HashSet};
 
 use fnc2_ag::{
     Arg, AttrId, AttrKind, FuncId, Grammar, LocalId, ONode, Occ, PhylumId, ProductionId, RuleBody,
@@ -139,76 +138,33 @@ fn dec_usizes(d: &mut Dec<'_>) -> WireResult<Vec<usize>> {
     dec_vec(d, |d| d.usize())
 }
 
-/// Encodes a map in sorted key order, so identical contents yield
-/// identical bytes regardless of hash iteration order.
-fn enc_map<K: Ord + Copy + std::hash::Hash, V>(
-    e: &mut Enc,
-    map: &HashMap<K, V>,
-    mut key: impl FnMut(&mut Enc, K),
-    mut val: impl FnMut(&mut Enc, &V),
-) {
-    let mut keys: Vec<K> = map.keys().copied().collect();
-    keys.sort();
-    e.usize(keys.len());
-    for k in keys {
-        key(e, k);
-        val(e, &map[&k]);
-    }
+/// Writes the key of `s`: (production, LHS partition).
+fn enc_seq_key(e: &mut Enc, s: &VisitSeq) {
+    enc_production(e, s.production);
+    e.usize(s.lhs_partition);
 }
-/// A visit sequence's key: (production, LHS partition).
-type SeqKey = (ProductionId, usize);
-
-fn enc_seq_key(e: &mut Enc, k: SeqKey) {
-    enc_production(e, k.0);
-    e.usize(k.1);
-}
-fn dec_seq_key(d: &mut Dec<'_>) -> WireResult<SeqKey> {
+fn dec_seq_key(d: &mut Dec<'_>) -> WireResult<(ProductionId, usize)> {
     Ok((dec_production(d)?, d.usize()?))
 }
 
-/// Decodes a map keyed by sequence keys, which [`enc_map`] wrote in sorted
-/// order, as a list in that order. The keys must be strictly increasing,
-/// and each production's partitions must run 0, 1, 2, … without a gap, so
-/// that an entry's place is its sequence's number.
-fn dec_seq_entries<V>(
-    d: &mut Dec<'_>,
-    mut val: impl FnMut(&mut Dec<'_>) -> WireResult<V>,
-) -> WireResult<Vec<(SeqKey, V)>> {
-    let n = d.seq_len()?;
-    let mut out: Vec<(SeqKey, V)> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = d.pos();
-        let key = dec_seq_key(d)?;
-        let next = match out.last() {
-            None => key.1 == 0,
-            Some(&((p, pi), _)) => key == (p, pi + 1) || (key.0 > p && key.1 == 0),
-        };
-        if !next {
-            return Err(invalid_at("sequence key order", at));
-        }
-        out.push((key, val(d)?));
-    }
-    Ok(out)
-}
-
-/// Decodes a map keyed by sequence keys that must hold one entry per key
-/// of `keys` (the visit sequences' keys), in that order.
+/// Decodes one entry per sequence of `seqs`, each written after its
+/// sequence's key, in the sequences' order.
 fn dec_per_seq<V>(
     d: &mut Dec<'_>,
-    keys: &[SeqKey],
-    mut val: impl FnMut(&mut Dec<'_>, SeqKey) -> WireResult<V>,
+    seqs: &VisitSeqs,
+    mut val: impl FnMut(&mut Dec<'_>) -> WireResult<V>,
 ) -> WireResult<Vec<V>> {
     let at = d.pos();
-    if d.seq_len()? != keys.len() {
+    if d.seq_len()? != seqs.len() {
         return Err(invalid_at("sequence count", at));
     }
-    keys.iter()
-        .map(|&want| {
+    seqs.iter()
+        .map(|s| {
             let at = d.pos();
-            if dec_seq_key(d)? != want {
+            if dec_seq_key(d)? != (s.production, s.lhs_partition) {
                 return Err(invalid_at("sequence key", at));
             }
-            val(d, want)
+            val(d)
         })
         .collect()
 }
@@ -396,31 +352,41 @@ fn dec_instr(d: &mut Dec<'_>) -> WireResult<Instr> {
     }
 }
 
+/// Each sequence is written after its key, in key order.
 pub(crate) fn enc_visit_seqs(e: &mut Enc, seqs: &VisitSeqs) {
-    let keys = seqs.keys();
-    e.usize(keys.len());
-    for &(p, part) in &keys {
-        enc_seq_key(e, (p, part));
-        let s = seqs.seq(p, part);
+    e.usize(seqs.len());
+    for s in seqs.iter() {
+        enc_seq_key(e, s);
         enc_vec(e, &s.segments, |e, seg| enc_vec(e, seg, enc_instr));
     }
     enc_partitions(e, seqs.partitions());
 }
 
+/// The keys must be strictly increasing, and each production's partitions
+/// must run 0, 1, 2, … without a gap, so that a sequence's place is its
+/// number.
 pub(crate) fn dec_visit_seqs(d: &mut Dec<'_>) -> WireResult<VisitSeqs> {
-    let map = dec_seq_entries(d, |d| dec_vec(d, |d| dec_vec(d, dec_instr)))?
-        .into_iter()
-        .map(|((p, part), segments)| {
-            let seq = VisitSeq {
-                production: p,
-                lhs_partition: part,
-                segments,
-            };
-            ((p, part), seq)
-        })
-        .collect();
+    let n = d.seq_len()?;
+    let mut seqs: Vec<VisitSeq> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let at = d.pos();
+        let (production, lhs_partition) = dec_seq_key(d)?;
+        let next = match seqs.last() {
+            None => lhs_partition == 0,
+            Some(s) if production == s.production => lhs_partition == s.lhs_partition + 1,
+            Some(s) => production > s.production && lhs_partition == 0,
+        };
+        if !next {
+            return Err(invalid_at("sequence key order", at));
+        }
+        seqs.push(VisitSeq {
+            production,
+            lhs_partition,
+            segments: dec_vec(d, |d| dec_vec(d, dec_instr))?,
+        });
+    }
     let partitions = dec_partitions(d)?;
-    Ok(VisitSeqs::from_parts(map, partitions))
+    Ok(VisitSeqs::from_parts(seqs, partitions))
 }
 
 // ---------------------------------------------------------------------------
@@ -590,39 +556,44 @@ fn dec_space_stats(d: &mut Dec<'_>) -> WireResult<SpaceStats> {
     })
 }
 
-pub(crate) fn enc_space_plan(e: &mut Enc, p: &SpacePlan) {
+/// Each access table is written after the key of its sequence in `seqs`.
+pub(crate) fn enc_space_plan(e: &mut Enc, p: &SpacePlan, seqs: &VisitSeqs) {
     enc_vec(e, &p.storage, |e, &s| enc_storage(e, s));
     e.usize(p.n_variables);
     e.usize(p.n_stacks);
-    let mut eliminated: Vec<(ProductionId, ONode)> = p.eliminated.iter().copied().collect();
-    eliminated.sort();
-    enc_vec(e, &eliminated, |e, &(prod, n)| {
+    enc_vec(e, &p.eliminated, |e, &(prod, n)| {
         enc_production(e, prod);
         enc_onode(e, n);
     });
-    enc_map(e, &p.access, enc_seq_key, |e, sa| {
+    assert_eq!(p.access.len(), seqs.len(), "one access table per sequence");
+    e.usize(p.access.len());
+    for (s, sa) in seqs.iter().zip(&p.access) {
+        enc_seq_key(e, s);
         enc_vec(e, &sa.steps, |e, step| {
             enc_vec(e, &step.args, enc_read_path);
             enc_option(e, step.write.as_ref(), enc_write_path);
             enc_usizes(e, &step.pops_after);
         });
-    });
+    }
     enc_space_stats(e, &p.stats);
 }
-/// `keys` are the visit sequences' keys: the plan must have one access
-/// table per sequence, in that order.
-pub(crate) fn dec_space_plan(d: &mut Dec<'_>, keys: &[SeqKey]) -> WireResult<SpacePlan> {
+/// `seqs` are the visit sequences: the plan must have one access table per
+/// sequence, in their order. The eliminated copies must be strictly
+/// increasing, as the planner lists them.
+pub(crate) fn dec_space_plan(d: &mut Dec<'_>, seqs: &VisitSeqs) -> WireResult<SpacePlan> {
     let storage = dec_vec(d, dec_storage)?;
     let n_variables = d.usize()?;
     let n_stacks = d.usize()?;
-    let eliminated: HashSet<(ProductionId, ONode)> = dec_vec(d, |d| {
+    let at = d.pos();
+    let eliminated: Vec<(ProductionId, ONode)> = dec_vec(d, |d| {
         let p = dec_production(d)?;
         let n = dec_onode(d)?;
         Ok((p, n))
-    })?
-    .into_iter()
-    .collect();
-    let access = dec_per_seq(d, keys, |d, _| {
+    })?;
+    if eliminated.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(invalid_at("eliminated copy order", at));
+    }
+    let access = dec_per_seq(d, seqs, |d| {
         Ok(SeqAccess {
             steps: dec_vec(d, |d| {
                 Ok(StepAccess {
@@ -633,7 +604,6 @@ pub(crate) fn dec_space_plan(d: &mut Dec<'_>, keys: &[SeqKey]) -> WireResult<Spa
             })?,
         })
     })?;
-    let access = keys.iter().copied().zip(access).collect();
     let stats = dec_space_stats(d)?;
     Ok(SpacePlan {
         storage,

@@ -292,7 +292,7 @@ impl Tables {
         codec::enc_transform_stats(&mut p, &self.transform);
         codec::enc_visit_seqs(&mut p, &self.seqs);
         codec::enc_lifetimes(&mut p, &self.lifetimes);
-        codec::enc_space_plan(&mut p, &self.space_plan);
+        codec::enc_space_plan(&mut p, &self.space_plan, &self.seqs);
         codec::enc_lint(&mut p, &self.lint);
         let payload = p.into_bytes();
 
@@ -321,7 +321,7 @@ impl Tables {
         let seqs = codec::dec_visit_seqs(&mut d)?;
         // The space sections are keyed by the sequences and partitions.
         let lifetimes = codec::dec_lifetimes(&mut d, seqs.partitions())?;
-        let space_plan = codec::dec_space_plan(&mut d, &seqs.keys())?;
+        let space_plan = codec::dec_space_plan(&mut d, &seqs)?;
         let lint = codec::dec_lint(&mut d)?;
         d.finish()?;
         let tables = Tables {

@@ -97,17 +97,19 @@ impl Lowered {
     pub fn new(grammar: &Grammar, seqs: &VisitSeqs) -> Lowered {
         let program = Arc::new(CompiledProgram::new(grammar));
         let streams: Vec<_> = seqs
-            .keys()
-            .into_iter()
-            .map(|(p, pi)| {
-                let visits = seqs.seq(p, pi).segments.iter();
+            .iter()
+            .map(|seq| {
+                let p = seq.production;
                 let lower = |segment: &Vec<_>| {
                     segment
                         .iter()
                         .map(|i| program.lower(grammar, p, i))
                         .collect()
                 };
-                ((p, pi), visits.map(lower).collect())
+                (
+                    (p, seq.lhs_partition),
+                    seq.segments.iter().map(lower).collect(),
+                )
             })
             .collect();
         Lowered {

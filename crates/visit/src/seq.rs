@@ -8,8 +8,6 @@
 //! instructions between `BEGIN i+…+LEAVE i`, so `BEGIN`/`LEAVE` are
 //! implicit in the segment structure.
 
-use std::collections::HashMap;
-
 use fnc2_ag::{Grammar, ONode, Occ, PhylumId, ProductionId};
 use fnc2_analysis::{LOrdered, TotalOrder};
 
@@ -63,28 +61,28 @@ impl VisitSeq {
 
 /// The complete set of visit-sequences of a grammar, plus the partitions
 /// they follow — the "abstract evaluator" handed to the translators.
+///
+/// The sequences are in key order, production then LHS partition, and a
+/// sequence's place in that order is its number: every per-sequence table
+/// downstream (the flattened program, the access tables, the artifact's
+/// sections) is a vector in the same order.
 #[derive(Clone, Debug)]
 pub struct VisitSeqs {
-    seqs: HashMap<(ProductionId, usize), VisitSeq>,
+    seqs: Vec<VisitSeq>,
     partitions: Vec<Vec<TotalOrder>>,
 }
 
 impl VisitSeqs {
-    /// The sequence for `(production, lhs_partition)`.
-    pub fn seq(&self, production: ProductionId, lhs_partition: usize) -> &VisitSeq {
-        &self.seqs[&(production, lhs_partition)]
+    /// Iterates all sequences, in key order.
+    pub fn iter(&self) -> std::slice::Iter<'_, VisitSeq> {
+        self.seqs.iter()
     }
 
-    /// Iterates all sequences.
-    pub fn iter(&self) -> impl Iterator<Item = &VisitSeq> {
-        self.seqs.values()
-    }
-
-    /// All (production, partition) keys, sorted for determinism.
+    /// All (production, partition) keys, in order.
     pub fn keys(&self) -> Vec<(ProductionId, usize)> {
-        let mut ks: Vec<_> = self.seqs.keys().copied().collect();
-        ks.sort();
-        ks
+        self.iter()
+            .map(|s| (s.production, s.lhs_partition))
+            .collect()
     }
 
     /// The partitions of `phylum`.
@@ -98,12 +96,10 @@ impl VisitSeqs {
     }
 
     /// Reassembles visit sequences from serialized parts. The caller is
-    /// responsible for internal consistency (every sequence's key must
-    /// reference a registered partition).
-    pub fn from_parts(
-        seqs: HashMap<(ProductionId, usize), VisitSeq>,
-        partitions: Vec<Vec<TotalOrder>>,
-    ) -> VisitSeqs {
+    /// responsible for internal consistency (the sequences must be in key
+    /// order, and every sequence's key must reference a registered
+    /// partition).
+    pub fn from_parts(seqs: Vec<VisitSeq>, partitions: Vec<Vec<TotalOrder>>) -> VisitSeqs {
         VisitSeqs { seqs, partitions }
     }
 
@@ -132,9 +128,9 @@ impl VisitSeqs {
 /// unregistered partition); [`fnc2_analysis::snc_to_l_ordered`] and
 /// [`fnc2_analysis::l_ordered_from_partitions`] never produce such plans.
 pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
-    let mut seqs = HashMap::new();
+    let mut seqs = Vec::with_capacity(lo.stats.plans);
     let mut sink = Sink::default();
-    for (&(p, pi), plan) in &lo.plans {
+    for ((p, pi), plan) in lo.iter() {
         let prod = grammar.production(p);
         let lhs_part = &lo.partitions_of(prod.lhs())[pi];
         let nvisits = lhs_part.visit_count();
@@ -202,14 +198,11 @@ pub fn build_visit_seqs(grammar: &Grammar, lo: &LOrdered) -> VisitSeqs {
         for segment in &mut segments {
             sink_evals(grammar, p, segment, &mut sink);
         }
-        seqs.insert(
-            (p, pi),
-            VisitSeq {
-                production: p,
-                lhs_partition: pi,
-                segments,
-            },
-        );
+        seqs.push(VisitSeq {
+            production: p,
+            lhs_partition: pi,
+            segments,
+        });
     }
     VisitSeqs {
         seqs,
@@ -364,9 +357,10 @@ mod tests {
         let seqs = seqs_for(&g);
         assert_eq!(seqs.len(), 3);
         assert_eq!(seqs.root_visits(&g), 1);
+        let seq = |p| seqs.iter().find(|s| s.production == p).unwrap();
 
         let root = g.production_by_name("root").unwrap();
-        let rs = seqs.seq(root, 0);
+        let rs = seq(root);
         assert_eq!(rs.segments.len(), 1);
         // EVAL A.down ; VISIT 1,1 ; EVAL S.out.
         let a = g.phylum_by_name("A").unwrap();
@@ -387,11 +381,11 @@ mod tests {
         );
 
         let mid = g.production_by_name("mid").unwrap();
-        let ms = seqs.seq(mid, 0);
+        let ms = seq(mid);
         assert_eq!(ms.visit_instr_count(), 1);
 
         let leaf = g.production_by_name("leaf").unwrap();
-        let ls = seqs.seq(leaf, 0);
+        let ls = seq(leaf);
         assert_eq!(ls.visit_instr_count(), 0);
         assert_eq!(ls.instr_count(), 1);
     }
@@ -400,8 +394,8 @@ mod tests {
     fn every_output_evaluated_exactly_once() {
         let g = two_pass();
         let seqs = seqs_for(&g);
-        for p in g.productions() {
-            let seq = seqs.seq(p, 0);
+        for seq in seqs.iter() {
+            let p = seq.production;
             let mut evals: Vec<ONode> = seq
                 .segments
                 .iter()

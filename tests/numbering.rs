@@ -1,7 +1,9 @@
 //! The dense numberings agree everywhere: a production's occurrence
 //! numbering (`Production::nodes`) is what the dependency graph, the
 //! object index, the flattened program and `Grammar::rule_for` index by,
-//! and a sequence's number is its place in `VisitSeqs::keys`.
+//! and a sequence's number is its place in key order (production, then
+//! LHS partition) in the transformation's plans, the visit sequences, the
+//! flattened program and the access tables alike.
 
 use fnc2::ag::{AttrId, DepGraph, Grammar, LocalId, ONode, Occ};
 use fnc2::analysis::{classify, Inclusion};
@@ -70,17 +72,27 @@ fn check(g: &Grammar) {
     }
 
     let class = classify(g, 1, Inclusion::Long).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let seqs = build_visit_seqs(g, class.l_ordered.as_ref().expect("l-ordered"));
-    let (fp, objects, _, _) = analyze_space(g, &seqs);
+    let lo = class.l_ordered.as_ref().expect("l-ordered");
+    let seqs = build_visit_seqs(g, lo);
+    let (fp, objects, _, plan) = analyze_space(g, &seqs);
     for i in 0..objects.len() {
         assert_eq!(objects.index(objects.object(i)), i, "{name}: object {i}");
     }
-    assert_eq!(fp.seqs.len(), seqs.len(), "{name}: sequence count");
-    for (k, (fs, key)) in fp.seqs.iter().zip(seqs.keys()).enumerate() {
-        assert_eq!(fs.key, key, "{name}: sequence {k}");
-        assert_eq!(fp.seq_index(key), Some(k), "{name}: sequence {k}");
+    let keys = seqs.keys();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "{name}: key order");
+    let n = keys.len();
+    let counts = [fp.seqs.len(), fp.instances.len(), plan.access.len()];
+    assert_eq!(counts, [n; 3], "{name}: sequence counts");
+    assert_eq!(lo.iter().count(), n, "{name}: plan count");
+    let tables = (seqs.iter().zip(lo.iter()))
+        .zip(fp.seqs.iter().zip(&fp.instances))
+        .zip(&plan.access);
+    for (k, (((seq, (key, _)), (fs, insts)), access)) in tables.enumerate() {
+        let named = [keys[k], (seq.production, seq.lhs_partition), fs.key];
+        assert_eq!(named, [key; 3], "{name}: sequence {k}");
+        let steps = access.steps.len();
+        assert_eq!(steps, fs.items.len(), "{name}: access table {k}");
         let nodes = g.production(key.0).nodes();
-        let insts = &fp.instances[k];
         assert_eq!(insts.len(), nodes.len(), "{name} {key:?}: instances");
         for (i, inst) in insts.iter().enumerate() {
             assert_eq!(inst.node, nodes[i], "{name} {key:?}: instance {i}");

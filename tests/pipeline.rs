@@ -396,13 +396,11 @@ fn rename_retries_keep_their_pinned_plans() {
         let c = fnc2::analysis::classify(&g, 1, Inclusion::Long).unwrap();
         let seqs = fnc2::visit::build_visit_seqs(&g, &c.l_ordered.unwrap());
         let plan = fnc2::space::analyze_space(&g, &seqs).3;
-        let mut eliminated: Vec<_> = plan.eliminated.iter().collect();
-        eliminated.sort();
-        let mut access: Vec<_> = plan.access.iter().collect();
-        access.sort_by_key(|(key, _)| **key);
+        let keys = seqs.keys();
+        let access: Vec<_> = keys.iter().zip(&plan.access).collect();
         let text = format!(
-            "{:?} {} {} {:?} {:?} {:?}",
-            plan.storage, plan.n_variables, plan.n_stacks, eliminated, access, plan.stats
+            "{:?} {} {} {:?} {access:?} {:?}",
+            plan.storage, plan.n_variables, plan.n_stacks, plan.eliminated, plan.stats
         );
         let got = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
