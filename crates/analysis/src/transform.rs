@@ -99,11 +99,6 @@ impl LOrdered {
         &self.partitions[phylum.index()]
     }
 
-    /// The plan for `(production, lhs_partition)`.
-    pub fn plan(&self, production: ProductionId, lhs_partition: usize) -> Option<&Plan> {
-        self.plans.get(production.index())?.get(lhs_partition)
-    }
-
     /// Every plan with its (production, LHS partition), in that order.
     pub fn iter(&self) -> impl Iterator<Item = ((ProductionId, usize), &Plan)> {
         self.plans.iter().enumerate().flat_map(|(p, plans)| {
@@ -525,8 +520,6 @@ mod tests {
         let oag = crate::oag::oag_test(&g, 0);
         let lo = l_ordered_from_partitions(&g, oag.partitions.unwrap()).unwrap();
         assert_eq!(lo.stats.plans, g.production_count());
-        for p in g.productions() {
-            assert!(lo.plan(p, 0).is_some());
-        }
+        assert!(lo.plans.iter().all(|plans| plans.len() == 1));
     }
 }
