@@ -185,7 +185,7 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
     // Rules per production, across phases. Locals are scoped per block,
     // as the checker scopes them: a local's body sees the locals declared
     // before it, a rule all of its block's.
-    let mut defined: HashSet<(ProductionId, ONode)> = HashSet::new();
+    let mut defined: Vec<HashSet<ONode>> = vec![HashSet::new(); pids.len()];
     let (mut table, mut targets) = (Vec::new(), Vec::new());
     for (i, (op, &pid)) in ag.operators.iter().zip(&pids).enumerate() {
         let octx = OpCtx::new(op, &attr_table);
@@ -233,7 +233,7 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
                     locals,
                 };
                 table.push(add_rule(&mut b, pid, target, body, reads, &ctx, &mut info)?);
-                defined.insert((pid, target));
+                defined[pid.index()].insert(target);
             }
         }
     }
@@ -261,7 +261,7 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
             for (j, ph) in carriers {
                 let pos = (j + 1) as u16;
                 let target = ONode::Attr(Occ::new(pos, id(ph, inn)));
-                if !defined.contains(&(pid, target)) {
+                if !defined[pid.index()].contains(&target) {
                     let src = match prev {
                         Some((ppos, pph)) => Occ::new(ppos, id(pph, outn)),
                         None if lhs_carries => Occ::new(0, id(&op.lhs, inn)),
@@ -269,21 +269,21 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
                     };
                     b.copy(pid, target, src);
                     info.auto_copies += 1;
-                    defined.insert((pid, target));
+                    defined[pid.index()].insert(target);
                 }
                 prev = Some((pos, ph));
             }
             // Outgoing state of the LHS.
             if lhs_carries {
                 let target = ONode::Attr(Occ::new(0, id(&op.lhs, outn)));
-                if !defined.contains(&(pid, target)) {
+                if !defined[pid.index()].contains(&target) {
                     let src = match prev {
                         Some((ppos, pph)) => Occ::new(ppos, id(pph, outn)),
                         None => Occ::new(0, id(&op.lhs, inn)),
                     };
                     b.copy(pid, target, src);
                     info.auto_copies += 1;
-                    defined.insert((pid, target));
+                    defined[pid.index()].insert(target);
                 }
             }
         }
@@ -293,7 +293,7 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
                 continue;
             };
             let target = ONode::Attr(Occ::new(0, attr_ids[k]));
-            if defined.contains(&(pid, target)) {
+            if defined[pid.index()].contains(&target) {
                 continue;
             }
             let carriers: Vec<Arg> = op
@@ -347,7 +347,7 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
                     info.computed_rules += 1;
                 }
             }
-            defined.insert((pid, target));
+            defined[pid.index()].insert(target);
         }
     }
 
@@ -359,7 +359,7 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
             let pos = (j + 1) as u16;
             for (aname, &(syn, ref ty, k)) in &rows[rhs_ph] {
                 let node = ONode::Attr(Occ::new(pos, attr_ids[k]));
-                if syn || defined.contains(&(pid, node)) {
+                if syn || defined[pid.index()].contains(&node) {
                     continue;
                 }
                 // Same-named inherited attribute on the LHS?
@@ -375,7 +375,7 @@ pub fn lower(checked: CheckedAg) -> Result<(Grammar, LowerInfo, Vec<RuleText>), 
         // compatible synthesized attribute of the same name.
         for (aname, &(syn, ref ty, k)) in lhs_row {
             let node = ONode::Attr(Occ::new(0, attr_ids[k]));
-            if !syn || defined.contains(&(pid, node)) {
+            if !syn || defined[pid.index()].contains(&node) {
                 continue;
             }
             let mut candidates = op.rhs.iter().enumerate().filter_map(|(j, ph)| {

@@ -99,17 +99,14 @@ impl Lowered {
         let streams: Vec<_> = seqs
             .iter()
             .map(|seq| {
-                let p = seq.production;
+                let (p, visits) = (seq.production, seq.segments.iter());
                 let lower = |segment: &Vec<_>| {
                     segment
                         .iter()
                         .map(|i| program.lower(grammar, p, i))
                         .collect()
                 };
-                (
-                    (p, seq.lhs_partition),
-                    seq.segments.iter().map(lower).collect(),
-                )
+                ((p, seq.lhs_partition), visits.map(lower).collect())
             })
             .collect();
         Lowered {
