@@ -80,5 +80,5 @@ pub use grammar::{
     SemRule,
 };
 pub use ids::{AttrId, FuncId, LocalId, NodeId, ONode, Occ, PhylumId, ProductionId};
-pub use tree::{term_to_tree, AttrValues, LocalFrames, Node, Preorder, Tree, TreeBuilder};
+pub use tree::{term_to_tree, AttrValues, Inst, LocalFrames, Node, Preorder, Tree, TreeBuilder};
 pub use value::{List, ListIter, Map, Term, Value, FLAT_MAX};

@@ -5,12 +5,54 @@
 //! `aic`-style tree constructors, paper §3.3). Attribute values live in a
 //! separate [`AttrValues`] store so that different evaluators (exhaustive,
 //! space-optimized, incremental) can choose their own storage policy — the
-//! whole point of paper §2.2.
+//! whole point of paper §2.2. Which instance ([`Inst`]) an occurrence
+//! names at a node, and which rule application defines an instance, the
+//! tree answers once for every evaluator ([`Tree::instance`],
+//! [`Tree::definition`]).
 
 use crate::error::TreeError;
-use crate::grammar::Grammar;
-use crate::ids::{AttrId, LocalId, NodeId, PhylumId, ProductionId};
+use crate::grammar::{AttrKind, Grammar};
+use crate::ids::{AttrId, LocalId, NodeId, ONode, Occ, PhylumId, ProductionId};
 use crate::value::Value;
+
+/// A concrete attribute or production-local instance of a tree: what the
+/// evaluators compute and store, and what a dependency slice names.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Inst {
+    /// Attribute `attr` at `node`.
+    Attr(NodeId, AttrId),
+    /// Production-local `local` of the production applied at `node`.
+    Local(NodeId, LocalId),
+}
+
+impl Inst {
+    /// The node the instance lives at.
+    pub fn node(self) -> NodeId {
+        match self {
+            Inst::Attr(n, _) | Inst::Local(n, _) => n,
+        }
+    }
+
+    /// The attribute's name, or the local's as the production applied at
+    /// its node declares it.
+    pub fn name<'g>(self, grammar: &'g Grammar, tree: &Tree) -> &'g str {
+        match self {
+            Inst::Attr(_, a) => grammar.attr(a).name(),
+            Inst::Local(n, l) => {
+                grammar.production(tree.node(n).production).locals()[l.index()].name()
+            }
+        }
+    }
+
+    /// Human-readable display, e.g. `value@3` or `local tmp@3`.
+    pub fn display(self, grammar: &Grammar, tree: &Tree) -> String {
+        let name = self.name(grammar, tree);
+        match self {
+            Inst::Attr(n, _) => format!("{name}@{}", n.index()),
+            Inst::Local(n, _) => format!("local {name}@{}", n.index()),
+        }
+    }
+}
 
 /// A node of an attributed tree.
 #[derive(Clone, Debug)]
@@ -85,6 +127,58 @@ impl Tree {
         Preorder {
             tree: self,
             stack: vec![(self.root, 0)],
+        }
+    }
+
+    /// Every attribute instance of the tree: the nodes in preorder, each
+    /// node's attributes in its phylum's order.
+    pub fn attr_instances<'a>(
+        &'a self,
+        grammar: &'a Grammar,
+    ) -> impl Iterator<Item = (NodeId, AttrId)> + 'a {
+        self.preorder().flat_map(move |(n, _)| {
+            let attrs = grammar.phylum(self.phylum(grammar, n)).attrs();
+            attrs.iter().map(move |&a| (n, a))
+        })
+    }
+
+    /// The node that position `pos` of the production applied at `node`
+    /// names: `node` itself for 0 (the left-hand side), its `pos`-th child
+    /// otherwise.
+    #[inline]
+    pub fn node_at(&self, node: NodeId, pos: u16) -> NodeId {
+        if pos == 0 {
+            node
+        } else {
+            self.node(node).children[pos as usize - 1]
+        }
+    }
+
+    /// The instance that occurrence `occ` of the production applied at
+    /// `node` names.
+    #[inline]
+    pub fn instance(&self, node: NodeId, occ: ONode) -> Inst {
+        match occ {
+            ONode::Attr(Occ { pos, attr }) => Inst::Attr(self.node_at(node, pos), attr),
+            ONode::Local(l) => Inst::Local(node, l),
+        }
+    }
+
+    /// The node and the occurrence of its production whose rule defines
+    /// `inst`: the instance's own node for a local or a synthesized
+    /// attribute, the parent for an inherited one. `None` for an
+    /// inherited attribute of the root, which the root inputs supply.
+    pub fn definition(&self, grammar: &Grammar, inst: Inst) -> Option<(NodeId, ONode)> {
+        match inst {
+            Inst::Local(n, l) => Some((n, ONode::Local(l))),
+            Inst::Attr(n, a) => match grammar.attr(a).kind() {
+                AttrKind::Synthesized => Some((n, ONode::Attr(Occ::lhs(a)))),
+                AttrKind::Inherited => {
+                    let parent = self.node(n).parent?;
+                    let pos = self.child_index(n)? as u16;
+                    Some((parent, ONode::Attr(Occ::new(pos, a))))
+                }
+            },
         }
     }
 

@@ -4,9 +4,9 @@
 
 use std::collections::BTreeSet;
 
-use fnc2::ag::{AttrId, Grammar, NodeId, Tree, TreeBuilder, Value};
+use fnc2::ag::{AttrId, Grammar, Inst, NodeId, Tree, TreeBuilder, Value};
 use fnc2::obs::Obs;
-use fnc2::visit::{dependency_slice, DynamicEvaluator, Inst, RootInputs, Slice};
+use fnc2::visit::{dependency_slice, DynamicEvaluator, RootInputs, Slice};
 use fnc2::Pipeline;
 
 fn attr(g: &Grammar, phylum: &str, name: &str) -> AttrId {

@@ -29,14 +29,15 @@
 //! generation-tagged word per instance cell tells whether the wave has
 //! reached it, an instance's readers are its occurrence's successors in
 //! the production's dependency graph `D(p)`, which the evaluator builds
-//! once, and every vector is reused from wave to wave.
+//! once, and every vector is reused from wave to wave. The tree names the
+//! instances: [`Tree::instance`] the one an occurrence means at a node
+//! (each rule target of an edited subtree, each reader), and
+//! [`Tree::definition`] the rule application that defines a pending one.
 
 use std::error::Error;
 use std::time::Instant;
 
-use fnc2_ag::{
-    AttrId, AttrKind, DepGraph, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value,
-};
+use fnc2_ag::{AttrId, DepGraph, Grammar, Inst, LocalId, NodeId, ProductionId, Tree, Value};
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{ChangeStatus, Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler};
 use fnc2_visit::{Cells, CompiledProgram, EvalError, RootInputs};
@@ -85,21 +86,6 @@ pub struct IncrementalEvaluator<'g> {
     pending: Vec<Inst>,
     /// Work space reused from wave to wave.
     s: Scratch,
-}
-
-/// An attribute or local instance.
-#[derive(Clone, Copy, Debug)]
-enum Inst {
-    Attr(NodeId, AttrId),
-    Local(NodeId, LocalId),
-}
-
-impl Inst {
-    fn node(self) -> NodeId {
-        match self {
-            Inst::Attr(n, _) | Inst::Local(n, _) => n,
-        }
-    }
 }
 
 /// An edited node's attributes with the values they had before the edit.
@@ -272,13 +258,7 @@ impl<'g> IncrementalEvaluator<'g> {
     /// Total number of live attribute instances (for comparing incremental
     /// cost with exhaustive cost).
     pub fn instance_count(&self) -> usize {
-        self.tree
-            .preorder()
-            .map(|(n, _)| {
-                let ph = self.tree.phylum(self.grammar, n);
-                self.grammar.phylum(ph).attrs().len()
-            })
-            .sum()
+        self.tree.attr_instances(self.grammar).count()
     }
 
     /// Replaces the subtree at `at` and reevaluates incrementally.
@@ -462,7 +442,7 @@ impl<'g> IncrementalEvaluator<'g> {
             for n in self.subtree(*node) {
                 let rules = g.production(self.tree.node(n).production()).rules();
                 for (r, rule) in rules.iter().enumerate() {
-                    let inst = instance(&self.tree, n, rule.target());
+                    let inst = self.tree.instance(n, rule.target());
                     let i = self
                         .s
                         .reach(cell_of(g, &self.cells, inst), inst, n, r as u32);
@@ -532,21 +512,21 @@ impl<'g> IncrementalEvaluator<'g> {
         }
         if settled < self.s.reached.len() {
             self.pending = self.unsettled();
-            let (node, what) = match self.pending[0] {
-                Inst::Attr(n, a) => (n, g.attr(a).name().to_string()),
-                Inst::Local(n, l) => {
-                    let p = self.tree.node(n).production();
-                    (n, g.production(p).locals()[l.index()].name().to_string())
-                }
-            };
-            return Err(EvalError::CircularInstance { node, what });
+            let inst = self.pending[0];
+            return Err(EvalError::CircularInstance {
+                node: inst.node(),
+                what: inst.name(g, &self.tree).to_string(),
+            });
         }
         Ok(())
     }
 
     /// The wave's entry for `inst`, reached now if it was not yet.
     fn reach(&mut self, inst: Inst) -> usize {
-        let (def, target) = self.definition_of(inst);
+        let (def, target) = self
+            .tree
+            .definition(self.grammar, inst)
+            .expect("root inherited supplied as inputs");
         let p = self.tree.node(def).production();
         let rule = self
             .grammar
@@ -645,26 +625,6 @@ impl<'g> IncrementalEvaluator<'g> {
         Ok(status)
     }
 
-    /// The (defining node, target occurrence) of an instance.
-    fn definition_of(&self, inst: Inst) -> (NodeId, ONode) {
-        let g = self.grammar;
-        match inst {
-            Inst::Local(n, l) => (n, ONode::Local(l)),
-            Inst::Attr(n, a) => match g.attr(a).kind() {
-                AttrKind::Synthesized => (n, ONode::Attr(Occ::lhs(a))),
-                AttrKind::Inherited => {
-                    let parent = self
-                        .tree
-                        .node(n)
-                        .parent()
-                        .expect("root inherited supplied as inputs");
-                    let pos = self.tree.child_index(n).expect("child position") as u16;
-                    (parent, ONode::Attr(Occ::new(pos, a)))
-                }
-            },
-        }
-    }
-
     /// Runs rule `rule` of the production applied at `def` through the
     /// slot-compiled program and, when profiling or tracing is on,
     /// attributes the firing to its `(production, rule)` pair. Fetch
@@ -710,18 +670,6 @@ impl<'g> IncrementalEvaluator<'g> {
     }
 }
 
-/// The instance that occurrence `occ` of the production applied at `host`
-/// names.
-fn instance(tree: &Tree, host: NodeId, occ: ONode) -> Inst {
-    match occ {
-        ONode::Attr(Occ { pos: 0, attr }) => Inst::Attr(host, attr),
-        ONode::Attr(Occ { pos, attr }) => {
-            Inst::Attr(tree.node(host).children()[pos as usize - 1], attr)
-        }
-        ONode::Local(l) => Inst::Local(host, l),
-    }
-}
-
 /// Which arena cell holds `inst`: `(is a local, index)`.
 fn cell_of(g: &Grammar, cells: &Cells, inst: Inst) -> (bool, usize) {
     match inst {
@@ -745,7 +693,7 @@ fn reach_readers(
 ) {
     let prod = g.production(dep.production());
     for &v in dep.succs(k) {
-        let inst = instance(tree, host, dep.node(v));
+        let inst = tree.instance(host, dep.node(v));
         let r = prod.rule_index(v).expect("an edge ends at a rule's target");
         let j = s.reach(cell_of(g, cells, inst), inst, host, r);
         s.reached[j].waiting += 1;
@@ -755,7 +703,7 @@ fn reach_readers(
 
 #[cfg(test)]
 mod tests {
-    use fnc2_ag::{Grammar, GrammarBuilder, Occ, TreeBuilder, TreeError, Value};
+    use fnc2_ag::{Grammar, GrammarBuilder, ONode, Occ, TreeBuilder, TreeError, Value};
     use fnc2_visit::DynamicEvaluator;
 
     use super::*;
@@ -864,11 +812,9 @@ mod tests {
         let (want, _) = DynamicEvaluator::new(g)
             .evaluate(t, &RootInputs::new())
             .unwrap();
-        for (n, _) in t.preorder() {
-            for &a in g.phylum(t.phylum(g, n)).attrs() {
-                let name = g.attr(a).name();
-                assert_eq!(inc.value(n, a), want.get(g, n, a), "{n}.{name}");
-            }
+        let differs = |&(n, a): &_| inc.value(n, a) != want.get(g, n, a);
+        if let Some((n, a)) = t.attr_instances(g).find(differs) {
+            panic!("{n}.{}", g.attr(a).name());
         }
     }
 
@@ -1270,10 +1216,9 @@ mod tests {
             format!("{:?}", batch.tree()),
             format!("{:?}", single.tree())
         );
-        for (n, _) in batch.tree().preorder() {
-            for &a in g.phylum(batch.tree().phylum(&g, n)).attrs() {
-                assert_eq!(batch.value(n, a), single.value(n, a), "{n}");
-            }
+        let differs = |&(n, a): &_| batch.value(n, a) != single.value(n, a);
+        if let Some((n, _)) = batch.tree().attr_instances(&g).find(differs) {
+            panic!("{n}");
         }
         assert_matches_scratch(&g, &batch);
     }

@@ -7,11 +7,18 @@
 //! needs no plans at all, works for every non-circular tree (even when the
 //! grammar is outside SNC), detects circular instances at run time, and is
 //! the baseline the deterministic evaluator is benchmarked against.
+//!
+//! It demands the instances of [`Tree::attr_instances`] in order. The
+//! tree names the rule application that defines a goal
+//! ([`Tree::definition`]) and the instances its arguments read
+//! ([`Tree::instance`]); the scheduling, a memo and an explicit demand
+//! stack, and the rule evaluation ([`eval_rule`]) are this module's own,
+//! which keeps it an independent check of the visit-sequence evaluators.
 
 use std::collections::HashMap;
 
 use fnc2_ag::{
-    AttrId, AttrKind, AttrValues, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree, Value,
+    AttrId, AttrValues, Grammar, Inst, LocalId, NodeId, ONode, ProductionId, Tree, Value,
 };
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{Event, NoopRecorder, Recorder, RuleProfiler};
@@ -23,14 +30,6 @@ use crate::rules::{eval_rule, EvalError, Store};
 #[derive(Debug)]
 pub struct DynamicEvaluator<'g> {
     grammar: &'g Grammar,
-}
-
-/// An attribute instance: an occurrence to evaluate at a node. For
-/// inherited attributes the *defining* production is the parent's.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Goal {
-    Attr(NodeId, AttrId),
-    Local(NodeId, LocalId),
 }
 
 struct DynStore<'a> {
@@ -145,22 +144,13 @@ impl<'g> DynamicEvaluator<'g> {
                 .map(|a| (root, a))
                 .collect()
         } else {
-            tree.preorder()
-                .flat_map(|(n, _)| {
-                    let ph = tree.phylum(g, n);
-                    g.phylum(ph)
-                        .attrs()
-                        .iter()
-                        .map(move |&a| (n, a))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
+            tree.attr_instances(g).collect()
         };
-        let mut in_progress: HashMap<Goal, bool> = HashMap::new();
+        let mut in_progress: HashMap<Inst, bool> = HashMap::new();
         for (n, a) in all {
             self.demand(
                 tree,
-                Goal::Attr(n, a),
+                Inst::Attr(n, a),
                 &mut values,
                 &mut locals,
                 &mut in_progress,
@@ -182,10 +172,10 @@ impl<'g> DynamicEvaluator<'g> {
     fn demand<R: Recorder>(
         &self,
         tree: &Tree,
-        goal: Goal,
+        goal: Inst,
         values: &mut AttrValues,
         locals: &mut HashMap<(NodeId, LocalId), Value>,
-        in_progress: &mut HashMap<Goal, bool>,
+        in_progress: &mut HashMap<Inst, bool>,
         stats: &mut EvalStats,
         meter: &mut BudgetMeter,
         rec: &mut R,
@@ -194,51 +184,28 @@ impl<'g> DynamicEvaluator<'g> {
         /// `Enter` demands a goal (memo check, cycle mark, push args);
         /// `Finish` fires its rule once every argument below it completed.
         enum Task {
-            Enter(Goal),
-            Finish(Goal, NodeId, ProductionId, ONode),
+            Enter(Inst),
+            Finish(Inst, NodeId, ProductionId, ONode),
         }
         let mut stack: Vec<Task> = vec![Task::Enter(goal)];
         while let Some(task) = stack.pop() {
             match task {
                 Task::Enter(goal) => {
                     match goal {
-                        Goal::Attr(n, a) if values.get(g, n, a).is_some() => continue,
-                        Goal::Local(n, l) if locals.contains_key(&(n, l)) => continue,
+                        Inst::Attr(n, a) if values.get(g, n, a).is_some() => continue,
+                        Inst::Local(n, l) if locals.contains_key(&(n, l)) => continue,
                         _ => {}
                     }
                     if in_progress.insert(goal, true).is_some() {
-                        let what = match goal {
-                            Goal::Attr(_, a) => g.attr(a).name().to_string(),
-                            Goal::Local(n, l) => {
-                                let p = tree.node(n).production();
-                                g.production(p).locals()[l.index()].name().to_string()
-                            }
-                        };
-                        let node = match goal {
-                            Goal::Attr(n, _) | Goal::Local(n, _) => n,
-                        };
-                        return Err(EvalError::CircularInstance { node, what });
+                        return Err(EvalError::CircularInstance {
+                            node: goal.node(),
+                            what: goal.name(g, tree).to_string(),
+                        });
                     }
-
-                    // Locate the defining production and the occurrence.
-                    let (def_node, def_prod, target) = match goal {
-                        Goal::Attr(n, a) => match g.attr(a).kind() {
-                            AttrKind::Synthesized => {
-                                let p = tree.node(n).production();
-                                (n, p, ONode::Attr(Occ::lhs(a)))
-                            }
-                            AttrKind::Inherited => {
-                                let parent = tree
-                                    .node(n)
-                                    .parent()
-                                    .expect("root inherited supplied as inputs");
-                                let pos = tree.child_index(n).expect("child has an index") as u16;
-                                let p = tree.node(parent).production();
-                                (parent, p, ONode::Attr(Occ::new(pos, a)))
-                            }
-                        },
-                        Goal::Local(n, l) => (n, tree.node(n).production(), ONode::Local(l)),
-                    };
+                    let (def_node, target) = tree
+                        .definition(g, goal)
+                        .expect("root inherited supplied as inputs");
+                    let def_prod = tree.node(def_node).production();
 
                     // Finish after the arguments; push them reversed so they
                     // are demanded in rule order.
@@ -248,18 +215,7 @@ impl<'g> DynamicEvaluator<'g> {
                     stack.push(Task::Finish(goal, def_node, def_prod, target));
                     let base = stack.len();
                     for arg in rule.read_nodes() {
-                        let sub = match arg {
-                            ONode::Attr(Occ { pos, attr }) => {
-                                let at = if pos == 0 {
-                                    def_node
-                                } else {
-                                    tree.node(def_node).children()[pos as usize - 1]
-                                };
-                                Goal::Attr(at, attr)
-                            }
-                            ONode::Local(l) => Goal::Local(def_node, l),
-                        };
-                        stack.push(Task::Enter(sub));
+                        stack.push(Task::Enter(tree.instance(def_node, arg)));
                     }
                     stack[base..].reverse();
                     meter.check_depth(stack.len()).map_err(|k| {
@@ -316,10 +272,10 @@ impl<'g> DynamicEvaluator<'g> {
                         stats.copies += 1;
                     }
                     match goal {
-                        Goal::Attr(n, a) => {
+                        Inst::Attr(n, a) => {
                             values.set(g, n, a, value);
                         }
-                        Goal::Local(n, l) => {
+                        Inst::Local(n, l) => {
                             locals.insert((n, l), value);
                         }
                     }

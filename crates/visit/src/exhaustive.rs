@@ -20,7 +20,7 @@ use fnc2_ag::{AttrId, AttrValues, Grammar, NodeId, ONode, Occ, ProductionId, Tre
 use fnc2_guard::{BudgetMeter, EvalBudget};
 use fnc2_obs::{Counters, Event, Key, NoopRecorder, Recorder, RuleProfiler, StorageClass};
 
-use crate::program::{at_child, Cells, CompiledProgram, CompiledRule, Op, SlotRef};
+use crate::program::{Cells, CompiledProgram, CompiledRule, Op, SlotRef};
 use crate::rules::EvalError;
 use crate::seq::VisitSeqs;
 
@@ -433,7 +433,7 @@ impl<'g> Evaluator<'g> {
                     partition,
                     ..
                 } => {
-                    let c = at_child(tree, node, *child);
+                    let c = tree.node_at(node, *child);
                     meter
                         .check_depth(stack.len() + 1)
                         .map_err(|k| EvalError::budget(k, format!("{label} evaluator, {c}")))?;
@@ -476,7 +476,7 @@ impl<'g> Evaluator<'g> {
                     SlotRef::Attr { .. } | SlotRef::Local(_) => StorageClass::Node,
                 };
                 rec.emit(Event::AttrStored {
-                    node: at_child(tree, node, pos).index() as u32,
+                    node: tree.node_at(node, pos).index() as u32,
                     attr: attr.index() as u32,
                     class,
                 });
@@ -487,7 +487,7 @@ impl<'g> Evaluator<'g> {
         for n in sem.read_nodes() {
             if let ONode::Attr(o) = n {
                 rec.emit(Event::AttrRead {
-                    node: at_child(tree, node, o.pos).index() as u32,
+                    node: tree.node_at(node, o.pos).index() as u32,
                     attr: o.attr.index() as u32,
                 });
             }
@@ -614,12 +614,7 @@ mod tests {
         assert!(stats.evals > 0);
         assert!(stats.visits >= tree.size());
         // Every instance is decorated (exhaustive evaluation).
-        let mut instances = 0;
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(&g, n);
-            instances += g.phylum(ph).attrs().len();
-        }
-        assert_eq!(values.live_count(), instances);
+        assert_eq!(values.live_count(), tree.attr_instances(&g).count());
     }
 
     #[test]
@@ -737,12 +732,8 @@ mod tests {
             )
             .unwrap();
         let (plain, _) = ev.evaluate(&tree, &RootInputs::new()).unwrap();
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(&g, n);
-            for &a in g.phylum(ph).attrs() {
-                assert_eq!(ok.get(&g, n, a), plain.get(&g, n, a), "bit-identical");
-            }
-        }
+        let differs = |&(n, a): &_| ok.get(&g, n, a) != plain.get(&g, n, a);
+        assert_eq!(tree.attr_instances(&g).find(differs), None, "bit-identical");
     }
 
     #[test]

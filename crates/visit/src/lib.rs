@@ -55,6 +55,6 @@ mod seq;
 pub use dynamic::DynamicEvaluator;
 pub use exhaustive::{EvalStats, Evaluator, Lowered, RootInputs};
 pub use program::{CBody, Cells, CompiledProgram, CompiledRule, FetchOp, Op, SlotRef};
-pub use provenance::{dependency_slice, Inst, Slice, SliceStep};
+pub use provenance::{dependency_slice, Slice, SliceStep};
 pub use rules::{eval_rule, eval_rule_resolved, EvalError, Store};
 pub use seq::{build_visit_seqs, Instr, VisitSeq, VisitSeqs};

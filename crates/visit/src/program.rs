@@ -187,7 +187,7 @@ impl Cells {
         match *slot {
             SlotRef::Attr { child, off, .. } => self
                 .values
-                .set_slot(at_child(tree, node, child), off as usize, value)
+                .set_slot(tree.node_at(node, child), off as usize, value)
                 .is_none(),
             SlotRef::Local(l) => self.locals.set(node, l, value).is_none(),
             SlotRef::Variable(id) => self.variables[id as usize].replace(value).is_none(),
@@ -212,17 +212,6 @@ impl Cells {
                 .expect("scheduled pop finds a value");
             self.live -= 1;
         }
-    }
-}
-
-/// The node an occurrence at position `child` of the production applied
-/// at `node` lives at (0 = `node` itself).
-#[inline(always)]
-pub(crate) fn at_child(tree: &Tree, node: NodeId, child: u16) -> NodeId {
-    if child == 0 {
-        node
-    } else {
-        tree.node(node).children()[child as usize - 1]
     }
 }
 
@@ -357,7 +346,7 @@ impl CompiledProgram {
                     })
             }
             FetchOp::Attr { child, attr, off } => {
-                let at = at_child(tree, node, *child);
+                let at = tree.node_at(node, *child);
                 cells
                     .values
                     .get_slot(at, *off as usize)

@@ -10,42 +10,16 @@
 //! earlier ones, so the slice reflects the final wave).
 //!
 //! The rule that fired tells us the static read set
-//! ([`read_nodes`](fnc2_ag::SemRule::read_nodes)); resolving each read
-//! occurrence at the firing node turns it into a concrete instance, and
-//! chasing definitions backwards from the target instance yields the
-//! slice. `fnc2c explain` and the fuzz oracle's divergence reports both
-//! render these.
+//! ([`read_nodes`](fnc2_ag::SemRule::read_nodes)); the tree names the
+//! instance each read occurrence means at the firing node
+//! ([`Tree::instance`]), and chasing definitions backwards from the
+//! target instance yields the slice. `fnc2c explain` and the fuzz
+//! oracle's divergence reports both render these.
 
 use std::collections::{HashMap, VecDeque};
 
-use fnc2_ag::{AttrId, Grammar, LocalId, NodeId, ONode, Occ, ProductionId, Tree};
+use fnc2_ag::{AttrId, Grammar, Inst, NodeId, ProductionId, Tree};
 use fnc2_obs::{Event, Json};
-
-/// A concrete attribute or production-local instance in a decorated tree.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Inst {
-    /// Attribute `attr` at `node`.
-    Attr(NodeId, AttrId),
-    /// Production-local `local` of the production applied at `node`.
-    Local(NodeId, LocalId),
-}
-
-impl Inst {
-    /// Human-readable display, e.g. `value@3` or `local tmp@3`.
-    pub fn display(&self, grammar: &Grammar, tree: &Tree) -> String {
-        match *self {
-            Inst::Attr(n, a) => format!("{}@{}", grammar.attr(a).name(), n.index()),
-            Inst::Local(n, l) => {
-                let p = tree.node(n).production();
-                format!(
-                    "local {}@{}",
-                    grammar.production(p).locals()[l.index()].name(),
-                    n.index()
-                )
-            }
-        }
-    }
-}
 
 /// One step of a dependency slice: the rule firing that (last) defined
 /// `inst`, plus the instances that firing read.
@@ -175,30 +149,15 @@ impl Slice {
     }
 }
 
-/// Resolves an occurrence of production `p` applied at `node` to a
-/// concrete instance.
-fn resolve(tree: &Tree, node: NodeId, occ: ONode) -> Inst {
-    match occ {
-        ONode::Attr(Occ { pos, attr }) => {
-            let at = if pos == 0 {
-                node
-            } else {
-                tree.node(node).children()[pos as usize - 1]
-            };
-            Inst::Attr(at, attr)
-        }
-        ONode::Local(l) => Inst::Local(node, l),
-    }
-}
-
 /// Reconstructs the dynamic dependency slice of `attr@node` from an
 /// evaluation event stream (as produced by any recorded run; pass
 /// [`TraceBuffer::iter`](fnc2_obs::TraceBuffer::iter)).
 ///
 /// When the same instance was defined several times (incremental waves),
-/// the **last** firing wins — the slice explains the final value. Events
-/// whose production/rule indices don't match `grammar` (e.g. a foreign
-/// stream) are skipped rather than trusted.
+/// the **last** firing wins — the slice explains the final value. A
+/// firing whose node is not in `tree`, whose production is not the one
+/// applied at that node, or whose rule the production lacks (a foreign
+/// stream, say) is skipped rather than trusted.
 pub fn dependency_slice<'a>(
     grammar: &Grammar,
     tree: &Tree,
@@ -227,18 +186,14 @@ pub fn dependency_slice<'a>(
                 production,
                 rule,
             } => {
-                if production as usize >= grammar.production_count()
-                    || node as usize >= tree.arena_len()
-                {
+                let (at, p) = (NodeId::from_raw(node), ProductionId::from_raw(production));
+                if node as usize >= tree.arena_len() || tree.node(at).production() != p {
                     continue;
                 }
-                let p = ProductionId::from_raw(production);
-                let rules = grammar.production(p).rules();
-                if rule as usize >= rules.len() {
+                let Some(r) = grammar.production(p).rules().get(rule as usize) else {
                     continue;
-                }
-                let at = NodeId::from_raw(node);
-                let inst = resolve(tree, at, rules[rule as usize].target());
+                };
+                let inst = tree.instance(at, r.target());
                 defs.insert(
                     inst,
                     Def {
@@ -272,7 +227,7 @@ pub fn dependency_slice<'a>(
         let rule = &grammar.production(def.production).rules()[def.rule as usize];
         let inputs: Vec<Inst> = rule
             .read_nodes()
-            .map(|r| resolve(tree, def.node, r))
+            .map(|r| tree.instance(def.node, r))
             .collect();
         for i in &inputs {
             if seen.insert(*i, ()).is_none() {
@@ -298,7 +253,7 @@ pub fn dependency_slice<'a>(
 
 #[cfg(test)]
 mod tests {
-    use fnc2_ag::{GrammarBuilder, TreeBuilder, Value};
+    use fnc2_ag::{GrammarBuilder, Occ, TreeBuilder, Value};
     use fnc2_analysis::{snc_test, snc_to_l_ordered, Inclusion};
     use fnc2_obs::Obs;
 
@@ -345,5 +300,39 @@ mod tests {
         assert!(slice.steps.iter().all(|s| s.visit.is_some()));
         let txt = slice.render(&g, &tree);
         assert!(txt.contains("slice for n@"), "{txt}");
+    }
+
+    /// A firing reported at a node that applies another production names
+    /// no instance of the tree, so the slicer skips it: resolving `root`'s
+    /// child occurrence among the leaf's children would index past them.
+    #[test]
+    fn firing_of_another_production_is_skipped() {
+        let mut g = GrammarBuilder::new("mismatch");
+        let s = g.phylum("S");
+        let a = g.phylum("A");
+        let out = g.syn(s, "out");
+        let i = g.inh(a, "i");
+        let v = g.syn(a, "v");
+        let root = g.production("root", s, &[a]);
+        g.constant(root, Occ::new(1, i), Value::Int(1));
+        g.copy(root, Occ::lhs(out), Occ::new(1, v));
+        let leaf = g.production("leaf", a, &[]);
+        g.copy(leaf, Occ::lhs(v), Occ::lhs(i));
+        let g = g.finish().unwrap();
+        let mut tb = TreeBuilder::new(&g);
+        let l = tb.op("leaf", &[]).unwrap();
+        let r = tb.op("root", &[l]).unwrap();
+        let tree = tb.finish_root(r).unwrap();
+
+        let (rules, target) = (g.production(root).rules(), Occ::new(1, i).into());
+        let rule = rules.iter().position(|rl| rl.target() == target);
+        let event = Event::RuleFired {
+            node: l.index() as u32,
+            production: root.index() as u32,
+            rule: rule.unwrap() as u32,
+        };
+        let slice = dependency_slice(&g, &tree, [(0, &event)], l, i);
+        assert!(slice.steps.is_empty());
+        assert_eq!(slice.undefined, vec![Inst::Attr(l, i)]);
     }
 }

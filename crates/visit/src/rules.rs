@@ -157,11 +157,7 @@ pub fn eval_rule_resolved<S: Store>(
                     production: grammar.production(p).name().to_string(),
                 }),
             Arg::Node(ONode::Attr(Occ { pos, attr })) => {
-                let at = if *pos == 0 {
-                    node
-                } else {
-                    tree.node(node).children()[*pos as usize - 1]
-                };
+                let at = tree.node_at(node, *pos);
                 store
                     .value(at, *attr)
                     .ok_or_else(|| EvalError::MissingValue {
