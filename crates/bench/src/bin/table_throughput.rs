@@ -95,23 +95,20 @@ fn main() {
         let (profiled, _) = ev
             .evaluate_with(&tree, &inputs, &budget, &mut obs)
             .expect("profiled leg");
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(&compiled.grammar, n);
-            for &attr in compiled.grammar.phylum(ph).attrs() {
-                assert_eq!(
-                    fast.get(&compiled.grammar, n, attr),
-                    metered.get(&compiled.grammar, n, attr),
-                    "{}: guarded and compiled paths diverge",
-                    profile.name
-                );
-                assert_eq!(
-                    fast.get(&compiled.grammar, n, attr),
-                    profiled.get(&compiled.grammar, n, attr),
-                    "{}: profiled and compiled paths diverge",
-                    profile.name
-                );
-            }
-        }
+        let g = &compiled.grammar;
+        let differs = |&(n, a): &_| fast.get(g, n, a) != metered.get(g, n, a);
+        let name = profile.name;
+        assert_eq!(
+            tree.attr_instances(g).find(differs),
+            None,
+            "{name}: guarded and compiled paths diverge"
+        );
+        let differs = |&(n, a): &_| fast.get(g, n, a) != profiled.get(g, n, a);
+        assert_eq!(
+            tree.attr_instances(g).find(differs),
+            None,
+            "{name}: profiled and compiled paths diverge"
+        );
 
         let mut noop = NoopRecorder;
         let legs = paired(

@@ -160,17 +160,13 @@ fn run_fault_case_inner(params: &CaseParams, fault_seed: u64) -> Result<FaultSta
                 // Survivors — unfaulted, transient-faulted-then-retried, or
                 // trees whose planned fault never fired — must be
                 // bit-identical to the sequential reference.
-                for (n, _) in trees[i].preorder() {
-                    let ph = trees[i].phylum(g, n);
-                    for &attr in g.phylum(ph).attrs() {
-                        if vals.get(g, n, attr) != reference[i].get(g, n, attr) {
-                            return Err(fail(format!(
-                                "tree {i}: node {n:?} attr {} diverged from the \
-                                 unfaulted reference after fault/retry",
-                                g.attr(attr).name()
-                            )));
-                        }
-                    }
+                let differs = |&(n, a): &_| vals.get(g, n, a) != reference[i].get(g, n, a);
+                if let Some((n, attr)) = trees[i].attr_instances(g).find(differs) {
+                    return Err(fail(format!(
+                        "tree {i}: node {n:?} attr {} diverged from the \
+                         unfaulted reference after fault/retry",
+                        g.attr(attr).name()
+                    )));
                 }
             }
             TreeOutcome::Failed(e) => {

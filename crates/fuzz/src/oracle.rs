@@ -110,21 +110,17 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
                 format!("batch tree {i}: stats {stats:?} != sequential {ref_stats:?}"),
             ));
         }
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(g, n);
-            for &attr in g.phylum(ph).attrs() {
-                if vals.get(g, n, attr) != reference.get(g, n, attr) {
-                    return Err(div(
-                        "exhaustive-vs-batch",
-                        format!(
-                            "batch tree {i}: node {n:?} attr {}: batch {:?}, sequential {:?}",
-                            g.attr(attr).name(),
-                            vals.get(g, n, attr),
-                            reference.get(g, n, attr)
-                        ),
-                    ));
-                }
-            }
+        let differs = |&(n, a): &_| vals.get(g, n, a) != reference.get(g, n, a);
+        if let Some((n, attr)) = tree.attr_instances(g).find(differs) {
+            return Err(div(
+                "exhaustive-vs-batch",
+                format!(
+                    "batch tree {i}: node {n:?} attr {}: batch {:?}, sequential {:?}",
+                    g.attr(attr).name(),
+                    vals.get(g, n, attr),
+                    reference.get(g, n, attr)
+                ),
+            ));
         }
     }
 
@@ -133,23 +129,18 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
     let (demand, _) = DynamicEvaluator::new(dyn_grammar)
         .evaluate(&tree, &inputs)
         .map_err(|e| div("dynamic", format!("dynamic evaluation failed: {e}")))?;
-    for (n, _) in tree.preorder() {
-        let ph = tree.phylum(g, n);
-        for &attr in g.phylum(ph).attrs() {
-            let a = reference.get(g, n, attr);
-            let b = demand.get(g, n, attr);
-            if a != b {
-                return Err(div(
-                    "exhaustive-vs-dynamic",
-                    format!(
-                        "node {n:?} ({}) attr {}: exhaustive {a:?}, dynamic {b:?}{}",
-                        g.production(tree.node(n).production()).name(),
-                        g.attr(attr).name(),
-                        divergence_slice(g, &ev, &tree, &inputs, n, attr)
-                    ),
-                ));
-            }
-        }
+    let differs = |&(n, a): &_| reference.get(g, n, a) != demand.get(g, n, a);
+    if let Some((n, attr)) = tree.attr_instances(g).find(differs) {
+        let (a, b) = (reference.get(g, n, attr), demand.get(g, n, attr));
+        return Err(div(
+            "exhaustive-vs-dynamic",
+            format!(
+                "node {n:?} ({}) attr {}: exhaustive {a:?}, dynamic {b:?}{}",
+                g.production(tree.node(n).production()).name(),
+                g.attr(attr).name(),
+                divergence_slice(g, &ev, &tree, &inputs, n, attr)
+            ),
+        ));
     }
 
     // ---- Space plan: symbolic re-validation, then the real plan against
@@ -160,22 +151,21 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
     let (sp, _) = plan_evaluator(g, &seqs, &fp, &plan)
         .evaluate(&tree, &inputs)
         .map_err(|e| div("space", format!("space evaluation failed: {e}")))?;
-    for (n, _) in tree.preorder() {
-        let ph = tree.phylum(g, n);
-        for &attr in g.phylum(ph).attrs() {
-            if let Some(v) = sp.get(g, n, attr) {
-                if reference.get(g, n, attr) != Some(v) {
-                    return Err(div(
-                        "exhaustive-vs-space",
-                        format!(
-                            "node {n:?} attr {}: exhaustive {:?}, space {v:?}",
-                            g.attr(attr).name(),
-                            reference.get(g, n, attr)
-                        ),
-                    ));
-                }
-            }
-        }
+    let differs = |&(n, a): &_| {
+        sp.get(g, n, a)
+            .is_some_and(|v| reference.get(g, n, a) != Some(v))
+    };
+    if let Some((n, attr)) = tree.attr_instances(g).find(differs) {
+        return Err(div(
+            "exhaustive-vs-space",
+            format!(
+                "node {n:?} attr {}: exhaustive {:?}, space {:?}",
+                g.attr(attr).name(),
+                reference.get(g, n, attr),
+                sp.get(g, n, attr)
+                    .expect("found where the space run kept a value")
+            ),
+        ));
     }
     // Root attributes are forced to node storage, so the output must be
     // present, not merely equal-when-present.
@@ -250,21 +240,17 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
                 format!("decoded-seqs stats {stats:?} != reference {ref_stats:?}"),
             ));
         }
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(g, n);
-            for &attr in g.phylum(ph).attrs() {
-                if vals.get(g, n, attr) != reference.get(g, n, attr) {
-                    return Err(div(
-                        "tables-vs-exhaustive",
-                        format!(
-                            "node {n:?} attr {}: decoded tables {:?}, reference {:?}",
-                            g.attr(attr).name(),
-                            vals.get(g, n, attr),
-                            reference.get(g, n, attr)
-                        ),
-                    ));
-                }
-            }
+        let differs = |&(n, a): &_| vals.get(g, n, a) != reference.get(g, n, a);
+        if let Some((n, attr)) = tree.attr_instances(g).find(differs) {
+            return Err(div(
+                "tables-vs-exhaustive",
+                format!(
+                    "node {n:?} attr {}: decoded tables {:?}, reference {:?}",
+                    g.attr(attr).name(),
+                    vals.get(g, n, attr),
+                    reference.get(g, n, attr)
+                ),
+            ));
         }
         let (sp2, _) = plan_evaluator(g, &loaded.seqs, &dfp, &loaded.space_plan)
             .evaluate(&tree, &inputs)
@@ -274,21 +260,17 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
                     format!("space evaluation over decoded tables failed: {e}"),
                 )
             })?;
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(g, n);
-            for &attr in g.phylum(ph).attrs() {
-                if sp2.get(g, n, attr) != sp.get(g, n, attr) {
-                    return Err(div(
-                        "tables-vs-space",
-                        format!(
-                            "node {n:?} attr {}: decoded tables {:?}, fresh {:?}",
-                            g.attr(attr).name(),
-                            sp2.get(g, n, attr),
-                            sp.get(g, n, attr)
-                        ),
-                    ));
-                }
-            }
+        let differs = |&(n, a): &_| sp2.get(g, n, a) != sp.get(g, n, a);
+        if let Some((n, attr)) = tree.attr_instances(g).find(differs) {
+            return Err(div(
+                "tables-vs-space",
+                format!(
+                    "node {n:?} attr {}: decoded tables {:?}, fresh {:?}",
+                    g.attr(attr).name(),
+                    sp2.get(g, n, attr),
+                    sp.get(g, n, attr)
+                ),
+            ));
         }
     }
 
@@ -327,22 +309,18 @@ fn run_case_inner(params: &CaseParams) -> Result<CaseStats, Divergence> {
         let (want, _) = DynamicEvaluator::new(g)
             .evaluate(inc.tree(), &inputs)
             .map_err(|e| div("incremental", format!("re-evaluation failed: {e}")))?;
-        for (n, _) in inc.tree().preorder() {
-            let ph = inc.tree().phylum(g, n);
-            for &attr in g.phylum(ph).attrs() {
-                if inc.value(n, attr) != want.get(g, n, attr) {
-                    return Err(div(
-                        "incremental-vs-scratch",
-                        format!(
-                            "after edit {edit}: node {n:?} attr {}: incremental {:?}, scratch {:?}{}",
-                            g.attr(attr).name(),
-                            inc.value(n, attr),
-                            want.get(g, n, attr),
-                            divergence_slice(g, &ev, inc.tree(), &inputs, n, attr)
-                        ),
-                    ));
-                }
-            }
+        let differs = |&(n, a): &_| inc.value(n, a) != want.get(g, n, a);
+        if let Some((n, attr)) = inc.tree().attr_instances(g).find(differs) {
+            return Err(div(
+                "incremental-vs-scratch",
+                format!(
+                    "after edit {edit}: node {n:?} attr {}: incremental {:?}, scratch {:?}{}",
+                    g.attr(attr).name(),
+                    inc.value(n, attr),
+                    want.get(g, n, attr),
+                    divergence_slice(g, &ev, inc.tree(), &inputs, n, attr)
+                ),
+            ));
         }
     }
 

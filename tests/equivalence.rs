@@ -56,12 +56,8 @@ fn binary_evaluators_agree() {
             );
         }
         // Exhaustive evaluation decorates every instance identically.
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(g, n);
-            for attr in g.phylum(ph).attrs() {
-                assert_eq!(a.get(g, n, *attr), b.get(g, n, *attr), "bits {bits}");
-            }
-        }
+        let differs = |&(n, x): &_| a.get(g, n, x) != b.get(g, n, x);
+        assert_eq!(tree.attr_instances(g).find(differs), None, "bits {bits}");
     }
 }
 
@@ -132,17 +128,20 @@ fn minipascal_evaluators_agree() {
         let (c, _) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .unwrap();
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(g, n);
-            for attr in g.phylum(ph).attrs() {
-                assert_eq!(a.get(g, n, *attr), b.get(g, n, *attr), "blocks {blocks}");
-                // The space plan keeps node storage only where needed, so
-                // compare wherever the optimized run materialized a value.
-                if let Some(v) = c.get(g, n, *attr) {
-                    assert_eq!(a.get(g, n, *attr), Some(v), "blocks {blocks}");
-                }
-            }
-        }
+        let differs = |&(n, x): &_| a.get(g, n, x) != b.get(g, n, x);
+        assert_eq!(
+            tree.attr_instances(g).find(differs),
+            None,
+            "blocks {blocks}"
+        );
+        // The space plan keeps node storage only where needed, so compare
+        // wherever the optimized run materialized a value.
+        let differs = |&(n, x): &_| c.get(g, n, x).is_some_and(|v| a.get(g, n, x) != Some(v));
+        assert_eq!(
+            tree.attr_instances(g).find(differs),
+            None,
+            "blocks {blocks}"
+        );
     }
 }
 
@@ -181,15 +180,10 @@ fn pathological_evaluators_agree() {
         let (c, _) = compiled
             .evaluate_optimized(&tree, &RootInputs::new())
             .unwrap();
-        for (n, _) in tree.preorder() {
-            let ph = tree.phylum(g, n);
-            for attr in g.phylum(ph).attrs() {
-                assert_eq!(a.get(g, n, *attr), b.get(g, n, *attr), "{name}");
-                if let Some(v) = c.get(g, n, *attr) {
-                    assert_eq!(a.get(g, n, *attr), Some(v), "{name}");
-                }
-            }
-        }
+        let differs = |&(n, x): &_| a.get(g, n, x) != b.get(g, n, x);
+        assert_eq!(tree.attr_instances(g).find(differs), None, "{name}");
+        let differs = |&(n, x): &_| c.get(g, n, x).is_some_and(|v| a.get(g, n, x) != Some(v));
+        assert_eq!(tree.attr_instances(g).find(differs), None, "{name}");
     }
 }
 
@@ -270,16 +264,12 @@ fn batch_driver_is_deterministic_across_thread_counts() {
                     estats, ref_stats,
                     "case {case} tree {i} at {threads} threads: stats diverge"
                 );
-                for (n, _) in trees[i].preorder() {
-                    let ph = trees[i].phylum(g, n);
-                    for &attr in g.phylum(ph).attrs() {
-                        assert_eq!(
-                            vals.get(g, n, attr),
-                            ref_vals.get(g, n, attr),
-                            "case {case} tree {i} at {threads} threads: node {n:?} attr {} diverges",
-                            g.attr(attr).name()
-                        );
-                    }
+                let differs = |&(n, a): &_| vals.get(g, n, a) != ref_vals.get(g, n, a);
+                if let Some((n, attr)) = trees[i].attr_instances(g).find(differs) {
+                    panic!(
+                        "case {case} tree {i} at {threads} threads: node {n:?} attr {} diverges",
+                        g.attr(attr).name()
+                    );
                 }
             }
         }
@@ -400,17 +390,9 @@ fn incremental_matches_from_scratch() {
             let (want, _) = DynamicEvaluator::new(&g)
                 .evaluate(inc.tree(), &RootInputs::new())
                 .unwrap();
-            for (n, _) in inc.tree().preorder() {
-                let ph = inc.tree().phylum(&g, n);
-                for attr in g.phylum(ph).attrs() {
-                    assert_eq!(
-                        inc.value(n, *attr),
-                        want.get(&g, n, *attr),
-                        "node {:?} attr {}",
-                        n,
-                        g.attr(*attr).name()
-                    );
-                }
+            let differs = |&(n, a): &_| inc.value(n, a) != want.get(&g, n, a);
+            if let Some((n, attr)) = inc.tree().attr_instances(&g).find(differs) {
+                panic!("node {:?} attr {}", n, g.attr(attr).name());
             }
         }
     }
@@ -780,15 +762,9 @@ fn guarded_batch_survives_injected_panics_deterministically() {
                 (_, TreeOutcome::Ok(vals, _)) => {
                     // Survivors (including the retried transient tree 1)
                     // are bit-identical to the no-fault reference.
-                    for (n, _) in trees[i].preorder() {
-                        let ph = trees[i].phylum(g, n);
-                        for &attr in g.phylum(ph).attrs() {
-                            assert_eq!(
-                                vals.get(g, n, attr),
-                                reference[i].get(g, n, attr),
-                                "{threads} threads: tree {i} node {n:?}"
-                            );
-                        }
+                    let differs = |&(n, a): &_| vals.get(g, n, a) != reference[i].get(g, n, a);
+                    if let Some((n, _)) = trees[i].attr_instances(g).find(differs) {
+                        panic!("{threads} threads: tree {i} node {n:?}");
                     }
                 }
                 (_, other) => {
