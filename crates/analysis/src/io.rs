@@ -236,29 +236,9 @@ pub(crate) fn dnc<R: Recorder>(deps: &Deps, snc: &SncResult, rec: &mut R) -> Dnc
 #[cfg(test)]
 mod tests {
     use fnc2_ag::{Grammar, GrammarBuilder, Occ, Value};
+    use fnc2_corpus::two_pass;
 
     use super::*;
-
-    /// Knuth-style two-pass grammar: SNC (and in fact l-ordered).
-    fn two_pass() -> Grammar {
-        // S ::= A ; A ::= a(A) | leaf
-        // A.down (inh), A.up (syn): up depends on down at the leaf.
-        let mut g = GrammarBuilder::new("two_pass");
-        let s = g.phylum("S");
-        let a = g.phylum("A");
-        let out = g.syn(s, "out");
-        let down = g.inh(a, "down");
-        let up = g.syn(a, "up");
-        let root = g.production("root", s, &[a]);
-        g.copy(root, Occ::lhs(out), Occ::new(1, up));
-        g.constant(root, Occ::new(1, down), Value::Int(0));
-        let mid = g.production("mid", a, &[a]);
-        g.copy(mid, Occ::new(1, down), Occ::lhs(down));
-        g.copy(mid, Occ::lhs(up), Occ::new(1, up));
-        let leaf = g.production("leaf", a, &[]);
-        g.copy(leaf, Occ::lhs(up), Occ::lhs(down));
-        g.finish().unwrap()
-    }
 
     /// The classic circular AG: A.i := A.s, A.s := A.i through the subtree.
     fn circular() -> Grammar {

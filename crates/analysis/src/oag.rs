@@ -380,28 +380,10 @@ fn cycle_witness_for_phylum(
 
 #[cfg(test)]
 mod tests {
-    use fnc2_ag::{Grammar, GrammarBuilder, Occ, Value};
+    use fnc2_ag::{GrammarBuilder, Occ, Value};
+    use fnc2_corpus::two_pass;
 
     use super::*;
-
-    /// Two-pass grammar: OAG(0), partition [down | up] per phylum A.
-    fn two_pass() -> Grammar {
-        let mut g = GrammarBuilder::new("two_pass");
-        let s = g.phylum("S");
-        let a = g.phylum("A");
-        let out = g.syn(s, "out");
-        let down = g.inh(a, "down");
-        let up = g.syn(a, "up");
-        let root = g.production("root", s, &[a]);
-        g.copy(root, Occ::lhs(out), Occ::new(1, up));
-        g.constant(root, Occ::new(1, down), Value::Int(0));
-        let mid = g.production("mid", a, &[a]);
-        g.copy(mid, Occ::new(1, down), Occ::lhs(down));
-        g.copy(mid, Occ::lhs(up), Occ::new(1, up));
-        let leaf = g.production("leaf", a, &[]);
-        g.copy(leaf, Occ::lhs(up), Occ::lhs(down));
-        g.finish().unwrap()
-    }
 
     #[test]
     fn two_pass_is_oag0() {

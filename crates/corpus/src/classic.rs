@@ -76,6 +76,29 @@ pub fn binary() -> Grammar {
     g.finish().expect("binary grammar is well-defined")
 }
 
+/// The two-pass grammar of the generator's unit tests: `S ::= A`,
+/// `A ::= mid(A) | leaf`. The inherited `A.down` is threaded down the
+/// chain from a constant at the root, and the synthesized `A.up` copies it
+/// back up from the leaf. It is l-ordered and OAG(0), with the one
+/// partition `[down | up]` on `A`.
+pub fn two_pass() -> Grammar {
+    let mut g = GrammarBuilder::new("two_pass");
+    let s = g.phylum("S");
+    let a = g.phylum("A");
+    let out = g.syn(s, "out");
+    let down = g.inh(a, "down");
+    let up = g.syn(a, "up");
+    let root = g.production("root", s, &[a]);
+    g.copy(root, Occ::lhs(out), Occ::new(1, up));
+    g.constant(root, Occ::new(1, down), Value::Int(0));
+    let mid = g.production("mid", a, &[a]);
+    g.copy(mid, Occ::new(1, down), Occ::lhs(down));
+    g.copy(mid, Occ::lhs(up), Occ::new(1, up));
+    let leaf = g.production("leaf", a, &[]);
+    g.copy(leaf, Occ::lhs(up), Occ::lhs(down));
+    g.finish().expect("two_pass is well-formed")
+}
+
 /// Builds the tree of a binary literal like `"1101"` or `"110.01"`.
 ///
 /// # Panics

@@ -21,7 +21,7 @@ mod shapes;
 mod synthetic;
 
 pub use blocks_olga::{blocks_olga, BLOCKS_OLGA_LIST};
-pub use classic::{binary, binary_tree, blocks, blocks_tree, blocks_tree_generic, desk};
+pub use classic::{binary, binary_tree, blocks, blocks_tree, blocks_tree_generic, desk, two_pass};
 pub use desk_olga::{desk_olga, DESK_OLGA};
 pub use minipascal::{
     minipascal, minipascal_scanner, minipascal_syntax, parse_minipascal, sample_program,

@@ -784,14 +784,13 @@ pub fn batch_evaluate_checkpointed_recorded<R: Recorder>(
 mod tests {
     use std::sync::atomic::AtomicU64;
 
-    use fnc2_ag::{Grammar, GrammarBuilder, Occ, TreeBuilder, Value};
-    use fnc2_analysis::{snc_test, snc_to_l_ordered, Inclusion};
+    use fnc2_ag::Value;
     use fnc2_guard::{InjectedFault, PlannedFault};
     use fnc2_obs::{NoopRecorder, Obs, SpanEvent};
     use fnc2_vfs::{FaultVfs, IoFaultKind, IoFaultPlan, PlannedIoFault, RealVfs};
-    use fnc2_visit::build_visit_seqs;
 
     use super::*;
+    use crate::tests::{chains, count_grammar, seqs_for};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -804,37 +803,6 @@ mod tests {
         ));
         std::fs::create_dir_all(&d).unwrap();
         d
-    }
-
-    fn count_grammar() -> Grammar {
-        let mut g = GrammarBuilder::new("count");
-        let s = g.phylum("S");
-        let n = g.syn(s, "n");
-        let leaf = g.production("leaf", s, &[]);
-        g.constant(leaf, Occ::lhs(n), Value::Int(0));
-        let node = g.production("node", s, &[s]);
-        g.func("succ", 1, |a| Value::Int(a[0].as_int() + 1));
-        g.call(node, Occ::lhs(n), "succ", [Occ::new(1, n).into()]);
-        g.finish().unwrap()
-    }
-
-    fn chains(g: &Grammar, count: usize) -> Vec<Tree> {
-        (0..count)
-            .map(|depth| {
-                let mut tb = TreeBuilder::new(g);
-                let mut cur = tb.op("leaf", &[]).unwrap();
-                for _ in 0..depth {
-                    cur = tb.op("node", &[cur]).unwrap();
-                }
-                tb.finish_root(cur).unwrap()
-            })
-            .collect()
-    }
-
-    fn eval_parts(g: &Grammar) -> fnc2_visit::VisitSeqs {
-        let snc = snc_test(g);
-        let lo = snc_to_l_ordered(g, &snc, Inclusion::Long).unwrap();
-        build_visit_seqs(g, &lo)
     }
 
     /// The digest sees a list's element sequence only: flat, concatenated
@@ -949,7 +917,7 @@ mod tests {
     #[test]
     fn power_cut_mid_batch_resumes_bit_identically() {
         let g = count_grammar();
-        let seqs = eval_parts(&g);
+        let seqs = seqs_for(&g);
         let ev = Evaluator::new(&g, &seqs);
         // Enough trees to span several journal flush groups, so a fault
         // planned on write op 1 or 2 lands on a *mid-batch* group append.
@@ -1054,7 +1022,7 @@ mod tests {
     #[test]
     fn checkpointed_matches_guarded_classification() {
         let g = count_grammar();
-        let seqs = eval_parts(&g);
+        let seqs = seqs_for(&g);
         let ev = Evaluator::new(&g, &seqs);
         let trees = chains(&g, 8);
         let inputs = RootInputs::new();
@@ -1094,7 +1062,7 @@ mod tests {
     #[test]
     fn checkpointed_batch_records_one_span_per_attempt() {
         let g = count_grammar();
-        let seqs = eval_parts(&g);
+        let seqs = seqs_for(&g);
         let ev = Evaluator::new(&g, &seqs);
         let trees = chains(&g, 6);
         let retries = 2;
@@ -1165,7 +1133,7 @@ mod tests {
         // which resumes from the journal. Verify the resume picks up
         // every already-journaled tree.
         let g = count_grammar();
-        let seqs = eval_parts(&g);
+        let seqs = seqs_for(&g);
         let ev = Evaluator::new(&g, &seqs);
         let trees = chains(&g, 2 * JOURNAL_FLUSH_EVERY + 8);
         let inputs = RootInputs::new();

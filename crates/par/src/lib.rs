@@ -595,7 +595,8 @@ mod tests {
 
     use super::*;
 
-    fn count_grammar() -> Grammar {
+    /// `S ::= node(S) | leaf`, where `S.n` is the chain's depth.
+    pub(crate) fn count_grammar() -> Grammar {
         let mut g = GrammarBuilder::new("count");
         let s = g.phylum("S");
         let n = g.syn(s, "n");
@@ -607,7 +608,7 @@ mod tests {
         g.finish().unwrap()
     }
 
-    fn seqs_for(g: &Grammar) -> VisitSeqs {
+    pub(crate) fn seqs_for(g: &Grammar) -> VisitSeqs {
         let snc = snc_test(g);
         let lo = snc_to_l_ordered(g, &snc, Inclusion::Long).unwrap();
         build_visit_seqs(g, &lo)
@@ -627,7 +628,8 @@ mod tests {
         }
     }
 
-    fn chains(g: &Grammar, count: usize) -> Vec<Tree> {
+    /// `count` chains of depths 0, 1, …, `count - 1`.
+    pub(crate) fn chains(g: &Grammar, count: usize) -> Vec<Tree> {
         (0..count)
             .map(|depth| {
                 let mut tb = TreeBuilder::new(g);

@@ -1192,6 +1192,7 @@ pub fn validate_plan(
 mod tests {
     use fnc2_ag::{Grammar, GrammarBuilder, Occ, Value};
     use fnc2_analysis::{snc_test, snc_to_l_ordered, Inclusion};
+    use fnc2_corpus::two_pass;
     use fnc2_visit::build_visit_seqs;
 
     use crate::flat::FlatProgram;
@@ -1209,28 +1210,10 @@ mod tests {
         (plan_storage(g, &seqs, &fp, &objects, &lt), objects)
     }
 
-    /// The threaded `down`/`up` grammar. Each instance dies exactly when
+    /// In the threaded `down`/`up` grammar each instance dies exactly when
     /// the next one is produced (pure copy threading), so — as the
     /// may-evaluate analysis correctly discovers — a single global
     /// variable per attribute suffices even though the phylum recurses.
-    fn two_pass() -> Grammar {
-        let mut g = GrammarBuilder::new("two_pass");
-        let s = g.phylum("S");
-        let a = g.phylum("A");
-        let out = g.syn(s, "out");
-        let down = g.inh(a, "down");
-        let up = g.syn(a, "up");
-        let root = g.production("root", s, &[a]);
-        g.copy(root, Occ::lhs(out), Occ::new(1, up));
-        g.constant(root, Occ::new(1, down), Value::Int(0));
-        let mid = g.production("mid", a, &[a]);
-        g.copy(mid, Occ::new(1, down), Occ::lhs(down));
-        g.copy(mid, Occ::lhs(up), Occ::new(1, up));
-        let leaf = g.production("leaf", a, &[]);
-        g.copy(leaf, Occ::lhs(up), Occ::lhs(down));
-        g.finish().unwrap()
-    }
-
     #[test]
     fn threaded_copies_fit_variables() {
         let g = two_pass();

@@ -318,6 +318,7 @@ pub fn interval_hits_visit(
 mod tests {
     use fnc2_ag::{Grammar, GrammarBuilder, Occ, Value};
     use fnc2_analysis::{snc_test, snc_to_l_ordered, Inclusion};
+    use fnc2_corpus::two_pass;
     use fnc2_visit::build_visit_seqs;
 
     use super::*;
@@ -330,24 +331,6 @@ mod tests {
         let objects = ObjectIndex::new(g);
         let lt = Lifetimes::analyze(g, &seqs, &fp, &objects);
         (seqs, fp, objects, lt)
-    }
-
-    fn two_pass() -> Grammar {
-        let mut g = GrammarBuilder::new("two_pass");
-        let s = g.phylum("S");
-        let a = g.phylum("A");
-        let out = g.syn(s, "out");
-        let down = g.inh(a, "down");
-        let up = g.syn(a, "up");
-        let root = g.production("root", s, &[a]);
-        g.copy(root, Occ::lhs(out), Occ::new(1, up));
-        g.constant(root, Occ::new(1, down), Value::Int(0));
-        let mid = g.production("mid", a, &[a]);
-        g.copy(mid, Occ::new(1, down), Occ::lhs(down));
-        g.copy(mid, Occ::lhs(up), Occ::new(1, up));
-        let leaf = g.production("leaf", a, &[]);
-        g.copy(leaf, Occ::lhs(up), Occ::lhs(down));
-        g.finish().unwrap()
     }
 
     #[test]

@@ -322,28 +322,11 @@ fn sink_evals(grammar: &Grammar, p: ProductionId, segment: &mut Vec<Instr>, s: &
 
 #[cfg(test)]
 mod tests {
-    use fnc2_ag::{Grammar, GrammarBuilder, Occ, Value};
+    use fnc2_ag::{Grammar, Occ};
     use fnc2_analysis::{snc_test, snc_to_l_ordered, Inclusion};
+    use fnc2_corpus::two_pass;
 
     use super::*;
-
-    fn two_pass() -> Grammar {
-        let mut g = GrammarBuilder::new("two_pass");
-        let s = g.phylum("S");
-        let a = g.phylum("A");
-        let out = g.syn(s, "out");
-        let down = g.inh(a, "down");
-        let up = g.syn(a, "up");
-        let root = g.production("root", s, &[a]);
-        g.copy(root, Occ::lhs(out), Occ::new(1, up));
-        g.constant(root, Occ::new(1, down), Value::Int(0));
-        let mid = g.production("mid", a, &[a]);
-        g.copy(mid, Occ::new(1, down), Occ::lhs(down));
-        g.copy(mid, Occ::lhs(up), Occ::new(1, up));
-        let leaf = g.production("leaf", a, &[]);
-        g.copy(leaf, Occ::lhs(up), Occ::lhs(down));
-        g.finish().unwrap()
-    }
 
     fn seqs_for(g: &Grammar) -> VisitSeqs {
         let snc = snc_test(g);
